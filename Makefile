@@ -19,10 +19,14 @@ test:
 # The sweep engine runs simulations on real goroutines and the stable store
 # claims concurrency safety (starhub drives it from multiple connections):
 # both stay race-checked, plus a fast subset of the single-threaded core so
-# accidental shared state in new instrumentation gets caught early.
+# accidental shared state in new instrumentation gets caught early. demos is
+# in the subset for its hand-off tests: programs run on coroutines that any
+# goroutine may resume (the parallel engine's workers do), and -race is what
+# checks every resume and kill is ordered after the kernel's last write.
 race:
 	$(GO) test -race ./internal/sweep ./internal/stablestore \
-		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime
+		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
+		./internal/demos
 
 # The online invariant monitor: its unit tests plus the cluster-level
 # integration tests (duplicate flagged before quiescence, report determinism,

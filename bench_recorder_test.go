@@ -35,6 +35,7 @@ func benchRecoveryCluster(tb testing.TB, recorders, shardSlots int) (simtime.Tim
 	cfg.Recorders = recorders
 	cfg.ShardSlots = shardSlots
 	c := publishing.New(cfg)
+	defer c.Close()
 
 	var got int
 	c.Registry().RegisterMachine("witness", func(args []byte) publishing.Machine {

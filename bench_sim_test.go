@@ -88,8 +88,11 @@ type simCluster struct {
 // With monitored set, the run instead carries the full online-observability
 // stack: tracing on (bounded by a flight-recorder ring) with the invariant
 // monitor subscribed — the overhead the monitored benchmark variant prices.
-func runSimCluster(nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) simClusterResult {
-	s := buildSimCluster(nodes, seed, monitored, mutate...)
+func runSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) simClusterResult {
+	s := buildSimCluster(tb, nodes, seed, monitored, mutate...)
+	// A benchmark builds one cluster per iteration: release each as soon as
+	// its numbers are read rather than at the benchmark's end.
+	defer s.c.Close()
 	start := time.Now()
 	// The horizon is the last arrival plus a drain window for retransmits,
 	// delayed acks, and recorder publishing to quiesce.
@@ -106,7 +109,8 @@ func runSimCluster(nodes int, seed uint64, monitored bool, mutate ...func(*publi
 // buildSimCluster assembles the scenario without running it. Optional
 // mutators adjust the config after the standard scenario knobs are set
 // (e.g. the sharded-recorder passivity test turns on the recorder trio).
-func buildSimCluster(nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) *simCluster {
+// The cluster is closed when tb finishes.
+func buildSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) *simCluster {
 	wcfg := simClusterScale(nodes)
 	wcfg.Seed = seed
 	events := workload.Msgs(wcfg, 8*nodes)
@@ -148,6 +152,7 @@ func buildSimCluster(nodes int, seed uint64, monitored bool, mutate ...func(*pub
 		m(&cfg)
 	}
 	c := publishing.New(cfg)
+	tb.Cleanup(c.Close)
 	if !monitored {
 		c.Trace().Enable(false)
 	}
@@ -270,7 +275,7 @@ func benchSimCluster(b *testing.B, nodes int, monitored bool, mutate ...func(*pu
 	var wall time.Duration
 	var virtual simtime.Time
 	for i := 0; i < b.N; i++ {
-		r := runSimCluster(nodes, simClusterSeed, monitored, mutate...)
+		r := runSimCluster(b, nodes, simClusterSeed, monitored, mutate...)
 		if r.delivered != int64(r.sent) {
 			b.Fatalf("delivered %d of %d messages", r.delivered, r.sent)
 		}

@@ -358,6 +358,7 @@ func runWireWorkload(b *testing.B, medium publishing.MediumKind, mode recorder.P
 	cfg.Medium = medium
 	cfg.RecorderMode = mode
 	c := publishing.New(cfg)
+	defer c.Close()
 	var got int
 	var doneAt simtime.Time
 	c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
@@ -440,6 +441,7 @@ func measureRecoveryWindow(b *testing.B, pol publishing.CheckpointPolicyKind) si
 	cfg.CheckpointPolicy = pol
 	cfg.CheckpointTick = 200 * simtime.Millisecond
 	c := publishing.New(cfg)
+	defer c.Close()
 	var got int
 	c.Registry().RegisterMachine("witness", func(args []byte) publishing.Machine {
 		return countSink{n: &got}

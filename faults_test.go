@@ -1,6 +1,7 @@
 package publishing
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -218,6 +219,87 @@ func TestStoragePolicyCheckpoints(t *testing.T) {
 	expectSteps(t, sink, 20)
 	if c.Recorder().Stats().CheckpointsStored == 0 {
 		t.Fatal("storage policy never checkpointed")
+	}
+}
+
+// The storage policy's tick visits kernels, and each kernel's processes, in
+// a fixed order: when several processes cross the threshold on one tick the
+// order their checkpoints are published in shapes every later event. Two
+// same-seed runs of a pipeline with two checkpointable processes on each of
+// two nodes must therefore agree on the event count, every metric, and the
+// recorder database.
+func TestCheckpointStorageDeterminism(t *testing.T) {
+	run := func() (uint64, string, string) {
+		cfg := DefaultConfig(3)
+		cfg.Seed = 5
+		cfg.CheckpointPolicy = CheckpointStorage
+		cfg.CheckpointTick = 150 * simtime.Millisecond
+		c := New(cfg)
+		defer c.Close()
+		sink := &witnessSink{}
+		registerWitness(c, sink)
+		registerWorker(c)
+		const workers, rounds = 4, 12
+		c.Registry().RegisterProgram("producer", func(args []byte) Program {
+			return func(ctx *PCtx) {
+				var links [workers]LinkID
+				for i := range links {
+					l, err := ctx.ServiceLink(fmt.Sprintf("worker%d", i))
+					if err != nil {
+						panic(err)
+					}
+					links[i] = l
+				}
+				for r := 1; r <= rounds; r++ {
+					for _, l := range links {
+						body := make([]byte, 512)
+						body[0] = byte(r)
+						_ = ctx.Send(l, body, NoLink)
+					}
+					ctx.Compute(100 * simtime.Millisecond)
+				}
+			}
+		})
+		wit, err := c.Spawn(0, ProcSpec{Name: "witness", Recoverable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetService("witness", wit)
+		for i := 0; i < workers; i++ {
+			w, err := c.Spawn(NodeID(1+i%2), ProcSpec{Name: "worker", Recoverable: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetService(fmt.Sprintf("worker%d", i), w)
+		}
+		if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(30 * simtime.Second)
+		if got := len(sink.msgs); got != workers*rounds {
+			t.Fatalf("witness saw %d messages, want %d", got, workers*rounds)
+		}
+		if n := c.Recorder().Stats().CheckpointsStored; n < workers {
+			t.Fatalf("only %d checkpoints stored; the scenario must checkpoint every worker", n)
+		}
+		var mets bytes.Buffer
+		if err := c.Metrics().Snapshot().WriteText(&mets); err != nil {
+			t.Fatal(err)
+		}
+		return c.Scheduler().Fired(), mets.String(), string(dumpRecorderDB(t, c, 0))
+	}
+	fired, mets, db := run()
+	for i := 0; i < 3; i++ {
+		f, m, d := run()
+		if f != fired {
+			t.Errorf("run %d fired %d events, first run %d", i+2, f, fired)
+		}
+		if m != mets {
+			t.Errorf("run %d metrics differ from the first run's", i+2)
+		}
+		if d != db {
+			t.Errorf("run %d recorder database differs from the first run's:\n%s\n--- first ---\n%s", i+2, d, db)
+		}
 	}
 }
 

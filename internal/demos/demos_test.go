@@ -20,7 +20,7 @@ type tenv struct {
 	kernels map[frame.NodeID]*Kernel
 }
 
-func newTenv(t *testing.T, nodes int, publishing bool, recorderProc frame.ProcID) *tenv {
+func newTenv(t testing.TB, nodes int, publishing bool, recorderProc frame.ProcID) *tenv {
 	t.Helper()
 	e := &tenv{
 		sched:   simtime.NewScheduler(),

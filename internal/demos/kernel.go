@@ -90,6 +90,8 @@ type Kernel struct {
 	userCPU   simtime.Time
 
 	crashed bool
+	// shut is set by Shutdown: no process is dispatched here again.
+	shut bool
 
 	// routing overrides the home-node rule for migrated/recovered processes
 	// (§4.3.3 route-through).
@@ -277,13 +279,11 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 	}
 
 	p := &process{
-		id:     id,
-		spec:   spec,
-		k:      k,
-		links:  newLinkTable(),
-		resume: make(chan callResp),
-		yield:  make(chan yieldMsg),
-		state:  psReady,
+		id:    id,
+		spec:  spec,
+		k:     k,
+		links: newLinkTable(),
+		state: psReady,
 	}
 	switch {
 	case k.env.Registry.machines[spec.Name] != nil:
@@ -342,13 +342,9 @@ func (k *Kernel) publishingFor(p *process) bool {
 }
 
 // terminate tears a process down into the given terminal state. The
-// goroutine, if parked, is unwound synchronously.
+// coroutine, if parked, is unwound synchronously.
 func (k *Kernel) terminate(p *process, final runState) {
-	if p.started && !p.finished {
-		p.resume <- callResp{kill: true}
-		<-p.yield // the goroutine acknowledges with yKilled
-		p.finished = true
-	}
+	p.kill()
 	p.state = final
 	if final == psDead {
 		k.qDepth.Add(-int64(p.queue.len()))
@@ -397,11 +393,7 @@ func (k *Kernel) CrashNode() {
 	}
 	k.env.Log.Add(trace.KindCrash, int(k.node), "node", "processor crash")
 	for _, p := range k.procs {
-		if p.started && !p.finished {
-			p.resume <- callResp{kill: true}
-			<-p.yield
-			p.finished = true
-		}
+		p.kill()
 	}
 	k.procs = make(map[frame.ProcID]*process)
 	k.qDepth.Set(0)
@@ -411,6 +403,17 @@ func (k *Kernel) CrashNode() {
 	k.crashed = true
 	k.ep.Reset()
 	k.env.Medium.Faults().SetDown(k.node, true)
+}
+
+// Shutdown is teardown, not a simulated fault: it unwinds every program
+// still parked on this kernel, releasing its coroutine (and running its
+// deferred functions), and dispatches nothing afterwards. Counters, queues
+// and the network are left as they are. Idempotent.
+func (k *Kernel) Shutdown() {
+	k.shut = true
+	for _, p := range k.procs {
+		p.kill()
+	}
 }
 
 // Reboot brings a crashed node back with empty tables. Processes are not
@@ -539,7 +542,7 @@ func (k *Kernel) wake(p *process) {
 }
 
 func (k *Kernel) maybeDispatch() {
-	if k.crashed || k.dispatchPending || len(k.runq) == 0 {
+	if k.crashed || k.shut || k.dispatchPending || len(k.runq) == 0 {
 		return
 	}
 	k.dispatchPending = true
@@ -564,7 +567,7 @@ func (k *Kernel) maybeDispatch() {
 // counted unit).
 func (k *Kernel) dispatch() {
 	k.dispatchPending = false
-	if k.crashed || len(k.runq) == 0 {
+	if k.crashed || k.shut || len(k.runq) == 0 {
 		return
 	}
 	p := k.runq[0]
@@ -603,24 +606,13 @@ func (k *Kernel) dispatch() {
 	}
 
 	p.state = psRunning
-	var y yieldMsg
-	if !p.started {
-		p.started = true
-		go p.run()
-		y = <-p.yield
-	} else {
-		p.resume <- p.pending
-		p.pending = callResp{}
-		y = <-p.yield
-	}
-	k.handleYield(p, y)
+	k.handleYield(p, p.step())
 	k.maybeDispatch()
 }
 
 func (k *Kernel) handleYield(p *process, y yieldMsg) {
 	switch y.kind {
 	case yExit:
-		p.finished = true
 		p.state = psDead
 		k.qDepth.Add(-int64(p.queue.len()))
 		delete(k.procs, p.id)
@@ -631,15 +623,12 @@ func (k *Kernel) handleYield(p *process, y yieldMsg) {
 			k.notify(&Notice{Kind: NoticeDestroyed, Proc: p.id})
 		}
 	case yFault:
-		p.finished = true
 		p.state = psCrashed
 		k.stats.ProcsCrashed++
 		k.env.Log.Add(trace.KindCrash, int(k.node), p.id.String(), "%v", y.err)
 		if k.publishingFor(p) {
 			k.notify(&Notice{Kind: NoticeCrashed, Proc: p.id})
 		}
-	case yKilled:
-		p.finished = true
 	case yCall:
 		k.stats.KernelCalls++
 		k.handleCall(p, y.req)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -412,8 +413,8 @@ type RecoveryLoad struct {
 	Checkpointable bool
 }
 
-// Loads reports the recovery debt of every local recoverable process; the
-// checkpoint policy consumes this.
+// Loads reports the recovery debt of every local recoverable process, in
+// process-id order; the checkpoint policy consumes this.
 func (k *Kernel) Loads() []RecoveryLoad {
 	var out []RecoveryLoad
 	for id, p := range k.procs {
@@ -431,5 +432,12 @@ func (k *Kernel) Loads() []RecoveryLoad {
 			Checkpointable: p.machine != nil,
 		})
 	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Proc, out[j].Proc
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		return a.Local < b.Local
+	})
 	return out
 }

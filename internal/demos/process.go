@@ -3,6 +3,7 @@ package demos
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -31,7 +32,7 @@ const (
 	psDead    // exited or destroyed
 )
 
-// yieldKind classifies how a process goroutine handed control back.
+// yieldKind classifies how a process coroutine handed control back.
 type yieldKind uint8
 
 const (
@@ -70,12 +71,11 @@ type callReq struct {
 }
 
 type callResp struct {
-	kill bool
-	msg  Msg
-	ok   bool
-	lid  LinkID
-	err  error
-	t    simtime.Time
+	msg Msg
+	ok  bool
+	lid LinkID
+	err error
+	t   simtime.Time
 }
 
 type yieldMsg struct {
@@ -84,7 +84,7 @@ type yieldMsg struct {
 	err  error
 }
 
-// sentinels used to unwind a process goroutine.
+// sentinels used to unwind a process coroutine.
 type unwind uint8
 
 const (
@@ -133,13 +133,15 @@ type process struct {
 	// direct copy of a message the recovery already delivered.
 	replayed map[frame.MsgID]bool
 
-	// goroutine handshake. The goroutine runs only between a send on resume
-	// and the following receive on yield, so exactly one of (kernel,
-	// process) executes at any instant.
+	// Coroutine hand-off (iter.Pull). The program runs only inside next() or
+	// stop(), so exactly one of (kernel, process) executes at any instant.
+	// pending is what the parked kernel call returns; final is how the
+	// program ended, set before its last hand-back.
 	started  bool
 	finished bool
-	resume   chan callResp
-	yield    chan yieldMsg
+	next     func() (callReq, bool)
+	stop     func()
+	final    yieldMsg
 	pending  callResp
 	want     []uint16 // channels a blocked Receive is waiting for
 	// pendingReceiveRetry marks a receive to complete at next dispatch.
@@ -155,26 +157,45 @@ type process struct {
 	stateKB      int
 }
 
-// ctx builds the process-facing call context.
-func (p *process) ctx() *PCtx { return &PCtx{p: p} }
-
-// run is the process goroutine body.
-func (p *process) run() {
+// run is the process coroutine body.
+func (p *process) run(yield func(callReq) bool) {
 	defer func() {
-		r := recover()
-		switch r {
-		case nil:
-			p.yield <- yieldMsg{kind: yExit}
-		case unwindExit:
-			p.yield <- yieldMsg{kind: yExit}
+		switch r := recover(); r {
+		case nil, unwindExit:
+			p.final = yieldMsg{kind: yExit}
 		case unwindKill:
-			p.yield <- yieldMsg{kind: yKilled}
+			p.final = yieldMsg{kind: yKilled}
 		default:
 			// A panic in user code is a detected process fault (§1.1.2).
-			p.yield <- yieldMsg{kind: yFault, err: fmt.Errorf("process fault: %v", r)}
+			p.final = yieldMsg{kind: yFault, err: fmt.Errorf("process fault: %v", r)}
 		}
 	}()
-	p.prog(p.ctx())
+	p.prog(&PCtx{p: p, yield: yield})
+}
+
+// step runs the program up to its next kernel call (or its end), starting
+// the coroutine on first use. The parked call returns with p.pending.
+func (p *process) step() yieldMsg {
+	if !p.started {
+		p.started = true
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	req, ok := p.next()
+	p.pending = callResp{}
+	if !ok {
+		p.finished = true
+		return p.final
+	}
+	return yieldMsg{kind: yCall, req: req}
+}
+
+// kill unwinds a parked program synchronously: its yield returns false and
+// the kernel call panics with unwindKill, running the program's defers.
+func (p *process) kill() {
+	if p.started && !p.finished {
+		p.stop()
+		p.finished = true
+	}
 }
 
 // machineProgram adapts a Machine to the Program execution model.
@@ -194,18 +215,22 @@ func machineProgram(m Machine) Program {
 // performs the operation, charges its cost on the virtual clock, and
 // resumes the process on a later dispatch — the deterministic round-robin
 // quantum of §6.6.2.
+//
+// Its methods must be called from the program's own goroutine — the one the
+// kernel runs the Program or Machine on. A kernel call parks that coroutine;
+// from a goroutine the program spawned it would corrupt the hand-off.
 type PCtx struct {
-	p *process
+	p     *process
+	yield func(callReq) bool
 }
 
-// call performs the yield/resume handshake for one kernel call.
+// call hands req to the kernel and parks until the next dispatch; the kernel
+// leaves the response in the process record. A false yield is a kill.
 func (c *PCtx) call(req callReq) callResp {
-	c.p.yield <- yieldMsg{kind: yCall, req: req}
-	resp := <-c.p.resume
-	if resp.kill {
+	if !c.yield(req) {
 		panic(unwindKill)
 	}
-	return resp
+	return c.p.pending
 }
 
 // Self returns the process's network-wide id (§4.3.1).

@@ -95,12 +95,23 @@ func (m *Ether) attempt(tx *etherTx) {
 	tx.finish = m.sched.At(end, func() { m.finish(tx) })
 }
 
+// logDrop traces a frame lost on the wire; the id is formatted only when
+// tracing is on.
+func (m *Ether) logDrop(tx *etherTx, why string) {
+	if m.log.Enabled() {
+		id := tx.f.ID.String()
+		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, why)
+	}
+}
+
 func (m *Ether) collide(tx *etherTx) {
 	m.stats.Collisions++
 	cur := m.cur
-	id := tx.f.ID.String()
-	m.log.AddMsg(trace.KindCollision, int(tx.src), id, id,
-		"collision with %s from n%d", cur.f.ID, cur.src)
+	if m.log.Enabled() {
+		id := tx.f.ID.String()
+		m.log.AddMsg(trace.KindCollision, int(tx.src), id, id,
+			"collision with %s from n%d", cur.f.ID, cur.src)
+	}
 	// Jam: the in-flight transmission is aborted.
 	m.sched.Cancel(cur.finish)
 	m.cur = nil
@@ -126,8 +137,7 @@ func (m *Ether) backoff(tx *etherTx) {
 	tx.attempts++
 	if tx.attempts >= m.maxAttempts {
 		m.stats.FramesLost++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, "excessive collisions")
+		m.logDrop(tx, "excessive collisions")
 		return
 	}
 	m.stats.Backoffs++
@@ -177,8 +187,7 @@ func (m *Ether) finish(tx *etherTx) {
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
 		m.stats.FramesLost++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, "wire loss")
+		m.logDrop(tx, "wire loss")
 		return
 	}
 	if tx.f.Corrupt {
@@ -190,9 +199,7 @@ func (m *Ether) finish(tx *etherTx) {
 		// Empty recorder-ack slot: every receiver discards the frame
 		// "exactly as if it had received a bad packet" (§6.1.1).
 		m.stats.RecorderBlocks++
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id,
-			"no recorder ack in slot; receivers discard")
+		m.logDrop(tx, "no recorder ack in slot; receivers discard")
 		return
 	}
 	m.deliver(tx.src, tx.f)

@@ -40,13 +40,26 @@ func encWith[T any](r *Recorder, c *gobx.Codec[T], v *T) []byte {
 // Stable-storage key namespaces. Every piece of recorder state needed to
 // survive a recorder crash lands under one of these, so the database can be
 // rebuilt purely from the store (§4.5: "If the recorder crashes, it is
-// possible to rebuild the data base from the disk").
-func msgKey(p frame.ProcID) string  { return "msg:" + p.String() }
-func advKey(p frame.ProcID) string  { return "adv:" + p.String() }
-func ckKey(p frame.ProcID) string   { return "ck:" + p.String() }
-func procKey(p frame.ProcID) string { return "proc:" + p.String() }
-func lastKey(p frame.ProcID) string { return "last:" + p.String() }
-func deadKey(p frame.ProcID) string { return "dead:" + p.String() }
+// possible to rebuild the data base from the disk"). A process's keys are
+// built once, with its database entry: two records are appended per published
+// message, so formatting the id per record is an allocation hot spot.
+type procKeys struct {
+	msg, adv, ck, proc, last, dead string
+}
+
+// newProcEntry makes the database entry for p, living on node.
+func newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
+	id := p.String()
+	return &procEntry{
+		Proc: p,
+		Node: node,
+		have: make(map[frame.MsgID]bool),
+		keys: procKeys{
+			msg: "msg:" + id, adv: "adv:" + id, ck: "ck:" + id,
+			proc: "proc:" + id, last: "last:" + id, dead: "dead:" + id,
+		},
+	}
+}
 
 const restartKey = "restart"
 
@@ -87,27 +100,27 @@ func (r *Recorder) append(rec stablestore.Record) {
 }
 
 func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: msgKey(e.Proc), Seq: sm.ArrSeq, Data: encWith(r, &msgCodec, sm)})
+	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.msg, Seq: sm.ArrSeq, Data: encWith(r, &msgCodec, sm)})
 }
 
 func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: advKey(e.Proc), Seq: adv.AdvSeq, Data: encWith(r, &advCodec, adv)})
+	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.adv, Seq: adv.AdvSeq, Data: encWith(r, &advCodec, adv)})
 }
 
 func (r *Recorder) persistProcMeta(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: procKey(e.Proc), Seq: e.Rev,
+	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.proc, Seq: e.Rev,
 		Data: encWith(r, &procCodec, &procMeta{Proc: e.Proc, Spec: e.Spec, Node: e.Node})})
 }
 
 func (r *Recorder) persistLastSent(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: lastKey(e.Proc), Seq: e.Rev, Data: encWith(r, &lastCodec, &e.LastSent)})
+	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.last, Seq: e.Rev, Data: encWith(r, &lastCodec, &e.LastSent)})
 }
 
 func (r *Recorder) persistDead(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: deadKey(e.Proc), Seq: e.Rev})
+	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.dead, Seq: e.Rev})
 }
 
 func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
@@ -120,7 +133,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
 		retained[i] = sm.ArrSeq
 	}
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindCheckpoint, Key: ckKey(e.Proc), Seq: e.Rev,
+	r.append(stablestore.Record{Kind: stablestore.KindCheckpoint, Key: e.keys.ck, Seq: e.Rev,
 		Data: encWith(r, &ckCodec, &ckMeta{
 			Blob:          e.Checkpoint,
 			SendSeq:       e.CkSendSeq,
@@ -131,9 +144,9 @@ func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: retained,
 		})})
-	r.store.InvalidateSeqs(msgKey(e.Proc), dropped)
+	r.store.InvalidateSeqs(e.keys.msg, dropped)
 	if e.AdvSeqNext > 0 {
-		r.store.Invalidate(advKey(e.Proc), e.AdvSeqNext-1)
+		r.store.Invalidate(e.keys.adv, e.AdvSeqNext-1)
 	}
 }
 
@@ -166,7 +179,7 @@ func (r *Recorder) rebuild() error {
 	entry := func(p frame.ProcID) *procEntry {
 		e := r.db[p]
 		if e == nil {
-			e = &procEntry{Proc: p, Node: p.Node, have: make(map[frame.MsgID]bool)}
+			e = newProcEntry(p, p.Node)
 			r.db[p] = e
 		}
 		return e
@@ -280,7 +293,7 @@ func (r *Recorder) rebuild() error {
 		}
 		// Apply drops from every checkpoint revision (not just the latest).
 		for _, rec := range recs {
-			if rec.Key == ckKey(pid) {
+			if rec.Key == e.keys.ck {
 				var cm ckMeta
 				if gobIntoR(rec.Data, &cm) == nil {
 					for _, q := range cm.DroppedArr {

@@ -286,6 +286,8 @@ type procEntry struct {
 	Rev        uint64 // meta revision for stable storage
 	Recovering bool
 	Dead       bool
+
+	keys procKeys // stable-storage keys, see newProcEntry
 }
 
 // Recorder is the recording node: tap, database, stable store, and
@@ -889,7 +891,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		}
 		e := r.db[n.Proc]
 		if e == nil {
-			e = &procEntry{Proc: n.Proc, have: make(map[frame.MsgID]bool)}
+			e = newProcEntry(n.Proc, n.Proc.Node)
 			r.db[n.Proc] = e
 		}
 		e.Spec = n.Spec
@@ -936,8 +938,8 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 			e.Arrivals = nil
 			e.Advisories = nil
 			r.persistDead(e)
-			r.store.Invalidate(msgKey(n.Proc), e.ArrSeqNext)
-			r.store.Invalidate(advKey(n.Proc), e.AdvSeqNext)
+			r.store.Invalidate(e.keys.msg, e.ArrSeqNext)
+			r.store.Invalidate(e.keys.adv, e.AdvSeqNext)
 		}
 
 	case demos.NoticeReadOrder:

@@ -785,9 +785,11 @@ func (e *Endpoint) retransmit(fl *flight) {
 		// premise the recorder's cumulative-ack inference must not cross —
 		// internal/monitor keys its giveup-inference invariant off it.
 		e.stats.GaveUp++
-		id := fl.f.ID.String()
-		e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
-			"gave up after %d attempts", fl.attempts)
+		if e.log.Enabled() {
+			id := fl.f.ID.String()
+			e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
+				"gave up after %d attempts", fl.attempts)
+		}
 		e.finish(fl.f)
 		if e.OnGiveUp != nil {
 			e.OnGiveUp(fl.f)
@@ -798,8 +800,10 @@ func (e *Endpoint) retransmit(fl *flight) {
 	if e.cfg.AdaptiveRTO {
 		e.backoffRTO(fl.f.Dst)
 	}
-	id := fl.f.ID.String()
-	e.log.AddMsg(trace.KindSend, int(e.node), id, id, "retransmit #%d", fl.attempts)
+	if e.log.Enabled() {
+		id := fl.f.ID.String()
+		e.log.AddMsg(trace.KindSend, int(e.node), id, id, "retransmit #%d", fl.attempts)
+	}
 	e.transmit(fl)
 }
 
@@ -1002,9 +1006,11 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 			if _, ok := e.held[f.ID]; ok {
 				delete(e.held, f.ID)
 				e.stats.RecorderExpired++
-				id := f.ID.String()
-				e.log.AddMsg(trace.KindDrop, int(e.node), id, id,
-					"discarded: no recorder ack (will be resent)")
+				if e.log.Enabled() {
+					id := f.ID.String()
+					e.log.AddMsg(trace.KindDrop, int(e.node), id, id,
+						"discarded: no recorder ack (will be resent)")
+				}
 			}
 		})
 		e.held[f.ID] = h

@@ -101,7 +101,7 @@ func TestMonitorReportDeterminism(t *testing.T) {
 // the fingerprints.
 func TestMonitorPassivity(t *testing.T) {
 	dump := func(monitored bool) []byte {
-		s := buildSimCluster(64, simClusterSeed, monitored)
+		s := buildSimCluster(t, 64, simClusterSeed, monitored)
 		s.c.Run(s.horizon + 2*simtime.Second)
 		if got, want := *s.delivered, int64(s.sent); got != want {
 			t.Fatalf("monitored=%v: delivered %d of %d messages", monitored, got, want)
@@ -144,7 +144,7 @@ func TestMonitorPassivitySharded(t *testing.T) {
 		cfg.ShardSlots = 16
 	}
 	dump := func(monitored bool) []byte {
-		s := buildSimCluster(64, simClusterSeed, monitored, sharded)
+		s := buildSimCluster(t, 64, simClusterSeed, monitored, sharded)
 		s.c.Run(s.horizon + 2*simtime.Second)
 		if got, want := *s.delivered, int64(s.sent); got != want {
 			t.Fatalf("monitored=%v: delivered %d of %d messages", monitored, got, want)

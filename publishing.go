@@ -276,6 +276,8 @@ type Cluster struct {
 	// the map instance every kernel holds a reference to.
 	services       map[string]ProcID
 	servicesShared map[string]frame.ProcID
+
+	closed bool
 }
 
 // New builds a cluster from cfg.
@@ -596,9 +598,13 @@ func (c *Cluster) armCheckpointTick() {
 		pol = checkpoint.BoundPolicy{Margin: 0.9}
 	}
 	lp := checkpoint.Fig31Params()
+	// Sorted: checkpoints taken on one tick are published in this order, so
+	// map order here would make same-seed runs diverge.
+	nodes := c.Nodes()
 	var tick func()
 	tick = func() {
-		for _, k := range c.kernels {
+		for _, n := range nodes {
+			k := c.kernels[n]
 			if k.Crashed() {
 				continue
 			}
@@ -642,8 +648,26 @@ func (c *Cluster) Spawn(node NodeID, spec ProcSpec) (ProcID, error) {
 	return k.Spawn(spec, demos.SpawnOptions{})
 }
 
+// Close tears the cluster down: every program still parked in a kernel call
+// is unwound (its deferred functions run) so its coroutine is released and
+// the cluster's heap can be collected. Metrics, trace, stores and recorder
+// databases stay readable; Run and RunUntil panic afterwards. Idempotent.
+func (c *Cluster) Close() {
+	c.closed = true
+	for _, k := range c.kernels {
+		k.Shutdown()
+	}
+}
+
+func (c *Cluster) mustBeOpen() {
+	if c.closed {
+		panic("publishing: Run on a closed Cluster")
+	}
+}
+
 // Run advances virtual time by d.
 func (c *Cluster) Run(d Time) {
+	c.mustBeOpen()
 	limit := c.sched.Now() + d
 	if c.eng != nil {
 		c.eng.Run(limit)
@@ -658,6 +682,7 @@ func (c *Cluster) Run(d Time) {
 // RunUntil advances time until pred holds or the deadline passes, checking
 // every step. It reports whether pred held.
 func (c *Cluster) RunUntil(pred func() bool, max Time) bool {
+	c.mustBeOpen()
 	deadline := c.sched.Now() + max
 	for c.sched.Now() < deadline {
 		if pred() {

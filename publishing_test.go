@@ -136,6 +136,7 @@ func expectSteps(t *testing.T, sink *witnessSink, n int) {
 func buildScenario(t *testing.T, cfg Config, nMsgs int) (*Cluster, *witnessSink, ProcID) {
 	t.Helper()
 	c := New(cfg)
+	t.Cleanup(c.Close)
 	sink := &witnessSink{}
 	registerWitness(c, sink)
 	registerWorker(c)

@@ -90,7 +90,7 @@ func TestParallelSweepDigests(t *testing.T) {
 	}
 	runWith := func(workers int) sweep.RunFunc {
 		return func(task sweep.Task) ([]byte, error) {
-			s := buildSimCluster(nodes, task.Seed, false, func(cfg *publishing.Config) {
+			s := buildSimCluster(t, nodes, task.Seed, false, func(cfg *publishing.Config) {
 				cfg.ParWorkers = workers
 			})
 			s.c.Run(s.horizon + 2*simtime.Second)

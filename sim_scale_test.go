@@ -36,7 +36,7 @@ func runScaleFingerprint(t *testing.T) (metricsText, storeDump []byte) {
 // engine, whose whole contract is that these bytes come out identical.
 func runSimFingerprint(t *testing.T, nodes, workers int) (metricsText, storeDump []byte) {
 	t.Helper()
-	s := buildSimCluster(nodes, simClusterSeed, false, func(cfg *publishing.Config) {
+	s := buildSimCluster(t, nodes, simClusterSeed, false, func(cfg *publishing.Config) {
 		cfg.ParWorkers = workers
 	})
 	s.c.Run(s.horizon + 2*simtime.Second)

@@ -24,6 +24,7 @@ func recoveryDatabase(t *testing.T, backend stablestore.Backend) string {
 	cfg.CheckpointPolicy = CheckpointBound
 	cfg.CheckpointTick = 300 * simtime.Millisecond
 	c := New(cfg)
+	defer c.Close()
 	sink := &witnessSink{}
 	registerWitness(c, sink)
 	registerWorker(c)
