@@ -52,13 +52,15 @@ shards:
 	$(GO) test -race ./internal/recorder
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|TestMultiRec' -count=1 .
 
-# Time-boxed native fuzzing of the three wire codecs (frame, replay batch,
-# chaos schedule). Long exploratory runs are manual (`go test -fuzz X
-# -fuzztime 10m ./internal/frame`); this keeps the corpora exercised and
-# catches regressions the checked-in seeds reach quickly.
+# Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
+# schedule, store segment) and of the kernel's ring input queue against its
+# slice model. Long exploratory runs are manual (`go test -fuzz X -fuzztime
+# 10m ./internal/frame`); this keeps the corpora exercised and catches
+# regressions the checked-in seeds reach quickly.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
+	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
 

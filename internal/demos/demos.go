@@ -360,23 +360,28 @@ const (
 	NoticeMigrated
 )
 
-// Notices ride on every published message's arrival and controls on every
-// recovery step, so both bodies go through cached gobx codecs: the wire
-// bytes stay exactly the one-shot gob streams they have always been, but
-// the per-call type-descriptor and decode-engine work is amortized away.
+// Notices ride on every published message's arrival, controls on every
+// recovery step and a reply on every replay batch, so these bodies go
+// through cached gobx codecs: the wire bytes stay exactly the one-shot gob
+// streams they have always been, but the per-call type-descriptor and
+// decode-engine work is amortized away.
 var (
 	ctlCodec    gobx.Codec[CtlMsg]
 	noticeCodec gobx.Codec[Notice]
+	replyCodec  gobx.Codec[CtlReply]
 )
 
-// EncodeCtl gob-encodes a control body.
-func EncodeCtl(m *CtlMsg) []byte {
-	b, err := ctlCodec.Encode(nil, m)
+// mustEncode is mustGob through a cached codec.
+func mustEncode[T any](c *gobx.Codec[T], v *T) []byte {
+	b, err := c.Encode(nil, v)
 	if err != nil {
 		panic(fmt.Sprintf("demos: gob encode: %v", err))
 	}
 	return b
 }
+
+// EncodeCtl gob-encodes a control body.
+func EncodeCtl(m *CtlMsg) []byte { return mustEncode(&ctlCodec, m) }
 
 // DecodeCtl decodes a control body.
 func DecodeCtl(b []byte) (*CtlMsg, error) {
@@ -388,13 +393,7 @@ func DecodeCtl(b []byte) (*CtlMsg, error) {
 }
 
 // EncodeNotice gob-encodes a recorder notice.
-func EncodeNotice(n *Notice) []byte {
-	b, err := noticeCodec.Encode(nil, n)
-	if err != nil {
-		panic(fmt.Sprintf("demos: gob encode: %v", err))
-	}
-	return b
-}
+func EncodeNotice(n *Notice) []byte { return mustEncode(&noticeCodec, n) }
 
 // DecodeNotice decodes a recorder notice.
 func DecodeNotice(b []byte) (*Notice, error) {

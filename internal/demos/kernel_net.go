@@ -78,8 +78,10 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 			// been sent by the original process").
 			k.stats.Suppressed++
 			k.charge(costs.SendCPU, costs.UserPerCall)
-			k.env.Log.Add(trace.KindSuppress, int(k.node), from.String(),
-				"suppressed resend #%d (<= %d)", seq, counter.suppressThrough)
+			if k.env.Log.Enabled() {
+				k.env.Log.Add(trace.KindSuppress, int(k.node), from.String(),
+					"suppressed resend #%d (<= %d)", seq, counter.suppressThrough)
+			}
 			return nil
 		}
 	} else {

@@ -24,12 +24,12 @@ type CtlReply struct {
 }
 
 // EncodeReply gob-encodes a control reply.
-func EncodeReply(r *CtlReply) []byte { return mustGob(r) }
+func EncodeReply(r *CtlReply) []byte { return mustEncode(&replyCodec, r) }
 
 // DecodeReply decodes a control reply.
 func DecodeReply(b []byte) (*CtlReply, error) {
 	var r CtlReply
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	if err := replyCodec.Decode(b, &r); err != nil {
 		return nil, fmt.Errorf("demos: bad control reply: %w", err)
 	}
 	return &r, nil
@@ -215,8 +215,10 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 		// §3.5) or for a process no longer replaying. Ack and discard — the
 		// live attempt has its own stream.
 		k.stats.StaleReplayDropped++
-		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
-			"stale replay batch #%d (gen %d) dropped", hdr.Seq, hdr.Gen)
+		if k.env.Log.Enabled() {
+			k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
+				"stale replay batch #%d (gen %d) dropped", hdr.Seq, hdr.Gen)
+		}
 		return true
 	}
 	k.charge(k.env.Costs.LinkCPU, 0)
@@ -227,6 +229,10 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	}
 	hdr, recs, err := DecodeReplayBatch(f.Body, k.replayRecs[:0])
 	k.replayRecs = recs[:0]
+	// The queue owns the bodies and links once this returns; the kept
+	// scratch must not hold a recovery's last batch reachable until the
+	// next recovery.
+	defer clear(recs)
 	if err != nil {
 		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(), "bad replay batch: %v", err)
 		return true
@@ -253,8 +259,10 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	}
 	p.replayBatch = hdr.Seq
 	k.stats.ReplayBatches++
-	k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
-		"replayed batch #%d (%d messages)", hdr.Seq, len(recs))
+	if k.env.Log.Enabled() {
+		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
+			"replayed batch #%d (%d messages)", hdr.Seq, len(recs))
+	}
 	k.replyBatchAck(f, p)
 	return true
 }

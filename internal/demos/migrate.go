@@ -75,7 +75,8 @@ func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, e
 		SendSeq:    p.sendSeq,
 		ReadCount:  p.readCount,
 	}
-	for _, item := range p.queue.items {
+	for i := 0; i < p.queue.len(); i++ {
+		item := p.queue.at(i)
 		img.Queue = append(img.Queue, QueuedMsg{Msg: item.msg, Link: item.link})
 	}
 

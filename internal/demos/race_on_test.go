@@ -1,0 +1,5 @@
+//go:build race
+
+package demos
+
+const raceEnabled = true

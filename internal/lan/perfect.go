@@ -80,19 +80,25 @@ func (m *Perfect) complete(src frame.NodeID, f *frame.Frame) {
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
 		m.stats.FramesLost++
-		m.log.Add(trace.KindDrop, int(src), f.ID.String(), "wire loss %s", f)
+		if m.log.Enabled() {
+			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "wire loss %s", f)
+		}
 		return
 	}
 	if f.Corrupt {
 		m.stats.FramesLost++
-		m.log.Add(trace.KindDrop, int(src), f.ID.String(), "corrupt frame discarded")
+		if m.log.Enabled() {
+			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "corrupt frame discarded")
+		}
 		return
 	}
 	stored := m.offerToTaps(src, f)
 	if gated(f.Type) && !stored {
 		// Publish-before-use: no recorder copy, no delivery (§4.4.1).
 		m.stats.RecorderBlocks++
-		m.log.Add(trace.KindDrop, int(src), f.ID.String(), "blocked: recorder did not store %s", f)
+		if m.log.Enabled() {
+			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "blocked: recorder did not store %s", f)
+		}
 		return
 	}
 	m.deliver(src, f)

@@ -174,8 +174,10 @@ func (m *Ring) circulate(tx *ringTx) {
 		if gatedTx && !(ackFilled.anyTap && ackFilled.allStored) {
 			m.stats.FramesLost++
 			m.stats.RecorderBlocks++
-			m.log.Add(trace.KindDrop, int(tx.src), g.ID.String(),
-				"recorder invalidated checksum; frame ignored")
+			if m.log.Enabled() {
+				m.log.Add(trace.KindDrop, int(tx.src), g.ID.String(),
+					"recorder invalidated checksum; frame ignored")
+			}
 			return
 		}
 		m.stats.FramesDelivered++

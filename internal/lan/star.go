@@ -62,7 +62,9 @@ func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
 	if m.faults.Down(m.hub) || !m.faults.reachable(src, m.hub) {
 		// Hub unreachable: the star is dead for this sender.
 		m.stats.FramesLost++
-		m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub down; frame lost")
+		if m.log.Enabled() {
+			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub down; frame lost")
+		}
 		return
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
@@ -77,7 +79,9 @@ func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
 	if gated(f.Type) && !stored {
 		// Received incorrectly by the recorder: not passed on (§4.1).
 		m.stats.RecorderBlocks++
-		m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub failed to record; not relayed")
+		if m.log.Enabled() {
+			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub failed to record; not relayed")
+		}
 		return
 	}
 	m.sched.At(outDone, func() {

@@ -204,8 +204,10 @@ func (bs *batchSender) sendBatch() bool {
 	bs.codes = append(bs.codes, code)
 	r.stats.ReplayBatches++
 	r.replayOcc.Add(1)
-	r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(),
-		"replaying batch #%d (%d messages, %d B)", seq, count, len(buf))
+	if r.log.Enabled() {
+		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(),
+			"replaying batch #%d (%d messages, %d B)", seq, count, len(buf))
+	}
 	return true
 }
 
