@@ -3,12 +3,18 @@
 
 GO ?= go
 
-.PHONY: check vet build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke par sweep
+.PHONY: check vet nopar build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke sweep
 
-check: vet build test race monitor sweep-verify chaos shards par fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
+check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
 
-vet:
+vet: nopar
 	$(GO) vet ./...
+
+# There is one event executor (DESIGN.md "One executor"). The names below
+# are the seam the deleted parallel engine ran through; restoring any of it
+# piecemeal fails here.
+nopar:
+	! grep -rnE 'ParWorkers|LPClock|simtime\.Engine|Lookahead\(\)|TickSched' --include='*.go' .
 
 build:
 	$(GO) build ./...
@@ -19,10 +25,11 @@ test:
 # The sweep engine runs simulations on real goroutines and the stable store
 # claims concurrency safety (starhub drives it from multiple connections):
 # both stay race-checked, plus a fast subset of the single-threaded core so
-# accidental shared state in new instrumentation gets caught early. demos is
-# in the subset for its hand-off tests: programs run on coroutines that any
-# goroutine may resume (the parallel engine's workers do), and -race is what
-# checks every resume and kill is ordered after the kernel's last write.
+# accidental shared state in new instrumentation gets caught early. simtime
+# is in the subset for the scheduler's reference-model test. demos is in it
+# for its hand-off tests: only the goroutine running the cluster resumes a
+# program's coroutine, and -race is what checks every resume and kill is
+# ordered after the kernel's last write.
 race:
 	$(GO) test -race ./internal/sweep ./internal/stablestore \
 		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
@@ -53,14 +60,15 @@ shards:
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|TestMultiRec' -count=1 .
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
-# schedule, store segment) and of the kernel's ring input queue against its
-# slice model. Long exploratory runs are manual (`go test -fuzz X -fuzztime
+# schedule, store segment), of the kernel's ring input queue against its
+# slice model, and of the event scheduler against its sorted-slice model. Long exploratory runs are manual (`go test -fuzz X -fuzztime
 # 10m ./internal/frame`); this keeps the corpora exercised and catches
 # regressions the checked-in seeds reach quickly.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
+	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
 
@@ -136,36 +144,26 @@ endif
 
 # The big-cluster simulator-throughput trajectory: events per wall second
 # and virtual seconds per wall second on the workload-driven broadcast
-# scenario at 8/64/256/1024 nodes, plus the parallel-engine and monitored
-# variants (see EXPERIMENTS.md). The default (check-time) run measures once
+# scenario at 8/64/256/1024 nodes, plus the monitored variant (see
+# EXPERIMENTS.md). The default (check-time) run measures once
 # per size and prints the snapshot without touching the committed
 # BENCH_sim.json; refresh the trajectory's "after" half with
 # `make bench-sim OUT=BENCH_sim.json` (the committed before half — the
 # pre-overhaul hot loop — is preserved).
 bench-sim:
 ifdef OUT
-	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul + conservative parallel engine; observer-ring batched monitoring
+	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul; observer-ring batched monitoring
 else
 	$(GO) test -bench BenchmarkSimThroughput -run '^$$' . | $(GO) run ./cmd/benchjson
 endif
 
 # The 256-node scale smokes: same-seed double-run byte-identity of metrics
 # and recorder databases, and the chaos-schedule sweep at cluster scale
-# (including the 1024-node serial+parallel leg). Both are testing.Short()-
-# guarded so tier-1 `go test -short ./...` skips them; this target (wired
-# into check) runs them in full.
+# (including the 1024-node run). All are testing.Short()-guarded so tier-1
+# `go test -short ./...` skips them; this target (wired into check) runs
+# them in full.
 scale-smoke:
 	$(GO) test -run 'TestScaleDeterminism256|TestChaosSmoke256|TestChaosSmoke1024' -count=1 -v .
-
-# The conservative parallel engine, race-checked: the engine's differential
-# unit oracles, the cluster-level serial-vs-parallel and double-run
-# byte-identity tests, the cross-engine sweep digests, and one chaos smoke
-# on the parallel engine. Wired into check, so every `make check` exercises
-# both execution engines against the same fingerprints.
-par:
-	$(GO) test -race -run 'TestEngine|TestWindow' -count=1 ./internal/simtime
-	$(GO) test -race -run 'TestParallel' -count=1 -v .
-	$(GO) test -race -run 'TestChaosSmoke1024/parallel' -count=1 .
 
 # Regenerate BENCH_sweep.json (parallel-vs-serial determinism proof).
 sweep:

@@ -17,7 +17,6 @@ package publishing_test
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,8 +87,8 @@ type simCluster struct {
 // With monitored set, the run instead carries the full online-observability
 // stack: tracing on (bounded by a flight-recorder ring) with the invariant
 // monitor subscribed — the overhead the monitored benchmark variant prices.
-func runSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, mutate ...func(*publishing.Config)) simClusterResult {
-	s := buildSimCluster(tb, nodes, seed, monitored, mutate...)
+func runSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool) simClusterResult {
+	s := buildSimCluster(tb, nodes, seed, monitored)
 	// A benchmark builds one cluster per iteration: release each as soon as
 	// its numbers are read rather than at the benchmark's end.
 	defer s.c.Close()
@@ -99,7 +98,7 @@ func runSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, mutate
 	s.c.Run(s.horizon + 2*simtime.Second)
 	return simClusterResult{
 		sent:      s.sent,
-		delivered: atomic.LoadInt64(s.delivered),
+		delivered: *s.delivered,
 		fired:     s.c.Scheduler().Fired(),
 		virtual:   s.c.Now(),
 		wall:      time.Since(start),
@@ -219,10 +218,7 @@ type simSink struct {
 func (s *simSink) Init(ctx *publishing.PCtx) {}
 func (s *simSink) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 	s.n++
-	// The shared scenario counter is the one piece of cross-node test state:
-	// sinks on different nodes may run concurrently inside a parallel
-	// window, so the increment must be atomic (the sum is order-free).
-	atomic.AddInt64(s.delivered, 1)
+	*s.delivered++
 }
 func (s *simSink) Snapshot() ([]byte, error) {
 	var b [8]byte
@@ -244,21 +240,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughputParallel is the same scenario on the conservative
-// parallel engine (Config.ParWorkers = 4): the before/after pair against
-// BenchmarkSimThroughput is what BENCH_sim.json records. Speedup scales
-// with both the host's cores and the window occupancy — see the queuing
-// analysis in EXPERIMENTS.md for what to expect at a given load.
-func BenchmarkSimThroughputParallel(b *testing.B) {
-	for _, nodes := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("%dnodes", nodes), func(b *testing.B) {
-			benchSimCluster(b, nodes, false, func(cfg *publishing.Config) {
-				cfg.ParWorkers = 4
-			})
-		})
-	}
-}
-
 // BenchmarkSimThroughputMonitored is the 256-node scenario with the full
 // online-observability stack attached — tracing on behind a flight-recorder
 // ring, the invariant monitor subscribed to every event — pricing what
@@ -269,13 +250,13 @@ func BenchmarkSimThroughputMonitored(b *testing.B) {
 	})
 }
 
-func benchSimCluster(b *testing.B, nodes int, monitored bool, mutate ...func(*publishing.Config)) {
+func benchSimCluster(b *testing.B, nodes int, monitored bool) {
 	b.ReportAllocs()
 	var fired uint64
 	var wall time.Duration
 	var virtual simtime.Time
 	for i := 0; i < b.N; i++ {
-		r := runSimCluster(b, nodes, simClusterSeed, monitored, mutate...)
+		r := runSimCluster(b, nodes, simClusterSeed, monitored)
 		if r.delivered != int64(r.sent) {
 			b.Fatalf("delivered %d of %d messages", r.delivered, r.sent)
 		}

@@ -49,12 +49,6 @@ type ChaosOptions struct {
 	// ShardSlots is the shard table size for sharded runs (needs
 	// Recorders >= 2; see Config.ShardSlots).
 	ShardSlots int
-	// ParWorkers runs the scenario's cluster on the conservative parallel
-	// engine (see Config.ParWorkers). Chaos runs keep the monitor attached
-	// and arm faults, so the engine's gate stays closed and execution falls
-	// back to serial stepping — the smoke proves the fallback preserves
-	// every invariant, not that windows open.
-	ParWorkers int
 }
 
 // chaosWorkerBound is the recovery-time bound the Checkpoint option sets.
@@ -180,7 +174,6 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 		cfg.Recorders = opt.Recorders
 	}
 	cfg.ShardSlots = opt.ShardSlots
-	cfg.ParWorkers = opt.ParWorkers
 	// Every chaos run carries the online invariant monitor, so the checker
 	// can cross-check its streaming verdict against the post-quiescence
 	// invariants (and so violations come stamped with the virtual time the

@@ -32,9 +32,7 @@ func main() {
 		nodeopt  = flag.Bool("nodeopt", false, "§6.6.2 node-level recovery trade-off")
 		doSweep  = flag.Bool("sweep", false, "parallel deterministic seed sweep; writes -sweepout")
 		sweepOut = flag.String("sweepout", "BENCH_sweep.json", "trajectory file the sweep writes")
-		workers  = flag.Int("workers", 0, "sweep: worker pool fanning whole independent per-seed clusters across cores (0 = one per CPU); contrast -par")
-		par      = flag.Int("par", 0, "run the workload scenario on the conservative parallel engine with N in-cluster worker goroutines sharing ONE simulation (byte-identical to serial); contrast -workers")
-		parNodes = flag.Int("parnodes", 256, "par: cluster size for the -par comparison run")
+		workers  = flag.Int("workers", 0, "sweep: worker pool fanning whole independent per-seed clusters across cores (0 = one per CPU)")
 		storeEng = flag.String("store", "paged", "observe: stable-store backend (paged|segment)")
 		doVerify = flag.Bool("verify", false, "run the sweep determinism check without writing a trajectory file")
 		doChaos  = flag.Bool("chaos", false, "seeded fault-schedule sweep through the chaos harness")
@@ -91,23 +89,6 @@ func main() {
 	if *observe || *explain != "" {
 		// Like the sweep, a tool run outside the default paper set.
 		runObserve(observeOpts{metricsOut: *metOut, traceOut: *traceOut, flight: *flight, seed: *seed, store: *storeEng, explain: *explain})
-		return
-	}
-	if *par != 0 {
-		// A tool run like the sweep: compare serial vs parallel execution of
-		// one scenario. Guard against oversubscription — more in-cluster
-		// workers than cores adds scheduling overhead and can only slow the
-		// run down (never change its bytes), so clamp with a warning.
-		w := *par
-		if n := runtime.NumCPU(); w > n {
-			fmt.Fprintf(os.Stderr, "experiments: -par %d oversubscribes %d CPUs; clamping to %d (determinism is unaffected by worker count)\n", w, n, n)
-			w = n
-		}
-		if w < 2 {
-			fmt.Fprintf(os.Stderr, "experiments: -par needs >= 2 workers for a parallel leg; running with 2 (host has %d CPUs)\n", runtime.NumCPU())
-			w = 2
-		}
-		runPar(*parNodes, w, *seed)
 		return
 	}
 	if *doSweep || *doVerify {

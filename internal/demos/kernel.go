@@ -13,7 +13,7 @@ import (
 
 // Env bundles the shared plumbing a kernel runs on.
 type Env struct {
-	Sched    simtime.Clock
+	Sched    *simtime.Scheduler
 	Rng      *simtime.Rand
 	Log      *trace.Log
 	Registry *Registry

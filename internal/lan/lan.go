@@ -89,13 +89,6 @@ type Medium interface {
 	Faults() *FaultPlan
 	// Stats exposes medium counters.
 	Stats() *Stats
-	// Lookahead is the medium's conservative-parallelism export: a lower
-	// bound on the virtual delay between a Send on one node and the
-	// earliest instant any other node can observe its effect. The parallel
-	// engine (internal/simtime) uses it as the safe execution horizon.
-	// Media whose steady state consumes randomness (collisions, token
-	// rotation) return 0, which pins them to serial execution.
-	Lookahead() simtime.Time
 }
 
 // Config carries the physical parameters shared by all media, defaulting to
@@ -186,17 +179,6 @@ type FaultPlan struct {
 func (p *FaultPlan) deliveryClean() bool {
 	return p.nDown == 0 && p.partition == nil && len(p.linkLoss) == 0 &&
 		p.ReceiverMissProb == 0 && p.DupProb == 0
-}
-
-// Quiet reports that no fault machinery is armed at all: nothing down or
-// partitioned and every probability zero, so no code path consumes
-// randomness or branches on fault state. This is the condition under which
-// the parallel engine may run events concurrently — any armed fault could
-// interleave RNG draws or cross-node effects that only a serial execution
-// orders correctly, so the engine's gate serializes while Quiet is false.
-func (p *FaultPlan) Quiet() bool {
-	return p.deliveryClean() && p.LossProb == 0 && p.TapMissProb == 0 &&
-		p.CorruptProb == 0 && p.AckSlotErrProb == 0
 }
 
 // SetLinkLoss makes the directed link from src to dst lose frames with

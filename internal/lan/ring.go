@@ -239,8 +239,3 @@ func (m *Ring) circulate(tx *ringTx) {
 }
 
 var _ Medium = (*Ring)(nil)
-
-// Lookahead: zero. Token rotation timing depends on the live station set
-// and consumes per-rotation state on every send, so the parallel engine
-// executes Ring clusters serially.
-func (m *Ring) Lookahead() simtime.Time { return 0 }

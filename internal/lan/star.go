@@ -97,8 +97,3 @@ func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
 }
 
 var _ Medium = (*Star)(nil)
-
-// Lookahead: zero. The hub serializes and re-broadcasts with hub-local
-// queue state on every send, so the parallel engine executes Star clusters
-// serially.
-func (m *Star) Lookahead() simtime.Time { return 0 }

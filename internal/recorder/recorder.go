@@ -123,12 +123,6 @@ type Config struct {
 	// OnProcessorCrash is the operator query of §4.6; nil defaults to
 	// recover-on-same-processor.
 	OnProcessorCrash func(node frame.NodeID) Decision
-	// TickSched, when set, schedules the periodic watchdog tick instead of
-	// the recorder's own clock. The parallel engine wires the serial
-	// scheduler here: the tick's crash decisions reach across nodes
-	// (RebootFn rebuilds a kernel), so it must never execute inside a
-	// concurrent window. Nil keeps the recorder's clock (serial engine).
-	TickSched simtime.Clock
 	// RebootFn asks the outside world (the cluster, standing in for a
 	// front-panel reset) to reboot a crashed node.
 	RebootFn func(node frame.NodeID)
@@ -294,7 +288,7 @@ type procEntry struct {
 // recovery manager.
 type Recorder struct {
 	cfg   Config
-	sched simtime.Clock
+	sched *simtime.Scheduler
 	rng   *simtime.Rand
 	log   *trace.Log
 	med   lan.Medium
@@ -384,7 +378,7 @@ const (
 
 // New builds a recorder on the given medium and stable store, attaching
 // both its passive tap and its transport endpoint.
-func New(cfg Config, sched simtime.Clock, rng *simtime.Rand, log *trace.Log, med lan.Medium, store stablestore.Store, tcfg transport.Config) *Recorder {
+func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store stablestore.Store, tcfg transport.Config) *Recorder {
 	r := &Recorder{
 		cfg:         cfg,
 		sched:       sched,

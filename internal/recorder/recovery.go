@@ -36,11 +36,7 @@ func (r *Recorder) Start() {
 
 func (r *Recorder) armWatchTick() {
 	epoch := r.epoch
-	tick := r.cfg.TickSched
-	if tick == nil {
-		tick = r.sched
-	}
-	tick.After(r.cfg.WatchInterval, func() {
+	r.sched.After(r.cfg.WatchInterval, func() {
 		if r.epoch != epoch || r.crashed {
 			return
 		}

@@ -58,14 +58,16 @@ func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 // returns to the scheduler and is re-armed for a later event under a new
 // generation number, so the hot path schedules without heap allocation.
 type eventNode struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	gen  uint32 // incremented each time the node is re-armed
-	idx  int    // heap index; -1 not queued, -2 held by a parallel window
-	dead bool   // cancelled before firing (valid for the current gen)
-	aff  int32  // logical-process affinity (serialAff = engine-serial)
-	ref  int32  // parallel engine: execution-record index, -1 otherwise
+	at  Time
+	seq uint64
+	fn  func()
+	gen uint32 // incremented each time the node is re-armed
+	// idx is the heap index while queued. -1 is the only not-queued value:
+	// the node is on the free list, or was popped and its callback is
+	// running — Step recycles before it calls, so an executing event is
+	// already neither Pending nor cancellable.
+	idx  int
+	dead bool // cancelled before firing (valid for the current gen)
 }
 
 // Event is a handle on a scheduled callback. It is a small value (copyable,
@@ -91,10 +93,8 @@ func (e Event) live() bool { return e.n != nil && e.n.gen == e.gen }
 // stale and Cancelled reports false (the event is simply done).
 func (e Event) Cancelled() bool { return e.live() && e.n.dead }
 
-// Pending reports whether the event is still queued to fire. An event held
-// by a parallel execution window (idx == -2, see par.go) is still pending:
-// it has neither fired nor been cancelled, exactly as if it were queued.
-func (e Event) Pending() bool { return e.live() && !e.n.dead && e.n.idx != -1 }
+// Pending reports whether the event is still queued to fire.
+func (e Event) Pending() bool { return e.live() && e.n.idx >= 0 }
 
 // At reports the virtual time the event is scheduled for, or 0 once the
 // handle is stale.
@@ -107,10 +107,11 @@ func (e Event) At() Time {
 
 // Scheduler owns the virtual clock and the pending event queue. It is not
 // safe for concurrent use: the entire simulation is single-threaded by
-// design (process goroutines are stepped synchronously by the kernel
-// scheduler, never run concurrently with the event loop). Run whole
-// independent simulations on separate Schedulers to use multiple cores
-// (see internal/sweep).
+// design (simulated programs are coroutines the kernel resumes from inside
+// an event callback, so they never run concurrently with the event loop),
+// and this is the only event executor — every result in the repository is
+// checked against its order. Run whole independent simulations on separate
+// Schedulers to use multiple cores (see internal/sweep).
 type Scheduler struct {
 	now    Time
 	seq    uint64
@@ -152,28 +153,18 @@ func (s *Scheduler) alloc() *eventNode {
 func (s *Scheduler) recycle(n *eventNode) {
 	n.fn = nil
 	n.idx = -1
-	n.ref = -1
 	s.free = append(s.free, n)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is a programming error and panics: silently reordering time would destroy
 // the causality the recorder depends on.
-//
-// Events scheduled through the Scheduler directly carry serial affinity:
-// the parallel engine (par.go) executes them alone, never concurrently with
-// other events. Per-LP affinity is assigned by the engine's LPClock views.
 func (s *Scheduler) At(t Time, fn func()) Event {
-	return s.atAff(serialAff, t, fn)
-}
-
-func (s *Scheduler) atAff(aff int32, t Time, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: event scheduled in the past: %v < %v", t, s.now))
 	}
 	n := s.alloc()
 	n.at, n.seq, n.fn = t, s.seq, fn
-	n.aff, n.ref = aff, -1
 	s.seq++
 	s.push(n)
 	return Event{n: n, gen: n.gen}
@@ -191,14 +182,7 @@ func (s *Scheduler) After(d Time, fn func()) Event {
 // cancelled, stale, or zero handle is a no-op.
 func (s *Scheduler) Cancel(e Event) {
 	n := e.n
-	if n == nil || n.gen != e.gen || n.dead || n.idx == -1 {
-		return
-	}
-	if n.idx == -2 {
-		// Held by a parallel execution window (or buffered as an intent):
-		// mark dead; the window executor skips it and recycles at the merge
-		// barrier. Observably identical to immediate removal.
-		n.dead = true
+	if n == nil || n.gen != e.gen || n.dead || n.idx < 0 {
 		return
 	}
 	n.dead = true

@@ -229,6 +229,60 @@ func TestSchedulerFreeListReuse(t *testing.T) {
 	}
 }
 
+func TestSchedulerExecutingHandle(t *testing.T) {
+	// While an event's callback runs the event is neither pending nor
+	// cancellable: its handle reports Pending() false and Cancel through it
+	// changes nothing — not the queue and, once the callback has scheduled
+	// something that re-armed its node, not that new event either.
+	cases := []struct {
+		name  string
+		drive func(*Scheduler)
+		rearm bool
+	}{
+		{"Step", func(s *Scheduler) { s.Step() }, false},
+		{"Run", func(s *Scheduler) { s.Run(10) }, false},
+		{"RunAll", func(s *Scheduler) { s.RunAll(10) }, false},
+		{"Step, node re-armed", func(s *Scheduler) { s.Step() }, true},
+		{"Run, node re-armed", func(s *Scheduler) { s.Run(10) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler()
+			ran, nextFired := false, false
+			var self Event
+			self = s.At(10, func() {
+				ran = true
+				var next Event
+				if tc.rearm {
+					next = s.After(5, func() { nextFired = true })
+				}
+				if self.Pending() || self.Cancelled() {
+					t.Errorf("executing event: Pending %v Cancelled %v, want false false", self.Pending(), self.Cancelled())
+				}
+				queued := s.Pending()
+				s.Cancel(self)
+				if self.Pending() || self.Cancelled() {
+					t.Errorf("after Cancel: Pending %v Cancelled %v, want false false", self.Pending(), self.Cancelled())
+				}
+				if s.Pending() != queued {
+					t.Errorf("Cancel of the executing event changed the queue: %d -> %d", queued, s.Pending())
+				}
+				if tc.rearm && !next.Pending() {
+					t.Error("Cancel of the executing event removed the event that re-armed its node")
+				}
+			})
+			tc.drive(s)
+			if !ran || s.Fired() != 1 {
+				t.Fatalf("ran %v, Fired %d, want true 1", ran, s.Fired())
+			}
+			s.RunAll(10)
+			if nextFired != tc.rearm {
+				t.Fatalf("event scheduled from the callback fired: %v, want %v", nextFired, tc.rearm)
+			}
+		})
+	}
+}
+
 func TestSchedulerNoAllocSteadyState(t *testing.T) {
 	// Once the free list is primed, schedule/fire cycles must not allocate.
 	s := NewScheduler()

@@ -148,7 +148,7 @@ func (s *Stats) String() string {
 type Endpoint struct {
 	node  frame.NodeID
 	med   lan.Medium
-	sched simtime.Clock
+	sched *simtime.Scheduler
 	log   *trace.Log
 	cfg   Config
 
@@ -292,7 +292,7 @@ type heldFrame struct {
 }
 
 // New creates an endpoint for node and attaches it to the medium.
-func New(node frame.NodeID, med lan.Medium, sched simtime.Clock, log *trace.Log, cfg Config) *Endpoint {
+func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace.Log, cfg Config) *Endpoint {
 	if cfg.Window <= 0 {
 		cfg.Window = 1
 	}

@@ -12,7 +12,6 @@ package publishing_test
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"publishing"
@@ -28,26 +27,11 @@ const scaleNodes = 256
 // snapshot (every counter the stack touched, in registration order) and
 // the recorder's stable-store database record by record.
 func runScaleFingerprint(t *testing.T) (metricsText, storeDump []byte) {
-	return runSimFingerprint(t, scaleNodes, 0)
-}
-
-// runSimFingerprint is runScaleFingerprint at an arbitrary node count and
-// worker count: workers > 1 runs the scenario on the conservative parallel
-// engine, whose whole contract is that these bytes come out identical.
-func runSimFingerprint(t *testing.T, nodes, workers int) (metricsText, storeDump []byte) {
 	t.Helper()
-	s := buildSimCluster(t, nodes, simClusterSeed, false, func(cfg *publishing.Config) {
-		cfg.ParWorkers = workers
-	})
+	s := buildSimCluster(t, scaleNodes, simClusterSeed, false)
 	s.c.Run(s.horizon + 2*simtime.Second)
-	if got, want := atomic.LoadInt64(s.delivered), int64(s.sent); got != want {
+	if got, want := *s.delivered, int64(s.sent); got != want {
 		t.Fatalf("delivered %d of %d messages", got, want)
-	}
-	if workers > 1 {
-		st := s.c.Engine().Stats()
-		if st.InlineWindows+st.ParWindows == 0 {
-			t.Fatalf("parallel engine never opened a window (stats %+v); the gate or lookahead wiring is broken", st)
-		}
 	}
 
 	var mbuf bytes.Buffer
@@ -84,6 +68,22 @@ func TestScaleDeterminism256(t *testing.T) {
 	}
 }
 
+// chaosSmoke drives seed's generated fault schedule through the canonical
+// chaos scenario on a cluster nodes wide and requires every invariant to
+// hold.
+func chaosSmoke(t *testing.T, seed uint64, nodes int) {
+	opt := publishing.ChaosSeedVariant(seed)
+	opt.Nodes = nodes
+	sched := chaos.Generate(seed, chaos.DefaultLimits())
+	res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.DefaultOptions())
+	if !res.Passed {
+		t.Errorf("chaos run failed at %d nodes:\n%s", nodes, res.Report)
+		for _, v := range res.Violations {
+			t.Logf("violation: %+v", v)
+		}
+	}
+}
+
 // TestChaosSmoke256 keeps the fault paths honest at scale: the no-fault
 // fast paths (gated-station sets, clean fault draws, dense tables) must
 // not have bent the faulted slow paths. It drives generated fault
@@ -101,52 +101,18 @@ func TestChaosSmoke256(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			opt := publishing.ChaosSeedVariant(seed)
-			opt.Nodes = scaleNodes
-			sched := chaos.Generate(seed, chaos.DefaultLimits())
-			res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.DefaultOptions())
-			if !res.Passed {
-				t.Errorf("chaos run failed at %d nodes:\n%s", scaleNodes, res.Report)
-				for _, v := range res.Violations {
-					t.Logf("violation: %+v", v)
-				}
-			}
+			chaosSmoke(t, seed, scaleNodes)
 		})
 	}
 }
 
-// TestChaosSmoke1024 pushes the chaos scenario to 1024 bystander stations —
-// the width the queuing analysis in EXPERIMENTS.md sizes the parallel
-// engine against — on both engines. The parallel leg runs with the gate
-// held closed by design (faults armed, monitor tracing on), so what it
-// proves is that ParWorkers is always safe to leave on: the serial
-// fallback must preserve every invariant at full width.
+// TestChaosSmoke1024 pushes the chaos scenario to 1024 bystander stations,
+// the width of the largest BenchmarkSimThroughput case and of the
+// utilization arithmetic in EXPERIMENTS.md: every invariant must hold at
+// full width.
 func TestChaosSmoke1024(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1024-node chaos runs; skipped in -short (tier-1) mode")
+		t.Skip("1024-node chaos run; skipped in -short (tier-1) mode")
 	}
-	// Seed 6 keeps ChaosSeedVariant on a single recorder (the parallel
-	// engine declines recorder trios), so both legs run the same scenario.
-	const seed = 6
-	for _, par := range []int{0, 4} {
-		par := par
-		name := "serial"
-		if par > 1 {
-			name = fmt.Sprintf("parallel%d", par)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			opt := publishing.ChaosSeedVariant(seed)
-			opt.Nodes = 1024
-			opt.ParWorkers = par
-			sched := chaos.Generate(seed, chaos.DefaultLimits())
-			res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.DefaultOptions())
-			if !res.Passed {
-				t.Errorf("chaos run failed at 1024 nodes (%s):\n%s", name, res.Report)
-				for _, v := range res.Violations {
-					t.Logf("violation: %+v", v)
-				}
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) { chaosSmoke(t, 6, 1024) })
 }
