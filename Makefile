@@ -60,10 +60,11 @@ shards:
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|TestMultiRec' -count=1 .
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
-# schedule, store segment), of the kernel's ring input queue against its
-# slice model, and of the event scheduler against its sorted-slice model. Long exploratory runs are manual (`go test -fuzz X -fuzztime
-# 10m ./internal/frame`); this keeps the corpora exercised and catches
-# regressions the checked-in seeds reach quickly.
+# schedule, store segment, the recorder's per-message records), of the
+# kernel's ring input queue against its slice model, and of the event
+# scheduler against its sorted-slice model. Long exploratory runs are manual
+# (`go test -fuzz X -fuzztime 10m ./internal/frame`); this keeps the corpora
+# exercised and catches regressions the checked-in seeds reach quickly.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
+	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 
 # The parallel-vs-serial sweep determinism proof, without rewriting
 # BENCH_sweep.json (use `make sweep` to refresh the trajectory file).

@@ -1,13 +1,17 @@
-// Package gobx amortizes gob's per-stream setup for the frame bodies and
-// database records that are encoded once per message on the simulator's hot
-// path.
+// Package gobx amortizes gob's per-stream setup for the values that are
+// gob-encoded once per message or per control exchange on the simulator's
+// hot path: the kernel's wire bodies (demos.CtlMsg, demos.Notice,
+// demos.CtlReply) and the recorder's rare store records (procMeta, ckMeta).
+// The recorder's per-message records — stored messages, read-order
+// advisories, last-sent watermarks — do not come through here: they have a
+// fixed binary layout of their own (internal/recorder/persist.go).
 //
-// The wire contract everywhere in this repo is "one self-contained gob
-// stream per value": producers call gob.NewEncoder(buf).Encode(v), consumers
-// gob.NewDecoder(r).Decode(v). That contract is what makes the recorder's
-// database and the kernel's notices decodable in isolation — but a fresh
-// encoder re-transmits the type descriptors and a fresh decoder re-compiles
-// its decode engines for every single value, which profiling shows is the
+// The contract for those five types is "one self-contained gob stream per
+// value": producers call gob.NewEncoder(buf).Encode(v), consumers
+// gob.NewDecoder(r).Decode(v). That contract is what makes a notice or a
+// checkpoint record decodable in isolation — but a fresh encoder
+// re-transmits the type descriptors and a fresh decoder re-compiles its
+// decode engines for every single value, which profiling showed was the
 // single largest CPU and allocation line in a 256-node run.
 //
 // For a fixed concrete type with no interface fields, a gob stream factors
@@ -22,11 +26,17 @@
 // engines; anything else falls back to a fresh decoder, so foreign or
 // corrupt streams behave exactly as before.
 //
-// Byte-identity is not an optimization nicety here — recorded databases are
-// fingerprinted by the determinism oracles (sweep-verify, the scale tests),
-// so an encoder that changed the stream would change the fingerprints.
-// codec_test.go pins the equivalence against the stock encoder for every
-// type the hot paths register.
+// Byte-identity is not an optimization nicety here. The three demos types
+// are frame bodies: their length is transmission time on the simulated
+// medium and bytes in every lan and transport counter, and a notice or
+// control message is itself a published message whose body a recorder
+// stores and replays. The two record types set the store's live bytes and
+// where its pages fill. All of that is fingerprinted by the determinism
+// oracles (sweep-verify, the scale tests, bench), so an encoder that changed
+// the stream would change virtual time and every digest. gobx_test.go pins
+// the equivalence against the stock encoder on a stand-in struct with the
+// field shapes those types use; demos pins it on CtlReply itself (this
+// package cannot import demos or recorder).
 package gobx
 
 import (

@@ -12,6 +12,11 @@ type inner struct {
 	B [12]byte
 }
 
+// sample stands in for the types that go through a Codec in the product —
+// demos.CtlMsg, demos.Notice and demos.CtlReply (wire bodies), the
+// recorder's procMeta and ckMeta (store records) — which this package cannot
+// import. It has their field shapes: integers, a string, a byte slice, a
+// pointer to a struct, a nested struct with an array, a bool.
 type sample struct {
 	Kind  uint8
 	Name  string

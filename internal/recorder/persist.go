@@ -1,33 +1,177 @@
 package recorder
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/gobx"
+	"publishing/internal/simtime"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
 )
 
-// Persisted record codecs. Every record kind the recorder writes per
-// message (stored messages, advisories, last-sent watermarks) goes through
-// a gobx codec: byte-identical to the one-shot gob encoding the database
-// format has always used, but without paying type-descriptor transmission
-// and engine compilation per record. Codecs are package-level (and
-// internally locked) so parallel sweep clusters share the warmed state.
+// Per-message record layouts. The three records the recorder writes per
+// published message — stored messages, read-order advisories, last-sent
+// watermarks — are fixed-layout big-endian, appended straight into
+// r.encScratch and decoded by rebuild with the inverse functions:
+//
+//	msg   flags(1) ID(4+4+8) From(4+4) To(4+4) Channel(2) Code(4)
+//	      ArrSeq(8) SeenAt(8) len(4) Body(len) [Link: To(4+4) Channel(2)
+//	      Code(4) kernel(1)]
+//	adv   ReadID(4+4+8) HeadID(4+4+8) AdvSeq(8)
+//	last  LastSent(8)
+//
+// A process id is Node (int32) then Local; a message id is its sender then
+// Seq. The msg flags byte says whether Link follows the body and whether
+// Body is non-nil, so a decoded record equals the one encoded field for
+// field. Decoders reject any length but the exact one and any unknown flag:
+// a damaged record fails rebuild rather than shortening a stream.
+//
+// The rare records (registrations, checkpoints) stay self-describing gob
+// streams through gobx codecs, package-level and internally locked so
+// parallel sweep clusters share the warmed state.
 var (
-	msgCodec  gobx.Codec[storedMsg]
-	advCodec  gobx.Codec[advisory]
-	lastCodec gobx.Codec[uint64]
 	procCodec gobx.Codec[procMeta]
 	ckCodec   gobx.Codec[ckMeta]
 )
 
-// encWith encodes v into the recorder's reused scratch via codec c. Same
-// contract as gobEnc: the slice is valid until the next persist call.
+const (
+	smLinkPresent = 1 << iota // a Link follows the body
+	smBodyPresent             // Body is non-nil (possibly empty)
+
+	storedMsgFixedLen = 1 + 16 + 8 + 8 + 2 + 4 + 8 + 8 + 4
+	storedLinkLen     = 8 + 2 + 4 + 1
+	advisoryLen       = 16 + 16 + 8
+	lastSentLen       = 8
+)
+
+func appendProcID(dst []byte, p frame.ProcID) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Node))
+	return binary.BigEndian.AppendUint32(dst, p.Local)
+}
+
+func appendMsgID(dst []byte, id frame.MsgID) []byte {
+	return binary.BigEndian.AppendUint64(appendProcID(dst, id.Sender), id.Seq)
+}
+
+func procIDAt(b []byte) frame.ProcID {
+	return frame.ProcID{Node: frame.NodeID(binary.BigEndian.Uint32(b)), Local: binary.BigEndian.Uint32(b[4:])}
+}
+
+func msgIDAt(b []byte) frame.MsgID {
+	return frame.MsgID{Sender: procIDAt(b), Seq: binary.BigEndian.Uint64(b[8:])}
+}
+
+// appendStoredMsg appends sm's record to dst.
+func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
+	var flags byte
+	if sm.Link != nil {
+		flags |= smLinkPresent
+	}
+	if sm.Body != nil {
+		flags |= smBodyPresent
+	}
+	dst = append(dst, flags)
+	dst = appendMsgID(dst, sm.ID)
+	dst = appendProcID(dst, sm.From)
+	dst = appendProcID(dst, sm.To)
+	dst = binary.BigEndian.AppendUint16(dst, sm.Channel)
+	dst = binary.BigEndian.AppendUint32(dst, sm.Code)
+	dst = binary.BigEndian.AppendUint64(dst, sm.ArrSeq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(sm.SeenAt))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sm.Body)))
+	dst = append(dst, sm.Body...)
+	if l := sm.Link; l != nil {
+		dst = appendProcID(dst, l.To)
+		dst = binary.BigEndian.AppendUint16(dst, l.Channel)
+		dst = binary.BigEndian.AppendUint32(dst, l.Code)
+		kernel := byte(0)
+		if l.DeliverToKernel {
+			kernel = 1
+		}
+		dst = append(dst, kernel)
+	}
+	return dst
+}
+
+// decodeStoredMsg is appendStoredMsg's inverse. The result shares nothing
+// with b.
+func decodeStoredMsg(b []byte) (storedMsg, error) {
+	if len(b) < storedMsgFixedLen {
+		return storedMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
+	}
+	flags := b[0]
+	if flags&^(smLinkPresent|smBodyPresent) != 0 {
+		return storedMsg{}, fmt.Errorf("message record: unknown flags %#x", flags)
+	}
+	sm := storedMsg{
+		ID:      msgIDAt(b[1:]),
+		From:    procIDAt(b[17:]),
+		To:      procIDAt(b[25:]),
+		Channel: binary.BigEndian.Uint16(b[33:]),
+		Code:    binary.BigEndian.Uint32(b[35:]),
+		ArrSeq:  binary.BigEndian.Uint64(b[39:]),
+		SeenAt:  simtime.Time(binary.BigEndian.Uint64(b[47:])),
+	}
+	bodyLen := uint64(binary.BigEndian.Uint32(b[55:]))
+	want := storedMsgFixedLen + bodyLen
+	if flags&smLinkPresent != 0 {
+		want += storedLinkLen
+	}
+	if uint64(len(b)) != want {
+		return storedMsg{}, fmt.Errorf("message record: %d bytes, layout says %d", len(b), want)
+	}
+	if flags&smBodyPresent != 0 {
+		sm.Body = append([]byte{}, b[storedMsgFixedLen:storedMsgFixedLen+bodyLen]...)
+	} else if bodyLen != 0 {
+		return storedMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
+	}
+	if flags&smLinkPresent != 0 {
+		l := b[storedMsgFixedLen+bodyLen:]
+		if l[14] > 1 {
+			return storedMsg{}, fmt.Errorf("message record: link kernel byte %#x", l[14])
+		}
+		sm.Link = &frame.Link{
+			To:              procIDAt(l),
+			Channel:         binary.BigEndian.Uint16(l[8:]),
+			Code:            binary.BigEndian.Uint32(l[10:]),
+			DeliverToKernel: l[14] == 1,
+		}
+	}
+	return sm, nil
+}
+
+func appendAdvisory(dst []byte, adv *advisory) []byte {
+	dst = appendMsgID(dst, adv.ReadID)
+	dst = appendMsgID(dst, adv.HeadID)
+	return binary.BigEndian.AppendUint64(dst, adv.AdvSeq)
+}
+
+func decodeAdvisory(b []byte) (advisory, error) {
+	if len(b) != advisoryLen {
+		return advisory{}, fmt.Errorf("advisory record: %d bytes, want %d", len(b), advisoryLen)
+	}
+	return advisory{ReadID: msgIDAt(b), HeadID: msgIDAt(b[16:]), AdvSeq: binary.BigEndian.Uint64(b[32:])}, nil
+}
+
+func appendLastSent(dst []byte, lastSent uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, lastSent)
+}
+
+func decodeLastSent(b []byte) (uint64, error) {
+	if len(b) != lastSentLen {
+		return 0, fmt.Errorf("last-sent record: %d bytes, want %d", len(b), lastSentLen)
+	}
+	return binary.BigEndian.Uint64(b), nil
+}
+
+// encWith gob-encodes v into the recorder's reused scratch via codec c. The
+// slice is valid until the next persist call.
 func encWith[T any](r *Recorder, c *gobx.Codec[T], v *T) []byte {
 	b, err := c.Encode(r.encScratch[:0], v)
 	if err != nil {
@@ -100,11 +244,13 @@ func (r *Recorder) append(rec stablestore.Record) {
 }
 
 func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.msg, Seq: sm.ArrSeq, Data: encWith(r, &msgCodec, sm)})
+	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
+	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.msg, Seq: sm.ArrSeq, Data: r.encScratch})
 }
 
 func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.adv, Seq: adv.AdvSeq, Data: encWith(r, &advCodec, adv)})
+	r.encScratch = appendAdvisory(r.encScratch[:0], adv)
+	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.adv, Seq: adv.AdvSeq, Data: r.encScratch})
 }
 
 func (r *Recorder) persistProcMeta(e *procEntry) {
@@ -115,7 +261,8 @@ func (r *Recorder) persistProcMeta(e *procEntry) {
 
 func (r *Recorder) persistLastSent(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.last, Seq: e.Rev, Data: encWith(r, &lastCodec, &e.LastSent)})
+	r.encScratch = appendLastSent(r.encScratch[:0], e.LastSent)
+	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.last, Seq: e.Rev, Data: r.encScratch})
 }
 
 func (r *Recorder) persistDead(e *procEntry) {
@@ -171,26 +318,28 @@ func (r *Recorder) rebuild() error {
 	if err != nil {
 		return fmt.Errorf("recorder: rebuild: %w", err)
 	}
-	r.db = make(map[frame.ProcID]*procEntry)
-	r.pending = make(map[frame.MsgID]*storedMsg)
-	r.preArrivals = make(map[frame.ProcID][]storedMsg)
-	r.preLastSent = make(map[frame.ProcID]uint64)
-
+	// Built aside and installed whole: a failed rebuild leaves the crashed
+	// recorder's (empty) database as it was.
+	db := make(map[frame.ProcID]*procEntry)
 	entry := func(p frame.ProcID) *procEntry {
-		e := r.db[p]
+		e := db[p]
 		if e == nil {
 			e = newProcEntry(p, p.Node)
-			r.db[p] = e
+			db[p] = e
 		}
 		return e
 	}
 
 	type perProc struct {
-		msgs     []storedMsg
-		advs     []advisory
-		lastRev  map[string]uint64
+		msgs []storedMsg
+		advs []advisory
+		// ck is the latest checkpoint; dropped and advTrim accumulate over
+		// every checkpoint revision, because what any checkpoint dropped
+		// stays dropped.
 		ck       *ckMeta
 		ckRev    uint64
+		dropped  map[uint64]bool
+		advTrim  uint64
 		deadRev  uint64
 		metaRev  uint64
 		lastSent uint64
@@ -200,7 +349,7 @@ func (r *Recorder) rebuild() error {
 	get := func(p frame.ProcID) *perProc {
 		a := acc[p]
 		if a == nil {
-			a = &perProc{}
+			a = &perProc{dropped: make(map[uint64]bool)}
 			acc[p] = a
 		}
 		return a
@@ -216,51 +365,56 @@ func (r *Recorder) rebuild() error {
 			continue
 		}
 		a := get(pid)
+		// A record that does not decode fails the rebuild: skipping it would
+		// hand recovery a silently shorter stream.
+		var err error
 		switch ns {
 		case "msg":
 			var sm storedMsg
-			if gobIntoR(rec.Data, &sm) == nil {
+			if sm, err = decodeStoredMsg(rec.Data); err == nil {
 				a.msgs = append(a.msgs, sm)
 			}
 		case "adv":
 			var adv advisory
-			if gobIntoR(rec.Data, &adv) == nil {
+			if adv, err = decodeAdvisory(rec.Data); err == nil {
 				a.advs = append(a.advs, adv)
 			}
 		case "ck":
-			if rec.Seq >= a.ckRev {
-				var cm ckMeta
-				if gobIntoR(rec.Data, &cm) == nil {
-					a.ck = &cm
-					a.ckRev = rec.Seq
+			cm := new(ckMeta)
+			if err = ckCodec.Decode(rec.Data, cm); err == nil {
+				for _, q := range cm.DroppedArr {
+					a.dropped[q] = true
+				}
+				a.advTrim = maxU64(a.advTrim, cm.AdvTrim)
+				if rec.Seq >= a.ckRev {
+					a.ck, a.ckRev = cm, rec.Seq
 				}
 			}
 		case "proc":
-			if rec.Seq >= a.metaRev {
-				var pm procMeta
-				if gobIntoR(rec.Data, &pm) == nil {
-					e := entry(pid)
-					e.Spec = pm.Spec
-					e.Node = pm.Node
-					a.metaRev = rec.Seq
-					e.Rev = maxU64(e.Rev, rec.Seq)
-				}
+			var pm procMeta
+			if err = procCodec.Decode(rec.Data, &pm); err == nil && rec.Seq >= a.metaRev {
+				e := entry(pid)
+				e.Spec = pm.Spec
+				e.Node = pm.Node
+				a.metaRev = rec.Seq
+				e.Rev = maxU64(e.Rev, rec.Seq)
 			}
 		case "last":
-			if rec.Seq >= a.lastSRev {
-				var ls uint64
-				if gobIntoR(rec.Data, &ls) == nil {
-					a.lastSent = ls
-					a.lastSRev = rec.Seq
-				}
+			var ls uint64
+			if ls, err = decodeLastSent(rec.Data); err == nil && rec.Seq >= a.lastSRev {
+				a.lastSent = ls
+				a.lastSRev = rec.Seq
 			}
 		case "dead":
 			a.deadRev = maxU64(a.deadRev, rec.Seq)
 		}
+		if err != nil {
+			return fmt.Errorf("recorder: rebuild: record %s seq %d: %w", rec.Key, rec.Seq, err)
+		}
 	}
 
 	for pid, a := range acc {
-		e := r.db[pid]
+		e := db[pid]
 		if e == nil {
 			// Messages without a registration record: the process is not
 			// recoverable from here (no spec); skip.
@@ -272,38 +426,12 @@ func (r *Recorder) rebuild() error {
 			e.Dead = true
 			continue
 		}
-		dropped := make(map[uint64]bool)
-		advTrim := uint64(0)
 		if a.ck != nil {
 			e.Checkpoint = a.ck.Blob
 			e.CkSendSeq = a.ck.SendSeq
 			e.CkReadCount = a.ck.ReadCount
 			e.CkStateKB = a.ck.StateKB
 			e.BaseReads = a.ck.BaseReads
-			for _, q := range a.ck.DroppedArr {
-				dropped[q] = true
-			}
-			advTrim = a.ck.AdvTrim
-			// Earlier checkpoints' drops matter too: everything any
-			// checkpoint dropped stays dropped. Conservatively, also drop
-			// arrival seqs below the smallest retained one implied by
-			// earlier trims — covered because every checkpoint records its
-			// own DroppedArr and we replay only the latest; earlier drops
-			// are re-applied by reading all checkpoint records:
-		}
-		// Apply drops from every checkpoint revision (not just the latest).
-		for _, rec := range recs {
-			if rec.Key == e.keys.ck {
-				var cm ckMeta
-				if gobIntoR(rec.Data, &cm) == nil {
-					for _, q := range cm.DroppedArr {
-						dropped[q] = true
-					}
-					if cm.AdvTrim > advTrim {
-						advTrim = cm.AdvTrim
-					}
-				}
-			}
 		}
 		sort.Slice(a.msgs, func(i, j int) bool { return a.msgs[i].ArrSeq < a.msgs[j].ArrSeq })
 		// The latest checkpoint fixes the replay order of its retained
@@ -317,7 +445,7 @@ func (r *Recorder) rebuild() error {
 		}
 		var pre, post []storedMsg
 		for _, sm := range a.msgs {
-			if dropped[sm.ArrSeq] {
+			if a.dropped[sm.ArrSeq] {
 				continue
 			}
 			sm := sm
@@ -335,7 +463,7 @@ func (r *Recorder) rebuild() error {
 		e.Arrivals = append(pre, post...)
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })
 		for _, adv := range a.advs {
-			if adv.AdvSeq < advTrim {
+			if adv.AdvSeq < a.advTrim {
 				continue
 			}
 			e.Advisories = append(e.Advisories, adv)
@@ -343,11 +471,15 @@ func (r *Recorder) rebuild() error {
 				e.AdvSeqNext = adv.AdvSeq + 1
 			}
 		}
-		if advTrim > e.AdvSeqNext {
-			e.AdvSeqNext = advTrim
+		if a.advTrim > e.AdvSeqNext {
+			e.AdvSeqNext = a.advTrim
 		}
 		e.LastCkAt = r.sched.Now()
 	}
+	r.db = db
+	r.pending = make(map[frame.MsgID]*storedMsg)
+	r.preArrivals = make(map[frame.ProcID][]storedMsg)
+	r.preLastSent = make(map[frame.ProcID]uint64)
 	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil
 }
@@ -362,15 +494,23 @@ func splitKey(k string) (ns, pid string, ok bool) {
 
 // parseProcID parses the "p<node>.<local>" form produced by ProcID.String.
 func parseProcID(s string) (frame.ProcID, bool) {
-	if len(s) < 4 || s[0] != 'p' {
+	rest, ok := strings.CutPrefix(s, "p")
+	if !ok {
 		return frame.NilProc, false
 	}
-	var node int32
-	var local uint32
-	if _, err := fmt.Sscanf(s, "p%d.%d", &node, &local); err != nil {
+	nodeStr, localStr, ok := strings.Cut(rest, ".")
+	if !ok {
 		return frame.NilProc, false
 	}
-	return frame.ProcID{Node: frame.NodeID(node), Local: local}, true
+	node, err := strconv.ParseInt(nodeStr, 10, 32)
+	if err != nil {
+		return frame.NilProc, false
+	}
+	local, err := strconv.ParseUint(localStr, 10, 32)
+	if err != nil {
+		return frame.NilProc, false
+	}
+	return frame.ProcID{Node: frame.NodeID(node), Local: uint32(local)}, true
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -343,12 +343,9 @@ type Recorder struct {
 	// deliveries; the tap sees every retransmission).
 	noticeSeen genSet
 
-	// encScratch is the reused scratch for the typed gobx codecs the
-	// persist paths encode records through (see persist.go). Each record is
-	// its own self-contained gob stream (type preamble + value, which
-	// rebuild's per-record decoder expects), but the buffer is shared:
-	// stablestore.Append copies Data, so the bytes only need to survive one
-	// call.
+	// encScratch is the reused buffer every persist path encodes its record
+	// into (see persist.go). stablestore.Append copies Data, so the bytes
+	// only need to survive one call.
 	encScratch []byte
 	// smFree pools storedMsg nodes between Observe and the ack/sweep paths
 	// that retire them, so the tap's steady state stops allocating a node,

@@ -121,14 +121,20 @@ func ids(ms []storedMsg) []uint64 {
 // newBench builds a recorder on a quiet medium for direct-observation tests.
 func newBench(t *testing.T) (*Recorder, *simtime.Scheduler, stablestore.Store) {
 	t.Helper()
+	store := stablestore.New()
+	r, sched := newBenchOn(t, store)
+	return r, sched, store
+}
+
+// newBenchOn is newBench over a store of the caller's choosing.
+func newBenchOn(tb testing.TB, store stablestore.Store) (*Recorder, *simtime.Scheduler) {
+	tb.Helper()
 	sched := simtime.NewScheduler()
 	log := trace.New(sched.Now)
 	rng := simtime.NewRand(3)
 	med := lan.NewPerfect(lan.DefaultConfig(), sched, rng, log)
-	store := stablestore.New()
 	cfg := DefaultConfig(5, []frame.NodeID{0, 1})
-	r := New(cfg, sched, rng, log, med, store, transport.DefaultConfig())
-	return r, sched, store
+	return New(cfg, sched, rng, log, med, store, transport.DefaultConfig()), sched
 }
 
 func procA() frame.ProcID { return frame.ProcID{Node: 0, Local: 7} }
@@ -136,15 +142,19 @@ func procB() frame.ProcID { return frame.ProcID{Node: 1, Local: 3} }
 
 // observe a guaranteed message and its ack, as the tap would.
 func publish(r *Recorder, from, to frame.ProcID, seq uint64, body string) {
-	f := &frame.Frame{
+	publishFrame(r, &frame.Frame{
 		Type: frame.Guaranteed, Src: from.Node, Dst: to.Node,
 		ID: frame.MsgID{Sender: from, Seq: seq}, From: from, To: to,
 		Body: []byte(body),
-	}
+	})
+}
+
+// publishFrame shows the tap a guaranteed frame and then its ack.
+func publishFrame(r *Recorder, f *frame.Frame) {
 	if !r.Observe(f) {
 		panic("tap rejected")
 	}
-	r.Observe(&frame.Frame{Type: frame.Ack, Src: to.Node, Dst: from.Node, ID: f.ID, From: to, To: from})
+	r.Observe(&frame.Frame{Type: frame.Ack, Src: f.Dst, Dst: f.Src, ID: f.ID, From: f.To, To: f.From})
 }
 
 func register(r *Recorder, p frame.ProcID, name string) {

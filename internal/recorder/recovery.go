@@ -418,13 +418,15 @@ func (r *Recorder) Restart() error {
 	if !r.crashed {
 		return nil
 	}
+	// A database that cannot be rebuilt leaves the recorder crashed: coming
+	// up on part of it would serve recoveries from shorter streams.
+	if err := r.rebuild(); err != nil {
+		return err
+	}
 	r.crashed = false
 	r.epoch++
 	r.med.Faults().SetDown(r.cfg.Node, false)
 	r.restartNumber++
-	if err := r.rebuild(); err != nil {
-		return err
-	}
 	r.persistRestartNumber()
 	r.sendSeq = 0
 	r.Start()

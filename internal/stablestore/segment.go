@@ -36,7 +36,7 @@ import (
 const DefaultSegmentBytes = 64 * PageSize
 
 // recHeaderLen is the fixed part of an encoded record (kind, keylen, seq,
-// datalen) — encodedLen minus key and payload.
+// datalen) — Record.size minus key and payload.
 const recHeaderLen = 1 + 2 + 8 + 4
 
 // keyRun is one key's slice of a segment's sparse index: the seqs and
@@ -910,6 +910,15 @@ func encodeSegmentTail(g *segment) []byte {
 
 var errSegmentIndex = errors.New("stablestore: segment index corrupt")
 
+// footerFits reports whether a footer's data and index lengths account for
+// exactly the size-byte image the footer ends. Each length is bounded before
+// they are added: they are 64-bit fields read from disk, and a damaged pair
+// can sum, wrapped, to the right size.
+func footerFits(dataLen, idxLen uint64, size int) bool {
+	n := uint64(size)
+	return dataLen <= n && idxLen <= n && dataLen+idxLen+segFooterSize == n
+}
+
 // decodeSegment parses one segment file image. Sealed images (valid footer,
 // CRCs matching over data and index) decode through the index; anything
 // else — torn tail, truncated index, corrupt data written after the index
@@ -925,7 +934,7 @@ func decodeSegment(b []byte) (recs []Record, sealed bool, err error) {
 			dataLen := binary.BigEndian.Uint64(foot[0:8])
 			idxLen := binary.BigEndian.Uint64(foot[8:16])
 			count := binary.BigEndian.Uint32(foot[16:20])
-			if dataLen+idxLen+segFooterSize == uint64(len(b)) {
+			if footerFits(dataLen, idxLen, len(b)) {
 				data := b[:dataLen]
 				idx := b[dataLen : dataLen+idxLen]
 				if crc32.ChecksumIEEE(data) == binary.BigEndian.Uint32(foot[20:24]) &&
@@ -978,7 +987,7 @@ func decodeSegmentIndex(b []byte) *segIndex {
 	dataLen := binary.BigEndian.Uint64(foot[0:8])
 	idxLen := binary.BigEndian.Uint64(foot[8:16])
 	count := int(binary.BigEndian.Uint32(foot[16:20]))
-	if dataLen+idxLen+segFooterSize != uint64(len(b)) {
+	if !footerFits(dataLen, idxLen, len(b)) {
 		return nil
 	}
 	data := b[:dataLen]

@@ -502,7 +502,7 @@ func TestSegmentCrashRecoveryIndexBeforeDataSync(t *testing.T) {
 	}
 	off := 0
 	for i := 0; i < 3; i++ { // offset of record 3
-		off += (&recs[i]).encodedLen()
+		off += (&recs[i]).size()
 	}
 	for i := 0; i < 4; i++ {
 		b[off+i] = 0

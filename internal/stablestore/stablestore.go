@@ -62,41 +62,24 @@ type Record struct {
 	Data []byte
 }
 
-// encodedLen returns the on-page size of the record.
-func (r *Record) encodedLen() int {
+// size returns the number of bytes appendRecord writes for r.
+func (r *Record) size() int {
 	return 1 + 2 + len(r.Key) + 8 + 4 + len(r.Data)
-}
-
-func (r *Record) encode(buf *bytes.Buffer) {
-	buf.WriteByte(byte(r.Kind))
-	var tmp [8]byte
-	binary.BigEndian.PutUint16(tmp[:2], uint16(len(r.Key)))
-	buf.Write(tmp[:2])
-	buf.WriteString(r.Key)
-	binary.BigEndian.PutUint64(tmp[:8], r.Seq)
-	buf.Write(tmp[:8])
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.Data)))
-	buf.Write(tmp[:4])
-	buf.Write(r.Data)
 }
 
 var errCorruptPage = errors.New("stablestore: corrupt page")
 
-// appendRecord flat-encodes r onto dst — same wire format as
-// Record.encode, without the bytes.Buffer indirection (the segmented
-// engine's append hot path).
+// appendRecord flat-encodes r onto dst: kind, key length and key, seq, data
+// length and data, big-endian. It is the one record encoder — both engines'
+// append paths and the paged compactor write through it — and decodeOne is
+// its inverse.
 func appendRecord(dst []byte, r *Record) []byte {
-	var tmp [8]byte
 	dst = append(dst, byte(r.Kind))
-	binary.BigEndian.PutUint16(tmp[:2], uint16(len(r.Key)))
-	dst = append(dst, tmp[:2]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
 	dst = append(dst, r.Key...)
-	binary.BigEndian.PutUint64(tmp[:8], r.Seq)
-	dst = append(dst, tmp[:8]...)
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.Data)))
-	dst = append(dst, tmp[:4]...)
-	dst = append(dst, r.Data...)
-	return dst
+	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Data)))
+	return append(dst, r.Data...)
 }
 
 // decodeOne parses the record at the head of b, returning it and its
@@ -246,9 +229,11 @@ type Paged struct {
 	mu    sync.Mutex
 	pages map[uint64][]byte // pageID -> encoded page (PageSize)
 	next  uint64
-	// buf is the current write buffer (an unflushed page).
-	buf     bytes.Buffer
-	bufPage uint64
+	// cur is the current write buffer (an unflushed page): records are
+	// encoded in place into pages[curPage], and len(cur) is how much of that
+	// page is filled. Sealing it is a logical page write, not a copy.
+	cur     []byte
+	curPage uint64
 	// invalid marks (key, seq<=) pairs whose message records may be dropped
 	// at the next compaction of their page.
 	invalid map[string]uint64
@@ -443,12 +428,11 @@ func (s *Paged) Append(r Record) (uint64, error) {
 	s.stats.Appends++
 	s.stats.BytesLive += uint64(len(r.Data))
 
-	if r.encodedLen() > PageSize {
+	n := r.size()
+	if n > PageSize {
 		// Oversized record: dedicated page sequence.
-		var big bytes.Buffer
-		r.encode(&big)
 		first := uint64(0)
-		data := big.Bytes()
+		data := appendRecord(make([]byte, 0, n), &r)
 		for i := 0; i < len(data); i += PageSize {
 			end := i + PageSize
 			if end > len(data) {
@@ -471,17 +455,19 @@ func (s *Paged) Append(r Record) (uint64, error) {
 		return first, nil
 	}
 
-	if s.buf.Len()+r.encodedLen() > PageSize {
+	if len(s.cur)+n > PageSize {
 		if err := s.flushLocked(); err != nil {
 			return 0, err
 		}
 	}
-	if s.buf.Len() == 0 {
-		s.bufPage = s.allocLocked()
+	if len(s.cur) == 0 {
+		s.curPage = s.allocLocked()
+		s.cur = make([]byte, 0, PageSize)
+		s.pages[s.curPage] = s.cur[:PageSize]
 	}
-	r.encode(&s.buf)
-	s.indexKeyLocked(r.Key, s.bufPage)
-	return s.bufPage, nil
+	s.cur = appendRecord(s.cur, &r) // fits: never reallocates off the page
+	s.indexKeyLocked(r.Key, s.curPage)
+	return s.curPage, nil
 }
 
 func (s *Paged) oversize(first, page uint64) {
@@ -513,17 +499,11 @@ func (s *Paged) Flush() error {
 // flushLocked seals the current write buffer into its page. The page is
 // only marked dirty; physical writes batch up until syncLocked.
 func (s *Paged) flushLocked() error {
-	if s.buf.Len() == 0 {
+	if len(s.cur) == 0 {
 		return nil
 	}
-	page := s.pages[s.bufPage]
-	if page == nil {
-		page = make([]byte, PageSize)
-		s.pages[s.bufPage] = page
-	}
-	copy(page, s.buf.Bytes())
-	s.buf.Reset()
-	return s.writePageLocked(s.bufPage)
+	s.cur = nil
+	return s.writePageLocked(s.curPage)
 }
 
 // writePageLocked records a logical page write. The physical WriteAt is
@@ -666,11 +646,11 @@ func (s *Paged) Compact() (int, error) {
 		if !changed {
 			continue
 		}
-		var buf bytes.Buffer
+		newPage := make([]byte, 0, PageSize)
 		kept := make(map[string]bool, len(keep))
-		for _, r := range keep {
-			r.encode(&buf)
-			kept[r.Key] = true
+		for i := range keep {
+			newPage = appendRecord(newPage, &keep[i])
+			kept[keep[i].Key] = true
 		}
 		// Keys whose last record on this page was dropped leave the index.
 		for _, r := range recs {
@@ -678,9 +658,7 @@ func (s *Paged) Compact() (int, error) {
 				s.dropKeyPageLocked(r.Key, id)
 			}
 		}
-		newPage := make([]byte, PageSize)
-		copy(newPage, buf.Bytes())
-		s.pages[id] = newPage
+		s.pages[id] = newPage[:PageSize]
 		if err := s.writePageLocked(id); err != nil {
 			return dropped, err
 		}
@@ -794,9 +772,5 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 func (s *Paged) Pages() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.pages)
-	if s.buf.Len() > 0 {
-		n++
-	}
-	return n
+	return len(s.pages)
 }
