@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-transport bench-store bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet nopar noregime build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-store bench-sim bench-recorder scale-smoke sweep
 
-check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-transport bench-store bench-sim bench-recorder
+check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-store bench-sim bench-recorder
 
-vet: nopar
+vet: nopar noregime
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -15,6 +15,11 @@ vet: nopar
 # piecemeal fails here.
 nopar:
 	! grep -rnE 'ParWorkers|LPClock|simtime\.Engine|Lookahead\(\)|TickSched' --include='*.go' .
+
+# There is one transport regime (DESIGN.md "Steady-state wire efficiency")
+# and the knobs below each had one value in use; they are constants now.
+noregime:
+	! grep -rnE 'AdaptiveRTO|MinRTO|MaxRTO|RetryBudget|DupCacheSize|FlushEveryMessage|MonitorStallWindow' --include='*.go' .
 
 build:
 	$(GO) build ./...
@@ -98,19 +103,6 @@ endif
 bench-recovery:
 	$(GO) test -bench 'BenchmarkEndToEndRecovery|BenchmarkRecoveryReplay' -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -after BENCH_recovery.json batched, windowed replay pipeline
-
-# The steady-state wire-efficiency trajectory: thesis per-message transport
-# vs coalescing + delayed acks + adaptive RTO, as frames on the wire, ack
-# frames per guaranteed message, and virtual completion time. The default
-# (check-time) run re-measures and prints the snapshot without touching the
-# committed BENCH_transport.json; regenerate it with
-# `make bench-transport OUT=BENCH_transport.json` after deleting the old file.
-bench-transport:
-ifdef OUT
-	$(GO) test -bench BenchmarkTransportWire -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT) coalescing + delayed acks + adaptive RTO vs thesis per-message wire
-else
-	$(GO) test -bench BenchmarkTransportWire -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
 
 # The storage-engine trajectory: paged vs log-structured segment store under
 # the open-loop million-message workload (append throughput at a literal 10^6

@@ -23,7 +23,6 @@ import (
 
 	"publishing"
 	"publishing/internal/checkpoint"
-	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/measure"
 	"publishing/internal/model"
@@ -526,115 +525,6 @@ func BenchmarkTransportWindow(b *testing.B) {
 				}
 				elapsed = doneAt
 			}
-			b.ReportMetric(elapsed.Seconds(), "virtual_s")
-		})
-	}
-}
-
-// wireDriver sends `want` small requests to the echo service and stamps the
-// virtual time at which the last reply returns.
-type wireDriver struct {
-	got    *int
-	doneAt *simtime.Time
-	want   int
-	now    func() simtime.Time
-}
-
-func (d wireDriver) Init(ctx *publishing.PCtx) {
-	l, _ := ctx.ServiceLink("echo")
-	for j := 0; j < d.want; j++ {
-		_ = ctx.Send(l, make([]byte, 48), publishing.NoLink)
-	}
-}
-func (d wireDriver) Handle(ctx *publishing.PCtx, m publishing.Msg) {
-	*d.got++
-	if *d.got == d.want {
-		*d.doneAt = d.now()
-	}
-}
-func (d wireDriver) Snapshot() ([]byte, error) { return nil, nil }
-func (d wireDriver) Restore(b []byte) error    { return nil }
-
-// wireEcho answers every request with a small reply, so the reverse
-// direction always has data frames for acknowledgements to ride.
-type wireEcho struct {
-	l  publishing.LinkID
-	ok bool
-}
-
-func (e *wireEcho) Init(ctx *publishing.PCtx) {}
-func (e *wireEcho) Handle(ctx *publishing.PCtx, m publishing.Msg) {
-	if !e.ok {
-		e.l, _ = ctx.ServiceLink("driver")
-		e.ok = true
-	}
-	_ = ctx.Send(e.l, []byte("ok"), publishing.NoLink)
-}
-func (e *wireEcho) Snapshot() ([]byte, error) { return nil, nil }
-func (e *wireEcho) Restore(b []byte) error    { return nil }
-
-// BenchmarkTransportWire is the steady-state wire-efficiency comparison: the
-// thesis per-message transport (one frame and one Ack frame per guaranteed
-// message) against the coalescing + delayed-ack + adaptive-RTO defaults, on
-// a 100-message request/reply workload. Reported per run:
-//
-//	wire_frames      - every frame the medium carried, data + ack + recorder
-//	ack_frames_per_g - standalone end-to-end Ack frames per guaranteed send
-//	virtual_s        - virtual completion time of the workload
-func BenchmarkTransportWire(b *testing.B) {
-	const nMsgs = 100
-	for _, mode := range []string{"legacy", "coalesced"} {
-		b.Run(mode, func(b *testing.B) {
-			var frames, ackPerMsg float64
-			var elapsed simtime.Time
-			for i := 0; i < b.N; i++ {
-				cfg := publishing.DefaultConfig(2)
-				// Zero CPU costs: the 13 ms/message kernel network cost would
-				// space sends far beyond any flush window and hide the wire
-				// entirely; steady-state wire efficiency wants a wire-bound run.
-				cfg.Costs = demos.ZeroCosts()
-				if mode == "legacy" {
-					cfg.Transport.FlushDelay = 0
-					cfg.Transport.AckDelay = 0
-					cfg.Transport.AdaptiveRTO = false
-				}
-				c := publishing.New(cfg)
-				var got int
-				var doneAt simtime.Time
-				c.Registry().RegisterMachine("echo", func(args []byte) publishing.Machine {
-					return &wireEcho{}
-				})
-				c.Registry().RegisterMachine("driver", func(args []byte) publishing.Machine {
-					return wireDriver{got: &got, doneAt: &doneAt, want: nMsgs, now: c.Now}
-				})
-				echo, _ := c.Spawn(1, publishing.ProcSpec{Name: "echo", Recoverable: true})
-				c.SetService("echo", echo)
-				driver, _ := c.Spawn(0, publishing.ProcSpec{Name: "driver", Recoverable: true})
-				c.SetService("driver", driver)
-				// Stop at the last reply: minutes of idle watchdog traffic
-				// would otherwise dilute the frame counts equally in both
-				// modes and mask the difference under measurement.
-				c.RunUntil(func() bool { return got == nMsgs }, 2*simtime.Minute)
-				if got != nMsgs {
-					b.Fatalf("workload incomplete: %d/%d replies", got, nMsgs)
-				}
-				var acks, flushes, gsent uint64
-				for _, n := range c.Nodes() {
-					s := c.Kernel(n).Endpoint().Stats()
-					acks += s.AcksSent
-					flushes += s.AcksDelayedFlush
-					gsent += s.GuaranteedSent
-				}
-				ackFrames := acks // thesis mode: every ack is its own frame
-				if mode == "coalesced" {
-					ackFrames = flushes // the rest rode reverse data frames
-				}
-				frames = float64(c.Medium().Stats().FramesSent)
-				ackPerMsg = float64(ackFrames) / float64(gsent)
-				elapsed = doneAt
-			}
-			b.ReportMetric(frames, "wire_frames")
-			b.ReportMetric(ackPerMsg, "ack_frames_per_g")
 			b.ReportMetric(elapsed.Seconds(), "virtual_s")
 		})
 	}

@@ -157,10 +157,10 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// detection + 2 s reboot + recovery, plus recorder-outage suspensions.
 	// The default 200×50 ms = 10 s budget is exactly the detection tolerance,
 	// so a sender could give up moments before the recovered process returns.
-	// With the adaptive RTO the attempt counter no longer maps to wall time
-	// (backed-off timeouts stretch toward MaxRTO), so the transport also
-	// derives a wall-clock RetryBudget from this value — 600 × 50 ms = 30 s
-	// remains the effective give-up bound in both modes.
+	// The attempt counter does not map to wall time (backed-off timeouts
+	// stretch toward the transport's 400 ms ceiling), so the transport also
+	// abandons a flight MaxRetries × RetransmitInterval after its first
+	// transmission — 600 × 50 ms = 30 s is the effective give-up bound.
 	cfg.Transport.MaxRetries = 600
 	cfg.Transport.DisableDupSuppression = opt.BreakDupSuppression
 	if opt.Checkpoint {

@@ -136,37 +136,11 @@ func decodePeer(b []byte) (*peerMsg, error) {
 	return &m, err
 }
 
-// higherPeers returns the recorder procs with priority above ours for a
-// node, per the node's priority vector (default: ascending rank).
-func (r *Recorder) higherPeers(node frame.NodeID) []frame.ProcID {
-	if len(r.cfg.Peers) == 0 {
-		return nil
-	}
-	order := r.cfg.priorityFor(node, len(r.cfg.Peers)+1)
-	var out []frame.ProcID
-	for _, rank := range order {
-		if rank == r.cfg.Rank {
-			break
-		}
-		// Ranks map onto the combined (self + peers) list the cluster
-		// built; PeerByRank resolves them.
-		if p, ok := r.cfg.peerByRank(rank); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// priorityFor returns the recorder-rank order responsible for a node.
-func (c *Config) priorityFor(node frame.NodeID, nRecs int) []int {
-	if c.Priority != nil {
-		return c.Priority(node)
-	}
-	order := make([]int, nRecs)
-	for i := range order {
-		order[i] = i
-	}
-	return order
+// higherPeers returns the recorder procs with priority above ours. Every
+// node's priority vector is ascending rank, and Peers is in rank order with
+// our own slot removed, so they are its first Rank entries.
+func (r *Recorder) higherPeers() []frame.ProcID {
+	return r.cfg.Peers[:min(r.cfg.Rank, len(r.cfg.Peers))]
 }
 
 // peerByRank resolves a rank to a peer's proc id (our own rank resolves to
@@ -570,7 +544,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 // arbitrate decides who recovers a crashed node (§6.3). Without peers the
 // duty is ours immediately.
 func (r *Recorder) arbitrate(w *watchState) {
-	higher := r.higherPeers(w.node)
+	higher := r.higherPeers()
 	if len(higher) == 0 {
 		w.responsible = true
 		r.actOnCrash(w)
@@ -587,7 +561,7 @@ func (r *Recorder) arbitrate(w *watchState) {
 		// "If P_i does not recover in a set interval, R periodically
 		// requeries its higher priority nodes" (§6.3).
 		epoch := r.epoch
-		r.sched.After(r.cfg.RecoveryRetry, func() {
+		r.sched.After(recoveryRetry, func() {
 			if r.epoch != epoch || r.crashed {
 				return
 			}
@@ -600,11 +574,7 @@ func (r *Recorder) arbitrate(w *watchState) {
 		r.sendPeer(p, &peerMsg{Kind: peerQuery, Node: w.node, Code: code})
 	}
 	epoch := r.epoch
-	claim := r.cfg.ClaimTimeout
-	if claim <= 0 {
-		claim = 2 * simtime.Second
-	}
-	r.sched.After(claim, func() {
+	r.sched.After(claimTimeout, func() {
 		if r.epoch != epoch || r.crashed || answered {
 			return
 		}

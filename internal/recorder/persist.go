@@ -236,11 +236,6 @@ func (r *Recorder) append(rec stablestore.Record) {
 		// battery backup, §3.3.4); surface loudly.
 		panic(fmt.Sprintf("recorder: stable store append: %v", err))
 	}
-	if r.cfg.FlushEveryMessage {
-		if err := r.store.Flush(); err != nil {
-			panic(fmt.Sprintf("recorder: stable store flush: %v", err))
-		}
-	}
 }
 
 func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {
@@ -344,6 +339,10 @@ func (r *Recorder) rebuild() error {
 		metaRev  uint64
 		lastSent uint64
 		lastSRev uint64
+		// arrNext is 1 + the largest arrival seq the store has ever held
+		// for the stream, live or dead: a seq a checkpoint dropped must
+		// not be handed to a new arrival.
+		arrNext uint64
 	}
 	acc := make(map[frame.ProcID]*perProc)
 	get := func(p frame.ProcID) *perProc {
@@ -373,6 +372,7 @@ func (r *Recorder) rebuild() error {
 			var sm storedMsg
 			if sm, err = decodeStoredMsg(rec.Data); err == nil {
 				a.msgs = append(a.msgs, sm)
+				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
 			var adv advisory
@@ -384,6 +384,10 @@ func (r *Recorder) rebuild() error {
 			if err = ckCodec.Decode(rec.Data, cm); err == nil {
 				for _, q := range cm.DroppedArr {
 					a.dropped[q] = true
+					a.arrNext = maxU64(a.arrNext, q+1)
+				}
+				for _, q := range cm.RetainedOrder {
+					a.arrNext = maxU64(a.arrNext, q+1)
 				}
 				a.advTrim = maxU64(a.advTrim, cm.AdvTrim)
 				if rec.Seq >= a.ckRev {
@@ -455,10 +459,8 @@ func (r *Recorder) rebuild() error {
 				post = append(post, sm)
 			}
 			e.have[sm.ID] = true
-			if sm.ArrSeq >= e.ArrSeqNext {
-				e.ArrSeqNext = sm.ArrSeq + 1
-			}
 		}
+		e.ArrSeqNext = a.arrNext
 		sort.SliceStable(pre, func(i, j int) bool { return rank[pre[i].ArrSeq] < rank[pre[j].ArrSeq] })
 		e.Arrivals = append(pre, post...)
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })

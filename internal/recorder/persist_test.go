@@ -490,3 +490,48 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*len(stored)), "ns/record")
 	b.ReportMetric(float64(len(stored)), "records")
 }
+
+// A checkpoint that trims the highest arrival seqs leaves them dead in the
+// store. A restart must number new arrivals above them: taking the next seq
+// from the retained messages alone reuses dead seqs, and the restart after
+// that reads the new arrivals as dropped.
+func TestRestartNumbersArrivalsAboveCheckpointedSeqs(t *testing.T) {
+	for name, store := range map[string]stablestore.Store{
+		"paged":   stablestore.New(),
+		"segment": stablestore.NewSegmented(0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, _ := newBenchOn(t, store)
+			register(r, procB(), "b")
+			for i := uint64(1); i <= 3; i++ {
+				publish(r, procA(), procB(), i, "read")
+			}
+			r.handleNotice(&demos.Notice{
+				Kind: demos.NoticeCheckpoint, Proc: procB(),
+				Checkpoint: []byte("all read"), SendSeq: 1, ReadCount: 3, StateKB: 1,
+			})
+			if _, _, _, _, queued := r.Entry(procB()); queued != 0 {
+				t.Fatalf("checkpoint retained %d arrivals, want 0", queued)
+			}
+			next := r.db[procB()].ArrSeqNext
+			restart := func() {
+				t.Helper()
+				r.Crash()
+				if err := r.Restart(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restart()
+			if got := r.db[procB()].ArrSeqNext; got != next {
+				t.Fatalf("ArrSeqNext after restart = %d, was %d", got, next)
+			}
+			publish(r, procA(), procB(), 4, "kept")
+			publish(r, procA(), procB(), 5, "kept")
+			restart()
+			sum := r.StreamSummary(procB())
+			if len(sum) != 2 || sum[0].Seq != 4 || sum[1].Seq != 5 {
+				t.Fatalf("arrivals after the second restart: %v, want messages 4 and 5", sum)
+			}
+		})
+	}
+}

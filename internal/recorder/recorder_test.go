@@ -204,6 +204,30 @@ func TestDuplicateAcksAndRetransmitsIgnored(t *testing.T) {
 	}
 }
 
+// The transport no longer sends a header-only Ack (one id, no records, no
+// cumulative mark), but the tap still credits one: tools and benchmarks feed
+// the recorder exactly that.
+func TestHeaderOnlyAckIsCredited(t *testing.T) {
+	r, _, _ := newBench(t)
+	register(r, procB(), "b")
+	f := &frame.Frame{
+		Type: frame.Guaranteed, Src: 0, Dst: 1,
+		ID: frame.MsgID{Sender: procA(), Seq: 1}, From: procA(), To: procB(),
+		Body: []byte("x"),
+	}
+	r.Observe(f)
+	if got := r.Stats().ArrivalsRecorded; got != 0 {
+		t.Fatalf("arrival recorded before any ack: %d", got)
+	}
+	r.Observe(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: f.ID, From: procB(), To: procA()})
+	if got := r.Stats().ArrivalsRecorded; got != 1 {
+		t.Fatalf("ArrivalsRecorded = %d after the header-only ack, want 1", got)
+	}
+	if sum := r.StreamSummary(procB()); len(sum) != 1 || sum[0] != f.ID {
+		t.Fatalf("stream = %v, want [%v]", sum, f.ID)
+	}
+}
+
 // Traffic that beats the creation notice is buffered and merged (the
 // pre-registration race).
 func TestPreRegistrationBuffering(t *testing.T) {

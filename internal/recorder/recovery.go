@@ -46,9 +46,6 @@ func (r *Recorder) armWatchTick() {
 }
 
 func (r *Recorder) armFlushTick() {
-	if r.cfg.FlushEveryMessage {
-		return
-	}
 	epoch := r.epoch
 	r.sched.After(simtime.Second, func() {
 		if r.epoch != epoch || r.crashed {
@@ -255,7 +252,7 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 		target, len(e.Arrivals), e.Checkpoint != nil)
 
 	epoch := r.epoch
-	r.sched.After(r.cfg.ReplayGrace, func() {
+	r.sched.After(replayGrace, func() {
 		if r.epoch != epoch || r.crashed || !r.current(rp, gen) {
 			return
 		}
@@ -271,13 +268,10 @@ func (r *Recorder) current(rp *recoveryProc, gen uint64) bool {
 }
 
 // armRecoveryRetry restarts a recovery from scratch if it has not completed
-// after RecoveryRetry — covering lost nodes and recursive crashes (§3.5).
+// after recoveryRetry — covering lost nodes and recursive crashes (§3.5).
 func (r *Recorder) armRecoveryRetry(e *procEntry, rp *recoveryProc, gen uint64) {
-	if r.cfg.RecoveryRetry <= 0 {
-		return
-	}
 	epoch := r.epoch
-	r.sched.After(r.cfg.RecoveryRetry, func() {
+	r.sched.After(recoveryRetry, func() {
 		if r.epoch != epoch || r.crashed || !r.current(rp, gen) {
 			return
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"publishing/internal/frame"
@@ -121,51 +122,128 @@ func TestWindowFullBehindCoalescedBatch(t *testing.T) {
 	}
 }
 
-// Measured RTO stops the fixed-interval pathology where every ack that takes
-// longer than RetransmitInterval triggers a pointless retransmission. The
-// workload alternates small and large messages on a slow link: large frames
-// take longer than the fixed 50 ms interval to acknowledge, so fixed mode
-// retransmits every one of them spuriously, while adaptive mode learns the
-// round trip (and persists its post-timeout backoff per RFC 6298 §5.5 —
-// Karn's rule means retransmitted flights never yield samples, so only the
-// persisted backoff stops the spurious timeout from repeating).
-func TestAdaptiveRTOReducesSpuriousRetransmits(t *testing.T) {
-	large := string(make([]byte, 600)) // ~48 ms at 100 kb/s: ack RTT > 50 ms
-	run := func(adaptive bool) (retransmits uint64, delivered int) {
-		cfg := DefaultConfig() // 50 ms fixed interval
-		cfg.AdaptiveRTO = adaptive
-		lcfg := lan.DefaultConfig()
-		lcfg.BitsPerSecond = 100_000
-		lcfg.InterframeGap = 5 * simtime.Millisecond
-		sched := simtime.NewScheduler()
-		log := trace.New(sched.Now)
-		med := lan.NewPerfect(lcfg, sched, simtime.NewRand(7), log)
-		tx := New(0, med, sched, log, cfg)
-		rx := New(1, med, sched, log, cfg)
-		var got int
-		rx.Deliver = func(f *frame.Frame) bool { got++; return true }
-		for seq := uint64(1); seq <= 20; seq++ {
-			body := "small"
-			if seq%2 == 0 {
-				body = large
+// The measured RTO learns a round trip longer than RetransmitInterval. The
+// workload alternates small and large messages on a slow link where a full
+// bundle takes longer than the initial 50 ms to acknowledge. Only the first
+// unit's members, sent before any round trip has been measured, may time out
+// spuriously; the persisted backoff (RFC 6298 §5.5 — Karn's rule means
+// retransmitted flights never yield samples) and then the first sample stop
+// it from repeating.
+func TestMeasuredRTOStopsSpuriousRetransmits(t *testing.T) {
+	large := string(make([]byte, 600)) // ~48 ms at 100 kb/s
+	lcfg := lan.DefaultConfig()
+	lcfg.BitsPerSecond = 100_000
+	lcfg.InterframeGap = 5 * simtime.Millisecond
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	med := lan.NewPerfect(lcfg, sched, simtime.NewRand(7), log)
+	tx := New(0, med, sched, log, DefaultConfig())
+	rx := New(1, med, sched, log, DefaultConfig())
+	var got int
+	rx.Deliver = func(f *frame.Frame) bool { got++; return true }
+	atFirstAck := ^uint64(0)
+	tx.OnAck = func(frame.MsgID) {
+		if atFirstAck == ^uint64(0) {
+			atFirstAck = tx.Stats().Retransmits
+		}
+	}
+	for seq := uint64(1); seq <= 20; seq++ {
+		body := "small"
+		if seq%2 == 0 {
+			body = large
+		}
+		tx.SendGuaranteed(gmsg(0, 1, seq, body))
+	}
+	sched.RunAll(10_000_000)
+	if g := tx.Stats().GaveUp; g != 0 {
+		t.Fatalf("gave up on %d frames", g)
+	}
+	if got != 20 {
+		t.Fatalf("delivered %d, want 20", got)
+	}
+	// The first unit's three members time out at 50 ms, and the first of
+	// them once more at the backed-off 100 ms, before its 172 ms round trip
+	// completes. (The deleted fixed-interval arm retransmitted 55 times.)
+	retr := tx.Stats().Retransmits
+	if retr > 4 {
+		t.Fatalf("retransmits = %d, want at most 4", retr)
+	}
+	if retr != atFirstAck {
+		t.Fatalf("retransmits grew from %d to %d after the first round-trip sample", atFirstAck, retr)
+	}
+}
+
+// There is one regime: New fills every unset Window or duration from
+// DefaultConfig, so no Config value selects a different send, ack or
+// retransmit path. Each variant must put exactly the frames on a lossy wire
+// that DefaultConfig does, at the same instants.
+func TestUnsetConfigRunsTheDefaultRegime(t *testing.T) {
+	wireTrace := func(cfg Config) []string {
+		e := newEnv(t, 2, cfg, "perfect")
+		e.med.Faults().LossProb = 0.2
+		var out []string
+		e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
+			out = append(out, fmt.Sprintf("%v %v %d>%d %v x%d low%d cum%v/%d acks%v body%d",
+				e.sched.Now(), f.Type, f.Src, f.Dst, f.ID, f.XSeq, f.XLow,
+				f.AckCumSet, f.AckCum, f.AckRecs, len(f.Body)))
+			return true
+		}))
+		for i := uint64(1); i <= 50; i++ {
+			e.eps[0].SendGuaranteed(gmsg(0, 1, i, "ping"))
+			if i%5 == 0 {
+				e.eps[1].SendGuaranteed(gmsg(1, 0, i/5, "pong"))
+				e.sched.Run(simtime.Millisecond)
 			}
-			tx.SendGuaranteed(gmsg(0, 1, seq, body))
 		}
-		sched.RunAll(10_000_000)
-		if g := tx.Stats().GaveUp; g != 0 {
-			t.Fatalf("adaptive=%v gave up on %d frames", adaptive, g)
+		e.sched.RunAll(10_000_000)
+		if len(e.got[1]) != 50 || len(e.got[0]) != 10 {
+			t.Fatalf("delivered %d forward, %d reverse; want 50 and 10", len(e.got[1]), len(e.got[0]))
 		}
-		return tx.Stats().Retransmits, got
+		if e.eps[0].Stats().Retransmits == 0 {
+			t.Fatal("the lossy exchange never retransmitted")
+		}
+		return out
 	}
-	fixedRetr, fixedGot := run(false)
-	adaptRetr, adaptGot := run(true)
-	if fixedGot != 20 || adaptGot != 20 {
-		t.Fatalf("deliveries: fixed=%d adaptive=%d, want 20 each", fixedGot, adaptGot)
+	want := wireTrace(DefaultConfig())
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero", Config{}},
+		{"negative delays", Config{FlushDelay: -1, AckDelay: -1, RetransmitInterval: -1, Window: -1}},
+	} {
+		got := wireTrace(tc.cfg)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d frames on the wire, DefaultConfig puts %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: frame %d differs:\n got %s\nwant %s", tc.name, i, got[i], want[i])
+			}
+		}
 	}
-	if fixedRetr < 10 {
-		t.Fatalf("fixed interval below the large-frame RTT should retransmit all 10, got %d", fixedRetr)
+}
+
+// A header-only Ack frame — one id in the header, no cumulative mark and no
+// records, which this endpoint no longer sends — still completes the flight
+// it names: recorders and peers may be fed exactly that.
+func TestHeaderOnlyAckCompletesFlight(t *testing.T) {
+	e := newEnv(t, 2, DefaultConfig(), "perfect")
+	e.med.Faults().SetDown(1, true) // node 1 never acknowledges by itself
+	var acked []frame.MsgID
+	e.eps[0].OnAck = func(id frame.MsgID) { acked = append(acked, id) }
+	m := gmsg(0, 1, 1, "x")
+	e.eps[0].SendGuaranteed(m)
+	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "y"))
+	e.sched.Run(5 * simtime.Millisecond)
+	e.eps[0].Receive(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: m.ID, From: m.To, To: m.From})
+	if len(acked) != 1 || acked[0] != m.ID {
+		t.Fatalf("OnAck saw %v, want exactly %v", acked, m.ID)
 	}
-	if adaptRetr*4 > fixedRetr {
-		t.Fatalf("adaptive RTO retransmits = %d, fixed = %d; want at least a 4x reduction", adaptRetr, fixedRetr)
+	if ids := e.eps[0].InFlightIDs(); len(ids) != 1 || ids[0].Seq != 2 {
+		t.Fatalf("in flight after the ack: %v, want only seq 2", ids)
+	}
+	if got := e.eps[0].Stats().AcksReceived; got != 1 {
+		t.Fatalf("AcksReceived = %d, want 1", got)
 	}
 }

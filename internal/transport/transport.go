@@ -4,18 +4,21 @@
 // arrive at the receiver's processor, and that messages from one process to
 // another arrive in the order sent.
 //
-// Mechanisms, all from the paper:
+// Mechanisms:
 //
 //   - Guaranteed messages use an end-to-end acknowledgement: the originating
-//     processor periodically resends a message until the destination
-//     processor acknowledges it.
+//     processor resends a message until the destination processor
+//     acknowledges it, on a timeout measured from ack round trips.
 //   - Each message carries a unique id (sender process id + send sequence);
 //     each processor keeps a cache of recently received ids and discards
 //     duplicates caused by resends.
-//   - Ordering is preserved by allowing "only one unacknowledged message to
-//     be in transit from each processor" (§4.3.3). The paper notes this is
-//     inefficient under load and anticipates a windowing scheme; Config.
-//     Window > 1 enables that extension (per-destination sliding windows).
+//   - The paper's frame and Ack frame per message "is inefficient under load"
+//     (§4.3.3): sends to one destination share a Bundle frame (a transmission
+//     unit) and acks ride reverse traffic or leave as one cumulative Ack
+//     frame (DESIGN.md "Steady-state wire efficiency").
+//   - Ordering is preserved by allowing only one unacknowledged transmission
+//     unit in transit from each processor; Config.Window > 1 is the windowing
+//     extension the paper anticipates (per-destination sliding windows).
 //   - Unguaranteed messages are fire-and-forget.
 //
 // When Config.NeedRecorderAck is set (plain Ethernet without hardware ack
@@ -38,16 +41,15 @@ import (
 // Config tunes an endpoint.
 type Config struct {
 	// RetransmitInterval is how long to wait for an end-to-end ack before
-	// resending a guaranteed frame.
+	// resending a guaranteed frame to a destination no round trip has been
+	// measured for yet; after that the timeout follows the measurement.
 	RetransmitInterval simtime.Time
 	// MaxRetries bounds resends of one frame; 0 means retry forever. The
 	// default is generous: a message outlives the recovery of its receiver.
+	// A flight is also abandoned MaxRetries × RetransmitInterval after its
+	// first transmission, the bound crash detection assumes: backoff
+	// stretches the attempts, so the count alone would outlive it.
 	MaxRetries int
-	// DupCacheSize is the number of recently received message ids remembered
-	// for duplicate suppression. The paper sizes it so an id's lifetime is
-	// "many times greater than the time for a message to follow the longest
-	// path through the network".
-	DupCacheSize int
 	// Peers, when > 0, hints how many distinct node ids this endpoint will
 	// talk to, pre-sizing the per-destination tables so cluster bringup does
 	// not pay growth reallocations on every endpoint.
@@ -57,9 +59,9 @@ type Config struct {
 	// testing only: the chaos harness uses it to prove its exactly-once
 	// invariant actually fires when the guard is broken.
 	DisableDupSuppression bool
-	// Window is the number of unacknowledged guaranteed frames allowed in
-	// transit from this processor. 1 reproduces the thesis implementation;
-	// >1 is the windowing extension it anticipates (per destination).
+	// Window is the number of unacknowledged transmission units allowed in
+	// transit from this processor. 1 is the thesis discipline; >1 is the
+	// windowing extension it anticipates (per destination).
 	Window int
 	// NeedRecorderAck holds received guaranteed frames until the recorder
 	// acknowledges them (publish-before-use on media that cannot gate).
@@ -67,52 +69,45 @@ type Config struct {
 	// RecorderAckTimeout discards a held frame if no recorder ack arrives,
 	// letting the sender's retransmission drive another attempt.
 	RecorderAckTimeout simtime.Time
-	// FlushDelay, when > 0, holds admitted guaranteed (and unicast
-	// unguaranteed) sends briefly so several small messages to the same
-	// destination coalesce into one Bundle frame, amortizing the fixed
-	// per-frame cost (on the paper's network the 1.6 ms interpacket delay
-	// dwarfs a small payload). 0 gives every message its own frame
-	// immediately — the thesis behavior.
+	// FlushDelay holds admitted guaranteed (and unicast unguaranteed) sends
+	// briefly so several small messages to the same destination coalesce into
+	// one Bundle frame, amortizing the fixed per-frame cost (on the paper's
+	// network the 1.6 ms interpacket delay dwarfs a small payload).
 	FlushDelay simtime.Time
-	// AckDelay, when > 0, delays end-to-end acknowledgements so they ride
-	// piggybacked on reverse-direction gated frames, falling back to one
-	// standalone cumulative Ack frame per destination when no reverse
-	// traffic appears within the delay. 0 acks every message with its own
-	// frame immediately (the thesis behavior).
+	// AckDelay delays end-to-end acknowledgements so they ride piggybacked
+	// on reverse-direction gated frames, falling back to one standalone
+	// cumulative Ack frame per destination when no reverse traffic appears
+	// within the delay.
 	AckDelay simtime.Time
-	// AdaptiveRTO derives the retransmission timeout per destination from
-	// measured ack round trips (SRTT/RTTVAR, RFC 6298 style) instead of the
-	// fixed RetransmitInterval, and backs off exponentially on retry.
-	// RetransmitInterval remains the pre-measurement initial timeout.
-	AdaptiveRTO bool
-	// MinRTO and MaxRTO clamp the adaptive timeout and its backoff.
-	// Defaults (when AdaptiveRTO is set and these are zero): 2 ms and 1 s.
-	MinRTO simtime.Time
-	MaxRTO simtime.Time
-	// RetryBudget bounds, in elapsed time, how long an adaptive-RTO flight
-	// is retransmitted before the sender gives up. With backoff the interval
-	// between attempts varies by orders of magnitude, so an attempt count
-	// alone no longer pins down when give-up happens; crash detection and
-	// everything layered on it assume the legacy wall-clock bound. Zero
-	// derives MaxRetries × RetransmitInterval — the exact legacy budget.
-	// Ignored when AdaptiveRTO is off or MaxRetries is 0 (retry forever).
-	RetryBudget simtime.Time
 	// Metrics, when non-nil, receives the endpoint's counters, the ack
 	// round-trip histogram, and the current rto_ns gauge under subsystem
 	// "transport".
 	Metrics *metrics.Registry
 }
 
-// DefaultConfig returns sensible simulation defaults.
+// DefaultConfig returns the shipped simulation defaults. New fills any
+// non-positive Window or duration of the Config it is given from here.
 func DefaultConfig() Config {
 	return Config{
 		RetransmitInterval: 50 * simtime.Millisecond,
 		MaxRetries:         200,
-		DupCacheSize:       4096,
 		Window:             1,
 		RecorderAckTimeout: 40 * simtime.Millisecond,
+		FlushDelay:         500 * simtime.Microsecond,
+		AckDelay:           2 * simtime.Millisecond,
 	}
 }
+
+const (
+	// minRTO and maxRTO clamp the measured timeout and its backoff.
+	minRTO = 2 * simtime.Millisecond
+	maxRTO = 400 * simtime.Millisecond
+	// dupCacheSize is the number of recently received message ids remembered
+	// for duplicate suppression. The paper sizes it so an id's lifetime is
+	// "many times greater than the time for a message to follow the longest
+	// path through the network".
+	dupCacheSize = 4096
+)
 
 // Stats counts endpoint activity.
 type Stats struct {
@@ -186,13 +181,11 @@ type Endpoint struct {
 	// inflight maps outstanding unacked frames to their retry state.
 	inflight map[frame.MsgID]*flight
 	// perDest counts outstanding transmission units per destination
-	// (window > 1). Without coalescing every message is its own unit, so
-	// this is the thesis per-message count.
+	// (window > 1).
 	perDest destTable[int]
 	// openUnits is the global unit count (thesis Window == 1 discipline).
 	openUnits int
-	// form holds the per-destination coalescing buffer being filled
-	// (FlushDelay > 0 only).
+	// form holds the per-destination coalescing buffer being filled.
 	form destTable[*txUnit]
 
 	// xseq numbers outgoing guaranteed frames per destination.
@@ -206,9 +199,9 @@ type Endpoint struct {
 	// rx holds per-sender in-order reassembly state (windowing extension).
 	rx destTable[*rxStream]
 
-	// ackPend accumulates delayed acknowledgements per peer (AckDelay > 0).
+	// ackPend accumulates delayed acknowledgements per peer.
 	ackPend destTable[*ackPending]
-	// rto holds the per-destination adaptive retransmission state.
+	// rto holds the per-destination measured retransmission timeout.
 	rto destTable[*rtoState]
 
 	// recScratch and idScratch are decode buffers reused across receives.
@@ -281,8 +274,7 @@ type flight struct {
 	// end-to-end ack round trip.
 	sentAt simtime.Time
 	timer  simtime.Event
-	// unit is the transmission unit this flight belongs to (coalescing
-	// mode only; nil when FlushDelay == 0).
+	// unit is the transmission unit this flight belongs to.
 	unit *txUnit
 }
 
@@ -293,23 +285,12 @@ type heldFrame struct {
 
 // New creates an endpoint for node and attaches it to the medium.
 func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace.Log, cfg Config) *Endpoint {
-	if cfg.Window <= 0 {
-		cfg.Window = 1
-	}
-	if cfg.DupCacheSize <= 0 {
-		cfg.DupCacheSize = 4096
-	}
-	if cfg.AdaptiveRTO {
-		if cfg.MinRTO <= 0 {
-			cfg.MinRTO = 2 * simtime.Millisecond
-		}
-		if cfg.MaxRTO <= 0 {
-			cfg.MaxRTO = simtime.Second
-		}
-		if cfg.RetryBudget <= 0 && cfg.MaxRetries > 0 {
-			cfg.RetryBudget = simtime.Time(cfg.MaxRetries) * cfg.RetransmitInterval
-		}
-	}
+	def := DefaultConfig()
+	cfg.Window = positiveOr(cfg.Window, def.Window)
+	cfg.RetransmitInterval = positiveOr(cfg.RetransmitInterval, def.RetransmitInterval)
+	cfg.RecorderAckTimeout = positiveOr(cfg.RecorderAckTimeout, def.RecorderAckTimeout)
+	cfg.FlushDelay = positiveOr(cfg.FlushDelay, def.FlushDelay)
+	cfg.AckDelay = positiveOr(cfg.AckDelay, def.AckDelay)
 	e := &Endpoint{
 		node:     node,
 		med:      med,
@@ -317,7 +298,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		log:      log,
 		cfg:      cfg,
 		inflight: make(map[frame.MsgID]*flight),
-		dup:      newDupCache(cfg.DupCacheSize),
+		dup:      newDupCache(dupCacheSize),
 		held:     make(map[frame.MsgID]*heldFrame),
 	}
 	if n := cfg.Peers; n > 0 {
@@ -351,6 +332,13 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	}
 	med.Attach(node, e)
 	return e
+}
+
+func positiveOr[T int | simtime.Time](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // Node returns the endpoint's node id.
@@ -389,7 +377,7 @@ func (e *Endpoint) Reset() {
 	e.openUnits = 0
 	e.form.reset()
 	e.xseq.reset()
-	e.dup = newDupCache(e.cfg.DupCacheSize)
+	e.dup = newDupCache(dupCacheSize)
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
 	e.ackPend.reset()
@@ -424,21 +412,19 @@ func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 
 // SendUnguaranteed transmits a frame with no delivery guarantee: dated or
 // statistical information whose retransmission would be pointless (§4.3.3).
-// With coalescing enabled, a unicast frame that fits an already-forming unit
-// for its destination rides along in that unit's Bundle — it consumes no
-// window slot and is never retransmitted; otherwise it goes out immediately.
+// A unicast frame that fits an already-forming unit for its destination
+// rides along in that unit's Bundle — it consumes no window slot and is never
+// retransmitted; otherwise it goes out immediately.
 func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
 	f = f.Clone()
 	f.Type = frame.Unguaranteed
 	f.Src = e.node
 	e.stats.UnguaranteedSent++
-	if e.cfg.FlushDelay > 0 && f.Dst != frame.Broadcast {
-		if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
-			if n := bundleRecLen(f); u.bytes+n <= bundleBudget {
-				u.riders = append(u.riders, f)
-				u.bytes += n
-				return
-			}
+	if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
+		if n := bundleRecLen(f); u.bytes+n <= bundleBudget {
+			u.riders = append(u.riders, f)
+			u.bytes += n
+			return
 		}
 	}
 	e.med.Send(e.node, f)
@@ -467,72 +453,43 @@ func (e *Endpoint) InFlightIDs() []frame.MsgID {
 }
 
 // pump admits queued frames to the wire subject to the window discipline.
-// With coalescing enabled (FlushDelay > 0) the window counts transmission
-// units rather than messages: the head of the queue may always join the
-// forming unit for its destination (that unit already holds a window slot),
-// while opening a new unit requires a free slot.
+// The window counts transmission units rather than messages: the head of the
+// queue may always join the forming unit for its destination (that unit
+// already holds a window slot), while opening a new unit requires a free slot.
 func (e *Endpoint) pump() {
 	for len(e.sendq) > 0 {
 		f := e.sendq[0]
-		if e.cfg.FlushDelay > 0 {
-			if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
-				if n := bundleRecLen(f); u.bytes+n <= bundleBudget {
-					e.sendq = e.sendq[1:]
-					e.joinUnit(u, f, n)
-					continue
-				}
-				// The forming unit is full: put it on the wire now rather
-				// than waiting out the timer it can no longer benefit from.
-				e.flushUnit(u)
+		n := bundleRecLen(f)
+		if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
+			if u.bytes+n <= bundleBudget {
+				e.sendq = e.sendq[1:]
+				e.joinUnit(u, f, n)
+				continue
 			}
+			// The forming unit is full: put it on the wire now rather than
+			// waiting out the timer it can no longer benefit from.
+			e.flushUnit(u)
 		}
 		if e.cfg.Window == 1 {
-			// Thesis mode: one unacknowledged message per processor, total.
-			if e.openUnitCount() >= 1 {
+			// Thesis discipline: one unacknowledged unit per processor, total.
+			if e.openUnits >= 1 {
 				return
 			}
-		} else {
-			if e.perDest.get(f.Dst) >= e.cfg.Window {
-				// Head-of-line blocked per destination; strict FIFO keeps
-				// cross-destination order too, which publishing's read-order
-				// accounting relies on.
-				return
-			}
+		} else if e.perDest.get(f.Dst) >= e.cfg.Window {
+			// Head-of-line blocked per destination; strict FIFO keeps
+			// cross-destination order too, which publishing's read-order
+			// accounting relies on.
+			return
 		}
 		e.sendq = e.sendq[1:]
-		if e.cfg.FlushDelay > 0 {
-			u := e.openUnit(f)
-			if bundleRecLen(f) > bundleBudget {
-				// A frame that fills the budget alone can never coalesce;
-				// waiting out the flush timer would be pure latency (replay
-				// batches and checkpoint chunks ship full MTUs).
-				e.flushUnit(u)
-			}
-			continue
+		u := e.openUnit(f)
+		if n > bundleBudget {
+			// A frame that fills the budget alone can never coalesce; waiting
+			// out the flush timer would be pure latency (replay batches and
+			// checkpoint chunks ship full MTUs).
+			e.flushUnit(u)
 		}
-		fl := e.admit(f, nil)
-		e.perDest.set(f.Dst, e.perDest.get(f.Dst)+1)
-		e.transmit(fl)
 	}
-}
-
-// openUnitCount is the thesis-mode global outstanding count: transmission
-// units when coalescing, individual unacked messages otherwise.
-func (e *Endpoint) openUnitCount() int {
-	if e.cfg.FlushDelay > 0 {
-		return e.openUnits
-	}
-	return len(e.inflight)
-}
-
-// admit assigns the next stream sequence and registers the flight.
-func (e *Endpoint) admit(f *frame.Frame, u *txUnit) *flight {
-	seq := e.xseq.get(f.Dst)
-	e.xseq.set(f.Dst, seq+1)
-	f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
-	fl := &flight{f: f, unit: u}
-	e.inflight[f.ID] = fl
-	return fl
 }
 
 // bundleBudget is the bundle body space available to records, leaving room
@@ -566,9 +523,14 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 	return u
 }
 
-// joinUnit adds a guaranteed frame to a forming unit.
+// joinUnit admits a guaranteed frame into a forming unit, assigning it the
+// next stream sequence toward its destination.
 func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
-	fl := e.admit(f, u)
+	seq := e.xseq.get(f.Dst)
+	e.xseq.set(f.Dst, seq+1)
+	f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
+	fl := &flight{f: f, unit: u}
+	e.inflight[f.ID] = fl
 	u.recs = append(u.recs, fl)
 	u.open++
 	u.bytes += n
@@ -581,31 +543,19 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 	if u.open > 0 || u.closed {
 		return
 	}
-	if !u.flushed && len(u.riders) > 0 {
-		// Riders still wait on the flush timer; the slot frees anyway — an
-		// unguaranteed-only flush consumes no window.
-		u.closed = true
-	} else {
-		e.closeUnit(u)
-	}
-	if e.perDest.get(u.dst) > 0 {
-		e.perDest.set(u.dst, e.perDest.get(u.dst)-1)
-	}
-	if e.openUnits > 0 {
-		e.openUnits--
-	}
-}
-
-// closeUnit detaches a unit from the forming slot and cancels its timer.
-func (e *Endpoint) closeUnit(u *txUnit) {
 	u.closed = true
-	if e.form.get(u.dst) == u {
-		e.form.set(u.dst, nil)
-	}
-	if !u.flushed {
+	if !u.flushed && len(u.riders) == 0 {
+		// Withdrawn before the flush with nothing riding along: nothing is
+		// left to send. (Riders otherwise still wait on the flush timer; the
+		// slot frees anyway — an unguaranteed-only flush consumes no window.)
 		u.flushed = true
 		e.sched.Cancel(u.timer)
+		if e.form.get(u.dst) == u {
+			e.form.set(u.dst, nil)
+		}
 	}
+	e.perDest.set(u.dst, e.perDest.get(u.dst)-1)
+	e.openUnits--
 }
 
 // flushUnit puts a forming unit on the wire: one plain frame when it holds a
@@ -707,23 +657,25 @@ func (e *Endpoint) armFlight(fl *flight) {
 }
 
 // rtoDelay returns the retransmission timeout for the flight's next attempt:
-// the fixed interval, or the destination's current RTO — measured from ack
-// round trips, and doubled persistently by backoffRTO on every timeout.
+// the destination's current RTO — measured from ack round trips, and doubled
+// persistently by backoffRTO on every timeout — or RetransmitInterval before
+// the first measurement.
 func (e *Endpoint) rtoDelay(fl *flight) simtime.Time {
-	if !e.cfg.AdaptiveRTO {
-		return e.cfg.RetransmitInterval
-	}
 	d := e.cfg.RetransmitInterval
-	if st := e.rto.get(fl.f.Dst); st != nil && st.rto > 0 {
+	if st := e.rto.get(fl.f.Dst); st != nil {
 		d = st.rto
 	}
-	if d > e.cfg.MaxRTO {
-		d = e.cfg.MaxRTO
+	return min(max(d, minRTO), maxRTO)
+}
+
+// rtoFor returns dst's estimator, creating it on first use.
+func (e *Endpoint) rtoFor(dst frame.NodeID) *rtoState {
+	st := e.rto.get(dst)
+	if st == nil {
+		st = &rtoState{rto: e.cfg.RetransmitInterval}
+		e.rto.set(dst, st)
 	}
-	if d < e.cfg.MinRTO {
-		d = e.cfg.MinRTO
-	}
-	return d
+	return st
 }
 
 // observeRTT feeds one ack round trip into the histogram and the RFC 6298
@@ -735,14 +687,7 @@ func (e *Endpoint) observeRTT(fl *flight) {
 	}
 	r := e.sched.Now() - fl.sentAt
 	e.ackRTT.Observe(int64(r))
-	if !e.cfg.AdaptiveRTO {
-		return
-	}
-	st := e.rto.get(fl.f.Dst)
-	if st == nil {
-		st = &rtoState{}
-		e.rto.set(fl.f.Dst, st)
-	}
+	st := e.rtoFor(fl.f.Dst)
 	if !st.valid {
 		st.srtt = r
 		st.rttvar = r / 2
@@ -759,13 +704,7 @@ func (e *Endpoint) observeRTT(fl *flight) {
 	if vv < rtoGranularity {
 		vv = rtoGranularity
 	}
-	st.rto = st.srtt + vv
-	if st.rto < e.cfg.MinRTO {
-		st.rto = e.cfg.MinRTO
-	}
-	if st.rto > e.cfg.MaxRTO {
-		st.rto = e.cfg.MaxRTO
-	}
+	st.rto = min(max(st.srtt+vv, minRTO), maxRTO)
 	e.rtoGauge.Set(int64(st.rto))
 }
 
@@ -773,13 +712,8 @@ func (e *Endpoint) retransmit(fl *flight) {
 	if _, ok := e.inflight[fl.f.ID]; !ok {
 		return // acked in the meantime
 	}
-	exhausted := e.cfg.MaxRetries > 0 && fl.attempts >= e.cfg.MaxRetries
-	if !exhausted && e.cfg.AdaptiveRTO && e.cfg.RetryBudget > 0 {
-		// Backoff stretches the attempt intervals, so the count alone would
-		// let a flight outlive the legacy give-up point many times over.
-		exhausted = e.sched.Now()-fl.sentAt >= e.cfg.RetryBudget
-	}
-	if exhausted {
+	budget := simtime.Time(e.cfg.MaxRetries) * e.cfg.RetransmitInterval
+	if e.cfg.MaxRetries > 0 && (fl.attempts >= e.cfg.MaxRetries || e.sched.Now()-fl.sentAt >= budget) {
 		// Give up; the crash-detection machinery owns this situation now.
 		// KindGiveUp (not a generic drop) because retry exhaustion is the
 		// premise the recorder's cumulative-ack inference must not cross —
@@ -797,9 +731,7 @@ func (e *Endpoint) retransmit(fl *flight) {
 		return
 	}
 	e.stats.Retransmits++
-	if e.cfg.AdaptiveRTO {
-		e.backoffRTO(fl.f.Dst)
-	}
+	e.backoffRTO(fl.f.Dst)
 	if e.log.Enabled() {
 		id := fl.f.ID.String()
 		e.log.AddMsg(trace.KindSend, int(e.node), id, id, "retransmit #%d", fl.attempts)
@@ -808,27 +740,14 @@ func (e *Endpoint) retransmit(fl *flight) {
 }
 
 // backoffRTO doubles the destination's timeout after a loss signal (RFC 6298
-// §5.5), clamped to [MinRTO, MaxRTO]. The backed-off value persists for every
+// §5.5), clamped to [minRTO, maxRTO]. The backed-off value persists for every
 // later flight to the destination until a fresh round-trip sample replaces
 // it: retransmitted flights never produce samples (Karn's algorithm), so
 // without persistence a timeout below the true round trip would fire
 // spuriously again for every subsequent message.
 func (e *Endpoint) backoffRTO(dst frame.NodeID) {
-	st := e.rto.get(dst)
-	if st == nil {
-		st = &rtoState{}
-		e.rto.set(dst, st)
-	}
-	if st.rto <= 0 {
-		st.rto = e.cfg.RetransmitInterval
-	}
-	st.rto *= 2
-	if st.rto > e.cfg.MaxRTO {
-		st.rto = e.cfg.MaxRTO
-	}
-	if st.rto < e.cfg.MinRTO {
-		st.rto = e.cfg.MinRTO
-	}
+	st := e.rtoFor(dst)
+	st.rto = max(min(2*st.rto, maxRTO), minRTO)
 	e.rtoGauge.Set(int64(st.rto))
 }
 
@@ -840,11 +759,7 @@ func (e *Endpoint) finish(f *frame.Frame) {
 	}
 	e.sched.Cancel(fl.timer)
 	delete(e.inflight, f.ID)
-	if fl.unit != nil {
-		e.unitMemberDone(fl.unit)
-	} else if e.perDest.get(f.Dst) > 0 {
-		e.perDest.set(f.Dst, e.perDest.get(f.Dst)-1)
-	}
+	e.unitMemberDone(fl.unit)
 	e.pump()
 }
 
@@ -1183,11 +1098,7 @@ func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 		if pred(fl.f) {
 			e.sched.Cancel(fl.timer)
 			delete(e.inflight, id)
-			if fl.unit != nil {
-				e.unitMemberDone(fl.unit)
-			} else if e.perDest.get(fl.f.Dst) > 0 {
-				e.perDest.set(fl.f.Dst, e.perDest.get(fl.f.Dst)-1)
-			}
+			e.unitMemberDone(fl.unit)
 			out = append(out, fl.f)
 		}
 	}
@@ -1220,23 +1131,11 @@ func sortFrames(fs []*frame.Frame) {
 // accepted at this node (§4.4.1: "It is possible to discover the order in
 // which messages are received at the receiving node by tracing the
 // acknowledgements") — delayed acknowledgement records keep that acceptance
-// order. With AckDelay == 0 every ack is its own frame (the thesis
-// behavior); otherwise the record is queued to ride piggybacked on the next
+// order. The record is queued to ride piggybacked on the next
 // reverse-direction gated frame, falling back to a standalone cumulative Ack
 // frame when the delay expires first.
 func (e *Endpoint) ack(f *frame.Frame) {
 	e.stats.AcksSent++
-	if e.cfg.AckDelay <= 0 {
-		e.med.Send(e.node, &frame.Frame{
-			Type: frame.Ack,
-			Src:  e.node,
-			Dst:  f.Src,
-			ID:   f.ID,
-			From: f.To, // ack is attributed to the receiving process
-			To:   f.From,
-		})
-		return
-	}
 	p := e.ackPend.get(f.Src)
 	if p == nil {
 		p = &ackPending{}
@@ -1315,7 +1214,7 @@ func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
 // Send, so the caller detaches immediately after — a later retransmission
 // then carries whatever is pending at its own send time.
 func (e *Endpoint) attachAcks(f *frame.Frame) {
-	if e.cfg.AckDelay <= 0 || f.Dst == frame.Broadcast {
+	if f.Dst == frame.Broadcast {
 		return
 	}
 	if cum, ok := e.cumFor(f.Dst); ok {

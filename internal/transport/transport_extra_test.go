@@ -135,7 +135,9 @@ func TestStreamSkipsAbandonedGap(t *testing.T) {
 	e := newEnv(t, 2, cfg, "perfect")
 
 	// First frame refused forever (simulates a dead destination process on
-	// a live node); second frame is for a healthy process.
+	// a live node); second frame is for a healthy process. The first fills a
+	// transmission unit by itself, so under Window == 1 the second waits for
+	// the give-up and then goes out with XLow past the abandoned sequence.
 	e.eps[1].Deliver = func(f *frame.Frame) bool {
 		if f.To.Local == 99 {
 			return false
@@ -143,11 +145,14 @@ func TestStreamSkipsAbandonedGap(t *testing.T) {
 		e.got[1] = append(e.got[1], f)
 		return true
 	}
-	bad := gmsg(0, 1, 1, "")
+	bad := gmsg(0, 1, 1, string(make([]byte, bundleBudget)))
 	bad.To = frame.ProcID{Node: 1, Local: 99}
 	e.eps[0].SendGuaranteed(bad)
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "for the living"))
 	e.sched.RunAll(1_000_000)
+	if g := e.eps[0].Stats().GaveUp; g != 1 {
+		t.Fatalf("gave up on %d frames, want only the refused one", g)
+	}
 	if len(e.got[1]) != 1 || e.got[1][0].ID.Seq != 2 {
 		t.Fatalf("stream stalled behind abandoned frame: %v", e.got[1])
 	}

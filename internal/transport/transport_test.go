@@ -116,16 +116,45 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// unitsInFlight counts the distinct transmission units that own an
+// unacknowledged flight.
+func unitsInFlight(ep *Endpoint) int {
+	units := make(map[*txUnit]bool)
+	for _, fl := range ep.inflight {
+		units[fl.unit] = true
+	}
+	return len(units)
+}
+
+// Window == 1 is the thesis discipline per transmission unit: however many
+// units a burst needs, only one of them may be unacknowledged at a time.
 func TestOrderingSingleOutstanding(t *testing.T) {
 	e := newEnv(t, 2, DefaultConfig(), "perfect")
-	for i := uint64(1); i <= 20; i++ {
-		e.eps[0].SendGuaranteed(gmsg(0, 1, i, ""))
+	dataFrames := 0
+	check := func() {
+		if got := unitsInFlight(e.eps[0]); got > 1 {
+			t.Fatalf("%d units unacknowledged at once, want at most 1", got)
+		}
 	}
-	// Thesis mode: only one frame may be unacknowledged at a time.
-	if got := len(e.eps[0].InFlightIDs()); got != 1 {
-		t.Fatalf("inflight = %d, want 1", got)
+	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
+		if f.Type == frame.Guaranteed || f.Type == frame.Bundle {
+			dataFrames++
+		}
+		check()
+		return true
+	}))
+	body := string(make([]byte, 300)) // four records fill a unit
+	for i := uint64(1); i <= 20; i++ {
+		e.eps[0].SendGuaranteed(gmsg(0, 1, i, body))
+		check()
+	}
+	if got, queued := len(e.eps[0].InFlightIDs()), e.eps[0].InFlight(); got >= queued {
+		t.Fatalf("admitted %d of %d: the burst did not outgrow one unit", got, queued)
 	}
 	e.sched.RunAll(100000)
+	if dataFrames < 5 {
+		t.Fatalf("burst crossed the wire in %d data frames, want several units", dataFrames)
+	}
 	if len(e.got[1]) != 20 {
 		t.Fatalf("delivered %d, want 20", len(e.got[1]))
 	}
@@ -157,10 +186,32 @@ func TestOrderingUnderLossWithWindow(t *testing.T) {
 	}
 }
 
+// guaranteedIDs lists the guaranteed messages a data frame carries.
+func guaranteedIDs(t *testing.T, f *frame.Frame) []frame.MsgID {
+	t.Helper()
+	switch f.Type {
+	case frame.Guaranteed:
+		return []frame.MsgID{f.ID}
+	case frame.Bundle:
+		recs, err := frame.DecodeBundle(f.Body, nil)
+		if err != nil {
+			t.Fatalf("bundle on the wire does not decode: %v", err)
+		}
+		var ids []frame.MsgID
+		for i := range recs {
+			if g := recs[i].Expand(f); g.Type == frame.Guaranteed {
+				ids = append(ids, g.ID)
+			}
+		}
+		return ids
+	}
+	return nil
+}
+
 // Windowing pays off when acknowledgements are slow — here a recorder that
 // takes 5 ms to store each message before acking (publish-before-use on a
-// plain Ether). Window=1 serializes those 5 ms stalls; window=4 pipelines
-// them.
+// plain Ether). The bodies are sized so the burst needs several transmission
+// units: Window=1 serializes their stalls; window=4 pipelines them.
 func TestWindowedModeIsFasterWithSlowRecorder(t *testing.T) {
 	elapsed := func(window int) simtime.Time {
 		cfg := DefaultConfig()
@@ -170,8 +221,7 @@ func TestWindowedModeIsFasterWithSlowRecorder(t *testing.T) {
 		e := newEnv(t, 2, cfg, "ether")
 		rec := New(9, e.med, e.sched, e.log, cfg)
 		e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
-			if f.Type == frame.Guaranteed {
-				id := f.ID
+			for _, id := range guaranteedIDs(t, f) {
 				e.sched.After(5*simtime.Millisecond, func() {
 					rec.SendRaw(&frame.Frame{Type: frame.RecorderAck, Dst: frame.Broadcast, ID: id})
 				})
@@ -186,8 +236,9 @@ func TestWindowedModeIsFasterWithSlowRecorder(t *testing.T) {
 			}
 			return true
 		}
+		body := string(make([]byte, 300)) // four records fill a unit
 		for i := uint64(1); i <= last; i++ {
-			e.eps[0].SendGuaranteed(gmsg(0, 1, i, ""))
+			e.eps[0].SendGuaranteed(gmsg(0, 1, i, body))
 		}
 		e.sched.RunAll(1_000_000)
 		if done == 0 {

@@ -157,18 +157,12 @@ type Config struct {
 
 	// RecorderMode is the §5.2.2 publish processing cost model.
 	RecorderMode recorder.ProcessMode
-	// FlushEveryMessage forces one disk write per published message (§5.1
-	// pre-buffering configuration).
-	FlushEveryMessage bool
 	// WatchInterval/MissThreshold tune processor-crash detection (§4.6).
 	WatchInterval simtime.Time
 	MissThreshold int
 	// OnProcessorCrash is the §4.6 operator query; nil = recover on the
-	// same processor after RebootDelay.
+	// same processor after rebootDelay.
 	OnProcessorCrash func(node NodeID) recorder.Decision
-	// RebootDelay is how long a crashed node takes to come back when the
-	// recovery decision is recover-on-same.
-	RebootDelay simtime.Time
 	// ReplayWindow is how many replay batches recovery keeps in flight
 	// (0 = recorder default of 4; 1 = stop-and-wait).
 	ReplayWindow int
@@ -210,37 +204,26 @@ type Config struct {
 	// stream); it does not force retention — pair with FlightRecorder to
 	// bound memory on long monitored runs.
 	Monitor bool
-	// MonitorStallWindow overrides the stall detector's virtual window
-	// (0 = monitor.DefaultStallWindow).
-	MonitorStallWindow simtime.Time
 }
+
+// rebootDelay is how long a crashed node takes to come back when the
+// recovery decision is recover-on-same.
+const rebootDelay = 2 * simtime.Second
 
 // DefaultConfig returns a publishing-enabled cluster of n nodes on a
 // perfect broadcast medium with media-level publish-before-use.
 func DefaultConfig(n int) Config {
-	// Steady-state wire efficiency on top of the thesis transport: coalesce
-	// small same-destination sends into Bundle frames, delay end-to-end acks
-	// so they ride reverse traffic (or flush cumulatively), and derive the
-	// retransmission timeout from measured round trips instead of the fixed
-	// interval. Zeroing these three fields restores the thesis per-message
-	// behavior (transport.DefaultConfig is unchanged).
-	tr := transport.DefaultConfig()
-	tr.FlushDelay = 500 * simtime.Microsecond
-	tr.AckDelay = 2 * simtime.Millisecond
-	tr.AdaptiveRTO = true
-	tr.MaxRTO = 400 * simtime.Millisecond
 	return Config{
 		Nodes:            n,
 		Medium:           MediumPerfect,
 		Seed:             1,
 		Publishing:       true,
 		LAN:              lan.DefaultConfig(),
-		Transport:        tr,
+		Transport:        transport.DefaultConfig(),
 		Costs:            demos.DefaultCosts(),
 		RecorderMode:     recorder.ModeMediaLayer,
 		WatchInterval:    500 * simtime.Millisecond,
 		MissThreshold:    3,
-		RebootDelay:      2 * simtime.Second,
 		CheckpointPolicy: CheckpointNone,
 		CheckpointTick:   simtime.Second,
 	}
@@ -384,7 +367,6 @@ func New(cfg Config) *Cluster {
 			// acknowledge it, so every recorder emits for its own slots.
 			rcfg.EmitRecorderAcks = tcfg.NeedRecorderAck && (c.shards != nil || i == 0)
 			rcfg.Shards = c.shards
-			rcfg.FlushEveryMessage = cfg.FlushEveryMessage
 			if cfg.WatchInterval > 0 {
 				rcfg.WatchInterval = cfg.WatchInterval
 			}
@@ -402,7 +384,7 @@ func New(cfg Config) *Cluster {
 			}
 			rcfg.OnProcessorCrash = cfg.OnProcessorCrash
 			rcfg.RebootFn = func(n NodeID) {
-				c.sched.After(cfg.RebootDelay, func() { c.RebootNode(n) })
+				c.sched.After(rebootDelay, func() { c.RebootNode(n) })
 			}
 			rcfg.Rank = i
 			rcfg.NoticeProcs = allRecProcs
@@ -510,10 +492,9 @@ func (c *Cluster) attachMonitor() {
 		}
 	}
 	c.mon = monitor.New(monitor.Config{
-		StallWindow: c.cfg.MonitorStallWindow,
-		QueueProbe:  probe,
-		Metrics:     c.mets,
-		ShardOwner:  shardOwner,
+		QueueProbe: probe,
+		Metrics:    c.mets,
+		ShardOwner: shardOwner,
 	}, c.sched.Now)
 	c.log.SetDetailed(true)
 	c.log.SetObserver(c.mon.Observe)
