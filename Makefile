@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-store bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet nopar noregime nohave build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-store bench-sim bench-recorder scale-smoke sweep
 
 check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-store bench-sim bench-recorder
 
-vet: nopar noregime
+vet: nopar noregime nohave
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -20,6 +20,13 @@ nopar:
 # and the knobs below each had one value in use; they are constants now.
 noregime:
 	! grep -rnE 'AdaptiveRTO|MinRTO|MaxRTO|RetryBudget|DupCacheSize|FlushEveryMessage|MonitorStallWindow' --include='*.go' .
+
+# The recorder's tap state is indexed by stream (DESIGN.md "Recorder
+# database"): a per-sender watermark, not a set of every id recorded, and a
+# pending queue per destination, not one map ranged over on every ack. The
+# set survives only as stream_model_test.go's reference.
+nohave:
+	! grep -rnE 'have +map\[frame\.MsgID\]bool|range r\.pending' --include='*.go' --exclude='*_test.go' internal/recorder
 
 build:
 	$(GO) build ./...
@@ -66,10 +73,12 @@ shards:
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
 # schedule, store segment, the recorder's per-message records), of the
-# kernel's ring input queue against its slice model, and of the event
-# scheduler against its sorted-slice model. Long exploratory runs are manual
-# (`go test -fuzz X -fuzztime 10m ./internal/frame`); this keeps the corpora
-# exercised and catches regressions the checked-in seeds reach quickly.
+# kernel's ring input queue against its slice model, of the event
+# scheduler against its sorted-slice model, and of the recorder's
+# stream-indexed tap state against its per-message model. Long exploratory
+# runs are manual (`go test -fuzz X -fuzztime 10m ./internal/frame`); this
+# keeps the corpora exercised and catches regressions the checked-in seeds
+# reach quickly.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
@@ -78,6 +87,7 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
+	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 
 # The parallel-vs-serial sweep determinism proof, without rewriting
 # BENCH_sweep.json (use `make sweep` to refresh the trajectory file).

@@ -50,6 +50,9 @@ func sweepRun(t sweep.Task) ([]byte, error) {
 		return nil, err
 	}
 	c.Run(2 * simtime.Minute)
+	if n := c.Recorder().Stats().BelowWatermark; n != 0 {
+		return nil, fmt.Errorf("recorder dropped %d acknowledged messages below a sender's watermark", n)
+	}
 	fmt.Fprintf(&trace, "fired=%d now=%v\n", c.Scheduler().Fired(), c.Now())
 	fmt.Fprintf(&trace, "recorder=%+v\n", *c.Recorder().Stats())
 	fmt.Fprintf(&trace, "medium=%+v\n", *c.Medium().Stats())

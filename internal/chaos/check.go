@@ -373,6 +373,16 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		}
 	}
 
+	// The recorders' per-sender watermarks stand in for a set of every id
+	// recorded on the strength of in-order delivery. A message dropped below
+	// one that such a set might have kept breaks that premise; silent unless
+	// it happens, so reports read as before.
+	for i := 0; sys.RecorderAt(i) != nil; i++ {
+		if n := sys.RecorderAt(i).Stats().BelowWatermark; n != 0 {
+			violate("stream-order", "rec%d dropped %d acknowledged messages below a sender's watermark", i, n)
+		}
+	}
+
 	// M online-monitor cross-check: when the system runs the online invariant
 	// monitor (internal/monitor), its streaming duplicate-delivery verdict
 	// must agree with I1's post-quiescence count — flagged online at the

@@ -77,8 +77,9 @@ type peerMsg struct {
 
 // handoffProc is the per-stream transfer blob: everything the requester
 // needs to adopt the partner's basis wholesale — checkpoint, reconstructed
-// replay order (advisories pre-applied), the full seen-set (including
-// trimmed ids, so late retransmissions stay suppressed), and the metadata.
+// replay order (advisories pre-applied), the per-sender watermarks (which
+// outlive trimming, so late retransmissions stay suppressed), and the
+// metadata.
 type handoffProc struct {
 	Proc        frame.ProcID
 	Spec        demos.ProcSpec
@@ -92,7 +93,9 @@ type handoffProc struct {
 	BaseReads   uint64
 	Cov         uint64
 	Msgs        []storedMsg
-	Have        []frame.MsgID
+	// Recorded is the watermark table, one id per sender (its highest
+	// recorded), sorted so the blob's bytes are deterministic.
+	Recorded []frame.MsgID
 }
 
 // handoffSession is the requester's side of one transfer (keyed by partner
@@ -257,7 +260,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		cov = append(cov, procCov{
 			Proc:     p,
 			Dead:     e.Dead,
-			Cov:      e.BaseReads + uint64(len(e.Arrivals)),
+			Cov:      e.BaseReads + uint64(e.Arrivals.len()),
 			LastSent: e.LastSent,
 		})
 	}
@@ -302,7 +305,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			continue
 		}
 		e := r.db[p]
-		myCov := e.BaseReads + uint64(len(e.Arrivals))
+		myCov := e.BaseReads + uint64(e.Arrivals.len())
 		tc, known := theirs[p]
 		var ship bool
 		switch {
@@ -332,11 +335,11 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			Cov:         myCov,
 			Msgs:        reconstruct(e.Arrivals, e.Advisories),
 		}
-		blob.Have = make([]frame.MsgID, 0, len(e.have))
-		for id := range e.have {
-			blob.Have = append(blob.Have, id)
+		blob.Recorded = make([]frame.MsgID, 0, len(e.recorded))
+		for sender, seq := range e.recorded {
+			blob.Recorded = append(blob.Recorded, frame.MsgID{Sender: sender, Seq: seq})
 		}
-		sortMsgIDs(blob.Have)
+		sort.Slice(blob.Recorded, func(i, j int) bool { return lessProc(blob.Recorded[i].Sender, blob.Recorded[j].Sender) })
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
 			panic(err)
@@ -373,19 +376,6 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 	r.sendPeer(from, &peerMsg{Kind: peerHandoffDone, Code: m.Code, Rank: r.cfg.Rank, Procs: shipped})
 	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
 		"served shard handoff to rec%d: %d streams shipped", m.Rank, shipped)
-}
-
-func sortMsgIDs(ids []frame.MsgID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.Sender.Node != b.Sender.Node {
-			return a.Sender.Node < b.Sender.Node
-		}
-		if a.Sender.Local != b.Sender.Local {
-			return a.Sender.Local < b.Sender.Local
-		}
-		return a.Seq < b.Seq
-	})
 }
 
 // handleHandoffData reassembles one stream's chunked blob on the requester.
@@ -478,7 +468,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	if blob.Dead {
 		if !e.Dead {
 			e.Dead = true
-			e.Arrivals = nil
+			e.Arrivals = arrLog{}
 			e.Advisories = nil
 			r.persistDead(e)
 			r.store.Invalidate(e.keys.msg, e.ArrSeqNext)
@@ -493,43 +483,45 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 		e.LastSent = blob.LastSent
 		r.persistLastSent(e)
 	}
-	localCov := e.BaseReads + uint64(len(e.Arrivals))
+	localCov := e.BaseReads + uint64(e.Arrivals.len())
 	if blob.Cov <= localCov {
 		return // our basis reaches at least as far
 	}
 	r.cancelReplay(blob.Proc) // in-flight batches from the stale basis
-	blobHave := make(map[frame.MsgID]bool, len(blob.Have)+len(blob.Msgs))
-	for _, id := range blob.Have {
-		blobHave[id] = true
+	theirs := make(watermarks, len(blob.Recorded))
+	for _, id := range blob.Recorded {
+		theirs.note(id)
 	}
 	for i := range blob.Msgs {
-		blobHave[blob.Msgs[i].ID] = true
+		theirs.note(blob.Msgs[i].ID)
 	}
 	var extras []storedMsg
 	for _, lm := range reconstruct(e.Arrivals, e.Advisories) {
-		if !blobHave[lm.ID] {
+		if !theirs.covers(lm.ID) {
 			extras = append(extras, lm)
 		}
 	}
-	old := e.Arrivals
+	old := e.Arrivals.seqs()
 	e.Checkpoint = blob.Ck
 	e.CkSendSeq = blob.CkSendSeq
 	e.CkReadCount = blob.CkReadCount
 	e.CkStateKB = blob.CkStateKB
 	e.BaseReads = blob.BaseReads
 	e.LastCkAt = r.sched.Now()
-	for id := range blobHave {
-		e.have[id] = true
-	}
-	e.Arrivals = make([]storedMsg, 0, len(blob.Msgs)+len(extras))
+	e.Arrivals = arrLog{}
 	for _, src := range [][]storedMsg{blob.Msgs, extras} {
 		for i := range src {
-			nm := src[i]
+			// The record's SeenAt is when this recorder took the message in.
+			nm := pendingMsg{storedMsg: src[i], To: e.Proc, SeenAt: r.sched.Now()}
 			nm.ArrSeq = e.ArrSeqNext
 			e.ArrSeqNext++
-			e.Arrivals = append(e.Arrivals, nm)
+			e.Arrivals.push(nm.storedMsg)
+			e.recorded.note(nm.ID)
 			r.persistMessage(e, &nm)
 		}
+	}
+	for _, id := range blob.Recorded {
+		e.recorded.note(id)
 	}
 	// The adopted Msgs are already in reconstructed read order; advisories
 	// would double-apply, so clear them (the checkpoint record's AdvTrim

@@ -68,7 +68,7 @@ func msgIDAt(b []byte) frame.MsgID {
 }
 
 // appendStoredMsg appends sm's record to dst.
-func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
+func appendStoredMsg(dst []byte, sm *pendingMsg) []byte {
 	var flags byte
 	if sm.Link != nil {
 		flags |= smLinkPresent
@@ -101,22 +101,24 @@ func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
 
 // decodeStoredMsg is appendStoredMsg's inverse. The result shares nothing
 // with b.
-func decodeStoredMsg(b []byte) (storedMsg, error) {
+func decodeStoredMsg(b []byte) (pendingMsg, error) {
 	if len(b) < storedMsgFixedLen {
-		return storedMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
+		return pendingMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
 	}
 	flags := b[0]
 	if flags&^(smLinkPresent|smBodyPresent) != 0 {
-		return storedMsg{}, fmt.Errorf("message record: unknown flags %#x", flags)
+		return pendingMsg{}, fmt.Errorf("message record: unknown flags %#x", flags)
 	}
-	sm := storedMsg{
-		ID:      msgIDAt(b[1:]),
-		From:    procIDAt(b[17:]),
-		To:      procIDAt(b[25:]),
-		Channel: binary.BigEndian.Uint16(b[33:]),
-		Code:    binary.BigEndian.Uint32(b[35:]),
-		ArrSeq:  binary.BigEndian.Uint64(b[39:]),
-		SeenAt:  simtime.Time(binary.BigEndian.Uint64(b[47:])),
+	sm := pendingMsg{
+		storedMsg: storedMsg{
+			ID:      msgIDAt(b[1:]),
+			From:    procIDAt(b[17:]),
+			Channel: binary.BigEndian.Uint16(b[33:]),
+			Code:    binary.BigEndian.Uint32(b[35:]),
+			ArrSeq:  binary.BigEndian.Uint64(b[39:]),
+		},
+		To:     procIDAt(b[25:]),
+		SeenAt: simtime.Time(binary.BigEndian.Uint64(b[47:])),
 	}
 	bodyLen := uint64(binary.BigEndian.Uint32(b[55:]))
 	want := storedMsgFixedLen + bodyLen
@@ -124,17 +126,17 @@ func decodeStoredMsg(b []byte) (storedMsg, error) {
 		want += storedLinkLen
 	}
 	if uint64(len(b)) != want {
-		return storedMsg{}, fmt.Errorf("message record: %d bytes, layout says %d", len(b), want)
+		return pendingMsg{}, fmt.Errorf("message record: %d bytes, layout says %d", len(b), want)
 	}
 	if flags&smBodyPresent != 0 {
 		sm.Body = append([]byte{}, b[storedMsgFixedLen:storedMsgFixedLen+bodyLen]...)
 	} else if bodyLen != 0 {
-		return storedMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
+		return pendingMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
 	}
 	if flags&smLinkPresent != 0 {
 		l := b[storedMsgFixedLen+bodyLen:]
 		if l[14] > 1 {
-			return storedMsg{}, fmt.Errorf("message record: link kernel byte %#x", l[14])
+			return pendingMsg{}, fmt.Errorf("message record: link kernel byte %#x", l[14])
 		}
 		sm.Link = &frame.Link{
 			To:              procIDAt(l),
@@ -195,9 +197,9 @@ type procKeys struct {
 func newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
 	id := p.String()
 	return &procEntry{
-		Proc: p,
-		Node: node,
-		have: make(map[frame.MsgID]bool),
+		Proc:     p,
+		Node:     node,
+		recorded: make(watermarks),
 		keys: procKeys{
 			msg: "msg:" + id, adv: "adv:" + id, ck: "ck:" + id,
 			proc: "proc:" + id, last: "last:" + id, dead: "dead:" + id,
@@ -238,7 +240,7 @@ func (r *Recorder) append(rec stablestore.Record) {
 	}
 }
 
-func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) {
+func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) {
 	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
 	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.msg, Seq: sm.ArrSeq, Data: r.encScratch})
 }
@@ -265,15 +267,9 @@ func (r *Recorder) persistDead(e *procEntry) {
 	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.dead, Seq: e.Rev})
 }
 
-func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
-	dropped := make([]uint64, len(trimmed))
-	for i, sm := range trimmed {
-		dropped[i] = sm.ArrSeq
-	}
-	retained := make([]uint64, len(e.Arrivals))
-	for i, sm := range e.Arrivals {
-		retained[i] = sm.ArrSeq
-	}
+// persistCheckpoint stores e's checkpoint; dropped are the arrival seqs it
+// supersedes.
+func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 	e.Rev++
 	r.append(stablestore.Record{Kind: stablestore.KindCheckpoint, Key: e.keys.ck, Seq: e.Rev,
 		Data: encWith(r, &ckCodec, &ckMeta{
@@ -284,7 +280,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, trimmed []storedMsg) {
 			BaseReads:     e.BaseReads,
 			DroppedArr:    dropped,
 			AdvTrim:       e.AdvSeqNext,
-			RetainedOrder: retained,
+			RetainedOrder: e.Arrivals.seqs(),
 		})})
 	r.store.InvalidateSeqs(e.keys.msg, dropped)
 	if e.AdvSeqNext > 0 {
@@ -369,9 +365,9 @@ func (r *Recorder) rebuild() error {
 		var err error
 		switch ns {
 		case "msg":
-			var sm storedMsg
+			var sm pendingMsg
 			if sm, err = decodeStoredMsg(rec.Data); err == nil {
-				a.msgs = append(a.msgs, sm)
+				a.msgs = append(a.msgs, sm.storedMsg)
 				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
@@ -452,17 +448,18 @@ func (r *Recorder) rebuild() error {
 			if a.dropped[sm.ArrSeq] {
 				continue
 			}
-			sm := sm
 			if _, ok := rank[sm.ArrSeq]; ok {
 				pre = append(pre, sm)
 			} else {
 				post = append(post, sm)
 			}
-			e.have[sm.ID] = true
 		}
 		e.ArrSeqNext = a.arrNext
 		sort.SliceStable(pre, func(i, j int) bool { return rank[pre[i].ArrSeq] < rank[pre[j].ArrSeq] })
-		e.Arrivals = append(pre, post...)
+		for _, sm := range append(pre, post...) {
+			e.Arrivals.push(sm)
+			e.recorded.note(sm.ID)
+		}
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })
 		for _, adv := range a.advs {
 			if adv.AdvSeq < a.advTrim {
@@ -479,8 +476,9 @@ func (r *Recorder) rebuild() error {
 		e.LastCkAt = r.sched.Now()
 	}
 	r.db = db
-	r.pending = make(map[frame.MsgID]*storedMsg)
-	r.preArrivals = make(map[frame.ProcID][]storedMsg)
+	r.pending = make(map[frame.ProcID]*pendQueue)
+	r.pendQueues = nil
+	r.preArrivals = make(map[frame.ProcID][]pendingMsg)
 	r.preLastSent = make(map[frame.ProcID]uint64)
 	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil

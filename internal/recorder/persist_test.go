@@ -19,25 +19,25 @@ import (
 // storedCases covers every shape a message record takes: absent, empty and
 // full-frame bodies; no link, a process link, a kernel link; the extremes of
 // every integer field.
-func storedCases() map[string]storedMsg {
+func storedCases() map[string]pendingMsg {
 	hi := frame.ProcID{Node: math.MaxInt32, Local: math.MaxUint32}
 	lo := frame.ProcID{Node: math.MinInt32, Local: 0}
-	return map[string]storedMsg{
+	return map[string]pendingMsg{
 		"zero":       {},
-		"empty-body": {ID: mid(1, 1), Body: []byte{}},
-		"typical": {ID: mid(7, 42), From: procA(), To: procB(), Channel: 2, Code: 9,
-			Body: bytes.Repeat([]byte{0xAB}, 48), ArrSeq: 41, SeenAt: 3 * simtime.Millisecond},
-		"extremes": {ID: frame.MsgID{Sender: hi, Seq: math.MaxUint64}, From: lo,
-			To: frame.ProcID{Node: frame.Broadcast, Local: 1}, Channel: math.MaxUint16, Code: math.MaxUint32,
-			Body: []byte{0}, ArrSeq: math.MaxUint64, SeenAt: math.MaxInt64},
-		"negative-time": {ID: mid(1, 2), SeenAt: -1},
-		"link": {ID: mid(1, 3), Body: []byte("with link"),
-			Link: &frame.Link{To: procB(), Channel: 4, Code: 77}},
-		"kernel-link": {ID: mid(1, 4),
-			Link: &frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}},
-		"zero-link": {ID: mid(1, 5), Body: []byte{}, Link: &frame.Link{}},
-		"max-body": {ID: mid(1, 6), From: procA(), To: procB(),
-			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), Link: &frame.Link{To: procA(), Code: 1}},
+		"empty-body": {storedMsg: storedMsg{ID: mid(1, 1), Body: []byte{}}},
+		"typical": {storedMsg: storedMsg{ID: mid(7, 42), From: procA(), Channel: 2, Code: 9,
+			Body: bytes.Repeat([]byte{0xAB}, 48), ArrSeq: 41}, To: procB(), SeenAt: 3 * simtime.Millisecond},
+		"extremes": {storedMsg: storedMsg{ID: frame.MsgID{Sender: hi, Seq: math.MaxUint64}, From: lo,
+			Channel: math.MaxUint16, Code: math.MaxUint32, Body: []byte{0}, ArrSeq: math.MaxUint64},
+			To: frame.ProcID{Node: frame.Broadcast, Local: 1}, SeenAt: math.MaxInt64},
+		"negative-time": {storedMsg: storedMsg{ID: mid(1, 2)}, SeenAt: -1},
+		"link": {storedMsg: storedMsg{ID: mid(1, 3), Body: []byte("with link"),
+			Link: &frame.Link{To: procB(), Channel: 4, Code: 77}}},
+		"kernel-link": {storedMsg: storedMsg{ID: mid(1, 4),
+			Link: &frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}}},
+		"zero-link": {storedMsg: storedMsg{ID: mid(1, 5), Body: []byte{}, Link: &frame.Link{}}},
+		"max-body": {storedMsg: storedMsg{ID: mid(1, 6), From: procA(),
+			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), Link: &frame.Link{To: procA(), Code: 1}}, To: procB()},
 	}
 }
 
@@ -73,8 +73,8 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 	prop := func(node int32, local uint32, seq uint64, ch uint16, code uint32, arr uint64, seen int64,
 		body []byte, nilBody, hasLink, kernel bool) bool {
 		p := frame.ProcID{Node: frame.NodeID(node), Local: local}
-		want := storedMsg{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, To: frame.ProcID{Node: frame.NodeID(^node), Local: ^local},
-			Channel: ch, Code: code, ArrSeq: arr, SeenAt: simtime.Time(seen)}
+		want := pendingMsg{storedMsg: storedMsg{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, Channel: ch, Code: code, ArrSeq: arr},
+			To: frame.ProcID{Node: frame.NodeID(^node), Local: ^local}, SeenAt: simtime.Time(seen)}
 		if !nilBody {
 			want.Body = append([]byte{}, body...)
 		}
@@ -156,11 +156,13 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 
 // The layout is pinned: these bytes are what a store written today holds.
 func TestRecordGoldenBytes(t *testing.T) {
-	sm := storedMsg{
-		ID:   frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 2}, Seq: 3},
-		From: frame.ProcID{Node: 1, Local: 2}, To: frame.ProcID{Node: -1, Local: 5},
-		Channel: 6, Code: 7, Body: []byte("hi"), ArrSeq: 8, SeenAt: 9,
-		Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
+	sm := pendingMsg{
+		storedMsg: storedMsg{
+			ID:   frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 2}, Seq: 3},
+			From: frame.ProcID{Node: 1, Local: 2}, Channel: 6, Code: 7, Body: []byte("hi"), ArrSeq: 8,
+			Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
+		},
+		To: frame.ProcID{Node: -1, Local: 5}, SeenAt: 9,
 	}
 	adv := advisory{ReadID: mid(1, 2), HeadID: mid(3, 4), AdvSeq: 5}
 	for name, c := range map[string]struct {
@@ -288,7 +290,7 @@ func fillDatabase(r *Recorder, sched *simtime.Scheduler) {
 }
 
 // entryView is what a database entry holds that stable storage must bring
-// back. Left out: LastCkAt (reset to the restart time), have and trimDebt
+// back. Left out: LastCkAt (reset to the restart time), recorded and trimDebt
 // (in-memory conservatism, see procEntry), Recovering.
 type entryView struct {
 	Spec                   demos.ProcSpec
@@ -309,7 +311,7 @@ func viewDB(db map[frame.ProcID]*procEntry) map[frame.ProcID]entryView {
 	out := make(map[frame.ProcID]entryView, len(db))
 	for p, e := range db {
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
-			Arrivals: e.Arrivals, Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
+			Arrivals: reconstruct(e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
 			Checkpoint: e.Checkpoint, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
 			CkStateKB: e.CkStateKB, BaseReads: e.BaseReads, Rev: e.Rev, Dead: e.Dead}
 	}
@@ -437,8 +439,8 @@ func BenchmarkPersistMessage(b *testing.B) {
 			r, _ := newBenchOn(b, stablestore.New())
 			register(r, procB(), "b")
 			e := r.db[procB()]
-			sm := storedMsg{ID: frame.MsgID{Sender: procA()}, From: procA(), To: procB(),
-				Body: make([]byte, size.body), SeenAt: simtime.Millisecond}
+			sm := pendingMsg{storedMsg: storedMsg{ID: frame.MsgID{Sender: procA()}, From: procA(),
+				Body: make([]byte, size.body)}, To: procB(), SeenAt: simtime.Millisecond}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -470,7 +472,7 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 		if i == msgs/2 {
 			for _, p := range ids {
 				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: p, Checkpoint: []byte("ck"),
-					ReadCount: uint64(len(r.db[p].Arrivals)) / 2})
+					ReadCount: uint64(r.db[p].Arrivals.len()) / 2})
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func TestReconstructMatchesReferenceSimulation(t *testing.T) {
 			}
 		}
 
-		got := reconstruct(arrivals, advs)
+		got := reconstruct(logOf(arrivals), advs)
 		if len(got) != n {
 			return fmt.Errorf("seed %d: reconstructed %d of %d", seed, len(got), n)
 		}
@@ -129,7 +129,7 @@ func TestReconstructAtCrashInstant(t *testing.T) {
 		}
 		// Crash here. Replay must deliver reads in order, then the unread
 		// remainder in arrival order.
-		got := reconstruct(arrivals, advs)
+		got := reconstruct(logOf(arrivals), advs)
 		for i, id := range reads {
 			if got[i].ID != id {
 				t.Fatalf("trial %d: read segment diverges at %d", trial, i)

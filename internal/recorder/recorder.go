@@ -20,7 +20,7 @@ package recorder
 import (
 	"bytes"
 	"encoding/gob"
-	"sort"
+	"slices"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
@@ -214,6 +214,12 @@ type Stats struct {
 	HandoffProcsShipped uint64
 	HandoffChunksSent   uint64
 	HandoffProcsAdopted uint64
+
+	// BelowWatermark counts acknowledged messages dropped for sitting
+	// strictly below their sender's watermark after passing the tap's
+	// duplicate check. In-order transport delivery says there are none; tests
+	// pin it at zero. Not in the metrics registry: the snapshot is unchanged.
+	BelowWatermark uint64
 }
 
 // storedMsg is one published message in a process's stream.
@@ -225,11 +231,17 @@ type storedMsg struct {
 	Body    []byte
 	Link    *frame.Link
 	ArrSeq  uint64
-	// To is the destination the tap saw on the wire; pending messages need
-	// it so a later ack from the same stream can claim them (see observeAck).
+}
+
+// pendingMsg is a message the tap has heard that no acknowledgement has yet
+// placed in a stream.
+type pendingMsg struct {
+	storedMsg
+	// To is the destination on the wire: the pending queue the message waits
+	// in, and the process whose acknowledgement claims it (an AckRec's Rcv is
+	// always its frame's To).
 	To frame.ProcID
-	// SeenAt is when the tap heard the frame (pending-sweep bookkeeping;
-	// not persisted semantics).
+	// SeenAt is when the tap heard the frame (publish latency, sweep age).
 	SeenAt simtime.Time
 }
 
@@ -253,8 +265,10 @@ type procEntry struct {
 
 	LastSent uint64
 
-	Arrivals   []storedMsg
-	have       map[frame.MsgID]bool
+	Arrivals arrLog
+	// recorded fences retransmissions out of the stream. Checkpoints never
+	// trim it, so a late copy of a message one consumed cannot re-enter.
+	recorded   watermarks
 	Advisories []advisory
 	ArrSeqNext uint64
 	AdvSeqNext uint64
@@ -292,13 +306,17 @@ type Recorder struct {
 	ep    *transport.Endpoint
 	store stablestore.Store
 
-	db      map[frame.ProcID]*procEntry
-	pending map[frame.MsgID]*storedMsg
+	db map[frame.ProcID]*procEntry
+	// pending indexes the unacknowledged messages by on-wire destination;
+	// pendQueues lists the same queues in creation order, for the sweep. A
+	// queue outlives its messages: one per destination ever heard.
+	pending    map[frame.ProcID]*pendQueue
+	pendQueues []*pendQueue
 	// preArrivals buffers accepted messages (and preLastSent the send
 	// sequences) of processes whose creation notice has not arrived yet:
 	// on a busy system a new process's first traffic can beat the kernel's
 	// NoticeCreated to the recorder. Merged at registration; bounded.
-	preArrivals map[frame.ProcID][]storedMsg
+	preArrivals map[frame.ProcID][]pendingMsg
 	preLastSent map[frame.ProcID]uint64
 
 	restartNumber uint64
@@ -344,10 +362,10 @@ type Recorder struct {
 	// into (see persist.go). stablestore.Append copies Data, so the bytes
 	// only need to survive one call.
 	encScratch []byte
-	// smFree pools storedMsg nodes between Observe and the ack/sweep paths
+	// smFree pools pendingMsg nodes between Observe and the ack/sweep paths
 	// that retire them, so the tap's steady state stops allocating a node,
 	// body, and link per overheard frame.
-	smFree []*storedMsg
+	smFree []*pendingMsg
 	// recScratch is the tap's reused bundle-decode buffer.
 	recScratch []frame.BundleRec
 	// ackq queues recorder acknowledgements awaiting their publish
@@ -381,8 +399,8 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		med:         med,
 		store:       store,
 		db:          make(map[frame.ProcID]*procEntry),
-		pending:     make(map[frame.MsgID]*storedMsg),
-		preArrivals: make(map[frame.ProcID][]storedMsg),
+		pending:     make(map[frame.ProcID]*pendQueue),
+		preArrivals: make(map[frame.ProcID][]pendingMsg),
 		preLastSent: make(map[frame.ProcID]uint64),
 		watch:       make(map[frame.NodeID]*watchState),
 		recovering:  make(map[frame.ProcID]*recoveryProc),
@@ -487,7 +505,7 @@ func (r *Recorder) Entry(p frame.ProcID) (known, recovering, dead bool, lastSent
 	if e == nil {
 		return false, false, false, 0, 0
 	}
-	return true, e.Recovering, e.Dead, e.LastSent, len(e.Arrivals)
+	return true, e.Recovering, e.Dead, e.LastSent, e.Arrivals.len()
 }
 
 // Observe implements lan.Tap: the passive listener of §3.1. Its verdict is
@@ -626,12 +644,18 @@ func (r *Recorder) observeMessage(f *frame.Frame) {
 		return // another shard's stream; its replicas record the arrival
 	}
 	if e := r.db[f.To]; e != nil {
-		if e.Dead || e.have[f.ID] {
+		if e.Dead || e.recorded.covers(f.ID) {
 			return // dead destination or retransmission of an arrival
 		}
 	}
-	if _, dup := r.pending[f.ID]; dup {
+	q := r.pending[f.To]
+	if q.find(f.ID) >= 0 {
 		return
+	}
+	if q == nil {
+		q = &pendQueue{}
+		r.pending[f.To] = q
+		r.pendQueues = append(r.pendQueues, q)
 	}
 	sm := r.allocStored()
 	sm.ID = f.ID
@@ -652,8 +676,46 @@ func (r *Recorder) observeMessage(f *frame.Frame) {
 	sm.ArrSeq = 0
 	sm.To = f.To
 	sm.SeenAt = r.sched.Now()
-	r.pending[f.ID] = sm
+	q.msgs = append(q.msgs, sm)
 	r.stats.MessagesPending++
+}
+
+// pendQueue holds one destination's unacknowledged messages in the order the
+// tap heard them, so SeenAt never decreases along it.
+type pendQueue struct {
+	msgs []*pendingMsg
+}
+
+// find returns id's position in the queue, or -1. A nil queue is empty.
+func (q *pendQueue) find(id frame.MsgID) int {
+	if q != nil {
+		for i, p := range q.msgs {
+			if p.ID == id {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// remove takes the i'th message out, keeping the others in order.
+func (q *pendQueue) remove(i int) *pendingMsg {
+	p := q.msgs[i]
+	q.msgs = slices.Delete(q.msgs, i, i+1)
+	return p
+}
+
+// sweepPending drops the messages heard before cutoff and never
+// acknowledged (destination dead, sender gave up) so they don't accumulate.
+// Only each queue's expired head is touched.
+func (r *Recorder) sweepPending(cutoff simtime.Time) {
+	for _, q := range r.pendQueues {
+		k := 0
+		for ; k < len(q.msgs) && q.msgs[k].SeenAt < cutoff; k++ {
+			r.recycleStored(q.msgs[k])
+		}
+		q.msgs = slices.Delete(q.msgs, 0, k)
+	}
 }
 
 // recAck is one queued recorder acknowledgement: the id becomes
@@ -721,21 +783,21 @@ func (r *Recorder) flushRecorderAcks() {
 	}
 }
 
-// allocStored takes a storedMsg node from the pool (or the heap); the caller
+// allocStored takes a pendingMsg node from the pool (or the heap); the caller
 // overwrites every field, reusing Body and Link capacity.
-func (r *Recorder) allocStored() *storedMsg {
+func (r *Recorder) allocStored() *pendingMsg {
 	if k := len(r.smFree); k > 0 {
 		sm := r.smFree[k-1]
 		r.smFree[k-1] = nil
 		r.smFree = r.smFree[:k-1]
 		return sm
 	}
-	return &storedMsg{}
+	return &pendingMsg{}
 }
 
 // recycleStored returns a node whose Body and Link were never exposed
 // outside the recorder (drop paths only) for full reuse.
-func (r *Recorder) recycleStored(sm *storedMsg) {
+func (r *Recorder) recycleStored(sm *pendingMsg) {
 	if len(r.smFree) < 1024 {
 		r.smFree = append(r.smFree, sm)
 	}
@@ -744,7 +806,7 @@ func (r *Recorder) recycleStored(sm *storedMsg) {
 // releaseStored retires a node whose Body/Link now alias an archived copy
 // (e.Arrivals or preArrivals): the struct is reused but its buffers are
 // detached so the archive keeps sole ownership.
-func (r *Recorder) releaseStored(sm *storedMsg) {
+func (r *Recorder) releaseStored(sm *pendingMsg) {
 	sm.Body, sm.Link = nil, nil
 	r.recycleStored(sm)
 }
@@ -759,36 +821,34 @@ func (r *Recorder) observeAck(f *frame.Frame) {
 }
 
 // observeAckRecord processes one acknowledgement — id accepted by process
-// rcv — from either a standalone Ack frame or a piggybacked record.
+// rcv — from either a standalone Ack frame or a piggybacked record. Only
+// rcv's pending queue is consulted: an ack names its message's destination.
 func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
-	sm, ok := r.pending[id]
-	if !ok {
+	q := r.pending[rcv]
+	at := q.find(id)
+	if at < 0 {
 		return // duplicate ack, untracked message, or our own traffic
 	}
-	if r.cfg.Shards != nil && !r.ownsProc(rcv) {
-		delete(r.pending, id)
-		r.recycleStored(sm)
-		return // another shard's arrival
-	}
+	sm := q.remove(at)
 	e := r.db[rcv]
 	if e == nil {
 		// Accepted before the destination's creation notice arrived:
-		// buffer until registration. Bounded per process.
-		delete(r.pending, id)
-		if rcv.Local != 0 && rcv != r.cfg.Proc && len(r.preArrivals[rcv]) < 1024 {
-			r.preArrivals[rcv] = append(r.preArrivals[rcv], *sm)
+		// buffer until registration. Bounded per process; the re-ack of a
+		// retransmission stays out, so the merge sees each message once.
+		pre := r.preArrivals[rcv]
+		if rcv.Local != 0 && rcv != r.cfg.Proc && len(pre) < 1024 &&
+			!slices.ContainsFunc(pre, func(p pendingMsg) bool { return p.ID == id }) {
+			r.preArrivals[rcv] = append(pre, *sm)
 			r.releaseStored(sm)
 		} else {
 			r.recycleStored(sm)
 		}
 		return
 	}
-	if e.Dead || e.have[id] {
-		delete(r.pending, id)
+	if e.Dead || r.alreadyRecorded(e, id) {
 		r.recycleStored(sm)
 		return
 	}
-	delete(r.pending, id)
 	// Cumulative-ack inference: the transport delivers each sender's stream
 	// in sequence order, so this ack also proves every lower-sequence
 	// message from the same sender to this process arrived — their own acks
@@ -797,31 +857,67 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 	// retransmit. Promote them, in sequence order, ahead of this arrival.
 	// (Caveat: a sender that exhausted retries below this sequence makes
 	// the inference wrong, but that run already lost a guaranteed message.)
-	var earlier []*storedMsg
-	for id, p := range r.pending {
-		if p.From == sm.From && p.To == e.Proc && id.Seq < sm.ID.Seq {
-			earlier = append(earlier, p)
+	for {
+		at := -1
+		for i, p := range q.msgs {
+			if p.From == sm.From && p.ID.Seq < sm.ID.Seq && (at < 0 || p.ID.Seq < q.msgs[at].ID.Seq) {
+				at = i
+			}
 		}
-	}
-	sort.Slice(earlier, func(i, j int) bool { return earlier[i].ID.Seq < earlier[j].ID.Seq })
-	for _, p := range earlier {
-		delete(r.pending, p.ID)
-		if e.have[p.ID] {
+		if at < 0 {
+			break
+		}
+		p := q.remove(at)
+		if r.alreadyRecorded(e, p.ID) {
 			r.recycleStored(p)
 			continue
 		}
 		r.stats.MissedArrivals++
 		r.recordArrival(e, p, "published (#%d in stream, inferred from later ack)")
+		r.releaseStored(p)
 	}
 	r.recordArrival(e, sm, "published (#%d in stream)")
+	r.releaseStored(sm)
 }
 
-// recordArrival appends one message to a process's published stream.
-func (r *Recorder) recordArrival(e *procEntry, sm *storedMsg, format string) {
+// watermarks is a stream's retransmission fence: per sender, the highest
+// sequence number recorded into the stream. The transport delivers a sender's
+// messages to a process in sequence order, so one at or below the mark is
+// recorded already (or older than one that was). One 16-byte map slot per
+// sender, however many messages the stream has carried.
+type watermarks map[frame.ProcID]uint64
+
+func (w watermarks) covers(id frame.MsgID) bool {
+	mark, ok := w[id.Sender]
+	return ok && id.Seq <= mark
+}
+
+// note raises id's sender's mark to id.
+func (w watermarks) note(id frame.MsgID) {
+	if mark, ok := w[id.Sender]; !ok || id.Seq > mark {
+		w[id.Sender] = id.Seq
+	}
+}
+
+// alreadyRecorded is covers for a message an acknowledgement is placing in
+// e's stream. At the mark it is the retransmission that set the mark;
+// strictly below, the per-message set this replaced might have accepted it,
+// so it is counted.
+func (r *Recorder) alreadyRecorded(e *procEntry, id frame.MsgID) bool {
+	mark, ok := e.recorded[id.Sender]
+	if ok && id.Seq < mark {
+		r.stats.BelowWatermark++
+	}
+	return ok && id.Seq <= mark
+}
+
+// recordArrival appends one message to a process's published stream, which
+// takes over its Body and Link; the node stays the caller's.
+func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
 	sm.ArrSeq = e.ArrSeqNext
 	e.ArrSeqNext++
-	e.Arrivals = append(e.Arrivals, *sm)
-	e.have[sm.ID] = true
+	e.Arrivals.push(sm.storedMsg)
+	e.recorded.note(sm.ID)
 	r.stats.ArrivalsRecorded++
 	r.stats.BytesStored += uint64(len(sm.Body))
 	r.publishLat.Observe(int64(r.sched.Now() - sm.SeenAt))
@@ -831,7 +927,6 @@ func (r *Recorder) recordArrival(e *procEntry, sm *storedMsg, format string) {
 		// can check per-stream monotonicity without parsing Detail.
 		r.log.AddMsgSeq(trace.KindPublish, int(r.cfg.Node), sm.ID.String(), e.Proc.String(), sm.ArrSeq, format, sm.ArrSeq)
 	}
-	r.releaseStored(sm)
 }
 
 // deliver handles guaranteed traffic addressed to the recording software:
@@ -889,17 +984,9 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		// Merge traffic that beat this notice to the recorder.
 		if pre := r.preArrivals[n.Proc]; len(pre) > 0 {
 			for i := range pre {
-				sm := pre[i]
-				if e.have[sm.ID] {
-					continue
+				if !r.alreadyRecorded(e, pre[i].ID) {
+					r.recordArrival(e, &pre[i], "published (#%d in stream, accepted before registration)")
 				}
-				sm.ArrSeq = e.ArrSeqNext
-				e.ArrSeqNext++
-				e.Arrivals = append(e.Arrivals, sm)
-				e.have[sm.ID] = true
-				r.stats.ArrivalsRecorded++
-				r.stats.BytesStored += uint64(len(sm.Body))
-				r.persistMessage(e, &sm)
 			}
 			delete(r.preArrivals, n.Proc)
 		}
@@ -923,7 +1010,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		}
 		if e := r.db[n.Proc]; e != nil {
 			e.Dead = true
-			e.Arrivals = nil
+			e.Arrivals = arrLog{}
 			e.Advisories = nil
 			r.persistDead(e)
 			r.store.Invalidate(e.keys.msg, e.ArrSeqNext)
@@ -984,20 +1071,24 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 		// monotonic per stream, so applying it would regress the basis.
 		return true
 	}
-	byID := make(map[frame.MsgID]storedMsg, len(e.Arrivals))
-	for _, sm := range e.Arrivals {
-		byID[sm.ID] = sm
-	}
-	var retained []storedMsg
-	missing := 0
-	for _, id := range n.Queued {
-		if sm, ok := byID[id]; ok {
-			retained = append(retained, sm)
-			delete(byID, id)
-		} else {
-			missing++
+	// pos[k] is the log position of the k'th queued message (-1: not held,
+	// or an id the queue repeats); queuedAt finds k by id.
+	log := &e.Arrivals
+	queuedAt := make(map[frame.MsgID]int, len(n.Queued))
+	pos := make([]int, len(n.Queued))
+	for k, id := range n.Queued {
+		pos[k] = -1
+		if _, repeat := queuedAt[id]; !repeat {
+			queuedAt[id] = k
 		}
 	}
+	for i := 0; i < log.len(); i++ {
+		if k, ok := queuedAt[log.at(i).ID]; ok && pos[k] < 0 {
+			pos[k] = i
+		}
+	}
+	retained := slices.DeleteFunc(slices.Clone(pos), func(i int) bool { return i < 0 })
+	missing := len(pos) - len(retained)
 	// Of the remainder, only messages the process actually read before the
 	// checkpoint are superseded. A message can be recorded yet neither read
 	// nor queued: published at the tap while every receiver copy was lost
@@ -1007,24 +1098,26 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	// stream; keep the in-flight tail behind the queued messages (queue
 	// FIFO: a later arrival is read after everything queued now).
 	consumed := n.ReadCount - e.BaseReads + e.trimDebt
-	var trimmed []storedMsg
-	idx := uint64(0)
-	for _, sm := range reconstruct(e.Arrivals, e.Advisories) {
-		if _, unqueued := byID[sm.ID]; !unqueued {
+	dropped := make([]uint64, 0, min(consumed, uint64(log.len())))
+	for it := newReplayIter(*log, e.Advisories); ; {
+		i, ok := it.nextPos()
+		if !ok {
+			break
+		}
+		if k, ok := queuedAt[log.at(i).ID]; ok && pos[k] == i {
 			continue // retained above, in queue order
 		}
-		if idx < consumed {
-			trimmed = append(trimmed, sm)
+		if uint64(len(dropped)) < consumed {
+			dropped = append(dropped, log.at(i).ArrSeq)
 		} else {
-			retained = append(retained, sm)
+			retained = append(retained, i)
 		}
-		idx++
 	}
 	// Reads the checkpoint vouches for but we could not trim are messages
 	// whose records are still on their way (see trimDebt); their late records
 	// extend the next checkpoint's consumed prefix.
-	e.trimDebt = consumed - uint64(len(trimmed))
-	e.Arrivals = retained
+	e.trimDebt = consumed - uint64(len(dropped))
+	log.keep(retained)
 	e.Advisories = nil
 	e.BaseReads = n.ReadCount
 	e.Checkpoint = n.Checkpoint
@@ -1032,41 +1125,28 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	e.CkReadCount = n.ReadCount
 	e.CkStateKB = n.StateKB
 	e.LastCkAt = r.sched.Now()
-	// Note: trimmed ids stay in e.have so a late retransmission of an
-	// already-consumed message can never re-enter the stream.
+	// The watermarks stay: a late retransmission of an already-consumed
+	// message must not re-enter the stream.
 	r.stats.CheckpointsStored++
-	r.persistCheckpoint(e, trimmed)
+	r.persistCheckpoint(e, dropped)
 	r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(),
 		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, %d missing",
-		n.StateKB, n.ReadCount, len(trimmed), len(retained), missing)
+		n.StateKB, n.ReadCount, len(dropped), len(retained), missing)
 	return missing == 0
 }
 
 // reconstruct recovers the true read order of a stream from its arrival
-// order plus the out-of-order read advisories (§4.4.2): pop in-order reads
-// until the advised head is at the front, take the advised message, repeat;
-// unadvised messages follow in arrival order.
-func reconstruct(arrivals []storedMsg, advisories []advisory) []storedMsg {
-	if len(advisories) == 0 {
-		return append([]storedMsg(nil), arrivals...)
-	}
-	queue := append([]storedMsg(nil), arrivals...)
-	replay := make([]storedMsg, 0, len(arrivals))
-	for _, adv := range advisories {
-		// In-order reads precede the advised out-of-order read.
-		for len(queue) > 0 && queue[0].ID != adv.HeadID {
-			replay = append(replay, queue[0])
-			queue = queue[1:]
+// order plus the out-of-order read advisories (§4.4.2), as a slice of
+// copies: replayIter's order, materialized.
+func reconstruct(arrivals arrLog, advisories []advisory) []storedMsg {
+	out := make([]storedMsg, 0, arrivals.len())
+	for it := newReplayIter(arrivals, advisories); ; {
+		sm, ok := it.next()
+		if !ok {
+			return out
 		}
-		for i := range queue {
-			if queue[i].ID == adv.ReadID {
-				replay = append(replay, queue[i])
-				queue = append(queue[:i], queue[i+1:]...)
-				break
-			}
-		}
+		out = append(out, *sm)
 	}
-	return append(replay, queue...)
 }
 
 // ReplayMsg is an exported view of one published message, in replay order.

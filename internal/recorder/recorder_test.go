@@ -24,7 +24,7 @@ func sm(local uint32, seq uint64) storedMsg {
 
 func TestReconstructNoAdvisories(t *testing.T) {
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
-	out := reconstruct(arr, nil)
+	out := reconstruct(logOf(arr), nil)
 	if len(out) != 3 || out[0].ID != arr[0].ID || out[2].ID != arr[2].ID {
 		t.Fatalf("identity reconstruction broken: %v", out)
 	}
@@ -39,7 +39,7 @@ func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 	// Arrivals: A B C. The process read B while A was at the head.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
 	adv := []advisory{{ReadID: mid(1, 2), HeadID: mid(1, 1)}}
-	out := reconstruct(arr, adv)
+	out := reconstruct(logOf(arr), adv)
 	want := []uint64{2, 1, 3}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -52,7 +52,7 @@ func TestReconstructInterleavedReads(t *testing.T) {
 	// Arrivals: A B C D E. Reads: A (in order), then D (head B), then B, C, E.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3), sm(1, 4), sm(1, 5)}
 	adv := []advisory{{ReadID: mid(1, 4), HeadID: mid(1, 2)}}
-	out := reconstruct(arr, adv)
+	out := reconstruct(logOf(arr), adv)
 	want := []uint64{1, 4, 2, 3, 5}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -68,7 +68,7 @@ func TestReconstructConsecutiveSameHead(t *testing.T) {
 		{ReadID: mid(1, 3), HeadID: mid(1, 1)},
 		{ReadID: mid(1, 2), HeadID: mid(1, 1)},
 	}
-	out := reconstruct(arr, adv)
+	out := reconstruct(logOf(arr), adv)
 	want := []uint64{3, 2, 1}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -93,7 +93,7 @@ func TestReconstructIsPermutation(t *testing.T) {
 				HeadID: mid(1, uint64(advPairs[i+1]%uint8(size))+1),
 			})
 		}
-		out := reconstruct(arr, advs)
+		out := reconstruct(logOf(arr), advs)
 		if len(out) != size {
 			return false
 		}

@@ -52,15 +52,7 @@ func (r *Recorder) armFlushTick() {
 			return
 		}
 		_ = r.store.Flush()
-		// Sweep pending frames that were never acknowledged (destination
-		// dead, sender gave up) so they don't accumulate.
-		cutoff := r.sched.Now() - simtime.Minute
-		for id, sm := range r.pending {
-			if sm.SeenAt < cutoff {
-				delete(r.pending, id)
-				r.recycleStored(sm)
-			}
-		}
+		r.sweepPending(r.sched.Now() - simtime.Minute)
 		r.armFlushTick()
 	})
 }
@@ -189,13 +181,7 @@ func (r *Recorder) recoverNode(failed, target frame.NodeID) {
 			procs = append(procs, e)
 		}
 	}
-	sort.Slice(procs, func(i, j int) bool {
-		a, b := procs[i].Proc, procs[j].Proc
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Local < b.Local
-	})
+	sort.Slice(procs, func(i, j int) bool { return lessProc(procs[i].Proc, procs[j].Proc) })
 	for _, e := range procs {
 		r.startRecovery(e, target)
 	}
@@ -244,12 +230,12 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 		r.broadcastRoute(e.Proc, target, r.routeRepeats())
 	}
 	r.stats.RecoveriesStarted++
-	// len(e.Arrivals) is the replay count: reconstruct emits every arrival
+	// The log's length is the replay count: reconstruct emits every arrival
 	// exactly once (advisories only reorder), so there is no need to build
 	// the whole ordered slice just to log its length.
 	r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
 		"recovery started (target n%d, %d messages to replay, checkpoint=%v)",
-		target, len(e.Arrivals), e.Checkpoint != nil)
+		target, e.Arrivals.len(), e.Checkpoint != nil)
 
 	epoch := r.epoch
 	r.sched.After(replayGrace, func() {
@@ -372,11 +358,9 @@ func (r *Recorder) Crash() {
 	r.crashed = true
 	r.epoch++
 	r.db = make(map[frame.ProcID]*procEntry)
-	for _, sm := range r.pending {
-		r.recycleStored(sm) // never exposed; safe to reuse
-	}
-	r.pending = make(map[frame.MsgID]*storedMsg)
-	r.preArrivals = make(map[frame.ProcID][]storedMsg)
+	r.pending = make(map[frame.ProcID]*pendQueue)
+	r.pendQueues = nil
+	r.preArrivals = make(map[frame.ProcID][]pendingMsg)
 	r.preLastSent = make(map[frame.ProcID]uint64)
 	r.ackq = r.ackq[:0]
 	r.ackTimerSet = false

@@ -25,7 +25,9 @@ import (
 // building the whole ordered slice, which a recursive crash would pay for
 // repeatedly.
 type replayIter struct {
-	arrivals   []storedMsg
+	// arrivals is a snapshot of the stream (see arrLog): what is recorded or
+	// trimmed while the replay runs does not reach it.
+	arrivals   arrLog
 	advisories []advisory
 	// taken marks arrivals already emitted by an advisory's out-of-order
 	// read (nil when there are no advisories and order is arrival order).
@@ -34,48 +36,55 @@ type replayIter struct {
 	ai    int // next advisory to honor
 }
 
-func newReplayIter(arrivals []storedMsg, advisories []advisory) *replayIter {
+func newReplayIter(arrivals arrLog, advisories []advisory) *replayIter {
 	it := &replayIter{arrivals: arrivals, advisories: advisories}
 	if len(advisories) > 0 {
-		it.taken = make([]bool, len(arrivals))
+		it.taken = make([]bool, arrivals.len())
 	}
 	return it
 }
 
 // next returns the next message in replay order. The pointer aliases the
-// arrivals slice; callers must copy what they keep.
+// log; callers must copy what they keep.
 func (it *replayIter) next() (*storedMsg, bool) {
+	i, ok := it.nextPos()
+	if !ok {
+		return nil, false
+	}
+	return it.arrivals.at(i), true
+}
+
+// nextPos returns the log position of the next message in replay order.
+func (it *replayIter) nextPos() (int, bool) {
+	n := it.arrivals.len()
 	for it.ai < len(it.advisories) {
 		adv := &it.advisories[it.ai]
 		it.skipTaken()
-		if it.pos < len(it.arrivals) && it.arrivals[it.pos].ID != adv.HeadID {
+		if it.pos < n && it.arrivals.at(it.pos).ID != adv.HeadID {
 			// In-order reads precede the advised out-of-order read.
-			sm := &it.arrivals[it.pos]
 			it.pos++
-			return sm, true
+			return it.pos - 1, true
 		}
 		// Head reached (or the queue drained without it): honor the advisory.
 		it.ai++
-		for i := it.pos; i < len(it.arrivals); i++ {
-			if !it.taken[i] && it.arrivals[i].ID == adv.ReadID {
+		for i := it.pos; i < n; i++ {
+			if !it.taken[i] && it.arrivals.at(i).ID == adv.ReadID {
 				it.taken[i] = true
-				return &it.arrivals[i], true
+				return i, true
 			}
 		}
-		// Advised message absent: the advisory is consumed with no emission,
-		// exactly as reconstruct's search-and-miss behaves.
+		// Advised message absent: the advisory is consumed with no emission.
 	}
 	it.skipTaken()
-	if it.pos < len(it.arrivals) {
-		sm := &it.arrivals[it.pos]
+	if it.pos < n {
 		it.pos++
-		return sm, true
+		return it.pos - 1, true
 	}
-	return nil, false
+	return 0, false
 }
 
 func (it *replayIter) skipTaken() {
-	for it.taken != nil && it.pos < len(it.arrivals) && it.taken[it.pos] {
+	for it.taken != nil && it.pos < it.arrivals.len() && it.taken[it.pos] {
 		it.pos++
 	}
 }

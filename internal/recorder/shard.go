@@ -147,7 +147,7 @@ func (r *Recorder) Basis(p frame.ProcID) BasisSummary {
 		Dead:       e.Dead,
 		Recovering: e.Recovering,
 		BaseReads:  e.BaseReads,
-		Msgs:       len(e.Arrivals),
+		Msgs:       e.Arrivals.len(),
 		LastSent:   e.LastSent,
 	}
 }
@@ -163,13 +163,16 @@ func (r *Recorder) sortedProcs() []frame.ProcID {
 	for p := range r.db {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Local < out[j].Local
-	})
+	sort.Slice(out, func(i, j int) bool { return lessProc(out[i], out[j]) })
 	return out
+}
+
+// lessProc is the canonical process order: by node, then local id.
+func lessProc(a, b frame.ProcID) bool {
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	return a.Local < b.Local
 }
 
 // initPeerWatch creates a watchdog per peer recorder rank (sharded mode).
