@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-store bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet nopar noregime nohave noseg build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke sweep
 
-check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-store bench-sim bench-recorder
+check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-sim bench-recorder
 
-vet: nopar noregime nohave
+vet: nopar noregime nohave noseg
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -27,6 +27,12 @@ noregime:
 # set survives only as stream_model_test.go's reference.
 nohave:
 	! grep -rnE 'have +map\[frame\.MsgID\]bool|range r\.pending' --include='*.go' --exclude='*_test.go' internal/recorder
+
+# There is one stable-store engine (DESIGN.md "Storage engine"): the paged
+# store, held as *stablestore.Paged with no interface or backend switch. The
+# names below are the seam the deleted segmented engine ran through.
+noseg:
+	! grep -rnE 'Segmented|BackendSegment|SegmentBytes|SegmentStore|BatchObserver|group_commit_batch' --include='*.go' .
 
 build:
 	$(GO) build ./...
@@ -72,20 +78,22 @@ shards:
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|TestMultiRec' -count=1 .
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
-# schedule, store segment, the recorder's per-message records), of the
-# kernel's ring input queue against its slice model, of the event
-# scheduler against its sorted-slice model, and of the recorder's
-# stream-indexed tap state against its per-message model. Long exploratory
-# runs are manual (`go test -fuzz X -fuzztime 10m ./internal/frame`); this
-# keeps the corpora exercised and catches regressions the checked-in seeds
-# reach quickly.
+# schedule, the recorder's per-message records), of the stable store's page
+# file as Open reads it, of the kernel's ring input queue against its slice
+# model, of the event scheduler against its sorted-slice model, and of the
+# recorder's stream-indexed tap state against its per-message model. Long
+# exploratory runs are manual (`go test -fuzz X -fuzztime 10m
+# ./internal/frame`); this keeps the corpora exercised and catches
+# regressions the checked-in seeds reach quickly. Page files are whole 4 KB
+# pages, and minimizing one for the default 60 s stalls the run, so the
+# store's minimization is capped by count.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
-	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s
+	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzPagedOpen -fuzztime 10s -fuzzminimizetime 200x
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 
@@ -113,24 +121,6 @@ endif
 bench-recovery:
 	$(GO) test -bench 'BenchmarkEndToEndRecovery|BenchmarkRecoveryReplay' -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -after BENCH_recovery.json batched, windowed replay pipeline
-
-# The storage-engine trajectory: paged vs log-structured segment store under
-# the open-loop million-message workload (append throughput at a literal 10^6
-# records via -benchtime 1000000x, checkpoint-truncation cost against segment
-# count, recovery-rebuild time). The default (check-time) run measures a
-# shorter stream and prints the snapshot without touching the committed
-# BENCH_store.json; regenerate the trajectory with
-# `make bench-store OUT=BENCH_store.json` after deleting the old file.
-bench-store:
-ifdef OUT
-	{ $(GO) test -bench BenchmarkStoreMillionAppend -benchtime 1000000x -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkStoreTruncate|BenchmarkStoreReopen' -benchtime 20x -run '^$$' . ; } \
-		| $(GO) run ./cmd/benchjson -o $(OUT) log-structured segment store with group commit vs paged engine
-else
-	{ $(GO) test -bench BenchmarkStoreMillionAppend -benchtime 100000x -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkStoreTruncate|BenchmarkStoreReopen' -benchtime 5x -run '^$$' . ; } \
-		| $(GO) run ./cmd/benchjson
-endif
 
 # The recorder-availability trajectory: the 64-node crash->recovered cycle
 # against the classic single recorder vs the sharded replicated trio —

@@ -7,7 +7,6 @@ import (
 
 	"publishing/internal/chaos"
 	"publishing/internal/simtime"
-	"publishing/internal/stablestore"
 )
 
 // This file is the bridge between internal/chaos and a Cluster: the
@@ -37,10 +36,6 @@ type ChaosOptions struct {
 	// negative testing: a run with injected duplication must then fail the
 	// exactly-once invariant, proving the checker has teeth.
 	BreakDupSuppression bool
-	// SegmentStore runs the recorders on the log-structured segmented
-	// stable store instead of the thesis-exact paged default, so fault
-	// schedules (including store-write faults) exercise both engines.
-	SegmentStore bool
 	// Recorders, when > 1, runs that many recorders; with ShardSlots it
 	// turns on the sharded recorder configuration (leader/follower replica
 	// pairs per shard slot), arming the checker's replay-basis-union
@@ -80,8 +75,8 @@ func (w *chaosWorkload) State() ([]byte, error) {
 // would duplicate external effects (see ROADMAP open items).
 type chaosWitness struct{ wl *chaosWorkload }
 
-func (m *chaosWitness) Init(*PCtx)           {}
-func (m *chaosWitness) Handle(_ *PCtx, g Msg) { m.wl.msgs = append(m.wl.msgs, string(g.Body)) }
+func (m *chaosWitness) Init(*PCtx)                {}
+func (m *chaosWitness) Handle(_ *PCtx, g Msg)     { m.wl.msgs = append(m.wl.msgs, string(g.Body)) }
 func (m *chaosWitness) Snapshot() ([]byte, error) { return nil, nil }
 func (m *chaosWitness) Restore([]byte) error      { return nil }
 
@@ -167,9 +162,6 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 		cfg.CheckpointPolicy = CheckpointBound
 		cfg.CheckpointTick = 300 * simtime.Millisecond
 	}
-	if opt.SegmentStore {
-		cfg.Store.Backend = stablestore.BackendSegment
-	}
 	if opt.Recorders > 0 {
 		cfg.Recorders = opt.Recorders
 	}
@@ -247,11 +239,10 @@ func ChaosBuild(opt ChaosOptions) chaos.BuildFunc {
 // checkpoint transfer and the bounded-recovery invariant), a third run the
 // sharded replicated recorder trio (arming replay-basis-union and making
 // handoff-crash faults bite; a sparse extra rotation overlaps sharding with
-// the checkpoint seeds so the combination is covered too), half run on the
-// segmented stable store, media rotate through the sweep so every LAN
-// simulation faces schedules, and cluster sizes rotate 3/4/8/16/64 so fault
-// schedules hit the gated-station and dense-table paths at every width the
-// fast paths specialize for.
+// the checkpoint seeds so the combination is covered too), media rotate
+// through the sweep so every LAN simulation faces schedules, and cluster
+// sizes rotate 3/4/8/16/64 so fault schedules hit the gated-station and
+// dense-table paths at every width the fast paths specialize for.
 func ChaosSeedVariant(seed uint64) ChaosOptions {
 	opt := ChaosOptions{}
 	switch seed % 3 {
@@ -265,7 +256,6 @@ func ChaosSeedVariant(seed uint64) ChaosOptions {
 		opt.Recorders = 3
 		opt.ShardSlots = 16
 	}
-	opt.SegmentStore = seed%2 == 0
 	switch seed % 4 {
 	case 1:
 		opt.Medium = MediumEther

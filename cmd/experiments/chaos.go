@@ -79,8 +79,7 @@ func runChaos(start uint64, n int, artifactDir string) {
 
 // variantTag compacts one seed's ChaosSeedVariant into a sweep-row note:
 // cluster width, LAN medium, and which option rotations are armed — the
-// checkpoint-bound policy, the sharded replicated recorder trio, the
-// segmented stable store.
+// checkpoint-bound policy and the sharded replicated recorder trio.
 func variantTag(opt publishing.ChaosOptions) string {
 	n := opt.Nodes
 	if n < 3 {
@@ -95,9 +94,6 @@ func variantTag(opt publishing.ChaosOptions) string {
 	}
 	if opt.Recorders > 1 {
 		tag += fmt.Sprintf(" shard%dx%d", opt.Recorders, opt.ShardSlots)
-	}
-	if opt.SegmentStore {
-		tag += " seg"
 	}
 	return tag
 }

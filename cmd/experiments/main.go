@@ -33,7 +33,6 @@ func main() {
 		doSweep  = flag.Bool("sweep", false, "parallel deterministic seed sweep; writes -sweepout")
 		sweepOut = flag.String("sweepout", "BENCH_sweep.json", "trajectory file the sweep writes")
 		workers  = flag.Int("workers", 0, "sweep: worker pool fanning whole independent per-seed clusters across cores (0 = one per CPU)")
-		storeEng = flag.String("store", "paged", "observe: stable-store backend (paged|segment)")
 		doVerify = flag.Bool("verify", false, "run the sweep determinism check without writing a trajectory file")
 		doChaos  = flag.Bool("chaos", false, "seeded fault-schedule sweep through the chaos harness")
 		chaosN   = flag.Int("chaosn", 10, "chaos: number of consecutive seeds to sweep")
@@ -88,7 +87,7 @@ func main() {
 	}
 	if *observe || *explain != "" {
 		// Like the sweep, a tool run outside the default paper set.
-		runObserve(observeOpts{metricsOut: *metOut, traceOut: *traceOut, flight: *flight, seed: *seed, store: *storeEng, explain: *explain})
+		runObserve(observeOpts{metricsOut: *metOut, traceOut: *traceOut, flight: *flight, seed: *seed, explain: *explain})
 		return
 	}
 	if *doSweep || *doVerify {

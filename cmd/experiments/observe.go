@@ -13,7 +13,6 @@ import (
 	"publishing"
 	"publishing/internal/monitor"
 	"publishing/internal/simtime"
-	"publishing/internal/stablestore"
 	"publishing/internal/trace"
 )
 
@@ -23,7 +22,6 @@ type observeOpts struct {
 	traceOut   string // Chrome trace-event JSON file
 	flight     int    // flight-recorder bound on the trace ring
 	seed       uint64
-	store      string // stable-store backend: "paged" (default) or "segment"
 	explain    string // message id to post-mortem after the run ("" = off)
 }
 
@@ -41,7 +39,6 @@ func runObserve(o observeOpts) {
 	cfg.Medium = publishing.MediumEther
 	cfg.Seed = o.seed
 	cfg.FlightRecorder = o.flight
-	cfg.Store.Backend = stablestore.Backend(o.store)
 	cfg.Monitor = o.explain != ""
 	c := publishing.New(cfg)
 	if o.traceOut != "" {

@@ -78,7 +78,7 @@ func main() {
 // hub is the recording star hub.
 type hub struct {
 	ln    net.Listener
-	store stablestore.Store
+	store *stablestore.Paged
 
 	mu    sync.Mutex
 	conns map[frame.NodeID]net.Conn

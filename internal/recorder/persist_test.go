@@ -319,60 +319,66 @@ func viewDB(db map[frame.ProcID]*procEntry) map[frame.ProcID]entryView {
 }
 
 // A crashed recorder restarted over its store holds the database it had,
-// field for field, whichever engine the store is.
+// field for field. The subtest is named for the store engine, Paged.
 func TestRestartRebuildsDatabaseFieldForField(t *testing.T) {
-	for name, store := range map[string]stablestore.Store{
-		"paged":   stablestore.New(),
-		"segment": stablestore.NewSegmented(0),
-	} {
-		t.Run(name, func(t *testing.T) {
-			r, sched := newBenchOn(t, store)
-			fillDatabase(r, sched)
-			before := viewDB(r.db)
-			// The scenario must hold what it claims to cover.
-			b := before[procB()]
-			links, kernel := 0, 0
-			for _, sm := range b.Arrivals {
-				if sm.Link != nil {
-					links++
-					if sm.Link.DeliverToKernel {
-						kernel++
-					}
-				}
-			}
-			if string(b.Checkpoint) != "second" || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
-				t.Fatalf("scenario drifted: checkpoint %q, %d arrivals (%d links, %d kernel), %d advisories",
-					b.Checkpoint, len(b.Arrivals), links, kernel, len(b.Advisories))
-			}
-			d := frame.ProcID{Node: 0, Local: 8}
-			dead := before[d]
-			if !dead.Dead || dead.ArrSeqNext != 1 {
-				t.Fatalf("scenario drifted: d dead=%v ArrSeqNext=%d", dead.Dead, dead.ArrSeqNext)
-			}
-			// Destruction empties a stream for good, so rebuild reads back the
-			// death and the revision and leaves the counters at zero.
-			dead.ArrSeqNext = 0
-			before[d] = dead
+	t.Run("paged", restartRebuildsDatabaseFieldForField)
+}
 
-			r.Crash()
-			if err := r.Restart(); err != nil {
-				t.Fatal(err)
+func restartRebuildsDatabaseFieldForField(t *testing.T) {
+	r, sched, _ := newBench(t)
+	fillDatabase(r, sched)
+	before := viewDB(r.db)
+	// The scenario must hold what it claims to cover.
+	b := before[procB()]
+	links, kernel := 0, 0
+	for _, sm := range b.Arrivals {
+		if sm.Link != nil {
+			links++
+			if sm.Link.DeliverToKernel {
+				kernel++
 			}
-			after := viewDB(r.db)
-			if len(after) != len(before) {
-				t.Fatalf("rebuilt %d processes, had %d", len(after), len(before))
+		}
+	}
+	if string(b.Checkpoint) != "second" || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
+		t.Fatalf("scenario drifted: checkpoint %q, %d arrivals (%d links, %d kernel), %d advisories",
+			b.Checkpoint, len(b.Arrivals), links, kernel, len(b.Advisories))
+	}
+	d := frame.ProcID{Node: 0, Local: 8}
+	if dead := before[d]; !dead.Dead || dead.ArrSeqNext != 1 {
+		t.Fatalf("scenario drifted: d dead=%v ArrSeqNext=%d", dead.Dead, dead.ArrSeqNext)
+	}
+
+	r.Crash()
+	if err := r.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	DiffDatabase(t, before, viewDB(r.db))
+}
+
+// DatabaseView snapshots r's database for DiffDatabase. It and DiffDatabase
+// are exported to the cluster-level check in rebuild_oracle_test.go.
+func DatabaseView(r *Recorder) map[frame.ProcID]entryView { return viewDB(r.db) }
+
+// DiffDatabase reports, field for field, every entry a rebuilt database got
+// wrong. Destruction empties a stream for good, so a rebuild reads back a
+// dead process's death and revision and leaves its arrival counter at zero.
+func DiffDatabase(t testing.TB, before, after map[frame.ProcID]entryView) {
+	t.Helper()
+	if len(after) != len(before) {
+		t.Fatalf("rebuilt %d processes, had %d", len(after), len(before))
+	}
+	for p, want := range before {
+		if want.Dead {
+			want.ArrSeqNext = 0
+		}
+		got := after[p]
+		wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+		for i := 0; i < wv.NumField(); i++ {
+			if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
+				t.Errorf("%s.%s:\n rebuilt %+v\n     had %+v", p, wv.Type().Field(i).Name,
+					gv.Field(i).Interface(), wv.Field(i).Interface())
 			}
-			for p, want := range before {
-				got := after[p]
-				wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
-				for i := 0; i < wv.NumField(); i++ {
-					if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-						t.Errorf("%s.%s:\n rebuilt %+v\n     had %+v", p, wv.Type().Field(i).Name,
-							gv.Field(i).Interface(), wv.Field(i).Interface())
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -496,44 +502,42 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 // A checkpoint that trims the highest arrival seqs leaves them dead in the
 // store. A restart must number new arrivals above them: taking the next seq
 // from the retained messages alone reuses dead seqs, and the restart after
-// that reads the new arrivals as dropped.
+// that reads the new arrivals as dropped. The subtest is named for the store
+// engine, Paged.
 func TestRestartNumbersArrivalsAboveCheckpointedSeqs(t *testing.T) {
-	for name, store := range map[string]stablestore.Store{
-		"paged":   stablestore.New(),
-		"segment": stablestore.NewSegmented(0),
-	} {
-		t.Run(name, func(t *testing.T) {
-			r, _ := newBenchOn(t, store)
-			register(r, procB(), "b")
-			for i := uint64(1); i <= 3; i++ {
-				publish(r, procA(), procB(), i, "read")
-			}
-			r.handleNotice(&demos.Notice{
-				Kind: demos.NoticeCheckpoint, Proc: procB(),
-				Checkpoint: []byte("all read"), SendSeq: 1, ReadCount: 3, StateKB: 1,
-			})
-			if _, _, _, _, queued := r.Entry(procB()); queued != 0 {
-				t.Fatalf("checkpoint retained %d arrivals, want 0", queued)
-			}
-			next := r.db[procB()].ArrSeqNext
-			restart := func() {
-				t.Helper()
-				r.Crash()
-				if err := r.Restart(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			restart()
-			if got := r.db[procB()].ArrSeqNext; got != next {
-				t.Fatalf("ArrSeqNext after restart = %d, was %d", got, next)
-			}
-			publish(r, procA(), procB(), 4, "kept")
-			publish(r, procA(), procB(), 5, "kept")
-			restart()
-			sum := r.StreamSummary(procB())
-			if len(sum) != 2 || sum[0].Seq != 4 || sum[1].Seq != 5 {
-				t.Fatalf("arrivals after the second restart: %v, want messages 4 and 5", sum)
-			}
-		})
+	t.Run("paged", restartNumbersArrivalsAboveCheckpointedSeqs)
+}
+
+func restartNumbersArrivalsAboveCheckpointedSeqs(t *testing.T) {
+	r, _, _ := newBench(t)
+	register(r, procB(), "b")
+	for i := uint64(1); i <= 3; i++ {
+		publish(r, procA(), procB(), i, "read")
+	}
+	r.handleNotice(&demos.Notice{
+		Kind: demos.NoticeCheckpoint, Proc: procB(),
+		Checkpoint: []byte("all read"), SendSeq: 1, ReadCount: 3, StateKB: 1,
+	})
+	if _, _, _, _, queued := r.Entry(procB()); queued != 0 {
+		t.Fatalf("checkpoint retained %d arrivals, want 0", queued)
+	}
+	next := r.db[procB()].ArrSeqNext
+	restart := func() {
+		t.Helper()
+		r.Crash()
+		if err := r.Restart(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart()
+	if got := r.db[procB()].ArrSeqNext; got != next {
+		t.Fatalf("ArrSeqNext after restart = %d, was %d", got, next)
+	}
+	publish(r, procA(), procB(), 4, "kept")
+	publish(r, procA(), procB(), 5, "kept")
+	restart()
+	sum := r.StreamSummary(procB())
+	if len(sum) != 2 || sum[0].Seq != 4 || sum[1].Seq != 5 {
+		t.Fatalf("arrivals after the second restart: %v, want messages 4 and 5", sum)
 	}
 }

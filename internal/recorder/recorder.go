@@ -304,7 +304,7 @@ type Recorder struct {
 	log   *trace.Log
 	med   lan.Medium
 	ep    *transport.Endpoint
-	store stablestore.Store
+	store *stablestore.Paged
 
 	db map[frame.ProcID]*procEntry
 	// pending indexes the unacknowledged messages by on-wire destination;
@@ -390,7 +390,7 @@ const (
 
 // New builds a recorder on the given medium and stable store, attaching
 // both its passive tap and its transport endpoint.
-func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store stablestore.Store, tcfg transport.Config) *Recorder {
+func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store *stablestore.Paged, tcfg transport.Config) *Recorder {
 	r := &Recorder{
 		cfg:         cfg,
 		sched:       sched,
@@ -458,21 +458,7 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 			emit("page_reads", int64(ss.PageReads))
 			emit("compacted", int64(ss.Compacted))
 			emit("bytes_live", int64(ss.BytesLive))
-			emit("seg_flushes", int64(ss.SegFlushes))
-			emit("segments_sealed", int64(ss.SegSealed))
-			emit("segments_dropped", int64(ss.SegDropped))
-			emit("seg_rewrites", int64(ss.SegRewrites))
-			emit("segments", int64(ss.Segments))
-			emit("bytes_dead", int64(ss.BytesDead))
 		})
-		// The group-commit batch histogram is registered for every backend
-		// (so the metric set is backend-independent) but only the segmented
-		// store feeds it: the paged engine has no commit batches, so its
-		// histogram stays all-zero.
-		gcBatch := reg.Histogram(node, "store", "group_commit_batch")
-		if bo, ok := store.(stablestore.BatchObserver); ok {
-			bo.SetBatchObserver(func(records int) { gcBatch.Observe(int64(records)) })
-		}
 	}
 	return r
 }
@@ -487,7 +473,7 @@ func (r *Recorder) Stats() *Stats { return &r.stats }
 func (r *Recorder) SetStoreFailProb(p float64) { r.cfg.StoreFailProb = p }
 
 // Store exposes the stable store (experiments inspect its stats).
-func (r *Recorder) Store() stablestore.Store { return r.store }
+func (r *Recorder) Store() *stablestore.Paged { return r.store }
 
 // Proc returns the recording software's process id.
 func (r *Recorder) Proc() frame.ProcID { return r.cfg.Proc }

@@ -119,7 +119,7 @@ func ids(ms []storedMsg) []uint64 {
 }
 
 // newBench builds a recorder on a quiet medium for direct-observation tests.
-func newBench(t *testing.T) (*Recorder, *simtime.Scheduler, stablestore.Store) {
+func newBench(t *testing.T) (*Recorder, *simtime.Scheduler, *stablestore.Paged) {
 	t.Helper()
 	store := stablestore.New()
 	r, sched := newBenchOn(t, store)
@@ -127,7 +127,7 @@ func newBench(t *testing.T) (*Recorder, *simtime.Scheduler, stablestore.Store) {
 }
 
 // newBenchOn is newBench over a store of the caller's choosing.
-func newBenchOn(tb testing.TB, store stablestore.Store) (*Recorder, *simtime.Scheduler) {
+func newBenchOn(tb testing.TB, store *stablestore.Paged) (*Recorder, *simtime.Scheduler) {
 	tb.Helper()
 	sched := simtime.NewScheduler()
 	log := trace.New(sched.Now)

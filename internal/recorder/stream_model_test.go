@@ -297,8 +297,8 @@ type streamDiff struct {
 	ran [numStreamOps]int
 }
 
-func newStreamDiff(t testing.TB, store stablestore.Store) *streamDiff {
-	r, sched := newBenchOn(t, store)
+func newStreamDiff(t testing.TB) *streamDiff {
+	r, sched := newBenchOn(t, stablestore.New())
 	// As a cluster configures it: the recorder's own control traffic, which
 	// its tap hears after a restart, is no process's stream.
 	r.cfg.NoticeProcs = []frame.ProcID{r.cfg.Proc}
@@ -620,65 +620,59 @@ func (d *streamDiff) compare(op string) {
 	}
 }
 
-func streamStores() map[string]func() stablestore.Store {
-	return map[string]func() stablestore.Store{
-		"paged":   func() stablestore.Store { return stablestore.New() },
-		"segment": func() stablestore.Store { return stablestore.NewSegmented(0) },
-	}
+// Random op streams against the reference, in episodes short enough that
+// destructions and late registrations keep happening. The floors keep the
+// generator honest: every op kind ran, and the paths the replacement changed
+// — inference, the pre-registration merge, trims over advisories, trim
+// debts, duplicates refused — were all reached. The subtest is named for the
+// store engine, Paged.
+func TestStreamStateMatchesPerMessageModel(t *testing.T) {
+	t.Run("paged", streamStateMatchesPerMessageModel)
 }
 
-// Random op streams against the reference, on both store engines, in
-// episodes short enough that destructions and late registrations keep
-// happening. The floors keep the generator honest: every op kind ran, and
-// the paths the replacement changed — inference, the pre-registration merge,
-// trims over advisories, trim debts, duplicates refused — were all reached.
-func TestStreamStateMatchesPerMessageModel(t *testing.T) {
-	for name, mk := range streamStores() {
-		t.Run(name, func(t *testing.T) {
-			rng := simtime.NewRand(23)
-			var ran [numStreamOps]int
-			var inferred, merged, advCkpts, debts, refused uint64
-			for episode := 0; episode < 24; episode++ {
-				d := newStreamDiff(t, mk())
-				for i := 0; i < 800; i++ {
-					before := d.ref.pended
-					kind := byte(rng.Intn(256))
-					d.step(kind, byte(rng.Intn(256)))
-					switch streamOpTable[int(kind)%len(streamOpTable)] {
-					case opRetransmitPending, opRetransmitRecorded:
-						if d.ref.pended == before {
-							refused++
-						}
-					}
-				}
-				for op := range ran {
-					ran[op] += d.ran[op]
-				}
-				inferred += d.ref.missed
-				merged += uint64(d.ref.merged)
-				advCkpts += uint64(d.ref.advCkpts)
-				debts += uint64(d.ref.debts)
-			}
-			t.Logf("ops %v; %d inferred, %d merged, %d trims over advisories, %d trim debts, %d retransmissions refused",
-				ran, inferred, merged, advCkpts, debts, refused)
-			floors := [numStreamOps]int{opSend: 1500, opBundle: 350, opRetransmitPending: 700, opAck: 900,
-				opAckTapMissed: 200, opHeaderAck: 250, opRetransmitRecorded: 300, opRegister: 30, opRead: 1200,
-				opCheckpoint: 400, opDestroy: 30, opRestart: 150, opAdvance: 150}
-			for op, floor := range floors {
-				if ran[op] < floor {
-					t.Errorf("%s ran %d times, floor %d", streamOpNames[op], ran[op], floor)
+func streamStateMatchesPerMessageModel(t *testing.T) {
+	rng := simtime.NewRand(23)
+	var ran [numStreamOps]int
+	var inferred, merged, advCkpts, debts, refused uint64
+	for episode := 0; episode < 24; episode++ {
+		d := newStreamDiff(t)
+		for i := 0; i < 800; i++ {
+			before := d.ref.pended
+			kind := byte(rng.Intn(256))
+			d.step(kind, byte(rng.Intn(256)))
+			switch streamOpTable[int(kind)%len(streamOpTable)] {
+			case opRetransmitPending, opRetransmitRecorded:
+				if d.ref.pended == before {
+					refused++
 				}
 			}
-			if inferred < 40 || merged < 40 || advCkpts < 100 || debts < 200 || refused < 1000 {
-				t.Errorf("sequence too tame: %d inferred, %d merged, %d trims over advisories, %d trim debts, %d refused",
-					inferred, merged, advCkpts, debts, refused)
-			}
-		})
+		}
+		for op := range ran {
+			ran[op] += d.ran[op]
+		}
+		inferred += d.ref.missed
+		merged += uint64(d.ref.merged)
+		advCkpts += uint64(d.ref.advCkpts)
+		debts += uint64(d.ref.debts)
+	}
+	t.Logf("ops %v; %d inferred, %d merged, %d trims over advisories, %d trim debts, %d retransmissions refused",
+		ran, inferred, merged, advCkpts, debts, refused)
+	floors := [numStreamOps]int{opSend: 1500, opBundle: 350, opRetransmitPending: 700, opAck: 900,
+		opAckTapMissed: 200, opHeaderAck: 250, opRetransmitRecorded: 300, opRegister: 30, opRead: 1200,
+		opCheckpoint: 400, opDestroy: 30, opRestart: 150, opAdvance: 150}
+	for op, floor := range floors {
+		if ran[op] < floor {
+			t.Errorf("%s ran %d times, floor %d", streamOpNames[op], ran[op], floor)
+		}
+	}
+	if inferred < 40 || merged < 40 || advCkpts < 100 || debts < 200 || refused < 1000 {
+		t.Errorf("sequence too tame: %d inferred, %d merged, %d trims over advisories, %d trim debts, %d refused",
+			inferred, merged, advCkpts, debts, refused)
 	}
 }
 
 // FuzzRecorderStream runs the same differential check over arbitrary op
-// bytes (a kind and an operand byte per op), on both store engines.
+// bytes (a kind and an operand byte per op).
 func FuzzRecorderStream(f *testing.F) {
 	f.Add([]byte{})
 	// testdata/fuzz/FuzzRecorderStream holds the seeds: two sends on a pair
@@ -689,11 +683,9 @@ func FuzzRecorderStream(f *testing.F) {
 		// Every step compares every stream, so a run costs the square of its
 		// length; longer inputs reach nothing a thousand ops do not.
 		ops = ops[:min(len(ops), 2048)]
-		for _, mk := range streamStores() {
-			d := newStreamDiff(t, mk())
-			for i := 0; i+1 < len(ops); i += 2 {
-				d.step(ops[i], ops[i+1])
-			}
+		d := newStreamDiff(t)
+		for i := 0; i+1 < len(ops); i += 2 {
+			d.step(ops[i], ops[i+1])
 		}
 	})
 }

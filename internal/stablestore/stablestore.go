@@ -6,22 +6,13 @@
 // buffer to a disk page, the disk page is read in. Any messages that are no
 // longer valid are removed and the buffer is compacted."
 //
-// Two engines implement the Store interface:
-//
-//   - Paged is the thesis-exact 4 KB-paged store (the default): per-key
-//     page chains, read-modify-write page allocation, and lazy in-place
-//     compaction. It exists in-memory (simulations, modelling a disk that
-//     survives recorder crashes) and file-backed (cmd/starhub).
-//   - Segmented is the log-structured high-volume engine: appends land in
-//     an active segment committed at group-commit boundaries, sealed
-//     segments are immutable with a per-segment sparse (key, seq) index,
-//     and checkpoint truncation drops whole dead segments in O(segments).
-//
-// Both engines support rebuilding the recorder's process database purely
-// from stored records ("If the recorder crashes, it is possible to rebuild
-// the data base from the disk", §4.5), and the same record sequence fed to
-// either engine rebuilds a byte-identical database (the cross-backend
-// oracle the root acceptance tests enforce).
+// Paged is the one engine: 4 KB pages, a per-key page index, oversized
+// records (checkpoints) on contiguous page chains, and lazy in-place
+// compaction. It exists in-memory (simulations, modelling a disk that
+// survives recorder crashes) and file-backed (cmd/starhub), and the
+// recorder rebuilds its process database purely from its records ("If the
+// recorder crashes, it is possible to rebuild the data base from the disk",
+// §4.5).
 package stablestore
 
 import (
@@ -70,9 +61,8 @@ func (r *Record) size() int {
 var errCorruptPage = errors.New("stablestore: corrupt page")
 
 // appendRecord flat-encodes r onto dst: kind, key length and key, seq, data
-// length and data, big-endian. It is the one record encoder — both engines'
-// append paths and the paged compactor write through it — and decodeOne is
-// its inverse.
+// length and data, big-endian. It is the one record encoder — Append and the
+// compactor write through it — and decodeOne is its inverse.
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
@@ -125,8 +115,6 @@ func decodeRecords(b []byte) ([]Record, error) {
 }
 
 // Stats counts store activity, feeding the recorder-disk utilization model.
-// The Seg* fields stay zero on the paged engine; PageWrites/PageReads stay
-// zero on the segmented engine.
 type Stats struct {
 	Appends     uint64
 	PageWrites  uint64
@@ -134,92 +122,20 @@ type Stats struct {
 	Compacted   uint64 // records dropped by compaction/truncation
 	BytesLive   uint64
 	WriteFaults uint64 // page writes failed by the injected fault hook
-
-	// Segmented-engine counters.
-	SegFlushes  uint64 // group commits (one per flush window with data)
-	SegSealed   uint64 // segments sealed immutable
-	SegDropped  uint64 // whole segments dropped by truncation
-	SegRewrites uint64 // frontier segments rewritten by the compactor
-	Segments    uint64 // current segment count (sealed + active)
-	BytesDead   uint64 // payload bytes invalidated but not yet reclaimed
 }
 
-// Store is the engine interface the recorder writes through. Two
-// implementations exist: *Paged (thesis-exact default) and *Segmented (the
-// log-structured high-volume engine). Select one with NewStore.
-type Store interface {
-	// Append stores a record, returning the page (paged) or segment
-	// (segmented) it lands on.
-	Append(r Record) (uint64, error)
-	// Flush is a durability boundary: the paged engine seals the write
-	// buffer and syncs dirty pages; the segmented engine group-commits
-	// every record that arrived since the previous flush.
-	Flush() error
-	// Invalidate marks message records of key with seq <= through garbage.
-	Invalidate(key string, through uint64)
-	// InvalidateSeqs marks specific (key, seq) message records garbage.
-	InvalidateSeqs(key string, seqs []uint64)
-	// Compact reclaims garbage: the paged engine rewrites affected pages in
-	// place; the segmented engine drops whole dead segments (O(segments))
-	// and rewrites at most one frontier segment.
-	Compact() (int, error)
-	// ReadAll returns every stored record in insertion order.
-	ReadAll() ([]Record, error)
-	// ReadKey returns key's records in seq order.
-	ReadKey(key string) ([]Record, error)
-	// Pages returns the storage footprint (pages or segments).
-	Pages() int
-	Stats() Stats
-	// SetWriteFault installs a fault hook consulted before logical writes.
-	SetWriteFault(fn func() error)
-	Close() error
-}
-
-// BatchObserver is implemented by engines that group-commit; the recorder
-// uses it to feed the per-flush batch-size histogram without the store
-// depending on the metrics package.
-type BatchObserver interface {
-	SetBatchObserver(fn func(records int))
-}
-
-// Backend names a storage engine.
-type Backend string
-
-const (
-	// BackendPaged is the thesis-exact 4 KB-paged engine (the default).
-	BackendPaged Backend = "paged"
-	// BackendSegment is the log-structured segment engine.
-	BackendSegment Backend = "segment"
-)
-
-// Config selects and tunes a store engine.
+// Config locates a store's file backing.
 type Config struct {
-	// Backend picks the engine; empty means BackendPaged.
-	Backend Backend
-	// Path enables file backing: a single page file for the paged engine, a
-	// segment directory for the segmented one. Empty means in-memory.
+	// Path is the page file; empty means in-memory.
 	Path string
-	// SegmentBytes is the segmented engine's seal threshold (0 means
-	// DefaultSegmentBytes).
-	SegmentBytes int
 }
 
-// NewStore builds the engine cfg selects.
-func NewStore(cfg Config) (Store, error) {
-	switch cfg.Backend {
-	case "", BackendPaged:
-		if cfg.Path != "" {
-			return Open(cfg.Path)
-		}
-		return New(), nil
-	case BackendSegment:
-		if cfg.Path != "" {
-			return OpenSegmented(cfg.Path, cfg.SegmentBytes)
-		}
-		return NewSegmented(cfg.SegmentBytes), nil
-	default:
-		return nil, fmt.Errorf("stablestore: unknown backend %q", cfg.Backend)
+// NewStore opens the page file at cfg.Path, or returns an in-memory store.
+func NewStore(cfg Config) (*Paged, error) {
+	if cfg.Path != "" {
+		return Open(cfg.Path)
 	}
+	return New(), nil
 }
 
 // Paged is the thesis-exact paged stable store. It is safe for concurrent
@@ -300,65 +216,64 @@ func Open(path string) (*Paged, error) {
 		s.pages[uint64(i)] = page
 	}
 	s.next = uint64(n)
-	s.rebuildIndexLocked()
+	if err := s.rebuildIndexLocked(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("stablestore: open %s: %w", path, err)
+	}
 	return s, nil
 }
 
 // rebuildIndexLocked reconstructs the volatile chain and key indexes from
 // raw pages after Open. Chains must be re-derived or a reopened store would
 // try to decode an oversized record's first page as a self-contained page
-// and fail: a first page is recognizable because its single record's encoded
+// and fail: a first page is recognizable because its first record's encoded
 // length exceeds the page, and its continuations are the immediately
-// following pages (Append allocates them contiguously).
-func (s *Paged) rebuildIndexLocked() {
-	ids := make([]uint64, 0, len(s.pages))
-	for id := range s.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	claimed := uint64(0) // continuation pages already consumed by a chain
-	for _, id := range ids {
-		if id < claimed {
-			continue
-		}
+// following pages (Append allocates them contiguously). Every page and chain
+// is decoded here, so a store that opens reads back whole: a chain that runs
+// past the last page or a page that does not decode fails Open instead of
+// leaving its records out of the key index.
+func (s *Paged) rebuildIndexLocked() error {
+	for id := uint64(0); id < s.next; {
 		page := s.pages[id]
-		key, total, ok := peekRecord(page)
-		if !ok {
-			continue // empty or unparseable page; ReadAll will complain
-		}
-		if total <= PageSize {
-			// Regular page: index every record's key.
-			if recs, err := decodeRecords(page); err == nil {
-				for i := range recs {
-					s.indexKeyLocked(recs[i].Key, id)
-				}
+		npages := uint64(1)
+		if total, ok := recordLen(page); ok && total > PageSize {
+			// Oversized record: claim ceil(total/PageSize) contiguous pages.
+			npages = uint64((total + PageSize - 1) / PageSize)
+			if id+npages > s.next {
+				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, s.next, errCorruptPage)
 			}
-			continue
+			var whole bytes.Buffer
+			for p := id; p < id+npages; p++ {
+				s.oversize(id, p)
+				whole.Write(s.pages[p])
+			}
+			page = whole.Bytes()
 		}
-		// Oversized record: claim ceil(total/PageSize) contiguous pages.
-		npages := uint64((total + PageSize - 1) / PageSize)
-		s.oversize(id, id)
-		for p := id + 1; p < id+npages; p++ {
-			s.oversize(id, p)
+		recs, err := decodeRecords(page)
+		if err != nil {
+			return fmt.Errorf("page %d: %w", id, err)
 		}
-		s.indexKeyLocked(key, id)
-		claimed = id + npages
+		for i := range recs {
+			s.indexKeyLocked(recs[i].Key, id)
+		}
+		id += npages
 	}
+	return nil
 }
 
-// peekRecord parses the header of the first record on a page, returning its
-// key and total encoded length without materializing the payload.
-func peekRecord(b []byte) (key string, total int, ok bool) {
+// recordLen returns the total encoded length of the first record on a page
+// from its header, without materializing the payload. ok is false for an
+// empty page or a header that does not fit on the page.
+func recordLen(b []byte) (total int, ok bool) {
 	if len(b) < 3 || b[0] == 0 {
-		return "", 0, false
+		return 0, false
 	}
 	kl := int(binary.BigEndian.Uint16(b[1:3]))
 	if len(b) < 3+kl+12 {
-		return "", 0, false
+		return 0, false
 	}
-	key = string(b[3 : 3+kl])
 	dl := int(binary.BigEndian.Uint32(b[3+kl+8 : 3+kl+12]))
-	return key, 1 + 2 + kl + 8 + 4 + dl, true
+	return 1 + 2 + kl + 8 + 4 + dl, true
 }
 
 // indexKeyLocked records that page id holds records of key (dedupes the

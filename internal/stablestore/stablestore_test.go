@@ -1,7 +1,10 @@
 package stablestore
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -411,5 +414,79 @@ func TestWriteFaultInjection(t *testing.T) {
 	}
 	if len(recs) == 0 || string(recs[0].Data) != "survives" {
 		t.Fatalf("pre-fault record lost: %+v", recs)
+	}
+}
+
+// fourPageImage writes a four-page store — page 0 holds msg:a, pages 1-2 the
+// four records of msg:b, page 3 msg:c — and returns its file image.
+func fourPageImage(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "src.db")
+	s, err := Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := []Record{{Kind: KindMessage, Key: "msg:a", Seq: 1, Data: make([]byte, 3000)}}
+	for i := uint64(1); i <= 4; i++ {
+		recs = append(recs, Record{Kind: KindMessage, Key: "msg:b", Seq: i, Data: make([]byte, 1500)})
+	}
+	recs = append(recs, Record{Kind: KindMessage, Key: "msg:c", Seq: 1, Data: make([]byte, 2000)})
+	for _, r := range recs {
+		if _, err := s.Append(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(img) != 4*PageSize {
+		tb.Fatalf("image is %d bytes, want 4 pages", len(img))
+	}
+	return img
+}
+
+// corruptions damage fourPageImage's image in the two ways Open must reject,
+// each by rewriting one record's data-length field.
+var corruptions = map[string]func(img []byte){
+	// Page 0's msg:a claims 40,000 bytes: a chain over pages 0-9 of a
+	// four-page file.
+	"chain over-claim": func(img []byte) {
+		binary.BigEndian.PutUint32(img[1+2+len("msg:a")+8:], 40_000)
+	},
+	// msg:b's second record on page 1 claims more than the page holds.
+	"undecodable page": func(img []byte) {
+		second := PageSize + (&Record{Key: "msg:b", Data: make([]byte, 1500)}).size()
+		binary.BigEndian.PutUint32(img[second+1+2+len("msg:b")+8:], 3000)
+	},
+}
+
+// A damaged page file fails Open. It used to open: a first record whose
+// length header claimed more than a page made page 0 a chain over pages the
+// file does not have, swallowing msg:b's pages, and a page that did not
+// decode was left out of the key index — either way ReadKey("msg:b") came
+// back short with a nil error, and only ReadAll failed.
+func TestOpenRejectsCorruptPages(t *testing.T) {
+	for name, damage := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			img := fourPageImage(t)
+			damage(img)
+			path := filepath.Join(t.TempDir(), "bad.db")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(path)
+			if err == nil {
+				recs, rerr := s.ReadKey("msg:b")
+				s.Close()
+				t.Fatalf("Open accepted a corrupt page file; ReadKey(msg:b) = %d records, err %v", len(recs), rerr)
+			}
+			if !errors.Is(err, errCorruptPage) {
+				t.Fatalf("Open error %v, want a corrupt-page error", err)
+			}
+		})
 	}
 }

@@ -7,11 +7,11 @@ import (
 
 // MsgEvent is one published message of the cluster-broadcast view of the
 // workload stream: at At, proc Pub publishes a MsgBytes-byte message whose
-// FanOut subscriber advisories go to Subs. It is the same seeded op stream
-// the storage benchmarks drive (an OpAppend on a message key plus its queued
-// advisory appends), re-expressed as inter-process traffic so the same
-// arrival discipline — open-loop Poisson with hotspot skew — can drive a
-// full simulated cluster instead of a bare store.
+// FanOut subscriber advisories go to Subs. It is the generator's seeded op
+// stream (an OpAppend on a message key plus its queued advisory appends),
+// re-expressed as inter-process traffic so the same arrival discipline —
+// open-loop Poisson with hotspot skew — can drive a full simulated cluster
+// instead of a bare store.
 type MsgEvent struct {
 	At   simtime.Time
 	Pub  int

@@ -3,14 +3,12 @@
 // same arrival process internal/queuing feeds its RESQ2-style networks)
 // shaped by hotspot key skew, fan-out advisory traffic, and periodic
 // per-process checkpoints. The generator emits a flat op stream (append /
-// group-commit flush / prefix invalidation) against the stablestore record
-// vocabulary, so the same workload drives either storage engine for
-// benchmarking and for the cross-backend correctness oracle.
+// group-commit flush / prefix invalidation) in the stablestore record
+// vocabulary; Msgs turns it into a cluster's message schedule.
 //
 // The stream is open-loop: arrival times come from the seeded exponential
-// clock alone, never from the store's completion times, so a slow backend
-// faces the same offered load as a fast one — the property that makes
-// throughput numbers comparable across engines.
+// clock alone, never from the consumer's completion times, so a slow
+// consumer faces the same offered load as a fast one.
 package workload
 
 import (
@@ -94,20 +92,20 @@ type Gen struct {
 	cfg Config
 	rng *simtime.Rand
 
-	now      simtime.Time
-	nextArr  simtime.Time
-	nextFl   simtime.Time
-	nextCk   simtime.Time
-	ckProc   int // rotation cursor
-	seq      []uint64
-	advSeq   []uint64
-	ckRev    []uint64
-	body     []byte
-	pending  []Op
-	stats    Stats
-	msgKeys  []string
-	advKeys  []string
-	ckKeys   []string
+	now     simtime.Time
+	nextArr simtime.Time
+	nextFl  simtime.Time
+	nextCk  simtime.Time
+	ckProc  int // rotation cursor
+	seq     []uint64
+	advSeq  []uint64
+	ckRev   []uint64
+	body    []byte
+	pending []Op
+	stats   Stats
+	msgKeys []string
+	advKeys []string
+	ckKeys  []string
 }
 
 // New builds a generator; Config zero values get the documented defaults.
@@ -248,38 +246,4 @@ func (g *Gen) checkpoint() Op {
 	return Op{At: g.now, Kind: OpAppend, Rec: stablestore.Record{
 		Kind: stablestore.KindCheckpoint, Key: g.ckKeys[p], Seq: g.ckRev[p], Data: g.body[:min(32, len(g.body))],
 	}}
-}
-
-// Drive feeds ops into a store until n message arrivals have been
-// appended (advisories and checkpoints ride along, and the final
-// arrival's queued fan-out drains too), ending with a flush. It returns
-// the total number of records appended.
-func Drive(g *Gen, st stablestore.Store, n int) (int, error) {
-	appended := 0
-	apply := func(op Op) error {
-		switch op.Kind {
-		case OpAppend:
-			if _, err := st.Append(op.Rec); err != nil {
-				return err
-			}
-			appended++
-		case OpFlush:
-			if err := st.Flush(); err != nil {
-				return err
-			}
-		case OpInvalidate:
-			st.Invalidate(op.Key, op.Through)
-		case OpCompact:
-			if _, err := st.Compact(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for g.stats.Arrivals < uint64(n) || len(g.pending) > 0 {
-		if err := apply(g.Next()); err != nil {
-			return appended, err
-		}
-	}
-	return appended, st.Flush()
 }

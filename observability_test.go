@@ -3,11 +3,9 @@ package publishing
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"publishing/internal/simtime"
-	"publishing/internal/stablestore"
 )
 
 // chromeSpan is the subset of a trace-event entry the assertions need.
@@ -78,14 +76,13 @@ func TestCrashRecoverChromeTimeline(t *testing.T) {
 	}
 }
 
-// metricsText runs the standard crash-and-recover scenario on the given
-// stable-store backend and returns the Prometheus-style metrics dump.
-func metricsText(t *testing.T, seed uint64, backend stablestore.Backend) string {
+// metricsText runs the standard crash-and-recover scenario and returns the
+// Prometheus-style metrics dump.
+func metricsText(t *testing.T, seed uint64) string {
 	t.Helper()
 	cfg := DefaultConfig(3)
 	cfg.Medium = MediumEther
 	cfg.Seed = seed
-	cfg.Store.Backend = backend
 	c, sink, worker := buildScenario(t, cfg, 12)
 	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
 	c.Run(60 * simtime.Second)
@@ -101,11 +98,11 @@ func metricsText(t *testing.T, seed uint64, backend stablestore.Backend) string 
 // produce byte-identical text, and a different seed shows the dump is not
 // just constant.
 func TestMetricsDeterministicAcrossSameSeedRuns(t *testing.T) {
-	a := metricsText(t, 1, stablestore.BackendPaged)
-	if b := metricsText(t, 1, stablestore.BackendPaged); a != b {
+	a := metricsText(t, 1)
+	if b := metricsText(t, 1); a != b {
 		t.Fatal("same-seed runs produced different metrics text")
 	}
-	if a == metricsText(t, 99, stablestore.BackendPaged) {
+	if a == metricsText(t, 99) {
 		t.Fatal("different seeds produced identical metrics text (suspicious)")
 	}
 	// The dump must actually cover every wired subsystem.
@@ -116,70 +113,6 @@ func TestMetricsDeterministicAcrossSameSeedRuns(t *testing.T) {
 	} {
 		if !bytes.Contains([]byte(a), []byte(want)) {
 			t.Fatalf("metrics text missing %s", want)
-		}
-	}
-}
-
-// metricValues extracts every `name{...} value` sample matching the metric
-// name from a text dump.
-func metricValues(text, name string) []string {
-	var out []string
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, name+"{") || strings.HasPrefix(line, name+" ") {
-			f := strings.Fields(line)
-			out = append(out, f[len(f)-1])
-		}
-	}
-	return out
-}
-
-// The per-backend store metrics contract: both engines export the full
-// store family (the scrape schema does not depend on the backend), the
-// segmented engine's group-commit batch histogram and segment-flush counter
-// move and are deterministic across same-seed runs, and both stay zero on
-// the paged engine.
-func TestStoreMetricsPerBackend(t *testing.T) {
-	seg := metricsText(t, 1, stablestore.BackendSegment)
-	if seg2 := metricsText(t, 1, stablestore.BackendSegment); seg != seg2 {
-		t.Fatal("same-seed segmented runs produced different metrics text")
-	}
-	paged := metricsText(t, 1, stablestore.BackendPaged)
-
-	for _, want := range []string{
-		"pub_store_seg_flushes", "pub_store_segments_sealed",
-		"pub_store_group_commit_batch_count",
-	} {
-		for name, text := range map[string]string{"segment": seg, "paged": paged} {
-			if !strings.Contains(text, want) {
-				t.Fatalf("%s backend dump missing %s", name, want)
-			}
-		}
-	}
-
-	nonzero := func(vals []string) bool {
-		for _, v := range vals {
-			if v != "0" {
-				return true
-			}
-		}
-		return false
-	}
-	// The recorder group-commits on the segmented engine, so its flush
-	// counter and batch histogram must have observations...
-	if !nonzero(metricValues(seg, "pub_store_seg_flushes")) {
-		t.Fatal("segmented run recorded no group commits")
-	}
-	if !nonzero(metricValues(seg, "pub_store_group_commit_batch_count")) {
-		t.Fatal("segmented run observed nothing in the batch histogram")
-	}
-	// ...while the paged engine, which has no group commit, keeps the same
-	// metrics present but pinned at zero.
-	for _, name := range []string{
-		"pub_store_seg_flushes", "pub_store_segments_sealed",
-		"pub_store_group_commit_batch_count",
-	} {
-		if nonzero(metricValues(paged, name)) {
-			t.Fatalf("paged backend moved segment metric %s", name)
 		}
 	}
 }

@@ -178,10 +178,9 @@ type Config struct {
 	CheckpointPolicy CheckpointPolicyKind
 	CheckpointTick   simtime.Time
 
-	// Store selects the stable-store engine behind every recorder: the
-	// thesis-exact paged backend (zero value) or the log-structured
-	// segmented backend. Path, when set, makes the stores file-backed
-	// (one directory per recorder under Path).
+	// Store locates the recorders' file backing: Path, when set, makes each
+	// recorder's paged store file-backed (one page file per recorder under
+	// Path); empty keeps them in memory.
 	Store stablestore.Config
 
 	// SystemProcs boots the DEMOS process-control system (process manager,
@@ -242,7 +241,7 @@ type Cluster struct {
 
 	kernels map[NodeID]*demos.Kernel
 	recs    []*recorder.Recorder
-	stores  []stablestore.Store
+	stores  []*stablestore.Paged
 	shards  *recorder.ShardMap
 	// services mirrors servicesShared for read access; servicesShared is
 	// the map instance every kernel holds a reference to.
@@ -686,7 +685,7 @@ func (c *Cluster) Monitor() *monitor.Monitor {
 
 // Store returns the primary recorder's stable store (nil when publishing
 // is off).
-func (c *Cluster) Store() stablestore.Store {
+func (c *Cluster) Store() *stablestore.Paged {
 	if len(c.stores) == 0 {
 		return nil
 	}
@@ -695,7 +694,7 @@ func (c *Cluster) Store() stablestore.Store {
 
 // StoreAt returns recorder rank i's stable store, or nil if out of range —
 // multi-recorder fingerprint tests dump every replica's database.
-func (c *Cluster) StoreAt(i int) stablestore.Store {
+func (c *Cluster) StoreAt(i int) *stablestore.Paged {
 	if i < 0 || i >= len(c.stores) {
 		return nil
 	}
