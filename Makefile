@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet nopar noregime nohave noseg noclone build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke sweep
 
 check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-sim bench-recorder
 
-vet: nopar noregime nohave noseg
+vet: nopar noregime nohave noseg noclone
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -33,6 +33,15 @@ nohave:
 # names below are the seam the deleted segmented engine ran through.
 noseg:
 	! grep -rnE 'Segmented|BackendSegment|SegmentBytes|SegmentStore|BatchObserver|group_commit_batch' --include='*.go' .
+
+# A frame handed to a medium is never written again (DESIGN.md "Simulator
+# performance"): media and delivery hand every listener the frame that was
+# sent, and the transport attaches each transmission's ack block to that
+# transmission's own frame instead of attaching and detaching it on the one
+# it retains.
+noclone:
+	! grep -n 'Clone()' internal/lan/perfect.go internal/lan/ether.go internal/lan/ring.go internal/lan/star.go internal/lan/lan.go
+	! grep -rn detachAcks internal/transport
 
 build:
 	$(GO) build ./...

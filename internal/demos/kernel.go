@@ -182,7 +182,7 @@ func NewKernel(node frame.NodeID, env Env) *Kernel {
 		if n := k.locate(f.To); n != f.Dst && !k.crashed {
 			g := f.Clone()
 			g.Dst = n
-			k.ep.SendGuaranteed(g)
+			k.ep.SendGuaranteedOwned(g)
 		}
 	}
 	return k

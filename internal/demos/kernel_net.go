@@ -265,8 +265,9 @@ func (k *Kernel) handleUnguaranteed(f *frame.Frame) {
 	if p := k.procs[f.To]; p != nil && p.state != psCrashed && !p.recovering {
 		body, link := f.Body, f.PassedLink
 		if f.Dst == frame.Broadcast {
-			// Broadcast frames are shared read-only views (lan.Station
-			// contract); the queue retains the body and link, so copy them.
+			// A broadcast frame is one transmission heard by every node, and
+			// the queue hands its body to a program that owns what it
+			// receives, so each receiver takes its own body and link.
 			body = append([]byte(nil), body...)
 			if link != nil {
 				l := *link

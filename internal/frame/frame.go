@@ -268,9 +268,10 @@ func (f *Frame) WireLen() int {
 // hasAcks reports whether the frame carries an ack block on the wire.
 func (f *Frame) hasAcks() bool { return f.AckCumSet || len(f.AckRecs) > 0 }
 
-// Clone returns a deep copy; media hand copies to each station so that one
-// receiver mutating a body cannot corrupt another's view (the wire is
-// value-semantics).
+// Clone returns a deep copy. A frame handed to a medium is never written
+// again and every listener shares it (lan.Medium.Send), so copies are made
+// only where a new transmission starts from a frame someone keeps: each
+// transport retransmission, a bridge crossing, a kernel forward.
 func (f *Frame) Clone() *Frame {
 	g := *f
 	if f.Body != nil {

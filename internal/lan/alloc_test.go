@@ -1,12 +1,12 @@
 package lan
 
-// Allocation-regression coverage for the no-fault delivery fast path. The
-// big-cluster throughput work made the common case — a clean fault plan, no
-// per-delivery gating — cost O(receivers) with zero heap allocations:
-// broadcast receivers share the sender's frame read-only, unicast hands the
-// frame over outright, and neither takes an RNG draw or a map lookup per
-// station. AllocsPerRun pins that at zero so a future "just clone it to be
-// safe" or an ungated trace call shows up as a test failure, not a silent
+// Allocation-regression coverage for delivery. A sent frame is never written
+// again (Medium.Send), so every receiver, tap and injected duplicate hears
+// the one frame the sender put on the wire, and delivery costs O(receivers)
+// with zero heap allocations — with per-receiver faults armed as much as
+// without. The clean fast path additionally takes no RNG draw or map lookup
+// per station. AllocsPerRun pins both at zero so a future "just clone it to
+// be safe" or an ungated trace call shows up as a test failure, not a silent
 // 2x allocation regression at 256 nodes.
 
 import (
@@ -85,5 +85,58 @@ func TestObserverInstalledStillZeroAlloc(t *testing.T) {
 	}
 	if recv[1].got == 0 {
 		t.Fatal("delivery never happened")
+	}
+}
+
+// armReceiverFaults arms every per-receiver fault deliver draws for — loss
+// on one link, interface misses and duplication — at rates high enough that
+// a few hundred deliveries take every branch.
+func armReceiverFaults(m *Perfect) {
+	p := m.Faults()
+	p.ReceiverMissProb = 0.1
+	p.DupProb = 0.1
+	p.SetLinkLoss(0, 7, 0.1)
+}
+
+// TestFaultedDeliveryAllocs pins the faulted per-receiver path at zero
+// allocations too, broadcast and unicast: a receiver and its injected
+// duplicate are handed the same frame, not a copy each.
+func TestFaultedDeliveryAllocs(t *testing.T) {
+	for _, dst := range []frame.NodeID{frame.Broadcast, 7} {
+		m, recv := newAllocRig(64)
+		armReceiverFaults(m)
+		f := &frame.Frame{Type: frame.Unguaranteed, Src: 0, Dst: dst}
+		if n := testing.AllocsPerRun(200, func() { m.deliver(0, f) }); n != 0 {
+			t.Errorf("faulted delivery to %d allocated %.1f objects per frame; want 0", dst, n)
+		}
+		s := m.Stats()
+		if s.FramesDuped == 0 || s.LinkDrops == 0 || recv[7].got == 0 {
+			t.Fatalf("faults to %d never fired: duped=%d linkDrops=%d recv[7]=%d", dst, s.FramesDuped, s.LinkDrops, recv[7].got)
+		}
+	}
+}
+
+// TestPerfectSendAllocs pins a transmission on the reference medium at one
+// allocation: the scheduler closure that completes it. The frame itself is
+// not copied, at Send or at delivery.
+func TestPerfectSendAllocs(t *testing.T) {
+	m, recv := newAllocRig(64)
+	// Each run sends a frame of its own: a sent frame belongs to the medium.
+	frames := make([]*frame.Frame, 256)
+	for i := range frames {
+		frames[i] = &frame.Frame{Type: frame.Unguaranteed, Src: 0, Dst: frame.Broadcast, Body: []byte("x")}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		m.Send(0, frames[i])
+		i++
+		for m.sched.Step() {
+		}
+	})
+	if n > 1 {
+		t.Errorf("Perfect.Send and its delivery allocated %.1f objects per frame; want at most 1", n)
+	}
+	if recv[1].got != i {
+		t.Fatalf("recv[1] heard %d of %d frames", recv[1].got, i)
 	}
 }

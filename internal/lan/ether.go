@@ -53,9 +53,8 @@ func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
 		return
 	}
 	m.stats.FramesSent++
-	g := f.Clone()
-	m.maybeCorrupt(g)
-	m.attempt(&etherTx{src: src, f: g})
+	m.maybeCorrupt(f)
+	m.attempt(&etherTx{src: src, f: f})
 }
 
 func (m *Ether) attempt(tx *etherTx) {

@@ -36,15 +36,11 @@ import (
 // of each node implements it.
 type Station interface {
 	// Receive hands the station a frame that completed transmission and that
-	// the medium's semantics allow it to use. Ownership follows the wire
-	// addressing: a frame addressed to this station alone (f.Dst != Broadcast)
-	// is the receiver's private copy — the medium made exactly one copy at
-	// Send and this is it. A broadcast frame is a shared read-only view
-	// handed to every receiver in turn: the station must not mutate it and
-	// must copy anything it keeps beyond the call — including data reached
-	// through pointers such as Body, AckRecs, and PassedLink. This is what
-	// lets the common no-fault broadcast cost O(receivers) with zero
-	// allocations instead of a clone per receiver.
+	// the medium's semantics allow it to use. It is the one frame the sender
+	// put on the wire (Medium.Send), heard by every receiver, every tap and
+	// any injected duplicate: the station must not write to it — nor to
+	// anything reached through it, such as Body, AckRecs and PassedLink —
+	// and may retain it for as long as it likes.
 	Receive(f *frame.Frame)
 }
 
@@ -54,10 +50,8 @@ type Station interface {
 // stored the frame. Media that enforce publish-before-use use that verdict
 // to decide whether receivers may accept the frame.
 //
-// The frame is a shared read-only view, valid only for the duration of the
-// call: media do not clone per tap (a tap only listens, so unlike a Station
-// it needs no private copy), and the tap must copy anything it keeps —
-// including data reached through pointers such as PassedLink.
+// The frame is the one the sender put on the wire, as for a Station: the
+// tap must not write to it and may retain it.
 type Tap interface {
 	Observe(f *frame.Frame) bool
 }
@@ -84,6 +78,9 @@ type Medium interface {
 	AttachTap(id frame.NodeID, t Tap)
 	// Send transmits f from node src. Media never block: delivery is
 	// scheduled on the virtual clock according to the medium's semantics.
+	// The frame belongs to the medium from here on and nobody writes to it
+	// again, the sender included: a broadcast medium carries one copy of a
+	// transmission and every listener hears that one.
 	Send(src frame.NodeID, f *frame.Frame)
 	// Faults exposes the medium's fault-injection plan.
 	Faults() *FaultPlan
@@ -479,9 +476,11 @@ func (b *base) offerToTaps(src frame.NodeID, f *frame.Frame) bool {
 	return ok
 }
 
-// maybeCorrupt applies CorruptProb to a freshly cloned frame at transmission
-// time: a hit invalidates the checksum so every listener (taps included)
-// discards the frame through the medium's existing corrupt-frame path.
+// maybeCorrupt applies CorruptProb to the sent frame at transmission time,
+// before any listener sees it: a hit invalidates the checksum so every
+// listener (taps included) discards the frame through the medium's existing
+// corrupt-frame path. It is the medium's one write to a frame, and it lands
+// inside Send, where the frame has just become the medium's.
 func (b *base) maybeCorrupt(f *frame.Frame) {
 	if b.faults.CorruptProb > 0 && b.rng.Bool(b.faults.CorruptProb) {
 		f.Corrupt = true
@@ -489,18 +488,16 @@ func (b *base) maybeCorrupt(f *frame.Frame) {
 	}
 }
 
-// deliver hands the frame to its destination station(s), transferring
-// ownership of f per the Station contract: the frame is the medium's
-// private copy (made at Send) and this is its last touch. withRecorderGate
-// media call it only after a positive tap verdict.
+// deliver hands the frame to its destination station(s). Every receiver
+// gets the same read-only frame (Station contract). Media that gate on the
+// recorder call it only after a positive tap verdict.
 //
 // The common case — no per-receiver faults armed — takes a precomputed
-// path: broadcast walks the cached receiver slice handing every station the
-// same shared frame (no map lookups, no RNG draws, no clones), unicast is a
-// dense-slice index plus an ownership hand-off. Both consume zero RNG and
-// bump the same counters the faulted path would, so fingerprints cannot
-// tell them apart. Any armed fault falls back to the original per-receiver
-// loop, whose draw order is part of the determinism contract.
+// path: broadcast walks the cached receiver slice (no map lookups, no RNG
+// draws), unicast is a dense-slice index. Both consume zero RNG and bump the
+// same counters the faulted path would, so fingerprints cannot tell them
+// apart. Any armed fault falls back to the per-receiver loop, whose draw
+// order is part of the determinism contract.
 func (b *base) deliver(src frame.NodeID, f *frame.Frame) {
 	if !b.recvSane {
 		b.refreshRecv()
@@ -542,10 +539,8 @@ func (b *base) deliver(src frame.NodeID, f *frame.Frame) {
 	b.deliverTo(src, f.Dst, s, f)
 }
 
-// deliverTo hands one receiver its copy under armed per-receiver faults:
-// interface miss, per-link loss, and injected duplication. Each delivery is
-// a private clone so the injected duplicate cannot alias state the receiver
-// already took ownership of.
+// deliverTo hands one receiver the frame under armed per-receiver faults:
+// interface miss, per-link loss, and injected duplication.
 func (b *base) deliverTo(src, dst frame.NodeID, s Station, f *frame.Frame) {
 	if b.faults.ReceiverMissProb > 0 && b.rng.Bool(b.faults.ReceiverMissProb) {
 		return
@@ -555,11 +550,11 @@ func (b *base) deliverTo(src, dst frame.NodeID, s Station, f *frame.Frame) {
 		return
 	}
 	b.stats.FramesDelivered++
-	s.Receive(f.Clone())
+	s.Receive(f)
 	// Injected duplication: the same wire transmission is handed up twice
 	// (a reflected frame); transport duplicate suppression must absorb it.
 	if b.faults.DupProb > 0 && b.rng.Bool(b.faults.DupProb) {
 		b.stats.FramesDuped++
-		s.Receive(f.Clone())
+		s.Receive(f)
 	}
 }

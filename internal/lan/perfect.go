@@ -36,9 +36,8 @@ func (m *Perfect) Send(src frame.NodeID, f *frame.Frame) {
 	end := start + m.cfg.FrameTime(n)
 	m.busyUntil = end
 	m.stats.BusyTime += end - start
-	g := f.Clone()
-	m.maybeCorrupt(g)
-	m.sched.At(end, func() { m.complete(src, g) })
+	m.maybeCorrupt(f)
+	m.sched.At(end, func() { m.complete(src, f) })
 }
 
 func (m *Perfect) complete(src frame.NodeID, f *frame.Frame) {

@@ -85,9 +85,8 @@ func (m *Ring) Send(src frame.NodeID, f *frame.Frame) {
 		return
 	}
 	m.stats.FramesSent++
-	g := f.Clone()
-	m.maybeCorrupt(g)
-	m.queue = append(m.queue, &ringTx{src: src, f: g})
+	m.maybeCorrupt(f)
+	m.queue = append(m.queue, &ringTx{src: src, f: f})
 	if !m.busy {
 		m.startNext()
 	}
@@ -140,8 +139,6 @@ func (m *Ring) circulate(tx *ringTx) {
 			}
 			passAt := onRing + simtime.Time(d)*m.cfg.HopDelay + m.cfg.AckSlot
 			miss := m.faults.TapMissProb > 0 && m.rng.Bool(m.faults.TapMissProb)
-			// tx.f is never mutated after enqueue, so the tap's read-only
-			// view needs no clone even though Observe runs later.
 			m.sched.At(passAt, func() {
 				if miss || !e.tap.Observe(tx.f) {
 					m.stats.TapMisses++
@@ -170,18 +167,18 @@ func (m *Ring) circulate(tx *ringTx) {
 	// receive wraps delivery with the gated verdict check: a destination
 	// only reads a slot whose acknowledge field(s) are filled and whose
 	// checksum survived (§6.1.2).
-	receive := func(s Station, g *frame.Frame) {
+	receive := func(s Station) {
 		if gatedTx && !(ackFilled.anyTap && ackFilled.allStored) {
 			m.stats.FramesLost++
 			m.stats.RecorderBlocks++
 			if m.log.Enabled() {
-				m.log.Add(trace.KindDrop, int(tx.src), g.ID.String(),
+				m.log.Add(trace.KindDrop, int(tx.src), tx.f.ID.String(),
 					"recorder invalidated checksum; frame ignored")
 			}
 			return
 		}
 		m.stats.FramesDelivered++
-		s.Receive(g)
+		s.Receive(tx.f)
 	}
 
 	lastRead := 0 // passes needed before the sender removes the frame
@@ -205,10 +202,7 @@ func (m *Ring) circulate(tx *ringTx) {
 				if gatedTx && m.dist(tx.src, id) < maxTapDist {
 					lastRead = 1
 				}
-				// Broadcast receivers share the ring slot's frame read-only
-				// (Station contract); no per-receiver clone.
-				g := tx.f
-				m.sched.At(at, func() { receive(s, g) })
+				m.sched.At(at, func() { receive(s) })
 				delivered = true
 			}
 		} else if s, ok := m.stations[tx.f.Dst]; ok {
@@ -218,9 +212,7 @@ func (m *Ring) circulate(tx *ringTx) {
 				if gatedTx && m.dist(tx.src, tx.f.Dst) < maxTapDist {
 					lastRead = 1
 				}
-				// Unicast: the slot's frame becomes the sole receiver's copy.
-				g := tx.f
-				m.sched.At(at, func() { receive(s, g) })
+				m.sched.At(at, func() { receive(s) })
 				delivered = true
 			}
 		}

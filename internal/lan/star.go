@@ -49,9 +49,8 @@ func (m *Star) Send(src frame.NodeID, f *frame.Frame) {
 	m.busyUntil = outDone
 	m.stats.BusyTime += outDone - start
 
-	g := f.Clone()
-	m.maybeCorrupt(g)
-	m.sched.At(inDone, func() { m.atHub(src, g, outDone) })
+	m.maybeCorrupt(f)
+	m.sched.At(inDone, func() { m.atHub(src, f, outDone) })
 }
 
 func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {

@@ -1221,7 +1221,7 @@ func (r *Recorder) sendCtl(node frame.NodeID, to frame.ProcID, deliverToKernel b
 		r.waiters[code] = onReply
 		f.PassedLink = &frame.Link{To: r.cfg.Proc, Channel: replyChan, Code: code}
 	}
-	r.ep.SendGuaranteed(f)
+	r.ep.SendGuaranteedOwned(f)
 }
 
 // isNoticeProc reports whether p is one of the recorder procs kernels send

@@ -1,0 +1,192 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"publishing/internal/frame"
+	"publishing/internal/lan"
+	"publishing/internal/simtime"
+	"publishing/internal/trace"
+)
+
+// The one ownership rule of the wire (lan.Medium.Send): a frame handed to a
+// medium is never written again, by the sender, the medium, any receiver or
+// any tap. watchedMedium checks it on a live medium. It encodes every frame
+// at Send, again when a station or tap is handed it, and again at
+// quiescence for every frame any listener was handed and kept; all three
+// encodings must be byte-equal, and no frame may be sent twice.
+type watchedMedium struct {
+	lan.Medium
+	t    *testing.T
+	sent map[*frame.Frame][]byte
+	kept []*frame.Frame
+}
+
+func (w *watchedMedium) Send(src frame.NodeID, f *frame.Frame) {
+	if _, again := w.sent[f]; again {
+		w.t.Errorf("frame %v handed to the medium twice", f)
+	}
+	w.sent[f] = f.AppendEncode(nil)
+	w.Medium.Send(src, f)
+}
+
+func (w *watchedMedium) Attach(id frame.NodeID, s lan.Station) {
+	w.Medium.Attach(id, watchedStation{w, s})
+}
+
+func (w *watchedMedium) AttachTap(id frame.NodeID, tap lan.Tap) {
+	w.Medium.AttachTap(id, watchedTap{w, tap})
+}
+
+// heard checks a frame at hand-over and keeps it for the final check.
+func (w *watchedMedium) heard(who string, f *frame.Frame) {
+	want, ok := w.sent[f]
+	switch {
+	case !ok:
+		w.t.Errorf("%s was handed %v, which nobody sent", who, f)
+	case !bytes.Equal(f.AppendEncode(nil), want):
+		w.t.Errorf("%s was handed %v, written to since Send", who, f)
+	}
+	w.kept = append(w.kept, f)
+}
+
+// quiescent re-encodes every frame a listener kept.
+func (w *watchedMedium) quiescent() {
+	for _, f := range w.kept {
+		if !bytes.Equal(f.AppendEncode(nil), w.sent[f]) {
+			w.t.Errorf("%v written to after it was heard", f)
+		}
+	}
+}
+
+type watchedStation struct {
+	w *watchedMedium
+	s lan.Station
+}
+
+func (s watchedStation) Receive(f *frame.Frame) {
+	s.w.heard("station", f)
+	s.s.Receive(f)
+}
+
+type watchedTap struct {
+	w   *watchedMedium
+	tap lan.Tap
+}
+
+func (t watchedTap) Observe(f *frame.Frame) bool {
+	t.w.heard("tap", f)
+	return t.tap.Observe(f)
+}
+
+// TestSentFramesAreImmutable drives three endpoints through every kind of
+// frame the transport sends — single guaranteed frames, coalesced bundles
+// with unguaranteed riders, piggybacked and flushed acks, retransmissions,
+// broadcasts and recorder acks — on each medium that carries a recorder,
+// with loss, duplication, receiver and tap misses, and corruption armed.
+func TestSentFramesAreImmutable(t *testing.T) {
+	for _, name := range []string{"perfect", "ackether", "ring", "star"} {
+		t.Run(name, func(t *testing.T) {
+			sched := simtime.NewScheduler()
+			log := trace.New(sched.Now)
+			log.Enable(false)
+			cfg, rng := lan.DefaultConfig(), simtime.NewRand(3)
+			var med lan.Medium
+			switch name {
+			case "perfect":
+				med = lan.NewPerfect(cfg, sched, rng, log)
+			case "ackether":
+				med = lan.NewAckEther(cfg, sched, rng, log)
+			case "ring":
+				med = lan.NewRing(cfg, sched, rng, log)
+			case "star":
+				med = lan.NewStar(cfg, sched, rng, log, tapNode)
+			}
+			w := &watchedMedium{Medium: med, t: t, sent: make(map[*frame.Frame][]byte)}
+			checkImmutable(t, w, sched, log)
+		})
+	}
+}
+
+// tapNode is the recorder's node (the star's hub); endpoints are 0..2.
+const tapNode = 3
+
+func checkImmutable(t *testing.T, w *watchedMedium, sched *simtime.Scheduler, log *trace.Log) {
+	const nodes, rounds = 3, 60
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	eps := make([]*Endpoint, nodes)
+	got := make(map[frame.MsgID]int)
+	for i := range eps {
+		eps[i] = New(frame.NodeID(i), w, sched, log, cfg)
+		eps[i].Deliver = func(f *frame.Frame) bool {
+			if f.Type == frame.Guaranteed {
+				got[f.ID]++
+			}
+			return true
+		}
+	}
+	w.AttachTap(tapNode, tapFunc(func(*frame.Frame) bool { return true }))
+	faults := w.Faults()
+	faults.LossProb = 0.03
+	faults.DupProb = 0.05
+	faults.ReceiverMissProb = 0.03
+	faults.TapMissProb = 0.03
+	faults.CorruptProb = 0.02
+
+	// Every node sends a burst to its successor (bundles) and one message to
+	// its predecessor (reverse traffic for piggybacked acks) each round, plus
+	// an unguaranteed rider and, now and then, a broadcast and a recorder ack.
+	seq := uint64(0)
+	for r := 0; r < rounds; r++ {
+		sched.At(simtime.Time(r)*3*simtime.Millisecond, func() {
+			for i, ep := range eps {
+				src, next, prev := frame.NodeID(i), frame.NodeID((i+1)%nodes), frame.NodeID((i+nodes-1)%nodes)
+				for k := 0; k < 3; k++ {
+					seq++
+					ep.SendGuaranteedOwned(gmsg(src, next, seq, fmt.Sprintf("r%d-%d", r, k)))
+				}
+				seq++
+				ep.SendGuaranteedOwned(gmsg(src, prev, seq, "back"))
+				ep.SendUnguaranteed(&frame.Frame{Dst: next, Body: []byte("rider")})
+				if r%10 == i {
+					ep.SendUnguaranteed(&frame.Frame{Dst: frame.Broadcast, Body: []byte("all")})
+					ep.SendRaw(&frame.Frame{Type: frame.RecorderAck, Dst: frame.Broadcast,
+						ID: frame.MsgID{Sender: frame.ProcID{Node: src, Local: 1}, Seq: seq}})
+				}
+			}
+		})
+	}
+	sched.RunAll(10_000_000)
+	w.quiescent()
+
+	if len(got) != int(seq) {
+		t.Errorf("%d of %d guaranteed messages delivered", len(got), seq)
+	}
+	for id, n := range got {
+		if n != 1 {
+			t.Errorf("%v delivered %d times", id, n)
+		}
+	}
+	// The run must have produced every kind of frame and fault it claims to.
+	var s Stats
+	for _, ep := range eps {
+		es := ep.Stats()
+		s.FramesCoalesced += es.FramesCoalesced
+		s.AcksPiggybacked += es.AcksPiggybacked
+		s.AcksDelayedFlush += es.AcksDelayedFlush
+		s.Retransmits += es.Retransmits
+	}
+	ms := w.Stats()
+	for what, n := range map[string]uint64{
+		"coalesced records": s.FramesCoalesced, "piggybacked acks": s.AcksPiggybacked,
+		"flushed ack frames": s.AcksDelayedFlush, "retransmissions": s.Retransmits,
+		"corrupted frames": ms.FramesCorrupted, "tap misses": ms.TapMisses,
+	} {
+		if n == 0 {
+			t.Errorf("no %s: the run does not exercise what it checks", what)
+		}
+	}
+}

@@ -384,18 +384,17 @@ func (e *Endpoint) Reset() {
 	e.rto.reset()
 }
 
-// SendGuaranteed queues a guaranteed frame for reliable delivery. The frame
-// must carry a unique ID and a concrete destination node.
+// SendGuaranteed queues a copy of a guaranteed frame for reliable delivery,
+// leaving the caller free to reuse f. The frame must carry a unique ID and a
+// concrete destination node.
 func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 	e.SendGuaranteedOwned(f.Clone())
 }
 
 // SendGuaranteedOwned is SendGuaranteed for callers handing over ownership:
-// the endpoint retains f for retransmission and mutates it (type/src stamps,
-// transient piggyback blocks), so the caller must not touch f — or anything
-// it aliases — after the call. The kernel's send path builds a fresh frame
-// per message, and cloning it again here was one of the two largest
-// allocation sites in the cluster profile.
+// the endpoint retains f for retransmission and stamps its type, source and
+// stream sequence, so the caller must not touch f — or anything it aliases —
+// after the call. Every product sender builds a fresh frame per message.
 func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 	if f.ID.IsNil() {
 		panic("transport: guaranteed frame without message id")
@@ -405,6 +404,9 @@ func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 	}
 	f.Type = frame.Guaranteed
 	f.Src = e.node
+	// The ack block belongs to one transmission (transmit attaches it); a
+	// frame the kernel forwards must not carry the previous hop's.
+	f.AckCumSet, f.AckCum, f.AckRecs = false, 0, nil
 	e.stats.GuaranteedSent++
 	e.sendq = append(e.sendq, f)
 	e.pump()
@@ -414,9 +416,9 @@ func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 // statistical information whose retransmission would be pointless (§4.3.3).
 // A unicast frame that fits an already-forming unit for its destination
 // rides along in that unit's Bundle — it consumes no window slot and is never
-// retransmitted; otherwise it goes out immediately.
+// retransmitted; otherwise it goes out immediately. The endpoint takes
+// ownership of f: the caller must not touch it after the call.
 func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
-	f = f.Clone()
 	f.Type = frame.Unguaranteed
 	f.Src = e.node
 	e.stats.UnguaranteedSent++
@@ -431,9 +433,9 @@ func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
 }
 
 // SendRaw transmits a frame verbatim (used by the recorder to emit
-// RecorderAck frames and by tests).
+// RecorderAck frames and by tests), taking ownership of it as
+// SendUnguaranteed does.
 func (e *Endpoint) SendRaw(f *frame.Frame) {
-	f = f.Clone()
 	f.Src = e.node
 	e.med.Send(e.node, f)
 }
@@ -610,7 +612,6 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 	e.stats.FramesCoalesced += uint64(count)
 	e.attachAcks(bundle)
 	e.med.Send(e.node, bundle)
-	e.detachAcks(bundle)
 	for _, fl := range live {
 		e.armFlight(fl)
 	}
@@ -631,13 +632,18 @@ func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 	return uint64(e.epoch&0xffff)<<48 | (low & xseqSeqMask)
 }
 
+// transmit puts one attempt of a flight on the wire. The medium keeps what
+// it is sent, so each attempt is its own copy of the retained frame, with
+// the low-water mark and ack block of this send time. The receiving kernel
+// hands the copy's body to a program, which must not share it with the
+// sender's retained frame.
 func (e *Endpoint) transmit(fl *flight) {
+	g := fl.f.Clone()
 	// Stamp the stream low-water mark: the lowest sequence still
 	// unacknowledged toward this destination. Receivers sync on it.
-	fl.f.XLow = e.xlowFor(fl.f.Dst, xseqSeq(fl.f.XSeq))
-	e.attachAcks(fl.f)
-	e.med.Send(e.node, fl.f)
-	e.detachAcks(fl.f)
+	g.XLow = e.xlowFor(g.Dst, xseqSeq(g.XSeq))
+	e.attachAcks(g)
+	e.med.Send(e.node, g)
 	e.armFlight(fl)
 }
 
@@ -785,9 +791,9 @@ func (e *Endpoint) Receive(f *frame.Frame) {
 }
 
 // handleBundle unpacks a coalesced frame and runs every record through the
-// regular single-frame paths. Record bodies alias the bundle body, which
-// belongs to this endpoint (media deliver private copies), so no copies are
-// made even for records that end up held or buffered.
+// regular single-frame paths. Record bodies alias the bundle body, which no
+// one writes once it is on the wire (lan.Station), so no copies are made even
+// for records that end up held or buffered.
 func (e *Endpoint) handleBundle(f *frame.Frame) {
 	if f.Dst != e.node {
 		return
@@ -894,12 +900,6 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 	if f.Dst != e.node && f.Dst != frame.Broadcast {
 		return
-	}
-	if f.Dst == frame.Broadcast {
-		// A broadcast frame is a shared read-only view (lan.Station
-		// contract) and this path retains frames — in the recorder-ack hold
-		// map and the reorder buffer — so take a private copy up front.
-		f = f.Clone()
 	}
 	if e.cfg.NeedRecorderAck {
 		if _, dup := e.held[f.ID]; dup {
@@ -1210,9 +1210,10 @@ func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
 }
 
 // attachAcks piggybacks pending acknowledgement state for f.Dst onto an
-// outgoing gated frame. The attachment is transient: media clone frames at
-// Send, so the caller detaches immediately after — a later retransmission
-// then carries whatever is pending at its own send time.
+// outgoing gated frame about to be sent. f is the frame of one transmission
+// (a bundle, or transmit's per-attempt copy), never the retained flight
+// frame, so a later retransmission carries whatever is pending at its own
+// send time.
 func (e *Endpoint) attachAcks(f *frame.Frame) {
 	if f.Dst == frame.Broadcast {
 		return
@@ -1244,13 +1245,6 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 		p.timerSet = false
 		e.sched.Cancel(p.timer)
 	}
-}
-
-// detachAcks strips a transient piggyback block after Send.
-func (e *Endpoint) detachAcks(f *frame.Frame) {
-	f.AckRecs = nil
-	f.AckCumSet = false
-	f.AckCum = 0
 }
 
 var _ lan.Station = (*Endpoint)(nil)
