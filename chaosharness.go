@@ -166,10 +166,9 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 		cfg.Recorders = opt.Recorders
 	}
 	cfg.ShardSlots = opt.ShardSlots
-	// Every chaos run carries the online invariant monitor, so the checker
-	// can cross-check its streaming verdict against the post-quiescence
-	// invariants (and so violations come stamped with the virtual time the
-	// violating event landed, not just discovered after the fact).
+	// Every chaos run carries the online invariant monitor: the checker reads
+	// its exactly-once verdict, stamped with the virtual time the violating
+	// delivery landed, not just discovered after the fact.
 	cfg.Monitor = true
 	c := New(cfg)
 	wl := &chaosWorkload{n: opt.Msgs}

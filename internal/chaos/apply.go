@@ -5,6 +5,7 @@ import (
 	"publishing/internal/frame"
 	"publishing/internal/lan"
 	"publishing/internal/metrics"
+	"publishing/internal/monitor"
 	"publishing/internal/recorder"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
@@ -18,6 +19,9 @@ type System interface {
 	Medium() lan.Medium
 	Trace() *trace.Log
 	Metrics() *metrics.Registry
+	// Monitor is the online invariant monitor; Check reads the exactly-once
+	// verdict from it.
+	Monitor() *monitor.Monitor
 	Kernel(n frame.NodeID) *demos.Kernel
 	Nodes() []frame.NodeID
 	RecorderAt(i int) *recorder.Recorder

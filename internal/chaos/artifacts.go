@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"publishing/internal/monitor"
 )
 
 // dumpArtifacts writes a failing schedule's post-mortem bundle into a
@@ -37,11 +35,9 @@ func dumpArtifacts(root string, sys System, s Schedule, res CheckResult) (string
 	if err := write("trace.log", tb.Bytes()); err != nil {
 		return "", err
 	}
-	if msys, ok := sys.(interface{ Monitor() *monitor.Monitor }); ok {
-		if mon := msys.Monitor(); mon != nil {
-			if err := write("monitor.txt", []byte(mon.Report())); err != nil {
-				return "", err
-			}
+	if mon := sys.Monitor(); mon != nil {
+		if err := write("monitor.txt", []byte(mon.Report())); err != nil {
+			return "", err
 		}
 	}
 	var mb bytes.Buffer

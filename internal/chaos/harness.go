@@ -81,8 +81,8 @@ func Run(s Schedule, build BuildFunc, opt Options) Result {
 	baseline := runOne(base, opt)
 
 	sc := build(s.Seed)
-	// Detailed tracing emits the per-record replay events the exactly-once
-	// invariant counts against deliveries. It changes only what is logged,
+	// Detailed tracing emits the per-record replay events the monitor's
+	// exactly-once rule counts as licenses. It changes only what is logged,
 	// never the execution.
 	sc.Sys.Trace().SetDetailed(true)
 	Apply(sc.Sys, s, sc.Targets)

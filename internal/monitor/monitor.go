@@ -1,15 +1,22 @@
 // Package monitor checks the paper's §5 reliability claims online, while a
-// simulation runs, instead of post-quiescence the way internal/chaos does.
-// It subscribes to the trace event stream (trace.Log.SetObserver) and keeps
-// per-message and per-stream state, so a violation is flagged at the virtual
-// timestamp of the violating event — the moment a duplicate lands, an
-// acceptance order goes backwards, or a replay draws on a message that was
-// never published — minutes of virtual time before the chaos checker would
-// see it.
+// simulation runs. It subscribes to the trace event stream
+// (trace.Log.SetObserver) and keeps per-message and per-stream state, so a
+// violation is flagged at the virtual timestamp of the violating event — the
+// moment a duplicate lands, an acceptance order goes backwards, or a replay
+// draws on a message that was never published — minutes of virtual time
+// before the chaos checker's post-quiescence pass.
 //
-// Two invariants the post-quiescence checker cannot express at all become
+// The monitor is the one implementation of the exactly-once rule, which the
+// chaos checker and Explain read. The rule is incarnation-aware (§3.3.3): a
+// process is rebuilt from its checkpoint and published stream, so a copy its
+// stream never recorded dies with the incarnation that received it, and the
+// sender, still holding no ack, delivers it again. A message may be delivered
+// once, plus once per recovery replay, plus once per crash that voided an
+// unpublished copy.
+//
+// Two invariants a post-quiescence count cannot express at all become
 // checkable here, because the monitor sees give-up and re-execution events
-// in causal order (ROADMAP "carried forward" items):
+// in causal order:
 //
 //   - reexec-output: a duplicated delivery whose extra copy traces back to a
 //     fresh (non-retransmission) resend after the sender recovered — output
@@ -41,7 +48,7 @@ import (
 	"publishing/internal/trace"
 )
 
-// Invariant names, shared with the chaos cross-check and reports.
+// Invariant names, shared with the chaos checker and reports.
 const (
 	InvExactlyOnce     = "exactly-once"
 	InvAcceptanceOrder = "acceptance-order"
@@ -115,6 +122,9 @@ type msgState struct {
 	reexecSend bool
 	delivered  int
 	replays    int
+	// voided counts the crashes that killed an incarnation holding an
+	// unpublished copy: each licenses one more delivery, as a replay does.
+	voided     int
 	gaveUp     bool
 	inferred   bool
 	dupFlagged bool
@@ -135,6 +145,14 @@ type pubKey struct {
 	msg  string
 }
 
+// unpublished is what one process's current incarnation holds that its
+// stream does not: the ids delivered to it and not yet published into the
+// stream, and the node those deliveries landed on.
+type unpublished struct {
+	node int
+	ids  map[string]struct{}
+}
+
 // Monitor is the online invariant checker. Create with New, subscribe via
 // trace.Log.SetObserver(m.Observe), and drive the stall detector with
 // periodic Tick calls on the virtual clock. Not safe for concurrent use —
@@ -145,8 +163,8 @@ type Monitor struct {
 
 	msgs       map[string]*msgState
 	arr        map[arrKey]uint64
-	arrSeen    map[arrKey]bool
 	published  map[pubKey]bool
+	unpub      map[string]*unpublished
 	basisMiss  map[pubKey]bool
 	recoveries map[string]int
 	inflight   map[string]struct{}
@@ -165,7 +183,7 @@ type Monitor struct {
 	stableLat *metrics.Histogram
 
 	// event counts for the report.
-	events, sends, deliveries, publishes, replays, acks, giveups, progress uint64
+	events, sends, deliveries, publishes, replays, voided, acks, giveups, progress uint64
 }
 
 // New builds a monitor reading virtual time from now.
@@ -178,8 +196,8 @@ func New(cfg Config, now func() simtime.Time) *Monitor {
 		now:        now,
 		msgs:       make(map[string]*msgState),
 		arr:        make(map[arrKey]uint64),
-		arrSeen:    make(map[arrKey]bool),
 		published:  make(map[pubKey]bool),
+		unpub:      make(map[string]*unpublished),
 		basisMiss:  make(map[pubKey]bool),
 		recoveries: make(map[string]int),
 		inflight:   make(map[string]struct{}),
@@ -258,14 +276,23 @@ func (m *Monitor) Observe(e trace.Event) {
 		if ms.delivered == 1 && ms.haveSend {
 			m.delivLat.Observe(int64(e.At - ms.firstSendAt))
 		}
-		if ms.delivered > 1+ms.replays && !ms.dupFlagged {
+		if ms.delivered > 1+ms.replays+ms.voided && !ms.dupFlagged {
 			ms.dupFlagged = true
 			inv := InvExactlyOnce
 			if ms.reexecSend {
 				inv = InvReexecOutput
 			}
-			m.violate(e.At, inv, e.Msg, "delivered %d with %d replay licenses (to %s)",
-				ms.delivered, ms.replays, e.Subject)
+			m.violate(e.At, inv, e.Msg, "delivered %d with %d replay and %d crash licenses (to %s)",
+				ms.delivered, ms.replays, ms.voided, e.Subject)
+		}
+		if !m.published[pubKey{proc: e.Subject, msg: e.Msg}] {
+			u := m.unpub[e.Subject]
+			if u == nil {
+				u = &unpublished{ids: make(map[string]struct{})}
+				m.unpub[e.Subject] = u
+			}
+			u.node = e.Node
+			u.ids[e.Msg] = struct{}{}
 		}
 
 	case trace.KindPublish:
@@ -275,19 +302,24 @@ func (m *Monitor) Observe(e trace.Event) {
 		m.publishes++
 		m.noteProgress(e.At)
 		k := arrKey{node: e.Node, proc: e.Subject}
-		if m.arrSeen[k] && e.Seq <= m.arr[k] {
+		if last, seen := m.arr[k]; seen && e.Seq <= last {
 			m.violate(e.At, InvAcceptanceOrder, e.Msg,
-				"stream %s on node %d: acceptance seq %d after %d", e.Subject, e.Node, e.Seq, m.arr[k])
+				"stream %s on node %d: acceptance seq %d after %d", e.Subject, e.Node, e.Seq, last)
 		}
 		m.arr[k] = e.Seq
-		m.arrSeen[k] = true
 		m.published[pubKey{proc: e.Subject, msg: e.Msg}] = true
+		if u := m.unpub[e.Subject]; u != nil {
+			delete(u.ids, e.Msg)
+		}
 		ms := m.state(e.Msg)
 		if !ms.inferred && strings.Contains(e.Detail, "inferred from later ack") {
 			ms.inferred = true
 			m.checkInference(e.At, e.Msg, ms)
 		}
-		if ms.haveSend && m.stableLat != nil && m.publishedOnce(ms) {
+		// The first publish only: several recorders, or an inference plus the
+		// direct tap, may publish one message.
+		if ms.haveSend && !ms.stableSeen {
+			ms.stableSeen = true
 			m.stableLat.Observe(int64(e.At - ms.firstSendAt))
 		}
 
@@ -337,31 +369,46 @@ func (m *Monitor) Observe(e trace.Event) {
 	case trace.KindRecoveryDone:
 		m.checkOwnership(e)
 
+	case trace.KindCheckpoint:
+		// The checkpoint holds the effect of every delivery so far: none of
+		// them can come back after a crash.
+		if u := m.unpub[e.Subject]; u != nil {
+			clear(u.ids)
+		}
+
 	case trace.KindCrash:
-		if e.Subject == "recorder" {
+		switch e.Subject {
+		case "recorder":
 			// The recorder's acceptance counters die with it; the rebuilt
 			// database restarts streams from the persisted frontier, so the
 			// monotonicity watermark resets per stream on that node.
-			for k := range m.arrSeen {
+			for k := range m.arr {
 				if k.node == e.Node {
-					delete(m.arrSeen, k)
 					delete(m.arr, k)
 				}
+			}
+		case "node":
+			for _, u := range m.unpub {
+				if u.node == e.Node {
+					m.void(u)
+				}
+			}
+		default:
+			if u := m.unpub[e.Subject]; u != nil {
+				m.void(u)
 			}
 		}
 	}
 }
 
-// publishedOnce reports whether this publish is the message's first — the
-// stable-latency observation must not repeat when several recorders (or an
-// inference plus the direct tap) publish the same message.
-func (m *Monitor) publishedOnce(ms *msgState) bool {
-	// state is tracked per message, so count via a dedicated bit.
-	if ms.stableSeen {
-		return false
+// void ends an incarnation: what it held unpublished is lost with it, so
+// each such id may be delivered once more, to the next incarnation.
+func (m *Monitor) void(u *unpublished) {
+	for id := range u.ids {
+		m.state(id).voided++
+		m.voided++
 	}
-	ms.stableSeen = true
-	return true
+	clear(u.ids)
 }
 
 // checkOwnership fires the shard-ownership invariant when a node acts on a
@@ -455,17 +502,11 @@ func (m *Monitor) Stalls() []Stall {
 	return m.stalls
 }
 
-// DupViolations counts the violations in the duplicate-delivery family
-// (exactly-once and its reexec-output attribution) — the family the chaos
-// checker's post-quiescence exactly-once invariant must agree with.
-func (m *Monitor) DupViolations() int {
-	n := 0
-	for _, v := range m.Violations() {
-		if v.Invariant == InvExactlyOnce || v.Invariant == InvReexecOutput {
-			n++
-		}
-	}
-	return n
+// Licenses returns the exactly-once rule's totals: the deliveries seen, and
+// the extra deliveries licensed by recovery replays and by crashes that
+// voided unpublished copies.
+func (m *Monitor) Licenses() (deliveries, replays, voided uint64) {
+	return m.deliveries, m.replays, m.voided
 }
 
 // Passed reports whether no invariant was violated (stalls don't count).
@@ -479,8 +520,8 @@ func (m *Monitor) WriteReport(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "monitor: disabled")
 		return err
 	}
-	fmt.Fprintf(w, "monitor events=%d sends=%d deliveries=%d publishes=%d replays=%d acks=%d giveups=%d\n",
-		m.events, m.sends, m.deliveries, m.publishes, m.replays, m.acks, m.giveups)
+	fmt.Fprintf(w, "monitor events=%d sends=%d deliveries=%d publishes=%d replays=%d voided=%d acks=%d giveups=%d\n",
+		m.events, m.sends, m.deliveries, m.publishes, m.replays, m.voided, m.acks, m.giveups)
 	writeSLO := func(name string, h *metrics.Histogram) {
 		if h.Count() == 0 {
 			fmt.Fprintf(w, "slo %-16s n=0\n", name)
@@ -502,17 +543,12 @@ func (m *Monitor) WriteReport(w io.Writer) error {
 	for _, s := range m.stalls {
 		fmt.Fprintf(w, "  %s\n", s)
 	}
-	if _, err := fmt.Fprintf(w, "monitor verdict: %s\n", verdict(len(m.violations))); err != nil {
-		return err
+	verdict := "PASS"
+	if !m.Passed() {
+		verdict = fmt.Sprintf("FAIL (%d violations)", len(m.violations))
 	}
-	return nil
-}
-
-func verdict(violations int) string {
-	if violations == 0 {
-		return "PASS"
-	}
-	return fmt.Sprintf("FAIL (%d violations)", violations)
+	_, err := fmt.Fprintf(w, "monitor verdict: %s\n", verdict)
+	return err
 }
 
 // Report returns WriteReport's output as a string.

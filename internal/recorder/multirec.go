@@ -589,8 +589,8 @@ func (r *Recorder) beginCatchUp() {
 	}
 	r.catchingUp = true
 	r.awaitCk = make(map[frame.ProcID]bool)
-	for p, e := range r.db {
-		if !e.Dead && e.Spec.Recoverable {
+	for _, p := range r.sortedProcs() {
+		if e := r.db[p]; !e.Dead && e.Spec.Recoverable {
 			r.awaitCk[p] = true
 			r.RequestCheckpoint(p)
 		}

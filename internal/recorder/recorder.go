@@ -817,21 +817,8 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 	}
 	sm := q.remove(at)
 	e := r.db[rcv]
-	if e == nil {
-		// Accepted before the destination's creation notice arrived:
-		// buffer until registration. Bounded per process; the re-ack of a
-		// retransmission stays out, so the merge sees each message once.
-		pre := r.preArrivals[rcv]
-		if rcv.Local != 0 && rcv != r.cfg.Proc && len(pre) < 1024 &&
-			!slices.ContainsFunc(pre, func(p pendingMsg) bool { return p.ID == id }) {
-			r.preArrivals[rcv] = append(pre, *sm)
-			r.releaseStored(sm)
-		} else {
-			r.recycleStored(sm)
-		}
-		return
-	}
-	if e.Dead || r.alreadyRecorded(e, id) {
+	if e == nil && (rcv.Local == 0 || rcv == r.cfg.Proc) || // no process stream
+		e != nil && (e.Dead || r.alreadyRecorded(e, id)) {
 		r.recycleStored(sm)
 		return
 	}
@@ -840,9 +827,11 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 	// message from the same sender to this process arrived — their own acks
 	// were snooped past (tap miss). Left pending they would be lost from
 	// the replay basis forever, since the sender has its ack and will never
-	// retransmit. Promote them, in sequence order, ahead of this arrival.
-	// (Caveat: a sender that exhausted retries below this sequence makes
-	// the inference wrong, but that run already lost a guaranteed message.)
+	// retransmit. Promote them, in sequence order, ahead of this arrival —
+	// into the stream, or into the buffer a stream not yet registered is
+	// merged from. (Caveat: a sender that exhausted retries below this
+	// sequence makes the inference wrong, but that run already lost a
+	// guaranteed message.)
 	for {
 		at := -1
 		for i, p := range q.msgs {
@@ -854,15 +843,37 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 			break
 		}
 		p := q.remove(at)
-		if r.alreadyRecorded(e, p.ID) {
+		if e != nil && r.alreadyRecorded(e, p.ID) {
 			r.recycleStored(p)
 			continue
 		}
-		r.stats.MissedArrivals++
-		r.recordArrival(e, p, "published (#%d in stream, inferred from later ack)")
-		r.releaseStored(p)
+		r.acceptArrival(e, rcv, p, true)
 	}
-	r.recordArrival(e, sm, "published (#%d in stream)")
+	r.acceptArrival(e, rcv, sm, false)
+}
+
+// acceptArrival records an acknowledged message into e's stream or, while
+// rcv has no entry (its creation notice is still on its way), buffers it
+// until registration. The buffer is bounded per process, and the re-ack of a
+// retransmission stays out of it, so the merge sees each message once.
+// inferred marks a message whose own ack the tap missed.
+func (r *Recorder) acceptArrival(e *procEntry, rcv frame.ProcID, sm *pendingMsg, inferred bool) {
+	switch {
+	case e == nil:
+		pre := r.preArrivals[rcv]
+		if len(pre) >= 1024 || slices.ContainsFunc(pre, func(p pendingMsg) bool { return p.ID == sm.ID }) {
+			r.recycleStored(sm)
+			return
+		}
+		r.preArrivals[rcv] = append(pre, *sm)
+	case inferred:
+		r.recordArrival(e, sm, "published (#%d in stream, inferred from later ack)")
+	default:
+		r.recordArrival(e, sm, "published (#%d in stream)")
+	}
+	if inferred {
+		r.stats.MissedArrivals++
+	}
 	r.releaseStored(sm)
 }
 

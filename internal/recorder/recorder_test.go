@@ -248,6 +248,29 @@ func TestPreRegistrationBuffering(t *testing.T) {
 	}
 }
 
+// An ack for a process whose creation notice is still on its way proves,
+// as it does for a registered one, that the sender's earlier messages
+// arrived: the tap-missed earlier one is buffered ahead of it, and the
+// merge records both in sequence order, below no watermark.
+func TestPreRegistrationInfersMissedAck(t *testing.T) {
+	r, _, _ := newBench(t)
+	msg := func(seq uint64) *frame.Frame {
+		return &frame.Frame{Type: frame.Guaranteed, Src: 0, Dst: 1,
+			ID: frame.MsgID{Sender: procA(), Seq: seq}, From: procA(), To: procB(), Body: []byte{byte(seq)}}
+	}
+	r.Observe(msg(1)) // its ack is missed at the tap
+	publishFrame(r, msg(2))
+	register(r, procB(), "b")
+	publishFrame(r, msg(3))
+	sum := r.StreamSummary(procB())
+	if len(sum) != 3 || sum[0].Seq != 1 || sum[1].Seq != 2 || sum[2].Seq != 3 {
+		t.Fatalf("stream = %v, want #1 #2 #3", sum)
+	}
+	if st := r.Stats(); st.MissedArrivals != 1 || st.BelowWatermark != 0 {
+		t.Fatalf("MissedArrivals = %d, BelowWatermark = %d; want 1, 0", st.MissedArrivals, st.BelowWatermark)
+	}
+}
+
 func TestCheckpointTrimsStream(t *testing.T) {
 	r, _, store := newBench(t)
 	register(r, procB(), "b")
@@ -359,6 +382,36 @@ func TestRestartNumberPersistence(t *testing.T) {
 	r2 := New(DefaultConfig(6, nil), sched, rng, log, med, store, transport.DefaultConfig())
 	if r2.RestartNumber() != 2 {
 		t.Fatalf("restart number not persisted: %d", r2.RestartNumber())
+	}
+}
+
+// A restarted recorder learns from a node's §3.3.4 query response that its
+// processes were lost, and starts their recoveries in sortedProcs order:
+// the start order fixes the wire traffic and trace, so map order would make
+// same-seed runs diverge.
+func TestQueryResponseStartsRecoveriesInProcessOrder(t *testing.T) {
+	for run := 0; run < 4; run++ {
+		r, _, _ := newBench(t)
+		var want []string
+		for local := uint32(1); local <= 9; local++ {
+			p := frame.ProcID{Node: 1, Local: local}
+			register(r, p, fmt.Sprintf("w%d", local))
+			want = append(want, p.String())
+		}
+		r.Crash()
+		if err := r.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		// Node 1 rebooted while the recorder was down: it reports none of them.
+		r.handleQueryResponse(&frame.Frame{Body: demos.EncodeQuery(&demos.QueryResponse{
+			RestartNumber: r.RestartNumber(), Node: 1})})
+		var got []string
+		for _, e := range r.log.OfKind(trace.KindRecoveryStart) {
+			got = append(got, e.Subject)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("recoveries started in order %v, want %v", got, want)
+		}
 	}
 }
 

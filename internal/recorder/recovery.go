@@ -1,8 +1,6 @@
 package recorder
 
 import (
-	"sort"
-
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -168,22 +166,16 @@ func (r *Recorder) actOnCrash(w *watchState) {
 
 // recoverNode starts recovery of every process located on failed, placing
 // them on target (== failed for same-processor recovery). The entries are
-// sorted by process id before launch: map iteration order is randomized,
-// and the launch order fixes how the recoveries' batch streams interleave
-// on the shared transport, so determinism requires a canonical order. Each
-// process gets its own windowed batch sender; their refills alternate as
-// acks return, a round-robin interleave rather than one process's full
-// stream before the next.
+// launched in sortedProcs order: the launch order fixes how the recoveries'
+// batch streams interleave on the shared transport, so determinism requires
+// a canonical order. Each process gets its own windowed batch sender; their
+// refills alternate as acks return, a round-robin interleave rather than one
+// process's full stream before the next.
 func (r *Recorder) recoverNode(failed, target frame.NodeID) {
-	var procs []*procEntry
-	for _, e := range r.db {
-		if e.Node == failed && !e.Dead {
-			procs = append(procs, e)
+	for _, p := range r.sortedProcs() {
+		if e := r.db[p]; e.Node == failed && !e.Dead {
+			r.startRecovery(e, target)
 		}
-	}
-	sort.Slice(procs, func(i, j int) bool { return lessProc(procs[i].Proc, procs[j].Proc) })
-	for _, e := range procs {
-		r.startRecovery(e, target)
 	}
 }
 
@@ -436,7 +428,8 @@ func (r *Recorder) handleQueryResponse(f *frame.Frame) {
 	for _, rep := range q.Procs {
 		reported[rep.Proc] = rep.State
 	}
-	for _, e := range r.db {
+	for _, p := range r.sortedProcs() {
+		e := r.db[p]
 		if e.Dead || e.Node != q.Node {
 			continue
 		}

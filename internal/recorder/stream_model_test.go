@@ -36,11 +36,6 @@ import (
 //     recorded the message a second time; the watermark rejects it whenever
 //     a later message of that sender is retained (senders' acknowledgements
 //     are taken as delivered at a restart);
-//   - an acknowledgement the tap missed for a message to a process whose
-//     creation notice is still on its way, with a later message of that
-//     sender buffered before the notice: buffering infers nothing, so the
-//     earlier message is inferred only after the merge — the set then
-//     recorded it behind the later one, the watermark drops and counts it;
 //   - an acknowledgement whose receiver is not the destination the message
 //     was addressed to, and one id pending towards two destinations: the
 //     pending map was keyed by id alone; neither occurs on the wire.
@@ -108,13 +103,7 @@ func (m *refTap) ack(id frame.MsgID, rcv frame.ProcID) {
 	}
 	delete(m.pending, id)
 	e := m.db[rcv]
-	if e == nil {
-		if len(m.pre[rcv]) < 1024 {
-			m.pre[rcv] = append(m.pre[rcv], id)
-		}
-		return
-	}
-	if e.dead || e.have[id] {
+	if e != nil && (e.dead || e.have[id]) {
 		return
 	}
 	var earlier []frame.MsgID
@@ -126,13 +115,25 @@ func (m *refTap) ack(id frame.MsgID, rcv frame.ProcID) {
 	sort.Slice(earlier, func(i, j int) bool { return earlier[i].Seq < earlier[j].Seq })
 	for _, qid := range earlier {
 		delete(m.pending, qid)
-		if e.have[qid] {
-			continue
+		if m.accept(e, rcv, qid) {
+			m.missed++
 		}
-		m.missed++
-		m.record(e, qid)
 	}
-	m.record(e, id)
+	m.accept(e, rcv, id)
+}
+
+// accept records id into e's stream, or buffers it while rcv is not
+// registered, and reports whether it did.
+func (m *refTap) accept(e *refStream, rcv frame.ProcID, id frame.MsgID) bool {
+	switch {
+	case e != nil && !e.have[id]:
+		m.record(e, id)
+	case e == nil && len(m.pre[rcv]) < 1024 && !slices.Contains(m.pre[rcv], id):
+		m.pre[rcv] = append(m.pre[rcv], id)
+	default:
+		return false
+	}
+	return true
 }
 
 func (m *refTap) created(p frame.ProcID) {
@@ -478,11 +479,8 @@ func (d *streamDiff) step(kind, arg byte) {
 	case opAckTapMissed:
 		// Accepted and acknowledged to the sender, with the tap hearing
 		// nothing: a later acknowledgement on the pair has to infer it.
-		// Only towards a registered process: see the file comment.
 		from, to = busyPair(&d.inflight, from, to)
-		if ran = d.registered[to]; ran {
-			_, ran = d.accept(from, to)
-		}
+		_, ran = d.accept(from, to)
 
 	case opRetransmitRecorded:
 		from, to = busyPair(&d.reack, from, to)
