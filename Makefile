@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone noquarantine build test race monitor sweep-verify chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke sweep
+.PHONY: check vet nopar noregime nohave noseg noclone noquarantine nosweep build test race monitor chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke
 
-check: vet build test race monitor sweep-verify chaos shards fuzz scale-smoke bench-sim bench-recorder
+check: vet build test race monitor chaos shards fuzz scale-smoke bench-sim bench-recorder
 
-vet: nopar noregime nohave noseg noclone noquarantine
+vet: nopar noregime nohave noseg noclone noquarantine nosweep
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -50,22 +50,31 @@ noclone:
 noquarantine:
 	! grep -rnE 'Quarantined|CHAOS_RUN_QUARANTINED|monitor-agree' --include='*.go' .
 
+# There is one determinism oracle (DESIGN.md "Simulator performance"):
+# Cluster.Fingerprint and the golden table testdata/fingerprints.golden that
+# TestGoldenFingerprints checks. The names below are the seed sweep it
+# replaced, whose digest file nothing gated.
+nosweep:
+	! grep -rnE 'internal/sweep|BENCH_sweep|sweepout' --include='*.go' .
+
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
 
-# The sweep engine runs simulations on real goroutines and the stable store
-# claims concurrency safety (starhub drives it from multiple connections):
-# both stay race-checked, plus a fast subset of the single-threaded core so
-# accidental shared state in new instrumentation gets caught early. simtime
-# is in the subset for the scheduler's reference-model test. demos is in it
-# for its hand-off tests: only the goroutine running the cluster resumes a
-# program's coroutine, and -race is what checks every resume and kill is
-# ordered after the kernel's last write.
+# The golden table runs its rows as independent clusters on parallel
+# goroutines, and the stable store claims concurrency safety (starhub drives
+# it from multiple connections): both stay race-checked, plus a fast subset
+# of the single-threaded core so accidental shared state in new
+# instrumentation gets caught early. simtime is in the subset for the
+# scheduler's reference-model test. demos is in it for its hand-off tests:
+# only the goroutine running the cluster resumes a program's coroutine, and
+# -race is what checks every resume and kill is ordered after the kernel's
+# last write.
 race:
-	$(GO) test -race ./internal/sweep ./internal/stablestore \
+	$(GO) test -race -run TestGoldenFingerprints .
+	$(GO) test -race ./internal/stablestore \
 		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
 		./internal/demos
 
@@ -112,11 +121,6 @@ fuzz:
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzPagedOpen -fuzztime 10s -fuzzminimizetime 200x
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
-
-# The parallel-vs-serial sweep determinism proof, without rewriting
-# BENCH_sweep.json (use `make sweep` to refresh the trajectory file).
-sweep-verify:
-	$(GO) run ./cmd/experiments -verify
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
@@ -174,7 +178,3 @@ endif
 # them in full.
 scale-smoke:
 	$(GO) test -run 'TestScaleDeterminism256|TestChaosSmoke256|TestChaosSmoke1024' -count=1 -v .
-
-# Regenerate BENCH_sweep.json (parallel-vs-serial determinism proof).
-sweep:
-	$(GO) run ./cmd/experiments -sweep

@@ -1,7 +1,6 @@
 package publishing
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -224,12 +223,12 @@ func TestStoragePolicyCheckpoints(t *testing.T) {
 
 // The storage policy's tick visits kernels, and each kernel's processes, in
 // a fixed order: when several processes cross the threshold on one tick the
-// order their checkpoints are published in shapes every later event. Two
-// same-seed runs of a pipeline with two checkpointable processes on each of
-// two nodes must therefore agree on the event count, every metric, and the
-// recorder database.
+// order their checkpoints are published in shapes every later event. Same-seed
+// runs of a pipeline with two checkpointable processes on each of two nodes
+// must therefore end with equal fingerprints, the stored checkpoints
+// included.
 func TestCheckpointStorageDeterminism(t *testing.T) {
-	run := func() (uint64, string, string) {
+	run := func() Fingerprint {
 		cfg := DefaultConfig(3)
 		cfg.Seed = 5
 		cfg.CheckpointPolicy = CheckpointStorage
@@ -282,23 +281,12 @@ func TestCheckpointStorageDeterminism(t *testing.T) {
 		if n := c.Recorder().Stats().CheckpointsStored; n < workers {
 			t.Fatalf("only %d checkpoints stored; the scenario must checkpoint every worker", n)
 		}
-		var mets bytes.Buffer
-		if err := c.Metrics().Snapshot().WriteText(&mets); err != nil {
-			t.Fatal(err)
-		}
-		return c.Scheduler().Fired(), mets.String(), string(dumpRecorderDB(t, c, 0))
+		return c.Fingerprint()
 	}
-	fired, mets, db := run()
+	first := run()
 	for i := 0; i < 3; i++ {
-		f, m, d := run()
-		if f != fired {
-			t.Errorf("run %d fired %d events, first run %d", i+2, f, fired)
-		}
-		if m != mets {
-			t.Errorf("run %d metrics differ from the first run's", i+2)
-		}
-		if d != db {
-			t.Errorf("run %d recorder database differs from the first run's:\n%s\n--- first ---\n%s", i+2, d, db)
+		if moved := run().Diff(first); len(moved) > 0 {
+			t.Errorf("run %d moved %v from the first run's fingerprint", i+2, moved)
 		}
 	}
 }

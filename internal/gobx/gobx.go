@@ -32,11 +32,11 @@
 // control message is itself a published message whose body a recorder
 // stores and replays. The two record types set the store's live bytes and
 // where its pages fill. All of that is fingerprinted by the determinism
-// oracles (sweep-verify, the scale tests, bench), so an encoder that changed
-// the stream would change virtual time and every digest. gobx_test.go pins
-// the equivalence against the stock encoder on a stand-in struct with the
-// field shapes those types use; demos pins it on CtlReply itself (this
-// package cannot import demos or recorder).
+// oracles (the golden fingerprint table, the scale tests, bench), so an
+// encoder that changed the stream would change virtual time and every
+// digest. gobx_test.go pins the equivalence against the stock encoder on a
+// stand-in struct with the field shapes those types use; demos pins it on
+// CtlReply itself (this package cannot import demos or recorder).
 package gobx
 
 import (
@@ -51,8 +51,9 @@ import (
 // depend on the value); the first Encode or Decode panics on types gob
 // cannot handle at all, same as the one-shot path.
 //
-// A Codec is safe for concurrent use; chaos and sweep harnesses drive
-// clusters from parallel goroutines through package-level codecs.
+// A Codec is safe for concurrent use; the chaos harness and the golden
+// fingerprint test drive clusters from parallel goroutines through
+// package-level codecs.
 type Codec[T any] struct {
 	mu sync.Mutex
 

@@ -111,7 +111,8 @@ func (e Event) At() Time {
 // an event callback, so they never run concurrently with the event loop),
 // and this is the only event executor — every result in the repository is
 // checked against its order. Run whole independent simulations on separate
-// Schedulers to use multiple cores (see internal/sweep).
+// Schedulers to use multiple cores, as the chaos CLI and the root package's
+// golden-fingerprint test do.
 type Scheduler struct {
 	now    Time
 	seq    uint64

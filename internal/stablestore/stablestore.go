@@ -594,9 +594,29 @@ func (s *Paged) ReadAll() ([]Record, error) {
 	if err := s.flushLocked(); err != nil {
 		return nil, err
 	}
-	var out []Record
+	out, reads, err := s.walkLocked()
+	s.stats.PageReads += reads
+	return out, err
+}
 
-	// Regular pages, in page order (which is insertion order).
+// Peek returns the records ReadAll would, in the same order, without its
+// side effects: the write buffer stays open and no page read is counted.
+// Observers that must not perturb a run (Cluster.Fingerprint) read through
+// it.
+func (s *Paged) Peek() ([]Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out, _, err := s.walkLocked()
+	return out, err
+}
+
+// walkLocked decodes every page in ReadAll's order — regular pages in page
+// order (which is insertion order), then oversized chains — and reports how
+// many pages it read. The open write buffer needs no sealing to be read: its
+// records are encoded in place into its page, and zero padding ends it.
+func (s *Paged) walkLocked() ([]Record, uint64, error) {
+	var out []Record
+	var reads uint64
 	ids := make([]uint64, 0, len(s.pages))
 	for id := range s.pages {
 		if !s.isChainPage(id) {
@@ -605,10 +625,10 @@ func (s *Paged) ReadAll() ([]Record, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		s.stats.PageReads++
+		reads++
 		recs, err := decodeRecords(s.pages[id])
 		if err != nil {
-			return nil, fmt.Errorf("page %d: %w", id, err)
+			return nil, reads, fmt.Errorf("page %d: %w", id, err)
 		}
 		out = append(out, recs...)
 	}
@@ -625,14 +645,14 @@ func (s *Paged) ReadAll() ([]Record, error) {
 		for _, p := range s.chains[f] {
 			whole.Write(s.pages[p])
 		}
-		s.stats.PageReads += uint64(1 + len(s.chains[f]))
+		reads += uint64(1 + len(s.chains[f]))
 		recs, err := decodeRecords(whole.Bytes())
 		if err != nil {
-			return nil, fmt.Errorf("chain %d: %w", f, err)
+			return nil, reads, fmt.Errorf("chain %d: %w", f, err)
 		}
 		out = append(out, recs...)
 	}
-	return out, nil
+	return out, reads, nil
 }
 
 // ReadKey returns the live records for one key in seq order. The per-key

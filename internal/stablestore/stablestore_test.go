@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,40 @@ func TestReadAllOrdersByInsertion(t *testing.T) {
 		if r.Key != keys[i] {
 			t.Fatalf("insertion order broken at %d: %s", i, r.Key)
 		}
+	}
+}
+
+// Peek reads what ReadAll reads — the open write buffer and an oversized
+// chain included — but leaves the buffer open and counts nothing: the next
+// small append still lands on the buffer's page.
+func TestPeekIsReadOnly(t *testing.T) {
+	s := New()
+	s.Append(msg("x", 1, "a"))
+	s.Append(Record{Kind: KindCheckpoint, Key: "x", Seq: 2, Data: make([]byte, 2*PageSize)})
+	page, _ := s.Append(msg("y", 3, "b"))
+	before := s.Stats()
+	peeked, err := s.Peek()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats() != before {
+		t.Fatalf("Peek changed the stats: %+v, then %+v", before, s.Stats())
+	}
+	if next, _ := s.Append(msg("y", 4, "c")); next != page {
+		t.Fatalf("append after Peek landed on page %d, want the open buffer's page %d", next, page)
+	}
+	all, err := s.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Record // ReadAll's order without the later append
+	for _, r := range all {
+		if r.Seq != 4 {
+			want = append(want, r)
+		}
+	}
+	if len(want) != 3 || !reflect.DeepEqual(peeked, want) {
+		t.Fatalf("Peek read %+v, ReadAll then read %+v", peeked, all)
 	}
 }
 

@@ -76,33 +76,44 @@ func TestCrashRecoverChromeTimeline(t *testing.T) {
 	}
 }
 
-// metricsText runs the standard crash-and-recover scenario and returns the
-// Prometheus-style metrics dump.
-func metricsText(t *testing.T, seed uint64) string {
+// The standard crash-and-recover scenario: crashMsgs messages through the
+// pipeline on plain Ethernet, the worker crashed at 1.2 s, crashRunFor of
+// virtual time in all.
+const (
+	crashMsgs   = 12
+	crashRunFor = 60 * simtime.Second
+)
+
+// crashScenario builds the crash-and-recover scenario and schedules its
+// crash, without running it.
+func crashScenario(t *testing.T, seed uint64) (*Cluster, *witnessSink) {
 	t.Helper()
 	cfg := DefaultConfig(3)
 	cfg.Medium = MediumEther
 	cfg.Seed = seed
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, sink, worker := buildScenario(t, cfg, crashMsgs)
 	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
-	c.Run(60 * simtime.Second)
-	expectSteps(t, sink, 12)
-	var buf bytes.Buffer
-	if err := c.Metrics().Snapshot().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return c, sink
+}
+
+// crashRun runs the crash-and-recover scenario to its end.
+func crashRun(t *testing.T, seed uint64) *Cluster {
+	t.Helper()
+	c, sink := crashScenario(t, seed)
+	c.Run(crashRunFor)
+	expectSteps(t, sink, crashMsgs)
+	return c
 }
 
 // The metrics dump is a pure function of the seed: two identical runs
 // produce byte-identical text, and a different seed shows the dump is not
 // just constant.
 func TestMetricsDeterministicAcrossSameSeedRuns(t *testing.T) {
-	a := metricsText(t, 1)
-	if b := metricsText(t, 1); a != b {
+	a := crashRun(t, 1).Fingerprint().Metrics
+	if b := crashRun(t, 1).Fingerprint().Metrics; a != b {
 		t.Fatal("same-seed runs produced different metrics text")
 	}
-	if a == metricsText(t, 99) {
+	if a == crashRun(t, 99).Fingerprint().Metrics {
 		t.Fatal("different seeds produced identical metrics text (suspicious)")
 	}
 	// The dump must actually cover every wired subsystem.

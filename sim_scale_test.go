@@ -10,7 +10,6 @@ package publishing_test
 // (tier-1) skips them; `make check` runs them in full.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -22,49 +21,25 @@ import (
 // scaleNodes is the cluster size the determinism tests run at.
 const scaleNodes = 256
 
-// runScaleFingerprint runs the workload scenario once and reduces the
-// cluster's externally observable end state to bytes: the full metrics
-// snapshot (every counter the stack touched, in registration order) and
-// the recorder's stable-store database record by record.
-func runScaleFingerprint(t *testing.T) (metricsText, storeDump []byte) {
-	t.Helper()
-	s := buildSimCluster(t, scaleNodes, simClusterSeed, false)
-	s.c.Run(s.horizon + 2*simtime.Second)
-	if got, want := *s.delivered, int64(s.sent); got != want {
-		t.Fatalf("delivered %d of %d messages", got, want)
-	}
-
-	var mbuf bytes.Buffer
-	if err := s.c.Metrics().Snapshot().WriteText(&mbuf); err != nil {
-		t.Fatalf("metrics snapshot: %v", err)
-	}
-	recs, err := s.c.Store().ReadAll()
-	if err != nil {
-		t.Fatalf("recorder store: %v", err)
-	}
-	var dbuf bytes.Buffer
-	for _, r := range recs {
-		fmt.Fprintf(&dbuf, "%d %q %d %x\n", r.Kind, r.Key, r.Seq, r.Data)
-	}
-	return mbuf.Bytes(), dbuf.Bytes()
-}
-
 // TestScaleDeterminism256 runs the 256-node scenario twice with the same
-// seed and requires byte-identical metrics snapshots and recorder
-// databases. Any hidden nondeterminism the optimizations introduced — map
+// seed and requires equal fingerprints: clock, every metric and the recorder
+// database. Any hidden nondeterminism the optimizations introduced — map
 // iteration, heap-shape-dependent tie-breaks, allocation-order identity —
 // would surface here before it could corrupt an experiment.
 func TestScaleDeterminism256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node double run; skipped in -short (tier-1) mode")
 	}
-	m1, d1 := runScaleFingerprint(t)
-	m2, d2 := runScaleFingerprint(t)
-	if !bytes.Equal(m1, m2) {
-		t.Errorf("metrics snapshots differ between same-seed runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", m1, m2)
+	run := func() publishing.Fingerprint {
+		s := buildSimCluster(t, scaleNodes, simClusterSeed, false)
+		s.c.Run(s.horizon + 2*simtime.Second)
+		if got, want := *s.delivered, int64(s.sent); got != want {
+			t.Fatalf("delivered %d of %d messages", got, want)
+		}
+		return s.c.Fingerprint()
 	}
-	if !bytes.Equal(d1, d2) {
-		t.Errorf("recorder databases differ between same-seed runs (%d vs %d bytes)", len(d1), len(d2))
+	if moved := run().Diff(run()); len(moved) > 0 {
+		t.Errorf("same-seed runs differ in %v", moved)
 	}
 }
 
