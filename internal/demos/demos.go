@@ -143,6 +143,11 @@ func (r *Registry) Has(name string) bool {
 // message without publishing, real−cpu = 1 ms and kernel cpu = 3 ms; adding
 // publishing costs 26 ms of protocol/interrupt CPU per message plus ~2 ms of
 // network transmission.
+//
+// A kernel's table is fixed for the kernel's life: set it in Env before the
+// first send. Every network send waits the same send CPU before its frame
+// reaches the endpoint, and the kernel's hand-off pipe (simtime.Pipe) panics
+// if a hand-off would come due before the previous one.
 type Costs struct {
 	// SendCPU is the kernel time for any send call (queueing, link checks).
 	SendCPU simtime.Time

@@ -82,6 +82,11 @@ type Kernel struct {
 	// the epoch in a fresh closure each time was a per-quantum allocation.
 	dispatchFn      func()
 	dispatchFnEpoch uint32
+	// sendCPU carries each network send to the endpoint when its send-CPU
+	// work completes. Every send waits the same fixed cost (Costs does not
+	// change for the kernel's life), so hand-off times never decrease, which
+	// is the condition a Pipe relies on.
+	sendCPU *simtime.Pipe[cpuSend]
 	// cpuFree is when the node CPU finishes its current work.
 	cpuFree simtime.Time
 	// kernelCPU accumulates kernel-mode busy time (Get_Run_Time, Fig 5.6);
@@ -137,6 +142,7 @@ func NewKernel(node frame.NodeID, env Env) *Kernel {
 		nextLocal: 1, // local id 0 is the kernel process
 		routing:   make(map[frame.ProcID]frame.NodeID),
 	}
+	k.sendCPU = simtime.NewPipe(env.Sched, k.handOff)
 	if reg := env.Metrics; reg != nil {
 		n := int(node)
 		k.qDepth = reg.Gauge(n, "kernel", "queue_depth")

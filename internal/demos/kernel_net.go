@@ -123,20 +123,30 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 	cost := costs.SendCPU + costs.NetSendCPU
 	k.charge(cost, costs.UserPerCall)
 	// The frame reaches the wire when the CPU work completes.
-	epoch := k.bootEpoch
-	k.env.Sched.After(cost+costs.UserPerCall, func() {
-		if k.bootEpoch != epoch || k.crashed {
-			return
-		}
-		// The frame was built fresh above and nothing here touches it after
-		// the endpoint takes it, so hand over ownership and skip the clone.
-		k.ep.SendGuaranteedOwned(f)
-	})
+	k.sendCPU.At(k.env.Sched.Now()+cost+costs.UserPerCall, cpuSend{f: f, epoch: k.bootEpoch})
 	if k.env.Log.Enabled() {
 		id := f.ID.String()
 		k.env.Log.AddMsg(trace.KindSend, int(k.node), id, id, "%s", f)
 	}
 	return nil
+}
+
+// cpuSend is a frame whose sender's send-CPU work is in progress, stamped
+// with the boot epoch it was sent in.
+type cpuSend struct {
+	f     *frame.Frame
+	epoch uint32
+}
+
+// handOff gives the endpoint a frame whose send-CPU work has completed,
+// unless the node crashed in between.
+func (k *Kernel) handOff(s cpuSend) {
+	if k.bootEpoch != s.epoch || k.crashed {
+		return
+	}
+	// The frame was built fresh by sendMessage and nothing here touches it
+	// after the endpoint takes it, so hand over ownership and skip the clone.
+	k.ep.SendGuaranteedOwned(s.f)
 }
 
 // mustPublish decides whether an intranode message must take the network so

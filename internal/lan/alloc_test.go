@@ -116,9 +116,9 @@ func TestFaultedDeliveryAllocs(t *testing.T) {
 	}
 }
 
-// TestPerfectSendAllocs pins a transmission on the reference medium at one
-// allocation: the scheduler closure that completes it. The frame itself is
-// not copied, at Send or at delivery.
+// TestPerfectSendAllocs pins a transmission on the reference medium at zero
+// allocations: the frame is not copied, at Send or at delivery, and its
+// completion rides the medium's pipe instead of a closure per frame.
 func TestPerfectSendAllocs(t *testing.T) {
 	m, recv := newAllocRig(64)
 	// Each run sends a frame of its own: a sent frame belongs to the medium.
@@ -133,10 +133,57 @@ func TestPerfectSendAllocs(t *testing.T) {
 		for m.sched.Step() {
 		}
 	})
-	if n > 1 {
-		t.Errorf("Perfect.Send and its delivery allocated %.1f objects per frame; want at most 1", n)
+	if n != 0 {
+		t.Errorf("Perfect.Send and its delivery allocated %.1f objects per frame; want 0", n)
 	}
 	if recv[1].got != i {
 		t.Fatalf("recv[1] heard %d of %d frames", recv[1].got, i)
+	}
+}
+
+// storingTap stores every frame it hears.
+type storingTap struct{ heard int }
+
+func (t *storingTap) Observe(*frame.Frame) bool { t.heard++; return true }
+
+// TestEtherSendAllocs pins the Acknowledging Ethernet's per-frame path —
+// send, contention, completion, the recorder-ack gate and delivery — at zero
+// allocations after warm-up. Each run sends two guaranteed frames, the
+// second once the first holds the channel, so it is deferred and drained:
+// the transmission records come back from the medium's free list, the
+// completion and drain handlers were bound when the medium was built, and
+// the deferred queue keeps its capacity.
+func TestEtherSendAllocs(t *testing.T) {
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	log.Enable(false)
+	cfg := DefaultConfig()
+	m := NewAckEther(cfg, sched, simtime.NewRand(1), log)
+	recv := make([]*nopStation, 3)
+	for i := range recv {
+		recv[i] = &nopStation{}
+		m.Attach(frame.NodeID(i), recv[i])
+	}
+	tap := &storingTap{}
+	m.AttachTap(2, tap)
+	frames := make([]*frame.Frame, 2*256)
+	for i := range frames {
+		frames[i] = &frame.Frame{Type: frame.Guaranteed, Src: frame.NodeID(i % 2), Dst: 2, Body: []byte("x")}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		m.Send(0, frames[i])
+		sched.Run(sched.Now() + cfg.SlotTime)
+		m.Send(1, frames[i+1])
+		i += 2
+		for sched.Step() {
+		}
+	})
+	if n != 0 {
+		t.Errorf("AckEther send, completion and delivery allocated %.1f objects per two frames; want 0", n)
+	}
+	if s := m.Stats(); recv[2].got != i || tap.heard != i || s.Collisions != 0 {
+		t.Fatalf("recv[2] heard %d and the tap %d of %d frames, %d collisions; want every frame, none",
+			recv[2].got, tap.heard, i, s.Collisions)
 	}
 }

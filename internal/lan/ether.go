@@ -21,10 +21,17 @@ type Ether struct {
 	busyUntil simtime.Time
 	// cur is the transmission currently on the wire, if any.
 	cur *etherTx
-	// deferred transmissions waiting for the channel.
+	// deferred transmissions waiting for the channel, oldest first.
 	deferred []*etherTx
+	// free holds the records of finished and dropped transmissions for
+	// reuse: nothing refers to a record once its frame has left the wire.
+	free []*etherTx
 	// maxAttempts before a frame is dropped (classic Ethernet: 16).
 	maxAttempts int
+	// finishFn and drainFn are bound once, at construction. Every frame
+	// arms a completion and most arm a drain, so a closure or method value
+	// built per event was a heap object per event.
+	finishFn, drainFn func()
 
 	// extraReserve lets a variant reserve channel time after a frame
 	// (AckEther's acknowledge slots). Nil means none.
@@ -44,7 +51,12 @@ type etherTx struct {
 
 // NewEther returns a CSMA/CD medium.
 func NewEther(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log) *Ether {
-	return &Ether{base: newBase(cfg, sched, rng, log), maxAttempts: 16}
+	m := &Ether{base: newBase(cfg, sched, rng, log), maxAttempts: 16}
+	// The completion that comes due is always the current transmission's:
+	// a collision cancels it before anything else can take the wire.
+	m.finishFn = func() { m.finish(m.cur) }
+	m.drainFn = m.drainDeferred
+	return m
 }
 
 // Send attempts to transmit f from src, contending for the channel.
@@ -54,13 +66,30 @@ func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
 	}
 	m.stats.FramesSent++
 	m.maybeCorrupt(f)
-	m.attempt(&etherTx{src: src, f: f})
+	var tx *etherTx
+	if k := len(m.free); k > 0 {
+		tx = m.free[k-1]
+		m.free[k-1] = nil
+		m.free = m.free[:k-1]
+	} else {
+		tx = &etherTx{}
+	}
+	tx.src, tx.f = src, f
+	m.attempt(tx)
+}
+
+// release returns a transmission record whose frame left the wire, delivered
+// or dropped, to the free list.
+func (m *Ether) release(tx *etherTx) {
+	*tx = etherTx{}
+	m.free = append(m.free, tx)
 }
 
 func (m *Ether) attempt(tx *etherTx) {
 	now := m.sched.Now()
 	if m.faults.Down(tx.src) {
 		m.stats.FramesLost++
+		m.release(tx)
 		return
 	}
 	if m.cur != nil {
@@ -91,15 +120,15 @@ func (m *Ether) attempt(tx *etherTx) {
 	m.busyUntil = end
 	m.stats.BusyTime += end - now
 	m.cur = tx
-	tx.finish = m.sched.At(end, func() { m.finish(tx) })
+	tx.finish = m.sched.At(end, m.finishFn)
 }
 
 // logDrop traces a frame lost on the wire; the id is formatted only when
 // tracing is on.
-func (m *Ether) logDrop(tx *etherTx, why string) {
+func (m *Ether) logDrop(src frame.NodeID, f *frame.Frame, why string) {
 	if m.log.Enabled() {
-		id := tx.f.ID.String()
-		m.log.AddMsg(trace.KindDrop, int(tx.src), id, id, why)
+		id := f.ID.String()
+		m.log.AddMsg(trace.KindDrop, int(src), id, id, why)
 	}
 }
 
@@ -136,7 +165,8 @@ func (m *Ether) backoff(tx *etherTx) {
 	tx.attempts++
 	if tx.attempts >= m.maxAttempts {
 		m.stats.FramesLost++
-		m.logDrop(tx, "excessive collisions")
+		m.logDrop(tx.src, tx.f, "excessive collisions")
+		m.release(tx)
 		return
 	}
 	m.stats.Backoffs++
@@ -158,7 +188,7 @@ func (m *Ether) kick() {
 	if at < m.sched.Now() {
 		at = m.sched.Now()
 	}
-	m.sched.At(at, m.drainDeferred)
+	m.sched.At(at, m.drainFn)
 }
 
 func (m *Ether) drainDeferred() {
@@ -170,7 +200,11 @@ func (m *Ether) drainDeferred() {
 		return
 	}
 	tx := m.deferred[0]
-	m.deferred = m.deferred[1:]
+	// Pop by shifting down rather than reslicing: deferred[1:] bleeds
+	// capacity off the front, so the next append reallocates.
+	n := copy(m.deferred, m.deferred[1:])
+	m.deferred[n] = nil
+	m.deferred = m.deferred[:n]
 	m.attempt(tx)
 	if len(m.deferred) > 0 {
 		m.kick()
@@ -179,29 +213,31 @@ func (m *Ether) drainDeferred() {
 
 func (m *Ether) finish(tx *etherTx) {
 	m.cur = nil
+	src, f := tx.src, tx.f
+	m.release(tx)
 	defer m.kick()
-	if m.faults.Down(tx.src) {
+	if m.faults.Down(src) {
 		m.stats.FramesLost++
 		return
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
 		m.stats.FramesLost++
-		m.logDrop(tx, "wire loss")
+		m.logDrop(src, f, "wire loss")
 		return
 	}
-	if tx.f.Corrupt {
+	if f.Corrupt {
 		m.stats.FramesLost++
 		return
 	}
-	stored := m.offerToTaps(tx.src, tx.f)
-	if m.gateOnTaps && gated(tx.f.Type) && !stored {
+	stored := m.offerToTaps(src, f)
+	if m.gateOnTaps && gated(f.Type) && !stored {
 		// Empty recorder-ack slot: every receiver discards the frame
 		// "exactly as if it had received a bad packet" (§6.1.1).
 		m.stats.RecorderBlocks++
-		m.logDrop(tx, "no recorder ack in slot; receivers discard")
+		m.logDrop(src, f, "no recorder ack in slot; receivers discard")
 		return
 	}
-	m.deliver(tx.src, tx.f)
+	m.deliver(src, f)
 }
 
 var _ Medium = (*Ether)(nil)

@@ -14,11 +14,22 @@ import (
 type Perfect struct {
 	base
 	busyUntil simtime.Time
+	// wire carries each transmission to its completion. The channel is FIFO,
+	// so completion times never decrease, which is what a Pipe needs.
+	wire *simtime.Pipe[transmission]
+}
+
+// transmission is one frame on the wire and the node that sent it.
+type transmission struct {
+	src frame.NodeID
+	f   *frame.Frame
 }
 
 // NewPerfect returns a perfect broadcast medium.
 func NewPerfect(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log) *Perfect {
-	return &Perfect{base: newBase(cfg, sched, rng, log)}
+	m := &Perfect{base: newBase(cfg, sched, rng, log)}
+	m.wire = simtime.NewPipe(sched, m.complete)
+	return m
 }
 
 // Send schedules the frame for delivery after the channel drains.
@@ -37,10 +48,11 @@ func (m *Perfect) Send(src frame.NodeID, f *frame.Frame) {
 	m.busyUntil = end
 	m.stats.BusyTime += end - start
 	m.maybeCorrupt(f)
-	m.sched.At(end, func() { m.complete(src, f) })
+	m.wire.At(end, transmission{src, f})
 }
 
-func (m *Perfect) complete(src frame.NodeID, f *frame.Frame) {
+func (m *Perfect) complete(tx transmission) {
+	src, f := tx.src, tx.f
 	if m.faults.Down(src) {
 		// Sender died mid-flight; treat the frame as never completed.
 		m.stats.FramesLost++

@@ -30,6 +30,8 @@ type sched interface {
 	Halted() bool
 	At(t Time, fn func()) handle
 	After(d Time, fn func()) handle
+	AtHandler(t Time, h Handler) handle
+	AfterHandler(d Time, h Handler) handle
 	Cancel(h handle)
 	Step() bool
 	Run(limit Time) uint64
@@ -43,6 +45,9 @@ type realSched struct{ *Scheduler }
 func (r realSched) At(t Time, fn func()) handle    { return r.Scheduler.At(t, fn) }
 func (r realSched) After(d Time, fn func()) handle { return r.Scheduler.After(d, fn) }
 func (r realSched) Cancel(h handle)                { r.Scheduler.Cancel(h.(Event)) }
+
+func (r realSched) AtHandler(t Time, h Handler) handle    { return r.Scheduler.AtHandler(t, h) }
+func (r realSched) AfterHandler(d Time, h Handler) handle { return r.Scheduler.AfterHandler(d, h) }
 
 // --- the reference ----------------------------------------------------------
 
@@ -76,6 +81,10 @@ func (r *refSched) Halted() bool                   { return r.halted }
 func (r *refSched) Halt()                          { r.halted = true }
 func (r *refSched) Resume()                        { r.halted = false }
 func (r *refSched) After(d Time, fn func()) handle { return r.At(r.now+d, fn) }
+
+// The reference has no handlers: an owner is its Fire method.
+func (r *refSched) AtHandler(t Time, h Handler) handle    { return r.At(t, h.Fire) }
+func (r *refSched) AfterHandler(d Time, h Handler) handle { return r.At(r.now+d, h.Fire) }
 
 func (r *refSched) NextAt() Time {
 	if len(r.queue) == 0 {
@@ -143,6 +152,7 @@ type program struct {
 	ops     []byte
 	pc      int
 	handles []handle // [0] is the side's zero handle, then every event in scheduling order
+	owned   []int    // ids of the events scheduled with a pointer handler
 	obs     []observation
 	hobs    []handleState // every handle's state at every observation, flattened
 	cover   coverage
@@ -187,19 +197,39 @@ func (p *program) observe(what string, arg int) {
 	}
 }
 
-// schedule adds an event d from now, through At or After, whose callback is
+// owner is a pointer handler: the event it owns runs the program's callback
+// for its id, as a closure scheduled through At or After would.
+type owner struct {
+	p  *program
+	id int
+}
+
+func (o *owner) Fire() { o.p.fire(o.id) }
+
+// schedule adds an event d from now, through At or After — or, owned,
+// through AtHandler or AfterHandler with a pointer owner — whose callback is
 // the next stretch of the program.
-func (p *program) schedule(d Time, after bool) int {
+func (p *program) schedule(d Time, after, owned bool) int {
 	id := len(p.handles)
 	if p.s.NextAt() == p.s.Now()+d {
 		p.cover["equal timestamps"]++
 	}
-	fn := func() { p.fire(id) }
-	if after {
-		p.handles = append(p.handles, p.s.After(d, fn))
-	} else {
-		p.handles = append(p.handles, p.s.At(p.s.Now()+d, fn))
+	var h handle
+	switch {
+	case owned && after:
+		h = p.s.AfterHandler(d, &owner{p, id})
+	case owned:
+		h = p.s.AtHandler(p.s.Now()+d, &owner{p, id})
+	case after:
+		h = p.s.After(d, func() { p.fire(id) })
+	default:
+		h = p.s.At(p.s.Now()+d, func() { p.fire(id) })
 	}
+	if owned {
+		p.cover["handler scheduled"]++
+		p.owned = append(p.owned, id)
+	}
+	p.handles = append(p.handles, h)
 	p.observe("schedule", id)
 	return id
 }
@@ -226,9 +256,9 @@ func (p *program) fire(id int) {
 		switch p.next() % 8 {
 		case 0:
 			p.cover["After(0) in a callback"]++
-			p.schedule(0, true)
+			p.schedule(0, true, false)
 		case 1, 2:
-			p.schedule(Time(p.next()%4), false)
+			p.schedule(Time(p.next()%4), false, false)
 		case 3:
 			p.cover["cancel self in a callback"]++
 			p.cancel(id)
@@ -241,7 +271,7 @@ func (p *program) fire(id int) {
 		case 7:
 			// A decoy cancelled at once: its node is free again for whatever
 			// is scheduled next, under a new generation.
-			p.cancel(p.schedule(Time(1+p.next()%4), true))
+			p.cancel(p.schedule(Time(1+p.next()%4), true, false))
 		}
 	}
 }
@@ -252,13 +282,15 @@ func (p *program) run() {
 	// Off time 0, so that At() == 0 is only ever read from a stale handle.
 	p.observe("run", int(p.s.Run(1)))
 	for p.pc < len(p.ops) {
-		switch op := p.next() % 16; op {
+		// Op bytes below 16 keep the meaning they had before the two handler
+		// kinds were added, so the committed fuzz seeds still replay as made.
+		switch op := p.next() % 18; op {
 		case 0, 1, 2:
-			p.schedule(Time(p.next()%4), false)
+			p.schedule(Time(p.next()%4), false, false)
 		case 3:
-			p.schedule(Time(8+p.next()%24), false) // far enough ahead to be cancelled while pending
+			p.schedule(Time(8+p.next()%24), false, false) // far enough ahead to be cancelled while pending
 		case 4, 5:
-			p.schedule(Time(p.next()%4), true)
+			p.schedule(Time(p.next()%4), true, false)
 		case 6, 7, 8:
 			p.cancel(p.next() % len(p.handles))
 		case 9, 10:
@@ -281,6 +313,19 @@ func (p *program) run() {
 		case 14, 15:
 			p.s.Resume()
 			p.observe("resume", 0)
+		case 16:
+			d := p.next()
+			p.schedule(Time(d%4), d&4 != 0, true)
+		case 17:
+			if len(p.owned) == 0 {
+				p.cancel(0)
+				break
+			}
+			id := p.owned[p.next()%len(p.owned)]
+			if p.handles[id].Pending() {
+				p.cover["cancel pending handler event"]++
+			}
+			p.cancel(id)
 		}
 	}
 	p.s.Resume()
@@ -335,6 +380,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 		"cancel pending", "cancel fired or cancelled", "cancel stale", "cancel zero handle",
 		"cancel self in a callback", "cancel other in a callback",
 		"Run stopped mid-queue", "Halt inside Run",
+		"handler scheduled", "cancel pending handler event",
 	} {
 		if total[what] < 50 {
 			t.Errorf("programs too tame: %q reached %d times", what, total[what])

@@ -8,6 +8,16 @@
 // orders. Determinism is not just a convenience here — it is the property
 // published communications itself relies on (§1.1.1 of the paper), so the
 // substrate doubles as a statement of the model's assumptions.
+//
+// Hot owners bind once and arm many times. An event carries a Handler, so a
+// medium, a transmission unit or a retransmission record is scheduled as
+// itself (AtHandler, AfterHandler) instead of through a closure allocated per
+// event; At and After keep taking a func for cold callers. A Pipe carries
+// values to a bound function at non-decreasing times: the Perfect medium's
+// FIFO channel, and a kernel's send-CPU hand-off, which waits the same fixed
+// send cost on every send for the kernel's life. A pipe panics if a send's
+// time is earlier than its predecessor's, so changing that cost mid-run
+// fails loudly instead of reordering deliveries.
 package simtime
 
 import (
@@ -53,6 +63,21 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // FromMillis converts floating-point milliseconds to a Time.
 func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
+// Handler is the owner of a scheduled event: Fire runs when the event comes
+// due. A long-lived owner — a medium, a transmission unit, a retransmission
+// record — implements it once and is armed again and again through
+// AtHandler/AfterHandler, and arming a pointer allocates nothing. A closure
+// built per event is one heap object per event.
+type Handler interface{ Fire() }
+
+// Func adapts a plain callback to Handler. A func value is pointer-shaped,
+// so converting one to Handler does not allocate: At and After cost what
+// they did before Handler existed.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // eventNode is the scheduler-owned state of one scheduled callback. Nodes
 // are pooled on a free list: once an event fires or is cancelled its node
 // returns to the scheduler and is re-armed for a later event under a new
@@ -60,14 +85,14 @@ func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 type eventNode struct {
 	at  Time
 	seq uint64
-	fn  func()
-	gen uint32 // incremented each time the node is re-armed
+	h   Handler
 	// idx is the heap index while queued. -1 is the only not-queued value:
 	// the node is on the free list, or was popped and its callback is
 	// running — Step recycles before it calls, so an executing event is
 	// already neither Pending nor cancellable.
 	idx  int
-	dead bool // cancelled before firing (valid for the current gen)
+	gen  uint32 // incremented each time the node is re-armed
+	dead bool   // cancelled before firing (valid for the current gen)
 }
 
 // Event is a handle on a scheduled callback. It is a small value (copyable,
@@ -152,31 +177,37 @@ func (s *Scheduler) alloc() *eventNode {
 // recycle returns a node to the free list. The node keeps its generation
 // until re-armed, so outstanding handles still answer queries correctly.
 func (s *Scheduler) recycle(n *eventNode) {
-	n.fn = nil
+	n.h = nil
 	n.idx = -1
 	s.free = append(s.free, n)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// is a programming error and panics: silently reordering time would destroy
-// the causality the recorder depends on.
-func (s *Scheduler) At(t Time, fn func()) Event {
+// At schedules fn to run at absolute virtual time t.
+func (s *Scheduler) At(t Time, fn func()) Event { return s.AtHandler(t, Func(fn)) }
+
+// After schedules fn to run d after the current time.
+func (s *Scheduler) After(d Time, fn func()) Event { return s.AfterHandler(d, Func(fn)) }
+
+// AtHandler schedules h.Fire to run at absolute virtual time t. Scheduling
+// in the past is a programming error and panics: silently reordering time
+// would destroy the causality the recorder depends on.
+func (s *Scheduler) AtHandler(t Time, h Handler) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: event scheduled in the past: %v < %v", t, s.now))
 	}
 	n := s.alloc()
-	n.at, n.seq, n.fn = t, s.seq, fn
+	n.at, n.seq, n.h = t, s.seq, h
 	s.seq++
 	s.push(n)
 	return Event{n: n, gen: n.gen}
 }
 
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Time, fn func()) Event {
+// AfterHandler schedules h.Fire to run d after the current time.
+func (s *Scheduler) AfterHandler(d Time, h Handler) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d))
 	}
-	return s.At(s.now+d, fn)
+	return s.AtHandler(s.now+d, h)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired, already-
@@ -200,11 +231,11 @@ func (s *Scheduler) Step() bool {
 	n := s.popMin()
 	s.now = n.at
 	s.fired++
-	fn := n.fn
+	h := n.h
 	// Recycle before running: the callback may immediately schedule new
 	// events and reuse this very node (under a new generation).
 	s.recycle(n)
-	fn()
+	h.Fire()
 	return true
 }
 

@@ -3,7 +3,10 @@ package transport
 // Allocation pins for the send side. A frame handed to the medium is never
 // written again (lan.Medium.Send), so the endpoint copies a frame only where
 // it keeps one and sends another: each transmission of a retained guaranteed
-// frame. Unguaranteed sends and bundles go to the medium as built.
+// frame. Unguaranteed sends and bundles go to the medium as built. The
+// endpoint's timers — a unit's flush, a flight's retransmission, a peer's
+// delayed ack — are scheduled with their owner as the handler, so arming one
+// allocates nothing.
 
 import (
 	"testing"
@@ -70,10 +73,10 @@ func formedUnit(t *testing.T, e *Endpoint) *txUnit {
 	return u
 }
 
-// TestBundleFlushMakesNoCopy: flushing a unit allocates the bundle frame,
-// its body and one retransmit timer per guaranteed member — nothing else.
-// The timers are cancelled after each run so the scheduler reuses their
-// event nodes.
+// TestBundleFlushMakesNoCopy: flushing a unit allocates the bundle frame
+// and its body — nothing else, and no retransmit timer per member. The
+// timers are cancelled after each run so the scheduler reuses their event
+// nodes.
 func TestBundleFlushMakesNoCopy(t *testing.T) {
 	e, med := newSinkEndpoint()
 	u := formedUnit(t, e)
@@ -84,8 +87,8 @@ func TestBundleFlushMakesNoCopy(t *testing.T) {
 			e.sched.Cancel(fl.timer)
 		}
 	})
-	if want := 2.0 + float64(len(u.recs)); n != want {
-		t.Errorf("bundle flush allocated %.1f objects; want %.0f (frame, body, one timer per member)", n, want)
+	if n != 2 {
+		t.Errorf("bundle flush allocated %.1f objects; want 2 (frame, body)", n)
 	}
 	if med.last.Type != frame.Bundle {
 		t.Fatalf("flush sent a %v, want a bundle", med.last.Type)
@@ -93,8 +96,9 @@ func TestBundleFlushMakesNoCopy(t *testing.T) {
 }
 
 // TestGuaranteedTransmissionMakesOneCopy: each transmission of a retained
-// guaranteed frame is one copy of it (the frame and its body) plus the
-// retransmit timer, and the retained frame is not what the medium got.
+// guaranteed frame is one copy of it (the frame and its body) and nothing
+// else — arming the retransmit timer is free — and the retained frame is not
+// what the medium got.
 func TestGuaranteedTransmissionMakesOneCopy(t *testing.T) {
 	e, med := newSinkEndpoint()
 	e.SendGuaranteedOwned(gmsg(0, 1, 1, "payload"))
@@ -104,10 +108,34 @@ func TestGuaranteedTransmissionMakesOneCopy(t *testing.T) {
 		e.sched.Cancel(fl.timer)
 		e.transmit(fl)
 	})
-	if n != 3 {
-		t.Errorf("guaranteed transmission allocated %.1f objects; want 3 (frame and body copy, timer)", n)
+	if n != 2 {
+		t.Errorf("guaranteed transmission allocated %.1f objects; want 2 (frame and body copy)", n)
 	}
 	if med.last == fl.f || &med.last.Body[0] == &fl.f.Body[0] {
 		t.Fatal("the medium was sent the retained frame, not a copy")
+	}
+}
+
+// TestDelayedAckArmsWithoutAllocating: acknowledging a frame queues its
+// record on the peer's pending state and arms that state's delay timer,
+// with the state itself as the timer's handler. Once the state exists and
+// its record array has room, that allocates nothing. Each run empties the
+// queue and cancels the timer by hand, so the next ack arms it again.
+func TestDelayedAckArmsWithoutAllocating(t *testing.T) {
+	e, _ := newSinkEndpoint()
+	f := gmsg(1, 0, 1, "a")
+	f.Src = 1 // as the medium delivers it
+	n := testing.AllocsPerRun(200, func() {
+		if p := e.ackPend.get(f.Src); p != nil {
+			e.sched.Cancel(p.timer)
+			p.recs, p.timerSet = p.recs[:0], false
+		}
+		e.ack(f)
+	})
+	if n != 0 {
+		t.Errorf("arming the delayed ack allocated %.1f objects; want 0", n)
+	}
+	if p := e.ackPend.get(f.Src); p == nil || !p.timer.Pending() || len(p.recs) != 1 {
+		t.Fatal("the ack was not queued with its timer armed")
 	}
 }

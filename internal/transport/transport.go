@@ -177,7 +177,7 @@ type Endpoint struct {
 	epoch uint64
 
 	// sendq holds guaranteed frames not yet admitted to the wire, FIFO.
-	sendq []*frame.Frame
+	sendq frameRing
 	// inflight maps outstanding unacked frames to their retry state.
 	inflight map[frame.MsgID]*flight
 	// perDest counts outstanding transmission units per destination
@@ -204,9 +204,11 @@ type Endpoint struct {
 	// rto holds the per-destination measured retransmission timeout.
 	rto destTable[*rtoState]
 
-	// recScratch and idScratch are decode buffers reused across receives.
-	recScratch []frame.BundleRec
-	idScratch  []frame.MsgID
+	// recScratch and idScratch are decode buffers reused across receives;
+	// doneScratch collects the flights a cumulative ack completes.
+	recScratch  []frame.BundleRec
+	idScratch   []frame.MsgID
+	doneScratch []*frame.Frame
 
 	stats Stats
 	// ackRTT observes send-to-ack round trips in virtual nanoseconds.
@@ -218,7 +220,14 @@ type Endpoint struct {
 // txUnit is one transmission unit under the window discipline: the set of
 // messages that will share (or shared) one wire frame. Its window slot frees
 // when every guaranteed member has been acknowledged or withdrawn.
+//
+// A unit is the handler of its own flush timer, and its flights of their
+// retransmission timers, so arming either allocates nothing. The unit holds
+// its first flight and the backing array of a one-member recs, so a message
+// that coalesces with nothing costs one allocation here.
 type txUnit struct {
+	e       *Endpoint
+	epoch   uint64 // the endpoint's epoch when the unit opened
 	dst     frame.NodeID
 	recs    []*flight      // guaranteed members, admission order
 	riders  []*frame.Frame // unguaranteed records riding along
@@ -227,13 +236,37 @@ type txUnit struct {
 	flushed bool
 	closed  bool
 	timer   simtime.Event
+	first   flight
+	recs1   [1]*flight
 }
 
-// ackPending is one peer's delayed-acknowledgement state.
+// Fire is the flush timer: FlushDelay after the unit opened, it goes on the
+// wire with whatever joined it.
+func (u *txUnit) Fire() {
+	if u.e.epoch != u.epoch {
+		return
+	}
+	u.e.flushUnit(u)
+}
+
+// ackPending is one peer's delayed-acknowledgement state, and the handler of
+// its own delay timer.
 type ackPending struct {
+	e        *Endpoint
+	epoch    uint64 // the endpoint's epoch when the timer was armed
 	recs     []frame.AckRec
-	timerSet bool
 	timer    simtime.Event
+	peer     frame.NodeID
+	timerSet bool
+}
+
+// Fire is the delayed-ack timer: no reverse traffic took the pending
+// records, so they leave as standalone cumulative Ack frames.
+func (p *ackPending) Fire() {
+	if p.e.epoch != p.epoch {
+		return
+	}
+	p.e.flushAcks(p.peer)
 }
 
 // rtoState is the RFC 6298 estimator for one destination.
@@ -276,6 +309,16 @@ type flight struct {
 	timer  simtime.Event
 	// unit is the transmission unit this flight belongs to.
 	unit *txUnit
+}
+
+// Fire is the retransmission timer. A flight is only ever armed in its
+// unit's epoch.
+func (fl *flight) Fire() {
+	e := fl.unit.e
+	if e.epoch != fl.unit.epoch {
+		return
+	}
+	e.retransmit(fl)
 }
 
 type heldFrame struct {
@@ -371,7 +414,7 @@ func (e *Endpoint) Reset() {
 			e.sched.Cancel(p.timer)
 		}
 	}
-	e.sendq = nil
+	e.sendq = frameRing{}
 	e.inflight = make(map[frame.MsgID]*flight)
 	e.perDest.reset()
 	e.openUnits = 0
@@ -408,7 +451,7 @@ func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 	// frame the kernel forwards must not carry the previous hop's.
 	f.AckCumSet, f.AckCum, f.AckRecs = false, 0, nil
 	e.stats.GuaranteedSent++
-	e.sendq = append(e.sendq, f)
+	e.sendq.push(f)
 	e.pump()
 }
 
@@ -442,7 +485,7 @@ func (e *Endpoint) SendRaw(f *frame.Frame) {
 
 // InFlight reports the number of guaranteed frames not yet acknowledged,
 // including frames still queued behind the window.
-func (e *Endpoint) InFlight() int { return len(e.inflight) + len(e.sendq) }
+func (e *Endpoint) InFlight() int { return len(e.inflight) + e.sendq.len() }
 
 // InFlightIDs returns the ids of frames transmitted and awaiting their
 // end-to-end acknowledgement (excludes frames still queued).
@@ -459,12 +502,12 @@ func (e *Endpoint) InFlightIDs() []frame.MsgID {
 // queue may always join the forming unit for its destination (that unit
 // already holds a window slot), while opening a new unit requires a free slot.
 func (e *Endpoint) pump() {
-	for len(e.sendq) > 0 {
-		f := e.sendq[0]
+	for e.sendq.len() > 0 {
+		f := e.sendq.peek()
 		n := bundleRecLen(f)
 		if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
 			if u.bytes+n <= bundleBudget {
-				e.sendq = e.sendq[1:]
+				e.sendq.pop()
 				e.joinUnit(u, f, n)
 				continue
 			}
@@ -483,7 +526,7 @@ func (e *Endpoint) pump() {
 			// accounting relies on.
 			return
 		}
-		e.sendq = e.sendq[1:]
+		e.sendq.pop()
 		u := e.openUnit(f)
 		if n > bundleBudget {
 			// A frame that fills the budget alone can never coalesce; waiting
@@ -510,18 +553,13 @@ func bundleRecLen(f *frame.Frame) int {
 // openUnit starts a new transmission unit with f as its first member and
 // arms the flush timer.
 func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
-	u := &txUnit{dst: f.Dst, bytes: frame.BundleHdrLen}
+	u := &txUnit{e: e, epoch: e.epoch, dst: f.Dst, bytes: frame.BundleHdrLen}
+	u.recs = u.recs1[:0]
 	e.form.set(f.Dst, u)
 	e.perDest.set(f.Dst, e.perDest.get(f.Dst)+1)
 	e.openUnits++
 	e.joinUnit(u, f, bundleRecLen(f))
-	epoch := e.epoch
-	u.timer = e.sched.After(e.cfg.FlushDelay, func() {
-		if e.epoch != epoch {
-			return
-		}
-		e.flushUnit(u)
-	})
+	u.timer = e.sched.AfterHandler(e.cfg.FlushDelay, u)
 	return u
 }
 
@@ -531,7 +569,11 @@ func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 	seq := e.xseq.get(f.Dst)
 	e.xseq.set(f.Dst, seq+1)
 	f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
-	fl := &flight{f: f, unit: u}
+	fl := &u.first
+	if len(u.recs) > 0 {
+		fl = &flight{}
+	}
+	fl.f, fl.unit = f, u
 	e.inflight[f.ID] = fl
 	u.recs = append(u.recs, fl)
 	u.open++
@@ -653,13 +695,7 @@ func (e *Endpoint) armFlight(fl *flight) {
 	if fl.attempts == 1 {
 		fl.sentAt = e.sched.Now()
 	}
-	epoch := e.epoch
-	fl.timer = e.sched.After(e.rtoDelay(fl), func() {
-		if e.epoch != epoch {
-			return
-		}
-		e.retransmit(fl)
-	})
+	fl.timer = e.sched.AfterHandler(e.rtoDelay(fl), fl)
 }
 
 // rtoDelay returns the retransmission timeout for the flight's next attempt:
@@ -881,7 +917,11 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 		return
 	}
 	cum := xseqSeq(f.AckCum)
-	var done []*frame.Frame
+	// The scratch slice is taken, not shared, while the acks run, so an
+	// OnAck hook that re-enters the endpoint gets a fresh slice instead of
+	// overwriting this one.
+	done := e.doneScratch[:0]
+	e.doneScratch = nil
 	for _, fl := range e.inflight {
 		if fl.f.Dst == f.Src && fl.attempts > 0 && xseqSeq(fl.f.XSeq) <= cum {
 			done = append(done, fl.f)
@@ -895,6 +935,8 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 			e.ackOne(fl)
 		}
 	}
+	clear(done)
+	e.doneScratch = done[:0]
 }
 
 func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
@@ -1105,15 +1147,13 @@ func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 	// In-flight frames were admitted before anything still queued; order
 	// them by their stream sequence.
 	sortFrames(out)
-	keep := e.sendq[:0]
-	for _, f := range e.sendq {
+	e.sendq.filter(func(f *frame.Frame) bool {
 		if pred(f) {
 			out = append(out, f)
-		} else {
-			keep = append(keep, f)
+			return false
 		}
-	}
-	e.sendq = keep
+		return true
+	})
 	e.pump()
 	return out
 }
@@ -1138,7 +1178,7 @@ func (e *Endpoint) ack(f *frame.Frame) {
 	e.stats.AcksSent++
 	p := e.ackPend.get(f.Src)
 	if p == nil {
-		p = &ackPending{}
+		p = &ackPending{e: e, peer: f.Src}
 		e.ackPend.set(f.Src, p)
 	}
 	rec := frame.AckRec{ID: f.ID, Rcv: f.To}
@@ -1150,14 +1190,8 @@ func (e *Endpoint) ack(f *frame.Frame) {
 	p.recs = append(p.recs, rec)
 	if !p.timerSet {
 		p.timerSet = true
-		src := f.Src
-		epoch := e.epoch
-		p.timer = e.sched.After(e.cfg.AckDelay, func() {
-			if e.epoch != epoch {
-				return
-			}
-			e.flushAcks(src)
-		})
+		p.epoch = e.epoch
+		p.timer = e.sched.AfterHandler(e.cfg.AckDelay, p)
 	}
 }
 
@@ -1298,6 +1332,47 @@ func (d *destTable[T]) reset() {
 func (d *destTable[T]) presize(n int) {
 	if n > len(d.v) {
 		d.v = make([]T, n)
+	}
+}
+
+// frameRing is the send queue: a FIFO of frames on a power-of-two ring, so
+// popping the head keeps the capacity the next push needs.
+type frameRing struct {
+	buf  []*frame.Frame // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *frameRing) len() int { return r.n }
+
+func (r *frameRing) push(f *frame.Frame) {
+	if r.n == len(r.buf) {
+		buf := make([]*frame.Frame, max(4, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	r.n++
+}
+
+func (r *frameRing) peek() *frame.Frame { return r.buf[r.head] }
+
+func (r *frameRing) pop() {
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+// filter keeps, in order, the queued frames keep reports true for.
+func (r *frameRing) filter(keep func(f *frame.Frame) bool) {
+	n := r.n
+	for i := 0; i < n; i++ {
+		f := r.peek()
+		r.pop()
+		if keep(f) {
+			r.push(f)
+		}
 	}
 }
 

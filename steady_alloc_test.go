@@ -1,0 +1,98 @@
+package publishing
+
+import (
+	"runtime"
+	"testing"
+
+	"publishing/internal/simtime"
+)
+
+// steadyAllocsPerMessage runs the 3-node pipeline (producer on node 0,
+// worker on node 1, witness on node 2, recorder on node 3) on medium, warms
+// it up, and returns the heap allocations per delivered message over the
+// measured stretch. A message is one hop: producer to worker, or worker to
+// witness. The test images allocate nothing per message themselves and the
+// trace is off, so the count is the system's: kernel, transport, medium,
+// recorder and store.
+func steadyAllocsPerMessage(t *testing.T, medium MediumKind) float64 {
+	t.Helper()
+	const warm, measured = 200, 600
+	cfg := DefaultConfig(3)
+	cfg.Medium = medium
+	c := New(cfg)
+	t.Cleanup(c.Close)
+	c.Trace().Enable(false) // as the benchmark's untraced passes run
+
+	delivered := 0
+	c.Registry().RegisterMachine("witness", func([]byte) Machine {
+		return &testMachine{handle: func(*PCtx, Msg) { delivered++ }}
+	})
+	c.Registry().RegisterMachine("worker", func([]byte) Machine {
+		var out LinkID
+		return &testMachine{
+			init: func(ctx *PCtx) { out, _ = ctx.ServiceLink("witness") },
+			handle: func(ctx *PCtx, m Msg) {
+				delivered++
+				_ = ctx.Send(out, m.Body, NoLink)
+			},
+		}
+	})
+	body := make([]byte, 64)
+	c.Registry().RegisterProgram("producer", func([]byte) Program {
+		return func(ctx *PCtx) {
+			l, _ := ctx.ServiceLink("worker")
+			for i := 0; i < 2*(warm+measured); i++ {
+				_ = ctx.Send(l, body, NoLink)
+				ctx.Compute(20 * simtime.Millisecond)
+			}
+		}
+	})
+	for _, s := range []struct {
+		node NodeID
+		name string
+	}{{2, "witness"}, {1, "worker"}, {0, "producer"}} {
+		id, err := c.Spawn(s.node, ProcSpec{Name: s.name, Recoverable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetService(s.name, id)
+	}
+
+	if !c.RunUntil(func() bool { return delivered >= 2*warm }, simtime.Minute) {
+		t.Fatalf("%s: %d of %d warm-up messages delivered", medium, delivered, 2*warm)
+	}
+	start := delivered
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ok := c.RunUntil(func() bool { return delivered >= start+2*measured }, simtime.Minute)
+	runtime.ReadMemStats(&m1)
+	if !ok {
+		t.Fatalf("%s: %d of %d measured messages delivered", medium, delivered-start, 2*measured)
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(delivered-start)
+}
+
+// TestSteadyStateAllocsPerMessage pins what a guaranteed message costs the
+// simulator in heap allocations once the pipeline is warm, on the reference
+// medium and on the paper's Acknowledging Ethernet. Allocation counts are the
+// same on every host, so the pin is exact enough to gate on. Scheduled
+// events carry their owner (simtime.Handler, simtime.Pipe), so none of the
+// per-message timers, wire completions and send hand-offs allocates: 7.47
+// per message on Perfect and 7.55 on AckEther. A closure per event cost 16.77
+// and 20.66. Each ceiling sits under one allocation per message above the
+// measured count, so bringing back any per-message closure fails here.
+func TestSteadyStateAllocsPerMessage(t *testing.T) {
+	for _, tc := range []struct {
+		medium  MediumKind
+		ceiling float64
+	}{
+		{MediumPerfect, 8},
+		{MediumAckEther, 8},
+	} {
+		got := steadyAllocsPerMessage(t, tc.medium)
+		t.Logf("%s: %.2f allocations per delivered message (ceiling %.1f)", tc.medium, got, tc.ceiling)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.2f allocations per delivered message, over the ceiling of %.1f", tc.medium, got, tc.ceiling)
+		}
+	}
+}
