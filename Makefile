@@ -38,10 +38,15 @@ noseg:
 # performance"): media and delivery hand every listener the frame that was
 # sent, and the transport attaches each transmission's ack block to that
 # transmission's own frame instead of attaching and detaching it on the one
-# it retains.
+# it retains. A body is read-only from Send on (DESIGN.md "Delivered bodies
+# are read-only"): a transmission copies the retained frame's header only,
+# and the recorder's log keeps the wire body instead of copying it into a
+# pooled buffer.
 noclone:
 	! grep -n 'Clone()' internal/lan/perfect.go internal/lan/ether.go internal/lan/ring.go internal/lan/star.go internal/lan/lan.go
 	! grep -rn detachAcks internal/transport
+	! grep -rn 'fl\.f\.Clone()' internal/transport
+	! grep -rn 'append(sm\.Body\[:0\]' internal/recorder
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and

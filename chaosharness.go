@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"publishing/internal/chaos"
 	"publishing/internal/simtime"
@@ -274,4 +276,44 @@ func ChaosSeedVariant(seed uint64) ChaosOptions {
 		opt.Nodes = 64
 	}
 	return opt
+}
+
+// Tag compacts the options into a census note: cluster width, LAN medium,
+// and which option rotations are armed — the checkpoint-bound policy and
+// the sharded replicated recorder trio.
+func (opt ChaosOptions) Tag() string {
+	tag := fmt.Sprintf("n=%d", max(opt.Nodes, 3))
+	if opt.Medium != "" {
+		tag += " " + string(opt.Medium)
+	}
+	if opt.Checkpoint {
+		tag += " ckpt"
+	}
+	if opt.Recorders > 1 {
+		tag += fmt.Sprintf(" shard%dx%d", opt.Recorders, opt.ShardSlots)
+	}
+	return tag
+}
+
+// ChaosCensus runs the generated schedules of seeds start..start+n-1, each
+// on its ChaosSeedVariant, across GOMAXPROCS workers, and returns their
+// results in seed order. It is the chaos census: `experiments -chaos` prints
+// it, and TestChaosCensus checks it against testdata/census.golden.
+func ChaosCensus(start uint64, n int, opt chaos.Options) []chaos.Result {
+	lim := chaos.DefaultLimits()
+	out := make([]chaos.Result, n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			seed := start + uint64(i)
+			out[i] = chaos.Run(chaos.Generate(seed, lim), ChaosBuild(ChaosSeedVariant(seed)), opt)
+		}()
+	}
+	wg.Wait()
+	return out
 }

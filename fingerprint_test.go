@@ -19,7 +19,7 @@ import (
 )
 
 var (
-	update  = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this run")
+	update  = flag.Bool("update", false, "rewrite the golden files the selected tests check (testdata/fingerprints.golden, testdata/census.golden) from this run")
 	dumpDir = flag.String("dump", "", "write each golden row's full fingerprint text under this directory")
 )
 

@@ -32,6 +32,8 @@ type System interface {
 	Run(d simtime.Time)
 	RunUntil(pred func() bool, max simtime.Time) bool
 	Now() simtime.Time
+	// Close releases the system's process goroutines once a run is over.
+	Close()
 }
 
 // Targets maps a schedule's abstract operands onto one scenario's concrete

@@ -71,16 +71,19 @@ type Result struct {
 
 // Run executes the full harness cycle for one schedule: a fault-free
 // baseline run of the same seed, then the faulted run with detailed tracing,
-// then the invariant check after quiescence.
+// then the invariant check after quiescence. Both systems are closed when it
+// returns, so a sweep of many schedules holds no finished cluster.
 func Run(s Schedule, build BuildFunc, opt Options) Result {
 	if opt.MaxRun <= 0 {
 		opt = DefaultOptions()
 	}
 
 	base := build(s.Seed)
+	defer base.Sys.Close()
 	baseline := runOne(base, opt)
 
 	sc := build(s.Seed)
+	defer sc.Sys.Close()
 	// Detailed tracing emits the per-record replay events the monitor's
 	// exactly-once rule counts as licenses. It changes only what is logged,
 	// never the execution.

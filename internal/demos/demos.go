@@ -42,7 +42,10 @@ type Msg struct {
 	Channel uint16
 	// Code is the code of the link the message was sent over (§4.2.2.1).
 	Code uint32
-	// Body is the uninterpreted payload.
+	// Body is the uninterpreted payload. It is read-only: the sender's
+	// buffer, the wire, every receiver and the recorder's log share it, and
+	// a replay after a crash hands the logged copy back. A program that
+	// wants to write it copies it first.
 	Body []byte
 	// Link is the id, in the receiver's table, of the link passed in the
 	// message, or NoLink.

@@ -186,9 +186,7 @@ func NewKernel(node frame.NodeID, env Env) *Kernel {
 		// If the destination moved since the frame was queued, try again at
 		// the new location; otherwise the message is lost with its process.
 		if n := k.locate(f.To); n != f.Dst && !k.crashed {
-			g := f.Clone()
-			g.Dst = n
-			k.ep.SendGuaranteedOwned(g)
+			k.resend(f, n)
 		}
 	}
 	return k
@@ -518,9 +516,7 @@ func (k *Kernel) SetRoute(proc frame.ProcID, node frame.NodeID) {
 		return f.To == proc && f.Dst != node
 	})
 	for _, f := range moved {
-		g := f.Clone()
-		g.Dst = node
-		k.ep.SendGuaranteedOwned(g)
+		k.resend(f, node)
 	}
 }
 

@@ -203,9 +203,7 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 			// The process migrated or was recovered elsewhere; forward
 			// (§3.3.3 discusses exactly this forwarding duty).
 			k.stats.MsgsForwarded++
-			g := f.Clone()
-			g.Dst = n
-			k.ep.SendGuaranteedOwned(g)
+			k.resend(f, n)
 			return true
 		}
 		// Unknown here: the process may be dead, or this node just
@@ -273,17 +271,17 @@ func (k *Kernel) handleUnguaranteed(f *frame.Frame) {
 		return
 	}
 	if p := k.procs[f.To]; p != nil && p.state != psCrashed && !p.recovering {
-		body, link := f.Body, f.PassedLink
-		if f.Dst == frame.Broadcast {
-			// A broadcast frame is one transmission heard by every node, and
-			// the queue hands its body to a program that owns what it
-			// receives, so each receiver takes its own body and link.
-			body = append([]byte(nil), body...)
-			if link != nil {
-				l := *link
-				link = &l
-			}
-		}
-		k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: body}, link)
+		// A broadcast frame is one transmission heard by every node; every
+		// receiver's program shares its body, read-only (Msg.Body).
+		k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)
 	}
+}
+
+// resend starts a new transmission toward dst of a frame someone else still
+// holds: one heard on the wire, or one the endpoint gave back. The copy is
+// the header only; the body and passed link are read-only from Send on.
+func (k *Kernel) resend(f *frame.Frame, dst frame.NodeID) {
+	g := *f
+	g.Dst = dst
+	k.ep.SendGuaranteedOwned(&g)
 }

@@ -263,6 +263,9 @@ func (c *PCtx) DestroyLink(id LinkID) error {
 
 // Send sends body over the link with id link. pass, if not NoLink, names a
 // link to move into the message (§4.2.2.3); it leaves the sender's table.
+// Send does not copy body: the wire, the receivers and the recorder's log
+// share it, so the caller must not write to it after the call (Msg.Body).
+// Forwarding a received Msg.Body as is is fine.
 func (c *PCtx) Send(link LinkID, body []byte, pass LinkID) error {
 	r := c.call(callReq{op: opSend, link: link, body: body, pass: pass})
 	return r.err
@@ -270,7 +273,8 @@ func (c *PCtx) Send(link LinkID, body []byte, pass LinkID) error {
 
 // Receive blocks until a message arrives on one of the given channels
 // (none: any channel) and returns it. A link passed in the message is
-// installed in the caller's table and its id set in Msg.Link.
+// installed in the caller's table and its id set in Msg.Link. Msg.Body is
+// read-only.
 func (c *PCtx) Receive(channels ...uint16) Msg {
 	r := c.call(callReq{op: opReceive, channels: channels})
 	if r.err != nil {

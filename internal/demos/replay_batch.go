@@ -53,7 +53,7 @@ const replayRecLink = 8 + 2 + 4 + 1
 
 // ReplayRec is one replayed message inside a batch. After decoding, Body
 // aliases the batch frame's body; the kernel queues it without copying
-// because delivered frames belong to the receiving endpoint.
+// because a delivered body is read-only (Msg.Body).
 type ReplayRec struct {
 	ID      frame.MsgID
 	From    frame.ProcID

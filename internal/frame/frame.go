@@ -269,9 +269,12 @@ func (f *Frame) WireLen() int {
 func (f *Frame) hasAcks() bool { return f.AckCumSet || len(f.AckRecs) > 0 }
 
 // Clone returns a deep copy. A frame handed to a medium is never written
-// again and every listener shares it (lan.Medium.Send), so copies are made
-// only where a new transmission starts from a frame someone keeps: each
-// transport retransmission, a bridge crossing, a kernel forward.
+// again and every listener shares it (lan.Medium.Send), and a body is
+// read-only from the sender's Send through every receiver and the
+// recorder's log, so a new transmission from a frame someone keeps copies
+// only its header: each transport attempt and a kernel forward share the
+// body. Clone is for a bridge crossing, whose far medium may mark its frame
+// corrupt, and for callers that go on writing a frame they send.
 func (f *Frame) Clone() *Frame {
 	g := *f
 	if f.Body != nil {

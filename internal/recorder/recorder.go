@@ -506,7 +506,7 @@ func (r *Recorder) Observe(f *frame.Frame) bool {
 		if r.storeFailed() {
 			ok = false
 		} else {
-			r.observeMessage(f)
+			r.observeMessage(f, false)
 		}
 	case frame.Bundle:
 		ok = r.observeBundle(f)
@@ -555,7 +555,7 @@ func (r *Recorder) observeBundle(f *frame.Frame) bool {
 			ok = false
 			continue
 		}
-		r.observeMessage(recs[i].Expand(f))
+		r.observeMessage(recs[i].Expand(f), true)
 	}
 	return ok
 }
@@ -570,7 +570,9 @@ func (r *Recorder) observeAckPayload(f *frame.Frame) {
 	}
 }
 
-func (r *Recorder) observeMessage(f *frame.Frame) {
+// observeMessage handles one guaranteed message the tap heard, alone on the
+// wire or as a member of a bundle.
+func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
@@ -648,9 +650,18 @@ func (r *Recorder) observeMessage(f *frame.Frame) {
 	sm.From = f.From
 	sm.Channel = f.Channel
 	sm.Code = f.Code
-	sm.Body = append(sm.Body[:0], f.Body...)
-	// Deep-copy the link: the medium no longer clones frames for taps, so f
-	// (and everything it points at) belongs to the sender after we return.
+	// A body is read-only from Send on (demos.Msg.Body), so the log keeps
+	// the one on the wire. A bundle member's body is a slice of the whole
+	// bundle, which logging it would keep reachable, so that one is copied.
+	switch {
+	case len(f.Body) == 0:
+		sm.Body = nil
+	case inBundle:
+		sm.Body = bytes.Clone(f.Body)
+	default:
+		sm.Body = f.Body
+	}
+	// The link goes into the node's own, which the pool reuses.
 	if f.PassedLink != nil {
 		if sm.Link == nil {
 			sm.Link = new(frame.Link)
@@ -770,7 +781,7 @@ func (r *Recorder) flushRecorderAcks() {
 }
 
 // allocStored takes a pendingMsg node from the pool (or the heap); the caller
-// overwrites every field, reusing Body and Link capacity.
+// overwrites every field, reusing Link capacity.
 func (r *Recorder) allocStored() *pendingMsg {
 	if k := len(r.smFree); k > 0 {
 		sm := r.smFree[k-1]
@@ -781,19 +792,21 @@ func (r *Recorder) allocStored() *pendingMsg {
 	return &pendingMsg{}
 }
 
-// recycleStored returns a node whose Body and Link were never exposed
-// outside the recorder (drop paths only) for full reuse.
+// recycleStored returns a node whose Link was never exposed outside the
+// recorder (drop paths only) for reuse. Its Body is a wire body or a bundle
+// member's copy, and no pooled node holds or reuses one.
 func (r *Recorder) recycleStored(sm *pendingMsg) {
+	sm.Body = nil
 	if len(r.smFree) < 1024 {
 		r.smFree = append(r.smFree, sm)
 	}
 }
 
-// releaseStored retires a node whose Body/Link now alias an archived copy
-// (e.Arrivals or preArrivals): the struct is reused but its buffers are
+// releaseStored retires a node whose Link now aliases an archived copy
+// (e.Arrivals or preArrivals): the struct is reused but the link is
 // detached so the archive keeps sole ownership.
 func (r *Recorder) releaseStored(sm *pendingMsg) {
-	sm.Body, sm.Link = nil, nil
+	sm.Link = nil
 	r.recycleStored(sm)
 }
 

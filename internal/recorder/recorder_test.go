@@ -228,6 +228,48 @@ func TestHeaderOnlyAckIsCredited(t *testing.T) {
 	}
 }
 
+// The arrival log keeps the body the tap heard on a single-message frame —
+// a body is read-only from Send on — but copies a bundle member's: the
+// member's body is a slice of the whole bundle, which logging it would keep
+// reachable for as long as the arrival is retained.
+func TestStoredBodyAliasesOnlySingleFrames(t *testing.T) {
+	r, _, _ := newBench(t)
+	register(r, procB(), "b")
+	msg := func(seq uint64, body string) *frame.Frame {
+		return &frame.Frame{Type: frame.Guaranteed, Src: 0, Dst: 1,
+			ID: frame.MsgID{Sender: procA(), Seq: seq}, From: procA(), To: procB(), Body: []byte(body)}
+	}
+	single := msg(1, "single")
+	publishFrame(r, single)
+
+	member := msg(2, "member")
+	var rec frame.BundleRec
+	rec.RecOf(member)
+	body := frame.AppendBundleRec(frame.BeginBundle(nil), &rec)
+	bundle := &frame.Frame{Type: frame.Bundle, Src: 0, Dst: 1, Body: frame.FinishBundle(body, 0, 1)}
+	if !r.Observe(bundle) {
+		t.Fatal("tap rejected the bundle")
+	}
+	r.Observe(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: member.ID, From: procB(), To: procA()})
+
+	log := &r.db[procB()].Arrivals
+	if log.len() != 2 {
+		t.Fatalf("stream holds %d arrivals, want 2", log.len())
+	}
+	if got := log.at(0).Body; string(got) != "single" || &got[0] != &single.Body[0] {
+		t.Errorf("the single frame's arrival holds %q at %p, want the wire body at %p", got, &got[0], &single.Body[0])
+	}
+	got := log.at(1).Body
+	if string(got) != "member" {
+		t.Fatalf("the bundle member's arrival holds %q", got)
+	}
+	for i := range bundle.Body {
+		if &bundle.Body[i] == &got[0] {
+			t.Fatal("the bundle member's arrival aliases the bundle body")
+		}
+	}
+}
+
 // Traffic that beats the creation notice is buffered and merged (the
 // pre-registration race).
 func TestPreRegistrationBuffering(t *testing.T) {

@@ -30,6 +30,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -321,9 +322,31 @@ func (fl *flight) Fire() {
 	e.retransmit(fl)
 }
 
+// heldFrame is a received guaranteed frame awaiting its recorder ack, and the
+// handler of its own expiry timer.
 type heldFrame struct {
+	e     *Endpoint
+	epoch uint64 // the endpoint's epoch when the frame was held
 	f     *frame.Frame
 	timer simtime.Event
+}
+
+// Fire is the expiry timer: no recorder ack arrived, so the frame is
+// discarded and the sender's retransmission tries again.
+func (h *heldFrame) Fire() {
+	e := h.e
+	if e.epoch != h.epoch {
+		return
+	}
+	if _, ok := e.held[h.f.ID]; ok {
+		delete(e.held, h.f.ID)
+		e.stats.RecorderExpired++
+		if e.log.Enabled() {
+			id := h.f.ID.String()
+			e.log.AddMsg(trace.KindDrop, int(e.node), id, id,
+				"discarded: no recorder ack (will be resent)")
+		}
+	}
 }
 
 // New creates an endpoint for node and attaches it to the medium.
@@ -436,8 +459,10 @@ func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 
 // SendGuaranteedOwned is SendGuaranteed for callers handing over ownership:
 // the endpoint retains f for retransmission and stamps its type, source and
-// stream sequence, so the caller must not touch f — or anything it aliases —
-// after the call. Every product sender builds a fresh frame per message.
+// stream sequence, so the caller must not touch f after the call. Every
+// transmission shares f's body and passed link, and so do the receivers
+// and the recorder's log: nobody writes them again. Every product sender
+// builds a fresh frame per message.
 func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 	if f.ID.IsNil() {
 		panic("transport: guaranteed frame without message id")
@@ -675,12 +700,13 @@ func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 }
 
 // transmit puts one attempt of a flight on the wire. The medium keeps what
-// it is sent, so each attempt is its own copy of the retained frame, with
-// the low-water mark and ack block of this send time. The receiving kernel
-// hands the copy's body to a program, which must not share it with the
-// sender's retained frame.
+// it is sent, so each attempt is its own copy of the retained frame's
+// header, with the low-water mark and ack block of this send time. The body
+// and passed link are shared with the retained frame: a body is read-only
+// from Send through every receiver and the recorder's log (demos.Msg.Body).
 func (e *Endpoint) transmit(fl *flight) {
-	g := fl.f.Clone()
+	g := new(frame.Frame)
+	*g = *fl.f
 	// Stamp the stream low-water mark: the lowest sequence still
 	// unacknowledged toward this destination. Receivers sync on it.
 	g.XLow = e.xlowFor(g.Dst, xseqSeq(g.XSeq))
@@ -954,22 +980,8 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 			return
 		}
 		e.stats.RecorderHeld++
-		h := &heldFrame{f: f}
-		epoch := e.epoch
-		h.timer = e.sched.After(e.cfg.RecorderAckTimeout, func() {
-			if e.epoch != epoch {
-				return
-			}
-			if _, ok := e.held[f.ID]; ok {
-				delete(e.held, f.ID)
-				e.stats.RecorderExpired++
-				if e.log.Enabled() {
-					id := f.ID.String()
-					e.log.AddMsg(trace.KindDrop, int(e.node), id, id,
-						"discarded: no recorder ack (will be resent)")
-				}
-			}
-		})
+		h := &heldFrame{e: e, epoch: e.epoch, f: f}
+		h.timer = e.sched.AfterHandler(e.cfg.RecorderAckTimeout, h)
 		e.held[f.ID] = h
 		return
 	}
@@ -1199,36 +1211,45 @@ func (e *Endpoint) ack(f *frame.Frame) {
 // cumulative Ack frame to the MTU.
 const maxFlushAckRecs = (frame.MaxBody - 16) / frame.AckRecLen
 
+// ackFrame is a flushed Ack frame and the backing array of a one-record
+// AckRecs, allocated as one object.
+type ackFrame struct {
+	f    frame.Frame
+	recs [1]frame.AckRec
+}
+
 // flushAcks emits the acknowledgements pending toward src as standalone
 // cumulative Ack frames — the fallback when the delay expires with no
-// reverse-direction traffic to ride.
+// reverse-direction traffic to ride. Each frame gets its own copy of its
+// records, so the pending queue keeps its backing array for the next acks.
 func (e *Endpoint) flushAcks(src frame.NodeID) {
 	p := e.ackPend.get(src)
 	if p == nil {
 		return
 	}
 	p.timerSet = false
-	for len(p.recs) > 0 {
-		n := len(p.recs)
-		if n > maxFlushAckRecs {
-			n = maxFlushAckRecs
+	for recs := p.recs; len(recs) > 0; {
+		n := min(len(recs), maxFlushAckRecs)
+		var f *frame.Frame
+		if n == 1 {
+			a := &ackFrame{recs: [1]frame.AckRec{recs[0]}}
+			f = &a.f
+			f.AckRecs = a.recs[:]
+		} else {
+			f = &frame.Frame{AckRecs: slices.Clone(recs[:n])}
 		}
-		last := p.recs[n-1]
+		last := recs[n-1]
 		cum, cumOK := e.cumFor(src)
 		e.stats.AcksDelayedFlush++
-		e.med.Send(e.node, &frame.Frame{
-			Type:      frame.Ack,
-			Src:       e.node,
-			Dst:       src,
-			ID:        last.ID, // header echoes the newest record for tracing
-			From:      last.Rcv,
-			To:        last.ID.Sender,
-			AckCumSet: cumOK,
-			AckCum:    cum,
-			AckRecs:   p.recs[:n],
-		})
-		p.recs = p.recs[n:]
+		f.Type = frame.Ack
+		f.Src, f.Dst = e.node, src
+		f.ID = last.ID // header echoes the newest record for tracing
+		f.From, f.To = last.Rcv, last.ID.Sender
+		f.AckCumSet, f.AckCum = cumOK, cum
+		e.med.Send(e.node, f)
+		recs = recs[n:]
 	}
+	p.recs = p.recs[:0]
 }
 
 // cumFor returns the cumulative acknowledgement (XSeq layout) for the stream
