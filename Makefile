@@ -36,17 +36,20 @@ noseg:
 
 # A frame handed to a medium is never written again (DESIGN.md "Simulator
 # performance"): media and delivery hand every listener the frame that was
-# sent, and the transport attaches each transmission's ack block to that
-# transmission's own frame instead of attaching and detaching it on the one
-# it retains. A body is read-only from Send on (DESIGN.md "Delivered bodies
-# are read-only"): a transmission copies the retained frame's header only,
+# sent, and the transport attaches each transmission's ack block to the
+# frame it is about to send, never detaching one from a frame already sent.
+# A body is read-only from Send on (DESIGN.md "Delivered bodies
+# are read-only"): a retransmission copies the retained frame's header only,
 # and the recorder's log keeps the wire body instead of copying it into a
-# pooled buffer.
+# pooled buffer. A message's frame lives in its flight (DESIGN.md "A
+# message's frame lives in its flight"): SendGuaranteed always copies the
+# caller's header, so there is no second, ownership-taking entry point.
 noclone:
 	! grep -n 'Clone()' internal/lan/perfect.go internal/lan/ether.go internal/lan/ring.go internal/lan/star.go internal/lan/lan.go
 	! grep -rn detachAcks internal/transport
 	! grep -rn 'fl\.f\.Clone()' internal/transport
 	! grep -rn 'append(sm\.Body\[:0\]' internal/recorder
+	! grep -rn SendGuaranteedOwned --include='*.go' .
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and

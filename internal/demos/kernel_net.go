@@ -90,7 +90,10 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 	}
 
 	dstNode := k.locate(l.To)
-	f := &frame.Frame{
+	// The frame is a value: the send-CPU pipe carries it and the endpoint
+	// copies it, so a send builds no heap frame here. Only the sandbox hook
+	// gets a copy of its own, since it may keep what it is handed.
+	f := frame.Frame{
 		Type:            frame.Guaranteed,
 		Dst:             dstNode,
 		ID:              frame.MsgID{Sender: from, Seq: seq},
@@ -104,10 +107,12 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 	}
 	k.stats.MsgsSent++
 
-	if k.emitFilter != nil && k.emitFilter(f) {
-		// Sandbox consumed the frame (debugger output capture).
-		k.charge(costs.SendCPU, costs.UserPerCall)
-		return nil
+	if k.emitFilter != nil {
+		if g := f; k.emitFilter(&g) {
+			// Sandbox consumed the frame (debugger output capture).
+			k.charge(costs.SendCPU, costs.UserPerCall)
+			return nil
+		}
 	}
 
 	if dstNode == k.node && !k.mustPublish(counter, l.To) {
@@ -116,7 +121,7 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 		// (the §6.6.1 optimization); otherwise §4.4.1 forces the wire.
 		k.stats.MsgsLocal++
 		k.charge(costs.SendCPU, costs.UserPerCall)
-		k.enqueueFrame(f)
+		k.enqueueFrame(&f)
 		return nil
 	}
 
@@ -126,27 +131,27 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 	k.sendCPU.At(k.env.Sched.Now()+cost+costs.UserPerCall, cpuSend{f: f, epoch: k.bootEpoch})
 	if k.env.Log.Enabled() {
 		id := f.ID.String()
-		k.env.Log.AddMsg(trace.KindSend, int(k.node), id, id, "%s", f)
+		k.env.Log.AddMsg(trace.KindSend, int(k.node), id, id, "%s", f.String())
 	}
 	return nil
 }
 
 // cpuSend is a frame whose sender's send-CPU work is in progress, stamped
-// with the boot epoch it was sent in.
+// with the boot epoch it was sent in. It holds the frame by value, in the
+// send-CPU pipe's ring.
 type cpuSend struct {
-	f     *frame.Frame
+	f     frame.Frame
 	epoch uint32
 }
 
 // handOff gives the endpoint a frame whose send-CPU work has completed,
-// unless the node crashed in between.
+// unless the node crashed in between. The endpoint copies the header into
+// its send queue, so the frame stays on this stack.
 func (k *Kernel) handOff(s cpuSend) {
 	if k.bootEpoch != s.epoch || k.crashed {
 		return
 	}
-	// The frame was built fresh by sendMessage and nothing here touches it
-	// after the endpoint takes it, so hand over ownership and skip the clone.
-	k.ep.SendGuaranteedOwned(s.f)
+	k.ep.SendGuaranteed(&s.f)
 }
 
 // mustPublish decides whether an intranode message must take the network so
@@ -279,9 +284,10 @@ func (k *Kernel) handleUnguaranteed(f *frame.Frame) {
 
 // resend starts a new transmission toward dst of a frame someone else still
 // holds: one heard on the wire, or one the endpoint gave back. The copy is
-// the header only; the body and passed link are read-only from Send on.
+// the header only, and it stays on this stack: the endpoint copies it again
+// into its send queue. The body and passed link are read-only from Send on.
 func (k *Kernel) resend(f *frame.Frame, dst frame.NodeID) {
 	g := *f
 	g.Dst = dst
-	k.ep.SendGuaranteedOwned(&g)
+	k.ep.SendGuaranteed(&g)
 }

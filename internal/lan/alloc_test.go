@@ -187,3 +187,38 @@ func TestEtherSendAllocs(t *testing.T) {
 			recv[2].got, tap.heard, i, s.Collisions)
 	}
 }
+
+// TestEtherCollisionAllocs pins a collision and its back-off at zero
+// allocations once the free list is warm. Each run sends two frames in the
+// same slot, so they collide; both back off with their transmission records
+// as their timers' handlers, contend again, and are delivered.
+func TestEtherCollisionAllocs(t *testing.T) {
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	log.Enable(false)
+	m := NewEther(DefaultConfig(), sched, simtime.NewRand(1), log)
+	recv := make([]*nopStation, 3)
+	for i := range recv {
+		recv[i] = &nopStation{}
+		m.Attach(frame.NodeID(i), recv[i])
+	}
+	frames := make([]*frame.Frame, 2*256)
+	for i := range frames {
+		frames[i] = &frame.Frame{Type: frame.Unguaranteed, Src: frame.NodeID(i % 2), Dst: 2, Body: []byte("x")}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		m.Send(0, frames[i])
+		m.Send(1, frames[i+1])
+		i += 2
+		for sched.Step() {
+		}
+	})
+	if n != 0 {
+		t.Errorf("Ether collision, back-off and delivery allocated %.1f objects per two frames; want 0", n)
+	}
+	if s := m.Stats(); recv[2].got != i || s.Collisions < uint64(i/2) || s.FramesLost != 0 {
+		t.Fatalf("recv[2] heard %d of %d frames, %d collisions, %d lost; want every frame after a collision per pair",
+			recv[2].got, i, s.Collisions, s.FramesLost)
+	}
+}

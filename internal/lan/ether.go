@@ -41,7 +41,11 @@ type Ether struct {
 	gateOnTaps bool
 }
 
+// etherTx is one frame's transmission record. It is the handler of its own
+// collision back-off timer, so backing off allocates nothing; m survives
+// release, so a recycled record is ready to arm.
 type etherTx struct {
+	m        *Ether
 	src      frame.NodeID
 	f        *frame.Frame
 	attempts int
@@ -72,7 +76,7 @@ func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
 		m.free[k-1] = nil
 		m.free = m.free[:k-1]
 	} else {
-		tx = &etherTx{}
+		tx = &etherTx{m: m}
 	}
 	tx.src, tx.f = src, f
 	m.attempt(tx)
@@ -81,7 +85,7 @@ func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
 // release returns a transmission record whose frame left the wire, delivered
 // or dropped, to the free list.
 func (m *Ether) release(tx *etherTx) {
-	*tx = etherTx{}
+	*tx = etherTx{m: m}
 	m.free = append(m.free, tx)
 }
 
@@ -176,8 +180,12 @@ func (m *Ether) backoff(tx *etherTx) {
 	}
 	slots := m.rng.Intn(1 << k)
 	delay := m.cfg.SlotTime * simtime.Time(slots+1)
-	m.sched.After(delay, func() { m.attempt(tx) })
+	m.sched.AfterHandler(delay, tx)
 }
+
+// Fire is the back-off timer: the transmission contends for the channel
+// again.
+func (tx *etherTx) Fire() { tx.m.attempt(tx) }
 
 // kick schedules a retry of deferred transmissions when the channel drains.
 func (m *Ether) kick() {

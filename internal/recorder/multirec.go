@@ -166,7 +166,7 @@ func (c *Config) peerByRank(rank int) (frame.ProcID, bool) {
 // sendPeer ships an arbitration message to another recorder.
 func (r *Recorder) sendPeer(to frame.ProcID, m *peerMsg) {
 	r.sendSeq++
-	r.ep.SendGuaranteedOwned(&frame.Frame{
+	r.ep.SendGuaranteed(&frame.Frame{
 		Type:    frame.Guaranteed,
 		Dst:     to.Node,
 		ID:      frame.MsgID{Sender: r.cfg.Proc, Seq: r.restartNumber<<40 | r.sendSeq},

@@ -1245,7 +1245,7 @@ func (r *Recorder) sendCtl(node frame.NodeID, to frame.ProcID, deliverToKernel b
 		r.waiters[code] = onReply
 		f.PassedLink = &frame.Link{To: r.cfg.Proc, Channel: replyChan, Code: code}
 	}
-	r.ep.SendGuaranteedOwned(f)
+	r.ep.SendGuaranteed(f)
 }
 
 // isNoticeProc reports whether p is one of the recorder procs kernels send

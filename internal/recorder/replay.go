@@ -287,7 +287,7 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 		r.waiters[code] = onReply
 		f.PassedLink = &frame.Link{To: r.cfg.Proc, Channel: chanCtlReply, Code: code}
 	}
-	r.ep.SendGuaranteedOwned(f)
+	r.ep.SendGuaranteed(f)
 	return f.ID, code
 }
 

@@ -1,14 +1,16 @@
 package transport
 
 // Allocation pins for the endpoint. A frame handed to the medium is never
-// written again (lan.Medium.Send), and a body is read-only from Send on, so
-// the endpoint copies only a frame header, and only where it keeps one frame
-// and sends another: each transmission of a retained guaranteed frame.
-// Unguaranteed sends and bundles go to the medium as built, and a flushed
-// Ack frame is one object with its record. The endpoint's timers — a unit's
-// flush, a flight's retransmission, a peer's delayed ack, a held frame's
-// expiry — are scheduled with their owner as the handler, so arming one
-// allocates nothing.
+// written again (lan.Medium.Send), and a body is read-only from Send on. So
+// a guaranteed message costs the endpoint one object, its transmission unit,
+// which holds the message's flight and the flight's copy of the sender's
+// header; the first transmission sends that frame itself. Only a
+// retransmission copies the header, because the first transmission belongs
+// to the medium from then on. Unguaranteed sends and bundles go to the
+// medium as built, and a flushed Ack frame is one object with its record.
+// The endpoint's timers — a unit's flush, a flight's retransmission, a
+// peer's delayed ack, a held frame's expiry — are scheduled with their owner
+// as the handler, so arming one allocates nothing.
 
 import (
 	"testing"
@@ -69,8 +71,8 @@ func TestUnguaranteedSendMakesNoCopy(t *testing.T) {
 // node 1 into one forming unit, ready for flushUnit.
 func formedUnit(t *testing.T, e *Endpoint) *txUnit {
 	t.Helper()
-	e.SendGuaranteedOwned(gmsg(0, 1, 1, "a"))
-	e.SendGuaranteedOwned(gmsg(0, 1, 2, "b"))
+	e.SendGuaranteed(gmsg(0, 1, 1, "a"))
+	e.SendGuaranteed(gmsg(0, 1, 2, "b"))
 	e.SendUnguaranteed(&frame.Frame{Dst: 1, Body: []byte("c")})
 	u := e.form.get(1)
 	if u == nil || len(u.recs) != 2 || len(u.riders) != 1 {
@@ -101,29 +103,80 @@ func TestBundleFlushMakesNoCopy(t *testing.T) {
 	}
 }
 
-// TestGuaranteedTransmissionMakesOneCopy: each transmission of a retained
-// guaranteed frame is one copy of its header and nothing else — arming the
-// retransmit timer is free. The medium gets the copy, not the retained
-// frame, and the copy shares the retained frame's body and passed link.
-func TestGuaranteedTransmissionMakesOneCopy(t *testing.T) {
+// TestFirstTransmissionIsTheRetainedFrame: a guaranteed send and its flush
+// allocate one object, the unit, and the medium is sent the flight's own
+// frame. The endpoint keeps no pointer to the caller's frame, so one frame
+// is reused for every send. Each run completes its flight, so the next one
+// opens a unit of its own.
+func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 	e, med := newSinkEndpoint()
+	f := gmsg(0, 1, 0, "payload")
+	var fl *flight
+	n := testing.AllocsPerRun(200, func() {
+		f.ID.Seq++
+		e.SendGuaranteed(f)
+		e.flushUnit(e.form.get(1))
+		fl = e.inflight[f.ID]
+		e.finish(&fl.f)
+	})
+	if n != 1 {
+		t.Errorf("a guaranteed send and its first transmission allocated %.1f objects; want 1 (the unit)", n)
+	}
+	if med.last != &fl.f {
+		t.Fatal("the medium was sent a copy, not the flight's frame")
+	}
+	if med.last.ID != f.ID || &med.last.Body[0] != &f.Body[0] || f.XSeq != 0 {
+		t.Fatal("the flight's frame is not a header copy of the caller's, or the caller's was written")
+	}
+}
+
+// TestRetransmissionCopiesTheHeader: a retransmission is one object, a copy
+// of the flight's header. The first transmission was the flight's own frame
+// and belongs to the medium, which may have marked it corrupt, and it
+// carried that send's ack block. The copy shares the body and passed link,
+// carries neither the mark nor the old block, only the acks pending at its
+// own send time, and leaves the first transmission as it was sent.
+func TestRetransmissionCopiesTheHeader(t *testing.T) {
+	e, med := newSinkEndpoint()
+	ackFor := func(seq uint64) frame.MsgID {
+		g := gmsg(1, 0, seq, "")
+		g.Src = 1 // as the medium delivers it
+		e.ack(g)
+		return g.ID
+	}
+	first := ackFor(1) // pending when the message first goes out
 	f := gmsg(0, 1, 1, "payload")
 	f.PassedLink = &frame.Link{To: frame.ProcID{Node: 2, Local: 5}, Channel: 3}
-	e.SendGuaranteedOwned(f)
+	e.SendGuaranteed(f)
 	e.flushUnit(e.form.get(1))
 	fl := e.inflight[f.ID]
+	if med.last != &fl.f || len(fl.f.AckRecs) != 1 || fl.f.AckRecs[0].ID != first {
+		t.Fatal("the first transmission was not the flight's frame with the pending ack")
+	}
+	fl.f.Corrupt = true // as the medium's maybeCorrupt marks a frame in Send
+
 	n := testing.AllocsPerRun(200, func() {
 		e.sched.Cancel(fl.timer)
 		e.transmit(fl)
 	})
 	if n != 1 {
-		t.Errorf("guaranteed transmission allocated %.1f objects; want 1 (the header copy)", n)
+		t.Errorf("a retransmission allocated %.1f objects; want 1 (the header copy)", n)
 	}
-	if med.last == fl.f {
-		t.Fatal("the medium was sent the retained frame, not a copy")
-	}
-	if &med.last.Body[0] != &fl.f.Body[0] || med.last.PassedLink != fl.f.PassedLink {
-		t.Fatal("the transmission copied the body or link instead of sharing the retained frame's")
+	later := ackFor(2) // pending at the next retransmission only
+	e.sched.Cancel(fl.timer)
+	e.transmit(fl)
+	g := med.last
+	switch {
+	case g == &fl.f:
+		t.Fatal("the retransmission sent the first transmission's frame again")
+	case &g.Body[0] != &fl.f.Body[0] || g.PassedLink != fl.f.PassedLink:
+		t.Fatal("the retransmission copied the body or link instead of sharing the flight's")
+	case g.Corrupt:
+		t.Fatal("the retransmission carries the first transmission's corrupt mark")
+	case len(g.AckRecs) != 1 || g.AckRecs[0].ID != later:
+		t.Fatalf("the retransmission carries acks %v; want only %v", g.AckRecs, later)
+	case !fl.f.Corrupt || len(fl.f.AckRecs) != 1 || fl.f.AckRecs[0].ID != first:
+		t.Fatal("a retransmission wrote the first transmission")
 	}
 }
 

@@ -146,10 +146,10 @@ func checkImmutable(t *testing.T, w *watchedMedium, sched *simtime.Scheduler, lo
 				src, next, prev := frame.NodeID(i), frame.NodeID((i+1)%nodes), frame.NodeID((i+nodes-1)%nodes)
 				for k := 0; k < 3; k++ {
 					seq++
-					ep.SendGuaranteedOwned(gmsg(src, next, seq, fmt.Sprintf("r%d-%d", r, k)))
+					ep.SendGuaranteed(gmsg(src, next, seq, fmt.Sprintf("r%d-%d", r, k)))
 				}
 				seq++
-				ep.SendGuaranteedOwned(gmsg(src, prev, seq, "back"))
+				ep.SendGuaranteed(gmsg(src, prev, seq, "back"))
 				ep.SendUnguaranteed(&frame.Frame{Dst: next, Body: []byte("rider")})
 				if r%10 == i {
 					ep.SendUnguaranteed(&frame.Frame{Dst: frame.Broadcast, Body: []byte("all")})

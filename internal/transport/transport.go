@@ -177,7 +177,8 @@ type Endpoint struct {
 	// epoch invalidates scheduled timers across Reset (processor crash).
 	epoch uint64
 
-	// sendq holds guaranteed frames not yet admitted to the wire, FIFO.
+	// sendq holds the headers of guaranteed frames not yet admitted to the
+	// wire, FIFO.
 	sendq frameRing
 	// inflight maps outstanding unacked frames to their retry state.
 	inflight map[frame.MsgID]*flight
@@ -224,8 +225,9 @@ type Endpoint struct {
 //
 // A unit is the handler of its own flush timer, and its flights of their
 // retransmission timers, so arming either allocates nothing. The unit holds
-// its first flight and the backing array of a one-member recs, so a message
-// that coalesces with nothing costs one allocation here.
+// its first flight, with that flight's frame, and the backing array of a
+// one-member recs, so a message that coalesces with nothing and is sent once
+// costs the endpoint this one object.
 type txUnit struct {
 	e       *Endpoint
 	epoch   uint64 // the endpoint's epoch when the unit opened
@@ -301,8 +303,11 @@ const xseqSeqMask = uint64(1)<<48 - 1
 func xseqEpoch(x uint64) uint16 { return uint16(x >> 48) }
 func xseqSeq(x uint64) uint64   { return x & xseqSeqMask }
 
+// flight is one guaranteed message awaiting its end-to-end ack. It holds the
+// message's frame by value: the endpoint's own copy of the sender's header,
+// which the first transmission puts on the wire as is (transmit).
 type flight struct {
-	f        *frame.Frame
+	f        frame.Frame
 	attempts int
 	// sentAt is virtual time of the first transmission, the start of the
 	// end-to-end ack round trip.
@@ -450,33 +455,26 @@ func (e *Endpoint) Reset() {
 	e.rto.reset()
 }
 
-// SendGuaranteed queues a copy of a guaranteed frame for reliable delivery,
-// leaving the caller free to reuse f. The frame must carry a unique ID and a
-// concrete destination node.
+// SendGuaranteed queues a guaranteed frame for reliable delivery. The frame
+// must carry a unique ID and a concrete destination node. The endpoint
+// copies f's header and keeps no pointer to f, so the caller may reuse it at
+// once, and f may live on the caller's stack. The body and passed link are
+// shared, not copied: every transmission, every receiver and the recorder's
+// log hold them, and nobody writes them again (demos.Msg.Body).
 func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
-	e.SendGuaranteedOwned(f.Clone())
-}
-
-// SendGuaranteedOwned is SendGuaranteed for callers handing over ownership:
-// the endpoint retains f for retransmission and stamps its type, source and
-// stream sequence, so the caller must not touch f after the call. Every
-// transmission shares f's body and passed link, and so do the receivers
-// and the recorder's log: nobody writes them again. Every product sender
-// builds a fresh frame per message.
-func (e *Endpoint) SendGuaranteedOwned(f *frame.Frame) {
 	if f.ID.IsNil() {
 		panic("transport: guaranteed frame without message id")
 	}
 	if f.Dst == frame.Broadcast {
 		panic("transport: guaranteed frames must be addressed to one node")
 	}
-	f.Type = frame.Guaranteed
-	f.Src = e.node
-	// The ack block belongs to one transmission (transmit attaches it); a
-	// frame the kernel forwards must not carry the previous hop's.
-	f.AckCumSet, f.AckCum, f.AckRecs = false, 0, nil
+	g := e.sendq.push(f)
+	g.Type = frame.Guaranteed
+	g.Src = e.node
+	// The ack block and the corrupt mark belong to one transmission: a frame
+	// the kernel forwards or re-routes must carry neither from its last one.
+	g.AckCumSet, g.AckCum, g.AckRecs, g.Corrupt = false, 0, nil, false
 	e.stats.GuaranteedSent++
-	e.sendq.push(f)
 	e.pump()
 }
 
@@ -526,14 +524,16 @@ func (e *Endpoint) InFlightIDs() []frame.MsgID {
 // The window counts transmission units rather than messages: the head of the
 // queue may always join the forming unit for its destination (that unit
 // already holds a window slot), while opening a new unit requires a free slot.
+// The head is copied into its unit before it is popped, since popping clears
+// its slot.
 func (e *Endpoint) pump() {
 	for e.sendq.len() > 0 {
 		f := e.sendq.peek()
 		n := bundleRecLen(f)
 		if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
 			if u.bytes+n <= bundleBudget {
-				e.sendq.pop()
 				e.joinUnit(u, f, n)
+				e.sendq.pop()
 				continue
 			}
 			// The forming unit is full: put it on the wire now rather than
@@ -551,8 +551,8 @@ func (e *Endpoint) pump() {
 			// accounting relies on.
 			return
 		}
-		e.sendq.pop()
 		u := e.openUnit(f)
+		e.sendq.pop()
 		if n > bundleBudget {
 			// A frame that fills the budget alone can never coalesce; waiting
 			// out the flush timer would be pure latency (replay batches and
@@ -588,17 +588,17 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 	return u
 }
 
-// joinUnit admits a guaranteed frame into a forming unit, assigning it the
-// next stream sequence toward its destination.
+// joinUnit admits a copy of a guaranteed frame into a forming unit as a new
+// flight, assigning it the next stream sequence toward its destination.
 func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
-	seq := e.xseq.get(f.Dst)
-	e.xseq.set(f.Dst, seq+1)
-	f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
 	fl := &u.first
 	if len(u.recs) > 0 {
 		fl = &flight{}
 	}
-	fl.f, fl.unit = f, u
+	fl.f, fl.unit = *f, u
+	seq := e.xseq.get(f.Dst)
+	e.xseq.set(f.Dst, seq+1)
+	fl.f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
 	e.inflight[f.ID] = fl
 	u.recs = append(u.recs, fl)
 	u.open++
@@ -666,7 +666,7 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 	count := 0
 	var rec frame.BundleRec
 	for _, fl := range live {
-		rec.RecOf(fl.f)
+		rec.RecOf(&fl.f)
 		body = frame.AppendBundleRec(body, &rec)
 		count++
 	}
@@ -699,14 +699,23 @@ func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 	return uint64(e.epoch&0xffff)<<48 | (low & xseqSeqMask)
 }
 
-// transmit puts one attempt of a flight on the wire. The medium keeps what
-// it is sent, so each attempt is its own copy of the retained frame's
-// header, with the low-water mark and ack block of this send time. The body
-// and passed link are shared with the retained frame: a body is read-only
-// from Send through every receiver and the recorder's log (demos.Msg.Body).
+// transmit puts one attempt of a flight on the wire, with the low-water mark
+// and ack block of this send time. The first attempt is the flight's own
+// frame: stamped, then handed to the medium, which keeps it, so nothing
+// writes fl.f after that. Every later attempt, like every attempt of a
+// flight first sent inside a bundle, is a new copy of the header, cleared of
+// what belonged to the first: the medium's corrupt mark and the ack block
+// that went out with it. The body and passed link are always shared: a body
+// is read-only from Send through every receiver and the recorder's log
+// (demos.Msg.Body).
 func (e *Endpoint) transmit(fl *flight) {
-	g := new(frame.Frame)
-	*g = *fl.f
+	g := &fl.f
+	if fl.attempts > 0 {
+		g = new(frame.Frame)
+		*g = fl.f
+		g.Corrupt = false
+		g.AckCumSet, g.AckCum, g.AckRecs = false, 0, nil
+	}
 	// Stamp the stream low-water mark: the lowest sequence still
 	// unacknowledged toward this destination. Receivers sync on it.
 	g.XLow = e.xlowFor(g.Dst, xseqSeq(g.XSeq))
@@ -792,9 +801,9 @@ func (e *Endpoint) retransmit(fl *flight) {
 			e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
 				"gave up after %d attempts", fl.attempts)
 		}
-		e.finish(fl.f)
+		e.finish(&fl.f)
 		if e.OnGiveUp != nil {
-			e.OnGiveUp(fl.f)
+			e.OnGiveUp(&fl.f)
 		}
 		return
 	}
@@ -922,7 +931,7 @@ func (e *Endpoint) ackOne(fl *flight) {
 	if e.OnAck != nil {
 		e.OnAck(fl.f.ID)
 	}
-	e.finish(fl.f)
+	e.finish(&fl.f)
 }
 
 // processAckPayload applies a piggybacked (or standalone-cumulative)
@@ -950,7 +959,7 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 	e.doneScratch = nil
 	for _, fl := range e.inflight {
 		if fl.f.Dst == f.Src && fl.attempts > 0 && xseqSeq(fl.f.XSeq) <= cum {
-			done = append(done, fl.f)
+			done = append(done, &fl.f)
 		}
 	}
 	// Map iteration is unordered; completing in stream order keeps the run
@@ -1146,14 +1155,16 @@ func (e *Endpoint) Poke() {
 // Abort withdraws queued and in-flight guaranteed frames matching pred and
 // returns them in their original send order. The kernel uses it to re-route
 // traffic when it learns a destination process has moved to another node.
+// An in-flight frame may be on the wire already, so the caller must not
+// write the frames it is given.
 func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 	var out []*frame.Frame
 	for id, fl := range e.inflight {
-		if pred(fl.f) {
+		if pred(&fl.f) {
 			e.sched.Cancel(fl.timer)
 			delete(e.inflight, id)
 			e.unitMemberDone(fl.unit)
-			out = append(out, fl.f)
+			out = append(out, &fl.f)
 		}
 	}
 	// In-flight frames were admitted before anything still queued; order
@@ -1265,10 +1276,10 @@ func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
 }
 
 // attachAcks piggybacks pending acknowledgement state for f.Dst onto an
-// outgoing gated frame about to be sent. f is the frame of one transmission
-// (a bundle, or transmit's per-attempt copy), never the retained flight
-// frame, so a later retransmission carries whatever is pending at its own
-// send time.
+// outgoing gated frame about to be sent. f is the frame of one transmission:
+// a bundle, a flight's own frame on its first attempt, or a retransmission's
+// header copy, which transmit clears of the first attempt's block, so each
+// attempt carries only what is pending at its own send time.
 func (e *Endpoint) attachAcks(f *frame.Frame) {
 	if f.Dst == frame.Broadcast {
 		return
@@ -1356,43 +1367,50 @@ func (d *destTable[T]) presize(n int) {
 	}
 }
 
-// frameRing is the send queue: a FIFO of frames on a power-of-two ring, so
-// popping the head keeps the capacity the next push needs.
+// frameRing is the send queue: a FIFO of frame headers, held by value on a
+// power-of-two ring, so queueing a frame copies it into a slot and popping
+// the head keeps the capacity the next push needs.
 type frameRing struct {
-	buf  []*frame.Frame // len is zero or a power of two
+	buf  []frame.Frame // len is zero or a power of two
 	head int
 	n    int
 }
 
 func (r *frameRing) len() int { return r.n }
 
-func (r *frameRing) push(f *frame.Frame) {
+// push copies *f to the tail and returns the tail's slot.
+func (r *frameRing) push(f *frame.Frame) *frame.Frame {
 	if r.n == len(r.buf) {
-		buf := make([]*frame.Frame, max(4, 2*len(r.buf)))
+		buf := make([]frame.Frame, max(4, 2*len(r.buf)))
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	g := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
+	*g = *f
 	r.n++
+	return g
 }
 
-func (r *frameRing) peek() *frame.Frame { return r.buf[r.head] }
+// peek returns the head's slot, valid until the head is popped.
+func (r *frameRing) peek() *frame.Frame { return &r.buf[r.head] }
 
+// pop clears the head's slot, so the ring pins no body, and drops it.
 func (r *frameRing) pop() {
-	r.buf[r.head] = nil
+	r.buf[r.head] = frame.Frame{}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 }
 
-// filter keeps, in order, the queued frames keep reports true for.
+// filter keeps, in order, the queued frames keep reports true for. keep is
+// handed a heap copy of each frame, which it may retain.
 func (r *frameRing) filter(keep func(f *frame.Frame) bool) {
 	n := r.n
 	for i := 0; i < n; i++ {
-		f := r.peek()
+		f := *r.peek()
 		r.pop()
-		if keep(f) {
-			r.push(f)
+		if keep(&f) {
+			r.push(&f)
 		}
 	}
 }

@@ -90,6 +90,93 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	}
 }
 
+// corruptFirst marks the first guaranteed frame sent on the medium corrupt,
+// and nothing after it, the way maybeCorrupt marks a frame inside Send.
+type corruptFirst struct {
+	lan.Medium
+	done bool
+}
+
+func (m *corruptFirst) Send(src frame.NodeID, f *frame.Frame) {
+	if !m.done && f.Type == frame.Guaranteed {
+		m.done = true
+		f.Corrupt = true
+	}
+	m.Medium.Send(src, f)
+}
+
+// A message's first transmission is the flight's own frame, so the medium's
+// corrupt mark lands on the frame the sender keeps. The retransmission must
+// not inherit it: it is delivered, exactly once.
+func TestCorruptFirstTransmissionIsResentClean(t *testing.T) {
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	med := &corruptFirst{Medium: lan.NewPerfect(lan.DefaultConfig(), sched, simtime.NewRand(7), log)}
+	cfg := DefaultConfig()
+	cfg.MaxRetries = 5
+	tx := New(0, med, sched, log, cfg)
+	rx := New(1, med, sched, log, cfg)
+	var got []frame.MsgID
+	rx.Deliver = func(f *frame.Frame) bool { got = append(got, f.ID); return true }
+	m := gmsg(0, 1, 1, "x")
+	tx.SendGuaranteed(m)
+	sched.RunAll(1_000_000)
+	if !med.done {
+		t.Fatal("the medium corrupted nothing")
+	}
+	if len(got) != 1 || got[0] != m.ID {
+		t.Fatalf("delivered %v; want %v exactly once", got, m.ID)
+	}
+	if s := tx.Stats(); s.Retransmits != 1 || s.GaveUp != 0 {
+		t.Fatalf("%d retransmits, %d given up; want one retransmission delivered", s.Retransmits, s.GaveUp)
+	}
+}
+
+// Acknowledgement records piggybacked on a message's first transmission
+// ride the flight's own frame. Its retransmission must not repeat them: the
+// recorder infers arrival order from the acks it overhears (§4.4.1), so each
+// record reaches a tap once.
+func TestRetransmissionDoesNotRepeatPiggybackedAcks(t *testing.T) {
+	e := newEnv(t, 2, DefaultConfig(), "perfect")
+	req := gmsg(1, 0, 1, "request")
+	heard := 0 // how often the tap hears req's ack record
+	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
+		for _, r := range f.AckRecs {
+			if r.ID == req.ID {
+				heard++
+			}
+		}
+		return true
+	}))
+	// Node 0 answers from inside the delivery, so the reply's first
+	// transmission carries the request's ack. Node 1 refuses the reply's
+	// first offer, so the reply is retransmitted.
+	e.eps[0].Deliver = func(f *frame.Frame) bool {
+		e.eps[0].SendGuaranteed(gmsg(0, 1, 1, "reply"))
+		return true
+	}
+	refused := false
+	e.eps[1].Deliver = func(f *frame.Frame) bool {
+		if !refused {
+			refused = true
+			return false
+		}
+		e.got[1] = append(e.got[1], f)
+		return true
+	}
+	e.eps[1].SendGuaranteed(req)
+	e.sched.RunAll(1_000_000)
+	if s := e.eps[0].Stats(); s.Retransmits == 0 || s.AcksPiggybacked != 1 {
+		t.Fatalf("%d retransmits, %d acks piggybacked; want the reply retransmitted after carrying one", s.Retransmits, s.AcksPiggybacked)
+	}
+	if len(e.got[1]) != 1 {
+		t.Fatalf("the reply was delivered %d times; want once", len(e.got[1]))
+	}
+	if heard != 1 {
+		t.Fatalf("the tap heard the request's ack %d times; want once", heard)
+	}
+}
+
 func TestDuplicateSuppression(t *testing.T) {
 	e := newEnv(t, 2, DefaultConfig(), "perfect")
 	// Lose only acks: receiver gets the frame repeatedly, must deliver once.

@@ -77,20 +77,22 @@ func steadyAllocsPerMessage(t *testing.T, medium MediumKind) float64 {
 // medium and on the paper's Acknowledging Ethernet. Allocation counts are the
 // same on every host, so the pin is exact enough to gate on. Scheduled
 // events carry their owner (simtime.Handler, simtime.Pipe), so none of the
-// per-message timers, wire completions and send hand-offs allocates, and a
-// body is read-only from Send on, so a transmission copies only the frame
-// header and the recorder logs the wire body: 4.42 per message on Perfect
-// and 4.50 on AckEther. A body copy per transmission and per logged arrival
-// cost 7.47 and 7.55; a closure per event, 16.77 and 20.66. Each ceiling
-// sits under one allocation per message above the measured count, so
-// bringing back any per-message copy or closure fails here.
+// per-message timers, wire completions, send hand-offs and collision
+// back-offs allocates. A body is read-only from Send on, so the recorder
+// logs the wire body. A message's frame lives in its flight, so the kernel
+// builds none and the first transmission is the endpoint's retained frame:
+// 2.42 per message on both media. A kernel frame and a header copy per
+// transmission cost 4.42 and 4.50; a body copy per transmission and per
+// logged arrival, 7.47 and 7.55; a closure per event, 16.77 and 20.66. Each
+// ceiling sits under one allocation per message above the measured count,
+// so bringing back any per-message copy or closure fails here.
 func TestSteadyStateAllocsPerMessage(t *testing.T) {
 	for _, tc := range []struct {
 		medium  MediumKind
 		ceiling float64
 	}{
-		{MediumPerfect, 5},
-		{MediumAckEther, 5},
+		{MediumPerfect, 3},
+		{MediumAckEther, 3},
 	} {
 		got := steadyAllocsPerMessage(t, tc.medium)
 		t.Logf("%s: %.2f allocations per delivered message (ceiling %.1f)", tc.medium, got, tc.ceiling)
