@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone noquarantine nosweep build test race monitor chaos shards fuzz bench bench-json bench-recovery bench-sim bench-recorder scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
 
-check: vet build test race monitor chaos shards fuzz scale-smoke bench-sim bench-recorder
+check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone noquarantine nosweep
+vet: nopar noregime nohave noseg noclone noquarantine nosweep notrajectory
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -64,6 +64,14 @@ noquarantine:
 # replaced, whose digest file nothing gated.
 nosweep:
 	! grep -rnE 'internal/sweep|BENCH_sweep|sweepout' --include='*.go' .
+
+# Each number has one owner (DESIGN.md "Who owns which number"): wall-clock
+# results belong to `go run ./bench`, virtual-time results to
+# TestExperimentNumbers. The names below are the second benchmark system it
+# replaced: trajectory files nothing compared and the benchmarks that fed
+# them.
+notrajectory:
+	! grep -rnE 'benchjson|BENCH_(baseline|sim|recovery|recorder)|BenchmarkSimThroughput|BenchmarkEndToEndRecovery' --include='*.go' .
 
 build:
 	$(GO) build ./...
@@ -130,54 +138,12 @@ fuzz:
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 
+# The paper-figure benchmarks, each printing its figure's headline as a
+# custom metric, plus BenchmarkRecoveryReplay16384's host cost per replayed
+# message. Informational: nothing gates on them. Wall-clock claims about the
+# whole system are made with `go run ./bench` (bench/README.md).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
-
-# Print the perf-trajectory snapshot for BENCH_baseline.json. benchjson's -o
-# refuses to clobber an existing trajectory file, so regenerating the
-# committed baseline is an explicit `make bench-json OUT=BENCH_baseline.json`
-# after deleting it — or an -after update, never a silent overwrite.
-bench-json:
-ifdef OUT
-	$(GO) test -bench 'BenchmarkFrameEncodeDecode|BenchmarkStableStoreAppend|BenchmarkRecorderPublish|BenchmarkClusterThroughput' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT)
-else
-	$(GO) test -bench 'BenchmarkFrameEncodeDecode|BenchmarkStableStoreAppend|BenchmarkRecorderPublish|BenchmarkClusterThroughput' -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
-
-# Refresh the "after" half of the recovery-path trajectory (BENCH_recovery.json
-# keeps the pre-batching numbers as its "before") and print the deltas.
-bench-recovery:
-	$(GO) test -bench 'BenchmarkEndToEndRecovery|BenchmarkRecoveryReplay' -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -after BENCH_recovery.json batched, windowed replay pipeline
-
-# The recorder-availability trajectory: the 64-node crash->recovered cycle
-# against the classic single recorder vs the sharded replicated trio —
-# virtual recovery window plus the record count on the replay-serving
-# recorder (the whole database vs the worker-shard leader's partition). The
-# default (check-time) run re-measures and prints the snapshot without
-# touching the committed BENCH_recorder.json; regenerate with
-# `make bench-recorder OUT=BENCH_recorder.json` after deleting the old file.
-bench-recorder:
-ifdef OUT
-	$(GO) test -bench 'BenchmarkRecoverySingleRecorder64|BenchmarkRecoveryShardUnion64' -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -o $(OUT) recovery from the shard union vs the single-recorder funnel at 64 nodes
-else
-	$(GO) test -bench 'BenchmarkRecoverySingleRecorder64|BenchmarkRecoveryShardUnion64' -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
-
-# The big-cluster simulator-throughput trajectory: events per wall second
-# and virtual seconds per wall second on the workload-driven broadcast
-# scenario at 8/64/256/1024 nodes, plus the monitored variant (see
-# EXPERIMENTS.md). The default (check-time) run measures once
-# per size and prints the snapshot without touching the committed
-# BENCH_sim.json; refresh the trajectory's "after" half with
-# `make bench-sim OUT=BENCH_sim.json` (the committed before half — the
-# pre-overhaul hot loop — is preserved).
-bench-sim:
-ifdef OUT
-	$(GO) test -bench BenchmarkSimThroughput -benchtime 2x -run '^$$' . 		| $(GO) run ./cmd/benchjson -after $(OUT) hot-loop overhaul; observer-ring batched monitoring
-else
-	$(GO) test -bench BenchmarkSimThroughput -run '^$$' . | $(GO) run ./cmd/benchjson
-endif
 
 # The 256-node scale smokes: same-seed double-run byte-identity of metrics
 # and recorder databases, and the chaos-schedule sweep at cluster scale

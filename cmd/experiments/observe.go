@@ -89,7 +89,7 @@ func runObserve(o observeOpts) {
 		}
 		snap := c.Metrics().Snapshot()
 		if strings.HasSuffix(o.metricsOut, ".json") {
-			// The JSON form is what benchjson -metrics embeds.
+			// A .json path gets the JSON form, anything else the text form.
 			obDie(snap.WriteJSON(w))
 		} else {
 			obDie(snap.WriteText(w))

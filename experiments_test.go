@@ -1,0 +1,349 @@
+package publishing_test
+
+// TestExperimentNumbers owns every virtual-time number EXPERIMENTS.md quotes
+// from a cluster scenario outside the figure tests of internal/measure: the
+// recovery-replay sweep, the 64-node recorder-availability cycle, the
+// §3.2.3 checkpoint-policy and §4.3.3 window ablations, §5.2.2's recorder
+// levels end to end, the per-medium comparison and the simulator scenario's
+// event counts. Each row is one run of a deterministic scenario, pinned
+// exactly: a protocol change that moves a row updates the row, as it would
+// the golden fingerprint table. Host-time numbers are not here; they belong
+// to `go run ./bench`.
+//
+// `go test -run TestExperimentNumbers -v .` prints the table EXPERIMENTS.md
+// quotes.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"publishing"
+	"publishing/internal/measure"
+	"publishing/internal/recorder"
+	"publishing/internal/simtime"
+	"publishing/internal/trace"
+)
+
+// pinned is one row's result: a virtual time and the count that explains it.
+type pinned struct {
+	at     simtime.Time
+	count  uint64
+	events uint64 // scheduler events executed; the simulator rows only
+}
+
+func TestExperimentNumbers(t *testing.T) {
+	replay := func(n int) func(*testing.T) pinned {
+		return func(*testing.T) pinned {
+			r := measure.RecoveryReplay(n, nil)
+			return pinned{at: r.Window, count: r.Replayed}
+		}
+	}
+	recovery64 := func(recorders, shardSlots int) func(*testing.T) pinned {
+		return func(t *testing.T) pinned {
+			window, records := measureRecovery64(t, recorders, shardSlots)
+			return pinned{at: window, count: records}
+		}
+	}
+	policy := func(pol publishing.CheckpointPolicyKind) func(*testing.T) pinned {
+		return func(t *testing.T) pinned {
+			window, replayed := measureRecoveryWindow(t, pol)
+			return pinned{at: window, count: replayed}
+		}
+	}
+	wire := func(n int, tune func(*publishing.Config)) func(*testing.T) pinned {
+		return func(t *testing.T) pinned {
+			done, expired := runWireWorkload(t, n, tune)
+			return pinned{at: done, count: expired}
+		}
+	}
+	ether := func(mode recorder.ProcessMode, window int) func(*publishing.Config) {
+		return func(cfg *publishing.Config) {
+			cfg.Medium, cfg.RecorderMode, cfg.Transport.Window = publishing.MediumEther, mode, window
+		}
+	}
+	medium := func(m publishing.MediumKind) func(*publishing.Config) {
+		return func(cfg *publishing.Config) { cfg.Medium = m }
+	}
+
+	rows := []struct {
+		name  string
+		count string // what pinned.count counts
+		run   func(*testing.T) pinned
+		want  pinned
+	}{
+		// measure.RecoveryReplay: crash-to-recovered window for an n-message
+		// published stream.
+		{"replay/1", "replayed", replay(1), pinned{at: 278_881_600, count: 1}},
+		{"replay/64", "replayed", replay(64), pinned{at: 300_492_800, count: 64}},
+		{"replay/1024", "replayed", replay(1024), pinned{at: 794_222_400, count: 1024}},
+		{"replay/16384", "replayed", replay(16384), pinned{at: 8_695_200_000, count: 16384}},
+		// The 64-node crash-to-recovered cycle against the single recorder
+		// and the sharded trio (3 recorders, 16 slots); the count is the
+		// records held by the recorder that served the replay.
+		{"recorder/single", "serving_records", recovery64(1, 0), pinned{at: 266_078_800, count: 52}},
+		{"recorder/sharded", "serving_records", recovery64(3, 16), pinned{at: 266_079_600, count: 25}},
+		// §3.2.3: recovery of a 30-message history, replay-from-start vs
+		// bound-driven checkpoints.
+		{"checkpoint/none", "replayed", policy(publishing.CheckpointNone), pinned{at: 279_618_400, count: 24}},
+		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound), pinned{at: 279_246_400, count: 3}},
+		// §4.3.3: 50 messages behind the naive (57 ms) recorder on Ether,
+		// single-outstanding vs a 4-unit window.
+		{"window/1", "recorder_expired", wire(50, ether(recorder.ModeNaive, 1)), pinned{at: 922_749_600}},
+		{"window/4", "recorder_expired", wire(50, ether(recorder.ModeNaive, 4)), pinned{at: 880_599_200}},
+		// §5.2.2: the same 50 messages on Ether at each recorder level. No
+		// held frame may expire before its recorder ack.
+		{"modes/naive", "recorder_expired", wire(50, ether(recorder.ModeNaive, 1)), pinned{at: 922_749_600}},
+		{"modes/optimized", "recorder_expired", wire(50, ether(recorder.ModeOptimized, 1)), pinned{at: 840_723_073}},
+		{"modes/media-layer", "recorder_expired", wire(50, ether(recorder.ModeMediaLayer, 1)), pinned{at: 814_320_800}},
+		// 200 messages on each medium at the default (media-layer) level.
+		{"media/perfect", "recorder_expired", wire(200, medium(publishing.MediumPerfect)), pinned{at: 3_136_861_600}},
+		{"media/ether", "recorder_expired", wire(200, medium(publishing.MediumEther)), pinned{at: 3_139_320_800}},
+		{"media/ackether", "recorder_expired", wire(200, medium(publishing.MediumAckEther)), pinned{at: 3_136_989_600}},
+		{"media/ring", "recorder_expired", wire(200, medium(publishing.MediumRing)), pinned{at: 3_135_341_600}},
+		{"media/star", "recorder_expired", wire(200, medium(publishing.MediumStar)), pinned{at: 3_137_023_200}},
+		// The simulator scenario (sim_scale_test.go) run to its horizon: the
+		// end time, messages delivered (every send) and events executed.
+		{"sim/256", "delivered", simRow(256), pinned{at: 2_774_600_731, count: 4096, events: 42_561}},
+		{"sim/1024", "delivered", simRow(1024), pinned{at: 5_202_261_279, count: 16384, events: 179_920}},
+	}
+	var table strings.Builder
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			got := r.run(t)
+			line := fmt.Sprintf("%-18s %12v  %s=%d", r.name, got.at, r.count, got.count)
+			if got.events > 0 {
+				line += fmt.Sprintf("  events=%d", got.events)
+			}
+			fmt.Fprintln(&table, line)
+			if got != r.want {
+				t.Errorf("got %+v, pinned %+v", got, r.want)
+			}
+		})
+	}
+	t.Logf("virtual-time results:\n%s", table.String())
+}
+
+// simRow runs the simulator scenario at nodes to its quiescent horizon.
+func simRow(nodes int) func(*testing.T) pinned {
+	return func(t *testing.T) pinned {
+		if testing.Short() {
+			t.Skipf("%d-node scenario skipped in -short", nodes)
+		}
+		s := buildSimCluster(t, nodes, simClusterSeed, false)
+		s.run(t)
+		return pinned{at: s.c.Now(), count: uint64(*s.delivered), events: s.c.Scheduler().Fired()}
+	}
+}
+
+// runWireWorkload sends n 128-byte messages from node 0 to node 1 of a
+// two-node cluster that tune adjusts, and returns the virtual time the last
+// one was delivered and how many held frames the receivers discarded for
+// want of a recorder ack.
+func runWireWorkload(t *testing.T, n int, tune func(*publishing.Config)) (simtime.Time, uint64) {
+	t.Helper()
+	cfg := publishing.DefaultConfig(2)
+	tune(&cfg)
+	c := publishing.New(cfg)
+	defer c.Close()
+	var got int
+	var doneAt simtime.Time
+	c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
+		return timedSink{got: &got, doneAt: &doneAt, want: n, now: c.Now}
+	})
+	c.Registry().RegisterProgram("gen", func(args []byte) publishing.Program {
+		return func(ctx *publishing.PCtx) {
+			l, _ := ctx.ServiceLink("sink")
+			for j := 0; j < n; j++ {
+				_ = ctx.Send(l, make([]byte, 128), publishing.NoLink)
+			}
+		}
+	})
+	sink, _ := c.Spawn(1, publishing.ProcSpec{Name: "sink", Recoverable: true})
+	c.SetService("sink", sink)
+	c.Spawn(0, publishing.ProcSpec{Name: "gen", Recoverable: true})
+	c.Run(30 * simtime.Minute)
+	if got != n {
+		t.Fatalf("workload did not finish: %d/%d", got, n)
+	}
+	var expired uint64
+	for _, s := range c.Metrics().Snapshot().Samples {
+		if s.Subsystem == "transport" && s.Name == "recorder_expired" {
+			expired += uint64(s.Value)
+		}
+	}
+	return doneAt, expired
+}
+
+// measureRecoveryWindow crashes the worker of a producer → worker → witness
+// pipeline after 4 s of a 30-message history, under checkpoint policy pol,
+// and returns the crash-to-recovered window and the messages replayed.
+func measureRecoveryWindow(t *testing.T, pol publishing.CheckpointPolicyKind) (simtime.Time, uint64) {
+	t.Helper()
+	cfg := publishing.DefaultConfig(3)
+	cfg.CheckpointPolicy = pol
+	cfg.CheckpointTick = 200 * simtime.Millisecond
+	c := publishing.New(cfg)
+	defer c.Close()
+	var got int
+	c.Registry().RegisterMachine("witness", func(args []byte) publishing.Machine {
+		return countSink{n: &got}
+	})
+	c.Registry().RegisterMachine("worker", func(args []byte) publishing.Machine { return &relayWorker{} })
+	c.Registry().RegisterProgram("producer", func(args []byte) publishing.Program {
+		return func(ctx *publishing.PCtx) {
+			l, _ := ctx.ServiceLink("worker")
+			for j := 0; j < 30; j++ {
+				_ = ctx.Send(l, []byte{byte(j + 1)}, publishing.NoLink)
+				ctx.Compute(150 * simtime.Millisecond)
+			}
+		}
+	})
+	wit, _ := c.Spawn(2, publishing.ProcSpec{Name: "witness", Recoverable: true})
+	c.SetService("witness", wit)
+	worker, _ := c.Spawn(1, publishing.ProcSpec{
+		Name: "worker", Recoverable: true, RecoveryTimeBound: 500 * simtime.Millisecond,
+	})
+	c.SetService("worker", worker)
+	c.Spawn(0, publishing.ProcSpec{Name: "producer", Recoverable: true})
+	c.Scheduler().At(4*simtime.Second, func() { c.CrashProcess(worker) })
+	c.Run(3 * simtime.Minute)
+	if got != 30 {
+		t.Fatalf("pipeline incomplete: %d", got)
+	}
+	return recoveryWindow(t, c, worker), c.Recorder().Stats().MessagesReplayed
+}
+
+// measureRecovery64 runs the producer → worker → witness pipeline on a
+// 64-node cluster with recorders recorders over shardSlots slots, crashes
+// the worker at t=1200 ms, and returns the crash-to-recovered window plus
+// the stable-store records held by the recorder that served the replay: the
+// single recorder's whole database in classic mode, the worker-shard
+// leader's partition in sharded mode.
+func measureRecovery64(t *testing.T, recorders, shardSlots int) (simtime.Time, uint64) {
+	t.Helper()
+	cfg := publishing.DefaultConfig(64)
+	// The modern-LAN shape of the 64-node chaos and simulator scenarios: on
+	// the paper's 10 Mb/s Ethernet the recorder's watchdog pings alone
+	// saturate the bus at this width (see ChaosScenario), and the run would
+	// measure congestion rather than the replay pipeline.
+	cfg.LAN.BitsPerSecond = 100_000_000
+	cfg.LAN.InterframeGap = 50 * simtime.Microsecond
+	cfg.Recorders = recorders
+	cfg.ShardSlots = shardSlots
+	c := publishing.New(cfg)
+	defer c.Close()
+
+	var got int
+	c.Registry().RegisterMachine("witness", func(args []byte) publishing.Machine {
+		return countSink{n: &got}
+	})
+	c.Registry().RegisterMachine("worker", func(args []byte) publishing.Machine {
+		return &relayWorker{}
+	})
+	c.Registry().RegisterProgram("producer", func(args []byte) publishing.Program {
+		return func(ctx *publishing.PCtx) {
+			l, _ := ctx.ServiceLink("worker")
+			for j := 0; j < 12; j++ {
+				_ = ctx.Send(l, []byte{byte(j + 1)}, publishing.NoLink)
+				ctx.Compute(200 * simtime.Millisecond)
+			}
+		}
+	})
+	wit, _ := c.Spawn(2, publishing.ProcSpec{Name: "witness", Recoverable: true})
+	c.SetService("witness", wit)
+	worker, _ := c.Spawn(1, publishing.ProcSpec{Name: "worker", Recoverable: true})
+	c.SetService("worker", worker)
+	c.Spawn(0, publishing.ProcSpec{Name: "producer", Recoverable: true})
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Run(60 * simtime.Second)
+	if got != 12 {
+		t.Fatalf("recovery failed: witness saw %d of 12", got)
+	}
+	serving := 0
+	if sm := c.ShardMap(); sm != nil {
+		serving = sm.Leader(sm.ShardOf(worker))
+	}
+	recs, err := c.StoreAt(serving).ReadAll()
+	if err != nil {
+		t.Fatalf("replay-serving recorder store: %v", err)
+	}
+	return recoveryWindow(t, c, worker), uint64(len(recs))
+}
+
+// recoveryWindow reads pid's first crash and last recovery-done from the
+// trace.
+func recoveryWindow(t *testing.T, c *publishing.Cluster, pid publishing.ProcID) simtime.Time {
+	t.Helper()
+	var crashAt, doneAt simtime.Time
+	for _, e := range c.Trace().OfKind(trace.KindCrash) {
+		if e.Subject == pid.String() {
+			crashAt = e.At
+			break
+		}
+	}
+	for _, e := range c.Trace().OfKind(trace.KindRecoveryDone) {
+		if e.Subject == pid.String() {
+			doneAt = e.At
+		}
+	}
+	if doneAt <= crashAt {
+		t.Fatalf("no recovery window in trace (crash %v, done %v)", crashAt, doneAt)
+	}
+	return doneAt - crashAt
+}
+
+// relayWorker forwards a counter to the witness per message.
+type relayWorker struct {
+	out    publishing.LinkID
+	hasOut bool
+	n      byte
+}
+
+func (w *relayWorker) Init(ctx *publishing.PCtx) {
+	if l, err := ctx.ServiceLink("witness"); err == nil {
+		w.out, w.hasOut = l, true
+	}
+}
+func (w *relayWorker) Handle(ctx *publishing.PCtx, m publishing.Msg) {
+	w.n++
+	if w.hasOut {
+		_ = ctx.Send(w.out, []byte{w.n}, publishing.NoLink)
+	}
+}
+func (w *relayWorker) Snapshot() ([]byte, error) {
+	hasOut := byte(0)
+	if w.hasOut {
+		hasOut = 1
+	}
+	return []byte{byte(w.out), hasOut, w.n}, nil
+}
+func (w *relayWorker) Restore(b []byte) error {
+	w.out, w.hasOut, w.n = publishing.LinkID(b[0]), b[1] == 1, b[2]
+	return nil
+}
+
+type countSink struct{ n *int }
+
+func (s countSink) Init(ctx *publishing.PCtx)                     {}
+func (s countSink) Handle(ctx *publishing.PCtx, m publishing.Msg) { *s.n++ }
+func (s countSink) Snapshot() ([]byte, error)                     { return nil, nil }
+func (s countSink) Restore(b []byte) error                        { return nil }
+
+// timedSink counts deliveries and records when the want-th arrives.
+type timedSink struct {
+	got    *int
+	doneAt *simtime.Time
+	want   int
+	now    func() simtime.Time
+}
+
+func (s timedSink) Init(ctx *publishing.PCtx) {}
+func (s timedSink) Handle(ctx *publishing.PCtx, m publishing.Msg) {
+	*s.got++
+	if *s.got == s.want {
+		*s.doneAt = s.now()
+	}
+}
+func (s timedSink) Snapshot() ([]byte, error) { return nil, nil }
+func (s timedSink) Restore(b []byte) error    { return nil }

@@ -314,6 +314,13 @@ func New(cfg Config) *Cluster {
 			// Plain CSMA/CD cannot gate on the recorder; fall back to the
 			// transport-level recorder-acknowledgement protocol (§6.1).
 			tcfg.NeedRecorderAck = true
+			// The recorder acks a frame only after its publish cost, so a
+			// hold shorter than that discards every frame before its ack
+			// can arrive; twice the cost leaves room for the ack's own trip.
+			if tcfg.RecorderAckTimeout <= 0 {
+				tcfg.RecorderAckTimeout = transport.DefaultConfig().RecorderAckTimeout
+			}
+			tcfg.RecorderAckTimeout = max(tcfg.RecorderAckTimeout, 2*cfg.RecorderMode.PerMessageCPU())
 		}
 	}
 
