@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone noquarantine nosweep notrajectory
+vet: nopar noregime nohave noseg noclone nopool noquarantine nosweep notrajectory
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -44,12 +44,24 @@ noseg:
 # pooled buffer. A message's frame lives in its flight (DESIGN.md "A
 # message's frame lives in its flight"): SendGuaranteed always copies the
 # caller's header, so there is no second, ownership-taking entry point.
+# Frames come back (DESIGN.md "Frames come back"): a flushed Ack frame
+# copies its records into the array it is reused with, not a fresh clone.
 noclone:
 	! grep -n 'Clone()' internal/lan/perfect.go internal/lan/ether.go internal/lan/ring.go internal/lan/star.go internal/lan/lan.go
 	! grep -rn detachAcks internal/transport
 	! grep -rn 'fl\.f\.Clone()' internal/transport
 	! grep -rn 'append(sm\.Body\[:0\]' internal/recorder
 	! grep -rn SendGuaranteedOwned --include='*.go' .
+	! grep -rn 'slices\.Clone(recs' internal/transport
+
+# Frames come back (DESIGN.md "Frames come back"): each endpoint keeps its
+# own free lists, so same-seed runs reuse memory identically and the golden
+# table's parallel clusters share nothing. A sync.Pool, or a package-level
+# variable named for a free list or pool, in the transport or the media
+# fails here.
+nopool:
+	! grep -rn 'sync\.Pool' --include='*.go' internal/transport internal/lan
+	awk '/^var \(/ { v = 1; next } v && /^\)/ { v = 0 } (v || /^var /) && tolower($$0) ~ /free|pool/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/transport/*.go internal/lan/*.go
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and
@@ -87,12 +99,14 @@ test:
 # scheduler's reference-model test. demos is in it for its hand-off tests:
 # only the goroutine running the cluster resumes a program's coroutine, and
 # -race is what checks every resume and kill is ordered after the kernel's
-# last write.
+# last write. transport and lan are in it for their free lists: each
+# endpoint reuses the frames its medium hands back, and nothing may be
+# shared between the golden table's parallel clusters.
 race:
 	$(GO) test -race -run TestGoldenFingerprints .
 	$(GO) test -race ./internal/stablestore \
 		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
-		./internal/demos
+		./internal/demos ./internal/transport ./internal/lan
 
 # The online invariant monitor: its unit tests plus the cluster-level
 # integration tests (duplicate flagged before quiescence, report determinism,

@@ -323,7 +323,7 @@ func TestLoadsReportsDebt(t *testing.T) {
 		k.pushToQueue(k.procs[pid], Msg{ID: mkID(9, i), Body: []byte("abc")}, nil)
 	}
 	e.run(simtime.Second)
-	loads := k.Loads()
+	loads := k.AppendLoads(nil)
 	if len(loads) != 1 {
 		t.Fatalf("loads = %v", loads)
 	}
@@ -339,7 +339,7 @@ func TestLoadsReportsDebt(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("checkpoint: %v %v", ok, err)
 	}
-	l = k.Loads()[0]
+	l = k.AppendLoads(loads[:0])[0]
 	if l.MsgsSinceCk != 0 || l.BytesSinceCk != 0 || l.CPUSinceCk != 0 {
 		t.Fatalf("accumulators not reset: %+v", l)
 	}

@@ -2,9 +2,10 @@ package demos
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -421,15 +422,16 @@ type RecoveryLoad struct {
 	Checkpointable bool
 }
 
-// Loads reports the recovery debt of every local recoverable process, in
-// process-id order; the checkpoint policy consumes this.
-func (k *Kernel) Loads() []RecoveryLoad {
-	var out []RecoveryLoad
+// AppendLoads appends the recovery debt of every local recoverable process
+// to dst, in process-id order, and returns the extended slice; the
+// checkpoint policy consumes it on every tick, into a buffer it keeps.
+func (k *Kernel) AppendLoads(dst []RecoveryLoad) []RecoveryLoad {
+	start := len(dst)
 	for id, p := range k.procs {
 		if !p.spec.Recoverable {
 			continue
 		}
-		out = append(out, RecoveryLoad{
+		dst = append(dst, RecoveryLoad{
 			Proc:           id,
 			StateKB:        p.stateKB,
 			MsgsSinceCk:    p.msgsSinceCk,
@@ -440,12 +442,11 @@ func (k *Kernel) Loads() []RecoveryLoad {
 			Checkpointable: p.machine != nil,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Proc, out[j].Proc
-		if a.Node != b.Node {
-			return a.Node < b.Node
+	slices.SortFunc(dst[start:], func(a, b RecoveryLoad) int {
+		if c := cmp.Compare(a.Proc.Node, b.Proc.Node); c != 0 {
+			return c
 		}
-		return a.Local < b.Local
+		return cmp.Compare(a.Proc.Local, b.Proc.Local)
 	})
-	return out
+	return dst
 }

@@ -82,9 +82,18 @@ func (rec *BundleRec) RecOf(f *Frame) {
 
 // Expand reconstitutes the record as a standalone frame carrying the
 // enclosing bundle's addressing and stream low-water mark. The frame's Body
-// (and link) still alias the record.
+// still aliases the record.
 func (rec *BundleRec) Expand(bundle *Frame) *Frame {
-	f := &Frame{
+	f := new(Frame)
+	rec.ExpandInto(f, bundle)
+	return f
+}
+
+// ExpandInto is Expand into a frame the caller supplies, overwriting every
+// field. A passed link is a new Link of its own, so a listener that keeps
+// the link (never the frame) keeps one nobody reuses.
+func (rec *BundleRec) ExpandInto(f *Frame, bundle *Frame) {
+	*f = Frame{
 		Type:            rec.Type,
 		Src:             bundle.Src,
 		Dst:             bundle.Dst,
@@ -102,7 +111,6 @@ func (rec *BundleRec) Expand(bundle *Frame) *Frame {
 		l := rec.Link
 		f.PassedLink = &l
 	}
-	return f
 }
 
 // BeginBundle appends a bundle body header with a zero count onto buf. The

@@ -268,12 +268,13 @@ func (f *Frame) WireLen() int {
 // hasAcks reports whether the frame carries an ack block on the wire.
 func (f *Frame) hasAcks() bool { return f.AckCumSet || len(f.AckRecs) > 0 }
 
-// Clone returns a deep copy. A frame handed to a medium is never written
-// again and every listener shares it (lan.Medium.Send), and a body is
-// read-only from the sender's Send through every receiver and the
-// recorder's log, so a new transmission from a frame someone keeps copies
-// only its header: each transport attempt and a kernel forward share the
-// body. Clone is for a bridge crossing, whose far medium may mark its frame
+// Clone returns a deep copy. A sent frame is shared by every listener,
+// valid for each only during its Receive or Observe, and reused by its
+// sender once the medium hands it back (lan.Releaser). A body is read-only
+// from the sender's Send through every receiver and the recorder's log. So
+// whoever keeps a frame, or starts a new transmission from one, copies only
+// its header: each transport attempt and a kernel forward share the body.
+// Clone is for a bridge crossing, whose far medium may mark its frame
 // corrupt, and for callers that go on writing a frame they send.
 func (f *Frame) Clone() *Frame {
 	g := *f

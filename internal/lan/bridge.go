@@ -59,10 +59,11 @@ func (p *bridgePort) Receive(f *frame.Frame) {
 	if p.br.down || f.Dst == frame.Broadcast {
 		return
 	}
-	// The far medium's Send takes ownership of what it is given and may mark
-	// it corrupt, while f is still being heard on this side — and a
-	// duplicated delivery would forward f twice. So each crossing is a new
-	// transmission with its own frame.
+	// f is valid only during this call, and it goes back to its sender
+	// once this side is done with it. The far medium's Send takes ownership
+	// of what it is given and may mark it corrupt, while f is still being
+	// heard on this side — and a duplicated delivery would forward f twice.
+	// So each crossing is a new transmission with its own frame.
 	g := f.Clone()
 	p.br.sched.After(p.br.Delay, func() {
 		if p.br.down {

@@ -43,11 +43,12 @@ type Ether struct {
 
 // etherTx is one frame's transmission record. It is the handler of its own
 // collision back-off timer, so backing off allocates nothing; m survives
-// release, so a recycled record is ready to arm.
+// recycling, so a recycled record is ready to arm.
 type etherTx struct {
 	m        *Ether
 	src      frame.NodeID
 	f        *frame.Frame
+	rel      Releaser // the sender, which gets f back
 	attempts int
 	start    simtime.Time
 	finish   simtime.Event
@@ -65,7 +66,9 @@ func NewEther(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trac
 
 // Send attempts to transmit f from src, contending for the channel.
 func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
+	rel := m.releaser(src)
 	if m.faults.Down(src) {
+		release(rel, f)
 		return
 	}
 	m.stats.FramesSent++
@@ -78,22 +81,29 @@ func (m *Ether) Send(src frame.NodeID, f *frame.Frame) {
 	} else {
 		tx = &etherTx{m: m}
 	}
-	tx.src, tx.f = src, f
+	tx.src, tx.f, tx.rel = src, f, rel
 	m.attempt(tx)
 }
 
-// release returns a transmission record whose frame left the wire, delivered
+// recycle returns a transmission record whose frame left the wire, delivered
 // or dropped, to the free list.
-func (m *Ether) release(tx *etherTx) {
+func (m *Ether) recycle(tx *etherTx) {
 	*tx = etherTx{m: m}
 	m.free = append(m.free, tx)
+}
+
+// drop ends a transmission that never completed: the frame goes back to
+// its sender and the record to the free list.
+func (m *Ether) drop(tx *etherTx) {
+	release(tx.rel, tx.f)
+	m.recycle(tx)
 }
 
 func (m *Ether) attempt(tx *etherTx) {
 	now := m.sched.Now()
 	if m.faults.Down(tx.src) {
 		m.stats.FramesLost++
-		m.release(tx)
+		m.drop(tx)
 		return
 	}
 	if m.cur != nil {
@@ -170,7 +180,7 @@ func (m *Ether) backoff(tx *etherTx) {
 	if tx.attempts >= m.maxAttempts {
 		m.stats.FramesLost++
 		m.logDrop(tx.src, tx.f, "excessive collisions")
-		m.release(tx)
+		m.drop(tx)
 		return
 	}
 	m.stats.Backoffs++
@@ -219,11 +229,20 @@ func (m *Ether) drainDeferred() {
 	}
 }
 
+// finish ends the transmission on the wire: the frame reaches its listeners
+// or is dropped, goes back to its sender, and deferred senders contend.
 func (m *Ether) finish(tx *etherTx) {
 	m.cur = nil
-	src, f := tx.src, tx.f
-	m.release(tx)
-	defer m.kick()
+	src, f, rel := tx.src, tx.f, tx.rel
+	m.recycle(tx)
+	m.carry(src, f)
+	release(rel, f)
+	m.kick()
+}
+
+// carry takes a completed frame to the taps and, unless a fault or an empty
+// recorder-ack slot drops it, to its receivers.
+func (m *Ether) carry(src frame.NodeID, f *frame.Frame) {
 	if m.faults.Down(src) {
 		m.stats.FramesLost++
 		return

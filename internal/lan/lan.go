@@ -38,10 +38,23 @@ type Station interface {
 	// Receive hands the station a frame that completed transmission and that
 	// the medium's semantics allow it to use. It is the one frame the sender
 	// put on the wire (Medium.Send), heard by every receiver, every tap and
-	// any injected duplicate: the station must not write to it — nor to
-	// anything reached through it, such as Body, AckRecs and PassedLink —
-	// and may retain it for as long as it likes.
+	// any injected duplicate, and it is valid only during the call: the
+	// sender reuses it once the medium hands it back (Releaser). The station
+	// must not write to it, nor to anything reached through it, and must not
+	// keep the pointer or its AckRecs. What it keeps it copies: the header by
+	// value. Body and PassedLink may be kept as they are, since nobody writes
+	// them again.
 	Receive(f *frame.Frame)
+}
+
+// Releaser is an optional Station extension for a sender that reuses its
+// frames. For every Send from the station's node, the medium calls Release
+// exactly once: after the frame's last Receive or Observe, an injected
+// duplicate included, or at the point where the medium drops the frame.
+// From then on nothing on the medium refers to the frame. Release must not
+// send: the medium may be between two steps of its own bookkeeping.
+type Releaser interface {
+	Release(f *frame.Frame)
 }
 
 // Tap is a passive listener — the recorder's attachment (§3.7 cites METRIC
@@ -50,8 +63,9 @@ type Station interface {
 // stored the frame. Media that enforce publish-before-use use that verdict
 // to decide whether receivers may accept the frame.
 //
-// The frame is the one the sender put on the wire, as for a Station: the
-// tap must not write to it and may retain it.
+// The frame is the one the sender put on the wire, valid only during the
+// call, as for a Station: the tap must not write to it, and copies what it
+// keeps.
 type Tap interface {
 	Observe(f *frame.Frame) bool
 }
@@ -78,8 +92,9 @@ type Medium interface {
 	AttachTap(id frame.NodeID, t Tap)
 	// Send transmits f from node src. Media never block: delivery is
 	// scheduled on the virtual clock according to the medium's semantics.
-	// The frame belongs to the medium from here on and nobody writes to it
-	// again, the sender included: a broadcast medium carries one copy of a
+	// The frame belongs to the medium until the medium hands it back to the
+	// station attached at src (Releaser), and meanwhile nobody writes to it,
+	// the sender included: a broadcast medium carries one copy of a
 	// transmission and every listener hears that one.
 	Send(src frame.NodeID, f *frame.Frame)
 	// Faults exposes the medium's fault-injection plan.
@@ -333,6 +348,22 @@ func (b *base) refreshRecv() {
 		b.byID[e.id] = e.s
 	}
 	b.recvSane = true
+}
+
+// releaser returns the station attached at id if it takes its sent frames
+// back, or nil. Media look it up at Send, so a station re-attached while
+// its frame is in flight does not get the old one's frame.
+func (b *base) releaser(id frame.NodeID) Releaser {
+	s, _ := b.station(id)
+	r, _ := s.(Releaser)
+	return r
+}
+
+// release hands a frame the medium is done with back to its sender.
+func release(r Releaser, f *frame.Frame) {
+	if r != nil {
+		r.Release(f)
+	}
 }
 
 // station resolves a unicast destination through the dense cache.

@@ -19,10 +19,12 @@ type Perfect struct {
 	wire *simtime.Pipe[transmission]
 }
 
-// transmission is one frame on the wire and the node that sent it.
+// transmission is one frame on the wire, the node that sent it, and the
+// station it goes back to.
 type transmission struct {
 	src frame.NodeID
 	f   *frame.Frame
+	rel Releaser
 }
 
 // NewPerfect returns a perfect broadcast medium.
@@ -34,7 +36,9 @@ func NewPerfect(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *tr
 
 // Send schedules the frame for delivery after the channel drains.
 func (m *Perfect) Send(src frame.NodeID, f *frame.Frame) {
+	rel := m.releaser(src)
 	if m.faults.Down(src) {
+		release(rel, f)
 		return
 	}
 	m.stats.FramesSent++
@@ -48,11 +52,19 @@ func (m *Perfect) Send(src frame.NodeID, f *frame.Frame) {
 	m.busyUntil = end
 	m.stats.BusyTime += end - start
 	m.maybeCorrupt(f)
-	m.wire.At(end, transmission{src, f})
+	m.wire.At(end, transmission{src, f, rel})
 }
 
+// complete ends a transmission: the frame reaches its listeners or is
+// dropped, and either way goes back to its sender.
 func (m *Perfect) complete(tx transmission) {
-	src, f := tx.src, tx.f
+	m.carry(tx.src, tx.f)
+	release(tx.rel, tx.f)
+}
+
+// carry takes a completed frame to the taps and, unless a fault or the
+// publish gate drops it, to its receivers.
+func (m *Perfect) carry(src frame.NodeID, f *frame.Frame) {
 	if m.faults.Down(src) {
 		// Sender died mid-flight; treat the frame as never completed.
 		m.stats.FramesLost++

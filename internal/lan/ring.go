@@ -29,15 +29,27 @@ type Ring struct {
 	queue []*ringTx
 }
 
+// ringTx is one frame's slot: the frame, its sender, the recorder
+// acknowledge fields it accumulates, and the listener events still to come.
 type ringTx struct {
 	src frame.NodeID
 	f   *frame.Frame
-}
-
-// ringVerdict accumulates the recorder acknowledge fields of one slot.
-type ringVerdict struct {
+	rel Releaser // the sender, which gets f back
+	// anyTap and allStored accumulate the acknowledge fields.
 	anyTap    bool
 	allStored bool
+	// listeners counts the tap and delivery events scheduled and not yet
+	// fired; the last one hands the frame back.
+	listeners int
+}
+
+// heard counts one listener event done, and hands the frame back after the
+// last one.
+func (tx *ringTx) heard() {
+	tx.listeners--
+	if tx.listeners == 0 {
+		release(tx.rel, tx.f)
+	}
 }
 
 // NewRing returns a token ring medium.
@@ -78,15 +90,18 @@ func (m *Ring) dist(a, b frame.NodeID) int {
 
 // Send waits for the token, inserts the frame, and lets it circulate.
 func (m *Ring) Send(src frame.NodeID, f *frame.Frame) {
+	rel := m.releaser(src)
 	if m.faults.Down(src) {
+		release(rel, f)
 		return
 	}
 	if _, ok := m.pos[src]; !ok {
+		release(rel, f)
 		return
 	}
 	m.stats.FramesSent++
 	m.maybeCorrupt(f)
-	m.queue = append(m.queue, &ringTx{src: src, f: f})
+	m.queue = append(m.queue, &ringTx{src: src, f: f, rel: rel, allStored: true})
 	if !m.busy {
 		m.startNext()
 	}
@@ -98,6 +113,7 @@ func (m *Ring) startNext() {
 		m.queue = m.queue[1:]
 		if m.faults.Down(tx.src) {
 			m.stats.FramesLost++
+			release(tx.rel, tx.f)
 			continue
 		}
 		m.busy = true
@@ -108,7 +124,10 @@ func (m *Ring) startNext() {
 }
 
 // circulate models one frame's trip(s) around the ring with event times
-// computed analytically (per-hop events would be pure overhead).
+// computed analytically (per-hop events would be pure overhead). The frame
+// goes back to its sender after the last tap or delivery event, which can
+// come after the token is released when AckSlot exceeds the hops left; a
+// frame no listener hears goes back at once.
 func (m *Ring) circulate(tx *ringTx) {
 	n := len(m.order)
 	now := m.sched.Now()
@@ -119,10 +138,9 @@ func (m *Ring) circulate(tx *ringTx) {
 	lost := tx.f.Corrupt || (m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb))
 
 	// Schedule each reachable tap's observation at the instant the frame
-	// passes it. Verdicts accumulate into ackFilled; by ring construction
-	// every gated delivery happens strictly after the last tap pass, so the
+	// passes it. Verdicts accumulate into tx; by ring construction every
+	// gated delivery happens strictly after the last tap pass, so the
 	// delivery events below read the final verdict.
-	ackFilled := &ringVerdict{allStored: true}
 	maxTapDist := 0
 	if !lost {
 		for _, e := range m.taps {
@@ -132,18 +150,20 @@ func (m *Ring) circulate(tx *ringTx) {
 				// fields for them (§6.3).
 				continue
 			}
-			ackFilled.anyTap = true
+			tx.anyTap = true
 			d := m.dist(tx.src, e.id)
 			if d > maxTapDist {
 				maxTapDist = d
 			}
 			passAt := onRing + simtime.Time(d)*m.cfg.HopDelay + m.cfg.AckSlot
 			miss := m.faults.TapMissProb > 0 && m.rng.Bool(m.faults.TapMissProb)
+			tx.listeners++
 			m.sched.At(passAt, func() {
 				if miss || !e.tap.Observe(tx.f) {
 					m.stats.TapMisses++
-					ackFilled.allStored = false
+					tx.allStored = false
 				}
+				tx.heard()
 			})
 		}
 	}
@@ -168,17 +188,18 @@ func (m *Ring) circulate(tx *ringTx) {
 	// only reads a slot whose acknowledge field(s) are filled and whose
 	// checksum survived (§6.1.2).
 	receive := func(s Station) {
-		if gatedTx && !(ackFilled.anyTap && ackFilled.allStored) {
+		if gatedTx && !(tx.anyTap && tx.allStored) {
 			m.stats.FramesLost++
 			m.stats.RecorderBlocks++
 			if m.log.Enabled() {
 				m.log.Add(trace.KindDrop, int(tx.src), tx.f.ID.String(),
 					"recorder invalidated checksum; frame ignored")
 			}
-			return
+		} else {
+			m.stats.FramesDelivered++
+			s.Receive(tx.f)
 		}
-		m.stats.FramesDelivered++
-		s.Receive(tx.f)
+		tx.heard()
 	}
 
 	lastRead := 0 // passes needed before the sender removes the frame
@@ -202,6 +223,7 @@ func (m *Ring) circulate(tx *ringTx) {
 				if gatedTx && m.dist(tx.src, id) < maxTapDist {
 					lastRead = 1
 				}
+				tx.listeners++
 				m.sched.At(at, func() { receive(s) })
 				delivered = true
 			}
@@ -212,6 +234,7 @@ func (m *Ring) circulate(tx *ringTx) {
 				if gatedTx && m.dist(tx.src, tx.f.Dst) < maxTapDist {
 					lastRead = 1
 				}
+				tx.listeners++
 				m.sched.At(at, func() { receive(s) })
 				delivered = true
 			}
@@ -225,9 +248,12 @@ func (m *Ring) circulate(tx *ringTx) {
 
 	// The sender removes the frame when it returns after the decisive pass,
 	// reinserts the token, and the next waiting station may transmit.
-	release := onRing + simtime.Time((lastRead+1)*n)*m.cfg.HopDelay
-	m.stats.BusyTime += release - now
-	m.sched.At(release, m.startNext)
+	tokenAt := onRing + simtime.Time((lastRead+1)*n)*m.cfg.HopDelay
+	m.stats.BusyTime += tokenAt - now
+	m.sched.At(tokenAt, m.startNext)
+	if tx.listeners == 0 {
+		release(tx.rel, tx.f)
+	}
 }
 
 var _ Medium = (*Ring)(nil)

@@ -30,7 +30,9 @@ func (m *Star) Hub() frame.NodeID { return m.hub }
 // Send transmits the frame over the point-to-point link to the hub; the hub
 // stores it and relays it outward on the destination's link.
 func (m *Star) Send(src frame.NodeID, f *frame.Frame) {
+	rel := m.releaser(src)
 	if m.faults.Down(src) {
+		release(rel, f)
 		return
 	}
 	m.stats.FramesSent++
@@ -50,13 +52,24 @@ func (m *Star) Send(src frame.NodeID, f *frame.Frame) {
 	m.stats.BusyTime += outDone - start
 
 	m.maybeCorrupt(f)
-	m.sched.At(inDone, func() { m.atHub(src, f, outDone) })
+	m.sched.At(inDone, func() {
+		if !m.atHub(src, f) {
+			release(rel, f)
+			return
+		}
+		m.sched.At(outDone, func() {
+			m.relay(src, f)
+			release(rel, f)
+		})
+	})
 }
 
-func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
+// atHub is the frame's arrival at the hub, which stores it and reports
+// whether to relay it outward.
+func (m *Star) atHub(src frame.NodeID, f *frame.Frame) bool {
 	if m.faults.Down(src) {
 		m.stats.FramesLost++
-		return
+		return false
 	}
 	if m.faults.Down(m.hub) || !m.faults.reachable(src, m.hub) {
 		// Hub unreachable: the star is dead for this sender.
@@ -64,15 +77,15 @@ func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
 		if m.log.Enabled() {
 			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub down; frame lost")
 		}
-		return
+		return false
 	}
 	if m.faults.LossProb > 0 && m.rng.Bool(m.faults.LossProb) {
 		m.stats.FramesLost++
-		return
+		return false
 	}
 	if f.Corrupt {
 		m.stats.FramesLost++
-		return
+		return false
 	}
 	stored := m.offerToTaps(src, f)
 	if gated(f.Type) && !stored {
@@ -81,18 +94,20 @@ func (m *Star) atHub(src frame.NodeID, f *frame.Frame, outDone simtime.Time) {
 		if m.log.Enabled() {
 			m.log.Add(trace.KindDrop, int(src), f.ID.String(), "hub failed to record; not relayed")
 		}
+		return false
+	}
+	return true
+}
+
+// relay sends the stored frame outward from the hub. Delivery is keyed on
+// the original sender so that broadcasts do not echo back to it;
+// reachability src→dst composes with the src→hub check already done.
+func (m *Star) relay(src frame.NodeID, f *frame.Frame) {
+	if m.faults.Down(m.hub) {
+		m.stats.FramesLost++
 		return
 	}
-	m.sched.At(outDone, func() {
-		if m.faults.Down(m.hub) {
-			m.stats.FramesLost++
-			return
-		}
-		// Relay outward. Delivery is keyed on the original sender so that
-		// broadcasts do not echo back to it; reachability src→dst composes
-		// with the src→hub check already done.
-		m.deliver(src, f)
-	})
+	m.deliver(src, f)
 }
 
 var _ Medium = (*Star)(nil)

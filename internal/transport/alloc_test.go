@@ -1,16 +1,18 @@
 package transport
 
-// Allocation pins for the endpoint. A frame handed to the medium is never
-// written again (lan.Medium.Send), and a body is read-only from Send on. So
-// a guaranteed message costs the endpoint one object, its transmission unit,
-// which holds the message's flight and the flight's copy of the sender's
-// header; the first transmission sends that frame itself. Only a
-// retransmission copies the header, because the first transmission belongs
-// to the medium from then on. Unguaranteed sends and bundles go to the
-// medium as built, and a flushed Ack frame is one object with its record.
-// The endpoint's timers — a unit's flush, a flight's retransmission, a
-// peer's delayed ack, a held frame's expiry — are scheduled with their owner
-// as the handler, so arming one allocates nothing.
+// Allocation pins for the endpoint. A frame handed to the medium is not
+// written again until the medium hands it back (lan.Releaser), and a body is
+// read-only from Send on. So a guaranteed message lives in its transmission
+// unit, which holds the message's flight and the flight's copy of the
+// sender's header; the first transmission sends that frame itself. A
+// retransmission, a bundle, an unguaranteed or raw send, and a flushed Ack
+// frame are frames of the endpoint's own. Every one of them, and the unit,
+// goes back to the endpoint's free lists when the medium releases it, so a
+// warm endpoint allocates nothing per message but a bundle's body and a
+// held frame. The endpoint's timers — a unit's flush, a flight's
+// retransmission, a peer's delayed ack, a held frame's expiry — are
+// scheduled with their owner as the handler, so arming one allocates
+// nothing.
 
 import (
 	"testing"
@@ -21,19 +23,28 @@ import (
 	"publishing/internal/trace"
 )
 
-// sinkMedium swallows every frame, remembering only the last, so the
-// endpoint's own allocations are all AllocsPerRun sees.
+// sinkMedium swallows every frame of its one station, so the endpoint's own
+// allocations are all AllocsPerRun sees. It holds the last frame, as a
+// medium holds one on the wire, and hands the one before it back at the
+// next Send, so the endpoint's free lists warm up like a live medium's.
 type sinkMedium struct {
 	last   *frame.Frame
+	sender lan.Releaser
 	faults lan.FaultPlan
 	stats  lan.Stats
 }
 
-func (m *sinkMedium) Attach(frame.NodeID, lan.Station)    {}
-func (m *sinkMedium) AttachTap(frame.NodeID, lan.Tap)     {}
-func (m *sinkMedium) Send(_ frame.NodeID, f *frame.Frame) { m.last = f }
-func (m *sinkMedium) Faults() *lan.FaultPlan              { return &m.faults }
-func (m *sinkMedium) Stats() *lan.Stats                   { return &m.stats }
+func (m *sinkMedium) Attach(_ frame.NodeID, s lan.Station) { m.sender = s.(lan.Releaser) }
+func (m *sinkMedium) AttachTap(frame.NodeID, lan.Tap)      {}
+func (m *sinkMedium) Faults() *lan.FaultPlan               { return &m.faults }
+func (m *sinkMedium) Stats() *lan.Stats                    { return &m.stats }
+
+func (m *sinkMedium) Send(_ frame.NodeID, f *frame.Frame) {
+	if m.last != nil {
+		m.sender.Release(m.last)
+	}
+	m.last = f
+}
 
 func newSinkEndpoint() (*Endpoint, *sinkMedium) {
 	return newSinkEndpointWith(DefaultConfig())
@@ -47,23 +58,31 @@ func newSinkEndpointWith(cfg Config) (*Endpoint, *sinkMedium) {
 	return New(0, med, sched, log, cfg), med
 }
 
-// TestUnguaranteedSendMakesNoCopy: the medium gets the caller's frame, and
-// the send allocates nothing.
-func TestUnguaranteedSendMakesNoCopy(t *testing.T) {
+// TestUnguaranteedSendCopiesTheHeader: the medium gets the endpoint's copy
+// of the caller's header, sharing the body, and the caller's frame is not
+// written, so one frame serves every send. Once the free list is warm, the
+// send allocates nothing. SendRaw follows the same rule.
+func TestUnguaranteedSendCopiesTheHeader(t *testing.T) {
 	e, med := newSinkEndpoint()
-	frames := make([]*frame.Frame, 256)
-	for i := range frames {
-		frames[i] = &frame.Frame{Dst: frame.Broadcast, Body: []byte("ping")}
+	f := &frame.Frame{Dst: frame.Broadcast, Body: []byte("ping")}
+	raw := &frame.Frame{Type: frame.RecorderAck, Dst: frame.Broadcast}
+	for _, send := range []func(*frame.Frame){e.SendUnguaranteed, e.SendRaw} {
+		if n := testing.AllocsPerRun(200, func() { send(f) }); n != 0 {
+			t.Errorf("unguaranteed send allocated %.1f objects; want 0", n)
+		}
+		if n := testing.AllocsPerRun(200, func() { send(raw) }); n != 0 {
+			t.Errorf("raw send allocated %.1f objects; want 0", n)
+		}
 	}
-	i := 0
-	if n := testing.AllocsPerRun(200, func() {
-		e.SendUnguaranteed(frames[i])
-		i++
-	}); n != 0 {
-		t.Errorf("unguaranteed send allocated %.1f objects; want 0", n)
-	}
-	if med.last != frames[i-1] {
-		t.Fatal("the medium was sent a copy of the caller's frame")
+	e.SendUnguaranteed(f)
+	g := med.last
+	switch {
+	case g == f:
+		t.Fatal("the medium was sent the caller's frame")
+	case g.Type != frame.Unguaranteed || g.Src != 0 || g.Dst != frame.Broadcast || &g.Body[0] != &f.Body[0]:
+		t.Fatalf("the medium was sent %v, not a header copy sharing the body", g)
+	case f.Type != 0:
+		t.Fatal("the send wrote the caller's frame")
 	}
 }
 
@@ -81,10 +100,11 @@ func formedUnit(t *testing.T, e *Endpoint) *txUnit {
 	return u
 }
 
-// TestBundleFlushMakesNoCopy: flushing a unit allocates the bundle frame
-// and its body — nothing else, and no retransmit timer per member. The
-// timers are cancelled after each run so the scheduler reuses their event
-// nodes.
+// TestBundleFlushMakesNoCopy: flushing a unit allocates the bundle's body —
+// nothing else: the frame comes from the free list, the rider goes back to
+// it once encoded, and no retransmit timer per member allocates. The timers
+// are cancelled after each run so the scheduler reuses their event nodes.
+// The body stays new per bundle: receivers keep members' bodies.
 func TestBundleFlushMakesNoCopy(t *testing.T) {
 	e, med := newSinkEndpoint()
 	u := formedUnit(t, e)
@@ -95,19 +115,23 @@ func TestBundleFlushMakesNoCopy(t *testing.T) {
 			e.sched.Cancel(fl.timer)
 		}
 	})
-	if n != 2 {
-		t.Errorf("bundle flush allocated %.1f objects; want 2 (frame, body)", n)
+	if n != 1 {
+		t.Errorf("bundle flush allocated %.1f objects; want 1 (the body)", n)
+	}
+	if len(u.riders) != 0 {
+		t.Fatalf("the flushed unit still holds %d riders", len(u.riders))
 	}
 	if med.last.Type != frame.Bundle {
 		t.Fatalf("flush sent a %v, want a bundle", med.last.Type)
 	}
 }
 
-// TestFirstTransmissionIsTheRetainedFrame: a guaranteed send and its flush
-// allocate one object, the unit, and the medium is sent the flight's own
-// frame. The endpoint keeps no pointer to the caller's frame, so one frame
-// is reused for every send. Each run completes its flight, so the next one
-// opens a unit of its own.
+// TestFirstTransmissionIsTheRetainedFrame: the medium is sent the flight's
+// own frame, and a guaranteed send and its flush allocate nothing once warm.
+// The endpoint keeps no pointer to the caller's frame, so one frame is
+// reused for every send. Each run completes its flight, so the next one
+// opens a unit of its own: the unit whose frame the medium held until that
+// send handed it back.
 func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 	e, med := newSinkEndpoint()
 	f := gmsg(0, 1, 0, "payload")
@@ -119,8 +143,8 @@ func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 		fl = e.inflight[f.ID]
 		e.finish(&fl.f)
 	})
-	if n != 1 {
-		t.Errorf("a guaranteed send and its first transmission allocated %.1f objects; want 1 (the unit)", n)
+	if n != 0 {
+		t.Errorf("a guaranteed send and its first transmission allocated %.1f objects; want 0", n)
 	}
 	if med.last != &fl.f {
 		t.Fatal("the medium was sent a copy, not the flight's frame")
@@ -130,12 +154,13 @@ func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 	}
 }
 
-// TestRetransmissionCopiesTheHeader: a retransmission is one object, a copy
-// of the flight's header. The first transmission was the flight's own frame
-// and belongs to the medium, which may have marked it corrupt, and it
-// carried that send's ack block. The copy shares the body and passed link,
-// carries neither the mark nor the old block, only the acks pending at its
-// own send time, and leaves the first transmission as it was sent.
+// TestRetransmissionCopiesTheHeader: a retransmission is a plain frame
+// holding a copy of the flight's header, from the free list once warm. The
+// first transmission was the flight's own frame and belongs to the medium,
+// which may have marked it corrupt, and it carried that send's ack block.
+// The copy shares the body and passed link, carries neither the mark nor the
+// old block, only the acks pending at its own send time, and leaves the
+// first transmission as it was sent.
 func TestRetransmissionCopiesTheHeader(t *testing.T) {
 	e, med := newSinkEndpoint()
 	ackFor := func(seq uint64) frame.MsgID {
@@ -159,8 +184,8 @@ func TestRetransmissionCopiesTheHeader(t *testing.T) {
 		e.sched.Cancel(fl.timer)
 		e.transmit(fl)
 	})
-	if n != 1 {
-		t.Errorf("a retransmission allocated %.1f objects; want 1 (the header copy)", n)
+	if n != 0 {
+		t.Errorf("a retransmission allocated %.1f objects; want 0", n)
 	}
 	later := ackFor(2) // pending at the next retransmission only
 	e.sched.Cancel(fl.timer)
@@ -181,15 +206,16 @@ func TestRetransmissionCopiesTheHeader(t *testing.T) {
 }
 
 // TestFlushedAckIsOneAllocation: a delayed ack that expires with one record
-// pending leaves as one object, the Ack frame with its record. Several
-// records cost the frame and one copy of them. Either way the frame's
-// records are its own, and the peer's pending queue keeps its backing array
-// for the next acks.
+// pending leaves as an Ack frame with its record, one object when the free
+// list is cold. Once the medium hands the frame back, the next flush reuses
+// it and its record array, so a warm flush allocates nothing, with one
+// record or several. Either way the frame's records are its own, and the
+// peer's pending queue keeps its backing array for the next acks.
 func TestFlushedAckIsOneAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		recs int
 		want float64
-	}{{1, 1}, {3, 2}} {
+	}{{1, 0}, {3, 0}} {
 		e, med := newSinkEndpoint()
 		ack := func() {
 			for i := 0; i < tc.recs; i++ {
@@ -225,7 +251,9 @@ func TestFlushedAckIsOneAllocation(t *testing.T) {
 
 // TestHeldFrameIsOneAllocation: on a medium without hardware ack slots a
 // received guaranteed frame waits for its recorder ack (§6.1). Holding it
-// costs one object, the held-frame record, which is its own expiry timer.
+// costs one object, the held-frame record, which is its own expiry timer
+// and holds the frame's header by value: the wire frame is valid only
+// during Receive.
 func TestHeldFrameIsOneAllocation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NeedRecorderAck = true
@@ -235,8 +263,8 @@ func TestHeldFrameIsOneAllocation(t *testing.T) {
 	n := testing.AllocsPerRun(200, func() {
 		e.handleGuaranteed(f)
 		h := e.held[f.ID]
-		if h == nil || !h.timer.Pending() {
-			t.Fatal("the frame was not held with its expiry armed")
+		if h == nil || !h.timer.Pending() || &h.f == f || h.f.ID != f.ID {
+			t.Fatal("the frame's header was not held with its expiry armed")
 		}
 		e.sched.Cancel(h.timer)
 		delete(e.held, f.ID)

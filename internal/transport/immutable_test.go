@@ -12,23 +12,34 @@ import (
 )
 
 // The one ownership rule of the wire (lan.Medium.Send): a frame handed to a
-// medium is never written again, by the sender, the medium, any receiver or
-// any tap. watchedMedium checks it on a live medium. It encodes every frame
-// at Send, again when a station or tap is handed it, and again at
-// quiescence for every frame any listener was handed and kept; all three
-// encodings must be byte-equal, and no frame may be sent twice.
+// medium is not written again, by the sender, the medium, any receiver or any
+// tap, until the medium hands it back (lan.Releaser). watchedMedium checks
+// it on a live medium. It encodes every frame at Send, again when a station
+// or tap is handed it, and again when it comes back; all three encodings
+// must be byte-equal but for the medium's corrupt mark, its one write. A
+// frame may be sent again only after it came back, nobody may be handed one
+// that is not on the medium, and at quiescence every frame has come back.
 type watchedMedium struct {
 	lan.Medium
-	t    *testing.T
-	sent map[*frame.Frame][]byte
-	kept []*frame.Frame
+	t   *testing.T
+	out map[*frame.Frame][]byte
+	// sent and back count frames sent and handed back.
+	sent, back int
+}
+
+// encodeClean encodes f as sent, before the medium could mark it corrupt.
+func encodeClean(f *frame.Frame) []byte {
+	g := *f
+	g.Corrupt = false
+	return g.AppendEncode(nil)
 }
 
 func (w *watchedMedium) Send(src frame.NodeID, f *frame.Frame) {
-	if _, again := w.sent[f]; again {
-		w.t.Errorf("frame %v handed to the medium twice", f)
+	if _, again := w.out[f]; again {
+		w.t.Errorf("frame %v handed to the medium again before it came back", f)
 	}
-	w.sent[f] = f.AppendEncode(nil)
+	w.out[f] = encodeClean(f)
+	w.sent++
 	w.Medium.Send(src, f)
 }
 
@@ -40,24 +51,21 @@ func (w *watchedMedium) AttachTap(id frame.NodeID, tap lan.Tap) {
 	w.Medium.AttachTap(id, watchedTap{w, tap})
 }
 
-// heard checks a frame at hand-over and keeps it for the final check.
+// heard checks a frame at hand-over.
 func (w *watchedMedium) heard(who string, f *frame.Frame) {
-	want, ok := w.sent[f]
+	want, ok := w.out[f]
 	switch {
 	case !ok:
-		w.t.Errorf("%s was handed %v, which nobody sent", who, f)
-	case !bytes.Equal(f.AppendEncode(nil), want):
+		w.t.Errorf("%s was handed %v, which is not on the medium", who, f)
+	case f.Corrupt || !bytes.Equal(f.AppendEncode(nil), want):
 		w.t.Errorf("%s was handed %v, written to since Send", who, f)
 	}
-	w.kept = append(w.kept, f)
 }
 
-// quiescent re-encodes every frame a listener kept.
+// quiescent checks that every frame came back.
 func (w *watchedMedium) quiescent() {
-	for _, f := range w.kept {
-		if !bytes.Equal(f.AppendEncode(nil), w.sent[f]) {
-			w.t.Errorf("%v written to after it was heard", f)
-		}
+	if len(w.out) != 0 || w.back != w.sent {
+		w.t.Errorf("%d of %d frames came back; %d are still out", w.back, w.sent, len(w.out))
 	}
 }
 
@@ -69,6 +77,20 @@ type watchedStation struct {
 func (s watchedStation) Receive(f *frame.Frame) {
 	s.w.heard("station", f)
 	s.s.Receive(f)
+}
+
+// Release checks the frame coming back and passes it on to its sender.
+func (s watchedStation) Release(f *frame.Frame) {
+	want, ok := s.w.out[f]
+	switch {
+	case !ok:
+		s.w.t.Errorf("%v came back, but it is not on the medium", f)
+	case !bytes.Equal(encodeClean(f), want):
+		s.w.t.Errorf("%v came back written to since Send", f)
+	}
+	delete(s.w.out, f)
+	s.w.back++
+	s.s.(lan.Releaser).Release(f)
 }
 
 type watchedTap struct {
@@ -86,6 +108,8 @@ func (t watchedTap) Observe(f *frame.Frame) bool {
 // with unguaranteed riders, piggybacked and flushed acks, retransmissions,
 // broadcasts and recorder acks — on each medium that carries a recorder,
 // with loss, duplication, receiver and tap misses, and corruption armed.
+// The endpoints reuse every frame that comes back, so a frame written while
+// on the medium, or reused before it came back, fails here.
 func TestSentFramesAreImmutable(t *testing.T) {
 	for _, name := range []string{"perfect", "ackether", "ring", "star"} {
 		t.Run(name, func(t *testing.T) {
@@ -104,7 +128,7 @@ func TestSentFramesAreImmutable(t *testing.T) {
 			case "star":
 				med = lan.NewStar(cfg, sched, rng, log, tapNode)
 			}
-			w := &watchedMedium{Medium: med, t: t, sent: make(map[*frame.Frame][]byte)}
+			w := &watchedMedium{Medium: med, t: t, out: make(map[*frame.Frame][]byte)}
 			checkImmutable(t, w, sched, log)
 		})
 	}

@@ -29,6 +29,7 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -150,6 +151,10 @@ type Endpoint struct {
 
 	// Deliver is the upcall into the node kernel for each message accepted
 	// end-to-end (deduplicated, recorder-acked if required, in order). The
+	// frame is valid only during the call: it is a wire frame its sender
+	// reuses, or the endpoint's scratch frame for a bundle member. So the
+	// kernel copies what it keeps, the header by value; Body and PassedLink
+	// it may keep as they are, since nobody writes them again. The
 	// kernel returns false to refuse the message — e.g. its destination
 	// process is crashed or still recovering (§3.3.3) — in which case no
 	// acknowledgement is sent and the sender's retransmission will offer the
@@ -170,8 +175,9 @@ type Endpoint struct {
 	// receives for its own guaranteed frames (used by measurement hooks).
 	OnAck func(id frame.MsgID)
 
-	// OnGiveUp, if set, is called when retry exhaustion abandons a frame;
-	// the kernel uses it to re-route traffic whose destination moved.
+	// OnGiveUp, if set, is called with a copy of a frame's header when retry
+	// exhaustion abandons it; the kernel uses it to re-route traffic whose
+	// destination moved.
 	OnGiveUp func(f *frame.Frame)
 
 	// epoch invalidates scheduled timers across Reset (processor crash).
@@ -207,10 +213,22 @@ type Endpoint struct {
 	rto destTable[*rtoState]
 
 	// recScratch and idScratch are decode buffers reused across receives;
+	// rxFrame is the frame a bundle member expands into for its upcall;
 	// doneScratch collects the flights a cumulative ack completes.
 	recScratch  []frame.BundleRec
 	idScratch   []frame.MsgID
-	doneScratch []*frame.Frame
+	rxFrame     *frame.Frame
+	doneScratch []ackedSeq
+
+	// owned maps every frame this endpoint has handed the medium, and not
+	// yet had back (Release), to where it came from. It survives Reset:
+	// the medium still holds a crashed node's frames, and hands them back.
+	owned map[*frame.Frame]owner
+	// The free lists. Each endpoint keeps its own, so same-seed runs reuse
+	// memory identically and parallel clusters share nothing.
+	unitFree  []*txUnit
+	ackFree   []*ackFrame
+	frameFree []*frame.Frame
 
 	stats Stats
 	// ackRTT observes send-to-ack round trips in virtual nanoseconds.
@@ -226,21 +244,28 @@ type Endpoint struct {
 // A unit is the handler of its own flush timer, and its flights of their
 // retransmission timers, so arming either allocates nothing. The unit holds
 // its first flight, with that flight's frame, and the backing array of a
-// one-member recs, so a message that coalesces with nothing and is sent once
-// costs the endpoint this one object.
+// one-member recs. It goes back to the endpoint's free list once nothing
+// refers to it (recycleUnit) and keeps its flights and arrays, so a warm
+// endpoint sends a message without allocating.
 type txUnit struct {
-	e       *Endpoint
-	epoch   uint64 // the endpoint's epoch when the unit opened
-	dst     frame.NodeID
-	recs    []*flight      // guaranteed members, admission order
-	riders  []*frame.Frame // unguaranteed records riding along
-	bytes   int            // encoded bundle-body bytes committed so far
-	open    int            // guaranteed members not yet finished/withdrawn
+	e      *Endpoint
+	epoch  uint64 // the endpoint's epoch when the unit opened
+	dst    frame.NodeID
+	recs   []*flight      // guaranteed members, admission order
+	riders []*frame.Frame // unguaranteed records riding along
+	bytes  int            // encoded bundle-body bytes committed so far
+	open   int            // guaranteed members not yet finished/withdrawn
+	// wire counts the flights' own frames the medium holds: a flight that
+	// goes out alone is its own first transmission (transmit).
+	wire    int
 	flushed bool
 	closed  bool
 	timer   simtime.Event
 	first   flight
 	recs1   [1]*flight
+	// spare holds the flights of the members after the first, kept across
+	// reuse.
+	spare []*flight
 }
 
 // Fire is the flush timer: FlushDelay after the unit opened, it goes on the
@@ -294,7 +319,25 @@ type rxStream struct {
 	epoch    uint16
 	synced   bool
 	expected uint64
-	buf      map[uint64]*frame.Frame
+	// buf holds out-of-order and refused frames, each a header copy of the
+	// stream's own: a wire frame is valid only during Receive.
+	buf map[uint64]*frame.Frame
+}
+
+// keep buffers a copy of f's header at seq, reusing the copy already there.
+// The copy drops the ack records: they were applied on arrival, and their
+// array is the sender's to reuse.
+func (st *rxStream) keep(seq uint64, f *frame.Frame) {
+	if st.buf == nil {
+		st.buf = make(map[uint64]*frame.Frame)
+	}
+	g := st.buf[seq]
+	if g == nil {
+		g = new(frame.Frame)
+		st.buf[seq] = g
+	}
+	*g = *f
+	g.AckRecs = nil
 }
 
 // XSeq field layout (see frame.Frame.XSeq).
@@ -328,11 +371,12 @@ func (fl *flight) Fire() {
 }
 
 // heldFrame is a received guaranteed frame awaiting its recorder ack, and the
-// handler of its own expiry timer.
+// handler of its own expiry timer. It holds a copy of the frame's header, less
+// its ack records: the wire frame is valid only during Receive.
 type heldFrame struct {
 	e     *Endpoint
 	epoch uint64 // the endpoint's epoch when the frame was held
-	f     *frame.Frame
+	f     frame.Frame
 	timer simtime.Event
 }
 
@@ -371,6 +415,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		inflight: make(map[frame.MsgID]*flight),
 		dup:      newDupCache(dupCacheSize),
 		held:     make(map[frame.MsgID]*heldFrame),
+		owned:    make(map[*frame.Frame]owner),
 	}
 	if n := cfg.Peers; n > 0 {
 		e.perDest.presize(n)
@@ -424,6 +469,8 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // Reset models a processor crash and reboot: all transport state — queued
 // and unacknowledged frames, the duplicate cache, held frames — is volatile
 // and lost (§3.3.2 rounds a kernel fault up to a whole-processor crash).
+// Frames on the medium still come back (Release) and the free lists stay:
+// they are memory, not state.
 func (e *Endpoint) Reset() {
 	e.epoch++
 	for _, fl := range e.inflight {
@@ -482,28 +529,89 @@ func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 // statistical information whose retransmission would be pointless (§4.3.3).
 // A unicast frame that fits an already-forming unit for its destination
 // rides along in that unit's Bundle — it consumes no window slot and is never
-// retransmitted; otherwise it goes out immediately. The endpoint takes
-// ownership of f: the caller must not touch it after the call.
+// retransmitted; otherwise it goes out immediately. The endpoint copies f's
+// header, as SendGuaranteed does, and keeps no pointer to f, so the caller
+// may reuse it at once, and f may live on the caller's stack. The body and
+// passed link are shared, not copied.
 func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
-	f.Type = frame.Unguaranteed
-	f.Src = e.node
+	g := e.newFrame()
+	*g = *f
+	g.Type = frame.Unguaranteed
+	g.Src = e.node
 	e.stats.UnguaranteedSent++
-	if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
-		if n := bundleRecLen(f); u.bytes+n <= bundleBudget {
-			u.riders = append(u.riders, f)
+	if u := e.form.get(g.Dst); u != nil && !u.flushed && !u.closed {
+		if n := bundleRecLen(g); u.bytes+n <= bundleBudget {
+			u.riders = append(u.riders, g)
 			u.bytes += n
 			return
 		}
 	}
+	e.send(g, owner{})
+}
+
+// SendRaw transmits a copy of f's header verbatim but for its source (used by
+// the recorder to emit RecorderAck frames, and by tests), under the same
+// ownership rule as SendUnguaranteed.
+func (e *Endpoint) SendRaw(f *frame.Frame) {
+	g := e.newFrame()
+	*g = *f
+	g.Src = e.node
+	e.send(g, owner{})
+}
+
+// owner is where a frame handed to the medium came from, so Release can put
+// it back: a flight's own frame counts against its unit, an Ack frame goes
+// back to its pool with its record array, and any other is a plain frame.
+type owner struct {
+	unit *txUnit
+	ack  *ackFrame
+}
+
+// send hands f to the medium, remembering where it came from. The entry goes
+// in first: a medium hands a frame back inside Send when it drops it there.
+func (e *Endpoint) send(f *frame.Frame, o owner) {
+	e.owned[f] = o
 	e.med.Send(e.node, f)
 }
 
-// SendRaw transmits a frame verbatim (used by the recorder to emit
-// RecorderAck frames and by tests), taking ownership of it as
-// SendUnguaranteed does.
-func (e *Endpoint) SendRaw(f *frame.Frame) {
-	f.Src = e.node
-	e.med.Send(e.node, f)
+// Release implements lan.Releaser: the medium and every listener are done
+// with a frame this endpoint sent, so it goes back where it came from. A
+// frame the endpoint did not send, such as a test's raw medium Send under
+// this node's id, is not in the table and is left alone. Release schedules,
+// cancels and sends nothing.
+func (e *Endpoint) Release(f *frame.Frame) {
+	o, ok := e.owned[f]
+	if !ok {
+		return
+	}
+	delete(e.owned, f)
+	switch {
+	case o.unit != nil:
+		o.unit.wire--
+		e.recycleUnit(o.unit)
+	case o.ack != nil:
+		o.ack.f = frame.Frame{}
+		e.ackFree = append(e.ackFree, o.ack)
+	default:
+		e.putFrame(f)
+	}
+}
+
+// newFrame takes a zeroed plain frame from the free list, or the heap.
+func (e *Endpoint) newFrame() *frame.Frame {
+	k := len(e.frameFree)
+	if k == 0 {
+		return new(frame.Frame)
+	}
+	f := e.frameFree[k-1]
+	e.frameFree = e.frameFree[:k-1]
+	return f
+}
+
+// putFrame zeroes a plain frame, so the free list pins no body, and frees it.
+func (e *Endpoint) putFrame(f *frame.Frame) {
+	*f = frame.Frame{}
+	e.frameFree = append(e.frameFree, f)
 }
 
 // InFlight reports the number of guaranteed frames not yet acknowledged,
@@ -578,8 +686,15 @@ func bundleRecLen(f *frame.Frame) int {
 // openUnit starts a new transmission unit with f as its first member and
 // arms the flush timer.
 func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
-	u := &txUnit{e: e, epoch: e.epoch, dst: f.Dst, bytes: frame.BundleHdrLen}
-	u.recs = u.recs1[:0]
+	var u *txUnit
+	if k := len(e.unitFree); k > 0 {
+		u = e.unitFree[k-1]
+		e.unitFree = e.unitFree[:k-1]
+	} else {
+		u = &txUnit{e: e}
+		u.recs = u.recs1[:0]
+	}
+	u.epoch, u.dst, u.bytes = e.epoch, f.Dst, frame.BundleHdrLen
 	e.form.set(f.Dst, u)
 	e.perDest.set(f.Dst, e.perDest.get(f.Dst)+1)
 	e.openUnits++
@@ -592,10 +707,13 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 // flight, assigning it the next stream sequence toward its destination.
 func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 	fl := &u.first
-	if len(u.recs) > 0 {
-		fl = &flight{}
+	if k := len(u.recs); k > 0 {
+		if k > len(u.spare) {
+			u.spare = append(u.spare, new(flight))
+		}
+		fl = u.spare[k-1]
 	}
-	fl.f, fl.unit = *f, u
+	*fl = flight{f: *f, unit: u}
 	seq := e.xseq.get(f.Dst)
 	e.xseq.set(f.Dst, seq+1)
 	fl.f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
@@ -606,7 +724,9 @@ func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 }
 
 // unitMemberDone records that one guaranteed member of a unit finished
-// (acked, given up, or withdrawn); the last one frees the window slot.
+// (acked, given up, or withdrawn); the last one frees the window slot, and
+// may free the unit itself, so the caller touches neither it nor its
+// flights afterwards.
 func (e *Endpoint) unitMemberDone(u *txUnit) {
 	u.open--
 	if u.open > 0 || u.closed {
@@ -625,6 +745,24 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 	}
 	e.perDest.set(u.dst, e.perDest.get(u.dst)-1)
 	e.openUnits--
+	e.recycleUnit(u)
+}
+
+// recycleUnit frees a unit once nothing refers to it: every member finished
+// or withdrawn (closed), the flush done or cancelled (flushed), and none of
+// its flights' own frames left on the medium. A unit a Reset abandoned never
+// closes, so it is left to the collector. The flights' frames are zeroed so
+// the free list pins no body; recs, riders and spare keep their arrays.
+func (e *Endpoint) recycleUnit(u *txUnit) {
+	if !u.closed || !u.flushed || u.wire > 0 {
+		return
+	}
+	for _, fl := range u.recs {
+		fl.f = frame.Frame{}
+	}
+	u.recs, u.riders = u.recs[:0], u.riders[:0]
+	u.open, u.flushed, u.closed = 0, false, false
+	e.unitFree = append(e.unitFree, u)
 }
 
 // flushUnit puts a forming unit on the wire: one plain frame when it holds a
@@ -648,20 +786,24 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 	u.recs = live
 	switch {
 	case len(live) == 0 && len(u.riders) == 0:
-		return
 	case len(live) == 1 && len(u.riders) == 0:
 		e.transmit(live[0])
-		return
 	case len(live) == 0 && len(u.riders) == 1:
-		e.med.Send(e.node, u.riders[0])
-		return
+		e.send(u.riders[0], owner{})
+		u.riders = u.riders[:0]
+	default:
+		e.sendBundle(u, live)
 	}
-	bundle := &frame.Frame{
-		Type: frame.Bundle,
-		Src:  e.node,
-		Dst:  u.dst,
-		XLow: e.xlowFor(u.dst, ^uint64(0)),
-	}
+	e.recycleUnit(u)
+}
+
+// sendBundle puts a unit's live members and riders on the wire as one Bundle
+// frame. The riders are encoded into its body, so they go back to the free
+// list at once; the body is new, since receivers keep member bodies.
+func (e *Endpoint) sendBundle(u *txUnit, live []*flight) {
+	bundle := e.newFrame()
+	bundle.Type, bundle.Src, bundle.Dst = frame.Bundle, e.node, u.dst
+	bundle.XLow = e.xlowFor(u.dst, ^uint64(0))
 	body := frame.BeginBundle(make([]byte, 0, u.bytes))
 	count := 0
 	var rec frame.BundleRec
@@ -670,15 +812,18 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 		body = frame.AppendBundleRec(body, &rec)
 		count++
 	}
-	for _, g := range u.riders {
+	for i, g := range u.riders {
 		rec.RecOf(g)
 		body = frame.AppendBundleRec(body, &rec)
 		count++
+		e.putFrame(g)
+		u.riders[i] = nil
 	}
+	u.riders = u.riders[:0]
 	bundle.Body = frame.FinishBundle(body, 0, count)
 	e.stats.FramesCoalesced += uint64(count)
 	e.attachAcks(bundle)
-	e.med.Send(e.node, bundle)
+	e.send(bundle, owner{})
 	for _, fl := range live {
 		e.armFlight(fl)
 	}
@@ -701,26 +846,29 @@ func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 
 // transmit puts one attempt of a flight on the wire, with the low-water mark
 // and ack block of this send time. The first attempt is the flight's own
-// frame: stamped, then handed to the medium, which keeps it, so nothing
-// writes fl.f after that. Every later attempt, like every attempt of a
-// flight first sent inside a bundle, is a new copy of the header, cleared of
-// what belonged to the first: the medium's corrupt mark and the ack block
-// that went out with it. The body and passed link are always shared: a body
-// is read-only from Send through every receiver and the recorder's log
+// frame: stamped, then handed to the medium, which holds it until Release,
+// so nothing writes fl.f after that, and the unit counts it on the wire.
+// Every later attempt, like every attempt of a flight first sent inside a
+// bundle, is a plain frame holding a copy of the header, cleared of what
+// belonged to the first: the medium's corrupt mark and the ack block that
+// went out with it. The body and passed link are always shared: a body is
+// read-only from Send through every receiver and the recorder's log
 // (demos.Msg.Body).
 func (e *Endpoint) transmit(fl *flight) {
-	g := &fl.f
+	g, o := &fl.f, owner{unit: fl.unit}
 	if fl.attempts > 0 {
-		g = new(frame.Frame)
+		g, o = e.newFrame(), owner{}
 		*g = fl.f
 		g.Corrupt = false
 		g.AckCumSet, g.AckCum, g.AckRecs = false, 0, nil
+	} else {
+		fl.unit.wire++
 	}
 	// Stamp the stream low-water mark: the lowest sequence still
 	// unacknowledged toward this destination. Receivers sync on it.
 	g.XLow = e.xlowFor(g.Dst, xseqSeq(g.XSeq))
 	e.attachAcks(g)
-	e.med.Send(e.node, g)
+	e.send(g, o)
 	e.armFlight(fl)
 }
 
@@ -801,9 +949,12 @@ func (e *Endpoint) retransmit(fl *flight) {
 			e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
 				"gave up after %d attempts", fl.attempts)
 		}
-		e.finish(&fl.f)
+		// The hook gets a copy: finishing may free the flight's unit, and
+		// the hook's re-send may reuse it.
+		g := fl.f
+		e.finish(&g)
 		if e.OnGiveUp != nil {
-			e.OnGiveUp(&fl.f)
+			e.OnGiveUp(&g)
 		}
 		return
 	}
@@ -862,9 +1013,14 @@ func (e *Endpoint) Receive(f *frame.Frame) {
 }
 
 // handleBundle unpacks a coalesced frame and runs every record through the
-// regular single-frame paths. Record bodies alias the bundle body, which no
-// one writes once it is on the wire (lan.Station), so no copies are made even
-// for records that end up held or buffered.
+// regular single-frame paths. Each record expands into one scratch frame:
+// like a wire frame, it is valid only during the call it is handed to, and
+// what keeps a record (a held or buffered frame) copies its header. Record
+// bodies alias the bundle body, which nobody writes once it is on the wire
+// (lan.Station), so no body is copied. The decode buffer and the scratch
+// frame are taken, not shared, while the records run, so a handleBundle
+// re-entered from an upcall would get fresh ones. (None is: media deliver
+// only from scheduled events.)
 func (e *Endpoint) handleBundle(f *frame.Frame) {
 	if f.Dst != e.node {
 		return
@@ -874,9 +1030,13 @@ func (e *Endpoint) handleBundle(f *frame.Frame) {
 		e.log.Add(trace.KindDrop, int(e.node), "", "bundle decode failed: %v", err)
 		return
 	}
-	e.recScratch = recs
+	g := e.rxFrame
+	if g == nil {
+		g = new(frame.Frame)
+	}
+	e.recScratch, e.rxFrame = nil, nil
 	for i := range recs {
-		g := recs[i].Expand(f)
+		recs[i].ExpandInto(g, f)
 		switch g.Type {
 		case frame.Guaranteed:
 			e.handleGuaranteed(g)
@@ -887,6 +1047,8 @@ func (e *Endpoint) handleBundle(f *frame.Frame) {
 			}
 		}
 	}
+	*g = frame.Frame{} // pin no bundle body
+	e.recScratch, e.rxFrame = recs, g
 }
 
 // deliverUp completes delivery of one in-order guaranteed frame. A refusal
@@ -954,24 +1116,32 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 	cum := xseqSeq(f.AckCum)
 	// The scratch slice is taken, not shared, while the acks run, so an
 	// OnAck hook that re-enters the endpoint gets a fresh slice instead of
-	// overwriting this one.
+	// overwriting this one. It holds ids, not flights: completing one may
+	// free its unit, and pump may refill the unit's flights with new
+	// messages before the loop reaches them.
 	done := e.doneScratch[:0]
 	e.doneScratch = nil
 	for _, fl := range e.inflight {
 		if fl.f.Dst == f.Src && fl.attempts > 0 && xseqSeq(fl.f.XSeq) <= cum {
-			done = append(done, &fl.f)
+			done = append(done, ackedSeq{xseqSeq(fl.f.XSeq), fl.f.ID})
 		}
 	}
 	// Map iteration is unordered; completing in stream order keeps the run
 	// deterministic (finish order decides what pump admits next).
-	sortFrames(done)
-	for _, g := range done {
-		if fl, ok := e.inflight[g.ID]; ok {
+	slices.SortFunc(done, func(a, b ackedSeq) int { return cmp.Compare(a.seq, b.seq) })
+	for _, d := range done {
+		if fl, ok := e.inflight[d.id]; ok {
 			e.ackOne(fl)
 		}
 	}
-	clear(done)
 	e.doneScratch = done[:0]
+}
+
+// ackedSeq is one flight a cumulative ack completes: its stream sequence
+// and message id.
+type ackedSeq struct {
+	seq uint64
+	id  frame.MsgID
 }
 
 func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
@@ -989,7 +1159,8 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 			return
 		}
 		e.stats.RecorderHeld++
-		h := &heldFrame{e: e, epoch: e.epoch, f: f}
+		h := &heldFrame{e: e, epoch: e.epoch, f: *f}
+		h.f.AckRecs = nil // applied on arrival; the array is the sender's to reuse
 		h.timer = e.sched.AfterHandler(e.cfg.RecorderAckTimeout, h)
 		e.held[f.ID] = h
 		return
@@ -1024,7 +1195,7 @@ func (e *Endpoint) releaseHeld(id frame.MsgID) {
 	}
 	e.sched.Cancel(h.timer)
 	delete(e.held, id)
-	e.accept(h.f)
+	e.accept(&h.f)
 }
 
 // accept finishes end-to-end reception: dedup, in-order reassembly,
@@ -1108,10 +1279,7 @@ func (e *Endpoint) advance(st *rxStream, f *frame.Frame) {
 		if !e.deliverUp(f) {
 			// Refused: remember the frame so a retransmission (or a later
 			// poke) can retry; the stream does not advance past it.
-			if st.buf == nil {
-				st.buf = make(map[uint64]*frame.Frame)
-			}
-			st.buf[seq] = f
+			st.keep(seq, f)
 			return
 		}
 		delete(st.buf, seq) // drop any stale buffered copy
@@ -1119,10 +1287,7 @@ func (e *Endpoint) advance(st *rxStream, f *frame.Frame) {
 		e.drain(st)
 	default:
 		if _, ok := st.buf[seq]; !ok {
-			if st.buf == nil {
-				st.buf = make(map[uint64]*frame.Frame)
-			}
-			st.buf[seq] = f
+			st.keep(seq, f)
 		}
 	}
 }
@@ -1153,18 +1318,20 @@ func (e *Endpoint) Poke() {
 }
 
 // Abort withdraws queued and in-flight guaranteed frames matching pred and
-// returns them in their original send order. The kernel uses it to re-route
-// traffic when it learns a destination process has moved to another node.
-// An in-flight frame may be on the wire already, so the caller must not
-// write the frames it is given.
+// returns copies of their headers in their original send order. The kernel
+// uses it to re-route traffic when it learns a destination process has moved
+// to another node. They are copies because withdrawing a flight may free its
+// unit, and the caller's re-sends pump and may reuse it.
 func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 	var out []*frame.Frame
 	for id, fl := range e.inflight {
 		if pred(&fl.f) {
+			g := new(frame.Frame)
+			*g = fl.f
+			out = append(out, g)
 			e.sched.Cancel(fl.timer)
 			delete(e.inflight, id)
 			e.unitMemberDone(fl.unit)
-			out = append(out, &fl.f)
 		}
 	}
 	// In-flight frames were admitted before anything still queued; order
@@ -1222,17 +1389,32 @@ func (e *Endpoint) ack(f *frame.Frame) {
 // cumulative Ack frame to the MTU.
 const maxFlushAckRecs = (frame.MaxBody - 16) / frame.AckRecLen
 
-// ackFrame is a flushed Ack frame and the backing array of a one-record
-// AckRecs, allocated as one object.
+// ackFrame is a flushed Ack frame and its record array, reused together.
+// one backs the array until a flush needs more records, so a new ackFrame
+// with one record is one object.
 type ackFrame struct {
 	f    frame.Frame
-	recs [1]frame.AckRec
+	recs []frame.AckRec
+	one  [1]frame.AckRec
+}
+
+// newAck takes an Ack frame from the free list, or the heap.
+func (e *Endpoint) newAck() *ackFrame {
+	k := len(e.ackFree)
+	if k == 0 {
+		a := &ackFrame{}
+		a.recs = a.one[:0]
+		return a
+	}
+	a := e.ackFree[k-1]
+	e.ackFree = e.ackFree[:k-1]
+	return a
 }
 
 // flushAcks emits the acknowledgements pending toward src as standalone
 // cumulative Ack frames — the fallback when the delay expires with no
-// reverse-direction traffic to ride. Each frame gets its own copy of its
-// records, so the pending queue keeps its backing array for the next acks.
+// reverse-direction traffic to ride. Each frame copies its records into its
+// own array, so the pending queue keeps its backing array for the next acks.
 func (e *Endpoint) flushAcks(src frame.NodeID) {
 	p := e.ackPend.get(src)
 	if p == nil {
@@ -1241,14 +1423,10 @@ func (e *Endpoint) flushAcks(src frame.NodeID) {
 	p.timerSet = false
 	for recs := p.recs; len(recs) > 0; {
 		n := min(len(recs), maxFlushAckRecs)
-		var f *frame.Frame
-		if n == 1 {
-			a := &ackFrame{recs: [1]frame.AckRec{recs[0]}}
-			f = &a.f
-			f.AckRecs = a.recs[:]
-		} else {
-			f = &frame.Frame{AckRecs: slices.Clone(recs[:n])}
-		}
+		a := e.newAck()
+		a.recs = append(a.recs[:0], recs[:n]...)
+		f := &a.f
+		f.AckRecs = a.recs
 		last := recs[n-1]
 		cum, cumOK := e.cumFor(src)
 		e.stats.AcksDelayedFlush++
@@ -1257,7 +1435,7 @@ func (e *Endpoint) flushAcks(src frame.NodeID) {
 		f.ID = last.ID // header echoes the newest record for tracing
 		f.From, f.To = last.Rcv, last.ID.Sender
 		f.AckCumSet, f.AckCum = cumOK, cum
-		e.med.Send(e.node, f)
+		e.send(f, owner{ack: a})
 		recs = recs[n:]
 	}
 	p.recs = p.recs[:0]
@@ -1313,7 +1491,10 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 	}
 }
 
-var _ lan.Station = (*Endpoint)(nil)
+var (
+	_ lan.Station  = (*Endpoint)(nil)
+	_ lan.Releaser = (*Endpoint)(nil)
+)
 
 // destTable is per-destination state kept in a slice indexed by NodeID.
 // Node ids are small and dense (0..n-1), so a slice lookup replaces a map

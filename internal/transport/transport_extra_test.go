@@ -142,7 +142,7 @@ func TestStreamSkipsAbandonedGap(t *testing.T) {
 		if f.To.Local == 99 {
 			return false
 		}
-		e.got[1] = append(e.got[1], f)
+		e.got[1] = append(e.got[1], keep(f))
 		return true
 	}
 	bad := gmsg(0, 1, 1, string(make([]byte, bundleBudget)))

@@ -38,10 +38,17 @@ func newEnv(t *testing.T, n int, cfg Config, medium string) *env {
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
 		ep := New(id, e.med, e.sched, e.log, cfg)
-		ep.Deliver = func(f *frame.Frame) bool { e.got[id] = append(e.got[id], f); return true }
+		ep.Deliver = func(f *frame.Frame) bool { e.got[id] = append(e.got[id], keep(f)); return true }
 		e.eps[id] = ep
 	}
 	return e
+}
+
+// keep copies the header of a frame a listener was handed: the frame is
+// valid only during Receive, Observe or Deliver, and its sender reuses it.
+func keep(f *frame.Frame) *frame.Frame {
+	g := *f
+	return &g
 }
 
 func gmsg(src, dst frame.NodeID, seq uint64, body string) *frame.Frame {
@@ -161,7 +168,7 @@ func TestRetransmissionDoesNotRepeatPiggybackedAcks(t *testing.T) {
 			refused = true
 			return false
 		}
-		e.got[1] = append(e.got[1], f)
+		e.got[1] = append(e.got[1], keep(f))
 		return true
 	}
 	e.eps[1].SendGuaranteed(req)
@@ -495,7 +502,7 @@ func TestAcksCarryProcessAttribution(t *testing.T) {
 	var acks []*frame.Frame
 	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
 		if f.Type == frame.Ack {
-			acks = append(acks, f)
+			acks = append(acks, keep(f))
 		}
 		return true
 	}))

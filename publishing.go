@@ -545,6 +545,7 @@ func (c *Cluster) armCheckpointTick() {
 	// Sorted: checkpoints taken on one tick are published in this order, so
 	// map order here would make same-seed runs diverge.
 	nodes := c.Nodes()
+	var loads []demos.RecoveryLoad // reused by every tick
 	var tick func()
 	tick = func() {
 		for _, n := range nodes {
@@ -552,7 +553,8 @@ func (c *Cluster) armCheckpointTick() {
 			if k.Crashed() {
 				continue
 			}
-			for _, load := range k.Loads() {
+			loads = k.AppendLoads(loads[:0])
+			for _, load := range loads {
 				if !load.Checkpointable {
 					continue
 				}
