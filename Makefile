@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool noquarantine nosweep notrajectory
+vet: nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -62,6 +62,13 @@ noclone:
 nopool:
 	! grep -rn 'sync\.Pool' --include='*.go' internal/transport internal/lan
 	awk '/^var \(/ { v = 1; next } v && /^\)/ { v = 0 } (v || /^var /) && tolower($$0) ~ /free|pool/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/transport/*.go internal/lan/*.go
+
+# Per-peer transport state is two tables (DESIGN.md "Dense per-destination
+# tables"): each destination's send state by value, and one record per
+# sender. The names below are the per-peer tables they replaced; bringing
+# one back piecemeal, and with it an allocation at first contact, fails here.
+nopeertables:
+	! grep -rnE '\b(ackPend|perDest)\b|destTable\[\*(rtoState|rxStream|ackPending)\]' --include='*.go' --exclude='*_test.go' internal/transport
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and

@@ -16,6 +16,7 @@ package transport
 
 import (
 	"testing"
+	"unsafe"
 
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -93,7 +94,7 @@ func formedUnit(t *testing.T, e *Endpoint) *txUnit {
 	e.SendGuaranteed(gmsg(0, 1, 1, "a"))
 	e.SendGuaranteed(gmsg(0, 1, 2, "b"))
 	e.SendUnguaranteed(&frame.Frame{Dst: 1, Body: []byte("c")})
-	u := e.form.get(1)
+	u := e.tx.get(1).form
 	if u == nil || len(u.recs) != 2 || len(u.riders) != 1 {
 		t.Fatalf("unit did not form: %+v", u)
 	}
@@ -139,7 +140,7 @@ func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 	n := testing.AllocsPerRun(200, func() {
 		f.ID.Seq++
 		e.SendGuaranteed(f)
-		e.flushUnit(e.form.get(1))
+		e.flushUnit(e.tx.get(1).form)
 		fl = e.inflight[f.ID]
 		e.finish(&fl.f)
 	})
@@ -173,7 +174,7 @@ func TestRetransmissionCopiesTheHeader(t *testing.T) {
 	f := gmsg(0, 1, 1, "payload")
 	f.PassedLink = &frame.Link{To: frame.ProcID{Node: 2, Local: 5}, Channel: 3}
 	e.SendGuaranteed(f)
-	e.flushUnit(e.form.get(1))
+	e.flushUnit(e.tx.get(1).form)
 	fl := e.inflight[f.ID]
 	if med.last != &fl.f || len(fl.f.AckRecs) != 1 || fl.f.AckRecs[0].ID != first {
 		t.Fatal("the first transmission was not the flight's frame with the pending ack")
@@ -225,7 +226,7 @@ func TestFlushedAckIsOneAllocation(t *testing.T) {
 			}
 		}
 		ack() // creates the peer's pending state and grows its array
-		p := e.ackPend.get(1)
+		p := &e.rx.get(1).ack
 		e.sched.Cancel(p.timer)
 		e.flushAcks(1)
 		n := testing.AllocsPerRun(200, func() {
@@ -274,6 +275,75 @@ func TestHeldFrameIsOneAllocation(t *testing.T) {
 	}
 }
 
+// TestFirstContactAllocations: what the first exchange with a peer costs in
+// peer state alone. A destination's send state is a row of the endpoint's
+// send table, so sending to a new destination, and taking its first
+// round-trip sample, allocates nothing. A sender's receive state — its
+// stream and the acks owed to it, with room for the first — is one object,
+// made on the first frame it sends. The endpoint's free lists, its
+// scheduler's event nodes and its duplicate cache are warmed first, and
+// Peers presizes both tables, so only peer state is counted. Peers presizes
+// the send table for every node of a cluster on every endpoint, so a row
+// costs n² over the cluster: it stays at 48 bytes.
+func TestFirstContactAllocations(t *testing.T) {
+	if s := unsafe.Sizeof(txPeer{}); s > 48 {
+		t.Errorf("a send-table row is %d bytes; want at most 48", s)
+	}
+	const peers = 32
+	cfg := DefaultConfig()
+	cfg.Peers = 4 * peers
+	e, _ := newSinkEndpointWith(cfg)
+	for i := 0; i < dupCacheSize; i++ {
+		e.dup.add(frame.MsgID{Sender: frame.ProcID{Node: 0, Local: 9}, Seq: uint64(i + 1)})
+	}
+
+	// One message to dst: flushed, transmitted, and acked by dst one round
+	// trip later, which is the destination's first RTT sample.
+	f, a := gmsg(0, 0, 0, "x"), &frame.Frame{Type: frame.Ack}
+	send := func(dst frame.NodeID) {
+		f.Dst, f.To.Node = dst, dst
+		f.ID.Seq++
+		e.SendGuaranteed(f)
+		e.sched.Run(e.sched.Now() + cfg.FlushDelay)
+		e.sched.Run(e.sched.Now() + simtime.Millisecond)
+		a.Src, a.ID = dst, f.ID
+		e.Receive(a)
+	}
+	// One in-order guaranteed frame from src, delivered and acked: the ack
+	// leaves as a standalone Ack frame when its delay expires.
+	g := gmsg(0, 0, 1, "y")
+	recv := func(src frame.NodeID) {
+		g.Src, g.ID.Sender.Node, g.From.Node = src, src, src
+		e.Receive(g)
+		e.sched.Run(e.sched.Now() + cfg.AckDelay)
+	}
+
+	const warm = 4
+	for dst := frame.NodeID(4*peers - warm); dst < 4*peers; dst++ {
+		send(dst)
+		recv(dst)
+	}
+	// AllocsPerRun calls each function once more than it counts, so each
+	// phase takes peers+1 fresh ids.
+	const exchanges = warm + peers + 1
+	next := frame.NodeID(1)
+	n := testing.AllocsPerRun(peers, func() { send(next); next++ })
+	if n != 0 {
+		t.Errorf("sending to a new destination and measuring its round trip allocated %.0f objects; want 0", n)
+	}
+	if s := e.Stats(); s.AcksReceived != exchanges || e.InFlight() != 0 {
+		t.Fatalf("%d acks received, %d in flight; want every send acked", s.AcksReceived, e.InFlight())
+	}
+	next = 2 * peers
+	n = testing.AllocsPerRun(peers, func() { recv(next); next++ })
+	if n != 1 {
+		t.Errorf("receiving and acking a first frame from a new sender allocated %.0f objects; want 1", n)
+	}
+	if s := e.Stats(); s.Delivered != exchanges || s.AcksDelayedFlush != exchanges {
+		t.Fatalf("%d delivered, %d acks flushed; want every frame delivered and acked", s.Delivered, s.AcksDelayedFlush)
+	}
+}
+
 // TestDelayedAckArmsWithoutAllocating: acknowledging a frame queues its
 // record on the peer's pending state and arms that state's delay timer,
 // with the state itself as the timer's handler. Once the state exists and
@@ -284,16 +354,16 @@ func TestDelayedAckArmsWithoutAllocating(t *testing.T) {
 	f := gmsg(1, 0, 1, "a")
 	f.Src = 1 // as the medium delivers it
 	n := testing.AllocsPerRun(200, func() {
-		if p := e.ackPend.get(f.Src); p != nil {
-			e.sched.Cancel(p.timer)
-			p.recs, p.timerSet = p.recs[:0], false
+		if rp := e.rx.get(f.Src); rp != nil {
+			e.sched.Cancel(rp.ack.timer)
+			rp.ack.recs, rp.ack.timerSet = rp.ack.recs[:0], false
 		}
 		e.ack(f)
 	})
 	if n != 0 {
 		t.Errorf("arming the delayed ack allocated %.1f objects; want 0", n)
 	}
-	if p := e.ackPend.get(f.Src); p == nil || !p.timer.Pending() || len(p.recs) != 1 {
+	if rp := e.rx.get(f.Src); rp == nil || !rp.ack.timer.Pending() || len(rp.ack.recs) != 1 {
 		t.Fatal("the ack was not queued with its timer armed")
 	}
 }

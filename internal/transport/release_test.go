@@ -42,8 +42,8 @@ func (e *Endpoint) out() outSet {
 			o.frames[f] = true
 		}
 	}
-	for _, u := range e.form.v {
-		if u != nil {
+	for i := range e.tx.v {
+		if u := e.tx.v[i].form; u != nil {
 			o.units[u] = true
 			for _, g := range u.riders {
 				o.frames[g] = true
@@ -264,7 +264,7 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 		e, med := newSinkEndpoint()
 		first := gmsg(0, 1, 1, "first")
 		e.SendGuaranteed(first)
-		u := e.form.get(1)
+		u := e.tx.get(1).form
 		e.flushUnit(u)
 		held := med.last
 		tc.finish(e, first.ID)
@@ -272,10 +272,10 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 			t.Fatalf("%s: the unit was freed with its frame on the medium", tc.name)
 		}
 		e.SendGuaranteed(gmsg(0, 1, 2, "second"))
-		if e.form.get(1) == u || held.ID != first.ID || string(held.Body) != "first" {
+		if e.tx.get(1).form == u || held.ID != first.ID || string(held.Body) != "first" {
 			t.Fatalf("%s: the next message was written into the frame on the medium", tc.name)
 		}
-		e.flushUnit(e.form.get(1)) // the sink hands the first frame back
+		e.flushUnit(e.tx.get(1).form) // the sink hands the first frame back
 		if !slices.Contains(e.unitFree, u) {
 			t.Fatalf("%s: the unit did not come back with its frame", tc.name)
 		}

@@ -53,8 +53,8 @@ type Config struct {
 	// stretches the attempts, so the count alone would outlive it.
 	MaxRetries int
 	// Peers, when > 0, hints how many distinct node ids this endpoint will
-	// talk to, pre-sizing the per-destination tables so cluster bringup does
-	// not pay growth reallocations on every endpoint.
+	// talk to, pre-sizing its send and receive tables so cluster bringup
+	// does not pay growth reallocations on every endpoint.
 	Peers int
 	// DisableDupSuppression turns the duplicate-detection guards off, so a
 	// duplicated or retransmitted frame is delivered upward again. Negative
@@ -188,29 +188,19 @@ type Endpoint struct {
 	sendq frameRing
 	// inflight maps outstanding unacked frames to their retry state.
 	inflight map[frame.MsgID]*flight
-	// perDest counts outstanding transmission units per destination
-	// (window > 1).
-	perDest destTable[int]
 	// openUnits is the global unit count (thesis Window == 1 discipline).
 	openUnits int
-	// form holds the per-destination coalescing buffer being filled.
-	form destTable[*txUnit]
 
-	// xseq numbers outgoing guaranteed frames per destination.
-	xseq destTable[uint64]
+	// tx holds each destination's send state by value; rx holds one record
+	// per sender, made on the first frame from it (DESIGN.md "Dense
+	// per-destination tables").
+	tx destTable[txPeer]
+	rx destTable[*rxPeer]
 
 	dup *dupCache
 
 	// held are received guaranteed frames awaiting a recorder ack.
 	held map[frame.MsgID]*heldFrame
-
-	// rx holds per-sender in-order reassembly state (windowing extension).
-	rx destTable[*rxStream]
-
-	// ackPend accumulates delayed acknowledgements per peer.
-	ackPend destTable[*ackPending]
-	// rto holds the per-destination measured retransmission timeout.
-	rto destTable[*rtoState]
 
 	// recScratch and idScratch are decode buffers reused across receives;
 	// rxFrame is the frame a bundle member expands into for its upcall;
@@ -277,8 +267,32 @@ func (u *txUnit) Fire() {
 	u.e.flushUnit(u)
 }
 
+// txPeer is one destination's send state, held by value in the tx table, so
+// sending to a new destination allocates nothing. The RFC 6298 estimator
+// reads as unmeasured while rto is 0: the timeout is RetransmitInterval
+// until the first round trip or backoff sets it.
+type txPeer struct {
+	// form is the coalescing unit being filled.
+	form *txUnit
+	// xseq numbers the next outgoing guaranteed frame.
+	xseq              uint64
+	srtt, rttvar, rto simtime.Time
+	// units counts outstanding transmission units (Window > 1).
+	units int32
+	// valid is set once srtt and rttvar hold a round-trip sample.
+	valid bool
+}
+
+// rxPeer is one sender's receive state: its stream and the acknowledgements
+// owed to it. It is the one object first contact with a sender costs.
+type rxPeer struct {
+	st  rxStream
+	ack ackPending
+}
+
 // ackPending is one peer's delayed-acknowledgement state, and the handler of
-// its own delay timer.
+// its own delay timer. one backs the record array until more records are
+// pending than it holds, or a piggyback takes it along with its frame.
 type ackPending struct {
 	e        *Endpoint
 	epoch    uint64 // the endpoint's epoch when the timer was armed
@@ -286,6 +300,7 @@ type ackPending struct {
 	timer    simtime.Event
 	peer     frame.NodeID
 	timerSet bool
+	one      [1]frame.AckRec
 }
 
 // Fire is the delayed-ack timer: no reverse traffic took the pending
@@ -295,12 +310,6 @@ func (p *ackPending) Fire() {
 		return
 	}
 	p.e.flushAcks(p.peer)
-}
-
-// rtoState is the RFC 6298 estimator for one destination.
-type rtoState struct {
-	srtt, rttvar, rto simtime.Time
-	valid             bool
 }
 
 // maxPiggybackRecs bounds acknowledgement records attached to one data
@@ -418,12 +427,8 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		owned:    make(map[*frame.Frame]owner),
 	}
 	if n := cfg.Peers; n > 0 {
-		e.perDest.presize(n)
-		e.form.presize(n)
-		e.xseq.presize(n)
+		e.tx.presize(n)
 		e.rx.presize(n)
-		e.ackPend.presize(n)
-		e.rto.presize(n)
 	}
 	if cfg.Metrics != nil {
 		e.ackRTT = cfg.Metrics.Histogram(int(node), "transport", "ack_rtt_ns")
@@ -479,27 +484,23 @@ func (e *Endpoint) Reset() {
 	for _, h := range e.held {
 		e.sched.Cancel(h.timer)
 	}
-	for _, u := range e.form.v {
-		if u != nil {
+	for i := range e.tx.v {
+		if u := e.tx.v[i].form; u != nil {
 			e.sched.Cancel(u.timer)
 		}
 	}
-	for _, p := range e.ackPend.v {
-		if p != nil && p.timerSet {
-			e.sched.Cancel(p.timer)
+	for _, rp := range e.rx.v {
+		if rp != nil && rp.ack.timerSet {
+			e.sched.Cancel(rp.ack.timer)
 		}
 	}
 	e.sendq = frameRing{}
 	e.inflight = make(map[frame.MsgID]*flight)
-	e.perDest.reset()
 	e.openUnits = 0
-	e.form.reset()
-	e.xseq.reset()
+	e.tx.reset()
 	e.dup = newDupCache(dupCacheSize)
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
-	e.ackPend.reset()
-	e.rto.reset()
 }
 
 // SendGuaranteed queues a guaranteed frame for reliable delivery. The frame
@@ -539,7 +540,7 @@ func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
 	g.Type = frame.Unguaranteed
 	g.Src = e.node
 	e.stats.UnguaranteedSent++
-	if u := e.form.get(g.Dst); u != nil && !u.flushed && !u.closed {
+	if u := e.tx.get(g.Dst).form; u != nil && !u.flushed && !u.closed {
 		if n := bundleRecLen(g); u.bytes+n <= bundleBudget {
 			u.riders = append(u.riders, g)
 			u.bytes += n
@@ -638,7 +639,7 @@ func (e *Endpoint) pump() {
 	for e.sendq.len() > 0 {
 		f := e.sendq.peek()
 		n := bundleRecLen(f)
-		if u := e.form.get(f.Dst); u != nil && !u.flushed && !u.closed {
+		if u := e.tx.get(f.Dst).form; u != nil && !u.flushed && !u.closed {
 			if u.bytes+n <= bundleBudget {
 				e.joinUnit(u, f, n)
 				e.sendq.pop()
@@ -653,7 +654,7 @@ func (e *Endpoint) pump() {
 			if e.openUnits >= 1 {
 				return
 			}
-		} else if e.perDest.get(f.Dst) >= e.cfg.Window {
+		} else if int(e.tx.get(f.Dst).units) >= e.cfg.Window {
 			// Head-of-line blocked per destination; strict FIFO keeps
 			// cross-destination order too, which publishing's read-order
 			// accounting relies on.
@@ -695,8 +696,9 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 		u.recs = u.recs1[:0]
 	}
 	u.epoch, u.dst, u.bytes = e.epoch, f.Dst, frame.BundleHdrLen
-	e.form.set(f.Dst, u)
-	e.perDest.set(f.Dst, e.perDest.get(f.Dst)+1)
+	p := e.tx.at(f.Dst)
+	p.form = u
+	p.units++
 	e.openUnits++
 	e.joinUnit(u, f, bundleRecLen(f))
 	u.timer = e.sched.AfterHandler(e.cfg.FlushDelay, u)
@@ -714,8 +716,9 @@ func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 		fl = u.spare[k-1]
 	}
 	*fl = flight{f: *f, unit: u}
-	seq := e.xseq.get(f.Dst)
-	e.xseq.set(f.Dst, seq+1)
+	p := e.tx.at(f.Dst)
+	seq := p.xseq
+	p.xseq++
 	fl.f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
 	e.inflight[f.ID] = fl
 	u.recs = append(u.recs, fl)
@@ -733,17 +736,18 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 		return
 	}
 	u.closed = true
+	p := e.tx.at(u.dst)
 	if !u.flushed && len(u.riders) == 0 {
 		// Withdrawn before the flush with nothing riding along: nothing is
 		// left to send. (Riders otherwise still wait on the flush timer; the
 		// slot frees anyway — an unguaranteed-only flush consumes no window.)
 		u.flushed = true
 		e.sched.Cancel(u.timer)
-		if e.form.get(u.dst) == u {
-			e.form.set(u.dst, nil)
+		if p.form == u {
+			p.form = nil
 		}
 	}
-	e.perDest.set(u.dst, e.perDest.get(u.dst)-1)
+	p.units--
 	e.openUnits--
 	e.recycleUnit(u)
 }
@@ -774,8 +778,8 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 	}
 	u.flushed = true
 	e.sched.Cancel(u.timer)
-	if e.form.get(u.dst) == u {
-		e.form.set(u.dst, nil)
+	if p := e.tx.at(u.dst); p.form == u {
+		p.form = nil
 	}
 	live := u.recs[:0]
 	for _, fl := range u.recs {
@@ -887,18 +891,18 @@ func (e *Endpoint) armFlight(fl *flight) {
 // the first measurement.
 func (e *Endpoint) rtoDelay(fl *flight) simtime.Time {
 	d := e.cfg.RetransmitInterval
-	if st := e.rto.get(fl.f.Dst); st != nil {
-		d = st.rto
+	if r := e.tx.get(fl.f.Dst).rto; r != 0 {
+		d = r
 	}
 	return min(max(d, minRTO), maxRTO)
 }
 
-// rtoFor returns dst's estimator, creating it on first use.
-func (e *Endpoint) rtoFor(dst frame.NodeID) *rtoState {
-	st := e.rto.get(dst)
-	if st == nil {
-		st = &rtoState{rto: e.cfg.RetransmitInterval}
-		e.rto.set(dst, st)
+// rtoFor returns dst's send state, its estimator's timeout starting at
+// RetransmitInterval if nothing has set it yet.
+func (e *Endpoint) rtoFor(dst frame.NodeID) *txPeer {
+	st := e.tx.at(dst)
+	if st.rto == 0 {
+		st.rto = e.cfg.RetransmitInterval
 	}
 	return st
 }
@@ -1248,18 +1252,29 @@ func (e *Endpoint) accept(f *frame.Frame) {
 	e.advance(st, f)
 }
 
-// stream returns the reassembly state for src's current boot epoch,
-// discarding state from a previous epoch (the sender rebooted and restarted
-// its sequence space).
-func (e *Endpoint) stream(src frame.NodeID, epoch uint16) *rxStream {
-	st := e.rx.get(src)
-	if st != nil && st.epoch == epoch {
-		return st
+// peer returns src's receive state, making it on first contact.
+func (e *Endpoint) peer(src frame.NodeID) *rxPeer {
+	rp := e.rx.get(src)
+	if rp == nil {
+		rp = &rxPeer{ack: ackPending{e: e, peer: src}}
+		rp.ack.recs = rp.ack.one[:0]
+		*e.rx.at(src) = rp
 	}
-	// buf is allocated lazily on the first out-of-order or refused frame;
-	// an in-order stream never needs it.
-	st = &rxStream{epoch: epoch}
-	e.rx.set(src, st)
+	return rp
+}
+
+// stream returns the reassembly state for src's current boot epoch. A new
+// epoch (the sender rebooted and restarted its sequence space) restarts the
+// stream in place, discarding what it buffered; the acks owed to the sender
+// stay queued.
+func (e *Endpoint) stream(src frame.NodeID, epoch uint16) *rxStream {
+	st := &e.peer(src).st
+	if st.epoch != epoch {
+		// buf is made lazily on the first out-of-order or refused frame; an
+		// in-order stream never needs it.
+		clear(st.buf)
+		*st = rxStream{epoch: epoch, buf: st.buf}
+	}
 	return st
 }
 
@@ -1310,9 +1325,9 @@ func (e *Endpoint) drain(st *rxStream) {
 // when a recovering process becomes able to accept messages again, rather
 // than waiting out a retransmission interval).
 func (e *Endpoint) Poke() {
-	for _, st := range e.rx.v {
-		if st != nil && st.synced {
-			e.drain(st)
+	for _, rp := range e.rx.v {
+		if rp != nil && rp.st.synced {
+			e.drain(&rp.st)
 		}
 	}
 }
@@ -1366,11 +1381,7 @@ func sortFrames(fs []*frame.Frame) {
 // frame when the delay expires first.
 func (e *Endpoint) ack(f *frame.Frame) {
 	e.stats.AcksSent++
-	p := e.ackPend.get(f.Src)
-	if p == nil {
-		p = &ackPending{e: e, peer: f.Src}
-		e.ackPend.set(f.Src, p)
-	}
+	p := &e.peer(f.Src).ack
 	rec := frame.AckRec{ID: f.ID, Rcv: f.To}
 	for i := range p.recs {
 		if p.recs[i] == rec {
@@ -1416,10 +1427,11 @@ func (e *Endpoint) newAck() *ackFrame {
 // reverse-direction traffic to ride. Each frame copies its records into its
 // own array, so the pending queue keeps its backing array for the next acks.
 func (e *Endpoint) flushAcks(src frame.NodeID) {
-	p := e.ackPend.get(src)
-	if p == nil {
+	rp := e.rx.get(src)
+	if rp == nil {
 		return
 	}
+	p := &rp.ack
 	p.timerSet = false
 	for recs := p.recs; len(recs) > 0; {
 		n := min(len(recs), maxFlushAckRecs)
@@ -1446,11 +1458,11 @@ func (e *Endpoint) flushAcks(src frame.NodeID) {
 // been accepted and acknowledged here, so the sender may complete frames
 // whose individual acks were lost or superseded.
 func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
-	st := e.rx.get(src)
-	if st == nil || !st.synced || st.expected == 0 {
+	rp := e.rx.get(src)
+	if rp == nil || !rp.st.synced || rp.st.expected == 0 {
 		return 0, false
 	}
-	return uint64(st.epoch)<<48 | ((st.expected - 1) & xseqSeqMask), true
+	return uint64(rp.st.epoch)<<48 | ((rp.st.expected - 1) & xseqSeqMask), true
 }
 
 // attachAcks piggybacks pending acknowledgement state for f.Dst onto an
@@ -1466,10 +1478,11 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 		f.AckCumSet = true
 		f.AckCum = cum
 	}
-	p := e.ackPend.get(f.Dst)
-	if p == nil || len(p.recs) == 0 {
+	rp := e.rx.get(f.Dst)
+	if rp == nil || len(rp.ack.recs) == 0 {
 		return
 	}
+	p := &rp.ack
 	n := len(p.recs)
 	if n > maxPiggybackRecs {
 		n = maxPiggybackRecs
@@ -1513,9 +1526,11 @@ func (d *destTable[T]) get(id frame.NodeID) T {
 	return d.v[id]
 }
 
-func (d *destTable[T]) set(id frame.NodeID, x T) {
+// at returns id's slot, growing the table to hold it. The pointer is valid
+// until the table next grows.
+func (d *destTable[T]) at(id frame.NodeID) *T {
 	if id < 0 {
-		panic("transport: destTable.set on negative node id")
+		panic("transport: destTable.at on negative node id")
 	}
 	if int(id) >= len(d.v) {
 		if int(id) < cap(d.v) {
@@ -1534,7 +1549,7 @@ func (d *destTable[T]) set(id frame.NodeID, x T) {
 			d.v = nv
 		}
 	}
-	d.v[id] = x
+	return &d.v[id]
 }
 
 func (d *destTable[T]) reset() {

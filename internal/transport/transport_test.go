@@ -375,6 +375,66 @@ func TestReceiverRebootResyncs(t *testing.T) {
 	}
 }
 
+// A sender that reboots while its receiver still owes acks restarts its
+// sequence space. The receiver's stream restarts for the new epoch, and the
+// acks queued under the old one still leave, once each: the recorder infers
+// arrival order from them (§4.4.1). Order holds, and nothing is delivered
+// twice.
+func TestSenderRebootResyncs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AckDelay = 20 * simtime.Millisecond // the new epoch arrives first
+	e := newEnv(t, 2, cfg, "perfect")
+	heard := make(map[frame.MsgID]int) // ack records node 1 sent, by id
+	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
+		if f.Src == 1 {
+			for _, r := range f.AckRecs {
+				heard[r.ID]++
+			}
+		}
+		return true
+	}))
+	var ids []frame.MsgID
+	send := func(from, to uint64) {
+		for i := from; i <= to; i++ {
+			m := gmsg(0, 1, i, "")
+			ids = append(ids, m.ID)
+			e.eps[0].SendGuaranteed(m)
+		}
+	}
+	send(1, 3)
+	for len(e.got[1]) < 3 && e.sched.Step() {
+	}
+	if s := e.eps[1].Stats(); len(e.got[1]) != 3 || s.AcksDelayedFlush != 0 || s.AcksPiggybacked != 0 {
+		t.Fatalf("delivered %d, acks flushed %d, piggybacked %d; want 3 delivered with their acks still owed",
+			len(e.got[1]), s.AcksDelayedFlush, s.AcksPiggybacked)
+	}
+	e.eps[0].Reset() // sender reboots: its next frame is sequence 0 again
+	send(4, 6)
+	for len(e.got[1]) < 6 && e.sched.Step() {
+	}
+	if s := e.eps[1].Stats(); len(e.got[1]) != 6 || s.AcksDelayedFlush != 0 {
+		t.Fatalf("delivered %d, acks flushed %d; want the new epoch delivered with the old acks still owed",
+			len(e.got[1]), s.AcksDelayedFlush)
+	}
+	e.sched.RunAll(1_000_000)
+	if len(e.got[1]) != 6 {
+		t.Fatalf("delivered %d, want 6", len(e.got[1]))
+	}
+	for i, f := range e.got[1] {
+		if f.ID != ids[i] {
+			t.Fatalf("delivery %d is %v; want %v", i, f.ID, ids[i])
+		}
+	}
+	for _, id := range ids {
+		if heard[id] != 1 {
+			t.Errorf("the tap heard the ack for %v %d times; want once", id, heard[id])
+		}
+	}
+	if n := e.eps[0].InFlight(); n != 0 {
+		t.Fatalf("%d frames still in flight after the new epoch was acked", n)
+	}
+}
+
 func TestRecorderAckGating(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NeedRecorderAck = true
@@ -435,8 +495,12 @@ func TestUnguaranteedBestEffort(t *testing.T) {
 	}
 }
 
+// Reset loses what a processor crash loses: queued and unacknowledged
+// frames, the measured timeout and the stream sequence toward each
+// destination, and the acknowledgements the node still owed.
 func TestResetDropsState(t *testing.T) {
-	e := newEnv(t, 2, DefaultConfig(), "perfect")
+	cfg := DefaultConfig()
+	e := newEnv(t, 3, cfg, "perfect")
 	e.med.Faults().LossProb = 1.0
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 1, "doomed"))
 	e.sched.Run(60 * simtime.Millisecond)
@@ -451,6 +515,74 @@ func TestResetDropsState(t *testing.T) {
 	e.sched.RunAll(10_000_000)
 	if len(e.got[1]) != 0 {
 		t.Fatal("crashed node's frame delivered after reset")
+	}
+
+	// Node 0 measures its round trip to node 1, so its timeout falls below
+	// RetransmitInterval; then node 1 refuses everything, and the tap times
+	// each message's transmissions.
+	type sent struct {
+		at   simtime.Time
+		xseq uint64
+	}
+	sends := make(map[frame.MsgID][]sent)
+	acksFrom1 := 0
+	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
+		switch {
+		case f.Src == 0 && f.Type == frame.Guaranteed:
+			sends[f.ID] = append(sends[f.ID], sent{e.sched.Now(), f.XSeq})
+		case f.Src == 1 && (f.Type == frame.Ack || len(f.AckRecs) > 0):
+			acksFrom1++
+		}
+		return true
+	}))
+	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "measured"))
+	e.sched.RunAll(1_000_000)
+	refuse := true
+	e.eps[1].Deliver = func(f *frame.Frame) bool {
+		if !refuse {
+			e.got[1] = append(e.got[1], keep(f))
+		}
+		return !refuse
+	}
+	retransmitGap := func(m *frame.Frame) (first sent, gap simtime.Time) {
+		t.Helper()
+		e.eps[0].SendGuaranteed(m)
+		for len(sends[m.ID]) < 2 && e.sched.Step() {
+		}
+		s := sends[m.ID]
+		if len(s) < 2 {
+			t.Fatalf("%s was not retransmitted", m.Body)
+		}
+		return s[0], s[1].at - s[0].at
+	}
+	if _, gap := retransmitGap(gmsg(0, 1, 3, "before")); gap >= cfg.RetransmitInterval {
+		t.Fatalf("the timeout before Reset is %v; want the measured one, below %v", gap, cfg.RetransmitInterval)
+	}
+	e.eps[0].Reset()
+	first, gap := retransmitGap(gmsg(0, 1, 4, "after"))
+	if gap != cfg.RetransmitInterval {
+		t.Errorf("the timeout after Reset is %v; want RetransmitInterval, %v", gap, cfg.RetransmitInterval)
+	}
+	if xseqEpoch(first.xseq) != 2 || xseqSeq(first.xseq) != 0 {
+		t.Errorf("the first frame after Reset has epoch %d, sequence %d; want epoch 2, sequence 0",
+			xseqEpoch(first.xseq), xseqSeq(first.xseq))
+	}
+	refuse = false
+	e.sched.RunAll(10_000_000)
+	if len(e.got[1]) != 2 || e.got[1][0].ID.Seq != 2 || e.got[1][1].ID.Seq != 4 {
+		t.Fatalf("node 1 accepted %d messages; want seq 2 and the one sent after Reset", len(e.got[1]))
+	}
+
+	// Node 1 accepts a frame from node 2 and resets before its delayed ack
+	// leaves: the armed timer flushes nothing.
+	e.eps[2].SendGuaranteed(gmsg(2, 1, 1, "owed"))
+	for len(e.got[1]) < 3 && e.sched.Step() {
+	}
+	before := acksFrom1
+	e.eps[1].Reset()
+	e.sched.Run(e.sched.Now() + 10*cfg.AckDelay)
+	if acksFrom1 != before {
+		t.Fatalf("node 1 sent %d acks after its Reset; want none", acksFrom1-before)
 	}
 }
 
