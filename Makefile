@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory
+vet: nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -91,6 +91,14 @@ nosweep:
 # them.
 notrajectory:
 	! grep -rnE 'benchjson|BENCH_(baseline|sim|recovery|recorder)|BenchmarkSimThroughput|BenchmarkEndToEndRecovery' --include='*.go' .
+
+# A chaos run ends when the system has settled (DESIGN.md "Simulation
+# testing"): chaos.Settle derives the stop from the schedule and the
+# cluster, and every chaos drive goes through it. The names below are the
+# fixed grace period it replaced and the hand-rolled drive loops that
+# copied it.
+nograce:
+	! grep -rnE 'chaos\.DefaultOptions|opt\.Grace|opt\.MaxRun|RunUntil\(sc\.Work\.Done' --include='*.go' --exclude-dir=chaos .
 
 build:
 	$(GO) build ./...

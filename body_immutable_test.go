@@ -140,21 +140,22 @@ func TestDeliveredBodiesAreImmutable(t *testing.T) {
 		})
 	}
 	t.Run("chaos", func(t *testing.T) {
-		opt := chaos.DefaultOptions()
 		for seed := uint64(1); seed <= 20; seed++ {
 			medium := ChaosSeedVariant(seed).Medium
 			if medium == "" {
 				medium = MediumPerfect
 			}
-			c, w, worker, witnessed := watchedPipeline(t, medium, seed, bodiesIntact)
-			chaos.Apply(c, chaos.Generate(seed, chaos.DefaultLimits()), chaos.Targets{
+			c, w, worker, _ := watchedPipeline(t, medium, seed, bodiesIntact)
+			s := chaos.Generate(seed, chaos.DefaultLimits())
+			chaos.Apply(c, s, chaos.Targets{
 				Worker:     worker,
 				CrashNodes: []NodeID{1},
 				PartNodes:  []NodeID{0, 1},
 				LinkNodes:  []NodeID{0, 1, 2, 3},
 			})
-			c.RunUntil(func() bool { return *witnessed >= watchedMsgs }, opt.MaxRun)
-			c.Run(opt.Grace)
+			if busy := chaos.Settle(c, s); busy != nil {
+				t.Fatalf("seed %d (%s): not settled: %v", seed, medium, busy)
+			}
 			if n := w.written(); n != 0 {
 				t.Errorf("seed %d (%s): %d of %d bodies handed to programs were written to by quiescence",
 					seed, medium, n, len(w.bodies))

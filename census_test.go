@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -76,7 +77,7 @@ func TestChaosCensus(t *testing.T) {
 	}
 	want := readCensus(t)
 	got := map[uint64]chaos.Result{}
-	for _, r := range ChaosCensus(first, int(last-first+1), chaos.DefaultOptions()) {
+	for _, r := range ChaosCensus(first, int(last-first+1), chaos.Options{}) {
 		if !r.Passed {
 			got[r.Schedule.Seed] = r
 		}
@@ -110,5 +111,23 @@ func TestChaosCensus(t *testing.T) {
 		if seed < 1 || seed > censusSeeds {
 			t.Errorf("%s lists seed %d, outside the census's 1..%d", censusPath, seed, censusSeeds)
 		}
+	}
+}
+
+// TestChaosCensusArtifacts: a census run with an artifact directory dumps a
+// post-mortem bundle for each failing seed (`experiments -chaos -chaosdir`).
+// Seed 70 is a listed failure (ROADMAP item 1(1)).
+func TestChaosCensusArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	r := ChaosCensus(70, 1, chaos.Options{ArtifactDir: dir})[0]
+	if r.Passed {
+		t.Fatal("seed 70 passes now: pick another failing census seed")
+	}
+	reports, err := filepath.Glob(filepath.Join(dir, "chaos-seed70-*", "report.txt"))
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("want one chaos-seed70-*/report.txt under the artifact directory, got %v (%v)", reports, err)
+	}
+	if r.Artifacts != filepath.Dir(reports[0]) {
+		t.Errorf("result names artifacts %q, dumped in %q", r.Artifacts, filepath.Dir(reports[0]))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"publishing/internal/chaos"
-	"publishing/internal/simtime"
 )
 
 // shardedOpt is the canonical sharded-recorder chaos configuration: three
@@ -22,7 +21,7 @@ var shardedOpt = ChaosOptions{Recorders: 3, ShardSlots: 16}
 // result means anything.
 func TestChaosShardedBaseline(t *testing.T) {
 	s := chaos.Schedule{Seed: 77}
-	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.DefaultOptions())
+	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.Options{})
 	if !res.Passed {
 		t.Fatalf("fault-free sharded run violated invariants:\n%s", res.Report)
 	}
@@ -57,7 +56,7 @@ func TestChaosShardedHandoffCrash(t *testing.T) {
 		{Kind: chaos.KindHandoffCrash, AtMs: 600, DurMs: 2400, A: uint8(victim), B: 0},
 		{Kind: chaos.KindProcCrash, AtMs: 1500, A: 0},
 	}}
-	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.DefaultOptions())
+	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.Options{})
 	if !res.Passed {
 		t.Fatalf("mid-handoff recorder crash violated invariants:\n%s", res.Report)
 	}
@@ -71,8 +70,7 @@ func TestChaosShardedHandoffCrash(t *testing.T) {
 	// mid-transfer crash in the trace.
 	sc := ChaosScenario(s.Seed, shardedOpt)
 	chaos.Apply(sc.Sys, s, sc.Targets)
-	sc.Sys.RunUntil(sc.Work.Done, 4*simtime.Minute)
-	sc.Sys.Run(15 * simtime.Second)
+	chaos.Settle(sc.Sys, s)
 	fired := false
 	for _, e := range sc.Sys.Trace().Events() {
 		if strings.Contains(e.Detail, "injected crash mid-handoff") {

@@ -1,13 +1,16 @@
 package publishing
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 
 	"publishing/internal/chaos"
+	"publishing/internal/simtime"
 )
 
 // chaosSweepSeeds is how many distinct generated schedules the sweep runs.
@@ -22,8 +25,7 @@ const chaosSweepSeeds = 50
 // the checker report, the artifact path, and a minimized reproducer token.
 func TestChaosScheduleSweep(t *testing.T) {
 	lim := chaos.DefaultLimits()
-	opt := chaos.DefaultOptions()
-	opt.ArtifactDir = filepath.Join(os.TempDir(), "publishing-chaos")
+	opt := chaos.Options{ArtifactDir: filepath.Join(os.TempDir(), "publishing-chaos")}
 	for seed := uint64(1); seed <= chaosSweepSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
@@ -36,7 +38,7 @@ func TestChaosScheduleSweep(t *testing.T) {
 				if res.Artifacts != "" {
 					t.Errorf("post-mortem artifacts for schedule %s:\n%s", s.Hex(), res.Artifacts)
 				}
-				t.Fatal(chaos.Reproducer(s, build, opt))
+				t.Fatal(chaos.Reproducer(s, build))
 			}
 		})
 	}
@@ -52,8 +54,8 @@ func TestChaosDeterministicReports(t *testing.T) {
 	for _, seed := range []uint64{2, 13, 31, 383} {
 		s := chaos.Generate(seed, chaos.DefaultLimits())
 		build := ChaosBuild(ChaosSeedVariant(seed))
-		a := chaos.Run(s, build, chaos.DefaultOptions())
-		b := chaos.Run(s, build, chaos.DefaultOptions())
+		a := chaos.Run(s, build, chaos.Options{})
+		b := chaos.Run(s, build, chaos.Options{})
 		if a.Report != b.Report {
 			t.Fatalf("seed %d: reports differ across identical runs:\n--- first\n%s\n--- second\n%s",
 				seed, a.Report, b.Report)
@@ -74,7 +76,7 @@ func TestChaosBrokenDupSuppressionCaught(t *testing.T) {
 	s := chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
 		{Kind: chaos.KindDupBurst, AtMs: 300, DurMs: 3000, Prob: 255},
 	}}
-	opt := chaos.DefaultOptions()
+	opt := chaos.Options{}
 
 	broken := chaos.Run(s, ChaosBuild(ChaosOptions{BreakDupSuppression: true}), opt)
 	if broken.Passed {
@@ -126,12 +128,59 @@ func TestChaosUnpublishedCopyAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bad pinned token: %v", err)
 			}
-			res := chaos.Run(s, ChaosBuild(tc.opt), chaos.DefaultOptions())
+			res := chaos.Run(s, ChaosBuild(tc.opt), chaos.Options{})
 			if !res.Passed {
 				t.Fatalf("invariants violated:\n%s", res.Report)
 			}
 			if !voided.MatchString(res.Report) {
 				t.Fatalf("no crash voided an unpublished copy; the schedule no longer pins the case:\n%s", res.Report)
+			}
+		})
+	}
+}
+
+// TestSettlingIsFinal: once chaos.Settle stops a run, nothing the checker
+// reads moves any more. Each census seed below is run as chaos.Run runs it,
+// checked, run 15 virtual seconds more and checked again: the report, the
+// output and the state must not change. Seeds 51, 72, 93, 138 and 312 were
+// stopped mid-recovery by the fixed grace period Settle replaced. Without
+// Settle's floor, seeds 70 and 131 stop between a node's reboot and the pong
+// that starts its recovery; without the process term, seed 331 stops while
+// its worker still executes its last message. Seed 345 also recovers late
+// in its run. Seed 2 is the chaos/2 golden row.
+func TestSettlingIsFinal(t *testing.T) {
+	for _, seed := range []uint64{2, 51, 70, 72, 93, 131, 138, 312, 331, 345} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			s := chaos.Generate(seed, chaos.DefaultLimits())
+			build := ChaosBuild(ChaosSeedVariant(seed))
+			outcome := func(sc chaos.Scenario, unsettled []string) chaos.RunOutcome {
+				st, err := sc.Work.State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return chaos.RunOutcome{Done: sc.Work.Done(), Output: sc.Work.Output(), State: st, Unsettled: unsettled}
+			}
+			base := build(seed)
+			t.Cleanup(base.Sys.Close)
+			baseline := outcome(base, chaos.Settle(base.Sys, chaos.Schedule{}))
+			sc := build(seed)
+			t.Cleanup(sc.Sys.Close)
+			sc.Sys.Trace().SetDetailed(true)
+			chaos.Apply(sc.Sys, s, sc.Targets)
+			settled := outcome(sc, chaos.Settle(sc.Sys, s))
+			if settled.Unsettled != nil {
+				t.Fatalf("not settled: %v", settled.Unsettled)
+			}
+			report := chaos.Check(sc.Sys, s, settled, baseline, sc.CheckCfg).Report
+			stop := sc.Sys.Now()
+			sc.Sys.Run(15 * simtime.Second)
+			later := outcome(sc, nil)
+			if !slices.Equal(later.Output, settled.Output) || !bytes.Equal(later.State, settled.State) {
+				t.Errorf("output or state moved after the stop at %v:\n%q\n%q", stop, settled.Output, later.Output)
+			}
+			if again := chaos.Check(sc.Sys, s, later, baseline, sc.CheckCfg).Report; again != report {
+				t.Errorf("report moved after the stop at %v:\n--- at the stop\n%s--- 15 s later\n%s", stop, report, again)
 			}
 		})
 	}
@@ -149,7 +198,7 @@ func TestChaosRepro(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad CHAOS_SCHEDULE token: %v", err)
 	}
-	res := chaos.Run(s, ChaosBuild(ChaosSeedVariant(s.Seed)), chaos.DefaultOptions())
+	res := chaos.Run(s, ChaosBuild(ChaosSeedVariant(s.Seed)), chaos.Options{})
 	t.Logf("\n%s", res.Report)
 	if !res.Passed {
 		t.Fatalf("schedule %s violates %d invariant(s)", s.Hex(), len(res.Violations))

@@ -245,35 +245,13 @@ func ChaosBuild(opt ChaosOptions) chaos.BuildFunc {
 // sizes rotate 3/4/8/16/64 so fault schedules hit the gated-station and
 // dense-table paths at every width the fast paths specialize for.
 func ChaosSeedVariant(seed uint64) ChaosOptions {
-	opt := ChaosOptions{}
-	switch seed % 3 {
-	case 1:
-		opt.Checkpoint = true
-	case 2:
-		opt.Recorders = 3
-		opt.ShardSlots = 16
+	opt := ChaosOptions{
+		Checkpoint: seed%3 == 1,
+		Medium:     []MediumKind{"", MediumEther, MediumAckEther, MediumStar}[seed%4],
+		Nodes:      []int{0, 4, 8, 16, 64}[seed%5],
 	}
-	if seed%7 == 1 {
-		opt.Recorders = 3
-		opt.ShardSlots = 16
-	}
-	switch seed % 4 {
-	case 1:
-		opt.Medium = MediumEther
-	case 2:
-		opt.Medium = MediumAckEther
-	case 3:
-		opt.Medium = MediumStar
-	}
-	switch seed % 5 {
-	case 1:
-		opt.Nodes = 4
-	case 2:
-		opt.Nodes = 8
-	case 3:
-		opt.Nodes = 16
-	case 4:
-		opt.Nodes = 64
+	if seed%3 == 2 || seed%7 == 1 {
+		opt.Recorders, opt.ShardSlots = 3, 16
 	}
 	return opt
 }

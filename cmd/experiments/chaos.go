@@ -48,7 +48,7 @@ func runChaos(start uint64, n int, artifactDir string) {
 				s.Hex(), r.Artifacts)
 		}
 		fmt.Printf("%s\n",
-			chaos.Reproducer(s, publishing.ChaosBuild(publishing.ChaosSeedVariant(s.Seed)), chaos.Options{}))
+			chaos.Reproducer(s, publishing.ChaosBuild(publishing.ChaosSeedVariant(s.Seed))))
 	}
 	fmt.Fprintf(os.Stderr, "chaos: %d/%d schedules failed\n", failed, len(rows))
 	os.Exit(1)

@@ -142,10 +142,10 @@ func TestSoakRandomFaultSchedule(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := chaos.Generate(seed, lim)
 			build := ChaosBuild(ChaosOptions{Medium: MediumEther, Msgs: 25})
-			res := chaos.Run(s, build, chaos.DefaultOptions())
+			res := chaos.Run(s, build, chaos.Options{})
 			if !res.Passed {
 				t.Errorf("invariants violated:\n%s", res.Report)
-				t.Fatal(chaos.Reproducer(s, build, chaos.DefaultOptions()))
+				t.Fatal(chaos.Reproducer(s, build))
 			}
 		})
 	}
@@ -157,8 +157,8 @@ func TestSoakRandomFaultSchedule(t *testing.T) {
 func TestSoakDeterminism(t *testing.T) {
 	s := chaos.Generate(5, chaos.DefaultLimits())
 	build := ChaosBuild(ChaosOptions{Msgs: 15})
-	a := chaos.Run(s, build, chaos.DefaultOptions())
-	b := chaos.Run(s, build, chaos.DefaultOptions())
+	a := chaos.Run(s, build, chaos.Options{})
+	b := chaos.Run(s, build, chaos.Options{})
 	if a.Report != b.Report {
 		t.Fatalf("soak run not deterministic:\n--- first\n%s\n--- second\n%s", a.Report, b.Report)
 	}

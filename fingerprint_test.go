@@ -79,16 +79,15 @@ func sweepRow(medium MediumKind, seed uint64) func(*testing.T) []Section {
 const chaosRowSeed = 2
 
 // chaosRun drives seed's generated fault schedule through the canonical chaos
-// scenario, as the chaos census does for the faulted half of a run, and
-// reports whether the workload completed.
+// scenario until it settles, as the chaos census does for the faulted half of
+// a run, and reports whether the workload completed.
 func chaosRun(seed uint64) (*Cluster, bool) {
 	sc := ChaosScenario(seed, ChaosSeedVariant(seed))
 	c := sc.Sys.(*Cluster)
-	chaos.Apply(c, chaos.Generate(seed, chaos.DefaultLimits()), sc.Targets)
-	opt := chaos.DefaultOptions()
-	done := c.RunUntil(sc.Work.Done, opt.MaxRun)
-	c.Run(opt.Grace)
-	return c, done
+	s := chaos.Generate(seed, chaos.DefaultLimits())
+	chaos.Apply(c, s, sc.Targets)
+	chaos.Settle(c, s)
+	return c, sc.Work.Done()
 }
 
 // chaosRow is chaosRun as a golden row. The schedule must crash and restart a

@@ -30,8 +30,9 @@ type System interface {
 	CrashRecorderAt(i int)
 	RestartRecorderAt(i int) error
 	Run(d simtime.Time)
-	RunUntil(pred func() bool, max simtime.Time) bool
 	Now() simtime.Time
+	// CrashLag bounds how long a processor crash takes to start recovering.
+	CrashLag() simtime.Time
 	// Close releases the system's process goroutines once a run is over.
 	Close()
 }
@@ -63,8 +64,7 @@ func pick(ids []frame.NodeID, idx uint8) (frame.NodeID, bool) {
 // current instant. Burst faults set an injection knob at At and restore it
 // at At+Dur; overlapping bursts of the same kind resolve last-writer-wins,
 // which is deterministic under the simulation scheduler's stable event
-// order. Recorder outages are guarded so overlapping outages cannot
-// double-crash or double-restart.
+// order.
 func Apply(sys System, s Schedule, tg Targets) {
 	start := sys.Scheduler().Now()
 	for i, f := range s.Faults {
@@ -79,16 +79,7 @@ func Apply(sys System, s Schedule, tg Targets) {
 				sys.Scheduler().At(at, func() { sys.CrashNode(n) })
 			}
 		case KindRecorderOutage:
-			sys.Scheduler().At(at, func() {
-				if r := sys.RecorderAt(0); r != nil && !r.Crashed() {
-					sys.CrashRecorderAt(0)
-				}
-			})
-			sys.Scheduler().At(end, func() {
-				if r := sys.RecorderAt(0); r != nil && r.Crashed() {
-					_ = sys.RestartRecorderAt(0)
-				}
-			})
+			recorderOutage(sys, at, end)
 		case KindHandoffCrash:
 			nRecs := 0
 			for sys.RecorderAt(nRecs) != nil {
@@ -97,16 +88,7 @@ func Apply(sys System, s Schedule, tg Targets) {
 			if nRecs < 2 {
 				// Degenerate cluster: behave like a recorder outage so the
 				// fault still exercises something on classic scenarios.
-				sys.Scheduler().At(at, func() {
-					if r := sys.RecorderAt(0); r != nil && !r.Crashed() {
-						sys.CrashRecorderAt(0)
-					}
-				})
-				sys.Scheduler().At(end, func() {
-					if r := sys.RecorderAt(0); r != nil && r.Crashed() {
-						_ = sys.RestartRecorderAt(0)
-					}
-				})
+				recorderOutage(sys, at, end)
 				break
 			}
 			victim := int(f.A) % nRecs
@@ -169,6 +151,22 @@ func Apply(sys System, s Schedule, tg Targets) {
 			}
 		}
 	}
+}
+
+// recorderOutage crashes the primary recorder at at and restarts it at end,
+// each step guarded so overlapping outages cannot double-crash or
+// double-restart.
+func recorderOutage(sys System, at, end simtime.Time) {
+	sys.Scheduler().At(at, func() {
+		if r := sys.RecorderAt(0); r != nil && !r.Crashed() {
+			sys.CrashRecorderAt(0)
+		}
+	})
+	sys.Scheduler().At(end, func() {
+		if r := sys.RecorderAt(0); r != nil && r.Crashed() {
+			_ = sys.RestartRecorderAt(0)
+		}
+	})
 }
 
 // probKnob maps a burst kind to its FaultPlan field.

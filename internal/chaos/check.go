@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"publishing/internal/frame"
@@ -14,7 +16,8 @@ import (
 
 // RunOutcome is what one run of the scenario's workload produced.
 type RunOutcome struct {
-	// Done reports whether the workload completed before its deadline.
+	// Done reports whether the workload completed by the time the run
+	// settled.
 	Done bool
 	// Output is the ordered application-level output stream (the witness's
 	// transcript).
@@ -22,6 +25,9 @@ type RunOutcome struct {
 	// State is the canonical final-state snapshot of the recoverable
 	// process (the worker's encoded machine state).
 	State []byte
+	// Unsettled is what Settle found still moving when it gave up (nil when
+	// the run settled).
+	Unsettled []string
 }
 
 // CheckConfig tunes the invariant checker.
@@ -52,6 +58,11 @@ type CheckResult struct {
 // Passed reports whether every invariant held.
 func (r CheckResult) Passed() bool { return len(r.Violations) == 0 }
 
+// cmpProc orders process ids by node, then local id.
+func cmpProc(a, b frame.ProcID) int {
+	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Local, b.Local))
+}
+
 // capList joins up to max items for a report line.
 func capList(items []string, max int) string {
 	if len(items) <= max {
@@ -60,9 +71,9 @@ func capList(items []string, max int) string {
 	return strings.Join(items[:max], ", ") + fmt.Sprintf(", … (%d total)", len(items))
 }
 
-// Check asserts the system-wide invariants after quiescence. faulted is the
-// outcome of the run the schedule was applied to (on sys); baseline is the
-// outcome of a fault-free run of the same seed.
+// Check asserts the system-wide invariants once a run has settled. faulted
+// is the outcome of the run the schedule was applied to (on sys); baseline
+// is the outcome of a fault-free run of the same seed.
 //
 // Invariants (the paper's §5 claims, made executable):
 //
@@ -75,10 +86,10 @@ func capList(items []string, max int) string {
 //	   the crash had not occurred").
 //	I3 state-equivalence — the recoverable process's final state snapshot
 //	   is byte-identical to the fault-free run's.
-//	I4 no-orphans — after quiescence no endpoint still holds unacknowledged
-//	   guaranteed messages (ack received or retransmission exhausted).
+//	I4 settled — Settle's stop predicate held before its cap (see
+//	   unsettled), so a run that never settles is a violation naming what
+//	   still moves, not a silent pass.
 //	I5 recovery-completion — every recovery that started also completed.
-//	I6 quiescent-queues — every kernel queue-depth gauge reads zero.
 //	I7 bounded-recovery — undisturbed recoveries respect the checkpoint
 //	   policy's time bound (only checked when the scenario sets one).
 func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig) CheckResult {
@@ -100,15 +111,14 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		fmt.Fprintf(&b, "  %s\n", f)
 	}
 
-	// I0: both runs must have finished the workload at all; every later
-	// invariant assumes quiescence.
+	// I0: both runs must have finished the workload at all.
 	switch {
 	case !baseline.Done:
 		violate("completion", "fault-free baseline did not complete (scenario bug)")
 	case !faulted.Done:
-		violate("completion", "workload did not complete under faults by the deadline")
+		violate("completion", "workload did not complete under faults")
 	default:
-		ok("completion", "t=%v", sys.Now())
+		ok("completion", "%d outputs", len(faulted.Output))
 	}
 
 	// I1 exactly-once is the online monitor's verdict, flagged at the
@@ -166,61 +176,40 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		ok("state-match", "%dB identical", len(faulted.State))
 	}
 
-	// I4 no-orphans: every processing node's endpoint drained — each
-	// guaranteed message was acknowledged or its retransmission budget
-	// exhausted (which removes it from flight and is reported).
-	inflight := 0
-	var gaveUp uint64
-	var orphans []string
-	for _, n := range sys.Nodes() {
-		k := sys.Kernel(n)
-		if k == nil || k.Endpoint() == nil {
-			continue
-		}
-		gaveUp += k.Endpoint().Stats().GaveUp
-		if inf := k.Endpoint().InFlight(); inf > 0 {
-			inflight += inf
-			orphans = append(orphans, fmt.Sprintf("node %d holds %d", n, inf))
-		}
-	}
-	if inflight > 0 {
-		violate("no-orphans", "%s", capList(orphans, 5))
-	} else {
-		ok("no-orphans", "inflight=0 gaveup=%d", gaveUp)
+	// I4 settled: every later invariant assumes the run has settled.
+	switch {
+	case len(baseline.Unsettled) > 0:
+		violate("settled", "fault-free baseline did not settle (scenario bug): %s", capList(baseline.Unsettled, 5))
+	case len(faulted.Unsettled) > 0:
+		violate("settled", "not settled by %v: %s", settleCap, capList(faulted.Unsettled, 5))
+	default:
+		ok("settled", "all quiet")
 	}
 
 	// I5 recovery-completion: per process, the last recovery start must be
 	// followed by a recovery done.
 	type recWindow struct {
-		lastStart simtime.Time
-		lastDone  simtime.Time
-		starts    int
-		dones     int
+		lastStart, lastDone simtime.Time
+		starts, dones       int
 	}
 	recs := map[string]*recWindow{}
-	for _, e := range sys.Trace().OfKind(trace.KindRecoveryStart) {
-		w := recs[e.Subject]
-		if w == nil {
-			w = &recWindow{}
-			recs[e.Subject] = w
+	window := func(e trace.Event) *recWindow {
+		if recs[e.Subject] == nil {
+			recs[e.Subject] = &recWindow{}
 		}
+		return recs[e.Subject]
+	}
+	for _, e := range sys.Trace().OfKind(trace.KindRecoveryStart) {
+		w := window(e)
 		w.starts++
 		w.lastStart = e.At
 	}
 	for _, e := range sys.Trace().OfKind(trace.KindRecoveryDone) {
-		w := recs[e.Subject]
-		if w == nil {
-			w = &recWindow{}
-			recs[e.Subject] = w
-		}
+		w := window(e)
 		w.dones++
 		w.lastDone = e.At
 	}
-	subjects := make([]string, 0, len(recs))
-	for subj := range recs {
-		subjects = append(subjects, subj)
-	}
-	sort.Strings(subjects)
+	subjects := slices.Sorted(maps.Keys(recs))
 	recoveries := 0
 	var unfinished []string
 	for _, subj := range subjects {
@@ -272,20 +261,6 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		}
 	}
 
-	// I6 quiescent-queues: the kernel queue-depth gauges must all be zero
-	// once the system drained.
-	var depths []string
-	for _, sample := range sys.Metrics().Snapshot().Samples {
-		if sample.Name == "queue_depth" && sample.Value != 0 {
-			depths = append(depths, fmt.Sprintf("node %d depth=%d", sample.Node, sample.Value))
-		}
-	}
-	if len(depths) > 0 {
-		violate("quiescent-queues", "%s", capList(depths, 5))
-	} else {
-		ok("quiescent-queues", "all zero")
-	}
-
 	// I8 replay-basis-union (sharded recorder clusters only): after
 	// quiescence, every live stream's shard must have a live replica, a live
 	// replica on recovery duty, and every replica on duty must hold the best
@@ -308,16 +283,7 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 				}
 			}
 		}
-		procs := make([]frame.ProcID, 0, len(procSet))
-		for p := range procSet {
-			procs = append(procs, p)
-		}
-		sort.Slice(procs, func(i, j int) bool {
-			if procs[i].Node != procs[j].Node {
-				return procs[i].Node < procs[j].Node
-			}
-			return procs[i].Local < procs[j].Local
-		})
+		procs := slices.SortedFunc(maps.Keys(procSet), cmpProc)
 		var holes []string
 		checked := 0
 		for _, p := range procs {

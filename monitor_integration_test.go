@@ -30,35 +30,39 @@ var dupBurstSchedule = chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
 // property: with duplicate suppression broken and a dup burst injected, the
 // exactly-once violation is flagged while the workload is still running —
 // stamped with the virtual timestamp of the violating delivery itself — not
-// discovered by the checker after the run drains.
+// discovered by the checker after the run settles.
 func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
-	opt := chaos.DefaultOptions()
 	sc := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
 	sc.Sys.Trace().SetDetailed(true)
 	chaos.Apply(sc.Sys, dupBurstSchedule, sc.Targets)
-	if !sc.Sys.RunUntil(sc.Work.Done, opt.MaxRun) {
-		t.Fatal("workload did not complete")
-	}
-	doneAt := sc.Sys.Now()
-
-	mon := sc.Sys.(*publishing.Cluster).Monitor()
-	if mon == nil {
+	c := sc.Sys.(*publishing.Cluster)
+	if c.Monitor() == nil {
 		t.Fatal("chaos scenario did not attach the monitor")
 	}
-	if mon.Passed() {
-		t.Fatalf("duplicates not flagged online by workload completion (t=%v):\n%s", doneAt, mon.Report())
+	// Monitor flushes the trace's batched events, so each step's verdict is
+	// current.
+	if !c.RunUntil(func() bool { return !c.Monitor().Passed() }, simtime.Minute) {
+		t.Fatal("duplicates never flagged online")
+	}
+	flaggedAt := c.Now()
+	mon := c.Monitor()
+	if sc.Work.Done() {
+		t.Fatalf("duplicates first flagged at t=%v, after the workload completed:\n%s", flaggedAt, mon.Report())
 	}
 	v := mon.Violations()[0]
 	if v.Invariant != monitor.InvExactlyOnce {
 		t.Fatalf("first violation is %s, want the duplicate:\n%s", v, mon.Report())
 	}
-	if v.At > doneAt {
-		t.Fatalf("first violation stamped t=%v, after workload completion t=%v", v.At, doneAt)
+	if v.At > flaggedAt {
+		t.Fatalf("first violation stamped t=%v, after it was flagged at t=%v", v.At, flaggedAt)
 	}
 
-	// Quiesce, then corroborate the stamp: it must be the exact virtual time
+	// Settle, then corroborate the stamp: it must be the exact virtual time
 	// of one of that message's deliveries.
-	sc.Sys.Run(opt.Grace)
+	chaos.Settle(sc.Sys, dupBurstSchedule)
+	if !sc.Work.Done() {
+		t.Fatal("workload did not complete")
+	}
 	matched := false
 	for _, e := range sc.Sys.Trace().OfKind(trace.KindDeliver) {
 		if e.Msg == v.Msg && e.At == v.At {
@@ -69,9 +73,6 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 	if !matched {
 		t.Fatalf("violation %s is not stamped with any delivery time of %s", v, v.Msg)
 	}
-	if v.At >= sc.Sys.Now() {
-		t.Fatalf("violation t=%v not before quiescence t=%v", v.At, sc.Sys.Now())
-	}
 }
 
 // TestMonitorReportDeterminism runs the same faulted scenario twice and
@@ -81,11 +82,9 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 // contains violations, SLO quantiles, and event counts.
 func TestMonitorReportDeterminism(t *testing.T) {
 	run := func() string {
-		opt := chaos.DefaultOptions()
 		sc := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
 		chaos.Apply(sc.Sys, dupBurstSchedule, sc.Targets)
-		sc.Sys.RunUntil(sc.Work.Done, opt.MaxRun)
-		sc.Sys.Run(opt.Grace)
+		chaos.Settle(sc.Sys, dupBurstSchedule)
 		return sc.Sys.(*publishing.Cluster).Monitor().Report()
 	}
 	a, b := run(), run()

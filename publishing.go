@@ -243,10 +243,8 @@ type Cluster struct {
 	recs    []*recorder.Recorder
 	stores  []*stablestore.Paged
 	shards  *recorder.ShardMap
-	// services mirrors servicesShared for read access; servicesShared is
-	// the map instance every kernel holds a reference to.
-	services       map[string]ProcID
-	servicesShared map[string]frame.ProcID
+	// services is the well-known-service map every kernel holds.
+	services map[string]frame.ProcID
 
 	closed bool
 }
@@ -262,7 +260,7 @@ func New(cfg Config) *Cluster {
 		rng:      simtime.NewRand(cfg.Seed),
 		reg:      demos.NewRegistry(),
 		kernels:  make(map[NodeID]*demos.Kernel),
-		services: make(map[string]ProcID),
+		services: make(map[string]frame.ProcID),
 	}
 	c.log = trace.New(c.sched.Now)
 	if cfg.TraceWriter != nil {
@@ -334,7 +332,7 @@ func New(cfg Config) *Cluster {
 		Transport:    tcfg,
 		Publishing:   cfg.Publishing,
 		RecorderProc: recProc,
-		Services:     c.servicesView(),
+		Services:     c.services,
 		Metrics:      c.mets,
 	}
 	total := cfg.Nodes + cfg.Spares
@@ -419,13 +417,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.armCheckpointTick()
 	return c
-}
-
-// servicesView returns the shared well-known-service map all kernels use.
-func (c *Cluster) servicesView() map[string]frame.ProcID {
-	m := make(map[string]frame.ProcID)
-	c.servicesShared = m
-	return m
 }
 
 // sortNodes orders node ids ascending (map iteration is randomized).
@@ -580,7 +571,6 @@ func (c *Cluster) Registry() *demos.Registry { return c.reg }
 
 // SetService publishes a well-known service address to every kernel.
 func (c *Cluster) SetService(name string, p ProcID) {
-	c.servicesShared[name] = p
 	c.services[name] = p
 }
 
@@ -736,6 +726,14 @@ func (c *Cluster) RebootNode(n NodeID) {
 	}
 }
 
+// CrashLag bounds how long after a processor crash its recovery starts: the
+// watchdog misses up to MissThreshold+1 ticks before it declares the node
+// down, the node reboots rebootDelay later, and one more tick passes before
+// the pong that starts recovery.
+func (c *Cluster) CrashLag() Time {
+	return Time(c.cfg.MissThreshold+2)*c.cfg.WatchInterval + rebootDelay
+}
+
 // CrashRecorder takes the recorder down; all guaranteed traffic suspends
 // until RestartRecorder (§3.3.4).
 func (c *Cluster) CrashRecorder() {
@@ -788,7 +786,7 @@ func (c *Cluster) DebugSession(p ProcID, fromCheckpoint bool) (*debugger.Session
 	if len(c.recs) == 0 {
 		return nil, fmt.Errorf("publishing: debugging requires publishing to be enabled")
 	}
-	return debugger.FromRecorder(c.reg, c.recs[0], p, fromCheckpoint, c.servicesShared)
+	return debugger.FromRecorder(c.reg, c.recs[0], p, fromCheckpoint, c.services)
 }
 
 // CrashRecorderAt takes one recorder down.

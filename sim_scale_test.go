@@ -237,7 +237,7 @@ func chaosSmoke(t *testing.T, seed uint64, nodes int) {
 	opt := publishing.ChaosSeedVariant(seed)
 	opt.Nodes = nodes
 	sched := chaos.Generate(seed, chaos.DefaultLimits())
-	res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.DefaultOptions())
+	res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.Options{})
 	if !res.Passed {
 		t.Errorf("chaos run failed at %d nodes:\n%s", nodes, res.Report)
 		for _, v := range res.Violations {
