@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables onemark noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables noquarantine nosweep notrajectory nograce
+vet: nopar noregime nohave noseg noclone nopool nopeertables onemark noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -69,6 +69,14 @@ nopool:
 # one back piecemeal, and with it an allocation at first contact, fails here.
 nopeertables:
 	! grep -rnE '\b(ackPend|perDest)\b|destTable\[\*(rtoState|rxStream|ackPending)\]' --include='*.go' --exclude='*_test.go' internal/transport
+
+# "Has this process taken this message?" has one answer (DESIGN.md "One
+# acceptance mark"): the per-sender acceptance mark, held by the kernel in
+# memory, carried by checkpoints, and read by the recorder to trim and fence.
+# The names below are the three guards it replaced: the transport's id
+# cache, the kernel's replayed-id set and the recorder's trim debt.
+onemark:
+	! grep -rnE 'dupCache|replayed +map\[|noteReplayed|trimDebt' --include='*.go' --exclude='*_test.go' .
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and
@@ -156,11 +164,13 @@ shards:
 # ./internal/frame`); this keeps the corpora exercised and catches
 # regressions the checked-in seeds reach quickly. Page files are whole 4 KB
 # pages, and minimizing one for the default 60 s stalls the run, so the
-# store's minimization is capped by count.
+# store's minimization is capped by count. The checkpoint image's marks
+# trailer, which the recorder trims and fences streams by, is fuzzed too.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
+	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzCheckpointMarks -fuzztime 10s
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzPagedOpen -fuzztime 10s -fuzzminimizetime 200x

@@ -116,16 +116,16 @@ func TestChaosCensus(t *testing.T) {
 
 // TestChaosCensusArtifacts: a census run with an artifact directory dumps a
 // post-mortem bundle for each failing seed (`experiments -chaos -chaosdir`).
-// Seed 70 is a listed failure (ROADMAP item 1(1)).
+// Seed 265 is a listed failure (ROADMAP item 1(2)).
 func TestChaosCensusArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	r := ChaosCensus(70, 1, chaos.Options{ArtifactDir: dir})[0]
+	r := ChaosCensus(265, 1, chaos.Options{ArtifactDir: dir})[0]
 	if r.Passed {
-		t.Fatal("seed 70 passes now: pick another failing census seed")
+		t.Fatal("seed 265 passes now: pick another failing census seed")
 	}
-	reports, err := filepath.Glob(filepath.Join(dir, "chaos-seed70-*", "report.txt"))
+	reports, err := filepath.Glob(filepath.Join(dir, "chaos-seed265-*", "report.txt"))
 	if err != nil || len(reports) != 1 {
-		t.Fatalf("want one chaos-seed70-*/report.txt under the artifact directory, got %v (%v)", reports, err)
+		t.Fatalf("want one chaos-seed265-*/report.txt under the artifact directory, got %v (%v)", reports, err)
 	}
 	if r.Artifacts != filepath.Dir(reports[0]) {
 		t.Errorf("result names artifacts %q, dumped in %q", r.Artifacts, filepath.Dir(reports[0]))

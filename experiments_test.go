@@ -86,7 +86,7 @@ func TestExperimentNumbers(t *testing.T) {
 		// §3.2.3: recovery of a 30-message history, replay-from-start vs
 		// bound-driven checkpoints.
 		{"checkpoint/none", "replayed", policy(publishing.CheckpointNone), pinned{at: 279_618_400, count: 24}},
-		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound), pinned{at: 279_246_400, count: 3}},
+		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound), pinned{at: 279_287_200, count: 3}},
 		// §4.3.3: 50 messages behind the naive (57 ms) recorder on Ether,
 		// single-outstanding vs a 4-unit window.
 		{"window/1", "recorder_expired", wire(50, ether(recorder.ModeNaive, 1)), pinned{at: 922_749_600}},

@@ -92,8 +92,8 @@ func TestMoveLinkFig45(t *testing.T) {
 	}
 	bProc := e.kernels[1].procs[bID]
 	found := false
-	for _, l := range bProc.links.links {
-		if l.To.Local != 0 && l.Code == 7 {
+	for _, e := range bProc.links.links {
+		if l := e.Link; l.To.Local != 0 && l.Code == 7 {
 			found = true
 		}
 	}
@@ -335,9 +335,8 @@ func TestLoadsReportsDebt(t *testing.T) {
 		t.Fatal("no CPU attributed to the process")
 	}
 	// A checkpoint resets the accumulators.
-	ok, err := k.CheckpointNow(pid)
-	if err != nil || !ok {
-		t.Fatalf("checkpoint: %v %v", ok, err)
+	if blob, err := k.CheckpointNow(pid); err != nil || blob == nil {
+		t.Fatalf("checkpoint: taken=%v err=%v", blob != nil, err)
 	}
 	l = k.AppendLoads(loads[:0])[0]
 	if l.MsgsSinceCk != 0 || l.BytesSinceCk != 0 || l.CPUSinceCk != 0 {

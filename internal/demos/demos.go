@@ -348,9 +348,8 @@ type Notice struct {
 	StateKB    int
 	// Queued lists the ids of messages in the process's input queue at the
 	// checkpoint instant, in queue order — exactly the messages a recovery
-	// from this checkpoint must replay first. The recorder trims its stream
-	// to this set, which stays correct even for a recorder that missed
-	// traffic while it was down (§6.3 catch-up).
+	// from this checkpoint must replay first. The recorder keeps these and
+	// drops every other record the image's marks cover (CheckpointMarks).
 	Queued []frame.MsgID
 }
 

@@ -590,17 +590,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	e.run(10 * simtime.Second)
 
-	ok, err := k.CheckpointNow(id)
-	if err != nil || !ok {
-		t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
+	blob, err := k.CheckpointNow(id)
+	if err != nil || blob == nil {
+		t.Fatalf("checkpoint: taken=%v err=%v", blob != nil, err)
 	}
 	if p.readCount != 5 {
 		t.Fatalf("readCount = %d", p.readCount)
 	}
-
-	// Capture the checkpoint from the kernel's notice by re-snapshotting.
-	mb, _ := p.machine.Snapshot()
-	blob := mustGob(&checkpointImage{Machine: mb, Links: p.links.snapshot()})
 
 	// Recreate from the checkpoint; counters restored.
 	if _, err := k.Spawn(ProcSpec{Name: "counter", Recoverable: true}, SpawnOptions{

@@ -56,7 +56,7 @@ type KernelStats struct {
 	Replayed           uint64 // messages injected by recovery processes
 	ReplayBatches      uint64 // OpReplayBatch frames applied
 	StaleReplayDropped uint64 // replay frames from an abandoned recovery generation
-	ReplayDupsDropped  uint64 // direct copies of already-replayed messages consumed
+	ReplayDupsDropped  uint64 // direct copies at or below the acceptance mark consumed
 }
 
 // Kernel is one node's message kernel plus its kernel process (§4.2.1). It
@@ -303,7 +303,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		if p.machine == nil {
 			return frame.NilProc, fmt.Errorf("demos: %q is not checkpointable", spec.Name)
 		}
-		img, err := decodeCheckpoint(opt.Checkpoint)
+		img, marks, err := decodeCheckpoint(opt.Checkpoint)
 		if err != nil {
 			return frame.NilProc, err
 		}
@@ -315,6 +315,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 			return frame.NilProc, err
 		}
 		p.links = lt
+		p.marks = marks
 		p.restored = true
 	}
 	p.sendSeq = opt.SendSeq

@@ -226,14 +226,14 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 		k.stats.MsgsRefused++
 		return false
 	}
-	if p.replayed[f.ID] {
-		// The recovery already replayed this message; the direct copy is a
-		// retransmission whose ack the sender never saw. Consume it (ack)
-		// without delivering, or the process would see it twice.
+	if !k.env.Transport.DisableDupSuppression && p.marks.Covers(f.ID) {
+		// Taken already, directly, by replay or before the checkpoint: a
+		// retransmission whose ack the sender never saw. Consume it (ack).
 		k.stats.ReplayDupsDropped++
-		k.env.Log.AddMsg(trace.KindReplay, int(k.node), f.ID.String(), p.id.String(), "late direct copy of replayed message dropped")
+		k.env.Log.AddMsg(trace.KindReplay, int(k.node), f.ID.String(), p.id.String(), "late direct copy of accepted message dropped")
 		return true
 	}
+	p.marks.Note(f.ID)
 	k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)
 	return true
 }

@@ -3,6 +3,7 @@ package demos
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"slices"
@@ -37,18 +38,70 @@ func DecodeReply(b []byte) (*CtlReply, error) {
 }
 
 // checkpointImage is the serialized form of a full process checkpoint: the
-// machine's address-space equivalent plus the kernel-resident link table.
+// machine's address-space equivalent plus the kernel-resident link table. An
+// image is this struct gob-encoded, then a trailer of the acceptance marks
+// packed as a recorder-ack id list (frame.AppendAckID) and their count as a
+// big-endian u32; the recorder reads the trailer alone (CheckpointMarks).
 type checkpointImage struct {
 	Machine []byte
 	Links   []byte
 }
 
-func decodeCheckpoint(b []byte) (*checkpointImage, error) {
-	var img checkpointImage
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("demos: bad checkpoint: %w", err)
+// image builds p's checkpoint image, for a checkpoint and a migration alike.
+func (p *process) image() ([]byte, error) {
+	mb, err := p.machine.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	return &img, nil
+	links := p.links.snapshot()
+	// Room for the gob framing (under 256 bytes) and the trailer: the image
+	// is built in one allocation.
+	buf := bytes.NewBuffer(make([]byte, 0, len(mb)+len(links)+256+len(p.marks)*frame.AckIDLen+4))
+	if err := gob.NewEncoder(buf).Encode(&checkpointImage{Machine: mb, Links: links}); err != nil {
+		return nil, err
+	}
+	blob := buf.Bytes()
+	for _, id := range p.marks {
+		blob = frame.AppendAckID(blob, id)
+	}
+	return binary.BigEndian.AppendUint32(blob, uint32(len(p.marks))), nil
+}
+
+// CheckpointMarks returns the acceptance marks a checkpoint image carries;
+// an empty image (no checkpoint) carries none. A count that claims more ids
+// than the image holds, or ids out of sender order, is an error.
+func CheckpointMarks(blob []byte) (frame.Marks, error) {
+	if len(blob) == 0 {
+		return nil, nil
+	}
+	if len(blob) < 4 {
+		return nil, fmt.Errorf("demos: checkpoint of %d bytes has no marks trailer", len(blob))
+	}
+	end := len(blob) - 4
+	n := uint64(binary.BigEndian.Uint32(blob[end:]))
+	if n*frame.AckIDLen > uint64(end) {
+		return nil, fmt.Errorf("demos: checkpoint claims %d marks in %d bytes", n, end)
+	}
+	ids, err := frame.DecodeAckIDs(blob[end-int(n)*frame.AckIDLen:end], nil)
+	for i := 1; i < len(ids) && err == nil; i++ {
+		if ids[i-1].Sender.Compare(ids[i].Sender) >= 0 {
+			err = fmt.Errorf("demos: checkpoint marks out of sender order at %d", i)
+		}
+	}
+	return ids, err
+}
+
+func decodeCheckpoint(b []byte) (*checkpointImage, frame.Marks, error) {
+	marks, err := CheckpointMarks(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	var img checkpointImage
+	body := bytes.NewReader(b[:len(b)-4-len(marks)*frame.AckIDLen])
+	if err := gob.NewDecoder(body).Decode(&img); err != nil {
+		return nil, nil, fmt.Errorf("demos: bad checkpoint: %w", err)
+	}
+	return &img, marks, nil
 }
 
 // handleControl is the kernel process (§4.2.1): it serves process-control
@@ -119,7 +172,7 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 			return true
 		}
 		k.stats.Replayed++
-		k.noteReplayed(p, ctl.ReplayID)
+		p.marks.Note(ctl.ReplayID)
 		// The replay event precedes the delivery it licenses, so an online
 		// exactly-once monitor never sees a replayed delivery as a duplicate.
 		k.env.Log.AddMsg(trace.KindReplay, int(k.node), ctl.ReplayID.String(), ctl.Proc.String(), "replayed")
@@ -241,7 +294,7 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	detailed := k.env.Log.Detailed()
 	for i := range recs {
 		k.stats.Replayed++
-		k.noteReplayed(p, recs[i].ID)
+		p.marks.Note(recs[i].ID)
 		if detailed {
 			// Per-record causal event: the replayed message carries its
 			// original id, tying the replay back to the pre-crash publish.
@@ -266,16 +319,6 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 	}
 	k.replyBatchAck(f, p)
 	return true
-}
-
-// noteReplayed remembers a message id delivered to p via replay, so a late
-// direct retransmission of the same message (its ack was lost with the old
-// node) is consumed instead of delivered again.
-func (k *Kernel) noteReplayed(p *process, id frame.MsgID) {
-	if p.replayed == nil {
-		p.replayed = make(map[frame.MsgID]bool)
-	}
-	p.replayed[id] = true
 }
 
 // replyBatchAck sends the cumulative batch acknowledgement for p.
@@ -363,29 +406,28 @@ func controlLinkFor(id frame.ProcID, err error) *frame.Link {
 }
 
 // CheckpointNow snapshots a machine process if it is quiescent (parked
-// between messages) and ships the checkpoint to the recorder. It reports
-// whether a checkpoint was taken.
-func (k *Kernel) CheckpointNow(id frame.ProcID) (bool, error) {
+// between messages), ships the checkpoint to the recorder, and returns its
+// image: nil when no checkpoint was taken.
+func (k *Kernel) CheckpointNow(id frame.ProcID) ([]byte, error) {
 	p := k.procs[id]
 	if p == nil {
-		return false, fmt.Errorf("demos: checkpoint: no process %s", id)
+		return nil, fmt.Errorf("demos: checkpoint: no process %s", id)
 	}
 	if p.machine == nil {
-		return false, fmt.Errorf("demos: checkpoint: %s is not a machine", id)
+		return nil, fmt.Errorf("demos: checkpoint: %s is not a machine", id)
 	}
 	if p.recovering || !k.publishingFor(p) {
-		return false, nil
+		return nil, nil
 	}
 	quiescent := p.started && !p.finished &&
 		(p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry))
 	if !quiescent {
-		return false, nil
+		return nil, nil
 	}
-	mb, err := p.machine.Snapshot()
+	blob, err := p.image()
 	if err != nil {
-		return false, fmt.Errorf("demos: snapshot %s: %w", id, err)
+		return nil, fmt.Errorf("demos: snapshot %s: %w", id, err)
 	}
-	blob := mustGob(&checkpointImage{Machine: mb, Links: p.links.snapshot()})
 	k.ckBytes.Observe(int64(len(blob)))
 	kb := (len(blob) + 1023) / 1024
 	k.charge(k.env.Costs.CheckpointPerKB*simtime.Time(kb), 0)
@@ -406,7 +448,7 @@ func (k *Kernel) CheckpointNow(id frame.ProcID) (bool, error) {
 		StateKB:    kb,
 		Queued:     p.queue.ids(),
 	})
-	return true, nil
+	return blob, nil
 }
 
 // RecoveryLoad describes the replay debt of one process for the §3.2.3

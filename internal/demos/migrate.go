@@ -24,7 +24,8 @@ import (
 type ProcImage struct {
 	Proc frame.ProcID
 	Spec ProcSpec
-	// Checkpoint is the machine+links image (same format as recovery).
+	// Checkpoint is the image the migration checkpoint shipped to the
+	// recorder: machine, links and acceptance marks.
 	Checkpoint []byte
 	SendSeq    uint64
 	ReadCount  uint64
@@ -43,35 +44,20 @@ type QueuedMsg struct {
 // recorder is sent the checkpoint (so the migrant's replay basis is exactly
 // its exported queue) and a migration notice.
 func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, error) {
-	p := k.procs[id]
-	if p == nil {
-		return nil, fmt.Errorf("demos: migrate: no process %s", id)
-	}
-	if p.machine == nil {
-		return nil, fmt.Errorf("demos: migrate: %s is not a machine image", id)
-	}
-	if p.recovering || p.state == psCrashed {
-		return nil, fmt.Errorf("demos: migrate: %s is not in a migratable state", id)
-	}
-	quiescent := p.started && !p.finished &&
-		(p.state == psBlocked || (p.state == psReady && p.pendingReceiveRetry))
-	if !quiescent {
-		return nil, fmt.Errorf("demos: migrate: %s is mid-execution; retry when parked", id)
-	}
-
 	// The migration checkpoint: identical to a recovery checkpoint, and
 	// published as one, so the recorder's replay basis matches the image.
-	if ok, err := k.CheckpointNow(id); err != nil || !ok {
-		return nil, fmt.Errorf("demos: migrate: checkpoint failed (ok=%v err=%v)", ok, err)
-	}
-	mb, err := p.machine.Snapshot()
+	blob, err := k.CheckpointNow(id)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("demos: migrate: %w", err)
 	}
+	if blob == nil {
+		return nil, fmt.Errorf("demos: migrate: %s took no checkpoint (crashed, recovering, unpublished, or mid-execution: retry when parked)", id)
+	}
+	p := k.procs[id]
 	img := &ProcImage{
 		Proc:       id,
 		Spec:       p.spec,
-		Checkpoint: mustGob(&checkpointImage{Machine: mb, Links: p.links.snapshot()}),
+		Checkpoint: blob,
 		SendSeq:    p.sendSeq,
 		ReadCount:  p.readCount,
 	}

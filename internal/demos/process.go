@@ -125,13 +125,10 @@ type process struct {
 	// replayBatch is the cumulative replay-batch acknowledgement: the
 	// highest batch sequence applied in order.
 	replayBatch uint64
-	// replayed holds the ids of messages this incarnation received via
-	// replay. A sender whose ack was lost (partition, crash) keeps
-	// retransmitting the original past recovery-done; the transport cannot
-	// recognize it (the rebooted endpoint has fresh streams), so the kernel
-	// must drop — but still consume, so the retransmissions stop — any
-	// direct copy of a message the recovery already delivered.
-	replayed map[frame.MsgID]bool
+	// marks are the acceptance marks: per sender, the highest seq taken into
+	// the queue, directly or by replay. Checkpoints carry them, so a copy a
+	// rebooted transport cannot recognize is still consumed, not queued.
+	marks frame.Marks
 
 	// Coroutine hand-off (iter.Pull). The program runs only inside next() or
 	// stop(), so exactly one of (kernel, process) executes at any instant.

@@ -10,9 +10,11 @@
 package frame
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a processor on the network. The recorder is a node too.
@@ -34,6 +36,11 @@ var NilProc ProcID
 
 // IsNil reports whether p names no process.
 func (p ProcID) IsNil() bool { return p == NilProc }
+
+// Compare orders process ids by node, then local id.
+func (p ProcID) Compare(q ProcID) int {
+	return cmp.Or(cmp.Compare(p.Node, q.Node), cmp.Compare(p.Local, q.Local))
+}
 
 // String formats the ProcID as node.local.
 func (p ProcID) String() string {
@@ -58,15 +65,31 @@ func (m MsgID) IsNil() bool { return m.Sender.IsNil() && m.Seq == 0 }
 // String formats the message id.
 func (m MsgID) String() string { return fmt.Sprintf("%s#%d", m.Sender, m.Seq) }
 
-// Less orders message ids from the same sender by sequence number.
-func (m MsgID) Less(o MsgID) bool {
-	if m.Sender != o.Sender {
-		if m.Sender.Node != o.Sender.Node {
-			return m.Sender.Node < o.Sender.Node
-		}
-		return m.Sender.Local < o.Sender.Local
+// Marks holds one acceptance mark per sender, as the id of the highest
+// sequence taken from it, in sender order. One sender's messages reach one
+// process in sequence order, so an id at or below its sender's mark was
+// taken already, or is older than one that was.
+type Marks []MsgID
+
+// find returns the position of sender's mark, or where it would go.
+func (m Marks) find(sender ProcID) (int, bool) {
+	return slices.BinarySearchFunc(m, sender, func(id MsgID, p ProcID) int { return id.Sender.Compare(p) })
+}
+
+// Covers reports whether id is at or below its sender's mark.
+func (m Marks) Covers(id MsgID) bool {
+	i, ok := m.find(id.Sender)
+	return ok && id.Seq <= m[i].Seq
+}
+
+// Note raises id's sender's mark to id.
+func (m *Marks) Note(id MsgID) {
+	switch i, ok := m.find(id.Sender); {
+	case !ok:
+		*m = slices.Insert(*m, i, id)
+	case id.Seq > (*m)[i].Seq:
+		(*m)[i].Seq = id.Seq
 	}
-	return m.Seq < o.Seq
 }
 
 // Link is a capability to send messages to a process (§4.2.2.1). Links live

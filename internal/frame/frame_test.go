@@ -144,13 +144,11 @@ func TestProcIDAndMsgIDHelpers(t *testing.T) {
 		t.Fatal("zero MsgID not nil")
 	}
 	a := MsgID{Sender: p, Seq: 1}
-	b := MsgID{Sender: p, Seq: 2}
-	if !a.Less(b) || b.Less(a) {
-		t.Fatal("MsgID.Less ordering wrong")
+	if q := (ProcID{Node: 3, Local: 5}); p.Compare(q) >= 0 || q.Compare(p) <= 0 || p.Compare(p) != 0 {
+		t.Fatal("ProcID.Compare local ordering wrong")
 	}
-	c := MsgID{Sender: ProcID{Node: 1, Local: 9}, Seq: 100}
-	if !c.Less(a) {
-		t.Fatal("MsgID.Less cross-sender ordering wrong")
+	if q := (ProcID{Node: 1, Local: 9}); q.Compare(p) >= 0 {
+		t.Fatal("ProcID.Compare node ordering wrong")
 	}
 	if a.String() != "p3.4#1" {
 		t.Fatalf("MsgID.String = %q", a.String())

@@ -3,7 +3,6 @@ package recorder
 import (
 	"bytes"
 	"encoding/gob"
-	"sort"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
@@ -49,7 +48,7 @@ const (
 )
 
 // procCov is the requester's per-stream coverage statement: how far its
-// local basis reaches (BaseReads + recorded arrivals) and its send-side
+// local basis reaches (CkReadCount + recorded arrivals) and its send-side
 // suppression watermark. The serving side ships only streams it knows more
 // about.
 type procCov struct {
@@ -260,7 +259,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		cov = append(cov, procCov{
 			Proc:     p,
 			Dead:     e.Dead,
-			Cov:      e.BaseReads + uint64(e.Arrivals.len()),
+			Cov:      e.CkReadCount + uint64(e.Arrivals.len()),
 			LastSent: e.LastSent,
 		})
 	}
@@ -305,7 +304,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			continue
 		}
 		e := r.db[p]
-		myCov := e.BaseReads + uint64(e.Arrivals.len())
+		myCov := e.CkReadCount + uint64(e.Arrivals.len())
 		tc, known := theirs[p]
 		var ship bool
 		switch {
@@ -331,15 +330,11 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			CkSendSeq:   e.CkSendSeq,
 			CkReadCount: e.CkReadCount,
 			CkStateKB:   e.CkStateKB,
-			BaseReads:   e.BaseReads,
+			BaseReads:   e.CkReadCount,
 			Cov:         myCov,
 			Msgs:        reconstruct(e.Arrivals, e.Advisories),
 		}
-		blob.Recorded = make([]frame.MsgID, 0, len(e.recorded))
-		for sender, seq := range e.recorded {
-			blob.Recorded = append(blob.Recorded, frame.MsgID{Sender: sender, Seq: seq})
-		}
-		sort.Slice(blob.Recorded, func(i, j int) bool { return lessProc(blob.Recorded[i].Sender, blob.Recorded[j].Sender) })
+		blob.Recorded = e.recorded
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
 			panic(err)
@@ -453,9 +448,10 @@ func (r *Recorder) handleHandoffCommit(m *peerMsg) {
 
 // installHandoffProc merges one transferred stream into the local database.
 // If the blob's basis reaches further than ours, adopt it wholesale and keep
-// only local arrivals the partner has never seen as a suffix (both replicas
-// hear acknowledgements in wire order, so anything we have that the blob
-// lacks postdates its encoding). Otherwise just merge the watermarks.
+// only local arrivals neither the partner nor its checkpoint has taken, as a
+// suffix (both replicas hear acknowledgements in wire order, so anything we
+// have that the blob lacks postdates its encoding). Otherwise just merge the
+// watermarks.
 func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	e := r.db[blob.Proc]
 	if e == nil {
@@ -483,30 +479,35 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 		e.LastSent = blob.LastSent
 		r.persistLastSent(e)
 	}
-	localCov := e.BaseReads + uint64(e.Arrivals.len())
+	localCov := e.CkReadCount + uint64(e.Arrivals.len())
 	if blob.Cov <= localCov {
 		return // our basis reaches at least as far
 	}
+	ckMarks, err := demos.CheckpointMarks(blob.Ck)
+	if err != nil {
+		r.log.Add(trace.KindRecorder, int(r.cfg.Node), blob.Proc.String(), "handoff basis refused: %v", err)
+		return
+	}
 	r.cancelReplay(blob.Proc) // in-flight batches from the stale basis
-	theirs := make(watermarks, len(blob.Recorded))
+	var theirs frame.Marks
 	for _, id := range blob.Recorded {
-		theirs.note(id)
+		theirs.Note(id)
 	}
 	for i := range blob.Msgs {
-		theirs.note(blob.Msgs[i].ID)
+		theirs.Note(blob.Msgs[i].ID)
 	}
 	var extras []storedMsg
 	for _, lm := range reconstruct(e.Arrivals, e.Advisories) {
-		if !theirs.covers(lm.ID) {
+		if !theirs.Covers(lm.ID) && !ckMarks.Covers(lm.ID) {
 			extras = append(extras, lm)
 		}
 	}
 	old := e.Arrivals.seqs()
 	e.Checkpoint = blob.Ck
+	e.ckMarks = ckMarks
 	e.CkSendSeq = blob.CkSendSeq
 	e.CkReadCount = blob.CkReadCount
 	e.CkStateKB = blob.CkStateKB
-	e.BaseReads = blob.BaseReads
 	e.LastCkAt = r.sched.Now()
 	e.Arrivals = arrLog{}
 	for _, src := range [][]storedMsg{blob.Msgs, extras} {
@@ -516,12 +517,12 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 			nm.ArrSeq = e.ArrSeqNext
 			e.ArrSeqNext++
 			e.Arrivals.push(nm.storedMsg)
-			e.recorded.note(nm.ID)
+			e.recorded.Note(nm.ID)
 			r.persistMessage(e, &nm)
 		}
 	}
 	for _, id := range blob.Recorded {
-		e.recorded.note(id)
+		e.recorded.Note(id)
 	}
 	// The adopted Msgs are already in reconstructed read order; advisories
 	// would double-apply, so clear them (the checkpoint record's AdvTrim

@@ -197,9 +197,8 @@ type procKeys struct {
 func newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
 	id := p.String()
 	return &procEntry{
-		Proc:     p,
-		Node:     node,
-		recorded: make(watermarks),
+		Proc: p,
+		Node: node,
 		keys: procKeys{
 			msg: "msg:" + id, adv: "adv:" + id, ck: "ck:" + id,
 			proc: "proc:" + id, last: "last:" + id, dead: "dead:" + id,
@@ -277,7 +276,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 			SendSeq:       e.CkSendSeq,
 			ReadCount:     e.CkReadCount,
 			StateKB:       e.CkStateKB,
-			BaseReads:     e.BaseReads,
+			BaseReads:     e.CkReadCount,
 			DroppedArr:    dropped,
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: e.Arrivals.seqs(),
@@ -427,11 +426,15 @@ func (r *Recorder) rebuild() error {
 			continue
 		}
 		if a.ck != nil {
+			marks, err := demos.CheckpointMarks(a.ck.Blob)
+			if err != nil {
+				return fmt.Errorf("recorder: rebuild: checkpoint of %s: %w", pid, err)
+			}
+			e.ckMarks = marks
 			e.Checkpoint = a.ck.Blob
 			e.CkSendSeq = a.ck.SendSeq
 			e.CkReadCount = a.ck.ReadCount
 			e.CkStateKB = a.ck.StateKB
-			e.BaseReads = a.ck.BaseReads
 		}
 		sort.Slice(a.msgs, func(i, j int) bool { return a.msgs[i].ArrSeq < a.msgs[j].ArrSeq })
 		// The latest checkpoint fixes the replay order of its retained
@@ -458,7 +461,7 @@ func (r *Recorder) rebuild() error {
 		sort.SliceStable(pre, func(i, j int) bool { return rank[pre[i].ArrSeq] < rank[pre[j].ArrSeq] })
 		for _, sm := range append(pre, post...) {
 			e.Arrivals.push(sm)
-			e.recorded.note(sm.ID)
+			e.recorded.Note(sm.ID)
 		}
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })
 		for _, adv := range a.advs {

@@ -264,13 +264,13 @@ func fillDatabase(r *Recorder, sched *simtime.Scheduler) {
 	// checkpoint drops arrival seqs 0 and 2, not a prefix.
 	readOrder(b, aMsg(3), aMsg(1))
 	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: b,
-		Checkpoint: []byte("first"), SendSeq: 1, ReadCount: 2, StateKB: 1,
+		Checkpoint: ckImage("first", aMsg(5)), SendSeq: 1, ReadCount: 2, StateKB: 1,
 		Queued: []frame.MsgID{aMsg(2), aMsg(4), aMsg(5)}})
 	publish(r, a, b, 6, "after first checkpoint")
 	readOrder(b, aMsg(4), aMsg(2))
 	step()
 	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: b,
-		Checkpoint: []byte("second"), SendSeq: 2, ReadCount: 4, StateKB: 3,
+		Checkpoint: ckImage("second", aMsg(6)), SendSeq: 2, ReadCount: 4, StateKB: 3,
 		Queued: []frame.MsgID{aMsg(5), aMsg(6)}})
 	// Arrivals and an advisory past the last checkpoint, so the rebuilt
 	// ArrSeqNext and AdvSeqNext come from records rather than from the trim.
@@ -290,8 +290,10 @@ func fillDatabase(r *Recorder, sched *simtime.Scheduler) {
 }
 
 // entryView is what a database entry holds that stable storage must bring
-// back. Left out: LastCkAt (reset to the restart time), recorded and trimDebt
-// (in-memory conservatism, see procEntry), Recovering.
+// back. CkMarks are the checkpoint's acceptance marks, in sender order. Left
+// out: LastCkAt (reset to the restart time), recorded (rebuilt from the
+// retained messages; the checkpoint's marks fence what it trimmed),
+// Recovering.
 type entryView struct {
 	Spec                   demos.ProcSpec
 	Node                   frame.NodeID
@@ -300,9 +302,9 @@ type entryView struct {
 	Advisories             []advisory
 	ArrSeqNext, AdvSeqNext uint64
 	Checkpoint             []byte
+	CkMarks                []frame.MsgID
 	CkSendSeq, CkReadCount uint64
 	CkStateKB              int
-	BaseReads              uint64
 	Rev                    uint64
 	Dead                   bool
 }
@@ -312,8 +314,8 @@ func viewDB(db map[frame.ProcID]*procEntry) map[frame.ProcID]entryView {
 	for p, e := range db {
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
 			Arrivals: reconstruct(e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
-			Checkpoint: e.Checkpoint, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
-			CkStateKB: e.CkStateKB, BaseReads: e.BaseReads, Rev: e.Rev, Dead: e.Dead}
+			Checkpoint: e.Checkpoint, CkMarks: e.ckMarks, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
+			CkStateKB: e.CkStateKB, Rev: e.Rev, Dead: e.Dead}
 	}
 	return out
 }
@@ -339,7 +341,7 @@ func restartRebuildsDatabaseFieldForField(t *testing.T) {
 			}
 		}
 	}
-	if string(b.Checkpoint) != "second" || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
+	if !bytes.HasPrefix(b.Checkpoint, []byte("second")) || len(b.CkMarks) != 1 || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
 		t.Fatalf("scenario drifted: checkpoint %q, %d arrivals (%d links, %d kernel), %d advisories",
 			b.Checkpoint, len(b.Arrivals), links, kernel, len(b.Advisories))
 	}
@@ -361,7 +363,8 @@ func DatabaseView(r *Recorder) map[frame.ProcID]entryView { return viewDB(r.db) 
 
 // DiffDatabase reports, field for field, every entry a rebuilt database got
 // wrong. Destruction empties a stream for good, so a rebuild reads back a
-// dead process's death and revision and leaves its arrival counter at zero.
+// dead process's death and revision and leaves its arrival counter at zero
+// and its checkpoint marks empty.
 func DiffDatabase(t testing.TB, before, after map[frame.ProcID]entryView) {
 	t.Helper()
 	if len(after) != len(before) {
@@ -369,7 +372,7 @@ func DiffDatabase(t testing.TB, before, after map[frame.ProcID]entryView) {
 	}
 	for p, want := range before {
 		if want.Dead {
-			want.ArrSeqNext = 0
+			want.ArrSeqNext, want.CkMarks = 0, nil
 		}
 		got := after[p]
 		wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
@@ -477,8 +480,13 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 		publish(r, ids[from], ids[(from+1)%procs], seq[from], body)
 		if i == msgs/2 {
 			for _, p := range ids {
-				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: p, Checkpoint: []byte("ck"),
-					ReadCount: uint64(r.db[p].Arrivals.len()) / 2})
+				e := r.db[p]
+				var read []frame.MsgID
+				for k := 0; k < e.Arrivals.len()/2; k++ {
+					read = append(read, e.Arrivals.at(k).ID)
+				}
+				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: p, Checkpoint: ckImage("ck", read...),
+					ReadCount: uint64(len(read))})
 			}
 		}
 	}
@@ -516,7 +524,7 @@ func restartNumbersArrivalsAboveCheckpointedSeqs(t *testing.T) {
 	}
 	r.handleNotice(&demos.Notice{
 		Kind: demos.NoticeCheckpoint, Proc: procB(),
-		Checkpoint: []byte("all read"), SendSeq: 1, ReadCount: 3, StateKB: 1,
+		Checkpoint: ckImage("all read", frame.MsgID{Sender: procA(), Seq: 3}), SendSeq: 1, ReadCount: 3, StateKB: 1,
 	})
 	if _, _, _, _, queued := r.Entry(procB()); queued != 0 {
 		t.Fatalf("checkpoint retained %d arrivals, want 0", queued)
@@ -539,5 +547,35 @@ func restartNumbersArrivalsAboveCheckpointedSeqs(t *testing.T) {
 	sum := r.StreamSummary(procB())
 	if len(sum) != 2 || sum[0].Seq != 4 || sum[1].Seq != 5 {
 		t.Fatalf("arrivals after the second restart: %v, want messages 4 and 5", sum)
+	}
+}
+
+// A checkpoint that trims every message a sender wrote leaves no record to
+// rebuild that sender's watermark from. The checkpoint's acceptance marks
+// are stored with it, so a restarted recorder still fences a late
+// retransmission of the sender's last message out of the stream.
+func TestRestartKeepsFullyTrimmedSendersFence(t *testing.T) {
+	r, _, _ := newBench(t)
+	register(r, procB(), "b")
+	last := frame.MsgID{Sender: procA(), Seq: 3}
+	for seq := uint64(1); seq <= last.Seq; seq++ {
+		publish(r, procA(), procB(), seq, "read")
+	}
+	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: procB(),
+		Checkpoint: ckImage("all read", last), SendSeq: 1, ReadCount: 3, StateKB: 1})
+	if sum := r.StreamSummary(procB()); len(sum) != 0 {
+		t.Fatalf("the checkpoint left %v in the stream, want it empty", sum)
+	}
+	r.Crash()
+	if err := r.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	publish(r, procA(), procB(), last.Seq, "late retransmission")
+	if sum := r.StreamSummary(procB()); len(sum) != 0 {
+		t.Fatalf("a late copy of %v entered the restarted recorder's stream: %v", last, sum)
+	}
+	publish(r, procA(), procB(), last.Seq+1, "new")
+	if sum := r.StreamSummary(procB()); len(sum) != 1 || sum[0].Seq != last.Seq+1 {
+		t.Fatalf("stream after a new message = %v, want only #%d", sum, last.Seq+1)
 	}
 }

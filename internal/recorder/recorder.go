@@ -266,9 +266,12 @@ type procEntry struct {
 	LastSent uint64
 
 	Arrivals arrLog
-	// recorded fences retransmissions out of the stream. Checkpoints never
-	// trim it, so a late copy of a message one consumed cannot re-enter.
-	recorded   watermarks
+	// recorded fences retransmissions out of the stream: per sender, the
+	// highest sequence recorded into it. Checkpoints never trim it.
+	recorded frame.Marks
+	// ckMarks are the acceptance marks Checkpoint carries (derived from it,
+	// never stored apart): a late record they cover stays out of the stream.
+	ckMarks    frame.Marks
 	Advisories []advisory
 	ArrSeqNext uint64
 	AdvSeqNext uint64
@@ -277,16 +280,7 @@ type procEntry struct {
 	CkSendSeq   uint64
 	CkReadCount uint64
 	CkStateKB   int
-	BaseReads   uint64
 	LastCkAt    simtime.Time
-	// trimDebt counts messages a past checkpoint reported consumed whose
-	// records had not yet reached us when it was applied (a tap miss makes a
-	// publish land late, inferred from an ack). Their records arrive after
-	// that checkpoint, so the next trim must reach this much deeper or the
-	// stream keeps an already-read message and replay duplicates it. Kept in
-	// memory only: a rebuilt recorder starts at zero, which merely retains
-	// conservatively.
-	trimDebt uint64
 
 	Rev        uint64 // meta revision for stable storage
 	Recovering bool
@@ -632,8 +626,8 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 		return // another shard's stream; its replicas record the arrival
 	}
 	if e := r.db[f.To]; e != nil {
-		if e.Dead || e.recorded.covers(f.ID) {
-			return // dead destination or retransmission of an arrival
+		if e.Dead || e.recorded.Covers(f.ID) || e.ckMarks.Covers(f.ID) {
+			return // dead destination, or a retransmission of an arrival
 		}
 	}
 	q := r.pending[f.To]
@@ -831,7 +825,7 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 	sm := q.remove(at)
 	e := r.db[rcv]
 	if e == nil && (rcv.Local == 0 || rcv == r.cfg.Proc) || // no process stream
-		e != nil && (e.Dead || r.alreadyRecorded(e, id)) {
+		e != nil && (e.Dead || r.fenced(e, id)) {
 		r.recycleStored(sm)
 		return
 	}
@@ -856,7 +850,7 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 			break
 		}
 		p := q.remove(at)
-		if e != nil && r.alreadyRecorded(e, p.ID) {
+		if e != nil && r.fenced(e, p.ID) {
 			r.recycleStored(p)
 			continue
 		}
@@ -890,35 +884,18 @@ func (r *Recorder) acceptArrival(e *procEntry, rcv frame.ProcID, sm *pendingMsg,
 	r.releaseStored(sm)
 }
 
-// watermarks is a stream's retransmission fence: per sender, the highest
-// sequence number recorded into the stream. The transport delivers a sender's
-// messages to a process in sequence order, so one at or below the mark is
-// recorded already (or older than one that was). One 16-byte map slot per
-// sender, however many messages the stream has carried.
-type watermarks map[frame.ProcID]uint64
-
-func (w watermarks) covers(id frame.MsgID) bool {
-	mark, ok := w[id.Sender]
-	return ok && id.Seq <= mark
-}
-
-// note raises id's sender's mark to id.
-func (w watermarks) note(id frame.MsgID) {
-	if mark, ok := w[id.Sender]; !ok || id.Seq > mark {
-		w[id.Sender] = id.Seq
+// fenced reports whether an acknowledged message stays out of e's stream:
+// the stream's checkpoint took it, or the stream recorded it already. At the
+// recorded mark it is the retransmission that set the mark; strictly below,
+// the per-message set this replaced might have accepted it, so it is counted.
+func (r *Recorder) fenced(e *procEntry, id frame.MsgID) bool {
+	if e.ckMarks.Covers(id) {
+		return true
 	}
-}
-
-// alreadyRecorded is covers for a message an acknowledgement is placing in
-// e's stream. At the mark it is the retransmission that set the mark;
-// strictly below, the per-message set this replaced might have accepted it,
-// so it is counted.
-func (r *Recorder) alreadyRecorded(e *procEntry, id frame.MsgID) bool {
-	mark, ok := e.recorded[id.Sender]
-	if ok && id.Seq < mark {
+	if next := (frame.MsgID{Sender: id.Sender, Seq: id.Seq + 1}); e.recorded.Covers(next) {
 		r.stats.BelowWatermark++
 	}
-	return ok && id.Seq <= mark
+	return e.recorded.Covers(id)
 }
 
 // recordArrival appends one message to a process's published stream, which
@@ -927,7 +904,7 @@ func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
 	sm.ArrSeq = e.ArrSeqNext
 	e.ArrSeqNext++
 	e.Arrivals.push(sm.storedMsg)
-	e.recorded.note(sm.ID)
+	e.recorded.Note(sm.ID)
 	r.stats.ArrivalsRecorded++
 	r.stats.BytesStored += uint64(len(sm.Body))
 	r.publishLat.Observe(int64(r.sched.Now() - sm.SeenAt))
@@ -994,7 +971,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		// Merge traffic that beat this notice to the recorder.
 		if pre := r.preArrivals[n.Proc]; len(pre) > 0 {
 			for i := range pre {
-				if !r.alreadyRecorded(e, pre[i].ID) {
+				if !r.fenced(e, pre[i].ID) {
 					r.recordArrival(e, &pre[i], "published (#%d in stream, accepted before registration)")
 				}
 			}
@@ -1042,8 +1019,8 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 			complete = r.applyCheckpoint(e, n)
 		}
 		if complete {
-			// Incomplete checkpoints (queued messages we never saw) keep
-			// the catch-up phase open; the next one will be complete.
+			// An incomplete checkpoint (queued messages we never saw) is not
+			// applied and keeps catch-up open; the next one will be complete.
 			r.noteCatchUpProgress(n.Proc)
 		} else if r.catchingUp {
 			r.RequestCheckpoint(n.Proc)
@@ -1068,24 +1045,31 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 
 // applyCheckpoint installs a new checkpoint: "After the checkpoint has been
 // reliably stored, older checkpoints and messages can be discarded"
-// (§3.3.1). The replay basis becomes exactly the messages still queued at
-// the process when the checkpoint was taken (the notice lists them in
-// queue order), which stays correct even for a recorder whose stream has
-// gaps from its own downtime (§6.3 catch-up). It reports whether the
-// recorder could supply every queued message from its own records.
+// (§3.3.1). The messages still queued at the process stay first, in queue
+// order; every other one the checkpoint's acceptance marks cover was read
+// and is discarded; the rest is still in flight to the process (recorded
+// while every receiver copy was lost) and stays, in read order. That holds
+// for a record landing after the checkpoint and for a stream with gaps from
+// the recorder's downtime (§6.3 catch-up). A checkpoint whose queue names a
+// message never recorded is not applied, and it reports false.
 func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool) {
-	if n.ReadCount < e.BaseReads {
+	if n.ReadCount < e.CkReadCount {
 		// A checkpoint from before the basis we already hold. Notices are
 		// guaranteed messages, so one emitted before a recorder outage can be
 		// retransmitted long after newer checkpoints landed; readCount is
 		// monotonic per stream, so applying it would regress the basis.
 		return true
 	}
+	marks, err := demos.CheckpointMarks(n.Checkpoint)
+	if err != nil {
+		r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(), "checkpoint refused: %v", err)
+		return false
+	}
 	// pos[k] is the log position of the k'th queued message (-1: not held,
 	// or an id the queue repeats); queuedAt finds k by id.
 	log := &e.Arrivals
 	queuedAt := make(map[frame.MsgID]int, len(n.Queued))
-	pos := make([]int, len(n.Queued))
+	pos := make([]int, len(n.Queued), max(len(n.Queued), log.len()))
 	for k, id := range n.Queued {
 		pos[k] = -1
 		if _, repeat := queuedAt[id]; !repeat {
@@ -1097,52 +1081,42 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 			pos[k] = i
 		}
 	}
-	retained := slices.DeleteFunc(slices.Clone(pos), func(i int) bool { return i < 0 })
-	missing := len(pos) - len(retained)
-	// Of the remainder, only messages the process actually read before the
-	// checkpoint are superseded. A message can be recorded yet neither read
-	// nor queued: published at the tap while every receiver copy was lost
-	// (corruption, receiver miss, ack-slot interference), so it is still in
-	// flight via retransmission. Trimming it would drop it from the replay
-	// basis forever. Trim exactly the consumed prefix of the read-order
-	// stream; keep the in-flight tail behind the queued messages (queue
-	// FIFO: a later arrival is read after everything queued now).
-	consumed := n.ReadCount - e.BaseReads + e.trimDebt
-	dropped := make([]uint64, 0, min(consumed, uint64(log.len())))
+	if slices.Contains(pos, -1) {
+		r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(),
+			"checkpoint (readCount=%d) not applied: a queued message was never recorded", n.ReadCount)
+		return false
+	}
+	retained := pos // every queued message, in queue order; room for the rest
+	dropped := make([]uint64, 0, log.len()-len(retained))
 	for it := newReplayIter(*log, e.Advisories); ; {
 		i, ok := it.nextPos()
 		if !ok {
 			break
 		}
-		if k, ok := queuedAt[log.at(i).ID]; ok && pos[k] == i {
-			continue // retained above, in queue order
-		}
-		if uint64(len(dropped)) < consumed {
-			dropped = append(dropped, log.at(i).ArrSeq)
-		} else {
+		sm := log.at(i)
+		switch k, ok := queuedAt[sm.ID]; {
+		case ok && pos[k] == i:
+			// retained above, in queue order
+		case marks.Covers(sm.ID):
+			dropped = append(dropped, sm.ArrSeq)
+		default:
 			retained = append(retained, i)
 		}
 	}
-	// Reads the checkpoint vouches for but we could not trim are messages
-	// whose records are still on their way (see trimDebt); their late records
-	// extend the next checkpoint's consumed prefix.
-	e.trimDebt = consumed - uint64(len(dropped))
 	log.keep(retained)
 	e.Advisories = nil
-	e.BaseReads = n.ReadCount
 	e.Checkpoint = n.Checkpoint
+	e.ckMarks = marks
 	e.CkSendSeq = n.SendSeq
 	e.CkReadCount = n.ReadCount
 	e.CkStateKB = n.StateKB
 	e.LastCkAt = r.sched.Now()
-	// The watermarks stay: a late retransmission of an already-consumed
-	// message must not re-enter the stream.
 	r.stats.CheckpointsStored++
 	r.persistCheckpoint(e, dropped)
 	r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(),
-		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, %d missing",
-		n.StateKB, n.ReadCount, len(dropped), len(retained), missing)
-	return missing == 0
+		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, 0 missing",
+		n.StateKB, n.ReadCount, len(dropped), len(retained))
+	return true
 }
 
 // reconstruct recovers the true read order of a stream from its arrival

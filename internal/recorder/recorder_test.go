@@ -1,6 +1,8 @@
 package recorder
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -16,6 +18,20 @@ import (
 
 func mid(local uint32, seq uint64) frame.MsgID {
 	return frame.MsgID{Sender: frame.ProcID{Node: 9, Local: local}, Seq: seq}
+}
+
+// ckImage is a checkpoint image as a kernel ships one: an opaque machine
+// part (tag), then the marks trailer demos.CheckpointMarks reads.
+func ckImage(tag string, marks ...frame.MsgID) []byte {
+	var m frame.Marks
+	for _, id := range marks {
+		m.Note(id)
+	}
+	b := []byte(tag)
+	for _, id := range m {
+		b = frame.AppendAckID(b, id)
+	}
+	return binary.BigEndian.AppendUint32(b, uint32(len(m)))
 }
 
 func sm(local uint32, seq uint64) storedMsg {
@@ -322,7 +338,7 @@ func TestCheckpointTrimsStream(t *testing.T) {
 	// B read 4 messages, then checkpointed with 5 and 6 still queued.
 	r.handleNotice(&demos.Notice{
 		Kind: demos.NoticeCheckpoint, Proc: procB(),
-		Checkpoint: []byte("blob"), SendSeq: 10, ReadCount: 4, StateKB: 2,
+		Checkpoint: ckImage("blob", frame.MsgID{Sender: procA(), Seq: 6}), SendSeq: 10, ReadCount: 4, StateKB: 2,
 		Queued: []frame.MsgID{{Sender: procA(), Seq: 5}, {Sender: procA(), Seq: 6}},
 	})
 	if _, _, _, _, queued := r.Entry(procB()); queued != 2 {
@@ -351,9 +367,10 @@ func TestRebuildFromStore(t *testing.T) {
 	}
 	r.handleNotice(&demos.Notice{Kind: demos.NoticeReadOrder, Proc: procB(),
 		ReadID: mid(0, 0), HeadID: mid(0, 0)}) // harmless bogus advisory
+	ck := ckImage("ck", frame.MsgID{Sender: procA(), Seq: 5})
 	r.handleNotice(&demos.Notice{
 		Kind: demos.NoticeCheckpoint, Proc: procB(),
-		Checkpoint: []byte("ck"), SendSeq: 3, ReadCount: 2, StateKB: 1,
+		Checkpoint: ck, SendSeq: 3, ReadCount: 2, StateKB: 1,
 		Queued: []frame.MsgID{
 			{Sender: procA(), Seq: 3}, {Sender: procA(), Seq: 4}, {Sender: procA(), Seq: 5},
 		},
@@ -375,7 +392,7 @@ func TestRebuildFromStore(t *testing.T) {
 		t.Fatalf("A after rebuild: known=%v lastSent=%d", known, lastSent)
 	}
 	e := r.db[procB()]
-	if string(e.Checkpoint) != "ck" || e.CkReadCount != 2 || e.CkSendSeq != 3 {
+	if !bytes.Equal(e.Checkpoint, ck) || e.CkReadCount != 2 || e.CkSendSeq != 3 || !e.ckMarks.Covers(frame.MsgID{Sender: procA(), Seq: 5}) {
 		t.Fatalf("checkpoint not rebuilt: %+v", e)
 	}
 }

@@ -146,7 +146,7 @@ func (r *Recorder) Basis(p frame.ProcID) BasisSummary {
 		Known:      true,
 		Dead:       e.Dead,
 		Recovering: e.Recovering,
-		BaseReads:  e.BaseReads,
+		BaseReads:  e.CkReadCount,
 		Msgs:       e.Arrivals.len(),
 		LastSent:   e.LastSent,
 	}

@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,9 +13,9 @@ import (
 // What the recorder holds in memory for a checkpointed stream depends on the
 // checkpoint interval and the number of senders, not on how many messages
 // the stream has carried (§4.5: "a list of ids of messages received by the
-// process since the last checkpoint"). Counted in elements — watermark
-// entries, pending messages, log records, advisories — a run ten times as
-// long ends holding exactly as much.
+// process since the last checkpoint"). Counted in elements — watermark and
+// checkpoint mark entries, pending messages, log records, advisories — a run
+// ten times as long ends holding exactly as much.
 func TestRecorderStateFlatInMessageCount(t *testing.T) {
 	const interval = 45 // 1,000 and 10,000 both end 10 messages past a checkpoint
 	senders := []frame.ProcID{procA(), {Node: 0, Local: 8}, {Node: 0, Local: 9}}
@@ -22,24 +23,26 @@ func TestRecorderStateFlatInMessageCount(t *testing.T) {
 		r, _, _ := newBench(t)
 		register(r, procB(), "b")
 		var last frame.MsgID
+		var taken frame.Marks
 		for i := 1; i <= n; i++ {
 			from := senders[i%len(senders)]
 			id := frame.MsgID{Sender: from, Seq: uint64(i)}
 			publish(r, from, procB(), id.Seq, "m")
+			taken.Note(id)
 			if i%10 == 0 { // the process reads this one ahead of the one before
 				r.handleNotice(&demos.Notice{Kind: demos.NoticeReadOrder, Proc: procB(), ReadID: id, HeadID: last})
 			}
 			if i%interval == 0 { // everything so far is read
-				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: procB(), Checkpoint: []byte("ck"), ReadCount: uint64(i)})
+				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: procB(), Checkpoint: ckImage("ck", taken...), ReadCount: uint64(i)})
 			}
 			last = id
 		}
 		e := r.db[procB()]
-		held := len(e.recorded) + e.Arrivals.len() + len(e.Advisories)
+		held := len(e.recorded) + len(e.ckMarks) + e.Arrivals.len() + len(e.Advisories)
 		for _, q := range r.pendQueues {
 			held += len(q.msgs)
 		}
-		if held <= len(senders) || held > len(senders)+interval+interval/10+1 {
+		if held <= 2*len(senders) || held > 2*len(senders)+interval+interval/10+1 {
 			t.Fatalf("%d messages: %d elements held, want a checkpoint interval's worth", n, held)
 		}
 		return held
@@ -129,7 +132,7 @@ func TestHandoffAdoptMergesWatermarks(t *testing.T) {
 	publish(r, c, procB(), 9, "only here")
 
 	r.installHandoffProc(&handoffProc{
-		Proc: procB(), Node: 1, Ck: []byte("ck"), CkReadCount: 6, BaseReads: 6, Cov: 7,
+		Proc: procB(), Node: 1, Ck: ckImage("ck", frame.MsgID{Sender: a, Seq: 6}), CkReadCount: 6, BaseReads: 6, Cov: 7,
 		Msgs:     []storedMsg{{ID: frame.MsgID{Sender: a, Seq: 7}, From: a, Body: []byte("theirs")}},
 		Recorded: []frame.MsgID{{Sender: a, Seq: 7}, {Sender: d, Seq: 4}},
 	})
@@ -141,7 +144,7 @@ func TestHandoffAdoptMergesWatermarks(t *testing.T) {
 		t.Fatalf("stream after adoption = %v, want %v", got, want)
 	}
 	e := r.db[procB()]
-	if len(e.recorded) != 3 || e.recorded[a] != 7 || e.recorded[c] != 9 || e.recorded[d] != 4 {
+	if want := (frame.Marks{{Sender: a, Seq: 7}, {Sender: c, Seq: 9}, {Sender: d, Seq: 4}}); !slices.Equal(e.recorded, want) {
 		t.Fatalf("watermarks after adoption = %v", e.recorded)
 	}
 	hear := func(from frame.ProcID, seq uint64) bool {

@@ -280,9 +280,9 @@ func TestHeldFrameIsOneAllocation(t *testing.T) {
 // send table, so sending to a new destination, and taking its first
 // round-trip sample, allocates nothing. A sender's receive state — its
 // stream and the acks owed to it, with room for the first — is one object,
-// made on the first frame it sends. The endpoint's free lists, its
-// scheduler's event nodes and its duplicate cache are warmed first, and
-// Peers presizes both tables, so only peer state is counted. Peers presizes
+// made on the first frame it sends. The endpoint's free lists and its
+// scheduler's event nodes are warmed first, and Peers presizes both tables,
+// so only peer state is counted. Peers presizes
 // the send table for every node of a cluster on every endpoint, so a row
 // costs n² over the cluster: it stays at 48 bytes.
 func TestFirstContactAllocations(t *testing.T) {
@@ -293,9 +293,6 @@ func TestFirstContactAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Peers = 4 * peers
 	e, _ := newSinkEndpointWith(cfg)
-	for i := 0; i < dupCacheSize; i++ {
-		e.dup.add(frame.MsgID{Sender: frame.ProcID{Node: 0, Local: 9}, Seq: uint64(i + 1)})
-	}
 
 	// One message to dst: flushed, transmitted, and acked by dst one round
 	// trip later, which is the destination's first RTT sample.

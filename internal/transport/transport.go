@@ -9,9 +9,9 @@
 //   - Guaranteed messages use an end-to-end acknowledgement: the originating
 //     processor resends a message until the destination processor
 //     acknowledges it, on a timeout measured from ack round trips.
-//   - Each message carries a unique id (sender process id + send sequence);
-//     each processor keeps a cache of recently received ids and discards
-//     duplicates caused by resends.
+//   - Each message carries a unique id (sender process id + send sequence)
+//     and a per-destination stream sequence; the receiver re-acks and
+//     discards a copy below the sequence it expects next.
 //   - The paper's frame and Ack frame per message "is inefficient under load"
 //     (§4.3.3): sends to one destination share a Bundle frame (a transmission
 //     unit) and acks ride reverse traffic or leave as one cumulative Ack
@@ -56,8 +56,9 @@ type Config struct {
 	// talk to, pre-sizing its send and receive tables so cluster bringup
 	// does not pay growth reallocations on every endpoint.
 	Peers int
-	// DisableDupSuppression turns the duplicate-detection guards off, so a
-	// duplicated or retransmitted frame is delivered upward again. Negative
+	// DisableDupSuppression turns the receive stream's and the kernel's
+	// duplicate guards off, so a duplicated or retransmitted frame is
+	// delivered upward again. Negative
 	// testing only: the chaos harness uses it to prove its exactly-once
 	// invariant actually fires when the guard is broken.
 	DisableDupSuppression bool
@@ -104,11 +105,6 @@ const (
 	// minRTO and maxRTO clamp the measured timeout and its backoff.
 	minRTO = 2 * simtime.Millisecond
 	maxRTO = 400 * simtime.Millisecond
-	// dupCacheSize is the number of recently received message ids remembered
-	// for duplicate suppression. The paper sizes it so an id's lifetime is
-	// "many times greater than the time for a message to follow the longest
-	// path through the network".
-	dupCacheSize = 4096
 )
 
 // Stats counts endpoint activity.
@@ -196,8 +192,6 @@ type Endpoint struct {
 	// per-destination tables").
 	tx destTable[txPeer]
 	rx destTable[*rxPeer]
-
-	dup *dupCache
 
 	// held are received guaranteed frames awaiting a recorder ack.
 	held map[frame.MsgID]*heldFrame
@@ -422,7 +416,6 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		log:      log,
 		cfg:      cfg,
 		inflight: make(map[frame.MsgID]*flight),
-		dup:      newDupCache(dupCacheSize),
 		held:     make(map[frame.MsgID]*heldFrame),
 		owned:    make(map[*frame.Frame]owner),
 	}
@@ -472,7 +465,7 @@ func (e *Endpoint) Stats() *Stats { return &e.stats }
 func (e *Endpoint) Config() Config { return e.cfg }
 
 // Reset models a processor crash and reboot: all transport state — queued
-// and unacknowledged frames, the duplicate cache, held frames — is volatile
+// and unacknowledged frames, receive streams, held frames — is volatile
 // and lost (§3.3.2 rounds a kernel fault up to a whole-processor crash).
 // Frames on the medium still come back (Release) and the free lists stay:
 // they are memory, not state.
@@ -498,7 +491,6 @@ func (e *Endpoint) Reset() {
 	e.inflight = make(map[frame.MsgID]*flight)
 	e.openUnits = 0
 	e.tx.reset()
-	e.dup = newDupCache(dupCacheSize)
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
 }
@@ -1062,7 +1054,6 @@ func (e *Endpoint) deliverUp(f *frame.Frame) bool {
 	if e.Deliver != nil && !e.Deliver(f) {
 		return false
 	}
-	e.dup.add(f.ID)
 	e.stats.Delivered++
 	e.ack(f)
 	return true
@@ -1156,7 +1147,7 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 		if _, dup := e.held[f.ID]; dup {
 			return // already holding a copy
 		}
-		if !e.cfg.DisableDupSuppression && e.dup.contains(f.ID) {
+		if !e.cfg.DisableDupSuppression && e.delivered(f) {
 			// Already accepted earlier; the ack was lost. Re-ack.
 			e.ack(f)
 			e.stats.DupsSuppressed++
@@ -1202,20 +1193,22 @@ func (e *Endpoint) releaseHeld(id frame.MsgID) {
 	e.accept(&h.f)
 }
 
-// accept finishes end-to-end reception: dedup, in-order reassembly,
-// acknowledge, deliver upward. Acks are sent only as frames are delivered,
-// so the recorder's ack-order inference (§4.4.1) remains the true order in
-// which messages reached the process queues.
+// delivered reports whether f's sender stream has handed f up already. It
+// is a read-only look: unlike stream, it never restarts the stream.
+func (e *Endpoint) delivered(f *frame.Frame) bool {
+	rp := e.rx.get(f.Src)
+	return rp != nil && rp.st.synced && rp.st.epoch == xseqEpoch(f.XSeq) && xseqSeq(f.XSeq) < rp.st.expected
+}
+
+// accept finishes end-to-end reception: in-order reassembly, duplicate
+// suppression, acknowledge, deliver upward. Acks are sent only as frames are
+// delivered, so the recorder's ack-order inference (§4.4.1) remains the true
+// order in which messages reached the process queues.
 func (e *Endpoint) accept(f *frame.Frame) {
-	if !e.cfg.DisableDupSuppression && e.dup.contains(f.ID) {
-		// "If the identifier of a received message is found in this cache,
-		// then the message is discarded as a duplicate" — but the ack must
-		// be repeated, since its loss is why the duplicate exists.
-		e.stats.DupsSuppressed++
-		e.ack(f)
-		return
-	}
 	st := e.stream(f.Src, xseqEpoch(f.XSeq))
+	if st == nil {
+		return // a stale copy from before the sender's reboot
+	}
 	low := xseqSeq(f.XLow)
 	if !st.synced {
 		// First contact with this sender epoch: sequences below XLow were
@@ -1263,12 +1256,16 @@ func (e *Endpoint) peer(src frame.NodeID) *rxPeer {
 	return rp
 }
 
-// stream returns the reassembly state for src's current boot epoch. A new
+// stream returns the reassembly state for src's current boot epoch. A newer
 // epoch (the sender rebooted and restarted its sequence space) restarts the
 // stream in place, discarding what it buffered; the acks owed to the sender
-// stay queued.
+// stay queued. A frame from an older epoch (16-bit serial order) is a stale
+// copy: stream returns nil and leaves the stream alone.
 func (e *Endpoint) stream(src frame.NodeID, epoch uint16) *rxStream {
 	st := &e.peer(src).st
+	if st.synced && int16(epoch-st.epoch) < 0 {
+		return nil
+	}
 	if st.epoch != epoch {
 		// buf is made lazily on the first out-of-order or refused frame; an
 		// in-order stream never needs it.
@@ -1282,7 +1279,8 @@ func (e *Endpoint) advance(st *rxStream, f *frame.Frame) {
 	seq := xseqSeq(f.XSeq)
 	switch {
 	case seq < st.expected:
-		// Already delivered before the dup cache forgot it; just re-ack.
+		// Delivered already: "discarded as a duplicate" (§4.3.3), but re-acked,
+		// since a lost ack is why the duplicate exists.
 		if e.cfg.DisableDupSuppression {
 			// Broken-guard mode: hand the duplicate up anyway so the chaos
 			// exactly-once invariant has something real to catch.
@@ -1609,43 +1607,4 @@ func (r *frameRing) filter(keep func(f *frame.Frame) bool) {
 			r.push(&f)
 		}
 	}
-}
-
-// dupCache is a fixed-size FIFO set of message ids. The map and ring grow
-// on demand up to the configured capacity: hundred-node clusters construct
-// hundreds of endpoints, and pre-reserving 4096 slots apiece made endpoint
-// construction the single largest line in the cluster-bringup profile.
-type dupCache struct {
-	set  map[frame.MsgID]struct{}
-	ring []frame.MsgID
-	next int
-	cap  int
-}
-
-func newDupCache(n int) *dupCache {
-	return &dupCache{set: make(map[frame.MsgID]struct{}), cap: n}
-}
-
-func (c *dupCache) contains(id frame.MsgID) bool {
-	_, ok := c.set[id]
-	return ok
-}
-
-func (c *dupCache) add(id frame.MsgID) {
-	if c.contains(id) {
-		return
-	}
-	if len(c.ring) < c.cap {
-		// Still filling: nothing to evict yet.
-		c.ring = append(c.ring, id)
-		c.set[id] = struct{}{}
-		return
-	}
-	old := c.ring[c.next]
-	if !old.IsNil() {
-		delete(c.set, old)
-	}
-	c.ring[c.next] = id
-	c.next = (c.next + 1) % len(c.ring)
-	c.set[id] = struct{}{}
 }

@@ -602,30 +602,74 @@ func TestSendGuaranteedValidation(t *testing.T) {
 	})
 }
 
-func TestDupCacheEviction(t *testing.T) {
-	c := newDupCache(4)
-	mk := func(i uint64) frame.MsgID {
-		return frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 1}, Seq: i}
+// Under publish-before-use (NeedRecorderAck), a copy of a frame the stream
+// has delivered already is re-acked at once, not held for a recorder ack
+// that the first copy used up. The look at the stream leaves it as it was.
+func TestHeldPathReacksDeliveredCopy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NeedRecorderAck = true
+	e := newEnv(t, 2, cfg, "perfect")
+	rec := New(9, e.med, e.sched, e.log, cfg)
+	f := gmsg(0, 1, 1, "once")
+	e.eps[0].SendGuaranteed(f)
+	e.sched.Run(simtime.Millisecond)
+	rec.SendRaw(&frame.Frame{Type: frame.RecorderAck, Dst: frame.Broadcast, ID: f.ID})
+	e.sched.Run(10 * simtime.Millisecond)
+	if len(e.got[1]) != 1 {
+		t.Fatalf("delivered %d times before the duplicate, want 1", len(e.got[1]))
 	}
-	for i := uint64(1); i <= 4; i++ {
-		c.add(mk(i))
+	st := e.eps[1].rx.get(0).st
+	dup := keep(e.got[1][0])
+	dup.Src, dup.Type = 0, frame.Guaranteed
+	e.med.Send(0, dup)
+	e.sched.Run(e.sched.Now() + 10*simtime.Millisecond)
+	s := e.eps[1].Stats()
+	if s.RecorderHeld != 1 || len(e.eps[1].held) != 0 {
+		t.Fatalf("%d frames held, %d holding; want the duplicate not held", s.RecorderHeld, len(e.eps[1].held))
 	}
-	for i := uint64(1); i <= 4; i++ {
-		if !c.contains(mk(i)) {
-			t.Fatalf("id %d evicted too early", i)
-		}
+	if s.DupsSuppressed != 1 || s.AcksSent != 2 {
+		t.Fatalf("%d duplicates suppressed, %d acks sent; want the duplicate re-acked", s.DupsSuppressed, s.AcksSent)
 	}
-	c.add(mk(5))
-	if c.contains(mk(1)) {
-		t.Fatal("oldest id not evicted")
+	if got := e.eps[1].rx.get(0).st; got.epoch != st.epoch || got.expected != st.expected || !got.synced {
+		t.Fatalf("the look moved the stream: %+v, was %+v", got, st)
 	}
-	if !c.contains(mk(5)) {
-		t.Fatal("new id missing")
+	e.sched.RunAll(100000)
+	if len(e.got[1]) != 1 {
+		t.Fatalf("delivered %d times, want exactly once", len(e.got[1]))
 	}
-	// Re-adding an existing id must not evict anything.
-	c.add(mk(5))
-	if !c.contains(mk(2)) {
-		t.Fatal("re-add evicted a live id")
+}
+
+// A sender that reboots starts a new epoch of its stream. A copy from the
+// old epoch heard after that — still on the medium, or duplicated by it — is
+// stale: it is dropped, and it does not restart the stream, which would
+// deliver the old message again and lose the new epoch's place.
+func TestStaleEpochCopyDoesNotRestartStream(t *testing.T) {
+	e := newEnv(t, 2, DefaultConfig(), "perfect")
+	old := gmsg(0, 1, 1, "before reboot")
+	e.eps[0].SendGuaranteed(old)
+	e.sched.RunAll(100000)
+	stale := keep(e.got[1][0])
+	stale.Src, stale.Type = 0, frame.Guaranteed
+	e.eps[0].Reset()
+	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "after reboot"))
+	e.sched.RunAll(100000)
+	if len(e.got[1]) != 2 {
+		t.Fatalf("delivered %d, want both epochs' messages", len(e.got[1]))
+	}
+	st := e.eps[1].rx.get(0).st
+	e.med.Send(0, stale)
+	e.sched.RunAll(100000)
+	if len(e.got[1]) != 2 {
+		t.Fatalf("the stale copy was delivered: %d deliveries", len(e.got[1]))
+	}
+	if got := e.eps[1].rx.get(0).st; got.epoch != st.epoch || got.expected != st.expected {
+		t.Fatalf("the stale copy restarted the stream: epoch %d expected %d, was %d %d", got.epoch, got.expected, st.epoch, st.expected)
+	}
+	// The new epoch goes on where it was.
+	e.eps[0].SendGuaranteed(gmsg(0, 1, 3, "next"))
+	e.sched.RunAll(100000)
+	if len(e.got[1]) != 3 || e.got[1][2].ID.Seq != 3 {
+		t.Fatalf("the new epoch stalled: %d deliveries", len(e.got[1]))
 	}
 }
 
