@@ -3,6 +3,7 @@ package publishing
 import (
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -71,5 +72,127 @@ func TestRoutedCopyOfMigratedReadIsConsumed(t *testing.T) {
 	}
 	if !c.Monitor().Passed() {
 		t.Fatalf("monitor:\n%s", c.Monitor().Report())
+	}
+}
+
+// A sender that learns of a migration mid-stream keeps its order. The
+// worker migrates to node 2 with route broadcasts off, and the node 1 to
+// node 2 link loses every frame for a while. The producer's next message
+// still goes to node 1; only then does its kernel learn the route, and the
+// message after goes straight to node 2. Had node 1 forwarded the earlier
+// one over the lossy link, the later one would overtake it, and the
+// worker's acceptance mark would consume the earlier one as already taken.
+func TestMigrationMidStreamKeepsSenderOrder(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Monitor = true
+	cfg.RouteRepeats = -1
+	c, sink, worker := buildScenario(t, cfg, 12)
+	faults := c.Medium().Faults()
+	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
+	at(1300, func() {
+		faults.SetLinkLoss(1, 2, 1)
+		if err := c.Migrate(worker, 2); err != nil {
+			t.Errorf("migrate: %v", err)
+		}
+	})
+	at(1450, func() { c.Kernel(0).SetRoute(worker, 2) })
+	at(3000, func() { faults.SetLinkLoss(1, 2, 0) })
+	c.Run(60 * simtime.Second)
+
+	expectSteps(t, sink, 12)
+	if got := c.Kernel(1).Stats().MsgsForwarded; got == 0 {
+		t.Fatal("node 1 redirected nothing: no message left for the old node after the move")
+	}
+	if got := c.Kernel(2).Stats().ReplayDupsDropped; got != 0 {
+		t.Fatalf("node 2 consumed %d copies of messages it never took", got)
+	}
+	if !c.Monitor().Passed() {
+		t.Fatalf("monitor:\n%s", c.Monitor().Report())
+	}
+}
+
+// A send still in its kernel's send-CPU pipe when the kernel learns a route
+// leaves for the new node. The producer's kernel learns the worker's route
+// while the first message after the move is in that pipe, and node 1's
+// frames to node 0 are lost for a while, so node 1 could not redirect a
+// copy sent there in time: the next message, sent straight to node 2, would
+// overtake it.
+func TestRouteLearnedDuringSendCPUTargetsNewNode(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Monitor = true
+	cfg.RouteRepeats = -1
+	c, sink, worker := buildScenario(t, cfg, 12)
+	faults := c.Medium().Faults()
+	k0 := c.Kernel(0)
+	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
+	moved, learned := false, false
+	at(1300, func() {
+		faults.SetLinkLoss(1, 0, 1)
+		if err := c.Migrate(worker, 2); err != nil {
+			t.Errorf("migrate: %v", err)
+		}
+		moved = true
+	})
+	k0.SetEmitFilter(func(f *frame.Frame) bool {
+		if moved && !learned && f.To == worker {
+			learned = true
+			c.Scheduler().After(simtime.Millisecond, func() { k0.SetRoute(worker, 2) })
+		}
+		return false
+	})
+	at(3000, func() { faults.SetLinkLoss(1, 0, 0) })
+	c.Run(60 * simtime.Second)
+
+	if !learned {
+		t.Fatal("the producer sent nothing after the move")
+	}
+	expectSteps(t, sink, 12)
+	if got := c.Kernel(2).Stats().ReplayDupsDropped; got != 0 {
+		t.Fatalf("node 2 consumed %d copies of messages it never took", got)
+	}
+	if !c.Monitor().Passed() {
+		t.Fatalf("monitor:\n%s", c.Monitor().Report())
+	}
+}
+
+// A migrating sender takes its unacknowledged messages along. The worker
+// migrates from node 1 to node 0 while its last reports to the witness on
+// node 2 are unacknowledged: lost on the node 1 to node 2 link, or taken by
+// the witness with their acks lost on the way back. Resent from node 1, a
+// lost report would trail the worker's next one, sent from node 0, and the
+// witness's acceptance mark would consume it as already taken. Node 0
+// resends them first; a copy the witness took is consumed by its mark.
+func TestMigratingSenderTakesUnackedMessagesAlong(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		src, dst NodeID
+		dups     bool
+	}{
+		{"reports_lost", 1, 2, false},
+		{"acks_lost", 2, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(3)
+			cfg.Monitor = true
+			c, sink, worker := buildScenario(t, cfg, 12)
+			faults := c.Medium().Faults()
+			at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
+			at(1050, func() { faults.SetLinkLoss(tc.src, tc.dst, 1) })
+			at(1500, func() {
+				if err := c.Migrate(worker, 0); err != nil {
+					t.Errorf("migrate: %v", err)
+				}
+			})
+			at(3000, func() { faults.SetLinkLoss(tc.src, tc.dst, 0) })
+			c.Run(60 * simtime.Second)
+
+			expectSteps(t, sink, 12)
+			if got := c.Kernel(2).Stats().ReplayDupsDropped; (got != 0) != tc.dups {
+				t.Fatalf("node 2 consumed %d copies, want some: %v", got, tc.dups)
+			}
+			if !c.Monitor().Passed() {
+				t.Fatalf("monitor:\n%s", c.Monitor().Report())
+			}
+		})
 	}
 }

@@ -158,8 +158,9 @@ func TestStopStartViaControl(t *testing.T) {
 	_ = svcLink
 }
 
-// Message forwarding: a kernel that knows a process moved forwards frames
-// addressed to it (§3.3.3).
+// Message forwarding: a kernel that knows a process moved refuses frames
+// addressed to it and tells their sender the new node (§3.3.3), which
+// resends them there.
 func TestForwardingToMovedProcess(t *testing.T) {
 	e := newTenv(t, 3, true, frame.NilProc)
 	var got []string

@@ -45,7 +45,7 @@ type KernelStats struct {
 	MsgsLocal          uint64 // delivered without touching the network
 	MsgsDelivered      uint64
 	MsgsRefused        uint64 // refused because target crashed/recovering
-	MsgsForwarded      uint64 // forwarded to a migrated process's new node
+	MsgsForwarded      uint64 // refused for a moved process, its sender told where
 	MsgsDiscarded      uint64 // addressed to dead/unknown processes
 	Suppressed         uint64 // output messages squelched during re-execution
 	Advisories         uint64 // §4.4.2 read-order notices
@@ -101,6 +101,8 @@ type Kernel struct {
 	// routing overrides the home-node rule for migrated/recovered processes
 	// (§4.3.3 route-through).
 	routing map[frame.ProcID]frame.NodeID
+	// routes counts SetRoute calls (see handOff).
+	routes uint32
 
 	// chargeTo attributes CPU charges to the process whose kernel call is
 	// being handled (nil outside handleCall).
@@ -181,13 +183,6 @@ func NewKernel(node frame.NodeID, env Env) *Kernel {
 		}
 		p := k.procs[f.To]
 		return p != nil && (p.state == psCrashed || p.recovering)
-	}
-	k.ep.OnGiveUp = func(f *frame.Frame) {
-		// If the destination moved since the frame was queued, try again at
-		// the new location; otherwise the message is lost with its process.
-		if n := k.locate(f.To); n != f.Dst && !k.crashed {
-			k.resend(f, n)
-		}
 	}
 	return k
 }
@@ -506,8 +501,9 @@ func (k *Kernel) Quiescent(id frame.ProcID) bool {
 
 // SetRoute records that proc now lives on node (migration/recovery
 // elsewhere); the kernel routes future sends there and re-targets frames
-// already queued in the transport toward the old location.
+// already queued in the transport toward the old location, in send order.
 func (k *Kernel) SetRoute(proc frame.ProcID, node frame.NodeID) {
+	k.routes++
 	if node == proc.Node {
 		delete(k.routing, proc)
 	} else {
@@ -517,7 +513,8 @@ func (k *Kernel) SetRoute(proc frame.ProcID, node frame.NodeID) {
 		return f.To == proc && f.Dst != node
 	})
 	for _, f := range moved {
-		k.resend(f, node)
+		f.Dst = node
+		k.ep.SendGuaranteed(f)
 	}
 }
 

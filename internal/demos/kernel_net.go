@@ -128,7 +128,7 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 	cost := costs.SendCPU + costs.NetSendCPU
 	k.charge(cost, costs.UserPerCall)
 	// The frame reaches the wire when the CPU work completes.
-	k.sendCPU.At(k.env.Sched.Now()+cost+costs.UserPerCall, cpuSend{f: f, epoch: k.bootEpoch})
+	k.sendCPU.At(k.env.Sched.Now()+cost+costs.UserPerCall, cpuSend{f: f, epoch: k.bootEpoch, routes: k.routes})
 	if k.env.Log.Enabled() {
 		id := f.ID.String()
 		k.env.Log.AddMsg(trace.KindSend, int(k.node), id, id, "%s", f.String())
@@ -137,19 +137,26 @@ func (k *Kernel) sendMessage(counter *process, from frame.ProcID, l frame.Link, 
 }
 
 // cpuSend is a frame whose sender's send-CPU work is in progress, stamped
-// with the boot epoch it was sent in. It holds the frame by value, in the
-// send-CPU pipe's ring.
+// with the boot epoch and route count it was sent in; gone marks one its
+// migrating sender took along. It holds the frame by value, in the send-CPU
+// pipe's ring.
 type cpuSend struct {
-	f     frame.Frame
-	epoch uint32
+	f      frame.Frame
+	epoch  uint32
+	routes uint32
+	gone   bool
 }
 
 // handOff gives the endpoint a frame whose send-CPU work has completed,
-// unless the node crashed in between. The endpoint copies the header into
-// its send queue, so the frame stays on this stack.
+// unless the node crashed in between; a route changed meanwhile re-targets
+// it. The endpoint copies the header into its send queue, so the frame
+// stays on this stack.
 func (k *Kernel) handOff(s cpuSend) {
-	if k.bootEpoch != s.epoch || k.crashed {
+	if k.bootEpoch != s.epoch || k.crashed || s.gone {
 		return
+	}
+	if s.routes != k.routes {
+		s.f.Dst = k.locate(s.f.To)
 	}
 	k.ep.SendGuaranteed(&s.f)
 }
@@ -205,11 +212,13 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 	p := k.procs[f.To]
 	if p == nil {
 		if n := k.locate(f.To); n != k.node {
-			// The process migrated or was recovered elsewhere; forward
-			// (§3.3.3 discusses exactly this forwarding duty).
+			// The process moved (§3.3.3). Refuse, and tell the sender's
+			// kernel where: its SetRoute resends this frame and those after
+			// it there, in order. A forwarded copy could trail the sender's
+			// next message, and the acceptance mark would consume it.
 			k.stats.MsgsForwarded++
-			k.resend(f, n)
-			return true
+			k.ep.SendUnguaranteed(&frame.Frame{Dst: f.Src, From: k.KernelProc(), Body: EncodeRouteUpdate(f.To, n)})
+			return false
 		}
 		// Unknown here: the process may be dead, or this node just
 		// rebooted and the process awaits recovery — the kernel cannot
@@ -280,14 +289,4 @@ func (k *Kernel) handleUnguaranteed(f *frame.Frame) {
 		// receiver's program shares its body, read-only (Msg.Body).
 		k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)
 	}
-}
-
-// resend starts a new transmission toward dst of a frame someone else still
-// holds: one heard on the wire, or one the endpoint gave back. The copy is
-// the header only, and it stays on this stack: the endpoint copies it again
-// into its send queue. The body and passed link are read-only from Send on.
-func (k *Kernel) resend(f *frame.Frame, dst frame.NodeID) {
-	g := *f
-	g.Dst = dst
-	k.ep.SendGuaranteed(&g)
 }

@@ -16,9 +16,10 @@ import (
 // Migration is a checkpoint that lands on a different node: the source
 // kernel snapshots the quiescent process (state, link table, counters, and
 // its unread queue), ships the image, notifies the recorder that the
-// process moved, and leaves a forwarding route behind. Because the image is
-// also delivered to the recorder as an ordinary checkpoint, the migrant
-// stays recoverable at its new home with no gap in its published history.
+// process moved, and leaves a route behind that redirects stragglers.
+// Because the image is also delivered to the recorder as an ordinary
+// checkpoint, the migrant stays recoverable at its new home with no gap in
+// its published history.
 
 // ProcImage is a transportable snapshot of one process.
 type ProcImage struct {
@@ -31,6 +32,9 @@ type ProcImage struct {
 	ReadCount  uint64
 	// Queue is the unread input queue, in order, with any passed links.
 	Queue []QueuedMsg
+	// Sent is its unacknowledged messages to processes, in send order: the
+	// new node resends them before the process runs there.
+	Sent []*frame.Frame
 }
 
 // QueuedMsg is one unread message inside a ProcImage.
@@ -40,9 +44,9 @@ type QueuedMsg struct {
 }
 
 // ExportProcess checkpoints a quiescent machine process for migration and
-// removes it from this kernel, leaving a forwarding route to dst. The
-// recorder is sent the checkpoint (so the migrant's replay basis is exactly
-// its exported queue) and a migration notice.
+// removes it from this kernel, leaving a route to dst. The recorder is sent
+// the checkpoint (so the migrant's replay basis is exactly its exported
+// queue) and a migration notice.
 func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, error) {
 	// The migration checkpoint: identical to a recovery checkpoint, and
 	// published as one, so the recorder's replay basis matches the image.
@@ -65,6 +69,20 @@ func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, e
 		item := p.queue.at(i)
 		img.Queue = append(img.Queue, QueuedMsg{Msg: item.msg, Link: item.link})
 	}
+	// Its unacknowledged messages to processes leave with it: resent from
+	// here, one could trail its next message, and the receiver's mark would
+	// consume it. Kernel processes keep no mark; requests to them stay.
+	toProc := func(f *frame.Frame) bool {
+		return f.From == id && !f.DeliverToKernel && f.To.Local != 0
+	}
+	img.Sent = k.ep.Abort(toProc)
+	k.sendCPU.Queued(func(s *cpuSend) {
+		if s.epoch == k.bootEpoch && !s.gone && toProc(&s.f) {
+			s.gone = true
+			f := s.f
+			img.Sent = append(img.Sent, &f)
+		}
+	})
 
 	// Tell the recorder where the process is going, then dismantle the
 	// local incarnation WITHOUT a destruction notice — it lives on.
@@ -97,6 +115,10 @@ func (k *Kernel) ImportProcess(img *ProcImage) error {
 	p := k.procs[id]
 	for _, q := range img.Queue {
 		k.pushToQueue(p, q.Msg, q.Link)
+	}
+	for _, f := range img.Sent {
+		f.Dst = k.locate(f.To)
+		k.ep.SendGuaranteed(f)
 	}
 	k.SetRoute(id, k.node)
 	k.env.Log.Add(trace.KindControl, int(k.node), id.String(), "migrated in (%d queued messages)", len(img.Queue))

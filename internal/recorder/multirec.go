@@ -89,7 +89,6 @@ type handoffProc struct {
 	CkSendSeq   uint64
 	CkReadCount uint64
 	CkStateKB   int
-	BaseReads   uint64
 	Cov         uint64
 	Msgs        []storedMsg
 	// Recorded is the watermark table, one id per sender (its highest
@@ -330,7 +329,6 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			CkSendSeq:   e.CkSendSeq,
 			CkReadCount: e.CkReadCount,
 			CkStateKB:   e.CkStateKB,
-			BaseReads:   e.CkReadCount,
 			Cov:         myCov,
 			Msgs:        reconstruct(e.Arrivals, e.Advisories),
 		}

@@ -221,6 +221,7 @@ type ckMeta struct {
 	SendSeq   uint64
 	ReadCount uint64
 	StateKB   int
+	// BaseReads repeats ReadCount, unread; stored records keep their bytes.
 	BaseReads uint64
 	// DroppedArr are the arrival seqs invalidated by this checkpoint;
 	// AdvTrim invalidates advisories with seq < AdvTrim.

@@ -131,7 +131,8 @@ type Config struct {
 	// RouteRepeats is how many times a routing update is broadcast after a
 	// migration or spare-node recovery (unguaranteed traffic, so repeats
 	// cover loss). 0 means the default of 3; negative means none — kernels
-	// then depend entirely on home-node forwarding.
+	// then learn the route only from the home node, which refuses their
+	// frames and tells them where the process went.
 	RouteRepeats int
 
 	// Multiple-recorder support (§6.3). Peers lists the other recorders'

@@ -317,8 +317,9 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 
 // broadcastRoute tells every kernel where a process now lives (migration /
 // recovery on a spare). It is best-effort routing information, so it goes
-// out unguaranteed (§4.3.3) and is repeated a few times; kernels that miss
-// it still forward through the home node.
+// out unguaranteed (§4.3.3) and is repeated a few times; a kernel that
+// misses it learns the route from the home node, which refuses its frames
+// and tells it where the process went.
 func (r *Recorder) broadcastRoute(p frame.ProcID, node frame.NodeID, times int) {
 	if times <= 0 {
 		return

@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"slices"
 	"sort"
 
 	"publishing/internal/demos"
@@ -124,17 +125,17 @@ func (r *Recorder) votesOnMsg(from, to frame.ProcID) bool {
 // BasisSummary is one recorder's view of a stream's replay basis — the
 // chaos checker compares these across a shard's replicas (I8).
 type BasisSummary struct {
-	Known      bool
-	Dead       bool
-	Recovering bool
-	BaseReads  uint64
-	Msgs       int
-	LastSent   uint64
+	Known       bool
+	Dead        bool
+	Recovering  bool
+	CkReadCount uint64
+	Msgs        int
+	LastSent    uint64
 }
 
 // Cov is the basis's totally-ordered coverage proxy: reads folded into the
 // checkpoint plus recorded arrivals behind it.
-func (b BasisSummary) Cov() uint64 { return b.BaseReads + uint64(b.Msgs) }
+func (b BasisSummary) Cov() uint64 { return b.CkReadCount + uint64(b.Msgs) }
 
 // Basis returns this recorder's basis summary for a stream.
 func (r *Recorder) Basis(p frame.ProcID) BasisSummary {
@@ -143,12 +144,12 @@ func (r *Recorder) Basis(p frame.ProcID) BasisSummary {
 		return BasisSummary{}
 	}
 	return BasisSummary{
-		Known:      true,
-		Dead:       e.Dead,
-		Recovering: e.Recovering,
-		BaseReads:  e.CkReadCount,
-		Msgs:       e.Arrivals.len(),
-		LastSent:   e.LastSent,
+		Known:       true,
+		Dead:        e.Dead,
+		Recovering:  e.Recovering,
+		CkReadCount: e.CkReadCount,
+		Msgs:        e.Arrivals.len(),
+		LastSent:    e.LastSent,
 	}
 }
 
@@ -163,16 +164,8 @@ func (r *Recorder) sortedProcs() []frame.ProcID {
 	for p := range r.db {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessProc(out[i], out[j]) })
+	slices.SortFunc(out, frame.ProcID.Compare)
 	return out
-}
-
-// lessProc is the canonical process order: by node, then local id.
-func lessProc(a, b frame.ProcID) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Local < b.Local
 }
 
 // initPeerWatch creates a watchdog per peer recorder rank (sharded mode).

@@ -132,7 +132,7 @@ func TestHandoffAdoptMergesWatermarks(t *testing.T) {
 	publish(r, c, procB(), 9, "only here")
 
 	r.installHandoffProc(&handoffProc{
-		Proc: procB(), Node: 1, Ck: ckImage("ck", frame.MsgID{Sender: a, Seq: 6}), CkReadCount: 6, BaseReads: 6, Cov: 7,
+		Proc: procB(), Node: 1, Ck: ckImage("ck", frame.MsgID{Sender: a, Seq: 6}), CkReadCount: 6, Cov: 7,
 		Msgs:     []storedMsg{{ID: frame.MsgID{Sender: a, Seq: 7}, From: a, Body: []byte("theirs")}},
 		Recorded: []frame.MsgID{{Sender: a, Seq: 7}, {Sender: d, Seq: 4}},
 	})

@@ -54,6 +54,14 @@ func (p *Pipe[T]) grow() {
 	p.buf, p.head = buf, 0
 }
 
+// Queued calls fn on each value still waiting, oldest first. fn may change
+// the value; it is handed on as changed.
+func (p *Pipe[T]) Queued(fn func(v *T)) {
+	for i := 0; i < p.n; i++ {
+		fn(&p.buf[(p.head+i)&(len(p.buf)-1)])
+	}
+}
+
 // Fire is the scheduler's: it pops the oldest value and hands it to the
 // pipe's function. The vacated slot is zeroed so the ring pins nothing.
 func (p *Pipe[T]) Fire() {

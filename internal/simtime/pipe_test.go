@@ -134,3 +134,30 @@ func TestPipeZeroesVacatedSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestPipeQueuedVisitsWaitingValuesInOrder: Queued walks only the values
+// not yet delivered, oldest first across the ring's wrap, and a change it
+// makes is what the pipe's function receives.
+func TestPipeQueuedVisitsWaitingValuesInOrder(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	p := NewPipe(s, func(v int) { got = append(got, v) })
+	for i := 0; i < 4; i++ {
+		p.At(Time(i), i)
+	}
+	s.Run(2) // delivers 0, 1, 2
+	p.At(5, 5)
+	p.At(6, 6) // wraps the four-slot ring
+	var seen []int
+	p.Queued(func(v *int) {
+		seen = append(seen, *v)
+		*v *= 10
+	})
+	if want := []int{3, 5, 6}; !slices.Equal(seen, want) {
+		t.Fatalf("Queued visited %v, want %v", seen, want)
+	}
+	s.RunAll(10)
+	if want := []int{0, 1, 2, 30, 50, 60}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+}

@@ -171,11 +171,6 @@ type Endpoint struct {
 	// receives for its own guaranteed frames (used by measurement hooks).
 	OnAck func(id frame.MsgID)
 
-	// OnGiveUp, if set, is called with a copy of a frame's header when retry
-	// exhaustion abandons it; the kernel uses it to re-route traffic whose
-	// destination moved.
-	OnGiveUp func(f *frame.Frame)
-
 	// epoch invalidates scheduled timers across Reset (processor crash).
 	epoch uint64
 
@@ -945,13 +940,7 @@ func (e *Endpoint) retransmit(fl *flight) {
 			e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
 				"gave up after %d attempts", fl.attempts)
 		}
-		// The hook gets a copy: finishing may free the flight's unit, and
-		// the hook's re-send may reuse it.
-		g := fl.f
-		e.finish(&g)
-		if e.OnGiveUp != nil {
-			e.OnGiveUp(&g)
-		}
+		e.finish(&fl.f)
 		return
 	}
 	e.stats.Retransmits++

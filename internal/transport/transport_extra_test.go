@@ -106,19 +106,17 @@ func TestAbortAndRetarget(t *testing.T) {
 	}
 }
 
-// OnGiveUp fires after retry exhaustion with the abandoned frame.
+// On retry exhaustion the frame is abandoned: counted once, out of flight.
 func TestOnGiveUp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
 	cfg.RetransmitInterval = 10 * simtime.Millisecond
 	e := newEnv(t, 2, cfg, "perfect")
 	e.med.Faults().SetDown(1, true)
-	var gaveUp []frame.MsgID
-	e.eps[0].OnGiveUp = func(f *frame.Frame) { gaveUp = append(gaveUp, f.ID) }
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 1, "doomed"))
 	e.sched.RunAll(1_000_000)
-	if len(gaveUp) != 1 || gaveUp[0].Seq != 1 {
-		t.Fatalf("gave up = %v", gaveUp)
+	if got := e.eps[0].Stats().GaveUp; got != 1 {
+		t.Fatalf("gave up %d times, want 1", got)
 	}
 	if e.eps[0].InFlight() != 0 {
 		t.Fatal("gave-up frame still in flight")

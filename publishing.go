@@ -171,7 +171,7 @@ type Config struct {
 	ReplayBatchBytes int
 	// RouteRepeats is how many routing-update broadcasts follow a migration
 	// or spare-node recovery (0 = recorder default of 3; negative = none,
-	// leaving delivery to home-node forwarding).
+	// leaving senders to learn the route from the home node).
 	RouteRepeats int
 
 	// CheckpointPolicy and CheckpointTick drive automatic checkpointing.
@@ -750,7 +750,7 @@ func (c *Cluster) RestartRecorder() error {
 // integration of publishing with Powell & Miller process migration. The
 // process resumes on the destination with its unread queue intact; the
 // recorder learns the new location (future crashes recover it there) and
-// broadcasts routing updates; the source node forwards stragglers.
+// broadcasts routing updates; the source node redirects stragglers.
 func (c *Cluster) Migrate(p ProcID, to NodeID) error {
 	dst := c.kernels[to]
 	if dst == nil {

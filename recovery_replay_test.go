@@ -83,8 +83,9 @@ func TestRecursiveCrashMidBatch(t *testing.T) {
 
 // With routing updates suppressed entirely (RouteRepeats < 0), a kernel
 // that never hears where a process migrated must still reach it: sends go
-// to the process's home node, whose kernel forwards them (§7.1's fallback
-// path). The pipeline completes with zero routing broadcasts.
+// to the process's home node, whose kernel refuses them and tells the
+// sender the new node (§7.1's fallback path). The pipeline completes with
+// zero routing broadcasts.
 func TestMigrationWithoutRouteUpdatesUsesHomeForwarding(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.RouteRepeats = -1

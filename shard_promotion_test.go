@@ -31,7 +31,7 @@ func dumpRecorderDB(t *testing.T, c *Cluster, rank int) []byte {
 	for _, p := range r.KnownProcs() {
 		b := r.Basis(p)
 		fmt.Fprintf(&buf, "%v dead=%v lastSent=%d baseReads=%d cov=%d stream=%v\n",
-			p, b.Dead, b.LastSent, b.BaseReads, b.Cov(), r.StreamSummary(p))
+			p, b.Dead, b.LastSent, b.CkReadCount, b.Cov(), r.StreamSummary(p))
 	}
 	return buf.Bytes()
 }
