@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables onemark noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables onemark onefailover noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables onemark noquarantine nosweep notrajectory nograce
+vet: nopar noregime nohave noseg noclone nopool nopeertables onemark onefailover noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -78,6 +78,14 @@ nopeertables:
 onemark:
 	! grep -rnE 'dupCache|replayed +map\[|noteReplayed|trimDebt' --include='*.go' --exclude='*_test.go' .
 
+# A recorder fails over one way (DESIGN.md "Multiple recorders: one shard
+# map"): every cluster has a shard map, §6.3's total copy is its one-slot
+# case, and a replica acts for a slot once every replica ahead of it is
+# silent. The names below are the claim-query arbitration it replaced and
+# the classic-mode branches that ran it.
+onefailover:
+	! grep -rnE 'arbitrate|higherPeers|peerQuery|peerWilling|Shards (==|!=) nil' --include='*.go' --exclude='*_test.go' internal/recorder
+
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and
 # -explain read. The names below are the quarantine of the false positive it
@@ -145,15 +153,18 @@ monitor:
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 .
 
-# The sharded replicated recorder path, race-checked: shard-map determinism
-# and rebalance-minimality, follower promotion mid-replay, the sharded chaos
-# baselines (replay-basis-union invariant, mid-handoff recorder crash), and
-# the sharded monitor-passivity fingerprint. The recorders run on the
-# single-threaded simulated clock, but the chaos harness drives baseline and
-# faulted clusters on real goroutines, so -race has teeth here too.
+# The replicated recorder path, race-checked: shard-map determinism and
+# rebalance-minimality, follower promotion mid-replay, the sharded chaos
+# baselines (replay-basis-union invariant, mid-handoff recorder crash), the
+# sharded monitor-passivity fingerprint, and multirec_test.go's §6.3 claims
+# on the one-slot map. The recorders run on the single-threaded simulated
+# clock, but the chaos harness drives baseline and faulted clusters on real
+# goroutines, so -race has teeth here too.
+MULTIREC = TestTrafficSurvivesOneRecorderCrash|TestAllRecordersDownSuspendsTraffic|TestSecondaryRecorderPerformsRecovery|TestArbitrationSingleRecoverer|TestThirdReplicaRecoversAfterTwoCrash|TestRecordersStayConsistent|TestRestartCatchUp|TestMultiRecorderDeterminism
+
 shards:
 	$(GO) test -race ./internal/recorder
-	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|TestMultiRec' -count=1 .
+	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|$(MULTIREC)' -count=1 .
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
 # schedule, the recorder's per-message records), of the stable store's page

@@ -15,8 +15,8 @@ var shardedOpt = ChaosOptions{Recorders: 3, ShardSlots: 16}
 
 // TestChaosShardedBaseline runs the canonical scenario on a sharded
 // recorder cluster with no faults at all and requires every invariant —
-// including the sharded-only replay-basis-union — to hold, with the I8 line
-// present in the report. This is the sanity floor under the fault tests: if
+// replay-basis-union across the replicas included — to hold, with the I8
+// line present in the report. This is the sanity floor under the fault tests: if
 // plain traffic can't keep the shard union complete, no crash schedule
 // result means anything.
 func TestChaosShardedBaseline(t *testing.T) {

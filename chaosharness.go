@@ -38,13 +38,12 @@ type ChaosOptions struct {
 	// negative testing: a run with injected duplication must then fail the
 	// exactly-once invariant, proving the checker has teeth.
 	BreakDupSuppression bool
-	// Recorders, when > 1, runs that many recorders; with ShardSlots it
-	// turns on the sharded recorder configuration (leader/follower replica
-	// pairs per shard slot), arming the checker's replay-basis-union
-	// invariant and making KindHandoffCrash faults meaningful.
+	// Recorders, when > 1, runs that many recorders, replicated over
+	// ShardSlots slots, which gives the checker's replay-basis-union
+	// invariant replicas to compare and makes KindHandoffCrash faults
+	// meaningful.
 	Recorders int
-	// ShardSlots is the shard table size for sharded runs (needs
-	// Recorders >= 2; see Config.ShardSlots).
+	// ShardSlots is the shard table size (see Config.ShardSlots).
 	ShardSlots int
 }
 

@@ -217,9 +217,9 @@ func measureRecoveryWindow(t *testing.T, pol publishing.CheckpointPolicyKind) (s
 // measureRecovery64 runs the producer → worker → witness pipeline on a
 // 64-node cluster with recorders recorders over shardSlots slots, crashes
 // the worker at t=1200 ms, and returns the crash-to-recovered window plus
-// the stable-store records held by the recorder that served the replay: the
-// single recorder's whole database in classic mode, the worker-shard
-// leader's partition in sharded mode.
+// the stable-store records held by the recorder that served the replay, the
+// worker slot's leader: a single recorder's whole database, or its
+// partition of a sharded map.
 func measureRecovery64(t *testing.T, recorders, shardSlots int) (simtime.Time, uint64) {
 	t.Helper()
 	cfg := publishing.DefaultConfig(64)
@@ -260,10 +260,8 @@ func measureRecovery64(t *testing.T, recorders, shardSlots int) (simtime.Time, u
 	if got != 12 {
 		t.Fatalf("recovery failed: witness saw %d of 12", got)
 	}
-	serving := 0
-	if sm := c.ShardMap(); sm != nil {
-		serving = sm.Leader(sm.ShardOf(worker))
-	}
+	sm := c.ShardMap()
+	serving := sm.Leader(sm.ShardOf(worker))
 	recs, err := c.StoreAt(serving).ReadAll()
 	if err != nil {
 		t.Fatalf("replay-serving recorder store: %v", err)

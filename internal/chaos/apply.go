@@ -87,7 +87,7 @@ func Apply(sys System, s Schedule, tg Targets) {
 			}
 			if nRecs < 2 {
 				// Degenerate cluster: behave like a recorder outage so the
-				// fault still exercises something on classic scenarios.
+				// fault still exercises something on one-recorder scenarios.
 				recorderOutage(sys, at, end)
 				break
 			}

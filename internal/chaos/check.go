@@ -261,15 +261,15 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		}
 	}
 
-	// I8 replay-basis-union (sharded recorder clusters only): after
-	// quiescence, every live stream's shard must have a live replica, a live
+	// I8 replay-basis-union (clusters with a shard map): after quiescence,
+	// every live stream's shard must have a live replica, a live
 	// replica on recovery duty, and every replica on duty must hold the best
 	// basis any live replica has — coverage here is the checkpointed-read
 	// count plus recorded arrivals, the same total order the handoff protocol
 	// ships by. Together these say the union of the shards is a complete
 	// replay basis: no recorder crash (mid-handoff included) left a slot
 	// whose only competent copy is dead or whose acting copy is stale.
-	if ssys, isSh := sys.(interface{ ShardMap() *recorder.ShardMap }); isSh && ssys.ShardMap() != nil {
+	if ssys, isSh := sys.(interface{ ShardMap() *recorder.ShardMap }); isSh {
 		sm := ssys.ShardMap()
 		var recList []*recorder.Recorder
 		for i := 0; sys.RecorderAt(i) != nil; i++ {
@@ -296,8 +296,8 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 			var reps []rep
 			var maxCov uint64
 			dead := false
-			for _, rank := range []int{sm.Leader(slot), sm.Follower(slot)} {
-				if rank < 0 || rank >= len(recList) || recList[rank].Crashed() {
+			for _, rank := range sm.Replicas(slot) {
+				if rank >= len(recList) || recList[rank].Crashed() {
 					continue
 				}
 				sum := recList[rank].Basis(p)

@@ -71,7 +71,7 @@ type Config struct {
 	// Metrics, when set, receives the SLO latency histograms (node -1,
 	// subsystem "monitor").
 	Metrics *metrics.Registry
-	// ShardOwner, when set (sharded recorder clusters), reports whether the
+	// ShardOwner, when set (a shard map that partitions), reports whether the
 	// given node may act — replay, start or finish a recovery — on the given
 	// process stream. The cluster wires it to the shard map: recorder nodes
 	// answer per their replica set, every other node is unconstrained. A

@@ -10,38 +10,35 @@ import (
 	"publishing/internal/trace"
 )
 
-// This file implements §6.3, "Multiple recorders for reliability": with n
-// recorders all recording all messages, n−1 can fail before the network
-// becomes unavailable. Three problems are solved exactly as the thesis
-// prescribes:
+// This file implements the recorder-to-recorder half of §6.3, "Multiple
+// recorders for reliability": with n recorders all recording all messages,
+// n−1 can fail before the network becomes unavailable. The replica order of
+// the shard map (shardmap.go, shard.go) is every node's priority vector, and
+// follower promotion is the one failover path. The thesis's three problems:
 //
-//  1. Coordinating recovery: each node has a priority vector over the
-//     recorders; on detecting a node crash, a recorder queries every
-//     higher-priority recorder and defers if any is "willing and able to
-//     perform recovery"; silence for the claim interval means the duty
-//     falls through. A deferring recorder "continues to monitor" and
-//     requeries periodically in case the higher recorder dies mid-recovery.
+//  1. Coordinating recovery: a replica acts for a slot once every replica
+//     ahead of it is silent to its peer watchdog (ActsFor), so exactly one
+//     live recorder recovers each stream. No claim query is exchanged.
 //  2. Ensuring all recorders record each message: the media require a
-//     positive verdict from every *reachable* tap before a message (or
+//     positive verdict from every *reachable* voting tap before a message (or
 //     ack) is usable — the per-recorder acknowledge slots of §6.3.
 //  3. Recovering failed recorders: a restarted recorder rebuilds from its
-//     own store, then forces every process to checkpoint; once they have,
-//     its stale stream suffixes are irrelevant and it resumes accepting
-//     recovery responsibilities.
+//     own store, pulls the stream suffixes it missed from its partners (the
+//     shard handoff below), and forces every process to checkpoint, after
+//     which its stale stream suffixes are irrelevant.
 
-// peerKind discriminates recorder-to-recorder messages.
+// peerKind discriminates recorder-to-recorder messages. Kinds 1 and 2 were
+// the deleted claim query and its answer; the handoff kinds keep their wire
+// values.
 type peerKind uint8
 
+// Shard-handoff protocol. A restarted recorder Requests the stream suffixes
+// it missed from the surviving replicas of each shared slot; each partner
+// streams per-process blobs as Data chunks and finishes with Done; the
+// requester Commits, at which point the partner stands down from the slots
+// the requester is ahead of it on.
 const (
-	peerQuery peerKind = iota + 1 // "willing to recover node N?"
-	peerWilling
-
-	// Shard-handoff protocol (sharded mode; see shard.go). A restarted
-	// recorder Requests the stream suffixes it missed from the surviving
-	// replica of each shared slot; the partner streams per-process blobs as
-	// Data chunks and finishes with Done; the requester Commits, at which
-	// point the partner stands down from the requester's leader slots.
-	peerHandoffReq
+	peerHandoffReq peerKind = iota + 3
 	peerHandoffData
 	peerHandoffDone
 	peerHandoffCommit
@@ -61,10 +58,12 @@ type procCov struct {
 // peerMsg is the body of recorder-to-recorder traffic (channel chanPeer).
 type peerMsg struct {
 	Kind peerKind
+	// Node is never set. It stays because gob sends the type with every
+	// message: dropping the field would shorten every handoff frame and
+	// move the wire statistics of every run with a recorder restart.
 	Node frame.NodeID
 	Code uint32
 
-	// Shard-handoff fields.
 	Rank  int          // sender's recorder rank
 	Cov   []procCov    // Req: requester's coverage table
 	Proc  frame.ProcID // Data: the stream this chunk belongs to
@@ -120,7 +119,7 @@ const handoffChunkBytes = frame.MaxBody - 512
 // re-requesting from scratch.
 const handoffRetry = 3 * simtime.Second
 
-// chanPeer carries recorder-to-recorder arbitration.
+// chanPeer carries recorder-to-recorder traffic.
 const chanPeer = 3
 
 func encodePeer(m *peerMsg) []byte {
@@ -135,13 +134,6 @@ func decodePeer(b []byte) (*peerMsg, error) {
 	var m peerMsg
 	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
 	return &m, err
-}
-
-// higherPeers returns the recorder procs with priority above ours. Every
-// node's priority vector is ascending rank, and Peers is in rank order with
-// our own slot removed, so they are its first Rank entries.
-func (r *Recorder) higherPeers() []frame.ProcID {
-	return r.cfg.Peers[:min(r.cfg.Rank, len(r.cfg.Peers))]
 }
 
 // peerByRank resolves a rank to a peer's proc id (our own rank resolves to
@@ -161,7 +153,7 @@ func (c *Config) peerByRank(rank int) (frame.ProcID, bool) {
 	return c.Peers[idx], true
 }
 
-// sendPeer ships an arbitration message to another recorder.
+// sendPeer ships a handoff message to another recorder.
 func (r *Recorder) sendPeer(to frame.ProcID, m *peerMsg) {
 	r.sendSeq++
 	r.ep.SendGuaranteed(&frame.Frame{
@@ -175,34 +167,13 @@ func (r *Recorder) sendPeer(to frame.ProcID, m *peerMsg) {
 	})
 }
 
-// handlePeer serves arbitration traffic.
+// handlePeer serves handoff traffic.
 func (r *Recorder) handlePeer(f *frame.Frame) {
 	m, err := decodePeer(f.Body)
 	if err != nil {
 		return
 	}
 	switch m.Kind {
-	case peerQuery:
-		// We are alive; we accept the duty unless still catching up after
-		// our own restart (§6.3's "up to date and able to accept recovery
-		// responsibilities").
-		if r.catchingUp {
-			return // silence means "not willing"; the asker's timer decides
-		}
-		r.sendPeer(f.From, &peerMsg{Kind: peerWilling, Node: m.Node, Code: m.Code})
-		// Taking the duty: behave as if our own watchdog found the node.
-		if w, ok := r.watch[m.Node]; ok && !w.down {
-			w.down = true
-			r.stats.ProcessorCrashes++
-			r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(m.Node),
-				"accepting recovery duty from %s", f.From)
-			r.actOnCrash(w)
-		}
-	case peerWilling:
-		if fn, ok := r.waiters[m.Code]; ok {
-			delete(r.waiters, m.Code)
-			fn(f)
-		}
 	case peerHandoffReq:
 		r.serveHandoff(f.From, m)
 	case peerHandoffData:
@@ -214,17 +185,14 @@ func (r *Recorder) handlePeer(f *frame.Frame) {
 	}
 }
 
-// --- Shard handoff (sharded mode) ------------------------------------------
+// --- Shard handoff ---------------------------------------------------------
 
 // beginHandoff starts a transfer session with every partner rank that
 // co-replicates at least one slot with us. Called on restart, before this
-// recorder resumes duty on its leader slots (ActsFor stays false for a slot
-// while its follower is a pending partner).
+// recorder resumes duty on its slots (ActsFor stays false for a slot while a
+// replica behind us on it is a pending partner).
 func (r *Recorder) beginHandoff() {
 	m := r.cfg.Shards
-	if m == nil {
-		return
-	}
 	for rank := 0; rank < m.Recorders(); rank++ {
 		if rank == r.cfg.Rank || !m.SharedSlots(r.cfg.Rank, rank) {
 			continue
@@ -289,9 +257,6 @@ func (r *Recorder) startHandoffSession(partner int) {
 // mid-transfer window the I8 invariant is checked under.
 func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 	sm := r.cfg.Shards
-	if sm == nil {
-		return
-	}
 	theirs := make(map[frame.ProcID]procCov, len(m.Cov))
 	for _, c := range m.Cov {
 		theirs[c.Proc] = c
@@ -402,8 +367,8 @@ func (r *Recorder) handleHandoffData(m *peerMsg) {
 }
 
 // handleHandoffDone closes the session on the requester: commit to the
-// partner (it stands down from our leader slots), resume duty, and sweep for
-// recoveries that went unserved while the transfer ran.
+// partner (it stands down from the slots we are ahead of it on), resume
+// duty, and sweep for recoveries that went unserved while the transfer ran.
 func (r *Recorder) handleHandoffDone(m *peerMsg) {
 	ses := r.handoffs[m.Rank]
 	if ses == nil || ses.code != m.Code {
@@ -421,24 +386,18 @@ func (r *Recorder) handleHandoffDone(m *peerMsg) {
 	r.sweepDuties()
 }
 
-// handleHandoffCommit demotes this (promoted-follower) recorder from the
-// requester's leader slots: the restarted leader's basis is whole again.
-// Until this message the follower kept acting — a brief overlap rather than
-// a gap, safe because redundant recovery is idempotent (generation-guarded
-// batches, §3.5 restart-from-scratch).
+// handleHandoffCommit demotes this (promoted) recorder from the slots the
+// requester is ahead of it on: the restarted recorder's basis is whole
+// again. Until this message the promoted replica kept acting — a brief
+// overlap rather than a gap, safe because redundant recovery is idempotent
+// (generation-guarded batches, §3.5 restart-from-scratch).
 func (r *Recorder) handleHandoffCommit(m *peerMsg) {
-	sm := r.cfg.Shards
-	if sm == nil {
+	if m.Rank < 0 || m.Rank >= len(r.peerWatch) || r.peerWatch[m.Rank] == nil {
 		return
 	}
-	demoted := 0
-	for s := 0; s < sm.Slots(); s++ {
-		if sm.Leader(s) == m.Rank && r.actingSlots[s] {
-			delete(r.actingSlots, s)
-			demoted++
-		}
-	}
-	if demoted > 0 {
+	before := r.actingSlots()
+	r.peerWatch[m.Rank].silent = false
+	if demoted := before - r.actingSlots(); demoted > 0 {
 		r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
 			"rec%d reclaimed %d shard slots; standing down", m.Rank, demoted)
 	}
@@ -532,56 +491,9 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 		"adopted handoff basis (coverage %d -> %d, %d local extras kept)", localCov, blob.Cov, len(extras))
 }
 
-// arbitrate decides who recovers a crashed node (§6.3). Without peers the
-// duty is ours immediately.
-func (r *Recorder) arbitrate(w *watchState) {
-	higher := r.higherPeers()
-	if len(higher) == 0 {
-		w.responsible = true
-		r.actOnCrash(w)
-		return
-	}
-	code := r.nextCode
-	r.nextCode++
-	answered := false
-	r.waiters[code] = func(*frame.Frame) {
-		answered = true
-		w.responsible = false
-		r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node),
-			"higher-priority recorder took node %d; monitoring", w.node)
-		// "If P_i does not recover in a set interval, R periodically
-		// requeries its higher priority nodes" (§6.3).
-		epoch := r.epoch
-		r.sched.After(recoveryRetry, func() {
-			if r.epoch != epoch || r.crashed {
-				return
-			}
-			if w.down {
-				r.arbitrate(w)
-			}
-		})
-	}
-	for _, p := range higher {
-		r.sendPeer(p, &peerMsg{Kind: peerQuery, Node: w.node, Code: code})
-	}
-	epoch := r.epoch
-	r.sched.After(claimTimeout, func() {
-		if r.epoch != epoch || r.crashed || answered {
-			return
-		}
-		delete(r.waiters, code)
-		if w.down {
-			r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node),
-				"no higher-priority recorder answered; taking node %d", w.node)
-			w.responsible = true
-			r.actOnCrash(w)
-		}
-	})
-}
-
 // beginCatchUp starts the §6.3 restart catch-up: force a checkpoint from
-// every live process; until they all land, this recorder declines recovery
-// duties (its stream suffixes may be stale from its downtime).
+// every live process. Once they all land, the stream suffixes this recorder
+// missed while down no longer matter; until then CatchingUp reports true.
 func (r *Recorder) beginCatchUp() {
 	if len(r.cfg.Peers) == 0 {
 		return // sole recorder: nothing was published while we were down

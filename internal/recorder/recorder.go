@@ -137,18 +137,20 @@ type Config struct {
 
 	// Multiple-recorder support (§6.3). Peers lists the other recorders'
 	// procs in rank order (this recorder's own slot removed); Rank is this
-	// recorder's position in the combined order; every node's priority
-	// vector V_i is ascending rank. NoticeProcs lists every recorder proc so
-	// the tap can consume kernel notices addressed to any of them.
+	// recorder's position in the combined order, which the shard map ranks
+	// per slot into every node's priority vector V_i. NoticeProcs lists
+	// every recorder proc so the tap can consume kernel notices addressed
+	// to any of them.
 	Peers       []frame.ProcID
 	Rank        int
 	NoticeProcs []frame.ProcID
 
-	// Shards, when non-nil, puts the recorder in sharded mode: it records
-	// (and gates, votes on, and recovers) only the process streams whose
-	// shard slots it replicates per the map, acting as leader or follower
-	// per slot. All recorders of a cluster share one read-only map. Nil is
-	// the classic §6.3 mode — every recorder records everything.
+	// Shards assigns process streams to recorders: this recorder records
+	// (and gates, votes on, and recovers) only the streams whose shard slots
+	// it replicates, and acts for a slot once every replica ahead of it is
+	// silent. All recorders of a cluster share one read-only map. §6.3's
+	// total copy is the one-slot map, whose replicas are every recorder;
+	// DefaultConfig's is the one-recorder map.
 	Shards *ShardMap
 
 	// Metrics, when non-nil, receives the recorder's counters (subsystem
@@ -164,9 +166,6 @@ const (
 	// recoveryRetry re-runs a recovery that saw no progress (lost node,
 	// recursive crash) after this long.
 	recoveryRetry = 20 * simtime.Second
-	// claimTimeout is how long a recorder waits for a higher-priority peer
-	// to answer for a crashed node before taking it (§6.3).
-	claimTimeout = 2 * simtime.Second
 )
 
 // DefaultConfig returns simulation defaults for a recorder at node.
@@ -181,6 +180,7 @@ func DefaultConfig(node frame.NodeID, watched []frame.NodeID) Config {
 		ReplayWindow:     4,
 		ReplayBatchBytes: frame.MaxBody,
 		RouteRepeats:     3,
+		Shards:           NewShardMap(0, 1, 1),
 	}
 }
 
@@ -206,7 +206,7 @@ type Stats struct {
 	StoreFailures       uint64
 	PublishCPU          simtime.Time
 
-	// Sharded-mode counters: follower promotions on a dead leader's slots,
+	// Replication counters: follower promotions on a silent replica's slots,
 	// shard-handoff sessions completed after a restart, and the handoff
 	// transfer volume (streams shipped by the serving side, chunks on the
 	// wire, streams adopted wholesale by the requester).
@@ -328,20 +328,20 @@ type Recorder struct {
 	waiters   map[uint32]func(f *frame.Frame)
 	nextCode  uint32
 
-	// §6.3 restart catch-up state.
+	// §6.3 restart catch-up state: the processes whose forced checkpoints
+	// have not landed yet.
 	catchingUp bool
 	awaitCk    map[frame.ProcID]bool
 
-	// Sharded-mode state (cfg.Shards non-nil). peerWatch runs a watchdog per
-	// peer recorder rank; actingSlots marks the leader slots this follower
-	// has promoted itself on; handoffPending marks partner ranks a restarted
-	// peer is mid-handoff with (the partner keeps acting until Commit).
-	// handoffs holds this recorder's own outbound handoff sessions (it is
-	// the restarted requester); handoffRx assembles inbound transfer chunks.
-	// handoffCrashAfter, when > 0, is the chaos hook: crash this recorder
-	// after serving that many more transfer chunks (mid-handoff crash).
-	peerWatch         map[int]*watchState
-	actingSlots       map[int]bool
+	// Replication state. peerWatch runs a watchdog per peer recorder rank
+	// (nil at our own rank); handoffPending marks partner ranks this
+	// restarted recorder is mid-handoff with (the partner keeps acting until
+	// Commit). handoffs holds this recorder's own outbound handoff sessions
+	// (it is the restarted requester); handoffRx assembles inbound transfer
+	// chunks. handoffCrashAfter, when > 0, is the chaos hook: crash this
+	// recorder after serving that many more transfer chunks (mid-handoff
+	// crash).
+	peerWatch         []*watchState
 	handoffPending    map[int]bool
 	handoffs          map[int]*handoffSession
 	handoffRx         map[uint32]*handoffAssembly
@@ -404,13 +404,7 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		noticeSeen:  newGenSet(noticeSeenLimit),
 		nextCode:    1,
 	}
-	if cfg.Shards != nil {
-		r.peerWatch = make(map[int]*watchState)
-		r.actingSlots = make(map[int]bool)
-		r.handoffPending = make(map[int]bool)
-		r.handoffs = make(map[int]*handoffSession)
-		r.handoffRx = make(map[uint32]*handoffAssembly)
-	}
+	r.resetReplication()
 	r.ep = transport.New(cfg.Node, med, sched, log, tcfg)
 	r.ep.Deliver = r.deliver
 	med.AttachTap(cfg.Node, r)
@@ -571,12 +565,12 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
-	if r.cfg.EmitRecorderAcks && (r.cfg.Shards == nil || r.ownsProc(f.To)) {
+	if r.cfg.EmitRecorderAcks && r.ownsProc(f.To) {
 		// Transport-level publish-before-use (§6.1): receivers hold the
 		// frame until this acknowledgement. Emission waits out the publish
 		// processing time, so ModeNaive recorders visibly slow the system.
-		// Sharded mode: only a stream's owners acknowledge it (duplicate
-		// acks from the two replicas release the same held frame once).
+		// Only a stream's replicas acknowledge it (duplicate acks from
+		// several replicas release the same held frame once).
 		r.queueRecorderAck(f.ID)
 	}
 
@@ -584,9 +578,9 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 		return // bookkeeping traffic to the recorder itself is not a stream
 	}
 	if f.Channel == chanPeer || r.isNoticeProc(f.From) {
-		// Recorder-originated traffic: peer arbitration and handoff frames,
-		// control requests, replay batches. None of it belongs to a process
-		// stream. Recording a peer's replay batch or checkpoint request as an
+		// Recorder-originated traffic: peer handoff frames, control
+		// requests, replay batches. None of it belongs to a process stream.
+		// Recording a peer's replay batch or checkpoint request as an
 		// arrival of its destination would feed it back into the next
 		// recovery as application traffic, and a handoff chunk would gob-
 		// decode as a plausible-looking notice (peerMsg and demos.Notice
@@ -608,9 +602,9 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 	}
 
 	// Track the highest message id each published process has sent — the
-	// future suppression threshold (§4.5). In sharded mode only the sender's
-	// owners track it (they replay the sender, so they set the threshold).
-	if f.From.Local != 0 && (r.cfg.Shards == nil || r.ownsProc(f.From)) { // kernel processes are not replayed
+	// future suppression threshold (§4.5). Only the sender's replicas track
+	// it (they replay the sender, so they set the threshold).
+	if f.From.Local != 0 && r.ownsProc(f.From) { // kernel processes are not replayed
 		if e := r.db[f.From]; e != nil && !e.Dead {
 			if f.ID.Seq > e.LastSent {
 				e.LastSent = f.ID.Seq
@@ -623,7 +617,7 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 		}
 	}
 
-	if r.cfg.Shards != nil && !r.ownsProc(f.To) {
+	if !r.ownsProc(f.To) {
 		return // another shard's stream; its replicas record the arrival
 	}
 	if e := r.db[f.To]; e != nil {
@@ -953,7 +947,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 	r.stats.Notices++
 	switch n.Kind {
 	case demos.NoticeCreated:
-		if r.cfg.Shards != nil && !r.ownsProc(n.Proc) {
+		if !r.ownsProc(n.Proc) {
 			// Another shard's stream: never enters this database, so the
 			// recovery, catch-up, and query paths skip it automatically.
 			delete(r.preArrivals, n.Proc)
@@ -1235,7 +1229,7 @@ func (r *Recorder) isNoticeProc(p frame.ProcID) bool {
 }
 
 // CatchingUp reports whether the recorder is still in its §6.3 restart
-// catch-up phase (declining recovery duties).
+// catch-up phase, waiting for the checkpoints it forced to land.
 func (r *Recorder) CatchingUp() bool { return r.catchingUp }
 
 // RequestCheckpoint asks a process's kernel to checkpoint it now (the

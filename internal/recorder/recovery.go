@@ -14,10 +14,14 @@ type watchState struct {
 	misses  int
 	gotPong bool
 	down    bool
-	// responsible marks that this recorder owns the node's recovery
-	// (always true with a single recorder; decided by arbitration with
-	// peers, §6.3).
+	// responsible marks that this recorder recovers the node's processes
+	// when it answers again (the operator chose same-processor recovery).
+	// startRecovery narrows that to the slots this recorder acts for.
 	responsible bool
+	// silent marks a peer recorder the watchdog found silent: this recorder
+	// may act for the slots it replicates behind that peer until the peer
+	// reclaims them with a handoff Commit (ActsFor).
+	silent bool
 }
 
 // Start arms the watchdogs and begins periodic stable-store flushing.
@@ -27,7 +31,6 @@ func (r *Recorder) Start() {
 			r.watch[n] = &watchState{node: n}
 		}
 	}
-	r.initPeerWatch()
 	r.armWatchTick()
 	r.armFlushTick()
 }
@@ -102,11 +105,9 @@ func (r *Recorder) handlePong(f *frame.Frame) {
 		return
 	}
 	if len(f.Body) == 1 && f.Body[0] == demos.PingBody[0] {
-		// Sharded recorders watch each other; answer the peer's ping the way
-		// kernels answer ours. Classic recorders are never pinged.
-		if r.cfg.Shards != nil {
-			r.ep.SendUnguaranteed(&frame.Frame{Dst: f.Src, From: r.cfg.Proc, To: f.From, Body: demos.PongBody})
-		}
+		// Recorders watch each other; answer the peer's ping the way kernels
+		// answer ours.
+		r.ep.SendUnguaranteed(&frame.Frame{Dst: f.Src, From: r.cfg.Proc, To: f.From, Body: demos.PongBody})
 		return
 	}
 	if f.Body[0] != demos.PongBody[0] {
@@ -116,7 +117,7 @@ func (r *Recorder) handlePong(f *frame.Frame) {
 		w.gotPong = true
 	}
 	for _, w := range r.peerWatch {
-		if w.node == f.Src {
+		if w != nil && w.node == f.Src {
 			w.gotPong = true
 		}
 	}
@@ -124,25 +125,17 @@ func (r *Recorder) handlePong(f *frame.Frame) {
 
 func nodeSubject(n frame.NodeID) string { return frame.ProcID{Node: n, Local: 0}.String() }
 
-// processorCrash reacts to a watchdog timeout (§3.3.2, §4.6): with peers,
-// arbitration decides who acts; alone, we act.
+// processorCrash reacts to a watchdog timeout (§3.3.2, §4.6). Duty is per
+// shard slot, not per node, so every recorder acts, and startRecovery's
+// ActsFor guard filters the node's processes to the slots it acts for.
 func (r *Recorder) processorCrash(w *watchState) {
 	w.down = true
 	r.stats.ProcessorCrashes++
 	r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node), "processor crash detected by watchdog")
-	if r.cfg.Shards != nil {
-		// Sharded mode: duty is per shard, not per node, so there is nothing
-		// to arbitrate — every recorder acts and startRecovery's ActsFor
-		// guard filters the node's processes to this recorder's slots.
-		w.responsible = true
-		r.actOnCrash(w)
-		return
-	}
-	r.arbitrate(w)
+	r.actOnCrash(w)
 }
 
-// actOnCrash applies the §4.6 operator decision for a node we are
-// responsible for.
+// actOnCrash applies the §4.6 operator decision for a crashed node.
 func (r *Recorder) actOnCrash(w *watchState) {
 	w.responsible = true
 	dec := Decision{Action: ActionRecoverSame}
@@ -193,17 +186,18 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 	if e.Dead {
 		return
 	}
-	if r.cfg.Shards != nil && !r.ActsFor(r.cfg.Shards.ShardOf(e.Proc)) {
+	if !r.ActsFor(r.cfg.Shards.ShardOf(e.Proc)) {
 		return // another replica holds this shard's recovery duty
 	}
 	rp := r.recovering[e.Proc]
 	if rp == nil {
 		rp = &recoveryProc{proc: e.Proc}
-		if r.cfg.Shards != nil {
+		if len(r.cfg.Peers) > 0 {
 			// Salt the generation by rank so two replicas recovering the same
 			// process during a handoff overlap can never collide on a
 			// generation number: the kernel's exact-generation batch guard
-			// then drops the superseded replica's replay cleanly.
+			// then drops the superseded replica's replay cleanly. A lone
+			// recorder keeps small generations, and short recreate requests.
 			rp.gen = uint64(r.cfg.Rank+1) << 32
 		}
 		r.recovering[e.Proc] = rp
@@ -367,16 +361,7 @@ func (r *Recorder) Crash() {
 	for _, w := range r.watch {
 		w.gotPong, w.misses = false, 0
 	}
-	if r.cfg.Shards != nil {
-		r.actingSlots = make(map[int]bool)
-		r.handoffPending = make(map[int]bool)
-		r.handoffs = make(map[int]*handoffSession)
-		r.handoffRx = make(map[uint32]*handoffAssembly)
-		r.handoffCrashAfter = 0
-		for _, w := range r.peerWatch {
-			w.gotPong, w.misses, w.down = false, 0, false
-		}
-	}
+	r.resetReplication()
 	r.ep.Reset()
 	r.med.Faults().SetDown(r.cfg.Node, true)
 	r.log.Add(trace.KindCrash, int(r.cfg.Node), "recorder", "recorder crash")

@@ -2,77 +2,89 @@ package recorder
 
 import (
 	"slices"
-	"sort"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/trace"
 )
 
-// This file is the sharded-recorder half of the multiple-recorder design:
-// instead of §6.3's "all recorders record all messages", each process stream
-// hashes into a shard slot owned by a leader recorder and mirrored by one
-// follower (see ShardMap). A recorder stores, gates (votes on), and recovers
-// only the streams whose slots it replicates. The replay basis for the whole
-// system is then the union of the shards — the chaos checker's I8 invariant —
-// and any single recorder crash leaves every slot with a live replica.
+// This file is the replication half of the multiple-recorder design (§6.3),
+// LLFT-style leader-follower replication: each process stream hashes into a
+// shard slot whose replicas are an ordered list of recorders (see ShardMap).
+// A recorder stores, gates (votes on), and recovers only the streams whose
+// slots it replicates. The replay basis for the whole system is then the
+// union of the shards — the chaos checker's I8 invariant — and a recorder
+// crash leaves every slot with a live replica while one survives. The
+// paper's total copy, where "n−1 can fail", is the one-slot map.
 //
 // Three mechanisms keep the union complete across recorder failures:
 //
 //  1. Voting taps: gating media need a positive verdict only from the
 //     recorders that own a frame's streams; non-owners abstain rather than
 //     veto, so one recorder's outage suspends only its shards' traffic.
-//  2. Peer watchdogs + follower promotion: recorders ping each other on the
-//     same watchdog schedule they use for processing nodes; a silent leader's
-//     followers promote themselves on its slots and sweep for recoveries the
-//     dead leader left orphaned.
+//  2. Peer watchdogs + follower promotion, the one failover path: recorders
+//     ping each other on the same watchdog schedule they use for processing
+//     nodes. A replica acts for a slot once every replica ahead of it is
+//     silent, and sweeps for recoveries the silent ones left orphaned.
 //  3. Shard handoff (multirec.go): a restarted recorder pulls the stream
-//     suffixes it missed from the surviving replica of each shared slot
-//     before reclaiming its slots, so leadership moves back only once its
-//     basis is whole.
+//     suffixes it missed from the surviving replicas of each shared slot
+//     before reclaiming its slots, so duty moves back only once its basis is
+//     whole. It also forces every process to checkpoint (§6.3 catch-up).
 
-// ownsProc reports whether this recorder replicates the process's shard. In
-// classic (unsharded) mode every recorder owns everything.
+// ownsProc reports whether this recorder replicates the process's shard.
 func (r *Recorder) ownsProc(p frame.ProcID) bool {
 	m := r.cfg.Shards
-	return m == nil || m.Replicates(r.cfg.Rank, m.ShardOf(p))
+	return m.Total() || m.Replicates(r.cfg.Rank, m.ShardOf(p))
 }
 
-// ShardMap exposes the cluster's shard table (nil in classic mode).
+// ShardMap exposes the cluster's shard table.
 func (r *Recorder) ShardMap() *ShardMap { return r.cfg.Shards }
 
 // Rank returns this recorder's rank in the cluster's recorder order.
 func (r *Recorder) Rank() int { return r.cfg.Rank }
 
 // ActsFor reports whether this recorder currently performs recovery duty for
-// a shard slot. The leader acts unless it is mid-handoff with the slot's
-// follower (the follower keeps acting until the handoff Commit); a follower
-// acts only after promoting itself on the leader's silence. Classic mode
-// always acts.
+// a shard slot: it replicates the slot, every replica ahead of it is silent
+// (found so by the peer watchdog and not yet back through a handoff Commit),
+// and it is not mid-handoff with a replica behind it, which keeps acting
+// until the Commit.
 func (r *Recorder) ActsFor(slot int) bool {
-	m := r.cfg.Shards
-	if m == nil {
-		return true
-	}
-	switch r.cfg.Rank {
-	case m.Leader(slot):
-		f := m.Follower(slot)
-		return f < 0 || !r.handoffPending[f]
-	case m.Follower(slot):
-		return r.actingSlots[slot]
-	default:
+	reps := r.cfg.Shards.Replicas(slot)
+	at := slices.Index(reps, r.cfg.Rank)
+	if at < 0 {
 		return false
 	}
+	for _, rank := range reps[:at] {
+		if !r.peerWatch[rank].silent {
+			return false
+		}
+	}
+	for _, rank := range reps[at+1:] {
+		if r.handoffPending[rank] {
+			return false
+		}
+	}
+	return true
+}
+
+// actingSlots counts the slots this recorder acts for.
+func (r *Recorder) actingSlots() int {
+	n := 0
+	for s := 0; s < r.cfg.Shards.Slots(); s++ {
+		if r.ActsFor(s) {
+			n++
+		}
+	}
+	return n
 }
 
 // ObserveVote implements lan.VotingTap: Observe's stored verdict plus an
 // ownership vote. Abstaining recorders still observe the frame — piggybacked
 // acknowledgement records for streams they DO own ride on frames they don't.
+// A recorder that replicates every slot votes on every frame without
+// decoding it.
 func (r *Recorder) ObserveVote(f *frame.Frame) (stored, voting bool) {
-	if r.cfg.Shards == nil {
-		return r.Observe(f), true
-	}
-	voting = r.votesOn(f)
+	voting = r.cfg.Shards.Total() || r.votesOn(f)
 	return r.Observe(f), voting
 }
 
@@ -168,38 +180,29 @@ func (r *Recorder) sortedProcs() []frame.ProcID {
 	return out
 }
 
-// initPeerWatch creates a watchdog per peer recorder rank (sharded mode).
-func (r *Recorder) initPeerWatch() {
-	if r.cfg.Shards == nil {
-		return
-	}
-	for rank := 0; rank < r.cfg.Shards.Recorders(); rank++ {
-		if rank == r.cfg.Rank {
-			continue
-		}
-		if _, ok := r.peerWatch[rank]; ok {
-			continue
-		}
+// resetReplication starts the replication state over, as at boot and after
+// a crash: a fresh watchdog per peer recorder rank, and no handoff session.
+func (r *Recorder) resetReplication() {
+	r.peerWatch = make([]*watchState, r.cfg.Shards.Recorders())
+	for rank := range r.peerWatch {
 		if p, ok := r.cfg.peerByRank(rank); ok {
 			r.peerWatch[rank] = &watchState{node: p.Node}
 		}
 	}
+	r.handoffPending = make(map[int]bool)
+	r.handoffs = make(map[int]*handoffSession)
+	r.handoffRx = make(map[uint32]*handoffAssembly)
+	r.handoffCrashAfter = 0
 }
 
 // tickPeerWatch runs the peer-recorder watchdogs on the same cadence as the
 // node watchdogs: evaluate last interval's pongs, then ping. Ranks ascend so
 // the pings serialize deterministically onto the medium.
 func (r *Recorder) tickPeerWatch() {
-	if r.cfg.Shards == nil {
-		return
-	}
-	ranks := make([]int, 0, len(r.peerWatch))
-	for rank := range r.peerWatch {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
-		w := r.peerWatch[rank]
+	for rank, w := range r.peerWatch {
+		if w == nil {
+			continue
+		}
 		if w.gotPong {
 			w.misses = 0
 			if w.down {
@@ -229,19 +232,15 @@ func (r *Recorder) tickPeerWatch() {
 	}
 }
 
-// onPeerDown is follower promotion: a silent leader's followers take over
-// its slots and sweep for recoveries it left orphaned. If the dead peer was
-// the source of an in-progress handoff, the requester abandons the transfer
-// and resumes duty with whatever basis it has locally.
+// onPeerDown is follower promotion: a replica whose every predecessor on a
+// slot is now silent takes the slot over and sweeps for recoveries the
+// silent ones left orphaned. If the dead peer was the source of an
+// in-progress handoff, the requester abandons the transfer and resumes duty
+// with whatever basis it has locally.
 func (r *Recorder) onPeerDown(rank int) {
-	m := r.cfg.Shards
-	promoted := 0
-	for s := 0; s < m.Slots(); s++ {
-		if m.Leader(s) == rank && m.Follower(s) == r.cfg.Rank && !r.actingSlots[s] {
-			r.actingSlots[s] = true
-			promoted++
-		}
-	}
+	before := r.actingSlots()
+	r.peerWatch[rank].silent = true
+	promoted := r.actingSlots() - before
 	resumed := false
 	if r.handoffPending[rank] {
 		delete(r.handoffPending, rank)
@@ -277,7 +276,7 @@ func (r *Recorder) sweepDuties() {
 
 // ArmHandoffCrash is the chaos hook for the mid-handoff fault: the recorder
 // crashes itself after serving n more transfer chunks. One-shot; disarmed by
-// the crash. Never fires in classic mode (nothing serves chunks).
+// the crash. Never fires without a peer (nothing serves chunks).
 func (r *Recorder) ArmHandoffCrash(n int) {
 	if n < 1 {
 		n = 1

@@ -1,7 +1,9 @@
 package recorder
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"publishing/internal/frame"
@@ -9,12 +11,17 @@ import (
 
 // ShardMap is the deterministic, seed-stable assignment of process streams
 // to recorders. Streams hash into a fixed number of shard slots; each slot
-// is owned by a leader recorder and (when the cluster runs at least two
-// recorders) mirrored by one follower, chosen by rendezvous (highest random
-// weight) hashing. Rendezvous hashing gives the rebalance property the
-// shard-map tests pin: adding recorder R to the set changes a slot's leader
-// only when R itself wins it, so the only streams that move are the ones the
-// new recorder takes over — nothing shuffles between survivors.
+// has an ordered list of replica recorders, chosen and ranked by rendezvous
+// (highest random weight) hashing. The first replica is the slot's leader;
+// the rest stand behind it in order, and a replica acts for the slot once
+// every replica ahead of it is silent (Recorder.ActsFor). A one-slot map
+// lists every recorder as a replica: that is §6.3's "all recorders record
+// all messages", and the weight order is every node's priority vector over
+// the recorders. A map of more than one slot keeps each slot's top two.
+// Rendezvous hashing gives the rebalance property the shard-map tests pin:
+// adding recorder R to the set changes a slot's leader only when R itself
+// wins it, so the only streams that move are the ones the new recorder takes
+// over — nothing shuffles between survivors.
 //
 // The map is immutable after construction and shared read-only by every
 // recorder in a cluster; same seed + same recorder count ⇒ byte-identical
@@ -23,8 +30,7 @@ type ShardMap struct {
 	seed     uint64
 	slots    int
 	recs     int
-	leader   []int // per slot: the owning recorder rank
-	follower []int // per slot: the replica rank, -1 when recs < 2
+	replicas [][]int // per slot: replica ranks, highest weight first
 }
 
 // Salts separating the slot-weight, rank-weight, and stream-hash domains of
@@ -54,7 +60,7 @@ func shardWeight(seed uint64, slot, rank int) uint64 {
 
 // NewShardMap builds the ownership map for a cluster of recs recorders over
 // slots shard slots. Ties (astronomically unlikely) break toward the lower
-// rank, keeping the winner independent of iteration order.
+// rank, keeping the order independent of iteration order.
 func NewShardMap(seed uint64, recs, slots int) *ShardMap {
 	if recs < 1 {
 		recs = 1
@@ -62,32 +68,20 @@ func NewShardMap(seed uint64, recs, slots int) *ShardMap {
 	if slots < 1 {
 		slots = 1
 	}
-	m := &ShardMap{
-		seed:     seed,
-		slots:    slots,
-		recs:     recs,
-		leader:   make([]int, slots),
-		follower: make([]int, slots),
+	perSlot := min(2, recs)
+	if slots == 1 {
+		perSlot = recs
 	}
-	for s := 0; s < slots; s++ {
-		best, second := -1, -1
-		var bestW, secondW uint64
-		for rank := 0; rank < recs; rank++ {
-			w := shardWeight(seed, s, rank)
-			switch {
-			case best < 0 || w > bestW:
-				second, secondW = best, bestW
-				best, bestW = rank, w
-			case second < 0 || w > secondW:
-				second, secondW = rank, w
-			}
+	m := &ShardMap{seed: seed, slots: slots, recs: recs, replicas: make([][]int, slots)}
+	for s := range m.replicas {
+		ranks := make([]int, recs)
+		for rank := range ranks {
+			ranks[rank] = rank
 		}
-		m.leader[s] = best
-		if recs >= 2 {
-			m.follower[s] = second
-		} else {
-			m.follower[s] = -1
-		}
+		slices.SortStableFunc(ranks, func(a, b int) int {
+			return cmp.Compare(shardWeight(seed, s, b), shardWeight(seed, s, a))
+		})
+		m.replicas[s] = ranks[:perSlot]
 	}
 	return m
 }
@@ -102,17 +96,29 @@ func (m *ShardMap) Recorders() int { return m.recs }
 func (m *ShardMap) Seed() uint64 { return m.seed }
 
 // Leader returns the owning recorder rank for a slot.
-func (m *ShardMap) Leader(slot int) int { return m.leader[slot] }
+func (m *ShardMap) Leader(slot int) int { return m.replicas[slot][0] }
 
-// Follower returns the replica rank for a slot, or -1 when the cluster runs
-// a single recorder.
-func (m *ShardMap) Follower(slot int) int { return m.follower[slot] }
-
-// Replicates reports whether rank holds a copy of slot (as leader or
-// follower).
-func (m *ShardMap) Replicates(rank, slot int) bool {
-	return m.leader[slot] == rank || m.follower[slot] == rank
+// Follower returns the slot's second replica, or -1 when the cluster runs a
+// single recorder.
+func (m *ShardMap) Follower(slot int) int {
+	if r := m.replicas[slot]; len(r) > 1 {
+		return r[1]
+	}
+	return -1
 }
+
+// Replicas returns a slot's replica ranks in priority order, leader first.
+// The slice is the map's own and must not be written.
+func (m *ShardMap) Replicas(slot int) []int { return m.replicas[slot] }
+
+// Replicates reports whether rank holds a copy of slot.
+func (m *ShardMap) Replicates(rank, slot int) bool {
+	return slices.Contains(m.replicas[slot], rank)
+}
+
+// Total reports whether every recorder replicates every slot: the map of a
+// single slot, or of a single recorder. Such a map constrains nothing.
+func (m *ShardMap) Total() bool { return len(m.replicas[0]) == m.recs }
 
 // ShardOf hashes a process stream into its slot. The hash covers the full
 // process identity (node and local id) so streams spread evenly even when
@@ -139,7 +145,7 @@ func (m *ShardMap) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "shardmap seed=%d recs=%d slots=%d\n", m.seed, m.recs, m.slots)
 	for s := 0; s < m.slots; s++ {
-		fmt.Fprintf(&b, "slot %d: leader=%d follower=%d\n", s, m.leader[s], m.follower[s])
+		fmt.Fprintf(&b, "slot %d: replicas=%v\n", s, m.replicas[s])
 	}
 	return b.String()
 }

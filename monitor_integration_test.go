@@ -130,8 +130,8 @@ func TestMonitorPassivity(t *testing.T) {
 // sharded replicated recorder path: the 64-node scenario run on the recorder
 // trio (three recorders, sixteen shard slots) with the monitor on and off
 // must end with byte-identical databases on every replica. Sharding adds
-// recorder-to-recorder traffic — peer arbitration, watchdog pings, handoff —
-// that the classic passivity test never exercises, so observation leaking
+// recorder-to-recorder traffic — watchdog pings, handoff — that the
+// one-recorder passivity test never exercises, so observation leaking
 // into any of it would split these fingerprints.
 func TestMonitorPassivitySharded(t *testing.T) {
 	sharded := func(cfg *publishing.Config) {

@@ -47,34 +47,68 @@ func TestAllRecordersDownSuspendsTraffic(t *testing.T) {
 	expectSteps(t, sink, 12)
 }
 
-// A process crash while the primary recorder is down: the surviving
-// recorder has the full stream (it records everything) and performs the
-// recovery itself after the claim query goes unanswered.
+// A process crash while the slot's leader is down: the follower holds the
+// full stream (every recorder replicates the one slot), finds the leader
+// silent, and performs the recovery itself. The leader performs none.
 func TestSecondaryRecorderPerformsRecovery(t *testing.T) {
 	c, sink, worker := buildScenario(t, multiCfg(), 12)
-	c.Scheduler().At(700*simtime.Millisecond, func() { c.CrashRecorderAt(0) })
+	lead, fol := c.ShardMap().Leader(0), c.ShardMap().Follower(0)
+	c.Scheduler().At(700*simtime.Millisecond, func() { c.CrashRecorderAt(lead) })
 	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
 	c.Run(120 * simtime.Second)
 	expectSteps(t, sink, 12)
-	if got := c.RecorderAt(1).Stats().RecoveriesCompleted; got != 1 {
-		t.Fatalf("secondary recorder completed %d recoveries, want 1", got)
+	if got := c.RecorderAt(fol).Stats().RecoveriesCompleted; got != 1 {
+		t.Fatalf("follower rec%d completed %d recoveries, want 1", fol, got)
+	}
+	if got := c.RecorderAt(lead).Stats().RecoveriesStarted; got != 0 {
+		t.Fatalf("crashed leader rec%d started %d recoveries, want 0", lead, got)
 	}
 }
 
-// Node-crash arbitration: the primary answers the secondary's claim query,
-// so exactly one recorder recovers the node's processes.
+// Node-crash duty is exclusive: both recorders detect the crash, but only
+// the slot's acting replica, its live leader, recovers the node's processes.
 func TestArbitrationSingleRecoverer(t *testing.T) {
 	c, sink, _ := buildScenario(t, multiCfg(), 12)
+	lead, fol := c.ShardMap().Leader(0), c.ShardMap().Follower(0)
 	c.Scheduler().At(1100*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(120 * simtime.Second)
 	expectSteps(t, sink, 12)
-	r0 := c.RecorderAt(0).Stats().RecoveriesStarted
-	r1 := c.RecorderAt(1).Stats().RecoveriesStarted
-	if r0 == 0 {
-		t.Fatalf("primary started no recoveries (r0=%d r1=%d)", r0, r1)
+	rl := c.RecorderAt(lead).Stats().RecoveriesStarted
+	rf := c.RecorderAt(fol).Stats().RecoveriesStarted
+	if rl == 0 {
+		t.Fatalf("leader rec%d started no recoveries (leader=%d follower=%d)", lead, rl, rf)
 	}
-	if r1 != 0 {
-		t.Fatalf("secondary also recovered (r0=%d r1=%d); duty must be exclusive", r0, r1)
+	if rf != 0 {
+		t.Fatalf("follower rec%d also recovered (leader=%d follower=%d); duty must be exclusive", fol, rl, rf)
+	}
+	for _, r := range []int{lead, fol} {
+		if got := c.RecorderAt(r).Stats().ProcessorCrashes; got != 1 {
+			t.Fatalf("rec%d detected %d processor crashes, want 1", r, got)
+		}
+	}
+}
+
+// With three recorders, two can fail (§6.3: "n−1 can fail"): the slot's
+// first two replicas crash, and the third finds both silent and performs
+// the worker's recovery alone.
+func TestThirdReplicaRecoversAfterTwoCrash(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Recorders = 3
+	cfg.ShardSlots = 0
+	c, sink, worker := buildScenario(t, cfg, 12)
+	reps := c.ShardMap().Replicas(0)
+	if len(reps) != 3 {
+		t.Fatalf("one-slot map over three recorders has replicas %v", reps)
+	}
+	c.Scheduler().At(700*simtime.Millisecond, func() {
+		c.CrashRecorderAt(reps[0])
+		c.CrashRecorderAt(reps[1])
+	})
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Run(120 * simtime.Second)
+	expectSteps(t, sink, 12)
+	if got := c.RecorderAt(reps[2]).Stats().RecoveriesCompleted; got != 1 {
+		t.Fatalf("third replica rec%d completed %d recoveries, want 1", reps[2], got)
 	}
 }
 
@@ -104,8 +138,8 @@ func TestRecordersStayConsistent(t *testing.T) {
 	}
 }
 
-// After a restart with peers, a recorder declines recovery duty until the
-// forced checkpoints land (§6.3 catch-up), then resumes.
+// After a restart with peers, a recorder forces every process to checkpoint
+// (§6.3 catch-up) and reports CatchingUp until those checkpoints land.
 func TestRestartCatchUp(t *testing.T) {
 	c, sink, _ := buildScenario(t, multiCfg(), 14)
 	c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorderAt(0) })

@@ -135,13 +135,13 @@ type Config struct {
 	// Recorders is the number of recorders (§6.3 multiple recorders);
 	// values < 1 mean one.
 	Recorders int
-	// ShardSlots, when > 0 with at least two recorders, runs the recorder
-	// set sharded: process streams hash into this many shard slots, each
-	// owned by a leader recorder and mirrored by one follower per the
-	// seed-stable rendezvous map (recorder.ShardMap). Each recorder then
-	// records, gates, and recovers only its own slots; the system replay
-	// basis is the union of the shards. 0 is the classic §6.3 mode in which
-	// every recorder records everything.
+	// ShardSlots is the size of the recorders' seed-stable rendezvous shard
+	// map (recorder.ShardMap): process streams hash into this many slots,
+	// and each recorder records, gates, and recovers only the slots it
+	// replicates; the system replay basis is the union of the shards. A map
+	// of more than one slot gives each slot a leader and one follower. 0 or
+	// 1 is one slot whose replicas are every recorder: §6.3's total copy,
+	// with the replica order as every node's priority vector.
 	ShardSlots int
 	// Medium selects the LAN simulation.
 	Medium MediumKind
@@ -279,9 +279,7 @@ func New(cfg Config) *Cluster {
 		nRecs = 0
 	}
 	recNode := NodeID(cfg.Nodes)
-	if cfg.ShardSlots > 0 && nRecs >= 2 {
-		c.shards = recorder.NewShardMap(cfg.Seed, nRecs, cfg.ShardSlots)
-	}
+	c.shards = recorder.NewShardMap(cfg.Seed, nRecs, cfg.ShardSlots)
 	switch cfg.Medium {
 	case MediumEther:
 		c.med = lan.NewEther(cfg.LAN, c.sched, c.rng.Fork(), c.log)
@@ -366,10 +364,9 @@ func New(cfg Config) *Cluster {
 			rcfg := recorder.DefaultConfig(NodeID(cfg.Nodes+i), watched)
 			rcfg.Metrics = c.mets
 			rcfg.Mode = cfg.RecorderMode
-			// Classic mode: rank 0 acknowledges for everyone (they all hold
-			// every message anyway). Sharded mode: each stream's owners
-			// acknowledge it, so every recorder emits for its own slots.
-			rcfg.EmitRecorderAcks = tcfg.NeedRecorderAck && (c.shards != nil || i == 0)
+			// Each stream's replicas acknowledge it, so every recorder emits
+			// for its own slots.
+			rcfg.EmitRecorderAcks = tcfg.NeedRecorderAck
 			rcfg.Shards = c.shards
 			if cfg.WatchInterval > 0 {
 				rcfg.WatchInterval = cfg.WatchInterval
@@ -473,7 +470,7 @@ func (c *Cluster) attachMonitor() {
 		return total, b.String()
 	}
 	var shardOwner func(node int, proc string) bool
-	if c.shards != nil {
+	if !c.shards.Total() {
 		nNodes, shards := c.cfg.Nodes, c.shards
 		shardOwner = func(node int, proc string) bool {
 			rank := node - nNodes
@@ -660,8 +657,8 @@ func (c *Cluster) RecorderAt(i int) *recorder.Recorder {
 // Recorders returns how many recorders the cluster runs.
 func (c *Cluster) Recorders() int { return len(c.recs) }
 
-// ShardMap returns the sharded-recorder ownership map, or nil when the
-// cluster runs the classic all-recorders-record-everything mode.
+// ShardMap returns the recorders' shard map: which recorders replicate each
+// process stream, in priority order.
 func (c *Cluster) ShardMap() *recorder.ShardMap { return c.shards }
 
 // Medium returns the LAN.
