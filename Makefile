@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables onemark onefailover noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables onemark onefailover noquarantine nosweep notrajectory nograce
+vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -69,6 +69,17 @@ nopool:
 # one back piecemeal, and with it an allocation at first contact, fails here.
 nopeertables:
 	! grep -rnE '\b(ackPend|perDest)\b|destTable\[\*(rtoState|rxStream|ackPending)\]' --include='*.go' --exclude='*_test.go' internal/transport
+
+# Nothing is hashed per message on the send path (DESIGN.md "Frames come
+# back", "Storage engine"): a frame carries the slot of the endpoint's sent
+# table that owns it, the open units are the in-flight set, the store keeps
+# one record per key with its dead seqs as a bitset, and a mark search
+# compares one packed integer. The names below are the lookups they
+# replaced.
+nomsgmaps:
+	! grep -rnE 'owned +map\[|inflight +map\[' --include='*.go' --exclude='*_test.go' internal/transport
+	! grep -rnE 'invalidSeqs +map\[string\]map' --include='*.go' internal/stablestore
+	! grep -n BinarySearchFunc internal/frame/frame.go
 
 # "Has this process taken this message?" has one answer (DESIGN.md "One
 # acceptance mark"): the per-sender acceptance mark, held by the kernel in

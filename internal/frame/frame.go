@@ -71,9 +71,27 @@ func (m MsgID) String() string { return fmt.Sprintf("%s#%d", m.Sender, m.Seq) }
 // taken already, or is older than one that was.
 type Marks []MsgID
 
-// find returns the position of sender's mark, or where it would go.
+// procKey packs p into one integer ordered as Compare orders ids: the node
+// in the high half, its sign bit flipped so -1 sorts below 0, and the local
+// id in the low half.
+func procKey(p ProcID) uint64 {
+	return uint64(uint32(p.Node)^1<<31)<<32 | uint64(p.Local)
+}
+
+// find returns the position of sender's mark, or where it would go: a
+// binary search comparing one packed key per probe.
 func (m Marks) find(sender ProcID) (int, bool) {
-	return slices.BinarySearchFunc(m, sender, func(id MsgID, p ProcID) int { return id.Sender.Compare(p) })
+	k := procKey(sender)
+	lo, hi := 0, len(m)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if procKey(m[h].Sender) < k {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m) && m[lo].Sender == sender
 }
 
 // Covers reports whether id is at or below its sender's mark.
@@ -233,6 +251,12 @@ type Frame struct {
 	// injected noise or deliberately by the ring recorder when it failed to
 	// store the message (§6.1.2). The link layer discards corrupt frames.
 	Corrupt bool
+
+	// Slot is the sending endpoint's own bookkeeping: which entry of its
+	// table of frames out on the medium this one is, so handing the frame
+	// back finds its owner without a lookup. It is never encoded, and means
+	// nothing to anyone else; it fits the padding after Corrupt.
+	Slot uint32
 }
 
 // AckRec is one piggybacked end-to-end acknowledgement: the message id and

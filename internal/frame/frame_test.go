@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleFrame() *Frame {
@@ -36,6 +37,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f, g) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", g, f)
+	}
+}
+
+// TestSlotStaysLocal: Slot is the sending endpoint's bookkeeping. It is not
+// on the wire, and it costs the header no room: a Frame, held by value in
+// every flight, send-queue slot and free list, stays 160 bytes.
+func TestSlotStaysLocal(t *testing.T) {
+	if s := unsafe.Sizeof(Frame{}); s != 160 {
+		t.Errorf("a Frame is %d bytes; want 160", s)
+	}
+	f := sampleFrame()
+	f.Slot = 12345
+	if !bytes.Equal(f.Encode(), sampleFrame().Encode()) {
+		t.Fatal("Slot changed the encoding")
+	}
+	g, err := Decode(f.Encode())
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if g.Slot != 0 {
+		t.Fatalf("decoded Slot = %d; want 0", g.Slot)
 	}
 }
 

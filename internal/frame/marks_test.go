@@ -1,0 +1,68 @@
+package frame
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestMarksModel checks Marks against a map from each sender to the highest
+// sequence noted for it. After every Note the slice holds one mark per
+// sender, equal to the map's, sorted by ProcID.Compare; Covers agrees with
+// the map for noted and unnoted senders alike. The ids reach the ends of
+// both halves of the packed search key: Node −1 (the Broadcast sentinel)
+// and the int32 extremes, Local 0 and MaxUint32.
+func TestMarksModel(t *testing.T) {
+	nodes := []NodeID{math.MinInt32, -2, -1, 0, 1, 2, math.MaxInt32}
+	locals := []uint32{0, 1, 7, math.MaxUint32 - 1, math.MaxUint32}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var m Marks
+		model := make(map[ProcID]uint64)
+		for step := 0; step < 500; step++ {
+			id := MsgID{
+				Sender: ProcID{Node: nodes[r.Intn(len(nodes))], Local: locals[r.Intn(len(locals))]},
+				Seq:    uint64(r.Intn(16)),
+			}
+			if r.Intn(2) == 0 {
+				s, ok := model[id.Sender]
+				if want := ok && id.Seq <= s; m.Covers(id) != want {
+					t.Fatalf("seed %d step %d: Covers(%v) = %v, model says %v", seed, step, id, !want, want)
+				}
+				continue
+			}
+			m.Note(id)
+			if s, ok := model[id.Sender]; !ok || id.Seq > s {
+				model[id.Sender] = id.Seq
+			}
+			if len(m) != len(model) {
+				t.Fatalf("seed %d step %d: %d marks for %d senders", seed, step, len(m), len(model))
+			}
+			for i, x := range m {
+				if i > 0 && m[i-1].Sender.Compare(x.Sender) >= 0 {
+					t.Fatalf("seed %d step %d: marks out of order at %d: %v then %v", seed, step, i, m[i-1], x)
+				}
+				if s, ok := model[x.Sender]; !ok || s != x.Seq {
+					t.Fatalf("seed %d step %d: mark %v, model holds %d (%v)", seed, step, x, s, ok)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMarksCovers256 is one acceptance check against a process that has
+// taken messages from 256 senders, as a kernel's mark is read per delivery.
+func BenchmarkMarksCovers256(b *testing.B) {
+	var m Marks
+	ids := make([]MsgID, 256)
+	for i := range ids {
+		ids[i] = MsgID{Sender: ProcID{Node: NodeID(i), Local: 1}, Seq: 9}
+		m.Note(ids[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.Covers(ids[i&255]) {
+			b.Fatal("a noted id is not covered")
+		}
+	}
+}

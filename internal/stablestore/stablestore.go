@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -150,22 +151,17 @@ type Paged struct {
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
-	// invalid marks (key, seq<=) pairs whose message records may be dropped
-	// at the next compaction of their page.
-	invalid map[string]uint64
-	// invalidSeqs marks individual (key, seq) records as garbage — needed
-	// because channel reads can consume messages out of arrival order, so a
-	// checkpoint may invalidate a non-prefix subset of a stream.
-	invalidSeqs map[string]map[uint64]bool
+	// keys holds one record per key: its pages and its dead message
+	// records. Append, Invalidate and InvalidateSeqs each hash the key
+	// once. Records are carved from keyBlock, so a new key costs no
+	// allocation of its own.
+	keys     map[string]*keyState
+	keyBlock []keyState
 	// chains maps the first page of an oversized record (checkpoints) to
 	// its continuation pages; chainSet holds every page of every chain
 	// (including firsts) for O(1) membership tests.
 	chains   map[uint64][]uint64
 	chainSet map[uint64]bool
-	// keyPages indexes which pages hold records of each key (chains by
-	// their first page), so ReadKey and Compact visit only relevant pages
-	// instead of scanning the whole store.
-	keyPages map[string][]uint64
 	// dirty holds page ids whose in-memory content is newer than the file
 	// backing. Physical WriteAt is batched to Flush/Close/Compact — the
 	// §5.1 buffering discipline extended to page syncs — while
@@ -184,12 +180,46 @@ type Paged struct {
 	f *os.File
 }
 
+// keyState is what the store keeps about one key.
+type keyState struct {
+	// pages indexes which pages hold the key's records (chains by their
+	// first page), so ReadKey and Compact visit only relevant pages instead
+	// of scanning the whole store.
+	pages []uint64
+	// When cut is set, message records with seq <= through are garbage, to
+	// be dropped at the next compaction of their page.
+	through uint64
+	cut     bool
+	// dead, made on the key's first InvalidateSeqs, marks individual
+	// message records as garbage — needed because channel reads can
+	// consume messages out of arrival order, so a checkpoint may
+	// invalidate a non-prefix subset of a stream.
+	dead *seqSet
+}
+
+// seqSet is a set of sequence numbers as a bitset: bit q%64 of word q/64
+// is q. The seqs a key invalidates one by one are arrival sequences, dense
+// from the start of a stream, so the set costs a bit per seq.
+type seqSet []uint64
+
+func (b seqSet) has(q uint64) bool {
+	i := q / 64
+	return i < uint64(len(b)) && b[i]&(1<<(q%64)) != 0
+}
+
+func (b *seqSet) add(q uint64) {
+	i := int(q / 64)
+	if i >= len(*b) {
+		*b = append(*b, make([]uint64, i+1-len(*b))...)
+	}
+	(*b)[i] |= 1 << (q % 64)
+}
+
 // New returns an in-memory paged store.
 func New() *Paged {
 	return &Paged{
-		pages:    make(map[uint64][]byte),
-		invalid:  make(map[string]uint64),
-		keyPages: make(map[string][]uint64),
+		pages: make(map[uint64][]byte),
+		keys:  make(map[string]*keyState),
 	}
 }
 
@@ -276,26 +306,38 @@ func recordLen(b []byte) (total int, ok bool) {
 	return 1 + 2 + kl + 8 + 4 + dl, true
 }
 
+// keyBlockLen is how many key records one allocation holds.
+const keyBlockLen = 64
+
+// keyLocked returns key's record, making it on first use.
+func (s *Paged) keyLocked(key string) *keyState {
+	k := s.keys[key]
+	if k == nil {
+		if len(s.keyBlock) == 0 {
+			s.keyBlock = make([]keyState, keyBlockLen)
+		}
+		k, s.keyBlock = &s.keyBlock[0], s.keyBlock[1:]
+		s.keys[key] = k
+	}
+	return k
+}
+
 // indexKeyLocked records that page id holds records of key (dedupes the
-// common case of consecutive appends landing on the same buffer page).
+// common case of consecutive appends landing on the same buffer page). A
+// chain appended between two of them lists the buffer page twice.
 func (s *Paged) indexKeyLocked(key string, id uint64) {
-	ids := s.keyPages[key]
-	if n := len(ids); n > 0 && ids[n-1] == id {
+	k := s.keyLocked(key)
+	if n := len(k.pages); n > 0 && k.pages[n-1] == id {
 		return
 	}
-	s.keyPages[key] = append(ids, id)
+	k.pages = append(k.pages, id)
 }
 
 // dropKeyPageLocked removes page id from key's index (compaction dropped
 // the key's last record on that page).
 func (s *Paged) dropKeyPageLocked(key string, id uint64) {
-	ids := s.keyPages[key]
-	for i, p := range ids {
-		if p == id {
-			s.keyPages[key] = append(ids[:i], ids[i+1:]...)
-			return
-		}
-	}
+	k := s.keys[key]
+	k.pages = slices.DeleteFunc(k.pages, func(p uint64) bool { return p == id })
 }
 
 // Close releases the file backing, if any.
@@ -475,8 +517,8 @@ func (s *Paged) allocLocked() uint64 {
 func (s *Paged) Invalidate(key string, through uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.invalid[key]; !ok || through > cur {
-		s.invalid[key] = through
+	if k := s.keyLocked(key); !k.cut || through > k.through {
+		k.through, k.cut = through, true
 	}
 }
 
@@ -484,16 +526,12 @@ func (s *Paged) Invalidate(key string, through uint64) {
 func (s *Paged) InvalidateSeqs(key string, seqs []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.invalidSeqs == nil {
-		s.invalidSeqs = make(map[string]map[uint64]bool)
-	}
-	set := s.invalidSeqs[key]
-	if set == nil {
-		set = make(map[uint64]bool)
-		s.invalidSeqs[key] = set
+	k := s.keyLocked(key)
+	if k.dead == nil && len(seqs) > 0 {
+		k.dead = new(seqSet)
 	}
 	for _, q := range seqs {
-		set[q] = true
+		k.dead.add(q)
 	}
 }
 
@@ -502,10 +540,8 @@ func (s *Paged) dead(r *Record) bool {
 	if r.Kind != KindMessage {
 		return false
 	}
-	if through, ok := s.invalid[r.Key]; ok && r.Seq <= through {
-		return true
-	}
-	return s.invalidSeqs[r.Key][r.Seq]
+	k := s.keys[r.Key]
+	return k != nil && (k.cut && r.Seq <= k.through || k.dead != nil && k.dead.has(r.Seq))
 }
 
 // Compact rewrites pages holding invalidated message records, dropping
@@ -520,14 +556,11 @@ func (s *Paged) Compact() (int, error) {
 	}
 	// Candidate pages: every page of every key with a pending invalidation.
 	cand := make(map[uint64]bool)
-	for key := range s.invalid {
-		for _, id := range s.keyPages[key] {
-			cand[id] = true
-		}
-	}
-	for key := range s.invalidSeqs {
-		for _, id := range s.keyPages[key] {
-			cand[id] = true
+	for _, k := range s.keys {
+		if k.cut || k.dead != nil {
+			for _, id := range k.pages {
+				cand[id] = true
+			}
 		}
 	}
 	ids := make([]uint64, 0, len(cand))
@@ -664,7 +697,10 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if err := s.flushLocked(); err != nil {
 		return nil, err
 	}
-	ids := append([]uint64(nil), s.keyPages[key]...)
+	var ids []uint64
+	if k := s.keys[key]; k != nil {
+		ids = slices.Clone(k.pages)
+	}
 	// Match ReadAll's traversal (regular pages in id order, then chains) so
 	// insertion-order ties break identically.
 	sort.Slice(ids, func(i, j int) bool {
@@ -674,6 +710,7 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 		}
 		return ids[i] < ids[j]
 	})
+	ids = slices.Compact(ids) // a page listed twice is read once
 	var out []Record
 	for _, id := range ids {
 		var recs []Record

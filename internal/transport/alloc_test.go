@@ -141,8 +141,8 @@ func TestFirstTransmissionIsTheRetainedFrame(t *testing.T) {
 		f.ID.Seq++
 		e.SendGuaranteed(f)
 		e.flushUnit(e.tx.get(1).form)
-		fl = e.inflight[f.ID]
-		e.finish(&fl.f)
+		fl = e.flightOf(f.ID)
+		e.finish(fl)
 	})
 	if n != 0 {
 		t.Errorf("a guaranteed send and its first transmission allocated %.1f objects; want 0", n)
@@ -175,7 +175,7 @@ func TestRetransmissionCopiesTheHeader(t *testing.T) {
 	f.PassedLink = &frame.Link{To: frame.ProcID{Node: 2, Local: 5}, Channel: 3}
 	e.SendGuaranteed(f)
 	e.flushUnit(e.tx.get(1).form)
-	fl := e.inflight[f.ID]
+	fl := e.flightOf(f.ID)
 	if med.last != &fl.f || len(fl.f.AckRecs) != 1 || fl.f.AckRecs[0].ID != first {
 		t.Fatal("the first transmission was not the flight's frame with the pending ack")
 	}

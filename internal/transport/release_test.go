@@ -12,10 +12,10 @@ import (
 
 // Frames come back (lan.Releaser): the medium hands every frame back to the
 // endpoint that sent it, and the endpoint returns it, or the unit whose
-// flight it is, to a free list. So once a run is quiet every endpoint's
-// frame→owner table is empty, and a free list never holds more than the
-// endpoint ever had out at once. A frame handed back twice, or freed while
-// still out, shows up as a duplicate or an overfull list.
+// flight it is, to a free list. So once a run is quiet no slot of any
+// endpoint's sent table holds a frame, and a free list never holds more
+// than the endpoint ever had out at once. A frame handed back twice, or
+// freed while still out, shows up as a duplicate or an overfull list.
 
 // outSet is what an endpoint has out of its free lists: plain frames (on
 // the medium, or riding in a forming unit), Ack frames on the medium, and
@@ -32,14 +32,15 @@ func newOutSet() outSet {
 
 func (e *Endpoint) out() outSet {
 	o := newOutSet()
-	for f, ow := range e.owned {
+	for _, s := range e.sent {
 		switch {
-		case ow.unit != nil:
-			o.units[ow.unit] = true
-		case ow.ack != nil:
-			o.acks[ow.ack] = true
+		case s.f == nil:
+		case s.unit != nil:
+			o.units[s.unit] = true
+		case s.ack != nil:
+			o.acks[s.ack] = true
 		default:
-			o.frames[f] = true
+			o.frames[s.f] = true
 		}
 	}
 	for i := range e.tx.v {
@@ -50,10 +51,26 @@ func (e *Endpoint) out() outSet {
 			}
 		}
 	}
-	for _, fl := range e.inflight {
-		o.units[fl.unit] = true
+	for _, u := range e.open {
+		for _, fl := range u.recs {
+			if !fl.done {
+				o.units[fl.unit] = true
+			}
+		}
 	}
 	return o
+}
+
+// onMedium counts the frames the endpoint has handed the medium and not had
+// back: the occupied slots of its sent table.
+func (e *Endpoint) onMedium() int {
+	n := 0
+	for _, s := range e.sent {
+		if s.f != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // add merges o into the set of everything ever seen out.
@@ -174,8 +191,8 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 	// The units still open are abandoned, with their riders.
 	abandoned := newOutSet()
 	sched.At(rounds*simtime.Millisecond+600*simtime.Microsecond, func() {
-		if len(eps[1].owned) == 0 || len(eps[1].inflight) == 0 {
-			t.Errorf("the reset found %d frames on the medium, %d in flight", len(eps[1].owned), len(eps[1].inflight))
+		if eps[1].onMedium() == 0 || eps[1].inflight == 0 {
+			t.Errorf("the reset found %d frames on the medium, %d in flight", eps[1].onMedium(), eps[1].inflight)
 		}
 		for u := range eps[1].out().units {
 			if !u.closed {
@@ -204,7 +221,7 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 	}
 
 	for i, ep := range eps {
-		if n := len(ep.owned); n != 0 {
+		if n := ep.onMedium(); n != 0 {
 			t.Errorf("n%d: %d frames never came back", i, n)
 		}
 		p := peak[i]
@@ -256,7 +273,7 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 		name   string
 		finish func(e *Endpoint, id frame.MsgID)
 	}{
-		{"acked", func(e *Endpoint, id frame.MsgID) { e.ackOne(e.inflight[id]) }},
+		{"acked", func(e *Endpoint, id frame.MsgID) { e.ackOne(e.flightOf(id)) }},
 		{"withdrawn", func(e *Endpoint, id frame.MsgID) {
 			e.Abort(func(f *frame.Frame) bool { return f.ID == id })
 		}},
@@ -268,7 +285,7 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 		e.flushUnit(u)
 		held := med.last
 		tc.finish(e, first.ID)
-		if len(e.inflight) != 0 || slices.Contains(e.unitFree, u) {
+		if e.inflight != 0 || slices.Contains(e.unitFree, u) {
 			t.Fatalf("%s: the unit was freed with its frame on the medium", tc.name)
 		}
 		e.SendGuaranteed(gmsg(0, 1, 2, "second"))

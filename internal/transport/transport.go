@@ -177,10 +177,16 @@ type Endpoint struct {
 	// sendq holds the headers of guaranteed frames not yet admitted to the
 	// wire, FIFO.
 	sendq frameRing
-	// inflight maps outstanding unacked frames to their retry state.
-	inflight map[frame.MsgID]*flight
-	// openUnits is the global unit count (thesis Window == 1 discipline).
-	openUnits int
+	// open holds the transmission units with a guaranteed member not yet
+	// finished, in the order they opened; toward one destination that is
+	// stream sequence order. Their live flights are the in-flight set:
+	// under Window == 1 there is one unit at most, under Window > 1 at most
+	// Window per destination.
+	open []*txUnit
+	// inflight counts the live flights; admitted numbers each flight as it
+	// is admitted (Abort returns withdrawn frames in that order).
+	inflight int
+	admitted uint64
 
 	// tx holds each destination's send state by value; rx holds one record
 	// per sender, made on the first frame from it (DESIGN.md "Dense
@@ -192,17 +198,18 @@ type Endpoint struct {
 	held map[frame.MsgID]*heldFrame
 
 	// recScratch and idScratch are decode buffers reused across receives;
-	// rxFrame is the frame a bundle member expands into for its upcall;
-	// doneScratch collects the flights a cumulative ack completes.
-	recScratch  []frame.BundleRec
-	idScratch   []frame.MsgID
-	rxFrame     *frame.Frame
-	doneScratch []ackedSeq
+	// rxFrame is the frame a bundle member expands into for its upcall.
+	recScratch []frame.BundleRec
+	idScratch  []frame.MsgID
+	rxFrame    *frame.Frame
 
-	// owned maps every frame this endpoint has handed the medium, and not
-	// yet had back (Release), to where it came from. It survives Reset:
-	// the medium still holds a crashed node's frames, and hands them back.
-	owned map[*frame.Frame]owner
+	// sent holds every frame this endpoint has handed the medium, and not
+	// yet had back (Release), with where it came from, in the slot the
+	// frame's Slot field names. It survives Reset: the medium still holds a
+	// crashed node's frames, and hands them back. Free slots form a chain
+	// from slotFree, each naming the next, as slot number + 1 (0 ends it).
+	sent     []sentFrame
+	slotFree uint32
 	// The free lists. Each endpoint keeps its own, so same-seed runs reuse
 	// memory identically and parallel clusters share nothing.
 	unitFree  []*txUnit
@@ -350,6 +357,10 @@ func xseqSeq(x uint64) uint64   { return x & xseqSeqMask }
 type flight struct {
 	f        frame.Frame
 	attempts int
+	// adm is the flight's place in admission order; done is set once it is
+	// acked, given up or withdrawn, and it leaves the in-flight set.
+	adm  uint64
+	done bool
 	// sentAt is virtual time of the first transmission, the start of the
 	// end-to-end ack round trip.
 	sentAt simtime.Time
@@ -405,14 +416,13 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	cfg.FlushDelay = positiveOr(cfg.FlushDelay, def.FlushDelay)
 	cfg.AckDelay = positiveOr(cfg.AckDelay, def.AckDelay)
 	e := &Endpoint{
-		node:     node,
-		med:      med,
-		sched:    sched,
-		log:      log,
-		cfg:      cfg,
-		inflight: make(map[frame.MsgID]*flight),
-		held:     make(map[frame.MsgID]*heldFrame),
-		owned:    make(map[*frame.Frame]owner),
+		node:  node,
+		med:   med,
+		sched: sched,
+		log:   log,
+		cfg:   cfg,
+		held:  make(map[frame.MsgID]*heldFrame),
+		sent:  make([]sentFrame, 0, sentPresize),
 	}
 	if n := cfg.Peers; n > 0 {
 		e.tx.presize(n)
@@ -466,8 +476,12 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // they are memory, not state.
 func (e *Endpoint) Reset() {
 	e.epoch++
-	for _, fl := range e.inflight {
-		e.sched.Cancel(fl.timer)
+	for _, u := range e.open {
+		for _, fl := range u.recs {
+			if !fl.done {
+				e.sched.Cancel(fl.timer)
+			}
+		}
 	}
 	for _, h := range e.held {
 		e.sched.Cancel(h.timer)
@@ -483,8 +497,8 @@ func (e *Endpoint) Reset() {
 		}
 	}
 	e.sendq = frameRing{}
-	e.inflight = make(map[frame.MsgID]*flight)
-	e.openUnits = 0
+	clear(e.open)
+	e.open, e.inflight = e.open[:0], 0
 	e.tx.reset()
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
@@ -555,24 +569,48 @@ type owner struct {
 	ack  *ackFrame
 }
 
-// send hands f to the medium, remembering where it came from. The entry goes
-// in first: a medium hands a frame back inside Send when it drops it there.
+// sentPresize is the sent table's starting capacity. An endpoint rarely has
+// more frames on the medium at once, so the table seldom grows once a
+// cluster runs.
+const sentPresize = 8
+
+// sentFrame is one slot of the sent table: a frame on the medium and its
+// owner, or, while free, the next free slot.
+type sentFrame struct {
+	f *frame.Frame
+	owner
+	next uint32
+}
+
+// send hands f to the medium, writing into f.Slot the slot that remembers
+// where it came from. The slot is filled first: a medium hands a frame back
+// inside Send when it drops it there.
 func (e *Endpoint) send(f *frame.Frame, o owner) {
-	e.owned[f] = o
+	i := uint32(len(e.sent))
+	if e.slotFree > 0 {
+		i = e.slotFree - 1
+		e.slotFree = e.sent[i].next
+	} else {
+		e.sent = append(e.sent, sentFrame{})
+	}
+	e.sent[i] = sentFrame{f: f, owner: o}
+	f.Slot = i
 	e.med.Send(e.node, f)
 }
 
 // Release implements lan.Releaser: the medium and every listener are done
 // with a frame this endpoint sent, so it goes back where it came from. A
 // frame the endpoint did not send, such as a test's raw medium Send under
-// this node's id, is not in the table and is left alone. Release schedules,
-// cancels and sends nothing.
+// this node's id, is not the frame its Slot names and is left alone.
+// Release schedules, cancels and sends nothing.
 func (e *Endpoint) Release(f *frame.Frame) {
-	o, ok := e.owned[f]
-	if !ok {
+	i := f.Slot
+	if int(i) >= len(e.sent) || e.sent[i].f != f {
 		return
 	}
-	delete(e.owned, f)
+	o := e.sent[i].owner
+	e.sent[i] = sentFrame{next: e.slotFree}
+	e.slotFree = i + 1
 	switch {
 	case o.unit != nil:
 		o.unit.wire--
@@ -604,16 +642,50 @@ func (e *Endpoint) putFrame(f *frame.Frame) {
 
 // InFlight reports the number of guaranteed frames not yet acknowledged,
 // including frames still queued behind the window.
-func (e *Endpoint) InFlight() int { return len(e.inflight) + e.sendq.len() }
+func (e *Endpoint) InFlight() int { return e.inflight + e.sendq.len() }
 
-// InFlightIDs returns the ids of frames transmitted and awaiting their
-// end-to-end acknowledgement (excludes frames still queued).
+// InFlightIDs returns the ids of frames admitted to the wire and awaiting
+// their end-to-end acknowledgement (excludes frames still queued).
 func (e *Endpoint) InFlightIDs() []frame.MsgID {
-	ids := make([]frame.MsgID, 0, len(e.inflight))
-	for id := range e.inflight {
-		ids = append(ids, id)
+	ids := make([]frame.MsgID, 0, e.inflight)
+	for _, u := range e.open {
+		for _, fl := range u.recs {
+			if !fl.done {
+				ids = append(ids, fl.f.ID)
+			}
+		}
 	}
 	return ids
+}
+
+// oldest returns the live flight with the lowest stream sequence toward dst,
+// or nil. Units toward one destination open in sequence order, every unit
+// in the open list has a live member, and a unit's members are in sequence
+// order, so it is the first live member of the first such unit.
+func (e *Endpoint) oldest(dst frame.NodeID) *flight {
+	for _, u := range e.open {
+		if u.dst == dst {
+			for _, fl := range u.recs {
+				if !fl.done {
+					return fl
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// flightOf returns the live flight carrying id, toward whichever
+// destination, or nil.
+func (e *Endpoint) flightOf(id frame.MsgID) *flight {
+	for _, u := range e.open {
+		for _, fl := range u.recs {
+			if !fl.done && fl.f.ID == id {
+				return fl
+			}
+		}
+	}
+	return nil
 }
 
 // pump admits queued frames to the wire subject to the window discipline.
@@ -638,7 +710,7 @@ func (e *Endpoint) pump() {
 		}
 		if e.cfg.Window == 1 {
 			// Thesis discipline: one unacknowledged unit per processor, total.
-			if e.openUnits >= 1 {
+			if len(e.open) >= 1 {
 				return
 			}
 		} else if int(e.tx.get(f.Dst).units) >= e.cfg.Window {
@@ -686,7 +758,7 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 	p := e.tx.at(f.Dst)
 	p.form = u
 	p.units++
-	e.openUnits++
+	e.open = append(e.open, u)
 	e.joinUnit(u, f, bundleRecLen(f))
 	u.timer = e.sched.AfterHandler(e.cfg.FlushDelay, u)
 	return u
@@ -702,12 +774,13 @@ func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 		}
 		fl = u.spare[k-1]
 	}
-	*fl = flight{f: *f, unit: u}
+	*fl = flight{f: *f, unit: u, adm: e.admitted}
+	e.admitted++
 	p := e.tx.at(f.Dst)
 	seq := p.xseq
 	p.xseq++
 	fl.f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
-	e.inflight[f.ID] = fl
+	e.inflight++
 	u.recs = append(u.recs, fl)
 	u.open++
 	u.bytes += n
@@ -735,7 +808,8 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 		}
 	}
 	p.units--
-	e.openUnits--
+	i := slices.Index(e.open, u)
+	e.open = slices.Delete(e.open, i, i+1)
 	e.recycleUnit(u)
 }
 
@@ -770,7 +844,7 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 	}
 	live := u.recs[:0]
 	for _, fl := range u.recs {
-		if e.inflight[fl.f.ID] == fl {
+		if !fl.done {
 			live = append(live, fl)
 		}
 	}
@@ -822,15 +896,11 @@ func (e *Endpoint) sendBundle(u *txUnit, live []*flight) {
 
 // xlowFor computes the stream low-water mark toward dst: the lowest
 // unacknowledged sequence, seeded with seed (the sending frame's own seq, or
-// all-ones when scanning on behalf of a bundle).
+// all-ones when stamping a bundle).
 func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 	low := seed
-	for _, g := range e.inflight {
-		if g.f.Dst == dst {
-			if s := xseqSeq(g.f.XSeq); s < low {
-				low = s
-			}
-		}
+	if fl := e.oldest(dst); fl != nil {
+		low = min(low, xseqSeq(fl.f.XSeq))
 	}
 	return uint64(e.epoch&0xffff)<<48 | (low & xseqSeqMask)
 }
@@ -925,7 +995,7 @@ func (e *Endpoint) observeRTT(fl *flight) {
 }
 
 func (e *Endpoint) retransmit(fl *flight) {
-	if _, ok := e.inflight[fl.f.ID]; !ok {
+	if fl.done {
 		return // acked in the meantime
 	}
 	budget := simtime.Time(e.cfg.MaxRetries) * e.cfg.RetransmitInterval
@@ -940,7 +1010,7 @@ func (e *Endpoint) retransmit(fl *flight) {
 			e.log.AddMsg(trace.KindGiveUp, int(e.node), id, id,
 				"gave up after %d attempts", fl.attempts)
 		}
-		e.finish(&fl.f)
+		e.finish(fl)
 		return
 	}
 	e.stats.Retransmits++
@@ -964,16 +1034,19 @@ func (e *Endpoint) backoffRTO(dst frame.NodeID) {
 	e.rtoGauge.Set(int64(st.rto))
 }
 
-// finish removes a frame from the in-flight set and admits the next.
-func (e *Endpoint) finish(f *frame.Frame) {
-	fl, ok := e.inflight[f.ID]
-	if !ok {
-		return
-	}
-	e.sched.Cancel(fl.timer)
-	delete(e.inflight, f.ID)
-	e.unitMemberDone(fl.unit)
+// finish removes a live flight from the in-flight set and admits the next.
+func (e *Endpoint) finish(fl *flight) {
+	e.withdraw(fl)
 	e.pump()
+}
+
+// withdraw takes a live flight out of the in-flight set. It may free the
+// flight's unit (unitMemberDone), so the caller reads neither afterwards.
+func (e *Endpoint) withdraw(fl *flight) {
+	fl.done = true
+	e.inflight--
+	e.sched.Cancel(fl.timer)
+	e.unitMemberDone(fl.unit)
 }
 
 // Receive implements lan.Station.
@@ -1058,8 +1131,8 @@ func (e *Endpoint) handleAck(f *frame.Frame) {
 		e.processAckPayload(f)
 		return
 	}
-	fl, ok := e.inflight[f.ID]
-	if !ok {
+	fl := e.flightOf(f.ID)
+	if fl == nil {
 		return // duplicate ack
 	}
 	e.ackOne(fl)
@@ -1077,7 +1150,7 @@ func (e *Endpoint) ackOne(fl *flight) {
 	if e.OnAck != nil {
 		e.OnAck(fl.f.ID)
 	}
-	e.finish(&fl.f)
+	e.finish(fl)
 }
 
 // processAckPayload applies a piggybacked (or standalone-cumulative)
@@ -1090,42 +1163,26 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 		return
 	}
 	for i := range f.AckRecs {
-		if fl, ok := e.inflight[f.AckRecs[i].ID]; ok {
+		if fl := e.flightOf(f.AckRecs[i].ID); fl != nil {
 			e.ackOne(fl)
 		}
 	}
 	if !f.AckCumSet || xseqEpoch(f.AckCum) != uint16(e.epoch&0xffff) {
 		return
 	}
+	// Complete in stream order, the oldest live flight each time: a
+	// completion may free its unit, and pump may refill it with new
+	// messages, which take higher sequences. Only the newest unit toward a
+	// destination can be unflushed, so the first flight not yet sent ends
+	// the transmitted ones.
 	cum := xseqSeq(f.AckCum)
-	// The scratch slice is taken, not shared, while the acks run, so an
-	// OnAck hook that re-enters the endpoint gets a fresh slice instead of
-	// overwriting this one. It holds ids, not flights: completing one may
-	// free its unit, and pump may refill the unit's flights with new
-	// messages before the loop reaches them.
-	done := e.doneScratch[:0]
-	e.doneScratch = nil
-	for _, fl := range e.inflight {
-		if fl.f.Dst == f.Src && fl.attempts > 0 && xseqSeq(fl.f.XSeq) <= cum {
-			done = append(done, ackedSeq{xseqSeq(fl.f.XSeq), fl.f.ID})
+	for {
+		fl := e.oldest(f.Src)
+		if fl == nil || fl.attempts == 0 || xseqSeq(fl.f.XSeq) > cum {
+			return
 		}
+		e.ackOne(fl)
 	}
-	// Map iteration is unordered; completing in stream order keeps the run
-	// deterministic (finish order decides what pump admits next).
-	slices.SortFunc(done, func(a, b ackedSeq) int { return cmp.Compare(a.seq, b.seq) })
-	for _, d := range done {
-		if fl, ok := e.inflight[d.id]; ok {
-			e.ackOne(fl)
-		}
-	}
-	e.doneScratch = done[:0]
-}
-
-// ackedSeq is one flight a cumulative ack completes: its stream sequence
-// and message id.
-type ackedSeq struct {
-	seq uint64
-	id  frame.MsgID
 }
 
 func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
@@ -1325,20 +1382,27 @@ func (e *Endpoint) Poke() {
 // to another node. They are copies because withdrawing a flight may free its
 // unit, and the caller's re-sends pump and may reuse it.
 func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
-	var out []*frame.Frame
-	for id, fl := range e.inflight {
-		if pred(&fl.f) {
-			g := new(frame.Frame)
-			*g = fl.f
-			out = append(out, g)
-			e.sched.Cancel(fl.timer)
-			delete(e.inflight, id)
-			e.unitMemberDone(fl.unit)
+	var gone []*flight
+	for _, u := range e.open {
+		for _, fl := range u.recs {
+			if !fl.done && pred(&fl.f) {
+				gone = append(gone, fl)
+			}
 		}
 	}
-	// In-flight frames were admitted before anything still queued; order
-	// them by their stream sequence.
-	sortFrames(out)
+	// In-flight frames were admitted before anything still queued. Under
+	// Window > 1 units toward different destinations take members in
+	// turn, so the units' order is not the order of admission: sort by it.
+	// A unit closes, and clears its flights, only when its last member is
+	// withdrawn, so each is copied before its unit can go.
+	slices.SortFunc(gone, func(a, b *flight) int { return cmp.Compare(a.adm, b.adm) })
+	var out []*frame.Frame
+	for _, fl := range gone {
+		g := new(frame.Frame)
+		*g = fl.f
+		out = append(out, g)
+		e.withdraw(fl)
+	}
 	e.sendq.filter(func(f *frame.Frame) bool {
 		if pred(f) {
 			out = append(out, f)
@@ -1348,14 +1412,6 @@ func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 	})
 	e.pump()
 	return out
-}
-
-func sortFrames(fs []*frame.Frame) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && xseqSeq(fs[j].XSeq) < xseqSeq(fs[j-1].XSeq); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }
 
 // ack acknowledges one accepted guaranteed frame end-to-end. The recorder

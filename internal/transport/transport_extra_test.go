@@ -61,6 +61,38 @@ func TestPokeDrainsRefused(t *testing.T) {
 	}
 }
 
+// TestAbortReturnsAdmissionOrder: under Window > 1 each destination has its
+// own units, so flights toward three nodes share stream sequence 0. Abort
+// hands them back in the order they were sent, whatever order the endpoint
+// keeps them in; the second message to node 1 joins that node's unit after
+// the other two were admitted. Repeated, since an unordered collection
+// would pass by chance now and then.
+func TestAbortReturnsAdmissionOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Window = 4
+	dsts := []frame.NodeID{1, 2, 3, 1}
+	for run := 0; run < 20; run++ {
+		e, _ := newSinkEndpointWith(cfg)
+		for i, dst := range dsts {
+			e.SendGuaranteed(gmsg(0, dst, uint64(i+1), "x"))
+		}
+		e.sched.Run(e.sched.Now() + simtime.Millisecond) // flushed, never acked
+		if e.InFlight() != len(dsts) {
+			t.Fatalf("run %d: %d in flight, want %d", run, e.InFlight(), len(dsts))
+		}
+		moved := e.Abort(func(*frame.Frame) bool { return true })
+		if len(moved) != len(dsts) || e.InFlight() != 0 {
+			t.Fatalf("run %d: aborted %d, %d left in flight", run, len(moved), e.InFlight())
+		}
+		for i, f := range moved {
+			if f.ID.Seq != uint64(i+1) || f.Dst != dsts[i] {
+				t.Fatalf("run %d: position %d holds message %d to node %d; want message %d to node %d",
+					run, i, f.ID.Seq, f.Dst, i+1, dsts[i])
+			}
+		}
+	}
+}
+
 // Abort withdraws frames by predicate, in order, and the stream heals when
 // they are re-sent to a new destination.
 func TestAbortAndRetarget(t *testing.T) {

@@ -214,8 +214,12 @@ func TestDuplicateSuppression(t *testing.T) {
 // unacknowledged flight.
 func unitsInFlight(ep *Endpoint) int {
 	units := make(map[*txUnit]bool)
-	for _, fl := range ep.inflight {
-		units[fl.unit] = true
+	for _, u := range ep.open {
+		for _, fl := range u.recs {
+			if !fl.done {
+				units[fl.unit] = true
+			}
+		}
 	}
 	return len(units)
 }
