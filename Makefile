@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover noquarantine nosweep notrajectory nograce
+vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -96,6 +96,14 @@ onemark:
 # the classic-mode branches that ran it.
 onefailover:
 	! grep -rnE 'arbitrate|higherPeers|peerQuery|peerWilling|Shards (==|!=) nil' --include='*.go' --exclude='*_test.go' internal/recorder
+
+# Scenarios are built from two traffic shapes (DESIGN.md "Simulation
+# testing"): scenario.go's producer → worker → witness Pipeline and gen →
+# sink Stream. A program outside it that registers its own producer,
+# worker, witness, gen or sink is a copy of one; bench/ (frozen) and
+# examples/ (which teach the API) keep theirs.
+onepipeline:
+	! grep -rnE 'RegisterMachine\("(chaos-)?(worker|witness|sink)"|RegisterProgram\("(chaos-)?(producer|gen)"' --include='*.go' --exclude='*_test.go' --exclude=scenario.go --exclude-dir=bench --exclude-dir=examples .
 
 # There is one exactly-once rule (DESIGN.md "Simulation testing"): the
 # online monitor's incarnation-aware count, which the chaos checker and

@@ -17,15 +17,15 @@ import (
 func TestCheckpointedReadIsNotReadAgainAfterNodeCrash(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
 	at(1050, func() { faults.SetLinkLoss(1, 0, 1) })
 	at(1500, func() {
-		if got := len(sink.msgs); got != 6 {
+		if got := len(run.Output()); got != 6 {
 			t.Errorf("the worker reported %d steps before its checkpoint, want 6", got)
 		}
-		if blob, err := c.Kernel(1).CheckpointNow(worker); blob == nil || err != nil {
+		if blob, err := c.Kernel(1).CheckpointNow(run.Worker); blob == nil || err != nil {
 			t.Errorf("checkpoint: taken=%v err=%v", blob != nil, err)
 		}
 	})
@@ -35,7 +35,7 @@ func TestCheckpointedReadIsNotReadAgainAfterNodeCrash(t *testing.T) {
 	})
 	c.Run(60 * simtime.Second)
 
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Kernel(1).Stats().ReplayDupsDropped; got == 0 {
 		t.Fatal("no late copy was consumed: the scenario no longer retransmits the checkpointed read")
 	}
@@ -52,21 +52,21 @@ func TestCheckpointedReadIsNotReadAgainAfterNodeCrash(t *testing.T) {
 func TestRoutedCopyOfMigratedReadIsConsumed(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
 	at(1050, func() { faults.SetLinkLoss(1, 0, 1) })
 	at(1500, func() {
-		if got := len(sink.msgs); got != 6 {
+		if got := len(run.Output()); got != 6 {
 			t.Errorf("the worker reported %d steps before migrating, want 6", got)
 		}
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 	})
 	c.Run(60 * simtime.Second)
 
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Kernel(2).Stats().ReplayDupsDropped; got == 0 {
 		t.Fatal("node 2 consumed no copy: the scenario no longer re-routes the migrated read")
 	}
@@ -86,20 +86,20 @@ func TestMigrationMidStreamKeepsSenderOrder(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
 	cfg.RouteRepeats = -1
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
 	at(1300, func() {
 		faults.SetLinkLoss(1, 2, 1)
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 	})
-	at(1450, func() { c.Kernel(0).SetRoute(worker, 2) })
+	at(1450, func() { c.Kernel(0).SetRoute(run.Worker, 2) })
 	at(3000, func() { faults.SetLinkLoss(1, 2, 0) })
 	c.Run(60 * simtime.Second)
 
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Kernel(1).Stats().MsgsForwarded; got == 0 {
 		t.Fatal("node 1 redirected nothing: no message left for the old node after the move")
 	}
@@ -121,22 +121,22 @@ func TestRouteLearnedDuringSendCPUTargetsNewNode(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
 	cfg.RouteRepeats = -1
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	k0 := c.Kernel(0)
 	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
 	moved, learned := false, false
 	at(1300, func() {
 		faults.SetLinkLoss(1, 0, 1)
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 		moved = true
 	})
 	k0.SetEmitFilter(func(f *frame.Frame) bool {
-		if moved && !learned && f.To == worker {
+		if moved && !learned && f.To == run.Worker {
 			learned = true
-			c.Scheduler().After(simtime.Millisecond, func() { k0.SetRoute(worker, 2) })
+			c.Scheduler().After(simtime.Millisecond, func() { k0.SetRoute(run.Worker, 2) })
 		}
 		return false
 	})
@@ -146,7 +146,7 @@ func TestRouteLearnedDuringSendCPUTargetsNewNode(t *testing.T) {
 	if !learned {
 		t.Fatal("the producer sent nothing after the move")
 	}
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Kernel(2).Stats().ReplayDupsDropped; got != 0 {
 		t.Fatalf("node 2 consumed %d copies of messages it never took", got)
 	}
@@ -174,19 +174,19 @@ func TestMigratingSenderTakesUnackedMessagesAlong(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3)
 			cfg.Monitor = true
-			c, sink, worker := buildScenario(t, cfg, 12)
+			c, run := buildScenario(t, cfg, 12)
 			faults := c.Medium().Faults()
 			at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
 			at(1050, func() { faults.SetLinkLoss(tc.src, tc.dst, 1) })
 			at(1500, func() {
-				if err := c.Migrate(worker, 0); err != nil {
+				if err := c.Migrate(run.Worker, 0); err != nil {
 					t.Errorf("migrate: %v", err)
 				}
 			})
 			at(3000, func() { faults.SetLinkLoss(tc.src, tc.dst, 0) })
 			c.Run(60 * simtime.Second)
 
-			expectSteps(t, sink, 12)
+			expectSteps(t, run)
 			if got := c.Kernel(2).Stats().ReplayDupsDropped; (got != 0) != tc.dups {
 				t.Fatalf("node 2 consumed %d copies, want some: %v", got, tc.dups)
 			}

@@ -148,7 +148,7 @@ func BenchmarkSelectivePublishing(b *testing.B) {
 func BenchmarkRecoveryReplay16384(b *testing.B) {
 	var res measure.RecoveryResult
 	for i := 0; i < b.N; i++ {
-		res = measure.RecoveryReplay(16384, nil)
+		res = measure.RecoveryReplay(16384)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Replayed), "host_ns_per_replayed_msg")
 }

@@ -64,6 +64,8 @@ func watchedPipeline(t *testing.T, medium MediumKind, seed uint64, misuse bodyMi
 	cfg.Transport.MaxRetries = 600
 	c := New(cfg)
 	t.Cleanup(c.Close)
+	// Not Pipeline: these images misuse bodies on purpose, and
+	// watch every body they are handed.
 	w := &bodyWatch{}
 	witnessed := new(int)
 	c.Registry().RegisterMachine("witness", func([]byte) Machine {

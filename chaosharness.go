@@ -1,8 +1,6 @@
 package publishing
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync"
@@ -47,78 +45,6 @@ type ChaosOptions struct {
 	ShardSlots int
 }
 
-// chaosWorkerBound is the recovery-time bound the Checkpoint option sets.
-const chaosWorkerBound = 400 * simtime.Millisecond
-
-// chaosWorkload adapts the scenario's witness transcript and worker state
-// to the chaos.Workload interface.
-type chaosWorkload struct {
-	n    int
-	msgs []string
-	// workerSt points at the current worker incarnation's state; recovery
-	// constructs a fresh machine through the registry factory, which
-	// re-points it, so State always reads the live instance.
-	workerSt *chaosWorkerState
-}
-
-func (w *chaosWorkload) Done() bool { return len(w.msgs) >= w.n }
-
-func (w *chaosWorkload) Output() []string { return append([]string(nil), w.msgs...) }
-
-func (w *chaosWorkload) State() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w.workerSt)
-	return buf.Bytes(), err
-}
-
-// chaosWitness appends every message body to the workload transcript. It is
-// never a fault target: its output escapes the simulation, so replaying it
-// would duplicate external effects (see ROADMAP open items).
-type chaosWitness struct{ wl *chaosWorkload }
-
-func (m *chaosWitness) Init(*PCtx)                {}
-func (m *chaosWitness) Handle(_ *PCtx, g Msg)     { m.wl.msgs = append(m.wl.msgs, string(g.Body)) }
-func (m *chaosWitness) Snapshot() ([]byte, error) { return nil, nil }
-func (m *chaosWitness) Restore([]byte) error      { return nil }
-
-// chaosWorkerState is the worker's checkpointable state.
-type chaosWorkerState struct {
-	Witness LinkID
-	HasOut  bool
-	Count   int
-	Sum     int
-}
-
-// chaosWorker accumulates integers and reports each step to the witness —
-// the recoverable process whose exactly-once, state, and output guarantees
-// the invariants check.
-type chaosWorker struct{ st *chaosWorkerState }
-
-func (m *chaosWorker) Init(ctx *PCtx) {
-	if lid, err := ctx.ServiceLink("chaos-witness"); err == nil {
-		m.st.Witness = lid
-		m.st.HasOut = true
-	}
-}
-
-func (m *chaosWorker) Handle(ctx *PCtx, g Msg) {
-	m.st.Count++
-	m.st.Sum += int(g.Body[0])
-	if m.st.HasOut {
-		_ = ctx.Send(m.st.Witness, []byte(fmt.Sprintf("step=%d sum=%d", m.st.Count, m.st.Sum)), NoLink)
-	}
-}
-
-func (m *chaosWorker) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(m.st)
-	return buf.Bytes(), err
-}
-
-func (m *chaosWorker) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(m.st)
-}
-
 // ChaosScenario assembles the canonical chaos scenario for one seed:
 // producer on node 0, worker on node 1, witness on node 2, recorder on
 // node 3. The watchdog's silence tolerance (MissThreshold 20 × 500 ms =
@@ -138,15 +64,8 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 		cfg.Medium = opt.Medium
 	}
 	if opt.Nodes > 16 {
-		// The recorder pings every processing node each watch tick, so
-		// watchdog traffic alone is ~2N frames per 500 ms. On the paper's
-		// 10 Mb/s Ethernet (~2 ms per small frame with the interframe gap)
-		// that saturates the bus near N≈128 and the scenario collapses into
-		// congestion, not faults. Big-cluster smokes model a modern fast
-		// LAN instead — the same shape bench_sim_test.go uses — keeping
-		// ping load under ~10% so the fault schedule stays the experiment.
-		cfg.LAN.BitsPerSecond = 100_000_000
-		cfg.LAN.InterframeGap = 50 * simtime.Microsecond
+		// Keep the fault schedule the experiment, not congestion.
+		FastLAN(&cfg)
 	}
 	cfg.MissThreshold = 20
 	// The retry budget must outlast worst-case convalescence: ~10 s watchdog
@@ -159,9 +78,11 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// transmission — 600 × 50 ms = 30 s is the effective give-up bound.
 	cfg.Transport.MaxRetries = 600
 	cfg.Transport.DisableDupSuppression = opt.BreakDupSuppression
+	p := Pipeline{Msgs: opt.Msgs, Pace: 200 * simtime.Millisecond, Prefix: "chaos-"}
 	if opt.Checkpoint {
 		cfg.CheckpointPolicy = CheckpointBound
 		cfg.CheckpointTick = 300 * simtime.Millisecond
+		p.WorkerBound = 400 * simtime.Millisecond
 	}
 	if opt.Recorders > 0 {
 		cfg.Recorders = opt.Recorders
@@ -172,59 +93,18 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// delivery landed, not just discovered after the fact.
 	cfg.Monitor = true
 	c := New(cfg)
-	wl := &chaosWorkload{n: opt.Msgs}
-	c.Registry().RegisterMachine("chaos-witness", func([]byte) Machine {
-		return &chaosWitness{wl: wl}
-	})
-	c.Registry().RegisterMachine("chaos-worker", func([]byte) Machine {
-		st := &chaosWorkerState{}
-		wl.workerSt = st
-		return &chaosWorker{st: st}
-	})
-	c.Registry().RegisterProgram("chaos-producer", func([]byte) Program {
-		return func(ctx *PCtx) {
-			link, err := ctx.ServiceLink("chaos-worker")
-			if err != nil {
-				return
-			}
-			for i := 1; i <= opt.Msgs; i++ {
-				_ = ctx.Send(link, []byte{byte(i)}, NoLink)
-				ctx.Compute(200 * simtime.Millisecond)
-			}
-		}
-	})
+	run := p.Start(c)
 
-	mustSpawn := func(node NodeID, spec ProcSpec) ProcID {
-		p, err := c.Spawn(node, spec)
-		if err != nil {
-			panic(fmt.Sprintf("publishing: chaos scenario spawn %s: %v", spec.Name, err))
-		}
-		return p
-	}
-	wit := mustSpawn(2, ProcSpec{Name: "chaos-witness", Recoverable: true})
-	c.SetService("chaos-witness", wit)
-	workerSpec := ProcSpec{Name: "chaos-worker", Recoverable: true}
-	if opt.Checkpoint {
-		workerSpec.RecoveryTimeBound = chaosWorkerBound
-	}
-	worker := mustSpawn(1, workerSpec)
-	c.SetService("chaos-worker", worker)
-	mustSpawn(0, ProcSpec{Name: "chaos-producer", Recoverable: true})
-
-	ck := chaos.CheckConfig{}
-	if opt.Checkpoint {
-		ck.RecoveryBound = chaosWorkerBound
-	}
 	return chaos.Scenario{
 		Sys:  c,
-		Work: wl,
+		Work: run,
 		Targets: chaos.Targets{
-			Worker:     worker,
+			Worker:     run.Worker,
 			CrashNodes: []NodeID{1},
 			PartNodes:  []NodeID{0, 1},
 			LinkNodes:  []NodeID{0, 1, 2, 3},
 		},
-		CheckCfg: ck,
+		CheckCfg: chaos.CheckConfig{RecoveryBound: p.WorkerBound},
 	}
 }
 

@@ -1,7 +1,9 @@
 // Demosnet is a scripted playground: it boots a DEMOS/MP cluster with
-// publishing on the medium of your choice, runs a request/reply workload,
-// injects the crashes you ask for, and streams the simulation's event trace
-// so you can watch detection, replay, suppression, and recovery happen.
+// publishing on the medium of your choice, runs the producer → worker →
+// witness pipeline (publishing.Pipeline), injects the crashes you ask for,
+// and streams the simulation's event trace so you can watch detection,
+// replay, suppression, and recovery happen. The witness prints each step
+// as "step=k sum=s".
 //
 // Usage:
 //
@@ -28,7 +30,7 @@ import (
 func main() {
 	var (
 		medium    = flag.String("medium", "perfect", "perfect | ether | ackether | ring | star")
-		nodes     = flag.Int("nodes", 3, "processing nodes")
+		nodes     = flag.Int("nodes", 3, "processing nodes (at least 3: producer, worker, witness)")
 		msgs      = flag.Int("msgs", 12, "messages the producer sends")
 		crashProc = flag.Bool("crash-proc", true, "crash the worker process")
 		crashNode = flag.Int("crash-node", -1, "crash a whole node instead")
@@ -42,6 +44,9 @@ func main() {
 		monitorOn = flag.Bool("monitor", false, "attach the online invariant monitor; print violations live and its report at the end")
 	)
 	flag.Parse()
+	if *nodes < 3 {
+		die(fmt.Errorf("demosnet: -nodes %d: the pipeline needs nodes 0, 1 and 2", *nodes))
+	}
 
 	cfg := publishing.DefaultConfig(*nodes)
 	cfg.Medium = publishing.MediumKind(*medium)
@@ -72,29 +77,7 @@ func main() {
 		c.Trace().SetSink(os.Stdout)
 	}
 
-	var received []string
-	c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
-		return sinkMachine{f: func(s string) { received = append(received, s) }}
-	})
-	c.Registry().RegisterMachine("worker", func(args []byte) publishing.Machine { return &workerMachine{} })
-	c.Registry().RegisterProgram("producer", func(args []byte) publishing.Program {
-		return func(ctx *publishing.PCtx) {
-			wl, _ := ctx.ServiceLink("worker")
-			for i := 1; i <= *msgs; i++ {
-				_ = ctx.Send(wl, []byte{byte(i)}, publishing.NoLink)
-				ctx.Compute(200 * publishing.Millisecond)
-			}
-		}
-	})
-
-	snk, err := c.Spawn(publishing.NodeID(*nodes-1), publishing.ProcSpec{Name: "sink", Recoverable: true})
-	die(err)
-	c.SetService("sink", snk)
-	worker, err := c.Spawn(1%publishing.NodeID(*nodes), publishing.ProcSpec{Name: "worker", Recoverable: true})
-	die(err)
-	c.SetService("worker", worker)
-	_, err = c.Spawn(0, publishing.ProcSpec{Name: "producer", Recoverable: true})
-	die(err)
+	run := publishing.Pipeline{Msgs: *msgs, Pace: 200 * publishing.Millisecond}.Start(c)
 
 	at := simtime.Time(crashAt.Nanoseconds())
 	c.Scheduler().At(at, func() {
@@ -104,7 +87,7 @@ func main() {
 			c.CrashNode(publishing.NodeID(*crashNode))
 		case *crashProc:
 			fmt.Println("--- injecting process fault into the worker ---")
-			c.CrashProcess(worker)
+			c.CrashProcess(run.Worker)
 		}
 		if *crashRec {
 			fmt.Println("--- crashing the recorder ---")
@@ -118,7 +101,7 @@ func main() {
 
 	c.Run(3 * publishing.Minute)
 
-	fmt.Printf("\nsink received %d/%d messages: %v\n", len(received), *msgs, received)
+	fmt.Printf("\nwitness received %d/%d messages: %v\n", len(run.Output()), *msgs, run.Output())
 	if *monitorOn {
 		fmt.Println()
 		die(c.Monitor().WriteReport(os.Stdout))
@@ -179,47 +162,6 @@ func printSummary(w io.Writer, snap metrics.Snapshot) {
 		fmt.Fprintf(w, "%s%s:%s\n", g.sub, g.node, lines[g])
 	}
 }
-
-type workerMachine struct {
-	st struct {
-		Out    publishing.LinkID
-		HasOut bool
-		N      int
-	}
-}
-
-func (w *workerMachine) Init(ctx *publishing.PCtx) {
-	if l, err := ctx.ServiceLink("sink"); err == nil {
-		w.st.Out, w.st.HasOut = l, true
-	}
-}
-func (w *workerMachine) Handle(ctx *publishing.PCtx, m publishing.Msg) {
-	w.st.N++
-	if w.st.HasOut {
-		_ = ctx.Send(w.st.Out, []byte(fmt.Sprintf("#%d(val=%d)", w.st.N, m.Body[0])), publishing.NoLink)
-	}
-}
-func (w *workerMachine) Snapshot() ([]byte, error) {
-	return []byte{byte(w.st.N), bo(w.st.HasOut), byte(w.st.Out)}, nil
-}
-func (w *workerMachine) Restore(b []byte) error {
-	w.st.N, w.st.HasOut, w.st.Out = int(b[0]), b[1] == 1, publishing.LinkID(b[2])
-	return nil
-}
-
-func bo(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-type sinkMachine struct{ f func(string) }
-
-func (s sinkMachine) Init(ctx *publishing.PCtx)                     {}
-func (s sinkMachine) Handle(ctx *publishing.PCtx, m publishing.Msg) { s.f(string(m.Body)) }
-func (s sinkMachine) Snapshot() ([]byte, error)                     { return nil, nil }
-func (s sinkMachine) Restore(b []byte) error                        { return nil }
 
 func die(err error) {
 	if err != nil {

@@ -46,29 +46,7 @@ func runObserve(o observeOpts) {
 	}
 
 	const msgs = 10
-	var got int
-	c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
-		return obSink{f: func() { got++ }}
-	})
-	c.Registry().RegisterMachine("worker", func(args []byte) publishing.Machine { return &obWorker{} })
-	c.Registry().RegisterProgram("producer", func(args []byte) publishing.Program {
-		return func(ctx *publishing.PCtx) {
-			wl, _ := ctx.ServiceLink("worker")
-			for i := 1; i <= msgs; i++ {
-				_ = ctx.Send(wl, []byte{byte(i)}, publishing.NoLink)
-				ctx.Compute(200 * publishing.Millisecond)
-			}
-		}
-	})
-
-	snk, err := c.Spawn(2, publishing.ProcSpec{Name: "sink", Recoverable: true})
-	obDie(err)
-	c.SetService("sink", snk)
-	worker, err := c.Spawn(1, publishing.ProcSpec{Name: "worker", Recoverable: true})
-	obDie(err)
-	c.SetService("worker", worker)
-	_, err = c.Spawn(0, publishing.ProcSpec{Name: "producer", Recoverable: true})
-	obDie(err)
+	run := publishing.Pipeline{Msgs: msgs, Pace: 200 * publishing.Millisecond}.Start(c)
 
 	c.Scheduler().At(simtime.Time((1200 * time.Millisecond).Nanoseconds()), func() {
 		c.CrashNode(1)
@@ -76,8 +54,8 @@ func runObserve(o observeOpts) {
 	c.Run(3 * publishing.Minute)
 
 	s := c.Recorder().Stats()
-	fmt.Printf("  crash of node 1 at 1.2s: sink received %d/%d, %d messages replayed, %d suppressed resends\n",
-		got, msgs, s.MessagesReplayed, c.Kernel(1).Stats().Suppressed)
+	fmt.Printf("  crash of node 1 at 1.2s: witness received %d/%d, %d messages replayed, %d suppressed resends\n",
+		len(run.Output()), msgs, s.MessagesReplayed, c.Kernel(1).Stats().Suppressed)
 
 	if o.metricsOut != "" {
 		w := os.Stdout
@@ -151,25 +129,6 @@ func explainStreams(c *publishing.Cluster, msgID string) {
 		fmt.Println("recorder database: not in any replay stream (acked past, checkpoint-trimmed, or never published)")
 	}
 }
-
-type obWorker struct{ n int }
-
-func (w *obWorker) Init(ctx *publishing.PCtx) {}
-func (w *obWorker) Handle(ctx *publishing.PCtx, m publishing.Msg) {
-	w.n++
-	if l, err := ctx.ServiceLink("sink"); err == nil {
-		_ = ctx.Send(l, []byte{byte(w.n)}, publishing.NoLink)
-	}
-}
-func (w *obWorker) Snapshot() ([]byte, error) { return []byte{byte(w.n)}, nil }
-func (w *obWorker) Restore(b []byte) error    { w.n = int(b[0]); return nil }
-
-type obSink struct{ f func() }
-
-func (s obSink) Init(ctx *publishing.PCtx)                     {}
-func (s obSink) Handle(ctx *publishing.PCtx, m publishing.Msg) { s.f() }
-func (s obSink) Snapshot() ([]byte, error)                     { return nil, nil }
-func (s obSink) Restore(b []byte) error                        { return nil }
 
 func obDie(err error) {
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"publishing/internal/chaos"
 	"publishing/internal/simtime"
-	"publishing/internal/trace"
 )
 
 // Transparent recovery must hold even on a lossy wire: frame loss is
@@ -18,11 +17,11 @@ func TestRecoveryUnderLossyWire(t *testing.T) {
 	// healthy process — §3.3.4 semantics). Detection thresholds must be
 	// provisioned for the medium's loss rate.
 	cfg.MissThreshold = 10
-	c, sink, worker := buildScenario(t, cfg, 10)
+	c, run := buildScenario(t, cfg, 10)
 	c.Medium().Faults().LossProb = 0.15
-	c.Scheduler().At(1300*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1300*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 10)
+	expectSteps(t, run)
 	if c.Medium().Stats().FramesLost == 0 {
 		t.Fatal("the wire was not actually lossy")
 	}
@@ -32,22 +31,12 @@ func TestRecoveryUnderLossyWire(t *testing.T) {
 // fails to record never reach their destinations, so nothing is ever
 // usable-but-unrecoverable. Retransmission gets everything through.
 func TestFlakyRecorderStoreStillExactlyOnce(t *testing.T) {
-	cfg := DefaultConfig(3)
-	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
-	registerProducer(c, 10, 200*simtime.Millisecond)
-	wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	c.SetService("witness", wit)
-	worker, _ := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
-	c.SetService("worker", worker)
-	c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true})
+	c, run := buildScenario(t, DefaultConfig(3), 10)
 	// 20% of tap observations fail: the medium must block those frames.
 	c.Medium().Faults().TapMissProb = 0.2
-	c.Scheduler().At(1300*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1300*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 10)
+	expectSteps(t, run)
 	if c.Medium().Stats().RecorderBlocks == 0 {
 		t.Fatal("no frames were ever blocked; the fault injection is dead")
 	}
@@ -58,78 +47,20 @@ func TestFlakyRecorderStoreStillExactlyOnce(t *testing.T) {
 // unsolvable with one recorder; the safe behaviour is to wait.)
 func TestPartitionSuspendsAndHeals(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, _ := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	// Partition node 0 (the producer) away from everyone else after a bit.
 	c.Scheduler().At(900*simtime.Millisecond, func() {
 		c.Medium().Faults().SetPartition(0, 1)
 	})
 	c.Run(5 * simtime.Second)
-	during := len(sink.msgs)
+	during := len(run.Output())
 	if during >= 12 {
 		t.Fatal("pipeline finished across a partition")
 	}
 	c.Medium().Faults().Heal()
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	_ = during
-}
-
-// The §3.2.3 promise, measured end to end: with the bound policy active, a
-// process's actual recovery time (crash notice to recovery-done) stays
-// within the same order as its configured bound, and is much shorter than
-// an uncheckpointed recovery of the same history.
-func TestRecoveryTimeBoundedByCheckpoints(t *testing.T) {
-	measure := func(policy CheckpointPolicyKind) simtime.Time {
-		cfg := DefaultConfig(3)
-		cfg.CheckpointPolicy = policy
-		cfg.CheckpointTick = 200 * simtime.Millisecond
-		c := New(cfg)
-		sink := &witnessSink{}
-		registerWitness(c, sink)
-		registerWorker(c)
-		registerProducer(c, 30, 150*simtime.Millisecond)
-		wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-		c.SetService("witness", wit)
-		worker, err := c.Spawn(1, ProcSpec{
-			Name: "worker", Recoverable: true,
-			RecoveryTimeBound: 500 * simtime.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetService("worker", worker)
-		c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true})
-		c.Scheduler().At(4*simtime.Second, func() { c.CrashProcess(worker) })
-		c.Run(3 * simtime.Minute)
-		expectSteps(t, sink, 30)
-
-		// Recovery duration from the trace: crash event to recovery-done.
-		var crashAt, doneAt simtime.Time
-		for _, e := range c.Trace().OfKind(trace.KindCrash) {
-			if e.Subject == worker.String() {
-				crashAt = e.At
-				break
-			}
-		}
-		for _, e := range c.Trace().OfKind(trace.KindRecoveryDone) {
-			if e.Subject == worker.String() {
-				doneAt = e.At
-			}
-		}
-		if crashAt == 0 || doneAt <= crashAt {
-			t.Fatalf("could not locate recovery window (crash=%v done=%v)", crashAt, doneAt)
-		}
-		return doneAt - crashAt
-	}
-	bounded := measure(CheckpointBound)
-	unbounded := measure(CheckpointNone)
-	if bounded >= unbounded {
-		t.Fatalf("checkpointing did not shorten recovery: %v vs %v", bounded, unbounded)
-	}
-	if bounded > 900*simtime.Millisecond {
-		t.Fatalf("bounded recovery too slow: %v (bound 500ms + detection grace)", bounded)
-	}
-	t.Logf("recovery time: bounded=%v unbounded=%v", bounded, unbounded)
 }
 
 // Soak test: seed-determined fault schedules from the chaos generator over
@@ -171,12 +102,12 @@ func TestSoakDeterminism(t *testing.T) {
 // crash of the same node) still converge.
 func TestRepeatedNodeCrashes(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, _ := buildScenario(t, cfg, 15)
+	c, run := buildScenario(t, cfg, 15)
 	c.Scheduler().At(1*simtime.Second, func() { c.CrashNode(1) })
 	c.Scheduler().At(6*simtime.Second, func() { c.CrashNode(1) })
 	c.Scheduler().At(11*simtime.Second, func() { c.CrashNode(1) })
 	c.Run(5 * simtime.Minute)
-	expectSteps(t, sink, 15)
+	expectSteps(t, run)
 	if got := c.Recorder().Stats().ProcessorCrashes; got < 3 {
 		t.Fatalf("processor crashes detected = %d, want >= 3", got)
 	}
@@ -189,33 +120,12 @@ func TestStoragePolicyCheckpoints(t *testing.T) {
 	cfg.CheckpointPolicy = CheckpointStorage
 	cfg.CheckpointTick = 150 * simtime.Millisecond
 	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
 	// The storage policy triggers when accumulated message bytes exceed the
-	// checkpoint size, so send fat messages (value in byte 0, padding after).
-	c.Registry().RegisterProgram("producer", func(args []byte) Program {
-		return func(ctx *PCtx) {
-			wl, err := ctx.ServiceLink("worker")
-			if err != nil {
-				return
-			}
-			for i := 1; i <= 20; i++ {
-				body := make([]byte, 512)
-				body[0] = byte(i)
-				_ = ctx.Send(wl, body, NoLink)
-				ctx.Compute(120 * simtime.Millisecond)
-			}
-		}
-	})
-	wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	c.SetService("witness", wit)
-	worker, _ := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
-	c.SetService("worker", worker)
-	c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true})
-	c.Scheduler().At(2200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	// checkpoint size, so send fat messages.
+	run := Pipeline{Msgs: 20, Bytes: 512, Pace: 120 * simtime.Millisecond}.Start(c)
+	c.Scheduler().At(2200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 20)
+	expectSteps(t, run)
 	if c.Recorder().Stats().CheckpointsStored == 0 {
 		t.Fatal("storage policy never checkpointed")
 	}
@@ -235,11 +145,11 @@ func TestCheckpointStorageDeterminism(t *testing.T) {
 		cfg.CheckpointTick = 150 * simtime.Millisecond
 		c := New(cfg)
 		defer c.Close()
-		sink := &witnessSink{}
-		registerWitness(c, sink)
-		registerWorker(c)
 		const workers, rounds = 4, 12
-		c.Registry().RegisterProgram("producer", func(args []byte) Program {
+		// The pipeline's witness and worker images, spawned four times: a
+		// feeder of its own drives all four workers.
+		run := Pipeline{Msgs: workers * rounds}.register(c)
+		c.Registry().RegisterProgram("feeder", func(args []byte) Program {
 			return func(ctx *PCtx) {
 				var links [workers]LinkID
 				for i := range links {
@@ -271,11 +181,11 @@ func TestCheckpointStorageDeterminism(t *testing.T) {
 			}
 			c.SetService(fmt.Sprintf("worker%d", i), w)
 		}
-		if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
+		if _, err := c.Spawn(0, ProcSpec{Name: "feeder", Recoverable: true}); err != nil {
 			t.Fatal(err)
 		}
 		c.Run(30 * simtime.Second)
-		if got := len(sink.msgs); got != workers*rounds {
+		if got := len(run.Output()); got != workers*rounds {
 			t.Fatalf("witness saw %d messages, want %d", got, workers*rounds)
 		}
 		if n := c.Recorder().Stats().CheckpointsStored; n < workers {
@@ -298,17 +208,7 @@ func TestLiveCompaction(t *testing.T) {
 	cfg.CheckpointPolicy = CheckpointBound
 	cfg.CheckpointTick = 200 * simtime.Millisecond
 	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
-	registerProducer(c, 20, 150*simtime.Millisecond)
-	wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	c.SetService("witness", wit)
-	worker, _ := c.Spawn(1, ProcSpec{
-		Name: "worker", Recoverable: true, RecoveryTimeBound: 400 * simtime.Millisecond,
-	})
-	c.SetService("worker", worker)
-	c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true})
+	run := Pipeline{Msgs: 20, Pace: 150 * simtime.Millisecond, WorkerBound: 400 * simtime.Millisecond}.Start(c)
 	c.Run(10 * simtime.Second)
 	dropped, err := c.Store().Compact()
 	if err != nil {
@@ -318,7 +218,7 @@ func TestLiveCompaction(t *testing.T) {
 		t.Fatal("compaction reclaimed nothing despite checkpoints")
 	}
 	// The system continues fine after compaction, including a recovery.
-	c.CrashProcess(worker)
+	c.CrashProcess(run.Worker)
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 20)
+	expectSteps(t, run)
 }

@@ -28,9 +28,9 @@ const goldenPath = "testdata/fingerprints.golden"
 // sweepMsgs is how many messages a sweep row's generator sends.
 const sweepMsgs = 100
 
-// sweepRow runs the seed-sweep workload on one medium: a generator on node 0
-// sends sweepMsgs one-byte messages to a sink on node 1, 5 ms of compute
-// apart, and the cluster runs two virtual minutes. The row keeps the full
+// sweepRow runs the seed-sweep workload on one medium: a Stream of
+// sweepMsgs one-byte messages, 5 ms of compute apart, and the cluster runs
+// two virtual minutes. The row keeps the full
 // event trace as a "trace" section. Every message must reach the sink, and
 // the recorder must drop none below a sender's watermark.
 func sweepRow(medium MediumKind, seed uint64) func(*testing.T) []Section {
@@ -42,30 +42,10 @@ func sweepRow(medium MediumKind, seed uint64) func(*testing.T) []Section {
 		cfg.TraceWriter = &tr
 		c := New(cfg)
 		t.Cleanup(c.Close)
-		got := 0
-		c.Registry().RegisterMachine("sink", func([]byte) Machine {
-			return &testMachine{handle: func(*PCtx, Msg) { got++ }}
-		})
-		c.Registry().RegisterProgram("gen", func([]byte) Program {
-			return func(ctx *PCtx) {
-				l, _ := ctx.ServiceLink("sink")
-				for j := 0; j < sweepMsgs; j++ {
-					_ = ctx.Send(l, []byte{byte(j)}, NoLink)
-					ctx.Compute(5 * simtime.Millisecond)
-				}
-			}
-		})
-		sink, err := c.Spawn(1, ProcSpec{Name: "sink", Recoverable: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetService("sink", sink)
-		if _, err := c.Spawn(0, ProcSpec{Name: "gen", Recoverable: true}); err != nil {
-			t.Fatal(err)
-		}
+		run := Stream{Msgs: sweepMsgs, Pace: 5 * simtime.Millisecond}.Start(c)
 		c.Run(2 * simtime.Minute)
-		if got != sweepMsgs {
-			t.Errorf("sink received %d of %d messages", got, sweepMsgs)
+		if run.Got != sweepMsgs {
+			t.Errorf("sink received %d of %d messages", run.Got, sweepMsgs)
 		}
 		if n := c.Recorder().Stats().BelowWatermark; n != 0 {
 			t.Errorf("recorder dropped %d acknowledged messages below a sender's watermark", n)
@@ -141,7 +121,7 @@ var goldenRows = []struct {
 	{"star", sweepRow(MediumStar, 1)},
 	{"crash", func(t *testing.T) []Section { return crashRun(t, 1).Fingerprint().Sections() }},
 	{"sharded-crash", func(t *testing.T) []Section {
-		c, _, _, _ := runPromotionScenario(t, false)
+		c, _, _ := runPromotionScenario(t, false)
 		return c.Fingerprint().Sections()
 	}},
 	{fmt.Sprintf("chaos/%d", chaosRowSeed), chaosRow},
@@ -307,8 +287,8 @@ func TestFingerprintIsIdempotent(t *testing.T) {
 // open, leaves the rest of the run alone: the run ends with the same
 // Fingerprint as a same-seed run that took none.
 func TestFingerprintMidRunChangesNothing(t *testing.T) {
-	run := func(peek bool) Fingerprint {
-		c, sink := crashScenario(t, 1)
+	runOnce := func(peek bool) Fingerprint {
+		c, run := crashScenario(t, 1)
 		c.Run(simtime.Second)
 		if peek {
 			if c.Store().Stats().Appends == 0 {
@@ -317,10 +297,10 @@ func TestFingerprintMidRunChangesNothing(t *testing.T) {
 			c.Fingerprint()
 		}
 		c.Run(crashRunFor - simtime.Second)
-		expectSteps(t, sink, crashMsgs)
+		expectSteps(t, run)
 		return c.Fingerprint()
 	}
-	if moved := run(true).Diff(run(false)); len(moved) > 0 {
+	if moved := runOnce(true).Diff(runOnce(false)); len(moved) > 0 {
 		t.Fatalf("a mid-run Fingerprint moved %v of the final one", moved)
 	}
 }

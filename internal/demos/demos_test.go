@@ -399,6 +399,7 @@ func TestProcessFaultBecomesCrash(t *testing.T) {
 
 func TestInjectedProcessCrashAndRefusal(t *testing.T) {
 	e := newTenv(t, 2, true, frame.NilProc)
+	// Kernel-level images: this package cannot import the root's scenarios.
 	e.reg.RegisterMachine("sink", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {}}
 	})
@@ -475,6 +476,7 @@ func TestRecreateReplaySuppression(t *testing.T) {
 	e := newTenv(t, 2, true, frame.NilProc)
 
 	// echo: for every message received, sends one reply to a fixed target.
+	// Kernel-level images: this package cannot import the root's Pipeline.
 	var echoed []string
 	e.reg.RegisterMachine("witness", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"publishing"
-	"publishing/internal/demos"
 	"publishing/internal/recorder"
 	"publishing/internal/simtime"
 )
@@ -183,23 +182,7 @@ func PublishTimeLevels() []PublishCost {
 		cfg.RecorderMode = mode
 		cfg.WatchInterval = 10 * simtime.Minute
 		c := publishing.New(cfg)
-		c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine { return &sinkMachine{} })
-		c.Registry().RegisterProgram("gen", func(args []byte) publishing.Program {
-			return func(ctx *publishing.PCtx) {
-				sl, _ := ctx.ServiceLink("sink")
-				for i := 0; i < 50; i++ {
-					_ = ctx.Send(sl, make([]byte, 128), publishing.NoLink)
-				}
-			}
-		})
-		sink, err := c.Spawn(1, publishing.ProcSpec{Name: "sink", Recoverable: true})
-		if err != nil {
-			panic(err)
-		}
-		c.SetService("sink", sink)
-		if _, err := c.Spawn(0, publishing.ProcSpec{Name: "gen", Recoverable: true}); err != nil {
-			panic(err)
-		}
+		publishing.Stream{Msgs: 50, Bytes: 128}.Start(c)
 		c.Run(5 * simtime.Minute)
 		st := c.Recorder().Stats()
 		if st.MessagesSeen == 0 {
@@ -212,11 +195,3 @@ func PublishTimeLevels() []PublishCost {
 	}
 	return out
 }
-
-// sinkMachine discards messages.
-type sinkMachine struct{ n int }
-
-func (s *sinkMachine) Init(ctx *publishing.PCtx)                {}
-func (s *sinkMachine) Handle(ctx *publishing.PCtx, m demos.Msg) { s.n++ }
-func (s *sinkMachine) Snapshot() ([]byte, error)                { return []byte{byte(s.n)}, nil }
-func (s *sinkMachine) Restore(b []byte) error                   { s.n = int(b[0]); return nil }

@@ -29,135 +29,51 @@ func (r RecoveryResult) PerMsgMS() float64 {
 	return (r.Window / simtime.Time(r.Replayed)).Milliseconds()
 }
 
-// RecoveryReplay runs the standard producer → worker → witness pipeline
+// RecoveryReplay runs an n-message Pipeline of 48-byte bodies, unpaced,
 // until the worker has an n-message published stream, crashes the worker,
-// and measures the recovery window. tune, when non-nil, may adjust the
-// cluster config (replay knobs, medium) before the cluster is built. The
-// scenario panics on any correctness violation — lost or duplicated
-// deliveries at the witness — so benchmarks cannot quietly measure a broken
-// recovery.
-func RecoveryReplay(n int, tune func(*publishing.Config)) RecoveryResult {
+// and measures the recovery window. The scenario panics unless the witness
+// ends with every step exactly once, so benchmarks cannot quietly measure a
+// broken recovery.
+func RecoveryReplay(n int) RecoveryResult {
 	cfg := publishing.DefaultConfig(3)
 	// Keep the watchdogs quiet: process-crash detection is via the kernel's
 	// fault notice, and ping chatter would pollute the replay window.
 	cfg.WatchInterval = 10 * simtime.Minute
-	if tune != nil {
-		tune(&cfg)
-	}
 	c := publishing.New(cfg)
-
-	var got int
-	c.Registry().RegisterMachine("witness", func(args []byte) publishing.Machine {
-		return &recWitness{got: &got}
-	})
-	c.Registry().RegisterMachine("worker", func(args []byte) publishing.Machine {
-		return &recWorker{}
-	})
-	c.Registry().RegisterProgram("producer", func(args []byte) publishing.Program {
-		return func(ctx *publishing.PCtx) {
-			l, err := ctx.ServiceLink("worker")
-			if err != nil {
-				panic(err)
-			}
-			body := make([]byte, 48)
-			for j := 0; j < n; j++ {
-				body[0] = byte(j)
-				if err := ctx.Send(l, body, publishing.NoLink); err != nil {
-					panic(err)
-				}
-			}
-		}
-	})
-	wit, err := c.Spawn(2, publishing.ProcSpec{Name: "witness", Recoverable: true})
-	if err != nil {
-		panic(err)
-	}
-	c.SetService("witness", wit)
-	worker, err := c.Spawn(1, publishing.ProcSpec{Name: "worker", Recoverable: true})
-	if err != nil {
-		panic(err)
-	}
-	c.SetService("worker", worker)
-	if _, err := c.Spawn(0, publishing.ProcSpec{Name: "producer", Recoverable: true}); err != nil {
-		panic(err)
-	}
+	run := publishing.Pipeline{Msgs: n, Bytes: 48}.Start(c)
 
 	feed := 2*simtime.Minute + simtime.Time(n)*150*simtime.Millisecond
-	if !c.RunUntil(func() bool { return got == n }, feed) {
-		panic(fmt.Sprintf("measure: pipeline stalled feeding %d messages (%d delivered)", n, got))
+	if !c.RunUntil(run.Done, feed) {
+		panic(fmt.Sprintf("measure: pipeline stalled feeding %d messages (%d delivered)", n, len(run.Output())))
 	}
-	c.CrashProcess(worker)
+	c.CrashProcess(run.Worker)
 	recover := simtime.Minute + simtime.Time(n)*50*simtime.Millisecond
 	if !c.RunUntil(func() bool { return c.Recorder().Stats().RecoveriesCompleted >= 1 }, recover) {
 		panic(fmt.Sprintf("measure: recovery of %d-message stream did not finish", n))
 	}
-	if got != n {
-		panic(fmt.Sprintf("measure: witness saw %d messages after recovery, want %d (suppression broken)", got, n))
+	if err := run.Check(); err != nil {
+		panic(fmt.Sprintf("measure: after recovery: %v", err))
 	}
+	return RecoveryResult{
+		Window:   RecoveryWindow(c, run.Worker),
+		Replayed: c.Recorder().Stats().MessagesReplayed,
+	}
+}
 
+// RecoveryWindow returns the virtual time from pid's first crash to its
+// last recovery-done in c's trace, or 0 if none followed the crash.
+func RecoveryWindow(c *publishing.Cluster, pid publishing.ProcID) simtime.Time {
 	var crashAt, doneAt simtime.Time
 	for _, e := range c.Trace().OfKind(trace.KindCrash) {
-		if e.Subject == worker.String() {
+		if e.Subject == pid.String() {
 			crashAt = e.At
 			break
 		}
 	}
 	for _, e := range c.Trace().OfKind(trace.KindRecoveryDone) {
-		if e.Subject == worker.String() {
+		if e.Subject == pid.String() {
 			doneAt = e.At
 		}
 	}
-	return RecoveryResult{
-		Window:   doneAt - crashAt,
-		Replayed: c.Recorder().Stats().MessagesReplayed,
-	}
-}
-
-// recWorker forwards each received message's tag to the witness.
-type recWorker struct {
-	out    publishing.LinkID
-	hasOut bool
-	n      uint32
-}
-
-func (w *recWorker) Init(ctx *publishing.PCtx) {
-	if l, err := ctx.ServiceLink("witness"); err == nil {
-		w.out, w.hasOut = l, true
-	}
-}
-
-func (w *recWorker) Handle(ctx *publishing.PCtx, m publishing.Msg) {
-	w.n++
-	if w.hasOut {
-		tag := byte(0)
-		if len(m.Body) > 0 {
-			tag = m.Body[0]
-		}
-		_ = ctx.Send(w.out, []byte{tag}, publishing.NoLink)
-	}
-}
-
-func (w *recWorker) Snapshot() ([]byte, error) {
-	return []byte{byte(w.out), boolByte(w.hasOut), byte(w.n >> 16), byte(w.n >> 8), byte(w.n)}, nil
-}
-
-func (w *recWorker) Restore(b []byte) error {
-	w.out, w.hasOut = publishing.LinkID(b[0]), b[1] == 1
-	w.n = uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
-	return nil
-}
-
-// recWitness counts deliveries into an external cell.
-type recWitness struct{ got *int }
-
-func (s *recWitness) Init(ctx *publishing.PCtx)                     {}
-func (s *recWitness) Handle(ctx *publishing.PCtx, m publishing.Msg) { *s.got++ }
-func (s *recWitness) Snapshot() ([]byte, error)                     { return nil, nil }
-func (s *recWitness) Restore(b []byte) error                        { return nil }
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return max(doneAt-crashAt, 0)
 }

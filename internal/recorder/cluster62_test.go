@@ -135,6 +135,8 @@ func TestBridgeOutageDelaysButNeverDuplicates(t *testing.T) {
 	recorder.New(recorder.DefaultConfig(2, []frame.NodeID{0}), sched, rng.Fork(), log, lanA, stablestore.New(), transport.DefaultConfig()).Start()
 	recorder.New(recorder.DefaultConfig(12, []frame.NodeID{10}), sched, rng.Fork(), log, lanB, stablestore.New(), transport.DefaultConfig()).Start()
 
+	// Not publishing.Stream: a Stream runs on one Cluster's LAN, and §6.2
+	// joins two LANs by a bridge, built here from kernels directly.
 	var got []string
 	reg.RegisterMachine("sink", func(args []byte) demos.Machine {
 		return &collector{out: &got}

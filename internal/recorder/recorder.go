@@ -116,9 +116,6 @@ type Config struct {
 	// RebootFn asks the outside world (the cluster, standing in for a
 	// front-panel reset) to reboot a crashed node.
 	RebootFn func(node frame.NodeID)
-	// StoreFailProb makes the tap randomly fail to store a frame, for
-	// exercising publish-before-use.
-	StoreFailProb float64
 
 	// ReplayWindow is how many replay batches a recovery keeps in flight
 	// before waiting for the kernel's cumulative batch acknowledgement
@@ -314,6 +311,10 @@ type Recorder struct {
 	preArrivals map[frame.ProcID][]pendingMsg
 	preLastSent map[frame.ProcID]uint64
 
+	// storeFailProb makes the tap randomly fail to store a frame, for
+	// exercising publish-before-use (SetStoreFailProb).
+	storeFailProb float64
+
 	restartNumber uint64
 	sendSeq       uint64
 	crashed       bool
@@ -459,7 +460,7 @@ func (r *Recorder) Stats() *Stats { return &r.stats }
 // the chaos harness's in-model stand-in for stable-store write failures
 // (a failed store write and a failed tap store look identical to the rest of
 // the system: no recorder ack, publish-before-use blocks the frame).
-func (r *Recorder) SetStoreFailProb(p float64) { r.cfg.StoreFailProb = p }
+func (r *Recorder) SetStoreFailProb(p float64) { r.storeFailProb = p }
 
 // Store exposes the stable store (experiments inspect its stats).
 func (r *Recorder) Store() *stablestore.Paged { return r.store }
@@ -515,7 +516,7 @@ func (r *Recorder) Observe(f *frame.Frame) bool {
 
 // storeFailed draws the injected store-failure fault.
 func (r *Recorder) storeFailed() bool {
-	if r.cfg.StoreFailProb > 0 && r.rng.Bool(r.cfg.StoreFailProb) {
+	if r.storeFailProb > 0 && r.rng.Bool(r.storeFailProb) {
 		r.stats.StoreFailures++
 		return true
 	}

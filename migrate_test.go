@@ -11,10 +11,10 @@ import (
 // exactly-once with no visible seam.
 func TestLiveMigration(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	migrated := false
 	c.Scheduler().At(1300*simtime.Millisecond, func() {
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 			return
 		}
@@ -24,11 +24,11 @@ func TestLiveMigration(t *testing.T) {
 	if !migrated {
 		t.Fatal("migration never ran")
 	}
-	expectSteps(t, sink, 12)
-	if st := c.Kernel(2).ProcState(worker); st != demos.StateFunctioning {
+	expectSteps(t, run)
+	if st := c.Kernel(2).ProcState(run.Worker); st != demos.StateFunctioning {
 		t.Fatalf("worker on node 2: %v", st)
 	}
-	if st := c.Kernel(1).ProcState(worker); st != demos.StateUnknown {
+	if st := c.Kernel(1).ProcState(run.Worker); st != demos.StateUnknown {
 		t.Fatalf("worker still known on node 1: %v", st)
 	}
 }
@@ -37,16 +37,16 @@ func TestLiveMigration(t *testing.T) {
 // there (its database tracked the move), from the migration checkpoint.
 func TestCrashAfterMigrationRecoversAtNewHome(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 14)
+	c, run := buildScenario(t, cfg, 14)
 	c.Scheduler().At(1300*simtime.Millisecond, func() {
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 	})
-	c.Scheduler().At(2*simtime.Second, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(2*simtime.Second, func() { c.CrashProcess(run.Worker) })
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 14)
-	if st := c.Kernel(2).ProcState(worker); st != demos.StateFunctioning {
+	expectSteps(t, run)
+	if st := c.Kernel(2).ProcState(run.Worker); st != demos.StateFunctioning {
 		t.Fatalf("worker not functioning on node 2 after recovery: %v", st)
 	}
 	if got := c.Recorder().Stats().RecoveriesCompleted; got != 1 {
@@ -62,15 +62,15 @@ func TestCrashAfterMigrationRecoversAtNewHome(t *testing.T) {
 // only processes still located there are recovered.
 func TestOldNodeCrashLeavesMigrantAlone(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 14)
+	c, run := buildScenario(t, cfg, 14)
 	c.Scheduler().At(1300*simtime.Millisecond, func() {
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 	})
 	c.Scheduler().At(2500*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 14)
+	expectSteps(t, run)
 	// Node 1 had no recoverable processes left, so no recovery targeted the
 	// migrant (it kept running on node 2 throughout).
 	if got := c.Recorder().Stats().RecoveriesStarted; got != 0 {

@@ -17,24 +17,24 @@ func multiCfg() Config {
 // "If there are n recorders, n−1 can fail before the network becomes
 // unavailable."
 func TestTrafficSurvivesOneRecorderCrash(t *testing.T) {
-	c, sink, _ := buildScenario(t, multiCfg(), 12)
+	c, run := buildScenario(t, multiCfg(), 12)
 	c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorderAt(0) })
 	c.Run(60 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 }
 
 // With both recorders down, everything suspends — and resumes when one
 // returns.
 func TestAllRecordersDownSuspendsTraffic(t *testing.T) {
-	c, sink, _ := buildScenario(t, multiCfg(), 12)
+	c, run := buildScenario(t, multiCfg(), 12)
 	c.Scheduler().At(800*simtime.Millisecond, func() {
 		c.CrashRecorderAt(0)
 		c.CrashRecorderAt(1)
 	})
 	c.Run(4 * simtime.Second)
-	blocked := len(sink.msgs)
+	blocked := len(run.Output())
 	c.Run(2 * simtime.Second)
-	if len(sink.msgs) != blocked {
+	if len(run.Output()) != blocked {
 		t.Fatal("traffic flowed with every recorder down")
 	}
 	if err := c.RestartRecorderAt(0); err != nil {
@@ -44,19 +44,19 @@ func TestAllRecordersDownSuspendsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 }
 
 // A process crash while the slot's leader is down: the follower holds the
 // full stream (every recorder replicates the one slot), finds the leader
 // silent, and performs the recovery itself. The leader performs none.
 func TestSecondaryRecorderPerformsRecovery(t *testing.T) {
-	c, sink, worker := buildScenario(t, multiCfg(), 12)
+	c, run := buildScenario(t, multiCfg(), 12)
 	lead, fol := c.ShardMap().Leader(0), c.ShardMap().Follower(0)
 	c.Scheduler().At(700*simtime.Millisecond, func() { c.CrashRecorderAt(lead) })
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.RecorderAt(fol).Stats().RecoveriesCompleted; got != 1 {
 		t.Fatalf("follower rec%d completed %d recoveries, want 1", fol, got)
 	}
@@ -68,11 +68,11 @@ func TestSecondaryRecorderPerformsRecovery(t *testing.T) {
 // Node-crash duty is exclusive: both recorders detect the crash, but only
 // the slot's acting replica, its live leader, recovers the node's processes.
 func TestArbitrationSingleRecoverer(t *testing.T) {
-	c, sink, _ := buildScenario(t, multiCfg(), 12)
+	c, run := buildScenario(t, multiCfg(), 12)
 	lead, fol := c.ShardMap().Leader(0), c.ShardMap().Follower(0)
 	c.Scheduler().At(1100*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	rl := c.RecorderAt(lead).Stats().RecoveriesStarted
 	rf := c.RecorderAt(fol).Stats().RecoveriesStarted
 	if rl == 0 {
@@ -95,7 +95,7 @@ func TestThirdReplicaRecoversAfterTwoCrash(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Recorders = 3
 	cfg.ShardSlots = 0
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	reps := c.ShardMap().Replicas(0)
 	if len(reps) != 3 {
 		t.Fatalf("one-slot map over three recorders has replicas %v", reps)
@@ -104,9 +104,9 @@ func TestThirdReplicaRecoversAfterTwoCrash(t *testing.T) {
 		c.CrashRecorderAt(reps[0])
 		c.CrashRecorderAt(reps[1])
 	})
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.RecorderAt(reps[2]).Stats().RecoveriesCompleted; got != 1 {
 		t.Fatalf("third replica rec%d completed %d recoveries, want 1", reps[2], got)
 	}
@@ -115,11 +115,11 @@ func TestThirdReplicaRecoversAfterTwoCrash(t *testing.T) {
 // Both recorders stay consistent: their reconstructed streams for the
 // worker match even though only one receives the notices end-to-end.
 func TestRecordersStayConsistent(t *testing.T) {
-	c, sink, worker := buildScenario(t, multiCfg(), 10)
+	c, run := buildScenario(t, multiCfg(), 10)
 	c.Run(30 * simtime.Second)
-	expectSteps(t, sink, 10)
-	s0 := c.RecorderAt(0).StreamSummary(worker)
-	s1 := c.RecorderAt(1).StreamSummary(worker)
+	expectSteps(t, run)
+	s0 := c.RecorderAt(0).StreamSummary(run.Worker)
+	s1 := c.RecorderAt(1).StreamSummary(run.Worker)
 	if len(s0) == 0 {
 		t.Fatal("primary has no stream")
 	}
@@ -131,8 +131,8 @@ func TestRecordersStayConsistent(t *testing.T) {
 			t.Fatalf("streams diverge at %d: %v vs %v", i, s0[i], s1[i])
 		}
 	}
-	_, _, _, ls0, _ := c.RecorderAt(0).Entry(worker)
-	_, _, _, ls1, _ := c.RecorderAt(1).Entry(worker)
+	_, _, _, ls0, _ := c.RecorderAt(0).Entry(run.Worker)
+	_, _, _, ls1, _ := c.RecorderAt(1).Entry(run.Worker)
 	if ls0 != ls1 || ls0 == 0 {
 		t.Fatalf("lastSent diverges: %d vs %d", ls0, ls1)
 	}
@@ -141,7 +141,7 @@ func TestRecordersStayConsistent(t *testing.T) {
 // After a restart with peers, a recorder forces every process to checkpoint
 // (§6.3 catch-up) and reports CatchingUp until those checkpoints land.
 func TestRestartCatchUp(t *testing.T) {
-	c, sink, _ := buildScenario(t, multiCfg(), 14)
+	c, run := buildScenario(t, multiCfg(), 14)
 	c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorderAt(0) })
 	c.Run(3 * simtime.Second)
 	if err := c.RestartRecorderAt(0); err != nil {
@@ -154,7 +154,7 @@ func TestRestartCatchUp(t *testing.T) {
 	if c.RecorderAt(0).CatchingUp() {
 		t.Fatal("catch-up never completed")
 	}
-	expectSteps(t, sink, 14)
+	expectSteps(t, run)
 	if got := c.RecorderAt(0).Stats().CheckpointsStored; got == 0 {
 		t.Fatal("no forced checkpoints were stored during catch-up")
 	}
@@ -162,11 +162,11 @@ func TestRestartCatchUp(t *testing.T) {
 
 func TestMultiRecorderDeterminism(t *testing.T) {
 	run := func() string {
-		c, sink, worker := buildScenario(t, multiCfg(), 10)
+		c, run := buildScenario(t, multiCfg(), 10)
 		c.Scheduler().At(700*simtime.Millisecond, func() { c.CrashRecorderAt(0) })
-		c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+		c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 		c.Run(60 * simtime.Second)
-		return joinStrings(sink.msgs) + "|" + c.Now().String()
+		return joinStrings(run.Output()) + "|" + c.Now().String()
 	}
 	if run() != run() {
 		t.Fatal("multi-recorder cluster not deterministic")

@@ -24,11 +24,11 @@ type chromeSpan struct {
 func TestCrashRecoverChromeTimeline(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Medium = MediumEther
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	c.Trace().SetDetailed(true)
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(60 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 
 	var buf bytes.Buffer
 	if err := c.Trace().WriteChrome(&buf); err != nil {
@@ -86,22 +86,22 @@ const (
 
 // crashScenario builds the crash-and-recover scenario and schedules its
 // crash, without running it.
-func crashScenario(t *testing.T, seed uint64) (*Cluster, *witnessSink) {
+func crashScenario(t *testing.T, seed uint64) (*Cluster, *PipelineRun) {
 	t.Helper()
 	cfg := DefaultConfig(3)
 	cfg.Medium = MediumEther
 	cfg.Seed = seed
-	c, sink, worker := buildScenario(t, cfg, crashMsgs)
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
-	return c, sink
+	c, run := buildScenario(t, cfg, crashMsgs)
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
+	return c, run
 }
 
 // crashRun runs the crash-and-recover scenario to its end.
 func crashRun(t *testing.T, seed uint64) *Cluster {
 	t.Helper()
-	c, sink := crashScenario(t, seed)
+	c, run := crashScenario(t, seed)
 	c.Run(crashRunFor)
-	expectSteps(t, sink, crashMsgs)
+	expectSteps(t, run)
 	return c
 }
 
@@ -133,9 +133,9 @@ func TestMetricsDeterministicAcrossSameSeedRuns(t *testing.T) {
 func TestFlightRecorderBoundsTrace(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.FlightRecorder = 64
-	c, sink, _ := buildScenario(t, cfg, 10)
+	c, run := buildScenario(t, cfg, 10)
 	c.Run(30 * simtime.Second)
-	expectSteps(t, sink, 10)
+	expectSteps(t, run)
 	ev := c.Trace().Events()
 	if len(ev) > 64 {
 		t.Fatalf("flight recorder kept %d events, want <= 64", len(ev))
@@ -161,10 +161,10 @@ func TestFlightRecorderBoundsTrace(t *testing.T) {
 // the invariant that makes the gauge trustworthy across crash and recovery.
 func TestQueueDepthGaugeReturnsToZero(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 10)
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c, run := buildScenario(t, cfg, 10)
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(60 * simtime.Second)
-	expectSteps(t, sink, 10)
+	expectSteps(t, run)
 	for _, s := range c.Metrics().Snapshot().Samples {
 		if s.Name == "queue_depth" && s.Value != 0 {
 			t.Fatalf("node %d queue_depth = %d after quiescence", s.Node, s.Value)

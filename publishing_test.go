@@ -13,72 +13,6 @@ import (
 
 // --- shared test images -----------------------------------------------------
 
-// witnessSink collects what a witness machine receives; shared by closure.
-type witnessSink struct {
-	msgs []string
-}
-
-// registerWitness registers a machine that records every message body.
-func registerWitness(c *Cluster, sink *witnessSink) {
-	c.Registry().RegisterMachine("witness", func(args []byte) Machine {
-		return &testMachine{handle: func(ctx *PCtx, m Msg) {
-			sink.msgs = append(sink.msgs, string(m.Body))
-		}}
-	})
-}
-
-// workerState is the checkpointable state of the worker machine.
-type workerState struct {
-	Witness LinkID
-	HasOut  bool
-	Count   int
-	Sum     int
-}
-
-// registerWorker registers a machine that accumulates integers and reports
-// each step to the witness service.
-func registerWorker(c *Cluster) {
-	c.Registry().RegisterMachine("worker", func(args []byte) Machine {
-		st := &workerState{}
-		return &testMachine{
-			init: func(ctx *PCtx) {
-				lid, err := ctx.ServiceLink("witness")
-				if err == nil {
-					st.Witness = lid
-					st.HasOut = true
-				}
-			},
-			handle: func(ctx *PCtx, m Msg) {
-				v := int(m.Body[0])
-				st.Count++
-				st.Sum += v
-				if st.HasOut {
-					_ = ctx.Send(st.Witness, []byte(fmt.Sprintf("step=%d sum=%d", st.Count, st.Sum)), NoLink)
-				}
-			},
-			snap: func() ([]byte, error) { return gobEnc(st) },
-			rest: func(b []byte) error { return gobDec(b, st) },
-		}
-	})
-}
-
-// registerProducer registers a program that sends n integers to the worker
-// service, paced by compute time.
-func registerProducer(c *Cluster, n int, pace Time) {
-	c.Registry().RegisterProgram("producer", func(args []byte) Program {
-		return func(ctx *PCtx) {
-			wl, err := ctx.ServiceLink("worker")
-			if err != nil {
-				return
-			}
-			for i := 1; i <= n; i++ {
-				_ = ctx.Send(wl, []byte{byte(i)}, NoLink)
-				ctx.Compute(pace)
-			}
-		}
-	})
-}
-
 type testMachine struct {
 	init   func(ctx *PCtx)
 	handle func(ctx *PCtx, m Msg)
@@ -115,47 +49,23 @@ func gobDec(b []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
-// expectSteps asserts the witness saw steps 1..n exactly once, in order,
-// with correct running sums (sum of 1..k).
-func expectSteps(t *testing.T, sink *witnessSink, n int) {
+// expectSteps fails t unless run's witness saw every step exactly once, in
+// order (PipelineRun.Check).
+func expectSteps(t *testing.T, run *PipelineRun) {
 	t.Helper()
-	if len(sink.msgs) != n {
-		t.Fatalf("witness saw %d messages, want %d: %v", len(sink.msgs), n, sink.msgs)
-	}
-	for i := 0; i < n; i++ {
-		k := i + 1
-		want := fmt.Sprintf("step=%d sum=%d", k, k*(k+1)/2)
-		if sink.msgs[i] != want {
-			t.Fatalf("witness[%d] = %q, want %q (full: %v)", i, sink.msgs[i], want, sink.msgs)
-		}
+	if err := run.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// buildScenario assembles the standard 3-node scenario: producer on node 0,
-// worker on node 1, witness on node 2, recorder on node 3.
-func buildScenario(t *testing.T, cfg Config, nMsgs int) (*Cluster, *witnessSink, ProcID) {
+// buildScenario starts an nMsgs-message Pipeline, 200 ms apart, on a cluster
+// built from cfg: producer on node 0, worker on node 1, witness on node 2,
+// recorder on node 3.
+func buildScenario(t *testing.T, cfg Config, nMsgs int) (*Cluster, *PipelineRun) {
 	t.Helper()
 	c := New(cfg)
 	t.Cleanup(c.Close)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
-	registerProducer(c, nMsgs, 200*simtime.Millisecond)
-
-	wit, err := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetService("witness", wit)
-	worker, err := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetService("worker", worker)
-	if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
-		t.Fatal(err)
-	}
-	return c, sink, worker
+	return c, Pipeline{Msgs: nMsgs, Pace: 200 * simtime.Millisecond}.Start(c)
 }
 
 // --- the headline behaviour --------------------------------------------------
@@ -167,9 +77,9 @@ func TestPipelineNoCrash(t *testing.T) {
 		t.Run(string(medium), func(t *testing.T) {
 			cfg := DefaultConfig(3)
 			cfg.Medium = medium
-			c, sink, _ := buildScenario(t, cfg, 10)
+			c, run := buildScenario(t, cfg, 10)
 			c.Run(30 * simtime.Second)
-			expectSteps(t, sink, 10)
+			expectSteps(t, run)
 		})
 	}
 }
@@ -183,13 +93,13 @@ func TestTransparentProcessRecovery(t *testing.T) {
 		t.Run(string(medium), func(t *testing.T) {
 			cfg := DefaultConfig(3)
 			cfg.Medium = medium
-			c, sink, worker := buildScenario(t, cfg, 12)
+			c, run := buildScenario(t, cfg, 12)
 
 			// Crash the worker mid-stream.
-			c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+			c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 			c.Run(60 * simtime.Second)
 
-			expectSteps(t, sink, 12)
+			expectSteps(t, run)
 			if got := c.Recorder().Stats().RecoveriesCompleted; got != 1 {
 				t.Fatalf("recoveries completed = %d, want 1", got)
 			}
@@ -217,10 +127,10 @@ func TestTransparentProcessRecovery(t *testing.T) {
 // (§3.3.2, §4.6).
 func TestProcessorCrashRecovery(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, _ := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	c.Scheduler().At(1100*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Recorder().Stats().ProcessorCrashes; got != 1 {
 		t.Fatalf("processor crashes detected = %d, want 1", got)
 	}
@@ -239,11 +149,11 @@ func TestSpareNodeRecovery(t *testing.T) {
 	cfg.OnProcessorCrash = func(node NodeID) recorder.Decision {
 		return recorder.Decision{Action: recorder.ActionRecoverSpare, Spare: spare}
 	}
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	c.Scheduler().At(1100*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 12)
-	if st := c.Kernel(spare).ProcState(worker); st != demos.StateFunctioning {
+	expectSteps(t, run)
+	if st := c.Kernel(spare).ProcState(run.Worker); st != demos.StateFunctioning {
 		t.Fatalf("worker on spare = %v, want functioning", st)
 	}
 }
@@ -254,10 +164,10 @@ func TestNoRecoverPolicy(t *testing.T) {
 	cfg.OnProcessorCrash = func(node NodeID) recorder.Decision {
 		return recorder.Decision{Action: recorder.ActionNoRecover}
 	}
-	c, sink, _ := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	c.Scheduler().At(1100*simtime.Millisecond, func() { c.CrashNode(1) })
 	c.Run(30 * simtime.Second)
-	if len(sink.msgs) >= 12 {
+	if len(run.Output()) >= 12 {
 		t.Fatal("abandoned worker completed anyway")
 	}
 	if got := c.Recorder().Stats().RecoveriesStarted; got != 0 {
@@ -273,30 +183,11 @@ func TestCheckpointedRecoveryReplaysLess(t *testing.T) {
 	cfg.CheckpointPolicy = CheckpointBound
 	cfg.CheckpointTick = 300 * simtime.Millisecond
 	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
-	registerProducer(c, 16, 200*simtime.Millisecond)
-
-	wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	c.SetService("witness", wit)
-	worker, err := c.Spawn(1, ProcSpec{
-		Name:              "worker",
-		Recoverable:       true,
-		RecoveryTimeBound: 400 * simtime.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetService("worker", worker)
-	if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	c.Scheduler().At(2500*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	run := Pipeline{Msgs: 16, Pace: 200 * simtime.Millisecond, WorkerBound: 400 * simtime.Millisecond}.Start(c)
+	c.Scheduler().At(2500*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(90 * simtime.Second)
 
-	expectSteps(t, sink, 16)
+	expectSteps(t, run)
 	rs := c.Recorder().Stats()
 	if rs.CheckpointsStored == 0 {
 		t.Fatal("no checkpoints were taken")
@@ -316,14 +207,14 @@ func TestCheckpointedRecoveryReplaysLess(t *testing.T) {
 // storage, runs the §3.3.4 query protocol, and the system resumes.
 func TestRecorderCrashAndRestart(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, _ := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 
 	c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorder() })
 	c.Run(3 * simtime.Second)
-	blocked := len(sink.msgs)
+	blocked := len(run.Output())
 	c.Run(2 * simtime.Second)
-	if len(sink.msgs) != blocked {
-		t.Fatalf("traffic flowed while recorder was down (%d -> %d)", blocked, len(sink.msgs))
+	if len(run.Output()) != blocked {
+		t.Fatalf("traffic flowed while recorder was down (%d -> %d)", blocked, len(run.Output()))
 	}
 	if err := c.RestartRecorder(); err != nil {
 		t.Fatal(err)
@@ -332,7 +223,7 @@ func TestRecorderCrashAndRestart(t *testing.T) {
 		t.Fatalf("restart number = %d", c.Recorder().RestartNumber())
 	}
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 }
 
 // A process that crashes while the recorder is down is found by the restart
@@ -340,15 +231,15 @@ func TestRecorderCrashAndRestart(t *testing.T) {
 // crashed while the recorder was down will be recovered").
 func TestCrashWhileRecorderDown(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	c.Scheduler().At(800*simtime.Millisecond, func() { c.CrashRecorder() })
-	c.Scheduler().At(1000*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1000*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(3 * simtime.Second)
 	if err := c.RestartRecorder(); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Recorder().Stats().RecoveriesCompleted; got != 1 {
 		t.Fatalf("recoveries completed = %d, want 1", got)
 	}
@@ -358,12 +249,12 @@ func TestCrashWhileRecorderDown(t *testing.T) {
 // recovery reinitiates and still converges.
 func TestRecursiveProcessCrash(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c, sink, worker := buildScenario(t, cfg, 12)
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c, run := buildScenario(t, cfg, 12)
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	// Crash it again just as replay should be under way.
-	c.Scheduler().At(1450*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1450*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if got := c.Recorder().Stats().RecoveriesStarted; got < 2 {
 		t.Fatalf("recovery was not reinitiated (starts=%d)", got)
 	}
@@ -375,10 +266,10 @@ func TestClusterDeterminism(t *testing.T) {
 	run := func() string {
 		cfg := DefaultConfig(3)
 		cfg.Medium = MediumEther
-		c, sink, worker := buildScenario(t, cfg, 10)
-		c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+		c, run := buildScenario(t, cfg, 10)
+		c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 		c.Run(60 * simtime.Second)
-		return fmt.Sprintf("%v|%v|%d", sink.msgs, c.Now(), c.Recorder().Stats().MessagesReplayed)
+		return fmt.Sprintf("%v|%v|%d", run.Output(), c.Now(), c.Recorder().Stats().MessagesReplayed)
 	}
 	a, b := run(), run()
 	if a != b {
@@ -391,10 +282,10 @@ func TestClusterDeterminism(t *testing.T) {
 func TestNoPublishingNoRecovery(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Publishing = false
-	c, sink, worker := buildScenario(t, cfg, 12)
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c, run := buildScenario(t, cfg, 12)
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(30 * simtime.Second)
-	if len(sink.msgs) >= 12 {
+	if len(run.Output()) >= 12 {
 		t.Fatal("worker completed without publishing — impossible")
 	}
 	if c.Recorder() != nil {
@@ -407,10 +298,8 @@ func TestNoPublishingNoRecovery(t *testing.T) {
 func TestNonRecoverableProcess(t *testing.T) {
 	cfg := DefaultConfig(3)
 	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	registerWorker(c)
-	registerProducer(c, 12, 200*simtime.Millisecond)
+	// The pipeline's images, with the worker spawned unrecoverable.
+	run := Pipeline{Msgs: 12, Pace: 200 * simtime.Millisecond}.register(c)
 	wit, _ := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
 	c.SetService("witness", wit)
 	worker, _ := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: false})
@@ -418,7 +307,7 @@ func TestNonRecoverableProcess(t *testing.T) {
 	c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true})
 	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
 	c.Run(30 * simtime.Second)
-	if len(sink.msgs) >= 12 {
+	if len(run.Output()) >= 12 {
 		t.Fatal("non-recoverable worker recovered")
 	}
 	if got := c.Recorder().Stats().RecoveriesStarted; got != 0 {

@@ -19,12 +19,12 @@ func replayDigest(t *testing.T, tune func(*Config)) []byte {
 	if tune != nil {
 		tune(&cfg)
 	}
-	c, sink, worker := buildScenario(t, cfg, 16)
-	c.Scheduler().At(1500*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c, run := buildScenario(t, cfg, 16)
+	c.Scheduler().At(1500*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 16)
+	expectSteps(t, run)
 	var buf bytes.Buffer
-	for _, m := range sink.msgs {
+	for _, m := range run.Output() {
 		fmt.Fprintln(&buf, m)
 	}
 	rs := c.Recorder().Stats()
@@ -60,15 +60,15 @@ func TestRecursiveCrashMidBatch(t *testing.T) {
 	// Small batches: the first attempt's replay spans several frames, so
 	// some are guaranteed to be in flight when the second crash lands.
 	cfg.ReplayBatchBytes = 96
-	c, sink, worker := buildScenario(t, cfg, 20)
-	c.Scheduler().At(3*simtime.Second, func() { c.CrashProcess(worker) })
+	c, run := buildScenario(t, cfg, 20)
+	c.Scheduler().At(3*simtime.Second, func() { c.CrashProcess(run.Worker) })
 	if !c.RunUntil(func() bool { return c.Recorder().Stats().ReplayBatches >= 1 }, 60*simtime.Second) {
 		t.Fatal("first recovery never started replaying")
 	}
 	// Replay has begun but not finished: crash the half-recovered process.
-	c.CrashProcess(worker)
+	c.CrashProcess(run.Worker)
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, 20)
+	expectSteps(t, run)
 	rs := c.Recorder().Stats()
 	if rs.RecoveriesStarted < 2 {
 		t.Fatalf("recoveries started = %d, want >= 2 (recursive crash must relaunch)", rs.RecoveriesStarted)
@@ -89,10 +89,10 @@ func TestRecursiveCrashMidBatch(t *testing.T) {
 func TestMigrationWithoutRouteUpdatesUsesHomeForwarding(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.RouteRepeats = -1
-	c, sink, worker := buildScenario(t, cfg, 12)
+	c, run := buildScenario(t, cfg, 12)
 	migrated := false
 	c.Scheduler().At(1300*simtime.Millisecond, func() {
-		if err := c.Migrate(worker, 2); err != nil {
+		if err := c.Migrate(run.Worker, 2); err != nil {
 			t.Errorf("migrate: %v", err)
 			return
 		}
@@ -102,34 +102,34 @@ func TestMigrationWithoutRouteUpdatesUsesHomeForwarding(t *testing.T) {
 	if !migrated {
 		t.Fatal("migration never ran")
 	}
-	expectSteps(t, sink, 12)
+	expectSteps(t, run)
 	if fwd := c.Kernel(1).Stats().MsgsForwarded; fwd == 0 {
 		t.Fatal("home node forwarded nothing; producer must have learned the route some other way")
 	}
 }
 
-// padWorkerState is workerState plus a multi-KB incompressible pad, so its
+// padWorkerState is chaosWorkerState plus a multi-KB incompressible pad, so its
 // checkpoint cannot fit one frame and must travel as chunks. The inner state
 // is a named field, not embedded: gob skips embedded fields whose (type)
 // name is unexported, which would silently drop the counters.
 type padWorkerState struct {
-	W   workerState
+	W   chaosWorkerState
 	Pad []byte
 }
 
-// A checkpoint bigger than one MTU ships as a chunked catch-up transfer on
-// the replay channel; the kernel reassembles it before the recreate and the
-// process resumes from the full state.
-func TestChunkedCheckpointTransfer(t *testing.T) {
-	cfg := DefaultConfig(3)
-	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
+// startPadPipeline starts a 14-message Pipeline whose worker is a padded
+// copy of the pipeline's: the pad is the point, so this worker keeps its own
+// machine, spawned under the "worker" service. The worker is checkpointed at
+// 1.5 s and crashed at 2 s; restoring it checks the pad survived.
+func startPadPipeline(t *testing.T) (*Cluster, *PipelineRun) {
+	c := New(DefaultConfig(3))
+	t.Cleanup(c.Close)
 	pad := make([]byte, 5000)
 	for i := range pad {
 		pad[i] = byte(i*7 + 3)
 	}
-	c.Registry().RegisterMachine("worker", func(args []byte) Machine {
+	run := Pipeline{Msgs: 14, Pace: 200 * simtime.Millisecond}.register(c)
+	c.Registry().RegisterMachine("padworker", func(args []byte) Machine {
 		st := &padWorkerState{Pad: pad}
 		return &testMachine{
 			init: func(ctx *PCtx) {
@@ -156,24 +156,23 @@ func TestChunkedCheckpointTransfer(t *testing.T) {
 			},
 		}
 	})
-	registerProducer(c, 14, 200*simtime.Millisecond)
-	wit, err := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wit := mustSpawn(c, 2, ProcSpec{Name: "witness", Recoverable: true})
 	c.SetService("witness", wit)
-	worker, err := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	worker := mustSpawn(c, 1, ProcSpec{Name: "padworker", Recoverable: true})
 	c.SetService("worker", worker)
-	if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
-		t.Fatal(err)
-	}
+	mustSpawn(c, 0, ProcSpec{Name: "producer", Recoverable: true})
 	c.Scheduler().At(1500*simtime.Millisecond, func() { _, _ = c.Kernel(1).CheckpointNow(worker) })
 	c.Scheduler().At(2*simtime.Second, func() { c.CrashProcess(worker) })
+	return c, run
+}
+
+// A checkpoint bigger than one MTU ships as a chunked catch-up transfer on
+// the replay channel; the kernel reassembles it before the recreate and the
+// process resumes from the full state.
+func TestChunkedCheckpointTransfer(t *testing.T) {
+	c, run := startPadPipeline(t)
 	c.Run(90 * simtime.Second)
-	expectSteps(t, sink, 14)
+	expectSteps(t, run)
 	rs := c.Recorder().Stats()
 	if rs.CheckpointsStored == 0 {
 		t.Fatal("checkpoint never stored; nothing to chunk")
@@ -196,49 +195,7 @@ func TestChunkedCheckpointTransfer(t *testing.T) {
 // fresh recovery re-ships the checkpoint from stable store. The computation
 // must converge exactly as if the outage had not happened.
 func TestRecorderRestartMidChunkedTransfer(t *testing.T) {
-	cfg := DefaultConfig(3)
-	c := New(cfg)
-	sink := &witnessSink{}
-	registerWitness(c, sink)
-	pad := make([]byte, 5000)
-	for i := range pad {
-		pad[i] = byte(i*11 + 5)
-	}
-	c.Registry().RegisterMachine("worker", func(args []byte) Machine {
-		st := &padWorkerState{Pad: pad}
-		return &testMachine{
-			init: func(ctx *PCtx) {
-				if lid, err := ctx.ServiceLink("witness"); err == nil {
-					st.W.Witness, st.W.HasOut = lid, true
-				}
-			},
-			handle: func(ctx *PCtx, m Msg) {
-				st.W.Count++
-				st.W.Sum += int(m.Body[0])
-				if st.W.HasOut {
-					_ = ctx.Send(st.W.Witness, []byte(fmt.Sprintf("step=%d sum=%d", st.W.Count, st.W.Sum)), NoLink)
-				}
-			},
-			snap: func() ([]byte, error) { return gobEnc(st) },
-			rest: func(b []byte) error { return gobDec(b, st) },
-		}
-	})
-	registerProducer(c, 14, 200*simtime.Millisecond)
-	wit, err := c.Spawn(2, ProcSpec{Name: "witness", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetService("witness", wit)
-	worker, err := c.Spawn(1, ProcSpec{Name: "worker", Recoverable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetService("worker", worker)
-	if _, err := c.Spawn(0, ProcSpec{Name: "producer", Recoverable: true}); err != nil {
-		t.Fatal(err)
-	}
-	c.Scheduler().At(1500*simtime.Millisecond, func() { _, _ = c.Kernel(1).CheckpointNow(worker) })
-	c.Scheduler().At(2*simtime.Second, func() { c.CrashProcess(worker) })
+	c, run := startPadPipeline(t)
 	// Run until the recovery's chunked transfer has started but (with more
 	// chunks pending for a ~5 KB checkpoint) not finished — then kill the
 	// recorder mid-stream.
@@ -257,7 +214,7 @@ func TestRecorderRestartMidChunkedTransfer(t *testing.T) {
 		}
 	})
 	c.Run(3 * simtime.Minute)
-	expectSteps(t, sink, 14)
+	expectSteps(t, run)
 	rs := c.Recorder().Stats()
 	if rs.RecoveriesCompleted == 0 {
 		t.Fatal("recovery never completed after the recorder outage")

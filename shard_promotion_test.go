@@ -40,19 +40,19 @@ func dumpRecorderDB(t *testing.T, c *Cluster, rank int) []byte {
 // kills the leader of the worker's shard the moment it begins the recovery —
 // mid-replay, before the batch pipeline completes — leaving the follower to
 // promote on peer-watchdog timeout and finish the job. It returns the
-// cluster, the witness sink, and the ranks of the worker-slot's replica pair.
-func runPromotionScenario(t *testing.T, killLeader bool) (*Cluster, *witnessSink, int, int) {
+// cluster and the ranks of the worker-slot's replica pair.
+func runPromotionScenario(t *testing.T, killLeader bool) (*Cluster, int, int) {
 	t.Helper()
 	const nMsgs = 12
-	c, sink, worker := buildScenario(t, shardCfg(), nMsgs)
+	c, run := buildScenario(t, shardCfg(), nMsgs)
 	sm := c.ShardMap()
 	if sm == nil {
 		t.Fatal("sharded config produced no shard map")
 	}
-	slot := sm.ShardOf(worker)
+	slot := sm.ShardOf(run.Worker)
 	lead, fol := sm.Leader(slot), sm.Follower(slot)
 
-	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(worker) })
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashProcess(run.Worker) })
 	if killLeader {
 		// Poll on a fixed tick grid (deterministic under the simulated
 		// clock) and crash the leader the instant its recovery of the
@@ -72,8 +72,8 @@ func runPromotionScenario(t *testing.T, killLeader bool) (*Cluster, *witnessSink
 		c.Scheduler().At(1210*simtime.Millisecond, tick)
 	}
 	c.Run(120 * simtime.Second)
-	expectSteps(t, sink, nMsgs)
-	return c, sink, lead, fol
+	expectSteps(t, run)
+	return c, lead, fol
 }
 
 // TestFollowerPromotionMidReplay kills the worker-shard leader mid-replay.
@@ -82,7 +82,7 @@ func runPromotionScenario(t *testing.T, killLeader bool) (*Cluster, *witnessSink
 // and its database must be byte-identical to the run where the leader was
 // never killed, so promotion changed who acted, not what was recorded.
 func TestFollowerPromotionMidReplay(t *testing.T) {
-	cKill, _, lead, fol := runPromotionScenario(t, true)
+	cKill, lead, fol := runPromotionScenario(t, true)
 	if !cKill.RecorderAt(lead).Crashed() {
 		t.Fatal("leader was never killed; the scenario exercises nothing")
 	}
@@ -94,7 +94,7 @@ func TestFollowerPromotionMidReplay(t *testing.T) {
 		t.Fatal("follower completed no recovery; who finished the replay?")
 	}
 
-	cBase, _, lead2, fol2 := runPromotionScenario(t, false)
+	cBase, lead2, fol2 := runPromotionScenario(t, false)
 	if lead2 != lead || fol2 != fol {
 		t.Fatalf("shard map not seed-stable: leader/follower %d/%d vs %d/%d",
 			lead2, fol2, lead, fol)

@@ -94,11 +94,8 @@ func buildSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, muta
 
 	cfg := publishing.DefaultConfig(nodes)
 	cfg.Seed = seed
-	// A modern fast LAN: the Fig 5.2 10 Mb/s Ethernet saturates long before
-	// 256 nodes' offered load; the simulator, not the modeled channel, is
-	// what this scenario stresses.
-	cfg.LAN.BitsPerSecond = 100_000_000
-	cfg.LAN.InterframeGap = 50 * simtime.Microsecond
+	// The simulator, not the modeled channel, is what this scenario stresses.
+	publishing.FastLAN(&cfg)
 	if nodes > 256 {
 		// Past 256 nodes even the fast LAN saturates — not on data frames
 		// (the arrival rate is capped, see simClusterScale) but on per-node
@@ -124,6 +121,8 @@ func buildSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, muta
 		c.Trace().Enable(false)
 	}
 
+	// Not publishing.Stream: every node runs a publisher and a sink, fed by
+	// the workload schedule, and the sim/* rows pin this shape's names.
 	var delivered int64
 	c.Registry().RegisterMachine("sink", func(args []byte) publishing.Machine {
 		return &simSink{delivered: &delivered}
