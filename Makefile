@@ -71,15 +71,19 @@ nopeertables:
 	! grep -rnE '\b(ackPend|perDest)\b|destTable\[\*(rtoState|rxStream|ackPending)\]' --include='*.go' --exclude='*_test.go' internal/transport
 
 # Nothing is hashed per message on the send path (DESIGN.md "Frames come
-# back", "Storage engine"): a frame carries the slot of the endpoint's sent
-# table that owns it, the open units are the in-flight set, the store keeps
-# one record per key with its dead seqs as a bitset, and a mark search
-# compares one packed integer. The names below are the lookups they
-# replaced.
+# back", "Storage engine", "Recorder database"): a frame carries the slot of
+# the endpoint's sent table that owns it, the open units are the in-flight
+# set, the store keeps one record per key with its dead seqs as a bitset, and
+# a mark search compares one packed integer. The recorder's tap reads one tap
+# record per process, and the store appends through key handles, holds its
+# pages in a slice, and takes no lock (starhub serializes its calls). The
+# names below are the lookups and the lock they replaced.
 nomsgmaps:
 	! grep -rnE 'owned +map\[|inflight +map\[' --include='*.go' --exclude='*_test.go' internal/transport
 	! grep -rnE 'invalidSeqs +map\[string\]map' --include='*.go' internal/stablestore
 	! grep -n BinarySearchFunc internal/frame/frame.go
+	! grep -rnE '(pending|preArrivals|preLastSent) +map\[' --include='*.go' --exclude='*_test.go' internal/recorder
+	! grep -rnE 'sync\.Mutex|pages +map\[' --include='*.go' --exclude='*_test.go' internal/stablestore
 
 # "Has this process taken this message?" has one answer (DESIGN.md "One
 # acceptance mark"): the per-sender acceptance mark, held by the kernel in
@@ -142,8 +146,9 @@ test:
 	$(GO) test ./...
 
 # The golden table runs its rows as independent clusters on parallel
-# goroutines, and the stable store claims concurrency safety (starhub drives
-# it from multiple connections): both stay race-checked, plus a fast subset
+# goroutines, and starhub drives one stable store from multiple connections
+# under its hub lock (the store itself takes none): both stay race-checked,
+# plus a fast subset
 # of the single-threaded core so accidental shared state in new
 # instrumentation gets caught early. simtime is in the subset for the
 # scheduler's reference-model test. demos is in it for its hand-off tests:
@@ -154,7 +159,7 @@ test:
 # shared between the golden table's parallel clusters.
 race:
 	$(GO) test -race -run TestGoldenFingerprints .
-	$(GO) test -race ./internal/stablestore \
+	$(GO) test -race ./internal/stablestore ./cmd/starhub \
 		./internal/metrics ./internal/trace ./internal/frame ./internal/simtime \
 		./internal/demos ./internal/transport ./internal/lan
 

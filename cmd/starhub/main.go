@@ -77,10 +77,13 @@ func main() {
 
 // hub is the recording star hub.
 type hub struct {
-	ln    net.Listener
-	store *stablestore.Paged
+	ln net.Listener
 
+	// mu guards the store as well as the tables: the store is not safe for
+	// concurrent use, and a key's seqs must reach it in the order they are
+	// assigned.
 	mu    sync.Mutex
+	store *stablestore.Paged
 	conns map[frame.NodeID]net.Conn
 	seq   map[string]uint64
 }
@@ -134,23 +137,40 @@ func (h *hub) handle(c net.Conn) {
 			continue // keepalive
 		}
 		// Publish before use: store durably, then relay.
-		key := "msg:" + f.To.String()
-		h.mu.Lock()
-		h.seq[key]++
-		seq := h.seq[key]
-		h.mu.Unlock()
-		if _, err := h.store.Append(stablestore.Record{
-			Kind: stablestore.KindMessage, Key: key, Seq: seq, Data: f.Encode(),
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "hub: store failed, frame NOT relayed: %v\n", err)
-			continue
-		}
-		if err := h.store.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "hub: flush failed, frame NOT relayed: %v\n", err)
+		if err := h.publish(f); err != nil {
+			fmt.Fprintf(os.Stderr, "hub: %v, frame NOT relayed\n", err)
 			continue
 		}
 		h.relay(f)
 	}
+}
+
+// publish stores f durably under its destination's key, with the key's
+// next seq. The hub lock is held from assigning the seq to the flush, so
+// two connections relaying to one destination log in seq order.
+func (h *hub) publish(f *frame.Frame) error {
+	key := "msg:" + f.To.String()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.seq[key]++
+	if _, err := h.store.Append(stablestore.Record{
+		Kind: stablestore.KindMessage, Key: key, Seq: h.seq[key], Data: f.Encode(),
+	}); err != nil {
+		return fmt.Errorf("store failed: %w", err)
+	}
+	if err := h.store.Flush(); err != nil {
+		return fmt.Errorf("flush failed: %w", err)
+	}
+	return nil
+}
+
+// close stops accepting spokes and closes the store, under the hub lock so
+// no connection is mid-publish.
+func (h *hub) close() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ln.Close()
+	return h.store.Close()
 }
 
 func (h *hub) relay(f *frame.Frame) {
@@ -276,7 +296,7 @@ func runDemo() {
 
 	// Prove the published log survives: reopen the store cold and read the
 	// streams back — the recorder-crash rebuild of §4.5, on a real file.
-	die(h.store.Close())
+	die(h.close())
 	reopened, err := stablestore.Open(path)
 	die(err)
 	defer reopened.Close()

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,10 +49,9 @@ func TestHubStoreAndRelay(t *testing.T) {
 	}
 
 	// Durability: close and reopen the store cold.
-	if err := h.store.Close(); err != nil {
+	if err := h.close(); err != nil {
 		t.Fatal(err)
 	}
-	h.ln.Close()
 	s, err := stablestore.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestHubEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.store.Close()
+	defer h.close()
 	go h.serve()
 	addr := h.ln.Addr().String()
 
@@ -102,11 +103,83 @@ func TestHubEdgeCases(t *testing.T) {
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
+		h.mu.Lock()
 		recs, err := h.store.ReadKey("msg:p9.1")
+		h.mu.Unlock()
 		if err == nil && len(recs) == 1 {
 			return // stored exactly the good frame, not the junk
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("frame to absent node was not stored")
+}
+
+// Several spokes relaying to one destination at once: every frame is
+// stored, and the reopened log holds each key's records in strictly
+// increasing seq, in the order they were appended.
+func TestHubLogsEachKeyInSeqOrder(t *testing.T) {
+	const senders, each = 4, 50
+	path := filepath.Join(t.TempDir(), "publish.db")
+	h, err := newHub("127.0.0.1:0", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go h.serve()
+	addr := h.ln.Addr().String()
+
+	var wg sync.WaitGroup
+	for id := frame.NodeID(1); id <= senders; id++ {
+		a, err := dialHub(addr, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.conn.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := a.send(9, []byte(fmt.Sprintf("n%d #%d", a.id, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h.mu.Lock()
+		n := h.seq["msg:p9.1"]
+		h.mu.Unlock()
+		if n == senders*each {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stored %d of %d frames", n, senders*each)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := h.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := stablestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs, err := s.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != senders*each {
+		t.Fatalf("reopened store holds %d records, want %d", len(recs), senders*each)
+	}
+	last := make(map[string]uint64)
+	for i, r := range recs {
+		if r.Seq <= last[r.Key] {
+			t.Fatalf("record %d: %s seq %d appended after seq %d", i, r.Key, r.Seq, last[r.Key])
+		}
+		last[r.Key] = r.Seq
+	}
 }

@@ -249,8 +249,12 @@ func (p *FaultPlan) Heal() { p.partition = nil }
 // group returns the partition group of a node.
 func (p *FaultPlan) group(id frame.NodeID) int { return p.partition[id] }
 
-// reachable reports whether b can hear a transmission from a.
+// reachable reports whether b can hear a transmission from a. With no node
+// down and no partition set, everyone hears everyone, and no map is read.
 func (p *FaultPlan) reachable(a, b frame.NodeID) bool {
+	if p.nDown == 0 && p.partition == nil {
+		return true
+	}
 	return !p.Down(b) && p.group(a) == p.group(b)
 }
 

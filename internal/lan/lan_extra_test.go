@@ -1,6 +1,7 @@
 package lan
 
 import (
+	"math/rand"
 	"testing"
 
 	"publishing/internal/frame"
@@ -106,6 +107,37 @@ func TestFaultPlanBasics(t *testing.T) {
 	p.Heal()
 	if !p.reachable(1, 0) {
 		t.Fatal("heal wrong")
+	}
+}
+
+// reachable's early return for a plan with nothing down and no partition
+// agrees with the full check, read straight off the plan's maps, across
+// random sequences of SetDown, SetPartition and Heal.
+func TestReachableMatchesFullCheck(t *testing.T) {
+	const nodes = 6
+	rng := rand.New(rand.NewSource(1))
+	for plan := 0; plan < 200; plan++ {
+		var p FaultPlan
+		for step := 0; step < 30; step++ {
+			id := frame.NodeID(rng.Intn(nodes))
+			switch rng.Intn(5) {
+			case 0, 1:
+				p.SetDown(id, rng.Intn(2) == 0)
+			case 2, 3:
+				p.SetPartition(id, rng.Intn(3))
+			case 4:
+				p.Heal()
+			}
+			for a := frame.NodeID(0); a < nodes; a++ {
+				for b := frame.NodeID(0); b < nodes; b++ {
+					want := !p.down[b] && p.partition[a] == p.partition[b]
+					if got := p.reachable(a, b); got != want {
+						t.Fatalf("plan %d step %d: reachable(%d, %d) = %v, full check %v (down %v, partition %v)",
+							plan, step, a, b, got, want, p.down, p.partition)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -412,10 +412,10 @@ func (r *Recorder) handleHandoffCommit(m *peerMsg) {
 func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	e := r.db[blob.Proc]
 	if e == nil {
-		e = newProcEntry(blob.Proc, blob.Node)
+		e = r.newProcEntry(blob.Proc, blob.Node)
 		e.Spec = blob.Spec
 		e.LastCkAt = r.sched.Now()
-		r.db[blob.Proc] = e
+		r.install(e)
 		r.persistProcMeta(e)
 	}
 	if blob.Dead {
@@ -424,8 +424,8 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 			e.Arrivals = arrLog{}
 			e.Advisories = nil
 			r.persistDead(e)
-			r.store.Invalidate(e.keys.msg, e.ArrSeqNext)
-			r.store.Invalidate(e.keys.adv, e.AdvSeqNext)
+			r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
+			r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
 		}
 		return
 	}

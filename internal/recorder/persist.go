@@ -187,21 +187,23 @@ func encWith[T any](r *Recorder, c *gobx.Codec[T], v *T) []byte {
 // survive a recorder crash lands under one of these, so the database can be
 // rebuilt purely from the store (§4.5: "If the recorder crashes, it is
 // possible to rebuild the data base from the disk"). A process's keys are
-// built once, with its database entry: two records are appended per published
-// message, so formatting the id per record is an allocation hot spot.
+// made once, with its database entry, and kept as store handles: two records
+// are appended per published message, and neither formats the id nor hashes
+// a key name.
 type procKeys struct {
-	msg, adv, ck, proc, last, dead string
+	msg, adv, ck, proc, last, dead stablestore.Key
 }
 
 // newProcEntry makes the database entry for p, living on node.
-func newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
+func (r *Recorder) newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
 	id := p.String()
+	s := r.store
 	return &procEntry{
 		Proc: p,
 		Node: node,
 		keys: procKeys{
-			msg: "msg:" + id, adv: "adv:" + id, ck: "ck:" + id,
-			proc: "proc:" + id, last: "last:" + id, dead: "dead:" + id,
+			msg: s.Key("msg:" + id), adv: s.Key("adv:" + id), ck: s.Key("ck:" + id),
+			proc: s.Key("proc:" + id), last: s.Key("last:" + id), dead: s.Key("dead:" + id),
 		},
 	}
 }
@@ -232,8 +234,8 @@ type ckMeta struct {
 	RetainedOrder []uint64
 }
 
-func (r *Recorder) append(rec stablestore.Record) {
-	if _, err := r.store.Append(rec); err != nil {
+func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq uint64, data []byte) {
+	if _, err := r.store.AppendKey(k, kind, seq, data); err != nil {
 		// Stable storage failing is beyond the paper's fault model (TMR,
 		// battery backup, §3.3.4); surface loudly.
 		panic(fmt.Sprintf("recorder: stable store append: %v", err))
@@ -242,37 +244,37 @@ func (r *Recorder) append(rec stablestore.Record) {
 
 func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) {
 	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.msg, Seq: sm.ArrSeq, Data: r.encScratch})
+	r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
 }
 
 func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
 	r.encScratch = appendAdvisory(r.encScratch[:0], adv)
-	r.append(stablestore.Record{Kind: stablestore.KindMessage, Key: e.keys.adv, Seq: adv.AdvSeq, Data: r.encScratch})
+	r.append(e.keys.adv, stablestore.KindMessage, adv.AdvSeq, r.encScratch)
 }
 
 func (r *Recorder) persistProcMeta(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.proc, Seq: e.Rev,
-		Data: encWith(r, &procCodec, &procMeta{Proc: e.Proc, Spec: e.Spec, Node: e.Node})})
+	r.append(e.keys.proc, stablestore.KindMeta, e.Rev,
+		encWith(r, &procCodec, &procMeta{Proc: e.Proc, Spec: e.Spec, Node: e.Node}))
 }
 
 func (r *Recorder) persistLastSent(e *procEntry) {
 	e.Rev++
 	r.encScratch = appendLastSent(r.encScratch[:0], e.LastSent)
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.last, Seq: e.Rev, Data: r.encScratch})
+	r.append(e.keys.last, stablestore.KindMeta, e.Rev, r.encScratch)
 }
 
 func (r *Recorder) persistDead(e *procEntry) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: e.keys.dead, Seq: e.Rev})
+	r.append(e.keys.dead, stablestore.KindMeta, e.Rev, nil)
 }
 
 // persistCheckpoint stores e's checkpoint; dropped are the arrival seqs it
 // supersedes.
 func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 	e.Rev++
-	r.append(stablestore.Record{Kind: stablestore.KindCheckpoint, Key: e.keys.ck, Seq: e.Rev,
-		Data: encWith(r, &ckCodec, &ckMeta{
+	r.append(e.keys.ck, stablestore.KindCheckpoint, e.Rev,
+		encWith(r, &ckCodec, &ckMeta{
 			Blob:          e.Checkpoint,
 			SendSeq:       e.CkSendSeq,
 			ReadCount:     e.CkReadCount,
@@ -281,10 +283,10 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 			DroppedArr:    dropped,
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: e.Arrivals.seqs(),
-		})})
-	r.store.InvalidateSeqs(e.keys.msg, dropped)
+		}))
+	r.store.InvalidateKeySeqs(e.keys.msg, dropped)
 	if e.AdvSeqNext > 0 {
-		r.store.Invalidate(e.keys.adv, e.AdvSeqNext-1)
+		r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext-1)
 	}
 }
 
@@ -297,7 +299,7 @@ func (r *Recorder) loadRestartNumber() {
 }
 
 func (r *Recorder) persistRestartNumber() {
-	r.append(stablestore.Record{Kind: stablestore.KindMeta, Key: restartKey, Seq: r.restartNumber})
+	r.append(r.store.Key(restartKey), stablestore.KindMeta, r.restartNumber, nil)
 }
 
 // rebuild reconstructs the in-memory database from stable storage after a
@@ -315,7 +317,7 @@ func (r *Recorder) rebuild() error {
 	entry := func(p frame.ProcID) *procEntry {
 		e := db[p]
 		if e == nil {
-			e = newProcEntry(p, p.Node)
+			e = r.newProcEntry(p, p.Node)
 			db[p] = e
 		}
 		return e
@@ -480,10 +482,7 @@ func (r *Recorder) rebuild() error {
 		e.LastCkAt = r.sched.Now()
 	}
 	r.db = db
-	r.pending = make(map[frame.ProcID]*pendQueue)
-	r.pendQueues = nil
-	r.preArrivals = make(map[frame.ProcID][]pendingMsg)
-	r.preLastSent = make(map[frame.ProcID]uint64)
+	r.resetTap()
 	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil
 }

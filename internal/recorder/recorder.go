@@ -287,6 +287,89 @@ type procEntry struct {
 	keys procKeys // stable-storage keys, see newProcEntry
 }
 
+// tapRecord is what the tap keeps about one process a frame has named: the
+// §4.5 per-process record as the frame path reads it, found with one lookup
+// per process per frame. It is made on first use and lives until the tap is
+// reset (recorder crash, rebuild).
+type tapRecord struct {
+	// e is the process's database entry, nil until the process registers:
+	// read from db when the record is made, and set by install (creation
+	// notice, handoff adoption). A rebuild installs a whole database and
+	// starts the tap over.
+	e *procEntry
+	// owns: this recorder replicates the process's shard slot. notice: the
+	// process is a recorder proc that kernels send notices to. Both are
+	// fixed when the record is made.
+	owns, notice bool
+	// q holds the messages to the process the tap heard and no
+	// acknowledgement has yet placed in a stream; swept says q is on
+	// pendQueues. A queue outlives its messages.
+	q     pendQueue
+	swept bool
+	// pre buffers the accepted messages to the process, and preLastSent the
+	// highest sequence it sent, while its creation notice is on its way: on
+	// a busy system a new process's first traffic can beat the kernel's
+	// NoticeCreated to the recorder. Merged at registration; bounded.
+	pre         []pendingMsg
+	preLastSent uint64
+}
+
+// Bounds on the pre-registration buffers: messages buffered per process,
+// and senders whose last-sent is buffered.
+const (
+	maxPreArrivals = 1024
+	maxPreSenders  = 4096
+)
+
+// tapOf returns p's tap record, making it on first use.
+func (r *Recorder) tapOf(p frame.ProcID) *tapRecord {
+	t := r.taps[p]
+	if t == nil {
+		t = &tapRecord{e: r.db[p], owns: r.ownsProc(p), notice: r.isNoticeProc(p)}
+		r.taps[p] = t
+	}
+	return t
+}
+
+// install makes e its process's database entry, for the tap as well.
+func (r *Recorder) install(e *procEntry) {
+	r.db[e.Proc] = e
+	r.tapOf(e.Proc).e = e
+}
+
+// resetTap forgets every tap record: at a crash, and when a rebuild
+// installs a new database.
+func (r *Recorder) resetTap() {
+	r.taps = make(map[frame.ProcID]*tapRecord)
+	r.pendQueues = nil
+	r.preSenders = 0
+}
+
+// notePreLastSent raises the last-sent an unregistered sender has buffered.
+// The cap bounds how many senders are buffered, not the updates of one
+// already held.
+func (r *Recorder) notePreLastSent(t *tapRecord, seq uint64) {
+	if seq <= t.preLastSent {
+		return
+	}
+	if t.preLastSent == 0 {
+		if r.preSenders >= maxPreSenders {
+			return
+		}
+		r.preSenders++
+	}
+	t.preLastSent = seq
+}
+
+// dropPre forgets what t buffered before registration.
+func (r *Recorder) dropPre(t *tapRecord) {
+	t.pre = nil
+	if t.preLastSent > 0 {
+		t.preLastSent = 0
+		r.preSenders--
+	}
+}
+
 // Recorder is the recording node: tap, database, stable store, and
 // recovery manager.
 type Recorder struct {
@@ -298,18 +381,16 @@ type Recorder struct {
 	ep    *transport.Endpoint
 	store *stablestore.Paged
 
+	// db is the process database; the tap reads it through taps.
 	db map[frame.ProcID]*procEntry
-	// pending indexes the unacknowledged messages by on-wire destination;
-	// pendQueues lists the same queues in creation order, for the sweep. A
-	// queue outlives its messages: one per destination ever heard.
-	pending    map[frame.ProcID]*pendQueue
+	// taps holds a tap record for every process a frame has named since the
+	// last reset (see tapRecord). pendQueues lists their pending queues in
+	// the order each first held a message, for the sweep. preSenders counts
+	// the records holding a pre-registration last-sent, which maxPreSenders
+	// bounds.
+	taps       map[frame.ProcID]*tapRecord
 	pendQueues []*pendQueue
-	// preArrivals buffers accepted messages (and preLastSent the send
-	// sequences) of processes whose creation notice has not arrived yet:
-	// on a busy system a new process's first traffic can beat the kernel's
-	// NoticeCreated to the recorder. Merged at registration; bounded.
-	preArrivals map[frame.ProcID][]pendingMsg
-	preLastSent map[frame.ProcID]uint64
+	preSenders int
 
 	// storeFailProb makes the tap randomly fail to store a frame, for
 	// exercising publish-before-use (SetStoreFailProb).
@@ -347,9 +428,6 @@ type Recorder struct {
 	handoffs          map[int]*handoffSession
 	handoffRx         map[uint32]*handoffAssembly
 	handoffCrashAfter int
-	// voteScratch is the voting path's bundle-decode buffer, separate from
-	// recScratch so ObserveVote's pre-decode cannot clobber the store path's.
-	voteScratch []frame.BundleRec
 	// noticeSeen dedups notices consumed off the wire (other recorders'
 	// deliveries; the tap sees every retransmission).
 	noticeSeen genSet
@@ -362,7 +440,8 @@ type Recorder struct {
 	// that retire them, so the tap's steady state stops allocating a node,
 	// body, and link per overheard frame.
 	smFree []*pendingMsg
-	// recScratch is the tap's reused bundle-decode buffer.
+	// recScratch is the tap's reused bundle-decode buffer: one decode
+	// serves both the store path and the vote.
 	recScratch []frame.BundleRec
 	// ackq queues recorder acknowledgements awaiting their publish
 	// processing time; one flush timer drains every ready entry into a
@@ -388,23 +467,21 @@ const (
 // both its passive tap and its transport endpoint.
 func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store *stablestore.Paged, tcfg transport.Config) *Recorder {
 	r := &Recorder{
-		cfg:         cfg,
-		sched:       sched,
-		rng:         rng,
-		log:         log,
-		med:         med,
-		store:       store,
-		db:          make(map[frame.ProcID]*procEntry),
-		pending:     make(map[frame.ProcID]*pendQueue),
-		preArrivals: make(map[frame.ProcID][]pendingMsg),
-		preLastSent: make(map[frame.ProcID]uint64),
-		watch:       make(map[frame.NodeID]*watchState),
-		recovering:  make(map[frame.ProcID]*recoveryProc),
-		replaying:   make(map[frame.ProcID]*batchSender),
-		waiters:     make(map[uint32]func(*frame.Frame)),
-		noticeSeen:  newGenSet(noticeSeenLimit),
-		nextCode:    1,
+		cfg:        cfg,
+		sched:      sched,
+		rng:        rng,
+		log:        log,
+		med:        med,
+		store:      store,
+		db:         make(map[frame.ProcID]*procEntry),
+		watch:      make(map[frame.NodeID]*watchState),
+		recovering: make(map[frame.ProcID]*recoveryProc),
+		replaying:  make(map[frame.ProcID]*batchSender),
+		waiters:    make(map[uint32]func(*frame.Frame)),
+		noticeSeen: newGenSet(noticeSeenLimit),
+		nextCode:   1,
 	}
+	r.resetTap()
 	r.resetReplication()
 	r.ep = transport.New(cfg.Node, med, sched, log, tcfg)
 	r.ep.Deliver = r.deliver
@@ -487,31 +564,62 @@ func (r *Recorder) Entry(p frame.ProcID) (known, recovering, dead bool, lastSent
 // Observe implements lan.Tap: the passive listener of §3.1. Its verdict is
 // the medium's publish-before-use gate.
 func (r *Recorder) Observe(f *frame.Frame) bool {
-	if r.crashed {
-		return false
-	}
-	ok := true
+	stored, _ := r.observe(f, false)
+	return stored
+}
+
+// observe is the tap. Unless the recorder is down it stores what f carries,
+// and stored is the verdict; with vote set it also decides whether that
+// verdict gates f (ObserveVote), and otherwise voting is true. Each process
+// f names is looked up once, for both.
+func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
+	stored, voting = !r.crashed, !vote
 	switch f.Type {
 	case frame.Guaranteed:
-		if r.storeFailed() {
-			ok = false
-		} else {
-			r.observeMessage(f, false)
+		from, to := r.tapOf(f.From), r.tapOf(f.To)
+		voting = voting || r.votesOnMsg(f.From, f.To, from, to)
+		if stored {
+			if r.storeFailed() {
+				stored = false
+			} else {
+				r.observeMessage(f, from, to, false)
+			}
 		}
 	case frame.Bundle:
-		ok = r.observeBundle(f)
+		stored, voting = r.observeBundle(f, stored, voting)
 	case frame.Ack:
 		if len(f.AckRecs) == 0 {
-			r.observeAck(f)
+			// A legacy single-message ack: its From is the receiving process.
+			rcv := r.tapOf(f.From)
+			voting = voting || rcv.owns
+			if stored {
+				r.stats.AcksSeen++
+				r.observeAckRecord(f.ID, f.From, rcv)
+			}
+		}
+	default:
+		voting = true
+	}
+	// Acknowledgement records piggybacked on any gated frame reach the
+	// recorder through the same stored frame — a blocked frame's payload is
+	// ignored because its receivers never see it either. They are fed to
+	// the arrival-order machinery in the acceptance order the receiver
+	// recorded them (§4.4.1's tracing, one frame carrying several acks). An
+	// owner of any acknowledged stream gates the carrier frame: delivered
+	// acknowledgements are never resent, so an abstaining owner would
+	// silently lose the arrival from its shard's replay basis.
+	for i := range f.AckRecs {
+		if !stored && voting {
+			break // nothing left to store or decide
+		}
+		rcv := r.tapOf(f.AckRecs[i].Rcv)
+		voting = voting || rcv.owns
+		if stored {
+			r.stats.AcksSeen++
+			r.observeAckRecord(f.AckRecs[i].ID, f.AckRecs[i].Rcv, rcv)
 		}
 	}
-	if ok {
-		// Acknowledgement records piggybacked on any gated frame reach the
-		// recorder through the same stored frame — a blocked frame's payload
-		// is ignored because its receivers never see it either.
-		r.observeAckPayload(f)
-	}
-	return ok
+	return stored, voting
 }
 
 // storeFailed draws the injected store-failure fault.
@@ -523,50 +631,49 @@ func (r *Recorder) storeFailed() bool {
 	return false
 }
 
-// observeBundle stores every guaranteed record of a coalesced frame,
-// drawing the store-failure fault per record (the records land on distinct
-// database pages). Any failed record blocks the whole frame — the medium
-// gates per frame — and the sender's individual retransmissions land on the
-// duplicate checks for the records that did store.
-func (r *Recorder) observeBundle(f *frame.Frame) bool {
+// observeBundle is observe for a coalesced frame, which it decodes once
+// for both answers; it takes and returns observe's stored and voting. Storing (unless stored is already false: the recorder is
+// down) covers every guaranteed record, drawing the store-failure fault per
+// record (the records land on distinct database pages). Any failed record
+// blocks the whole frame — the medium gates per frame — and the sender's
+// individual retransmissions land on the duplicate checks for the records
+// that did store.
+func (r *Recorder) observeBundle(f *frame.Frame, stored, voting bool) (bool, bool) {
 	recs, err := frame.DecodeBundle(f.Body, r.recScratch)
-	if err != nil {
-		r.recScratch = recs[:0]
-		r.stats.StoreFailures++
-		return false
-	}
 	r.recScratch = recs
-	ok := true
+	if err != nil {
+		if stored {
+			r.stats.StoreFailures++
+		}
+		return false, true // undecodable: gate conservatively
+	}
+	live := stored
 	for i := range recs {
 		if recs[i].Type != frame.Guaranteed {
 			continue
 		}
-		if r.storeFailed() {
-			ok = false
+		from, to := r.tapOf(recs[i].From), r.tapOf(recs[i].To)
+		voting = voting || r.votesOnMsg(recs[i].From, recs[i].To, from, to)
+		if !live {
 			continue
 		}
-		r.observeMessage(recs[i].Expand(f), true)
+		if r.storeFailed() {
+			stored = false
+			continue
+		}
+		r.observeMessage(recs[i].Expand(f), from, to, true)
 	}
-	return ok
-}
-
-// observeAckPayload feeds piggybacked acknowledgement records to the
-// arrival-order machinery, in the acceptance order the receiver recorded
-// them (§4.4.1's tracing, one frame carrying several acks).
-func (r *Recorder) observeAckPayload(f *frame.Frame) {
-	for i := range f.AckRecs {
-		r.stats.AcksSeen++
-		r.observeAckRecord(f.AckRecs[i].ID, f.AckRecs[i].Rcv)
-	}
+	return stored, voting
 }
 
 // observeMessage handles one guaranteed message the tap heard, alone on the
-// wire or as a member of a bundle.
-func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
+// wire or as a member of a bundle; from and to are its processes' tap
+// records.
+func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord, inBundle bool) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
-	if r.cfg.EmitRecorderAcks && r.ownsProc(f.To) {
+	if r.cfg.EmitRecorderAcks && to.owns {
 		// Transport-level publish-before-use (§6.1): receivers hold the
 		// frame until this acknowledgement. Emission waits out the publish
 		// processing time, so ModeNaive recorders visibly slow the system.
@@ -578,7 +685,7 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 	if f.To == r.cfg.Proc {
 		return // bookkeeping traffic to the recorder itself is not a stream
 	}
-	if f.Channel == chanPeer || r.isNoticeProc(f.From) {
+	if f.Channel == chanPeer || from.notice {
 		// Recorder-originated traffic: peer handoff frames, control
 		// requests, replay batches. None of it belongs to a process stream.
 		// Recording a peer's replay batch or checkpoint request as an
@@ -589,7 +696,7 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 		// taps its own sends, so only multi-recorder clusters see these.
 		return
 	}
-	if r.isNoticeProc(f.To) {
+	if to.notice {
 		// A kernel notice addressed to another recorder: every recorder
 		// must apply it to stay consistent (§6.3: all recorders record all
 		// messages). The tap sees retransmissions, so dedup.
@@ -605,34 +712,31 @@ func (r *Recorder) observeMessage(f *frame.Frame, inBundle bool) {
 	// Track the highest message id each published process has sent — the
 	// future suppression threshold (§4.5). Only the sender's replicas track
 	// it (they replay the sender, so they set the threshold).
-	if f.From.Local != 0 && r.ownsProc(f.From) { // kernel processes are not replayed
-		if e := r.db[f.From]; e != nil && !e.Dead {
+	if f.From.Local != 0 && from.owns { // kernel processes are not replayed
+		if e := from.e; e != nil && !e.Dead {
 			if f.ID.Seq > e.LastSent {
 				e.LastSent = f.ID.Seq
 				r.persistLastSent(e)
 			}
 		} else if e == nil {
-			if f.ID.Seq > r.preLastSent[f.From] && len(r.preLastSent) < 4096 {
-				r.preLastSent[f.From] = f.ID.Seq
-			}
+			r.notePreLastSent(from, f.ID.Seq)
 		}
 	}
 
-	if !r.ownsProc(f.To) {
+	if !to.owns {
 		return // another shard's stream; its replicas record the arrival
 	}
-	if e := r.db[f.To]; e != nil {
+	if e := to.e; e != nil {
 		if e.Dead || e.recorded.Covers(f.ID) || e.ckMarks.Covers(f.ID) {
 			return // dead destination, or a retransmission of an arrival
 		}
 	}
-	q := r.pending[f.To]
+	q := &to.q
 	if q.find(f.ID) >= 0 {
 		return
 	}
-	if q == nil {
-		q = &pendQueue{}
-		r.pending[f.To] = q
+	if !to.swept {
+		to.swept = true
 		r.pendQueues = append(r.pendQueues, q)
 	}
 	sm := r.allocStored()
@@ -673,13 +777,11 @@ type pendQueue struct {
 	msgs []*pendingMsg
 }
 
-// find returns id's position in the queue, or -1. A nil queue is empty.
+// find returns id's position in the queue, or -1.
 func (q *pendQueue) find(id frame.MsgID) int {
-	if q != nil {
-		for i, p := range q.msgs {
-			if p.ID == id {
-				return i
-			}
+	for i, p := range q.msgs {
+		if p.ID == id {
+			return i
 		}
 	}
 	return -1
@@ -793,33 +895,27 @@ func (r *Recorder) recycleStored(sm *pendingMsg) {
 }
 
 // releaseStored retires a node whose Link now aliases an archived copy
-// (e.Arrivals or preArrivals): the struct is reused but the link is
+// (e.Arrivals or a tap record's pre): the struct is reused but the link is
 // detached so the archive keeps sole ownership.
 func (r *Recorder) releaseStored(sm *pendingMsg) {
 	sm.Link = nil
 	r.recycleStored(sm)
 }
 
-// observeAck assigns arrival order from a legacy single-message Ack frame:
-// "It is possible to discover the order in which messages are received at
-// the receiving node by tracing the acknowledgements sent in response to
-// messages" (§4.4.1). The ack's From is the receiving process.
-func (r *Recorder) observeAck(f *frame.Frame) {
-	r.stats.AcksSeen++
-	r.observeAckRecord(f.ID, f.From)
-}
-
-// observeAckRecord processes one acknowledgement — id accepted by process
-// rcv — from either a standalone Ack frame or a piggybacked record. Only
-// rcv's pending queue is consulted: an ack names its message's destination.
-func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
-	q := r.pending[rcv]
+// observeAckRecord assigns arrival order from one acknowledgement — id
+// accepted by process rcv, whose tap record is t — from either a standalone
+// Ack frame or a piggybacked record: "It is possible to discover the order
+// in which messages are received at the receiving node by tracing the
+// acknowledgements sent in response to messages" (§4.4.1). Only rcv's
+// pending queue is consulted: an ack names its message's destination.
+func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID, t *tapRecord) {
+	q := &t.q
 	at := q.find(id)
 	if at < 0 {
 		return // duplicate ack, untracked message, or our own traffic
 	}
 	sm := q.remove(at)
-	e := r.db[rcv]
+	e := t.e
 	if e == nil && (rcv.Local == 0 || rcv == r.cfg.Proc) || // no process stream
 		e != nil && (e.Dead || r.fenced(e, id)) {
 		r.recycleStored(sm)
@@ -850,25 +946,24 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID) {
 			r.recycleStored(p)
 			continue
 		}
-		r.acceptArrival(e, rcv, p, true)
+		r.acceptArrival(t, p, true)
 	}
-	r.acceptArrival(e, rcv, sm, false)
+	r.acceptArrival(t, sm, false)
 }
 
-// acceptArrival records an acknowledged message into e's stream or, while
-// rcv has no entry (its creation notice is still on its way), buffers it
-// until registration. The buffer is bounded per process, and the re-ack of a
-// retransmission stays out of it, so the merge sees each message once.
-// inferred marks a message whose own ack the tap missed.
-func (r *Recorder) acceptArrival(e *procEntry, rcv frame.ProcID, sm *pendingMsg, inferred bool) {
-	switch {
+// acceptArrival records an acknowledged message into the stream of t's
+// process or, while it has no entry (its creation notice is still on its
+// way), buffers it until registration. The buffer is bounded per process,
+// and the re-ack of a retransmission stays out of it, so the merge sees each
+// message once. inferred marks a message whose own ack the tap missed.
+func (r *Recorder) acceptArrival(t *tapRecord, sm *pendingMsg, inferred bool) {
+	switch e := t.e; {
 	case e == nil:
-		pre := r.preArrivals[rcv]
-		if len(pre) >= 1024 || slices.ContainsFunc(pre, func(p pendingMsg) bool { return p.ID == sm.ID }) {
+		if len(t.pre) >= maxPreArrivals || slices.ContainsFunc(t.pre, func(p pendingMsg) bool { return p.ID == sm.ID }) {
 			r.recycleStored(sm)
 			return
 		}
-		r.preArrivals[rcv] = append(pre, *sm)
+		t.pre = append(t.pre, *sm)
 	case inferred:
 		r.recordArrival(e, sm, "published (#%d in stream, inferred from later ack)")
 	default:
@@ -948,44 +1043,38 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 	r.stats.Notices++
 	switch n.Kind {
 	case demos.NoticeCreated:
-		if !r.ownsProc(n.Proc) {
+		t := r.tapOf(n.Proc)
+		if !t.owns {
 			// Another shard's stream: never enters this database, so the
 			// recovery, catch-up, and query paths skip it automatically.
-			delete(r.preArrivals, n.Proc)
-			delete(r.preLastSent, n.Proc)
+			r.dropPre(t)
 			return
 		}
-		e := r.db[n.Proc]
+		e := t.e
 		if e == nil {
-			e = newProcEntry(n.Proc, n.Proc.Node)
-			r.db[n.Proc] = e
+			e = r.newProcEntry(n.Proc, n.Proc.Node)
+			r.install(e)
 		}
 		e.Spec = n.Spec
 		e.Node = n.Proc.Node
 		e.Dead = false
 		e.LastCkAt = r.sched.Now()
 		// Merge traffic that beat this notice to the recorder.
-		if pre := r.preArrivals[n.Proc]; len(pre) > 0 {
-			for i := range pre {
-				if !r.fenced(e, pre[i].ID) {
-					r.recordArrival(e, &pre[i], "published (#%d in stream, accepted before registration)")
-				}
+		for i := range t.pre {
+			if !r.fenced(e, t.pre[i].ID) {
+				r.recordArrival(e, &t.pre[i], "published (#%d in stream, accepted before registration)")
 			}
-			delete(r.preArrivals, n.Proc)
 		}
-		if ls, ok := r.preLastSent[n.Proc]; ok {
-			if ls > e.LastSent {
-				e.LastSent = ls
-				r.persistLastSent(e)
-			}
-			delete(r.preLastSent, n.Proc)
+		if ls := t.preLastSent; ls > e.LastSent {
+			e.LastSent = ls
+			r.persistLastSent(e)
 		}
+		r.dropPre(t)
 		r.persistProcMeta(e)
 		r.log.Add(trace.KindRecorder, int(r.cfg.Node), n.Proc.String(), "registered %q", n.Spec.Name)
 
 	case demos.NoticeDestroyed:
-		delete(r.preArrivals, n.Proc)
-		delete(r.preLastSent, n.Proc)
+		r.dropPre(r.tapOf(n.Proc))
 		r.cancelReplay(n.Proc)
 		if r.catchingUp {
 			delete(r.awaitCk, n.Proc)
@@ -996,8 +1085,8 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 			e.Arrivals = arrLog{}
 			e.Advisories = nil
 			r.persistDead(e)
-			r.store.Invalidate(e.keys.msg, e.ArrSeqNext)
-			r.store.Invalidate(e.keys.adv, e.AdvSeqNext)
+			r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
+			r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
 		}
 
 	case demos.NoticeReadOrder:

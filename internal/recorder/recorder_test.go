@@ -306,6 +306,33 @@ func TestPreRegistrationBuffering(t *testing.T) {
 	}
 }
 
+// The pre-registration buffer holds the last-sent of at most maxPreSenders
+// unregistered senders. The cap bounds new senders only: a sender it already
+// holds keeps raising its last-sent, and registers with the highest one, the
+// §4.5 suppression threshold.
+func TestPreRegistrationCapBoundsNewSendersOnly(t *testing.T) {
+	r, _, _ := newBench(t)
+	send := func(from frame.ProcID, seq uint64) {
+		r.Observe(&frame.Frame{Type: frame.Guaranteed, Src: from.Node, Dst: procB().Node,
+			ID: frame.MsgID{Sender: from, Seq: seq}, From: from, To: procB()})
+	}
+	send(procA(), 1)
+	for i := 1; i < maxPreSenders; i++ {
+		send(frame.ProcID{Node: 2, Local: uint32(i)}, 1)
+	}
+	send(procA(), 5) // the buffer is full; A is already in it
+	late := frame.ProcID{Node: 3, Local: 1}
+	send(late, 9) // a new sender past the cap is not held
+	register(r, procA(), "a")
+	register(r, late, "late")
+	if _, _, _, ls, _ := r.Entry(procA()); ls != 5 {
+		t.Errorf("A registered with lastSent %d, want 5", ls)
+	}
+	if _, _, _, ls, _ := r.Entry(late); ls != 0 {
+		t.Errorf("a sender past the cap registered with lastSent %d, want 0", ls)
+	}
+}
+
 // An ack for a process whose creation notice is still on its way proves,
 // as it does for a registered one, that the sender's earlier messages
 // arrived: the tap-missed earlier one is buffered ahead of it, and the

@@ -345,10 +345,7 @@ func (r *Recorder) Crash() {
 	r.crashed = true
 	r.epoch++
 	r.db = make(map[frame.ProcID]*procEntry)
-	r.pending = make(map[frame.ProcID]*pendQueue)
-	r.pendQueues = nil
-	r.preArrivals = make(map[frame.ProcID][]pendingMsg)
-	r.preLastSent = make(map[frame.ProcID]uint64)
+	r.resetTap()
 	r.ackq = r.ackq[:0]
 	r.ackTimerSet = false
 	r.noticeSeen.Reset()

@@ -79,59 +79,21 @@ func (r *Recorder) actingSlots() int {
 }
 
 // ObserveVote implements lan.VotingTap: Observe's stored verdict plus an
-// ownership vote. Abstaining recorders still observe the frame — piggybacked
-// acknowledgement records for streams they DO own ride on frames they don't.
-// A recorder that replicates every slot votes on every frame without
-// decoding it.
+// ownership vote, read from the same tap records. Abstaining recorders still
+// observe the frame — piggybacked acknowledgement records for streams they
+// DO own ride on frames they don't. A recorder that replicates every slot
+// votes on every frame.
 func (r *Recorder) ObserveVote(f *frame.Frame) (stored, voting bool) {
-	voting = r.cfg.Shards.Total() || r.votesOn(f)
-	return r.Observe(f), voting
+	return r.observe(f, !r.cfg.Shards.Total())
 }
 
-// votesOn decides whether this recorder's store verdict gates the frame.
-func (r *Recorder) votesOn(f *frame.Frame) bool {
-	// An owner of any acknowledged stream must gate the carrier frame:
-	// delivered acknowledgements are never resent, so an abstaining owner
-	// would silently lose the arrival from its shard's replay basis.
-	for i := range f.AckRecs {
-		if r.ownsProc(f.AckRecs[i].Rcv) {
-			return true
-		}
-	}
-	switch f.Type {
-	case frame.Guaranteed:
-		return r.votesOnMsg(f.From, f.To)
-	case frame.Bundle:
-		recs, err := frame.DecodeBundle(f.Body, r.voteScratch)
-		r.voteScratch = recs[:0]
-		if err != nil {
-			return true // undecodable: gate conservatively
-		}
-		for i := range recs {
-			if recs[i].Type == frame.Guaranteed && r.votesOnMsg(recs[i].From, recs[i].To) {
-				return true
-			}
-		}
-		return false
-	case frame.Ack:
-		if len(f.AckRecs) == 0 {
-			return r.ownsProc(f.From) // legacy single-message ack
-		}
-		return false // carried records checked above; none were ours
-	default:
-		return true
-	}
-}
-
-// votesOnMsg is the per-message ownership test: the destination's owner
-// records the arrival, and the sender's owner tracks LastSent — the §4.5
+// votesOnMsg is the per-message ownership test, given the message's sender
+// and destination and their tap records: the destination's owner records
+// the arrival, and the sender's owner tracks LastSent — the §4.5
 // suppression threshold — so both gate. Recorder-bound traffic (notices,
 // control replies) is gated by everyone: every recorder consumes notices.
-func (r *Recorder) votesOnMsg(from, to frame.ProcID) bool {
-	if to == r.cfg.Proc || r.isNoticeProc(to) || r.ownsProc(to) {
-		return true
-	}
-	return from.Local != 0 && r.ownsProc(from)
+func (r *Recorder) votesOnMsg(from, to frame.ProcID, fromTap, toTap *tapRecord) bool {
+	return to == r.cfg.Proc || toTap.notice || toTap.owns || from.Local != 0 && fromTap.owns
 }
 
 // BasisSummary is one recorder's view of a stream's replay basis — the

@@ -1,0 +1,159 @@
+package stablestore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+)
+
+// samePages reports whether two stores hold byte-identical pages.
+func samePages(a, b *Paged) bool {
+	if len(a.pages) != len(b.pages) {
+		return false
+	}
+	for id := range a.pages {
+		if !bytes.Equal(a.pages[id], b.pages[id]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHandlesMatchNames drives two file-backed stores with the same random
+// sequence of appends, cuts, seq invalidations, flushes and compactions:
+// one by key name (Append, Invalidate, InvalidateSeqs), one through key
+// handles (AppendKey, InvalidateKey, InvalidateKeySeqs). After every
+// compaction and at the end their pages are byte-identical and ReadAll,
+// ReadKey and Stats agree, and so do the two files once reopened.
+func TestHandlesMatchNames(t *testing.T) {
+	names := []string{"msg:p1.1", "msg:p2.1", "adv:p1.1", "ck:p1.1"}
+	for seed := int64(1); seed <= 20; seed++ {
+		dir := t.TempDir()
+		byName, err := Open(filepath.Join(dir, "name.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byHandle, err := Open(filepath.Join(dir, "handle.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Handles are taken up front, before their keys hold anything.
+		handles := make([]Key, len(names))
+		for i, n := range names {
+			handles[i] = byHandle.Key(n)
+		}
+		agree := func(a, b *Paged, step int, what string) {
+			t.Helper()
+			if !samePages(a, b) {
+				t.Fatalf("seed %d step %d (%s): pages differ", seed, step, what)
+			}
+			if a.Stats() != b.Stats() {
+				t.Fatalf("seed %d step %d (%s): stats %+v by name, %+v by handle", seed, step, what, a.Stats(), b.Stats())
+			}
+			ra, errA := a.ReadAll()
+			rb, errB := b.ReadAll()
+			if errA != nil || errB != nil || !sameRecords(ra, rb) {
+				t.Fatalf("seed %d step %d (%s): ReadAll (%v, %v)\n name%s\nhandle%s", seed, step, what, errA, errB, dumpRecords(ra), dumpRecords(rb))
+			}
+			for _, n := range names {
+				ka, errA := a.ReadKey(n)
+				kb, errB := b.ReadKey(n)
+				if errA != nil || errB != nil || !sameRecords(ka, kb) {
+					t.Fatalf("seed %d step %d (%s): ReadKey(%s) (%v, %v)\n name%s\nhandle%s", seed, step, what, n, errA, errB, dumpRecords(ka), dumpRecords(kb))
+				}
+			}
+		}
+
+		r := rand.New(rand.NewSource(seed))
+		for step := 0; step < 300; step++ {
+			i := r.Intn(len(names))
+			switch op := r.Intn(20); {
+			case op < 11:
+				rec := Record{Kind: KindMessage, Key: names[i], Seq: uint64(r.Intn(200)),
+					Data: []byte(fmt.Sprintf("%d-%d", seed, step))}
+				switch r.Intn(12) {
+				case 0:
+					rec.Kind = KindCheckpoint
+					rec.Data = make([]byte, PageSize+r.Intn(2*PageSize))
+					rec.Data[0] = byte(step)
+				case 1:
+					rec.Kind = KindMeta
+				}
+				pa, errA := byName.Append(rec)
+				pb, errB := byHandle.AppendKey(handles[i], rec.Kind, rec.Seq, rec.Data)
+				if errA != nil || errB != nil || pa != pb {
+					t.Fatalf("seed %d step %d: Append landed on page %d (%v), AppendKey on %d (%v)", seed, step, pa, errA, pb, errB)
+				}
+			case op < 13:
+				through := uint64(r.Intn(200))
+				byName.Invalidate(names[i], through)
+				byHandle.InvalidateKey(handles[i], through)
+			case op < 17:
+				seqs := make([]uint64, r.Intn(8))
+				for j := range seqs {
+					seqs[j] = uint64(r.Intn(200))
+				}
+				byName.InvalidateSeqs(names[i], seqs)
+				byHandle.InvalidateKeySeqs(handles[i], seqs)
+			case op < 18:
+				if err := byName.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := byHandle.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				na, errA := byName.Compact()
+				nb, errB := byHandle.Compact()
+				if errA != nil || errB != nil || na != nb {
+					t.Fatalf("seed %d step %d: Compact dropped %d (%v) by name, %d (%v) by handle", seed, step, na, errA, nb, errB)
+				}
+				agree(byName, byHandle, step, "after Compact")
+			}
+		}
+		agree(byName, byHandle, -1, "final")
+		if err := byName.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := byHandle.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reName, err := Open(filepath.Join(dir, "name.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reHandle, err := Open(filepath.Join(dir, "handle.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree(reName, reHandle, -1, "reopened")
+		reName.Close()
+		reHandle.Close()
+	}
+}
+
+// An append through a handle that stays within the open page allocates
+// nothing: the key is not looked up and the record is encoded in place.
+func TestAppendKeyWithinAPageAllocatesNothing(t *testing.T) {
+	s := New()
+	k := s.Key("msg:p1.1")
+	data := []byte("8 bytes!")
+	if _, err := s.AppendKey(k, KindMessage, 0, data); err != nil { // opens the page
+		t.Fatal(err)
+	}
+	seq := uint64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.AppendKey(k, KindMessage, seq, data); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	})
+	if allocs != 0 {
+		t.Errorf("AppendKey allocates %.1f times per record", allocs)
+	}
+	if n := s.Pages(); n != 1 {
+		t.Fatalf("the appends spilled onto %d pages, want 1", n)
+	}
+}

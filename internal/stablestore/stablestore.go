@@ -23,7 +23,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // PageSize is the disk page / write buffer size. §5.1 removes the disk
@@ -139,22 +138,25 @@ func NewStore(cfg Config) (*Paged, error) {
 	return New(), nil
 }
 
-// Paged is the thesis-exact paged stable store. It is safe for concurrent
-// use (the starhub server runs it from multiple connections); simulations
-// call it single-threaded.
+// Paged is the thesis-exact paged stable store. It is not safe for
+// concurrent use: a simulation drives it from the one goroutine that runs
+// its cluster, and cmd/starhub, whose connections share one store, makes
+// every call under its hub lock.
 type Paged struct {
-	mu    sync.Mutex
-	pages map[uint64][]byte // pageID -> encoded page (PageSize)
-	next  uint64
+	// pages holds every encoded page (PageSize bytes), indexed by page id.
+	// Ids are handed out densely and never freed, so page order is slice
+	// order.
+	pages [][]byte
 	// cur is the current write buffer (an unflushed page): records are
 	// encoded in place into pages[curPage], and len(cur) is how much of that
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
-	// keys holds one record per key: its pages and its dead message
-	// records. Append, Invalidate and InvalidateSeqs each hash the key
-	// once. Records are carved from keyBlock, so a new key costs no
-	// allocation of its own.
+	// keys holds one record per key: its name, its pages and its dead
+	// message records. Key hashes a name once and hands out a handle on
+	// the record; AppendKey, InvalidateKey and InvalidateKeySeqs hash
+	// nothing. Records are carved from keyBlock, so a new key costs no
+	// allocation of its own. A key is never deleted.
 	keys     map[string]*keyState
 	keyBlock []keyState
 	// chains maps the first page of an oversized record (checkpoints) to
@@ -182,6 +184,8 @@ type Paged struct {
 
 // keyState is what the store keeps about one key.
 type keyState struct {
+	// name is the key every record appended through the handle carries.
+	name string
 	// pages indexes which pages hold the key's records (chains by their
 	// first page), so ReadKey and Compact visit only relevant pages instead
 	// of scanning the whole store.
@@ -215,12 +219,14 @@ func (b *seqSet) add(q uint64) {
 	(*b)[i] |= 1 << (q % 64)
 }
 
+// Key is a handle on one key of a store (Paged.Key). Keys are never
+// deleted, so a handle stays valid as long as the store it came from, and
+// appending or invalidating through it looks nothing up.
+type Key struct{ k *keyState }
+
 // New returns an in-memory paged store.
 func New() *Paged {
-	return &Paged{
-		pages: make(map[uint64][]byte),
-		keys:  make(map[string]*keyState),
-	}
+	return &Paged{keys: make(map[string]*keyState)}
 }
 
 // Open returns a file-backed store, loading any existing pages from path.
@@ -243,17 +249,16 @@ func Open(path string) (*Paged, error) {
 			f.Close()
 			return nil, err
 		}
-		s.pages[uint64(i)] = page
+		s.pages = append(s.pages, page)
 	}
-	s.next = uint64(n)
-	if err := s.rebuildIndexLocked(); err != nil {
+	if err := s.rebuildIndex(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("stablestore: open %s: %w", path, err)
 	}
 	return s, nil
 }
 
-// rebuildIndexLocked reconstructs the volatile chain and key indexes from
+// rebuildIndex reconstructs the volatile chain and key indexes from
 // raw pages after Open. Chains must be re-derived or a reopened store would
 // try to decode an oversized record's first page as a self-contained page
 // and fail: a first page is recognizable because its first record's encoded
@@ -262,15 +267,16 @@ func Open(path string) (*Paged, error) {
 // is decoded here, so a store that opens reads back whole: a chain that runs
 // past the last page or a page that does not decode fails Open instead of
 // leaving its records out of the key index.
-func (s *Paged) rebuildIndexLocked() error {
-	for id := uint64(0); id < s.next; {
+func (s *Paged) rebuildIndex() error {
+	next := uint64(len(s.pages))
+	for id := uint64(0); id < next; {
 		page := s.pages[id]
 		npages := uint64(1)
 		if total, ok := recordLen(page); ok && total > PageSize {
 			// Oversized record: claim ceil(total/PageSize) contiguous pages.
 			npages = uint64((total + PageSize - 1) / PageSize)
-			if id+npages > s.next {
-				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, s.next, errCorruptPage)
+			if id+npages > next {
+				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 			}
 			var whole bytes.Buffer
 			for p := id; p < id+npages; p++ {
@@ -284,7 +290,7 @@ func (s *Paged) rebuildIndexLocked() error {
 			return fmt.Errorf("page %d: %w", id, err)
 		}
 		for i := range recs {
-			s.indexKeyLocked(recs[i].Key, id)
+			s.key(recs[i].Key).index(id)
 		}
 		id += npages
 	}
@@ -309,45 +315,46 @@ func recordLen(b []byte) (total int, ok bool) {
 // keyBlockLen is how many key records one allocation holds.
 const keyBlockLen = 64
 
-// keyLocked returns key's record, making it on first use.
-func (s *Paged) keyLocked(key string) *keyState {
-	k := s.keys[key]
+// Key returns the handle on key name, making the key on first use.
+func (s *Paged) Key(name string) Key { return Key{s.key(name)} }
+
+// key returns name's record, making it on first use.
+func (s *Paged) key(name string) *keyState {
+	k := s.keys[name]
 	if k == nil {
 		if len(s.keyBlock) == 0 {
 			s.keyBlock = make([]keyState, keyBlockLen)
 		}
 		k, s.keyBlock = &s.keyBlock[0], s.keyBlock[1:]
-		s.keys[key] = k
+		k.name = name
+		s.keys[name] = k
 	}
 	return k
 }
 
-// indexKeyLocked records that page id holds records of key (dedupes the
-// common case of consecutive appends landing on the same buffer page). A
-// chain appended between two of them lists the buffer page twice.
-func (s *Paged) indexKeyLocked(key string, id uint64) {
-	k := s.keyLocked(key)
+// index records that page id holds records of the key (dedupes the common
+// case of consecutive appends landing on the same buffer page). A chain
+// appended between two of them lists the buffer page twice.
+func (k *keyState) index(id uint64) {
 	if n := len(k.pages); n > 0 && k.pages[n-1] == id {
 		return
 	}
 	k.pages = append(k.pages, id)
 }
 
-// dropKeyPageLocked removes page id from key's index (compaction dropped
-// the key's last record on that page).
-func (s *Paged) dropKeyPageLocked(key string, id uint64) {
+// dropKeyPage removes page id from key's index (compaction dropped the
+// key's last record on that page).
+func (s *Paged) dropKeyPage(key string, id uint64) {
 	k := s.keys[key]
 	k.pages = slices.DeleteFunc(k.pages, func(p uint64) bool { return p == id })
 }
 
 // Close releases the file backing, if any.
 func (s *Paged) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flush(); err != nil {
 		return err
 	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.sync(); err != nil {
 		return err
 	}
 	if s.f != nil {
@@ -359,29 +366,26 @@ func (s *Paged) Close() error {
 }
 
 // Stats returns a copy of the counters.
-func (s *Paged) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Paged) Stats() Stats { return s.stats }
 
 // SetWriteFault installs (or, with nil, removes) a fault hook consulted
 // before every logical page write; a non-nil return error fails the write.
-// The hook runs with the store lock held and must not call back into the
-// store.
-func (s *Paged) SetWriteFault(fn func() error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeFault = fn
+// The hook runs inside the store call that writes the page and must not
+// call back into the store.
+func (s *Paged) SetWriteFault(fn func() error) { s.writeFault = fn }
+
+// Append stores a record under the key it names: AppendKey through the
+// key's handle.
+func (s *Paged) Append(r Record) (uint64, error) {
+	return s.AppendKey(s.Key(r.Key), r.Kind, r.Seq, r.Data)
 }
 
-// Append stores a record, returning the page it lands on. Records larger
-// than a page are split across dedicated pages transparently on read; for
-// simplicity here they get a page of their own (checkpoints are the only
-// large records).
-func (s *Paged) Append(r Record) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// AppendKey stores a record under key k, returning the page it lands on.
+// Records larger than a page are split across dedicated pages transparently
+// on read; for simplicity here they get a page of their own (checkpoints are
+// the only large records).
+func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (uint64, error) {
+	r := Record{Kind: kind, Key: k.k.name, Seq: seq, Data: data}
 	s.stats.Appends++
 	s.stats.BytesLive += uint64(len(r.Data))
 
@@ -397,33 +401,31 @@ func (s *Paged) Append(r Record) (uint64, error) {
 			}
 			page := make([]byte, PageSize)
 			copy(page, data[i:end])
-			id := s.allocLocked()
+			id := s.alloc(page)
 			if i == 0 {
 				first = id
 			}
 			// Oversized pages are marked by a continuation map entry.
-			s.pages[id] = page
 			s.oversize(first, id)
-			if err := s.writePageLocked(id); err != nil {
+			if err := s.writePage(id); err != nil {
 				return 0, err
 			}
 		}
-		s.indexKeyLocked(r.Key, first)
+		k.k.index(first)
 		return first, nil
 	}
 
 	if len(s.cur)+n > PageSize {
-		if err := s.flushLocked(); err != nil {
+		if err := s.flush(); err != nil {
 			return 0, err
 		}
 	}
 	if len(s.cur) == 0 {
-		s.curPage = s.allocLocked()
 		s.cur = make([]byte, 0, PageSize)
-		s.pages[s.curPage] = s.cur[:PageSize]
+		s.curPage = s.alloc(s.cur[:PageSize])
 	}
 	s.cur = appendRecord(s.cur, &r) // fits: never reallocates off the page
-	s.indexKeyLocked(r.Key, s.curPage)
+	k.k.index(s.curPage)
 	return s.curPage, nil
 }
 
@@ -445,29 +447,27 @@ func (s *Paged) oversize(first, page uint64) {
 // acknowledgement "is given only after the message has been reliably
 // stored") — or batches it, which is the 4 KB-buffer optimization of §5.1.
 func (s *Paged) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flush(); err != nil {
 		return err
 	}
-	return s.syncLocked()
+	return s.sync()
 }
 
-// flushLocked seals the current write buffer into its page. The page is
-// only marked dirty; physical writes batch up until syncLocked.
-func (s *Paged) flushLocked() error {
+// flush seals the current write buffer into its page. The page is only
+// marked dirty; physical writes batch up until sync.
+func (s *Paged) flush() error {
 	if len(s.cur) == 0 {
 		return nil
 	}
 	s.cur = nil
-	return s.writePageLocked(s.curPage)
+	return s.writePage(s.curPage)
 }
 
-// writePageLocked records a logical page write. The physical WriteAt is
+// writePage records a logical page write. The physical WriteAt is
 // deferred: dirty pages are synced together at the next Flush/Close/Compact
 // boundary, so a burst of appends costs one syscall pass instead of one per
 // page write.
-func (s *Paged) writePageLocked(id uint64) error {
+func (s *Paged) writePage(id uint64) error {
 	if s.writeFault != nil {
 		if err := s.writeFault(); err != nil {
 			s.stats.WriteFaults++
@@ -485,8 +485,8 @@ func (s *Paged) writePageLocked(id uint64) error {
 	return nil
 }
 
-// syncLocked writes every dirty page to the file backing, in page order.
-func (s *Paged) syncLocked() error {
+// sync writes every dirty page to the file backing, in page order.
+func (s *Paged) sync() error {
 	if s.f == nil || len(s.dirty) == 0 {
 		return nil
 	}
@@ -504,29 +504,36 @@ func (s *Paged) syncLocked() error {
 	return nil
 }
 
-func (s *Paged) allocLocked() uint64 {
-	id := s.next
-	s.next++
-	return id
+// alloc gives page the next page id.
+func (s *Paged) alloc(page []byte) uint64 {
+	s.pages = append(s.pages, page)
+	return uint64(len(s.pages) - 1)
 }
 
-// Invalidate marks message records of key with seq <= through as garbage;
-// compaction reclaims them lazily ("Any messages that are no longer valid
-// are removed and the buffer is compacted", §4.5). The recorder calls this
-// after a checkpoint supersedes old messages (§3.3.1).
+// Invalidate is InvalidateKey on the key named key.
 func (s *Paged) Invalidate(key string, through uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k := s.keyLocked(key); !k.cut || through > k.through {
+	s.InvalidateKey(s.Key(key), through)
+}
+
+// InvalidateKey marks message records of key h with seq <= through as
+// garbage; compaction reclaims them lazily ("Any messages that are no
+// longer valid are removed and the buffer is compacted", §4.5). The
+// recorder calls this after a checkpoint supersedes old messages (§3.3.1).
+func (s *Paged) InvalidateKey(h Key, through uint64) {
+	if k := h.k; !k.cut || through > k.through {
 		k.through, k.cut = through, true
 	}
 }
 
-// InvalidateSeqs marks specific (key, seq) message records as garbage.
+// InvalidateSeqs is InvalidateKeySeqs on the key named key.
 func (s *Paged) InvalidateSeqs(key string, seqs []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := s.keyLocked(key)
+	s.InvalidateKeySeqs(s.Key(key), seqs)
+}
+
+// InvalidateKeySeqs marks specific message records of key h, by seq, as
+// garbage.
+func (s *Paged) InvalidateKeySeqs(h Key, seqs []uint64) {
+	k := h.k
 	if k.dead == nil && len(seqs) > 0 {
 		k.dead = new(seqSet)
 	}
@@ -549,9 +556,7 @@ func (s *Paged) dead(r *Record) bool {
 // compaction cost scales with the garbage, not the store. It returns the
 // number of records dropped.
 func (s *Paged) Compact() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flush(); err != nil {
 		return 0, err
 	}
 	// Candidate pages: every page of every key with a pending invalidation.
@@ -603,15 +608,15 @@ func (s *Paged) Compact() (int, error) {
 		// Keys whose last record on this page was dropped leave the index.
 		for _, r := range recs {
 			if !kept[r.Key] {
-				s.dropKeyPageLocked(r.Key, id)
+				s.dropKeyPage(r.Key, id)
 			}
 		}
 		s.pages[id] = newPage[:PageSize]
-		if err := s.writePageLocked(id); err != nil {
+		if err := s.writePage(id); err != nil {
 			return dropped, err
 		}
 	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.sync(); err != nil {
 		return dropped, err
 	}
 	return dropped, nil
@@ -622,12 +627,10 @@ func (s *Paged) isChainPage(id uint64) bool { return s.chainSet[id] }
 // ReadAll returns every live record, ordered by (key, seq, insertion). The
 // recorder uses it to rebuild its database after a crash (§3.3.4, §4.5).
 func (s *Paged) ReadAll() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	out, reads, err := s.walkLocked()
+	out, reads, err := s.walk()
 	s.stats.PageReads += reads
 	return out, err
 }
@@ -637,29 +640,24 @@ func (s *Paged) ReadAll() ([]Record, error) {
 // Observers that must not perturb a run (Cluster.Fingerprint) read through
 // it.
 func (s *Paged) Peek() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, _, err := s.walkLocked()
+	out, _, err := s.walk()
 	return out, err
 }
 
-// walkLocked decodes every page in ReadAll's order — regular pages in page
-// order (which is insertion order), then oversized chains — and reports how
-// many pages it read. The open write buffer needs no sealing to be read: its
-// records are encoded in place into its page, and zero padding ends it.
-func (s *Paged) walkLocked() ([]Record, uint64, error) {
+// walk decodes every page in ReadAll's order — regular pages in page order
+// (which is insertion order), then oversized chains by first page — and
+// reports how many pages it read. The open write buffer needs no sealing to
+// be read: its records are encoded in place into its page, and zero padding
+// ends it.
+func (s *Paged) walk() ([]Record, uint64, error) {
 	var out []Record
 	var reads uint64
-	ids := make([]uint64, 0, len(s.pages))
-	for id := range s.pages {
-		if !s.isChainPage(id) {
-			ids = append(ids, id)
+	for id, page := range s.pages {
+		if s.isChainPage(uint64(id)) {
+			continue
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
 		reads++
-		recs, err := decodeRecords(s.pages[id])
+		recs, err := decodeRecords(page)
 		if err != nil {
 			return nil, reads, fmt.Errorf("page %d: %w", id, err)
 		}
@@ -667,21 +665,20 @@ func (s *Paged) walkLocked() ([]Record, uint64, error) {
 	}
 
 	// Oversized chains.
-	firsts := make([]uint64, 0, len(s.chains))
-	for f := range s.chains {
-		firsts = append(firsts, f)
-	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-	for _, f := range firsts {
+	for id, page := range s.pages {
+		rest, first := s.chains[uint64(id)]
+		if !first {
+			continue
+		}
 		var whole bytes.Buffer
-		whole.Write(s.pages[f])
-		for _, p := range s.chains[f] {
+		whole.Write(page)
+		for _, p := range rest {
 			whole.Write(s.pages[p])
 		}
-		reads += uint64(1 + len(s.chains[f]))
+		reads += uint64(1 + len(rest))
 		recs, err := decodeRecords(whole.Bytes())
 		if err != nil {
-			return nil, reads, fmt.Errorf("chain %d: %w", f, err)
+			return nil, reads, fmt.Errorf("chain %d: %w", id, err)
 		}
 		out = append(out, recs...)
 	}
@@ -692,9 +689,7 @@ func (s *Paged) walkLocked() ([]Record, uint64, error) {
 // page index makes this proportional to the key's own pages rather than a
 // full-store scan.
 func (s *Paged) ReadKey(key string) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flush(); err != nil {
 		return nil, err
 	}
 	var ids []uint64
@@ -741,8 +736,4 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 }
 
 // Pages returns the number of allocated pages (storage footprint).
-func (s *Paged) Pages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pages)
-}
+func (s *Paged) Pages() int { return len(s.pages) }
