@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
+vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -40,8 +40,9 @@ noseg:
 # frame it is about to send, never detaching one from a frame already sent.
 # A body is read-only from Send on (DESIGN.md "Delivered bodies
 # are read-only"): a retransmission copies the retained frame's header only,
-# and the recorder's log keeps the wire body instead of copying it into a
-# pooled buffer. A message's frame lives in its flight (DESIGN.md "A
+# and the recorder's tap keeps the wire body, until the acknowledgement
+# writes it into a page, instead of copying it into a pooled buffer. A
+# message's frame lives in its flight (DESIGN.md "A
 # message's frame lives in its flight"): SendGuaranteed always copies the
 # caller's header, so there is no second, ownership-taking entry point.
 # Frames come back (DESIGN.md "Frames come back"): a flushed Ack frame
@@ -84,6 +85,14 @@ nomsgmaps:
 	! grep -n BinarySearchFunc internal/frame/frame.go
 	! grep -rnE '(pending|preArrivals|preLastSent) +map\[' --include='*.go' --exclude='*_test.go' internal/recorder
 	! grep -rnE 'sync\.Mutex|pages +map\[' --include='*.go' --exclude='*_test.go' internal/stablestore
+
+# A recorded message has one copy (DESIGN.md "Recorder database"): its
+# record in the stable store. A process's stream is an index of store refs,
+# not a log of messages, and a bundle member's body is not cloned to outlive
+# the bundle, since nothing keeps it past the ack that writes its record.
+onecopy:
+	! grep -n '\]storedMsg' internal/recorder/arrlog.go
+	! grep -rn 'bytes\.Clone(f\.Body)' --include='*.go' --exclude='*_test.go' internal/recorder
 
 # "Has this process taken this message?" has one answer (DESIGN.md "One
 # acceptance mark"): the per-sender acceptance mark, held by the kernel in

@@ -10,8 +10,9 @@ import (
 )
 
 // A body is read-only from the sender's Send through every receiver and the
-// recorder's log (demos.Msg.Body): the wire, the receivers, the arrival log
-// and a replay after a crash share one body. bodyWatch checks that rule the
+// recorder's tap (demos.Msg.Body): the wire, the receivers and the tap's
+// pending queue share one body, and the recorder's store page holds the one
+// copy a replay after a crash reads in place. bodyWatch checks that rule the
 // way TestSentFramesAreImmutable checks the wire's: it hashes every body a
 // program is handed, keeps it, and hashes it again at quiescence.
 type bodyWatch struct {

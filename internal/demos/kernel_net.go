@@ -235,14 +235,13 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 		k.stats.MsgsRefused++
 		return false
 	}
-	if !k.env.Transport.DisableDupSuppression && p.marks.Covers(f.ID) {
+	if p.marks.Take(f.ID) && !k.env.Transport.DisableDupSuppression {
 		// Taken already, directly, by replay or before the checkpoint: a
 		// retransmission whose ack the sender never saw. Consume it (ack).
 		k.stats.ReplayDupsDropped++
 		k.env.Log.AddMsg(trace.KindReplay, int(k.node), f.ID.String(), p.id.String(), "late direct copy of accepted message dropped")
 		return true
 	}
-	p.marks.Note(f.ID)
 	k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)
 	return true
 }

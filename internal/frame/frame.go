@@ -110,6 +110,29 @@ func (m *Marks) Note(id MsgID) {
 	}
 }
 
+// Take is Covers then, for an id not covered, Note, in one search: it
+// reports whether id was taken already and otherwise takes it.
+func (m *Marks) Take(id MsgID) (taken bool) {
+	switch i, ok := m.find(id.Sender); {
+	case !ok:
+		*m = slices.Insert(*m, i, id)
+	case id.Seq > (*m)[i].Seq:
+		(*m)[i].Seq = id.Seq
+	default:
+		return true
+	}
+	return false
+}
+
+// Mark returns sender's mark, the highest sequence taken from it; ok is
+// false when nothing has been.
+func (m Marks) Mark(sender ProcID) (seq uint64, ok bool) {
+	if i, ok := m.find(sender); ok {
+		return m[i].Seq, true
+	}
+	return 0, false
+}
+
 // Link is a capability to send messages to a process (§4.2.2.1). Links live
 // outside process address spaces — in kernel link tables or inside messages;
 // this type is the in-message/wire representation. Channel and Code are

@@ -3,6 +3,7 @@ package frame
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,6 +64,43 @@ func BenchmarkMarksCovers256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !m.Covers(ids[i&255]) {
 			b.Fatal("a noted id is not covered")
+		}
+	}
+}
+
+// TestMarksSingleSearchForms checks Take and Mark against the two-call forms
+// they replace, over random ids including the seq extremes: Take against
+// Covers then Note (on a twin), and Mark against Covers of the id and of its
+// successor, the pair a recorder's fence asks.
+func TestMarksSingleSearchForms(t *testing.T) {
+	senders := []ProcID{{Node: -1}, {Node: 0, Local: 1}, {Node: 3, Local: 7}, {Node: math.MaxInt32, Local: math.MaxUint32}}
+	seqs := []uint64{0, 1, 2, 5, 9, math.MaxUint64 - 1, math.MaxUint64}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var took, noted Marks
+		for step := 0; step < 400; step++ {
+			id := MsgID{Sender: senders[r.Intn(len(senders))], Seq: seqs[r.Intn(len(seqs))]}
+			if r.Intn(3) == 0 {
+				seq, ok := took.Mark(id.Sender)
+				next := MsgID{Sender: id.Sender, Seq: id.Seq + 1}
+				if got, want := ok && id.Seq+1 <= seq, took.Covers(next); got != want {
+					t.Fatalf("seed %d step %d: Mark says %v is below its mark: %v, Covers(%v) says %v", seed, step, id, got, next, want)
+				}
+				if got, want := ok && id.Seq <= seq, took.Covers(id); got != want {
+					t.Fatalf("seed %d step %d: Mark says %v is covered: %v, Covers says %v", seed, step, id, got, want)
+				}
+				continue
+			}
+			want := noted.Covers(id)
+			if !want {
+				noted.Note(id)
+			}
+			if got := took.Take(id); got != want {
+				t.Fatalf("seed %d step %d: Take(%v) = %v, Covers = %v", seed, step, id, got, want)
+			}
+			if !slices.Equal(took, noted) {
+				t.Fatalf("seed %d step %d: Take left %v, Covers+Note %v", seed, step, took, noted)
+			}
 		}
 	}
 }

@@ -1,7 +1,23 @@
 package recorder
 
-// arrChunkLen is the arrival log's chunk length: 32 records of 72 bytes fill
-// Go's 2,304-byte size class exactly.
+import (
+	"publishing/internal/frame"
+	"publishing/internal/stablestore"
+)
+
+// arrEntry is one arrival in a process's stream: the message's id, its
+// arrival sequence, and where the store holds its record — the §4.5 "list of
+// disk pages containing messages to the process". The message itself lives
+// only in the store. The entry holds no pointer, so the GC never scans a
+// chunk of them.
+type arrEntry struct {
+	ID     frame.MsgID
+	ArrSeq uint64
+	Ref    stablestore.Ref
+}
+
+// arrChunkLen is the arrival log's chunk length: 32 entries of 32 bytes fill
+// Go's 1,024-byte size class exactly.
 const arrChunkLen = 32
 
 // arrLog is a process's published stream since its last checkpoint, in
@@ -10,29 +26,30 @@ const arrChunkLen = 32
 //
 // A copy of the struct is a stable snapshot of the stream as it stood: push
 // writes only past the snapshot's length and keep builds fresh chunks, so
-// neither disturbs what a replay in progress is reading.
+// neither disturbs what a replay in progress is reading. The records the
+// snapshot names stay readable as long as the store holds them: only
+// Compact drops a record, and only one a checkpoint invalidated.
 type arrLog struct {
-	chunks []*[arrChunkLen]storedMsg
+	chunks []*[arrChunkLen]arrEntry
 	n      int
 }
 
 func (l *arrLog) len() int { return l.n }
 
-// at returns the i'th record. The pointer aliases the log; callers copy what
-// they keep.
-func (l *arrLog) at(i int) *storedMsg {
+// at returns the i'th entry. The pointer aliases the log.
+func (l *arrLog) at(i int) *arrEntry {
 	return &l.chunks[i/arrChunkLen][i%arrChunkLen]
 }
 
-func (l *arrLog) push(sm storedMsg) {
+func (l *arrLog) push(a arrEntry) {
 	if l.n == len(l.chunks)*arrChunkLen {
-		l.chunks = append(l.chunks, new([arrChunkLen]storedMsg))
+		l.chunks = append(l.chunks, new([arrChunkLen]arrEntry))
 	}
 	l.n++
-	*l.at(l.n - 1) = sm
+	*l.at(l.n - 1) = a
 }
 
-// keep replaces the log with its records at the given positions, in that
+// keep replaces the log with its entries at the given positions, in that
 // order (a checkpoint's retained messages).
 func (l *arrLog) keep(pos []int) {
 	var kept arrLog
@@ -42,7 +59,7 @@ func (l *arrLog) keep(pos []int) {
 	*l = kept
 }
 
-// seqs returns the records' arrival sequence numbers in log order.
+// seqs returns the entries' arrival sequence numbers in log order.
 func (l *arrLog) seqs() []uint64 {
 	out := make([]uint64, l.n)
 	for i := range out {

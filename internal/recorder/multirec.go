@@ -295,7 +295,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			CkReadCount: e.CkReadCount,
 			CkStateKB:   e.CkStateKB,
 			Cov:         myCov,
-			Msgs:        reconstruct(e.Arrivals, e.Advisories),
+			Msgs:        reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories),
 		}
 		blob.Recorded = e.recorded
 		var buf bytes.Buffer
@@ -454,7 +454,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 		theirs.Note(blob.Msgs[i].ID)
 	}
 	var extras []storedMsg
-	for _, lm := range reconstruct(e.Arrivals, e.Advisories) {
+	for _, lm := range reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories) {
 		if !theirs.Covers(lm.ID) && !ckMarks.Covers(lm.ID) {
 			extras = append(extras, lm)
 		}
@@ -473,9 +473,8 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 			nm := pendingMsg{storedMsg: src[i], To: e.Proc, SeenAt: r.sched.Now()}
 			nm.ArrSeq = e.ArrSeqNext
 			e.ArrSeqNext++
-			e.Arrivals.push(nm.storedMsg)
+			e.Arrivals.push(arrEntry{ID: nm.ID, ArrSeq: nm.ArrSeq, Ref: r.persistMessage(e, &nm)})
 			e.recorded.Note(nm.ID)
-			r.persistMessage(e, &nm)
 		}
 	}
 	for _, id := range blob.Recorded {

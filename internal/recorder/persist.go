@@ -102,6 +102,17 @@ func appendStoredMsg(dst []byte, sm *pendingMsg) []byte {
 // decodeStoredMsg is appendStoredMsg's inverse. The result shares nothing
 // with b.
 func decodeStoredMsg(b []byte) (pendingMsg, error) {
+	sm, err := viewStoredMsg(b)
+	if sm.Body != nil {
+		sm.Body = append([]byte{}, sm.Body...)
+	}
+	return sm, err
+}
+
+// viewStoredMsg is decodeStoredMsg without the copy: the Body aliases b. The
+// recorder decodes a record where the store keeps it, so the store's page
+// stays the one copy.
+func viewStoredMsg(b []byte) (pendingMsg, error) {
 	if len(b) < storedMsgFixedLen {
 		return pendingMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
 	}
@@ -129,7 +140,7 @@ func decodeStoredMsg(b []byte) (pendingMsg, error) {
 		return pendingMsg{}, fmt.Errorf("message record: %d bytes, layout says %d", len(b), want)
 	}
 	if flags&smBodyPresent != 0 {
-		sm.Body = append([]byte{}, b[storedMsgFixedLen:storedMsgFixedLen+bodyLen]...)
+		sm.Body = b[storedMsgFixedLen : storedMsgFixedLen+bodyLen : storedMsgFixedLen+bodyLen]
 	} else if bodyLen != 0 {
 		return pendingMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
 	}
@@ -234,17 +245,35 @@ type ckMeta struct {
 	RetainedOrder []uint64
 }
 
-func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq uint64, data []byte) {
-	if _, err := r.store.AppendKey(k, kind, seq, data); err != nil {
+func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq uint64, data []byte) stablestore.Ref {
+	ref, err := r.store.AppendKey(k, kind, seq, data)
+	if err != nil {
 		// Stable storage failing is beyond the paper's fault model (TMR,
 		// battery backup, §3.3.4); surface loudly.
 		panic(fmt.Sprintf("recorder: stable store append: %v", err))
 	}
+	return ref
 }
 
-func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) {
+// persistMessage stores sm's record in e's stream and returns where it lies.
+func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) stablestore.Ref {
 	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
-	r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
+	return r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
+}
+
+// readArrival reads a's message back from its record under key, the
+// stream's msg: key. The Body aliases the store's page and is read-only. A
+// record the stream names that the store cannot produce is stable storage
+// failing, which append treats the same way.
+func readArrival(store *stablestore.Paged, key stablestore.Key, a *arrEntry) storedMsg {
+	b, err := store.Lookup(key, a.ArrSeq, a.Ref)
+	if err == nil {
+		var sm pendingMsg
+		if sm, err = viewStoredMsg(b); err == nil {
+			return sm.storedMsg
+		}
+	}
+	panic(fmt.Sprintf("recorder: stable store read: %v", err))
 }
 
 func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
@@ -307,10 +336,6 @@ func (r *Recorder) persistRestartNumber() {
 // message information on its stable storage to determine which processes
 // should exist").
 func (r *Recorder) rebuild() error {
-	recs, err := r.store.ReadAll()
-	if err != nil {
-		return fmt.Errorf("recorder: rebuild: %w", err)
-	}
 	// Built aside and installed whole: a failed rebuild leaves the crashed
 	// recorder's (empty) database as it was.
 	db := make(map[frame.ProcID]*procEntry)
@@ -324,7 +349,7 @@ func (r *Recorder) rebuild() error {
 	}
 
 	type perProc struct {
-		msgs []storedMsg
+		msgs []arrEntry
 		advs []advisory
 		// ck is the latest checkpoint; dropped and advTrim accumulate over
 		// every checkpoint revision, because what any checkpoint dropped
@@ -352,14 +377,15 @@ func (r *Recorder) rebuild() error {
 		return a
 	}
 
-	for _, rec := range recs {
+	// The stream keeps where each message record lies, not the message.
+	err := r.store.Scan(func(rec stablestore.Record, ref stablestore.Ref) error {
 		ns, pidStr, ok := splitKey(rec.Key)
 		if !ok {
-			continue
+			return nil
 		}
 		pid, ok := parseProcID(pidStr)
 		if !ok {
-			continue
+			return nil
 		}
 		a := get(pid)
 		// A record that does not decode fails the rebuild: skipping it would
@@ -368,8 +394,8 @@ func (r *Recorder) rebuild() error {
 		switch ns {
 		case "msg":
 			var sm pendingMsg
-			if sm, err = decodeStoredMsg(rec.Data); err == nil {
-				a.msgs = append(a.msgs, sm.storedMsg)
+			if sm, err = viewStoredMsg(rec.Data); err == nil {
+				a.msgs = append(a.msgs, arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: ref})
 				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
@@ -411,8 +437,12 @@ func (r *Recorder) rebuild() error {
 			a.deadRev = maxU64(a.deadRev, rec.Seq)
 		}
 		if err != nil {
-			return fmt.Errorf("recorder: rebuild: record %s seq %d: %w", rec.Key, rec.Seq, err)
+			return fmt.Errorf("record %s seq %d: %w", rec.Key, rec.Seq, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("recorder: rebuild: %w", err)
 	}
 
 	for pid, a := range acc {
@@ -449,7 +479,7 @@ func (r *Recorder) rebuild() error {
 				rank[q] = i
 			}
 		}
-		var pre, post []storedMsg
+		var pre, post []arrEntry
 		for _, sm := range a.msgs {
 			if a.dropped[sm.ArrSeq] {
 				continue

@@ -309,11 +309,11 @@ type entryView struct {
 	Dead                   bool
 }
 
-func viewDB(db map[frame.ProcID]*procEntry) map[frame.ProcID]entryView {
-	out := make(map[frame.ProcID]entryView, len(db))
-	for p, e := range db {
+func viewDB(r *Recorder) map[frame.ProcID]entryView {
+	out := make(map[frame.ProcID]entryView, len(r.db))
+	for p, e := range r.db {
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
-			Arrivals: reconstruct(e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
+			Arrivals: reconstruct(r.store, e.keys.msg, e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
 			Checkpoint: e.Checkpoint, CkMarks: e.ckMarks, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
 			CkStateKB: e.CkStateKB, Rev: e.Rev, Dead: e.Dead}
 	}
@@ -329,7 +329,7 @@ func TestRestartRebuildsDatabaseFieldForField(t *testing.T) {
 func restartRebuildsDatabaseFieldForField(t *testing.T) {
 	r, sched, _ := newBench(t)
 	fillDatabase(r, sched)
-	before := viewDB(r.db)
+	before := viewDB(r)
 	// The scenario must hold what it claims to cover.
 	b := before[procB()]
 	links, kernel := 0, 0
@@ -354,12 +354,12 @@ func restartRebuildsDatabaseFieldForField(t *testing.T) {
 	if err := r.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	DiffDatabase(t, before, viewDB(r.db))
+	DiffDatabase(t, before, viewDB(r))
 }
 
 // DatabaseView snapshots r's database for DiffDatabase. It and DiffDatabase
 // are exported to the cluster-level check in rebuild_oracle_test.go.
-func DatabaseView(r *Recorder) map[frame.ProcID]entryView { return viewDB(r.db) }
+func DatabaseView(r *Recorder) map[frame.ProcID]entryView { return viewDB(r) }
 
 // DiffDatabase reports, field for field, every entry a rebuilt database got
 // wrong. Destruction empties a stream for good, so a rebuild reads back a

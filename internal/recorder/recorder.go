@@ -582,7 +582,7 @@ func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
 			if r.storeFailed() {
 				stored = false
 			} else {
-				r.observeMessage(f, from, to, false)
+				r.observeMessage(f, from, to)
 			}
 		}
 	case frame.Bundle:
@@ -661,7 +661,7 @@ func (r *Recorder) observeBundle(f *frame.Frame, stored, voting bool) (bool, boo
 			stored = false
 			continue
 		}
-		r.observeMessage(recs[i].Expand(f), from, to, true)
+		r.observeMessage(recs[i].Expand(f), from, to)
 	}
 	return stored, voting
 }
@@ -669,7 +669,7 @@ func (r *Recorder) observeBundle(f *frame.Frame, stored, voting bool) (bool, boo
 // observeMessage handles one guaranteed message the tap heard, alone on the
 // wire or as a member of a bundle; from and to are its processes' tap
 // records.
-func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord, inBundle bool) {
+func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
@@ -744,16 +744,12 @@ func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord, inBundle 
 	sm.From = f.From
 	sm.Channel = f.Channel
 	sm.Code = f.Code
-	// A body is read-only from Send on (demos.Msg.Body), so the log keeps
-	// the one on the wire. A bundle member's body is a slice of the whole
-	// bundle, which logging it would keep reachable, so that one is copied.
-	switch {
-	case len(f.Body) == 0:
+	// A body is read-only from Send on (demos.Msg.Body), so the node keeps
+	// the one on the wire — a bundle member's is a slice of the whole bundle
+	// — until the acknowledgement copies it into a page.
+	sm.Body = f.Body
+	if len(f.Body) == 0 {
 		sm.Body = nil
-	case inBundle:
-		sm.Body = bytes.Clone(f.Body)
-	default:
-		sm.Body = f.Body
 	}
 	// The link goes into the node's own, which the pool reuses.
 	if f.PassedLink != nil {
@@ -885,8 +881,8 @@ func (r *Recorder) allocStored() *pendingMsg {
 }
 
 // recycleStored returns a node whose Link was never exposed outside the
-// recorder (drop paths only) for reuse. Its Body is a wire body or a bundle
-// member's copy, and no pooled node holds or reuses one.
+// recorder (drop paths, and a message whose record now holds it) for reuse.
+// Its Body is a wire body, and no pooled node holds or reuses one.
 func (r *Recorder) recycleStored(sm *pendingMsg) {
 	sm.Body = nil
 	if len(r.smFree) < 1024 {
@@ -894,9 +890,9 @@ func (r *Recorder) recycleStored(sm *pendingMsg) {
 	}
 }
 
-// releaseStored retires a node whose Link now aliases an archived copy
-// (e.Arrivals or a tap record's pre): the struct is reused but the link is
-// detached so the archive keeps sole ownership.
+// releaseStored retires a node whose Link now aliases a tap record's pre
+// copy: the struct is reused but the link is detached so the copy keeps
+// sole ownership.
 func (r *Recorder) releaseStored(sm *pendingMsg) {
 	sm.Link = nil
 	r.recycleStored(sm)
@@ -964,15 +960,17 @@ func (r *Recorder) acceptArrival(t *tapRecord, sm *pendingMsg, inferred bool) {
 			return
 		}
 		t.pre = append(t.pre, *sm)
+		r.releaseStored(sm)
 	case inferred:
 		r.recordArrival(e, sm, "published (#%d in stream, inferred from later ack)")
+		r.recycleStored(sm)
 	default:
 		r.recordArrival(e, sm, "published (#%d in stream)")
+		r.recycleStored(sm)
 	}
 	if inferred {
 		r.stats.MissedArrivals++
 	}
-	r.releaseStored(sm)
 }
 
 // fenced reports whether an acknowledged message stays out of e's stream:
@@ -983,23 +981,24 @@ func (r *Recorder) fenced(e *procEntry, id frame.MsgID) bool {
 	if e.ckMarks.Covers(id) {
 		return true
 	}
-	if next := (frame.MsgID{Sender: id.Sender, Seq: id.Seq + 1}); e.recorded.Covers(next) {
+	seq, ok := e.recorded.Mark(id.Sender)
+	if ok && id.Seq+1 <= seq {
 		r.stats.BelowWatermark++
 	}
-	return e.recorded.Covers(id)
+	return ok && id.Seq <= seq
 }
 
-// recordArrival appends one message to a process's published stream, which
-// takes over its Body and Link; the node stays the caller's.
+// recordArrival appends one message to a process's published stream: its
+// record goes to the store, and the stream keeps where. The node, Body and
+// Link included, stays the caller's.
 func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
 	sm.ArrSeq = e.ArrSeqNext
 	e.ArrSeqNext++
-	e.Arrivals.push(sm.storedMsg)
+	e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, sm)})
 	e.recorded.Note(sm.ID)
 	r.stats.ArrivalsRecorded++
 	r.stats.BytesStored += uint64(len(sm.Body))
 	r.publishLat.Observe(int64(r.sched.Now() - sm.SeenAt))
-	r.persistMessage(e, sm)
 	if r.log.Enabled() {
 		// Event.Seq carries the acceptance-order position so online monitors
 		// can check per-stream monotonicity without parsing Detail.
@@ -1173,7 +1172,7 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	}
 	retained := pos // every queued message, in queue order; room for the rest
 	dropped := make([]uint64, 0, log.len()-len(retained))
-	for it := newReplayIter(*log, e.Advisories); ; {
+	for it := newReplayIter(r.store, e.keys.msg, *log, e.Advisories); ; {
 		i, ok := it.nextPos()
 		if !ok {
 			break
@@ -1205,16 +1204,17 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 }
 
 // reconstruct recovers the true read order of a stream from its arrival
-// order plus the out-of-order read advisories (§4.4.2), as a slice of
-// copies: replayIter's order, materialized.
-func reconstruct(arrivals arrLog, advisories []advisory) []storedMsg {
+// order plus the out-of-order read advisories (§4.4.2): replayIter's order,
+// materialized from the records under key in store. The bodies alias the
+// store's pages and are read-only.
+func reconstruct(store *stablestore.Paged, key stablestore.Key, arrivals arrLog, advisories []advisory) []storedMsg {
 	out := make([]storedMsg, 0, arrivals.len())
-	for it := newReplayIter(arrivals, advisories); ; {
+	for it := newReplayIter(store, key, arrivals, advisories); ; {
 		sm, ok := it.next()
 		if !ok {
 			return out
 		}
-		out = append(out, *sm)
+		out = append(out, sm)
 	}
 }
 
@@ -1230,12 +1230,14 @@ type ReplayMsg struct {
 
 // StreamMessages returns a process's published stream in reconstructed
 // read order — the debugger's input (§6.5) and the recovery replay feed.
+// The bodies are read from the recorder's stable store, alias its pages,
+// and are read-only.
 func (r *Recorder) StreamMessages(p frame.ProcID) []ReplayMsg {
 	e := r.db[p]
 	if e == nil {
 		return nil
 	}
-	order := reconstruct(e.Arrivals, e.Advisories)
+	order := reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories)
 	out := make([]ReplayMsg, len(order))
 	for i, m := range order {
 		out[i] = ReplayMsg{ID: m.ID, From: m.From, Channel: m.Channel, Code: m.Code, Body: m.Body, Link: m.Link}
@@ -1276,12 +1278,14 @@ func (r *Recorder) StreamSummary(p frame.ProcID) []frame.MsgID {
 	if e == nil {
 		return nil
 	}
-	order := reconstruct(e.Arrivals, e.Advisories)
-	out := make([]frame.MsgID, len(order))
-	for i, m := range order {
-		out[i] = m.ID
+	out := make([]frame.MsgID, 0, e.Arrivals.len())
+	for it := newReplayIter(r.store, e.keys.msg, e.Arrivals, e.Advisories); ; {
+		i, ok := it.nextPos()
+		if !ok {
+			return out
+		}
+		out = append(out, e.Arrivals.at(i).ID)
 	}
-	return out
 }
 
 // sendCtl transmits a control message to a node's kernel process, with an

@@ -40,7 +40,7 @@ func sm(local uint32, seq uint64) storedMsg {
 
 func TestReconstructNoAdvisories(t *testing.T) {
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
-	out := reconstruct(logOf(arr), nil)
+	out := logOf(arr).reconstructAll(nil)
 	if len(out) != 3 || out[0].ID != arr[0].ID || out[2].ID != arr[2].ID {
 		t.Fatalf("identity reconstruction broken: %v", out)
 	}
@@ -55,7 +55,7 @@ func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 	// Arrivals: A B C. The process read B while A was at the head.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
 	adv := []advisory{{ReadID: mid(1, 2), HeadID: mid(1, 1)}}
-	out := reconstruct(logOf(arr), adv)
+	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{2, 1, 3}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -68,7 +68,7 @@ func TestReconstructInterleavedReads(t *testing.T) {
 	// Arrivals: A B C D E. Reads: A (in order), then D (head B), then B, C, E.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3), sm(1, 4), sm(1, 5)}
 	adv := []advisory{{ReadID: mid(1, 4), HeadID: mid(1, 2)}}
-	out := reconstruct(logOf(arr), adv)
+	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{1, 4, 2, 3, 5}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -84,7 +84,7 @@ func TestReconstructConsecutiveSameHead(t *testing.T) {
 		{ReadID: mid(1, 3), HeadID: mid(1, 1)},
 		{ReadID: mid(1, 2), HeadID: mid(1, 1)},
 	}
-	out := reconstruct(logOf(arr), adv)
+	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{3, 2, 1}
 	for i, w := range want {
 		if out[i].ID.Seq != w {
@@ -109,7 +109,7 @@ func TestReconstructIsPermutation(t *testing.T) {
 				HeadID: mid(1, uint64(advPairs[i+1]%uint8(size))+1),
 			})
 		}
-		out := reconstruct(logOf(arr), advs)
+		out := logOf(arr).reconstructAll(advs)
 		if len(out) != size {
 			return false
 		}
@@ -244,11 +244,11 @@ func TestHeaderOnlyAckIsCredited(t *testing.T) {
 	}
 }
 
-// The arrival log keeps the body the tap heard on a single-message frame —
-// a body is read-only from Send on — but copies a bundle member's: the
-// member's body is a slice of the whole bundle, which logging it would keep
-// reachable for as long as the arrival is retained.
-func TestStoredBodyAliasesOnlySingleFrames(t *testing.T) {
+// A stream holds no message body. The tap's pending node keeps the body it
+// heard — for a bundle member, a slice of the bundle, not a copy — until the
+// acknowledgement writes the message into a page, and the stream reads the
+// body back from there.
+func TestStreamReadsBodiesFromTheStore(t *testing.T) {
 	r, _, _ := newBench(t)
 	register(r, procB(), "b")
 	msg := func(seq uint64, body string) *frame.Frame {
@@ -266,23 +266,29 @@ func TestStoredBodyAliasesOnlySingleFrames(t *testing.T) {
 	if !r.Observe(bundle) {
 		t.Fatal("tap rejected the bundle")
 	}
+	inBundle := func(b []byte) bool {
+		for i := range bundle.Body {
+			if &bundle.Body[i] == &b[0] {
+				return true
+			}
+		}
+		return false
+	}
+	q := &r.tapOf(procB()).q
+	if len(q.msgs) != 1 || string(q.msgs[0].Body) != "member" || !inBundle(q.msgs[0].Body) {
+		t.Fatal("the pending bundle member does not alias the bundle's body")
+	}
 	r.Observe(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: member.ID, From: procB(), To: procA()})
 
-	log := &r.db[procB()].Arrivals
-	if log.len() != 2 {
-		t.Fatalf("stream holds %d arrivals, want 2", log.len())
+	// Scribble over both wire bodies: the stream must not be reading them.
+	copy(single.Body, "XXXXXX")
+	copy(bundle.Body, make([]byte, len(bundle.Body)))
+	got := r.StreamMessages(procB())
+	if len(got) != 2 || string(got[0].Body) != "single" || string(got[1].Body) != "member" {
+		t.Fatalf("stream reads back %q", got)
 	}
-	if got := log.at(0).Body; string(got) != "single" || &got[0] != &single.Body[0] {
-		t.Errorf("the single frame's arrival holds %q at %p, want the wire body at %p", got, &got[0], &single.Body[0])
-	}
-	got := log.at(1).Body
-	if string(got) != "member" {
-		t.Fatalf("the bundle member's arrival holds %q", got)
-	}
-	for i := range bundle.Body {
-		if &bundle.Body[i] == &got[0] {
-			t.Fatal("the bundle member's arrival aliases the bundle body")
-		}
+	if &got[0].Body[0] == &single.Body[0] || inBundle(got[1].Body) {
+		t.Fatal("a stream body aliases the wire")
 	}
 }
 

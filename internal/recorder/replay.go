@@ -3,6 +3,7 @@ package recorder
 import (
 	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/stablestore"
 	"publishing/internal/trace"
 )
 
@@ -23,10 +24,14 @@ import (
 // order — the same order reconstruct produces, emitted one message at a
 // time. Recovery replays each attempt from this iterator instead of
 // building the whole ordered slice, which a recursive crash would pay for
-// repeatedly.
+// repeatedly. It reads each message back from the record the stream's index
+// names in the store.
 type replayIter struct {
-	// arrivals is a snapshot of the stream (see arrLog): what is recorded or
-	// trimmed while the replay runs does not reach it.
+	// store and key (the stream's msg: key) hold the records. arrivals is a
+	// snapshot of the stream (see arrLog): what is recorded or trimmed while
+	// the replay runs does not reach it.
+	store      *stablestore.Paged
+	key        stablestore.Key
 	arrivals   arrLog
 	advisories []advisory
 	// taken marks arrivals already emitted by an advisory's out-of-order
@@ -36,22 +41,22 @@ type replayIter struct {
 	ai    int // next advisory to honor
 }
 
-func newReplayIter(arrivals arrLog, advisories []advisory) *replayIter {
-	it := &replayIter{arrivals: arrivals, advisories: advisories}
+func newReplayIter(store *stablestore.Paged, key stablestore.Key, arrivals arrLog, advisories []advisory) *replayIter {
+	it := &replayIter{store: store, key: key, arrivals: arrivals, advisories: advisories}
 	if len(advisories) > 0 {
 		it.taken = make([]bool, arrivals.len())
 	}
 	return it
 }
 
-// next returns the next message in replay order. The pointer aliases the
-// log; callers must copy what they keep.
-func (it *replayIter) next() (*storedMsg, bool) {
+// next returns the next message in replay order. Its Body aliases the
+// store's page and is read-only.
+func (it *replayIter) next() (storedMsg, bool) {
 	i, ok := it.nextPos()
 	if !ok {
-		return nil, false
+		return storedMsg{}, false
 	}
-	return it.arrivals.at(i), true
+	return readArrival(it.store, it.key, it.arrivals.at(i)), true
 }
 
 // nextPos returns the log position of the next message in replay order.
@@ -99,7 +104,7 @@ type batchSender struct {
 
 	// staged is the one-message lookahead between iterator and packer (a
 	// record that did not fit the previous batch).
-	staged     *storedMsg
+	staged     storedMsg
 	haveStaged bool
 
 	nextSeq uint64 // highest batch sequence sent
@@ -120,7 +125,7 @@ type batchSender struct {
 func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 	bs := &batchSender{
 		r: r, e: e, rp: rp, gen: gen,
-		it:  newReplayIter(e.Arrivals, e.Advisories),
+		it:  newReplayIter(r.store, e.keys.msg, e.Arrivals, e.Advisories),
 		ids: make(map[uint64]frame.MsgID),
 	}
 	r.replaying[e.Proc] = bs
@@ -161,7 +166,7 @@ func (bs *batchSender) peek() (*storedMsg, bool) {
 	if !bs.haveStaged {
 		bs.staged, bs.haveStaged = bs.it.next()
 	}
-	return bs.staged, bs.haveStaged
+	return &bs.staged, bs.haveStaged
 }
 
 // fill tops the window up and, once the stream is exhausted and every batch

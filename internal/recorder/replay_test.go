@@ -20,14 +20,15 @@ func mkArrivals(n int) []storedMsg {
 }
 
 func drainIter(arrivals []storedMsg, advisories []advisory) []storedMsg {
-	it := newReplayIter(logOf(arrivals), advisories)
+	st := logOf(arrivals)
+	it := newReplayIter(st.store, st.key, st.log, advisories)
 	var out []storedMsg
 	for {
 		sm, ok := it.next()
 		if !ok {
 			return out
 		}
-		out = append(out, *sm)
+		out = append(out, sm)
 	}
 }
 

@@ -83,8 +83,8 @@ func TestHandlesMatchNames(t *testing.T) {
 				}
 				pa, errA := byName.Append(rec)
 				pb, errB := byHandle.AppendKey(handles[i], rec.Kind, rec.Seq, rec.Data)
-				if errA != nil || errB != nil || pa != pb {
-					t.Fatalf("seed %d step %d: Append landed on page %d (%v), AppendKey on %d (%v)", seed, step, pa, errA, pb, errB)
+				if errA != nil || errB != nil || pa != uint64(pb.Page) {
+					t.Fatalf("seed %d step %d: Append landed on page %d (%v), AppendKey on %d (%v)", seed, step, pa, errA, pb.Page, errB)
 				}
 			case op < 13:
 				through := uint64(r.Intn(200))

@@ -72,9 +72,18 @@ func appendRecord(dst []byte, r *Record) []byte {
 	return append(dst, r.Data...)
 }
 
+// Ref locates a record in its store: the page AppendKey put it on and its
+// byte offset there (0 for an oversized record, which starts its chain).
+// Compaction can move a record within its page but never off it, so a Ref
+// always names the right page; Lookup finds a moved record by scanning it.
+type Ref struct {
+	Page uint32
+	Off  uint32
+}
+
 // decodeOne parses the record at the head of b, returning it and its
-// encoded length. A leading zero byte (page padding) returns n == 0 with a
-// nil error.
+// encoded length. The record's Data aliases b. A leading zero byte (page
+// padding) returns n == 0 with a nil error.
 func decodeOne(b []byte) (Record, int, error) {
 	if len(b) == 0 || b[0] == 0 {
 		return Record{}, 0, nil
@@ -94,10 +103,11 @@ func decodeOne(b []byte) (Record, int, error) {
 	if len(b) < n {
 		return Record{}, 0, errCorruptPage
 	}
-	data := append([]byte(nil), b[3+kl+12:n]...)
-	return Record{Kind: kind, Key: key, Seq: seq, Data: data}, n, nil
+	return Record{Kind: kind, Key: key, Seq: seq, Data: b[3+kl+12 : n : n]}, n, nil
 }
 
+// decodeRecords parses every record of page b, in order; each starts where
+// the one before it ends (Record.size). The records' Data alias b.
 func decodeRecords(b []byte) ([]Record, error) {
 	var out []Record
 	for len(b) > 0 {
@@ -375,16 +385,17 @@ func (s *Paged) Stats() Stats { return s.stats }
 func (s *Paged) SetWriteFault(fn func() error) { s.writeFault = fn }
 
 // Append stores a record under the key it names: AppendKey through the
-// key's handle.
+// key's handle. It returns the page the record lands on.
 func (s *Paged) Append(r Record) (uint64, error) {
-	return s.AppendKey(s.Key(r.Key), r.Kind, r.Seq, r.Data)
+	ref, err := s.AppendKey(s.Key(r.Key), r.Kind, r.Seq, r.Data)
+	return uint64(ref.Page), err
 }
 
-// AppendKey stores a record under key k, returning the page it lands on.
-// Records larger than a page are split across dedicated pages transparently
-// on read; for simplicity here they get a page of their own (checkpoints are
+// AppendKey stores a record under key k, returning where it lands. Records
+// larger than a page are split across dedicated pages transparently on
+// read; for simplicity here they get a page of their own (checkpoints are
 // the only large records).
-func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (uint64, error) {
+func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref, error) {
 	r := Record{Kind: kind, Key: k.k.name, Seq: seq, Data: data}
 	s.stats.Appends++
 	s.stats.BytesLive += uint64(len(r.Data))
@@ -408,25 +419,69 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (uint
 			// Oversized pages are marked by a continuation map entry.
 			s.oversize(first, id)
 			if err := s.writePage(id); err != nil {
-				return 0, err
+				return Ref{}, err
 			}
 		}
 		k.k.index(first)
-		return first, nil
+		return Ref{Page: uint32(first)}, nil
 	}
 
 	if len(s.cur)+n > PageSize {
 		if err := s.flush(); err != nil {
-			return 0, err
+			return Ref{}, err
 		}
 	}
 	if len(s.cur) == 0 {
 		s.cur = make([]byte, 0, PageSize)
 		s.curPage = s.alloc(s.cur[:PageSize])
 	}
+	ref := Ref{Page: uint32(s.curPage), Off: uint32(len(s.cur))}
 	s.cur = appendRecord(s.cur, &r) // fits: never reallocates off the page
 	k.k.index(s.curPage)
-	return s.curPage, nil
+	return ref, nil
+}
+
+// Lookup returns the data of key k's record seq, which AppendKey placed at
+// ref, as a read-only slice of its page. A record compaction moved within
+// its page is found by scanning the page. No page is ever written in place —
+// appends fill the write buffer past its last record and Compact encodes a
+// fresh page — so the slice stays valid whatever the store does next.
+// Lookup reads records that fit a page (an oversized record is not found)
+// and counts no page read: it reads the in-memory page image.
+func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
+	id := uint64(ref.Page)
+	if id >= uint64(len(s.pages)) {
+		return nil, fmt.Errorf("stablestore: lookup %s #%d: no page %d", k.k.name, seq, id)
+	}
+	page := s.pages[id]
+	if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.name, seq); ok {
+		return d, nil
+	}
+	for off := 0; off < len(page); {
+		if d, ok := recordAt(page[off:], k.k.name, seq); ok {
+			return d, nil
+		}
+		n, ok := recordLen(page[off:])
+		if !ok {
+			break
+		}
+		off += n
+	}
+	return nil, fmt.Errorf("stablestore: lookup %s #%d: not on page %d", k.k.name, seq, id)
+}
+
+// recordAt returns the data of the record at the head of b if it is key's
+// record seq.
+func recordAt(b []byte, key string, seq uint64) ([]byte, bool) {
+	n, ok := recordLen(b)
+	if !ok || n > len(b) {
+		return nil, false
+	}
+	kl := int(binary.BigEndian.Uint16(b[1:3]))
+	if string(b[3:3+kl]) != key || binary.BigEndian.Uint64(b[3+kl:]) != seq {
+		return nil, false
+	}
+	return b[3+kl+12 : n : n], true
 }
 
 func (s *Paged) oversize(first, page uint64) {
@@ -624,15 +679,32 @@ func (s *Paged) Compact() (int, error) {
 
 func (s *Paged) isChainPage(id uint64) bool { return s.chainSet[id] }
 
-// ReadAll returns every live record, ordered by (key, seq, insertion). The
-// recorder uses it to rebuild its database after a crash (§3.3.4, §4.5).
+// ReadAll returns every record not yet compacted away — invalidated ones
+// included, since only Compact drops them — in page order: regular pages by
+// id, each in insertion order, then oversized chains by first page. The
+// recorder's crash rebuild reads the same records through Scan (§3.3.4,
+// §4.5). The records share nothing with the store.
 func (s *Paged) ReadAll() ([]Record, error) {
-	if err := s.flush(); err != nil {
+	var out []Record
+	if err := s.Scan(func(r Record, _ Ref) error {
+		out = append(out, owned(r))
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	out, reads, err := s.walk()
+	return out, nil
+}
+
+// Scan calls fn on each record ReadAll returns, in the same order, with its
+// Ref, and stops at fn's first error. Each record's Data is read-only and
+// aliases its page, so a caller can index a record instead of copying it.
+func (s *Paged) Scan(fn func(r Record, ref Ref) error) error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	reads, err := s.walk(fn)
 	s.stats.PageReads += reads
-	return out, err
+	return err
 }
 
 // Peek returns the records ReadAll would, in the same order, without its
@@ -640,28 +712,52 @@ func (s *Paged) ReadAll() ([]Record, error) {
 // Observers that must not perturb a run (Cluster.Fingerprint) read through
 // it.
 func (s *Paged) Peek() ([]Record, error) {
-	out, _, err := s.walk()
-	return out, err
+	var out []Record
+	if _, err := s.walk(func(r Record, _ Ref) error {
+		out = append(out, owned(r))
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// owned returns r with a copy of its Data, so it shares nothing with a page.
+func owned(r Record) Record {
+	r.Data = append([]byte(nil), r.Data...)
+	return r
 }
 
 // walk decodes every page in ReadAll's order — regular pages in page order
-// (which is insertion order), then oversized chains by first page — and
-// reports how many pages it read. The open write buffer needs no sealing to
-// be read: its records are encoded in place into its page, and zero padding
-// ends it.
-func (s *Paged) walk() ([]Record, uint64, error) {
-	var out []Record
+// (which is insertion order), then oversized chains by first page — calling
+// visit on each record with its Ref until visit fails, and reports how many
+// pages it read. Record data aliases the page (a chain's, the buffer
+// assembled for it). The open write buffer needs no sealing to be read: its
+// records are encoded in place into its page, and zero padding ends it.
+func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	var reads uint64
+	each := func(id int, page []byte) error {
+		recs, err := decodeRecords(page)
+		if err != nil {
+			return err
+		}
+		off := 0
+		for _, r := range recs {
+			if err := visit(r, Ref{Page: uint32(id), Off: uint32(off)}); err != nil {
+				return err
+			}
+			off += r.size()
+		}
+		return nil
+	}
 	for id, page := range s.pages {
 		if s.isChainPage(uint64(id)) {
 			continue
 		}
 		reads++
-		recs, err := decodeRecords(page)
-		if err != nil {
-			return nil, reads, fmt.Errorf("page %d: %w", id, err)
+		if err := each(id, page); err != nil {
+			return reads, fmt.Errorf("page %d: %w", id, err)
 		}
-		out = append(out, recs...)
 	}
 
 	// Oversized chains.
@@ -676,18 +772,17 @@ func (s *Paged) walk() ([]Record, uint64, error) {
 			whole.Write(s.pages[p])
 		}
 		reads += uint64(1 + len(rest))
-		recs, err := decodeRecords(whole.Bytes())
-		if err != nil {
-			return nil, reads, fmt.Errorf("chain %d: %w", id, err)
+		if err := each(id, whole.Bytes()); err != nil {
+			return reads, fmt.Errorf("chain %d: %w", id, err)
 		}
-		out = append(out, recs...)
 	}
-	return out, reads, nil
+	return reads, nil
 }
 
-// ReadKey returns the live records for one key in seq order. The per-key
-// page index makes this proportional to the key's own pages rather than a
-// full-store scan.
+// ReadKey returns one key's records not yet compacted away, invalidated
+// ones included, in seq order (ties in ReadAll's order). The per-key page
+// index makes this proportional to the key's own pages rather than a
+// full-store scan. The records share nothing with the store.
 func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
@@ -727,7 +822,7 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 		}
 		for _, r := range recs {
 			if r.Key == key {
-				out = append(out, r)
+				out = append(out, owned(r))
 			}
 		}
 	}
