@@ -2,8 +2,10 @@ package recorder
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"publishing/internal/demos"
@@ -198,11 +200,78 @@ func TestReplayReadsRecordsCompactionMoved(t *testing.T) {
 	}
 }
 
+// A checkpoint that lands while a replay runs, followed by a Compact, does
+// not take the records the replay has yet to read: the store hears of the
+// checkpoint's invalidations when the replay ends — or, if the recorder
+// crashes first, from the rebuild — and Compact drops them from then on.
+func TestCompactMidReplayKeepsTheReplaysRecords(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recorder-crash=%v", crash), func(t *testing.T) {
+			compactMidReplay(t, crash)
+		})
+	}
+}
+
+func compactMidReplay(t *testing.T, crash bool) {
+	r, _, store := newBench(t)
+	r.log.Enable(false)
+	r.cfg.ReplayBatchBytes, r.cfg.ReplayWindow = 1, 1 // one message a batch, one batch out
+	b := procB()
+	register(r, b, "b")
+	const n = 6
+	var all []frame.MsgID
+	for seq := uint64(1); seq <= n; seq++ {
+		publish(r, procA(), b, seq, fmt.Sprintf("body %d", seq))
+		all = append(all, frame.MsgID{Sender: procA(), Seq: seq})
+	}
+	rp := &recoveryProc{proc: b, target: b.Node, gen: 1}
+	r.recovering[b] = rp
+	r.startReplay(r.db[b], rp, rp.gen)
+	bs := r.replaying[b]
+	// The first batch is out and the second message staged. B checkpoints
+	// having read all six, and the store is compacted.
+	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: b,
+		Checkpoint: ckImage("ck", all...), SendSeq: 1, ReadCount: n, StateKB: 1})
+	if got := r.db[b].Arrivals.len(); got != 0 {
+		t.Fatalf("the checkpoint left %d arrivals, want 0", got)
+	}
+	if dropped, err := store.Compact(); err != nil || dropped != 0 {
+		t.Fatalf("Compact mid-replay dropped %d records (%v), want 0", dropped, err)
+	}
+	if crash {
+		r.Crash()
+		if err := r.Restart(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		var staged []string
+		for !bs.doneSent {
+			if bs.haveStaged {
+				staged = append(staged, string(bs.staged.Body))
+			}
+			bs.acked = bs.nextSeq // the kernel acknowledges every batch out
+			bs.fill()
+		}
+		if want := "body 2 body 3 body 4 body 5 body 6"; strings.Join(staged, " ") != want {
+			t.Fatalf("replay read %q, want %q", staged, want)
+		}
+		r.waiters[r.nextCode-1](&frame.Frame{}) // the kernel's reply to the done message
+		if r.replaying[b] != nil || r.stats.RecoveriesCompleted != 1 || r.stats.MessagesReplayed != n {
+			t.Fatalf("replay not finished: live %v, %d recoveries completed, %d messages replayed",
+				r.replaying[b] != nil, r.stats.RecoveriesCompleted, r.stats.MessagesReplayed)
+		}
+	}
+	if dropped, err := store.Compact(); err != nil || dropped != n {
+		t.Fatalf("Compact after the replay dropped %d records (%v), want %d", dropped, err, n)
+	}
+}
+
 // A recorded message is held once, in its store page. The stream keeps a
 // 32-byte index entry per arrival, and nothing else the recorder holds grows
-// with the stream: the heap grows per arrival by at most the store's page
-// bytes per arrival plus 64 bytes. Keeping the body as well (or a copy of
-// the message beside the page) costs hundreds of bytes more.
+// with the stream: the heap grows per arrival by at most the encoded record,
+// its share of the unused tail of each full page (store memory too, not a
+// second copy), and 64 bytes. Keeping the body as well (or a copy of the
+// message beside the page) costs hundreds of bytes more.
 func TestRecorderKeepsOneCopy(t *testing.T) {
 	r, _, store := newBench(t)
 	r.log.Enable(false)
@@ -223,18 +292,26 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	// The store record: kind, key length, key, seq, data length, then the
+	// message record (no link).
+	recLen := 1 + 2 + len("msg:"+procB().String()) + 8 + 4 + storedMsgFixedLen + bodyLen
+	perPage := stablestore.PageSize / recLen
+	slack := float64(stablestore.PageSize-perPage*recLen) / float64(perPage)
 	record(1, 2) // the first page and the tap's per-process state
 	before, pages := heap(), store.Pages()
 	record(2, n+2)
 	grown := float64(int64(heap())-int64(before)) / n
-	stored := float64((store.Pages()-pages)*stablestore.PageSize) / n
 	if got := r.db[procB()].Arrivals.len(); got != n+1 {
 		t.Fatalf("stream holds %d arrivals, want %d", got, n+1)
 	}
-	t.Logf("heap %.1f B per arrival, store pages %.1f B", grown, stored)
-	if grown > stored+64 {
-		t.Errorf("heap grew %.1f B per arrival; the store's pages hold %.1f B of it, so %.1f B is a second copy (limit 64)",
-			grown, stored, grown-stored)
+	if got, want := store.Pages()-pages, n/perPage; got < want || got > want+1 {
+		t.Fatalf("the store took %d pages for %d records of %d B, want %d", got, n, recLen, want)
+	}
+	limit := float64(recLen) + slack + 64
+	t.Logf("heap %.1f B per arrival; record %d B, page tail %.1f B a record, limit %.1f B", grown, recLen, slack, limit)
+	if grown > limit {
+		t.Errorf("heap grew %.1f B per arrival, over the %d-B record and its %.1f-B page tail by %.1f B (limit 64): a second copy",
+			grown, recLen, slack, grown-float64(recLen)-slack)
 	}
 	runtime.KeepAlive(r)
 }

@@ -28,7 +28,8 @@ const arrChunkLen = 32
 // writes only past the snapshot's length and keep builds fresh chunks, so
 // neither disturbs what a replay in progress is reading. The records the
 // snapshot names stay readable as long as the store holds them: only
-// Compact drops a record, and only one a checkpoint invalidated.
+// Compact drops a record, only one the store was told is invalidated, and a
+// checkpoint that lands mid-replay tells it when the replay ends.
 type arrLog struct {
 	chunks []*[arrChunkLen]arrEntry
 	n      int

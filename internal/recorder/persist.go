@@ -3,6 +3,8 @@ package recorder
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,20 +101,10 @@ func appendStoredMsg(dst []byte, sm *pendingMsg) []byte {
 	return dst
 }
 
-// decodeStoredMsg is appendStoredMsg's inverse. The result shares nothing
-// with b.
+// decodeStoredMsg is appendStoredMsg's inverse. The Body aliases b, capacity
+// capped at its length: the recorder decodes a record where the store keeps
+// it, so the store's page stays the one copy, and the body is read-only.
 func decodeStoredMsg(b []byte) (pendingMsg, error) {
-	sm, err := viewStoredMsg(b)
-	if sm.Body != nil {
-		sm.Body = append([]byte{}, sm.Body...)
-	}
-	return sm, err
-}
-
-// viewStoredMsg is decodeStoredMsg without the copy: the Body aliases b. The
-// recorder decodes a record where the store keeps it, so the store's page
-// stays the one copy.
-func viewStoredMsg(b []byte) (pendingMsg, error) {
 	if len(b) < storedMsgFixedLen {
 		return pendingMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
 	}
@@ -269,7 +261,7 @@ func readArrival(store *stablestore.Paged, key stablestore.Key, a *arrEntry) sto
 	b, err := store.Lookup(key, a.ArrSeq, a.Ref)
 	if err == nil {
 		var sm pendingMsg
-		if sm, err = viewStoredMsg(b); err == nil {
+		if sm, err = decodeStoredMsg(b); err == nil {
 			return sm.storedMsg
 		}
 	}
@@ -313,7 +305,11 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: e.Arrivals.seqs(),
 		}))
-	r.store.InvalidateKeySeqs(e.keys.msg, dropped)
+	if bs := r.replaying[e.Proc]; bs != nil {
+		bs.dropped = append(bs.dropped, dropped...) // until the replay ends
+	} else {
+		r.store.InvalidateKeySeqs(e.keys.msg, dropped)
+	}
 	if e.AdvSeqNext > 0 {
 		r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext-1)
 	}
@@ -394,7 +390,7 @@ func (r *Recorder) rebuild() error {
 		switch ns {
 		case "msg":
 			var sm pendingMsg
-			if sm, err = viewStoredMsg(rec.Data); err == nil {
+			if sm, err = decodeStoredMsg(rec.Data); err == nil {
 				a.msgs = append(a.msgs, arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: ref})
 				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
 			}
@@ -458,6 +454,9 @@ func (r *Recorder) rebuild() error {
 			e.Dead = true
 			continue
 		}
+		// What the checkpoints dropped is garbage, told to the store or not
+		// before the crash (a replay holds its invalidations back).
+		r.store.InvalidateKeySeqs(e.keys.msg, slices.Collect(maps.Keys(a.dropped)))
 		if a.ck != nil {
 			marks, err := demos.CheckpointMarks(a.ck.Blob)
 			if err != nil {

@@ -115,6 +115,11 @@ type batchSender struct {
 	// codes are this sender's reply-waiter codes, orphaned on cancel.
 	codes    []uint32
 	doneSent bool
+	// dropped are arrival seqs checkpoints invalidated while the replay
+	// ran. Its snapshot may still name their records, so the store is told
+	// only when the replay ends (endReplay): Compact never drops a record a
+	// replay has yet to read.
+	dropped []uint64
 }
 
 // startReplay reenacts the published stream: "It then reads all the
@@ -265,7 +270,7 @@ func (bs *batchSender) sendDone() {
 			}
 			e.Recovering = false
 			delete(r.recovering, e.Proc)
-			delete(r.replaying, e.Proc)
+			r.endReplay(e.Proc)
 			r.stats.RecoveriesCompleted++
 			r.log.Add(trace.KindRecoveryDone, int(r.cfg.Node), e.Proc.String(), "recovered on n%d", rp.target)
 		})
@@ -300,11 +305,10 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 // withdrawn from the transport and the reply waiters orphaned, so a
 // superseded generation cannot race the attempt that replaces it.
 func (r *Recorder) cancelReplay(p frame.ProcID) {
-	bs := r.replaying[p]
+	bs := r.endReplay(p)
 	if bs == nil {
 		return
 	}
-	delete(r.replaying, p)
 	r.replayOcc.Add(-int64(bs.nextSeq - bs.acked))
 	for _, code := range bs.codes {
 		delete(r.waiters, code)
@@ -316,4 +320,15 @@ func (r *Recorder) cancelReplay(p frame.ProcID) {
 		}
 		r.ep.Abort(func(f *frame.Frame) bool { return live[f.ID] })
 	}
+}
+
+// endReplay forgets p's replay, if one is live, and hands the store the
+// invalidations it held back.
+func (r *Recorder) endReplay(p frame.ProcID) *batchSender {
+	bs := r.replaying[p]
+	if bs != nil {
+		delete(r.replaying, p)
+		r.store.InvalidateKeySeqs(bs.e.keys.msg, bs.dropped)
+	}
+	return bs
 }

@@ -133,3 +133,40 @@ func TestLookupFollowsCompaction(t *testing.T) {
 		t.Fatal("Lookup read a page the store does not have")
 	}
 }
+
+// Lookup reads a record larger than a page from its chain, at the ref
+// AppendKey returned and at the one Scan hands out, between small records
+// on the pages around it.
+func TestLookupReadsOversizedRecords(t *testing.T) {
+	s := New()
+	k := s.Key("msg:k")
+	big := make([]byte, 3*PageSize+100)
+	for i := range big {
+		big[i] = byte(i*7 + 3)
+	}
+	refs := make(map[uint64]Ref)
+	for seq, data := range [][]byte{[]byte("small"), big, []byte("after")} {
+		ref, err := s.AppendKey(k, KindMessage, uint64(seq), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[uint64(seq)] = ref
+	}
+	if err := s.Scan(func(r Record, ref Ref) error {
+		if refs[r.Seq] != ref {
+			return fmt.Errorf("Scan puts #%d at %+v, AppendKey at %+v", r.Seq, ref, refs[r.Seq])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for seq, want := range [][]byte{[]byte("small"), big, []byte("after")} {
+		got, err := s.Lookup(k, uint64(seq), refs[uint64(seq)])
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Lookup #%d: %d bytes (%v), want %d", seq, len(got), err, len(want))
+		}
+	}
+	if _, err := s.Lookup(k, 0, refs[1]); err == nil {
+		t.Fatal("Lookup found #0 on the chain that holds #1")
+	}
+}

@@ -16,7 +16,6 @@
 package stablestore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -288,12 +287,10 @@ func (s *Paged) rebuildIndex() error {
 			if id+npages > next {
 				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 			}
-			var whole bytes.Buffer
 			for p := id; p < id+npages; p++ {
 				s.oversize(id, p)
-				whole.Write(s.pages[p])
 			}
-			page = whole.Bytes()
+			page = s.chain(id)
 		}
 		recs, err := decodeRecords(page)
 		if err != nil {
@@ -445,15 +442,18 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 // ref, as a read-only slice of its page. A record compaction moved within
 // its page is found by scanning the page. No page is ever written in place —
 // appends fill the write buffer past its last record and Compact encodes a
-// fresh page — so the slice stays valid whatever the store does next.
-// Lookup reads records that fit a page (an oversized record is not found)
-// and counts no page read: it reads the in-memory page image.
+// fresh page — so the slice stays valid whatever the store does next. An
+// oversized record is read from its chain, joined into a buffer of its own.
+// Lookup counts no page read: it reads the in-memory page image.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
 	id := uint64(ref.Page)
 	if id >= uint64(len(s.pages)) {
 		return nil, fmt.Errorf("stablestore: lookup %s #%d: no page %d", k.k.name, seq, id)
 	}
 	page := s.pages[id]
+	if _, first := s.chains[id]; first {
+		page = s.chain(id)
+	}
 	if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.name, seq); ok {
 		return d, nil
 	}
@@ -679,6 +679,18 @@ func (s *Paged) Compact() (int, error) {
 
 func (s *Paged) isChainPage(id uint64) bool { return s.chainSet[id] }
 
+// chain returns the pages of the chain that starts at page first, joined
+// into a buffer of their own: the oversized record they hold, then padding.
+func (s *Paged) chain(first uint64) []byte {
+	rest := s.chains[first]
+	whole := make([]byte, 0, (1+len(rest))*PageSize)
+	whole = append(whole, s.pages[first]...)
+	for _, p := range rest {
+		whole = append(whole, s.pages[p]...)
+	}
+	return whole
+}
+
 // ReadAll returns every record not yet compacted away — invalidated ones
 // included, since only Compact drops them — in page order: regular pages by
 // id, each in insertion order, then oversized chains by first page. The
@@ -761,18 +773,13 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	}
 
 	// Oversized chains.
-	for id, page := range s.pages {
+	for id := range s.pages {
 		rest, first := s.chains[uint64(id)]
 		if !first {
 			continue
 		}
-		var whole bytes.Buffer
-		whole.Write(page)
-		for _, p := range rest {
-			whole.Write(s.pages[p])
-		}
 		reads += uint64(1 + len(rest))
-		if err := each(id, whole.Bytes()); err != nil {
+		if err := each(id, s.chain(uint64(id))); err != nil {
 			return reads, fmt.Errorf("chain %d: %w", id, err)
 		}
 	}
@@ -806,13 +813,8 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 		var recs []Record
 		var err error
 		if s.chainSet[id] {
-			var whole bytes.Buffer
-			whole.Write(s.pages[id])
-			for _, p := range s.chains[id] {
-				whole.Write(s.pages[p])
-			}
 			s.stats.PageReads += uint64(1 + len(s.chains[id]))
-			recs, err = decodeRecords(whole.Bytes())
+			recs, err = decodeRecords(s.chain(id))
 		} else {
 			s.stats.PageReads++
 			recs, err = decodeRecords(s.pages[id])

@@ -228,3 +228,86 @@ func TestRecorderRestartMidChunkedTransfer(t *testing.T) {
 		t.Fatalf("replayed %d messages; the stable-store checkpoint was lost across the restart", rs.MessagesReplayed)
 	}
 }
+
+// A message whose stored record is larger than a store page lies on a page
+// chain of its own. It is read back from the chain: by StreamMessages, and
+// by the replay that recovers its receiver — with the stream's index made
+// as the message arrived, and with the index a recorder restart rebuilt
+// from the store.
+func TestReplayReadsBodiesLargerThanAPage(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recorder-restart=%v", restart), func(t *testing.T) {
+			c := New(DefaultConfig(2))
+			t.Cleanup(c.Close)
+			big := make([]byte, 5*1024)
+			for i := range big {
+				big[i] = byte(i*7 + 3)
+			}
+			sent := [][]byte{[]byte("small before"), big, []byte("small after")}
+			// got holds what each incarnation of the sink received.
+			var got [][][]byte
+			c.Registry().RegisterProgram("sink", func([]byte) Program {
+				got = append(got, nil)
+				inc := len(got) - 1
+				return func(ctx *PCtx) {
+					for {
+						m := ctx.Receive()
+						got[inc] = append(got[inc], bytes.Clone(m.Body))
+					}
+				}
+			})
+			c.Registry().RegisterProgram("source", func([]byte) Program {
+				return func(ctx *PCtx) {
+					l, err := ctx.ServiceLink("sink")
+					if err != nil {
+						panic(err)
+					}
+					for _, b := range sent {
+						_ = ctx.Send(l, b, NoLink)
+					}
+				}
+			})
+			sink, err := c.Spawn(1, ProcSpec{Name: "sink", Recoverable: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetService("sink", sink)
+			if _, err := c.Spawn(0, ProcSpec{Name: "source", Recoverable: true}); err != nil {
+				t.Fatal(err)
+			}
+			c.Run(5 * simtime.Second)
+			same := func(what string, bodies [][]byte) {
+				t.Helper()
+				if len(bodies) != len(sent) {
+					t.Fatalf("%s: %d bodies, want %d", what, len(bodies), len(sent))
+				}
+				for i := range sent {
+					if !bytes.Equal(bodies[i], sent[i]) {
+						t.Fatalf("%s: body %d is %d bytes, not the %d sent", what, i, len(bodies[i]), len(sent[i]))
+					}
+				}
+			}
+			if len(got) != 1 {
+				t.Fatalf("%d sink incarnations before the crash, want 1", len(got))
+			}
+			same("first incarnation", got[0])
+			if restart {
+				c.CrashRecorder()
+				if err := c.RestartRecorder(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stream [][]byte
+			for _, m := range c.Recorder().StreamMessages(sink) {
+				stream = append(stream, m.Body)
+			}
+			same("StreamMessages", stream)
+			c.CrashProcess(sink)
+			c.Run(60 * simtime.Second)
+			if c.Recorder().Stats().RecoveriesCompleted == 0 {
+				t.Fatal("the sink never recovered")
+			}
+			same("replay", got[len(got)-1])
+		})
+	}
+}
