@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -19,7 +19,16 @@ nopar:
 # There is one transport regime (DESIGN.md "Steady-state wire efficiency")
 # and the knobs below each had one value in use; they are constants now.
 noregime:
-	! grep -rnE 'AdaptiveRTO|MinRTO|MaxRTO|RetryBudget|DupCacheSize|FlushEveryMessage|MonitorStallWindow' --include='*.go' .
+	! grep -rnE 'AdaptiveRTO|MinRTO|MaxRTO|RetryBudget|DupCacheSize|FlushEveryMessage|MonitorStallWindow|FlushDelay|DefaultStallWindow' --include='*.go' .
+
+# A setting the cluster already knows is derived, not configured (DESIGN.md
+# "One home per setting"): recorder acks follow the kernels' transport, the
+# recorder list is one rank-ordered slice, a kernel publishes when a
+# recorder listens, the trace is tuned through Cluster.Trace(), and each
+# recorder default is written once, in recorder.DefaultConfig. The names
+# below are the knobs and the re-defaulting helpers they replaced.
+derived:
+	! grep -rnE 'TraceWriter|cfg\.FlightRecorder|EmitRecorderAcks|NoticeProcs|env\.Publishing|replayWindow\(\)|replayBudget\(\)|routeRepeats\(\)' --include='*.go' --exclude='*_test.go' .
 
 # The recorder's tap state is indexed by stream (DESIGN.md "Recorder
 # database"): a per-sender watermark, not a set of every id recorded, and a

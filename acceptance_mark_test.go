@@ -85,7 +85,7 @@ func TestRoutedCopyOfMigratedReadIsConsumed(t *testing.T) {
 func TestMigrationMidStreamKeepsSenderOrder(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
-	cfg.RouteRepeats = -1
+	cfg.RouteRepeats = 0
 	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	at := func(ms simtime.Time, fn func()) { c.Scheduler().At(ms*simtime.Millisecond, fn) }
@@ -120,7 +120,7 @@ func TestMigrationMidStreamKeepsSenderOrder(t *testing.T) {
 func TestRouteLearnedDuringSendCPUTargetsNewNode(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Monitor = true
-	cfg.RouteRepeats = -1
+	cfg.RouteRepeats = 0
 	c, run := buildScenario(t, cfg, 12)
 	faults := c.Medium().Faults()
 	k0 := c.Kernel(0)

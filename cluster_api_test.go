@@ -52,9 +52,8 @@ func TestRunUntil(t *testing.T) {
 
 func TestTraceWriterStreams(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := DefaultConfig(2)
-	cfg.TraceWriter = &buf
-	c := New(cfg)
+	c := New(DefaultConfig(2))
+	c.Trace().SetSink(&buf)
 	c.Registry().RegisterProgram("p", func(args []byte) Program {
 		return func(ctx *PCtx) {
 			l := ctx.CreateLink(0, 0)
@@ -111,4 +110,35 @@ func TestNewPanicsWithoutNodes(t *testing.T) {
 		}
 	}()
 	New(Config{})
+}
+
+// A recorder setting below its minimum is refused, not replaced by a
+// default: a zero WatchInterval would re-arm the watchdog at one instant
+// forever, and a zero replay window or batch budget would never send a
+// replay batch. With publishing off no recorder reads them.
+func TestNewPanicsOnUnrunnableRecorderSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"WatchInterval", func(c *Config) { c.WatchInterval = 0 }},
+		{"MissThreshold", func(c *Config) { c.MissThreshold = 0 }},
+		{"ReplayWindow", func(c *Config) { c.ReplayWindow = 0 }},
+		{"ReplayBatchBytes", func(c *Config) { c.ReplayBatchBytes = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(1)
+			tc.set(&cfg)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("New with %s unset did not panic", tc.name)
+					}
+				}()
+				New(cfg)
+			}()
+			cfg.Publishing = false
+			New(cfg).Close()
+		})
+	}
 }

@@ -11,6 +11,7 @@
 //	go run ./cmd/demosnet -medium ether -trace         # watch every event
 //	go run ./cmd/demosnet -crash-node 1 -crash-at 2s
 //	go run ./cmd/demosnet -crash-recorder -crash-at 3s
+//	go run ./cmd/demosnet -medium ether -msgs 10 -crash-node 1 -explain 'p0.1#3'
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"publishing"
 	"publishing/internal/metrics"
+	"publishing/internal/monitor"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
@@ -42,8 +44,10 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 		flight    = flag.Int("flight", 0, "flight-recorder mode: keep only the most recent N trace events")
 		monitorOn = flag.Bool("monitor", false, "attach the online invariant monitor; print violations live and its report at the end")
+		explain   = flag.String("explain", "", "causal post-mortem for one message id after the run (implies -monitor; with -trace-out, exports only that message's events)")
 	)
 	flag.Parse()
+	*monitorOn = *monitorOn || *explain != ""
 	if *nodes < 3 {
 		die(fmt.Errorf("demosnet: -nodes %d: the pipeline needs nodes 0, 1 and 2", *nodes))
 	}
@@ -51,9 +55,9 @@ func main() {
 	cfg := publishing.DefaultConfig(*nodes)
 	cfg.Medium = publishing.MediumKind(*medium)
 	cfg.Seed = *seed
-	cfg.FlightRecorder = *flight
 	cfg.Monitor = *monitorOn
 	c := publishing.New(cfg)
+	c.Trace().SetFlightRecorder(*flight)
 	if *traceOut != "" {
 		// Timelines need the per-message detail events (replay records,
 		// end-to-end acks) that are off by default.
@@ -62,9 +66,9 @@ func main() {
 	switch {
 	case *showTrace:
 		c.Trace().SetSink(os.Stdout)
-	case *traceOut != "":
-		// The filter gates retention too; a timeline export needs every
-		// event, so keep the console quiet instead of filtering.
+	case *traceOut != "" || *explain != "":
+		// The filter gates retention too; a timeline export or a post-mortem
+		// needs every event, so keep the console quiet instead of filtering.
 	default:
 		c.Trace().SetFilter(func(e trace.Event) bool {
 			switch e.Kind {
@@ -102,6 +106,12 @@ func main() {
 	c.Run(3 * publishing.Minute)
 
 	fmt.Printf("\nwitness received %d/%d messages: %v\n", len(run.Output()), *msgs, run.Output())
+	var msgEvents []trace.Event
+	if *explain != "" {
+		fmt.Printf("\n---- causal post-mortem for %s ----\n", *explain)
+		msgEvents = monitor.Explain(os.Stdout, c.Trace().Events(), *explain)
+		explainStreams(c, *explain)
+	}
 	if *monitorOn {
 		fmt.Println()
 		die(c.Monitor().WriteReport(os.Stdout))
@@ -119,12 +129,42 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		die(err)
-		err = c.Trace().WriteChrome(f)
+		if msgEvents != nil {
+			// Single-message export: just this id's causal thread.
+			err = trace.WriteChrome(f, msgEvents)
+		} else {
+			err = c.Trace().WriteChrome(f)
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		die(err)
 		fmt.Printf("wrote Chrome trace timeline to %s (open in Perfetto / chrome://tracing)\n", *traceOut)
+		if d := c.Trace().Dropped(); d > 0 {
+			fmt.Printf("flight recorder dropped %d older events\n", d)
+		}
+	}
+}
+
+// explainStreams cross-references one message id against the recorder's
+// database: for every process stream that holds the message, print its
+// replay-order position — the authoritative "would recovery re-deliver
+// this?" answer, independent of what the trace retained.
+func explainStreams(c *publishing.Cluster, msgID string) {
+	found := false
+	for _, n := range c.Nodes() {
+		for _, p := range c.Kernel(n).Procs() {
+			stream := c.Recorder().StreamSummary(p)
+			for i, id := range stream {
+				if id.String() == msgID {
+					fmt.Printf("recorder database: position %d/%d in %s's replay stream\n", i+1, len(stream), p)
+					found = true
+				}
+			}
+		}
+	}
+	if !found {
+		fmt.Println("recorder database: not in any replay stream (acked past, checkpoint-trimmed, or never published)")
 	}
 }
 

@@ -33,12 +33,7 @@ func main() {
 		doChaos  = flag.Bool("chaos", false, "seeded fault-schedule sweep through the chaos harness")
 		chaosN   = flag.Int("chaosn", 10, "chaos: number of consecutive seeds to sweep")
 		chaosDir = flag.String("chaosdir", "", "chaos: dump failing-schedule artifacts under this directory (default: system temp)")
-		observe  = flag.Bool("observe", false, "crash-and-recover run that exports metrics + timeline")
-		explain  = flag.String("explain", "", "causal post-mortem for one message id on the observe run (implies -observe)")
-		metOut   = flag.String("metrics", "", "observe: write the metrics snapshot here (\"-\" = stdout)")
-		traceOut = flag.String("trace-out", "", "observe: write a Chrome trace-event JSON timeline here")
-		flight   = flag.Int("flight", 0, "observe: keep only the most recent N trace events")
-		seed     = flag.Uint64("seed", 1, "observe: determinism seed")
+		seed     = flag.Uint64("seed", 1, "chaos: first schedule seed")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run here")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit here")
 	)
@@ -72,19 +67,14 @@ func main() {
 			}
 		}()
 	}
-	// -chaos and -observe are tool runs, not the paper's experiments: they
-	// never join the default "run everything" set.
+	// -chaos is a tool run, not one of the paper's experiments: it never
+	// joins the default "run everything" set.
 	if *doChaos {
-		// -seed picks the first schedule.
 		dir := *chaosDir
 		if dir == "" {
 			dir = filepath.Join(os.TempDir(), "publishing-chaos")
 		}
 		runChaos(*seed, *chaosN, dir)
-		return
-	}
-	if *observe || *explain != "" {
-		runObserve(observeOpts{metricsOut: *metOut, traceOut: *traceOut, flight: *flight, seed: *seed, explain: *explain})
 		return
 	}
 	all := !(*fig31 || *fig57 || *fig58 || *publish || *nodeopt)

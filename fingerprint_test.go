@@ -39,8 +39,8 @@ func sweepRow(medium MediumKind, seed uint64) func(*testing.T) []Section {
 		cfg := DefaultConfig(3)
 		cfg.Seed = seed
 		cfg.Medium = medium
-		cfg.TraceWriter = &tr
 		c := New(cfg)
+		c.Trace().SetSink(&tr)
 		t.Cleanup(c.Close)
 		run := Stream{Msgs: sweepMsgs, Pace: 5 * simtime.Millisecond}.Start(c)
 		c.Run(2 * simtime.Minute)

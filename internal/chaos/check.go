@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -57,11 +56,6 @@ type CheckResult struct {
 
 // Passed reports whether every invariant held.
 func (r CheckResult) Passed() bool { return len(r.Violations) == 0 }
-
-// cmpProc orders process ids by node, then local id.
-func cmpProc(a, b frame.ProcID) int {
-	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Local, b.Local))
-}
 
 // capList joins up to max items for a report line.
 func capList(items []string, max int) string {
@@ -283,7 +277,7 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 				}
 			}
 		}
-		procs := slices.SortedFunc(maps.Keys(procSet), cmpProc)
+		procs := slices.SortedFunc(maps.Keys(procSet), frame.ProcID.Compare)
 		var holes []string
 		checked := 0
 		for _, p := range procs {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"slices"
 
 	"publishing/internal/demos"
 	"publishing/internal/simtime"
@@ -139,9 +138,7 @@ func unsettled(sys System) []string {
 		if inf := k.Endpoint().InFlight(); inf > 0 {
 			busy = append(busy, fmt.Sprintf("node %d holds %d in flight", n, inf))
 		}
-		procs := k.Procs()
-		slices.SortFunc(procs, cmpProc)
-		for _, p := range procs {
+		for _, p := range k.Procs() {
 			if st := k.ProcState(p); st == demos.StateCrashed || st == demos.StateRecovering || !k.Quiescent(p) {
 				busy = append(busy, fmt.Sprintf("%v %s", p, st))
 			}

@@ -12,7 +12,7 @@ import (
 // a link to itself and moves it into process B's table through B's control
 // link; B can then send to A over it.
 func TestMoveLinkFig45(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	RegisterSystemImages(e.reg)
 
 	var bGotLink bool
@@ -105,7 +105,7 @@ func TestMoveLinkFig45(t *testing.T) {
 // Stop/Start through control links: a stopped process queues messages and
 // drains them on restart.
 func TestStopStartViaControl(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	RegisterSystemImages(e.reg)
 	var handled int
 	e.reg.RegisterMachine("svc", func(args []byte) Machine {
@@ -162,7 +162,7 @@ func TestStopStartViaControl(t *testing.T) {
 // addressed to it and tells their sender the new node (§3.3.3), which
 // resends them there.
 func TestForwardingToMovedProcess(t *testing.T) {
-	e := newTenv(t, 3, true, frame.NilProc)
+	e := newTenv(t, 3, frame.NilProc)
 	var got []string
 	e.reg.RegisterMachine("mover", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) { got = append(got, string(m.Body)) }}
@@ -203,7 +203,7 @@ func TestForwardingToMovedProcess(t *testing.T) {
 // Unguaranteed messages reach processes best-effort and never on crashed
 // targets.
 func TestUnguaranteedToProcess(t *testing.T) {
-	e := newTenv(t, 2, false, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	var got int
 	e.reg.RegisterMachine("u", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) { got++ }}
@@ -231,7 +231,7 @@ func TestUnguaranteedToProcess(t *testing.T) {
 }
 
 func TestTryReceive(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	var first, second bool
 	var firstOK, secondOK bool
 	e.reg.RegisterProgram("try", func(args []byte) Program {
@@ -264,7 +264,7 @@ func TestTryReceive(t *testing.T) {
 }
 
 func TestSpawnErrors(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	if _, err := e.kernels[0].Spawn(ProcSpec{Name: "no-such-image"}, SpawnOptions{}); err == nil {
 		t.Fatal("unknown image spawned")
 	}
@@ -279,7 +279,7 @@ func TestSpawnErrors(t *testing.T) {
 }
 
 func TestServiceLinkUnknown(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	var got error
 	e.reg.RegisterProgram("p", func(args []byte) Program {
 		return func(ctx *PCtx) {
@@ -296,7 +296,7 @@ func TestServiceLinkUnknown(t *testing.T) {
 }
 
 func TestCheckpointNowErrors(t *testing.T) {
-	e := newTenv(t, 1, true, frame.ProcID{Node: 0, Local: 99})
+	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
 	if _, err := e.kernels[0].CheckpointNow(frame.ProcID{Node: 0, Local: 55}); err == nil {
 		t.Fatal("checkpointed a ghost")
 	}
@@ -311,7 +311,7 @@ func TestCheckpointNowErrors(t *testing.T) {
 }
 
 func TestLoadsReportsDebt(t *testing.T) {
-	e := newTenv(t, 1, true, frame.ProcID{Node: 0, Local: 99})
+	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
 	e.reg.RegisterMachine("m", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {}}
 	})
@@ -346,7 +346,7 @@ func TestLoadsReportsDebt(t *testing.T) {
 }
 
 func TestKernelCPUAccounting(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	e.reg.RegisterProgram("work", func(args []byte) Program {
 		return func(ctx *PCtx) {
 			ctx.Compute(50 * simtime.Millisecond)
@@ -374,7 +374,7 @@ func TestDeterministicSchedulingInterleave(t *testing.T) {
 	// Two compute-heavy processes on one node interleave by kernel calls in
 	// a fixed order — the §6.6.2 deterministic round robin.
 	run := func() string {
-		e := newTenv(t, 1, false, frame.NilProc)
+		e := newTenv(t, 1, frame.NilProc)
 		var order []string
 		e.reg.RegisterProgram("loop", func(args []byte) Program {
 			name := string(args)

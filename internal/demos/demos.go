@@ -133,13 +133,6 @@ func (r *Registry) RegisterMachine(name string, f func(args []byte) Machine) {
 	r.machines[name] = f
 }
 
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	_, p := r.programs[name]
-	_, m := r.machines[name]
-	return p || m
-}
-
 // Costs is the virtual CPU cost table of kernel operations, calibrated so
 // that the Chapter 5 measurements of the simulation reproduce the paper's
 // VAX 11/750 numbers (see EXPERIMENTS.md for the calibration): per intranode
@@ -226,8 +219,9 @@ const (
 	// OpStop and OpStart suspend/resume the controlled process.
 	OpStop
 	OpStart
-	// OpReplayMsg injects one published message into a recovering process's
-	// queue (the recovery process's special call of §4.7).
+	// OpReplayMsg is never sent: replay arrives in batches on ChanReplay.
+	// It stays so the ops after it keep their numbers, with the Replay*
+	// fields of CtlMsg (see there).
 	OpReplayMsg
 	// OpRecoveryDone tells the kernel the process has received its last
 	// replayed message and may accept direct traffic again.
@@ -272,7 +266,9 @@ type CtlMsg struct {
 	// abandoned attempt after a recursive crash (§3.5).
 	RecoveryGen uint64
 
-	// Replayed message (OpReplayMsg).
+	// The Replay* fields are never set. They stay because gob sends
+	// CtlMsg's type with every control frame: dropping them would shorten
+	// every control frame and move virtual time in every run.
 	ReplayID      frame.MsgID
 	ReplayFrom    frame.ProcID
 	ReplayChannel uint16

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ type tenv struct {
 	kernels map[frame.NodeID]*Kernel
 }
 
-func newTenv(t testing.TB, nodes int, publishing bool, recorderProc frame.ProcID) *tenv {
+func newTenv(t testing.TB, nodes int, recorderProc frame.ProcID) *tenv {
 	t.Helper()
 	e := &tenv{
 		sched:   simtime.NewScheduler(),
@@ -42,7 +43,6 @@ func newTenv(t testing.TB, nodes int, publishing bool, recorderProc frame.ProcID
 		Costs:        DefaultCosts(),
 		Medium:       e.med,
 		Transport:    transport.DefaultConfig(),
-		Publishing:   publishing,
 		RecorderProc: recorderProc,
 		Services:     map[string]frame.ProcID{},
 	}
@@ -57,7 +57,7 @@ func newTenv(t testing.TB, nodes int, publishing bool, recorderProc frame.ProcID
 func (e *tenv) run(d simtime.Time) { e.sched.Run(e.sched.Now() + d) }
 
 func TestProgramRunsAndExits(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	done := false
 	e.reg.RegisterProgram("hello", func(args []byte) Program {
 		return func(ctx *PCtx) {
@@ -81,9 +81,9 @@ func TestProgramRunsAndExits(t *testing.T) {
 }
 
 func TestSelfSendReceive(t *testing.T) {
-	for _, publishing := range []bool{false, true} {
-		t.Run(fmt.Sprintf("publishing=%v", publishing), func(t *testing.T) {
-			e := newTenv(t, 1, publishing, frame.NilProc)
+	for _, recorder := range []frame.ProcID{frame.NilProc, {Node: 0, Local: 99}} {
+		t.Run(fmt.Sprintf("publishing=%v", !recorder.IsNil()), func(t *testing.T) {
+			e := newTenv(t, 1, recorder)
 			var got string
 			e.reg.RegisterProgram("selfsend", func(args []byte) Program {
 				return func(ctx *PCtx) {
@@ -114,17 +114,16 @@ func TestSelfSendReceive(t *testing.T) {
 // within one node.
 func TestIntranodePublishingUsesNetwork(t *testing.T) {
 	cases := []struct {
-		publishing  bool
 		recoverable bool
 		recorder    frame.ProcID
 		wantWire    bool
 	}{
-		{false, true, frame.NilProc, false},
-		{true, true, frame.ProcID{Node: 0, Local: 99}, true},
-		{true, false, frame.ProcID{Node: 0, Local: 99}, false}, // §6.6.1
+		{true, frame.NilProc, false},
+		{true, frame.ProcID{Node: 0, Local: 99}, true},
+		{false, frame.ProcID{Node: 0, Local: 99}, false}, // §6.6.1
 	}
 	for i, c := range cases {
-		e := newTenv(t, 1, c.publishing, c.recorder)
+		e := newTenv(t, 1, c.recorder)
 		e.reg.RegisterProgram("p", func(args []byte) Program {
 			return func(ctx *PCtx) {
 				l := ctx.CreateLink(0, 0)
@@ -143,8 +142,30 @@ func TestIntranodePublishingUsesNetwork(t *testing.T) {
 	}
 }
 
+// Procs lists a kernel's processes in id order, not map order, so every
+// caller that walks it (restart queries, the chaos harness, -explain) does
+// the same thing on every run.
+func TestProcsSorted(t *testing.T) {
+	e := newTenv(t, 1, frame.NilProc)
+	e.reg.RegisterProgram("idle", func([]byte) Program {
+		return func(ctx *PCtx) { ctx.Receive() }
+	})
+	var want []frame.ProcID
+	for i := 0; i < 16; i++ {
+		id, err := e.kernels[0].Spawn(ProcSpec{Name: "idle"}, SpawnOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	slices.SortFunc(want, frame.ProcID.Compare)
+	if got := e.kernels[0].Procs(); !slices.Equal(got, want) {
+		t.Fatalf("Procs() = %v, want %v", got, want)
+	}
+}
+
 func TestCrossNodeMessaging(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	var got []string
 	e.reg.RegisterMachine("server", func(args []byte) Machine {
 		return &funcMachine{
@@ -225,7 +246,7 @@ func (f *funcMachine) Restore(b []byte) error {
 // publishing on, advise the recorder (§4.4.2).
 func TestChannelsOutOfOrderReadAdvisory(t *testing.T) {
 	recorder := frame.ProcID{Node: 1, Local: 1}
-	e := newTenv(t, 2, true, recorder)
+	e := newTenv(t, 2, recorder)
 
 	var notices []*Notice
 	e.reg.RegisterMachine("collector", func(args []byte) Machine {
@@ -276,7 +297,7 @@ func TestChannelsOutOfOrderReadAdvisory(t *testing.T) {
 }
 
 func TestLinkPassingMovesLink(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	var sawBadLink bool
 	e.reg.RegisterProgram("mover", func(args []byte) Program {
 		return func(ctx *PCtx) {
@@ -316,7 +337,7 @@ func TestLinkPassingMovesLink(t *testing.T) {
 }
 
 func TestProcessControlChainCreatesAndDestroys(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	RegisterSystemImages(e.reg)
 	childRan := false
 	e.reg.RegisterProgram("child", func(args []byte) Program {
@@ -377,7 +398,7 @@ func TestProcessControlChainCreatesAndDestroys(t *testing.T) {
 
 func TestProcessFaultBecomesCrash(t *testing.T) {
 	recorder := frame.ProcID{Node: 0, Local: 99}
-	e := newTenv(t, 1, true, recorder)
+	e := newTenv(t, 1, recorder)
 	e.reg.RegisterProgram("faulty", func(args []byte) Program {
 		return func(ctx *PCtx) {
 			ctx.Compute(simtime.Millisecond)
@@ -398,7 +419,7 @@ func TestProcessFaultBecomesCrash(t *testing.T) {
 }
 
 func TestInjectedProcessCrashAndRefusal(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	// Kernel-level images: this package cannot import the root's scenarios.
 	e.reg.RegisterMachine("sink", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {}}
@@ -438,7 +459,7 @@ func TestInjectedProcessCrashAndRefusal(t *testing.T) {
 }
 
 func TestNodeCrashAndReboot(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	e.reg.RegisterProgram("idle", func(args []byte) Program {
 		return func(ctx *PCtx) { ctx.Receive() }
 	})
@@ -473,7 +494,7 @@ func TestNodeCrashAndReboot(t *testing.T) {
 // Recreate + replay + suppression: the §3.3.3 recovery steps performed
 // manually (the recorder package automates them).
 func TestRecreateReplaySuppression(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 
 	// echo: for every message received, sends one reply to a fixed target.
 	// Kernel-level images: this package cannot import the root's Pipeline.
@@ -571,7 +592,7 @@ func mkID(local uint32, seq uint64) frame.MsgID {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	e := newTenv(t, 1, true, frame.ProcID{Node: 0, Local: 99})
+	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
 	type counterState struct{ N int }
 	e.reg.RegisterMachine("counter", func(args []byte) Machine {
 		st := &counterState{}
@@ -637,7 +658,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestDeterministicExecution(t *testing.T) {
 	run := func() string {
-		e := newTenv(t, 3, true, frame.NilProc)
+		e := newTenv(t, 3, frame.NilProc)
 		e.reg.RegisterMachine("pong", func(args []byte) Machine {
 			return &funcMachine{handle: func(ctx *PCtx, m Msg) {
 				if m.Link != NoLink {
@@ -670,7 +691,7 @@ func TestDeterministicExecution(t *testing.T) {
 }
 
 func TestWatchdogPingPong(t *testing.T) {
-	e := newTenv(t, 2, true, frame.NilProc)
+	e := newTenv(t, 2, frame.NilProc)
 	var pongs int
 	probe := e.kernels[0].Endpoint()
 	probe.Deliver = func(f *frame.Frame) bool {
@@ -695,7 +716,7 @@ func TestWatchdogPingPong(t *testing.T) {
 }
 
 func TestStopStartProcess(t *testing.T) {
-	e := newTenv(t, 1, false, frame.NilProc)
+	e := newTenv(t, 1, frame.NilProc)
 	var handled int
 	e.reg.RegisterMachine("svc", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) { handled++ }}

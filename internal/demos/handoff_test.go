@@ -25,7 +25,7 @@ type handoffEnv struct {
 
 func newHandoffEnv(t *testing.T) *handoffEnv {
 	t.Helper()
-	h := &handoffEnv{tenv: newTenv(t, 1, true, frame.ProcID{Node: 0, Local: 1})}
+	h := &handoffEnv{tenv: newTenv(t, 1, frame.ProcID{Node: 0, Local: 1})}
 	h.k = h.kernels[0]
 	t.Cleanup(h.k.Shutdown)
 	h.reg.RegisterMachine("collector", func(args []byte) Machine {
@@ -387,7 +387,7 @@ func TestShutdown(t *testing.T) {
 // the virtual clock never moves and a kernel call costs host time only.
 func newSpinKernel(tb testing.TB, body Program) (*tenv, *Kernel, *process) {
 	tb.Helper()
-	e := newTenv(tb, 1, false, frame.NilProc)
+	e := newTenv(tb, 1, frame.NilProc)
 	k := e.kernels[0]
 	tb.Cleanup(k.Shutdown)
 	k.env.Costs = Costs{}

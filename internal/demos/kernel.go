@@ -2,6 +2,8 @@ package demos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -21,12 +23,11 @@ type Env struct {
 	Medium   lan.Medium
 	// Transport configures each node's endpoint.
 	Transport transport.Config
-	// Publishing routes every message — intranode included — through the
-	// network so the recorder can store it (§4.4.1). Off reproduces the
-	// unmodified DEMOS/MP baseline measured in Fig 5.7/5.8.
-	Publishing bool
 	// RecorderProc is where bookkeeping notices go (the recording software,
-	// §4.5). Zero means no recorder is listening.
+	// §4.5). Set, it turns publishing on: every recoverable process's
+	// messages — intranode included — go through the network so the
+	// recorder can store them (§4.4.1). Zero means no recorder is listening,
+	// the unmodified DEMOS/MP baseline measured in Fig 5.7/5.8.
 	RecorderProc frame.ProcID
 	// Services maps well-known service names ("procmgr", "namesvc") to
 	// process ids; PCtx.ServiceLink mints links to them. This is the
@@ -338,7 +339,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 
 // publishingFor reports whether messages of p are published.
 func (k *Kernel) publishingFor(p *process) bool {
-	return k.env.Publishing && p.spec.Recoverable && !k.env.RecorderProc.IsNil()
+	return p.spec.Recoverable && !k.env.RecorderProc.IsNil()
 }
 
 // terminate tears a process down into the given terminal state. The
@@ -450,13 +451,10 @@ func (k *Kernel) ProcState(id frame.ProcID) ProcState {
 	}
 }
 
-// Procs lists the ids of processes the kernel knows.
+// Procs lists the ids of processes the kernel knows, sorted by node, then
+// local id.
 func (k *Kernel) Procs() []frame.ProcID {
-	out := make([]frame.ProcID, 0, len(k.procs))
-	for id := range k.procs {
-		out = append(out, id)
-	}
-	return out
+	return slices.SortedFunc(maps.Keys(k.procs), frame.ProcID.Compare)
 }
 
 // SetEmitFilter installs the sandbox output hook (see emitFilter).

@@ -165,7 +165,7 @@ func (k *Kernel) handOff(s cpuSend) {
 // the recorder can store it: yes if the sender's stream is published (its
 // last-sent id must stay current) or the local receiver's stream is.
 func (k *Kernel) mustPublish(counter *process, to frame.ProcID) bool {
-	if !k.env.Publishing || k.env.RecorderProc.IsNil() {
+	if k.env.RecorderProc.IsNil() {
 		return false
 	}
 	if counter != nil && counter.spec.Recoverable {

@@ -158,31 +158,12 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 
 	case OpQueryProcs:
 		resp := &QueryResponse{RestartNumber: ctl.RestartNumber, Node: k.node}
-		for id := range k.procs {
+		for _, id := range k.Procs() {
 			resp.Procs = append(resp.Procs, ProcReport{Proc: id, State: k.ProcState(id)})
 		}
 		if f.PassedLink != nil {
 			_ = k.sendMessage(nil, k.KernelProc(), *f.PassedLink, EncodeQuery(resp), nil)
 		}
-
-	case OpReplayMsg:
-		p := k.procs[ctl.Proc]
-		if p == nil || !p.recovering {
-			k.env.Log.Add(trace.KindReplay, int(k.node), ctl.Proc.String(), "replay for non-recovering process dropped")
-			return true
-		}
-		k.stats.Replayed++
-		p.marks.Note(ctl.ReplayID)
-		// The replay event precedes the delivery it licenses, so an online
-		// exactly-once monitor never sees a replayed delivery as a duplicate.
-		k.env.Log.AddMsg(trace.KindReplay, int(k.node), ctl.ReplayID.String(), ctl.Proc.String(), "replayed")
-		k.pushToQueue(p, Msg{
-			ID:      ctl.ReplayID,
-			From:    ctl.ReplayFrom,
-			Channel: ctl.ReplayChannel,
-			Code:    ctl.ReplayCode,
-			Body:    ctl.ReplayBody,
-		}, ctl.ReplayLink)
 
 	case OpRecoveryDone:
 		p := k.procs[ctl.Proc]

@@ -208,7 +208,7 @@ func TestQueueHeadPopIndependentOfDepth(t *testing.T) {
 
 // Migration carries a wrapped, non-empty queue across in queue order.
 func TestMigrateWrappedQueue(t *testing.T) {
-	e := newTenv(t, 2, true, frame.ProcID{Node: 0, Local: 99})
+	e := newTenv(t, 2, frame.ProcID{Node: 0, Local: 99})
 	var handled []uint64
 	e.reg.RegisterMachine("svc", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) { handled = append(handled, m.ID.Seq) }}
@@ -262,7 +262,7 @@ func TestMigrateWrappedQueue(t *testing.T) {
 // A replay batch lands in the queue in order, and the kernel's decode
 // scratch keeps no reference to the bodies and links it handed over.
 func TestReplayBatchScratchCleared(t *testing.T) {
-	e := newTenv(t, 1, true, frame.ProcID{Node: 0, Local: 99})
+	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
 	e.reg.RegisterMachine("svc", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {}}
 	})

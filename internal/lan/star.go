@@ -24,9 +24,6 @@ func NewStar(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace
 	return &Star{base: newBase(cfg, sched, rng, log), hub: hub}
 }
 
-// Hub returns the hub node id.
-func (m *Star) Hub() frame.NodeID { return m.hub }
-
 // Send transmits the frame over the point-to-point link to the hub; the hub
 // stores it and relays it outward on the destination's link.
 func (m *Star) Send(src frame.NodeID, f *frame.Frame) {

@@ -19,16 +19,6 @@ type RecoveryResult struct {
 	Replayed uint64
 }
 
-// PerMsgMS is the recovery window divided by the replayed-message count, in
-// virtual milliseconds — the quantity that distinguishes a replay that
-// scales with message count from one that scales with bytes.
-func (r RecoveryResult) PerMsgMS() float64 {
-	if r.Replayed == 0 {
-		return 0
-	}
-	return (r.Window / simtime.Time(r.Replayed)).Milliseconds()
-}
-
 // RecoveryReplay runs an n-message Pipeline of 48-byte bodies, unpaced,
 // until the worker has an n-message published stream, crashes the worker,
 // and measures the recovery window. The scenario panics unless the witness

@@ -60,9 +60,6 @@ const (
 
 // Config tunes a Monitor.
 type Config struct {
-	// StallWindow is how long (virtual) forward progress may pause on a
-	// nonempty queue before the stall detector fires (default 10 s).
-	StallWindow simtime.Time
 	// QueueProbe, when set, reports the total queued-message count across
 	// the system and a short human-readable depth description; the stall
 	// detector calls it only when progress has already paused. The cluster
@@ -81,8 +78,9 @@ type Config struct {
 	ShardOwner func(node int, proc string) bool
 }
 
-// DefaultStallWindow is the stall detector's default virtual window.
-const DefaultStallWindow = 10 * simtime.Second
+// StallWindow is how long (virtual) forward progress may pause on a
+// nonempty queue before the stall detector fires.
+const StallWindow = 10 * simtime.Second
 
 // Violation is one online invariant failure, stamped with the virtual time
 // of the event that violated it.
@@ -188,9 +186,6 @@ type Monitor struct {
 
 // New builds a monitor reading virtual time from now.
 func New(cfg Config, now func() simtime.Time) *Monitor {
-	if cfg.StallWindow <= 0 {
-		cfg.StallWindow = DefaultStallWindow
-	}
 	m := &Monitor{
 		cfg:        cfg,
 		now:        now,
@@ -209,9 +204,6 @@ func New(cfg Config, now func() simtime.Time) *Monitor {
 	}
 	return m
 }
-
-// StallWindow returns the configured stall window.
-func (m *Monitor) StallWindow() simtime.Time { return m.cfg.StallWindow }
 
 func (m *Monitor) violate(at simtime.Time, inv, msg, format string, args ...any) {
 	m.violations = append(m.violations, Violation{
@@ -456,7 +448,7 @@ func (m *Monitor) Tick() {
 		m.lastProgress = m.progress
 		return
 	}
-	if m.stalled || now-m.lastProgressAt < m.cfg.StallWindow {
+	if m.stalled || now-m.lastProgressAt < StallWindow {
 		return
 	}
 	queued, depths := int64(0), ""
@@ -475,7 +467,7 @@ func (m *Monitor) Tick() {
 	if len(ids) > 8 {
 		ids = append(ids[:8], fmt.Sprintf("… (%d total)", len(m.inflight)))
 	}
-	detail := fmt.Sprintf("no forward progress since t=%v (window %v): queued=%d", m.lastProgressAt, m.cfg.StallWindow, queued)
+	detail := fmt.Sprintf("no forward progress since t=%v (window %v): queued=%d", m.lastProgressAt, StallWindow, queued)
 	if depths != "" {
 		detail += " [" + depths + "]"
 	}

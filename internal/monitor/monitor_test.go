@@ -224,8 +224,7 @@ func TestGiveupInferenceEitherOrder(t *testing.T) {
 func TestStallDetector(t *testing.T) {
 	queued := int64(0)
 	m, now := newTest(Config{
-		StallWindow: 10 * simtime.Second,
-		QueueProbe:  func() (int64, string) { return queued, "n1=2" },
+		QueueProbe: func() (int64, string) { return queued, "n1=2" },
 	})
 	*now = simtime.Second
 	m.Observe(ev(*now, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))

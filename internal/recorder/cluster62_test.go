@@ -38,8 +38,8 @@ func TestClustersOfLANsWithPerClusterRecorders(t *testing.T) {
 		return demos.Env{
 			Sched: sched, Rng: rng.Fork(), Log: log, Registry: reg,
 			Costs: demos.DefaultCosts(), Medium: med,
-			Transport:  transport.DefaultConfig(),
-			Publishing: true, RecorderProc: recProc, Services: services,
+			Transport:    transport.DefaultConfig(),
+			RecorderProc: recProc, Services: services,
 		}
 	}
 	recAProc := frame.ProcID{Node: 2, Local: 1}
@@ -128,7 +128,7 @@ func TestBridgeOutageDelaysButNeverDuplicates(t *testing.T) {
 	env := func(med lan.Medium, rec frame.ProcID) demos.Env {
 		return demos.Env{Sched: sched, Rng: rng.Fork(), Log: log, Registry: reg,
 			Costs: demos.DefaultCosts(), Medium: med, Transport: transport.DefaultConfig(),
-			Publishing: true, RecorderProc: rec, Services: services}
+			RecorderProc: rec, Services: services}
 	}
 	kA := demos.NewKernel(0, env(lanA, frame.ProcID{Node: 2, Local: 1}))
 	kB := demos.NewKernel(10, env(lanB, frame.ProcID{Node: 12, Local: 1}))

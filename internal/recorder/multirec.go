@@ -139,18 +139,10 @@ func decodePeer(b []byte) (*peerMsg, error) {
 // peerByRank resolves a rank to a peer's proc id (our own rank resolves to
 // nothing — we are not our own peer).
 func (c *Config) peerByRank(rank int) (frame.ProcID, bool) {
-	if rank == c.Rank {
+	if rank == c.Rank || rank < 0 || rank >= len(c.Recorders) {
 		return frame.NilProc, false
 	}
-	// Peers are stored in rank order with our own slot removed; map back.
-	idx := rank
-	if rank > c.Rank {
-		idx = rank - 1
-	}
-	if idx < 0 || idx >= len(c.Peers) {
-		return frame.NilProc, false
-	}
-	return c.Peers[idx], true
+	return c.Recorders[rank], true
 }
 
 // sendPeer ships a handoff message to another recorder.
@@ -159,8 +151,8 @@ func (r *Recorder) sendPeer(to frame.ProcID, m *peerMsg) {
 	r.ep.SendGuaranteed(&frame.Frame{
 		Type:    frame.Guaranteed,
 		Dst:     to.Node,
-		ID:      frame.MsgID{Sender: r.cfg.Proc, Seq: r.restartNumber<<40 | r.sendSeq},
-		From:    r.cfg.Proc,
+		ID:      frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
+		From:    r.proc,
 		To:      to,
 		Channel: chanPeer,
 		Body:    encodePeer(m),
@@ -231,7 +223,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		})
 	}
 	r.sendPeer(peer, &peerMsg{Kind: peerHandoffReq, Code: code, Rank: r.cfg.Rank, Cov: cov})
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 		"shard handoff requested from rec%d (%d streams known locally)", partner, len(cov))
 	epoch := r.epoch
 	r.sched.After(handoffRetry, func() {
@@ -245,7 +237,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		if w := r.peerWatch[partner]; w != nil && w.down {
 			return // onPeerDown resumes us with the local basis
 		}
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"shard handoff from rec%d stalled; re-requesting", partner)
 		r.startHandoffSession(partner)
 	})
@@ -311,7 +303,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			if r.handoffCrashAfter > 0 {
 				r.handoffCrashAfter--
 				if r.handoffCrashAfter == 0 {
-					r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+					r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 						"injected crash mid-handoff (serving %s to rec%d, chunk %d/%d)", p, m.Rank, i, total)
 					r.scheduleSelfCrash()
 					return
@@ -332,7 +324,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 		r.stats.HandoffProcsShipped++
 	}
 	r.sendPeer(from, &peerMsg{Kind: peerHandoffDone, Code: m.Code, Rank: r.cfg.Rank, Procs: shipped})
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 		"served shard handoff to rec%d: %d streams shipped", m.Rank, shipped)
 }
 
@@ -359,7 +351,7 @@ func (r *Recorder) handleHandoffData(m *peerMsg) {
 	delete(r.handoffRx, m.Code)
 	var blob handoffProc
 	if err := gobIntoR(asm.buf, &blob); err != nil {
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"handoff blob from rec%d undecodable: %v", m.Rank, err)
 		return
 	}
@@ -381,7 +373,7 @@ func (r *Recorder) handleHandoffDone(m *peerMsg) {
 	if peer, ok := r.cfg.peerByRank(m.Rank); ok {
 		r.sendPeer(peer, &peerMsg{Kind: peerHandoffCommit, Code: m.Code, Rank: r.cfg.Rank})
 	}
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 		"shard handoff from rec%d complete (%d streams shipped); resuming shard duties", m.Rank, m.Procs)
 	r.sweepDuties()
 }
@@ -398,7 +390,7 @@ func (r *Recorder) handleHandoffCommit(m *peerMsg) {
 	before := r.actingSlots()
 	r.peerWatch[m.Rank].silent = false
 	if demoted := before - r.actingSlots(); demoted > 0 {
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"rec%d reclaimed %d shard slots; standing down", m.Rank, demoted)
 	}
 }
@@ -442,7 +434,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	}
 	ckMarks, err := demos.CheckpointMarks(blob.Ck)
 	if err != nil {
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), blob.Proc.String(), "handoff basis refused: %v", err)
+		r.log.Add(trace.KindRecorder, int(r.node), blob.Proc.String(), "handoff basis refused: %v", err)
 		return
 	}
 	r.cancelReplay(blob.Proc) // in-flight batches from the stale basis
@@ -486,7 +478,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	e.Advisories = nil
 	r.persistCheckpoint(e, old)
 	r.stats.HandoffProcsAdopted++
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), blob.Proc.String(),
+	r.log.Add(trace.KindRecorder, int(r.node), blob.Proc.String(),
 		"adopted handoff basis (coverage %d -> %d, %d local extras kept)", localCov, blob.Cov, len(extras))
 }
 
@@ -494,7 +486,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 // every live process. Once they all land, the stream suffixes this recorder
 // missed while down no longer matter; until then CatchingUp reports true.
 func (r *Recorder) beginCatchUp() {
-	if len(r.cfg.Peers) == 0 {
+	if len(r.cfg.Recorders) == 1 {
 		return // sole recorder: nothing was published while we were down
 	}
 	r.catchingUp = true
@@ -505,7 +497,7 @@ func (r *Recorder) beginCatchUp() {
 			r.RequestCheckpoint(p)
 		}
 	}
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 		"catching up: awaiting %d forced checkpoints", len(r.awaitCk))
 	r.checkCaughtUp()
 	// Fallback: processes that cannot checkpoint (Program images) never
@@ -516,7 +508,7 @@ func (r *Recorder) beginCatchUp() {
 			return
 		}
 		if r.catchingUp {
-			r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "catch-up timed out; resuming duties")
+			r.log.Add(trace.KindRecorder, int(r.node), "recorder", "catch-up timed out; resuming duties")
 			r.finishCatchUp()
 		}
 	})
@@ -539,5 +531,5 @@ func (r *Recorder) checkCaughtUp() {
 func (r *Recorder) finishCatchUp() {
 	r.catchingUp = false
 	r.awaitCk = nil
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "caught up; accepting recovery duties")
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "caught up; accepting recovery duties")
 }

@@ -512,7 +512,7 @@ func (r *Recorder) rebuild() error {
 	}
 	r.db = db
 	r.resetTap()
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "rebuilt database: %d processes", len(r.db))
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil
 }
 

@@ -94,18 +94,16 @@ type Decision struct {
 
 // Config tunes a recorder.
 type Config struct {
-	// Node is the recording node's station address; Proc the recording
-	// software's process id (notices are addressed to it).
-	Node frame.NodeID
-	Proc frame.ProcID
+	// Recorders lists every recorder's process id in rank order (§6.3's
+	// priority vector V_i). Recorders[Rank] is this recorder: kernels
+	// address their notices to it, and its Node is the station it taps
+	// from. The tap consumes notices addressed to any of them.
+	Recorders []frame.ProcID
+	Rank      int
 	// Nodes are the processing nodes to watch.
 	Nodes []frame.NodeID
 	// Mode is the publish processing cost model (§5.2.2).
 	Mode ProcessMode
-	// EmitRecorderAcks broadcasts a RecorderAck frame for every stored
-	// guaranteed message — transport-level publish-before-use for media
-	// without hardware ack slots (§6.1).
-	EmitRecorderAcks bool
 	// WatchInterval is the watchdog ping period; MissThreshold consecutive
 	// silent intervals declare a processor crash (§4.6).
 	WatchInterval simtime.Time
@@ -119,28 +117,18 @@ type Config struct {
 
 	// ReplayWindow is how many replay batches a recovery keeps in flight
 	// before waiting for the kernel's cumulative batch acknowledgement
-	// (<= 0 means 1: stop-and-wait).
+	// (1: stop-and-wait).
 	ReplayWindow int
 	// ReplayBatchBytes bounds a replay batch's encoded body (and the size
-	// of one checkpoint catch-up chunk); <= 0 means frame.MaxBody, one MTU.
-	// Setting it to 1 forces one message per batch — the serial ablation.
+	// of one checkpoint catch-up chunk). Setting it to 1 forces one message
+	// per batch — the serial ablation.
 	ReplayBatchBytes int
 	// RouteRepeats is how many times a routing update is broadcast after a
 	// migration or spare-node recovery (unguaranteed traffic, so repeats
-	// cover loss). 0 means the default of 3; negative means none — kernels
-	// then learn the route only from the home node, which refuses their
-	// frames and tells them where the process went.
+	// cover loss). 0 means none — kernels then learn the route only from
+	// the home node, which refuses their frames and tells them where the
+	// process went.
 	RouteRepeats int
-
-	// Multiple-recorder support (§6.3). Peers lists the other recorders'
-	// procs in rank order (this recorder's own slot removed); Rank is this
-	// recorder's position in the combined order, which the shard map ranks
-	// per slot into every node's priority vector V_i. NoticeProcs lists
-	// every recorder proc so the tap can consume kernel notices addressed
-	// to any of them.
-	Peers       []frame.ProcID
-	Rank        int
-	NoticeProcs []frame.ProcID
 
 	// Shards assigns process streams to recorders: this recorder records
 	// (and gates, votes on, and recovers) only the streams whose shard slots
@@ -168,8 +156,7 @@ const (
 // DefaultConfig returns simulation defaults for a recorder at node.
 func DefaultConfig(node frame.NodeID, watched []frame.NodeID) Config {
 	return Config{
-		Node:             node,
-		Proc:             frame.ProcID{Node: node, Local: 1},
+		Recorders:        []frame.ProcID{{Node: node, Local: 1}},
 		Nodes:            watched,
 		Mode:             ModeMediaLayer,
 		WatchInterval:    500 * simtime.Millisecond,
@@ -325,7 +312,7 @@ const (
 func (r *Recorder) tapOf(p frame.ProcID) *tapRecord {
 	t := r.taps[p]
 	if t == nil {
-		t = &tapRecord{e: r.db[p], owns: r.ownsProc(p), notice: r.isNoticeProc(p)}
+		t = &tapRecord{e: r.db[p], owns: r.ownsProc(p), notice: slices.Contains(r.cfg.Recorders, p)}
 		r.taps[p] = t
 	}
 	return t
@@ -373,7 +360,15 @@ func (r *Recorder) dropPre(t *tapRecord) {
 // Recorder is the recording node: tap, database, stable store, and
 // recovery manager.
 type Recorder struct {
-	cfg   Config
+	cfg Config
+	// node is the station the recorder taps from; proc its process id,
+	// Recorders[Rank]. emitAcks broadcasts a RecorderAck frame for every
+	// stored guaranteed message: transport-level publish-before-use, which
+	// the kernels' transport asks for on media without ack slots (§6.1).
+	node     frame.NodeID
+	proc     frame.ProcID
+	emitAcks bool
+
 	sched *simtime.Scheduler
 	rng   *simtime.Rand
 	log   *trace.Log
@@ -464,10 +459,16 @@ const (
 )
 
 // New builds a recorder on the given medium and stable store, attaching
-// both its passive tap and its transport endpoint.
+// both its passive tap and its transport endpoint. tcfg is the kernels'
+// transport configuration: where it waits for recorder acknowledgements,
+// the recorder emits them, and its own endpoint never waits for them.
 func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store *stablestore.Paged, tcfg transport.Config) *Recorder {
+	proc := cfg.Recorders[cfg.Rank]
 	r := &Recorder{
 		cfg:        cfg,
+		node:       proc.Node,
+		proc:       proc,
+		emitAcks:   tcfg.NeedRecorderAck,
 		sched:      sched,
 		rng:        rng,
 		log:        log,
@@ -483,12 +484,13 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 	}
 	r.resetTap()
 	r.resetReplication()
-	r.ep = transport.New(cfg.Node, med, sched, log, tcfg)
+	tcfg.NeedRecorderAck = false
+	r.ep = transport.New(r.node, med, sched, log, tcfg)
 	r.ep.Deliver = r.deliver
-	med.AttachTap(cfg.Node, r)
+	med.AttachTap(r.node, r)
 	r.loadRestartNumber()
 	if reg := cfg.Metrics; reg != nil {
-		node := int(cfg.Node)
+		node := int(r.node)
 		r.publishLat = reg.Histogram(node, "recorder", "publish_latency_ns")
 		r.replayOcc = reg.Gauge(node, "recorder", "replay_window_batches")
 		s := &r.stats
@@ -543,7 +545,7 @@ func (r *Recorder) SetStoreFailProb(p float64) { r.storeFailProb = p }
 func (r *Recorder) Store() *stablestore.Paged { return r.store }
 
 // Proc returns the recording software's process id.
-func (r *Recorder) Proc() frame.ProcID { return r.cfg.Proc }
+func (r *Recorder) Proc() frame.ProcID { return r.proc }
 
 // RestartNumber returns the §3.4 restart counter.
 func (r *Recorder) RestartNumber() uint64 { return r.restartNumber }
@@ -673,7 +675,7 @@ func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
-	if r.cfg.EmitRecorderAcks && to.owns {
+	if r.emitAcks && to.owns {
 		// Transport-level publish-before-use (§6.1): receivers hold the
 		// frame until this acknowledgement. Emission waits out the publish
 		// processing time, so ModeNaive recorders visibly slow the system.
@@ -682,7 +684,7 @@ func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord) {
 		r.queueRecorderAck(f.ID)
 	}
 
-	if f.To == r.cfg.Proc {
+	if f.To == r.proc {
 		return // bookkeeping traffic to the recorder itself is not a stream
 	}
 	if f.Channel == chanPeer || from.notice {
@@ -912,7 +914,7 @@ func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID, t *tapReco
 	}
 	sm := q.remove(at)
 	e := t.e
-	if e == nil && (rcv.Local == 0 || rcv == r.cfg.Proc) || // no process stream
+	if e == nil && (rcv.Local == 0 || rcv == r.proc) || // no process stream
 		e != nil && (e.Dead || r.fenced(e, id)) {
 		r.recycleStored(sm)
 		return
@@ -1002,7 +1004,7 @@ func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
 	if r.log.Enabled() {
 		// Event.Seq carries the acceptance-order position so online monitors
 		// can check per-stream monotonicity without parsing Detail.
-		r.log.AddMsgSeq(trace.KindPublish, int(r.cfg.Node), sm.ID.String(), e.Proc.String(), sm.ArrSeq, format, sm.ArrSeq)
+		r.log.AddMsgSeq(trace.KindPublish, int(r.node), sm.ID.String(), e.Proc.String(), sm.ArrSeq, format, sm.ArrSeq)
 	}
 }
 
@@ -1016,7 +1018,7 @@ func (r *Recorder) deliver(f *frame.Frame) bool {
 		r.handlePong(f)
 		return true
 	}
-	if f.To != r.cfg.Proc {
+	if f.To != r.proc {
 		return true // stray; accept and ignore
 	}
 	switch f.Channel {
@@ -1030,7 +1032,7 @@ func (r *Recorder) deliver(f *frame.Frame) bool {
 	default:
 		n, err := demos.DecodeNotice(f.Body)
 		if err != nil {
-			r.log.Add(trace.KindRecorder, int(r.cfg.Node), f.From.String(), "bad notice: %v", err)
+			r.log.Add(trace.KindRecorder, int(r.node), f.From.String(), "bad notice: %v", err)
 			return true
 		}
 		r.handleNotice(n)
@@ -1070,7 +1072,7 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		}
 		r.dropPre(t)
 		r.persistProcMeta(e)
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), n.Proc.String(), "registered %q", n.Spec.Name)
+		r.log.Add(trace.KindRecorder, int(r.node), n.Proc.String(), "registered %q", n.Spec.Name)
 
 	case demos.NoticeDestroyed:
 		r.dropPre(r.tapOf(n.Proc))
@@ -1114,14 +1116,14 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 		if e := r.db[n.Proc]; e != nil && !e.Dead {
 			e.Node = n.Node
 			r.persistProcMeta(e)
-			r.broadcastRoute(n.Proc, n.Node, r.routeRepeats())
-			r.log.Add(trace.KindRecorder, int(r.cfg.Node), n.Proc.String(), "migrated to n%d", n.Node)
+			r.broadcastRoute(n.Proc, n.Node, r.cfg.RouteRepeats)
+			r.log.Add(trace.KindRecorder, int(r.node), n.Proc.String(), "migrated to n%d", n.Node)
 		}
 
 	case demos.NoticeCrashed:
 		r.stats.ProcessCrashes++
 		if e := r.db[n.Proc]; e != nil && !e.Dead {
-			r.log.Add(trace.KindDetect, int(r.cfg.Node), n.Proc.String(), "process fault reported")
+			r.log.Add(trace.KindDetect, int(r.node), n.Proc.String(), "process fault reported")
 			r.startRecovery(e, e.Node)
 		}
 	}
@@ -1146,7 +1148,7 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	}
 	marks, err := demos.CheckpointMarks(n.Checkpoint)
 	if err != nil {
-		r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(), "checkpoint refused: %v", err)
+		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(), "checkpoint refused: %v", err)
 		return false
 	}
 	// pos[k] is the log position of the k'th queued message (-1: not held,
@@ -1166,7 +1168,7 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 		}
 	}
 	if slices.Contains(pos, -1) {
-		r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(),
+		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
 			"checkpoint (readCount=%d) not applied: a queued message was never recorded", n.ReadCount)
 		return false
 	}
@@ -1197,7 +1199,7 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	e.LastCkAt = r.sched.Now()
 	r.stats.CheckpointsStored++
 	r.persistCheckpoint(e, dropped)
-	r.log.Add(trace.KindCheckpoint, int(r.cfg.Node), e.Proc.String(),
+	r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
 		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, 0 missing",
 		n.StateKB, n.ReadCount, len(dropped), len(retained))
 	return true
@@ -1295,8 +1297,8 @@ func (r *Recorder) sendCtl(node frame.NodeID, to frame.ProcID, deliverToKernel b
 	f := &frame.Frame{
 		Type:            frame.Guaranteed,
 		Dst:             node,
-		ID:              frame.MsgID{Sender: r.cfg.Proc, Seq: r.restartNumber<<40 | r.sendSeq},
-		From:            r.cfg.Proc,
+		ID:              frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
+		From:            r.proc,
 		To:              to,
 		Channel:         demos.ChanRequest,
 		DeliverToKernel: deliverToKernel,
@@ -1306,20 +1308,9 @@ func (r *Recorder) sendCtl(node frame.NodeID, to frame.ProcID, deliverToKernel b
 		code := r.nextCode
 		r.nextCode++
 		r.waiters[code] = onReply
-		f.PassedLink = &frame.Link{To: r.cfg.Proc, Channel: replyChan, Code: code}
+		f.PassedLink = &frame.Link{To: r.proc, Channel: replyChan, Code: code}
 	}
 	r.ep.SendGuaranteed(f)
-}
-
-// isNoticeProc reports whether p is one of the recorder procs kernels send
-// notices to.
-func (r *Recorder) isNoticeProc(p frame.ProcID) bool {
-	for _, q := range r.cfg.NoticeProcs {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // CatchingUp reports whether the recorder is still in its §6.3 restart

@@ -78,7 +78,7 @@ func (r *Recorder) watchTick() {
 				w.down = false
 				if w.responsible {
 					w.responsible = false
-					r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node), "node is back; recovering its processes")
+					r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "node is back; recovering its processes")
 					r.recoverNode(w.node, w.node)
 				}
 			}
@@ -92,7 +92,7 @@ func (r *Recorder) watchTick() {
 		// "Are you alive?" — unguaranteed, like all dated traffic (§4.3.3).
 		r.ep.SendUnguaranteed(&frame.Frame{
 			Dst:  w.node,
-			From: r.cfg.Proc,
+			From: r.proc,
 			To:   frame.ProcID{Node: w.node, Local: 0},
 			Body: demos.PingBody,
 		})
@@ -107,7 +107,7 @@ func (r *Recorder) handlePong(f *frame.Frame) {
 	if len(f.Body) == 1 && f.Body[0] == demos.PingBody[0] {
 		// Recorders watch each other; answer the peer's ping the way kernels
 		// answer ours.
-		r.ep.SendUnguaranteed(&frame.Frame{Dst: f.Src, From: r.cfg.Proc, To: f.From, Body: demos.PongBody})
+		r.ep.SendUnguaranteed(&frame.Frame{Dst: f.Src, From: r.proc, To: f.From, Body: demos.PongBody})
 		return
 	}
 	if f.Body[0] != demos.PongBody[0] {
@@ -131,7 +131,7 @@ func nodeSubject(n frame.NodeID) string { return frame.ProcID{Node: n, Local: 0}
 func (r *Recorder) processorCrash(w *watchState) {
 	w.down = true
 	r.stats.ProcessorCrashes++
-	r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node), "processor crash detected by watchdog")
+	r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "processor crash detected by watchdog")
 	r.actOnCrash(w)
 }
 
@@ -145,9 +145,9 @@ func (r *Recorder) actOnCrash(w *watchState) {
 	switch dec.Action {
 	case ActionNoRecover:
 		w.responsible = false
-		r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node), "operator chose no recovery")
+		r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "operator chose no recovery")
 	case ActionRecoverSpare:
-		r.log.Add(trace.KindDetect, int(r.cfg.Node), nodeSubject(w.node), "recovering on spare node %d", dec.Spare)
+		r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "recovering on spare node %d", dec.Spare)
 		r.recoverNode(w.node, dec.Spare)
 	default: // ActionRecoverSame
 		if r.cfg.RebootFn != nil {
@@ -192,7 +192,7 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 	rp := r.recovering[e.Proc]
 	if rp == nil {
 		rp = &recoveryProc{proc: e.Proc}
-		if len(r.cfg.Peers) > 0 {
+		if len(r.cfg.Recorders) > 1 {
 			// Salt the generation by rank so two replicas recovering the same
 			// process during a handoff overlap can never collide on a
 			// generation number: the kernel's exact-generation batch guard
@@ -213,13 +213,13 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 	if e.Node != target {
 		e.Node = target
 		r.persistProcMeta(e)
-		r.broadcastRoute(e.Proc, target, r.routeRepeats())
+		r.broadcastRoute(e.Proc, target, r.cfg.RouteRepeats)
 	}
 	r.stats.RecoveriesStarted++
 	// The log's length is the replay count: reconstruct emits every arrival
 	// exactly once (advisories only reorder), so there is no need to build
 	// the whole ordered slice just to log its length.
-	r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+	r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(),
 		"recovery started (target n%d, %d messages to replay, checkpoint=%v)",
 		target, e.Arrivals.len(), e.Checkpoint != nil)
 
@@ -248,7 +248,7 @@ func (r *Recorder) armRecoveryRetry(e *procEntry, rp *recoveryProc, gen uint64) 
 			return
 		}
 		if e.Recovering {
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(), "recovery stalled; reinitiating (§3.5)")
+			r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(), "recovery stalled; reinitiating (§3.5)")
 			r.startRecovery(e, rp.target)
 		}
 	})
@@ -266,7 +266,7 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 	if e.Checkpoint != nil {
 		ctl.FirstSendSeq = e.CkSendSeq + 1
 		ctl.ReadCount = e.CkReadCount
-		if budget := r.replayBudget(); len(e.Checkpoint) > budget {
+		if budget := r.cfg.ReplayBatchBytes; len(e.Checkpoint) > budget {
 			// Catch-up transfer: a checkpoint too big for one frame ships as
 			// MTU-sized chunks on the replay channel ahead of the recreate.
 			// The transport's per-node-pair FIFO guarantees the kernel has
@@ -296,12 +296,12 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 		if err != nil {
 			// An undecodable reply says nothing about the kernel's decision;
 			// rep is meaningless here and must not be consulted.
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+			r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(),
 				"recreate reply undecodable: %v", err)
 			return // the retry timer will reinitiate
 		}
 		if !rep.OK {
-			r.log.Add(trace.KindRecoveryStart, int(r.cfg.Node), e.Proc.String(),
+			r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(),
 				"recreate refused by kernel: %s", rep.Err)
 			return // the retry timer will reinitiate
 		}
@@ -326,7 +326,7 @@ func (r *Recorder) broadcastRoute(p frame.ProcID, node frame.NodeID, times int) 
 			if r.epoch != epoch || r.crashed {
 				return
 			}
-			r.ep.SendUnguaranteed(&frame.Frame{Dst: frame.Broadcast, From: r.cfg.Proc, Body: body})
+			r.ep.SendUnguaranteed(&frame.Frame{Dst: frame.Broadcast, From: r.proc, Body: body})
 		})
 	}
 }
@@ -360,8 +360,8 @@ func (r *Recorder) Crash() {
 	}
 	r.resetReplication()
 	r.ep.Reset()
-	r.med.Faults().SetDown(r.cfg.Node, true)
-	r.log.Add(trace.KindCrash, int(r.cfg.Node), "recorder", "recorder crash")
+	r.med.Faults().SetDown(r.node, true)
+	r.log.Add(trace.KindCrash, int(r.node), "recorder", "recorder crash")
 }
 
 // Restart brings the recorder back: bump and persist the restart number
@@ -378,14 +378,14 @@ func (r *Recorder) Restart() error {
 	}
 	r.crashed = false
 	r.epoch++
-	r.med.Faults().SetDown(r.cfg.Node, false)
+	r.med.Faults().SetDown(r.node, false)
 	r.restartNumber++
 	r.persistRestartNumber()
 	r.sendSeq = 0
 	r.Start()
 	r.beginCatchUp()
 	r.beginHandoff()
-	r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder", "restart #%d; querying %d nodes", r.restartNumber, len(r.cfg.Nodes))
+	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "restart #%d; querying %d nodes", r.restartNumber, len(r.cfg.Nodes))
 	for _, n := range r.cfg.Nodes {
 		n := n
 		r.sendCtl(n, frame.ProcID{Node: n, Local: 0}, false,
@@ -403,7 +403,7 @@ func (r *Recorder) handleQueryResponse(f *frame.Frame) {
 		return
 	}
 	if q.RestartNumber != r.restartNumber {
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), nodeSubject(q.Node),
+		r.log.Add(trace.KindRecorder, int(r.node), nodeSubject(q.Node),
 			"stale restart response #%d ignored (§3.4)", q.RestartNumber)
 		return
 	}

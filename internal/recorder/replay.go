@@ -137,35 +137,6 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 	bs.fill()
 }
 
-// replayWindow returns the effective batch window (>= 1).
-func (r *Recorder) replayWindow() int {
-	if r.cfg.ReplayWindow > 1 {
-		return r.cfg.ReplayWindow
-	}
-	return 1
-}
-
-// replayBudget returns the effective batch body budget in bytes.
-func (r *Recorder) replayBudget() int {
-	if r.cfg.ReplayBatchBytes > 0 {
-		return r.cfg.ReplayBatchBytes
-	}
-	return frame.MaxBody
-}
-
-// routeRepeats returns the effective routing-update broadcast count: the
-// configured knob, defaulting to 3, with negative meaning none.
-func (r *Recorder) routeRepeats() int {
-	switch {
-	case r.cfg.RouteRepeats < 0:
-		return 0
-	case r.cfg.RouteRepeats == 0:
-		return 3
-	default:
-		return r.cfg.RouteRepeats
-	}
-}
-
 // peek stages the next record without consuming it.
 func (bs *batchSender) peek() (*storedMsg, bool) {
 	if !bs.haveStaged {
@@ -177,7 +148,7 @@ func (bs *batchSender) peek() (*storedMsg, bool) {
 // fill tops the window up and, once the stream is exhausted and every batch
 // acknowledged, declares recovery done.
 func (bs *batchSender) fill() {
-	for int(bs.nextSeq-bs.acked) < bs.r.replayWindow() {
+	for int(bs.nextSeq-bs.acked) < bs.r.cfg.ReplayWindow {
 		if !bs.sendBatch() {
 			break
 		}
@@ -196,7 +167,7 @@ func (bs *batchSender) sendBatch() bool {
 		return false
 	}
 	r := bs.r
-	budget := r.replayBudget()
+	budget := r.cfg.ReplayBatchBytes
 	seq := bs.nextSeq + 1
 	buf := demos.BeginReplayBatch(make([]byte, 0, budget+64), bs.e.Proc, bs.gen, seq)
 	count := 0
@@ -224,7 +195,7 @@ func (bs *batchSender) sendBatch() bool {
 	r.stats.ReplayBatches++
 	r.replayOcc.Add(1)
 	if r.log.Enabled() {
-		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(),
+		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(),
 			"replaying batch #%d (%d messages, %d B)", seq, count, len(buf))
 	}
 	return true
@@ -238,11 +209,11 @@ func (bs *batchSender) onAck(f *frame.Frame) {
 	}
 	rep, err := demos.DecodeReply(f.Body)
 	if err != nil {
-		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(), "batch ack undecodable: %v", err)
+		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(), "batch ack undecodable: %v", err)
 		return // the recovery retry timer backstops a wedged window
 	}
 	if !rep.OK {
-		r.log.Add(trace.KindReplay, int(r.cfg.Node), bs.e.Proc.String(), "batch refused: %s", rep.Err)
+		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(), "batch refused: %s", rep.Err)
 		return
 	}
 	if rep.AckedBatch > bs.acked {
@@ -272,7 +243,7 @@ func (bs *batchSender) sendDone() {
 			delete(r.recovering, e.Proc)
 			r.endReplay(e.Proc)
 			r.stats.RecoveriesCompleted++
-			r.log.Add(trace.KindRecoveryDone, int(r.cfg.Node), e.Proc.String(), "recovered on n%d", rp.target)
+			r.log.Add(trace.KindRecoveryDone, int(r.node), e.Proc.String(), "recovered on n%d", rp.target)
 		})
 }
 
@@ -284,8 +255,8 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 	f := &frame.Frame{
 		Type:    frame.Guaranteed,
 		Dst:     node,
-		ID:      frame.MsgID{Sender: r.cfg.Proc, Seq: r.restartNumber<<40 | r.sendSeq},
-		From:    r.cfg.Proc,
+		ID:      frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
+		From:    r.proc,
 		To:      frame.ProcID{Node: node, Local: 0},
 		Channel: demos.ChanReplay,
 		Body:    body,
@@ -295,7 +266,7 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 		code = r.nextCode
 		r.nextCode++
 		r.waiters[code] = onReply
-		f.PassedLink = &frame.Link{To: r.cfg.Proc, Channel: chanCtlReply, Code: code}
+		f.PassedLink = &frame.Link{To: r.proc, Channel: chanCtlReply, Code: code}
 	}
 	r.ep.SendGuaranteed(f)
 	return f.ID, code

@@ -93,7 +93,7 @@ func (r *Recorder) ObserveVote(f *frame.Frame) (stored, voting bool) {
 // suppression threshold — so both gate. Recorder-bound traffic (notices,
 // control replies) is gated by everyone: every recorder consumes notices.
 func (r *Recorder) votesOnMsg(from, to frame.ProcID, fromTap, toTap *tapRecord) bool {
-	return to == r.cfg.Proc || toTap.notice || toTap.owns || from.Local != 0 && fromTap.owns
+	return to == r.proc || toTap.notice || toTap.owns || from.Local != 0 && fromTap.owns
 }
 
 // BasisSummary is one recorder's view of a stream's replay basis — the
@@ -171,7 +171,7 @@ func (r *Recorder) tickPeerWatch() {
 				// A restarted peer reclaims its slots through the handoff
 				// Commit, not the mere reappearance of pongs.
 				w.down = false
-				r.log.Add(trace.KindDetect, int(r.cfg.Node), "recorder", "peer recorder rec%d answers again", rank)
+				r.log.Add(trace.KindDetect, int(r.node), "recorder", "peer recorder rec%d answers again", rank)
 			}
 		} else {
 			w.misses++
@@ -187,7 +187,7 @@ func (r *Recorder) tickPeerWatch() {
 		}
 		r.ep.SendUnguaranteed(&frame.Frame{
 			Dst:  w.node,
-			From: r.cfg.Proc,
+			From: r.proc,
 			To:   peer,
 			Body: demos.PingBody,
 		})
@@ -211,12 +211,12 @@ func (r *Recorder) onPeerDown(rank int) {
 			delete(r.handoffs, rank)
 		}
 		resumed = true
-		r.log.Add(trace.KindRecorder, int(r.cfg.Node), "recorder",
+		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"handoff source rec%d lost mid-transfer; resuming with local basis", rank)
 	}
 	if promoted > 0 {
 		r.stats.FollowerPromotions++
-		r.log.Add(trace.KindDetect, int(r.cfg.Node), "recorder",
+		r.log.Add(trace.KindDetect, int(r.node), "recorder",
 			"peer recorder rec%d silent; promoted to leader on %d shard slots", rank, promoted)
 	}
 	if promoted > 0 || resumed {

@@ -297,9 +297,6 @@ type streamDiff struct {
 
 func newStreamDiff(t testing.TB) *streamDiff {
 	r, sched := newBenchOn(t, stablestore.New())
-	// As a cluster configures it: the recorder's own control traffic, which
-	// its tap hears after a restart, is no process's stream.
-	r.cfg.NoticeProcs = []frame.ProcID{r.cfg.Proc}
 	r.Start() // the flush tick runs the pending sweep
 	d := &streamDiff{t: t, r: r, sched: sched, ref: newRefTap()}
 	for i := range d.procs {

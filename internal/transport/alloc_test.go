@@ -301,7 +301,7 @@ func TestFirstContactAllocations(t *testing.T) {
 		f.Dst, f.To.Node = dst, dst
 		f.ID.Seq++
 		e.SendGuaranteed(f)
-		e.sched.Run(e.sched.Now() + cfg.FlushDelay)
+		e.sched.Run(e.sched.Now() + flushDelay)
 		e.sched.Run(e.sched.Now() + simtime.Millisecond)
 		a.Src, a.ID = dst, f.ID
 		e.Receive(a)

@@ -90,7 +90,6 @@ func TestCumulativeAckCoversSupersededRecords(t *testing.T) {
 func TestWindowFullBehindCoalescedBatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 1
-	cfg.FlushDelay = simtime.Millisecond
 	e := newEnv(t, 3, cfg, "perfect")
 	e.med.Faults().SetDown(1, true)
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -210,7 +209,7 @@ func TestUnsetConfigRunsTheDefaultRegime(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero", Config{}},
-		{"negative delays", Config{FlushDelay: -1, AckDelay: -1, RetransmitInterval: -1, Window: -1}},
+		{"negative delays", Config{AckDelay: -1, RetransmitInterval: -1, Window: -1}},
 	} {
 		got := wireTrace(tc.cfg)
 		if len(got) != len(want) {

@@ -72,11 +72,6 @@ type Config struct {
 	// RecorderAckTimeout discards a held frame if no recorder ack arrives,
 	// letting the sender's retransmission drive another attempt.
 	RecorderAckTimeout simtime.Time
-	// FlushDelay holds admitted guaranteed (and unicast unguaranteed) sends
-	// briefly so several small messages to the same destination coalesce into
-	// one Bundle frame, amortizing the fixed per-frame cost (on the paper's
-	// network the 1.6 ms interpacket delay dwarfs a small payload).
-	FlushDelay simtime.Time
 	// AckDelay delays end-to-end acknowledgements so they ride piggybacked
 	// on reverse-direction gated frames, falling back to one standalone
 	// cumulative Ack frame per destination when no reverse traffic appears
@@ -96,12 +91,16 @@ func DefaultConfig() Config {
 		MaxRetries:         200,
 		Window:             1,
 		RecorderAckTimeout: 40 * simtime.Millisecond,
-		FlushDelay:         500 * simtime.Microsecond,
 		AckDelay:           2 * simtime.Millisecond,
 	}
 }
 
 const (
+	// flushDelay holds admitted guaranteed (and unicast unguaranteed) sends
+	// briefly so several small messages to the same destination coalesce into
+	// one Bundle frame, amortizing the fixed per-frame cost (on the paper's
+	// network the 1.6 ms interpacket delay dwarfs a small payload).
+	flushDelay = 500 * simtime.Microsecond
 	// minRTO and maxRTO clamp the measured timeout and its backoff.
 	minRTO = 2 * simtime.Millisecond
 	maxRTO = 400 * simtime.Millisecond
@@ -254,7 +253,7 @@ type txUnit struct {
 	spare []*flight
 }
 
-// Fire is the flush timer: FlushDelay after the unit opened, it goes on the
+// Fire is the flush timer: flushDelay after the unit opened, it goes on the
 // wire with whatever joined it.
 func (u *txUnit) Fire() {
 	if u.e.epoch != u.epoch {
@@ -413,7 +412,6 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	cfg.Window = positiveOr(cfg.Window, def.Window)
 	cfg.RetransmitInterval = positiveOr(cfg.RetransmitInterval, def.RetransmitInterval)
 	cfg.RecorderAckTimeout = positiveOr(cfg.RecorderAckTimeout, def.RecorderAckTimeout)
-	cfg.FlushDelay = positiveOr(cfg.FlushDelay, def.FlushDelay)
 	cfg.AckDelay = positiveOr(cfg.AckDelay, def.AckDelay)
 	e := &Endpoint{
 		node:  node,
@@ -760,7 +758,7 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 	p.units++
 	e.open = append(e.open, u)
 	e.joinUnit(u, f, bundleRecLen(f))
-	u.timer = e.sched.AfterHandler(e.cfg.FlushDelay, u)
+	u.timer = e.sched.AfterHandler(flushDelay, u)
 	return u
 }
 

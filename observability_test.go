@@ -128,12 +128,13 @@ func TestMetricsDeterministicAcrossSameSeedRuns(t *testing.T) {
 	}
 }
 
-// Config.FlightRecorder bounds trace growth while the exported tail stays
-// coherent.
+// Trace().SetFlightRecorder bounds trace growth while the exported tail
+// stays coherent.
 func TestFlightRecorderBoundsTrace(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.FlightRecorder = 64
-	c, run := buildScenario(t, cfg, 10)
+	c := New(DefaultConfig(3))
+	t.Cleanup(c.Close)
+	c.Trace().SetFlightRecorder(64)
+	run := Pipeline{Msgs: 10, Pace: 200 * simtime.Millisecond}.Start(c)
 	c.Run(30 * simtime.Second)
 	expectSteps(t, run)
 	ev := c.Trace().Events()

@@ -32,8 +32,9 @@ package publishing
 
 import (
 	"fmt"
-	"io"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"publishing/internal/checkpoint"
@@ -164,14 +165,14 @@ type Config struct {
 	// same processor after rebootDelay.
 	OnProcessorCrash func(node NodeID) recorder.Decision
 	// ReplayWindow is how many replay batches recovery keeps in flight
-	// (0 = recorder default of 4; 1 = stop-and-wait).
+	// (1 = stop-and-wait).
 	ReplayWindow int
-	// ReplayBatchBytes bounds a replay batch's body (0 = one MTU; 1 = one
-	// message per batch, the serial-replay ablation).
+	// ReplayBatchBytes bounds a replay batch's body (1 = one message per
+	// batch, the serial-replay ablation).
 	ReplayBatchBytes int
 	// RouteRepeats is how many routing-update broadcasts follow a migration
-	// or spare-node recovery (0 = recorder default of 3; negative = none,
-	// leaving senders to learn the route from the home node).
+	// or spare-node recovery (0 = none, leaving senders to learn the route
+	// from the home node).
 	RouteRepeats int
 
 	// CheckpointPolicy and CheckpointTick drive automatic checkpointing.
@@ -187,12 +188,6 @@ type Config struct {
 	// memory scheduler, name server) on node 0.
 	SystemProcs bool
 
-	// TraceWriter, when set, streams the simulation event trace.
-	TraceWriter io.Writer
-	// FlightRecorder, when > 0, bounds the trace log to the most recent
-	// events (ring buffer), so long runs keep the tail without growing.
-	FlightRecorder int
-
 	// Monitor attaches the online invariant monitor (internal/monitor) to
 	// the trace stream: acceptance-order monotonicity, exactly-once
 	// delivery, replay-basis coverage, re-executed-output and
@@ -200,8 +195,8 @@ type Config struct {
 	// histograms, and a stall detector — each violation flagged at the
 	// virtual time of the violating event. Enabling the monitor turns on
 	// detailed tracing (per-record replay events are part of the checked
-	// stream); it does not force retention — pair with FlightRecorder to
-	// bound memory on long monitored runs.
+	// stream); it does not force retention — pair with
+	// Trace().SetFlightRecorder to bound memory on long monitored runs.
 	Monitor bool
 }
 
@@ -210,8 +205,10 @@ type Config struct {
 const rebootDelay = 2 * simtime.Second
 
 // DefaultConfig returns a publishing-enabled cluster of n nodes on a
-// perfect broadcast medium with media-level publish-before-use.
+// perfect broadcast medium with media-level publish-before-use. The
+// recorder settings are recorder.DefaultConfig's.
 func DefaultConfig(n int) Config {
+	rd := recorder.DefaultConfig(0, nil)
 	return Config{
 		Nodes:            n,
 		Medium:           MediumPerfect,
@@ -220,9 +217,12 @@ func DefaultConfig(n int) Config {
 		LAN:              lan.DefaultConfig(),
 		Transport:        transport.DefaultConfig(),
 		Costs:            demos.DefaultCosts(),
-		RecorderMode:     recorder.ModeMediaLayer,
-		WatchInterval:    500 * simtime.Millisecond,
-		MissThreshold:    3,
+		RecorderMode:     rd.Mode,
+		WatchInterval:    rd.WatchInterval,
+		MissThreshold:    rd.MissThreshold,
+		ReplayWindow:     rd.ReplayWindow,
+		ReplayBatchBytes: rd.ReplayBatchBytes,
+		RouteRepeats:     rd.RouteRepeats,
 		CheckpointPolicy: CheckpointNone,
 		CheckpointTick:   simtime.Second,
 	}
@@ -249,10 +249,24 @@ type Cluster struct {
 	closed bool
 }
 
-// New builds a cluster from cfg.
+// New builds a cluster from cfg. It panics on a configuration it cannot
+// run: no nodes, or, with publishing on, a recorder setting under its
+// minimum (DefaultConfig's are valid).
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("publishing: cluster needs at least one node")
+	}
+	if cfg.Publishing {
+		switch {
+		case cfg.WatchInterval <= 0:
+			panic("publishing: WatchInterval must be positive")
+		case cfg.MissThreshold < 1:
+			panic("publishing: MissThreshold must be at least 1")
+		case cfg.ReplayWindow < 1:
+			panic("publishing: ReplayWindow must be at least 1")
+		case cfg.ReplayBatchBytes < 1:
+			panic("publishing: ReplayBatchBytes must be at least 1")
+		}
 	}
 	c := &Cluster{
 		cfg:      cfg,
@@ -263,12 +277,6 @@ func New(cfg Config) *Cluster {
 		services: make(map[string]frame.ProcID),
 	}
 	c.log = trace.New(c.sched.Now)
-	if cfg.TraceWriter != nil {
-		c.log.SetSink(cfg.TraceWriter)
-	}
-	if cfg.FlightRecorder > 0 {
-		c.log.SetFlightRecorder(cfg.FlightRecorder)
-	}
 	c.mets = metrics.NewRegistry()
 
 	nRecs := cfg.Recorders
@@ -328,7 +336,6 @@ func New(cfg Config) *Cluster {
 		Costs:        cfg.Costs,
 		Medium:       c.med,
 		Transport:    tcfg,
-		Publishing:   cfg.Publishing,
 		RecorderProc: recProc,
 		Services:     c.services,
 		Metrics:      c.mets,
@@ -346,53 +353,28 @@ func New(cfg Config) *Cluster {
 	}
 
 	if cfg.Publishing {
-		watched := make([]NodeID, 0, len(c.kernels))
-		for id := range c.kernels {
-			watched = append(watched, id)
-		}
-		sortNodes(watched)
+		watched := c.Nodes()
 		allRecProcs := make([]frame.ProcID, nRecs)
 		for i := 0; i < nRecs; i++ {
 			allRecProcs[i] = ProcID{Node: NodeID(cfg.Nodes + i), Local: 1}
 		}
-		// The recorder's own transport never waits for recorder acks.
-		rtcfg := cfg.Transport
-		rtcfg.NeedRecorderAck = false
-		rtcfg.Metrics = c.mets
-		rtcfg.Peers = tcfg.Peers
 		for i := 0; i < nRecs; i++ {
-			rcfg := recorder.DefaultConfig(NodeID(cfg.Nodes+i), watched)
-			rcfg.Metrics = c.mets
-			rcfg.Mode = cfg.RecorderMode
-			// Each stream's replicas acknowledge it, so every recorder emits
-			// for its own slots.
-			rcfg.EmitRecorderAcks = tcfg.NeedRecorderAck
-			rcfg.Shards = c.shards
-			if cfg.WatchInterval > 0 {
-				rcfg.WatchInterval = cfg.WatchInterval
-			}
-			if cfg.MissThreshold > 0 {
-				rcfg.MissThreshold = cfg.MissThreshold
-			}
-			if cfg.ReplayWindow > 0 {
-				rcfg.ReplayWindow = cfg.ReplayWindow
-			}
-			if cfg.ReplayBatchBytes > 0 {
-				rcfg.ReplayBatchBytes = cfg.ReplayBatchBytes
-			}
-			if cfg.RouteRepeats != 0 {
-				rcfg.RouteRepeats = cfg.RouteRepeats
-			}
-			rcfg.OnProcessorCrash = cfg.OnProcessorCrash
-			rcfg.RebootFn = func(n NodeID) {
-				c.sched.After(rebootDelay, func() { c.RebootNode(n) })
-			}
-			rcfg.Rank = i
-			rcfg.NoticeProcs = allRecProcs
-			for j, p := range allRecProcs {
-				if j != i {
-					rcfg.Peers = append(rcfg.Peers, p)
-				}
+			rcfg := recorder.Config{
+				Recorders:        allRecProcs,
+				Rank:             i,
+				Nodes:            watched,
+				Mode:             cfg.RecorderMode,
+				WatchInterval:    cfg.WatchInterval,
+				MissThreshold:    cfg.MissThreshold,
+				OnProcessorCrash: cfg.OnProcessorCrash,
+				RebootFn: func(n NodeID) {
+					c.sched.After(rebootDelay, func() { c.RebootNode(n) })
+				},
+				ReplayWindow:     cfg.ReplayWindow,
+				ReplayBatchBytes: cfg.ReplayBatchBytes,
+				RouteRepeats:     cfg.RouteRepeats,
+				Shards:           c.shards,
+				Metrics:          c.mets,
 			}
 			scfg := cfg.Store
 			if scfg.Path != "" {
@@ -402,7 +384,9 @@ func New(cfg Config) *Cluster {
 			if err != nil {
 				panic(fmt.Sprintf("publishing: open stable store: %v", err))
 			}
-			rec := recorder.New(rcfg, c.sched, c.rng.Fork(), c.log, c.med, store, rtcfg)
+			// Where the kernels wait for recorder acknowledgements, each
+			// stream's replicas emit them for their own slots.
+			rec := recorder.New(rcfg, c.sched, c.rng.Fork(), c.log, c.med, store, tcfg)
 			rec.Start()
 			c.recs = append(c.recs, rec)
 			c.stores = append(c.stores, store)
@@ -414,15 +398,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.armCheckpointTick()
 	return c
-}
-
-// sortNodes orders node ids ascending (map iteration is randomized).
-func sortNodes(ns []NodeID) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }
 
 func (c *Cluster) bootSystemProcs() {
@@ -449,11 +424,7 @@ func (c *Cluster) bootSystemProcs() {
 // replay licenses must precede the deliveries they license), so it turns
 // detailed tracing on; event retention is unaffected.
 func (c *Cluster) attachMonitor() {
-	nodes := make([]NodeID, 0, len(c.kernels))
-	for id := range c.kernels {
-		nodes = append(nodes, id)
-	}
-	sortNodes(nodes)
+	nodes := c.Nodes()
 	probe := func() (int64, string) {
 		var total int64
 		var b strings.Builder
@@ -501,7 +472,7 @@ func (c *Cluster) attachMonitor() {
 	// windows of its start. The tick only reads state, so arming it cannot
 	// perturb an otherwise-identical run. Each tick first drains the
 	// observer ring so the stall detector sees every event up to now.
-	half := c.mon.StallWindow() / 2
+	half := monitor.StallWindow / 2
 	var tick func()
 	tick = func() {
 		c.log.FlushObservers()
@@ -633,14 +604,9 @@ func (c *Cluster) Scheduler() *simtime.Scheduler { return c.sched }
 // Kernel returns a node's kernel.
 func (c *Cluster) Kernel(node NodeID) *demos.Kernel { return c.kernels[node] }
 
-// Nodes lists processing + spare node ids.
+// Nodes lists processing + spare node ids, ascending.
 func (c *Cluster) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(c.kernels))
-	for id := range c.kernels {
-		out = append(out, id)
-	}
-	sortNodes(out)
-	return out
+	return slices.Sorted(maps.Keys(c.kernels))
 }
 
 // Recorder returns the primary recorder (nil when publishing is off).
@@ -699,10 +665,12 @@ func (c *Cluster) StoreAt(i int) *stablestore.Paged {
 
 // --- Fault injection --------------------------------------------------------
 
-// CrashProcess halts one process on a simulated fault (§3.3.2).
+// CrashProcess halts one process on a simulated fault (§3.3.2). A process
+// two kernels hold resolves to the lowest node, here and in Migrate and
+// ProcState.
 func (c *Cluster) CrashProcess(p ProcID) {
-	for _, k := range c.kernels {
-		if k.ProcState(p) != demos.StateUnknown {
+	for _, n := range c.Nodes() {
+		if k := c.kernels[n]; k.ProcState(p) != demos.StateUnknown {
 			k.CrashProcess(p, "injected by cluster")
 			return
 		}
@@ -754,8 +722,8 @@ func (c *Cluster) Migrate(p ProcID, to NodeID) error {
 		return fmt.Errorf("publishing: migrate: no node %d", to)
 	}
 	var src *demos.Kernel
-	for _, k := range c.kernels {
-		if k.ProcState(p) != demos.StateUnknown {
+	for _, n := range c.Nodes() {
+		if k := c.kernels[n]; k.ProcState(p) != demos.StateUnknown {
 			src = k
 			break
 		}
@@ -804,8 +772,8 @@ func (c *Cluster) RestartRecorderAt(i int) error {
 
 // ProcState reports a process's state as seen by whichever node knows it.
 func (c *Cluster) ProcState(p ProcID) demos.ProcState {
-	for _, k := range c.kernels {
-		if st := k.ProcState(p); st != demos.StateUnknown {
+	for _, n := range c.Nodes() {
+		if st := c.kernels[n].ProcState(p); st != demos.StateUnknown {
 			return st
 		}
 	}

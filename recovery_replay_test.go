@@ -88,7 +88,7 @@ func TestRecursiveCrashMidBatch(t *testing.T) {
 // zero routing broadcasts.
 func TestMigrationWithoutRouteUpdatesUsesHomeForwarding(t *testing.T) {
 	cfg := DefaultConfig(3)
-	cfg.RouteRepeats = -1
+	cfg.RouteRepeats = 0
 	c, run := buildScenario(t, cfg, 12)
 	migrated := false
 	c.Scheduler().At(1300*simtime.Millisecond, func() {

@@ -110,14 +110,15 @@ func buildSimCluster(tb testing.TB, nodes int, seed uint64, monitored bool, muta
 	}
 	if monitored {
 		cfg.Monitor = true
-		cfg.FlightRecorder = 4096
 	}
 	for _, m := range mutate {
 		m(&cfg)
 	}
 	c := publishing.New(cfg)
 	tb.Cleanup(c.Close)
-	if !monitored {
+	if monitored {
+		c.Trace().SetFlightRecorder(4096)
+	} else {
 		c.Trace().Enable(false)
 	}
 
