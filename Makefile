@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -102,6 +102,16 @@ nomsgmaps:
 onecopy:
 	! grep -n '\]storedMsg' internal/recorder/arrlog.go
 	! grep -rn 'bytes\.Clone(f\.Body)' --include='*.go' --exclude='*_test.go' internal/recorder
+
+# Records are packed varints read by one parser each (DESIGN.md "Storage
+# engine", "Recorder database"): the store's header is kind, key length,
+# key, seq and data length, read only by parseHeader, and a message record
+# stores neither its stream nor its arrival seq, which its key and header
+# say. The names below are the fixed-offset header reads and the fixed
+# message layout they replaced.
+varints:
+	! grep -rn 'BigEndian\.Uint16(b\[1:3\])' --include='*.go' internal/stablestore
+	! grep -rn storedMsgFixedLen --include='*.go' internal/recorder
 
 # "Has this process taken this message?" has one answer (DESIGN.md "One
 # acceptance mark"): the per-sender acceptance mark, held by the kernel in
@@ -210,7 +220,7 @@ shards:
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
 # schedule, the recorder's per-message records), of the stable store's page
-# file as Open reads it, of the kernel's ring input queue against its slice
+# file as Open reads it and of its one record-header parser, of the kernel's ring input queue against its slice
 # model, of the event scheduler against its sorted-slice model, and of the
 # recorder's stream-indexed tap state against its per-message model. Long
 # exploratory runs are manual (`go test -fuzz X -fuzztime 10m
@@ -227,6 +237,7 @@ fuzz:
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzPagedOpen -fuzztime 10s -fuzzminimizetime 200x
+	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzRecordHeader -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 

@@ -691,8 +691,7 @@ func (k *Kernel) handleCall(p *process, req callReq) {
 		k.charge(costs.LinkCPU, costs.UserPerCall)
 
 	case opServiceLink:
-		name := string(req.body)
-		if svc, ok := k.env.Services[name]; ok {
+		if svc, ok := k.env.Services[req.name]; ok {
 			lid := p.links.insert(frame.Link{To: svc, Channel: ChanRequest})
 			p.pending = callResp{lid: lid}
 		} else {

@@ -16,7 +16,7 @@ var ErrNoService = errors.New("demos: no such service")
 // server every system process got an initial link to; here the kernel vends
 // those links directly.
 func (c *PCtx) ServiceLink(name string) (LinkID, error) {
-	r := c.call(callReq{op: opServiceLink, body: []byte(name)})
+	r := c.call(callReq{op: opServiceLink, name: name})
 	return r.lid, r.err
 }
 

@@ -63,6 +63,7 @@ type callReq struct {
 	link     LinkID
 	pass     LinkID
 	body     []byte
+	name     string // opServiceLink's service
 	channels []uint16
 	dur      simtime.Time
 	channel  uint16

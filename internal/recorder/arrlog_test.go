@@ -27,8 +27,7 @@ func newTestStream() *testStream {
 func (st *testStream) push(sm storedMsg) {
 	sm.ArrSeq = st.next
 	st.next++
-	pm := pendingMsg{storedMsg: sm}
-	ref, err := st.store.AppendKey(st.key, stablestore.KindMessage, sm.ArrSeq, appendStoredMsg(nil, &pm))
+	ref, err := st.store.AppendKey(st.key, stablestore.KindMessage, sm.ArrSeq, appendStoredMsg(nil, &sm))
 	if err != nil {
 		panic(err)
 	}

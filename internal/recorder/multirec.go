@@ -461,12 +461,11 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	e.Arrivals = arrLog{}
 	for _, src := range [][]storedMsg{blob.Msgs, extras} {
 		for i := range src {
-			// The record's SeenAt is when this recorder took the message in.
-			nm := pendingMsg{storedMsg: src[i], To: e.Proc, SeenAt: r.sched.Now()}
-			nm.ArrSeq = e.ArrSeqNext
+			sm := src[i]
+			sm.ArrSeq = e.ArrSeqNext
 			e.ArrSeqNext++
-			e.Arrivals.push(arrEntry{ID: nm.ID, ArrSeq: nm.ArrSeq, Ref: r.persistMessage(e, &nm)})
-			e.recorded.Note(nm.ID)
+			e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, &sm)})
+			e.recorded.Note(sm.ID)
 		}
 	}
 	for _, id := range blob.Recorded {

@@ -2,8 +2,10 @@ package recorder
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -12,27 +14,32 @@ import (
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/gobx"
-	"publishing/internal/simtime"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
 )
 
 // Per-message record layouts. The three records the recorder writes per
 // published message — stored messages, read-order advisories, last-sent
-// watermarks — are fixed-layout big-endian, appended straight into
-// r.encScratch and decoded by rebuild with the inverse functions:
+// watermarks — are packed varints, appended straight into r.encScratch and
+// decoded by rebuild with the inverse functions. A record stores nothing
+// its store header already says: the msg: or adv: key names the stream (a
+// message's To), and the record's seq is the message's arrival seq or the
+// advisory's seq, which the decoder takes from its caller.
 //
-//	msg   flags(1) ID(4+4+8) From(4+4) To(4+4) Channel(2) Code(4)
-//	      ArrSeq(8) SeenAt(8) len(4) Body(len) [Link: To(4+4) Channel(2)
-//	      Code(4) kernel(1)]
-//	adv   ReadID(4+4+8) HeadID(4+4+8) AdvSeq(8)
-//	last  LastSent(8)
+//	msg   flags(1) ID [From] Channel Code [Link: To Channel Code] len Body(len)
+//	adv   ReadID HeadID
+//	last  LastSent
 //
-// A process id is Node (int32) then Local; a message id is its sender then
-// Seq. The msg flags byte says whether Link follows the body and whether
-// Body is non-nil, so a decoded record equals the one encoded field for
-// field. Decoders reject any length but the exact one and any unknown flag:
-// a damaged record fails rebuild rather than shortening a stream.
+// Every field is a uvarint but a node, which can be negative (Broadcast) and
+// is a zigzag varint. A process id is Node then Local; a message id is its
+// sender then Seq. The msg flags byte says whether From differs from
+// ID.Sender (only then is it written), whether a Link follows the code and
+// whether it delivers to the kernel, and whether Body is non-nil, so a
+// decoded record equals the one encoded field for field. Decoders reject
+// any length but the exact one, any unknown or contradictory flag, any value
+// out of its field's range and any varint not in its shortest form
+// (stablestore.Uvarint): a damaged record fails rebuild rather than
+// shortening a stream, and a record has one encoding.
 //
 // The rare records (registrations, checkpoints) stay self-describing gob
 // streams through gobx codecs, package-level and internally locked so
@@ -43,136 +50,153 @@ var (
 )
 
 const (
-	smLinkPresent = 1 << iota // a Link follows the body
-	smBodyPresent             // Body is non-nil (possibly empty)
+	smLinkPresent  = 1 << iota // a Link follows the code
+	smBodyPresent              // Body is non-nil (possibly empty)
+	smFromDiffers              // From follows the id: it is not ID.Sender
+	smLinkToKernel             // the Link delivers to the kernel
 
-	storedMsgFixedLen = 1 + 16 + 8 + 8 + 2 + 4 + 8 + 8 + 4
-	storedLinkLen     = 8 + 2 + 4 + 1
-	advisoryLen       = 16 + 16 + 8
-	lastSentLen       = 8
+	smFlags = smLinkPresent | smBodyPresent | smFromDiffers | smLinkToKernel
 )
 
 func appendProcID(dst []byte, p frame.ProcID) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Node))
-	return binary.BigEndian.AppendUint32(dst, p.Local)
+	dst = binary.AppendVarint(dst, int64(p.Node))
+	return binary.AppendUvarint(dst, uint64(p.Local))
 }
 
 func appendMsgID(dst []byte, id frame.MsgID) []byte {
-	return binary.BigEndian.AppendUint64(appendProcID(dst, id.Sender), id.Seq)
+	return binary.AppendUvarint(appendProcID(dst, id.Sender), id.Seq)
 }
 
-func procIDAt(b []byte) frame.ProcID {
-	return frame.ProcID{Node: frame.NodeID(binary.BigEndian.Uint32(b)), Local: binary.BigEndian.Uint32(b[4:])}
+// fields reads a record's varints in order. The first malformed one sticks:
+// every later read returns zero, and bad stays set.
+type fields struct {
+	b   []byte
+	bad bool
 }
 
-func msgIDAt(b []byte) frame.MsgID {
-	return frame.MsgID{Sender: procIDAt(b), Seq: binary.BigEndian.Uint64(b[8:])}
+// uvarint reads a uvarint no greater than max.
+func (f *fields) uvarint(max uint64) uint64 {
+	if f.bad {
+		return 0
+	}
+	v, n := stablestore.Uvarint(f.b)
+	if n <= 0 || v > max {
+		f.bad = true
+		return 0
+	}
+	f.b = f.b[n:]
+	return v
 }
 
-// appendStoredMsg appends sm's record to dst.
-func appendStoredMsg(dst []byte, sm *pendingMsg) []byte {
+func (f *fields) procID() frame.ProcID {
+	z := f.uvarint(math.MaxUint32) // an int32's zigzag form
+	node := frame.NodeID(int64(z>>1) ^ -int64(z&1))
+	return frame.ProcID{Node: node, Local: uint32(f.uvarint(math.MaxUint32))}
+}
+
+func (f *fields) msgID() frame.MsgID {
+	return frame.MsgID{Sender: f.procID(), Seq: f.uvarint(math.MaxUint64)}
+}
+
+// appendStoredMsg appends sm's record to dst. ArrSeq is not written: it is
+// the record's seq in the store.
+func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
 	var flags byte
 	if sm.Link != nil {
 		flags |= smLinkPresent
+		if sm.Link.DeliverToKernel {
+			flags |= smLinkToKernel
+		}
 	}
 	if sm.Body != nil {
 		flags |= smBodyPresent
 	}
+	if sm.From != sm.ID.Sender {
+		flags |= smFromDiffers
+	}
 	dst = append(dst, flags)
 	dst = appendMsgID(dst, sm.ID)
-	dst = appendProcID(dst, sm.From)
-	dst = appendProcID(dst, sm.To)
-	dst = binary.BigEndian.AppendUint16(dst, sm.Channel)
-	dst = binary.BigEndian.AppendUint32(dst, sm.Code)
-	dst = binary.BigEndian.AppendUint64(dst, sm.ArrSeq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(sm.SeenAt))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sm.Body)))
-	dst = append(dst, sm.Body...)
+	if flags&smFromDiffers != 0 {
+		dst = appendProcID(dst, sm.From)
+	}
+	dst = binary.AppendUvarint(dst, uint64(sm.Channel))
+	dst = binary.AppendUvarint(dst, uint64(sm.Code))
 	if l := sm.Link; l != nil {
 		dst = appendProcID(dst, l.To)
-		dst = binary.BigEndian.AppendUint16(dst, l.Channel)
-		dst = binary.BigEndian.AppendUint32(dst, l.Code)
-		kernel := byte(0)
-		if l.DeliverToKernel {
-			kernel = 1
-		}
-		dst = append(dst, kernel)
+		dst = binary.AppendUvarint(dst, uint64(l.Channel))
+		dst = binary.AppendUvarint(dst, uint64(l.Code))
 	}
-	return dst
+	dst = binary.AppendUvarint(dst, uint64(len(sm.Body)))
+	return append(dst, sm.Body...)
 }
 
-// decodeStoredMsg is appendStoredMsg's inverse. The Body aliases b, capacity
-// capped at its length: the recorder decodes a record where the store keeps
-// it, so the store's page stays the one copy, and the body is read-only.
-func decodeStoredMsg(b []byte) (pendingMsg, error) {
-	if len(b) < storedMsgFixedLen {
-		return pendingMsg{}, fmt.Errorf("message record: %d bytes, want at least %d", len(b), storedMsgFixedLen)
+// decodeStoredMsg is appendStoredMsg's inverse; arrSeq is the record's seq.
+// The Body aliases b, capacity capped at its length: the recorder decodes a
+// record where the store keeps it, so the store's page stays the one copy,
+// and the body is read-only.
+func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
+	if len(b) == 0 {
+		return storedMsg{}, errors.New("message record: empty")
 	}
 	flags := b[0]
-	if flags&^(smLinkPresent|smBodyPresent) != 0 {
-		return pendingMsg{}, fmt.Errorf("message record: unknown flags %#x", flags)
+	if flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
+		return storedMsg{}, fmt.Errorf("message record: bad flags %#x", flags)
 	}
-	sm := pendingMsg{
-		storedMsg: storedMsg{
-			ID:      msgIDAt(b[1:]),
-			From:    procIDAt(b[17:]),
-			Channel: binary.BigEndian.Uint16(b[33:]),
-			Code:    binary.BigEndian.Uint32(b[35:]),
-			ArrSeq:  binary.BigEndian.Uint64(b[39:]),
-		},
-		To:     procIDAt(b[25:]),
-		SeenAt: simtime.Time(binary.BigEndian.Uint64(b[47:])),
+	f := fields{b: b[1:]}
+	sm := storedMsg{ID: f.msgID(), ArrSeq: arrSeq}
+	sm.From = sm.ID.Sender
+	if flags&smFromDiffers != 0 {
+		sm.From = f.procID()
 	}
-	bodyLen := uint64(binary.BigEndian.Uint32(b[55:]))
-	want := storedMsgFixedLen + bodyLen
+	sm.Channel = uint16(f.uvarint(math.MaxUint16))
+	sm.Code = uint32(f.uvarint(math.MaxUint32))
 	if flags&smLinkPresent != 0 {
-		want += storedLinkLen
+		sm.Link = &frame.Link{To: f.procID(), Channel: uint16(f.uvarint(math.MaxUint16)),
+			Code: uint32(f.uvarint(math.MaxUint32)), DeliverToKernel: flags&smLinkToKernel != 0}
 	}
-	if uint64(len(b)) != want {
-		return pendingMsg{}, fmt.Errorf("message record: %d bytes, layout says %d", len(b), want)
-	}
-	if flags&smBodyPresent != 0 {
-		sm.Body = b[storedMsgFixedLen : storedMsgFixedLen+bodyLen : storedMsgFixedLen+bodyLen]
-	} else if bodyLen != 0 {
-		return pendingMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
-	}
-	if flags&smLinkPresent != 0 {
-		l := b[storedMsgFixedLen+bodyLen:]
-		if l[14] > 1 {
-			return pendingMsg{}, fmt.Errorf("message record: link kernel byte %#x", l[14])
-		}
-		sm.Link = &frame.Link{
-			To:              procIDAt(l),
-			Channel:         binary.BigEndian.Uint16(l[8:]),
-			Code:            binary.BigEndian.Uint32(l[10:]),
-			DeliverToKernel: l[14] == 1,
-		}
+	bodyLen := f.uvarint(math.MaxUint32)
+	switch {
+	case f.bad:
+		return storedMsg{}, errors.New("message record: truncated, or a field not in its shortest form or out of range")
+	case flags&smFromDiffers != 0 && sm.From == sm.ID.Sender:
+		return storedMsg{}, errors.New("message record: From written but equal to the sender")
+	case uint64(len(f.b)) != bodyLen:
+		return storedMsg{}, fmt.Errorf("message record: %d body bytes, length says %d", len(f.b), bodyLen)
+	case flags&smBodyPresent != 0:
+		sm.Body = f.b[:bodyLen:bodyLen]
+	case bodyLen != 0:
+		return storedMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
 	}
 	return sm, nil
 }
 
+// appendAdvisory appends adv's record to dst. AdvSeq is not written: it is
+// the record's seq in the store.
 func appendAdvisory(dst []byte, adv *advisory) []byte {
-	dst = appendMsgID(dst, adv.ReadID)
-	dst = appendMsgID(dst, adv.HeadID)
-	return binary.BigEndian.AppendUint64(dst, adv.AdvSeq)
+	return appendMsgID(appendMsgID(dst, adv.ReadID), adv.HeadID)
 }
 
-func decodeAdvisory(b []byte) (advisory, error) {
-	if len(b) != advisoryLen {
-		return advisory{}, fmt.Errorf("advisory record: %d bytes, want %d", len(b), advisoryLen)
+// decodeAdvisory is appendAdvisory's inverse; advSeq is the record's seq.
+func decodeAdvisory(b []byte, advSeq uint64) (advisory, error) {
+	f := fields{b: b}
+	adv := advisory{ReadID: f.msgID(), HeadID: f.msgID(), AdvSeq: advSeq}
+	if f.bad || len(f.b) != 0 {
+		return advisory{}, fmt.Errorf("advisory record: %d bytes do not hold exactly two message ids", len(b))
 	}
-	return advisory{ReadID: msgIDAt(b), HeadID: msgIDAt(b[16:]), AdvSeq: binary.BigEndian.Uint64(b[32:])}, nil
+	return adv, nil
 }
 
 func appendLastSent(dst []byte, lastSent uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, lastSent)
+	return binary.AppendUvarint(dst, lastSent)
 }
 
 func decodeLastSent(b []byte) (uint64, error) {
-	if len(b) != lastSentLen {
-		return 0, fmt.Errorf("last-sent record: %d bytes, want %d", len(b), lastSentLen)
+	f := fields{b: b}
+	ls := f.uvarint(math.MaxUint64)
+	if f.bad || len(f.b) != 0 {
+		return 0, fmt.Errorf("last-sent record: %d bytes do not hold exactly one varint", len(b))
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return ls, nil
 }
 
 // encWith gob-encodes v into the recorder's reused scratch via codec c. The
@@ -248,7 +272,7 @@ func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq ui
 }
 
 // persistMessage stores sm's record in e's stream and returns where it lies.
-func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) stablestore.Ref {
+func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) stablestore.Ref {
 	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
 	return r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
 }
@@ -260,9 +284,9 @@ func (r *Recorder) persistMessage(e *procEntry, sm *pendingMsg) stablestore.Ref 
 func readArrival(store *stablestore.Paged, key stablestore.Key, a *arrEntry) storedMsg {
 	b, err := store.Lookup(key, a.ArrSeq, a.Ref)
 	if err == nil {
-		var sm pendingMsg
-		if sm, err = decodeStoredMsg(b); err == nil {
-			return sm.storedMsg
+		var sm storedMsg
+		if sm, err = decodeStoredMsg(b, a.ArrSeq); err == nil {
+			return sm
 		}
 	}
 	panic(fmt.Sprintf("recorder: stable store read: %v", err))
@@ -389,14 +413,14 @@ func (r *Recorder) rebuild() error {
 		var err error
 		switch ns {
 		case "msg":
-			var sm pendingMsg
-			if sm, err = decodeStoredMsg(rec.Data); err == nil {
+			var sm storedMsg
+			if sm, err = decodeStoredMsg(rec.Data, rec.Seq); err == nil {
 				a.msgs = append(a.msgs, arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: ref})
 				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
 			var adv advisory
-			if adv, err = decodeAdvisory(rec.Data); err == nil {
+			if adv, err = decodeAdvisory(rec.Data, rec.Seq); err == nil {
 				a.advs = append(a.advs, adv)
 			}
 		case "ck":

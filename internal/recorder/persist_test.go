@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,68 +18,83 @@ import (
 )
 
 // storedCases covers every shape a message record takes: absent, empty and
-// full-frame bodies; no link, a process link, a kernel link; the extremes of
-// every integer field.
-func storedCases() map[string]pendingMsg {
+// full-frame bodies; From the sender or another process; no link, a process
+// link, a kernel link; negative nodes and the extremes of every integer
+// field.
+func storedCases() map[string]storedMsg {
 	hi := frame.ProcID{Node: math.MaxInt32, Local: math.MaxUint32}
 	lo := frame.ProcID{Node: math.MinInt32, Local: 0}
-	return map[string]pendingMsg{
+	return map[string]storedMsg{
 		"zero":       {},
-		"empty-body": {storedMsg: storedMsg{ID: mid(1, 1), Body: []byte{}}},
-		"typical": {storedMsg: storedMsg{ID: mid(7, 42), From: procA(), Channel: 2, Code: 9,
-			Body: bytes.Repeat([]byte{0xAB}, 48), ArrSeq: 41}, To: procB(), SeenAt: 3 * simtime.Millisecond},
-		"extremes": {storedMsg: storedMsg{ID: frame.MsgID{Sender: hi, Seq: math.MaxUint64}, From: lo,
+		"empty-body": {ID: mid(1, 1), Body: []byte{}},
+		"typical": {ID: frame.MsgID{Sender: procA(), Seq: 42}, From: procA(), Channel: 2, Code: 9,
+			Body: bytes.Repeat([]byte{0xAB}, 48), ArrSeq: 41},
+		"extremes": {ID: frame.MsgID{Sender: hi, Seq: math.MaxUint64}, From: lo,
 			Channel: math.MaxUint16, Code: math.MaxUint32, Body: []byte{0}, ArrSeq: math.MaxUint64},
-			To: frame.ProcID{Node: frame.Broadcast, Local: 1}, SeenAt: math.MaxInt64},
-		"negative-time": {storedMsg: storedMsg{ID: mid(1, 2)}, SeenAt: -1},
-		"link": {storedMsg: storedMsg{ID: mid(1, 3), Body: []byte("with link"),
-			Link: &frame.Link{To: procB(), Channel: 4, Code: 77}}},
-		"kernel-link": {storedMsg: storedMsg{ID: mid(1, 4),
-			Link: &frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}}},
-		"zero-link": {storedMsg: storedMsg{ID: mid(1, 5), Body: []byte{}, Link: &frame.Link{}}},
-		"max-body": {storedMsg: storedMsg{ID: mid(1, 6), From: procA(),
-			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), Link: &frame.Link{To: procA(), Code: 1}}, To: procB()},
+		"negative-node": {ID: frame.MsgID{Sender: frame.ProcID{Node: frame.Broadcast, Local: 1}, Seq: 2},
+			From: frame.ProcID{Node: frame.Broadcast, Local: 1}},
+		"link": {ID: mid(1, 3), Body: []byte("with link"),
+			Link: &frame.Link{To: procB(), Channel: 4, Code: 77}},
+		"kernel-link": {ID: mid(1, 4),
+			Link: &frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}},
+		"zero-link": {ID: mid(1, 5), Body: []byte{}, Link: &frame.Link{}},
+		"max-body": {ID: mid(1, 6), From: procA(),
+			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), Link: &frame.Link{To: procA(), Code: 1}},
 	}
 }
 
+// The round trip is field for field over what a record stores; ArrSeq is
+// the store's seq, handed back by the caller. The lengths are the layout's:
+// flags, the id's node, local and seq, From when it is not the sender,
+// channel, code, the link's node, local, channel and code, the body length,
+// the body.
 func TestStoredMsgRoundTrip(t *testing.T) {
+	wantLens := map[string]int{
+		"zero":          1 + 3 + 2 + 1,
+		"empty-body":    1 + 3 + 2 + 2 + 1,
+		"typical":       1 + 3 + 2 + 1 + 48,
+		"extremes":      1 + (5 + 5 + 10) + (5 + 1) + (3 + 5) + 1 + 1,
+		"negative-node": 1 + 3 + 2 + 1,
+		"link":          1 + 3 + 2 + 2 + 4 + 1 + 9,
+		"kernel-link":   1 + 3 + 2 + 2 + (5 + 1 + 3 + 5) + 1,
+		"zero-link":     1 + 3 + 2 + 2 + 4 + 1,
+		"max-body":      1 + 3 + 2 + 2 + 4 + 2 + frame.MaxBody,
+	}
 	for name, want := range storedCases() {
 		enc := appendStoredMsg(nil, &want)
-		got, err := decodeStoredMsg(enc)
+		got, err := decodeStoredMsg(enc, want.ArrSeq)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", name, got, want)
 		}
-		wantLen := storedMsgFixedLen + len(want.Body)
-		if want.Link != nil {
-			wantLen += storedLinkLen
-		}
-		if len(enc) != wantLen {
-			t.Fatalf("%s: %d bytes, layout says %d", name, len(enc), wantLen)
+		if len(enc) != wantLens[name] {
+			t.Fatalf("%s: %d bytes, layout says %d", name, len(enc), wantLens[name])
 		}
 		// The decoded body is the record's, not a copy, and appending to it
 		// cannot write past it.
-		if len(want.Body) > 0 && (&got.Body[0] != &enc[storedMsgFixedLen] || cap(got.Body) != len(got.Body)) {
+		if len(want.Body) > 0 && (&got.Body[0] != &enc[len(enc)-len(want.Body)] || cap(got.Body) != len(got.Body)) {
 			t.Fatalf("%s: decoded body does not alias exactly the record's body bytes", name)
 		}
 	}
 }
 
 func TestStoredMsgRoundTripProperty(t *testing.T) {
-	prop := func(node int32, local uint32, seq uint64, ch uint16, code uint32, arr uint64, seen int64,
-		body []byte, nilBody, hasLink, kernel bool) bool {
+	prop := func(node int32, local uint32, seq uint64, ch uint16, code uint32, arr uint64,
+		body []byte, nilBody, fromSender, hasLink, kernel bool) bool {
 		p := frame.ProcID{Node: frame.NodeID(node), Local: local}
-		want := pendingMsg{storedMsg: storedMsg{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, Channel: ch, Code: code, ArrSeq: arr},
-			To: frame.ProcID{Node: frame.NodeID(^node), Local: ^local}, SeenAt: simtime.Time(seen)}
+		want := storedMsg{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, Channel: ch, Code: code, ArrSeq: arr}
+		if !fromSender {
+			want.From = frame.ProcID{Node: frame.NodeID(^node), Local: ^local}
+		}
 		if !nilBody {
 			want.Body = append([]byte{}, body...)
 		}
 		if hasLink {
 			want.Link = &frame.Link{To: p, Channel: ^ch, Code: ^code, DeliverToKernel: kernel}
 		}
-		got, err := decodeStoredMsg(appendStoredMsg(nil, &want))
+		got, err := decodeStoredMsg(appendStoredMsg(nil, &want), arr)
 		return err == nil && reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
@@ -90,7 +106,7 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 			HeadID: frame.MsgID{Sender: frame.ProcID{Node: frame.NodeID(n2), Local: l2}, Seq: s2},
 			AdvSeq: q,
 		}
-		got, err := decodeAdvisory(appendAdvisory(nil, &want))
+		got, err := decodeAdvisory(appendAdvisory(nil, &want), q)
 		if err != nil || got != want {
 			return false
 		}
@@ -106,13 +122,13 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 // after it, is an error — never a panic, never a shorter record.
 func TestRecordDecodersRejectDamage(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"msg":  func(b []byte) error { _, err := decodeStoredMsg(b); return err },
-		"adv":  func(b []byte) error { _, err := decodeAdvisory(b); return err },
+		"msg":  func(b []byte) error { _, err := decodeStoredMsg(b, 0); return err },
+		"adv":  func(b []byte) error { _, err := decodeAdvisory(b, 0); return err },
 		"last": func(b []byte) error { _, err := decodeLastSent(b); return err },
 	}
 	valid := map[string][][]byte{
 		"adv":  {appendAdvisory(nil, &advisory{ReadID: mid(1, 2), HeadID: mid(1, 1), AdvSeq: 3})},
-		"last": {appendLastSent(nil, 99)},
+		"last": {appendLastSent(nil, 99), appendLastSent(nil, math.MaxUint64)},
 	}
 	for _, sm := range storedCases() {
 		valid["msg"] = append(valid["msg"], appendStoredMsg(nil, &sm))
@@ -133,19 +149,43 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 			}
 		}
 	}
-	// Bits of the message record that carry no field are checked, not ignored.
-	base := storedCases()["link"]
-	enc := appendStoredMsg(nil, &base)
-	for name, damage := range map[string]func([]byte){
-		"unknown flag":       func(b []byte) { b[0] |= 0x80 },
-		"link flag cleared":  func(b []byte) { b[0] &^= smLinkPresent },
-		"body flag cleared":  func(b []byte) { b[0] &^= smBodyPresent },
-		"body length grown":  func(b []byte) { b[storedMsgFixedLen-1]++ },
-		"kernel byte not 01": func(b []byte) { b[len(b)-1] = 2 },
+	// Bits of the message record that carry no field are checked, not
+	// ignored, and each value has one encoding.
+	idLen := 1 + len(appendMsgID(nil, frame.MsgID{Sender: procA(), Seq: 42})) // flags, id of "typical"
+	for name, c := range map[string]struct {
+		base   string
+		damage func([]byte) []byte
+	}{
+		"unknown flag":             {"link", func(b []byte) []byte { b[0] |= 0x80; return b }},
+		"link flag cleared":        {"link", func(b []byte) []byte { b[0] &^= smLinkPresent; return b }},
+		"body flag cleared":        {"link", func(b []byte) []byte { b[0] &^= smBodyPresent; return b }},
+		"from flag cleared":        {"link", func(b []byte) []byte { b[0] &^= smFromDiffers; return b }},
+		"from flag set":            {"typical", func(b []byte) []byte { b[0] |= smFromDiffers; return b }},
+		"kernel flag without link": {"typical", func(b []byte) []byte { b[0] |= smLinkToKernel; return b }},
+		"body length grown":        {"link", func(b []byte) []byte { b[len(b)-len("with link")-1]++; return b }},
+		"from equal to the sender": {"typical", func(b []byte) []byte {
+			b[0] |= smFromDiffers
+			return slices.Insert(b, idLen, appendProcID(nil, procA())...)
+		}},
+		"padded varint": {"zero", func(b []byte) []byte { // the id's node, 0 in two bytes
+			return slices.Insert(b, 1, 0x80)
+		}},
+		"channel out of range": {"zero", func(b []byte) []byte { // 65536 where 0 was
+			return slices.Replace(b, 4, 5, 0x80, 0x80, 0x04)
+		}},
 	} {
-		bad := append([]byte(nil), enc...)
-		damage(bad)
-		if _, err := decodeStoredMsg(bad); err == nil {
+		sm := storedCases()[c.base]
+		bad := c.damage(appendStoredMsg(nil, &sm))
+		if _, err := decodeStoredMsg(bad, 0); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"adv padded seq":  {0x12, 0x01, 0x82, 0x00, 0x12, 0x01, 0x01},
+		"last padded":     {0x80, 0x00},
+		"last overflowed": bytes.Repeat([]byte{0xFF}, 10),
+	} {
+		if decoders[strings.Fields(name)[0]](bad) == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -153,32 +193,24 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 
 // The layout is pinned: these bytes are what a store written today holds.
 func TestRecordGoldenBytes(t *testing.T) {
-	sm := pendingMsg{
-		storedMsg: storedMsg{
-			ID:   frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 2}, Seq: 3},
-			From: frame.ProcID{Node: 1, Local: 2}, Channel: 6, Code: 7, Body: []byte("hi"), ArrSeq: 8,
-			Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
-		},
-		To: frame.ProcID{Node: -1, Local: 5}, SeenAt: 9,
+	sm := storedMsg{
+		ID:   frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 2}, Seq: 3},
+		From: frame.ProcID{Node: -1, Local: 5}, Channel: 6, Code: 300, Body: []byte("hi"), ArrSeq: 8,
+		Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
 	}
 	adv := advisory{ReadID: mid(1, 2), HeadID: mid(3, 4), AdvSeq: 5}
 	for name, c := range map[string]struct {
 		got  []byte
 		want string
 	}{
-		"msg": {appendStoredMsg(nil, &sm), "03" + // flags: link, body
-			"00000001" + "00000002" + "0000000000000003" + // ID
-			"00000001" + "00000002" + // From
-			"ffffffff" + "00000005" + // To
-			"0006" + "00000007" + // Channel, Code
-			"0000000000000008" + "0000000000000009" + // ArrSeq, SeenAt
-			"00000002" + "6869" + // Body
-			"0000000a" + "0000000b" + "000c" + "0000000d" + "01"}, // Link
-		"adv": {appendAdvisory(nil, &adv),
-			"00000009" + "00000001" + "0000000000000002" +
-				"00000009" + "00000003" + "0000000000000004" +
-				"0000000000000005"},
-		"last": {appendLastSent(nil, 0x0102030405060708), "0102030405060708"},
+		"msg": {appendStoredMsg(nil, &sm), "0f" + // flags: link, body, From, kernel
+			"02" + "02" + "03" + // ID: node 1 zigzagged, local, seq
+			"01" + "05" + // From: node -1 zigzagged, local
+			"06" + "ac02" + // Channel, Code 300
+			"14" + "0b" + "0c" + "0d" + // Link: node 10 zigzagged, local, Channel, Code
+			"02" + "6869"}, // Body
+		"adv":  {appendAdvisory(nil, &adv), "12" + "01" + "02" + "12" + "03" + "04"},
+		"last": {appendLastSent(nil, 0x0102030405060708), "888e98a8c0e0808101"},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Fatalf("%s layout changed:\n got %s\nwant %s", name, got, c.want)
@@ -199,6 +231,22 @@ func TestRecordEncodersDoNotAllocate(t *testing.T) {
 	}
 }
 
+// Reading a message back (replay, reconstruct, handoff) decodes its record
+// where the store keeps it: the only allocation is the Link a record carries.
+func TestMessageDecoderAllocatesOnlyTheLink(t *testing.T) {
+	for name, want := range map[string]float64{"typical": 0, "link": 1} {
+		sm := storedCases()[name]
+		enc := appendStoredMsg(nil, &sm)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := decodeStoredMsg(enc, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); n != want {
+			t.Errorf("%s: decoding allocates %v times, want %v", name, n, want)
+		}
+	}
+}
+
 // FuzzStoredRecord feeds arbitrary bytes to the three record decoders: they
 // must not panic, and whatever they accept must be the one encoding of the
 // value they return.
@@ -207,16 +255,17 @@ func FuzzStoredRecord(f *testing.F) {
 		f.Add(appendStoredMsg(nil, &sm))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if sm, err := decodeStoredMsg(data); err == nil {
+		const seq = 7 // the store's seq, which the record does not hold
+		if sm, err := decodeStoredMsg(data, seq); err == nil {
 			enc := appendStoredMsg(nil, &sm)
 			if !bytes.Equal(enc, data) {
 				t.Fatalf("accepted a non-canonical message record\n in  %x\n out %x", data, enc)
 			}
-			if again, err := decodeStoredMsg(enc); err != nil || !reflect.DeepEqual(again, sm) {
+			if again, err := decodeStoredMsg(enc, seq); err != nil || !reflect.DeepEqual(again, sm) {
 				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, again, sm)
 			}
 		}
-		if adv, err := decodeAdvisory(data); err == nil && !bytes.Equal(appendAdvisory(nil, &adv), data) {
+		if adv, err := decodeAdvisory(data, seq); err == nil && !bytes.Equal(appendAdvisory(nil, &adv), data) {
 			t.Fatalf("advisory record %x does not re-encode to itself", data)
 		}
 		if ls, err := decodeLastSent(data); err == nil && !bytes.Equal(appendLastSent(nil, ls), data) {
@@ -445,8 +494,7 @@ func BenchmarkPersistMessage(b *testing.B) {
 			r, _ := newBenchOn(b, stablestore.New())
 			register(r, procB(), "b")
 			e := r.db[procB()]
-			sm := pendingMsg{storedMsg: storedMsg{ID: frame.MsgID{Sender: procA()}, From: procA(),
-				Body: make([]byte, size.body)}, To: procB(), SeenAt: simtime.Millisecond}
+			sm := storedMsg{ID: frame.MsgID{Sender: procA()}, From: procA(), Body: make([]byte, size.body)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

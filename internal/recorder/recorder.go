@@ -996,7 +996,7 @@ func (r *Recorder) fenced(e *procEntry, id frame.MsgID) bool {
 func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
 	sm.ArrSeq = e.ArrSeqNext
 	e.ArrSeqNext++
-	e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, sm)})
+	e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, &sm.storedMsg)})
 	e.recorded.Note(sm.ID)
 	r.stats.ArrivalsRecorded++
 	r.stats.BytesStored += uint64(len(sm.Body))

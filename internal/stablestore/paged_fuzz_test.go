@@ -2,6 +2,7 @@ package stablestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,4 +89,47 @@ func intactImage(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return img
+}
+
+// FuzzRecordHeader feeds arbitrary bytes to the one header parser and the
+// three readers built on it. None may panic; a header the parser accepts is
+// appendRecord's encoding of what it read, so one record has one encoding;
+// and recordLen agrees with decodeOne: every record decodeOne accepts is as
+// long as recordLen says, and every length recordLen reads that fits in the
+// bytes is a record decodeOne accepts.
+func FuzzRecordHeader(f *testing.F) {
+	for _, r := range []Record{
+		msg("msg:p0.1", 1, "hi"),
+		{Kind: KindMeta, Key: "restart"},
+		{Kind: KindCheckpoint, Key: "ck:p1.2", Seq: 1 << 40, Data: make([]byte, 300)},
+	} {
+		f.Add(appendRecord(nil, &r))
+	}
+	f.Add([]byte{1, 0x80, 0x00}) // a padded key length
+	f.Add(fourPageImage(f)[:PageSize])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, ok := parseHeader(b)
+		if ok {
+			// appendRecord's header, written without the data it would copy.
+			enc := binary.AppendUvarint([]byte{byte(h.kind)}, uint64(len(h.key)))
+			enc = append(enc, h.key...)
+			enc = binary.AppendUvarint(binary.AppendUvarint(enc, h.seq), uint64(h.n-h.data))
+			if !bytes.Equal(enc, b[:h.data]) {
+				t.Fatalf("accepted a header that re-encodes differently\n in  %x\n out %x", b[:h.data], enc)
+			}
+		}
+		rec, n, err := decodeOne(b)
+		total, lok := recordLen(b)
+		switch {
+		case err == nil && n > 0 && (!lok || total != n):
+			t.Fatalf("decodeOne read a %d-byte record, recordLen says %d (ok %v)", n, total, lok)
+		case lok && total <= len(b) && (err != nil || n != total):
+			t.Fatalf("recordLen read a %d-byte record, decodeOne says %d (%v)", total, n, err)
+		}
+		if err == nil && n > 0 {
+			if d, ok := recordAt(b, rec.Key, rec.Seq); !ok || !bytes.Equal(d, rec.Data) {
+				t.Fatalf("recordAt does not find the record decodeOne read")
+			}
+		}
+	})
 }

@@ -1,24 +1,28 @@
 // Package stablestore implements the recorder's reliable non-volatile
 // storage (§3.3.1, §4.5): an append-oriented paged store for published
-// messages and checkpoints with the exact disk discipline the thesis
-// describes — "As messages are received they are timestamped and buffered
-// ... When the buffer is full it is written to disk. Before allocating a
-// buffer to a disk page, the disk page is read in. Any messages that are no
-// longer valid are removed and the buffer is compacted."
+// messages and checkpoints, written in the 4 KB buffers with which §5.1
+// removes the recorder's disk saturation ("allowing messages to be written
+// out in 4k byte buffers rather than forcing one disk write per message").
 //
 // Paged is the one engine: 4 KB pages, a per-key page index, oversized
-// records (checkpoints) on contiguous page chains, and lazy in-place
-// compaction. It exists in-memory (simulations, modelling a disk that
-// survives recorder crashes) and file-backed (cmd/starhub), and the
-// recorder rebuilds its process database purely from its records ("If the
-// recorder crashes, it is possible to rebuild the data base from the disk",
-// §4.5).
+// records (checkpoints) on contiguous page chains, and invalidation marks
+// that Compact honours by rewriting a page without its dead message
+// records. The thesis's discipline of reading a page back before its buffer
+// is reused ("Before allocating a buffer to a disk page, the disk page is
+// read in. Any messages that are no longer valid are removed and the buffer
+// is compacted") is not modelled: pages are never reused, and no simulated
+// recorder compacts. It exists in-memory (simulations, modelling a disk that
+// survives recorder crashes) and file-backed (cmd/starhub), and the recorder
+// rebuilds its process database purely from its records ("If the recorder
+// crashes, it is possible to rebuild the data base from the disk", §4.5).
 package stablestore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -54,21 +58,83 @@ type Record struct {
 
 // size returns the number of bytes appendRecord writes for r.
 func (r *Record) size() int {
-	return 1 + 2 + len(r.Key) + 8 + 4 + len(r.Data)
+	return 1 + uvarintLen(uint64(len(r.Key))) + len(r.Key) + uvarintLen(r.Seq) +
+		uvarintLen(uint64(len(r.Data))) + len(r.Data)
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 var errCorruptPage = errors.New("stablestore: corrupt page")
 
-// appendRecord flat-encodes r onto dst: kind, key length and key, seq, data
-// length and data, big-endian. It is the one record encoder — Append and the
-// compactor write through it — and decodeOne is its inverse.
+// maxData bounds a record's data length; a header claiming more is corrupt.
+const maxData = math.MaxUint32
+
+// appendRecord encodes r onto dst: kind, uvarint key length, key, uvarint
+// seq, uvarint data length, data. It is the one record encoder — Append and
+// the compactor write through it — and header reads what it writes.
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
 	dst = append(dst, r.Key...)
-	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Data)))
+	dst = binary.AppendUvarint(dst, r.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
 	return append(dst, r.Data...)
+}
+
+// Uvarint decodes the uvarint at the head of b, returning it and its length.
+// n <= 0 means b does not start with one in its shortest form: unlike
+// binary.Uvarint it rejects padded (overlong) encodings, so a decoder that
+// reads through it accepts one encoding per value. Store records and the
+// recorder's per-message records hold their integers this way.
+func Uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
+// header is the head of an encoded record: everything appendRecord writes
+// before the data.
+type header struct {
+	kind RecordKind
+	key  []byte // aliases the encoded record
+	seq  uint64
+	// data is where the data starts, n where the record ends: the data is
+	// b[data:n]. n can lie past b — an oversized record's first page holds
+	// only its head.
+	data, n int
+}
+
+// parseHeader reads the header at the head of b. It is the one header
+// parser: decodeOne, recordLen and recordAt read through it. ok is false for
+// page padding (a leading zero byte), for a header cut short by the end of
+// b, and for one that is not in appendRecord's encoding.
+func parseHeader(b []byte) (h header, ok bool) {
+	if len(b) == 0 || b[0] == 0 {
+		return header{}, false
+	}
+	h.kind = RecordKind(b[0])
+	off := 1
+	kl, n := Uvarint(b[off:])
+	if n <= 0 || kl > uint64(len(b)-off-n) {
+		return header{}, false
+	}
+	off += n
+	h.key = b[off : off+int(kl)]
+	off += int(kl)
+	if h.seq, n = Uvarint(b[off:]); n <= 0 {
+		return header{}, false
+	}
+	off += n
+	dl, n := Uvarint(b[off:])
+	if n <= 0 || dl > maxData {
+		return header{}, false
+	}
+	h.data = off + n
+	h.n = h.data + int(dl)
+	return h, true
 }
 
 // Ref locates a record in its store: the page AppendKey put it on and its
@@ -87,22 +153,11 @@ func decodeOne(b []byte) (Record, int, error) {
 	if len(b) == 0 || b[0] == 0 {
 		return Record{}, 0, nil
 	}
-	if len(b) < 3 {
+	h, ok := parseHeader(b)
+	if !ok || h.n > len(b) {
 		return Record{}, 0, errCorruptPage
 	}
-	kind := RecordKind(b[0])
-	kl := int(binary.BigEndian.Uint16(b[1:3]))
-	if len(b) < 3+kl+12 {
-		return Record{}, 0, errCorruptPage
-	}
-	key := string(b[3 : 3+kl])
-	seq := binary.BigEndian.Uint64(b[3+kl : 3+kl+8])
-	dl := int(binary.BigEndian.Uint32(b[3+kl+8 : 3+kl+12]))
-	n := 3 + kl + 12 + dl
-	if len(b) < n {
-		return Record{}, 0, errCorruptPage
-	}
-	return Record{Kind: kind, Key: key, Seq: seq, Data: b[3+kl+12 : n : n]}, n, nil
+	return Record{Kind: h.kind, Key: string(h.key), Seq: h.seq, Data: b[h.data:h.n:h.n]}, h.n, nil
 }
 
 // decodeRecords parses every record of page b, in order; each starts where
@@ -123,7 +178,9 @@ func decodeRecords(b []byte) ([]Record, error) {
 	return out, nil
 }
 
-// Stats counts store activity, feeding the recorder-disk utilization model.
+// Stats counts store activity. The recorder reports the counters as its
+// store_* metrics; they are metrics only, and nothing models the disk from
+// them.
 type Stats struct {
 	Appends     uint64
 	PageWrites  uint64
@@ -176,8 +233,7 @@ type Paged struct {
 	// dirty holds page ids whose in-memory content is newer than the file
 	// backing. Physical WriteAt is batched to Flush/Close/Compact — the
 	// §5.1 buffering discipline extended to page syncs — while
-	// Stats.PageWrites keeps counting logical page writes for the disk
-	// utilization model.
+	// Stats.PageWrites keeps counting logical page writes.
 	dirty map[uint64]bool
 	stats Stats
 	// writeFault, when set, is consulted before every logical page write; a
@@ -305,18 +361,12 @@ func (s *Paged) rebuildIndex() error {
 }
 
 // recordLen returns the total encoded length of the first record on a page
-// from its header, without materializing the payload. ok is false for an
-// empty page or a header that does not fit on the page.
+// from its header, without materializing the payload. ok is false where
+// parseHeader's is: an empty page, or a header that is cut short or not in
+// appendRecord's encoding.
 func recordLen(b []byte) (total int, ok bool) {
-	if len(b) < 3 || b[0] == 0 {
-		return 0, false
-	}
-	kl := int(binary.BigEndian.Uint16(b[1:3]))
-	if len(b) < 3+kl+12 {
-		return 0, false
-	}
-	dl := int(binary.BigEndian.Uint32(b[3+kl+8 : 3+kl+12]))
-	return 1 + 2 + kl + 8 + 4 + dl, true
+	h, ok := parseHeader(b)
+	return h.n, ok
 }
 
 // keyBlockLen is how many key records one allocation holds.
@@ -473,15 +523,11 @@ func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
 // recordAt returns the data of the record at the head of b if it is key's
 // record seq.
 func recordAt(b []byte, key string, seq uint64) ([]byte, bool) {
-	n, ok := recordLen(b)
-	if !ok || n > len(b) {
+	h, ok := parseHeader(b)
+	if !ok || h.n > len(b) || string(h.key) != key || h.seq != seq {
 		return nil, false
 	}
-	kl := int(binary.BigEndian.Uint16(b[1:3]))
-	if string(b[3:3+kl]) != key || binary.BigEndian.Uint64(b[3+kl:]) != seq {
-		return nil, false
-	}
-	return b[3+kl+12 : n : n], true
+	return b[h.data:h.n:h.n], true
 }
 
 func (s *Paged) oversize(first, page uint64) {

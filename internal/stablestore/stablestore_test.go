@@ -487,16 +487,27 @@ func fourPageImage(tb testing.TB) []byte {
 // corruptions damage fourPageImage's image in the two ways Open must reject,
 // each by rewriting one record's data-length field.
 var corruptions = map[string]func(img []byte){
-	// Page 0's msg:a claims 40,000 bytes: a chain over pages 0-9 of a
-	// four-page file.
+	// Page 0's msg:a claims 16,383 bytes, the most its two-byte field holds:
+	// with its header, more than the four pages of the file.
 	"chain over-claim": func(img []byte) {
-		binary.BigEndian.PutUint32(img[1+2+len("msg:a")+8:], 40_000)
+		setDataLen(img, 0, "msg:a", 1<<14-1)
 	},
 	// msg:b's second record on page 1 claims more than the page holds.
 	"undecodable page": func(img []byte) {
-		second := PageSize + (&Record{Key: "msg:b", Data: make([]byte, 1500)}).size()
-		binary.BigEndian.PutUint32(img[second+1+2+len("msg:b")+8:], 3000)
+		second := PageSize + (&Record{Key: "msg:b", Seq: 1, Data: make([]byte, 1500)}).size()
+		setDataLen(img, second, "msg:b", 3000)
 	},
+}
+
+// setDataLen rewrites the data-length field of the record at img[off:],
+// whose key is key and whose seq is under 128, to claim dl bytes. The field
+// keeps its width, so nothing after it moves.
+func setDataLen(img []byte, off int, key string, dl uint64) {
+	at := off + 1 + 1 + len(key) + 1 // kind, key length, key, seq
+	if _, w := binary.Uvarint(img[at:]); w != uvarintLen(dl) {
+		panic(fmt.Sprintf("data length %d does not fit the %d-byte field at %d", dl, w, at))
+	}
+	binary.PutUvarint(img[at:], dl)
 }
 
 // A damaged page file fails Open. It used to open: a first record whose

@@ -280,14 +280,18 @@ func TestHeldFrameIsOneAllocation(t *testing.T) {
 // send table, so sending to a new destination, and taking its first
 // round-trip sample, allocates nothing. A sender's receive state — its
 // stream and the acks owed to it, with room for the first — is one object,
-// made on the first frame it sends. The endpoint's free lists and its
-// scheduler's event nodes are warmed first, and Peers presizes both tables,
-// so only peer state is counted. Peers presizes
+// made on the first frame it sends and carved from a block of rxBlockLen, so
+// every rxBlockLen new senders cost one allocation. The endpoint's free
+// lists and its scheduler's event nodes are warmed first, and Peers
+// presizes both tables, so only peer state is counted. Peers presizes
 // the send table for every node of a cluster on every endpoint, so a row
 // costs n² over the cluster: it stays at 48 bytes.
 func TestFirstContactAllocations(t *testing.T) {
 	if s := unsafe.Sizeof(txPeer{}); s > 48 {
 		t.Errorf("a send-table row is %d bytes; want at most 48", s)
+	}
+	if s := rxBlockLen*unsafe.Sizeof(rxPeer{}) + 8; s > 2048 || s+unsafe.Sizeof(rxPeer{}) <= 2048 {
+		t.Errorf("a block of %d rxPeers and its allocation header are %d bytes; want the most that fit in 2048", rxBlockLen, s)
 	}
 	const peers = 32
 	cfg := DefaultConfig()
@@ -331,12 +335,20 @@ func TestFirstContactAllocations(t *testing.T) {
 	if s := e.Stats(); s.AcksReceived != exchanges || e.InFlight() != 0 {
 		t.Fatalf("%d acks received, %d in flight; want every send acked", s.AcksReceived, e.InFlight())
 	}
+	// Each run takes rxBlockLen fresh senders, so it crosses one block
+	// boundary wherever the blocks start.
+	const blocks = peers / rxBlockLen
 	next = 2 * peers
-	n = testing.AllocsPerRun(peers, func() { recv(next); next++ })
+	n = testing.AllocsPerRun(blocks, func() {
+		for range rxBlockLen {
+			recv(next)
+			next++
+		}
+	})
 	if n != 1 {
-		t.Errorf("receiving and acking a first frame from a new sender allocated %.0f objects; want 1", n)
+		t.Errorf("receiving and acking a first frame from %d new senders allocated %.0f objects; want 1", rxBlockLen, n)
 	}
-	if s := e.Stats(); s.Delivered != exchanges || s.AcksDelayedFlush != exchanges {
+	if s, recvs := e.Stats(), uint64(warm+(blocks+1)*rxBlockLen); s.Delivered != recvs || s.AcksDelayedFlush != recvs {
 		t.Fatalf("%d delivered, %d acks flushed; want every frame delivered and acked", s.Delivered, s.AcksDelayedFlush)
 	}
 }
