@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -100,7 +100,7 @@ nomsgmaps:
 # not a log of messages, and a bundle member's body is not cloned to outlive
 # the bundle, since nothing keeps it past the ack that writes its record.
 onecopy:
-	! grep -n '\]storedMsg' internal/recorder/arrlog.go
+	! grep -n '\]storedMsg' internal/recorder/tap/arrlog.go
 	! grep -rn 'bytes\.Clone(f\.Body)' --include='*.go' --exclude='*_test.go' internal/recorder
 
 # Records are packed varints read by one parser each (DESIGN.md "Storage
@@ -167,6 +167,14 @@ notrajectory:
 nograce:
 	! grep -rnE 'chaos\.DefaultOptions|opt\.Grace|opt\.MaxRun|RunUntil\(sc\.Work\.Done' --include='*.go' --exclude-dir=chaos .
 
+# The recorder's stream decisions live in one package, internal/recorder/tap
+# (DESIGN.md "Recorder database"), which the recorder's frame path reaches
+# them through. It decides with no medium, trace, store, transport or
+# kernel, and holds no scheduler: those are the recorder's, around it.
+tapcore:
+	! $(GO) list -deps ./internal/recorder/tap | grep -xE 'publishing/internal/(lan|trace|stablestore|transport|demos)'
+	! grep -rn 'simtime\.Scheduler' internal/recorder/tap
+
 build:
 	$(GO) build ./...
 
@@ -215,14 +223,14 @@ chaos:
 MULTIREC = TestTrafficSurvivesOneRecorderCrash|TestAllRecordersDownSuspendsTraffic|TestSecondaryRecorderPerformsRecovery|TestArbitrationSingleRecoverer|TestThirdReplicaRecoversAfterTwoCrash|TestRecordersStayConsistent|TestRestartCatchUp|TestMultiRecorderDeterminism
 
 shards:
-	$(GO) test -race ./internal/recorder
+	$(GO) test -race ./internal/recorder/...
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|$(MULTIREC)' -count=1 .
 
 # Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
 # schedule, the recorder's per-message records), of the stable store's page
 # file as Open reads it and of its one record-header parser, of the kernel's ring input queue against its slice
 # model, of the event scheduler against its sorted-slice model, and of the
-# recorder's stream-indexed tap state against its per-message model. Long
+# recorder's tap core, driven directly, against its per-message model. Long
 # exploratory runs are manual (`go test -fuzz X -fuzztime 10m
 # ./internal/frame`); this keeps the corpora exercised and catches
 # regressions the checked-in seeds reach quickly. Page files are whole 4 KB

@@ -134,7 +134,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 			readCount = max(readCount, e.CkReadCount) + uint64(j)
 			ck := ckImage("handoff", marksOver(model[:j])...)
 			r.installHandoffProc(&handoffProc{Proc: b, Node: b.Node, Ck: ck, CkReadCount: readCount,
-				Cov: e.CkReadCount + uint64(e.Arrivals.len()) + 1, Msgs: msgs})
+				Cov: e.CkReadCount + uint64(e.Arrivals.Len()) + 1, Msgs: msgs})
 			// The adopted messages, then every local one neither the
 			// partner's messages nor its checkpoint covers.
 			var theirs, ckMarks frame.Marks
@@ -183,20 +183,14 @@ func TestReplayReadsRecordsCompactionMoved(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < e.Arrivals.len(); i++ {
-		if a := e.Arrivals.at(i); at[a.ArrSeq] == a.Ref || at[a.ArrSeq].Page != a.Ref.Page {
+	for i := 0; i < e.Arrivals.Len(); i++ {
+		if a := e.Arrivals.At(i); at[a.ArrSeq] == stablestore.Ref(a.Ref) || at[a.ArrSeq].Page != a.Ref.Page {
 			t.Fatalf("arrival %v: stream ref %+v, record now at %+v; want moved within its page", a.ID, a.Ref, at[a.ArrSeq])
 		}
 	}
-	it := newReplayIter(store, e.keys.msg, e.Arrivals, e.Advisories)
-	for _, want := range []string{"e-body", "f-body"} {
-		sm, ok := it.next()
-		if !ok || string(sm.Body) != want {
-			t.Fatalf("replay read %q (%v), want %q", sm.Body, ok, want)
-		}
-	}
-	if _, more := it.next(); more {
-		t.Fatal("replay read past the retained messages")
+	got := reconstruct(store, e.keys.msg, e.Arrivals, e.Advisories)
+	if len(got) != 2 || string(got[0].Body) != "e-body" || string(got[1].Body) != "f-body" {
+		t.Fatalf("replay read %q, want the retained e-body and f-body", got)
 	}
 }
 
@@ -232,7 +226,7 @@ func compactMidReplay(t *testing.T, crash bool) {
 	// having read all six, and the store is compacted.
 	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: b,
 		Checkpoint: ckImage("ck", all...), SendSeq: 1, ReadCount: n, StateKB: 1})
-	if got := r.db[b].Arrivals.len(); got != 0 {
+	if got := r.db[b].Arrivals.Len(); got != 0 {
 		t.Fatalf("the checkpoint left %d arrivals, want 0", got)
 	}
 	if dropped, err := store.Compact(); err != nil || dropped != 0 {
@@ -304,7 +298,7 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 	before, pages := heap(), store.Pages()
 	record(2, n+2)
 	grown := float64(int64(heap())-int64(before)) / n
-	if got := r.db[procB()].Arrivals.len(); got != n+1 {
+	if got := r.db[procB()].Arrivals.Len(); got != n+1 {
 		t.Fatalf("stream holds %d arrivals, want %d", got, n+1)
 	}
 	if got, want := store.Pages()-pages, n/perPage; got < want || got > want+1 {

@@ -5,8 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"publishing/internal/recorder/tap"
 	"publishing/internal/stablestore"
 )
+
+// The arrival log is the tap core's; these tests read it back through a
+// real store.
+type arrEntry = tap.ArrEntry
+
+const arrChunkLen = tap.ArrChunkLen
 
 // testStream is an arrival log over a real store, as a recorder holds one:
 // each message's record is appended under the stream's key and the log
@@ -14,7 +21,7 @@ import (
 type testStream struct {
 	store *stablestore.Paged
 	key   stablestore.Key
-	log   arrLog
+	log   tap.ArrLog
 	next  uint64 // next arrival seq
 }
 
@@ -31,16 +38,16 @@ func (st *testStream) push(sm storedMsg) {
 	if err != nil {
 		panic(err)
 	}
-	st.log.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: ref})
+	st.log.Push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: tap.Ref(ref)})
 }
 
 // reconstruct is the package's reconstruct over log, a snapshot of st's.
-func (st *testStream) reconstruct(log arrLog, advs []advisory) []storedMsg {
+func (st *testStream) reconstruct(log tap.ArrLog, advs []tap.Advisory) []storedMsg {
 	return reconstruct(st.store, st.key, log, advs)
 }
 
 // reconstructAll is reconstruct over the whole stream.
-func (st *testStream) reconstructAll(advs []advisory) []storedMsg {
+func (st *testStream) reconstructAll(advs []tap.Advisory) []storedMsg {
 	return st.reconstruct(st.log, advs)
 }
 
@@ -55,9 +62,9 @@ func logOf(msgs []storedMsg) *testStream {
 
 // logSeqs reads log back from st's store and returns the message seqs,
 // checking each body is the one pushed (its seq's low byte).
-func logSeqs(t *testing.T, st *testStream, log arrLog) []uint64 {
+func logSeqs(t *testing.T, st *testStream, log tap.ArrLog) []uint64 {
 	t.Helper()
-	out := make([]uint64, 0, log.len())
+	out := make([]uint64, 0, log.Len())
 	for _, sm := range st.reconstruct(log, nil) {
 		if len(sm.Body) != 1 || sm.Body[0] != byte(sm.ID.Seq) {
 			t.Fatalf("message %v reads back body %v", sm.ID, sm.Body)
@@ -79,7 +86,8 @@ func wantSeqs(t *testing.T, what string, got []uint64, want ...uint64) {
 	}
 }
 
-// Push, ordered reads and keep across chunk boundaries, and the snapshot
+// Push, ordered reads and keep across chunk boundaries (the chunk counts
+// are tap's TestArrLogChunks), and the snapshot
 // property replay depends on: a copy of the log taken earlier reads the same
 // records back from the store whatever is pushed or kept afterwards.
 func TestArrLogAcrossChunkBoundaries(t *testing.T) {
@@ -87,20 +95,17 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 		st := newTestStream()
 		l := &st.log
 		for i := 0; i < n; i++ {
-			if l.len() != i {
-				t.Fatalf("n=%d: len %d after %d pushes", n, l.len(), i)
+			if l.Len() != i {
+				t.Fatalf("n=%d: len %d after %d pushes", n, l.Len(), i)
 			}
 			st.push(storedMsg{ID: mid(1, uint64(i+1)), Body: []byte{byte(i + 1)}})
 		}
-		if want := (n + arrChunkLen - 1) / arrChunkLen; len(l.chunks) != want {
-			t.Fatalf("n=%d: %d chunks, want %d", n, len(l.chunks), want)
-		}
 		for i := 0; i < n; i++ {
-			if got := l.at(i); got.ID.Seq != uint64(i+1) || got.ArrSeq != uint64(i) {
+			if got := l.At(i); got.ID.Seq != uint64(i+1) || got.ArrSeq != uint64(i) {
 				t.Fatalf("n=%d: at(%d) = %+v", n, i, *got)
 			}
 		}
-		if seqs := l.seqs(); len(seqs) != n || (n > 0 && seqs[n-1] != uint64(n-1)) {
+		if seqs := l.Seqs(); len(seqs) != n || (n > 0 && seqs[n-1] != uint64(n-1)) {
 			t.Fatalf("n=%d: seqs %v", n, seqs)
 		}
 
@@ -109,39 +114,39 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 		st.push(storedMsg{ID: mid(1, 1000), Body: []byte{byte(1000 % 256)}})
 		// Keep every other entry, last first: an order keep must honour.
 		var pos []int
-		for i := l.len() - 1; i >= 0; i -= 2 {
+		for i := l.Len() - 1; i >= 0; i -= 2 {
 			pos = append(pos, i)
 		}
 		want := make([]uint64, len(pos))
 		for k, i := range pos {
-			want[k] = l.at(i).ID.Seq
+			want[k] = l.At(i).ID.Seq
 		}
-		l.keep(pos)
+		l.Keep(pos)
 		wantSeqs(t, "kept", logSeqs(t, st, *l), want...)
 		st.push(storedMsg{ID: mid(1, 2000), Body: []byte{byte(2000 % 256)}})
-		if got := l.at(l.len() - 1).ID.Seq; got != 2000 {
+		if got := l.At(l.Len() - 1).ID.Seq; got != 2000 {
 			t.Fatalf("n=%d: push after keep landed %d", n, got)
 		}
 		wantSeqs(t, "snapshot after push+keep+push", logSeqs(t, st, snap), before...)
 	}
 
-	var l arrLog
-	l.push(arrEntry{ID: mid(1, 1)})
-	l.keep(nil)
-	if l.len() != 0 || len(l.chunks) != 0 {
-		t.Fatalf("keep(nil) left %d records in %d chunks", l.len(), len(l.chunks))
+	var l tap.ArrLog
+	l.Push(arrEntry{ID: mid(1, 1)})
+	l.Keep(nil)
+	if l.Len() != 0 {
+		t.Fatalf("keep(nil) left %d records", l.Len())
 	}
 }
 
 // Recording an arrival allocates one chunk per arrChunkLen pushes (plus the
 // chunk table's rare growth) and never copies the stream.
 func TestArrLogPushAllocatesPerChunk(t *testing.T) {
-	var l arrLog
+	var l tap.ArrLog
 	a := arrEntry{ID: mid(1, 1)}
 	const perRun = 4 * arrChunkLen
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < perRun; i++ {
-			l.push(a)
+			l.Push(a)
 		}
 	})
 	// 4 chunks per run, and the table doubles ever more rarely.

@@ -6,6 +6,7 @@ import (
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
@@ -218,7 +219,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		cov = append(cov, procCov{
 			Proc:     p,
 			Dead:     e.Dead,
-			Cov:      e.CkReadCount + uint64(e.Arrivals.len()),
+			Cov:      e.CkReadCount + uint64(e.Arrivals.Len()),
 			LastSent: e.LastSent,
 		})
 	}
@@ -260,7 +261,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			continue
 		}
 		e := r.db[p]
-		myCov := e.CkReadCount + uint64(e.Arrivals.len())
+		myCov := e.CkReadCount + uint64(e.Arrivals.Len())
 		tc, known := theirs[p]
 		var ship bool
 		switch {
@@ -289,7 +290,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			Cov:         myCov,
 			Msgs:        reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories),
 		}
-		blob.Recorded = e.recorded
+		blob.Recorded = e.Recorded
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
 			panic(err)
@@ -412,23 +413,15 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	}
 	if blob.Dead {
 		if !e.Dead {
-			e.Dead = true
-			e.Arrivals = arrLog{}
-			e.Advisories = nil
-			r.persistDead(e)
-			r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
-			r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
+			r.kill(e)
 		}
 		return
 	}
 	if e.Dead {
 		return // we saw the destruction; the blob is stale
 	}
-	if blob.LastSent > e.LastSent {
-		e.LastSent = blob.LastSent
-		r.persistLastSent(e)
-	}
-	localCov := e.CkReadCount + uint64(e.Arrivals.len())
+	r.core.RaiseLastSent(&e.Stream, blob.LastSent)
+	localCov := e.CkReadCount + uint64(e.Arrivals.Len())
 	if blob.Cov <= localCov {
 		return // our basis reaches at least as far
 	}
@@ -442,43 +435,38 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	for _, id := range blob.Recorded {
 		theirs.Note(id)
 	}
+	// The adopted Msgs are in reconstructed read order already; the local
+	// arrivals they lack follow them.
+	var msgs []tap.Msg
 	for i := range blob.Msgs {
 		theirs.Note(blob.Msgs[i].ID)
+		msgs = append(msgs, tapMsg(&blob.Msgs[i]))
 	}
-	var extras []storedMsg
 	for _, lm := range reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories) {
 		if !theirs.Covers(lm.ID) && !ckMarks.Covers(lm.ID) {
-			extras = append(extras, lm)
+			msgs = append(msgs, tapMsg(&lm))
 		}
 	}
-	old := e.Arrivals.seqs()
+	old := e.Arrivals.Seqs()
 	e.Checkpoint = blob.Ck
-	e.ckMarks = ckMarks
 	e.CkSendSeq = blob.CkSendSeq
-	e.CkReadCount = blob.CkReadCount
 	e.CkStateKB = blob.CkStateKB
 	e.LastCkAt = r.sched.Now()
-	e.Arrivals = arrLog{}
-	for _, src := range [][]storedMsg{blob.Msgs, extras} {
-		for i := range src {
-			sm := src[i]
-			sm.ArrSeq = e.ArrSeqNext
-			e.ArrSeqNext++
-			e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, &sm)})
-			e.recorded.Note(sm.ID)
-		}
-	}
-	for _, id := range blob.Recorded {
-		e.recorded.Note(id)
-	}
-	// The adopted Msgs are already in reconstructed read order; advisories
-	// would double-apply, so clear them (the checkpoint record's AdvTrim
-	// makes the same cut on rebuild).
-	e.Advisories = nil
+	r.core.Adopt(&e.Stream, ckMarks, blob.CkReadCount, blob.Recorded, msgs)
+	// The checkpoint record's AdvTrim cuts the cleared advisories on rebuild.
 	r.persistCheckpoint(e, old)
 	r.stats.HandoffProcsAdopted++
 	r.log.Add(trace.KindRecorder, int(r.node), blob.Proc.String(),
-		"adopted handoff basis (coverage %d -> %d, %d local extras kept)", localCov, blob.Cov, len(extras))
+		"adopted handoff basis (coverage %d -> %d, %d local extras kept)", localCov, blob.Cov, len(msgs)-len(blob.Msgs))
+}
+
+// tapMsg is sm as the tap core records it.
+func tapMsg(sm *storedMsg) tap.Msg {
+	m := tap.Msg{ID: sm.ID, From: sm.From, Channel: sm.Channel, Code: sm.Code, Body: sm.Body}
+	if sm.Link != nil {
+		m.Link, m.HasLink = *sm.Link, true
+	}
+	return m
 }
 
 // beginCatchUp starts the §6.3 restart catch-up: force a checkpoint from

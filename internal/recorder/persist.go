@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/gobx"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
 )
@@ -172,16 +174,16 @@ func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
 
 // appendAdvisory appends adv's record to dst. AdvSeq is not written: it is
 // the record's seq in the store.
-func appendAdvisory(dst []byte, adv *advisory) []byte {
+func appendAdvisory(dst []byte, adv *tap.Advisory) []byte {
 	return appendMsgID(appendMsgID(dst, adv.ReadID), adv.HeadID)
 }
 
 // decodeAdvisory is appendAdvisory's inverse; advSeq is the record's seq.
-func decodeAdvisory(b []byte, advSeq uint64) (advisory, error) {
+func decodeAdvisory(b []byte, advSeq uint64) (tap.Advisory, error) {
 	f := fields{b: b}
-	adv := advisory{ReadID: f.msgID(), HeadID: f.msgID(), AdvSeq: advSeq}
+	adv := tap.Advisory{ReadID: f.msgID(), HeadID: f.msgID(), AdvSeq: advSeq}
 	if f.bad || len(f.b) != 0 {
-		return advisory{}, fmt.Errorf("advisory record: %d bytes do not hold exactly two message ids", len(b))
+		return tap.Advisory{}, fmt.Errorf("advisory record: %d bytes do not hold exactly two message ids", len(b))
 	}
 	return adv, nil
 }
@@ -225,14 +227,15 @@ type procKeys struct {
 func (r *Recorder) newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
 	id := p.String()
 	s := r.store
-	return &procEntry{
-		Proc: p,
+	e := &procEntry{
 		Node: node,
 		keys: procKeys{
 			msg: s.Key("msg:" + id), adv: s.Key("adv:" + id), ck: s.Key("ck:" + id),
 			proc: s.Key("proc:" + id), last: s.Key("last:" + id), dead: s.Key("dead:" + id),
 		},
 	}
+	e.Proc, e.Host = p, e
+	return e
 }
 
 const restartKey = "restart"
@@ -281,8 +284,8 @@ func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) stablestore.Ref {
 // stream's msg: key. The Body aliases the store's page and is read-only. A
 // record the stream names that the store cannot produce is stable storage
 // failing, which append treats the same way.
-func readArrival(store *stablestore.Paged, key stablestore.Key, a *arrEntry) storedMsg {
-	b, err := store.Lookup(key, a.ArrSeq, a.Ref)
+func readArrival(store *stablestore.Paged, key stablestore.Key, a *tap.ArrEntry) storedMsg {
+	b, err := store.Lookup(key, a.ArrSeq, stablestore.Ref(a.Ref))
 	if err == nil {
 		var sm storedMsg
 		if sm, err = decodeStoredMsg(b, a.ArrSeq); err == nil {
@@ -292,7 +295,7 @@ func readArrival(store *stablestore.Paged, key stablestore.Key, a *arrEntry) sto
 	panic(fmt.Sprintf("recorder: stable store read: %v", err))
 }
 
-func (r *Recorder) persistAdvisory(e *procEntry, adv *advisory) {
+func (r *Recorder) persistAdvisory(e *procEntry, adv *tap.Advisory) {
 	r.encScratch = appendAdvisory(r.encScratch[:0], adv)
 	r.append(e.keys.adv, stablestore.KindMessage, adv.AdvSeq, r.encScratch)
 }
@@ -327,7 +330,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 			BaseReads:     e.CkReadCount,
 			DroppedArr:    dropped,
 			AdvTrim:       e.AdvSeqNext,
-			RetainedOrder: e.Arrivals.seqs(),
+			RetainedOrder: e.Arrivals.Seqs(),
 		}))
 	if bs := r.replaying[e.Proc]; bs != nil {
 		bs.dropped = append(bs.dropped, dropped...) // until the replay ends
@@ -369,8 +372,8 @@ func (r *Recorder) rebuild() error {
 	}
 
 	type perProc struct {
-		msgs []arrEntry
-		advs []advisory
+		msgs []tap.ArrEntry
+		advs []tap.Advisory
 		// ck is the latest checkpoint; dropped and advTrim accumulate over
 		// every checkpoint revision, because what any checkpoint dropped
 		// stays dropped.
@@ -399,7 +402,7 @@ func (r *Recorder) rebuild() error {
 
 	// The stream keeps where each message record lies, not the message.
 	err := r.store.Scan(func(rec stablestore.Record, ref stablestore.Ref) error {
-		ns, pidStr, ok := splitKey(rec.Key)
+		ns, pidStr, ok := strings.Cut(rec.Key, ":")
 		if !ok {
 			return nil
 		}
@@ -415,11 +418,11 @@ func (r *Recorder) rebuild() error {
 		case "msg":
 			var sm storedMsg
 			if sm, err = decodeStoredMsg(rec.Data, rec.Seq); err == nil {
-				a.msgs = append(a.msgs, arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: ref})
-				a.arrNext = maxU64(a.arrNext, sm.ArrSeq+1)
+				a.msgs = append(a.msgs, tap.ArrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: tap.Ref(ref)})
+				a.arrNext = max(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
-			var adv advisory
+			var adv tap.Advisory
 			if adv, err = decodeAdvisory(rec.Data, rec.Seq); err == nil {
 				a.advs = append(a.advs, adv)
 			}
@@ -428,12 +431,12 @@ func (r *Recorder) rebuild() error {
 			if err = ckCodec.Decode(rec.Data, cm); err == nil {
 				for _, q := range cm.DroppedArr {
 					a.dropped[q] = true
-					a.arrNext = maxU64(a.arrNext, q+1)
+					a.arrNext = max(a.arrNext, q+1)
 				}
 				for _, q := range cm.RetainedOrder {
-					a.arrNext = maxU64(a.arrNext, q+1)
+					a.arrNext = max(a.arrNext, q+1)
 				}
-				a.advTrim = maxU64(a.advTrim, cm.AdvTrim)
+				a.advTrim = max(a.advTrim, cm.AdvTrim)
 				if rec.Seq >= a.ckRev {
 					a.ck, a.ckRev = cm, rec.Seq
 				}
@@ -445,7 +448,7 @@ func (r *Recorder) rebuild() error {
 				e.Spec = pm.Spec
 				e.Node = pm.Node
 				a.metaRev = rec.Seq
-				e.Rev = maxU64(e.Rev, rec.Seq)
+				e.Rev = max(e.Rev, rec.Seq)
 			}
 		case "last":
 			var ls uint64
@@ -454,7 +457,7 @@ func (r *Recorder) rebuild() error {
 				a.lastSRev = rec.Seq
 			}
 		case "dead":
-			a.deadRev = maxU64(a.deadRev, rec.Seq)
+			a.deadRev = max(a.deadRev, rec.Seq)
 		}
 		if err != nil {
 			return fmt.Errorf("record %s seq %d: %w", rec.Key, rec.Seq, err)
@@ -473,7 +476,7 @@ func (r *Recorder) rebuild() error {
 			continue
 		}
 		e.LastSent = a.lastSent
-		e.Rev = maxU64(e.Rev, maxU64(a.lastSRev, maxU64(a.ckRev, a.deadRev)))
+		e.Rev = max(e.Rev, max(a.lastSRev, max(a.ckRev, a.deadRev)))
 		if a.deadRev > 0 && a.deadRev >= a.metaRev {
 			e.Dead = true
 			continue
@@ -486,38 +489,28 @@ func (r *Recorder) rebuild() error {
 			if err != nil {
 				return fmt.Errorf("recorder: rebuild: checkpoint of %s: %w", pid, err)
 			}
-			e.ckMarks = marks
+			e.CkMarks = marks
 			e.Checkpoint = a.ck.Blob
 			e.CkSendSeq = a.ck.SendSeq
 			e.CkReadCount = a.ck.ReadCount
 			e.CkStateKB = a.ck.StateKB
 		}
-		sort.Slice(a.msgs, func(i, j int) bool { return a.msgs[i].ArrSeq < a.msgs[j].ArrSeq })
 		// The latest checkpoint fixes the replay order of its retained
 		// messages (queue order at checkpoint, which may differ from
 		// arrival order after a recovery); later arrivals follow by seq.
 		rank := make(map[uint64]int)
 		if a.ck != nil {
 			for i, q := range a.ck.RetainedOrder {
-				rank[q] = i
+				rank[q] = i - len(a.ck.RetainedOrder)
 			}
 		}
-		var pre, post []arrEntry
-		for _, sm := range a.msgs {
-			if a.dropped[sm.ArrSeq] {
-				continue
-			}
-			if _, ok := rank[sm.ArrSeq]; ok {
-				pre = append(pre, sm)
-			} else {
-				post = append(post, sm)
-			}
-		}
+		msgs := slices.DeleteFunc(a.msgs, func(m tap.ArrEntry) bool { return a.dropped[m.ArrSeq] })
+		slices.SortFunc(msgs, func(x, y tap.ArrEntry) int {
+			return cmp.Or(cmp.Compare(rank[x.ArrSeq], rank[y.ArrSeq]), cmp.Compare(x.ArrSeq, y.ArrSeq))
+		})
 		e.ArrSeqNext = a.arrNext
-		sort.SliceStable(pre, func(i, j int) bool { return rank[pre[i].ArrSeq] < rank[pre[j].ArrSeq] })
-		for _, sm := range append(pre, post...) {
-			e.Arrivals.push(sm)
-			e.recorded.Note(sm.ID)
+		for _, arr := range msgs {
+			e.Restore(arr)
 		}
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })
 		for _, adv := range a.advs {
@@ -535,17 +528,12 @@ func (r *Recorder) rebuild() error {
 		e.LastCkAt = r.sched.Now()
 	}
 	r.db = db
-	r.resetTap()
+	r.core.Reset()
+	for _, e := range db {
+		r.core.Install(&e.Stream)
+	}
 	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil
-}
-
-func splitKey(k string) (ns, pid string, ok bool) {
-	i := strings.IndexByte(k, ':')
-	if i < 0 {
-		return "", "", false
-	}
-	return k[:i], k[i+1:], true
 }
 
 // parseProcID parses the "p<node>.<local>" form produced by ProcID.String.
@@ -567,11 +555,4 @@ func parseProcID(s string) (frame.ProcID, bool) {
 		return frame.NilProc, false
 	}
 	return frame.ProcID{Node: frame.NodeID(node), Local: uint32(local)}, true
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,6 +13,7 @@ import (
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 	"publishing/internal/stablestore"
 )
@@ -101,7 +102,7 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	advProp := func(n1, n2 int32, l1, l2 uint32, s1, s2, q uint64) bool {
-		want := advisory{
+		want := tap.Advisory{
 			ReadID: frame.MsgID{Sender: frame.ProcID{Node: frame.NodeID(n1), Local: l1}, Seq: s1},
 			HeadID: frame.MsgID{Sender: frame.ProcID{Node: frame.NodeID(n2), Local: l2}, Seq: s2},
 			AdvSeq: q,
@@ -127,7 +128,7 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 		"last": func(b []byte) error { _, err := decodeLastSent(b); return err },
 	}
 	valid := map[string][][]byte{
-		"adv":  {appendAdvisory(nil, &advisory{ReadID: mid(1, 2), HeadID: mid(1, 1), AdvSeq: 3})},
+		"adv":  {appendAdvisory(nil, &tap.Advisory{ReadID: mid(1, 2), HeadID: mid(1, 1), AdvSeq: 3})},
 		"last": {appendLastSent(nil, 99), appendLastSent(nil, math.MaxUint64)},
 	}
 	for _, sm := range storedCases() {
@@ -198,7 +199,7 @@ func TestRecordGoldenBytes(t *testing.T) {
 		From: frame.ProcID{Node: -1, Local: 5}, Channel: 6, Code: 300, Body: []byte("hi"), ArrSeq: 8,
 		Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
 	}
-	adv := advisory{ReadID: mid(1, 2), HeadID: mid(3, 4), AdvSeq: 5}
+	adv := tap.Advisory{ReadID: mid(1, 2), HeadID: mid(3, 4), AdvSeq: 5}
 	for name, c := range map[string]struct {
 		got  []byte
 		want string
@@ -220,7 +221,7 @@ func TestRecordGoldenBytes(t *testing.T) {
 
 func TestRecordEncodersDoNotAllocate(t *testing.T) {
 	sm := storedCases()["link"]
-	adv := advisory{ReadID: mid(1, 2), HeadID: mid(1, 1), AdvSeq: 3}
+	adv := tap.Advisory{ReadID: mid(1, 2), HeadID: mid(1, 1), AdvSeq: 3}
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() {
 		buf = appendStoredMsg(buf[:0], &sm)
@@ -345,7 +346,7 @@ type entryView struct {
 	Node                   frame.NodeID
 	LastSent               uint64
 	Arrivals               []storedMsg
-	Advisories             []advisory
+	Advisories             []tap.Advisory
 	ArrSeqNext, AdvSeqNext uint64
 	Checkpoint             []byte
 	CkMarks                []frame.MsgID
@@ -360,7 +361,7 @@ func viewDB(r *Recorder) map[frame.ProcID]entryView {
 	for p, e := range r.db {
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
 			Arrivals: reconstruct(r.store, e.keys.msg, e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
-			Checkpoint: e.Checkpoint, CkMarks: e.ckMarks, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
+			Checkpoint: e.Checkpoint, CkMarks: e.CkMarks, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
 			CkStateKB: e.CkStateKB, Rev: e.Rev, Dead: e.Dead}
 	}
 	return out
@@ -527,8 +528,8 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 			for _, p := range ids {
 				e := r.db[p]
 				var read []frame.MsgID
-				for k := 0; k < e.Arrivals.len()/2; k++ {
-					read = append(read, e.Arrivals.at(k).ID)
+				for k := 0; k < e.Arrivals.Len()/2; k++ {
+					read = append(read, e.Arrivals.At(k).ID)
 				}
 				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: p, Checkpoint: ckImage("ck", read...),
 					ReadCount: uint64(len(read))})

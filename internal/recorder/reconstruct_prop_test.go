@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 )
 
@@ -38,7 +39,7 @@ func TestReconstructMatchesReferenceSimulation(t *testing.T) {
 		var queue []storedMsg
 		next := 0
 		var reads []frame.MsgID
-		var advs []advisory
+		var advs []tap.Advisory
 		advSeq := uint64(0)
 		for len(reads) < n {
 			// Randomly admit 0-2 more arrivals (always at least one if the
@@ -61,7 +62,7 @@ func TestReconstructMatchesReferenceSimulation(t *testing.T) {
 			for i := range queue {
 				if queue[i].Channel == want {
 					if i > 0 {
-						advs = append(advs, advisory{
+						advs = append(advs, tap.Advisory{
 							ReadID: queue[i].ID,
 							HeadID: queue[0].ID,
 							AdvSeq: advSeq,
@@ -113,13 +114,13 @@ func TestReconstructAtCrashInstant(t *testing.T) {
 		queue := append([]storedMsg(nil), arrivals...)
 		k := rng.Intn(n)
 		var reads []frame.MsgID
-		var advs []advisory
+		var advs []tap.Advisory
 		for r := 0; r < k; r++ {
 			want := queue[rng.Intn(len(queue))].Channel
 			for i := range queue {
 				if queue[i].Channel == want {
 					if i > 0 {
-						advs = append(advs, advisory{ReadID: queue[i].ID, HeadID: queue[0].ID, AdvSeq: uint64(len(advs))})
+						advs = append(advs, tap.Advisory{ReadID: queue[i].ID, HeadID: queue[0].ID, AdvSeq: uint64(len(advs))})
 					}
 					reads = append(reads, queue[i].ID)
 					queue = append(queue[:i], queue[i+1:]...)

@@ -20,12 +20,12 @@ package recorder
 import (
 	"bytes"
 	"encoding/gob"
-	"slices"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/lan"
 	"publishing/internal/metrics"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
@@ -170,13 +170,11 @@ func DefaultConfig(node frame.NodeID, watched []frame.NodeID) Config {
 
 // Stats counts recorder activity.
 type Stats struct {
+	tap.Counts // the stream decisions'
+
 	MessagesSeen        uint64
-	MessagesPending     uint64
-	ArrivalsRecorded    uint64
-	BytesStored         uint64
 	AcksSeen            uint64
 	Notices             uint64
-	Advisories          uint64
 	CheckpointsStored   uint64
 	ProcessCrashes      uint64
 	ProcessorCrashes    uint64
@@ -186,7 +184,6 @@ type Stats struct {
 	ReplayBatches       uint64
 	CkChunksSent        uint64
 	RecorderAcksSent    uint64
-	MissedArrivals      uint64
 	StoreFailures       uint64
 	PublishCPU          simtime.Time
 
@@ -199,15 +196,11 @@ type Stats struct {
 	HandoffProcsShipped uint64
 	HandoffChunksSent   uint64
 	HandoffProcsAdopted uint64
-
-	// BelowWatermark counts acknowledged messages dropped for sitting
-	// strictly below their sender's watermark after passing the tap's
-	// duplicate check. In-order transport delivery says there are none; tests
-	// pin it at zero. Not in the metrics registry: the snapshot is unchanged.
-	BelowWatermark uint64
 }
 
-// storedMsg is one published message in a process's stream.
+// storedMsg is one published message in a process's stream, as its record
+// and the handoff blob hold it. It stays a type of its own: gob names it on
+// the handoff wire.
 type storedMsg struct {
 	ID      frame.MsgID
 	From    frame.ProcID
@@ -218,143 +211,41 @@ type storedMsg struct {
 	ArrSeq  uint64
 }
 
-// pendingMsg is a message the tap has heard that no acknowledgement has yet
-// placed in a stream.
-type pendingMsg struct {
-	storedMsg
-	// To is the destination on the wire: the pending queue the message waits
-	// in, and the process whose acknowledgement claims it (an AckRec's Rcv is
-	// always its frame's To).
-	To frame.ProcID
-	// SeenAt is when the tap heard the frame (publish latency, sweep age).
-	SeenAt simtime.Time
-}
-
-// advisory is one §4.4.2 read-order correction.
-type advisory struct {
-	ReadID frame.MsgID
-	HeadID frame.MsgID
-	AdvSeq uint64
-}
-
 // procEntry is the §4.5 per-process database record: "the process
 // identifier, the identifier of the most recent message sent by the
 // process, a list of ids of messages received by the process (since the
 // last checkpoint), the file name of the last checkpoint, the id of the
 // first valid message, a list of disk pages containing messages to the
-// process, and whether or not the process is recovering."
+// process, and whether or not the process is recovering." The stream
+// decisions read and write its tap.Stream; the rest is recovery's.
 type procEntry struct {
-	Proc frame.ProcID
+	tap.Stream
 	Spec demos.ProcSpec
 	Node frame.NodeID
 
-	LastSent uint64
-
-	Arrivals arrLog
-	// recorded fences retransmissions out of the stream: per sender, the
-	// highest sequence recorded into it. Checkpoints never trim it.
-	recorded frame.Marks
-	// ckMarks are the acceptance marks Checkpoint carries (derived from it,
-	// never stored apart): a late record they cover stays out of the stream.
-	ckMarks    frame.Marks
-	Advisories []advisory
-	ArrSeqNext uint64
-	AdvSeqNext uint64
-
-	Checkpoint  []byte
-	CkSendSeq   uint64
-	CkReadCount uint64
-	CkStateKB   int
-	LastCkAt    simtime.Time
+	Checkpoint []byte
+	CkSendSeq  uint64
+	CkStateKB  int
+	LastCkAt   simtime.Time
 
 	Rev        uint64 // meta revision for stable storage
 	Recovering bool
-	Dead       bool
 
 	keys procKeys // stable-storage keys, see newProcEntry
 }
 
-// tapRecord is what the tap keeps about one process a frame has named: the
-// §4.5 per-process record as the frame path reads it, found with one lookup
-// per process per frame. It is made on first use and lives until the tap is
-// reset (recorder crash, rebuild).
-type tapRecord struct {
-	// e is the process's database entry, nil until the process registers:
-	// read from db when the record is made, and set by install (creation
-	// notice, handoff adoption). A rebuild installs a whole database and
-	// starts the tap over.
-	e *procEntry
-	// owns: this recorder replicates the process's shard slot. notice: the
-	// process is a recorder proc that kernels send notices to. Both are
-	// fixed when the record is made.
-	owns, notice bool
-	// q holds the messages to the process the tap heard and no
-	// acknowledgement has yet placed in a stream; swept says q is on
-	// pendQueues. A queue outlives its messages.
-	q     pendQueue
-	swept bool
-	// pre buffers the accepted messages to the process, and preLastSent the
-	// highest sequence it sent, while its creation notice is on its way: on
-	// a busy system a new process's first traffic can beat the kernel's
-	// NoticeCreated to the recorder. Merged at registration; bounded.
-	pre         []pendingMsg
-	preLastSent uint64
-}
-
-// Bounds on the pre-registration buffers: messages buffered per process,
-// and senders whose last-sent is buffered.
-const (
-	maxPreArrivals = 1024
-	maxPreSenders  = 4096
-)
-
-// tapOf returns p's tap record, making it on first use.
-func (r *Recorder) tapOf(p frame.ProcID) *tapRecord {
-	t := r.taps[p]
-	if t == nil {
-		t = &tapRecord{e: r.db[p], owns: r.ownsProc(p), notice: slices.Contains(r.cfg.Recorders, p)}
-		r.taps[p] = t
-	}
-	return t
-}
-
-// install makes e its process's database entry, for the tap as well.
+// install makes e its process's database entry, for the tap core as well.
 func (r *Recorder) install(e *procEntry) {
 	r.db[e.Proc] = e
-	r.tapOf(e.Proc).e = e
+	r.core.Install(&e.Stream)
 }
 
-// resetTap forgets every tap record: at a crash, and when a rebuild
-// installs a new database.
-func (r *Recorder) resetTap() {
-	r.taps = make(map[frame.ProcID]*tapRecord)
-	r.pendQueues = nil
-	r.preSenders = 0
-}
-
-// notePreLastSent raises the last-sent an unregistered sender has buffered.
-// The cap bounds how many senders are buffered, not the updates of one
-// already held.
-func (r *Recorder) notePreLastSent(t *tapRecord, seq uint64) {
-	if seq <= t.preLastSent {
-		return
-	}
-	if t.preLastSent == 0 {
-		if r.preSenders >= maxPreSenders {
-			return
-		}
-		r.preSenders++
-	}
-	t.preLastSent = seq
-}
-
-// dropPre forgets what t buffered before registration.
-func (r *Recorder) dropPre(t *tapRecord) {
-	t.pre = nil
-	if t.preLastSent > 0 {
-		t.preLastSent = 0
-		r.preSenders--
-	}
+// kill records the destruction of e's process.
+func (r *Recorder) kill(e *procEntry) {
+	e.Kill()
+	r.persistDead(e)
+	r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
+	r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
 }
 
 // Recorder is the recording node: tap, database, stable store, and
@@ -376,16 +267,9 @@ type Recorder struct {
 	ep    *transport.Endpoint
 	store *stablestore.Paged
 
-	// db is the process database; the tap reads it through taps.
-	db map[frame.ProcID]*procEntry
-	// taps holds a tap record for every process a frame has named since the
-	// last reset (see tapRecord). pendQueues lists their pending queues in
-	// the order each first held a message, for the sweep. preSenders counts
-	// the records holding a pre-registration last-sent, which maxPreSenders
-	// bounds.
-	taps       map[frame.ProcID]*tapRecord
-	pendQueues []*pendQueue
-	preSenders int
+	// db is the process database; core makes the stream decisions on it.
+	db   map[frame.ProcID]*procEntry
+	core *tap.Core
 
 	// storeFailProb makes the tap randomly fail to store a frame, for
 	// exercising publish-before-use (SetStoreFailProb).
@@ -431,13 +315,11 @@ type Recorder struct {
 	// into (see persist.go). stablestore.Append copies Data, so the bytes
 	// only need to survive one call.
 	encScratch []byte
-	// smFree pools pendingMsg nodes between Observe and the ack/sweep paths
-	// that retire them, so the tap's steady state stops allocating a node,
-	// body, and link per overheard frame.
-	smFree []*pendingMsg
 	// recScratch is the tap's reused bundle-decode buffer: one decode
-	// serves both the store path and the vote.
+	// serves both the store path and the vote. A lone message is copied
+	// into it as a bundle of one, and a header-only ack into ackOne.
 	recScratch []frame.BundleRec
+	ackOne     [1]frame.AckRec
 	// ackq queues recorder acknowledgements awaiting their publish
 	// processing time; one flush timer drains every ready entry into a
 	// single batched RecorderAck frame.
@@ -482,7 +364,7 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		noticeSeen: newGenSet(noticeSeenLimit),
 		nextCode:   1,
 	}
-	r.resetTap()
+	r.core = tap.New(proc, cfg.Recorders, r.ownsProc, (*tapFx)(r), &r.stats.Counts)
 	r.resetReplication()
 	tcfg.NeedRecorderAck = false
 	r.ep = transport.New(r.node, med, sched, log, tcfg)
@@ -560,7 +442,7 @@ func (r *Recorder) Entry(p frame.ProcID) (known, recovering, dead bool, lastSent
 	if e == nil {
 		return false, false, false, 0, 0
 	}
-	return true, e.Recovering, e.Dead, e.LastSent, e.Arrivals.len()
+	return true, e.Recovering, e.Dead, e.LastSent, e.Arrivals.Len()
 }
 
 // Observe implements lan.Tap: the passive listener of §3.1. Its verdict is
@@ -576,28 +458,44 @@ func (r *Recorder) Observe(f *frame.Frame) bool {
 // f names is looked up once, for both.
 func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
 	stored, voting = !r.crashed, !vote
+	acks := f.AckRecs
 	switch f.Type {
-	case frame.Guaranteed:
-		from, to := r.tapOf(f.From), r.tapOf(f.To)
-		voting = voting || r.votesOnMsg(f.From, f.To, from, to)
-		if stored {
-			if r.storeFailed() {
+	case frame.Guaranteed, frame.Bundle:
+		// A lone message is a bundle of one. The store-failure fault is drawn
+		// per record (they land on distinct database pages); any failure
+		// blocks the whole frame, which the medium gates, and the sender's
+		// retransmissions land on the duplicate checks for the rest.
+		recs, err := r.recScratch[:0], error(nil)
+		if f.Type == frame.Guaranteed {
+			recs = append(recs, frame.BundleRec{})
+			recs[0].RecOf(f)
+		} else if recs, err = frame.DecodeBundle(f.Body, recs); err != nil {
+			if stored {
+				r.stats.StoreFailures++
+			}
+			return false, true // undecodable: gate conservatively
+		}
+		r.recScratch = recs
+		live := stored
+		for i := range recs {
+			m := &recs[i]
+			if m.Type != frame.Guaranteed {
+				continue
+			}
+			from, to := r.core.Of(m.From), r.core.Of(m.To)
+			voting = voting || r.votesOnMsg(m.From, m.To, from, to)
+			if live && r.storeFailProb > 0 && r.rng.Bool(r.storeFailProb) {
+				r.stats.StoreFailures++
 				stored = false
-			} else {
-				r.observeMessage(f, from, to)
+			} else if live {
+				r.observeMessage(m, from, to)
 			}
 		}
-	case frame.Bundle:
-		stored, voting = r.observeBundle(f, stored, voting)
 	case frame.Ack:
-		if len(f.AckRecs) == 0 {
+		if len(acks) == 0 {
 			// A legacy single-message ack: its From is the receiving process.
-			rcv := r.tapOf(f.From)
-			voting = voting || rcv.owns
-			if stored {
-				r.stats.AcksSeen++
-				r.observeAckRecord(f.ID, f.From, rcv)
-			}
+			r.ackOne[0] = frame.AckRec{ID: f.ID, Rcv: f.From}
+			acks = r.ackOne[:]
 		}
 	default:
 		voting = true
@@ -610,84 +508,40 @@ func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
 	// owner of any acknowledged stream gates the carrier frame: delivered
 	// acknowledgements are never resent, so an abstaining owner would
 	// silently lose the arrival from its shard's replay basis.
-	for i := range f.AckRecs {
+	for i := range acks {
 		if !stored && voting {
 			break // nothing left to store or decide
 		}
-		rcv := r.tapOf(f.AckRecs[i].Rcv)
-		voting = voting || rcv.owns
+		rcv := r.core.Of(acks[i].Rcv)
+		voting = voting || rcv.Owns
 		if stored {
 			r.stats.AcksSeen++
-			r.observeAckRecord(f.AckRecs[i].ID, f.AckRecs[i].Rcv, rcv)
+			r.core.Acked(acks[i].ID, rcv)
 		}
 	}
 	return stored, voting
 }
 
-// storeFailed draws the injected store-failure fault.
-func (r *Recorder) storeFailed() bool {
-	if r.storeFailProb > 0 && r.rng.Bool(r.storeFailProb) {
-		r.stats.StoreFailures++
-		return true
-	}
-	return false
-}
-
-// observeBundle is observe for a coalesced frame, which it decodes once
-// for both answers; it takes and returns observe's stored and voting. Storing (unless stored is already false: the recorder is
-// down) covers every guaranteed record, drawing the store-failure fault per
-// record (the records land on distinct database pages). Any failed record
-// blocks the whole frame — the medium gates per frame — and the sender's
-// individual retransmissions land on the duplicate checks for the records
-// that did store.
-func (r *Recorder) observeBundle(f *frame.Frame, stored, voting bool) (bool, bool) {
-	recs, err := frame.DecodeBundle(f.Body, r.recScratch)
-	r.recScratch = recs
-	if err != nil {
-		if stored {
-			r.stats.StoreFailures++
-		}
-		return false, true // undecodable: gate conservatively
-	}
-	live := stored
-	for i := range recs {
-		if recs[i].Type != frame.Guaranteed {
-			continue
-		}
-		from, to := r.tapOf(recs[i].From), r.tapOf(recs[i].To)
-		voting = voting || r.votesOnMsg(recs[i].From, recs[i].To, from, to)
-		if !live {
-			continue
-		}
-		if r.storeFailed() {
-			stored = false
-			continue
-		}
-		r.observeMessage(recs[i].Expand(f), from, to)
-	}
-	return stored, voting
-}
-
-// observeMessage handles one guaranteed message the tap heard, alone on the
-// wire or as a member of a bundle; from and to are its processes' tap
-// records.
-func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord) {
+// observeMessage handles one guaranteed message the tap stored; from and to
+// are its processes' records. What belongs to a process stream goes to the
+// core.
+func (r *Recorder) observeMessage(m *frame.BundleRec, from, to *tap.Rec) {
 	r.stats.MessagesSeen++
 	r.stats.PublishCPU += r.cfg.Mode.PerMessageCPU()
 
-	if r.emitAcks && to.owns {
+	if r.emitAcks && to.Owns {
 		// Transport-level publish-before-use (§6.1): receivers hold the
 		// frame until this acknowledgement. Emission waits out the publish
 		// processing time, so ModeNaive recorders visibly slow the system.
 		// Only a stream's replicas acknowledge it (duplicate acks from
 		// several replicas release the same held frame once).
-		r.queueRecorderAck(f.ID)
+		r.queueRecorderAck(m.ID)
 	}
 
-	if f.To == r.proc {
+	if m.To == r.proc {
 		return // bookkeeping traffic to the recorder itself is not a stream
 	}
-	if f.Channel == chanPeer || from.notice {
+	if m.Channel == chanPeer || from.Notice {
 		// Recorder-originated traffic: peer handoff frames, control
 		// requests, replay batches. None of it belongs to a process stream.
 		// Recording a peer's replay batch or checkpoint request as an
@@ -698,111 +552,19 @@ func (r *Recorder) observeMessage(f *frame.Frame, from, to *tapRecord) {
 		// taps its own sends, so only multi-recorder clusters see these.
 		return
 	}
-	if to.notice {
+	if to.Notice {
 		// A kernel notice addressed to another recorder: every recorder
 		// must apply it to stay consistent (§6.3: all recorders record all
 		// messages). The tap sees retransmissions, so dedup.
-		if !r.noticeSeen.Seen(f.ID) {
-			r.noticeSeen.Add(f.ID)
-			if n, err := demos.DecodeNotice(f.Body); err == nil {
+		if !r.noticeSeen.Seen(m.ID) {
+			r.noticeSeen.Add(m.ID)
+			if n, err := demos.DecodeNotice(m.Body); err == nil {
 				r.handleNotice(n)
 			}
 		}
 		return
 	}
-
-	// Track the highest message id each published process has sent — the
-	// future suppression threshold (§4.5). Only the sender's replicas track
-	// it (they replay the sender, so they set the threshold).
-	if f.From.Local != 0 && from.owns { // kernel processes are not replayed
-		if e := from.e; e != nil && !e.Dead {
-			if f.ID.Seq > e.LastSent {
-				e.LastSent = f.ID.Seq
-				r.persistLastSent(e)
-			}
-		} else if e == nil {
-			r.notePreLastSent(from, f.ID.Seq)
-		}
-	}
-
-	if !to.owns {
-		return // another shard's stream; its replicas record the arrival
-	}
-	if e := to.e; e != nil {
-		if e.Dead || e.recorded.Covers(f.ID) || e.ckMarks.Covers(f.ID) {
-			return // dead destination, or a retransmission of an arrival
-		}
-	}
-	q := &to.q
-	if q.find(f.ID) >= 0 {
-		return
-	}
-	if !to.swept {
-		to.swept = true
-		r.pendQueues = append(r.pendQueues, q)
-	}
-	sm := r.allocStored()
-	sm.ID = f.ID
-	sm.From = f.From
-	sm.Channel = f.Channel
-	sm.Code = f.Code
-	// A body is read-only from Send on (demos.Msg.Body), so the node keeps
-	// the one on the wire — a bundle member's is a slice of the whole bundle
-	// — until the acknowledgement copies it into a page.
-	sm.Body = f.Body
-	if len(f.Body) == 0 {
-		sm.Body = nil
-	}
-	// The link goes into the node's own, which the pool reuses.
-	if f.PassedLink != nil {
-		if sm.Link == nil {
-			sm.Link = new(frame.Link)
-		}
-		*sm.Link = *f.PassedLink
-	} else {
-		sm.Link = nil
-	}
-	sm.ArrSeq = 0
-	sm.To = f.To
-	sm.SeenAt = r.sched.Now()
-	q.msgs = append(q.msgs, sm)
-	r.stats.MessagesPending++
-}
-
-// pendQueue holds one destination's unacknowledged messages in the order the
-// tap heard them, so SeenAt never decreases along it.
-type pendQueue struct {
-	msgs []*pendingMsg
-}
-
-// find returns id's position in the queue, or -1.
-func (q *pendQueue) find(id frame.MsgID) int {
-	for i, p := range q.msgs {
-		if p.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// remove takes the i'th message out, keeping the others in order.
-func (q *pendQueue) remove(i int) *pendingMsg {
-	p := q.msgs[i]
-	q.msgs = slices.Delete(q.msgs, i, i+1)
-	return p
-}
-
-// sweepPending drops the messages heard before cutoff and never
-// acknowledged (destination dead, sender gave up) so they don't accumulate.
-// Only each queue's expired head is touched.
-func (r *Recorder) sweepPending(cutoff simtime.Time) {
-	for _, q := range r.pendQueues {
-		k := 0
-		for ; k < len(q.msgs) && q.msgs[k].SeenAt < cutoff; k++ {
-			r.recycleStored(q.msgs[k])
-		}
-		q.msgs = slices.Delete(q.msgs, 0, k)
-	}
+	r.core.Heard(m, from, to, r.sched.Now())
 }
 
 // recAck is one queued recorder acknowledgement: the id becomes
@@ -870,141 +632,32 @@ func (r *Recorder) flushRecorderAcks() {
 	}
 }
 
-// allocStored takes a pendingMsg node from the pool (or the heap); the caller
-// overwrites every field, reusing Link capacity.
-func (r *Recorder) allocStored() *pendingMsg {
-	if k := len(r.smFree); k > 0 {
-		sm := r.smFree[k-1]
-		r.smFree[k-1] = nil
-		r.smFree = r.smFree[:k-1]
-		return sm
-	}
-	return &pendingMsg{}
+// tapFx is the recorder as the tap core's Effects.
+type tapFx Recorder
+
+// publishFormats are the publish trace lines, by how the arrival was learned.
+var publishFormats = [...]string{
+	tap.ViaAck:             "published (#%d in stream)",
+	tap.ViaInferred:        "published (#%d in stream, inferred from later ack)",
+	tap.ViaPreRegistration: "published (#%d in stream, accepted before registration)",
 }
 
-// recycleStored returns a node whose Link was never exposed outside the
-// recorder (drop paths, and a message whose record now holds it) for reuse.
-// Its Body is a wire body, and no pooled node holds or reuses one.
-func (r *Recorder) recycleStored(sm *pendingMsg) {
-	sm.Body = nil
-	if len(r.smFree) < 1024 {
-		r.smFree = append(r.smFree, sm)
+func (fx *tapFx) Record(s *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
+	sm := storedMsg{ID: m.ID, From: m.From, Channel: m.Channel, Code: m.Code, Body: m.Body, ArrSeq: arrSeq}
+	if m.HasLink {
+		sm.Link = &m.Link
 	}
+	return tap.Ref((*Recorder)(fx).persistMessage(s.Host.(*procEntry), &sm))
 }
 
-// releaseStored retires a node whose Link now aliases a tap record's pre
-// copy: the struct is reused but the link is detached so the copy keeps
-// sole ownership.
-func (r *Recorder) releaseStored(sm *pendingMsg) {
-	sm.Link = nil
-	r.recycleStored(sm)
-}
+func (fx *tapFx) LastSent(s *tap.Stream) { (*Recorder)(fx).persistLastSent(s.Host.(*procEntry)) }
 
-// observeAckRecord assigns arrival order from one acknowledgement — id
-// accepted by process rcv, whose tap record is t — from either a standalone
-// Ack frame or a piggybacked record: "It is possible to discover the order
-// in which messages are received at the receiving node by tracing the
-// acknowledgements sent in response to messages" (§4.4.1). Only rcv's
-// pending queue is consulted: an ack names its message's destination.
-func (r *Recorder) observeAckRecord(id frame.MsgID, rcv frame.ProcID, t *tapRecord) {
-	q := &t.q
-	at := q.find(id)
-	if at < 0 {
-		return // duplicate ack, untracked message, or our own traffic
-	}
-	sm := q.remove(at)
-	e := t.e
-	if e == nil && (rcv.Local == 0 || rcv == r.proc) || // no process stream
-		e != nil && (e.Dead || r.fenced(e, id)) {
-		r.recycleStored(sm)
-		return
-	}
-	// Cumulative-ack inference: the transport delivers each sender's stream
-	// in sequence order, so this ack also proves every lower-sequence
-	// message from the same sender to this process arrived — their own acks
-	// were snooped past (tap miss). Left pending they would be lost from
-	// the replay basis forever, since the sender has its ack and will never
-	// retransmit. Promote them, in sequence order, ahead of this arrival —
-	// into the stream, or into the buffer a stream not yet registered is
-	// merged from. (Caveat: a sender that exhausted retries below this
-	// sequence makes the inference wrong, but that run already lost a
-	// guaranteed message.)
-	for {
-		at := -1
-		for i, p := range q.msgs {
-			if p.From == sm.From && p.ID.Seq < sm.ID.Seq && (at < 0 || p.ID.Seq < q.msgs[at].ID.Seq) {
-				at = i
-			}
-		}
-		if at < 0 {
-			break
-		}
-		p := q.remove(at)
-		if e != nil && r.fenced(e, p.ID) {
-			r.recycleStored(p)
-			continue
-		}
-		r.acceptArrival(t, p, true)
-	}
-	r.acceptArrival(t, sm, false)
-}
-
-// acceptArrival records an acknowledged message into the stream of t's
-// process or, while it has no entry (its creation notice is still on its
-// way), buffers it until registration. The buffer is bounded per process,
-// and the re-ack of a retransmission stays out of it, so the merge sees each
-// message once. inferred marks a message whose own ack the tap missed.
-func (r *Recorder) acceptArrival(t *tapRecord, sm *pendingMsg, inferred bool) {
-	switch e := t.e; {
-	case e == nil:
-		if len(t.pre) >= maxPreArrivals || slices.ContainsFunc(t.pre, func(p pendingMsg) bool { return p.ID == sm.ID }) {
-			r.recycleStored(sm)
-			return
-		}
-		t.pre = append(t.pre, *sm)
-		r.releaseStored(sm)
-	case inferred:
-		r.recordArrival(e, sm, "published (#%d in stream, inferred from later ack)")
-		r.recycleStored(sm)
-	default:
-		r.recordArrival(e, sm, "published (#%d in stream)")
-		r.recycleStored(sm)
-	}
-	if inferred {
-		r.stats.MissedArrivals++
-	}
-}
-
-// fenced reports whether an acknowledged message stays out of e's stream:
-// the stream's checkpoint took it, or the stream recorded it already. At the
-// recorded mark it is the retransmission that set the mark; strictly below,
-// the per-message set this replaced might have accepted it, so it is counted.
-func (r *Recorder) fenced(e *procEntry, id frame.MsgID) bool {
-	if e.ckMarks.Covers(id) {
-		return true
-	}
-	seq, ok := e.recorded.Mark(id.Sender)
-	if ok && id.Seq+1 <= seq {
-		r.stats.BelowWatermark++
-	}
-	return ok && id.Seq <= seq
-}
-
-// recordArrival appends one message to a process's published stream: its
-// record goes to the store, and the stream keeps where. The node, Body and
-// Link included, stays the caller's.
-func (r *Recorder) recordArrival(e *procEntry, sm *pendingMsg, format string) {
-	sm.ArrSeq = e.ArrSeqNext
-	e.ArrSeqNext++
-	e.Arrivals.push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: r.persistMessage(e, &sm.storedMsg)})
-	e.recorded.Note(sm.ID)
-	r.stats.ArrivalsRecorded++
-	r.stats.BytesStored += uint64(len(sm.Body))
-	r.publishLat.Observe(int64(r.sched.Now() - sm.SeenAt))
-	if r.log.Enabled() {
+func (fx *tapFx) Published(s *tap.Stream, m *tap.Msg, arrSeq uint64, via tap.Via) {
+	fx.publishLat.Observe(int64(fx.sched.Now() - m.SeenAt))
+	if fx.log.Enabled() {
 		// Event.Seq carries the acceptance-order position so online monitors
 		// can check per-stream monotonicity without parsing Detail.
-		r.log.AddMsgSeq(trace.KindPublish, int(r.node), sm.ID.String(), e.Proc.String(), sm.ArrSeq, format, sm.ArrSeq)
+		fx.log.AddMsgSeq(trace.KindPublish, int(fx.node), m.ID.String(), s.Proc.String(), arrSeq, publishFormats[via], arrSeq)
 	}
 }
 
@@ -1044,64 +697,45 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 	r.stats.Notices++
 	switch n.Kind {
 	case demos.NoticeCreated:
-		t := r.tapOf(n.Proc)
-		if !t.owns {
+		t := r.core.Of(n.Proc)
+		if !t.Owns {
 			// Another shard's stream: never enters this database, so the
 			// recovery, catch-up, and query paths skip it automatically.
-			r.dropPre(t)
+			r.core.DropPre(t)
 			return
 		}
-		e := t.e
+		e := r.db[n.Proc]
 		if e == nil {
 			e = r.newProcEntry(n.Proc, n.Proc.Node)
 			r.install(e)
 		}
 		e.Spec = n.Spec
 		e.Node = n.Proc.Node
-		e.Dead = false
 		e.LastCkAt = r.sched.Now()
-		// Merge traffic that beat this notice to the recorder.
-		for i := range t.pre {
-			if !r.fenced(e, t.pre[i].ID) {
-				r.recordArrival(e, &t.pre[i], "published (#%d in stream, accepted before registration)")
-			}
-		}
-		if ls := t.preLastSent; ls > e.LastSent {
-			e.LastSent = ls
-			r.persistLastSent(e)
-		}
-		r.dropPre(t)
+		r.core.Created(t)
 		r.persistProcMeta(e)
 		r.log.Add(trace.KindRecorder, int(r.node), n.Proc.String(), "registered %q", n.Spec.Name)
 
 	case demos.NoticeDestroyed:
-		r.dropPre(r.tapOf(n.Proc))
+		r.core.DropPre(r.core.Of(n.Proc))
 		r.cancelReplay(n.Proc)
 		if r.catchingUp {
 			delete(r.awaitCk, n.Proc)
 			r.checkCaughtUp()
 		}
 		if e := r.db[n.Proc]; e != nil {
-			e.Dead = true
-			e.Arrivals = arrLog{}
-			e.Advisories = nil
-			r.persistDead(e)
-			r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
-			r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
+			r.kill(e)
 		}
 
 	case demos.NoticeReadOrder:
 		if e := r.db[n.Proc]; e != nil && !e.Dead {
-			adv := advisory{ReadID: n.ReadID, HeadID: n.HeadID, AdvSeq: e.AdvSeqNext}
-			e.AdvSeqNext++
-			e.Advisories = append(e.Advisories, adv)
-			r.stats.Advisories++
+			adv := r.core.ReadOrder(&e.Stream, n.ReadID, n.HeadID)
 			r.persistAdvisory(e, &adv)
 		}
 
 	case demos.NoticeCheckpoint:
 		complete := true
-		if e := r.db[n.Proc]; e != nil && !e.Dead {
+		if e := r.db[n.Proc]; e != nil && !e.Dead && !e.Stale(n.ReadCount) {
 			complete = r.applyCheckpoint(e, n)
 		}
 		if complete {
@@ -1129,95 +763,43 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 	}
 }
 
-// applyCheckpoint installs a new checkpoint: "After the checkpoint has been
-// reliably stored, older checkpoints and messages can be discarded"
-// (§3.3.1). The messages still queued at the process stay first, in queue
-// order; every other one the checkpoint's acceptance marks cover was read
-// and is discarded; the rest is still in flight to the process (recorded
-// while every receiver copy was lost) and stays, in read order. That holds
-// for a record landing after the checkpoint and for a stream with gaps from
-// the recorder's downtime (§6.3 catch-up). A checkpoint whose queue names a
-// message never recorded is not applied, and it reports false.
+// applyCheckpoint stores a checkpoint tap.Core.Checkpoint applied, or
+// reports it incomplete.
 func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool) {
-	if n.ReadCount < e.CkReadCount {
-		// A checkpoint from before the basis we already hold. Notices are
-		// guaranteed messages, so one emitted before a recorder outage can be
-		// retransmitted long after newer checkpoints landed; readCount is
-		// monotonic per stream, so applying it would regress the basis.
-		return true
-	}
 	marks, err := demos.CheckpointMarks(n.Checkpoint)
 	if err != nil {
 		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(), "checkpoint refused: %v", err)
 		return false
 	}
-	// pos[k] is the log position of the k'th queued message (-1: not held,
-	// or an id the queue repeats); queuedAt finds k by id.
-	log := &e.Arrivals
-	queuedAt := make(map[frame.MsgID]int, len(n.Queued))
-	pos := make([]int, len(n.Queued), max(len(n.Queued), log.len()))
-	for k, id := range n.Queued {
-		pos[k] = -1
-		if _, repeat := queuedAt[id]; !repeat {
-			queuedAt[id] = k
-		}
-	}
-	for i := 0; i < log.len(); i++ {
-		if k, ok := queuedAt[log.at(i).ID]; ok && pos[k] < 0 {
-			pos[k] = i
-		}
-	}
-	if slices.Contains(pos, -1) {
+	dropped, ok := r.core.Checkpoint(&e.Stream, n.ReadCount, n.Queued, marks)
+	if !ok {
 		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
 			"checkpoint (readCount=%d) not applied: a queued message was never recorded", n.ReadCount)
 		return false
 	}
-	retained := pos // every queued message, in queue order; room for the rest
-	dropped := make([]uint64, 0, log.len()-len(retained))
-	for it := newReplayIter(r.store, e.keys.msg, *log, e.Advisories); ; {
-		i, ok := it.nextPos()
-		if !ok {
-			break
-		}
-		sm := log.at(i)
-		switch k, ok := queuedAt[sm.ID]; {
-		case ok && pos[k] == i:
-			// retained above, in queue order
-		case marks.Covers(sm.ID):
-			dropped = append(dropped, sm.ArrSeq)
-		default:
-			retained = append(retained, i)
-		}
-	}
-	log.keep(retained)
-	e.Advisories = nil
 	e.Checkpoint = n.Checkpoint
-	e.ckMarks = marks
 	e.CkSendSeq = n.SendSeq
-	e.CkReadCount = n.ReadCount
 	e.CkStateKB = n.StateKB
 	e.LastCkAt = r.sched.Now()
 	r.stats.CheckpointsStored++
 	r.persistCheckpoint(e, dropped)
 	r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
 		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, 0 missing",
-		n.StateKB, n.ReadCount, len(dropped), len(retained))
+		n.StateKB, n.ReadCount, len(dropped), e.Arrivals.Len())
 	return true
 }
 
 // reconstruct recovers the true read order of a stream from its arrival
-// order plus the out-of-order read advisories (§4.4.2): replayIter's order,
+// order plus the out-of-order read advisories (§4.4.2): tap.Order's order,
 // materialized from the records under key in store. The bodies alias the
 // store's pages and are read-only.
-func reconstruct(store *stablestore.Paged, key stablestore.Key, arrivals arrLog, advisories []advisory) []storedMsg {
-	out := make([]storedMsg, 0, arrivals.len())
-	for it := newReplayIter(store, key, arrivals, advisories); ; {
-		sm, ok := it.next()
-		if !ok {
-			return out
-		}
-		out = append(out, sm)
+func reconstruct(store *stablestore.Paged, key stablestore.Key, arrivals tap.ArrLog, advisories []tap.Advisory) []storedMsg {
+	out := make([]storedMsg, 0, arrivals.Len())
+	o := tap.NewOrder(arrivals, advisories)
+	for _, a, ok := o.Next(); ok; _, a, ok = o.Next() {
+		out = append(out, readArrival(store, key, a))
 	}
+	return out
 }
 
 // ReplayMsg is an exported view of one published message, in replay order.
@@ -1276,18 +858,10 @@ func (r *Recorder) LastSentOf(p frame.ProcID) uint64 {
 // StreamSummary exposes a process's reconstructed replay order (tests,
 // debugger).
 func (r *Recorder) StreamSummary(p frame.ProcID) []frame.MsgID {
-	e := r.db[p]
-	if e == nil {
-		return nil
+	if e := r.db[p]; e != nil {
+		return e.Summary()
 	}
-	out := make([]frame.MsgID, 0, e.Arrivals.len())
-	for it := newReplayIter(r.store, e.keys.msg, e.Arrivals, e.Advisories); ; {
-		i, ok := it.nextPos()
-		if !ok {
-			return out
-		}
-		out = append(out, e.Arrivals.at(i).ID)
-	}
+	return nil
 }
 
 // sendCtl transmits a control message to a node's kernel process, with an

@@ -10,6 +10,7 @@ import (
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/lan"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
@@ -54,7 +55,7 @@ func TestReconstructNoAdvisories(t *testing.T) {
 func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 	// Arrivals: A B C. The process read B while A was at the head.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
-	adv := []advisory{{ReadID: mid(1, 2), HeadID: mid(1, 1)}}
+	adv := []tap.Advisory{{ReadID: mid(1, 2), HeadID: mid(1, 1)}}
 	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{2, 1, 3}
 	for i, w := range want {
@@ -67,7 +68,7 @@ func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 func TestReconstructInterleavedReads(t *testing.T) {
 	// Arrivals: A B C D E. Reads: A (in order), then D (head B), then B, C, E.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3), sm(1, 4), sm(1, 5)}
-	adv := []advisory{{ReadID: mid(1, 4), HeadID: mid(1, 2)}}
+	adv := []tap.Advisory{{ReadID: mid(1, 4), HeadID: mid(1, 2)}}
 	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{1, 4, 2, 3, 5}
 	for i, w := range want {
@@ -80,7 +81,7 @@ func TestReconstructInterleavedReads(t *testing.T) {
 func TestReconstructConsecutiveSameHead(t *testing.T) {
 	// Reads: C (head A), then B (head A), then A.
 	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
-	adv := []advisory{
+	adv := []tap.Advisory{
 		{ReadID: mid(1, 3), HeadID: mid(1, 1)},
 		{ReadID: mid(1, 2), HeadID: mid(1, 1)},
 	}
@@ -102,9 +103,9 @@ func TestReconstructIsPermutation(t *testing.T) {
 		for i := range arr {
 			arr[i] = sm(1, uint64(i+1))
 		}
-		var advs []advisory
+		var advs []tap.Advisory
 		for i := 0; i+1 < len(advPairs) && i < 8; i += 2 {
-			advs = append(advs, advisory{
+			advs = append(advs, tap.Advisory{
 				ReadID: mid(1, uint64(advPairs[i]%uint8(size))+1),
 				HeadID: mid(1, uint64(advPairs[i+1]%uint8(size))+1),
 			})
@@ -274,8 +275,7 @@ func TestStreamReadsBodiesFromTheStore(t *testing.T) {
 		}
 		return false
 	}
-	q := &r.tapOf(procB()).q
-	if len(q.msgs) != 1 || string(q.msgs[0].Body) != "member" || !inBundle(q.msgs[0].Body) {
+	if q := r.core.Of(procB()).Queue(); len(q) != 1 || string(q[0].Body) != "member" || !inBundle(q[0].Body) {
 		t.Fatal("the pending bundle member does not alias the bundle's body")
 	}
 	r.Observe(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: member.ID, From: procB(), To: procA()})
@@ -312,7 +312,7 @@ func TestPreRegistrationBuffering(t *testing.T) {
 	}
 }
 
-// The pre-registration buffer holds the last-sent of at most maxPreSenders
+// The pre-registration buffer holds the last-sent of at most tap.MaxPreSenders
 // unregistered senders. The cap bounds new senders only: a sender it already
 // holds keeps raising its last-sent, and registers with the highest one, the
 // §4.5 suppression threshold.
@@ -323,7 +323,7 @@ func TestPreRegistrationCapBoundsNewSendersOnly(t *testing.T) {
 			ID: frame.MsgID{Sender: from, Seq: seq}, From: from, To: procB()})
 	}
 	send(procA(), 1)
-	for i := 1; i < maxPreSenders; i++ {
+	for i := 1; i < tap.MaxPreSenders; i++ {
 		send(frame.ProcID{Node: 2, Local: uint32(i)}, 1)
 	}
 	send(procA(), 5) // the buffer is full; A is already in it
@@ -425,7 +425,7 @@ func TestRebuildFromStore(t *testing.T) {
 		t.Fatalf("A after rebuild: known=%v lastSent=%d", known, lastSent)
 	}
 	e := r.db[procB()]
-	if !bytes.Equal(e.Checkpoint, ck) || e.CkReadCount != 2 || e.CkSendSeq != 3 || !e.ckMarks.Covers(frame.MsgID{Sender: procA(), Seq: 5}) {
+	if !bytes.Equal(e.Checkpoint, ck) || e.CkReadCount != 2 || e.CkSendSeq != 3 || !e.CkMarks.Covers(frame.MsgID{Sender: procA(), Seq: 5}) {
 		t.Fatalf("checkpoint not rebuilt: %+v", e)
 	}
 }

@@ -53,7 +53,7 @@ func (r *Recorder) armFlushTick() {
 			return
 		}
 		_ = r.store.Flush()
-		r.sweepPending(r.sched.Now() - simtime.Minute)
+		r.core.Sweep(r.sched.Now() - simtime.Minute)
 		r.armFlushTick()
 	})
 }
@@ -221,7 +221,7 @@ func (r *Recorder) startRecovery(e *procEntry, target frame.NodeID) {
 	// the whole ordered slice just to log its length.
 	r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(),
 		"recovery started (target n%d, %d messages to replay, checkpoint=%v)",
-		target, e.Arrivals.len(), e.Checkpoint != nil)
+		target, e.Arrivals.Len(), e.Checkpoint != nil)
 
 	epoch := r.epoch
 	r.sched.After(replayGrace, func() {
@@ -345,7 +345,7 @@ func (r *Recorder) Crash() {
 	r.crashed = true
 	r.epoch++
 	r.db = make(map[frame.ProcID]*procEntry)
-	r.resetTap()
+	r.core.Reset()
 	r.ackq = r.ackq[:0]
 	r.ackTimerSet = false
 	r.noticeSeen.Reset()

@@ -3,7 +3,7 @@ package recorder
 import (
 	"publishing/internal/demos"
 	"publishing/internal/frame"
-	"publishing/internal/stablestore"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/trace"
 )
 
@@ -20,90 +20,17 @@ import (
 // FIFO stream as everything else — while the kernel's cumulative batch
 // acknowledgement (CtlReply.AckedBatch) paces the window end to end.
 
-// replayIter streams a process's published messages in reconstructed read
-// order — the same order reconstruct produces, emitted one message at a
-// time. Recovery replays each attempt from this iterator instead of
-// building the whole ordered slice, which a recursive crash would pay for
-// repeatedly. It reads each message back from the record the stream's index
-// names in the store.
-type replayIter struct {
-	// store and key (the stream's msg: key) hold the records. arrivals is a
-	// snapshot of the stream (see arrLog): what is recorded or trimmed while
-	// the replay runs does not reach it.
-	store      *stablestore.Paged
-	key        stablestore.Key
-	arrivals   arrLog
-	advisories []advisory
-	// taken marks arrivals already emitted by an advisory's out-of-order
-	// read (nil when there are no advisories and order is arrival order).
-	taken []bool
-	pos   int // next in-order candidate
-	ai    int // next advisory to honor
-}
-
-func newReplayIter(store *stablestore.Paged, key stablestore.Key, arrivals arrLog, advisories []advisory) *replayIter {
-	it := &replayIter{store: store, key: key, arrivals: arrivals, advisories: advisories}
-	if len(advisories) > 0 {
-		it.taken = make([]bool, arrivals.len())
-	}
-	return it
-}
-
-// next returns the next message in replay order. Its Body aliases the
-// store's page and is read-only.
-func (it *replayIter) next() (storedMsg, bool) {
-	i, ok := it.nextPos()
-	if !ok {
-		return storedMsg{}, false
-	}
-	return readArrival(it.store, it.key, it.arrivals.at(i)), true
-}
-
-// nextPos returns the log position of the next message in replay order.
-func (it *replayIter) nextPos() (int, bool) {
-	n := it.arrivals.len()
-	for it.ai < len(it.advisories) {
-		adv := &it.advisories[it.ai]
-		it.skipTaken()
-		if it.pos < n && it.arrivals.at(it.pos).ID != adv.HeadID {
-			// In-order reads precede the advised out-of-order read.
-			it.pos++
-			return it.pos - 1, true
-		}
-		// Head reached (or the queue drained without it): honor the advisory.
-		it.ai++
-		for i := it.pos; i < n; i++ {
-			if !it.taken[i] && it.arrivals.at(i).ID == adv.ReadID {
-				it.taken[i] = true
-				return i, true
-			}
-		}
-		// Advised message absent: the advisory is consumed with no emission.
-	}
-	it.skipTaken()
-	if it.pos < n {
-		it.pos++
-		return it.pos - 1, true
-	}
-	return 0, false
-}
-
-func (it *replayIter) skipTaken() {
-	for it.taken != nil && it.pos < it.arrivals.len() && it.taken[it.pos] {
-		it.pos++
-	}
-}
-
 // batchSender is one recovery's windowed replay pipeline.
 type batchSender struct {
 	r   *Recorder
 	e   *procEntry
 	rp  *recoveryProc
 	gen uint64
-	it  *replayIter
-
-	// staged is the one-message lookahead between iterator and packer (a
-	// record that did not fit the previous batch).
+	// order walks a snapshot of the stream (tap.Order), so a recursive
+	// crash never pays for an ordered copy; staged is the one-message
+	// lookahead between it and the packer (a record that did not fit the
+	// previous batch), read back from the store.
+	order      tap.Order
 	staged     storedMsg
 	haveStaged bool
 
@@ -130,8 +57,8 @@ type batchSender struct {
 func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 	bs := &batchSender{
 		r: r, e: e, rp: rp, gen: gen,
-		it:  newReplayIter(r.store, e.keys.msg, e.Arrivals, e.Advisories),
-		ids: make(map[uint64]frame.MsgID),
+		order: tap.NewOrder(e.Arrivals, e.Advisories),
+		ids:   make(map[uint64]frame.MsgID),
 	}
 	r.replaying[e.Proc] = bs
 	bs.fill()
@@ -140,7 +67,9 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 // peek stages the next record without consuming it.
 func (bs *batchSender) peek() (*storedMsg, bool) {
 	if !bs.haveStaged {
-		bs.staged, bs.haveStaged = bs.it.next()
+		if _, a, ok := bs.order.Next(); ok {
+			bs.staged, bs.haveStaged = readArrival(bs.r.store, bs.e.keys.msg, a), true
+		}
 	}
 	return &bs.staged, bs.haveStaged
 }

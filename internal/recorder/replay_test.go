@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 )
 
 func mkArrivals(n int) []storedMsg {
@@ -19,24 +20,15 @@ func mkArrivals(n int) []storedMsg {
 	return out
 }
 
-func drainIter(arrivals []storedMsg, advisories []advisory) []storedMsg {
-	st := logOf(arrivals)
-	it := newReplayIter(st.store, st.key, st.log, advisories)
-	var out []storedMsg
-	for {
-		sm, ok := it.next()
-		if !ok {
-			return out
-		}
-		out = append(out, sm)
-	}
+func drainIter(arrivals []storedMsg, advisories []tap.Advisory) []storedMsg {
+	return logOf(arrivals).reconstructAll(advisories)
 }
 
 // reconstructRef is §4.4.2's reconstruction on plain slices, the reference
 // the iterator is checked against: pop in-order reads until the advised head
 // is at the front, take the advised message, repeat; unadvised messages
 // follow in arrival order.
-func reconstructRef(arrivals []storedMsg, advisories []advisory) []storedMsg {
+func reconstructRef(arrivals []storedMsg, advisories []tap.Advisory) []storedMsg {
 	queue := append([]storedMsg(nil), arrivals...)
 	replay := make([]storedMsg, 0, len(arrivals))
 	for _, adv := range advisories {
@@ -79,21 +71,21 @@ func TestReplayIterMatchesReconstructEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		n    int
-		adv  []advisory
+		adv  []tap.Advisory
 	}{
 		{"empty", 0, nil},
 		{"no-advisories", 5, nil},
-		{"simple-skip", 5, []advisory{{HeadID: id(2), ReadID: id(4)}}},
-		{"read-is-head", 5, []advisory{{HeadID: id(3), ReadID: id(3)}}},
-		{"head-missing", 4, []advisory{{HeadID: id(99), ReadID: id(2)}}},
-		{"read-missing", 4, []advisory{{HeadID: id(2), ReadID: id(99)}}},
-		{"both-missing", 3, []advisory{{HeadID: id(98), ReadID: id(99)}}},
-		{"chained", 6, []advisory{
+		{"simple-skip", 5, []tap.Advisory{{HeadID: id(2), ReadID: id(4)}}},
+		{"read-is-head", 5, []tap.Advisory{{HeadID: id(3), ReadID: id(3)}}},
+		{"head-missing", 4, []tap.Advisory{{HeadID: id(99), ReadID: id(2)}}},
+		{"read-missing", 4, []tap.Advisory{{HeadID: id(2), ReadID: id(99)}}},
+		{"both-missing", 3, []tap.Advisory{{HeadID: id(98), ReadID: id(99)}}},
+		{"chained", 6, []tap.Advisory{
 			{HeadID: id(1), ReadID: id(3)},
 			{HeadID: id(2), ReadID: id(6)},
 			{HeadID: id(4), ReadID: id(5)},
 		}},
-		{"advisory-on-empty", 0, []advisory{{HeadID: id(1), ReadID: id(2)}}},
+		{"advisory-on-empty", 0, []tap.Advisory{{HeadID: id(1), ReadID: id(2)}}},
 	}
 	for _, tc := range cases {
 		arr := mkArrivals(tc.n)
@@ -106,12 +98,12 @@ func TestReplayIterMatchesReconstructRandom(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(20)
 		arr := mkArrivals(n)
-		var advs []advisory
+		var advs []tap.Advisory
 		for a := rng.Intn(6); a > 0; a-- {
 			// Mostly valid ids, occasionally bogus ones, to hit every branch.
 			head := uint64(rng.Intn(n + 3))
 			read := uint64(rng.Intn(n + 3))
-			advs = append(advs, advisory{
+			advs = append(advs, tap.Advisory{
 				HeadID: frame.MsgID{Sender: frame.ProcID{Node: 0, Local: 7}, Seq: head},
 				ReadID: frame.MsgID{Sender: frame.ProcID{Node: 0, Local: 7}, Seq: read},
 			})

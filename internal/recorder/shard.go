@@ -5,6 +5,7 @@ import (
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/trace"
 )
 
@@ -92,8 +93,8 @@ func (r *Recorder) ObserveVote(f *frame.Frame) (stored, voting bool) {
 // the arrival, and the sender's owner tracks LastSent — the §4.5
 // suppression threshold — so both gate. Recorder-bound traffic (notices,
 // control replies) is gated by everyone: every recorder consumes notices.
-func (r *Recorder) votesOnMsg(from, to frame.ProcID, fromTap, toTap *tapRecord) bool {
-	return to == r.proc || toTap.notice || toTap.owns || from.Local != 0 && fromTap.owns
+func (r *Recorder) votesOnMsg(from, to frame.ProcID, fromTap, toTap *tap.Rec) bool {
+	return to == r.proc || toTap.Notice || toTap.Owns || from.Local != 0 && fromTap.Owns
 }
 
 // BasisSummary is one recorder's view of a stream's replay basis — the
@@ -122,7 +123,7 @@ func (r *Recorder) Basis(p frame.ProcID) BasisSummary {
 		Dead:        e.Dead,
 		Recovering:  e.Recovering,
 		CkReadCount: e.CkReadCount,
-		Msgs:        e.Arrivals.len(),
+		Msgs:        e.Arrivals.Len(),
 		LastSent:    e.LastSent,
 	}
 }

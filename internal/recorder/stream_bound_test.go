@@ -38,10 +38,7 @@ func TestRecorderStateFlatInMessageCount(t *testing.T) {
 			last = id
 		}
 		e := r.db[procB()]
-		held := len(e.recorded) + len(e.ckMarks) + e.Arrivals.len() + len(e.Advisories)
-		for _, q := range r.pendQueues {
-			held += len(q.msgs)
-		}
+		held := len(e.Recorded) + len(e.CkMarks) + e.Arrivals.Len() + len(e.Advisories) + len(r.core.Of(procB()).Queue())
 		if held <= 2*len(senders) || held > 2*len(senders)+interval+interval/10+1 {
 			t.Fatalf("%d messages: %d elements held, want a checkpoint interval's worth", n, held)
 		}
@@ -144,8 +141,8 @@ func TestHandoffAdoptMergesWatermarks(t *testing.T) {
 		t.Fatalf("stream after adoption = %v, want %v", got, want)
 	}
 	e := r.db[procB()]
-	if want := (frame.Marks{{Sender: a, Seq: 7}, {Sender: c, Seq: 9}, {Sender: d, Seq: 4}}); !slices.Equal(e.recorded, want) {
-		t.Fatalf("watermarks after adoption = %v", e.recorded)
+	if want := (frame.Marks{{Sender: a, Seq: 7}, {Sender: c, Seq: 9}, {Sender: d, Seq: 4}}); !slices.Equal(e.Recorded, want) {
+		t.Fatalf("watermarks after adoption = %v", e.Recorded)
 	}
 	hear := func(from frame.ProcID, seq uint64) bool {
 		before := r.Stats().MessagesPending

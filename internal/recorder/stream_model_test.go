@@ -1,44 +1,45 @@
 package recorder
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"testing"
 
-	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
-	"publishing/internal/stablestore"
 )
 
-// The tap indexes its state by stream: a watermark per sender, a pending
-// queue per destination, a chunked arrival log. What it replaced — a set of
-// every message id ever recorded per stream, one pending map over all
-// destinations scanned whole on every acknowledgement, a stream copied into
-// a map per checkpoint — is kept here as the reference. Both trim a stream
-// by its checkpoint's acceptance marks and fence it with them. Op streams (random
-// ones, and whatever the fuzzer finds) drive the recorder and the reference
-// together, and after every step each accept/reject decision, the inferred
-// arrivals, every stream's replay order and every stream's next arrival
-// number must agree.
+// The tap core indexes its state by stream: a watermark per sender, a
+// pending queue per destination, a chunked arrival log. What it replaced —
+// a set of every message id ever recorded per stream, one pending map over
+// all destinations scanned whole on every acknowledgement, a stream copied
+// into a map per checkpoint — is kept here as the reference. Both trim a
+// stream by its checkpoint's acceptance marks and fence it with them. Op
+// streams (random ones, and whatever the fuzzer finds) drive the core, with
+// no recorder, scheduler or store around it, and the reference together,
+// and after every step each accept/reject decision, the inferred arrivals,
+// every stream's replay order and every stream's next arrival number must
+// agree.
 //
 // The generator keeps the transport's promise, which is what the watermark
 // rests on: a receiver accepts one sender's messages in sequence order, and
-// a sender retransmits only what it holds no acknowledgement for. The op
-// streams therefore leave out the traffic on which the two legitimately
-// differ (see EXPERIMENTS.md "Stream-indexed recorder state"):
+// a sender retransmits only what it holds no acknowledgement for. The
+// traffic on which the two legitimately differ (see EXPERIMENTS.md
+// "Stream-indexed recorder state") is TestTapCoreExcludedTraffic's named
+// cases instead, each pinning the core's decision:
 //
-//   - a retransmission of a message the tap never recorded, heard after a
-//     later message of the same sender was recorded (its frame was missed
-//     at the tap): the set accepted it, out of order; the watermark drops it;
-//   - after a recorder restart, a retransmission of a message recorded
-//     before it: rebuild gives the set only the retained ids and the
-//     watermark only their senders' marks, and a buffered pre-registration
-//     arrival is lost with the crash, so the two fences differ (senders'
-//     acknowledgements are taken as delivered at a restart);
-//   - an acknowledgement whose receiver is not the destination the message
-//     was addressed to, and one id pending towards two destinations: the
+//   - missed-frame-retransmitted: a retransmission of a message the tap
+//     never recorded, heard after a later message of the same sender was
+//     recorded;
+//   - recorded-then-restart and pre-registration-lost-at-restart: after a
+//     recorder restart, a retransmission of a message recorded before it,
+//     and a buffered pre-registration arrival, which is lost with the crash
+//     (so the generator takes senders' acknowledgements as delivered at a
+//     restart);
+//   - ack-names-another-receiver and one-id-two-destinations: an
+//     acknowledgement whose receiver is not the destination the message was
+//     addressed to, and one id pending towards two destinations. The
 //     pending map was keyed by id alone; neither occurs on the wire.
 
 // --- the reference ----------------------------------------------------------
@@ -46,7 +47,7 @@ import (
 type refStream struct {
 	have       map[frame.MsgID]bool
 	arrivals   []storedMsg // ID and ArrSeq
-	advisories []advisory
+	advisories []tap.Advisory
 	arrSeqNext uint64
 	baseReads  uint64
 	ckMarks    frame.Marks
@@ -163,7 +164,7 @@ func (m *refTap) destroyed(p frame.ProcID) {
 
 func (m *refTap) readOrder(p frame.ProcID, read, head frame.MsgID) {
 	if e := m.db[p]; e != nil && !e.dead {
-		e.advisories = append(e.advisories, advisory{ReadID: read, HeadID: head})
+		e.advisories = append(e.advisories, tap.Advisory{ReadID: read, HeadID: head})
 	}
 }
 
@@ -231,6 +232,112 @@ func (m *refTap) sweep(cutoff simtime.Time) {
 	}
 }
 
+// --- the core's world -------------------------------------------------------
+
+// coreFx is the recording fake of tap.Effects: it numbers the records the
+// core has persisted and counts the other effects.
+type coreFx struct{ records, lastSents, published int }
+
+func (fx *coreFx) Record(*tap.Stream, *tap.Msg, uint64) tap.Ref {
+	fx.records++
+	return tap.Ref{Off: uint32(fx.records)}
+}
+
+func (fx *coreFx) LastSent(*tap.Stream) { fx.lastSents++ }
+
+func (fx *coreFx) Published(*tap.Stream, *tap.Msg, uint64, tap.Via) { fx.published++ }
+
+// tapWorld is a tap core and the database installed in it, driven the way
+// the recorder drives it, with no recorder, scheduler or store.
+type tapWorld struct {
+	core    *tap.Core
+	fx      coreFx
+	counts  tap.Counts
+	streams map[frame.ProcID]*tap.Stream
+	now     simtime.Time
+}
+
+func newTapWorld() *tapWorld {
+	self := frame.ProcID{Node: 5, Local: 1}
+	w := &tapWorld{streams: make(map[frame.ProcID]*tap.Stream)}
+	w.core = tap.New(self, []frame.ProcID{self}, func(frame.ProcID) bool { return true }, &w.fx, &w.counts)
+	return w
+}
+
+// hear shows the core one guaranteed message.
+func (w *tapWorld) hear(f *frame.Frame) {
+	var m frame.BundleRec
+	m.RecOf(f)
+	w.core.Heard(&m, w.core.Of(m.From), w.core.Of(m.To), w.now)
+}
+
+// ack shows the core one acknowledgement record.
+func (w *tapWorld) ack(id frame.MsgID, rcv frame.ProcID) { w.core.Acked(id, w.core.Of(rcv)) }
+
+// register is p's creation notice.
+func (w *tapWorld) register(p frame.ProcID) {
+	if w.streams[p] == nil {
+		w.streams[p] = &tap.Stream{Proc: p}
+		w.core.Install(w.streams[p])
+	}
+	w.core.Created(w.core.Of(p))
+}
+
+func (w *tapWorld) destroy(p frame.ProcID) {
+	w.core.DropPre(w.core.Of(p))
+	if s := w.streams[p]; s != nil {
+		s.Kill()
+	}
+}
+
+func (w *tapWorld) readOrder(p frame.ProcID, read, head frame.MsgID) {
+	if s := w.streams[p]; s != nil && !s.Dead {
+		w.core.ReadOrder(s, read, head)
+	}
+}
+
+func (w *tapWorld) checkpoint(p frame.ProcID, readCount uint64, queued []frame.MsgID, marks frame.Marks) {
+	if s := w.streams[p]; s != nil && !s.Dead && !s.Stale(readCount) {
+		w.core.Checkpoint(s, readCount, queued, marks)
+	}
+}
+
+// restart is a recorder crash and rebuild: the core forgets its records, and
+// every stream comes back as rebuild reads it from the store — its retained
+// arrivals in order, their senders' recorded marks, its checkpoint.
+func (w *tapWorld) restart() {
+	w.core.Reset()
+	for p, s := range w.streams {
+		n := &tap.Stream{Proc: p, LastSent: s.LastSent, Dead: s.Dead}
+		if !s.Dead {
+			n.CkMarks, n.CkReadCount, n.ArrSeqNext = s.CkMarks, s.CkReadCount, s.ArrSeqNext
+			n.Advisories, n.AdvSeqNext = s.Advisories, s.AdvSeqNext
+			for i := 0; i < s.Arrivals.Len(); i++ {
+				n.Restore(*s.Arrivals.At(i))
+			}
+		}
+		w.streams[p] = n
+		w.core.Install(n)
+	}
+}
+
+// pending counts the messages waiting for an acknowledgement towards procs.
+func (w *tapWorld) pending(procs ...frame.ProcID) int {
+	n := 0
+	for _, p := range procs {
+		n += len(w.core.Of(p).Queue())
+	}
+	return n
+}
+
+// summary is p's stream in read order, nil if p has none.
+func (w *tapWorld) summary(p frame.ProcID) []frame.MsgID {
+	if s := w.streams[p]; s != nil {
+		return s.Summary()
+	}
+	return nil
+}
+
 // --- the driver -------------------------------------------------------------
 
 const (
@@ -269,13 +376,11 @@ var streamOpTable = func() (table []byte) {
 const streamProcs = 4
 
 // streamDiff is a small world of processes exchanging guaranteed messages,
-// shown to the recorder's tap and to the reference as the wire would show
-// it.
+// shown to the tap core and to the reference as the wire would show it.
 type streamDiff struct {
-	t     testing.TB
-	r     *Recorder
-	sched *simtime.Scheduler
-	ref   *refTap
+	t   testing.TB
+	w   *tapWorld
+	ref *refTap
 
 	procs      [streamProcs]frame.ProcID
 	registered [streamProcs]bool
@@ -296,9 +401,7 @@ type streamDiff struct {
 }
 
 func newStreamDiff(t testing.TB) *streamDiff {
-	r, sched := newBenchOn(t, stablestore.New())
-	r.Start() // the flush tick runs the pending sweep
-	d := &streamDiff{t: t, r: r, sched: sched, ref: newRefTap()}
+	d := &streamDiff{t: t, w: newTapWorld(), ref: newRefTap()}
 	for i := range d.procs {
 		d.procs[i] = frame.ProcID{Node: frame.NodeID(i % 2), Local: uint32(3 + i)}
 	}
@@ -312,7 +415,7 @@ func newStreamDiff(t testing.TB) *streamDiff {
 
 func (d *streamDiff) register(i int) {
 	d.registered[i] = true
-	register(d.r, d.procs[i], fmt.Sprintf("p%d", i))
+	d.w.register(d.procs[i])
 	d.ref.created(d.procs[i])
 }
 
@@ -340,22 +443,20 @@ func (d *streamDiff) retransmission(id frame.MsgID, to int) *frame.Frame {
 	}
 }
 
-// hear shows the tap one frame and the reference what it carries: a
-// guaranteed message (or a bundle's), then any acknowledgement records.
+// hear shows the core and the reference what one frame carries: its
+// guaranteed messages (msgs), then its acknowledgement records.
 func (d *streamDiff) hear(f *frame.Frame, msgs ...*frame.Frame) {
-	d.t.Helper()
-	if !d.r.Observe(f) {
-		d.t.Fatalf("tap refused %v frame %v", f.Type, f.ID)
-	}
-	now := d.sched.Now()
 	for _, m := range msgs {
-		d.ref.observe(m.ID, m.From, m.To, now)
+		d.w.hear(m)
+		d.ref.observe(m.ID, m.From, m.To, d.w.now)
 	}
-	for _, a := range f.AckRecs {
+	acks := f.AckRecs
+	if f.Type == frame.Ack && len(acks) == 0 {
+		acks = []frame.AckRec{{ID: f.ID, Rcv: f.From}}
+	}
+	for _, a := range acks {
+		d.w.ack(a.ID, a.Rcv)
 		d.ref.ack(a.ID, a.Rcv)
-	}
-	if f.Type == frame.Ack && len(f.AckRecs) == 0 {
-		d.ref.ack(f.ID, f.From)
 	}
 }
 
@@ -414,21 +515,15 @@ func (d *streamDiff) step(kind, arg byte) {
 		if ran = !d.dead[from]; !ran {
 			break
 		}
-		body := frame.BeginBundle(nil)
 		var msgs []*frame.Frame
 		for k := 0; k < 2+int(arg>>7); k++ {
 			dst := (to + 2*k) % streamProcs
 			if dst == from {
 				dst = (dst + 1) % streamProcs
 			}
-			m := d.newMsg(from, dst)
-			var rec frame.BundleRec
-			rec.RecOf(m)
-			body = frame.AppendBundleRec(body, &rec)
-			msgs = append(msgs, m)
+			msgs = append(msgs, d.newMsg(from, dst))
 		}
-		frame.FinishBundle(body, 0, len(msgs))
-		d.hear(&frame.Frame{Type: frame.Bundle, Src: d.procs[from].Node, Dst: d.procs[to].Node, Body: body}, msgs...)
+		d.hear(&frame.Frame{Type: frame.Bundle}, msgs...)
 
 	case opRetransmitPending:
 		from, to = busyPair(&d.inflight, from, to)
@@ -509,7 +604,7 @@ func (d *streamDiff) step(kind, arg byte) {
 				k = int(arg>>3) % len(q) // a selective read, maybe past the head
 			}
 			if k > 0 {
-				d.r.handleNotice(&demos.Notice{Kind: demos.NoticeReadOrder, Proc: d.procs[from], ReadID: q[k], HeadID: q[0]})
+				d.w.readOrder(d.procs[from], q[k], q[0])
 				d.ref.readOrder(d.procs[from], q[k], q[0])
 			}
 			d.queue[from] = slices.Delete(q, k, k+1)
@@ -520,8 +615,7 @@ func (d *streamDiff) step(kind, arg byte) {
 		if ran = d.registered[from] && !d.dead[from]; ran {
 			queued := slices.Clone(d.queue[from])
 			marks := slices.Clone(d.taken[from])
-			d.r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: d.procs[from],
-				Checkpoint: ckImage(string(arg), marks...), SendSeq: d.sendSeq[from], ReadCount: d.reads[from], StateKB: 1, Queued: queued})
+			d.w.checkpoint(d.procs[from], d.reads[from], queued, marks)
 			d.ref.checkpoint(d.procs[from], d.reads[from], queued, marks)
 		}
 
@@ -535,15 +629,12 @@ func (d *streamDiff) step(kind, arg byte) {
 		if ran = d.registered[from] && !d.dead[from] && alive > streamProcs-2; ran {
 			d.dead[from] = true
 			d.queue[from] = nil
-			d.r.handleNotice(&demos.Notice{Kind: demos.NoticeDestroyed, Proc: d.procs[from]})
+			d.w.destroy(d.procs[from])
 			d.ref.destroyed(d.procs[from])
 		}
 
 	case opRestart:
-		d.r.Crash()
-		if err := d.r.Restart(); err != nil {
-			d.t.Fatalf("restart: %v", err)
-		}
+		d.w.restart()
 		d.ref.restart()
 		for i := range d.reack {
 			for j := range d.reack[i] {
@@ -552,10 +643,10 @@ func (d *streamDiff) step(kind, arg byte) {
 		}
 
 	case opAdvance:
-		// Whole seconds only: the flush tick then lands on the instant the
-		// clock stops at, and the sweep's cutoff is the same on both sides.
-		d.sched.Run(d.sched.Now() + simtime.Time(1+int(arg)%90)*simtime.Second)
-		d.ref.sweep(d.sched.Now() - simtime.Minute)
+		// Whole seconds, as the recorder's flush tick sweeps.
+		d.w.now += simtime.Time(1+int(arg)%90) * simtime.Second
+		d.w.core.Sweep(d.w.now - simtime.Minute)
+		d.ref.sweep(d.w.now - simtime.Minute)
 	}
 	if ran {
 		d.ran[op]++
@@ -566,7 +657,7 @@ func (d *streamDiff) step(kind, arg byte) {
 // compare checks everything the two sides expose after an op.
 func (d *streamDiff) compare(op string) {
 	d.t.Helper()
-	st := d.r.Stats()
+	st := &d.w.counts
 	if st.MessagesPending != d.ref.pended || st.ArrivalsRecorded != d.ref.recorded || st.MissedArrivals != d.ref.missed {
 		d.t.Fatalf("after %s: tap accepted %d, recorded %d, inferred %d; reference %d, %d, %d", op,
 			st.MessagesPending, st.ArrivalsRecorded, st.MissedArrivals, d.ref.pended, d.ref.recorded, d.ref.missed)
@@ -574,15 +665,14 @@ func (d *streamDiff) compare(op string) {
 	if st.BelowWatermark != 0 {
 		d.t.Fatalf("after %s: %d messages dropped below a watermark", op, st.BelowWatermark)
 	}
-	pending := 0
-	for _, q := range d.r.pendQueues {
-		pending += len(q.msgs)
+	if st.ArrivalsRecorded != uint64(d.w.fx.published) {
+		d.t.Fatalf("after %s: %d arrivals recorded, %d published", op, st.ArrivalsRecorded, d.w.fx.published)
 	}
-	if pending != len(d.ref.pending) {
+	if pending := d.w.pending(d.procs[:]...); pending != len(d.ref.pending) {
 		d.t.Fatalf("after %s: %d messages pending, reference %d", op, pending, len(d.ref.pending))
 	}
 	for i, p := range d.procs {
-		e, ref := d.r.db[p], d.ref.db[p]
+		e, ref := d.w.streams[p], d.ref.db[p]
 		if (e == nil) != (ref == nil) {
 			d.t.Fatalf("after %s: p%d known=%v, reference %v", op, i, e != nil, ref != nil)
 		}
@@ -599,7 +689,7 @@ func (d *streamDiff) compare(op string) {
 			d.t.Fatalf("after %s: p%d ArrSeqNext %d, reference %d", op, i, e.ArrSeqNext, ref.arrSeqNext)
 		}
 		want := reconstructRef(ref.arrivals, ref.advisories)
-		got := d.r.StreamSummary(p)
+		got := e.Summary()
 		if len(got) != len(want) {
 			d.t.Fatalf("after %s: p%d stream holds %d messages, reference %d", op, i, len(got), len(want))
 		}
@@ -608,8 +698,8 @@ func (d *streamDiff) compare(op string) {
 				d.t.Fatalf("after %s: p%d stream position %d is %v, reference %v", op, i, k, got[k], want[k].ID)
 			}
 		}
-		if log := &e.Arrivals; log.len() > 0 && log.at(log.len()-1).ArrSeq >= e.ArrSeqNext {
-			d.t.Fatalf("after %s: p%d holds arrival seq %d at or past ArrSeqNext %d", op, i, log.at(log.len()-1).ArrSeq, e.ArrSeqNext)
+		if log := &e.Arrivals; log.Len() > 0 && log.At(log.Len()-1).ArrSeq >= e.ArrSeqNext {
+			d.t.Fatalf("after %s: p%d holds arrival seq %d at or past ArrSeqNext %d", op, i, log.At(log.Len()-1).ArrSeq, e.ArrSeqNext)
 		}
 	}
 }
@@ -682,4 +772,136 @@ func FuzzRecorderStream(f *testing.F) {
 			d.step(ops[i], ops[i+1])
 		}
 	})
+}
+
+// The traffic the op streams leave out, each as a named case against the
+// core with the decision it makes today. The per-message reference decides
+// differently on each; where the core's decision is the known hole, the case
+// says so: ROADMAP item 16's pull repair is what closes it.
+func TestTapCoreExcludedTraffic(t *testing.T) {
+	a, b, c := procA(), procB(), frame.ProcID{Node: 1, Local: 4}
+	msg := func(seq uint64, to frame.ProcID) *frame.Frame {
+		return &frame.Frame{Type: frame.Guaranteed, ID: frame.MsgID{Sender: a, Seq: seq}, From: a, To: to}
+	}
+	id := func(seq uint64) frame.MsgID { return frame.MsgID{Sender: a, Seq: seq} }
+	for _, tc := range []struct {
+		name    string
+		hole    string // the ROADMAP item that closes a known hole the case pins
+		run     func(w *tapWorld)
+		streams map[frame.ProcID][]frame.MsgID
+		// pended counts the messages the tap accepted into a queue, and
+		// pending those still there.
+		pended, pending int
+	}{{
+		// b took #1 and #2; the tap missed #1's frame and ack, and the
+		// sender, lacking #1's ack, retransmits it after #2 was recorded.
+		// The watermark refuses it, so #1 never reaches b's stream: the
+		// hole item 16 closes. The reference took it, out of order.
+		name: "missed-frame-retransmitted",
+		hole: "item 16",
+		run: func(w *tapWorld) {
+			w.register(b)
+			w.hear(msg(2, b))
+			w.ack(id(2), b)
+			w.hear(msg(1, b))
+			w.ack(id(1), b)
+		},
+		streams: map[frame.ProcID][]frame.MsgID{b: {id(2)}},
+		pended:  1,
+	}, {
+		// A message recorded before a recorder restart stays fenced after
+		// it: rebuild raises its sender's mark again.
+		name: "recorded-then-restart",
+		run: func(w *tapWorld) {
+			w.register(b)
+			w.hear(msg(1, b))
+			w.ack(id(1), b)
+			w.restart()
+			w.hear(msg(1, b))
+			w.ack(id(1), b)
+		},
+		streams: map[frame.ProcID][]frame.MsgID{b: {id(1)}},
+		pended:  1,
+	}, {
+		// An arrival buffered for an unregistered process is volatile: a
+		// restart loses it, and the sender, holding its ack, never resends
+		// it. The hole item 16 closes.
+		name: "pre-registration-lost-at-restart",
+		hole: "item 16",
+		run: func(w *tapWorld) {
+			w.hear(msg(1, b))
+			w.ack(id(1), b)
+			w.restart()
+			w.register(b)
+		},
+		streams: map[frame.ProcID][]frame.MsgID{b: {}},
+		pended:  1,
+	}, {
+		// An ack consults its receiver's queue only, so one naming another
+		// receiver leaves the message pending for its destination. The
+		// reference, keyed by id, recorded it into c's stream.
+		name: "ack-names-another-receiver",
+		run: func(w *tapWorld) {
+			w.register(b)
+			w.register(c)
+			w.hear(msg(1, b))
+			w.ack(id(1), c)
+		},
+		streams: map[frame.ProcID][]frame.MsgID{b: {}, c: {}},
+		pended:  1, pending: 1,
+	}, {
+		// One id pending towards two destinations waits in both queues and
+		// is recorded into each stream its destination acknowledges. The
+		// reference, keyed by id, held one.
+		name: "one-id-two-destinations",
+		run: func(w *tapWorld) {
+			w.register(b)
+			w.register(c)
+			w.hear(msg(1, b))
+			w.hear(msg(1, c))
+			w.ack(id(1), b)
+		},
+		streams: map[frame.ProcID][]frame.MsgID{b: {id(1)}, c: {}},
+		pended:  2, pending: 1,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTapWorld()
+			tc.run(w)
+			for p, want := range tc.streams {
+				if got := w.summary(p); got == nil || !slices.Equal(got, want) {
+					t.Errorf("%v's stream is %v, want %v (a known hole: %q)", p, got, want, tc.hole)
+				}
+			}
+			if got := w.counts.MessagesPending; got != uint64(tc.pended) {
+				t.Errorf("%d messages accepted into a queue, want %d", got, tc.pended)
+			}
+			if got := w.pending(b, c); got != tc.pending {
+				t.Errorf("%d messages pending, want %d", got, tc.pending)
+			}
+		})
+	}
+}
+
+// The pre-registration buffer holds tap.MaxPreArrivals messages per
+// process: the next acknowledged one is refused, and the ones it holds merge
+// at registration in acceptance order.
+func TestPreRegistrationArrivalCap(t *testing.T) {
+	w := newTapWorld()
+	a, b := procA(), procB()
+	var want []frame.MsgID
+	for seq := uint64(1); seq <= tap.MaxPreArrivals+1; seq++ {
+		id := frame.MsgID{Sender: a, Seq: seq}
+		w.hear(&frame.Frame{Type: frame.Guaranteed, ID: id, From: a, To: b})
+		w.ack(id, b)
+		if seq <= tap.MaxPreArrivals {
+			want = append(want, id)
+		}
+	}
+	w.register(b)
+	if got := w.summary(b); !slices.Equal(got, want) {
+		t.Fatalf("registration merged %d messages (last %v), want the first %d in order", len(got), got[len(got)-1], len(want))
+	}
+	if w.counts.ArrivalsRecorded != tap.MaxPreArrivals {
+		t.Fatalf("%d arrivals recorded, want %d", w.counts.ArrivalsRecorded, tap.MaxPreArrivals)
+	}
 }
