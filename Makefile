@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -174,6 +174,16 @@ nograce:
 tapcore:
 	! $(GO) list -deps ./internal/recorder/tap | grep -xE 'publishing/internal/(lan|trace|stablestore|transport|demos)'
 	! grep -rn 'simtime\.Scheduler' internal/recorder/tap
+
+# One transmission unit is in flight from a processor (DESIGN.md
+# "Steady-state wire efficiency", §4.3.3): the endpoint's open unit, or
+# none. The names below are the window knob that let more than one open and
+# the per-destination unit count, admission numbering and open-unit list it
+# needed.
+onewindow:
+	awk '/^type Config struct/ { c = 1 } c && /^}/ { c = 0 } c && $$1 == "Window" { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/transport/transport.go
+	! grep -rn 'Transport\.Window' --include='*.go' .
+	! grep -rnE '\b(units|adm|admitted)\b +(int|uint)|\.(units|adm|admitted)\b|open +\[\]\*txUnit' --include='*.go' --exclude='*_test.go' internal/transport
 
 build:
 	$(GO) build ./...

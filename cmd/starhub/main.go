@@ -177,7 +177,7 @@ func (h *hub) relay(f *frame.Frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if f.Dst == frame.Broadcast {
-		for id, c := range h.conns {
+		for id, c := range h.conns { //det:ok order-free: one write per connection, and real I/O is not replayed
 			if id != f.Src {
 				_ = writeFrame(c, f)
 			}

@@ -3,7 +3,7 @@ package publishing_test
 // TestExperimentNumbers owns every virtual-time number EXPERIMENTS.md quotes
 // from a cluster scenario outside the figure tests of internal/measure: the
 // recovery-replay sweep, the 64-node recorder-availability cycle, the
-// §3.2.3 checkpoint-policy and §4.3.3 window ablations, §5.2.2's recorder
+// §3.2.3 checkpoint-policy ablation, §5.2.2's recorder
 // levels end to end, the per-medium comparison and the simulator scenario's
 // event counts. Each row is one run of a deterministic scenario, pinned
 // exactly: a protocol change that moves a row updates the row, as it would
@@ -56,9 +56,9 @@ func TestExperimentNumbers(t *testing.T) {
 			return pinned{at: done, count: expired}
 		}
 	}
-	ether := func(mode recorder.ProcessMode, window int) func(*publishing.Config) {
+	ether := func(mode recorder.ProcessMode) func(*publishing.Config) {
 		return func(cfg *publishing.Config) {
-			cfg.Medium, cfg.RecorderMode, cfg.Transport.Window = publishing.MediumEther, mode, window
+			cfg.Medium, cfg.RecorderMode = publishing.MediumEther, mode
 		}
 	}
 	medium := func(m publishing.MediumKind) func(*publishing.Config) {
@@ -86,15 +86,11 @@ func TestExperimentNumbers(t *testing.T) {
 		// bound-driven checkpoints.
 		{"checkpoint/none", "replayed", policy(publishing.CheckpointNone), pinned{at: 279_618_400, count: 24}},
 		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound), pinned{at: 279_352_000, count: 3}},
-		// §4.3.3: 50 messages behind the naive (57 ms) recorder on Ether,
-		// single-outstanding vs a 4-unit window.
-		{"window/1", "recorder_expired", wire(50, ether(recorder.ModeNaive, 1)), pinned{at: 922_749_600}},
-		{"window/4", "recorder_expired", wire(50, ether(recorder.ModeNaive, 4)), pinned{at: 880_599_200}},
 		// §5.2.2: the same 50 messages on Ether at each recorder level. No
 		// held frame may expire before its recorder ack.
-		{"modes/naive", "recorder_expired", wire(50, ether(recorder.ModeNaive, 1)), pinned{at: 922_749_600}},
-		{"modes/optimized", "recorder_expired", wire(50, ether(recorder.ModeOptimized, 1)), pinned{at: 840_723_073}},
-		{"modes/media-layer", "recorder_expired", wire(50, ether(recorder.ModeMediaLayer, 1)), pinned{at: 814_320_800}},
+		{"modes/naive", "recorder_expired", wire(50, ether(recorder.ModeNaive)), pinned{at: 922_749_600}},
+		{"modes/optimized", "recorder_expired", wire(50, ether(recorder.ModeOptimized)), pinned{at: 840_723_073}},
+		{"modes/media-layer", "recorder_expired", wire(50, ether(recorder.ModeMediaLayer)), pinned{at: 814_320_800}},
 		// 200 messages on each medium at the default (media-layer) level.
 		{"media/perfect", "recorder_expired", wire(200, medium(publishing.MediumPerfect)), pinned{at: 3_136_861_600}},
 		{"media/ether", "recorder_expired", wire(200, medium(publishing.MediumEther)), pinned{at: 3_139_320_800}},

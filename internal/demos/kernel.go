@@ -393,7 +393,7 @@ func (k *Kernel) CrashNode() {
 		return
 	}
 	k.env.Log.Add(trace.KindCrash, int(k.node), "node", "processor crash")
-	for _, p := range k.procs {
+	for _, p := range k.procs { //det:ok order-free: each kill stops its own coroutine
 		p.kill()
 	}
 	k.procs = make(map[frame.ProcID]*process)
@@ -412,7 +412,7 @@ func (k *Kernel) CrashNode() {
 // and the network are left as they are. Idempotent.
 func (k *Kernel) Shutdown() {
 	k.shut = true
-	for _, p := range k.procs {
+	for _, p := range k.procs { //det:ok order-free: each kill stops its own coroutine
 		p.kill()
 	}
 }

@@ -450,7 +450,7 @@ type RecoveryLoad struct {
 // checkpoint policy consumes it on every tick, into a buffer it keeps.
 func (k *Kernel) AppendLoads(dst []RecoveryLoad) []RecoveryLoad {
 	start := len(dst)
-	for id, p := range k.procs {
+	for id, p := range k.procs { //det:ok sorted by process id below
 		if !p.spec.Recoverable {
 			continue
 		}

@@ -374,13 +374,13 @@ func (m *Monitor) Observe(e trace.Event) {
 			// The recorder's acceptance counters die with it; the rebuilt
 			// database restarts streams from the persisted frontier, so the
 			// monotonicity watermark resets per stream on that node.
-			for k := range m.arr {
+			for k := range m.arr { //det:ok order-free: deletes only
 				if k.node == e.Node {
 					delete(m.arr, k)
 				}
 			}
 		case "node":
-			for _, u := range m.unpub {
+			for _, u := range m.unpub { //det:ok order-free: voiding only counts
 				if u.node == e.Node {
 					m.void(u)
 				}
@@ -396,7 +396,7 @@ func (m *Monitor) Observe(e trace.Event) {
 // void ends an incarnation: what it held unpublished is lost with it, so
 // each such id may be delivered once more, to the next incarnation.
 func (m *Monitor) void(u *unpublished) {
-	for id := range u.ids {
+	for id := range u.ids { //det:ok order-free: counts only
 		m.state(id).voided++
 		m.voided++
 	}
@@ -460,7 +460,7 @@ func (m *Monitor) Tick() {
 	}
 	m.stalled = true
 	ids := make([]string, 0, len(m.inflight))
-	for id := range m.inflight {
+	for id := range m.inflight { //det:ok keys sorted below
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)

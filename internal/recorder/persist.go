@@ -468,7 +468,7 @@ func (r *Recorder) rebuild() error {
 		return fmt.Errorf("recorder: rebuild: %w", err)
 	}
 
-	for pid, a := range acc {
+	for pid, a := range acc { //det:ok order-free: each process's entry and store key are its own
 		e := db[pid]
 		if e == nil {
 			// Messages without a registration record: the process is not
@@ -529,7 +529,7 @@ func (r *Recorder) rebuild() error {
 	}
 	r.db = db
 	r.core.Reset()
-	for _, e := range db {
+	for _, e := range db { //det:ok order-free: installs each stream under its own process
 		r.core.Install(&e.Stream)
 	}
 	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "rebuilt database: %d processes", len(r.db))

@@ -355,7 +355,7 @@ func (r *Recorder) Crash() {
 	r.replaying = make(map[frame.ProcID]*batchSender)
 	r.replayOcc.Set(0)
 	r.waiters = make(map[uint32]func(*frame.Frame))
-	for _, w := range r.watch {
+	for _, w := range r.watch { //det:ok order-free: resets each watchdog's own fields
 		w.gotPong, w.misses = false, 0
 	}
 	r.resetReplication()

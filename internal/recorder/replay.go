@@ -215,7 +215,7 @@ func (r *Recorder) cancelReplay(p frame.ProcID) {
 	}
 	if len(bs.ids) > 0 {
 		live := make(map[frame.MsgID]bool, len(bs.ids))
-		for _, id := range bs.ids {
+		for _, id := range bs.ids { //det:ok order-free: builds a set
 			live[id] = true
 		}
 		r.ep.Abort(func(f *frame.Frame) bool { return live[f.ID] })

@@ -136,7 +136,7 @@ func (r *Recorder) KnownProcs() []frame.ProcID { return r.sortedProcs() }
 // map order.
 func (r *Recorder) sortedProcs() []frame.ProcID {
 	out := make([]frame.ProcID, 0, len(r.db))
-	for p := range r.db {
+	for p := range r.db { //det:ok keys sorted below
 		out = append(out, p)
 	}
 	slices.SortFunc(out, frame.ProcID.Compare)

@@ -592,7 +592,7 @@ func (s *Paged) sync() error {
 		return nil
 	}
 	ids := make([]uint64, 0, len(s.dirty))
-	for id := range s.dirty {
+	for id := range s.dirty { //det:ok keys sorted below
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -662,7 +662,7 @@ func (s *Paged) Compact() (int, error) {
 	}
 	// Candidate pages: every page of every key with a pending invalidation.
 	cand := make(map[uint64]bool)
-	for _, k := range s.keys {
+	for _, k := range s.keys { //det:ok order-free: builds a set
 		if k.cut || k.dead != nil {
 			for _, id := range k.pages {
 				cand[id] = true
@@ -670,7 +670,7 @@ func (s *Paged) Compact() (int, error) {
 		}
 	}
 	ids := make([]uint64, 0, len(cand))
-	for id := range cand {
+	for id := range cand { //det:ok keys sorted below
 		if !s.isChainPage(id) {
 			ids = append(ids, id)
 		}

@@ -63,7 +63,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 		}
 	}
 	nodes := make([]int, 0, len(pids))
-	for n := range pids {
+	for n := range pids { //det:ok keys sorted below
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)

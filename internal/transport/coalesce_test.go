@@ -17,7 +17,6 @@ import (
 func TestDelayedAckFlushNoReverseTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AckDelay = 5 * simtime.Millisecond
-	cfg.Window = 4
 	e := newEnv(t, 2, cfg, "perfect")
 	for seq := uint64(1); seq <= 3; seq++ {
 		e.eps[0].SendGuaranteed(gmsg(0, 1, seq, "fwd"))
@@ -51,7 +50,6 @@ func TestDelayedAckFlushNoReverseTraffic(t *testing.T) {
 func TestCumulativeAckCoversSupersededRecords(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AckDelay = 50 * simtime.Millisecond
-	cfg.Window = 4
 	e := newEnv(t, 2, cfg, "perfect")
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 1, "a"))
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "b"))
@@ -88,9 +86,7 @@ func TestCumulativeAckCoversSupersededRecords(t *testing.T) {
 // the single transmission-unit slot, so a frame for a different destination
 // stays queued until the whole batch acknowledges.
 func TestWindowFullBehindCoalescedBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Window = 1
-	e := newEnv(t, 3, cfg, "perfect")
+	e := newEnv(t, 3, DefaultConfig(), "perfect")
 	e.med.Faults().SetDown(1, true)
 	for seq := uint64(1); seq <= 3; seq++ {
 		e.eps[0].SendGuaranteed(gmsg(0, 1, seq, "x"))
@@ -172,7 +168,7 @@ func TestMeasuredRTOStopsSpuriousRetransmits(t *testing.T) {
 	}
 }
 
-// There is one regime: New fills every unset Window or duration from
+// There is one regime: New fills every unset duration from
 // DefaultConfig, so no Config value selects a different send, ack or
 // retransmit path. Each variant must put exactly the frames on a lossy wire
 // that DefaultConfig does, at the same instants.
@@ -209,7 +205,7 @@ func TestUnsetConfigRunsTheDefaultRegime(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero", Config{}},
-		{"negative delays", Config{AckDelay: -1, RetransmitInterval: -1, Window: -1}},
+		{"negative delays", Config{AckDelay: -1, RetransmitInterval: -1}},
 	} {
 		got := wireTrace(tc.cfg)
 		if len(got) != len(want) {

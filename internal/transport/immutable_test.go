@@ -140,7 +140,6 @@ const tapNode = 3
 func checkImmutable(t *testing.T, w *watchedMedium, sched *simtime.Scheduler, log *trace.Log) {
 	const nodes, rounds = 3, 60
 	cfg := DefaultConfig()
-	cfg.Window = 2
 	eps := make([]*Endpoint, nodes)
 	got := make(map[frame.MsgID]int)
 	for i := range eps {

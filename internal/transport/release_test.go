@@ -51,12 +51,8 @@ func (e *Endpoint) out() outSet {
 			}
 		}
 	}
-	for _, u := range e.open {
-		for _, fl := range u.recs {
-			if !fl.done {
-				o.units[fl.unit] = true
-			}
-		}
+	if e.open != nil {
+		o.units[e.open] = true
 	}
 	return o
 }
@@ -151,12 +147,10 @@ func TestFramesComeBack(t *testing.T) {
 
 func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler, log *trace.Log) {
 	const nodes, rounds = 3, 60
-	cfg := DefaultConfig()
-	cfg.Window = 2
 	eps := make([]*Endpoint, nodes)
 	delivered := 0
 	for i := range eps {
-		eps[i] = New(frame.NodeID(i), med, sched, log, cfg)
+		eps[i] = New(frame.NodeID(i), med, sched, log, DefaultConfig())
 		eps[i].Deliver = func(*frame.Frame) bool { delivered++; return true }
 	}
 	med.AttachTap(tapNode, tapFunc(func(*frame.Frame) bool { return true }))
@@ -187,23 +181,12 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 			}
 		})
 	}
-	// A crash with units forming, flights in flight and frames on the wire.
-	// The units still open are abandoned, with their riders.
+	// A crash with units forming, flights in flight and frames on the wire:
+	// node 1 resets at the first step from 60 ms on that leaves it with
+	// frames on the medium and a flight in flight. The units still open are
+	// abandoned, with their riders.
 	abandoned := newOutSet()
-	sched.At(rounds*simtime.Millisecond+600*simtime.Microsecond, func() {
-		if eps[1].onMedium() == 0 || eps[1].inflight == 0 {
-			t.Errorf("the reset found %d frames on the medium, %d in flight", eps[1].onMedium(), eps[1].inflight)
-		}
-		for u := range eps[1].out().units {
-			if !u.closed {
-				abandoned.units[u] = true
-				for _, g := range u.riders {
-					abandoned.frames[g] = true
-				}
-			}
-		}
-		eps[1].Reset()
-	})
+	crashed := false
 
 	peak := make([]struct{ frames, acks, units int }, nodes)
 	seen := make([]outSet, nodes)
@@ -211,6 +194,18 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 		seen[i] = newOutSet()
 	}
 	for sched.Step() {
+		if !crashed && sched.Now() >= rounds*simtime.Millisecond && eps[1].onMedium() > 0 && eps[1].inflight() > 0 {
+			for u := range eps[1].out().units {
+				if !u.closed {
+					abandoned.units[u] = true
+					for _, g := range u.riders {
+						abandoned.frames[g] = true
+					}
+				}
+			}
+			eps[1].Reset()
+			crashed = true
+		}
 		for i, ep := range eps {
 			o := ep.out()
 			seen[i].add(o)
@@ -218,6 +213,9 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 			peak[i].acks = max(peak[i].acks, len(o.acks))
 			peak[i].units = max(peak[i].units, len(o.units))
 		}
+	}
+	if !crashed {
+		t.Error("node 1 never had frames on the medium and a flight in flight at once: the reset never ran")
 	}
 
 	for i, ep := range eps {
@@ -285,7 +283,7 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 		e.flushUnit(u)
 		held := med.last
 		tc.finish(e, first.ID)
-		if e.inflight != 0 || slices.Contains(e.unitFree, u) {
+		if e.inflight() != 0 || slices.Contains(e.unitFree, u) {
 			t.Fatalf("%s: the unit was freed with its frame on the medium", tc.name)
 		}
 		e.SendGuaranteed(gmsg(0, 1, 2, "second"))

@@ -17,8 +17,7 @@
 //     unit) and acks ride reverse traffic or leave as one cumulative Ack
 //     frame (DESIGN.md "Steady-state wire efficiency").
 //   - Ordering is preserved by allowing only one unacknowledged transmission
-//     unit in transit from each processor; Config.Window > 1 is the windowing
-//     extension the paper anticipates (per-destination sliding windows).
+//     unit in transit from each processor.
 //   - Unguaranteed messages are fire-and-forget.
 //
 // When Config.NeedRecorderAck is set (plain Ethernet without hardware ack
@@ -29,9 +28,7 @@
 package transport
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -62,10 +59,6 @@ type Config struct {
 	// testing only: the chaos harness uses it to prove its exactly-once
 	// invariant actually fires when the guard is broken.
 	DisableDupSuppression bool
-	// Window is the number of unacknowledged transmission units allowed in
-	// transit from this processor. 1 is the thesis discipline; >1 is the
-	// windowing extension it anticipates (per destination).
-	Window int
 	// NeedRecorderAck holds received guaranteed frames until the recorder
 	// acknowledges them (publish-before-use on media that cannot gate).
 	NeedRecorderAck bool
@@ -84,12 +77,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the shipped simulation defaults. New fills any
-// non-positive Window or duration of the Config it is given from here.
+// non-positive duration of the Config it is given from here.
 func DefaultConfig() Config {
 	return Config{
 		RetransmitInterval: 50 * simtime.Millisecond,
 		MaxRetries:         200,
-		Window:             1,
 		RecorderAckTimeout: 40 * simtime.Millisecond,
 		AckDelay:           2 * simtime.Millisecond,
 	}
@@ -176,16 +168,11 @@ type Endpoint struct {
 	// sendq holds the headers of guaranteed frames not yet admitted to the
 	// wire, FIFO.
 	sendq frameRing
-	// open holds the transmission units with a guaranteed member not yet
-	// finished, in the order they opened; toward one destination that is
-	// stream sequence order. Their live flights are the in-flight set:
-	// under Window == 1 there is one unit at most, under Window > 1 at most
-	// Window per destination.
-	open []*txUnit
-	// inflight counts the live flights; admitted numbers each flight as it
-	// is admitted (Abort returns withdrawn frames in that order).
-	inflight int
-	admitted uint64
+	// open is the transmission unit with a guaranteed member not yet
+	// finished, or nil: one unacknowledged unit in transit from this
+	// processor (§4.3.3). Its live flights, in admission order, are the
+	// in-flight set.
+	open *txUnit
 
 	// tx holds each destination's send state by value; rx holds one record
 	// per sender, made on the first frame from it (DESIGN.md "Dense
@@ -226,9 +213,9 @@ type Endpoint struct {
 	rtoGauge *metrics.Gauge
 }
 
-// txUnit is one transmission unit under the window discipline: the set of
-// messages that will share (or shared) one wire frame. Its window slot frees
-// when every guaranteed member has been acknowledged or withdrawn.
+// txUnit is one transmission unit: the set of messages that will share (or
+// shared) one wire frame. It stops being the endpoint's open unit when every
+// guaranteed member has been acknowledged or withdrawn.
 //
 // A unit is the handler of its own flush timer, and its flights of their
 // retransmission timers, so arming either allocates nothing. The unit holds
@@ -243,7 +230,7 @@ type txUnit struct {
 	recs   []*flight      // guaranteed members, admission order
 	riders []*frame.Frame // unguaranteed records riding along
 	bytes  int            // encoded bundle-body bytes committed so far
-	open   int            // guaranteed members not yet finished/withdrawn
+	live   int            // guaranteed members not yet finished/withdrawn
 	// wire counts the flights' own frames the medium holds: a flight that
 	// goes out alone is its own first transmission (transmit).
 	wire    int
@@ -276,8 +263,6 @@ type txPeer struct {
 	// xseq numbers the next outgoing guaranteed frame.
 	xseq              uint64
 	srtt, rttvar, rto simtime.Time
-	// units counts outstanding transmission units (Window > 1).
-	units int32
 	// valid is set once srtt and rttvar hold a round-trip sample.
 	valid bool
 }
@@ -361,9 +346,8 @@ func xseqSeq(x uint64) uint64   { return x & xseqSeqMask }
 type flight struct {
 	f        frame.Frame
 	attempts int
-	// adm is the flight's place in admission order; done is set once it is
-	// acked, given up or withdrawn, and it leaves the in-flight set.
-	adm  uint64
+	// done is set once the flight is acked, given up or withdrawn, and it
+	// leaves the in-flight set.
 	done bool
 	// sentAt is virtual time of the first transmission, the start of the
 	// end-to-end ack round trip.
@@ -414,7 +398,6 @@ func (h *heldFrame) Fire() {
 // New creates an endpoint for node and attaches it to the medium.
 func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace.Log, cfg Config) *Endpoint {
 	def := DefaultConfig()
-	cfg.Window = positiveOr(cfg.Window, def.Window)
 	cfg.RetransmitInterval = positiveOr(cfg.RetransmitInterval, def.RetransmitInterval)
 	cfg.RecorderAckTimeout = positiveOr(cfg.RecorderAckTimeout, def.RecorderAckTimeout)
 	cfg.AckDelay = positiveOr(cfg.AckDelay, def.AckDelay)
@@ -456,7 +439,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	return e
 }
 
-func positiveOr[T int | simtime.Time](v, def T) T {
+func positiveOr(v, def simtime.Time) simtime.Time {
 	if v > 0 {
 		return v
 	}
@@ -479,14 +462,14 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // they are memory, not state.
 func (e *Endpoint) Reset() {
 	e.epoch++
-	for _, u := range e.open {
+	if u := e.open; u != nil {
 		for _, fl := range u.recs {
 			if !fl.done {
 				e.sched.Cancel(fl.timer)
 			}
 		}
 	}
-	for _, h := range e.held {
+	for _, h := range e.held { //det:ok order-free: cancels only
 		e.sched.Cancel(h.timer)
 	}
 	for i := range e.tx.v {
@@ -500,8 +483,7 @@ func (e *Endpoint) Reset() {
 		}
 	}
 	e.sendq = frameRing{}
-	clear(e.open)
-	e.open, e.inflight = e.open[:0], 0
+	e.open = nil
 	e.tx.reset()
 	e.held = make(map[frame.MsgID]*heldFrame)
 	e.rx.reset()
@@ -533,11 +515,11 @@ func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 // SendUnguaranteed transmits a frame with no delivery guarantee: dated or
 // statistical information whose retransmission would be pointless (§4.3.3).
 // A unicast frame that fits an already-forming unit for its destination
-// rides along in that unit's Bundle — it consumes no window slot and is never
-// retransmitted; otherwise it goes out immediately. The endpoint copies f's
-// header, as SendGuaranteed does, and keeps no pointer to f, so the caller
-// may reuse it at once, and f may live on the caller's stack. The body and
-// passed link are shared, not copied.
+// rides along in that unit's Bundle — it is never retransmitted; otherwise it
+// goes out immediately. The endpoint copies f's header, as SendGuaranteed
+// does, and keeps no pointer to f, so the caller may reuse it at once, and f
+// may live on the caller's stack. The body and passed link are shared, not
+// copied.
 func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
 	g := e.newFrame()
 	*g = *f
@@ -644,14 +626,22 @@ func (e *Endpoint) putFrame(f *frame.Frame) {
 }
 
 // InFlight reports the number of guaranteed frames not yet acknowledged,
-// including frames still queued behind the window.
-func (e *Endpoint) InFlight() int { return e.inflight + e.sendq.len() }
+// including frames still queued behind the open unit.
+func (e *Endpoint) InFlight() int { return e.inflight() + e.sendq.len() }
+
+// inflight counts the live flights: the open unit's live members.
+func (e *Endpoint) inflight() int {
+	if e.open == nil {
+		return 0
+	}
+	return e.open.live
+}
 
 // InFlightIDs returns the ids of frames admitted to the wire and awaiting
 // their end-to-end acknowledgement (excludes frames still queued).
 func (e *Endpoint) InFlightIDs() []frame.MsgID {
-	ids := make([]frame.MsgID, 0, e.inflight)
-	for _, u := range e.open {
+	ids := make([]frame.MsgID, 0, e.inflight())
+	if u := e.open; u != nil {
 		for _, fl := range u.recs {
 			if !fl.done {
 				ids = append(ids, fl.f.ID)
@@ -662,26 +652,22 @@ func (e *Endpoint) InFlightIDs() []frame.MsgID {
 }
 
 // oldest returns the live flight with the lowest stream sequence toward dst,
-// or nil. Units toward one destination open in sequence order, every unit
-// in the open list has a live member, and a unit's members are in sequence
-// order, so it is the first live member of the first such unit.
+// or nil: the open unit's members are in sequence order, so it is the first
+// live one, if the unit is toward dst.
 func (e *Endpoint) oldest(dst frame.NodeID) *flight {
-	for _, u := range e.open {
-		if u.dst == dst {
-			for _, fl := range u.recs {
-				if !fl.done {
-					return fl
-				}
+	if u := e.open; u != nil && u.dst == dst {
+		for _, fl := range u.recs {
+			if !fl.done {
+				return fl
 			}
 		}
 	}
 	return nil
 }
 
-// flightOf returns the live flight carrying id, toward whichever
-// destination, or nil.
+// flightOf returns the live flight carrying id, or nil.
 func (e *Endpoint) flightOf(id frame.MsgID) *flight {
-	for _, u := range e.open {
+	if u := e.open; u != nil {
 		for _, fl := range u.recs {
 			if !fl.done && fl.f.ID == id {
 				return fl
@@ -691,12 +677,11 @@ func (e *Endpoint) flightOf(id frame.MsgID) *flight {
 	return nil
 }
 
-// pump admits queued frames to the wire subject to the window discipline.
-// The window counts transmission units rather than messages: the head of the
-// queue may always join the forming unit for its destination (that unit
-// already holds a window slot), while opening a new unit requires a free slot.
-// The head is copied into its unit before it is popped, since popping clears
-// its slot.
+// pump admits queued frames to the wire, one unacknowledged transmission unit
+// at a time (§4.3.3): the head of the queue may always join the forming unit
+// for its destination, which is the open unit, while opening a new unit waits
+// until the open one has finished. The head is copied into its unit before it
+// is popped, since popping clears its slot.
 func (e *Endpoint) pump() {
 	for e.sendq.len() > 0 {
 		f := e.sendq.peek()
@@ -711,15 +696,7 @@ func (e *Endpoint) pump() {
 			// waiting out the timer it can no longer benefit from.
 			e.flushUnit(u)
 		}
-		if e.cfg.Window == 1 {
-			// Thesis discipline: one unacknowledged unit per processor, total.
-			if len(e.open) >= 1 {
-				return
-			}
-		} else if int(e.tx.get(f.Dst).units) >= e.cfg.Window {
-			// Head-of-line blocked per destination; strict FIFO keeps
-			// cross-destination order too, which publishing's read-order
-			// accounting relies on.
+		if e.open != nil {
 			return
 		}
 		u := e.openUnit(f)
@@ -758,10 +735,8 @@ func (e *Endpoint) openUnit(f *frame.Frame) *txUnit {
 		u.recs = u.recs1[:0]
 	}
 	u.epoch, u.dst, u.bytes = e.epoch, f.Dst, frame.BundleHdrLen
-	p := e.tx.at(f.Dst)
-	p.form = u
-	p.units++
-	e.open = append(e.open, u)
+	e.tx.at(f.Dst).form = u
+	e.open = u
 	e.joinUnit(u, f, bundleRecLen(f))
 	u.timer = e.sched.AfterHandler(flushDelay, u)
 	return u
@@ -777,42 +752,37 @@ func (e *Endpoint) joinUnit(u *txUnit, f *frame.Frame, n int) {
 		}
 		fl = u.spare[k-1]
 	}
-	*fl = flight{f: *f, unit: u, adm: e.admitted}
-	e.admitted++
+	*fl = flight{f: *f, unit: u}
 	p := e.tx.at(f.Dst)
 	seq := p.xseq
 	p.xseq++
 	fl.f.XSeq = uint64(e.epoch&0xffff)<<48 | (seq & xseqSeqMask)
-	e.inflight++
 	u.recs = append(u.recs, fl)
-	u.open++
+	u.live++
 	u.bytes += n
 }
 
-// unitMemberDone records that one guaranteed member of a unit finished
-// (acked, given up, or withdrawn); the last one frees the window slot, and
-// may free the unit itself, so the caller touches neither it nor its
-// flights afterwards.
+// unitMemberDone records that one guaranteed member of the open unit
+// finished (acked, given up, or withdrawn); the last one closes it, so a new
+// unit may open, and may free the unit itself, so the caller touches neither
+// it nor its flights afterwards.
 func (e *Endpoint) unitMemberDone(u *txUnit) {
-	u.open--
-	if u.open > 0 || u.closed {
+	u.live--
+	if u.live > 0 || u.closed {
 		return
 	}
 	u.closed = true
-	p := e.tx.at(u.dst)
 	if !u.flushed && len(u.riders) == 0 {
 		// Withdrawn before the flush with nothing riding along: nothing is
-		// left to send. (Riders otherwise still wait on the flush timer; the
-		// slot frees anyway — an unguaranteed-only flush consumes no window.)
+		// left to send. (Riders otherwise still wait on the flush timer, while
+		// a new unit may open: an unguaranteed-only flush needs no ack.)
 		u.flushed = true
 		e.sched.Cancel(u.timer)
-		if p.form == u {
+		if p := e.tx.at(u.dst); p.form == u {
 			p.form = nil
 		}
 	}
-	p.units--
-	i := slices.Index(e.open, u)
-	e.open = slices.Delete(e.open, i, i+1)
+	e.open = nil
 	e.recycleUnit(u)
 }
 
@@ -829,7 +799,7 @@ func (e *Endpoint) recycleUnit(u *txUnit) {
 		fl.f = frame.Frame{}
 	}
 	u.recs, u.riders = u.recs[:0], u.riders[:0]
-	u.open, u.flushed, u.closed = 0, false, false
+	u.live, u.flushed, u.closed = 0, false, false
 	e.unitFree = append(e.unitFree, u)
 }
 
@@ -1047,7 +1017,6 @@ func (e *Endpoint) finish(fl *flight) {
 // flight's unit (unitMemberDone), so the caller reads neither afterwards.
 func (e *Endpoint) withdraw(fl *flight) {
 	fl.done = true
-	e.inflight--
 	e.sched.Cancel(fl.timer)
 	e.unitMemberDone(fl.unit)
 }
@@ -1174,10 +1143,9 @@ func (e *Endpoint) processAckPayload(f *frame.Frame) {
 		return
 	}
 	// Complete in stream order, the oldest live flight each time: a
-	// completion may free its unit, and pump may refill it with new
-	// messages, which take higher sequences. Only the newest unit toward a
-	// destination can be unflushed, so the first flight not yet sent ends
-	// the transmitted ones.
+	// completion may free the open unit, and pump may open a new one with
+	// new messages, which take higher sequences. The first flight not yet
+	// sent ends the transmitted ones.
 	cum := xseqSeq(f.AckCum)
 	for {
 		fl := e.oldest(f.Src)
@@ -1389,31 +1357,25 @@ func (e *Endpoint) Poke() {
 }
 
 // Abort withdraws queued and in-flight guaranteed frames matching pred and
-// returns copies of their headers in their original send order. The kernel
-// uses it to re-route traffic when it learns a destination process has moved
-// to another node. They are copies because withdrawing a flight may free its
-// unit, and the caller's re-sends pump and may reuse it.
+// returns copies of their headers in their original send order: the open
+// unit's members in admission order, then the queue. The kernel uses it to
+// re-route traffic when it learns a destination process has moved to another
+// node. They are copies because withdrawing a flight may free its unit, and
+// the caller's re-sends pump and may reuse it.
 func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
-	var gone []*flight
-	for _, u := range e.open {
+	var out []*frame.Frame
+	if u := e.open; u != nil {
+		// The unit closes, and may clear its flights, only when its last
+		// live member is withdrawn, so each is copied first, and every member
+		// the loop reaches after that is done.
 		for _, fl := range u.recs {
 			if !fl.done && pred(&fl.f) {
-				gone = append(gone, fl)
+				g := new(frame.Frame)
+				*g = fl.f
+				out = append(out, g)
+				e.withdraw(fl)
 			}
 		}
-	}
-	// In-flight frames were admitted before anything still queued. Under
-	// Window > 1 units toward different destinations take members in
-	// turn, so the units' order is not the order of admission: sort by it.
-	// A unit closes, and clears its flights, only when its last member is
-	// withdrawn, so each is copied before its unit can go.
-	slices.SortFunc(gone, func(a, b *flight) int { return cmp.Compare(a.adm, b.adm) })
-	var out []*frame.Frame
-	for _, fl := range gone {
-		g := new(frame.Frame)
-		*g = fl.f
-		out = append(out, g)
-		e.withdraw(fl)
 	}
 	e.sendq.filter(func(f *frame.Frame) bool {
 		if pred(f) {

@@ -61,34 +61,29 @@ func TestPokeDrainsRefused(t *testing.T) {
 	}
 }
 
-// TestAbortReturnsAdmissionOrder: under Window > 1 each destination has its
-// own units, so flights toward three nodes share stream sequence 0. Abort
-// hands them back in the order they were sent, whatever order the endpoint
-// keeps them in; the second message to node 1 joins that node's unit after
-// the other two were admitted. Repeated, since an unordered collection
-// would pass by chance now and then.
+// TestAbortReturnsAdmissionOrder: one unit is open at a time. The first two
+// messages, both to node 1, share it; the message to node 2 waits in the
+// queue, and so does the third message to node 1, queued behind it. Abort
+// hands back the open unit's members in admission order, then the queue, so
+// all four come back in the order they were sent.
 func TestAbortReturnsAdmissionOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Window = 4
-	dsts := []frame.NodeID{1, 2, 3, 1}
-	for run := 0; run < 20; run++ {
-		e, _ := newSinkEndpointWith(cfg)
-		for i, dst := range dsts {
-			e.SendGuaranteed(gmsg(0, dst, uint64(i+1), "x"))
-		}
-		e.sched.Run(e.sched.Now() + simtime.Millisecond) // flushed, never acked
-		if e.InFlight() != len(dsts) {
-			t.Fatalf("run %d: %d in flight, want %d", run, e.InFlight(), len(dsts))
-		}
-		moved := e.Abort(func(*frame.Frame) bool { return true })
-		if len(moved) != len(dsts) || e.InFlight() != 0 {
-			t.Fatalf("run %d: aborted %d, %d left in flight", run, len(moved), e.InFlight())
-		}
-		for i, f := range moved {
-			if f.ID.Seq != uint64(i+1) || f.Dst != dsts[i] {
-				t.Fatalf("run %d: position %d holds message %d to node %d; want message %d to node %d",
-					run, i, f.ID.Seq, f.Dst, i+1, dsts[i])
-			}
+	dsts := []frame.NodeID{1, 1, 2, 1}
+	e, _ := newSinkEndpoint()
+	for i, dst := range dsts {
+		e.SendGuaranteed(gmsg(0, dst, uint64(i+1), "x"))
+	}
+	e.sched.Run(e.sched.Now() + simtime.Millisecond) // flushed, never acked
+	if got := len(e.InFlightIDs()); got != 2 || e.InFlight() != len(dsts) {
+		t.Fatalf("%d in the open unit, %d in flight; want 2 and %d", got, e.InFlight(), len(dsts))
+	}
+	moved := e.Abort(func(*frame.Frame) bool { return true })
+	if len(moved) != len(dsts) || e.InFlight() != 0 {
+		t.Fatalf("aborted %d, %d left in flight", len(moved), e.InFlight())
+	}
+	for i, f := range moved {
+		if f.ID.Seq != uint64(i+1) || f.Dst != dsts[i] {
+			t.Fatalf("position %d holds message %d to node %d; want message %d to node %d",
+				i, f.ID.Seq, f.Dst, i+1, dsts[i])
 		}
 	}
 }
@@ -161,12 +156,11 @@ func TestStreamSkipsAbandonedGap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 4
 	cfg.RetransmitInterval = 10 * simtime.Millisecond
-	cfg.Window = 1
 	e := newEnv(t, 2, cfg, "perfect")
 
 	// First frame refused forever (simulates a dead destination process on
 	// a live node); second frame is for a healthy process. The first fills a
-	// transmission unit by itself, so under Window == 1 the second waits for
+	// transmission unit by itself, so the second waits for
 	// the give-up and then goes out with XLow past the abandoned sequence.
 	e.eps[1].Deliver = func(f *frame.Frame) bool {
 		if f.To.Local == 99 {
@@ -203,7 +197,7 @@ func TestConfigAccessors(t *testing.T) {
 	if e.eps[0].Node() != 0 {
 		t.Fatal("Node()")
 	}
-	if e.eps[0].Config().Window != 1 {
+	if e.eps[0].Config().RetransmitInterval != DefaultConfig().RetransmitInterval {
 		t.Fatal("Config()")
 	}
 }

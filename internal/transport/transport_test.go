@@ -210,41 +210,34 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
-// unitsInFlight counts the distinct transmission units that own an
-// unacknowledged flight.
-func unitsInFlight(ep *Endpoint) int {
-	units := make(map[*txUnit]bool)
-	for _, u := range ep.open {
-		for _, fl := range u.recs {
-			if !fl.done {
-				units[fl.unit] = true
-			}
-		}
-	}
-	return len(units)
-}
-
-// Window == 1 is the thesis discipline per transmission unit: however many
-// units a burst needs, only one of them may be unacknowledged at a time.
+// The thesis discipline per transmission unit (§4.3.3): however many units a
+// burst needs, only one of them may be unacknowledged at a time. So a data
+// frame carrying messages never sent before goes out only once every message
+// sent before it has been acknowledged.
 func TestOrderingSingleOutstanding(t *testing.T) {
 	e := newEnv(t, 2, DefaultConfig(), "perfect")
 	dataFrames := 0
-	check := func() {
-		if got := unitsInFlight(e.eps[0]); got > 1 {
-			t.Fatalf("%d units unacknowledged at once, want at most 1", got)
-		}
-	}
+	sent, acked := make(map[frame.MsgID]bool), make(map[frame.MsgID]bool)
+	e.eps[0].OnAck = func(id frame.MsgID) { acked[id] = true }
 	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
-		if f.Type == frame.Guaranteed || f.Type == frame.Bundle {
-			dataFrames++
+		ids := guaranteedIDs(t, f)
+		if f.Src != 0 || len(ids) == 0 || sent[ids[0]] {
+			return true // not node 0's data, or a retransmission
 		}
-		check()
+		dataFrames++
+		for id := range sent {
+			if !acked[id] {
+				t.Fatalf("a new unit went out with %v still unacknowledged", id)
+			}
+		}
+		for _, id := range ids {
+			sent[id] = true
+		}
 		return true
 	}))
 	body := string(make([]byte, 300)) // four records fill a unit
 	for i := uint64(1); i <= 20; i++ {
 		e.eps[0].SendGuaranteed(gmsg(0, 1, i, body))
-		check()
 	}
 	if got, queued := len(e.eps[0].InFlightIDs()), e.eps[0].InFlight(); got >= queued {
 		t.Fatalf("admitted %d of %d: the burst did not outgrow one unit", got, queued)
@@ -263,23 +256,21 @@ func TestOrderingSingleOutstanding(t *testing.T) {
 	}
 }
 
+// Under 30 % loss, the one-unit window still delivers every message once, in
+// the order sent.
 func TestOrderingUnderLossWithWindow(t *testing.T) {
-	for _, window := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Window = window
-		e := newEnv(t, 2, cfg, "perfect")
-		e.med.Faults().LossProb = 0.3
-		for i := uint64(1); i <= 30; i++ {
-			e.eps[0].SendGuaranteed(gmsg(0, 1, i, ""))
-		}
-		e.sched.RunAll(10_000_000)
-		if len(e.got[1]) != 30 {
-			t.Fatalf("window=%d delivered %d, want 30", window, len(e.got[1]))
-		}
-		for i, f := range e.got[1] {
-			if f.ID.Seq != uint64(i+1) {
-				t.Fatalf("window=%d out of order at %d: seq %d", window, i, f.ID.Seq)
-			}
+	e := newEnv(t, 2, DefaultConfig(), "perfect")
+	e.med.Faults().LossProb = 0.3
+	for i := uint64(1); i <= 30; i++ {
+		e.eps[0].SendGuaranteed(gmsg(0, 1, i, ""))
+	}
+	e.sched.RunAll(10_000_000)
+	if len(e.got[1]) != 30 {
+		t.Fatalf("delivered %d, want 30", len(e.got[1]))
+	}
+	for i, f := range e.got[1] {
+		if f.ID.Seq != uint64(i+1) {
+			t.Fatalf("out of order at %d: seq %d", i, f.ID.Seq)
 		}
 	}
 }
@@ -306,57 +297,11 @@ func guaranteedIDs(t *testing.T, f *frame.Frame) []frame.MsgID {
 	return nil
 }
 
-// Windowing pays off when acknowledgements are slow — here a recorder that
-// takes 5 ms to store each message before acking (publish-before-use on a
-// plain Ether). The bodies are sized so the burst needs several transmission
-// units: Window=1 serializes their stalls; window=4 pipelines them.
-func TestWindowedModeIsFasterWithSlowRecorder(t *testing.T) {
-	elapsed := func(window int) simtime.Time {
-		cfg := DefaultConfig()
-		cfg.Window = window
-		cfg.NeedRecorderAck = true
-		cfg.RecorderAckTimeout = 200 * simtime.Millisecond
-		e := newEnv(t, 2, cfg, "ether")
-		rec := New(9, e.med, e.sched, e.log, cfg)
-		e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
-			for _, id := range guaranteedIDs(t, f) {
-				e.sched.After(5*simtime.Millisecond, func() {
-					rec.SendRaw(&frame.Frame{Type: frame.RecorderAck, Dst: frame.Broadcast, ID: id})
-				})
-			}
-			return true
-		}))
-		var done simtime.Time
-		last := uint64(20)
-		e.eps[1].Deliver = func(f *frame.Frame) bool {
-			if f.ID.Seq == last {
-				done = e.sched.Now()
-			}
-			return true
-		}
-		body := string(make([]byte, 300)) // four records fill a unit
-		for i := uint64(1); i <= last; i++ {
-			e.eps[0].SendGuaranteed(gmsg(0, 1, i, body))
-		}
-		e.sched.RunAll(1_000_000)
-		if done == 0 {
-			t.Fatalf("window=%d: last message never delivered", window)
-		}
-		return done
-	}
-	w4, w1 := elapsed(4), elapsed(1)
-	if w4 >= w1 {
-		t.Fatalf("window=4 (%v) not faster than window=1 (%v)", w4, w1)
-	}
-}
-
 // A receiver that reboots mid-stream must resynchronize via the sender's
 // low-water mark rather than stall waiting for sequences acknowledged
 // before the crash.
 func TestReceiverRebootResyncs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Window = 4
-	e := newEnv(t, 2, cfg, "perfect")
+	e := newEnv(t, 2, DefaultConfig(), "perfect")
 	for i := uint64(1); i <= 5; i++ {
 		e.eps[0].SendGuaranteed(gmsg(0, 1, i, ""))
 	}

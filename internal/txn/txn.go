@@ -196,7 +196,7 @@ func (p *Participant) Handle(ctx *demos.PCtx, m demos.Msg) {
 		for _, op := range req.Ops {
 			tent[op.Key] += op.Delta
 		}
-		for k, d := range tent {
+		for k, d := range tent { //det:ok order-free: any negative balance votes no
 			if p.st.Values[k]+d < 0 {
 				yes = false
 			}
@@ -321,12 +321,17 @@ func (c *Coordinator) begin(ctx *demos.PCtx, b *Begin, reply demos.LinkID) {
 	c.st.NextTx++
 	id := c.st.NextTx
 	tx := &liveTx{Ops: b.Ops, Reply: reply, Votes: make(map[string]bool), Phase: 1}
+	// Participants are prepared in the order the ops first name them, so the
+	// messages and links a transaction makes do not depend on map order.
 	byPart := make(map[string][]Op)
 	for _, op := range b.Ops {
+		if _, ok := byPart[op.Participant]; !ok {
+			tx.Parts = append(tx.Parts, op.Participant)
+		}
 		byPart[op.Participant] = append(byPart[op.Participant], op)
 	}
-	for name, ops := range byPart {
-		tx.Parts = append(tx.Parts, name)
+	for _, name := range tx.Parts {
+		ops := byPart[name]
 		l, ok := c.link(ctx, name)
 		if !ok {
 			c.finish(ctx, id, tx, false, "unknown participant "+name)

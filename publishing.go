@@ -558,7 +558,7 @@ func (c *Cluster) Spawn(node NodeID, spec ProcSpec) (ProcID, error) {
 // databases stay readable; Run and RunUntil panic afterwards. Idempotent.
 func (c *Cluster) Close() {
 	c.closed = true
-	for _, k := range c.kernels {
+	for _, k := range c.kernels { //det:ok order-free: teardown, each kernel unwinds its own programs
 		k.Shutdown()
 	}
 }
