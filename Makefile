@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -184,6 +184,14 @@ onewindow:
 	awk '/^type Config struct/ { c = 1 } c && /^}/ { c = 0 } c && $$1 == "Window" { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/transport/transport.go
 	! grep -rn 'Transport\.Window' --include='*.go' .
 	! grep -rnE '\b(units|adm|admitted)\b +(int|uint)|\.(units|adm|admitted)\b|open +\[\]\*txUnit' --include='*.go' --exclude='*_test.go' internal/transport
+
+# Recovery reuses what it built (DESIGN.md "Host cost linear in the
+# stream"): the checkpoint image and the link-table snapshot are encoded and
+# decoded through cached gobx codecs, as the control bodies are. A fresh
+# gob encoder or decoder in the files that build and restore them, directly
+# or through mustGob, fails here.
+kernelgob:
+	! grep -nE 'gob\.New(En|De)coder|mustGob\(' internal/demos/kernelproc.go internal/demos/links.go
 
 build:
 	$(GO) build ./...

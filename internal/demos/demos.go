@@ -364,14 +364,16 @@ const (
 )
 
 // Notices ride on every published message's arrival, controls on every
-// recovery step and a reply on every replay batch, so these bodies go
-// through cached gobx codecs: the wire bytes stay exactly the one-shot gob
-// streams they have always been, but the per-call type-descriptor and
-// decode-engine work is amortized away.
+// recovery step, a reply on every replay batch and an image on every
+// checkpoint, so these bodies go through cached gobx codecs: the bytes stay
+// exactly the one-shot gob streams they have always been, but the per-call
+// type-descriptor and decode-engine work is amortized away.
 var (
-	ctlCodec    gobx.Codec[CtlMsg]
-	noticeCodec gobx.Codec[Notice]
-	replyCodec  gobx.Codec[CtlReply]
+	ctlCodec       gobx.Codec[CtlMsg]
+	noticeCodec    gobx.Codec[Notice]
+	replyCodec     gobx.Codec[CtlReply]
+	imageCodec     gobx.Codec[checkpointImage]
+	linkTableCodec gobx.Codec[linkTableImage]
 )
 
 // mustEncode is mustGob through a cached codec.

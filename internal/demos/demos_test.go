@@ -2,6 +2,7 @@ package demos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -814,8 +815,8 @@ func TestControlCodecs(t *testing.T) {
 		t.Fatal("query round trip")
 	}
 	r := &CtlReply{OK: true, Proc: frame.ProcID{Node: 1, Local: 1}}
-	gr, err := DecodeReply(EncodeReply(r))
-	if err != nil || !gr.OK {
+	var gr CtlReply
+	if err := DecodeReply(EncodeReply(r), &gr); err != nil || !gr.OK {
 		t.Fatal("reply round trip")
 	}
 }
@@ -843,8 +844,8 @@ func TestReplyCodecMatchesOneShot(t *testing.T) {
 			if got := EncodeReply(r); !bytes.Equal(got, oneShot.Bytes()) {
 				t.Fatalf("reply %d: EncodeReply\n %x\none-shot gob\n %x", i, got, oneShot.Bytes())
 			}
-			got, err := DecodeReply(oneShot.Bytes())
-			if err != nil || *got != *r {
+			var got CtlReply
+			if err := DecodeReply(oneShot.Bytes(), &got); err != nil || got != *r {
 				t.Fatalf("reply %d: decoded %+v (err %v), want %+v", i, got, err, r)
 			}
 		}
@@ -853,13 +854,93 @@ func TestReplyCodecMatchesOneShot(t *testing.T) {
 	// far as the cached decoder), fail as before and leave the codec usable.
 	valid := EncodeReply(&replies[3])
 	for _, bad := range [][]byte{[]byte("garbage"), valid[:len(valid)-3]} {
-		_, err := DecodeReply(bad)
+		var got CtlReply
+		err := DecodeReply(bad, &got)
 		if err == nil || !strings.HasPrefix(err.Error(), "demos: bad control reply: ") || errors.Unwrap(err) == nil {
 			t.Fatalf("DecodeReply(%q): err = %v, want a wrapped bad-control-reply error", bad, err)
 		}
-		if got, err := DecodeReply(valid); err != nil || *got != replies[3] {
+		if err := DecodeReply(valid, &got); err != nil || got != replies[3] {
 			t.Fatalf("after a bad reply: decoded %+v (err %v)", got, err)
 		}
+	}
+}
+
+// Checkpoint images and link-table snapshots go through cached codecs, but
+// an image is still one self-contained gob stream and a marks trailer: the
+// bytes are a fresh encoder's, in any order of calls, and the decoders take
+// a fresh encoder's.
+func TestCheckpointCodecsMatchOneShot(t *testing.T) {
+	oneShot := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	full := newLinkTable()
+	full.insert(frame.Link{To: frame.ProcID{Node: 2, Local: 1}, Channel: 3})
+	gone := full.insert(frame.Link{To: frame.ProcID{Node: 0, Local: 4}, Code: 7})
+	full.insert(frame.Link{To: frame.ProcID{Node: 1, Local: 9}, Channel: ChanRequest, DeliverToKernel: true})
+	full.remove(gone)
+	big := make([]byte, 5000)
+	for i := range big {
+		big[i] = byte(i*7 + 3)
+	}
+	cases := []struct {
+		links   *linkTable
+		machine []byte
+		marks   []frame.MsgID
+	}{
+		{newLinkTable(), nil, nil},
+		{full, []byte("state"), []frame.MsgID{mkID(4, 2)}},
+		{full, big, []frame.MsgID{mkID(4, 2), {Sender: frame.ProcID{Node: 3, Local: 1}, Seq: 9}}},
+		{newLinkTable(), big, nil},
+	}
+	for round := 0; round < 2; round++ {
+		for i, c := range cases {
+			lt := oneShot(&linkTableImage{Next: c.links.next, Links: c.links.links})
+			if got := c.links.snapshot(); !bytes.Equal(got, lt) {
+				t.Fatalf("case %d: snapshot\n %x\none-shot gob\n %x", i, got, lt)
+			}
+			restored, err := restoreLinkTable(lt)
+			if err != nil || restored.next != c.links.next || !slices.Equal(restored.links, c.links.links) {
+				t.Fatalf("case %d: restored %+v (err %v), want %+v", i, restored, err, c.links)
+			}
+
+			p := &process{
+				machine: &funcMachine{snap: func() ([]byte, error) { return c.machine, nil }},
+				links:   c.links,
+			}
+			for _, id := range c.marks {
+				p.marks.Note(id)
+			}
+			want := oneShot(&checkpointImage{Machine: c.machine, Links: lt})
+			for _, id := range p.marks {
+				want = frame.AppendAckID(want, id)
+			}
+			want = binary.BigEndian.AppendUint32(want, uint32(len(p.marks)))
+			got, err := p.image()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("case %d: image (err %v)\n %x\none-shot gob and trailer\n %x", i, err, got, want)
+			}
+			img, marks, err := decodeCheckpoint(want)
+			if err != nil || !bytes.Equal(img.Machine, c.machine) || !bytes.Equal(img.Links, lt) || !slices.Equal(marks, p.marks) {
+				t.Fatalf("case %d: decoded %+v, marks %v (err %v)", i, img, marks, err)
+			}
+		}
+	}
+}
+
+// gob leaves zero-valued fields out of the stream, so decoding into a reused
+// reply must not let an earlier reply's fields show through.
+func TestDecodeReplyClearsStaleFields(t *testing.T) {
+	var got CtlReply
+	stale := CtlReply{Err: "refused", Proc: frame.ProcID{Node: 1, Local: 2}, RestartNumber: 3, AckedBatch: 9}
+	if err := DecodeReply(EncodeReply(&stale), &got); err != nil || got != stale {
+		t.Fatalf("first reply: decoded %+v (err %v)", got, err)
+	}
+	if err := DecodeReply(EncodeReply(&CtlReply{OK: true}), &got); err != nil || got != (CtlReply{OK: true}) {
+		t.Fatalf("second reply into the same value: decoded %+v (err %v), want exactly {OK: true}", got, err)
 	}
 }
 

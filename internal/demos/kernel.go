@@ -119,8 +119,10 @@ type Kernel struct {
 	// OpRecreate (too big for one MTU-sized frame). Keyed by the recovering
 	// process; a new generation supersedes a stale partial assembly.
 	ckStage map[frame.ProcID]*ckAssembly
-	// replayRecs is the reused decode scratch for replay batches.
+	// replayRecs is the reused decode scratch for replay batches, and
+	// batchAck the reply every batch acknowledgement is encoded from.
 	replayRecs []ReplayRec
+	batchAck   CtlReply
 
 	stats KernelStats
 	// qDepth tracks messages sitting in this node's process input queues;
@@ -264,11 +266,15 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		return frame.NilProc, fmt.Errorf("demos: node %d is down", k.node)
 	}
 	var id frame.ProcID
+	var ring []queued
 	if opt.FixedID != nil {
 		id = *opt.FixedID
 		if old := k.procs[id]; old != nil {
-			// "If the process already exists, it is destroyed" (§4.7).
+			// "If the process already exists, it is destroyed" (§4.7). The
+			// new incarnation inherits its queue's ring: a replay refills
+			// it about as deep as the last one did.
 			k.terminate(old, psDead)
+			ring = old.queue.release()
 		}
 		if id.Node == k.node && id.Local >= k.nextLocal {
 			k.nextLocal = id.Local + 1
@@ -283,6 +289,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		spec:  spec,
 		k:     k,
 		links: newLinkTable(),
+		queue: msgQueue{buf: ring},
 		state: psReady,
 	}
 	switch {

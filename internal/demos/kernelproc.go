@@ -1,10 +1,8 @@
 package demos
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -28,13 +26,15 @@ type CtlReply struct {
 // EncodeReply gob-encodes a control reply.
 func EncodeReply(r *CtlReply) []byte { return mustEncode(&replyCodec, r) }
 
-// DecodeReply decodes a control reply.
-func DecodeReply(b []byte) (*CtlReply, error) {
-	var r CtlReply
-	if err := replyCodec.Decode(b, &r); err != nil {
-		return nil, fmt.Errorf("demos: bad control reply: %w", err)
+// DecodeReply decodes a control reply into r, which it zeroes first: gob
+// leaves a zero-valued field out of the stream, so a reused r would
+// otherwise keep an earlier reply's Err or AckedBatch.
+func DecodeReply(b []byte, r *CtlReply) error {
+	*r = CtlReply{}
+	if err := replyCodec.Decode(b, r); err != nil {
+		return fmt.Errorf("demos: bad control reply: %w", err)
 	}
-	return &r, nil
+	return nil
 }
 
 // checkpointImage is the serialized form of a full process checkpoint: the
@@ -56,11 +56,10 @@ func (p *process) image() ([]byte, error) {
 	links := p.links.snapshot()
 	// Room for the gob framing (under 256 bytes) and the trailer: the image
 	// is built in one allocation.
-	buf := bytes.NewBuffer(make([]byte, 0, len(mb)+len(links)+256+len(p.marks)*frame.AckIDLen+4))
-	if err := gob.NewEncoder(buf).Encode(&checkpointImage{Machine: mb, Links: links}); err != nil {
+	blob := make([]byte, 0, len(mb)+len(links)+256+len(p.marks)*frame.AckIDLen+4)
+	if blob, err = imageCodec.Encode(blob, &checkpointImage{Machine: mb, Links: links}); err != nil {
 		return nil, err
 	}
-	blob := buf.Bytes()
 	for _, id := range p.marks {
 		blob = frame.AppendAckID(blob, id)
 	}
@@ -97,8 +96,7 @@ func decodeCheckpoint(b []byte) (*checkpointImage, frame.Marks, error) {
 		return nil, nil, err
 	}
 	var img checkpointImage
-	body := bytes.NewReader(b[:len(b)-4-len(marks)*frame.AckIDLen])
-	if err := gob.NewDecoder(body).Decode(&img); err != nil {
+	if err := imageCodec.Decode(b[:len(b)-4-len(marks)*frame.AckIDLen], &img); err != nil {
 		return nil, nil, fmt.Errorf("demos: bad checkpoint: %w", err)
 	}
 	return &img, marks, nil
@@ -304,7 +302,8 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 
 // replyBatchAck sends the cumulative batch acknowledgement for p.
 func (k *Kernel) replyBatchAck(f *frame.Frame, p *process) {
-	k.reply(f, nil, &CtlReply{OK: true, Proc: p.id, AckedBatch: p.replayBatch}, nil)
+	k.batchAck = CtlReply{OK: true, Proc: p.id, AckedBatch: p.replayBatch}
+	k.reply(f, nil, &k.batchAck, nil)
 }
 
 // handleCkChunk stages one chunk of a checkpoint too big for a single

@@ -1,9 +1,7 @@
 package demos
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -74,13 +72,13 @@ type linkTableImage struct {
 
 // snapshot serializes the table for a checkpoint.
 func (t *linkTable) snapshot() []byte {
-	return mustGob(&linkTableImage{Next: t.next, Links: t.links})
+	return mustEncode(&linkTableCodec, &linkTableImage{Next: t.next, Links: t.links})
 }
 
 // restoreLinkTable rebuilds a table from a snapshot.
 func restoreLinkTable(b []byte) (*linkTable, error) {
 	var img linkTableImage
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&img); err != nil {
+	if err := linkTableCodec.Decode(b, &img); err != nil {
 		return nil, fmt.Errorf("demos: bad link table snapshot: %w", err)
 	}
 	return &linkTable{next: img.Next, links: img.Links}, nil

@@ -48,8 +48,8 @@ func (c *PCtx) Request(target LinkID, body []byte, replyChannel uint16, code uin
 func (c *PCtx) CreateProcess(procMgr LinkID, spec ProcSpec, node frame.NodeID) (frame.ProcID, LinkID, error) {
 	req := &CtlMsg{Op: OpCreate, Spec: spec, TargetNode: node}
 	m := c.Request(procMgr, EncodeCtl(req), ChanReply, 0)
-	r, err := DecodeReply(m.Body)
-	if err != nil {
+	var r CtlReply
+	if err := DecodeReply(m.Body, &r); err != nil {
 		return frame.NilProc, NoLink, err
 	}
 	if !r.OK {
@@ -62,8 +62,8 @@ func (c *PCtx) CreateProcess(procMgr LinkID, spec ProcSpec, node frame.NodeID) (
 // the kernel's confirmation.
 func (c *PCtx) DestroyProcess(ctl LinkID) error {
 	m := c.Request(ctl, EncodeCtl(&CtlMsg{Op: OpDestroy}), ChanReply, 0)
-	r, err := DecodeReply(m.Body)
-	if err != nil {
+	var r CtlReply
+	if err := DecodeReply(m.Body, &r); err != nil {
 		return err
 	}
 	if !r.OK {

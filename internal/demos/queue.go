@@ -10,7 +10,8 @@ import "publishing/internal/frame"
 // It is a ring: a recovering process's replay backlog arrives at wire speed
 // and is consumed at CPU cost, so the queue gets about as deep as the
 // replayed stream is long, and a head read must not cost its depth. The
-// backing array only ever grows, and is reused for the process's lifetime.
+// backing array only ever grows, and is reused for the process's lifetime
+// and handed on to the incarnation that replaces it (release).
 type msgQueue struct {
 	buf  []queued // len is zero or a power of two
 	head int      // index in buf of the first queued message
@@ -42,6 +43,15 @@ func (q *msgQueue) grow() {
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
+}
+
+// release empties q and returns its ring, cleared, for a new owner: q
+// keeps no array, and the ring pins no body or link.
+func (q *msgQueue) release() []queued {
+	buf := q.buf
+	clear(buf)
+	*q = msgQueue{}
+	return buf
 }
 
 // len reports queued messages.

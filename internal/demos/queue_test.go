@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"publishing/internal/frame"
+	"publishing/internal/metrics"
 	"publishing/internal/simtime"
 )
 
@@ -298,5 +299,72 @@ func TestReplayBatchScratchCleared(t *testing.T) {
 		if r.Body != nil || r.Link != nil {
 			t.Fatalf("scratch record %d still holds a body or link", i)
 		}
+	}
+}
+
+// A recreated incarnation takes over its predecessor's ring (§4.7's
+// destroy-then-recreate): empty, every slot zeroed, at the capacity the
+// predecessor grew it to. The old incarnation keeps no array, none of its
+// queued messages reaches the new one, and the depth gauge drops them.
+func TestRecreateInheritsQueueRing(t *testing.T) {
+	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
+	var handled []uint64
+	e.reg.RegisterMachine("svc", func(args []byte) Machine {
+		return &funcMachine{handle: func(ctx *PCtx, m Msg) { handled = append(handled, m.ID.Seq) }}
+	})
+	k := e.kernels[0]
+	k.qDepth = metrics.NewRegistry().Gauge(0, "kernel", "queue_depth")
+	id, err := k.Spawn(ProcSpec{Name: "svc", Recoverable: true}, SpawnOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.run(simtime.Second)
+	old := k.procs[id]
+	old.stopped = true // parked in Receive; nothing below is consumed here
+	link := &frame.Link{To: id, Code: 5}
+	for seq := uint64(1); seq <= 20; seq++ {
+		k.pushToQueue(old, Msg{ID: mkID(9, seq), Body: []byte("old")}, link)
+	}
+	// A read, as the kernel's receive makes one: the head moves off zero.
+	old.queue.pop(nil)
+	k.qDepth.Add(-1)
+	ring := len(old.queue.buf)
+	if ring != 32 || old.queue.len() != 19 || k.qDepth.Value() != 19 {
+		t.Fatalf("before the crash: ring %d, queued %d, gauge %d; want 32, 19, 19", ring, old.queue.len(), k.qDepth.Value())
+	}
+	k.CrashProcess(id, "test")
+
+	if _, err := k.Spawn(ProcSpec{Name: "svc", Recoverable: true}, SpawnOptions{
+		FixedID: &id, Recovering: true, Quiet: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p := k.procs[id]
+	if p == old {
+		t.Fatal("process not replaced")
+	}
+	if len(p.queue.buf) != ring || p.queue.head != 0 || p.queue.len() != 0 {
+		t.Fatalf("new queue: ring %d, head %d, queued %d; want %d, 0, 0", len(p.queue.buf), p.queue.head, p.queue.len(), ring)
+	}
+	for i, s := range p.queue.buf {
+		if !reflect.DeepEqual(s, queued{}) {
+			t.Fatalf("inherited slot %d holds %+v", i, s)
+		}
+	}
+	if old.queue.buf != nil || old.queue.len() != 0 {
+		t.Fatalf("old incarnation still holds a ring of %d with %d queued", len(old.queue.buf), old.queue.len())
+	}
+	if k.qDepth.Value() != 0 {
+		t.Fatalf("queue-depth gauge = %d after the recreate, want 0", k.qDepth.Value())
+	}
+
+	p.recovering = false
+	k.pushToQueue(p, Msg{ID: mkID(9, 21)}, nil)
+	e.run(10 * simtime.Second)
+	if !reflect.DeepEqual(handled, []uint64{21}) {
+		t.Fatalf("handled %v, want only the new incarnation's [21]", handled)
+	}
+	if k.qDepth.Value() != 0 {
+		t.Fatalf("queue-depth gauge = %d with the queue drained, want 0", k.qDepth.Value())
 	}
 }

@@ -1,12 +1,14 @@
 // Package gobx amortizes gob's per-stream setup for the values that are
-// gob-encoded once per message or per control exchange on the simulator's
-// hot path: the kernel's wire bodies (demos.CtlMsg, demos.Notice,
-// demos.CtlReply) and the recorder's rare store records (procMeta, ckMeta).
-// The recorder's per-message records — stored messages, read-order
-// advisories, last-sent watermarks — do not come through here: they have a
-// fixed binary layout of their own (internal/recorder/persist.go).
+// gob-encoded once per message, per control exchange or per checkpoint on
+// the simulator's hot path: the kernel's wire bodies (demos.CtlMsg,
+// demos.Notice, demos.CtlReply), its checkpoint image and the link-table
+// snapshot inside it (demos.checkpointImage, demos.linkTableImage), and the
+// recorder's rare store records (procMeta, ckMeta). The recorder's
+// per-message records — stored messages, read-order advisories, last-sent
+// watermarks — do not come through here: they have a fixed binary layout of
+// their own (internal/recorder/persist.go).
 //
-// The contract for those five types is "one self-contained gob stream per
+// The contract for those seven types is "one self-contained gob stream per
 // value": producers call gob.NewEncoder(buf).Encode(v), consumers
 // gob.NewDecoder(r).Decode(v). That contract is what makes a notice or a
 // checkpoint record decodable in isolation — but a fresh encoder
@@ -26,22 +28,26 @@
 // engines; anything else falls back to a fresh decoder, so foreign or
 // corrupt streams behave exactly as before.
 //
-// Byte-identity is not an optimization nicety here. The three demos types
-// are frame bodies: their length is transmission time on the simulated
-// medium and bytes in every lan and transport counter, and a notice or
-// control message is itself a published message whose body a recorder
-// stores and replays. The two record types set the store's live bytes and
-// where its pages fill. All of that is fingerprinted by the determinism
-// oracles (the golden fingerprint table, the scale tests, bench), so an
-// encoder that changed the stream would change virtual time and every
-// digest. gobx_test.go pins the equivalence against the stock encoder on a
-// stand-in struct with the field shapes those types use; demos pins it on
-// CtlReply itself (this package cannot import demos or recorder).
+// Byte-identity is not an optimization nicety here. The three demos wire
+// types are frame bodies: their length is transmission time on the
+// simulated medium and bytes in every lan and transport counter, and a
+// notice or control message is itself a published message whose body a
+// recorder stores and replays. A checkpoint image rides in a checkpoint
+// notice and the recorder stores it, so its length is wire time and store
+// bytes too. The two record types set the store's live bytes and where its
+// pages fill. All of that is fingerprinted by the determinism oracles (the
+// golden fingerprint table, the scale tests, bench), so an encoder that
+// changed the stream would change virtual time and every digest.
+// gobx_test.go pins the equivalence against the stock encoder on a stand-in
+// struct with the field shapes those types use; demos pins it on CtlReply,
+// the checkpoint image and the link-table snapshot themselves (this package
+// cannot import demos or recorder).
 package gobx
 
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"sync"
 )
 
@@ -123,6 +129,8 @@ func (c *Codec[T]) Encode(dst []byte, v *T) ([]byte, error) {
 		c.enc = nil
 		return dst, err
 	}
+	// One growth to the exact length: a nil dst costs one allocation.
+	dst = slices.Grow(dst, len(c.prefix)+c.encBuf.Len())
 	dst = append(dst, c.prefix...)
 	return append(dst, c.encBuf.Bytes()...), nil
 }

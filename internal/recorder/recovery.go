@@ -292,8 +292,8 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 		if r.crashed || !r.current(rp, gen) {
 			return
 		}
-		rep, err := demos.DecodeReply(f.Body)
-		if err != nil {
+		var rep demos.CtlReply
+		if err := demos.DecodeReply(f.Body, &rep); err != nil {
 			// An undecodable reply says nothing about the kernel's decision;
 			// rep is meaningless here and must not be consulted.
 			r.log.Add(trace.KindRecoveryStart, int(r.node), e.Proc.String(),

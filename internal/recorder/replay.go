@@ -42,6 +42,10 @@ type batchSender struct {
 	// codes are this sender's reply-waiter codes, orphaned on cancel.
 	codes    []uint32
 	doneSent bool
+	// ack is onAck bound once, the waiter every batch registers, and rep
+	// the reply each acknowledgement is decoded into.
+	ack func(*frame.Frame)
+	rep demos.CtlReply
 	// dropped are arrival seqs checkpoints invalidated while the replay
 	// ran. Its snapshot may still name their records, so the store is told
 	// only when the replay ends (endReplay): Compact never drops a record a
@@ -60,6 +64,7 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 		order: tap.NewOrder(e.Arrivals, e.Advisories),
 		ids:   make(map[uint64]frame.MsgID),
 	}
+	bs.ack = bs.onAck
 	r.replaying[e.Proc] = bs
 	bs.fill()
 }
@@ -118,7 +123,7 @@ func (bs *batchSender) sendBatch() bool {
 	}
 	demos.FinishReplayBatch(buf, count)
 	bs.nextSeq = seq
-	id, code := r.sendReplay(bs.rp.target, buf, bs.onAck)
+	id, code := r.sendReplay(bs.rp.target, buf, bs.ack)
 	bs.ids[seq] = id
 	bs.codes = append(bs.codes, code)
 	r.stats.ReplayBatches++
@@ -136,8 +141,8 @@ func (bs *batchSender) onAck(f *frame.Frame) {
 	if r.crashed || !r.current(bs.rp, bs.gen) {
 		return
 	}
-	rep, err := demos.DecodeReply(f.Body)
-	if err != nil {
+	rep := &bs.rep
+	if err := demos.DecodeReply(f.Body, rep); err != nil {
 		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(), "batch ack undecodable: %v", err)
 		return // the recovery retry timer backstops a wedged window
 	}
