@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -83,8 +83,8 @@ nopeertables:
 # Nothing is hashed per message on the send path (DESIGN.md "Frames come
 # back", "Storage engine", "Recorder database"): a frame carries the slot of
 # the endpoint's sent table that owns it, the open units are the in-flight
-# set, the store keeps one record per key with its dead seqs as a bitset, and
-# a mark search compares one packed integer. The recorder's tap reads one tap
+# set, the store keeps one record per key, and a mark search compares one
+# packed integer. The recorder's tap reads one tap
 # record per process, and the store appends through key handles, holds its
 # pages in a slice, and takes no lock (starhub serializes its calls). The
 # names below are the lookups and the lock they replaced.
@@ -192,6 +192,15 @@ onewindow:
 # or through mustGob, fails here.
 kernelgob:
 	! grep -nE 'gob\.New(En|De)coder|mustGob\(' internal/demos/kernelproc.go internal/demos/links.go
+
+# The store keeps what it is given (DESIGN.md "Storage engine"): no record
+# is dropped or moved, so a Ref is exact and a replay reads its snapshot
+# with nothing held back. The names below are the compaction it replaced,
+# the invalidation marks that fed it and the invalidations a replay held
+# back until it ended. slices.Compact and bench/'s InvalidateSeqs, a
+# documented no-op, are not matched.
+nocompact:
+	! grep -rnE '\) Compact\(|\.Compact\(\)|\bInvalidate\(|InvalidateKey|seqSet|dropKeyPage|Compacted|bs\.dropped' --include='*.go' --exclude='*_test.go' .
 
 build:
 	$(GO) build ./...

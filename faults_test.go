@@ -200,25 +200,3 @@ func TestCheckpointStorageDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// Stable-store compaction runs live: after checkpoints invalidate replay
-// prefixes, compaction reclaims records without disturbing the system.
-func TestLiveCompaction(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.CheckpointPolicy = CheckpointBound
-	cfg.CheckpointTick = 200 * simtime.Millisecond
-	c := New(cfg)
-	run := Pipeline{Msgs: 20, Pace: 150 * simtime.Millisecond, WorkerBound: 400 * simtime.Millisecond}.Start(c)
-	c.Run(10 * simtime.Second)
-	dropped, err := c.Store().Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 {
-		t.Fatal("compaction reclaimed nothing despite checkpoints")
-	}
-	// The system continues fine after compaction, including a recovery.
-	c.CrashProcess(run.Worker)
-	c.Run(3 * simtime.Minute)
-	expectSteps(t, run)
-}

@@ -15,10 +15,10 @@ import (
 )
 
 // The stream's index, read back through its Refs, matches a model that keeps
-// a copy of every message, across every operation that writes or moves
-// records: arrivals (bodies of many sizes, some passing links), checkpoint
-// trims whose queue reorders the stream (RetainedOrder), Compact, a rebuild
-// from the store, and handoff adoption.
+// a copy of every message, across every operation that writes records or
+// rebuilds the index: arrivals (bodies of many sizes, some passing links),
+// checkpoint trims whose queue reorders the stream (RetainedOrder), a
+// rebuild from the store, and handoff adoption.
 func TestArrivalIndexMatchesCopiesModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		arrivalIndexModel(t, seed)
@@ -76,7 +76,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 
 	for step := 0; step < 150; step++ {
 		var op string
-		switch k := rng.Intn(20); {
+		switch k := rng.Intn(18); {
 		case k < 12:
 			op = "arrival"
 			sm := msgOf(senders[rng.Intn(len(senders))], step)
@@ -108,12 +108,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 				Checkpoint: ckImage("ck", marksOver(model)...), SendSeq: 1, ReadCount: readCount, StateKB: 1,
 				Queued: ids})
 			model = queued
-		case k < 17:
-			op = "compact"
-			if _, err := store.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		case k < 18:
+		case k < 16:
 			op = "rebuild"
 			r.Crash()
 			if err := r.Restart(); err != nil {
@@ -156,57 +151,20 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 	}
 }
 
-// A record that Compact moves within its page is still read by a replay
-// that follows the stream's ref to it: Lookup scans the page.
-func TestReplayReadsRecordsCompactionMoved(t *testing.T) {
-	r, _, store := newBench(t)
-	register(r, procB(), "b")
-	for seq := uint64(1); seq <= 6; seq++ {
-		publish(r, procA(), procB(), seq, string(rune('a'+seq-1))+"-body")
-	}
-	// B read 1-4 and checkpointed with 5 and 6 queued: records 1-4 are
-	// invalidated on the page 5 and 6 share with them.
-	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: procB(),
-		Checkpoint: ckImage("ck", frame.MsgID{Sender: procA(), Seq: 6}), SendSeq: 1, ReadCount: 4, StateKB: 1,
-		Queued: []frame.MsgID{{Sender: procA(), Seq: 5}, {Sender: procA(), Seq: 6}}})
-	e := r.db[procB()]
-	if n, err := store.Compact(); err != nil || n < 4 {
-		t.Fatalf("Compact dropped %d records (%v), want at least 4", n, err)
-	}
-	// Where the records are now: both moved.
-	at := make(map[uint64]stablestore.Ref)
-	if err := store.Scan(func(rec stablestore.Record, ref stablestore.Ref) error {
-		if rec.Key == "msg:"+procB().String() {
-			at[rec.Seq] = ref
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < e.Arrivals.Len(); i++ {
-		if a := e.Arrivals.At(i); at[a.ArrSeq] == stablestore.Ref(a.Ref) || at[a.ArrSeq].Page != a.Ref.Page {
-			t.Fatalf("arrival %v: stream ref %+v, record now at %+v; want moved within its page", a.ID, a.Ref, at[a.ArrSeq])
-		}
-	}
-	got := reconstruct(store, e.keys.msg, e.Arrivals, e.Advisories)
-	if len(got) != 2 || string(got[0].Body) != "e-body" || string(got[1].Body) != "f-body" {
-		t.Fatalf("replay read %q, want the retained e-body and f-body", got)
-	}
-}
-
-// A checkpoint that lands while a replay runs, followed by a Compact, does
-// not take the records the replay has yet to read: the store hears of the
-// checkpoint's invalidations when the replay ends — or, if the recorder
-// crashes first, from the rebuild — and Compact drops them from then on.
-func TestCompactMidReplayKeepsTheReplaysRecords(t *testing.T) {
+// A checkpoint that lands while a replay runs trims the stream but not the
+// replay, which reads on from its snapshot: the store keeps every record.
+// If the recorder crashes instead, its rebuild leaves what the checkpoint
+// superseded out of the stream. Either way the store still holds all six
+// records.
+func TestCheckpointMidReplay(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recorder-crash=%v", crash), func(t *testing.T) {
-			compactMidReplay(t, crash)
+			checkpointMidReplay(t, crash)
 		})
 	}
 }
 
-func compactMidReplay(t *testing.T, crash bool) {
+func checkpointMidReplay(t *testing.T, crash bool) {
 	r, _, store := newBench(t)
 	r.log.Enable(false)
 	r.cfg.ReplayBatchBytes, r.cfg.ReplayWindow = 1, 1 // one message a batch, one batch out
@@ -223,19 +181,19 @@ func compactMidReplay(t *testing.T, crash bool) {
 	r.startReplay(r.db[b], rp, rp.gen)
 	bs := r.replaying[b]
 	// The first batch is out and the second message staged. B checkpoints
-	// having read all six, and the store is compacted.
+	// having read all six.
 	r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: b,
 		Checkpoint: ckImage("ck", all...), SendSeq: 1, ReadCount: n, StateKB: 1})
 	if got := r.db[b].Arrivals.Len(); got != 0 {
 		t.Fatalf("the checkpoint left %d arrivals, want 0", got)
 	}
-	if dropped, err := store.Compact(); err != nil || dropped != 0 {
-		t.Fatalf("Compact mid-replay dropped %d records (%v), want 0", dropped, err)
-	}
 	if crash {
 		r.Crash()
 		if err := r.Restart(); err != nil {
 			t.Fatal(err)
+		}
+		if got := r.db[b].Arrivals.Len(); got != 0 {
+			t.Fatalf("the rebuild restored %d arrivals the checkpoint superseded, want 0", got)
 		}
 	} else {
 		var staged []string
@@ -255,8 +213,8 @@ func compactMidReplay(t *testing.T, crash bool) {
 				r.replaying[b] != nil, r.stats.RecoveriesCompleted, r.stats.MessagesReplayed)
 		}
 	}
-	if dropped, err := store.Compact(); err != nil || dropped != n {
-		t.Fatalf("Compact after the replay dropped %d records (%v), want %d", dropped, err, n)
+	if recs, err := store.ReadKey("msg:" + b.String()); err != nil || len(recs) != n {
+		t.Fatalf("the store holds %d of b's message records (%v), want %d", len(recs), err, n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -255,8 +254,8 @@ type ckMeta struct {
 	StateKB   int
 	// BaseReads repeats ReadCount, unread; stored records keep their bytes.
 	BaseReads uint64
-	// DroppedArr are the arrival seqs invalidated by this checkpoint;
-	// AdvTrim invalidates advisories with seq < AdvTrim.
+	// DroppedArr are the arrival seqs this checkpoint supersedes, as are
+	// advisories with seq < AdvTrim: rebuild leaves both out.
 	DroppedArr []uint64
 	AdvTrim    uint64
 	// RetainedOrder lists the retained arrival seqs in replay (queue)
@@ -332,14 +331,6 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 			AdvTrim:       e.AdvSeqNext,
 			RetainedOrder: e.Arrivals.Seqs(),
 		}))
-	if bs := r.replaying[e.Proc]; bs != nil {
-		bs.dropped = append(bs.dropped, dropped...) // until the replay ends
-	} else {
-		r.store.InvalidateKeySeqs(e.keys.msg, dropped)
-	}
-	if e.AdvSeqNext > 0 {
-		r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext-1)
-	}
 }
 
 func (r *Recorder) loadRestartNumber() {
@@ -481,9 +472,6 @@ func (r *Recorder) rebuild() error {
 			e.Dead = true
 			continue
 		}
-		// What the checkpoints dropped is garbage, told to the store or not
-		// before the crash (a replay holds its invalidations back).
-		r.store.InvalidateKeySeqs(e.keys.msg, slices.Collect(maps.Keys(a.dropped)))
 		if a.ck != nil {
 			marks, err := demos.CheckpointMarks(a.ck.Blob)
 			if err != nil {

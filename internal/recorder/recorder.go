@@ -244,8 +244,6 @@ func (r *Recorder) install(e *procEntry) {
 func (r *Recorder) kill(e *procEntry) {
 	e.Kill()
 	r.persistDead(e)
-	r.store.InvalidateKey(e.keys.msg, e.ArrSeqNext)
-	r.store.InvalidateKey(e.keys.adv, e.AdvSeqNext)
 }
 
 // Recorder is the recording node: tap, database, stable store, and
@@ -407,7 +405,6 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 			emit("appends", int64(ss.Appends))
 			emit("page_writes", int64(ss.PageWrites))
 			emit("page_reads", int64(ss.PageReads))
-			emit("compacted", int64(ss.Compacted))
 			emit("bytes_live", int64(ss.BytesLive))
 		})
 	}

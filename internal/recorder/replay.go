@@ -46,11 +46,6 @@ type batchSender struct {
 	// the reply each acknowledgement is decoded into.
 	ack func(*frame.Frame)
 	rep demos.CtlReply
-	// dropped are arrival seqs checkpoints invalidated while the replay
-	// ran. Its snapshot may still name their records, so the store is told
-	// only when the replay ends (endReplay): Compact never drops a record a
-	// replay has yet to read.
-	dropped []uint64
 }
 
 // startReplay reenacts the published stream: "It then reads all the
@@ -175,7 +170,7 @@ func (bs *batchSender) sendDone() {
 			}
 			e.Recovering = false
 			delete(r.recovering, e.Proc)
-			r.endReplay(e.Proc)
+			delete(r.replaying, e.Proc)
 			r.stats.RecoveriesCompleted++
 			r.log.Add(trace.KindRecoveryDone, int(r.node), e.Proc.String(), "recovered on n%d", rp.target)
 		})
@@ -210,10 +205,11 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 // withdrawn from the transport and the reply waiters orphaned, so a
 // superseded generation cannot race the attempt that replaces it.
 func (r *Recorder) cancelReplay(p frame.ProcID) {
-	bs := r.endReplay(p)
+	bs := r.replaying[p]
 	if bs == nil {
 		return
 	}
+	delete(r.replaying, p)
 	r.replayOcc.Add(-int64(bs.nextSeq - bs.acked))
 	for _, code := range bs.codes {
 		delete(r.waiters, code)
@@ -225,15 +221,4 @@ func (r *Recorder) cancelReplay(p frame.ProcID) {
 		}
 		r.ep.Abort(func(f *frame.Frame) bool { return live[f.ID] })
 	}
-}
-
-// endReplay forgets p's replay, if one is live, and hands the store the
-// invalidations it held back.
-func (r *Recorder) endReplay(p frame.ProcID) *batchSender {
-	bs := r.replaying[p]
-	if bs != nil {
-		delete(r.replaying, p)
-		r.store.InvalidateKeySeqs(bs.e.keys.msg, bs.dropped)
-	}
-	return bs
 }

@@ -27,9 +27,8 @@ const ArrChunkLen = 32
 // A copy of the struct is a stable snapshot of the stream as it stood: Push
 // writes only past the snapshot's length and Keep builds fresh chunks, so
 // neither disturbs what a replay in progress is reading. The records the
-// snapshot names stay readable as long as the store holds them: only
-// Compact drops a record, only one the store was told is invalidated, and a
-// checkpoint that lands mid-replay tells it when the replay ends.
+// snapshot names stay readable: the store keeps every record it is given,
+// a checkpoint that lands mid-replay included.
 type ArrLog struct {
 	chunks []*[ArrChunkLen]ArrEntry
 	n      int

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Invalidation only marks records: ReadAll, Peek and ReadKey go on
-// returning an invalidated record, in insertion (page) order, until Compact
-// drops it.
+// InvalidateSeqs marks nothing: ReadAll, Peek and ReadKey go on returning
+// a record it named, ReadAll and Peek in insertion (page) order, ReadKey in
+// seq order. No Compact drops it; the store keeps every record.
 func TestInvalidatedRecordsReadUntilCompact(t *testing.T) {
 	s := New()
 	// Keys interleaved on one page, b's seqs descending: page order is
@@ -23,7 +23,6 @@ func TestInvalidatedRecordsReadUntilCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Invalidate("a", 1)
 	s.InvalidateSeqs("b", []uint64{2})
 
 	names := func(recs []Record) string {
@@ -46,36 +45,21 @@ func TestInvalidatedRecordsReadUntilCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := names(peek), "b2 a1 b1 a2 "; got != want {
-		t.Errorf("Peek before Compact: %s, want %s", got, want)
+		t.Errorf("Peek: %s, want %s", got, want)
 	}
 	if got, want := names(all), "b2 a1 b1 a2 "; got != want {
-		t.Errorf("ReadAll before Compact: %s, want %s", got, want)
+		t.Errorf("ReadAll: %s, want %s", got, want)
 	}
 	if got, want := names(keyB), "b1 b2 "; got != want {
-		t.Errorf("ReadKey(b) before Compact: %s, want %s", got, want)
-	}
-
-	if n, err := s.Compact(); err != nil || n != 2 {
-		t.Fatalf("Compact dropped %d (%v), want 2", n, err)
-	}
-	peek, _ = s.Peek()
-	all, _ = s.ReadAll()
-	keyB, _ = s.ReadKey("b")
-	if got, want := names(peek), "b1 a2 "; got != want {
-		t.Errorf("Peek after Compact: %s, want %s", got, want)
-	}
-	if got, want := names(all), "b1 a2 "; got != want {
-		t.Errorf("ReadAll after Compact: %s, want %s", got, want)
-	}
-	if got, want := names(keyB), "b1 "; got != want {
-		t.Errorf("ReadKey(b) after Compact: %s, want %s", got, want)
+		t.Errorf("ReadKey(b): %s, want %s", got, want)
 	}
 }
 
-// Lookup reads a record where AppendKey put it, and finds it on the same
-// page once Compact has moved it; Scan hands out the same refs as the
-// appends. A slice Lookup returned before a compaction keeps its bytes.
-func TestLookupFollowsCompaction(t *testing.T) {
+// Lookup reads a record exactly where AppendKey put it, and Scan hands out
+// the same refs as the appends. No record ever moves, so a ref is exact: an
+// offset off by one either way, on the page that holds the record, is an
+// error, not a search.
+func TestLookupIsExact(t *testing.T) {
 	s := New()
 	k, other := s.Key("msg:k"), s.Key("msg:other")
 	refs := make(map[uint64]Ref)
@@ -101,30 +85,16 @@ func TestLookupFollowsCompaction(t *testing.T) {
 	}); err != nil || scanned != len(refs) {
 		t.Fatalf("Scan: %v (%d records)", err, scanned)
 	}
-
-	before, err := s.Lookup(k, 199, refs[199])
-	if err != nil || string(before) != "k199" {
-		t.Fatalf("Lookup before Compact: %q (%v)", before, err)
-	}
-	s.Invalidate("msg:other", 1000)
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
 	for seq, ref := range refs {
 		d, err := s.Lookup(k, seq, ref)
 		if err != nil || string(d) != fmt.Sprintf("k%03d", seq) {
-			t.Fatalf("Lookup #%d after Compact: %q (%v)", seq, d, err)
+			t.Fatalf("Lookup #%d at %+v: %q (%v)", seq, ref, d, err)
 		}
-		if ref.Off != 0 {
-			moved++
+		for _, off := range []uint32{ref.Off - 1, ref.Off + 1} {
+			if d, err := s.Lookup(k, seq, Ref{Page: ref.Page, Off: off}); err == nil {
+				t.Fatalf("Lookup #%d at offset %d, off by one from %+v, read %q", seq, off, ref, d)
+			}
 		}
-	}
-	if moved == 0 {
-		t.Fatal("compaction moved no record: the scan went untested")
-	}
-	if string(before) != "k199" {
-		t.Fatalf("a slice from before Compact now reads %q", before)
 	}
 	if _, err := s.Lookup(k, 500, refs[0]); err == nil {
 		t.Fatal("Lookup found a record never appended")

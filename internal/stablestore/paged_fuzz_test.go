@@ -13,7 +13,7 @@ import (
 // store's one external input. Open either fails or returns a store that reads
 // back whole — ReadAll succeeds, and every key's ReadKey equals ReadAll
 // filtered to that key in seq order. The seeds are an intact store holding a
-// chain and a compacted-empty page, and TestOpenRejectsCorruptPages's two
+// chain and an all-zero page, and TestOpenRejectsCorruptPages's two
 // damaged images: the chain over-claim that used to open and under-read, and
 // a page that does not decode.
 func FuzzPagedOpen(f *testing.F) {
@@ -63,8 +63,9 @@ func FuzzPagedOpen(f *testing.F) {
 }
 
 // intactImage is a file image of a store holding small records of two keys,
-// an oversized checkpoint on a three-page chain, and a page emptied by
-// compaction.
+// an oversized checkpoint on a three-page chain, and, as its first page, a
+// page of zero bytes. The store never writes one, but Open reads external
+// input, so a zero page must open (as a page holding no records).
 func intactImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "intact.db")
@@ -77,10 +78,6 @@ func intactImage(tb testing.TB) []byte {
 	}
 	s.Append(Record{Kind: KindCheckpoint, Key: "ck:a", Seq: 1, Data: bytes.Repeat([]byte{7}, 2*PageSize+100)})
 	s.Append(msg("msg:b", 1, "after the chain"))
-	s.Invalidate("msg:a", 2)
-	if _, err := s.Compact(); err != nil {
-		tb.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -88,15 +85,17 @@ func intactImage(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	clear(img[:PageSize]) // msg:a #1 and #2
 	return img
 }
 
 // FuzzRecordHeader feeds arbitrary bytes to the one header parser and the
-// three readers built on it. None may panic; a header the parser accepts is
+// readers built on it. None may panic; a header the parser accepts is
 // appendRecord's encoding of what it read, so one record has one encoding;
-// and recordLen agrees with decodeOne: every record decodeOne accepts is as
-// long as recordLen says, and every length recordLen reads that fits in the
-// bytes is a record decodeOne accepts.
+// and the header's length (which Open reads to find chains) agrees with
+// decodeOne: every record decodeOne accepts is as long as its header says,
+// and every header length that fits in the bytes is a record decodeOne
+// accepts.
 func FuzzRecordHeader(f *testing.F) {
 	for _, r := range []Record{
 		msg("msg:p0.1", 1, "hi"),
@@ -119,12 +118,11 @@ func FuzzRecordHeader(f *testing.F) {
 			}
 		}
 		rec, n, err := decodeOne(b)
-		total, lok := recordLen(b)
 		switch {
-		case err == nil && n > 0 && (!lok || total != n):
-			t.Fatalf("decodeOne read a %d-byte record, recordLen says %d (ok %v)", n, total, lok)
-		case lok && total <= len(b) && (err != nil || n != total):
-			t.Fatalf("recordLen read a %d-byte record, decodeOne says %d (%v)", total, n, err)
+		case err == nil && n > 0 && (!ok || h.n != n):
+			t.Fatalf("decodeOne read a %d-byte record, the header says %d (ok %v)", n, h.n, ok)
+		case ok && h.n <= len(b) && (err != nil || n != h.n):
+			t.Fatalf("the header says a %d-byte record, decodeOne reads %d (%v)", h.n, n, err)
 		}
 		if err == nil && n > 0 {
 			if d, ok := recordAt(b, rec.Key, rec.Seq); !ok || !bytes.Equal(d, rec.Data) {

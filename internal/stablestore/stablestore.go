@@ -4,17 +4,14 @@
 // removes the recorder's disk saturation ("allowing messages to be written
 // out in 4k byte buffers rather than forcing one disk write per message").
 //
-// Paged is the one engine: 4 KB pages, a per-key page index, oversized
-// records (checkpoints) on contiguous page chains, and invalidation marks
-// that Compact honours by rewriting a page without its dead message
-// records. The thesis's discipline of reading a page back before its buffer
-// is reused ("Before allocating a buffer to a disk page, the disk page is
-// read in. Any messages that are no longer valid are removed and the buffer
-// is compacted") is not modelled: pages are never reused, and no simulated
-// recorder compacts. It exists in-memory (simulations, modelling a disk that
-// survives recorder crashes) and file-backed (cmd/starhub), and the recorder
-// rebuilds its process database purely from its records ("If the recorder
-// crashes, it is possible to rebuild the data base from the disk", §4.5).
+// Paged is the one engine: 4 KB pages, a per-key page index, and oversized
+// records (checkpoints) on contiguous page chains. It keeps every record it
+// is given and reclaims nothing: §4.5's compaction of a page whose buffer
+// is reused is not modelled, since no page is reused. It exists in-memory
+// (simulations, modelling a disk that survives recorder crashes) and
+// file-backed (cmd/starhub), and the recorder rebuilds its process database
+// purely from its records ("If the recorder crashes, it is possible to
+// rebuild the data base from the disk", §4.5).
 package stablestore
 
 import (
@@ -71,8 +68,8 @@ var errCorruptPage = errors.New("stablestore: corrupt page")
 const maxData = math.MaxUint32
 
 // appendRecord encodes r onto dst: kind, uvarint key length, key, uvarint
-// seq, uvarint data length, data. It is the one record encoder — Append and
-// the compactor write through it — and header reads what it writes.
+// seq, uvarint data length, data. It is the one record encoder — Append
+// writes through it — and parseHeader reads what it writes.
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
@@ -108,9 +105,9 @@ type header struct {
 }
 
 // parseHeader reads the header at the head of b. It is the one header
-// parser: decodeOne, recordLen and recordAt read through it. ok is false for
-// page padding (a leading zero byte), for a header cut short by the end of
-// b, and for one that is not in appendRecord's encoding.
+// parser: decodeOne, rebuildIndex and recordAt read through it. ok is false
+// for page padding (a leading zero byte), for a header cut short by the end
+// of b, and for one that is not in appendRecord's encoding.
 func parseHeader(b []byte) (h header, ok bool) {
 	if len(b) == 0 || b[0] == 0 {
 		return header{}, false
@@ -139,8 +136,7 @@ func parseHeader(b []byte) (h header, ok bool) {
 
 // Ref locates a record in its store: the page AppendKey put it on and its
 // byte offset there (0 for an oversized record, which starts its chain).
-// Compaction can move a record within its page but never off it, so a Ref
-// always names the right page; Lookup finds a moved record by scanning it.
+// No record ever moves, so a Ref is exact.
 type Ref struct {
 	Page uint32
 	Off  uint32
@@ -185,8 +181,7 @@ type Stats struct {
 	Appends     uint64
 	PageWrites  uint64
 	PageReads   uint64
-	Compacted   uint64 // records dropped by compaction/truncation
-	BytesLive   uint64
+	BytesLive   uint64 // every data byte appended: the store keeps them all
 	WriteFaults uint64 // page writes failed by the injected fault hook
 }
 
@@ -218,9 +213,8 @@ type Paged struct {
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
-	// keys holds one record per key: its name, its pages and its dead
-	// message records. Key hashes a name once and hands out a handle on
-	// the record; AppendKey, InvalidateKey and InvalidateKeySeqs hash
+	// keys holds one record per key: its name and its pages. Key hashes a
+	// name once and hands out a handle on the record; AppendKey hashes
 	// nothing. Records are carved from keyBlock, so a new key costs no
 	// allocation of its own. A key is never deleted.
 	keys     map[string]*keyState
@@ -231,7 +225,7 @@ type Paged struct {
 	chains   map[uint64][]uint64
 	chainSet map[uint64]bool
 	// dirty holds page ids whose in-memory content is newer than the file
-	// backing. Physical WriteAt is batched to Flush/Close/Compact — the
+	// backing. Physical WriteAt is batched to Flush/Close — the
 	// §5.1 buffering discipline extended to page syncs — while
 	// Stats.PageWrites keeps counting logical page writes.
 	dirty map[uint64]bool
@@ -252,41 +246,14 @@ type keyState struct {
 	// name is the key every record appended through the handle carries.
 	name string
 	// pages indexes which pages hold the key's records (chains by their
-	// first page), so ReadKey and Compact visit only relevant pages instead
-	// of scanning the whole store.
+	// first page), so ReadKey visits only relevant pages instead of
+	// scanning the whole store.
 	pages []uint64
-	// When cut is set, message records with seq <= through are garbage, to
-	// be dropped at the next compaction of their page.
-	through uint64
-	cut     bool
-	// dead, made on the key's first InvalidateSeqs, marks individual
-	// message records as garbage — needed because channel reads can
-	// consume messages out of arrival order, so a checkpoint may
-	// invalidate a non-prefix subset of a stream.
-	dead *seqSet
-}
-
-// seqSet is a set of sequence numbers as a bitset: bit q%64 of word q/64
-// is q. The seqs a key invalidates one by one are arrival sequences, dense
-// from the start of a stream, so the set costs a bit per seq.
-type seqSet []uint64
-
-func (b seqSet) has(q uint64) bool {
-	i := q / 64
-	return i < uint64(len(b)) && b[i]&(1<<(q%64)) != 0
-}
-
-func (b *seqSet) add(q uint64) {
-	i := int(q / 64)
-	if i >= len(*b) {
-		*b = append(*b, make([]uint64, i+1-len(*b))...)
-	}
-	(*b)[i] |= 1 << (q % 64)
 }
 
 // Key is a handle on one key of a store (Paged.Key). Keys are never
 // deleted, so a handle stays valid as long as the store it came from, and
-// appending or invalidating through it looks nothing up.
+// appending through it looks nothing up.
 type Key struct{ k *keyState }
 
 // New returns an in-memory paged store.
@@ -337,9 +304,9 @@ func (s *Paged) rebuildIndex() error {
 	for id := uint64(0); id < next; {
 		page := s.pages[id]
 		npages := uint64(1)
-		if total, ok := recordLen(page); ok && total > PageSize {
-			// Oversized record: claim ceil(total/PageSize) contiguous pages.
-			npages = uint64((total + PageSize - 1) / PageSize)
+		if h, ok := parseHeader(page); ok && h.n > PageSize {
+			// Oversized record: claim ceil(h.n/PageSize) contiguous pages.
+			npages = uint64((h.n + PageSize - 1) / PageSize)
 			if id+npages > next {
 				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 			}
@@ -358,15 +325,6 @@ func (s *Paged) rebuildIndex() error {
 		id += npages
 	}
 	return nil
-}
-
-// recordLen returns the total encoded length of the first record on a page
-// from its header, without materializing the payload. ok is false where
-// parseHeader's is: an empty page, or a header that is cut short or not in
-// appendRecord's encoding.
-func recordLen(b []byte) (total int, ok bool) {
-	h, ok := parseHeader(b)
-	return h.n, ok
 }
 
 // keyBlockLen is how many key records one allocation holds.
@@ -397,13 +355,6 @@ func (k *keyState) index(id uint64) {
 		return
 	}
 	k.pages = append(k.pages, id)
-}
-
-// dropKeyPage removes page id from key's index (compaction dropped the
-// key's last record on that page).
-func (s *Paged) dropKeyPage(key string, id uint64) {
-	k := s.keys[key]
-	k.pages = slices.DeleteFunc(k.pages, func(p uint64) bool { return p == id })
 }
 
 // Close releases the file backing, if any.
@@ -489,35 +440,21 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 }
 
 // Lookup returns the data of key k's record seq, which AppendKey placed at
-// ref, as a read-only slice of its page. A record compaction moved within
-// its page is found by scanning the page. No page is ever written in place —
-// appends fill the write buffer past its last record and Compact encodes a
-// fresh page — so the slice stays valid whatever the store does next. An
-// oversized record is read from its chain, joined into a buffer of its own.
-// Lookup counts no page read: it reads the in-memory page image.
+// ref, as a read-only slice of its page, or an error if ref does not hold
+// that record. No page is ever written in place, so the slice stays valid
+// whatever the store does next. An oversized record is read from its chain,
+// joined into a buffer of its own. Lookup counts no page read.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
-	id := uint64(ref.Page)
-	if id >= uint64(len(s.pages)) {
-		return nil, fmt.Errorf("stablestore: lookup %s #%d: no page %d", k.k.name, seq, id)
-	}
-	page := s.pages[id]
-	if _, first := s.chains[id]; first {
-		page = s.chain(id)
-	}
-	if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.name, seq); ok {
-		return d, nil
-	}
-	for off := 0; off < len(page); {
-		if d, ok := recordAt(page[off:], k.k.name, seq); ok {
+	if id := uint64(ref.Page); id < uint64(len(s.pages)) {
+		page := s.pages[id]
+		if _, first := s.chains[id]; first {
+			page = s.chain(id)
+		}
+		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.name, seq); ok {
 			return d, nil
 		}
-		n, ok := recordLen(page[off:])
-		if !ok {
-			break
-		}
-		off += n
 	}
-	return nil, fmt.Errorf("stablestore: lookup %s #%d: not on page %d", k.k.name, seq, id)
+	return nil, fmt.Errorf("stablestore: lookup %s #%d: not at %+v", k.k.name, seq, ref)
 }
 
 // recordAt returns the data of the record at the head of b if it is key's
@@ -565,7 +502,7 @@ func (s *Paged) flush() error {
 }
 
 // writePage records a logical page write. The physical WriteAt is
-// deferred: dirty pages are synced together at the next Flush/Close/Compact
+// deferred: dirty pages are synced together at the next Flush/Close
 // boundary, so a burst of appends costs one syscall pass instead of one per
 // page write.
 func (s *Paged) writePage(id uint64) error {
@@ -611,119 +548,9 @@ func (s *Paged) alloc(page []byte) uint64 {
 	return uint64(len(s.pages) - 1)
 }
 
-// Invalidate is InvalidateKey on the key named key.
-func (s *Paged) Invalidate(key string, through uint64) {
-	s.InvalidateKey(s.Key(key), through)
-}
-
-// InvalidateKey marks message records of key h with seq <= through as
-// garbage; compaction reclaims them lazily ("Any messages that are no
-// longer valid are removed and the buffer is compacted", §4.5). The
-// recorder calls this after a checkpoint supersedes old messages (§3.3.1).
-func (s *Paged) InvalidateKey(h Key, through uint64) {
-	if k := h.k; !k.cut || through > k.through {
-		k.through, k.cut = through, true
-	}
-}
-
-// InvalidateSeqs is InvalidateKeySeqs on the key named key.
-func (s *Paged) InvalidateSeqs(key string, seqs []uint64) {
-	s.InvalidateKeySeqs(s.Key(key), seqs)
-}
-
-// InvalidateKeySeqs marks specific message records of key h, by seq, as
-// garbage.
-func (s *Paged) InvalidateKeySeqs(h Key, seqs []uint64) {
-	k := h.k
-	if k.dead == nil && len(seqs) > 0 {
-		k.dead = new(seqSet)
-	}
-	for _, q := range seqs {
-		k.dead.add(q)
-	}
-}
-
-// dead reports whether a message record is invalidated.
-func (s *Paged) dead(r *Record) bool {
-	if r.Kind != KindMessage {
-		return false
-	}
-	k := s.keys[r.Key]
-	return k != nil && (k.cut && r.Seq <= k.through || k.dead != nil && k.dead.has(r.Seq))
-}
-
-// Compact rewrites pages holding invalidated message records, dropping
-// them. Only pages indexed under a key with invalidations are visited —
-// compaction cost scales with the garbage, not the store. It returns the
-// number of records dropped.
-func (s *Paged) Compact() (int, error) {
-	if err := s.flush(); err != nil {
-		return 0, err
-	}
-	// Candidate pages: every page of every key with a pending invalidation.
-	cand := make(map[uint64]bool)
-	for _, k := range s.keys { //det:ok order-free: builds a set
-		if k.cut || k.dead != nil {
-			for _, id := range k.pages {
-				cand[id] = true
-			}
-		}
-	}
-	ids := make([]uint64, 0, len(cand))
-	for id := range cand { //det:ok keys sorted below
-		if !s.isChainPage(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dropped := 0
-	for _, id := range ids {
-		recs, err := decodeRecords(s.pages[id])
-		if err != nil {
-			return dropped, err
-		}
-		var keep []Record
-		changed := false
-		for _, r := range recs {
-			r := r
-			if s.dead(&r) {
-				dropped++
-				changed = true
-				s.stats.Compacted++
-				if s.stats.BytesLive >= uint64(len(r.Data)) {
-					s.stats.BytesLive -= uint64(len(r.Data))
-				}
-				continue
-			}
-			keep = append(keep, r)
-		}
-		if !changed {
-			continue
-		}
-		newPage := make([]byte, 0, PageSize)
-		kept := make(map[string]bool, len(keep))
-		for i := range keep {
-			newPage = appendRecord(newPage, &keep[i])
-			kept[keep[i].Key] = true
-		}
-		// Keys whose last record on this page was dropped leave the index.
-		for _, r := range recs {
-			if !kept[r.Key] {
-				s.dropKeyPage(r.Key, id)
-			}
-		}
-		s.pages[id] = newPage[:PageSize]
-		if err := s.writePage(id); err != nil {
-			return dropped, err
-		}
-	}
-	if err := s.sync(); err != nil {
-		return dropped, err
-	}
-	return dropped, nil
-}
-
-func (s *Paged) isChainPage(id uint64) bool { return s.chainSet[id] }
+// InvalidateSeqs does nothing: the store keeps every record it is given.
+// It exists only for bench/'s checkpoint drive, which calls it.
+func (s *Paged) InvalidateSeqs(key string, seqs []uint64) {}
 
 // chain returns the pages of the chain that starts at page first, joined
 // into a buffer of their own: the oversized record they hold, then padding.
@@ -737,11 +564,10 @@ func (s *Paged) chain(first uint64) []byte {
 	return whole
 }
 
-// ReadAll returns every record not yet compacted away — invalidated ones
-// included, since only Compact drops them — in page order: regular pages by
-// id, each in insertion order, then oversized chains by first page. The
-// recorder's crash rebuild reads the same records through Scan (§3.3.4,
-// §4.5). The records share nothing with the store.
+// ReadAll returns every record in page order: regular pages by id, each in
+// insertion order, then oversized chains by first page. The recorder's
+// crash rebuild reads the same records through Scan (§3.3.4, §4.5). The
+// records share nothing with the store.
 func (s *Paged) ReadAll() ([]Record, error) {
 	var out []Record
 	if err := s.Scan(func(r Record, _ Ref) error {
@@ -809,7 +635,7 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 		return nil
 	}
 	for id, page := range s.pages {
-		if s.isChainPage(uint64(id)) {
+		if s.chainSet[uint64(id)] {
 			continue
 		}
 		reads++
@@ -832,10 +658,10 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	return reads, nil
 }
 
-// ReadKey returns one key's records not yet compacted away, invalidated
-// ones included, in seq order (ties in ReadAll's order). The per-key page
-// index makes this proportional to the key's own pages rather than a
-// full-store scan. The records share nothing with the store.
+// ReadKey returns one key's records in seq order (ties in ReadAll's
+// order). The per-key page index makes this proportional to the key's own
+// pages rather than a full-store scan. The records share nothing with the
+// store.
 func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
