@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -201,6 +201,15 @@ kernelgob:
 # documented no-op, are not matched.
 nocompact:
 	! grep -rnE '\) Compact\(|\.Compact\(\)|\bInvalidate\(|InvalidateKey|seqSet|dropKeyPage|Compacted|bs\.dropped' --include='*.go' --exclude='*_test.go' .
+
+# A Bundle holds its records (DESIGN.md "Steady-state wire efficiency"):
+# the transport fills Frame.Recs with its members' headers, sharing their
+# bodies, and receivers and taps read the records. The bundle body's byte
+# layout is the wire codec only, which internal/frame runs in AppendEncode
+# and DecodeInto; bench/ (frozen) times the codec itself. Building or
+# parsing a bundle body anywhere else would copy every member again.
+bundlebytes:
+	! grep -rnE '(DecodeBundle|AppendBundleRec|BeginBundle|FinishBundle)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=frame --exclude-dir=bench .
 
 build:
 	$(GO) build ./...

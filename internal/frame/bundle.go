@@ -8,10 +8,11 @@ import "encoding/binary"
 // one destination node into a single MTU-sized frame, amortizing the fixed
 // per-frame cost (header, checksum, interframe gap — on the paper's 10 Mb
 // Ethernet the 1.6 ms interpacket delay dwarfs a small payload's clock-out
-// time). It generalizes the recovery pipeline's replay batches to live
-// traffic, with the same discipline: fixed binary layout, one encoding pass
-// at the sender, zero-copy decode at the receiver (record bodies alias the
-// frame body).
+// time). In memory a Bundle holds its messages as records (Frame.Recs),
+// each sharing its message's body, so the simulation never builds or
+// parses the layout below: it is the wire codec only, written by
+// AppendEncode, read by DecodeInto (record bodies alias the decoded buffer)
+// and counted by WireLen, which is what the media charge for.
 //
 // The body is:
 //
@@ -35,9 +36,10 @@ const BundleRecFixed = 1 + 8 + 8 + 8 + 8 + 2 + 4 + 8 + 1 + 1 + 4
 // BundleRecLink is the additional per-record overhead of a passed link.
 const BundleRecLink = linkLen
 
-// BundleRec is one message inside a Bundle frame body. After decoding, Body
-// aliases the bundle frame's body — delivered frames belong to the receiving
-// endpoint, so no copy is needed before handing records upward.
+// BundleRec is one message inside a Bundle frame. Body is the message's
+// body, shared with its sender (RecOf) or, after decoding, aliasing the
+// decoded bytes: a body is read-only once sent, so no copy is needed before
+// handing records upward.
 type BundleRec struct {
 	Type            Type // Guaranteed or Unguaranteed
 	ID              MsgID
@@ -111,6 +113,16 @@ func (rec *BundleRec) ExpandInto(f *Frame, bundle *Frame) {
 		l := rec.Link
 		f.PassedLink = &l
 	}
+}
+
+// appendBundle appends the bundle body encoding recs onto buf.
+func appendBundle(buf []byte, recs []BundleRec) []byte {
+	start := len(buf)
+	buf = BeginBundle(buf)
+	for i := range recs {
+		buf = AppendBundleRec(buf, &recs[i])
+	}
+	return FinishBundle(buf, start, len(recs))
 }
 
 // BeginBundle appends a bundle body header with a zero count onto buf. The

@@ -2,7 +2,10 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -93,6 +96,9 @@ func TestBundleRecExpand(t *testing.T) {
 	}
 }
 
+// TestBundleDecodeRejectsGarbage: a malformed bundle body is an error, from
+// DecodeBundle and from DecodeInto, which parses a checksummed Bundle's body
+// whatever its header says.
 func TestBundleDecodeRejectsGarbage(t *testing.T) {
 	recs := bundleCorpus()
 	body := BeginBundle(nil)
@@ -113,6 +119,9 @@ func TestBundleDecodeRejectsGarbage(t *testing.T) {
 		} else if !errors.Is(err, ErrShortFrame) && !errors.Is(err, ErrBadType) {
 			t.Errorf("case %d: undocumented error %v", i, err)
 		}
+		if _, err := Decode(asBundle((&Frame{Type: Unguaranteed, Body: b}).Encode())); !errors.Is(err, ErrShortFrame) {
+			t.Errorf("case %d: a Bundle frame with this body decoded: err=%v", i, err)
+		}
 	}
 
 	bad := append([]byte(nil), body...)
@@ -120,6 +129,125 @@ func TestBundleDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeBundle(bad, nil); !errors.Is(err, ErrBadType) {
 		t.Errorf("bad record type not rejected: %v", err)
 	}
+	if _, err := Decode(asBundle((&Frame{Type: Unguaranteed, Body: bad}).Encode())); !errors.Is(err, ErrBadType) {
+		t.Errorf("a Bundle frame with a bad record type decoded: err=%v", err)
+	}
+}
+
+// asBundle rewrites an encoded frame's type byte to Bundle and re-checksums
+// it, so its body reaches the bundle parser as it is.
+func asBundle(enc []byte) []byte {
+	b := append([]byte(nil), enc...)
+	b[0] = byte(Bundle)
+	n := len(b) - checksumLen
+	binary.BigEndian.PutUint32(b[n:], Checksum(b[:n]))
+	return b
+}
+
+// randomRecs returns up to 12 records: guaranteed members and unguaranteed
+// riders, with and without a passed link, with nil, empty and full bodies.
+func randomRecs(rng *rand.Rand) []BundleRec {
+	proc := func() ProcID { return ProcID{Node: NodeID(rng.Intn(5) - 1), Local: rng.Uint32()} }
+	recs := make([]BundleRec, rng.Intn(13))
+	for i := range recs {
+		r := &recs[i]
+		r.Type = Guaranteed
+		if rng.Intn(3) == 0 {
+			r.Type = Unguaranteed
+		}
+		r.ID = MsgID{Sender: proc(), Seq: rng.Uint64()}
+		r.From, r.To = proc(), proc()
+		r.Channel, r.Code, r.XSeq = uint16(rng.Uint32()), rng.Uint32(), rng.Uint64()
+		r.DeliverToKernel = rng.Intn(2) == 0
+		if r.HasLink = rng.Intn(2) == 0; r.HasLink {
+			r.Link = Link{To: proc(), Channel: uint16(rng.Uint32()), Code: rng.Uint32(), DeliverToKernel: rng.Intn(2) == 0}
+		}
+		switch rng.Intn(3) {
+		case 0:
+			r.Body = []byte{}
+		case 1:
+			r.Body = make([]byte, 1+rng.Intn(100))
+			rng.Read(r.Body)
+		}
+	}
+	return recs
+}
+
+// TestBundleCodecEquivalence: a Bundle carries its records, and its wire
+// bytes are the bundle layout of them. Over random record sets, AppendEncode
+// writes exactly the frame whose body BeginBundle, AppendBundleRec and
+// FinishBundle build from the same records; WireLen counts it, String reports
+// its length as it always has, DecodeInto gives the records back aliasing
+// the bytes it read, and Clone's copy encodes the same while sharing no
+// body.
+func TestBundleCodecEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var g Frame
+	for i := 0; i < 500; i++ {
+		f := &Frame{Type: Bundle, Src: NodeID(rng.Intn(4)), Dst: NodeID(rng.Intn(4)), XLow: rng.Uint64(), Recs: randomRecs(rng)}
+		if rng.Intn(2) == 0 {
+			f.AckCumSet, f.AckCum = true, rng.Uint64()
+			for k := rng.Intn(4); k > 0; k-- {
+				f.AckRecs = append(f.AckRecs, AckRec{ID: MsgID{Sender: ProcID{Node: 1, Local: rng.Uint32()}, Seq: rng.Uint64()}})
+			}
+		}
+		body := BeginBundle(nil)
+		for k := range f.Recs {
+			body = AppendBundleRec(body, &f.Recs[k])
+		}
+		body = FinishBundle(body, 0, len(f.Recs))
+		opaque := *f
+		opaque.Type, opaque.Recs, opaque.Body = Unguaranteed, nil, body
+		wire := asBundle(opaque.Encode())
+
+		enc := f.Encode()
+		if !bytes.Equal(enc, wire) {
+			t.Fatalf("run %d: AppendEncode differs from the bundle codec's body:\n got %x\nwant %x", i, enc, wire)
+		}
+		if f.WireLen() != len(enc) {
+			t.Fatalf("run %d: WireLen %d, encoded %d bytes", i, f.WireLen(), len(enc))
+		}
+		if s, w := f.String(), fmt.Sprintf("bundle n%d->n%d len=%d acks=%d", f.Src, f.Dst, len(body), len(f.AckRecs)); s != w {
+			t.Fatalf("run %d: String %q, want %q", i, s, w)
+		}
+
+		if err := DecodeInto(&g, enc); err != nil {
+			t.Fatalf("run %d: DecodeInto: %v", i, err)
+		}
+		for k := range g.Recs {
+			if b := g.Recs[k].Body; len(b) > 0 && !aliases(enc, b) {
+				t.Fatalf("run %d: record %d's body does not alias the decoded bytes", i, k)
+			}
+		}
+		got, want := g, *f
+		got.Recs = append([]BundleRec(nil), g.Recs...)
+		want.Recs = append([]BundleRec(nil), f.Recs...)
+		normalizeBody(&got)
+		normalizeBody(&want)
+		if !reflect.DeepEqual(&got, &want) {
+			t.Fatalf("run %d: DecodeInto did not round-trip:\n got %+v\nwant %+v", i, got, want)
+		}
+
+		c := f.Clone()
+		if !bytes.Equal(c.Encode(), enc) {
+			t.Fatalf("run %d: the clone encodes differently", i)
+		}
+		for k := range c.Recs {
+			if b := c.Recs[k].Body; len(b) > 0 && &b[0] == &f.Recs[k].Body[0] {
+				t.Fatalf("run %d: the clone shares record %d's body", i, k)
+			}
+		}
+	}
+}
+
+// aliases reports whether b lies inside buf.
+func aliases(buf, b []byte) bool {
+	for i := range buf {
+		if &buf[i] == &b[0] {
+			return true
+		}
+	}
+	return false
 }
 
 func TestAckIDListRoundTrip(t *testing.T) {

@@ -185,9 +185,9 @@ const (
 	Token
 	// Bundle coalesces several small guaranteed/unguaranteed messages for
 	// the same destination node into one frame (the steady-state analogue
-	// of the recovery replay batches). The Body is a sequence of BundleRec
-	// records; the frame-level XLow applies to every guaranteed record, as
-	// they all belong to the one src->dst transport stream.
+	// of the recovery replay batches). Its Recs are the messages; the
+	// frame-level XLow applies to every guaranteed record, as they all
+	// belong to the one src->dst transport stream.
 	Bundle
 )
 
@@ -213,11 +213,33 @@ func (t Type) String() string {
 // validity").
 func (t Type) Valid() bool { _, ok := typeNames[t]; return ok }
 
-// Frame is one transmission on the network medium.
+// Frame is one transmission on the network medium. The flags sit beside
+// Type and Slot beside Dst, in what would otherwise be padding, so a Frame,
+// held by value in every flight, send-queue slot and free list, stays 160
+// bytes.
 type Frame struct {
 	Type Type
+
+	// DeliverToKernel routes the message to the destination node's kernel
+	// process instead of directly to To (§4.4.3).
+	DeliverToKernel bool
+
+	// AckCumSet marks AckCum valid (see AckRecs).
+	AckCumSet bool
+
+	// Corrupt marks a frame whose checksum has been invalidated — either by
+	// injected noise or deliberately by the ring recorder when it failed to
+	// store the message (§6.1.2). The link layer discards corrupt frames.
+	Corrupt bool
+
 	// Src and Dst are station (node) addresses. Dst may be Broadcast.
 	Src, Dst NodeID
+
+	// Slot is the sending endpoint's own bookkeeping: which entry of its
+	// table of frames out on the medium this one is, so handing the frame
+	// back finds its owner without a lookup. It is never encoded, and means
+	// nothing to anyone else.
+	Slot uint32
 
 	// ID identifies the guaranteed message this frame carries, or — for Ack
 	// and RecorderAck frames — the message being acknowledged.
@@ -244,19 +266,22 @@ type Frame struct {
 	// acknowledged before and will never be resent.
 	XLow uint64
 
-	// DeliverToKernel routes the message to the destination node's kernel
-	// process instead of directly to To (§4.4.3).
-	DeliverToKernel bool
-
 	// PassedLink is the (at most one) link included in the message
 	// (§4.2.2.3). Nil when no link is passed.
 	PassedLink *Link
 
-	// Body is uninterpreted payload.
+	// Body is uninterpreted payload. A Bundle has none: its records are its
+	// body.
 	Body []byte
 
-	// AckCumSet/AckCum/AckRecs are the piggybacked acknowledgement block.
-	// Any gated frame may carry it in the reverse direction of a data
+	// Recs are a Bundle's messages, in order. On the wire they are the
+	// frame's body, laid out as bundle.go describes; in memory each record
+	// holds its message's header and shares its body, so building or
+	// reading a Bundle copies no body.
+	Recs []BundleRec
+
+	// AckCum/AckRecs, with AckCumSet, are the piggybacked acknowledgement
+	// block. Any gated frame may carry it in the reverse direction of a data
 	// stream, so steady-state traffic needs no dedicated ack frames (the
 	// delayed/cumulative scheme the LLFT line of systems uses). AckCum,
 	// valid when AckCumSet, is a cumulative stream acknowledgement in XSeq
@@ -266,20 +291,8 @@ type Frame struct {
 	// order they were accepted at the receiver — the recorder snoops the
 	// list to learn arrival order exactly as it did standalone Ack frames
 	// (§4.4.1).
-	AckCumSet bool
-	AckCum    uint64
-	AckRecs   []AckRec
-
-	// Corrupt marks a frame whose checksum has been invalidated — either by
-	// injected noise or deliberately by the ring recorder when it failed to
-	// store the message (§6.1.2). The link layer discards corrupt frames.
-	Corrupt bool
-
-	// Slot is the sending endpoint's own bookkeeping: which entry of its
-	// table of frames out on the medium this one is, so handing the frame
-	// back finds its owner without a lookup. It is never encoded, and means
-	// nothing to anyone else; it fits the padding after Corrupt.
-	Slot uint32
+	AckCum  uint64
+	AckRecs []AckRec
 }
 
 // AckRec is one piggybacked end-to-end acknowledgement: the message id and
@@ -325,12 +338,25 @@ const MaxBody = MTU - headerLen - linkLen - checksumLen
 // used by the media simulations to compute transmission time. Acks and
 // tokens are minimal frames.
 func (f *Frame) WireLen() int {
-	n := headerLen + len(f.Body) + checksumLen
+	n := headerLen + f.bodyLen() + checksumLen
 	if f.PassedLink != nil {
 		n += linkLen
 	}
 	if f.hasAcks() {
 		n += ackBlockLen + len(f.AckRecs)*AckRecLen
+	}
+	return n
+}
+
+// bodyLen is the encoded length of the frame's body: a Bundle's is its
+// records' encoding.
+func (f *Frame) bodyLen() int {
+	if f.Type != Bundle {
+		return len(f.Body)
+	}
+	n := BundleHdrLen
+	for i := range f.Recs {
+		n += f.Recs[i].EncodedLen()
 	}
 	return n
 }
@@ -345,11 +371,27 @@ func (f *Frame) hasAcks() bool { return f.AckCumSet || len(f.AckRecs) > 0 }
 // whoever keeps a frame, or starts a new transmission from one, copies only
 // its header: each transport attempt and a kernel forward share the body.
 // Clone is for a bridge crossing, whose far medium may mark its frame
-// corrupt, and for callers that go on writing a frame they send.
+// corrupt, and for callers that go on writing a frame they send. A Bundle's
+// records are copied, their bodies into one new buffer as long as the
+// records' bodies.
 func (f *Frame) Clone() *Frame {
 	g := *f
 	if f.Body != nil {
 		g.Body = append([]byte(nil), f.Body...)
+	}
+	if f.Recs != nil {
+		g.Recs = append([]BundleRec(nil), f.Recs...)
+		n := 0
+		for i := range g.Recs {
+			n += len(g.Recs[i].Body)
+		}
+		buf := make([]byte, 0, n)
+		for i := range g.Recs {
+			if b := g.Recs[i].Body; b != nil {
+				buf = append(buf, b...)
+				g.Recs[i].Body = buf[len(buf)-len(b) : len(buf) : len(buf)]
+			}
+		}
 	}
 	if f.PassedLink != nil {
 		l := *f.PassedLink
@@ -367,7 +409,7 @@ func (f *Frame) String() string {
 	case Ack, RecorderAck:
 		return fmt.Sprintf("%s(%s) n%d->n%d", f.Type, f.ID, f.Src, f.Dst)
 	case Bundle:
-		return fmt.Sprintf("bundle n%d->n%d len=%d acks=%d", f.Src, f.Dst, len(f.Body), len(f.AckRecs))
+		return fmt.Sprintf("bundle n%d->n%d len=%d acks=%d", f.Src, f.Dst, f.bodyLen(), len(f.AckRecs))
 	case Token:
 		return "token"
 	default:
@@ -428,7 +470,7 @@ func (f *Frame) AppendEncode(buf []byte) []byte {
 	buf = appendBool(buf, f.DeliverToKernel)
 	buf = appendBool(buf, f.PassedLink != nil)
 	buf = appendBool(buf, f.hasAcks())
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Body)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(f.bodyLen()))
 	if f.PassedLink != nil {
 		buf = appendProc(buf, f.PassedLink.To)
 		buf = binary.BigEndian.AppendUint16(buf, f.PassedLink.Channel)
@@ -450,7 +492,11 @@ func (f *Frame) AppendEncode(buf []byte) []byte {
 			buf = appendProc(buf, r.Rcv)
 		}
 	}
-	buf = append(buf, f.Body...)
+	if f.Type == Bundle {
+		buf = appendBundle(buf, f.Recs)
+	} else {
+		buf = append(buf, f.Body...)
+	}
 
 	sum := Checksum(buf[start:])
 	if f.Corrupt {
@@ -478,10 +524,13 @@ func Decode(b []byte) (*Frame, error) {
 }
 
 // DecodeInto parses an encoded frame into f, verifying the checksum like
-// Decode. It reuses f's existing Body capacity (and PassedLink allocation)
-// where possible, so a caller decoding a stream of frames into one reused
-// Frame allocates nothing in steady state. Every field of f is overwritten;
-// on error f is left in an unspecified state and must not be used.
+// Decode. It reuses f's existing Body and Recs capacity (and PassedLink
+// allocation) where possible, so a caller decoding a stream of frames into
+// one reused Frame allocates nothing in steady state. A Bundle's body is
+// parsed into Recs, whose bodies alias b, so the caller keeps b as long as
+// it keeps them; a body that does not parse is an error, like a short
+// frame. Every field of f is overwritten; on error f is left in an
+// unspecified state and must not be used.
 func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < headerLen+checksumLen {
 		return ErrShortFrame
@@ -568,10 +617,15 @@ func DecodeInto(f *Frame, b []byte) error {
 	if len(payload)-pos != bodyLen {
 		return ErrShortFrame
 	}
+	recs := f.Recs[:0]
+	f.Body, f.Recs = f.Body[:0], nil
+	if f.Type == Bundle {
+		var err error
+		f.Recs, err = DecodeBundle(payload[pos:], recs)
+		return err
+	}
 	if bodyLen > 0 {
-		f.Body = append(f.Body[:0], payload[pos:pos+bodyLen]...)
-	} else {
-		f.Body = f.Body[:0]
+		f.Body = append(f.Body, payload[pos:pos+bodyLen]...)
 	}
 	return nil
 }

@@ -42,7 +42,14 @@ func frameCorpus() []*Frame {
 			XSeq: 3, Body: []byte("reverse data"),
 			AckRecs: []AckRec{{ID: MsgID{Sender: ProcID{Node: 0, Local: 1}, Seq: 9}, Rcv: ProcID{Node: 1, Local: 2}}},
 		},
-		{Type: Bundle, Src: 0, Dst: 1, XLow: 1<<48 | 10, Body: []byte("opaque bundle records")},
+		{Type: Bundle, Src: 0, Dst: 1, XLow: 1<<48 | 10, Recs: bundleCorpus()},
+		{
+			Type: Bundle, Src: 1, Dst: 0, XLow: 1<<48 | 3,
+			Recs:      bundleCorpus()[2:],
+			AckCumSet: true, AckCum: 1<<48 | 6,
+			AckRecs: []AckRec{{ID: MsgID{Sender: ProcID{Node: 0, Local: 1}, Seq: 9}, Rcv: ProcID{Node: 1, Local: 2}}},
+		},
+		{Type: Bundle, Src: 2, Dst: 3},
 		{Type: RecorderAck, Src: 3, Dst: Broadcast, ID: MsgID{Sender: ProcID{Node: 0, Local: 1}, Seq: 8}},
 		{Type: Unguaranteed, Src: 0, Dst: 2, From: ProcID{Node: 0, Local: 0}, To: ProcID{Node: 2, Local: 0}, Body: []byte{0x01}},
 		{Type: Token},
@@ -55,11 +62,20 @@ func frameCorpus() []*Frame {
 	}
 }
 
-// normalizeBody maps an empty body to nil so frames decoded into fresh and
-// reused Frames (which differ only in empty-slice identity) compare equal.
+// normalizeBody maps an empty body, record list or record body to nil so
+// frames decoded into fresh and reused Frames (which differ only in
+// empty-slice identity) compare equal.
 func normalizeBody(f *Frame) {
 	if len(f.Body) == 0 {
 		f.Body = nil
+	}
+	if len(f.Recs) == 0 {
+		f.Recs = nil
+	}
+	for i := range f.Recs {
+		if len(f.Recs[i].Body) == 0 {
+			f.Recs[i].Body = nil
+		}
 	}
 }
 
@@ -76,6 +92,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, headerLen+checksumLen))
 	f.Add(frameCorpus()[0].Encode()[:headerLen])
+	// A Bundle whose body is not a record list: DecodeInto rejects it.
+	f.Add(asBundle((&Frame{Type: Unguaranteed, Body: []byte("opaque bundle records")}).Encode()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(data)
 		if err != nil {
@@ -103,7 +121,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 
 		// DecodeInto must agree with Decode even when reusing a dirty frame.
-		dirty := &Frame{Body: make([]byte, 64), PassedLink: &Link{Channel: 77}, Corrupt: true}
+		dirty := &Frame{Body: make([]byte, 64), PassedLink: &Link{Channel: 77}, Corrupt: true, Recs: make([]BundleRec, 3)}
 		if err := DecodeInto(dirty, data); err != nil {
 			t.Fatalf("DecodeInto failed where Decode succeeded: %v", err)
 		}

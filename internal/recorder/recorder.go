@@ -313,11 +313,11 @@ type Recorder struct {
 	// into (see persist.go). stablestore.Append copies Data, so the bytes
 	// only need to survive one call.
 	encScratch []byte
-	// recScratch is the tap's reused bundle-decode buffer: one decode
-	// serves both the store path and the vote. A lone message is copied
-	// into it as a bundle of one, and a header-only ack into ackOne.
-	recScratch []frame.BundleRec
-	ackOne     [1]frame.AckRec
+	// msgOne and ackOne hold a lone message as a bundle of one, and a
+	// header-only ack as a block of one, so the tap reads every frame as
+	// records.
+	msgOne [1]frame.BundleRec
+	ackOne [1]frame.AckRec
 	// ackq queues recorder acknowledgements awaiting their publish
 	// processing time; one flush timer drains every ready entry into a
 	// single batched RecorderAck frame.
@@ -462,17 +462,11 @@ func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
 		// per record (they land on distinct database pages); any failure
 		// blocks the whole frame, which the medium gates, and the sender's
 		// retransmissions land on the duplicate checks for the rest.
-		recs, err := r.recScratch[:0], error(nil)
+		recs := f.Recs
 		if f.Type == frame.Guaranteed {
-			recs = append(recs, frame.BundleRec{})
-			recs[0].RecOf(f)
-		} else if recs, err = frame.DecodeBundle(f.Body, recs); err != nil {
-			if stored {
-				r.stats.StoreFailures++
-			}
-			return false, true // undecodable: gate conservatively
+			r.msgOne[0].RecOf(f)
+			recs = r.msgOne[:]
 		}
-		r.recScratch = recs
 		live := stored
 		for i := range recs {
 			m := &recs[i]

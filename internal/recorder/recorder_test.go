@@ -246,9 +246,9 @@ func TestHeaderOnlyAckIsCredited(t *testing.T) {
 }
 
 // A stream holds no message body. The tap's pending node keeps the body it
-// heard — for a bundle member, a slice of the bundle, not a copy — until the
-// acknowledgement writes the message into a page, and the stream reads the
-// body back from there.
+// heard — for a bundle member, the body its record shares with the sender,
+// not a copy — until the acknowledgement writes the message into a page, and
+// the stream reads the body back from there.
 func TestStreamReadsBodiesFromTheStore(t *testing.T) {
 	r, _, _ := newBench(t)
 	register(r, procB(), "b")
@@ -260,34 +260,24 @@ func TestStreamReadsBodiesFromTheStore(t *testing.T) {
 	publishFrame(r, single)
 
 	member := msg(2, "member")
-	var rec frame.BundleRec
-	rec.RecOf(member)
-	body := frame.AppendBundleRec(frame.BeginBundle(nil), &rec)
-	bundle := &frame.Frame{Type: frame.Bundle, Src: 0, Dst: 1, Body: frame.FinishBundle(body, 0, 1)}
+	bundle := &frame.Frame{Type: frame.Bundle, Src: 0, Dst: 1, Recs: make([]frame.BundleRec, 1)}
+	bundle.Recs[0].RecOf(member)
 	if !r.Observe(bundle) {
 		t.Fatal("tap rejected the bundle")
 	}
-	inBundle := func(b []byte) bool {
-		for i := range bundle.Body {
-			if &bundle.Body[i] == &b[0] {
-				return true
-			}
-		}
-		return false
-	}
-	if q := r.core.Of(procB()).Queue(); len(q) != 1 || string(q[0].Body) != "member" || !inBundle(q[0].Body) {
-		t.Fatal("the pending bundle member does not alias the bundle's body")
+	if q := r.core.Of(procB()).Queue(); len(q) != 1 || string(q[0].Body) != "member" || &q[0].Body[0] != &member.Body[0] {
+		t.Fatal("the pending bundle member does not alias the body its sender shared")
 	}
 	r.Observe(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: member.ID, From: procB(), To: procA()})
 
 	// Scribble over both wire bodies: the stream must not be reading them.
 	copy(single.Body, "XXXXXX")
-	copy(bundle.Body, make([]byte, len(bundle.Body)))
+	copy(member.Body, "XXXXXX")
 	got := r.StreamMessages(procB())
 	if len(got) != 2 || string(got[0].Body) != "single" || string(got[1].Body) != "member" {
 		t.Fatalf("stream reads back %q", got)
 	}
-	if &got[0].Body[0] == &single.Body[0] || inBundle(got[1].Body) {
+	if &got[0].Body[0] == &single.Body[0] || &got[1].Body[0] == &member.Body[0] {
 		t.Fatal("a stream body aliases the wire")
 	}
 }

@@ -4,12 +4,14 @@ package transport
 // written again until the medium hands it back (lan.Releaser), and a body is
 // read-only from Send on. So a guaranteed message lives in its transmission
 // unit, which holds the message's flight and the flight's copy of the
-// sender's header; the first transmission sends that frame itself. A
-// retransmission, a bundle, an unguaranteed or raw send, and a flushed Ack
-// frame are frames of the endpoint's own. Every one of them, and the unit,
-// goes back to the endpoint's free lists when the medium releases it, so a
-// warm endpoint allocates nothing per message but a bundle's body and a
-// held frame. The endpoint's timers — a unit's flush, a flight's
+// sender's header; the first transmission sends that frame itself, and a
+// bundle is the unit's own frame, whose records hold the members' headers
+// and share their bodies. A retransmission, an unguaranteed or raw send,
+// and a flushed Ack frame are frames of the endpoint's own, and a
+// piggybacked ack block is an array of its own. Every one of them, and the
+// unit, goes back to the endpoint's free lists when the medium releases it,
+// so a warm endpoint allocates nothing per message but a held frame. The
+// endpoint's timers — a unit's flush, a flight's
 // retransmission, a peer's delayed ack, a held frame's expiry — are
 // scheduled with their owner as the handler, so arming one allocates
 // nothing.
@@ -87,43 +89,93 @@ func TestUnguaranteedSendCopiesTheHeader(t *testing.T) {
 	}
 }
 
-// formedUnit admits two guaranteed frames and one unguaranteed rider for
-// node 1 into one forming unit, ready for flushUnit.
-func formedUnit(t *testing.T, e *Endpoint) *txUnit {
-	t.Helper()
-	e.SendGuaranteed(gmsg(0, 1, 1, "a"))
-	e.SendGuaranteed(gmsg(0, 1, 2, "b"))
-	e.SendUnguaranteed(&frame.Frame{Dst: 1, Body: []byte("c")})
-	u := e.tx.get(1).form
-	if u == nil || len(u.recs) != 2 || len(u.riders) != 1 {
-		t.Fatalf("unit did not form: %+v", u)
-	}
-	return u
-}
-
-// TestBundleFlushMakesNoCopy: flushing a unit allocates the bundle's body —
-// nothing else: the frame comes from the free list, the rider goes back to
-// it once encoded, and no retransmit timer per member allocates. The timers
-// are cancelled after each run so the scheduler reuses their event nodes.
-// The body stays new per bundle: receivers keep members' bodies.
+// TestBundleFlushMakesNoCopy: a unit of two guaranteed members and a rider
+// goes out as the unit's own Bundle frame. Its records hold the messages'
+// headers and share their bodies, in an array the unit keeps, and the rider
+// goes back to the free list at flush. So once warm, forming a unit,
+// flushing it and finishing its members allocates nothing: no body, no
+// frame, no timer. The unit comes back when the medium hands the bundle
+// back, which the sink does at the next run's flush.
 func TestBundleFlushMakesNoCopy(t *testing.T) {
 	e, med := newSinkEndpoint()
-	u := formedUnit(t, e)
-	n := testing.AllocsPerRun(200, func() {
-		u.flushed = false
+	a, b := gmsg(0, 1, 0, "a"), gmsg(0, 1, 0, "b")
+	rider := &frame.Frame{Dst: 1, Body: []byte("c")}
+	var u *txUnit
+	run := func() {
+		a.ID.Seq += 2
+		b.ID.Seq = a.ID.Seq + 1
+		e.SendGuaranteed(a)
+		e.SendGuaranteed(b)
+		e.SendUnguaranteed(rider)
+		u = e.tx.get(1).form
 		e.flushUnit(u)
 		for _, fl := range u.recs {
-			e.sched.Cancel(fl.timer)
+			e.finish(fl)
 		}
-	})
-	if n != 1 {
-		t.Errorf("bundle flush allocated %.1f objects; want 1 (the body)", n)
 	}
-	if len(u.riders) != 0 {
+	run()
+	run()
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Errorf("forming, flushing and finishing a bundle allocated %.1f objects; want 0", n)
+	}
+	got := med.last
+	switch {
+	case got != u.bundle || got.Type != frame.Bundle || len(got.Recs) != 3:
+		t.Fatalf("flush sent %v, not the unit's bundle of three records", got)
+	case len(u.riders) != 0:
 		t.Fatalf("the flushed unit still holds %d riders", len(u.riders))
+	case &got.Recs[0].Body[0] != &a.Body[0] || &got.Recs[1].Body[0] != &b.Body[0] || &got.Recs[2].Body[0] != &rider.Body[0]:
+		t.Fatal("a bundle record copied its message's body")
+	case got.Recs[0].ID != a.ID || got.Recs[2].Type != frame.Unguaranteed:
+		t.Fatalf("the bundle's records are %+v", got.Recs)
 	}
-	if med.last.Type != frame.Bundle {
-		t.Fatalf("flush sent a %v, want a bundle", med.last.Type)
+}
+
+// TestPiggybackedAcksReuseTheirArrays: acknowledgements pending toward a
+// peer ride the next frame sent to it, a lone message's or a bundle's,
+// copied into an array from the endpoint's free list. The pending queue
+// keeps its own array, and the frame's goes back when the frame is reused,
+// so once warm, queueing acks and sending them piggybacked allocates
+// nothing. Handing the queue's array to the frame instead would leave the
+// queue to grow a new one for the next acks.
+func TestPiggybackedAcksReuseTheirArrays(t *testing.T) {
+	for _, members := range []int{1, 2} {
+		e, med := newSinkEndpoint()
+		in := gmsg(1, 0, 0, "in")
+		in.Src = 1 // as the medium delivers it
+		out := []*frame.Frame{gmsg(0, 1, 0, "x"), gmsg(0, 1, 0, "y")}[:members]
+		seq := uint64(0)
+		run := func() {
+			for range 3 {
+				in.ID.Seq++
+				e.ack(in)
+			}
+			for _, f := range out {
+				seq++
+				f.ID.Seq = seq
+				e.SendGuaranteed(f)
+			}
+			u := e.tx.get(1).form
+			e.flushUnit(u)
+			for _, fl := range u.recs {
+				e.finish(fl)
+			}
+		}
+		for range 3 {
+			run()
+		}
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Errorf("%d member(s): piggybacking pending acks allocated %.1f objects per send; want 0", members, n)
+		}
+		got, p := med.last, &e.rx.get(1).ack
+		switch {
+		case len(got.AckRecs) != 3 || got.AckRecs[2].ID != in.ID:
+			t.Fatalf("%d member(s): sent %v carrying acks %v; want the 3 pending", members, got, got.AckRecs)
+		case len(p.recs) != 0 || p.timerSet:
+			t.Fatalf("%d member(s): %d acks left pending", members, len(p.recs))
+		case cap(p.recs) < 3 || &got.AckRecs[0] == &p.recs[:1][0]:
+			t.Fatalf("%d member(s): the pending queue gave its array to the frame", members)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -18,16 +19,38 @@ import (
 // freed while still out, shows up as a duplicate or an overfull list.
 
 // outSet is what an endpoint has out of its free lists: plain frames (on
-// the medium, or riding in a forming unit), Ack frames on the medium, and
-// units (forming, with a flight in flight, or with a frame on the medium).
+// the medium, riding in a forming unit, or a unit's bundle, which comes back
+// with its unit), Ack frames on the medium, units (forming, with a flight in
+// flight, or with a frame on the medium: a flight's own or the bundle), and
+// the arrays of piggybacked ack blocks, keyed by their first element.
 type outSet struct {
 	frames map[*frame.Frame]bool
 	acks   map[*ackFrame]bool
 	units  map[*txUnit]bool
+	arrs   map[*frame.AckRec]bool
 }
 
 func newOutSet() outSet {
-	return outSet{make(map[*frame.Frame]bool), make(map[*ackFrame]bool), make(map[*txUnit]bool)}
+	return outSet{make(map[*frame.Frame]bool), make(map[*ackFrame]bool), make(map[*txUnit]bool), make(map[*frame.AckRec]bool)}
+}
+
+// addArr notes the array of f's ack block, if it has one.
+func (o outSet) addArr(f *frame.Frame) {
+	if cap(f.AckRecs) > 0 {
+		o.arrs[&f.AckRecs[:1][0]] = true
+	}
+}
+
+// addUnit notes a unit, its bundle and the ack arrays its own frames hold.
+func (o outSet) addUnit(u *txUnit) {
+	o.units[u] = true
+	if u.bundle != nil {
+		o.frames[u.bundle] = true
+		o.addArr(u.bundle)
+	}
+	for _, fl := range u.recs {
+		o.addArr(&fl.f)
+	}
 }
 
 func (e *Endpoint) out() outSet {
@@ -41,6 +64,7 @@ func (e *Endpoint) out() outSet {
 			o.acks[s.ack] = true
 		default:
 			o.frames[s.f] = true
+			o.addArr(s.f)
 		}
 	}
 	for i := range e.tx.v {
@@ -53,6 +77,9 @@ func (e *Endpoint) out() outSet {
 	}
 	if e.open != nil {
 		o.units[e.open] = true
+	}
+	for u := range o.units {
+		o.addUnit(u)
 	}
 	return o
 }
@@ -80,12 +107,15 @@ func (s outSet) add(o outSet) {
 	for u := range o.units {
 		s.units[u] = true
 	}
+	for a := range o.arrs {
+		s.arrs[a] = true
+	}
 }
 
 // notFree counts the objects of seen missing from the free lists, less
 // those a reset abandoned.
 func (e *Endpoint) notFree(seen, abandoned outSet) int {
-	n := len(seen.frames) + len(seen.acks) + len(seen.units)
+	n := len(seen.frames) + len(seen.acks) + len(seen.units) + len(seen.arrs)
 	for _, f := range e.frameFree {
 		if seen.frames[f] {
 			n--
@@ -101,8 +131,18 @@ func (e *Endpoint) notFree(seen, abandoned outSet) int {
 			n--
 		}
 	}
+	for _, a := range e.recsFree {
+		if seen.arrs[&a[:1][0]] {
+			n--
+		}
+	}
 	for f := range abandoned.frames {
 		if seen.frames[f] {
+			n--
+		}
+	}
+	for a := range abandoned.arrs {
+		if seen.arrs[a] {
 			n--
 		}
 	}
@@ -118,8 +158,9 @@ func (e *Endpoint) notFree(seen, abandoned outSet) int {
 // coalesced bundles with riders, single frames, piggybacked and flushed
 // acks, retransmissions, broadcasts and raw sends, with loss, duplication,
 // misses and corruption armed, and resets one endpoint mid-flight. At
-// quiescence every frame, Ack frame and unit ever seen out is back on its
-// free list, but for the units the reset abandoned open and their riders.
+// quiescence every frame, Ack frame, unit and ack array ever seen out is
+// back on its free list, but for the units the reset abandoned open, their
+// riders, their bundles and the ack arrays their own frames hold.
 func TestFramesComeBack(t *testing.T) {
 	for _, name := range []string{"perfect", "ether", "ackether", "ring", "star"} {
 		t.Run(name, func(t *testing.T) {
@@ -217,7 +258,11 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 	if !crashed {
 		t.Error("node 1 never had frames on the medium and a flight in flight at once: the reset never ran")
 	}
+	for u := range abandoned.units {
+		abandoned.addUnit(u)
+	}
 
+	arrays := 0
 	for i, ep := range eps {
 		if n := ep.onMedium(); n != 0 {
 			t.Errorf("n%d: %d frames never came back", i, n)
@@ -230,13 +275,18 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 		if n := ep.notFree(seen[i], abandoned); n != 0 {
 			t.Errorf("n%d: %d objects seen out never came back to a free list", i, n)
 		}
-		if dupFree(ep.frameFree) || dupFree(ep.ackFree) || dupFree(ep.unitFree) {
+		arrs := make([]*frame.AckRec, len(ep.recsFree))
+		for k, a := range ep.recsFree {
+			arrs[k] = &a[:1][0]
+		}
+		if dupFree(ep.frameFree) || dupFree(ep.ackFree) || dupFree(ep.unitFree) || dupFree(arrs) {
 			t.Errorf("n%d: a free list holds one object twice", i)
 		}
 		if len(ep.frameFree) == 0 || len(ep.ackFree) == 0 || len(ep.unitFree) == 0 {
 			t.Errorf("n%d: free lists hold %d frames, %d acks, %d units; the run reused nothing",
 				i, len(ep.frameFree), len(ep.ackFree), len(ep.unitFree))
 		}
+		arrays += len(ep.recsFree)
 	}
 	var s Stats
 	for _, ep := range eps {
@@ -245,9 +295,9 @@ func checkFramesComeBack(t *testing.T, med lan.Medium, sched *simtime.Scheduler,
 		s.AcksDelayedFlush += es.AcksDelayedFlush
 		s.Retransmits += es.Retransmits
 	}
-	if delivered == 0 || s.FramesCoalesced == 0 || s.AcksDelayedFlush == 0 || s.Retransmits == 0 {
-		t.Errorf("delivered %d, coalesced %d, flushed %d acks, retransmitted %d: the run does not exercise what it checks",
-			delivered, s.FramesCoalesced, s.AcksDelayedFlush, s.Retransmits)
+	if delivered == 0 || s.FramesCoalesced == 0 || s.AcksDelayedFlush == 0 || s.Retransmits == 0 || arrays == 0 {
+		t.Errorf("delivered %d, coalesced %d, flushed %d acks, retransmitted %d, %d ack arrays reused: the run does not exercise what it checks",
+			delivered, s.FramesCoalesced, s.AcksDelayedFlush, s.Retransmits, arrays)
 	}
 }
 
@@ -262,32 +312,48 @@ func dupFree[T comparable](list []T) bool {
 	return false
 }
 
-// TestUnitWaitsForItsFrame: a unit whose flight's own frame is still on the
-// medium does not go back to the free list when its last member finishes,
-// acked or withdrawn, but when the medium hands the frame back. Freed
-// early, it would take the next message into the frame the medium holds.
+// TestUnitWaitsForItsFrame: a unit whose own frame is still on the medium,
+// a flight's first transmission or the unit's bundle, does not go back to
+// the free list when its last member finishes, acked or withdrawn, but when
+// the medium hands the frame back. Freed early, it would take the next
+// message into the frame, or the bundle records, the medium holds.
 func TestUnitWaitsForItsFrame(t *testing.T) {
+	acked := func(e *Endpoint, id frame.MsgID) { e.ackOne(e.flightOf(id)) }
+	withdrawn := func(e *Endpoint, id frame.MsgID) {
+		e.Abort(func(f *frame.Frame) bool { return f.ID == id })
+	}
 	for _, tc := range []struct {
-		name   string
-		finish func(e *Endpoint, id frame.MsgID)
+		name    string
+		members int
+		finish  func(e *Endpoint, id frame.MsgID)
 	}{
-		{"acked", func(e *Endpoint, id frame.MsgID) { e.ackOne(e.flightOf(id)) }},
-		{"withdrawn", func(e *Endpoint, id frame.MsgID) {
-			e.Abort(func(f *frame.Frame) bool { return f.ID == id })
-		}},
+		{"acked", 1, acked},
+		{"withdrawn", 1, withdrawn},
+		{"bundle acked", 2, acked},
+		{"bundle withdrawn", 2, withdrawn},
 	} {
 		e, med := newSinkEndpoint()
-		first := gmsg(0, 1, 1, "first")
-		e.SendGuaranteed(first)
+		var ids []frame.MsgID
+		for seq := range uint64(tc.members) {
+			f := gmsg(0, 1, seq+1, "first")
+			ids = append(ids, f.ID)
+			e.SendGuaranteed(f)
+		}
 		u := e.tx.get(1).form
 		e.flushUnit(u)
 		held := med.last
-		tc.finish(e, first.ID)
+		if tc.members > 1 && held.Type != frame.Bundle {
+			t.Fatalf("%s: flushed a %v, not a bundle", tc.name, held.Type)
+		}
+		sent := held.Encode()
+		for _, id := range ids {
+			tc.finish(e, id)
+		}
 		if e.inflight() != 0 || slices.Contains(e.unitFree, u) {
 			t.Fatalf("%s: the unit was freed with its frame on the medium", tc.name)
 		}
-		e.SendGuaranteed(gmsg(0, 1, 2, "second"))
-		if e.tx.get(1).form == u || held.ID != first.ID || string(held.Body) != "first" {
+		e.SendGuaranteed(gmsg(0, 1, 9, "second"))
+		if e.tx.get(1).form == u || !bytes.Equal(held.Encode(), sent) {
 			t.Fatalf("%s: the next message was written into the frame on the medium", tc.name)
 		}
 		e.flushUnit(e.tx.get(1).form) // the sink hands the first frame back

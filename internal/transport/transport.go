@@ -29,6 +29,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -187,11 +188,10 @@ type Endpoint struct {
 	// held are received guaranteed frames awaiting a recorder ack.
 	held map[frame.MsgID]*heldFrame
 
-	// recScratch and idScratch are decode buffers reused across receives;
-	// rxFrame is the frame a bundle member expands into for its upcall.
-	recScratch []frame.BundleRec
-	idScratch  []frame.MsgID
-	rxFrame    *frame.Frame
+	// idScratch is a decode buffer reused across receives; rxFrame is the
+	// frame a bundle member expands into for its upcall.
+	idScratch []frame.MsgID
+	rxFrame   *frame.Frame
 
 	// sent holds every frame this endpoint has handed the medium, and not
 	// yet had back (Release), with where it came from, in the slot the
@@ -201,10 +201,12 @@ type Endpoint struct {
 	sent     []sentFrame
 	slotFree uint32
 	// The free lists. Each endpoint keeps its own, so same-seed runs reuse
-	// memory identically and parallel clusters share nothing.
+	// memory identically and parallel clusters share nothing. recsFree
+	// holds the arrays piggybacked ack blocks are copied into (attachAcks).
 	unitFree  []*txUnit
 	ackFree   []*ackFrame
 	frameFree []*frame.Frame
+	recsFree  [][]frame.AckRec
 
 	stats Stats
 	// ackRTT observes send-to-ack round trips in virtual nanoseconds.
@@ -219,10 +221,11 @@ type Endpoint struct {
 //
 // A unit is the handler of its own flush timer, and its flights of their
 // retransmission timers, so arming either allocates nothing. The unit holds
-// its first flight, with that flight's frame, and the backing array of a
-// one-member recs. It goes back to the endpoint's free list once nothing
-// refers to it (recycleUnit) and keeps its flights and arrays, so a warm
-// endpoint sends a message without allocating.
+// its first flight, with that flight's frame, the backing array of a
+// one-member recs, and its Bundle frame's records. It goes back to the
+// endpoint's free list once nothing refers to it (recycleUnit) and keeps its
+// flights and arrays, so a warm endpoint sends a message, or a bundle,
+// without allocating.
 type txUnit struct {
 	e      *Endpoint
 	epoch  uint64 // the endpoint's epoch when the unit opened
@@ -231,8 +234,8 @@ type txUnit struct {
 	riders []*frame.Frame // unguaranteed records riding along
 	bytes  int            // encoded bundle-body bytes committed so far
 	live   int            // guaranteed members not yet finished/withdrawn
-	// wire counts the flights' own frames the medium holds: a flight that
-	// goes out alone is its own first transmission (transmit).
+	// wire counts the unit's own frames the medium holds: its bundle, or a
+	// flight that goes out alone as its own first transmission (transmit).
 	wire    int
 	flushed bool
 	closed  bool
@@ -242,6 +245,11 @@ type txUnit struct {
 	// spare holds the flights of the members after the first, kept across
 	// reuse.
 	spare []*flight
+	// bundle is the unit's Bundle frame once flushed as one, a plain frame
+	// until the unit is recycled, and bundleRecs its records' array
+	// (sendBundle).
+	bundle     *frame.Frame
+	bundleRecs []frame.BundleRec
 }
 
 // Fire is the flush timer: flushDelay after the unit opened, it goes on the
@@ -277,7 +285,8 @@ type rxPeer struct {
 
 // ackPending is one peer's delayed-acknowledgement state, and the handler of
 // its own delay timer. one backs the record array until more records are
-// pending than it holds, or a piggyback takes it along with its frame.
+// pending than it holds. A flush or a piggyback copies records out, so the
+// array stays the queue's.
 type ackPending struct {
 	e        *Endpoint
 	epoch    uint64 // the endpoint's epoch when the timer was armed
@@ -521,8 +530,7 @@ func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 // may live on the caller's stack. The body and passed link are shared, not
 // copied.
 func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
-	g := e.newFrame()
-	*g = *f
+	g := e.copyFrame(f)
 	g.Type = frame.Unguaranteed
 	g.Src = e.node
 	e.stats.UnguaranteedSent++
@@ -540,15 +548,15 @@ func (e *Endpoint) SendUnguaranteed(f *frame.Frame) {
 // the recorder to emit RecorderAck frames, and by tests), under the same
 // ownership rule as SendUnguaranteed.
 func (e *Endpoint) SendRaw(f *frame.Frame) {
-	g := e.newFrame()
-	*g = *f
+	g := e.copyFrame(f)
 	g.Src = e.node
 	e.send(g, owner{})
 }
 
 // owner is where a frame handed to the medium came from, so Release can put
-// it back: a flight's own frame counts against its unit, an Ack frame goes
-// back to its pool with its record array, and any other is a plain frame.
+// it back: a flight's own frame or a bundle counts against its unit, an Ack
+// frame goes back to its pool with its record array, and any other is a
+// plain frame.
 type owner struct {
 	unit *txUnit
 	ack  *ackFrame
@@ -619,10 +627,46 @@ func (e *Endpoint) newFrame() *frame.Frame {
 	return f
 }
 
-// putFrame zeroes a plain frame, so the free list pins no body, and frees it.
+// copyFrame takes a plain frame holding a copy of f's header. An ack block's
+// records are copied into an array of the endpoint's, as attachAcks's are,
+// so putFrame may reuse the array of every plain frame.
+func (e *Endpoint) copyFrame(f *frame.Frame) *frame.Frame {
+	g := e.newFrame()
+	*g = *f
+	if f.AckRecs != nil {
+		g.AckRecs = append(e.newAckRecs(), f.AckRecs...)
+	}
+	return g
+}
+
+// putFrame zeroes a plain frame, so the free list pins no body, and frees it
+// with its ack records' array.
 func (e *Endpoint) putFrame(f *frame.Frame) {
+	e.putAckRecs(f.AckRecs)
 	*f = frame.Frame{}
 	e.frameFree = append(e.frameFree, f)
+}
+
+// newAckRecs takes an empty ack record array from the free list, or makes
+// one with room for a piggybacked block.
+func (e *Endpoint) newAckRecs() []frame.AckRec {
+	k := len(e.recsFree)
+	if k == 0 {
+		return make([]frame.AckRec, 0, maxPiggybackRecs)
+	}
+	recs := e.recsFree[k-1]
+	e.recsFree = e.recsFree[:k-1]
+	return recs
+}
+
+// putAckRecs frees the array of a frame that is being reused. It is never
+// called when a frame merely comes back (Release): a flight's own frame is
+// the header its retransmissions copy, and its block must not be written
+// while the flight's unit holds it.
+func (e *Endpoint) putAckRecs(recs []frame.AckRec) {
+	if cap(recs) > 0 {
+		e.recsFree = append(e.recsFree, recs[:0])
+	}
 }
 
 // InFlight reports the number of guaranteed frames not yet acknowledged,
@@ -788,17 +832,25 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 
 // recycleUnit frees a unit once nothing refers to it: every member finished
 // or withdrawn (closed), the flush done or cancelled (flushed), and none of
-// its flights' own frames left on the medium. A unit a Reset abandoned never
-// closes, so it is left to the collector. The flights' frames are zeroed so
-// the free list pins no body; recs, riders and spare keep their arrays.
+// its own frames left on the medium. A unit a Reset abandoned never closes,
+// so it is left to the collector. The flights' frames are zeroed and their
+// ack arrays freed, the bundle goes back to the free list and its records
+// are cleared, so the free list pins no body; recs, riders, spare and
+// bundleRecs keep their arrays.
 func (e *Endpoint) recycleUnit(u *txUnit) {
 	if !u.closed || !u.flushed || u.wire > 0 {
 		return
 	}
 	for _, fl := range u.recs {
+		e.putAckRecs(fl.f.AckRecs)
 		fl.f = frame.Frame{}
 	}
-	u.recs, u.riders = u.recs[:0], u.riders[:0]
+	if u.bundle != nil {
+		e.putFrame(u.bundle)
+		u.bundle = nil
+	}
+	clear(u.bundleRecs)
+	u.recs, u.riders, u.bundleRecs = u.recs[:0], u.riders[:0], u.bundleRecs[:0]
 	u.live, u.flushed, u.closed = 0, false, false
 	e.unitFree = append(e.unitFree, u)
 }
@@ -836,32 +888,31 @@ func (e *Endpoint) flushUnit(u *txUnit) {
 }
 
 // sendBundle puts a unit's live members and riders on the wire as one Bundle
-// frame. The riders are encoded into its body, so they go back to the free
-// list at once; the body is new, since receivers keep member bodies.
+// frame, the unit's own. Each message is a record in the unit's array,
+// holding its header and sharing its body, so nothing is copied but
+// headers, and the unit waits for the medium to hand the bundle back before
+// it is reused. A rider's record holds all of its frame the bundle needs, so
+// the rider goes back to the free list at once.
 func (e *Endpoint) sendBundle(u *txUnit, live []*flight) {
-	bundle := e.newFrame()
-	bundle.Type, bundle.Src, bundle.Dst = frame.Bundle, e.node, u.dst
-	bundle.XLow = e.xlowFor(u.dst, ^uint64(0))
-	body := frame.BeginBundle(make([]byte, 0, u.bytes))
-	count := 0
-	var rec frame.BundleRec
-	for _, fl := range live {
-		rec.RecOf(&fl.f)
-		body = frame.AppendBundleRec(body, &rec)
-		count++
+	n := len(live) + len(u.riders)
+	recs := slices.Grow(u.bundleRecs[:0], n)[:n]
+	for i, fl := range live {
+		recs[i].RecOf(&fl.f)
 	}
 	for i, g := range u.riders {
-		rec.RecOf(g)
-		body = frame.AppendBundleRec(body, &rec)
-		count++
+		recs[len(live)+i].RecOf(g)
 		e.putFrame(g)
 		u.riders[i] = nil
 	}
-	u.riders = u.riders[:0]
-	bundle.Body = frame.FinishBundle(body, 0, count)
-	e.stats.FramesCoalesced += uint64(count)
-	e.attachAcks(bundle)
-	e.send(bundle, owner{})
+	u.riders, u.bundleRecs = u.riders[:0], recs
+	b := e.newFrame()
+	u.bundle = b
+	b.Type, b.Src, b.Dst, b.Recs = frame.Bundle, e.node, u.dst, recs
+	b.XLow = e.xlowFor(u.dst, ^uint64(0))
+	e.stats.FramesCoalesced += uint64(n)
+	e.attachAcks(b)
+	u.wire++
+	e.send(b, owner{unit: u})
 	for _, fl := range live {
 		e.armFlight(fl)
 	}
@@ -1042,31 +1093,25 @@ func (e *Endpoint) Receive(f *frame.Frame) {
 	}
 }
 
-// handleBundle unpacks a coalesced frame and runs every record through the
-// regular single-frame paths. Each record expands into one scratch frame:
-// like a wire frame, it is valid only during the call it is handed to, and
-// what keeps a record (a held or buffered frame) copies its header. Record
-// bodies alias the bundle body, which nobody writes once it is on the wire
-// (lan.Station), so no body is copied. The decode buffer and the scratch
-// frame are taken, not shared, while the records run, so a handleBundle
-// re-entered from an upcall would get fresh ones. (None is: media deliver
-// only from scheduled events.)
+// handleBundle runs every record of a coalesced frame through the regular
+// single-frame paths. Each record expands into one scratch frame: like a
+// wire frame, it is valid only during the call it is handed to, and what
+// keeps a record (a held or buffered frame) copies its header. Record bodies
+// are the messages' bodies, which nobody writes once sent (lan.Station), so
+// no body is copied. The scratch frame is taken, not shared, while the
+// records run, so a handleBundle re-entered from an upcall would get a
+// fresh one. (None is: media deliver only from scheduled events.)
 func (e *Endpoint) handleBundle(f *frame.Frame) {
 	if f.Dst != e.node {
-		return
-	}
-	recs, err := frame.DecodeBundle(f.Body, e.recScratch)
-	if err != nil {
-		e.log.Add(trace.KindDrop, int(e.node), "", "bundle decode failed: %v", err)
 		return
 	}
 	g := e.rxFrame
 	if g == nil {
 		g = new(frame.Frame)
 	}
-	e.recScratch, e.rxFrame = nil, nil
-	for i := range recs {
-		recs[i].ExpandInto(g, f)
+	e.rxFrame = nil
+	for i := range f.Recs {
+		f.Recs[i].ExpandInto(g, f)
 		switch g.Type {
 		case frame.Guaranteed:
 			e.handleGuaranteed(g)
@@ -1077,8 +1122,8 @@ func (e *Endpoint) handleBundle(f *frame.Frame) {
 			}
 		}
 	}
-	*g = frame.Frame{} // pin no bundle body
-	e.recScratch, e.rxFrame = recs, g
+	*g = frame.Frame{} // pin no member body
+	e.rxFrame = g
 }
 
 // deliverUp completes delivery of one in-order guaranteed frame. A refusal
@@ -1486,7 +1531,9 @@ func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
 // outgoing gated frame about to be sent. f is the frame of one transmission:
 // a bundle, a flight's own frame on its first attempt, or a retransmission's
 // header copy, which transmit clears of the first attempt's block, so each
-// attempt carries only what is pending at its own send time.
+// attempt carries only what is pending at its own send time. The records
+// are copied into an array from the free list, which goes back when f is
+// reused, so the pending queue keeps its own array for the next acks.
 func (e *Endpoint) attachAcks(f *frame.Frame) {
 	if f.Dst == frame.Broadcast {
 		return
@@ -1512,8 +1559,8 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 	if n <= 0 {
 		return
 	}
-	f.AckRecs = p.recs[:n]
-	p.recs = p.recs[n:]
+	f.AckRecs = append(e.newAckRecs(), p.recs[:n]...)
+	p.recs = p.recs[:copy(p.recs, p.recs[n:])]
 	e.stats.AcksPiggybacked += uint64(n)
 	if len(p.recs) == 0 && p.timerSet {
 		p.timerSet = false

@@ -220,7 +220,7 @@ func TestOrderingSingleOutstanding(t *testing.T) {
 	sent, acked := make(map[frame.MsgID]bool), make(map[frame.MsgID]bool)
 	e.eps[0].OnAck = func(id frame.MsgID) { acked[id] = true }
 	e.med.AttachTap(9, tapFunc(func(f *frame.Frame) bool {
-		ids := guaranteedIDs(t, f)
+		ids := guaranteedIDs(f)
 		if f.Src != 0 || len(ids) == 0 || sent[ids[0]] {
 			return true // not node 0's data, or a retransmission
 		}
@@ -276,20 +276,15 @@ func TestOrderingUnderLossWithWindow(t *testing.T) {
 }
 
 // guaranteedIDs lists the guaranteed messages a data frame carries.
-func guaranteedIDs(t *testing.T, f *frame.Frame) []frame.MsgID {
-	t.Helper()
+func guaranteedIDs(f *frame.Frame) []frame.MsgID {
 	switch f.Type {
 	case frame.Guaranteed:
 		return []frame.MsgID{f.ID}
 	case frame.Bundle:
-		recs, err := frame.DecodeBundle(f.Body, nil)
-		if err != nil {
-			t.Fatalf("bundle on the wire does not decode: %v", err)
-		}
 		var ids []frame.MsgID
-		for i := range recs {
-			if g := recs[i].Expand(f); g.Type == frame.Guaranteed {
-				ids = append(ids, g.ID)
+		for i := range f.Recs {
+			if r := &f.Recs[i]; r.Type == frame.Guaranteed {
+				ids = append(ids, r.ID)
 			}
 		}
 		return ids
