@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -211,6 +211,15 @@ nocompact:
 bundlebytes:
 	! grep -rnE '(DecodeBundle|AppendBundleRec|BeginBundle|FinishBundle)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=frame --exclude-dir=bench .
 
+# A replay batch carries its records (DESIGN.md "Recovery path"): the
+# recorder fills Frame.Recs with records sharing their bodies with its store
+# pages, and the kernel queues them as they are. The record layout is the
+# wire codec only, in internal/frame beside the bundle's; the names below
+# are the byte builders and parser that copied every replayed body into a
+# buffer and out again, and the record type they used.
+replaybytes:
+	! grep -rnE '(BeginReplayBatch|AppendReplayRec|FinishReplayBatch|DecodeReplayBatch|appendReplayRecs|splitBatch)\(|\bReplayRec\b' --include='*.go' --exclude-dir=frame .
+
 build:
 	$(GO) build ./...
 
@@ -275,7 +284,7 @@ shards:
 # trailer, which the recorder trims and fences streams by, is fuzzed too.
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
-	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
+	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzCheckpointMarks -fuzztime 10s
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s

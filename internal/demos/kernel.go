@@ -55,7 +55,7 @@ type KernelStats struct {
 	ProcsDestroyed     uint64
 	ProcsCrashed       uint64
 	Replayed           uint64 // messages injected by recovery processes
-	ReplayBatches      uint64 // OpReplayBatch frames applied
+	ReplayBatches      uint64 // replay batch frames applied
 	StaleReplayDropped uint64 // replay frames from an abandoned recovery generation
 	ReplayDupsDropped  uint64 // direct copies at or below the acceptance mark consumed
 }
@@ -119,10 +119,8 @@ type Kernel struct {
 	// OpRecreate (too big for one MTU-sized frame). Keyed by the recovering
 	// process; a new generation supersedes a stale partial assembly.
 	ckStage map[frame.ProcID]*ckAssembly
-	// replayRecs is the reused decode scratch for replay batches, and
-	// batchAck the reply every batch acknowledgement is encoded from.
-	replayRecs []ReplayRec
-	batchAck   CtlReply
+	// batchAck is the reply every batch acknowledgement is encoded from.
+	batchAck CtlReply
 
 	stats KernelStats
 	// qDepth tracks messages sitting in this node's process input queues;

@@ -108,9 +108,9 @@ func decodeCheckpoint(b []byte) (*checkpointImage, frame.Marks, error) {
 // (To = a controlled process) carry per-process control, and everything the
 // kernel does for them is attributed to the controlled process (§4.4.3).
 func (k *Kernel) handleControl(f *frame.Frame) bool {
-	if f.Channel == ChanReplay {
-		// Replay batches and checkpoint chunks use the fixed binary batch
-		// format, not gob (they are the recovery hot path).
+	if f.Channel == frame.ChanReplay {
+		// Replay batches and checkpoint chunks are a header and records, or
+		// raw chunk bytes, not gob (they are the recovery hot path).
 		return k.handleReplayFrame(f)
 	}
 	ctl, err := DecodeCtl(f.Body)
@@ -222,26 +222,27 @@ func (k *Kernel) handleControl(f *frame.Frame) bool {
 }
 
 // handleReplayFrame dispatches ChanReplay traffic: replay batches and
-// checkpoint chunks in the fixed binary batch format.
+// checkpoint chunks, each starting with a frame.BatchHdr.
 func (k *Kernel) handleReplayFrame(f *frame.Frame) bool {
-	hdr, err := DecodeBatchHdr(f.Body)
+	hdr, err := frame.DecodeBatchHdr(f.Body)
 	if err != nil {
 		k.env.Log.Add(trace.KindReplay, int(k.node), f.From.String(), "undecodable replay frame: %v", err)
 		return true
 	}
-	if hdr.Kind == batchKindCkChunk {
+	if hdr.Kind == frame.BatchCkChunk {
 		return k.handleCkChunk(f, hdr)
 	}
 	return k.handleReplayBatch(f, hdr)
 }
 
-// handleReplayBatch unpacks one OpReplayBatch frame into the recovering
-// process's input queue, in order, with zero extra copies: the decoded
-// record bodies alias the frame body, which belongs to this kernel once the
-// transport delivered it (the same discipline as direct delivery in
-// enqueueFrame). One batch costs one receive interrupt and one control
-// charge however many records it carries — that is the whole point.
-func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
+// handleReplayBatch pushes one replay batch's records into the recovering
+// process's input queue, in order, copying no body: each record shares its
+// message's body, read-only like any delivered body (Msg.Body). The record
+// array is the sender's, which reuses it once this frame is acknowledged,
+// so nothing here keeps it. One batch costs one receive interrupt and one
+// control charge however many records it carries — that is the whole
+// point.
+func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr frame.BatchHdr) bool {
 	p := k.procs[hdr.Proc]
 	if p == nil || !p.recovering || p.state == psCrashed || p.recoveryGen != hdr.Gen {
 		// A batch from an abandoned recovery generation (recursive crash,
@@ -260,35 +261,31 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr ReplayBatchHdr) bool {
 		k.replyBatchAck(f, p)
 		return true
 	}
-	hdr, recs, err := DecodeReplayBatch(f.Body, k.replayRecs[:0])
-	k.replayRecs = recs[:0]
-	// The queue owns the bodies and links once this returns; the kept
-	// scratch must not hold a recovery's last batch reachable until the
-	// next recovery.
-	defer clear(recs)
-	if err != nil {
-		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(), "bad replay batch: %v", err)
+	recs := f.Recs
+	if uint32(len(recs)) != hdr.Count {
+		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(),
+			"bad replay batch: %d records, header says %d", len(recs), hdr.Count)
 		return true
 	}
 	detailed := k.env.Log.Detailed()
 	for i := range recs {
+		rec := &recs[i]
 		k.stats.Replayed++
-		p.marks.Note(recs[i].ID)
+		p.marks.Note(rec.ID)
 		if detailed {
 			// Per-record causal event: the replayed message carries its
 			// original id, tying the replay back to the pre-crash publish.
 			// Emitted before the delivery it licenses, so an online
 			// exactly-once monitor never counts a replay as a duplicate.
-			k.env.Log.AddMsg(trace.KindReplay, int(k.node), recs[i].ID.String(),
+			k.env.Log.AddMsg(trace.KindReplay, int(k.node), rec.ID.String(),
 				hdr.Proc.String(), "replayed from batch #%d", hdr.Seq)
 		}
-		k.pushToQueue(p, Msg{
-			ID:      recs[i].ID,
-			From:    recs[i].From,
-			Channel: recs[i].Channel,
-			Code:    recs[i].Code,
-			Body:    recs[i].Body,
-		}, recs[i].Link)
+		var link *frame.Link
+		if rec.HasLink {
+			l := rec.Link
+			link = &l
+		}
+		k.pushToQueue(p, Msg{ID: rec.ID, From: rec.From, Channel: rec.Channel, Code: rec.Code, Body: rec.Body}, link)
 	}
 	p.replayBatch = hdr.Seq
 	k.stats.ReplayBatches++
@@ -309,8 +306,8 @@ func (k *Kernel) replyBatchAck(f *frame.Frame, p *process) {
 // handleCkChunk stages one chunk of a checkpoint too big for a single
 // MTU-sized frame. Chunks arrive on the same FIFO transport stream as the
 // OpRecreate that references them, so in-order assembly needs no timer.
-func (k *Kernel) handleCkChunk(f *frame.Frame, hdr ReplayBatchHdr) bool {
-	_, data, err := DecodeCkChunk(f.Body)
+func (k *Kernel) handleCkChunk(f *frame.Frame, hdr frame.BatchHdr) bool {
+	_, data, err := frame.DecodeCkChunk(f.Body)
 	if err != nil {
 		k.env.Log.Add(trace.KindReplay, int(k.node), hdr.Proc.String(), "bad checkpoint chunk: %v", err)
 		return true

@@ -260,9 +260,11 @@ func TestMigrateWrappedQueue(t *testing.T) {
 	}
 }
 
-// A replay batch lands in the queue in order, and the kernel's decode
-// scratch keeps no reference to the bodies and links it handed over.
-func TestReplayBatchScratchCleared(t *testing.T) {
+// A replay batch lands in the queue in order, and the kernel keeps nothing
+// of the batch's record array, which its sender reuses once the frame is
+// acknowledged: a record overwritten afterwards changes no queued message
+// or link.
+func TestReplayBatchKeepsNoRecord(t *testing.T) {
 	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
 	e.reg.RegisterMachine("svc", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {}}
@@ -273,32 +275,23 @@ func TestReplayBatchScratchCleared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []ReplayRec{
+	recs := []frame.BundleRec{
 		{ID: mkID(9, 1), Body: []byte("first")},
-		{ID: mkID(9, 2), Body: []byte("second"), Link: &frame.Link{To: id, Code: 7}},
+		{ID: mkID(9, 2), Body: []byte("second"), HasLink: true, Link: frame.Link{To: id, Code: 7}},
 	}
-	batch := BeginReplayBatch(nil, id, 2, 1)
-	for i := range recs {
-		batch = AppendReplayRec(batch, &recs[i])
-	}
-	FinishReplayBatch(batch, len(recs))
-	k.handleReplayFrame(&frame.Frame{Channel: ChanReplay, Body: batch})
+	hdr := frame.AppendBatchHdr(nil, frame.BatchHdr{Kind: frame.BatchRecords, Proc: id, Gen: 2, Seq: 1, Count: uint32(len(recs))})
+	k.handleReplayFrame(&frame.Frame{Channel: frame.ChanReplay, Body: hdr, Recs: recs})
+	clear(recs)
 
 	p := k.procs[id]
 	if got, want := p.queue.ids(), []frame.MsgID{mkID(9, 1), mkID(9, 2)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("queued %v, want %v", got, want)
 	}
+	if m := p.queue.at(1).msg; string(m.Body) != "second" {
+		t.Fatalf("second message's body = %q", m.Body)
+	}
 	if l := p.queue.at(1).link; l == nil || l.Code != 7 {
 		t.Fatalf("second record's link = %v", l)
-	}
-	scratch := k.replayRecs[:cap(k.replayRecs)]
-	if len(scratch) < len(recs) {
-		t.Fatalf("scratch not kept: cap %d", len(scratch))
-	}
-	for i, r := range scratch {
-		if r.Body != nil || r.Link != nil {
-			t.Fatalf("scratch record %d still holds a body or link", i)
-		}
 	}
 }
 

@@ -36,10 +36,13 @@ const BundleRecFixed = 1 + 8 + 8 + 8 + 8 + 2 + 4 + 8 + 1 + 1 + 4
 // BundleRecLink is the additional per-record overhead of a passed link.
 const BundleRecLink = linkLen
 
-// BundleRec is one message inside a Bundle frame. Body is the message's
-// body, shared with its sender (RecOf) or, after decoding, aliasing the
-// decoded bytes: a body is read-only once sent, so no copy is needed before
-// handing records upward.
+// BundleRec is one message inside a Bundle frame, or a replayed message
+// inside a replay batch (Frame.Recs), which uses only its ID, From,
+// Channel, Code, link and Body. Body is the message's body, shared with its
+// sender (RecOf) or, after decoding, aliasing the decoded bytes: a body is
+// read-only once sent, so no copy is needed before handing records upward.
+// Recs are the records of a replay batch riding in a Bundle: on the wire
+// they follow Body inside the record's body.
 type BundleRec struct {
 	Type            Type // Guaranteed or Unguaranteed
 	ID              MsgID
@@ -51,11 +54,12 @@ type BundleRec struct {
 	HasLink         bool
 	Link            Link
 	Body            []byte
+	Recs            []BundleRec
 }
 
 // EncodedLen returns the record's encoded size, for bundle budgeting.
 func (rec *BundleRec) EncodedLen() int {
-	n := BundleRecFixed + len(rec.Body)
+	n := BundleRecFixed + len(rec.Body) + replayLen(rec.Recs)
 	if rec.HasLink {
 		n += BundleRecLink
 	}
@@ -79,7 +83,7 @@ func (rec *BundleRec) RecOf(f *Frame) {
 		rec.HasLink = false
 		rec.Link = Link{}
 	}
-	rec.Body = f.Body
+	rec.Body, rec.Recs = f.Body, f.Recs
 }
 
 // Expand reconstitutes the record as a standalone frame carrying the
@@ -108,11 +112,33 @@ func (rec *BundleRec) ExpandInto(f *Frame, bundle *Frame) {
 		XLow:            bundle.XLow,
 		DeliverToKernel: rec.DeliverToKernel,
 		Body:            rec.Body,
+		Recs:            rec.Recs,
 	}
 	if rec.HasLink {
 		l := rec.Link
 		f.PassedLink = &l
 	}
+}
+
+// cloneRecs copies recs, their bodies into one new buffer as long as the
+// records' bodies; a record's own records are cloned likewise.
+func cloneRecs(recs []BundleRec) []BundleRec {
+	out := append([]BundleRec(nil), recs...)
+	n := 0
+	for i := range out {
+		n += len(out[i].Body)
+	}
+	buf := make([]byte, 0, n)
+	for i := range out {
+		if b := out[i].Body; b != nil {
+			buf = append(buf, b...)
+			out[i].Body = buf[len(buf)-len(b) : len(buf) : len(buf)]
+		}
+		if out[i].Recs != nil {
+			out[i].Recs = cloneRecs(out[i].Recs)
+		}
+	}
+	return out
 }
 
 // appendBundle appends the bundle body encoding recs onto buf.
@@ -144,14 +170,14 @@ func AppendBundleRec(buf []byte, rec *BundleRec) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, rec.XSeq)
 	buf = appendBool(buf, rec.DeliverToKernel)
 	buf = appendBool(buf, rec.HasLink)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Body)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Body)+replayLen(rec.Recs)))
 	if rec.HasLink {
 		buf = appendProc(buf, rec.Link.To)
 		buf = binary.BigEndian.AppendUint16(buf, rec.Link.Channel)
 		buf = binary.BigEndian.AppendUint32(buf, rec.Link.Code)
 		buf = appendBool(buf, rec.Link.DeliverToKernel)
 	}
-	return append(buf, rec.Body...)
+	return appendReplayRecs(append(buf, rec.Body...), rec.Recs)
 }
 
 // FinishBundle patches the record count into a body started at start.
@@ -206,8 +232,15 @@ func DecodeBundle(b []byte, recs []BundleRec) ([]BundleRec, error) {
 		if len(b)-pos < bodyLen {
 			return nil, ErrShortFrame
 		}
-		if bodyLen > 0 {
-			rec.Body = b[pos : pos+bodyLen : pos+bodyLen]
+		body := b[pos : pos+bodyLen : pos+bodyLen]
+		if isBatch(rec.Channel, body) {
+			var err error
+			if body, rec.Recs, err = splitBatch(body, nil); err != nil {
+				return nil, err
+			}
+		}
+		if len(body) > 0 {
+			rec.Body = body
 		}
 		pos += bodyLen
 		recs = append(recs, rec)

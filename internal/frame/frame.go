@@ -271,13 +271,15 @@ type Frame struct {
 	PassedLink *Link
 
 	// Body is uninterpreted payload. A Bundle has none: its records are its
-	// body.
+	// body. A replay batch's is the batch header, its records following it.
 	Body []byte
 
-	// Recs are a Bundle's messages, in order. On the wire they are the
-	// frame's body, laid out as bundle.go describes; in memory each record
-	// holds its message's header and shares its body, so building or
-	// reading a Bundle copies no body.
+	// Recs are a Bundle's messages, in order, or a replay batch's replayed
+	// messages. On the wire a Bundle's records are the frame's body, laid
+	// out as bundle.go describes, and a batch's follow Body, laid out as
+	// batch.go describes; in memory each record holds its message's header
+	// and shares its body, so building or reading either copies no body.
+	// No other frame has records.
 	Recs []BundleRec
 
 	// AckCum/AckRecs, with AckCumSet, are the piggybacked acknowledgement
@@ -338,7 +340,7 @@ const MaxBody = MTU - headerLen - linkLen - checksumLen
 // used by the media simulations to compute transmission time. Acks and
 // tokens are minimal frames.
 func (f *Frame) WireLen() int {
-	n := headerLen + f.bodyLen() + checksumLen
+	n := headerLen + f.BodyLen() + checksumLen
 	if f.PassedLink != nil {
 		n += linkLen
 	}
@@ -348,11 +350,11 @@ func (f *Frame) WireLen() int {
 	return n
 }
 
-// bodyLen is the encoded length of the frame's body: a Bundle's is its
-// records' encoding.
-func (f *Frame) bodyLen() int {
+// BodyLen is the encoded length of the frame's body: a Bundle's is its
+// records' encoding, and a replay batch's is its header and its records'.
+func (f *Frame) BodyLen() int {
 	if f.Type != Bundle {
-		return len(f.Body)
+		return len(f.Body) + replayLen(f.Recs)
 	}
 	n := BundleHdrLen
 	for i := range f.Recs {
@@ -371,27 +373,15 @@ func (f *Frame) hasAcks() bool { return f.AckCumSet || len(f.AckRecs) > 0 }
 // whoever keeps a frame, or starts a new transmission from one, copies only
 // its header: each transport attempt and a kernel forward share the body.
 // Clone is for a bridge crossing, whose far medium may mark its frame
-// corrupt, and for callers that go on writing a frame they send. A Bundle's
-// records are copied, their bodies into one new buffer as long as the
-// records' bodies.
+// corrupt, and for callers that go on writing a frame they send. Records
+// are copied, with their bodies (cloneRecs).
 func (f *Frame) Clone() *Frame {
 	g := *f
 	if f.Body != nil {
 		g.Body = append([]byte(nil), f.Body...)
 	}
 	if f.Recs != nil {
-		g.Recs = append([]BundleRec(nil), f.Recs...)
-		n := 0
-		for i := range g.Recs {
-			n += len(g.Recs[i].Body)
-		}
-		buf := make([]byte, 0, n)
-		for i := range g.Recs {
-			if b := g.Recs[i].Body; b != nil {
-				buf = append(buf, b...)
-				g.Recs[i].Body = buf[len(buf)-len(b) : len(buf) : len(buf)]
-			}
-		}
+		g.Recs = cloneRecs(f.Recs)
 	}
 	if f.PassedLink != nil {
 		l := *f.PassedLink
@@ -409,11 +399,11 @@ func (f *Frame) String() string {
 	case Ack, RecorderAck:
 		return fmt.Sprintf("%s(%s) n%d->n%d", f.Type, f.ID, f.Src, f.Dst)
 	case Bundle:
-		return fmt.Sprintf("bundle n%d->n%d len=%d acks=%d", f.Src, f.Dst, f.bodyLen(), len(f.AckRecs))
+		return fmt.Sprintf("bundle n%d->n%d len=%d acks=%d", f.Src, f.Dst, f.BodyLen(), len(f.AckRecs))
 	case Token:
 		return "token"
 	default:
-		return fmt.Sprintf("%s %s %s->%s ch=%d len=%d", f.Type, f.ID, f.From, f.To, f.Channel, len(f.Body))
+		return fmt.Sprintf("%s %s %s->%s ch=%d len=%d", f.Type, f.ID, f.From, f.To, f.Channel, f.BodyLen())
 	}
 }
 
@@ -470,7 +460,7 @@ func (f *Frame) AppendEncode(buf []byte) []byte {
 	buf = appendBool(buf, f.DeliverToKernel)
 	buf = appendBool(buf, f.PassedLink != nil)
 	buf = appendBool(buf, f.hasAcks())
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.bodyLen()))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(f.BodyLen()))
 	if f.PassedLink != nil {
 		buf = appendProc(buf, f.PassedLink.To)
 		buf = binary.BigEndian.AppendUint16(buf, f.PassedLink.Channel)
@@ -495,7 +485,7 @@ func (f *Frame) AppendEncode(buf []byte) []byte {
 	if f.Type == Bundle {
 		buf = appendBundle(buf, f.Recs)
 	} else {
-		buf = append(buf, f.Body...)
+		buf = appendReplayRecs(append(buf, f.Body...), f.Recs)
 	}
 
 	sum := Checksum(buf[start:])
@@ -526,11 +516,12 @@ func Decode(b []byte) (*Frame, error) {
 // DecodeInto parses an encoded frame into f, verifying the checksum like
 // Decode. It reuses f's existing Body and Recs capacity (and PassedLink
 // allocation) where possible, so a caller decoding a stream of frames into
-// one reused Frame allocates nothing in steady state. A Bundle's body is
-// parsed into Recs, whose bodies alias b, so the caller keeps b as long as
-// it keeps them; a body that does not parse is an error, like a short
-// frame. Every field of f is overwritten; on error f is left in an
-// unspecified state and must not be used.
+// one reused Frame allocates nothing in steady state. A Bundle's body, and
+// a replay batch's after its header, is parsed into Recs, whose bodies
+// alias b, so the caller keeps b as long as it keeps them; records that do
+// not parse are an error, like a short frame. Every field of f is
+// overwritten; on error f is left in an unspecified state and must not be
+// used.
 func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < headerLen+checksumLen {
 		return ErrShortFrame
@@ -619,13 +610,19 @@ func DecodeInto(f *Frame, b []byte) error {
 	}
 	recs := f.Recs[:0]
 	f.Body, f.Recs = f.Body[:0], nil
-	if f.Type == Bundle {
-		var err error
-		f.Recs, err = DecodeBundle(payload[pos:], recs)
+	body := payload[pos:]
+	var err error
+	switch {
+	case f.Type == Bundle:
+		f.Recs, err = DecodeBundle(body, recs)
 		return err
+	case isBatch(f.Channel, body):
+		if body, f.Recs, err = splitBatch(body, recs); err != nil {
+			return err
+		}
 	}
-	if bodyLen > 0 {
-		f.Body = append(f.Body, payload[pos:pos+bodyLen]...)
+	if len(body) > 0 {
+		f.Body = append(f.Body, body...)
 	}
 	return nil
 }

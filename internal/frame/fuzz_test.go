@@ -64,18 +64,54 @@ func frameCorpus() []*Frame {
 
 // normalizeBody maps an empty body, record list or record body to nil so
 // frames decoded into fresh and reused Frames (which differ only in
-// empty-slice identity) compare equal.
+// empty-slice identity) compare equal. A record's own records (a batch in a
+// Bundle) are normalized too.
 func normalizeBody(f *Frame) {
 	if len(f.Body) == 0 {
 		f.Body = nil
 	}
-	if len(f.Recs) == 0 {
-		f.Recs = nil
+	f.Recs = normalizeRecs(f.Recs)
+}
+
+func normalizeRecs(recs []BundleRec) []BundleRec {
+	if len(recs) == 0 {
+		return nil
 	}
-	for i := range f.Recs {
-		if len(f.Recs[i].Body) == 0 {
-			f.Recs[i].Body = nil
+	for i := range recs {
+		if len(recs[i].Body) == 0 {
+			recs[i].Body = nil
 		}
+		recs[i].Recs = normalizeRecs(recs[i].Recs)
+	}
+	return recs
+}
+
+// checkBatch checks a decoded records batch, a frame's or a Bundle
+// record's, against what FuzzReplayBatchDecode asks of a batch body: the
+// header counts the records and the records account for every byte after
+// it, so the body cut short or with a trailing byte does not decode, and
+// with an unknown kind it is no batch.
+func checkBatch(t *testing.T, body []byte, recs []BundleRec) {
+	t.Helper()
+	h, err := DecodeBatchHdr(body)
+	if err != nil || h.Kind != BatchRecords || int(h.Count) != len(recs) || len(body) != BatchHdrLen {
+		t.Fatalf("batch with %d records has header %+v (%d B, %v)", len(recs), h, len(body), err)
+	}
+	wire := appendReplayRecs(append([]byte(nil), body...), recs)
+	if len(wire) != BatchHdrLen+replayLen(recs) {
+		t.Fatalf("batch encodes to %d bytes, ReplayLen counts %d", len(wire), BatchHdrLen+replayLen(recs))
+	}
+	if len(recs) > 0 {
+		if _, _, err := splitBatch(wire[:len(wire)-1], nil); err == nil {
+			t.Fatal("a batch one byte short decoded")
+		}
+	}
+	if _, _, err := splitBatch(append(wire, 0), nil); err == nil {
+		t.Fatal("a batch with a trailing byte decoded")
+	}
+	wire[0] = 99
+	if _, err := DecodeBatchHdr(wire); err == nil || isBatch(ChanReplay, wire) {
+		t.Fatal("a batch of unknown kind accepted")
 	}
 }
 
@@ -94,6 +130,15 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frameCorpus()[0].Encode()[:headerLen])
 	// A Bundle whose body is not a record list: DecodeInto rejects it.
 	f.Add(asBundle((&Frame{Type: Unguaranteed, Body: []byte("opaque bundle records")}).Encode()))
+	// A replay batch, a checkpoint chunk, and a Bundle carrying a
+	// one-record batch.
+	f.Add(batchFrame(sampleRecs(), 3, 12).Encode())
+	chunk := batchFrame(nil, 2, 0)
+	chunk.Body = EncodeCkChunk(nil, sampleProc, 2, 0, 3, []byte("checkpoint bytes"))
+	f.Add(chunk.Encode())
+	var one BundleRec
+	one.RecOf(batchFrame(sampleRecs()[1:2], 2, 5))
+	f.Add((&Frame{Type: Bundle, Src: 3, Dst: 1, Recs: []BundleRec{one, bundleCorpus()[0]}}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(data)
 		if err != nil {
@@ -104,6 +149,14 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if fr.Corrupt {
 			t.Fatal("decode accepted a frame yet left Corrupt set")
+		}
+		if fr.Type != Bundle && fr.Recs != nil {
+			checkBatch(t, fr.Body, fr.Recs)
+		}
+		for i := range fr.Recs {
+			if r := &fr.Recs[i]; r.Recs != nil {
+				checkBatch(t, r.Body, r.Recs)
+			}
 		}
 
 		enc := fr.Encode()

@@ -43,7 +43,8 @@ type Station interface {
 	// must not write to it, nor to anything reached through it, and must not
 	// keep the pointer or its AckRecs. What it keeps it copies: the header by
 	// value. Body and PassedLink may be kept as they are, since nobody writes
-	// them again.
+	// them again, and so may a replay batch's Recs until the station
+	// acknowledges the message: the sender reuses their array only then.
 	Receive(f *frame.Frame)
 }
 

@@ -279,8 +279,8 @@ func (r *Recorder) sendRecreate(e *procEntry, rp *recoveryProc, gen uint64) {
 				if hi > len(e.Checkpoint) {
 					hi = len(e.Checkpoint)
 				}
-				body := demos.EncodeCkChunk(nil, e.Proc, gen, uint64(i), uint32(total), e.Checkpoint[lo:hi])
-				r.sendReplay(rp.target, body, nil)
+				body := frame.EncodeCkChunk(nil, e.Proc, gen, uint64(i), uint32(total), e.Checkpoint[lo:hi])
+				r.sendReplay(rp.target, body, nil, nil)
 				r.stats.CkChunksSent++
 			}
 			ctl.CkChunks = uint32(total)

@@ -13,12 +13,13 @@ import (
 // message, so recovery time scaled with the message count at roughly one
 // wire round-trip each (§5.2's dominant term). This file replaces it: the
 // reconstructed stream is consumed through an iterator (no ordered-slice
-// materialization per attempt), packed into MTU-sized OpReplayBatch frames,
-// and kept ReplayWindow batches deep in the transport so the next batch is
-// on the wire the moment the previous one is acknowledged. Loss and
-// reordering are the transport's problem — batches ride the same guaranteed
-// FIFO stream as everything else — while the kernel's cumulative batch
-// acknowledgement (CtlReply.AckedBatch) paces the window end to end.
+// materialization per attempt), packed into MTU-sized replay batch frames
+// (frame.ChanReplay), and kept ReplayWindow batches deep in the transport so
+// the next batch is on the wire the moment the previous one is
+// acknowledged. Loss and reordering are the transport's problem — batches
+// ride the same guaranteed FIFO stream as everything else — while the
+// kernel's cumulative batch acknowledgement (CtlReply.AckedBatch) paces the
+// window end to end.
 
 // batchSender is one recovery's windowed replay pipeline.
 type batchSender struct {
@@ -87,9 +88,12 @@ func (bs *batchSender) fill() {
 	}
 }
 
-// sendBatch packs records into one batch frame until the byte budget is
-// reached (always at least one record) and hands it to the transport. It
-// reports whether there was anything left to send.
+// sendBatch packs records into one batch frame until its encoded body
+// reaches the byte budget (always at least one record) and hands it to the
+// transport. It reports whether there was anything left to send. A record
+// shares its body with the store page it was read from, which is never
+// written again, and the record array is the transport's (BatchRecs), so a
+// warm recorder copies no body and allocates only the batch header.
 func (bs *batchSender) sendBatch() bool {
 	sm, ok := bs.peek()
 	if !ok {
@@ -98,34 +102,40 @@ func (bs *batchSender) sendBatch() bool {
 	r := bs.r
 	budget := r.cfg.ReplayBatchBytes
 	seq := bs.nextSeq + 1
-	buf := demos.BeginReplayBatch(make([]byte, 0, budget+64), bs.e.Proc, bs.gen, seq)
-	count := 0
+	recs := r.ep.BatchRecs()
+	n := frame.BatchHdrLen
 	for {
-		rec := demos.ReplayRec{
-			ID: sm.ID, From: sm.From, Channel: sm.Channel,
-			Code: sm.Code, Body: sm.Body, Link: sm.Link,
+		rec := frame.BundleRec{ID: sm.ID, From: sm.From, Channel: sm.Channel, Code: sm.Code, Body: sm.Body}
+		if sm.Link != nil {
+			rec.HasLink, rec.Link = true, *sm.Link
 		}
-		if count > 0 && len(buf)+rec.EncodedLen() > budget {
+		if recs == nil {
+			// A new array, sized for a batch of records like the first.
+			recs = make([]frame.BundleRec, 0, 1+max(budget-n, 0)/rec.ReplayLen())
+		}
+		if len(recs) > 0 && n+rec.ReplayLen() > budget {
 			break // does not fit; starts the next batch
 		}
-		buf = demos.AppendReplayRec(buf, &rec)
-		count++
+		recs = append(recs, rec)
+		n += rec.ReplayLen()
 		bs.haveStaged = false
 		r.stats.MessagesReplayed++
 		if sm, ok = bs.peek(); !ok {
 			break
 		}
 	}
-	demos.FinishReplayBatch(buf, count)
+	hdr := frame.AppendBatchHdr(make([]byte, 0, frame.BatchHdrLen), frame.BatchHdr{
+		Kind: frame.BatchRecords, Proc: bs.e.Proc, Gen: bs.gen, Seq: seq, Count: uint32(len(recs)),
+	})
 	bs.nextSeq = seq
-	id, code := r.sendReplay(bs.rp.target, buf, bs.ack)
+	id, code := r.sendReplay(bs.rp.target, hdr, recs, bs.ack)
 	bs.ids[seq] = id
 	bs.codes = append(bs.codes, code)
 	r.stats.ReplayBatches++
 	r.replayOcc.Add(1)
 	if r.log.Enabled() {
 		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(),
-			"replaying batch #%d (%d messages, %d B)", seq, count, len(buf))
+			"replaying batch #%d (%d messages, %d B)", seq, len(recs), n)
 	}
 	return true
 }
@@ -176,10 +186,11 @@ func (bs *batchSender) sendDone() {
 		})
 }
 
-// sendReplay transmits one ChanReplay body (batch or checkpoint chunk) as
-// guaranteed traffic to a node's kernel process, returning the transport
-// frame id and the reply-waiter code (zero when no reply is expected).
-func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*frame.Frame)) (frame.MsgID, uint32) {
+// sendReplay transmits one ChanReplay message (a batch's header and
+// records, or a checkpoint chunk) as guaranteed traffic to a node's kernel
+// process, returning the transport frame id and the reply-waiter code (zero
+// when no reply is expected).
+func (r *Recorder) sendReplay(node frame.NodeID, body []byte, recs []frame.BundleRec, onReply func(*frame.Frame)) (frame.MsgID, uint32) {
 	r.sendSeq++
 	f := &frame.Frame{
 		Type:    frame.Guaranteed,
@@ -187,8 +198,9 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, onReply func(*fram
 		ID:      frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
 		From:    r.proc,
 		To:      frame.ProcID{Node: node, Local: 0},
-		Channel: demos.ChanReplay,
+		Channel: frame.ChanReplay,
 		Body:    body,
+		Recs:    recs,
 	}
 	var code uint32
 	if onReply != nil {

@@ -21,7 +21,8 @@ import (
 // outSet is what an endpoint has out of its free lists: plain frames (on
 // the medium, riding in a forming unit, or a unit's bundle, which comes back
 // with its unit), Ack frames on the medium, units (forming, with a flight in
-// flight, or with a frame on the medium: a flight's own or the bundle), and
+// flight, or with a frame on the medium: a flight's own, the bundle or a
+// replay batch's retransmission copy, also a plain frame), and
 // the arrays of piggybacked ack blocks, keyed by their first element.
 type outSet struct {
 	frames map[*frame.Frame]bool
@@ -60,6 +61,10 @@ func (e *Endpoint) out() outSet {
 		case s.f == nil:
 		case s.unit != nil:
 			o.units[s.unit] = true
+			if s.copy {
+				o.frames[s.f] = true
+				o.addArr(s.f)
+			}
 		case s.ack != nil:
 			o.acks[s.ack] = true
 		default:
@@ -359,6 +364,63 @@ func TestUnitWaitsForItsFrame(t *testing.T) {
 		e.flushUnit(e.tx.get(1).form) // the sink hands the first frame back
 		if !slices.Contains(e.unitFree, u) {
 			t.Fatalf("%s: the unit did not come back with its frame", tc.name)
+		}
+	}
+}
+
+// TestBatchRecsWaitForAckAndEveryCopy: a replay batch's record array goes
+// back to the free list (BatchRecs) only once the batch is acknowledged and
+// every frame carrying it, a retransmission's copy included, is back from
+// the medium; then it comes back empty and cleared. A batch given up or
+// withdrawn may still sit in a receiver's held or buffered copy, so its
+// array is never reused.
+func TestBatchRecsWaitForAckAndEveryCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		retransmit bool
+		finish     func(e *Endpoint, fl *flight)
+		comesBack  bool
+	}{
+		{"acked", false, func(e *Endpoint, fl *flight) { e.ackOne(fl) }, true},
+		{"retransmitted then acked", true, func(e *Endpoint, fl *flight) { e.ackOne(fl) }, true},
+		{"given up", false, func(e *Endpoint, fl *flight) { e.finish(fl) }, false},
+		{"withdrawn", true, func(e *Endpoint, fl *flight) {
+			e.Abort(func(f *frame.Frame) bool { return f.ID == fl.f.ID })
+		}, false},
+	} {
+		e, med := newSinkEndpoint()
+		if e.BatchRecs() != nil {
+			t.Fatalf("%s: a new endpoint has a batch array to give", tc.name)
+		}
+		recs := append(make([]frame.BundleRec, 0, 4),
+			frame.BundleRec{ID: frame.MsgID{Seq: 1}, Body: []byte("one")},
+			frame.BundleRec{ID: frame.MsgID{Seq: 2}, Body: []byte("two")})
+		f := gmsg(0, 1, 1, "header")
+		f.Channel, f.Recs = frame.ChanReplay, recs
+		e.SendGuaranteed(f)
+		e.flushUnit(e.tx.get(1).form)
+		fl := e.flightOf(f.ID)
+		if tc.retransmit {
+			e.sched.Cancel(fl.timer)
+			e.transmit(fl) // the sink hands the first transmission back
+			if g := med.last; g == &fl.f || &g.Recs[0] != &recs[0] {
+				t.Fatalf("%s: the retransmission does not share the batch's records", tc.name)
+			}
+		}
+		tc.finish(e, fl)
+		if e.BatchRecs() != nil {
+			t.Fatalf("%s: the array was freed with a frame carrying it on the medium", tc.name)
+		}
+		e.SendGuaranteed(gmsg(0, 1, 9, "next"))
+		e.flushUnit(e.tx.get(1).form) // the sink hands the batch's last frame back
+		got := e.BatchRecs()
+		switch {
+		case !tc.comesBack && got != nil:
+			t.Fatalf("%s: the array of a batch never acknowledged was reused", tc.name)
+		case tc.comesBack && (cap(got) != cap(recs) || &got[:1][0] != &recs[0]):
+			t.Fatalf("%s: the acknowledged batch's array did not come back", tc.name)
+		case tc.comesBack && (len(got) != 0 || recs[0].Body != nil || recs[1].Body != nil):
+			t.Fatalf("%s: the array came back holding %d records or pinning a body", tc.name, len(got))
 		}
 	}
 }

@@ -202,11 +202,13 @@ type Endpoint struct {
 	slotFree uint32
 	// The free lists. Each endpoint keeps its own, so same-seed runs reuse
 	// memory identically and parallel clusters share nothing. recsFree
-	// holds the arrays piggybacked ack blocks are copied into (attachAcks).
+	// holds the arrays piggybacked ack blocks are copied into (attachAcks),
+	// and batchFree the record arrays of replay batches (BatchRecs).
 	unitFree  []*txUnit
 	ackFree   []*ackFrame
 	frameFree []*frame.Frame
 	recsFree  [][]frame.AckRec
+	batchFree [][]frame.BundleRec
 
 	stats Stats
 	// ackRTT observes send-to-ack round trips in virtual nanoseconds.
@@ -234,8 +236,9 @@ type txUnit struct {
 	riders []*frame.Frame // unguaranteed records riding along
 	bytes  int            // encoded bundle-body bytes committed so far
 	live   int            // guaranteed members not yet finished/withdrawn
-	// wire counts the unit's own frames the medium holds: its bundle, or a
-	// flight that goes out alone as its own first transmission (transmit).
+	// wire counts the unit's frames the medium holds: its bundle, a flight
+	// that goes out alone as its own first transmission, and a replay
+	// batch's retransmission copies (transmit).
 	wire    int
 	flushed bool
 	closed  bool
@@ -329,7 +332,8 @@ type rxStream struct {
 
 // keep buffers a copy of f's header at seq, reusing the copy already there.
 // The copy drops the ack records: they were applied on arrival, and their
-// array is the sender's to reuse.
+// array is the sender's to reuse. A replay batch's records stay: the sender
+// reuses their array only after this copy is delivered and acknowledged.
 func (st *rxStream) keep(seq uint64, f *frame.Frame) {
 	if st.buf == nil {
 		st.buf = make(map[uint64]*frame.Frame)
@@ -356,8 +360,8 @@ type flight struct {
 	f        frame.Frame
 	attempts int
 	// done is set once the flight is acked, given up or withdrawn, and it
-	// leaves the in-flight set.
-	done bool
+	// leaves the in-flight set; acked once its end-to-end ack arrived.
+	done, acked bool
 	// sentAt is virtual time of the first transmission, the start of the
 	// end-to-end ack round trip.
 	sentAt simtime.Time
@@ -378,7 +382,8 @@ func (fl *flight) Fire() {
 
 // heldFrame is a received guaranteed frame awaiting its recorder ack, and the
 // handler of its own expiry timer. It holds a copy of the frame's header, less
-// its ack records: the wire frame is valid only during Receive.
+// its ack records: the wire frame is valid only during Receive. A replay
+// batch's records stay, as in rxStream.keep.
 type heldFrame struct {
 	e     *Endpoint
 	epoch uint64 // the endpoint's epoch when the frame was held
@@ -503,7 +508,9 @@ func (e *Endpoint) Reset() {
 // copies f's header and keeps no pointer to f, so the caller may reuse it at
 // once, and f may live on the caller's stack. The body and passed link are
 // shared, not copied: every transmission, every receiver and the recorder's
-// log hold them, and nobody writes them again (demos.Msg.Body).
+// log hold them, and nobody writes them again (demos.Msg.Body). So is a
+// replay batch's record array, which the endpoint owns from here on and
+// reuses once the message is acknowledged (BatchRecs).
 func (e *Endpoint) SendGuaranteed(f *frame.Frame) {
 	if f.ID.IsNil() {
 		panic("transport: guaranteed frame without message id")
@@ -554,12 +561,14 @@ func (e *Endpoint) SendRaw(f *frame.Frame) {
 }
 
 // owner is where a frame handed to the medium came from, so Release can put
-// it back: a flight's own frame or a bundle counts against its unit, an Ack
-// frame goes back to its pool with its record array, and any other is a
-// plain frame.
+// it back: a flight's own frame, a bundle or a replay batch's
+// retransmission copy counts against its unit, an Ack frame goes back to
+// its pool with its record array, and any other is a plain frame. copy
+// marks a unit's plain frame, which goes back to the free list as well.
 type owner struct {
 	unit *txUnit
 	ack  *ackFrame
+	copy bool
 }
 
 // sentPresize is the sent table's starting capacity. An endpoint rarely has
@@ -568,11 +577,14 @@ type owner struct {
 const sentPresize = 8
 
 // sentFrame is one slot of the sent table: a frame on the medium and its
-// owner, or, while free, the next free slot.
+// owner, laid out flat so the copy mark fits beside next, or, while free,
+// the next free slot.
 type sentFrame struct {
-	f *frame.Frame
-	owner
+	f    *frame.Frame
+	unit *txUnit
+	ack  *ackFrame
 	next uint32
+	copy bool
 }
 
 // send hands f to the medium, writing into f.Slot the slot that remembers
@@ -586,7 +598,7 @@ func (e *Endpoint) send(f *frame.Frame, o owner) {
 	} else {
 		e.sent = append(e.sent, sentFrame{})
 	}
-	e.sent[i] = sentFrame{f: f, owner: o}
+	e.sent[i] = sentFrame{f: f, unit: o.unit, ack: o.ack, copy: o.copy}
 	f.Slot = i
 	e.med.Send(e.node, f)
 }
@@ -601,11 +613,14 @@ func (e *Endpoint) Release(f *frame.Frame) {
 	if int(i) >= len(e.sent) || e.sent[i].f != f {
 		return
 	}
-	o := e.sent[i].owner
+	o := e.sent[i]
 	e.sent[i] = sentFrame{next: e.slotFree}
 	e.slotFree = i + 1
 	switch {
 	case o.unit != nil:
+		if o.copy {
+			e.putFrame(f)
+		}
 		o.unit.wire--
 		e.recycleUnit(o.unit)
 	case o.ack != nil:
@@ -666,6 +681,33 @@ func (e *Endpoint) newAckRecs() []frame.AckRec {
 func (e *Endpoint) putAckRecs(recs []frame.AckRec) {
 	if cap(recs) > 0 {
 		e.recsFree = append(e.recsFree, recs[:0])
+	}
+}
+
+// BatchRecs takes an empty record array for a replay batch (frame.Frame's
+// Recs), from the free list or nil: the caller appends the batch's records
+// and hands the frame to SendGuaranteed, which takes the array over. The
+// array is freed only when the message's unit is recycled after its
+// end-to-end ack, with every copy of it back from the medium: until then a
+// retransmission, a receiver's held or buffered copy and a duplicate all
+// read it, and the receiver is done with it before it acknowledges. An
+// array whose message was given up or withdrawn is left to the collector.
+func (e *Endpoint) BatchRecs() []frame.BundleRec {
+	k := len(e.batchFree)
+	if k == 0 {
+		return nil
+	}
+	recs := e.batchFree[k-1]
+	e.batchFree = e.batchFree[:k-1]
+	return recs
+}
+
+// putBatchRecs frees an acknowledged batch's record array, cleared so the
+// free list pins no body.
+func (e *Endpoint) putBatchRecs(recs []frame.BundleRec) {
+	if cap(recs) > 0 {
+		clear(recs)
+		e.batchFree = append(e.batchFree, recs[:0])
 	}
 }
 
@@ -760,7 +802,7 @@ const bundleBudget = frame.MaxBody - ackReserve
 
 // bundleRecLen returns the bundle-record cost of a single-message frame.
 func bundleRecLen(f *frame.Frame) int {
-	n := frame.BundleRecFixed + len(f.Body)
+	n := frame.BundleRecFixed + f.BodyLen()
 	if f.PassedLink != nil {
 		n += frame.BundleRecLink
 	}
@@ -832,10 +874,11 @@ func (e *Endpoint) unitMemberDone(u *txUnit) {
 
 // recycleUnit frees a unit once nothing refers to it: every member finished
 // or withdrawn (closed), the flush done or cancelled (flushed), and none of
-// its own frames left on the medium. A unit a Reset abandoned never closes,
-// so it is left to the collector. The flights' frames are zeroed and their
-// ack arrays freed, the bundle goes back to the free list and its records
-// are cleared, so the free list pins no body; recs, riders, spare and
+// its frames left on the medium. A unit a Reset abandoned never closes, so
+// it is left to the collector. The flights' frames are zeroed and their ack
+// arrays freed, with an acknowledged replay batch's record array
+// (BatchRecs), the bundle goes back to the free list and its records are
+// cleared, so the free list pins no body; recs, riders, spare and
 // bundleRecs keep their arrays.
 func (e *Endpoint) recycleUnit(u *txUnit) {
 	if !u.closed || !u.flushed || u.wire > 0 {
@@ -843,6 +886,9 @@ func (e *Endpoint) recycleUnit(u *txUnit) {
 	}
 	for _, fl := range u.recs {
 		e.putAckRecs(fl.f.AckRecs)
+		if fl.acked {
+			e.putBatchRecs(fl.f.Recs)
+		}
 		fl.f = frame.Frame{}
 	}
 	if u.bundle != nil {
@@ -932,13 +978,14 @@ func (e *Endpoint) xlowFor(dst frame.NodeID, seed uint64) uint64 {
 // transmit puts one attempt of a flight on the wire, with the low-water mark
 // and ack block of this send time. The first attempt is the flight's own
 // frame: stamped, then handed to the medium, which holds it until Release,
-// so nothing writes fl.f after that, and the unit counts it on the wire.
-// Every later attempt, like every attempt of a flight first sent inside a
-// bundle, is a plain frame holding a copy of the header, cleared of what
-// belonged to the first: the medium's corrupt mark and the ack block that
-// went out with it. The body and passed link are always shared: a body is
-// read-only from Send through every receiver and the recorder's log
-// (demos.Msg.Body).
+// so nothing writes fl.f after that. Every later attempt, like every attempt
+// of a flight first sent inside a bundle, is a plain frame holding a copy of
+// the header, cleared of what belonged to the first: the medium's corrupt
+// mark and the ack block that went out with it. The body, passed link and a
+// batch's records are always shared: a body is read-only from Send through
+// every receiver and the recorder's log (demos.Msg.Body), and a batch's
+// record array is reused only once every copy is back (BatchRecs), so the
+// unit counts a batch's copies on the wire as well as its own frames.
 func (e *Endpoint) transmit(fl *flight) {
 	g, o := &fl.f, owner{unit: fl.unit}
 	if fl.attempts > 0 {
@@ -946,7 +993,11 @@ func (e *Endpoint) transmit(fl *flight) {
 		*g = fl.f
 		g.Corrupt = false
 		g.AckCumSet, g.AckCum, g.AckRecs = false, 0, nil
-	} else {
+		if g.Recs != nil {
+			o = owner{unit: fl.unit, copy: true}
+		}
+	}
+	if o.unit != nil {
 		fl.unit.wire++
 	}
 	// Stamp the stream low-water mark: the lowest sequence still
@@ -1157,6 +1208,7 @@ func (e *Endpoint) handleAck(f *frame.Frame) {
 
 // ackOne completes one acknowledged flight.
 func (e *Endpoint) ackOne(fl *flight) {
+	fl.acked = true
 	e.stats.AcksReceived++
 	e.observeRTT(fl)
 	if e.log.Detailed() {
