@@ -294,10 +294,11 @@ fuzz:
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 
-# The paper-figure benchmarks, each printing its figure's headline as a
-# custom metric, plus BenchmarkRecoveryReplay16384's host cost per replayed
-# message. Informational: nothing gates on them. Wall-clock claims about the
-# whole system are made with `go run ./bench` (bench/README.md).
+# BenchmarkRecoveryReplay16384's host cost per replayed message, the one
+# root benchmark: the paper's figures are EXPERIMENTS.md's generated blocks,
+# checked by tier-1 TestDocBlocks. Informational: nothing gates on it.
+# Wall-clock claims about the whole system are made with `go run ./bench`
+# (bench/README.md).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 

@@ -131,3 +131,21 @@ func TestChaosCensusArtifacts(t *testing.T) {
 		t.Errorf("result names artifacts %q, dumped in %q", r.Artifacts, filepath.Dir(reports[0]))
 	}
 }
+
+// A census tag names the recorder scheme a seed runs: a one-slot map is
+// §6.3's total copy, a wider one a sharded map.
+func TestChaosOptionsTag(t *testing.T) {
+	for _, c := range []struct {
+		opt  ChaosOptions
+		want string
+	}{
+		{ChaosOptions{}, "n=3"},
+		{ChaosOptions{Nodes: 8, Medium: MediumEther, Checkpoint: true, Recorders: 3, ShardSlots: 16}, "n=8 ether ckpt shard3x16"},
+		{ChaosOptions{Recorders: 3}, "n=3 total3"},
+		{ChaosOptions{Recorders: 3, ShardSlots: 1}, "n=3 total3"},
+	} {
+		if got := c.opt.Tag(); got != c.want {
+			t.Errorf("%+v: tag %q, want %q", c.opt, got, c.want)
+		}
+	}
+}

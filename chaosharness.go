@@ -137,7 +137,8 @@ func ChaosSeedVariant(seed uint64) ChaosOptions {
 
 // Tag compacts the options into a census note: cluster width, LAN medium,
 // and which option rotations are armed — the checkpoint-bound policy and
-// the sharded replicated recorder trio.
+// the replicated recorders, either §6.3's total copy (one slot, totalR) or
+// a sharded map (shardRxS).
 func (opt ChaosOptions) Tag() string {
 	tag := fmt.Sprintf("n=%d", max(opt.Nodes, 3))
 	if opt.Medium != "" {
@@ -146,8 +147,11 @@ func (opt ChaosOptions) Tag() string {
 	if opt.Checkpoint {
 		tag += " ckpt"
 	}
-	if opt.Recorders > 1 {
+	switch {
+	case opt.Recorders > 1 && opt.ShardSlots > 1:
 		tag += fmt.Sprintf(" shard%dx%d", opt.Recorders, opt.ShardSlots)
+	case opt.Recorders > 1:
+		tag += fmt.Sprintf(" total%d", opt.Recorders)
 	}
 	return tag
 }

@@ -16,7 +16,7 @@ import (
 // post-mortem artifact directory (trace tail, online monitor report, metrics
 // snapshot), and a minimized reproducer, and exit nonzero.
 func runChaos(start uint64, n int, artifactDir string) {
-	section("chaos harness sweep (internal/chaos)")
+	fmt.Println("\n================ chaos harness sweep (internal/chaos) ================")
 	lim := chaos.DefaultLimits()
 	fmt.Printf("  seeds %d..%d, window %dms, <=%d faults each, %d workers\n",
 		start, start+uint64(n)-1, lim.WindowMs, lim.MaxFaults, runtime.GOMAXPROCS(0))

@@ -5,7 +5,7 @@
 // saturation and its buffering fix, the >3-node saturation at the maximum
 // system-call rate, recorder buffering and storage bounds), the §5.1
 // checkpoint-interval observations, the abstract's 115-user capacity, and
-// the §6.6 optimization estimates.
+// the §6.6 optimization estimates. The reports live in internal/figures.
 //
 // Usage:
 //
@@ -15,196 +15,14 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
-	"publishing/internal/model"
-	"publishing/internal/simtime"
+	"publishing/internal/figures"
 )
 
 func main() {
-	var (
-		topology  = flag.Bool("topology", false, "print the Fig 5.1 model topology")
-		params    = flag.Bool("params", false, "print the Fig 5.2 hardware parameters")
-		sizes     = flag.Bool("statesizes", false, "print the Fig 5.3 state-size distribution")
-		points    = flag.Bool("points", false, "print the Fig 5.4 operating points")
-		fig55     = flag.Bool("fig55", false, "simulate the Fig 5.5 utilization surface")
-		claims    = flag.Bool("claims", false, "check the §5.1 prose claims")
-		capacity  = flag.Bool("capacity", false, "find the 115-user capacity")
-		intervals = flag.Bool("ckintervals", false, "print the §5.1 checkpoint intervals")
-		optim     = flag.Bool("optim", false, "evaluate the §6.6 optimizations")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-	)
+	seed := flag.Uint64("seed", 1, "simulation seed")
+	run := figures.Flags(figures.Model)
 	flag.Parse()
-	all := !(*topology || *params || *sizes || *points || *fig55 || *claims || *capacity || *intervals || *optim)
-
-	if all || *topology {
-		printTopology()
-	}
-	if all || *params {
-		printParams()
-	}
-	if all || *sizes {
-		printStateSizes()
-	}
-	if all || *points {
-		printPoints()
-	}
-	if all || *intervals {
-		printIntervals()
-	}
-	if all || *fig55 {
-		printFig55(*seed)
-	}
-	if all || *claims {
-		printClaims(*seed)
-	}
-	if all || *capacity {
-		printCapacity(*seed)
-	}
-	if all || *optim {
-		printOptim()
-	}
-}
-
-func section(title string) {
-	fmt.Printf("\n================ %s ================\n", title)
-}
-
-func printTopology() {
-	section("Fig 5.1 — the open queuing model")
-	fmt.Print(`
-  [node 1..N sources] --short/long/ckpt msgs--> (network) --+--> (recorder CPU) --> [4KB buffer] --> (disk x d)
-                                                            |
-                each delivery provokes an ack frame  <------+
-                (rides the Acknowledging Ethernet's reserved slot; the
-                 recorder CPU processes it to learn arrival order)
-`)
-}
-
-func printParams() {
-	section("Fig 5.2 — hardware parameters")
-	h := model.Fig52()
-	fmt.Printf("  Ethernet interface interpacket delay  %v\n", h.InterpacketDelay)
-	fmt.Printf("  Network bandwidth                     %d megabits per second\n", h.BitsPerSecond/1_000_000)
-	fmt.Printf("  Disk latency                          %v\n", h.DiskLatency)
-	fmt.Printf("  Disk transfer rate                    %d megabytes per second\n", h.DiskBytesPerSecond/1_000_000)
-	fmt.Printf("  Time to process a packet              %v\n", h.PacketCPU)
-}
-
-func printStateSizes() {
-	section("Fig 5.3 — state sizes for UNIX processes (synthetic; original figure lost)")
-	for _, b := range model.Fig53StateSizes() {
-		bar := ""
-		for i := 0; i < int(b.Fraction*100); i++ {
-			bar += "#"
-		}
-		fmt.Printf("  %3d KB %5.1f%% %s\n", b.KB, b.Fraction*100, bar)
-	}
-	fmt.Printf("  mean: %d KB\n", model.MeanStateKB())
-}
-
-func printPoints() {
-	section("Fig 5.4 — operating points (synthetic; calibrated to §5.1's prose)")
-	fmt.Printf("  %-12s %9s %9s %12s %12s\n", "point", "load avg", "state KB", "short/proc/s", "long/proc/s")
-	for _, p := range model.Fig54OperatingPoints() {
-		fmt.Printf("  %-12s %9d %9d %12.2f %12.2f\n", p.Name, p.LoadAvg, p.StateKB, p.ShortPerProc, p.LongPerProc)
-	}
-}
-
-func printIntervals() {
-	section("§5.1 — storage-balance checkpoint intervals")
-	for _, p := range model.Fig54OperatingPoints() {
-		fmt.Printf("  %-12s state %2d KB at %7.0f B/s/proc -> checkpoint every %v\n",
-			p.Name, p.StateKB, p.BytesPerProcPerSec(), p.CheckpointInterval())
-	}
-	fmt.Println("  paper: \"between 1 second for 4k byte processes during high message")
-	fmt.Println("  rates and 2 minutes for 64k byte processes during low message rates\"")
-}
-
-func printFig55(seed uint64) {
-	section("Fig 5.5 — % utilization of system components (simulated)")
-	rows := model.Fig55(true, seed)
-	cur := ""
-	for _, r := range rows {
-		if r.Disks != 1 && r.Point != "max-msg" {
-			continue // the disk sweep only moves the needle at max-msg
-		}
-		if r.Point != cur {
-			cur = r.Point
-			fmt.Printf("\n  operating point %q:\n", cur)
-			fmt.Printf("    %5s %5s | %8s %8s %8s\n", "nodes", "disks", "network", "cpu", "disk")
-		}
-		fmt.Printf("    %5d %5d | %7.1f%% %7.1f%% %7.1f%%\n",
-			r.Nodes, r.Disks, r.Network*100, r.CPU*100, r.Disk*100)
-	}
-}
-
-func printClaims(seed uint64) {
-	section("§5.1 — prose claims")
-
-	p, _ := model.Point("max-msg")
-	unbuf := model.DefaultSystem(p, 5, 1)
-	unbuf.Buffered = false
-	unbuf.Seed = seed
-	ru := model.Simulate(unbuf)
-	buf := model.DefaultSystem(p, 5, 1)
-	buf.Seed = seed
-	rb := model.Simulate(buf)
-	fmt.Printf("  disk at max-msg, 5 nodes: per-message writes %.0f%% -> 4KB buffers %.0f%%\n",
-		ru.DiskUtil*100, rb.DiskUtil*100)
-	fmt.Println("    paper: disk saturation \"removed by allowing messages to be written")
-	fmt.Println("    out in 4k byte buffers rather than forcing one disk write per message\"")
-
-	ps, _ := model.Point("max-syscall")
-	fmt.Printf("\n  max-syscall saturation: network binds at %.1f nodes (CPU at %.1f)\n",
-		model.SaturationNodes(ps, true, 1)*1, satCPU(ps))
-	fmt.Println("    paper: \"all three subsystems saturate when more than 3 processing")
-	fmt.Println("    nodes are attached ... cannot be removed by any simple optimizations\"")
-
-	worstBacklog, worstStorage := 0.0, 0.0
-	for _, p := range model.Fig54OperatingPoints() {
-		cfg := model.DefaultSystem(p, 5, 1)
-		cfg.Seed = seed
-		cfg.Measure = 60 * simtime.Second
-		r := model.Simulate(cfg)
-		if r.NetworkUtil < 0.95 && r.CPUUtil < 0.95 && r.DiskUtil < 0.95 && r.RecorderBacklogKB > worstBacklog {
-			worstBacklog = r.RecorderBacklogKB
-		}
-		if r.StorageKB > worstStorage {
-			worstStorage = r.StorageKB
-		}
-	}
-	fmt.Printf("\n  recorder buffering high-water: %.1f KB   (paper: \"at most 28k bytes\")\n", worstBacklog)
-	fmt.Printf("  worst-case checkpoint+message storage: %.2f MB (paper: 2.76 MB)\n", worstStorage/1024)
-}
-
-func satCPU(p model.OperatingPoint) float64 {
-	_, cpu, _ := model.PerNodeDemand(p, model.Fig52(), true, 1)
-	if cpu <= 0 {
-		return 0
-	}
-	return 1 / cpu
-}
-
-func printCapacity(seed uint64) {
-	section("capacity — the abstract's \"up to 115 users\"")
-	fmt.Printf("  analytic capacity:  %d users\n", model.AnalyticCapacity())
-	fmt.Printf("  simulated capacity: %d users (binary search to saturation)\n", model.Capacity(seed))
-	fmt.Println("  paper: \"a recorder, constructed from current technology, can support")
-	fmt.Println("  a system of up to 115 users\"")
-}
-
-func printOptim() {
-	section("§6.6 — optimizations")
-	p, _ := model.Point("max-msg")
-	full := model.SaturationNodes(p, false, 1.0)
-	trimmed := model.SaturationNodes(p, false, 0.85)
-	fmt.Printf("  §6.6.1 not publishing the disk-to-tape backups (15%% of messages at the\n")
-	fmt.Printf("  max disk-rate point): supportable nodes %.2f -> %.2f\n", full, trimmed)
-	fmt.Println("    paper: \"the recorder would be able to support one more VAX\"")
-
-	fmt.Printf("\n  §6.6.2 node-level recovery removes intranode messages from the wire\n")
-	fmt.Printf("  (see 'go run ./cmd/experiments -nodeopt' for the measured trade-off)\n")
-	os.Exit(0)
+	run(os.Stdout, *seed)
 }

@@ -1,17 +1,16 @@
 package publishing_test
 
 // TestExperimentNumbers owns every virtual-time number EXPERIMENTS.md quotes
-// from a cluster scenario outside the figure tests of internal/measure: the
-// recovery-replay sweep, the 64-node recorder-availability cycle, the
+// from a cluster scenario outside the figure reports of internal/figures:
+// the recovery-replay sweep, the 64-node recorder-availability cycle, the
 // §3.2.3 checkpoint-policy ablation, §5.2.2's recorder
 // levels end to end, the per-medium comparison and the simulator scenario's
-// event counts. Each row is one run of a deterministic scenario, pinned
-// exactly: a protocol change that moves a row updates the row, as it would
-// the golden fingerprint table. Host-time numbers are not here; they belong
+// event counts. Each row is one run of a deterministic scenario, printed at
+// full nanosecond precision into EXPERIMENTS.md's generated block
+// "TestExperimentNumbers", which is its one copy: a row that differs from
+// its line there fails, and -update rewrites the block, as it would the
+// golden fingerprint table. Host-time numbers are not here; they belong
 // to `go run ./bench`.
-//
-// `go test -run TestExperimentNumbers -v .` prints the table EXPERIMENTS.md
-// quotes.
 
 import (
 	"fmt"
@@ -69,54 +68,68 @@ func TestExperimentNumbers(t *testing.T) {
 		name  string
 		count string // what pinned.count counts
 		run   func(*testing.T) pinned
-		want  pinned
 	}{
 		// measure.RecoveryReplay: crash-to-recovered window for an n-message
 		// published stream.
-		{"replay/1", "replayed", replay(1), pinned{at: 278_881_600, count: 1}},
-		{"replay/64", "replayed", replay(64), pinned{at: 300_492_800, count: 64}},
-		{"replay/1024", "replayed", replay(1024), pinned{at: 794_222_400, count: 1024}},
-		{"replay/16384", "replayed", replay(16384), pinned{at: 8_695_200_000, count: 16384}},
+		{"replay/1", "replayed", replay(1)},
+		{"replay/64", "replayed", replay(64)},
+		{"replay/1024", "replayed", replay(1024)},
+		{"replay/16384", "replayed", replay(16384)},
 		// The 64-node crash-to-recovered cycle against the single recorder
 		// and the sharded trio (3 recorders, 16 slots); the count is the
 		// records held by the recorder that served the replay.
-		{"recorder/single", "serving_records", recovery64(1, 0), pinned{at: 266_078_800, count: 52}},
-		{"recorder/sharded", "serving_records", recovery64(3, 16), pinned{at: 266_079_600, count: 25}},
+		{"recorder/single", "serving_records", recovery64(1, 0)},
+		{"recorder/sharded", "serving_records", recovery64(3, 16)},
 		// §3.2.3: recovery of a 30-message history, replay-from-start vs
 		// bound-driven checkpoints.
-		{"checkpoint/none", "replayed", policy(publishing.CheckpointNone), pinned{at: 279_618_400, count: 24}},
-		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound), pinned{at: 279_352_000, count: 3}},
+		{"checkpoint/none", "replayed", policy(publishing.CheckpointNone)},
+		{"checkpoint/bound", "replayed", policy(publishing.CheckpointBound)},
 		// §5.2.2: the same 50 messages on Ether at each recorder level. No
 		// held frame may expire before its recorder ack.
-		{"modes/naive", "recorder_expired", wire(50, ether(recorder.ModeNaive)), pinned{at: 922_749_600}},
-		{"modes/optimized", "recorder_expired", wire(50, ether(recorder.ModeOptimized)), pinned{at: 840_723_073}},
-		{"modes/media-layer", "recorder_expired", wire(50, ether(recorder.ModeMediaLayer)), pinned{at: 814_320_800}},
+		{"modes/naive", "recorder_expired", wire(50, ether(recorder.ModeNaive))},
+		{"modes/optimized", "recorder_expired", wire(50, ether(recorder.ModeOptimized))},
+		{"modes/media-layer", "recorder_expired", wire(50, ether(recorder.ModeMediaLayer))},
 		// 200 messages on each medium at the default (media-layer) level.
-		{"media/perfect", "recorder_expired", wire(200, medium(publishing.MediumPerfect)), pinned{at: 3_136_861_600}},
-		{"media/ether", "recorder_expired", wire(200, medium(publishing.MediumEther)), pinned{at: 3_139_320_800}},
-		{"media/ackether", "recorder_expired", wire(200, medium(publishing.MediumAckEther)), pinned{at: 3_136_989_600}},
-		{"media/ring", "recorder_expired", wire(200, medium(publishing.MediumRing)), pinned{at: 3_135_341_600}},
-		{"media/star", "recorder_expired", wire(200, medium(publishing.MediumStar)), pinned{at: 3_137_023_200}},
+		{"media/perfect", "recorder_expired", wire(200, medium(publishing.MediumPerfect))},
+		{"media/ether", "recorder_expired", wire(200, medium(publishing.MediumEther))},
+		{"media/ackether", "recorder_expired", wire(200, medium(publishing.MediumAckEther))},
+		{"media/ring", "recorder_expired", wire(200, medium(publishing.MediumRing))},
+		{"media/star", "recorder_expired", wire(200, medium(publishing.MediumStar))},
 		// The simulator scenario (sim_scale_test.go) run to its horizon: the
 		// end time, messages delivered (every send) and events executed.
-		{"sim/256", "delivered", simRow(256), pinned{at: 2_774_600_731, count: 4096, events: 42_561}},
-		{"sim/1024", "delivered", simRow(1024), pinned{at: 5_202_261_279, count: 16384, events: 179_920}},
+		{"sim/256", "delivered", simRow(256)},
+		{"sim/1024", "delivered", simRow(1024)},
+	}
+	const block = "TestExperimentNumbers"
+	if testing.Short() && updating() {
+		t.Fatal("-update rewrites the whole table: run it without -short")
+	}
+	doc, lo, hi := docBlock(t, block)
+	committed := map[string]string{}
+	for _, l := range strings.Split(doc[lo:hi], "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			committed[f[0]] = l
+		}
 	}
 	var table strings.Builder
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			got := r.run(t)
-			line := fmt.Sprintf("%-18s %12v  %s=%d", r.name, got.at, r.count, got.count)
+			line := fmt.Sprintf("%-18s %7d.%06d ms  %s=%d", r.name, got.at/simtime.Millisecond, got.at%simtime.Millisecond, r.count, got.count)
 			if got.events > 0 {
 				line += fmt.Sprintf("  events=%d", got.events)
 			}
 			fmt.Fprintln(&table, line)
-			if got != r.want {
-				t.Errorf("got %+v, pinned %+v", got, r.want)
+			if line != committed[r.name] && !updating() {
+				t.Errorf("this run: %s\n%s has:  %s", line, experimentsDoc, committed[r.name])
 			}
 		})
 	}
-	t.Logf("virtual-time results:\n%s", table.String())
+	// The -short run skips the simulator rows, so only a full run checks
+	// (or rewrites) the block as a whole.
+	if !testing.Short() && !t.Failed() {
+		checkDocBlock(t, block, table.String())
+	}
 }
 
 // simRow runs the simulator scenario at nodes to its quiescent horizon.

@@ -484,7 +484,8 @@ func (r *Recorder) observe(f *frame.Frame, vote bool) (stored, voting bool) {
 		}
 	case frame.Ack:
 		if len(acks) == 0 {
-			// A legacy single-message ack: its From is the receiving process.
+			// A header-only ack, which the transport never sends and bench/'s
+			// recorder drive does: its From is the receiving process.
 			r.ackOne[0] = frame.AckRec{ID: f.ID, Rcv: f.From}
 			acks = r.ackOne[:]
 		}

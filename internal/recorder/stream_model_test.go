@@ -25,9 +25,9 @@ import (
 // The generator keeps the transport's promise, which is what the watermark
 // rests on: a receiver accepts one sender's messages in sequence order, and
 // a sender retransmits only what it holds no acknowledgement for. The
-// traffic on which the two legitimately differ (see EXPERIMENTS.md
-// "Stream-indexed recorder state") is TestTapCoreExcludedTraffic's named
-// cases instead, each pinning the core's decision:
+// traffic on which the two legitimately differ is
+// TestTapCoreExcludedTraffic's named cases instead, each pinning the
+// core's decision:
 //
 //   - missed-frame-retransmitted: a retransmission of a message the tap
 //     never recorded, heard after a later message of the same sender was

@@ -352,14 +352,14 @@ func TestFirstContactAllocations(t *testing.T) {
 
 	// One message to dst: flushed, transmitted, and acked by dst one round
 	// trip later, which is the destination's first RTT sample.
-	f, a := gmsg(0, 0, 0, "x"), &frame.Frame{Type: frame.Ack}
+	f, a := gmsg(0, 0, 0, "x"), &frame.Frame{Type: frame.Ack, AckRecs: make([]frame.AckRec, 1)}
 	send := func(dst frame.NodeID) {
 		f.Dst, f.To.Node = dst, dst
 		f.ID.Seq++
 		e.SendGuaranteed(f)
 		e.sched.Run(e.sched.Now() + flushDelay)
 		e.sched.Run(e.sched.Now() + simtime.Millisecond)
-		a.Src, a.ID = dst, f.ID
+		a.Src, a.ID, a.AckRecs[0] = dst, f.ID, frame.AckRec{ID: f.ID, Rcv: f.To}
 		e.Receive(a)
 	}
 	// One in-order guaranteed frame from src, delivered and acked: the ack

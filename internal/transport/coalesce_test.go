@@ -219,10 +219,9 @@ func TestUnsetConfigRunsTheDefaultRegime(t *testing.T) {
 	}
 }
 
-// A header-only Ack frame — one id in the header, no cumulative mark and no
-// records, which this endpoint no longer sends — still completes the flight
-// it names: recorders and peers may be fed exactly that.
-func TestHeaderOnlyAckCompletesFlight(t *testing.T) {
+// A standalone Ack frame carrying one record and no cumulative mark
+// completes the flight the record names, and only that flight.
+func TestAckRecordCompletesFlight(t *testing.T) {
 	e := newEnv(t, 2, DefaultConfig(), "perfect")
 	e.med.Faults().SetDown(1, true) // node 1 never acknowledges by itself
 	var acked []frame.MsgID
@@ -231,7 +230,8 @@ func TestHeaderOnlyAckCompletesFlight(t *testing.T) {
 	e.eps[0].SendGuaranteed(m)
 	e.eps[0].SendGuaranteed(gmsg(0, 1, 2, "y"))
 	e.sched.Run(5 * simtime.Millisecond)
-	e.eps[0].Receive(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: m.ID, From: m.To, To: m.From})
+	e.eps[0].Receive(&frame.Frame{Type: frame.Ack, Src: 1, Dst: 0, ID: m.ID, From: m.To, To: m.From,
+		AckRecs: []frame.AckRec{{ID: m.ID, Rcv: m.To}}})
 	if len(acked) != 1 || acked[0] != m.ID {
 		t.Fatalf("OnAck saw %v, want exactly %v", acked, m.ID)
 	}

@@ -1127,7 +1127,10 @@ func (e *Endpoint) withdraw(fl *flight) {
 func (e *Endpoint) Receive(f *frame.Frame) {
 	switch f.Type {
 	case frame.Ack:
-		e.handleAck(f)
+		// Everything an Ack acknowledges is in its block (flushAcks attaches
+		// at least one record); the header id repeats the newest record for
+		// trace readers.
+		e.processAckPayload(f)
 	case frame.RecorderAck:
 		e.handleRecorderAck(f)
 	case frame.Guaranteed:
@@ -1187,23 +1190,6 @@ func (e *Endpoint) deliverUp(f *frame.Frame) bool {
 	e.stats.Delivered++
 	e.ack(f)
 	return true
-}
-
-func (e *Endpoint) handleAck(f *frame.Frame) {
-	if f.Dst != e.node {
-		return
-	}
-	if f.AckCumSet || len(f.AckRecs) > 0 {
-		// Cumulative/range ack: everything acknowledged is in the payload;
-		// the header id merely repeats the last record for trace readers.
-		e.processAckPayload(f)
-		return
-	}
-	fl := e.flightOf(f.ID)
-	if fl == nil {
-		return // duplicate ack
-	}
-	e.ackOne(fl)
 }
 
 // ackOne completes one acknowledged flight.
