@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -104,8 +104,8 @@ onecopy:
 	! grep -rn 'bytes\.Clone(f\.Body)' --include='*.go' --exclude='*_test.go' internal/recorder
 
 # Records are packed varints read by one parser each (DESIGN.md "Storage
-# engine", "Recorder database"): the store's header is kind, key length,
-# key, seq and data length, read only by parseHeader, and a message record
+# engine", "Recorder database"): the store's header is kind, key id, seq
+# and data length, read only by parseHeader, and a message record
 # stores neither its stream nor its arrival seq, which its key and header
 # say. The names below are the fixed-offset header reads and the fixed
 # message layout they replaced.
@@ -219,6 +219,13 @@ bundlebytes:
 # buffer and out again, and the record type they used.
 replaybytes:
 	! grep -rnE '(BeginReplayBatch|AppendReplayRec|FinishReplayBatch|DecodeReplayBatch|appendReplayRecs|splitBatch)\(|\bReplayRec\b' --include='*.go' --exclude-dir=frame .
+
+# Each record names its key once (DESIGN.md "Storage engine"): a record's
+# header carries its key's id, and the key's name is written once, as the
+# data of the key's key-name record. A record header that spells out a key
+# name again, or a parsed header that holds one, fails here.
+keyids:
+	! grep -rnE 'append\([^,]+, *[A-Za-z.]*([Kk]ey|name)\.\.\.\)|\bh\.key\b|\bkey +\[\]byte' --include='*.go' --exclude='*_test.go' internal/stablestore
 
 build:
 	$(GO) build ./...

@@ -244,12 +244,12 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	// The store record: kind, key length, key, seq, data length, then the
-	// message record: flags, the id's node, local and seq, channel, code,
-	// body length, body (From is the sender; no link). Seqs from 128 take two
-	// bytes; the first records are two bytes shorter and still fit perPage
-	// to a page.
-	recLen := 1 + 1 + len("msg:"+procB().String()) + 2 + 2 + 1 + (1 + 1 + 2) + 1 + 1 + 2 + bodyLen
+	// The store record: kind, key id (one of the few the store has handed
+	// out), seq, data length, then the message record: flags, the id's node,
+	// local and seq, channel, code, body length, body (From is the sender; no
+	// link). Seqs from 128 take two bytes; the first records are two bytes
+	// shorter and still fit perPage to a page.
+	recLen := 1 + 1 + 2 + 2 + 1 + (1 + 1 + 2) + 1 + 1 + 2 + bodyLen
 	perPage := stablestore.PageSize / recLen
 	slack := float64(stablestore.PageSize-perPage*recLen) / float64(perPage)
 	record(1, 2) // the first page and the tap's per-process state

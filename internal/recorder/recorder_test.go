@@ -529,3 +529,25 @@ func TestParseProcID(t *testing.T) {
 		t.Fatal("garbage parsed")
 	}
 }
+
+// A recorder's periodic tick re-arms the handler Start made for it, so a
+// period allocates nothing: the scheduler recycles the fired event's node
+// for the next one. A tick armed before a crash fires once more, runs
+// nothing and is not armed again.
+func TestTickRearmAllocatesNothing(t *testing.T) {
+	r, sched, _ := newBench(t)
+	runs := 0
+	r.armTick(simtime.Second, func(*Recorder) { runs++ })
+	allocs := testing.AllocsPerRun(100, func() { sched.Run(sched.Now() + simtime.Second) })
+	if allocs != 0 {
+		t.Errorf("a tick period allocates %.1f times", allocs)
+	}
+	if runs != 101 {
+		t.Fatalf("the tick ran %d times in 101 periods", runs)
+	}
+	r.epoch++
+	sched.Run(sched.Now() + simtime.Second)
+	if runs != 101 || sched.Pending() != 0 {
+		t.Fatalf("a stale tick ran (%d runs) or re-armed (%d pending)", runs, sched.Pending())
+	}
+}

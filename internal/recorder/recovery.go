@@ -31,31 +31,43 @@ func (r *Recorder) Start() {
 			r.watch[n] = &watchState{node: n}
 		}
 	}
-	r.armWatchTick()
-	r.armFlushTick()
+	r.armTick(r.cfg.WatchInterval, (*Recorder).watchTick)
+	r.armTick(simtime.Second, (*Recorder).flushTick)
 }
 
-func (r *Recorder) armWatchTick() {
-	epoch := r.epoch
-	r.sched.After(r.cfg.WatchInterval, func() {
-		if r.epoch != epoch || r.crashed {
-			return
-		}
-		r.watchTick()
-		r.armWatchTick()
-	})
+// tick is one of the recorder's periodic timers, made once per Start. It
+// carries the epoch Start ran in and re-arms itself, so a tick allocates
+// nothing: the scheduler holds the same pointer each period. A tick armed
+// before a Crash fires once more, sees the epoch moved and stops.
+type tick struct {
+	r     *Recorder
+	epoch uint64
+	every simtime.Time
+	run   func(*Recorder)
 }
 
-func (r *Recorder) armFlushTick() {
-	epoch := r.epoch
-	r.sched.After(simtime.Second, func() {
-		if r.epoch != epoch || r.crashed {
-			return
-		}
-		_ = r.store.Flush()
-		r.core.Sweep(r.sched.Now() - simtime.Minute)
-		r.armFlushTick()
-	})
+// armTick starts a timer that calls run every period until the recorder
+// crashes.
+func (r *Recorder) armTick(every simtime.Time, run func(*Recorder)) {
+	t := &tick{r: r, epoch: r.epoch, every: every, run: run}
+	r.sched.AfterHandler(every, t)
+}
+
+// Fire runs one period and arms the next.
+func (t *tick) Fire() {
+	r := t.r
+	if r.epoch != t.epoch || r.crashed {
+		return
+	}
+	t.run(r)
+	r.sched.AfterHandler(t.every, t)
+}
+
+// flushTick seals the store's write buffer and sweeps the tap's stale
+// pending entries, once a second.
+func (r *Recorder) flushTick() {
+	_ = r.store.Flush()
+	r.core.Sweep(r.sched.Now() - simtime.Minute)
 }
 
 // watchTick evaluates last interval's pongs and sends the next pings.

@@ -156,3 +156,122 @@ func TestAppendKeyWithinAPageAllocatesNothing(t *testing.T) {
 		t.Fatalf("the appends spilled onto %d pages, want 1", n)
 	}
 }
+
+// A reopened store knows every key id its records carry, and goes on
+// handing out ids where it left off. A file-backed store and an in-memory
+// twin take the same appends: 300 keys, so ids need two-byte varints, then
+// a checkpoint chain under a key whose key-name record is written just
+// before it. The file is closed and opened again; ReadAll, ReadKey and
+// Lookup through handles taken afresh read what the twin holds, and after
+// more appends to old keys and new ones the two stores' pages are still
+// byte-identical.
+func TestKeyIDsSurviveReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ids.db")
+	file, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := New()
+	type at struct {
+		key string
+		seq uint64
+	}
+	refs := make(map[at]Ref)
+	appendBoth := func(a, b *Paged, kind RecordKind, key string, seq uint64, data []byte) {
+		t.Helper()
+		ra, errA := a.AppendKey(a.Key(key), kind, seq, data)
+		rb, errB := b.AppendKey(b.Key(key), kind, seq, data)
+		if errA != nil || errB != nil || ra != rb {
+			t.Fatalf("%s #%d: appended at %+v (%v) and %+v (%v)", key, seq, ra, errA, rb, errB)
+		}
+		refs[at{key, seq}] = ra
+	}
+	var names []string
+	for i := range 300 {
+		names = append(names, fmt.Sprintf("msg:p%d.1", i))
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		for i, n := range names {
+			appendBoth(file, twin, KindMessage, n, seq, []byte(fmt.Sprintf("%d-%d", i, seq)))
+		}
+	}
+	big := make([]byte, 2*PageSize+300)
+	for i := range big {
+		big[i] = byte(i*13 + 5)
+	}
+	appendBoth(file, twin, KindCheckpoint, "ck:new", 1, big)
+	appendBoth(file, twin, KindMessage, names[7], 4, []byte("after the chain"))
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	same := func(what string) {
+		t.Helper()
+		if !samePages(re, twin) {
+			t.Fatalf("%s: pages differ from the twin's", what)
+		}
+		ra, errA := re.ReadAll()
+		rb, errB := twin.ReadAll()
+		if errA != nil || errB != nil || !sameRecords(ra, rb) {
+			t.Fatalf("%s: ReadAll (%v, %v) differs from the twin's", what, errA, errB)
+		}
+		for _, n := range append([]string{"ck:new", "ck:later"}, names...) {
+			ka, errA := re.ReadKey(n)
+			kb, errB := twin.ReadKey(n)
+			if errA != nil || errB != nil || !sameRecords(ka, kb) {
+				t.Fatalf("%s: ReadKey(%s) (%v, %v)\n reopened%s\n     twin%s", what, n, errA, errB, dumpRecords(ka), dumpRecords(kb))
+			}
+		}
+		for a, ref := range refs {
+			got, errA := re.Lookup(re.Key(a.key), a.seq, ref)
+			want, errB := twin.Lookup(twin.Key(a.key), a.seq, ref)
+			if errA != nil || errB != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: Lookup(%s #%d) at %+v: (%v, %v)", what, a.key, a.seq, ref, errA, errB)
+			}
+		}
+	}
+	same("reopened")
+	if k := re.Key("ck:new"); !k.k.named || k.k.id != uint64(len(names)) {
+		t.Fatalf("ck:new reopened with id %d (named %v), want %d", k.k.id, k.k.named, len(names))
+	}
+	appendBoth(re, twin, KindMessage, names[0], 5, []byte("old key"))
+	appendBoth(re, twin, KindMessage, "msg:later", 1, []byte("new key"))
+	appendBoth(re, twin, KindCheckpoint, "ck:later", 1, big)
+	same("appended after reopening")
+}
+
+// Scan hands every record over without allocating: its Key is its key's
+// name, read from the id table, and its Data aliases its page. A 64-byte
+// message leaves two records, as a published one does.
+func TestScanAllocatesNothingPerRecord(t *testing.T) {
+	s := New()
+	keys := []Key{s.Key("msg:p0.1"), s.Key("last:p0.1")}
+	body := make([]byte, 64)
+	for seq := uint64(1); seq <= 1000; seq++ {
+		for _, k := range keys {
+			if _, err := s.AppendKey(k, KindMessage, seq, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Scan(func(Record, Ref) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 11*2000 {
+		t.Fatalf("Scan visited %d records in 11 runs, want %d", n, 11*2000)
+	}
+	if allocs != 0 {
+		t.Errorf("Scan of %d pages allocates %.0f times", s.Pages(), allocs)
+	}
+}

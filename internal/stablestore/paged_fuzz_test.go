@@ -2,9 +2,10 @@ package stablestore
 
 import (
 	"bytes"
-	"encoding/binary"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -13,13 +14,15 @@ import (
 // store's one external input. Open either fails or returns a store that reads
 // back whole — ReadAll succeeds, and every key's ReadKey equals ReadAll
 // filtered to that key in seq order. The seeds are an intact store holding a
-// chain and an all-zero page, and TestOpenRejectsCorruptPages's two
-// damaged images: the chain over-claim that used to open and under-read, and
-// a page that does not decode.
+// chain and an all-zero page, and TestOpenRejectsCorruptPages's damaged
+// images: among them the chain over-claim that used to open and under-read,
+// a page that does not decode, and key ids undefined, out of order or
+// naming a key twice.
 func FuzzPagedOpen(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(intactImage(f))
-	for _, name := range []string{"chain over-claim", "undecodable page"} {
+	names := slices.Sorted(maps.Keys(corruptions))
+	for _, name := range names {
 		img := fourPageImage(f)
 		corruptions[name](img)
 		f.Add(img)
@@ -62,10 +65,10 @@ func FuzzPagedOpen(f *testing.F) {
 	})
 }
 
-// intactImage is a file image of a store holding small records of two keys,
-// an oversized checkpoint on a three-page chain, and, as its first page, a
-// page of zero bytes. The store never writes one, but Open reads external
-// input, so a zero page must open (as a page holding no records).
+// intactImage is a file image of a store holding small records of two keys
+// and an oversized checkpoint on a three-page chain, behind a page of zero
+// bytes. The store never writes one, but Open reads external input, so a
+// zero page must open (as a page holding no records).
 func intactImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "intact.db")
@@ -85,48 +88,50 @@ func intactImage(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	clear(img[:PageSize]) // msg:a #1 and #2
-	return img
+	return append(make([]byte, PageSize), img...)
 }
 
 // FuzzRecordHeader feeds arbitrary bytes to the one header parser and the
-// readers built on it. None may panic; a header the parser accepts is
-// appendRecord's encoding of what it read, so one record has one encoding;
-// and the header's length (which Open reads to find chains) agrees with
-// decodeOne: every record decodeOne accepts is as long as its header says,
-// and every header length that fits in the bytes is a record decodeOne
-// accepts.
+// readers built on it. None may panic; a header the parser accepts has a
+// kind an encoder writes and is appendHeader's encoding of what it read, so
+// one record has one encoding; and the header's length (which Open reads to
+// find chains) agrees with decodeOne: every record decodeOne accepts is as
+// long as its header says, and every header length that fits in the bytes
+// is a record decodeOne accepts. recordAt finds every caller's record
+// decodeOne reads, by its key id and seq, and never a key-name record.
 func FuzzRecordHeader(f *testing.F) {
-	for _, r := range []Record{
-		msg("msg:p0.1", 1, "hi"),
-		{Kind: KindMeta, Key: "restart"},
-		{Kind: KindCheckpoint, Key: "ck:p1.2", Seq: 1 << 40, Data: make([]byte, 300)},
-	} {
-		f.Add(appendRecord(nil, &r))
-	}
-	f.Add([]byte{1, 0x80, 0x00}) // a padded key length
+	f.Add(appendRecord(nil, KindMessage, 0, 1, []byte("hi")))
+	f.Add(appendRecord(nil, KindMeta, 3, 0, nil))
+	f.Add(appendRecord(nil, KindCheckpoint, 300, 1<<40, make([]byte, 300)))
+	f.Add(appendRecord(nil, kindKeyName, 0, 0, []byte("msg:p0.1")))
+	f.Add([]byte{1, 0x80, 0x00})                       // a padded key id
+	f.Add(appendRecord(nil, kindKeyName+1, 0, 1, nil)) // an unknown kind
 	f.Add(fourPageImage(f)[:PageSize])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, ok := parseHeader(b)
 		if ok {
-			// appendRecord's header, written without the data it would copy.
-			enc := binary.AppendUvarint([]byte{byte(h.kind)}, uint64(len(h.key)))
-			enc = append(enc, h.key...)
-			enc = binary.AppendUvarint(binary.AppendUvarint(enc, h.seq), uint64(h.n-h.data))
+			if h.kind < KindMessage || h.kind > kindKeyName {
+				t.Fatalf("accepted a header of unknown kind %d", h.kind)
+			}
+			enc := appendHeader(nil, h.kind, h.id, h.seq, h.n-h.data)
 			if !bytes.Equal(enc, b[:h.data]) {
 				t.Fatalf("accepted a header that re-encodes differently\n in  %x\n out %x", b[:h.data], enc)
 			}
 		}
-		rec, n, err := decodeOne(b)
+		d, err := decodeOne(b)
 		switch {
-		case err == nil && n > 0 && (!ok || h.n != n):
-			t.Fatalf("decodeOne read a %d-byte record, the header says %d (ok %v)", n, h.n, ok)
-		case ok && h.n <= len(b) && (err != nil || n != h.n):
-			t.Fatalf("the header says a %d-byte record, decodeOne reads %d (%v)", h.n, n, err)
+		case err == nil && d.n > 0 && (!ok || h.n != d.n):
+			t.Fatalf("decodeOne read a %d-byte record, the header says %d (ok %v)", d.n, h.n, ok)
+		case ok && h.n <= len(b) && (err != nil || d.n != h.n):
+			t.Fatalf("the header says a %d-byte record, decodeOne reads %d (%v)", h.n, d.n, err)
 		}
-		if err == nil && n > 0 {
-			if d, ok := recordAt(b, rec.Key, rec.Seq); !ok || !bytes.Equal(d, rec.Data) {
-				t.Fatalf("recordAt does not find the record decodeOne read")
+		if err == nil && d.n > 0 {
+			data, found := recordAt(b, d.id, d.seq)
+			if want := d.kind != kindKeyName; found != want {
+				t.Fatalf("recordAt finds kind %d's record: %v, want %v", d.kind, found, want)
+			}
+			if found && !bytes.Equal(data, dataAt(b, 0, d)) {
+				t.Fatalf("recordAt reads other data than decodeOne")
 			}
 		}
 	})

@@ -5,13 +5,16 @@
 // out in 4k byte buffers rather than forcing one disk write per message").
 //
 // Paged is the one engine: 4 KB pages, a per-key page index, and oversized
-// records (checkpoints) on contiguous page chains. It keeps every record it
-// is given and reclaims nothing: §4.5's compaction of a page whose buffer
-// is reused is not modelled, since no page is reused. It exists in-memory
-// (simulations, modelling a disk that survives recorder crashes) and
-// file-backed (cmd/starhub), and the recorder rebuilds its process database
-// purely from its records ("If the recorder crashes, it is possible to
-// rebuild the data base from the disk", §4.5).
+// records (checkpoints) on contiguous page chains. A record names its key
+// by a small id, not by the key's name: the first append under a key writes
+// one key-name record that gives the name the next id, and every record
+// after it carries the id. It keeps every record it is given and reclaims
+// nothing: §4.5's compaction of a page whose buffer is reused is not
+// modelled, since no page is reused. It exists in-memory (simulations,
+// modelling a disk that survives recorder crashes) and file-backed
+// (cmd/starhub), and the recorder rebuilds its process database purely
+// from its records ("If the recorder crashes, it is possible to rebuild the
+// data base from the disk", §4.5).
 package stablestore
 
 import (
@@ -40,6 +43,10 @@ const (
 	KindCheckpoint
 	// KindMeta is recorder metadata (restart counter, process notes).
 	KindMeta
+	// kindKeyName is the store's own record defining a key id: its id is
+	// the next one, its seq 0 and its data the key's name. No reader
+	// returns one.
+	kindKeyName
 )
 
 // Record is one stored item.
@@ -53,10 +60,10 @@ type Record struct {
 	Data []byte
 }
 
-// size returns the number of bytes appendRecord writes for r.
-func (r *Record) size() int {
-	return 1 + uvarintLen(uint64(len(r.Key))) + len(r.Key) + uvarintLen(r.Seq) +
-		uvarintLen(uint64(len(r.Data))) + len(r.Data)
+// recordLen returns the number of bytes appendRecord writes for a record
+// of key id with seq and dataLen bytes of data.
+func recordLen(id, seq uint64, dataLen int) int {
+	return 1 + uvarintLen(id) + uvarintLen(seq) + uvarintLen(uint64(dataLen)) + dataLen
 }
 
 // uvarintLen is the length of v's uvarint encoding.
@@ -67,16 +74,20 @@ var errCorruptPage = errors.New("stablestore: corrupt page")
 // maxData bounds a record's data length; a header claiming more is corrupt.
 const maxData = math.MaxUint32
 
-// appendRecord encodes r onto dst: kind, uvarint key length, key, uvarint
-// seq, uvarint data length, data. It is the one record encoder — Append
-// writes through it — and parseHeader reads what it writes.
-func appendRecord(dst []byte, r *Record) []byte {
-	dst = append(dst, byte(r.Kind))
-	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
-	dst = append(dst, r.Key...)
-	dst = binary.AppendUvarint(dst, r.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
-	return append(dst, r.Data...)
+// appendHeader encodes a record's header onto dst: kind, uvarint key id,
+// uvarint seq, uvarint data length. parseHeader reads what it writes.
+func appendHeader(dst []byte, kind RecordKind, id, seq uint64, dataLen int) []byte {
+	dst = append(dst, byte(kind))
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendUvarint(dst, seq)
+	return binary.AppendUvarint(dst, uint64(dataLen))
+}
+
+// appendRecord encodes a record onto dst: its header, then data. It is the
+// one record encoder: AppendKey writes callers' records and key-name records
+// through it.
+func appendRecord(dst []byte, kind RecordKind, id, seq uint64, data []byte) []byte {
+	return append(appendHeader(dst, kind, id, seq, len(data)), data...)
 }
 
 // Uvarint decodes the uvarint at the head of b, returning it and its length.
@@ -92,12 +103,10 @@ func Uvarint(b []byte) (v uint64, n int) {
 	return v, n
 }
 
-// header is the head of an encoded record: everything appendRecord writes
-// before the data.
+// header is the head of an encoded record: everything appendHeader writes.
 type header struct {
-	kind RecordKind
-	key  []byte // aliases the encoded record
-	seq  uint64
+	kind    RecordKind
+	id, seq uint64
 	// data is where the data starts, n where the record ends: the data is
 	// b[data:n]. n can lie past b — an oversized record's first page holds
 	// only its head.
@@ -106,21 +115,20 @@ type header struct {
 
 // parseHeader reads the header at the head of b. It is the one header
 // parser: decodeOne, rebuildIndex and recordAt read through it. ok is false
-// for page padding (a leading zero byte), for a header cut short by the end
-// of b, and for one that is not in appendRecord's encoding.
+// for page padding (a leading zero byte), for a kind no encoder writes, for
+// a header cut short by the end of b, and for one that is not in
+// appendHeader's encoding.
 func parseHeader(b []byte) (h header, ok bool) {
-	if len(b) == 0 || b[0] == 0 {
+	if len(b) == 0 || b[0] == 0 || b[0] > byte(kindKeyName) {
 		return header{}, false
 	}
 	h.kind = RecordKind(b[0])
 	off := 1
-	kl, n := Uvarint(b[off:])
-	if n <= 0 || kl > uint64(len(b)-off-n) {
+	var n int
+	if h.id, n = Uvarint(b[off:]); n <= 0 {
 		return header{}, false
 	}
 	off += n
-	h.key = b[off : off+int(kl)]
-	off += int(kl)
 	if h.seq, n = Uvarint(b[off:]); n <= 0 {
 		return header{}, false
 	}
@@ -142,46 +150,54 @@ type Ref struct {
 	Off  uint32
 }
 
-// decodeOne parses the record at the head of b, returning it and its
-// encoded length. The record's Data aliases b. A leading zero byte (page
-// padding) returns n == 0 with a nil error.
-func decodeOne(b []byte) (Record, int, error) {
+// decodeOne parses the header of the record at the head of b and checks
+// that b holds the whole record, whose data is b[h.data:h.n]. A leading zero
+// byte (page padding) returns h.n == 0 with a nil error.
+func decodeOne(b []byte) (header, error) {
 	if len(b) == 0 || b[0] == 0 {
-		return Record{}, 0, nil
+		return header{}, nil
 	}
 	h, ok := parseHeader(b)
 	if !ok || h.n > len(b) {
-		return Record{}, 0, errCorruptPage
+		return header{}, errCorruptPage
 	}
-	return Record{Kind: h.kind, Key: string(h.key), Seq: h.seq, Data: b[h.data:h.n:h.n]}, h.n, nil
+	return h, nil
 }
 
-// decodeRecords parses every record of page b, in order; each starts where
-// the one before it ends (Record.size). The records' Data alias b.
-func decodeRecords(b []byte) ([]Record, error) {
-	var out []Record
-	for len(b) > 0 {
-		rec, n, err := decodeOne(b)
+// records calls visit on every record of page b, in order, with its header
+// and its offset in b; each record starts where the one before it ends, and
+// zero padding ends the page. It stops at visit's first error.
+func records(b []byte, visit func(h header, at int) error) error {
+	for at := 0; at < len(b); {
+		h, err := decodeOne(b[at:])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if n == 0 {
+		if h.n == 0 {
 			break // zero padding: end of page
 		}
-		b = b[n:]
-		out = append(out, rec)
+		if err := visit(h, at); err != nil {
+			return err
+		}
+		at += h.n
 	}
-	return out, nil
+	return nil
+}
+
+// dataAt returns the data of the record whose header h was read at b[at:],
+// read-only: it aliases b.
+func dataAt(b []byte, at int, h header) []byte {
+	return b[at+h.data : at+h.n : at+h.n]
 }
 
 // Stats counts store activity. The recorder reports the counters as its
 // store_* metrics; they are metrics only, and nothing models the disk from
 // them.
 type Stats struct {
-	Appends     uint64
+	Appends     uint64 // callers' records: key-name records are not counted
 	PageWrites  uint64
 	PageReads   uint64
-	BytesLive   uint64 // every data byte appended: the store keeps them all
+	BytesLive   uint64 // every data byte callers appended: the store keeps them all
 	WriteFaults uint64 // page writes failed by the injected fault hook
 }
 
@@ -213,12 +229,16 @@ type Paged struct {
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
-	// keys holds one record per key: its name and its pages. Key hashes a
+	// keys holds one record per key: its name, id and pages. Key hashes a
 	// name once and hands out a handle on the record; AppendKey hashes
 	// nothing. Records are carved from keyBlock, so a new key costs no
 	// allocation of its own. A key is never deleted.
 	keys     map[string]*keyState
 	keyBlock []keyState
+	// ids maps a key id to its key: ids[i] is the key whose key-name
+	// record gave it id i. Ids are dense, in the order the keys were first
+	// appended to, and are never reused.
+	ids []*keyState
 	// chains maps the first page of an oversized record (checkpoints) to
 	// its continuation pages; chainSet holds every page of every chain
 	// (including firsts) for O(1) membership tests.
@@ -243,8 +263,13 @@ type Paged struct {
 
 // keyState is what the store keeps about one key.
 type keyState struct {
-	// name is the key every record appended through the handle carries.
+	// name is the key every record appended through the handle is read
+	// back under.
 	name string
+	// id is what the key's records carry in place of its name, once named
+	// is set: its key-name record has been written (or read by Open).
+	id    uint64
+	named bool
 	// pages indexes which pages hold the key's records (chains by their
 	// first page), so ReadKey visits only relevant pages instead of
 	// scanning the whole store.
@@ -290,15 +315,18 @@ func Open(path string) (*Paged, error) {
 	return s, nil
 }
 
-// rebuildIndex reconstructs the volatile chain and key indexes from
-// raw pages after Open. Chains must be re-derived or a reopened store would
-// try to decode an oversized record's first page as a self-contained page
-// and fail: a first page is recognizable because its first record's encoded
-// length exceeds the page, and its continuations are the immediately
-// following pages (Append allocates them contiguously). Every page and chain
-// is decoded here, so a store that opens reads back whole: a chain that runs
-// past the last page or a page that does not decode fails Open instead of
-// leaving its records out of the key index.
+// rebuildIndex reconstructs the volatile chain, key and key-id indexes
+// from raw pages after Open. Chains must be re-derived or a reopened store
+// would try to decode an oversized record's first page as a self-contained
+// page and fail: a first page is recognizable because its first record's
+// encoded length exceeds the page, and its continuations are the
+// immediately following pages (Append allocates them contiguously). Every
+// page and chain is decoded here, in page order, so a store that opens
+// reads back whole: a chain that runs past the last page, a page that does
+// not decode, a record whose key id no earlier key-name record defined, and
+// a key-name record out of id order or naming a key already named fail
+// Open instead of leaving records out of the key index or under the wrong
+// key.
 func (s *Paged) rebuildIndex() error {
 	next := uint64(len(s.pages))
 	for id := uint64(0); id < next; {
@@ -315,12 +343,17 @@ func (s *Paged) rebuildIndex() error {
 			}
 			page = s.chain(id)
 		}
-		recs, err := decodeRecords(page)
-		if err != nil {
+		if err := records(page, func(h header, at int) error {
+			if h.kind == kindKeyName {
+				return s.define(string(dataAt(page, at, h)), h.id)
+			}
+			k, err := s.keyOf(h)
+			if err == nil {
+				k.index(id)
+			}
+			return err
+		}); err != nil {
 			return fmt.Errorf("page %d: %w", id, err)
-		}
-		for i := range recs {
-			s.key(recs[i].Key).index(id)
 		}
 		id += npages
 	}
@@ -345,6 +378,31 @@ func (s *Paged) key(name string) *keyState {
 		s.keys[name] = k
 	}
 	return k
+}
+
+// define gives the key named name the id its key-name record carries, which
+// must be the next one, and the key must have none yet. name writes the
+// record and rebuildIndex reads it; for rebuildIndex, a record that breaks
+// either rule is corrupt.
+func (s *Paged) define(name string, id uint64) error {
+	if id != uint64(len(s.ids)) {
+		return fmt.Errorf("key %q named with id %d, want %d: %w", name, id, len(s.ids), errCorruptPage)
+	}
+	k := s.key(name)
+	if k.named {
+		return fmt.Errorf("key %q named again as id %d, was %d: %w", name, id, k.id, errCorruptPage)
+	}
+	k.id, k.named = id, true
+	s.ids = append(s.ids, k)
+	return nil
+}
+
+// keyOf returns the key that the id of h, a caller's record, names.
+func (s *Paged) keyOf(h header) (*keyState, error) {
+	if h.id >= uint64(len(s.ids)) {
+		return nil, fmt.Errorf("record names undefined key id %d: %w", h.id, errCorruptPage)
+	}
+	return s.ids[h.id], nil
 }
 
 // index records that page id holds records of the key (dedupes the common
@@ -393,23 +451,28 @@ func (s *Paged) Append(r Record) (uint64, error) {
 // larger than a page are split across dedicated pages transparently on
 // read; for simplicity here they get a page of their own (checkpoints are
 // the only large records).
+//
+// The first append under a key writes the key's key-name record first, on
+// the open write buffer's page. That page is the record's own or an earlier
+// one, and comes before any chain the record starts, so a reader in page
+// order meets the name before the id.
 func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref, error) {
-	r := Record{Kind: kind, Key: k.k.name, Seq: seq, Data: data}
 	s.stats.Appends++
-	s.stats.BytesLive += uint64(len(r.Data))
+	s.stats.BytesLive += uint64(len(data))
+	if !k.k.named {
+		if err := s.name(k.k); err != nil {
+			return Ref{}, err
+		}
+	}
 
-	n := r.size()
+	n := recordLen(k.k.id, seq, len(data))
 	if n > PageSize {
 		// Oversized record: dedicated page sequence.
 		first := uint64(0)
-		data := appendRecord(make([]byte, 0, n), &r)
-		for i := 0; i < len(data); i += PageSize {
-			end := i + PageSize
-			if end > len(data) {
-				end = len(data)
-			}
+		enc := appendRecord(make([]byte, 0, n), kind, k.k.id, seq, data)
+		for i := 0; i < len(enc); i += PageSize {
 			page := make([]byte, PageSize)
-			copy(page, data[i:end])
+			copy(page, enc[i:min(i+PageSize, len(enc))])
 			id := s.alloc(page)
 			if i == 0 {
 				first = id
@@ -423,7 +486,31 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 		k.k.index(first)
 		return Ref{Page: uint32(first)}, nil
 	}
+	ref, err := s.place(kind, k.k.id, seq, data, n)
+	if err == nil {
+		k.k.index(uint64(ref.Page))
+	}
+	return ref, err
+}
 
+// name writes k's key-name record, giving k the next key id. A name too
+// long for a page is refused: a chain would lie after the page the key's
+// first small record goes on.
+func (s *Paged) name(k *keyState) error {
+	id := uint64(len(s.ids))
+	n := recordLen(id, 0, len(k.name))
+	if n > PageSize {
+		return fmt.Errorf("stablestore: key name of %d bytes does not fit a page", len(k.name))
+	}
+	if _, err := s.place(kindKeyName, id, 0, []byte(k.name), n); err != nil {
+		return err
+	}
+	return s.define(k.name, id)
+}
+
+// place encodes an n-byte record, which fits a page, into the open write
+// buffer, sealing the buffer first if the record does not fit there.
+func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref, error) {
 	if len(s.cur)+n > PageSize {
 		if err := s.flush(); err != nil {
 			return Ref{}, err
@@ -434,8 +521,7 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 		s.curPage = s.alloc(s.cur[:PageSize])
 	}
 	ref := Ref{Page: uint32(s.curPage), Off: uint32(len(s.cur))}
-	s.cur = appendRecord(s.cur, &r) // fits: never reallocates off the page
-	k.k.index(s.curPage)
+	s.cur = appendRecord(s.cur, kind, id, seq, data) // fits: never reallocates off the page
 	return ref, nil
 }
 
@@ -445,26 +531,26 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 // whatever the store does next. An oversized record is read from its chain,
 // joined into a buffer of its own. Lookup counts no page read.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
-	if id := uint64(ref.Page); id < uint64(len(s.pages)) {
+	if id := uint64(ref.Page); k.k.named && id < uint64(len(s.pages)) {
 		page := s.pages[id]
 		if _, first := s.chains[id]; first {
 			page = s.chain(id)
 		}
-		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.name, seq); ok {
+		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.id, seq); ok {
 			return d, nil
 		}
 	}
 	return nil, fmt.Errorf("stablestore: lookup %s #%d: not at %+v", k.k.name, seq, ref)
 }
 
-// recordAt returns the data of the record at the head of b if it is key's
-// record seq.
-func recordAt(b []byte, key string, seq uint64) ([]byte, bool) {
+// recordAt returns the data of the record at the head of b if it is the
+// caller's record seq of the key with id id.
+func recordAt(b []byte, id, seq uint64) ([]byte, bool) {
 	h, ok := parseHeader(b)
-	if !ok || h.n > len(b) || string(h.key) != key || h.seq != seq {
+	if !ok || h.n > len(b) || h.kind == kindKeyName || h.id != id || h.seq != seq {
 		return nil, false
 	}
-	return b[h.data:h.n:h.n], true
+	return dataAt(b, 0, h), true
 }
 
 func (s *Paged) oversize(first, page uint64) {
@@ -614,25 +700,26 @@ func owned(r Record) Record {
 
 // walk decodes every page in ReadAll's order — regular pages in page order
 // (which is insertion order), then oversized chains by first page — calling
-// visit on each record with its Ref until visit fails, and reports how many
-// pages it read. Record data aliases the page (a chain's, the buffer
-// assembled for it). The open write buffer needs no sealing to be read: its
-// records are encoded in place into its page, and zero padding ends it.
+// visit on each caller's record with its Ref until visit fails, and reports
+// how many pages it read. A record's Key is its key's name, read from the
+// id table, and its data aliases the page (a chain's, the buffer assembled
+// for it), so walking a regular page allocates nothing. The open write
+// buffer needs no sealing to be read: its records are encoded in place into
+// its page, and zero padding ends it.
 func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	var reads uint64
 	each := func(id int, page []byte) error {
-		recs, err := decodeRecords(page)
-		if err != nil {
-			return err
-		}
-		off := 0
-		for _, r := range recs {
-			if err := visit(r, Ref{Page: uint32(id), Off: uint32(off)}); err != nil {
+		return records(page, func(h header, at int) error {
+			if h.kind == kindKeyName {
+				return nil
+			}
+			k, err := s.keyOf(h)
+			if err != nil {
 				return err
 			}
-			off += r.size()
-		}
-		return nil
+			return visit(Record{Kind: h.kind, Key: k.name, Seq: h.seq, Data: dataAt(page, at, h)},
+				Ref{Page: uint32(id), Off: uint32(at)})
+		})
 	}
 	for id, page := range s.pages {
 		if s.chainSet[uint64(id)] {
@@ -666,10 +753,11 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	var ids []uint64
-	if k := s.keys[key]; k != nil {
-		ids = slices.Clone(k.pages)
+	k := s.keys[key]
+	if k == nil || !k.named {
+		return nil, nil
 	}
+	ids := slices.Clone(k.pages)
 	// Match ReadAll's traversal (regular pages in id order, then chains) so
 	// insertion-order ties break identically.
 	sort.Slice(ids, func(i, j int) bool {
@@ -682,22 +770,26 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	ids = slices.Compact(ids) // a page listed twice is read once
 	var out []Record
 	for _, id := range ids {
-		var recs []Record
-		var err error
+		page := s.pages[id]
 		if s.chainSet[id] {
 			s.stats.PageReads += uint64(1 + len(s.chains[id]))
-			recs, err = decodeRecords(s.chain(id))
+			page = s.chain(id)
 		} else {
 			s.stats.PageReads++
-			recs, err = decodeRecords(s.pages[id])
 		}
-		if err != nil {
-			return nil, fmt.Errorf("page %d: %w", id, err)
-		}
-		for _, r := range recs {
-			if r.Key == key {
-				out = append(out, owned(r))
+		if err := records(page, func(h header, at int) error {
+			if h.kind == kindKeyName {
+				return nil
 			}
+			if _, err := s.keyOf(h); err != nil {
+				return err
+			}
+			if h.id == k.id {
+				out = append(out, owned(Record{Kind: h.kind, Key: key, Seq: h.seq, Data: dataAt(page, at, h)}))
+			}
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("page %d: %w", id, err)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -407,8 +408,11 @@ func TestWriteFaultInjection(t *testing.T) {
 	}
 }
 
-// fourPageImage writes a four-page store — page 0 holds msg:a, pages 1-2 the
-// four records of msg:b, page 3 msg:c — and returns its file image.
+// fourPageImage writes a four-page store and returns its file image. Page
+// 0 holds msg:a's key-name record, its one record and msg:b's key-name
+// record; pages 1-2 the four records of msg:b, and page 2 then msg:c's
+// key-name record; page 3 msg:c's one record. Key ids follow first
+// appends: msg:a 0, msg:b 1, msg:c 2.
 func fourPageImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "src.db")
@@ -436,40 +440,97 @@ func fourPageImage(tb testing.TB) []byte {
 	if len(img) != 4*PageSize {
 		tb.Fatalf("image is %d bytes, want 4 pages", len(img))
 	}
+	for _, want := range []struct {
+		at      int
+		kind    RecordKind
+		id, seq uint64
+	}{
+		{PageSize, KindMessage, 1, 1}, {PageSize + bRecLen, KindMessage, 1, 2},
+		{cName, kindKeyName, 2, 0}, {cRec, KindMessage, 2, 1},
+	} {
+		if h, ok := parseHeader(img[want.at:]); !ok || h.kind != want.kind || h.id != want.id || h.seq != want.seq {
+			tb.Fatalf("record at %d: %+v (ok %v), want kind %d id %d seq %d", want.at, h, ok, want.kind, want.id, want.seq)
+		}
+	}
 	return img
 }
 
-// corruptions damage fourPageImage's image in the two ways Open must reject,
-// each by rewriting one record's data-length field.
+// Offsets into fourPageImage's image.
+var (
+	// bRecLen is the length of each msg:b record.
+	bRecLen = recordLen(1, 1, 1500)
+	// cName is where msg:c's key-name record starts: after msg:b #3 and #4.
+	cName = 2*PageSize + 2*bRecLen
+	// cRec is where msg:c's one record starts.
+	cRec = 3 * PageSize
+)
+
+// corruptions damage fourPageImage's image in the ways Open must reject.
+// Each rewrites one field in place, so nothing after it moves; the last
+// writes page 0 in the layout the store used before records carried key
+// ids.
 var corruptions = map[string]func(img []byte){
-	// Page 0's msg:a claims 16,383 bytes, the most its two-byte field holds:
-	// with its header, more than the four pages of the file.
+	// Page 1's first record, msg:b #1, claims 16,383 bytes, the most its
+	// two-byte field holds: with its header, more than the three pages
+	// from it to the end of the file.
 	"chain over-claim": func(img []byte) {
-		setDataLen(img, 0, "msg:a", 1<<14-1)
+		setDataLen(img, PageSize, 1<<14-1)
 	},
 	// msg:b's second record on page 1 claims more than the page holds.
 	"undecodable page": func(img []byte) {
-		second := PageSize + (&Record{Key: "msg:b", Seq: 1, Data: make([]byte, 1500)}).size()
-		setDataLen(img, second, "msg:b", 3000)
+		setDataLen(img, PageSize+bRecLen, 3000)
+	},
+	// msg:c's record names key id 3, which no key-name record defines.
+	"undefined key id": func(img []byte) {
+		setID(img, cRec, 3)
+	},
+	// msg:c's key-name record gives it id 3, skipping id 2.
+	"key id out of order": func(img []byte) {
+		setID(img, cName, 3)
+	},
+	// msg:c's key-name record names msg:b again: its name's last byte,
+	// after the record's four one-byte header fields, becomes 'b'.
+	"key name redefined": func(img []byte) {
+		img[cName+4+len("msg:c")-1] = 'b'
+	},
+	// Page 0 holds msg:a #1 as kind, key length, key, seq, data length,
+	// data. Read in the current layout, its key length is a key id (5)
+	// that nothing defines.
+	"pre-change layout": func(img []byte) {
+		old := append([]byte{byte(KindMessage), byte(len("msg:a"))}, "msg:a"...)
+		old = binary.AppendUvarint(append(old, 1), 3000)
+		clear(img[:PageSize])
+		copy(img, old)
 	},
 }
 
 // setDataLen rewrites the data-length field of the record at img[off:],
-// whose key is key and whose seq is under 128, to claim dl bytes. The field
+// whose key id and seq are each under 128, to claim dl bytes. The field
 // keeps its width, so nothing after it moves.
-func setDataLen(img []byte, off int, key string, dl uint64) {
-	at := off + 1 + 1 + len(key) + 1 // kind, key length, key, seq
+func setDataLen(img []byte, off int, dl uint64) {
+	at := off + 1 + 1 + 1 // kind, key id, seq
 	if _, w := binary.Uvarint(img[at:]); w != uvarintLen(dl) {
 		panic(fmt.Sprintf("data length %d does not fit the %d-byte field at %d", dl, w, at))
 	}
 	binary.PutUvarint(img[at:], dl)
 }
 
+// setID rewrites the one-byte key-id field of the record at img[off:].
+func setID(img []byte, off int, id byte) {
+	if id >= 0x80 || img[off+1] >= 0x80 {
+		panic(fmt.Sprintf("key id at %d is not one byte", off+1))
+	}
+	img[off+1] = id
+}
+
 // A damaged page file fails Open. It used to open: a first record whose
 // length header claimed more than a page made page 0 a chain over pages the
 // file does not have, swallowing msg:b's pages, and a page that did not
 // decode was left out of the key index — either way ReadKey("msg:b") came
-// back short with a nil error, and only ReadAll failed.
+// back short with a nil error, and only ReadAll failed. A record whose key
+// id is undefined, and a key-name record that skips an id or names a key
+// twice, would file records under no key or the wrong one; a file written
+// in the layout before key ids reads as the first.
 func TestOpenRejectsCorruptPages(t *testing.T) {
 	for name, damage := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -489,5 +550,21 @@ func TestOpenRejectsCorruptPages(t *testing.T) {
 				t.Fatalf("Open error %v, want a corrupt-page error", err)
 			}
 		})
+	}
+}
+
+// A key name too long for a page is refused. Its key-name record would
+// need a chain, and a chain lies after the open page, where the key's
+// first small record goes: Open would meet the id before its name.
+func TestKeyNameLongerThanAPageIsRefused(t *testing.T) {
+	s := New()
+	s.Append(msg("k", 1, "before"))
+	if _, err := s.Append(msg(strings.Repeat("k", PageSize), 1, "x")); err == nil {
+		t.Fatal("appended under a key name longer than a page")
+	}
+	s.Append(msg("k", 2, "after"))
+	all, err := s.ReadAll()
+	if err != nil || len(all) != 2 || string(all[1].Data) != "after" {
+		t.Fatalf("ReadAll after the refusal: %s (%v)", dumpRecords(all), err)
 	}
 }
