@@ -17,10 +17,10 @@ const censusPath = "testdata/census.golden"
 
 // censusSeeds is the chaos census: the generated schedules of seeds
 // 1..censusSeeds, each on its ChaosSeedVariant (`experiments -chaos -chaosn
-// 400` prints the same sweep). -short runs the fixed slice
+// 500` prints the same sweep). -short runs the fixed slice
 // censusShortFirst..censusShortLast.
 const (
-	censusSeeds      = 400
+	censusSeeds      = 500
 	censusShortFirst = 51
 	censusShortLast  = 100
 )

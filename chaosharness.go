@@ -114,22 +114,28 @@ func ChaosBuild(opt ChaosOptions) chaos.BuildFunc {
 	return func(seed uint64) chaos.Scenario { return ChaosScenario(seed, opt) }
 }
 
-// ChaosSeedVariant derives per-seed option diversity for sweeps: a third of
+// ChaosSeedVariant derives per-seed option diversity for sweeps. A third of
 // seeds run with the checkpoint-bound policy armed (exercising chunked
-// checkpoint transfer and the bounded-recovery invariant), a third run the
-// sharded replicated recorder trio (arming replay-basis-union and making
-// handoff-crash faults bite; a sparse extra rotation overlaps sharding with
-// the checkpoint seeds so the combination is covered too), media rotate
-// through the sweep so every LAN simulation faces schedules, and cluster
-// sizes rotate 3/4/8/16/64 so fault schedules hit the gated-station and
-// dense-table paths at every width the fast paths specialize for.
+// checkpoint transfer and the bounded-recovery invariant). Among seeds
+// 1–400 a third run the sharded replicated recorder trio (arming
+// replay-basis-union and making handoff-crash faults bite; a sparse extra
+// rotation overlaps sharding with the checkpoint seeds so the combination is
+// covered too). Seeds from 401 on run §6.3's total copy, the trio on the
+// one-slot map, so no earlier seed changed variant when they were added.
+// Media rotate through the sweep so every LAN simulation faces schedules,
+// and cluster sizes rotate 3/4/8/16/64 so fault schedules hit the
+// gated-station and dense-table paths at every width the fast paths
+// specialize for.
 func ChaosSeedVariant(seed uint64) ChaosOptions {
 	opt := ChaosOptions{
 		Checkpoint: seed%3 == 1,
 		Medium:     []MediumKind{"", MediumEther, MediumAckEther, MediumStar}[seed%4],
 		Nodes:      []int{0, 4, 8, 16, 64}[seed%5],
 	}
-	if seed%3 == 2 || seed%7 == 1 {
+	switch {
+	case seed > 400:
+		opt.Recorders = 3
+	case seed%3 == 2 || seed%7 == 1:
 		opt.Recorders, opt.ShardSlots = 3, 16
 	}
 	return opt

@@ -360,13 +360,13 @@ func TestKernelCPUAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.run(simtime.Second)
-	if k.UserCPU() < 50*simtime.Millisecond {
-		t.Fatalf("user CPU = %v", k.UserCPU())
+	if st := k.Stats(); st.UserCPU < 50*simtime.Millisecond {
+		t.Fatalf("user CPU = %v", st.UserCPU)
 	}
 	// Kernel CPU: create(4) + link(0.1) + send(2) + receive(1) + destroy(2).
 	want := 9100 * simtime.Microsecond
-	if k.KernelCPU() != want {
-		t.Fatalf("kernel CPU = %v, want %v", k.KernelCPU(), want)
+	if got := k.Stats().KernelCPU; got != want {
+		t.Fatalf("kernel CPU = %v, want %v", got, want)
 	}
 }
 

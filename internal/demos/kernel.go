@@ -54,10 +54,12 @@ type KernelStats struct {
 	ProcsCreated       uint64
 	ProcsDestroyed     uint64
 	ProcsCrashed       uint64
-	Replayed           uint64 // messages injected by recovery processes
-	ReplayBatches      uint64 // replay batch frames applied
-	StaleReplayDropped uint64 // replay frames from an abandoned recovery generation
-	ReplayDupsDropped  uint64 // direct copies at or below the acceptance mark consumed
+	Replayed           uint64       // messages injected by recovery processes
+	ReplayBatches      uint64       // replay batch frames applied
+	StaleReplayDropped uint64       // replay frames from an abandoned recovery generation
+	ReplayDupsDropped  uint64       // direct copies at or below the acceptance mark consumed
+	KernelCPU          simtime.Time // kernel-mode busy time (Get_Run_Time, Fig 5.6)
+	UserCPU            simtime.Time // process execution time
 }
 
 // Kernel is one node's message kernel plus its kernel process (§4.2.1). It
@@ -90,10 +92,6 @@ type Kernel struct {
 	sendCPU *simtime.Pipe[cpuSend]
 	// cpuFree is when the node CPU finishes its current work.
 	cpuFree simtime.Time
-	// kernelCPU accumulates kernel-mode busy time (Get_Run_Time, Fig 5.6);
-	// userCPU accumulates process execution time.
-	kernelCPU simtime.Time
-	userCPU   simtime.Time
 
 	crashed bool
 	// shut is set by Shutdown: no process is dispatched here again.
@@ -150,28 +148,7 @@ func NewKernel(node frame.NodeID, env Env) *Kernel {
 		n := int(node)
 		k.qDepth = reg.Gauge(n, "kernel", "queue_depth")
 		k.ckBytes = reg.Histogram(n, "kernel", "checkpoint_bytes")
-		s := &k.stats
-		reg.AddCollector(n, "kernel", func(emit func(string, int64)) {
-			emit("kernel_calls", int64(s.KernelCalls))
-			emit("msgs_sent", int64(s.MsgsSent))
-			emit("msgs_local", int64(s.MsgsLocal))
-			emit("msgs_delivered", int64(s.MsgsDelivered))
-			emit("msgs_refused", int64(s.MsgsRefused))
-			emit("msgs_forwarded", int64(s.MsgsForwarded))
-			emit("msgs_discarded", int64(s.MsgsDiscarded))
-			emit("suppressed", int64(s.Suppressed))
-			emit("advisories", int64(s.Advisories))
-			emit("checkpoints", int64(s.Checkpoints))
-			emit("procs_created", int64(s.ProcsCreated))
-			emit("procs_destroyed", int64(s.ProcsDestroyed))
-			emit("procs_crashed", int64(s.ProcsCrashed))
-			emit("replayed", int64(s.Replayed))
-			emit("replay_batches", int64(s.ReplayBatches))
-			emit("stale_replay_dropped", int64(s.StaleReplayDropped))
-			emit("replay_dups_dropped", int64(s.ReplayDupsDropped))
-			emit("kernel_cpu_ns", int64(k.kernelCPU))
-			emit("user_cpu_ns", int64(k.userCPU))
-		})
+		reg.AddStats(n, "kernel", &k.stats)
 	}
 	k.ep = transport.New(node, env.Medium, env.Sched, env.Log, env.Transport)
 	k.ep.Deliver = k.deliverFrame
@@ -200,12 +177,6 @@ func (k *Kernel) Stats() *KernelStats { return &k.stats }
 // Endpoint exposes the transport endpoint (recorder and tests use it).
 func (k *Kernel) Endpoint() *transport.Endpoint { return k.ep }
 
-// KernelCPU returns accumulated kernel-mode CPU time (Get_Run_Time).
-func (k *Kernel) KernelCPU() simtime.Time { return k.kernelCPU }
-
-// UserCPU returns accumulated user-mode CPU time.
-func (k *Kernel) UserCPU() simtime.Time { return k.userCPU }
-
 // Crashed reports whether the node is down.
 func (k *Kernel) Crashed() bool { return k.crashed }
 
@@ -224,8 +195,8 @@ func (k *Kernel) charge(kernel, user simtime.Time) {
 		k.cpuFree = now
 	}
 	k.cpuFree += kernel + user
-	k.kernelCPU += kernel
-	k.userCPU += user
+	k.stats.KernelCPU += kernel
+	k.stats.UserCPU += user
 	if k.chargeTo != nil {
 		k.chargeTo.cpuSinceCk += kernel + user
 	}
@@ -692,7 +663,7 @@ func (k *Kernel) handleCall(p *process, req callReq) {
 		k.charge(costs.LinkCPU, costs.UserPerCall)
 
 	case opRunTime:
-		p.pending = callResp{t: k.kernelCPU}
+		p.pending = callResp{t: k.stats.KernelCPU}
 		k.charge(costs.LinkCPU, costs.UserPerCall)
 
 	case opServiceLink:

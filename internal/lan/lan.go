@@ -118,8 +118,6 @@ type Config struct {
 	// AckSlot is the reserved acknowledge slot of the Acknowledging
 	// Ethernet and the ring's ack field fill time.
 	AckSlot simtime.Time
-	// HopDelay is the per-station latency of the ring medium.
-	HopDelay simtime.Time
 }
 
 // DefaultConfig returns the Fig 5.2 parameters.
@@ -129,7 +127,6 @@ func DefaultConfig() Config {
 		InterframeGap: 1600 * simtime.Microsecond,
 		SlotTime:      simtime.Time(51200), // 51.2 µs in ns
 		AckSlot:       64 * simtime.Microsecond,
-		HopDelay:      4 * simtime.Microsecond,
 	}
 }
 
@@ -429,27 +426,7 @@ func (b *base) Stats() *Stats      { return &b.stats }
 // "lan" (node -1: the medium is not any one node's). Every concrete medium
 // inherits it; callers reach it through a type assertion so the Medium
 // interface stays minimal.
-func (b *base) UseMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s := &b.stats
-	reg.AddCollector(-1, "lan", func(emit func(string, int64)) {
-		emit("frames_sent", int64(s.FramesSent))
-		emit("frames_delivered", int64(s.FramesDelivered))
-		emit("frames_lost", int64(s.FramesLost))
-		emit("collisions", int64(s.Collisions))
-		emit("backoffs", int64(s.Backoffs))
-		emit("tap_misses", int64(s.TapMisses))
-		emit("recorder_blocks", int64(s.RecorderBlocks))
-		emit("frames_corrupted", int64(s.FramesCorrupted))
-		emit("frames_duped", int64(s.FramesDuped))
-		emit("ack_slot_errs", int64(s.AckSlotErrs))
-		emit("link_drops", int64(s.LinkDrops))
-		emit("bytes_on_wire", int64(s.BytesOnWire))
-		emit("busy_time_ns", int64(s.BusyTime))
-	})
-}
+func (b *base) UseMetrics(reg *metrics.Registry) { reg.AddStats(-1, "lan", &b.stats) }
 
 // offerToTaps lets every reachable tap observe the frame and reports
 // whether all reachable voting taps stored it and at least one voting tap is

@@ -6,6 +6,9 @@ import (
 	"publishing/internal/trace"
 )
 
+// hopDelay is the per-station latency of the ring.
+const hopDelay = 4 * simtime.Microsecond
+
 // Ring is a token ring (§6.1.2, after Farmer & Newhall / Pierce) with the
 // paper's recorder extension: each message slot carries an acknowledge field
 // that is empty on insertion. "Messages that have an empty acknowledge field
@@ -155,7 +158,7 @@ func (m *Ring) circulate(tx *ringTx) {
 			if d > maxTapDist {
 				maxTapDist = d
 			}
-			passAt := onRing + simtime.Time(d)*m.cfg.HopDelay + m.cfg.AckSlot
+			passAt := onRing + simtime.Time(d)*hopDelay + m.cfg.AckSlot
 			miss := m.faults.TapMissProb > 0 && m.rng.Bool(m.faults.TapMissProb)
 			tx.listeners++
 			m.sched.At(passAt, func() {
@@ -181,7 +184,7 @@ func (m *Ring) circulate(tx *ringTx) {
 			// the first pass; readable on the second.
 			pass = 1
 		}
-		return onRing + simtime.Time(pass*n+d)*m.cfg.HopDelay + m.cfg.AckSlot, true
+		return onRing + simtime.Time(pass*n+d)*hopDelay + m.cfg.AckSlot, true
 	}
 
 	// receive wraps delivery with the gated verdict check: a destination
@@ -248,7 +251,7 @@ func (m *Ring) circulate(tx *ringTx) {
 
 	// The sender removes the frame when it returns after the decisive pass,
 	// reinserts the token, and the next waiting station may transmit.
-	tokenAt := onRing + simtime.Time((lastRead+1)*n)*m.cfg.HopDelay
+	tokenAt := onRing + simtime.Time((lastRead+1)*n)*hopDelay
 	m.stats.BusyTime += tokenAt - now
 	m.sched.At(tokenAt, m.startNext)
 	if tx.listeners == 0 {

@@ -1,15 +1,21 @@
 // Package metrics is the simulation's unified measurement registry — the
 // role Bart Miller's metering system played for the DEMOS/MP numbers in the
-// paper's Ch. 5. Every subsystem (lan, transport, recorder, store, kernel)
-// registers instruments or collectors keyed by (node, subsystem, name); a
-// snapshot is a deterministic, sorted list of samples that can be diffed
-// against an earlier snapshot, printed in Prometheus text exposition style,
-// or exported as JSON.
+// paper's Ch. 5. Each subsystem (lan, transport, recorder, store, kernel)
+// registers its Stats struct, whose integer fields are its counters, and
+// any gauges and histograms it keeps, keyed by (node, subsystem, name). A
+// snapshot is a deterministic, sorted list of samples, printed in
+// Prometheus text exposition style. There is no diffing and no JSON: a
+// snapshot is printed, or read sample by sample.
 //
-// Hot-path discipline: Counter/Gauge/Histogram updates are plain field
-// arithmetic on pre-allocated structs — no maps, no interfaces, no
-// allocation. Subsystems that already keep zero-alloc Stats structs expose
-// them through collectors, closures invoked only at snapshot time.
+// A counter's name is its Stats field's name, by one rule (eachStat): the
+// field in snake_case, a simtime.Time field with _ns appended, an embedded
+// struct's fields as the struct's own, and a field tagged `metric:"-"` left
+// out.
+//
+// Hot-path discipline: a counter is a plain Stats field and a Gauge or
+// Histogram update is plain field arithmetic on a pre-allocated struct — no
+// maps, no interfaces, no allocation. Stats fields are read only at
+// snapshot time.
 //
 // All values are driven by virtual time (internal/simtime) and deterministic
 // event counts, so two runs with the same seed produce byte-identical
@@ -21,42 +27,19 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"reflect"
 	"sort"
+
+	"publishing/internal/simtime"
 )
 
 // numBuckets is the fixed histogram bucket count: power-of-two buckets
 // indexed by bits.Len64 cover the whole int64 range.
 const numBuckets = 64
-
-// Counter is a monotonically increasing count.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n (n must be non-negative for the diff semantics to hold).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is an instantaneous level (queue depth, window occupancy).
 type Gauge struct{ v int64 }
@@ -128,27 +111,18 @@ func (h *Histogram) Sum() int64 {
 // of the first bucket whose cumulative count reaches q·count — the same
 // `le`-style bound WriteText labels buckets with. Zero observations give 0.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
+	if h == nil || h.count <= 0 {
 		return 0
 	}
-	return quantileFromBuckets(h.buckets[:], h.count, q)
-}
-
-// quantileFromBuckets is the shared bucket-walk behind Histogram.Quantile
-// and the snapshot exporters (which only have Sample.Buckets).
-func quantileFromBuckets(buckets []int64, count int64, q float64) int64 {
-	if count <= 0 {
-		return 0
-	}
-	rank := int64(q*float64(count) + 0.5)
+	rank := int64(q*float64(h.count) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > count {
-		rank = count
+	if rank > h.count {
+		rank = h.count
 	}
 	cum := int64(0)
-	for i, b := range buckets {
+	for i, b := range h.buckets {
 		cum += b
 		if cum >= rank {
 			return bucketUpper(i) - 1
@@ -190,37 +164,37 @@ type key struct {
 type entry struct {
 	key  key
 	kind Kind
-	c    *Counter
 	g    *Gauge
 	h    *Histogram
 }
 
-// collKey identifies one collector.
-type collKey struct {
+// statsKey identifies one registered Stats struct.
+type statsKey struct {
 	node      int
 	subsystem string
 }
 
-// coll is one registered collector.
-type coll struct {
-	key collKey
-	fn  func(emit func(name string, v int64))
+// statsSrc is one registered Stats struct.
+type statsSrc struct {
+	key statsKey
+	v   reflect.Value
 }
 
-// Registry holds every instrument and collector for one simulation. It is
-// not safe for concurrent use; the simulation is single-threaded by design.
+// Registry holds every instrument and Stats struct for one simulation. It
+// is not safe for concurrent use; the simulation is single-threaded by
+// design.
 type Registry struct {
 	byKey   map[key]*entry
 	entries []*entry
-	byColl  map[collKey]int // index into colls
-	colls   []*coll
+	byStats map[statsKey]int // index into stats
+	stats   []statsSrc
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		byKey:  make(map[key]*entry),
-		byColl: make(map[collKey]int),
+		byKey:   make(map[key]*entry),
+		byStats: make(map[statsKey]int),
 	}
 }
 
@@ -236,8 +210,6 @@ func (r *Registry) lookup(k key, kind Kind) *entry {
 	}
 	e := &entry{key: k, kind: kind}
 	switch kind {
-	case KindCounter:
-		e.c = &Counter{}
 	case KindGauge:
 		e.g = &Gauge{}
 	case KindHistogram:
@@ -246,15 +218,6 @@ func (r *Registry) lookup(k key, kind Kind) *entry {
 	r.byKey[k] = e
 	r.entries = append(r.entries, e)
 	return e
-}
-
-// Counter returns the counter for (node, subsystem, name), creating it on
-// first use. Returns nil (a safe no-op instrument) on a nil registry.
-func (r *Registry) Counter(node int, subsystem, name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(key{node, subsystem, name}, KindCounter).c
 }
 
 // Gauge returns the gauge for (node, subsystem, name).
@@ -273,62 +236,109 @@ func (r *Registry) Histogram(node int, subsystem, name string) *Histogram {
 	return r.lookup(key{node, subsystem, name}, KindHistogram).h
 }
 
-// AddCollector registers fn to contribute counter samples for (node,
-// subsystem) at snapshot time — the bridge for subsystems that already keep
-// zero-alloc Stats structs. Re-registering the same (node, subsystem)
-// replaces the previous collector, so a restarted component never
-// double-reports.
-func (r *Registry) AddCollector(node int, subsystem string, fn func(emit func(name string, v int64))) {
-	if r == nil || fn == nil {
+// AddStats registers stats, a pointer to a subsystem's Stats struct, as
+// the counters of (node, subsystem): each snapshot reads every counted
+// field (eachStat) as one counter sample. Re-registering the same (node,
+// subsystem) replaces the previous struct, so a restarted component never
+// double-reports. A field the rule cannot count is a wiring bug and panics
+// here.
+func (r *Registry) AddStats(node int, subsystem string, stats any) {
+	if r == nil {
 		return
 	}
-	k := collKey{node, subsystem}
-	if i, ok := r.byColl[k]; ok {
-		r.colls[i].fn = fn
+	v := reflect.ValueOf(stats)
+	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("metrics: %s node %d: stats %T is not a pointer to a struct", subsystem, node, stats))
+	}
+	v = v.Elem()
+	eachStat(v, func(string, int64) {})
+	k := statsKey{node, subsystem}
+	if i, ok := r.byStats[k]; ok {
+		r.stats[i].v = v
 		return
 	}
-	r.byColl[k] = len(r.colls)
-	r.colls = append(r.colls, &coll{key: k, fn: fn})
+	r.byStats[k] = len(r.stats)
+	r.stats = append(r.stats, statsSrc{k, v})
+}
+
+var timeType = reflect.TypeFor[simtime.Time]()
+
+// eachStat calls fn on every counted field of the struct v with its sample
+// name: the field's name in snake_case, with _ns appended for a
+// simtime.Time. An embedded struct contributes its own fields, and a field
+// tagged `metric:"-"` is left out. Any other field that is not an integer
+// panics.
+func eachStat(v reflect.Value, fn func(name string, n int64)) {
+	t := v.Type()
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name := snakeCase(f.Name)
+		if f.Type == timeType {
+			name += "_ns"
+		}
+		switch k := f.Type.Kind(); {
+		case f.Tag.Get("metric") == "-":
+		case f.Anonymous && k == reflect.Struct:
+			eachStat(v.Field(i), fn)
+		case k >= reflect.Int && k <= reflect.Int64:
+			fn(name, v.Field(i).Int())
+		case k >= reflect.Uint && k <= reflect.Uint64:
+			fn(name, int64(v.Field(i).Uint()))
+		default:
+			panic(fmt.Sprintf("metrics: %v.%s: a %v field is not a counter", t, f.Name, f.Type))
+		}
+	}
+}
+
+// snakeCase spells a Go field name in snake_case, keeping an acronym one
+// word: CkChunksSent is ck_chunks_sent, PublishCPU is publish_cpu.
+func snakeCase(name string) string {
+	lower := func(i int) bool { return i < len(name) && (name[i] < 'A' || name[i] > 'Z') }
+	b := make([]byte, 0, len(name)+4)
+	for i := range len(name) {
+		c := name[i]
+		if !lower(i) {
+			if i > 0 && (lower(i-1) || lower(i+1)) {
+				b = append(b, '_')
+			}
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return string(b)
 }
 
 // Sample is one (node, subsystem, name) measurement in a snapshot.
 type Sample struct {
-	Node      int    `json:"node"`
-	Subsystem string `json:"subsystem"`
-	Name      string `json:"name"`
-	Kind      string `json:"kind"`
+	Node      int
+	Subsystem string
+	Name      string
+	Kind      string
 	// Value is the count (counter), level (gauge), or observation count
 	// (histogram).
-	Value int64 `json:"value"`
+	Value int64
 	// Sum is the histogram's sum of observations.
-	Sum int64 `json:"sum,omitempty"`
+	Sum int64
 	// Buckets are the histogram's per-bucket counts, trailing zeros
 	// trimmed: Buckets[0] counts v <= 0, Buckets[i] counts
 	// 2^(i-1) <= v < 2^i.
-	Buckets []int64 `json:"buckets,omitempty"`
+	Buckets []int64
 	// P50/P99/P999 are bucket-resolution quantile estimates (the upper
 	// bound of the bucket holding the quantile rank), present for
 	// histograms with at least one observation.
-	P50  int64 `json:"p50,omitempty"`
-	P99  int64 `json:"p99,omitempty"`
-	P999 int64 `json:"p999,omitempty"`
-}
-
-// fillQuantiles recomputes the sample's quantile fields from its buckets.
-func (s *Sample) fillQuantiles() {
-	s.P50 = quantileFromBuckets(s.Buckets, s.Value, 0.5)
-	s.P99 = quantileFromBuckets(s.Buckets, s.Value, 0.99)
-	s.P999 = quantileFromBuckets(s.Buckets, s.Value, 0.999)
+	P50  int64
+	P99  int64
+	P999 int64
 }
 
 // Snapshot is a deterministic point-in-time reading of the whole registry,
 // sorted by (subsystem, name, node).
 type Snapshot struct {
-	Samples []Sample `json:"samples"`
+	Samples []Sample
 }
 
-// Snapshot reads every instrument and runs every collector. The result is
-// fully detached from the registry: diffing or serializing it later sees the
+// Snapshot reads every instrument and every registered Stats field. The
+// result is fully detached from the registry: printing it later shows the
 // values as of this call.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
@@ -343,8 +353,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Kind:      e.kind.String(),
 		}
 		switch e.kind {
-		case KindCounter:
-			smp.Value = e.c.v
 		case KindGauge:
 			smp.Value = e.g.v
 		case KindHistogram:
@@ -359,15 +367,15 @@ func (r *Registry) Snapshot() Snapshot {
 			if last >= 0 {
 				smp.Buckets = append([]int64(nil), e.h.buckets[:last+1]...)
 			}
-			smp.fillQuantiles()
+			smp.P50, smp.P99, smp.P999 = e.h.Quantile(0.5), e.h.Quantile(0.99), e.h.Quantile(0.999)
 		}
 		s.Samples = append(s.Samples, smp)
 	}
-	for _, c := range r.colls {
-		c.fn(func(name string, v int64) {
+	for _, src := range r.stats {
+		eachStat(src.v, func(name string, v int64) {
 			s.Samples = append(s.Samples, Sample{
-				Node:      c.key.node,
-				Subsystem: c.key.subsystem,
+				Node:      src.key.node,
+				Subsystem: src.key.subsystem,
 				Name:      name,
 				Kind:      KindCounter.String(),
 				Value:     v,
@@ -385,50 +393,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return a.Node < b.Node
 	})
 	return s
-}
-
-// Sub returns the change from prev to s: counters and histograms subtract
-// the matching prev sample (absent = zero); gauges keep their current level.
-// Samples present only in prev are dropped.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	type sk struct {
-		node            int
-		subsystem, name string
-	}
-	old := make(map[sk]*Sample, len(prev.Samples))
-	for i := range prev.Samples {
-		p := &prev.Samples[i]
-		old[sk{p.Node, p.Subsystem, p.Name}] = p
-	}
-	out := Snapshot{Samples: make([]Sample, 0, len(s.Samples))}
-	for _, smp := range s.Samples {
-		if p := old[sk{smp.Node, smp.Subsystem, smp.Name}]; p != nil && smp.Kind != KindGauge.String() {
-			smp.Value -= p.Value
-			smp.Sum -= p.Sum
-			if len(smp.Buckets) > 0 {
-				bk := append([]int64(nil), smp.Buckets...)
-				for i := range bk {
-					if i < len(p.Buckets) {
-						bk[i] -= p.Buckets[i]
-					}
-				}
-				last := -1
-				for i, b := range bk {
-					if b != 0 {
-						last = i
-					}
-				}
-				smp.Buckets = bk[:last+1]
-			}
-			if smp.Kind == KindHistogram.String() {
-				// Quantiles of the interval's own distribution, not a
-				// meaningless difference of cumulative quantiles.
-				smp.fillQuantiles()
-			}
-		}
-		out.Samples = append(out.Samples, smp)
-	}
-	return out
 }
 
 // bucketUpper returns the exclusive upper bound of bucket i (its `le` label
@@ -493,11 +457,4 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -2,28 +2,26 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"publishing/internal/simtime"
 )
 
 func TestNilRegistryAndInstrumentsAreSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter(0, "s", "c")
 	g := r.Gauge(0, "s", "g")
 	h := r.Histogram(0, "s", "h")
-	if c != nil || g != nil || h != nil {
+	if g != nil || h != nil {
 		t.Fatal("nil registry handed out live instruments")
 	}
-	c.Inc()
-	c.Add(5)
 	g.Set(9)
 	g.Add(-2)
 	h.Observe(123)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments kept state")
 	}
-	r.AddCollector(0, "s", func(emit func(string, int64)) { emit("x", 1) })
+	r.AddStats(0, "s", &struct{ X uint64 }{1})
 	if snap := r.Snapshot(); len(snap.Samples) != 0 {
 		t.Fatal("nil registry produced samples")
 	}
@@ -31,11 +29,11 @@ func TestNilRegistryAndInstrumentsAreSafe(t *testing.T) {
 
 func TestInstrumentIdentityAndKindMismatch(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter(1, "lan", "frames") != r.Counter(1, "lan", "frames") {
-		t.Fatal("same key returned different counters")
+	if r.Histogram(1, "lan", "frames") != r.Histogram(1, "lan", "frames") {
+		t.Fatal("same key returned different histograms")
 	}
-	if r.Counter(1, "lan", "frames") == r.Counter(2, "lan", "frames") {
-		t.Fatal("different nodes shared a counter")
+	if r.Histogram(1, "lan", "frames") == r.Histogram(2, "lan", "frames") {
+		t.Fatal("different nodes shared a histogram")
 	}
 	defer func() {
 		if recover() == nil {
@@ -64,8 +62,10 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSnapshotSortedAndDetached(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(2, "lan", "b").Inc()
-	r.Counter(0, "lan", "b").Add(3)
+	type lanStats struct{ B uint64 }
+	lan0, lan2 := &lanStats{3}, &lanStats{1}
+	r.AddStats(2, "lan", lan2)
+	r.AddStats(0, "lan", lan0)
 	r.Gauge(1, "kernel", "depth").Set(4)
 	r.Histogram(0, "recorder", "lat").Observe(100)
 
@@ -84,7 +84,7 @@ func TestSnapshotSortedAndDetached(t *testing.T) {
 		t.Fatal("node tiebreak wrong")
 	}
 	// Later updates must not leak into the detached snapshot.
-	r.Counter(0, "lan", "b").Add(10)
+	lan0.B += 10
 	r.Histogram(0, "recorder", "lat").Observe(100)
 	if snap.Samples[1].Value != 3 || snap.Samples[3].Value != 1 {
 		t.Fatal("snapshot not detached from registry")
@@ -93,59 +93,20 @@ func TestSnapshotSortedAndDetached(t *testing.T) {
 
 func TestCollectorReplacement(t *testing.T) {
 	r := NewRegistry()
-	r.AddCollector(3, "transport", func(emit func(string, int64)) { emit("sent", 1) })
-	// A restarted component re-registers; the old closure must not report.
-	r.AddCollector(3, "transport", func(emit func(string, int64)) { emit("sent", 42) })
+	type transportStats struct{ Sent uint64 }
+	r.AddStats(3, "transport", &transportStats{1})
+	// A restarted component re-registers; the old struct must not report.
+	r.AddStats(3, "transport", &transportStats{42})
 	snap := r.Snapshot()
 	if len(snap.Samples) != 1 || snap.Samples[0].Value != 42 {
 		t.Fatalf("samples = %+v", snap.Samples)
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter(0, "s", "c")
-	g := r.Gauge(0, "s", "g")
-	h := r.Histogram(0, "s", "h")
-	c.Add(5)
-	g.Set(7)
-	h.Observe(2)
-	before := r.Snapshot()
-	c.Add(3)
-	g.Set(1)
-	h.Observe(2)
-	h.Observe(1000)
-	diff := r.Snapshot().Sub(before)
-
-	byName := map[string]Sample{}
-	for _, s := range diff.Samples {
-		byName[s.Name] = s
-	}
-	if byName["c"].Value != 3 {
-		t.Fatalf("counter diff = %d", byName["c"].Value)
-	}
-	if byName["g"].Value != 1 {
-		t.Fatalf("gauge diff kept level: %d", byName["g"].Value)
-	}
-	hs := byName["h"]
-	if hs.Value != 2 || hs.Sum != 1002 {
-		t.Fatalf("histogram diff count=%d sum=%d", hs.Value, hs.Sum)
-	}
-	// The pre-existing observation of 2 cancels; only one new 2 and the
-	// 1000 remain.
-	var total int64
-	for _, b := range hs.Buckets {
-		total += b
-	}
-	if total != 2 {
-		t.Fatalf("bucket diff total = %d", total)
-	}
-}
-
 func TestWriteTextDeterministicAndWellFormed(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		r.Counter(1, "lan", "frames_sent").Add(10)
+		r.AddStats(1, "lan", &struct{ FramesSent uint64 }{10})
 		r.Gauge(0, "kernel", "queue_depth").Set(3)
 		h := r.Histogram(2, "transport", "ack_rtt_ns")
 		h.Observe(100)
@@ -179,36 +140,82 @@ func TestWriteTextDeterministicAndWellFormed(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrips(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(0, "s", "c").Add(4)
-	r.Histogram(1, "s", "h").Observe(9)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(back.Samples) != 2 || back.Samples[0].Value != 4 || back.Samples[1].Kind != "histogram" {
-		t.Fatalf("round trip lost data: %+v", back.Samples)
-	}
-}
-
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter(0, "s", "c")
 	g := r.Gauge(0, "s", "g")
 	h := r.Histogram(0, "s", "h")
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		c.Add(2)
 		g.Set(1)
 		g.Add(1)
 		h.Observe(12345)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocated %.0f times per run", allocs)
+	}
+}
+
+// statsFixture has one field of every shape the naming rule handles.
+type statsFixture struct {
+	embeddedCounts
+	CkChunksSent uint64
+	PublishCPU   simtime.Time
+	BusyTime     simtime.Time
+	HTTPRetries  int32
+	Faults       uint64 `metric:"-"`
+	Gen2Drops    uint8
+}
+
+type embeddedCounts struct {
+	MessagesPending uint64
+	Hidden          uint64 `metric:"-"`
+}
+
+func TestStatsNamingRule(t *testing.T) {
+	st := &statsFixture{CkChunksSent: 1, PublishCPU: 2, BusyTime: 3, HTTPRetries: -4, Faults: 5, Gen2Drops: 6}
+	st.MessagesPending, st.Hidden = 7, 8
+	r := NewRegistry()
+	r.AddStats(4, "recorder", st)
+	got := map[string]int64{}
+	for _, smp := range r.Snapshot().Samples {
+		if smp.Node != 4 || smp.Subsystem != "recorder" || smp.Kind != "counter" {
+			t.Fatalf("sample %+v", smp)
+		}
+		got[smp.Name] = smp.Value
+	}
+	want := map[string]int64{
+		"messages_pending": 7, // an embedded struct's field is the struct's own
+		"ck_chunks_sent":   1,
+		"publish_cpu_ns":   2, // an acronym is one word; a simtime.Time gains _ns
+		"busy_time_ns":     3,
+		"http_retries":     -4,
+		"gen2_drops":       6,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("samples %v, want %v", got, want)
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Fatalf("samples %v, want %v", got, want)
+		}
+	}
+}
+
+func TestStatsFieldThatIsNotACounterPanics(t *testing.T) {
+	for _, stats := range []any{
+		&struct {
+			Sent uint64
+			Name string
+		}{},
+		&struct{ Ratio float64 }{},
+		struct{ Sent uint64 }{}, // not a pointer: nothing would be read live
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddStats(%T) did not panic", stats)
+				}
+			}()
+			NewRegistry().AddStats(0, "s", stats)
+		}()
 	}
 }

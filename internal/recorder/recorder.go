@@ -373,40 +373,8 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		node := int(r.node)
 		r.publishLat = reg.Histogram(node, "recorder", "publish_latency_ns")
 		r.replayOcc = reg.Gauge(node, "recorder", "replay_window_batches")
-		s := &r.stats
-		reg.AddCollector(node, "recorder", func(emit func(string, int64)) {
-			emit("messages_seen", int64(s.MessagesSeen))
-			emit("messages_pending", int64(s.MessagesPending))
-			emit("arrivals_recorded", int64(s.ArrivalsRecorded))
-			emit("bytes_stored", int64(s.BytesStored))
-			emit("acks_seen", int64(s.AcksSeen))
-			emit("notices", int64(s.Notices))
-			emit("advisories", int64(s.Advisories))
-			emit("checkpoints_stored", int64(s.CheckpointsStored))
-			emit("process_crashes", int64(s.ProcessCrashes))
-			emit("processor_crashes", int64(s.ProcessorCrashes))
-			emit("recoveries_started", int64(s.RecoveriesStarted))
-			emit("recoveries_completed", int64(s.RecoveriesCompleted))
-			emit("messages_replayed", int64(s.MessagesReplayed))
-			emit("replay_batches", int64(s.ReplayBatches))
-			emit("ck_chunks_sent", int64(s.CkChunksSent))
-			emit("recorder_acks_sent", int64(s.RecorderAcksSent))
-			emit("missed_arrivals", int64(s.MissedArrivals))
-			emit("store_failures", int64(s.StoreFailures))
-			emit("publish_cpu_ns", int64(s.PublishCPU))
-			emit("follower_promotions", int64(s.FollowerPromotions))
-			emit("handoffs_completed", int64(s.HandoffsCompleted))
-			emit("handoff_procs_shipped", int64(s.HandoffProcsShipped))
-			emit("handoff_chunks_sent", int64(s.HandoffChunksSent))
-			emit("handoff_procs_adopted", int64(s.HandoffProcsAdopted))
-		})
-		reg.AddCollector(node, "store", func(emit func(string, int64)) {
-			ss := r.store.Stats()
-			emit("appends", int64(ss.Appends))
-			emit("page_writes", int64(ss.PageWrites))
-			emit("page_reads", int64(ss.PageReads))
-			emit("bytes_live", int64(ss.BytesLive))
-		})
+		reg.AddStats(node, "recorder", &r.stats)
+		reg.AddStats(node, "store", r.store.Stats())
 	}
 	return r
 }

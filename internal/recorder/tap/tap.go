@@ -43,7 +43,7 @@ type Counts struct {
 	// strictly below their sender's watermark after passing the tap's
 	// duplicate check. In-order transport delivery says there are none; tests
 	// pin it at zero. Not in the metrics registry: the snapshot is unchanged.
-	BelowWatermark uint64
+	BelowWatermark uint64 `metric:"-"`
 }
 
 // Msg is a message the tap heard that no acknowledgement has yet placed in a

@@ -27,7 +27,6 @@ type sched interface {
 	Fired() uint64
 	Pending() int
 	NextAt() Time
-	Halted() bool
 	At(t Time, fn func()) handle
 	After(d Time, fn func()) handle
 	AtHandler(t Time, h Handler) handle
@@ -35,8 +34,6 @@ type sched interface {
 	Cancel(h handle)
 	Step() bool
 	Run(limit Time) uint64
-	Halt()
-	Resume()
 }
 
 // realSched is the Scheduler with its handles converted.
@@ -67,19 +64,15 @@ func (e *refEvent) At() Time        { return e.at }
 // node is re-armed by a later event, last retired first, and from then on
 // the old handle reads as the zero handle.
 type refSched struct {
-	now    Time
-	fired  uint64
-	halted bool
-	queue  []*refEvent
-	free   []*refEvent
+	now   Time
+	fired uint64
+	queue []*refEvent
+	free  []*refEvent
 }
 
 func (r *refSched) Now() Time                      { return r.now }
 func (r *refSched) Fired() uint64                  { return r.fired }
 func (r *refSched) Pending() int                   { return len(r.queue) }
-func (r *refSched) Halted() bool                   { return r.halted }
-func (r *refSched) Halt()                          { r.halted = true }
-func (r *refSched) Resume()                        { r.halted = false }
 func (r *refSched) After(d Time, fn func()) handle { return r.At(r.now+d, fn) }
 
 // The reference has no handlers: an owner is its Fire method.
@@ -121,7 +114,7 @@ func (r *refSched) Cancel(h handle) {
 }
 
 func (r *refSched) Step() bool {
-	if r.halted || len(r.queue) == 0 {
+	if len(r.queue) == 0 {
 		return false
 	}
 	e := r.retire(0)
@@ -134,8 +127,7 @@ func (r *refSched) Run(limit Time) uint64 {
 	start := r.fired
 	for r.NextAt() <= limit && r.Step() {
 	}
-	// A halt with events still queued leaves the clock where it stopped.
-	if (len(r.queue) == 0 || !r.halted) && r.now < limit {
+	if r.now < limit {
 		r.now = limit
 	}
 	return r.fired - start
@@ -167,7 +159,6 @@ type observation struct {
 	nextAt  Time
 	fired   uint64
 	pending int
-	halted  bool
 	handles int
 }
 
@@ -191,7 +182,7 @@ func (p *program) next() int {
 }
 
 func (p *program) observe(what string, arg int) {
-	p.obs = append(p.obs, observation{what, arg, p.s.Now(), p.s.NextAt(), p.s.Fired(), p.s.Pending(), p.s.Halted(), len(p.handles)})
+	p.obs = append(p.obs, observation{what, arg, p.s.Now(), p.s.NextAt(), p.s.Fired(), p.s.Pending(), len(p.handles)})
 	for _, h := range p.handles {
 		p.hobs = append(p.hobs, handleState{h.Pending(), h.Cancelled(), h.At()})
 	}
@@ -253,7 +244,7 @@ func (p *program) cancel(id int) {
 func (p *program) fire(id int) {
 	p.observe("fire", id)
 	for n := p.next() % 4; n > 0; n-- {
-		switch p.next() % 8 {
+		switch p.next() % 7 {
 		case 0:
 			p.cover["After(0) in a callback"]++
 			p.schedule(0, true, false)
@@ -266,9 +257,6 @@ func (p *program) fire(id int) {
 			p.cover["cancel other in a callback"]++
 			p.cancel(p.next() % len(p.handles))
 		case 6:
-			p.s.Halt()
-			p.observe("halt in callback", id)
-		case 7:
 			// A decoy cancelled at once: its node is free again for whatever
 			// is scheduled next, under a new generation.
 			p.cancel(p.schedule(Time(1+p.next()%4), true, false))
@@ -282,9 +270,7 @@ func (p *program) run() {
 	// Off time 0, so that At() == 0 is only ever read from a stale handle.
 	p.observe("run", int(p.s.Run(1)))
 	for p.pc < len(p.ops) {
-		// Op bytes below 16 keep the meaning they had before the two handler
-		// kinds were added, so the committed fuzz seeds still replay as made.
-		switch op := p.next() % 18; op {
+		switch op := p.next() % 15; op {
 		case 0, 1, 2:
 			p.schedule(Time(p.next()%4), false, false)
 		case 3:
@@ -300,23 +286,14 @@ func (p *program) run() {
 			// Never a limit in the past: Run is only ever asked to go forward.
 			limit := p.s.Now() + Time(p.next()%6)
 			n := p.s.Run(limit)
-			switch {
-			case p.s.Halted() && n > 0:
-				p.cover["Halt inside Run"]++
-			case p.s.Pending() > 0:
+			if p.s.Pending() > 0 {
 				p.cover["Run stopped mid-queue"]++
 			}
 			p.observe("run", int(n))
 		case 13:
-			p.s.Halt()
-			p.observe("halt", 0)
-		case 14, 15:
-			p.s.Resume()
-			p.observe("resume", 0)
-		case 16:
 			d := p.next()
 			p.schedule(Time(d%4), d&4 != 0, true)
-		case 17:
+		case 14:
 			if len(p.owned) == 0 {
 				p.cancel(0)
 				break
@@ -328,7 +305,6 @@ func (p *program) run() {
 			p.cancel(id)
 		}
 	}
-	p.s.Resume()
 	p.observe("drain", int(p.s.Run(p.s.Now()+1<<20)))
 }
 
@@ -379,7 +355,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 		"equal timestamps", "After(0) in a callback",
 		"cancel pending", "cancel fired or cancelled", "cancel stale", "cancel zero handle",
 		"cancel self in a callback", "cancel other in a callback",
-		"Run stopped mid-queue", "Halt inside Run",
+		"Run stopped mid-queue",
 		"handler scheduled", "cancel pending handler event",
 	} {
 		if total[what] < 50 {

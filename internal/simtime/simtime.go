@@ -144,7 +144,6 @@ type Scheduler struct {
 	events []*eventNode // 4-ary min-heap on (at, seq)
 	free   []*eventNode // recycled nodes, reused by At/After
 	fired  uint64
-	halted bool
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -223,9 +222,9 @@ func (s *Scheduler) Cancel(e Event) {
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
-// It reports false when the queue is empty or the scheduler is halted.
+// It reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.halted || len(s.events) == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
 	n := s.popMin()
@@ -243,7 +242,7 @@ func (s *Scheduler) Step() bool {
 // It returns the number of events fired.
 func (s *Scheduler) Run(limit Time) uint64 {
 	start := s.fired
-	for !s.halted && len(s.events) > 0 {
+	for len(s.events) > 0 {
 		if next := s.events[0].at; next > limit {
 			// Leave future events queued; advance the clock to the limit so
 			// utilization windows close at a well-defined instant.
@@ -263,7 +262,7 @@ func (s *Scheduler) Run(limit Time) uint64 {
 // simulation indicates a bug, not load.
 func (s *Scheduler) RunAll(maxEvents uint64) uint64 {
 	start := s.fired
-	for !s.halted && len(s.events) > 0 {
+	for len(s.events) > 0 {
 		if s.fired-start >= maxEvents {
 			panic(fmt.Sprintf("simtime: exceeded %d events; runaway simulation", maxEvents))
 		}
@@ -271,15 +270,6 @@ func (s *Scheduler) RunAll(maxEvents uint64) uint64 {
 	}
 	return s.fired - start
 }
-
-// Halt stops Run/RunAll after the current event returns.
-func (s *Scheduler) Halt() { s.halted = true }
-
-// Halted reports whether Halt was called.
-func (s *Scheduler) Halted() bool { return s.halted }
-
-// Resume clears a halt.
-func (s *Scheduler) Resume() { s.halted = false }
 
 // Pending returns the number of queued (uncancelled) events. Cancel removes
 // events from the queue eagerly, so every queued node is live and this is

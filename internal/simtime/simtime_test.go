@@ -122,25 +122,6 @@ func TestSchedulerRunLimit(t *testing.T) {
 	}
 }
 
-func TestSchedulerHalt(t *testing.T) {
-	s := NewScheduler()
-	fired := 0
-	s.At(1, func() { fired++; s.Halt() })
-	s.At(2, func() { fired++ })
-	s.RunAll(100)
-	if fired != 1 {
-		t.Fatalf("fired = %d after halt, want 1", fired)
-	}
-	if !s.Halted() {
-		t.Fatal("not halted")
-	}
-	s.Resume()
-	s.RunAll(100)
-	if fired != 2 {
-		t.Fatalf("fired = %d after resume, want 2", fired)
-	}
-}
-
 func TestSchedulerRunAllCap(t *testing.T) {
 	s := NewScheduler()
 	var loop func()

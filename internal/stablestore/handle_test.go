@@ -64,8 +64,8 @@ func TestHandlesMatchNames(t *testing.T) {
 			if !samePages(a, b) {
 				t.Fatalf("seed %d step %d (%s): pages differ", seed, step, what)
 			}
-			if a.Stats() != b.Stats() {
-				t.Fatalf("seed %d step %d (%s): stats %+v by name, %+v by handle", seed, step, what, a.Stats(), b.Stats())
+			if *a.Stats() != *b.Stats() {
+				t.Fatalf("seed %d step %d (%s): stats %+v by name, %+v by handle", seed, step, what, *a.Stats(), *b.Stats())
 			}
 			ra, errA := a.ReadAll()
 			rb, errB := b.ReadAll()

@@ -140,3 +140,23 @@ func TestLookupReadsOversizedRecords(t *testing.T) {
 		t.Fatal("Lookup found #0 on the chain that holds #1")
 	}
 }
+
+// An oversized record is read in place: its run of pages is one buffer, so
+// a Lookup of a 5,000-B record allocates nothing.
+func TestLookupOfOversizedRecordAllocatesNothing(t *testing.T) {
+	s := New()
+	k := s.Key("ck:p1.2")
+	big := bytes.Repeat([]byte{0xa5}, 5000)
+	ref, err := s.AppendKey(k, KindCheckpoint, 1, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if d, err := s.Lookup(k, 1, ref); err != nil || len(d) != len(big) {
+			t.Fatalf("Lookup: %d bytes (%v)", len(d), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup of a %d-B record allocated %.0f times", len(big), allocs)
+	}
+}

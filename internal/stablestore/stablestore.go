@@ -5,10 +5,10 @@
 // out in 4k byte buffers rather than forcing one disk write per message").
 //
 // Paged is the one engine: 4 KB pages, a per-key page index, and oversized
-// records (checkpoints) on contiguous page chains. A record names its key
-// by a small id, not by the key's name: the first append under a key writes
-// one key-name record that gives the name the next id, and every record
-// after it carries the id. It keeps every record it is given and reclaims
+// records (checkpoints) on runs of contiguous pages, each run one buffer.
+// A record names its key by a small id, not by the key's name: the first
+// append under a key writes one key-name record that gives the name the
+// next id, and every record after it carries the id. It keeps every record it is given and reclaims
 // nothing: §4.5's compaction of a page whose buffer is reused is not
 // modelled, since no page is reused. It exists in-memory (simulations,
 // modelling a disk that survives recorder crashes) and file-backed
@@ -143,7 +143,7 @@ func parseHeader(b []byte) (h header, ok bool) {
 }
 
 // Ref locates a record in its store: the page AppendKey put it on and its
-// byte offset there (0 for an oversized record, which starts its chain).
+// byte offset there (0 for an oversized record, which starts its run).
 // No record ever moves, so a Ref is exact.
 type Ref struct {
 	Page uint32
@@ -198,7 +198,7 @@ type Stats struct {
 	PageWrites  uint64
 	PageReads   uint64
 	BytesLive   uint64 // every data byte callers appended: the store keeps them all
-	WriteFaults uint64 // page writes failed by the injected fault hook
+	WriteFaults uint64 `metric:"-"` // page writes failed by the injected fault hook
 }
 
 // Config locates a store's file backing.
@@ -239,11 +239,6 @@ type Paged struct {
 	// record gave it id i. Ids are dense, in the order the keys were first
 	// appended to, and are never reused.
 	ids []*keyState
-	// chains maps the first page of an oversized record (checkpoints) to
-	// its continuation pages; chainSet holds every page of every chain
-	// (including firsts) for O(1) membership tests.
-	chains   map[uint64][]uint64
-	chainSet map[uint64]bool
 	// dirty holds page ids whose in-memory content is newer than the file
 	// backing. Physical WriteAt is batched to Flush/Close — the
 	// §5.1 buffering discipline extended to page syncs — while
@@ -270,7 +265,7 @@ type keyState struct {
 	// is set: its key-name record has been written (or read by Open).
 	id    uint64
 	named bool
-	// pages indexes which pages hold the key's records (chains by their
+	// pages indexes which pages hold the key's records (runs by their
 	// first page), so ReadKey visits only relevant pages instead of
 	// scanning the whole store.
 	pages []uint64
@@ -299,14 +294,16 @@ func Open(path string) (*Paged, error) {
 		f.Close()
 		return nil, err
 	}
-	n := info.Size() / PageSize
-	for i := int64(0); i < n; i++ {
-		page := make([]byte, PageSize)
-		if _, err := f.ReadAt(page, i*PageSize); err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.pages = append(s.pages, page)
+	// One buffer holds the whole file, so each run of an oversized record
+	// is joined as AppendKey leaves it: its pages are consecutive slices of
+	// one buffer.
+	file := make([]byte, info.Size()/PageSize*PageSize)
+	if _, err := f.ReadAt(file, 0); err != nil {
+		f.Close()
+		return nil, err
+	}
+	for i := 0; i < len(file); i += PageSize {
+		s.pages = append(s.pages, file[i:i+PageSize])
 	}
 	if err := s.rebuildIndex(); err != nil {
 		f.Close()
@@ -315,34 +312,21 @@ func Open(path string) (*Paged, error) {
 	return s, nil
 }
 
-// rebuildIndex reconstructs the volatile chain, key and key-id indexes
-// from raw pages after Open. Chains must be re-derived or a reopened store
-// would try to decode an oversized record's first page as a self-contained
-// page and fail: a first page is recognizable because its first record's
-// encoded length exceeds the page, and its continuations are the
-// immediately following pages (Append allocates them contiguously). Every
-// page and chain is decoded here, in page order, so a store that opens
-// reads back whole: a chain that runs past the last page, a page that does
-// not decode, a record whose key id no earlier key-name record defined, and
-// a key-name record out of id order or naming a key already named fail
-// Open instead of leaving records out of the key index or under the wrong
-// key.
+// rebuildIndex reconstructs the volatile key and key-id indexes from raw
+// pages after Open. Every page and run is decoded here, in page order, so
+// a store that opens reads back whole: a run that goes past the last page,
+// a page that does not decode, a record whose key id no earlier key-name
+// record defined, and a key-name record out of id order or naming a key
+// already named fail Open instead of leaving records out of the key index
+// or under the wrong key.
 func (s *Paged) rebuildIndex() error {
 	next := uint64(len(s.pages))
 	for id := uint64(0); id < next; {
-		page := s.pages[id]
-		npages := uint64(1)
-		if h, ok := parseHeader(page); ok && h.n > PageSize {
-			// Oversized record: claim ceil(h.n/PageSize) contiguous pages.
-			npages = uint64((h.n + PageSize - 1) / PageSize)
-			if id+npages > next {
-				return fmt.Errorf("chain %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
-			}
-			for p := id; p < id+npages; p++ {
-				s.oversize(id, p)
-			}
-			page = s.chain(id)
+		npages := uint64(runPages(s.pages[id]))
+		if id+npages > next {
+			return fmt.Errorf("run %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 		}
+		page := s.run(id)
 		if err := records(page, func(h header, at int) error {
 			if h.kind == kindKeyName {
 				return s.define(string(dataAt(page, at, h)), h.id)
@@ -406,7 +390,7 @@ func (s *Paged) keyOf(h header) (*keyState, error) {
 }
 
 // index records that page id holds records of the key (dedupes the common
-// case of consecutive appends landing on the same buffer page). A chain
+// case of consecutive appends landing on the same buffer page). A run
 // appended between two of them lists the buffer page twice.
 func (k *keyState) index(id uint64) {
 	if n := len(k.pages); n > 0 && k.pages[n-1] == id {
@@ -431,8 +415,8 @@ func (s *Paged) Close() error {
 	return nil
 }
 
-// Stats returns a copy of the counters.
-func (s *Paged) Stats() Stats { return s.stats }
+// Stats returns the store counters.
+func (s *Paged) Stats() *Stats { return &s.stats }
 
 // SetWriteFault installs (or, with nil, removes) a fault hook consulted
 // before every logical page write; a non-nil return error fails the write.
@@ -447,14 +431,14 @@ func (s *Paged) Append(r Record) (uint64, error) {
 	return uint64(ref.Page), err
 }
 
-// AppendKey stores a record under key k, returning where it lands. Records
-// larger than a page are split across dedicated pages transparently on
-// read; for simplicity here they get a page of their own (checkpoints are
-// the only large records).
+// AppendKey stores a record under key k, returning where it lands. A record
+// larger than a page (checkpoints are the only large records) is encoded
+// into a run of whole pages of its own, one buffer whose consecutive
+// PageSize slices are the run's pages, so it is read in place.
 //
 // The first append under a key writes the key's key-name record first, on
 // the open write buffer's page. That page is the record's own or an earlier
-// one, and comes before any chain the record starts, so a reader in page
+// one, and comes before any run the record starts, so a reader in page
 // order meets the name before the id.
 func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref, error) {
 	s.stats.Appends++
@@ -467,18 +451,13 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 
 	n := recordLen(k.k.id, seq, len(data))
 	if n > PageSize {
-		// Oversized record: dedicated page sequence.
-		first := uint64(0)
-		enc := appendRecord(make([]byte, 0, n), kind, k.k.id, seq, data)
-		for i := 0; i < len(enc); i += PageSize {
-			page := make([]byte, PageSize)
-			copy(page, enc[i:min(i+PageSize, len(enc))])
-			id := s.alloc(page)
-			if i == 0 {
-				first = id
-			}
-			// Oversized pages are marked by a continuation map entry.
-			s.oversize(first, id)
+		run := make([]byte, (n+PageSize-1)/PageSize*PageSize)
+		appendRecord(run[:0], kind, k.k.id, seq, data)
+		first := uint64(len(s.pages))
+		for i := 0; i < len(run); i += PageSize {
+			s.alloc(run[i : i+PageSize])
+		}
+		for id := first; id < uint64(len(s.pages)); id++ {
 			if err := s.writePage(id); err != nil {
 				return Ref{}, err
 			}
@@ -494,7 +473,7 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 }
 
 // name writes k's key-name record, giving k the next key id. A name too
-// long for a page is refused: a chain would lie after the page the key's
+// long for a page is refused: a run would lie after the page the key's
 // first small record goes on.
 func (s *Paged) name(k *keyState) error {
 	id := uint64(len(s.ids))
@@ -528,14 +507,11 @@ func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref,
 // Lookup returns the data of key k's record seq, which AppendKey placed at
 // ref, as a read-only slice of its page, or an error if ref does not hold
 // that record. No page is ever written in place, so the slice stays valid
-// whatever the store does next. An oversized record is read from its chain,
-// joined into a buffer of its own. Lookup counts no page read.
+// whatever the store does next. An oversized record is read in place from
+// its run. Lookup counts no page read.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
 	if id := uint64(ref.Page); k.k.named && id < uint64(len(s.pages)) {
-		page := s.pages[id]
-		if _, first := s.chains[id]; first {
-			page = s.chain(id)
-		}
+		page := s.run(id)
 		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.id, seq); ok {
 			return d, nil
 		}
@@ -551,19 +527,6 @@ func recordAt(b []byte, id, seq uint64) ([]byte, bool) {
 		return nil, false
 	}
 	return dataAt(b, 0, h), true
-}
-
-func (s *Paged) oversize(first, page uint64) {
-	if s.chains == nil {
-		s.chains = make(map[uint64][]uint64)
-		s.chainSet = make(map[uint64]bool)
-	}
-	if page != first {
-		s.chains[first] = append(s.chains[first], page)
-	} else if _, ok := s.chains[first]; !ok {
-		s.chains[first] = nil
-	}
-	s.chainSet[page] = true
 }
 
 // Flush forces the current write buffer — and every dirty page — to disk.
@@ -638,20 +601,31 @@ func (s *Paged) alloc(page []byte) uint64 {
 // It exists only for bench/'s checkpoint drive, which calls it.
 func (s *Paged) InvalidateSeqs(key string, seqs []uint64) {}
 
-// chain returns the pages of the chain that starts at page first, joined
-// into a buffer of their own: the oversized record they hold, then padding.
-func (s *Paged) chain(first uint64) []byte {
-	rest := s.chains[first]
-	whole := make([]byte, 0, (1+len(rest))*PageSize)
-	whole = append(whole, s.pages[first]...)
-	for _, p := range rest {
-		whole = append(whole, s.pages[p]...)
+// runPages is how many pages the page or run starting with page holds:
+// more than one when its first record is longer than a page.
+func runPages(page []byte) int {
+	if h, ok := parseHeader(page); ok && h.n > PageSize {
+		return (h.n + PageSize - 1) / PageSize
 	}
-	return whole
+	return 1
+}
+
+// run returns page id, or the whole run of pages if an oversized record
+// starts on it. A run's pages are consecutive slices of one buffer
+// (AppendKey, Open), so the first page's slice extends over the rest of
+// the run, and the run is read in place. A page whose slice cannot hold
+// the run its head claims is returned alone, for the caller's decode to
+// refuse.
+func (s *Paged) run(id uint64) []byte {
+	page := s.pages[id]
+	if n := runPages(page) * PageSize; n <= cap(page) {
+		return page[:n]
+	}
+	return page
 }
 
 // ReadAll returns every record in page order: regular pages by id, each in
-// insertion order, then oversized chains by first page. The recorder's
+// insertion order, then oversized records' runs by first page. The recorder's
 // crash rebuild reads the same records through Scan (§3.3.4, §4.5). The
 // records share nothing with the store.
 func (s *Paged) ReadAll() ([]Record, error) {
@@ -699,13 +673,12 @@ func owned(r Record) Record {
 }
 
 // walk decodes every page in ReadAll's order — regular pages in page order
-// (which is insertion order), then oversized chains by first page — calling
-// visit on each caller's record with its Ref until visit fails, and reports
-// how many pages it read. A record's Key is its key's name, read from the
-// id table, and its data aliases the page (a chain's, the buffer assembled
-// for it), so walking a regular page allocates nothing. The open write
-// buffer needs no sealing to be read: its records are encoded in place into
-// its page, and zero padding ends it.
+// (which is insertion order), then oversized records' runs by first page —
+// calling visit on each caller's record with its Ref until visit fails, and
+// reports how many pages it read. A record's Key is its key's name, read
+// from the id table, and its data aliases the page or run, so walking
+// allocates nothing. The open write buffer needs no sealing to be read:
+// its records are encoded in place into its page, and zero padding ends it.
 func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	var reads uint64
 	each := func(id int, page []byte) error {
@@ -721,25 +694,17 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 				Ref{Page: uint32(id), Off: uint32(at)})
 		})
 	}
-	for id, page := range s.pages {
-		if s.chainSet[uint64(id)] {
-			continue
-		}
-		reads++
-		if err := each(id, page); err != nil {
-			return reads, fmt.Errorf("page %d: %w", id, err)
-		}
-	}
-
-	// Oversized chains.
-	for id := range s.pages {
-		rest, first := s.chains[uint64(id)]
-		if !first {
-			continue
-		}
-		reads += uint64(1 + len(rest))
-		if err := each(id, s.chain(uint64(id))); err != nil {
-			return reads, fmt.Errorf("chain %d: %w", id, err)
+	for _, runs := range [...]bool{false, true} {
+		for id := 0; id < len(s.pages); {
+			page := s.run(uint64(id))
+			n := len(page) / PageSize
+			if (n > 1) == runs {
+				reads += uint64(n)
+				if err := each(id, page); err != nil {
+					return reads, fmt.Errorf("page %d: %w", id, err)
+				}
+			}
+			id += n
 		}
 	}
 	return reads, nil
@@ -758,25 +723,21 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 		return nil, nil
 	}
 	ids := slices.Clone(k.pages)
-	// Match ReadAll's traversal (regular pages in id order, then chains) so
+	// Match ReadAll's traversal (regular pages in id order, then runs) so
 	// insertion-order ties break identically.
+	isRun := func(id uint64) bool { return len(s.run(id)) > PageSize }
 	sort.Slice(ids, func(i, j int) bool {
-		ci, cj := s.chainSet[ids[i]], s.chainSet[ids[j]]
-		if ci != cj {
-			return !ci
+		ri, rj := isRun(ids[i]), isRun(ids[j])
+		if ri != rj {
+			return !ri
 		}
 		return ids[i] < ids[j]
 	})
 	ids = slices.Compact(ids) // a page listed twice is read once
 	var out []Record
 	for _, id := range ids {
-		page := s.pages[id]
-		if s.chainSet[id] {
-			s.stats.PageReads += uint64(1 + len(s.chains[id]))
-			page = s.chain(id)
-		} else {
-			s.stats.PageReads++
-		}
+		page := s.run(id)
+		s.stats.PageReads += uint64(len(page) / PageSize)
 		if err := records(page, func(h header, at int) error {
 			if h.kind == kindKeyName {
 				return nil

@@ -152,13 +152,13 @@ func TestPeekIsReadOnly(t *testing.T) {
 	s.Append(msg("x", 1, "a"))
 	s.Append(Record{Kind: KindCheckpoint, Key: "x", Seq: 2, Data: make([]byte, 2*PageSize)})
 	page, _ := s.Append(msg("y", 3, "b"))
-	before := s.Stats()
+	before := *s.Stats()
 	peeked, err := s.Peek()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats() != before {
-		t.Fatalf("Peek changed the stats: %+v, then %+v", before, s.Stats())
+	if *s.Stats() != before {
+		t.Fatalf("Peek changed the stats: %+v, then %+v", before, *s.Stats())
 	}
 	if next, _ := s.Append(msg("y", 4, "c")); next != page {
 		t.Fatalf("append after Peek landed on page %d, want the open buffer's page %d", next, page)

@@ -28,7 +28,6 @@
 package transport
 
 import (
-	"fmt"
 	"slices"
 
 	"publishing/internal/frame"
@@ -120,13 +119,6 @@ type Stats struct {
 	// AcksDelayedFlush counts standalone cumulative Ack frames sent because
 	// the delayed-ack timer expired with no reverse traffic to ride.
 	AcksDelayedFlush uint64
-}
-
-func (s *Stats) String() string {
-	return fmt.Sprintf("gsent=%d usent=%d rexmit=%d acks=%d/%d delivered=%d dups=%d held=%d expired=%d gaveup=%d coalesced=%d piggyback=%d ackflush=%d",
-		s.GuaranteedSent, s.UnguaranteedSent, s.Retransmits, s.AcksSent, s.AcksReceived,
-		s.Delivered, s.DupsSuppressed, s.RecorderHeld, s.RecorderExpired, s.GaveUp,
-		s.FramesCoalesced, s.AcksPiggybacked, s.AcksDelayedFlush)
 }
 
 // Endpoint is one processor's transport. It implements lan.Station.
@@ -432,22 +424,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 		e.ackRTT = cfg.Metrics.Histogram(int(node), "transport", "ack_rtt_ns")
 		e.rtoGauge = cfg.Metrics.Gauge(int(node), "transport", "rto_ns")
 		e.rtoGauge.Set(int64(cfg.RetransmitInterval))
-		s := &e.stats
-		cfg.Metrics.AddCollector(int(node), "transport", func(emit func(string, int64)) {
-			emit("guaranteed_sent", int64(s.GuaranteedSent))
-			emit("unguaranteed_sent", int64(s.UnguaranteedSent))
-			emit("retransmits", int64(s.Retransmits))
-			emit("acks_sent", int64(s.AcksSent))
-			emit("acks_received", int64(s.AcksReceived))
-			emit("delivered", int64(s.Delivered))
-			emit("dups_suppressed", int64(s.DupsSuppressed))
-			emit("recorder_held", int64(s.RecorderHeld))
-			emit("recorder_expired", int64(s.RecorderExpired))
-			emit("gave_up", int64(s.GaveUp))
-			emit("frames_coalesced", int64(s.FramesCoalesced))
-			emit("acks_piggybacked", int64(s.AcksPiggybacked))
-			emit("acks_delayed_flush", int64(s.AcksDelayedFlush))
-		})
+		cfg.Metrics.AddStats(int(node), "transport", &e.stats)
 	}
 	med.Attach(node, e)
 	return e

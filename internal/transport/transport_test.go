@@ -643,10 +643,3 @@ func TestAcksCarryProcessAttribution(t *testing.T) {
 type tapFunc func(f *frame.Frame) bool
 
 func (t tapFunc) Observe(f *frame.Frame) bool { return t(f) }
-
-func TestStatsString(t *testing.T) {
-	var s Stats
-	if s.String() == "" {
-		t.Fatal("empty stats string")
-	}
-}
