@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -234,6 +234,12 @@ keyids:
 # instrument, snapshot diff and JSON export, which nothing used.
 onecount:
 	! grep -rnE 'emit\("|Registry\) Counter\(|Snapshot\) Sub\(|WriteJSON' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .
+
+# A sealed page holds its records, not 4 KB (DESIGN.md "Storage engine"):
+# regular pages are laid end to end in the store's arena. A page-sized
+# buffer made for each page fails here.
+pageframes:
+	! grep -rnE 'make\(\[\]byte, *0, *PageSize\)' --include='*.go' --exclude='*_test.go' internal/stablestore
 
 build:
 	$(GO) build ./...

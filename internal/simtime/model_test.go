@@ -283,8 +283,12 @@ func (p *program) run() {
 			p.s.Step()
 			p.observe("step", 0)
 		case 11, 12:
-			// Never a limit in the past: Run is only ever asked to go forward.
-			limit := p.s.Now() + Time(p.next()%6)
+			// One limit in six is already past: Run must not move the clock
+			// back to it.
+			limit := p.s.Now() + Time(p.next()%6) - 1
+			if limit < p.s.Now() && p.s.Pending() > 0 {
+				p.cover["Run limit in the past"]++
+			}
 			n := p.s.Run(limit)
 			if p.s.Pending() > 0 {
 				p.cover["Run stopped mid-queue"]++
@@ -355,7 +359,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 		"equal timestamps", "After(0) in a callback",
 		"cancel pending", "cancel fired or cancelled", "cancel stale", "cancel zero handle",
 		"cancel self in a callback", "cancel other in a callback",
-		"Run stopped mid-queue",
+		"Run stopped mid-queue", "Run limit in the past",
 		"handler scheduled", "cancel pending handler event",
 	} {
 		if total[what] < 50 {

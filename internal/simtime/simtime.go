@@ -245,8 +245,9 @@ func (s *Scheduler) Run(limit Time) uint64 {
 	for len(s.events) > 0 {
 		if next := s.events[0].at; next > limit {
 			// Leave future events queued; advance the clock to the limit so
-			// utilization windows close at a well-defined instant.
-			s.now = limit
+			// utilization windows close at a well-defined instant. A limit
+			// already passed leaves the clock where it is.
+			s.now = max(s.now, limit)
 			break
 		}
 		s.Step()

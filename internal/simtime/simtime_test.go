@@ -122,6 +122,28 @@ func TestSchedulerRunLimit(t *testing.T) {
 	}
 }
 
+// Run with a limit the clock has passed fires nothing and leaves the clock
+// where it is: the clock never moves backward, and a queued event still
+// fires at its own time.
+func TestSchedulerRunPastLimitKeepsClock(t *testing.T) {
+	s := NewScheduler()
+	var at []Time
+	for _, when := range []Time{10, 20} {
+		s.At(when, func() { at = append(at, s.Now()) })
+	}
+	s.Run(10)
+	if n := s.Run(5); n != 0 {
+		t.Fatalf("Run(5) at %v fired %d events", s.Now(), n)
+	}
+	if s.Now() != 10 {
+		t.Fatalf("Run(5) after Run(10) left Now at %d ns, want 10", int64(s.Now()))
+	}
+	s.RunAll(10)
+	if len(at) != 2 || at[0] != 10 || at[1] != 20 {
+		t.Fatalf("events fired at %v, want [10 20]", at)
+	}
+}
+
 func TestSchedulerRunAllCap(t *testing.T) {
 	s := NewScheduler()
 	var loop func()

@@ -1,0 +1,194 @@
+package stablestore
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// A sealed page keeps only its records' bytes: its len and cap are both
+// the bytes AppendKey wrote, and the page counts as one page all the same.
+func TestSealedPageHoldsItsRecords(t *testing.T) {
+	s := New()
+	k := s.Key("msg:p1.1")
+	want := recordLen(0, 0, len("msg:p1.1"))
+	for seq := uint64(1); seq <= 5; seq++ {
+		data := bytes.Repeat([]byte{byte(seq)}, 40)
+		if _, err := s.AppendKey(k, KindMessage, seq, data); err != nil {
+			t.Fatal(err)
+		}
+		want += recordLen(0, seq, len(data))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if page := s.pages[0]; len(page) != want || cap(page) != want {
+		t.Fatalf("sealed page: len %d cap %d, want both %d", len(page), cap(page), want)
+	}
+	before := s.Stats().PageReads
+	if recs, err := s.ReadKey("msg:p1.1"); err != nil || len(recs) != 5 {
+		t.Fatalf("ReadKey: %d records (%v), want 5", len(recs), err)
+	}
+	if got := s.Stats().PageReads - before; got != 1 {
+		t.Fatalf("ReadKey of one short page counted %d page reads, want 1", got)
+	}
+}
+
+// Slices that Lookup and Scan hand out stay byte-identical after the next
+// page is laid right after their page, in the same slab, and filled. The
+// Lookup slice is taken while its page is still open.
+func TestReadSlicesSurviveTheNextPage(t *testing.T) {
+	s := New()
+	k := s.Key("msg:p1.1")
+	// The first slab is one page; one sealed page moves the arena on to a
+	// slab with room for more.
+	if _, err := s.AppendKey(k, KindMessage, 0, []byte("first slab")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := func(seq uint64) []byte { return bytes.Repeat([]byte{byte(seq*7 + 1)}, 60) }
+	var refs []Ref
+	for seq := uint64(1); seq <= 3; seq++ {
+		ref, err := s.AppendKey(k, KindMessage, seq, body(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	open := refs[0].Page
+	looked, err := s.Lookup(k, 2, refs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := map[uint64][]byte{}
+	if err := s.Scan(func(r Record, ref Ref) error { // seals the open page
+		if ref.Page == open {
+			scanned[r.Seq] = r.Data
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sealed := s.pages[open]
+	for seq := uint64(4); len(s.cur)+recordLen(0, seq, 60) <= PageSize; seq++ { // fill the next page
+		if _, err := s.AppendKey(k, KindMessage, seq, body(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := s.pages[open+1]
+	if at := len(s.arena); &s.arena[:at+1][at] != &next[0] || &s.arena[:at][at-len(sealed)] != &sealed[0] {
+		t.Fatal("the next page was not laid right after the sealed one in its slab")
+	}
+	if !bytes.Equal(looked, body(2)) {
+		t.Fatalf("Lookup slice changed: %x", looked)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if !bytes.Equal(scanned[seq], body(seq)) {
+			t.Fatalf("Scan slice of #%d changed: %x", seq, scanned[seq])
+		}
+	}
+}
+
+// A file-backed store writes every page whole, a page sealed short followed
+// by zero padding, and Open reads back the records an in-memory twin holds.
+func TestFileHoldsWholePages(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	file, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := New()
+	both := func(r Record) {
+		t.Helper()
+		if _, err := file.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint64(1); seq <= 20; seq++ {
+		both(msg(fmt.Sprintf("msg:p%d.1", seq%3), seq, fmt.Sprintf("body %d", seq)))
+		if seq%6 == 0 {
+			if err := file.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seq == 10 {
+			both(Record{Kind: KindCheckpoint, Key: "ck:p1.1", Seq: 1, Data: bytes.Repeat([]byte{9}, PageSize+500)})
+		}
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) != twin.Pages()*PageSize {
+		t.Fatalf("file is %d bytes, want %d pages", len(img), twin.Pages())
+	}
+	short := 0
+	for id, page := range twin.pages {
+		if len(page) < PageSize {
+			short++
+		}
+		if got := img[id*PageSize : (id+1)*PageSize]; !bytes.Equal(got, padded(page)) {
+			t.Fatalf("page %d on file is not the page zero-padded", id)
+		}
+	}
+	if short < 3 {
+		t.Fatalf("%d pages were sealed short, want at least 3", short)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, errA := re.ReadAll()
+	want, errB := twin.ReadAll()
+	if errA != nil || errB != nil || !sameRecords(got, want) {
+		t.Fatalf("reopened ReadAll (%v, %v)\n reopened%s\n     twin%s", errA, errB, dumpRecords(got), dumpRecords(want))
+	}
+}
+
+// A store flushed every few records holds about its records' bytes, not a
+// whole page per flush: 1,000 records of 100 B, flushed every 8, allocate
+// under 1.5 times their encoded bytes (4 KB per flush would be 4.9 times).
+func TestFlushHeavyStreamHeapBytes(t *testing.T) {
+	data := make([]byte, 100)
+	s := New()
+	k := s.Key("msg:p1.1")
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	records := recordLen(0, 0, len("msg:p1.1"))
+	for seq := uint64(1); seq <= 1000; seq++ {
+		if _, err := s.AppendKey(k, KindMessage, seq, data); err != nil {
+			t.Fatal(err)
+		}
+		records += recordLen(0, seq, len(data))
+		if seq%8 == 0 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	if ceiling := uint64(records) * 3 / 2; got > ceiling {
+		t.Fatalf("%d pages of %d record bytes allocated %d B, want at most %d", s.Pages(), records, got, ceiling)
+	}
+	t.Logf("%d pages of %d record bytes allocated %d B", s.Pages(), records, got)
+}

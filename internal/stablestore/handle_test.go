@@ -24,17 +24,26 @@ func dumpRecords(rs []Record) string {
 	return b.String()
 }
 
-// samePages reports whether two stores hold byte-identical pages.
+// samePages reports whether two stores hold byte-identical pages as the
+// file holds them, each zero-padded to PageSize: a page sealed short in
+// memory and the same page Open read back are the same page.
 func samePages(a, b *Paged) bool {
 	if len(a.pages) != len(b.pages) {
 		return false
 	}
 	for id := range a.pages {
-		if !bytes.Equal(a.pages[id], b.pages[id]) {
+		if !bytes.Equal(padded(a.pages[id]), padded(b.pages[id])) {
 			return false
 		}
 	}
 	return true
+}
+
+// padded returns a copy of page zero-padded to PageSize, as sync writes it.
+func padded(page []byte) []byte {
+	p := make([]byte, PageSize)
+	copy(p, page)
+	return p
 }
 
 // TestHandlesMatchNames drives two file-backed stores with the same random

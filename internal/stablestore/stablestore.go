@@ -6,6 +6,9 @@
 //
 // Paged is the one engine: 4 KB pages, a per-key page index, and oversized
 // records (checkpoints) on runs of contiguous pages, each run one buffer.
+// In memory a regular page holds only the bytes written to it: pages are
+// laid end to end in an append-only arena, and a page sealed part-full ends
+// where its records do. The file still holds whole pages, zero-padded.
 // A record names its key by a small id, not by the key's name: the first
 // append under a key writes one key-name record that gives the name the
 // next id, and every record after it carries the id. It keeps every record it is given and reclaims
@@ -220,15 +223,22 @@ func NewStore(cfg Config) (*Paged, error) {
 // its cluster, and cmd/starhub, whose connections share one store, makes
 // every call under its hub lock.
 type Paged struct {
-	// pages holds every encoded page (PageSize bytes), indexed by page id.
-	// Ids are handed out densely and never freed, so page order is slice
-	// order.
+	// pages holds every encoded page, indexed by page id. Ids are handed out
+	// densely and never freed, so page order is slice order. A sealed regular
+	// page is its records' bytes, no more (len and cap); the open page and a
+	// page Open read are PageSize bytes, zero padding after the records; a
+	// run's pages are PageSize slices of the run's one buffer.
 	pages [][]byte
 	// cur is the current write buffer (an unflushed page): records are
 	// encoded in place into pages[curPage], and len(cur) is how much of that
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
+	// arena is where regular pages are laid, end to end. Its length is where
+	// the open page starts, which is where the last sealed page ends; its
+	// capacity is the end of the slab in use. Bytes written are never
+	// written again, so every slice a reader was handed stays valid.
+	arena []byte
 	// keys holds one record per key: its name, id and pages. Key hashes a
 	// name once and hands out a handle on the record; AppendKey hashes
 	// nothing. Records are carved from keyBlock, so a new key costs no
@@ -267,8 +277,8 @@ type keyState struct {
 	named bool
 	// pages indexes which pages hold the key's records (runs by their
 	// first page), so ReadKey visits only relevant pages instead of
-	// scanning the whole store.
-	pages []uint64
+	// scanning the whole store. A page id fits 32 bits, as in Ref.
+	pages []uint32
 }
 
 // Key is a handle on one key of a store (Paged.Key). Keys are never
@@ -326,14 +336,14 @@ func (s *Paged) rebuildIndex() error {
 		if id+npages > next {
 			return fmt.Errorf("run %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 		}
-		page := s.run(id)
+		page, _ := s.run(id)
 		if err := records(page, func(h header, at int) error {
 			if h.kind == kindKeyName {
 				return s.define(string(dataAt(page, at, h)), h.id)
 			}
 			k, err := s.keyOf(h)
 			if err == nil {
-				k.index(id)
+				k.index(uint32(id))
 			}
 			return err
 		}); err != nil {
@@ -392,7 +402,7 @@ func (s *Paged) keyOf(h header) (*keyState, error) {
 // index records that page id holds records of the key (dedupes the common
 // case of consecutive appends landing on the same buffer page). A run
 // appended between two of them lists the buffer page twice.
-func (k *keyState) index(id uint64) {
+func (k *keyState) index(id uint32) {
 	if n := len(k.pages); n > 0 && k.pages[n-1] == id {
 		return
 	}
@@ -462,12 +472,12 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 				return Ref{}, err
 			}
 		}
-		k.k.index(first)
+		k.k.index(uint32(first))
 		return Ref{Page: uint32(first)}, nil
 	}
 	ref, err := s.place(kind, k.k.id, seq, data, n)
 	if err == nil {
-		k.k.index(uint64(ref.Page))
+		k.k.index(ref.Page)
 	}
 	return ref, err
 }
@@ -496,12 +506,27 @@ func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref,
 		}
 	}
 	if len(s.cur) == 0 {
-		s.cur = make([]byte, 0, PageSize)
+		s.cur = s.reserve()
 		s.curPage = s.alloc(s.cur[:PageSize])
 	}
 	ref := Ref{Page: uint32(s.curPage), Off: uint32(len(s.cur))}
 	s.cur = appendRecord(s.cur, kind, id, seq, data) // fits: never reallocates off the page
 	return ref, nil
+}
+
+// slabMax caps an arena slab. Slabs grow from one page, doubling, so a
+// store of a few pages holds about what its pages do.
+const slabMax = 64 << 10
+
+// reserve returns the PageSize bytes at the arena's end, empty, for the next
+// page, taking a new slab when fewer than PageSize bytes are left in the one
+// in use. Only the bytes a sealed page never wrote go to the page after it.
+func (s *Paged) reserve() []byte {
+	if cap(s.arena)-len(s.arena) < PageSize {
+		s.arena = make([]byte, 0, min(max(2*cap(s.arena), PageSize), slabMax))
+	}
+	at := len(s.arena)
+	return s.arena[at : at : at+PageSize]
 }
 
 // Lookup returns the data of key k's record seq, which AppendKey placed at
@@ -511,7 +536,7 @@ func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref,
 // its run. Lookup counts no page read.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
 	if id := uint64(ref.Page); k.k.named && id < uint64(len(s.pages)) {
-		page := s.run(id)
+		page, _ := s.run(id)
 		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.id, seq); ok {
 			return d, nil
 		}
@@ -540,12 +565,16 @@ func (s *Paged) Flush() error {
 	return s.sync()
 }
 
-// flush seals the current write buffer into its page. The page is only
-// marked dirty; physical writes batch up until sync.
+// flush seals the current write buffer into its page, which keeps only its
+// records' bytes: the arena's next page starts where they end. The page is
+// only marked dirty; physical writes batch up until sync.
 func (s *Paged) flush() error {
-	if len(s.cur) == 0 {
+	n := len(s.cur)
+	if n == 0 {
 		return nil
 	}
+	s.pages[s.curPage] = s.cur[:n:n]
+	s.arena = s.arena[:len(s.arena)+n]
 	s.cur = nil
 	return s.writePage(s.curPage)
 }
@@ -572,7 +601,11 @@ func (s *Paged) writePage(id uint64) error {
 	return nil
 }
 
-// sync writes every dirty page to the file backing, in page order.
+// zeroPage is the zero padding sync writes after a short page.
+var zeroPage [PageSize]byte
+
+// sync writes every dirty page to the file backing, in page order, each
+// PageSize bytes long: a page sealed short is followed by zero padding.
 func (s *Paged) sync() error {
 	if s.f == nil || len(s.dirty) == 0 {
 		return nil
@@ -583,7 +616,12 @@ func (s *Paged) sync() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		if _, err := s.f.WriteAt(s.pages[id], int64(id)*PageSize); err != nil {
+		page, off := s.pages[id], int64(id)*PageSize
+		_, err := s.f.WriteAt(page, off)
+		if err == nil && len(page) < PageSize {
+			_, err = s.f.WriteAt(zeroPage[len(page):], off+int64(len(page)))
+		}
+		if err != nil {
 			return fmt.Errorf("stablestore: write page %d: %w", id, err)
 		}
 		delete(s.dirty, id)
@@ -611,17 +649,18 @@ func runPages(page []byte) int {
 }
 
 // run returns page id, or the whole run of pages if an oversized record
-// starts on it. A run's pages are consecutive slices of one buffer
-// (AppendKey, Open), so the first page's slice extends over the rest of
-// the run, and the run is read in place. A page whose slice cannot hold
-// the run its head claims is returned alone, for the caller's decode to
-// refuse.
-func (s *Paged) run(id uint64) []byte {
+// starts on it, and how many pages that is. The count comes from the page's
+// head, not its length: a regular page sealed short is still one page. A
+// run's pages are consecutive slices of one buffer (AppendKey, Open), so
+// the first page's slice extends over the rest of the run, and the run is
+// read in place. A page whose slice cannot hold the run its head claims is
+// returned alone, as one page, for the caller's decode to refuse.
+func (s *Paged) run(id uint64) ([]byte, int) {
 	page := s.pages[id]
-	if n := runPages(page) * PageSize; n <= cap(page) {
-		return page[:n]
+	if n := runPages(page); n > 1 && n*PageSize <= cap(page) {
+		return page[:n*PageSize], n
 	}
-	return page
+	return page, 1
 }
 
 // ReadAll returns every record in page order: regular pages by id, each in
@@ -696,8 +735,7 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	}
 	for _, runs := range [...]bool{false, true} {
 		for id := 0; id < len(s.pages); {
-			page := s.run(uint64(id))
-			n := len(page) / PageSize
+			page, n := s.run(uint64(id))
 			if (n > 1) == runs {
 				reads += uint64(n)
 				if err := each(id, page); err != nil {
@@ -725,7 +763,10 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	ids := slices.Clone(k.pages)
 	// Match ReadAll's traversal (regular pages in id order, then runs) so
 	// insertion-order ties break identically.
-	isRun := func(id uint64) bool { return len(s.run(id)) > PageSize }
+	isRun := func(id uint32) bool {
+		_, n := s.run(uint64(id))
+		return n > 1
+	}
 	sort.Slice(ids, func(i, j int) bool {
 		ri, rj := isRun(ids[i]), isRun(ids[j])
 		if ri != rj {
@@ -736,8 +777,8 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	ids = slices.Compact(ids) // a page listed twice is read once
 	var out []Record
 	for _, id := range ids {
-		page := s.run(id)
-		s.stats.PageReads += uint64(len(page) / PageSize)
+		page, n := s.run(uint64(id))
+		s.stats.PageReads += uint64(n)
 		if err := records(page, func(h header, at int) error {
 			if h.kind == kindKeyName {
 				return nil
