@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -240,6 +240,13 @@ onecount:
 # buffer made for each page fails here.
 pageframes:
 	! grep -rnE 'make\(\[\]byte, *0, *PageSize\)' --include='*.go' --exclude='*_test.go' internal/stablestore
+
+# An arrival costs the recorder its record ref (DESIGN.md "Recorder
+# database"): the arrival log's entry is where the store holds the record,
+# which holds the message's id, and the log keeps the arrival seqs as runs.
+# An entry that holds an id or an arrival seq again fails here.
+arrrefs:
+	awk '/^type ArrEntry[ =]/ { d = 1 } d && /frame\.MsgID|ArrSeq/ { print FILENAME ":" FNR ": " $$0; bad = 1 } d && !/\{ *$$/ && (/^}/ || /^type /) { d = 0 } END { exit bad }' internal/recorder/tap/arrlog.go
 
 build:
 	$(GO) build ./...

@@ -1,10 +1,12 @@
 package publishing
 
 import (
+	"strings"
 	"testing"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
+	"publishing/internal/trace"
 )
 
 // A message the worker read before a checkpoint is never read again. The
@@ -36,8 +38,23 @@ func TestCheckpointedReadIsNotReadAgainAfterNodeCrash(t *testing.T) {
 	c.Run(60 * simtime.Second)
 
 	expectSteps(t, run)
-	if got := c.Kernel(1).Stats().ReplayDupsDropped; got == 0 {
+	dropped := c.Kernel(1).Stats().ReplayDupsDropped
+	if dropped == 0 {
 		t.Fatal("no late copy was consumed: the scenario no longer retransmits the checkpointed read")
+	}
+	// Each consumed copy is logged as a drop, never as a replay: the
+	// monitor counts a replay as a license for one more delivery.
+	var drops uint64
+	for _, e := range c.Trace().Events() {
+		if e.Node == 1 && strings.HasPrefix(e.Detail, "late direct copy") {
+			if e.Kind != trace.KindDrop {
+				t.Fatalf("a late copy was logged as %v: %s", e.Kind, e.Detail)
+			}
+			drops++
+		}
+	}
+	if drops != dropped {
+		t.Fatalf("%d late copies logged, %d consumed", drops, dropped)
 	}
 	if !c.Monitor().Passed() {
 		t.Fatalf("monitor:\n%s", c.Monitor().Report())

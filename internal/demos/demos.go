@@ -364,7 +364,8 @@ const (
 )
 
 // Notices ride on every published message's arrival, controls on every
-// recovery step, a reply on every replay batch and an image on every
+// recovery step, a reply on every replay batch, a query response per node
+// on every recorder restart and duty sweep, and an image on every
 // checkpoint, so these bodies go through cached gobx codecs: the bytes stay
 // exactly the one-shot gob streams they have always been, but the per-call
 // type-descriptor and decode-engine work is amortized away.
@@ -372,6 +373,7 @@ var (
 	ctlCodec       gobx.Codec[CtlMsg]
 	noticeCodec    gobx.Codec[Notice]
 	replyCodec     gobx.Codec[CtlReply]
+	queryCodec     gobx.Codec[QueryResponse]
 	imageCodec     gobx.Codec[checkpointImage]
 	linkTableCodec gobx.Codec[linkTableImage]
 )
@@ -410,12 +412,12 @@ func DecodeNotice(b []byte) (*Notice, error) {
 }
 
 // EncodeQuery gob-encodes a query response.
-func EncodeQuery(q *QueryResponse) []byte { return mustGob(q) }
+func EncodeQuery(q *QueryResponse) []byte { return mustEncode(&queryCodec, q) }
 
 // DecodeQuery decodes a query response.
 func DecodeQuery(b []byte) (*QueryResponse, error) {
 	var q QueryResponse
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&q); err != nil {
+	if err := queryCodec.Decode(b, &q); err != nil {
 		return nil, fmt.Errorf("demos: bad query response: %w", err)
 	}
 	return &q, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -861,6 +862,47 @@ func TestReplyCodecMatchesOneShot(t *testing.T) {
 		}
 		if err := DecodeReply(valid, &got); err != nil || got != replies[3] {
 			t.Fatalf("after a bad reply: decoded %+v (err %v)", got, err)
+		}
+	}
+}
+
+// Query responses go through a cached codec too, and keep the same contract:
+// EncodeQuery's bytes are a fresh encoder's, in any order of calls, and
+// DecodeQuery takes a fresh encoder's.
+func TestQueryCodecMatchesOneShot(t *testing.T) {
+	queries := []QueryResponse{
+		{},
+		{RestartNumber: 1, Node: 2},
+		{RestartNumber: 3, Node: -1, Procs: []ProcReport{{Proc: frame.ProcID{Node: 2, Local: 7}, State: StateFunctioning}}},
+		{RestartNumber: ^uint64(0), Node: 5, Procs: []ProcReport{
+			{Proc: frame.ProcID{Node: 5, Local: 1}, State: StateCrashed},
+			{Proc: frame.ProcID{Node: 5, Local: 9}, State: StateRecovering},
+			{Proc: frame.ProcID{Node: 5, Local: 1 << 31}},
+		}},
+	}
+	for round := 0; round < 2; round++ {
+		for i := range queries {
+			q := &queries[i]
+			var oneShot bytes.Buffer
+			if err := gob.NewEncoder(&oneShot).Encode(q); err != nil {
+				t.Fatal(err)
+			}
+			if got := EncodeQuery(q); !bytes.Equal(got, oneShot.Bytes()) {
+				t.Fatalf("query %d: EncodeQuery\n %x\none-shot gob\n %x", i, got, oneShot.Bytes())
+			}
+			got, err := DecodeQuery(oneShot.Bytes())
+			if err != nil || !reflect.DeepEqual(*got, *q) {
+				t.Fatalf("query %d: decoded %+v (err %v), want %+v", i, got, err, q)
+			}
+		}
+	}
+	valid := EncodeQuery(&queries[3])
+	for _, bad := range [][]byte{[]byte("garbage"), valid[:len(valid)-3]} {
+		if _, err := DecodeQuery(bad); err == nil || !strings.HasPrefix(err.Error(), "demos: bad query response: ") {
+			t.Fatalf("DecodeQuery(%q): err = %v, want a bad-query-response error", bad, err)
+		}
+		if got, err := DecodeQuery(valid); err != nil || !reflect.DeepEqual(*got, queries[3]) {
+			t.Fatalf("after a bad query response: decoded %+v (err %v)", got, err)
 		}
 	}
 }

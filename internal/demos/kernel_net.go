@@ -239,7 +239,7 @@ func (k *Kernel) enqueueFrame(f *frame.Frame) bool {
 		// Taken already, directly, by replay or before the checkpoint: a
 		// retransmission whose ack the sender never saw. Consume it (ack).
 		k.stats.ReplayDupsDropped++
-		k.env.Log.AddMsg(trace.KindReplay, int(k.node), f.ID.String(), p.id.String(), "late direct copy of accepted message dropped")
+		k.env.Log.AddMsg(trace.KindDrop, int(k.node), f.ID.String(), p.id.String(), "late direct copy of accepted message dropped")
 		return true
 	}
 	k.pushToQueue(p, Msg{ID: f.ID, From: f.From, Channel: f.Channel, Code: f.Code, Body: f.Body}, f.PassedLink)

@@ -1,14 +1,14 @@
 // Package gobx amortizes gob's per-stream setup for the values that are
 // gob-encoded once per message, per control exchange or per checkpoint on
 // the simulator's hot path: the kernel's wire bodies (demos.CtlMsg,
-// demos.Notice, demos.CtlReply), its checkpoint image and the link-table
-// snapshot inside it (demos.checkpointImage, demos.linkTableImage), and the
-// recorder's rare store records (procMeta, ckMeta). The recorder's
-// per-message records — stored messages, read-order advisories, last-sent
-// watermarks — do not come through here: they have a fixed binary layout of
-// their own (internal/recorder/persist.go).
+// demos.Notice, demos.CtlReply, demos.QueryResponse), its checkpoint image
+// and the link-table snapshot inside it (demos.checkpointImage,
+// demos.linkTableImage), and the recorder's rare store records (procMeta,
+// ckMeta). The recorder's per-message records — stored messages, read-order
+// advisories, last-sent watermarks — do not come through here: they have a
+// fixed binary layout of their own (internal/recorder/persist.go).
 //
-// The contract for those seven types is "one self-contained gob stream per
+// The contract for those eight types is "one self-contained gob stream per
 // value": producers call gob.NewEncoder(buf).Encode(v), consumers
 // gob.NewDecoder(r).Decode(v). That contract is what makes a notice or a
 // checkpoint record decodable in isolation — but a fresh encoder
@@ -28,7 +28,7 @@
 // engines; anything else falls back to a fresh decoder, so foreign or
 // corrupt streams behave exactly as before.
 //
-// Byte-identity is not an optimization nicety here. The three demos wire
+// Byte-identity is not an optimization nicety here. The four demos wire
 // types are frame bodies: their length is transmission time on the
 // simulated medium and bytes in every lan and transport counter, and a
 // notice or control message is itself a published message whose body a
@@ -40,8 +40,8 @@
 // changed the stream would change virtual time and every digest.
 // gobx_test.go pins the equivalence against the stock encoder on a stand-in
 // struct with the field shapes those types use; demos pins it on CtlReply,
-// the checkpoint image and the link-table snapshot themselves (this package
-// cannot import demos or recorder).
+// QueryResponse, the checkpoint image and the link-table snapshot
+// themselves (this package cannot import demos or recorder).
 package gobx
 
 import (

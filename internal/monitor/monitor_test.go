@@ -196,6 +196,29 @@ func TestReplayBasisCoverage(t *testing.T) {
 	wantViolations(t, m, InvReplayBasis)
 }
 
+// A kernel drops a late direct copy of a message its process took already,
+// and logs a drop: the copy is not delivered, so it licenses no extra
+// delivery, and it is not a replay, so it needs no replay basis. Counted as
+// a replay, it licensed one duplicate and, for a message its stream never
+// published, reported a corrupt replay basis.
+func TestDropIsNotAReplay(t *testing.T) {
+	m, _ := newTest(Config{})
+	const dropped = "late direct copy of accepted message dropped"
+	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
+	m.Observe(ev(200, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(300, trace.KindPublish, 3, "p0.1#1", "p1.1", "published"))
+	m.Observe(ev(900, trace.KindReplay, 1, "p0.1#1", "p1.1", "replayed"))
+	m.Observe(ev(950, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	m.Observe(ev(980, trace.KindDrop, 1, "p0.1#1", "p1.1", dropped))
+	m.Observe(ev(985, trace.KindDrop, 1, "p0.1#2", "p1.1", dropped))
+	wantViolations(t, m)
+	if _, replays, _ := m.Licenses(); replays != 1 {
+		t.Fatalf("%d replays counted, want 1: a drop counted as a replay", replays)
+	}
+	m.Observe(ev(990, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
+	wantViolations(t, m, InvExactlyOnce)
+}
+
 func TestGiveupInferenceEitherOrder(t *testing.T) {
 	inferred := "published (#4 in stream, inferred from later ack)"
 	// Give-up first, inference second.

@@ -27,7 +27,7 @@ func TestArrivalIndexMatchesCopiesModel(t *testing.T) {
 
 func arrivalIndexModel(t *testing.T, seed uint64) {
 	rng := simtime.NewRand(seed)
-	r, _, store := newBench(t)
+	r, _, _ := newBench(t)
 	b := procB()
 	register(r, b, "b")
 	senders := []frame.ProcID{procA(), {Node: 0, Local: 9}, {Node: 0, Local: 11}}
@@ -61,7 +61,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 	check := func(step int, op string) {
 		t.Helper()
 		e := r.db[b]
-		got := reconstruct(store, e.keys.msg, e.Arrivals, e.Advisories)
+		got := r.reconstruct(e)
 		if len(got) != len(model) {
 			t.Fatalf("seed %d step %d (%s): stream holds %d messages, model %d", seed, step, op, len(got), len(model))
 		}
@@ -218,11 +218,11 @@ func checkpointMidReplay(t *testing.T, crash bool) {
 	}
 }
 
-// A recorded message is held once, in its store page. The stream keeps a
-// 32-byte index entry per arrival, and nothing else the recorder holds grows
+// A recorded message is held once, in its store page. The stream keeps an
+// 8-byte record ref per arrival, and nothing else the recorder holds grows
 // with the stream: the heap grows per arrival by at most the encoded record,
 // its share of the unused tail of each full page (store memory too, not a
-// second copy), and 64 bytes. Keeping the body as well (or a copy of the
+// second copy), and 40 bytes. Keeping the body as well (or a copy of the
 // message beside the page) costs hundreds of bytes more.
 func TestRecorderKeepsOneCopy(t *testing.T) {
 	r, _, store := newBench(t)
@@ -262,10 +262,10 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 	if got, want := store.Pages()-pages, n/perPage; got < want || got > want+1 {
 		t.Fatalf("the store took %d pages for %d records of %d B, want %d", got, n, recLen, want)
 	}
-	limit := float64(recLen) + slack + 64
+	limit := float64(recLen) + slack + 40
 	t.Logf("heap %.1f B per arrival; record %d B, page tail %.1f B a record, limit %.1f B", grown, recLen, slack, limit)
 	if grown > limit {
-		t.Errorf("heap grew %.1f B per arrival, over the %d-B record and its %.1f-B page tail by %.1f B (limit 64): a second copy",
+		t.Errorf("heap grew %.1f B per arrival, over the %d-B record and its %.1f-B page tail by %.1f B (limit 40): a second copy",
 			grown, recLen, slack, grown-float64(recLen)-slack)
 	}
 	runtime.KeepAlive(r)

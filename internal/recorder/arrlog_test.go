@@ -3,16 +3,16 @@ package recorder
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/recorder/tap"
 	"publishing/internal/stablestore"
 )
 
 // The arrival log is the tap core's; these tests read it back through a
 // real store.
-type arrEntry = tap.ArrEntry
-
 const arrChunkLen = tap.ArrChunkLen
 
 // testStream is an arrival log over a real store, as a recorder holds one:
@@ -38,12 +38,29 @@ func (st *testStream) push(sm storedMsg) {
 	if err != nil {
 		panic(err)
 	}
-	st.log.Push(arrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: tap.Ref(ref)})
+	st.log.Push(sm.ArrSeq, tap.Ref(ref))
 }
 
-// reconstruct is the package's reconstruct over log, a snapshot of st's.
+// ArrivalID reads a message id from st's store, as the recorder does.
+func (st *testStream) ArrivalID(_ *tap.Stream, seq uint64, ref tap.Ref) frame.MsgID {
+	return readArrivalID(st.store, st.key, seq, ref)
+}
+
+// idAt reads the id of l's i'th arrival from st's store.
+func (st *testStream) idAt(l *tap.ArrLog, i int) frame.MsgID {
+	seq, ref := l.At(i)
+	return st.ArrivalID(nil, seq, ref)
+}
+
+// reconstruct is Recorder.reconstruct over log, a snapshot of st's.
 func (st *testStream) reconstruct(log tap.ArrLog, advs []tap.Advisory) []storedMsg {
-	return reconstruct(st.store, st.key, log, advs)
+	s := tap.Stream{Arrivals: log, Advisories: advs}
+	var out []storedMsg
+	o := tap.NewOrder(&s, st)
+	for _, seq, ref, ok := o.Next(); ok; _, seq, ref, ok = o.Next() {
+		out = append(out, readArrival(st.store, st.key, seq, ref))
+	}
+	return out
 }
 
 // reconstructAll is reconstruct over the whole stream.
@@ -101,8 +118,8 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 			st.push(storedMsg{ID: mid(1, uint64(i+1)), Body: []byte{byte(i + 1)}})
 		}
 		for i := 0; i < n; i++ {
-			if got := l.At(i); got.ID.Seq != uint64(i+1) || got.ArrSeq != uint64(i) {
-				t.Fatalf("n=%d: at(%d) = %+v", n, i, *got)
+			if seq, ref := l.At(i); seq != uint64(i) || st.ArrivalID(nil, seq, ref).Seq != uint64(i+1) {
+				t.Fatalf("n=%d: at(%d) = %d, %+v", n, i, seq, ref)
 			}
 		}
 		if seqs := l.Seqs(); len(seqs) != n || (n > 0 && seqs[n-1] != uint64(n-1)) {
@@ -119,19 +136,19 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 		}
 		want := make([]uint64, len(pos))
 		for k, i := range pos {
-			want[k] = l.At(i).ID.Seq
+			want[k] = st.idAt(l, i).Seq
 		}
 		l.Keep(pos)
 		wantSeqs(t, "kept", logSeqs(t, st, *l), want...)
 		st.push(storedMsg{ID: mid(1, 2000), Body: []byte{byte(2000 % 256)}})
-		if got := l.At(l.Len() - 1).ID.Seq; got != 2000 {
+		if got := st.idAt(l, l.Len()-1).Seq; got != 2000 {
 			t.Fatalf("n=%d: push after keep landed %d", n, got)
 		}
 		wantSeqs(t, "snapshot after push+keep+push", logSeqs(t, st, snap), before...)
 	}
 
 	var l tap.ArrLog
-	l.Push(arrEntry{ID: mid(1, 1)})
+	l.Push(0, tap.Ref{})
 	l.Keep(nil)
 	if l.Len() != 0 {
 		t.Fatalf("keep(nil) left %d records", l.Len())
@@ -139,14 +156,16 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 }
 
 // Recording an arrival allocates one chunk per arrChunkLen pushes (plus the
-// chunk table's rare growth) and never copies the stream.
+// chunk table's rare growth), never copies the stream, and opens no seq run
+// while the seqs are consecutive.
 func TestArrLogPushAllocatesPerChunk(t *testing.T) {
 	var l tap.ArrLog
-	a := arrEntry{ID: mid(1, 1)}
+	var seq uint64
 	const perRun = 4 * arrChunkLen
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < perRun; i++ {
-			l.Push(a)
+			l.Push(seq, tap.Ref{Page: 1, Off: uint32(seq)})
+			seq++
 		}
 	})
 	// 4 chunks per run, and the table doubles ever more rarely.
@@ -155,12 +174,12 @@ func TestArrLogPushAllocatesPerChunk(t *testing.T) {
 	}
 }
 
-// An arrival-log entry is 32 bytes with no pointer in it, so a chunk fills
-// the 1,024-byte size class and the GC never scans one.
+// An arrival-log entry is an 8-byte record ref with no pointer in it, so a
+// chunk of 128 fills the 1,024-byte size class and the GC never scans one.
 func TestArrEntryHoldsNoPointers(t *testing.T) {
-	typ := reflect.TypeOf(arrEntry{})
-	if typ.Size()*arrChunkLen != 1024 {
-		t.Errorf("arrEntry is %d bytes; %d of them are not 1,024", typ.Size(), arrChunkLen)
+	typ := reflect.TypeOf(tap.ArrEntry{})
+	if typ.Size() != 8 || typ.Size()*arrChunkLen != 1024 {
+		t.Errorf("an entry is %d bytes; want 8, and %d of them to fill 1,024", typ.Size(), arrChunkLen)
 	}
 	var check func(path string, t2 reflect.Type)
 	check = func(path string, t2 reflect.Type) {
@@ -180,4 +199,25 @@ func TestArrEntryHoldsNoPointers(t *testing.T) {
 		}
 	}
 	check("arrEntry", typ)
+}
+
+// An arrival costs the log 8 bytes, its record ref, and a share of the chunk
+// table: the message's id and arrival seq are in its record, and the seqs of
+// consecutive arrivals are one run. The bytes are counted by the runtime, so
+// the figure is the same on every host.
+func TestArrLogBytesPerArrival(t *testing.T) {
+	const n = 100_000
+	var l tap.ArrLog
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		l.Push(uint64(i), tap.Ref{Page: uint32(i / 64), Off: uint32(i % 64 * 64)})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(&l)
+	perArrival := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.2f B allocated per arrival", perArrival)
+	if perArrival > 9 {
+		t.Fatalf("pushing %d arrivals allocated %.2f B each, want at most 9", n, perArrival)
+	}
 }

@@ -288,7 +288,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			CkReadCount: e.CkReadCount,
 			CkStateKB:   e.CkStateKB,
 			Cov:         myCov,
-			Msgs:        reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories),
+			Msgs:        r.reconstruct(e),
 		}
 		blob.Recorded = e.Recorded
 		var buf bytes.Buffer
@@ -442,7 +442,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 		theirs.Note(blob.Msgs[i].ID)
 		msgs = append(msgs, tapMsg(&blob.Msgs[i]))
 	}
-	for _, lm := range reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories) {
+	for _, lm := range r.reconstruct(e) {
 		if !theirs.Covers(lm.ID) && !ckMarks.Covers(lm.ID) {
 			msgs = append(msgs, tapMsg(&lm))
 		}

@@ -136,14 +136,10 @@ func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
 // record where the store keeps it, so the store's page stays the one copy,
 // and the body is read-only.
 func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
-	if len(b) == 0 {
-		return storedMsg{}, errors.New("message record: empty")
+	flags, f, err := storedMsgFlags(b)
+	if err != nil {
+		return storedMsg{}, err
 	}
-	flags := b[0]
-	if flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
-		return storedMsg{}, fmt.Errorf("message record: bad flags %#x", flags)
-	}
-	f := fields{b: b[1:]}
 	sm := storedMsg{ID: f.msgID(), ArrSeq: arrSeq}
 	sm.From = sm.ID.Sender
 	if flags&smFromDiffers != 0 {
@@ -169,6 +165,34 @@ func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
 		return storedMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
 	}
 	return sm, nil
+}
+
+// decodeStoredMsgID reads only the flags and the id at the head of a
+// message record: what a stream's checkpoints and advisories match its
+// arrivals by.
+func decodeStoredMsgID(b []byte) (frame.MsgID, error) {
+	_, f, err := storedMsgFlags(b)
+	if err != nil {
+		return frame.MsgID{}, err
+	}
+	id := f.msgID()
+	if f.bad {
+		return frame.MsgID{}, errors.New("message record: id truncated, or not in its shortest form or out of range")
+	}
+	return id, nil
+}
+
+// storedMsgFlags checks a message record's flags byte and returns it and
+// the fields after it.
+func storedMsgFlags(b []byte) (byte, fields, error) {
+	if len(b) == 0 {
+		return 0, fields{}, errors.New("message record: empty")
+	}
+	flags := b[0]
+	if flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
+		return 0, fields{}, fmt.Errorf("message record: bad flags %#x", flags)
+	}
+	return flags, fields{b: b[1:]}, nil
 }
 
 // appendAdvisory appends adv's record to dst. AdvSeq is not written: it is
@@ -279,16 +303,30 @@ func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) stablestore.Ref {
 	return r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
 }
 
-// readArrival reads a's message back from its record under key, the
-// stream's msg: key. The Body aliases the store's page and is read-only. A
-// record the stream names that the store cannot produce is stable storage
-// failing, which append treats the same way.
-func readArrival(store *stablestore.Paged, key stablestore.Key, a *tap.ArrEntry) storedMsg {
-	b, err := store.Lookup(key, a.ArrSeq, stablestore.Ref(a.Ref))
+// readArrival reads arrival seq's message back from its record at ref under
+// key, the stream's msg: key. The Body aliases the store's page and is
+// read-only. A record the stream names that the store cannot produce is
+// stable storage failing, which append treats the same way.
+func readArrival(store *stablestore.Paged, key stablestore.Key, seq uint64, ref tap.Ref) storedMsg {
+	b, err := store.Lookup(key, seq, stablestore.Ref(ref))
 	if err == nil {
 		var sm storedMsg
-		if sm, err = decodeStoredMsg(b, a.ArrSeq); err == nil {
+		if sm, err = decodeStoredMsg(b, seq); err == nil {
 			return sm
+		}
+	}
+	panic(fmt.Sprintf("recorder: stable store read: %v", err))
+}
+
+// readArrivalID is readArrival for the message's id alone: it decodes no
+// more of the record. Lookup is a read of the simulator's copy of the
+// store, which counts no page read.
+func readArrivalID(store *stablestore.Paged, key stablestore.Key, seq uint64, ref tap.Ref) frame.MsgID {
+	b, err := store.Lookup(key, seq, stablestore.Ref(ref))
+	if err == nil {
+		var id frame.MsgID
+		if id, err = decodeStoredMsgID(b); err == nil {
+			return id
 		}
 	}
 	panic(fmt.Sprintf("recorder: stable store read: %v", err))
@@ -362,8 +400,14 @@ func (r *Recorder) rebuild() error {
 		return e
 	}
 
+	// arrival is one message record as rebuild found it.
+	type arrival struct {
+		id  frame.MsgID
+		seq uint64
+		ref tap.Ref
+	}
 	type perProc struct {
-		msgs []tap.ArrEntry
+		msgs []arrival
 		advs []tap.Advisory
 		// ck is the latest checkpoint; dropped and advTrim accumulate over
 		// every checkpoint revision, because what any checkpoint dropped
@@ -409,7 +453,7 @@ func (r *Recorder) rebuild() error {
 		case "msg":
 			var sm storedMsg
 			if sm, err = decodeStoredMsg(rec.Data, rec.Seq); err == nil {
-				a.msgs = append(a.msgs, tap.ArrEntry{ID: sm.ID, ArrSeq: sm.ArrSeq, Ref: tap.Ref(ref)})
+				a.msgs = append(a.msgs, arrival{id: sm.ID, seq: sm.ArrSeq, ref: tap.Ref(ref)})
 				a.arrNext = max(a.arrNext, sm.ArrSeq+1)
 			}
 		case "adv":
@@ -492,13 +536,13 @@ func (r *Recorder) rebuild() error {
 				rank[q] = i - len(a.ck.RetainedOrder)
 			}
 		}
-		msgs := slices.DeleteFunc(a.msgs, func(m tap.ArrEntry) bool { return a.dropped[m.ArrSeq] })
-		slices.SortFunc(msgs, func(x, y tap.ArrEntry) int {
-			return cmp.Or(cmp.Compare(rank[x.ArrSeq], rank[y.ArrSeq]), cmp.Compare(x.ArrSeq, y.ArrSeq))
+		msgs := slices.DeleteFunc(a.msgs, func(m arrival) bool { return a.dropped[m.seq] })
+		slices.SortFunc(msgs, func(x, y arrival) int {
+			return cmp.Or(cmp.Compare(rank[x.seq], rank[y.seq]), cmp.Compare(x.seq, y.seq))
 		})
 		e.ArrSeqNext = a.arrNext
-		for _, arr := range msgs {
-			e.Restore(arr)
+		for _, m := range msgs {
+			e.Restore(m.id, m.seq, m.ref)
 		}
 		sort.Slice(a.advs, func(i, j int) bool { return a.advs[i].AdvSeq < a.advs[j].AdvSeq })
 		for _, adv := range a.advs {

@@ -265,6 +265,9 @@ func FuzzStoredRecord(f *testing.F) {
 			if again, err := decodeStoredMsg(enc, seq); err != nil || !reflect.DeepEqual(again, sm) {
 				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, again, sm)
 			}
+			if id, err := decodeStoredMsgID(data); err != nil || id != sm.ID {
+				t.Fatalf("the id alone decodes to %v (%v), the record to %v", id, err, sm.ID)
+			}
 		}
 		if adv, err := decodeAdvisory(data, seq); err == nil && !bytes.Equal(appendAdvisory(nil, &adv), data) {
 			t.Fatalf("advisory record %x does not re-encode to itself", data)
@@ -359,8 +362,14 @@ type entryView struct {
 func viewDB(r *Recorder) map[frame.ProcID]entryView {
 	out := make(map[frame.ProcID]entryView, len(r.db))
 	for p, e := range r.db {
+		// The arrivals in log order, each read from its record.
+		arrivals := make([]storedMsg, e.Arrivals.Len())
+		for i := range arrivals {
+			seq, ref := e.Arrivals.At(i)
+			arrivals[i] = readArrival(r.store, e.keys.msg, seq, ref)
+		}
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
-			Arrivals: reconstruct(r.store, e.keys.msg, e.Arrivals, nil), Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
+			Arrivals: arrivals, Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
 			Checkpoint: e.Checkpoint, CkMarks: e.CkMarks, CkSendSeq: e.CkSendSeq, CkReadCount: e.CkReadCount,
 			CkStateKB: e.CkStateKB, Rev: e.Rev, Dead: e.Dead}
 	}
@@ -529,7 +538,8 @@ func BenchmarkRecorderRebuild(b *testing.B) {
 				e := r.db[p]
 				var read []frame.MsgID
 				for k := 0; k < e.Arrivals.Len()/2; k++ {
-					read = append(read, e.Arrivals.At(k).ID)
+					seq, ref := e.Arrivals.At(k)
+					read = append(read, (*tapFx)(r).ArrivalID(&e.Stream, seq, ref))
 				}
 				r.handleNotice(&demos.Notice{Kind: demos.NoticeCheckpoint, Proc: p, Checkpoint: ckImage("ck", read...),
 					ReadCount: uint64(len(read))})

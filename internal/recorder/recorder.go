@@ -515,11 +515,17 @@ func (r *Recorder) observeMessage(m *frame.BundleRec, from, to *tap.Rec) {
 	if to.Notice {
 		// A kernel notice addressed to another recorder: every recorder
 		// must apply it to stay consistent (§6.3: all recorders record all
-		// messages). The tap sees retransmissions, so dedup.
+		// messages). The tap sees retransmissions, so dedup. Notices ride
+		// the request channel; what comes back on a recorder's reply
+		// channels (control replies, query responses) is not one, though
+		// gob would decode it as a notice of kind 0 by the Node field they
+		// share.
 		if !r.noticeSeen.Seen(m.ID) {
 			r.noticeSeen.Add(m.ID)
-			if n, err := demos.DecodeNotice(m.Body); err == nil {
-				r.handleNotice(n)
+			if m.Channel == demos.ChanRequest {
+				if n, err := demos.DecodeNotice(m.Body); err == nil {
+					r.handleNotice(n)
+				}
 			}
 		}
 		return
@@ -608,6 +614,10 @@ func (fx *tapFx) Record(s *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
 		sm.Link = &m.Link
 	}
 	return tap.Ref((*Recorder)(fx).persistMessage(s.Host.(*procEntry), &sm))
+}
+
+func (fx *tapFx) ArrivalID(s *tap.Stream, arrSeq uint64, ref tap.Ref) frame.MsgID {
+	return readArrivalID(fx.store, s.Host.(*procEntry).keys.msg, arrSeq, ref)
 }
 
 func (fx *tapFx) LastSent(s *tap.Stream) { (*Recorder)(fx).persistLastSent(s.Host.(*procEntry)) }
@@ -749,15 +759,15 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	return true
 }
 
-// reconstruct recovers the true read order of a stream from its arrival
+// reconstruct recovers the true read order of e's stream from its arrival
 // order plus the out-of-order read advisories (§4.4.2): tap.Order's order,
-// materialized from the records under key in store. The bodies alias the
-// store's pages and are read-only.
-func reconstruct(store *stablestore.Paged, key stablestore.Key, arrivals tap.ArrLog, advisories []tap.Advisory) []storedMsg {
-	out := make([]storedMsg, 0, arrivals.Len())
-	o := tap.NewOrder(arrivals, advisories)
-	for _, a, ok := o.Next(); ok; _, a, ok = o.Next() {
-		out = append(out, readArrival(store, key, a))
+// materialized from the stream's records. The bodies alias the store's
+// pages and are read-only.
+func (r *Recorder) reconstruct(e *procEntry) []storedMsg {
+	out := make([]storedMsg, 0, e.Arrivals.Len())
+	o := tap.NewOrder(&e.Stream, (*tapFx)(r))
+	for _, seq, ref, ok := o.Next(); ok; _, seq, ref, ok = o.Next() {
+		out = append(out, readArrival(r.store, e.keys.msg, seq, ref))
 	}
 	return out
 }
@@ -781,7 +791,7 @@ func (r *Recorder) StreamMessages(p frame.ProcID) []ReplayMsg {
 	if e == nil {
 		return nil
 	}
-	order := reconstruct(r.store, e.keys.msg, e.Arrivals, e.Advisories)
+	order := r.reconstruct(e)
 	out := make([]ReplayMsg, len(order))
 	for i, m := range order {
 		out[i] = ReplayMsg{ID: m.ID, From: m.From, Channel: m.Channel, Code: m.Code, Body: m.Body, Link: m.Link}
@@ -819,7 +829,7 @@ func (r *Recorder) LastSentOf(p frame.ProcID) uint64 {
 // debugger).
 func (r *Recorder) StreamSummary(p frame.ProcID) []frame.MsgID {
 	if e := r.db[p]; e != nil {
-		return e.Summary()
+		return r.core.Summary(&e.Stream)
 	}
 	return nil
 }

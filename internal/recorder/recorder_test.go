@@ -551,3 +551,37 @@ func TestTickRearmAllocatesNothing(t *testing.T) {
 		t.Fatalf("a stale tick ran (%d runs) or re-armed (%d pending)", runs, sched.Pending())
 	}
 }
+
+// Kernels send a recorder its notices on the request channel, and it reads
+// every one addressed to a sibling off the wire. What a kernel sends back on
+// a sibling's reply channels — a query response, a control reply — is no
+// notice, though gob would decode one as a notice of kind 0.
+func TestSiblingRepliesAreNotNotices(t *testing.T) {
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	rng := simtime.NewRand(3)
+	med := lan.NewPerfect(lan.DefaultConfig(), sched, rng, log)
+	cfg := DefaultConfig(5, []frame.NodeID{0, 1})
+	sibling := frame.ProcID{Node: 6, Local: 1}
+	cfg.Recorders = append(cfg.Recorders, sibling)
+	cfg.Shards = NewShardMap(0, 2, 1)
+	r := New(cfg, sched, rng, log, med, stablestore.New(), transport.DefaultConfig())
+	kernel := frame.ProcID{Node: 1, Local: 0}
+	seq := uint64(0)
+	send := func(channel uint16, body []byte) {
+		seq++
+		r.Observe(&frame.Frame{Type: frame.Guaranteed, Src: 1, Dst: sibling.Node,
+			ID: frame.MsgID{Sender: kernel, Seq: seq}, From: kernel, To: sibling, Channel: channel, Body: body})
+	}
+	send(chanQueryResp, demos.EncodeQuery(&demos.QueryResponse{RestartNumber: 1, Node: 1,
+		Procs: []demos.ProcReport{{Proc: procB(), State: demos.StateFunctioning}}}))
+	send(chanCtlReply, demos.EncodeReply(&demos.CtlReply{OK: true, Proc: procB()}))
+	if got := r.stats.Notices; got != 0 {
+		t.Fatalf("a query response and a control reply to a sibling counted %d notices, want 0", got)
+	}
+	send(demos.ChanRequest, demos.EncodeNotice(&demos.Notice{Kind: demos.NoticeCreated, Proc: procB(),
+		Spec: demos.ProcSpec{Name: "b", Recoverable: true}}))
+	if got := r.stats.Notices; got != 1 {
+		t.Fatalf("a notice to a sibling counted %d notices, want 1", got)
+	}
+}

@@ -57,7 +57,7 @@ type batchSender struct {
 func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 	bs := &batchSender{
 		r: r, e: e, rp: rp, gen: gen,
-		order: tap.NewOrder(e.Arrivals, e.Advisories),
+		order: tap.NewOrder(&e.Stream, (*tapFx)(r)),
 		ids:   make(map[uint64]frame.MsgID),
 	}
 	bs.ack = bs.onAck
@@ -68,8 +68,8 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 // peek stages the next record without consuming it.
 func (bs *batchSender) peek() (*storedMsg, bool) {
 	if !bs.haveStaged {
-		if _, a, ok := bs.order.Next(); ok {
-			bs.staged, bs.haveStaged = readArrival(bs.r.store, bs.e.keys.msg, a), true
+		if _, seq, ref, ok := bs.order.Next(); ok {
+			bs.staged, bs.haveStaged = readArrival(bs.r.store, bs.e.keys.msg, seq, ref), true
 		}
 	}
 	return &bs.staged, bs.haveStaged

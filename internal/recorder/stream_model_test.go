@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -235,12 +236,32 @@ func (m *refTap) sweep(cutoff simtime.Time) {
 // --- the core's world -------------------------------------------------------
 
 // coreFx is the recording fake of tap.Effects: it numbers the records the
-// core has persisted and counts the other effects.
-type coreFx struct{ records, lastSents, published int }
+// core has persisted, keeping each one's id and arrival seq, resolves ids
+// from refs as the recorder does from its store, and counts the other
+// effects.
+type coreFx struct {
+	records              []coreRecord
+	lastSents, published int
+}
 
-func (fx *coreFx) Record(*tap.Stream, *tap.Msg, uint64) tap.Ref {
-	fx.records++
-	return tap.Ref{Off: uint32(fx.records)}
+type coreRecord struct {
+	id  frame.MsgID
+	seq uint64
+}
+
+func (fx *coreFx) Record(_ *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
+	fx.records = append(fx.records, coreRecord{id: m.ID, seq: arrSeq})
+	return tap.Ref{Off: uint32(len(fx.records))}
+}
+
+// ArrivalID reads the record at ref, which must be arrival arrSeq's, as the
+// store's Lookup checks.
+func (fx *coreFx) ArrivalID(_ *tap.Stream, arrSeq uint64, ref tap.Ref) frame.MsgID {
+	rec := fx.records[ref.Off-1]
+	if rec.seq != arrSeq {
+		panic(fmt.Sprintf("record %d holds arrival seq %d, not %d", ref.Off, rec.seq, arrSeq))
+	}
+	return rec.id
 }
 
 func (fx *coreFx) LastSent(*tap.Stream) { fx.lastSents++ }
@@ -313,7 +334,8 @@ func (w *tapWorld) restart() {
 			n.CkMarks, n.CkReadCount, n.ArrSeqNext = s.CkMarks, s.CkReadCount, s.ArrSeqNext
 			n.Advisories, n.AdvSeqNext = s.Advisories, s.AdvSeqNext
 			for i := 0; i < s.Arrivals.Len(); i++ {
-				n.Restore(*s.Arrivals.At(i))
+				seq, ref := s.Arrivals.At(i)
+				n.Restore(w.fx.ArrivalID(s, seq, ref), seq, ref)
 			}
 		}
 		w.streams[p] = n
@@ -333,7 +355,7 @@ func (w *tapWorld) pending(procs ...frame.ProcID) int {
 // summary is p's stream in read order, nil if p has none.
 func (w *tapWorld) summary(p frame.ProcID) []frame.MsgID {
 	if s := w.streams[p]; s != nil {
-		return s.Summary()
+		return w.core.Summary(s)
 	}
 	return nil
 }
@@ -398,6 +420,18 @@ type streamDiff struct {
 	taken [streamProcs]frame.Marks
 
 	ran [numStreamOps]int
+	// seqBreaks counts checkpoints that left a stream's arrival seqs
+	// non-consecutive, so its log holds more than one seq run.
+	seqBreaks int
+}
+
+func consecutive(seqs []uint64) bool {
+	for k := 1; k < len(seqs); k++ {
+		if seqs[k] != seqs[k-1]+1 {
+			return false
+		}
+	}
+	return true
 }
 
 func newStreamDiff(t testing.TB) *streamDiff {
@@ -617,6 +651,9 @@ func (d *streamDiff) step(kind, arg byte) {
 			marks := slices.Clone(d.taken[from])
 			d.w.checkpoint(d.procs[from], d.reads[from], queued, marks)
 			d.ref.checkpoint(d.procs[from], d.reads[from], queued, marks)
+			if s := d.w.streams[d.procs[from]]; s != nil && !consecutive(s.Arrivals.Seqs()) {
+				d.seqBreaks++
+			}
 		}
 
 	case opDestroy:
@@ -689,7 +726,7 @@ func (d *streamDiff) compare(op string) {
 			d.t.Fatalf("after %s: p%d ArrSeqNext %d, reference %d", op, i, e.ArrSeqNext, ref.arrSeqNext)
 		}
 		want := reconstructRef(ref.arrivals, ref.advisories)
-		got := e.Summary()
+		got := d.w.core.Summary(e)
 		if len(got) != len(want) {
 			d.t.Fatalf("after %s: p%d stream holds %d messages, reference %d", op, i, len(got), len(want))
 		}
@@ -698,8 +735,14 @@ func (d *streamDiff) compare(op string) {
 				d.t.Fatalf("after %s: p%d stream position %d is %v, reference %v", op, i, k, got[k], want[k].ID)
 			}
 		}
-		if log := &e.Arrivals; log.Len() > 0 && log.At(log.Len()-1).ArrSeq >= e.ArrSeqNext {
-			d.t.Fatalf("after %s: p%d holds arrival seq %d at or past ArrSeqNext %d", op, i, log.At(log.Len()-1).ArrSeq, e.ArrSeqNext)
+		// The log in log order, its seqs from their runs and its ids from
+		// their records.
+		for k, sm := range ref.arrivals {
+			seq, r := e.Arrivals.At(k)
+			if id := d.w.fx.ArrivalID(e, seq, r); seq != sm.ArrSeq || id != sm.ID {
+				d.t.Fatalf("after %s: p%d log position %d holds %v as arrival %d, reference %v as %d",
+					op, i, k, id, seq, sm.ID, sm.ArrSeq)
+			}
 		}
 	}
 }
@@ -708,8 +751,9 @@ func (d *streamDiff) compare(op string) {
 // destructions and late registrations keep happening. The floors keep the
 // generator honest: every op kind ran, and the paths the replacement changed
 // — inference, the pre-registration merge, trims over advisories,
-// checkpoints left unapplied, duplicates refused — were all reached. The subtest is named for the
-// store engine, Paged.
+// checkpoints left unapplied, duplicates refused, checkpoints that leave a
+// log more than one seq run — were all reached. The subtest is named for
+// the store engine, Paged.
 func TestStreamStateMatchesPerMessageModel(t *testing.T) {
 	t.Run("paged", streamStateMatchesPerMessageModel)
 }
@@ -717,7 +761,7 @@ func TestStreamStateMatchesPerMessageModel(t *testing.T) {
 func streamStateMatchesPerMessageModel(t *testing.T) {
 	rng := simtime.NewRand(23)
 	var ran [numStreamOps]int
-	var inferred, merged, advCkpts, unapplied, refused uint64
+	var inferred, merged, advCkpts, unapplied, refused, seqBreaks uint64
 	for episode := 0; episode < 40; episode++ {
 		d := newStreamDiff(t)
 		for i := 0; i < 800; i++ {
@@ -738,9 +782,10 @@ func streamStateMatchesPerMessageModel(t *testing.T) {
 		merged += uint64(d.ref.merged)
 		advCkpts += uint64(d.ref.advCkpts)
 		unapplied += uint64(d.ref.unapplied)
+		seqBreaks += uint64(d.seqBreaks)
 	}
-	t.Logf("ops %v; %d inferred, %d merged, %d trims over advisories, %d checkpoints unapplied, %d retransmissions refused",
-		ran, inferred, merged, advCkpts, unapplied, refused)
+	t.Logf("ops %v; %d inferred, %d merged, %d trims over advisories, %d checkpoints unapplied, %d retransmissions refused, %d checkpoints leaving non-consecutive seqs",
+		ran, inferred, merged, advCkpts, unapplied, refused, seqBreaks)
 	floors := [numStreamOps]int{opSend: 1500, opBundle: 350, opRetransmitPending: 700, opAck: 900,
 		opAckTapMissed: 200, opHeaderAck: 250, opRetransmitRecorded: 300, opRegister: 30, opRead: 1200,
 		opCheckpoint: 400, opDestroy: 30, opRestart: 150, opAdvance: 150}
@@ -749,9 +794,9 @@ func streamStateMatchesPerMessageModel(t *testing.T) {
 			t.Errorf("%s ran %d times, floor %d", streamOpNames[op], ran[op], floor)
 		}
 	}
-	if inferred < 40 || merged < 40 || advCkpts < 100 || unapplied < 100 || refused < 1000 {
-		t.Errorf("sequence too tame: %d inferred, %d merged, %d trims over advisories, %d checkpoints unapplied, %d refused",
-			inferred, merged, advCkpts, unapplied, refused)
+	if inferred < 40 || merged < 40 || advCkpts < 100 || unapplied < 100 || refused < 1000 || seqBreaks < 50 {
+		t.Errorf("sequence too tame: %d inferred, %d merged, %d trims over advisories, %d checkpoints unapplied, %d refused, %d leaving non-consecutive seqs",
+			inferred, merged, advCkpts, unapplied, refused, seqBreaks)
 	}
 }
 

@@ -1,52 +1,72 @@
 package tap
 
-import "publishing/internal/frame"
+import (
+	"sort"
+
+	"publishing/internal/frame"
+)
 
 // Ref is where the recorder's store holds a record: page and offset.
 type Ref struct{ Page, Off uint32 }
 
-// ArrEntry is one arrival in a process's stream: the message's id, its
-// arrival sequence, and where the store holds its record — the §4.5 "list of
-// disk pages containing messages to the process". The message itself lives
-// only in the store. The entry holds no pointer, so the GC never scans a
-// chunk of them.
-type ArrEntry struct {
-	ID     frame.MsgID
-	ArrSeq uint64
-	Ref    Ref
+// ArrEntry is one arrival in a process's stream: where the store holds its
+// record — the §4.5 "list of disk pages containing messages to the
+// process". The record says everything else: the message's id, which
+// Effects.ArrivalID reads from it, and its arrival seq, which the log keeps
+// in runs beside the entries. The entry holds no pointer, so the GC never
+// scans a chunk of them.
+type ArrEntry = Ref
+
+// ArrChunkLen is the arrival log's chunk length: 128 entries of 8 bytes fill
+// Go's 1,024-byte size class exactly.
+const ArrChunkLen = 128
+
+// seqRun says the arrival at log position pos has seq seq, and each one
+// after it, up to the next run, the previous one's seq + 1.
+type seqRun struct {
+	pos int
+	seq uint64
 }
 
-// ArrChunkLen is the arrival log's chunk length: 32 entries of 32 bytes fill
-// Go's 1,024-byte size class exactly.
-const ArrChunkLen = 32
-
 // ArrLog is a process's published stream since its last checkpoint, in
-// arrival order: an append-only log of fixed-size chunks, so recording an
-// arrival never copies the stream and a checkpoint frees whole chunks.
+// arrival order: an append-only log of fixed-size chunks of record refs, so
+// recording an arrival never copies the stream and a checkpoint frees whole
+// chunks. The arrival seqs are kept as runs: a stream's arrivals are
+// numbered consecutively, so a log holds one run until a checkpoint keeps
+// some of it, and then at most one per kept entry.
 //
 // A copy of the struct is a stable snapshot of the stream as it stood: Push
-// writes only past the snapshot's length and Keep builds fresh chunks, so
-// neither disturbs what a replay in progress is reading. The records the
-// snapshot names stay readable: the store keeps every record it is given,
-// a checkpoint that lands mid-replay included.
+// writes only past the snapshot's length, in the chunks and the runs, and
+// Keep builds fresh ones, so neither disturbs what a replay in progress is
+// reading. The records the snapshot names stay readable: the store keeps
+// every record it is given, a checkpoint that lands mid-replay included.
 type ArrLog struct {
 	chunks []*[ArrChunkLen]ArrEntry
+	runs   []seqRun
 	n      int
 }
 
 func (l *ArrLog) Len() int { return l.n }
 
-// At returns the i'th entry. The pointer aliases the log.
-func (l *ArrLog) At(i int) *ArrEntry {
-	return &l.chunks[i/ArrChunkLen][i%ArrChunkLen]
+// At returns the i'th arrival's seq and where its record lies.
+func (l *ArrLog) At(i int) (seq uint64, ref Ref) {
+	k := len(l.runs) - 1
+	if l.runs[k].pos > i {
+		k = sort.Search(k, func(k int) bool { return l.runs[k].pos > i }) - 1
+	}
+	return l.runs[k].seq + uint64(i-l.runs[k].pos), l.chunks[i/ArrChunkLen][i%ArrChunkLen]
 }
 
-func (l *ArrLog) Push(a ArrEntry) {
+// Push appends arrival seq, whose record lies at ref.
+func (l *ArrLog) Push(seq uint64, ref Ref) {
+	if k := len(l.runs) - 1; k < 0 || l.runs[k].seq+uint64(l.n-l.runs[k].pos) != seq {
+		l.runs = append(l.runs, seqRun{pos: l.n, seq: seq})
+	}
 	if l.n == len(l.chunks)*ArrChunkLen {
 		l.chunks = append(l.chunks, new([ArrChunkLen]ArrEntry))
 	}
+	l.chunks[l.n/ArrChunkLen][l.n%ArrChunkLen] = ref
 	l.n++
-	*l.At(l.n - 1) = a
 }
 
 // Keep replaces the log with its entries at the given positions, in that
@@ -54,7 +74,7 @@ func (l *ArrLog) Push(a ArrEntry) {
 func (l *ArrLog) Keep(pos []int) {
 	var kept ArrLog
 	for _, i := range pos {
-		kept.Push(*l.At(i))
+		kept.Push(l.At(i))
 	}
 	*l = kept
 }
@@ -62,8 +82,14 @@ func (l *ArrLog) Keep(pos []int) {
 // Seqs returns the entries' arrival sequence numbers in log order.
 func (l *ArrLog) Seqs() []uint64 {
 	out := make([]uint64, l.n)
-	for i := range out {
-		out[i] = l.At(i).ArrSeq
+	for k, r := range l.runs {
+		end := l.n
+		if k+1 < len(l.runs) {
+			end = l.runs[k+1].pos
+		}
+		for i := r.pos; i < end; i++ {
+			out[i] = r.seq + uint64(i-r.pos)
+		}
 	}
 	return out
 }
@@ -78,11 +104,17 @@ type Advisory struct {
 
 // Order walks a stream in reconstructed read order (§4.4.2): arrival order,
 // with each advisory's out-of-order read moved to where the process made it.
-// It holds a snapshot of the log (see ArrLog), so what is recorded or
-// trimmed while it runs does not reach it.
+// It holds a snapshot of the stream's log (see ArrLog), so what is recorded
+// or trimmed while it runs does not reach it. The advisories name messages
+// by id, which it reads from their records when it needs one.
 type Order struct {
+	s          *Stream
+	ids        IDReader
 	arrivals   ArrLog
 	advisories []Advisory
+	// known, when not nil, are the arrivals' ids, read already by the
+	// caller.
+	known []frame.MsgID
 	// taken marks arrivals already yielded by an advisory's out-of-order
 	// read (nil when there are no advisories and order is arrival order).
 	taken []bool
@@ -90,31 +122,43 @@ type Order struct {
 	ai    int // next advisory to honor
 }
 
-func NewOrder(arrivals ArrLog, advisories []Advisory) Order {
-	o := Order{arrivals: arrivals, advisories: advisories}
-	if len(advisories) > 0 {
-		o.taken = make([]bool, arrivals.Len())
+// NewOrder walks s's arrivals and advisories as they stand; ids reads the
+// message ids the advisories are matched by.
+func NewOrder(s *Stream, ids IDReader) Order {
+	o := Order{s: s, ids: ids, arrivals: s.Arrivals, advisories: s.Advisories}
+	if len(o.advisories) > 0 {
+		o.taken = make([]bool, o.arrivals.Len())
 	}
 	return o
 }
 
-// Next returns the next arrival in read order and its position in the log.
-func (o *Order) Next() (int, *ArrEntry, bool) {
+// id returns the i'th arrival's message id.
+func (o *Order) id(i int) frame.MsgID {
+	if o.known != nil {
+		return o.known[i]
+	}
+	seq, ref := o.arrivals.At(i)
+	return o.ids.ArrivalID(o.s, seq, ref)
+}
+
+// Next returns the next arrival in read order: its position in the log, its
+// seq and where its record lies.
+func (o *Order) Next() (i int, seq uint64, ref Ref, ok bool) {
 	n := o.arrivals.Len()
 	for o.ai < len(o.advisories) {
 		adv := &o.advisories[o.ai]
 		o.skipTaken()
-		if o.pos < n && o.arrivals.At(o.pos).ID != adv.HeadID {
+		if o.pos < n && o.id(o.pos) != adv.HeadID {
 			// In-order reads precede the advised out-of-order read.
 			o.pos++
-			return o.pos - 1, o.arrivals.At(o.pos - 1), true
+			return o.at(o.pos - 1)
 		}
 		// Head reached (or the queue drained without it): honor the advisory.
 		o.ai++
 		for i := o.pos; i < n; i++ {
-			if !o.taken[i] && o.arrivals.At(i).ID == adv.ReadID {
+			if !o.taken[i] && o.id(i) == adv.ReadID {
 				o.taken[i] = true
-				return i, o.arrivals.At(i), true
+				return o.at(i)
 			}
 		}
 		// Advised message absent: the advisory is consumed with no emission.
@@ -122,9 +166,14 @@ func (o *Order) Next() (int, *ArrEntry, bool) {
 	o.skipTaken()
 	if o.pos < n {
 		o.pos++
-		return o.pos - 1, o.arrivals.At(o.pos - 1), true
+		return o.at(o.pos - 1)
 	}
-	return 0, nil, false
+	return 0, 0, Ref{}, false
+}
+
+func (o *Order) at(i int) (int, uint64, Ref, bool) {
+	seq, ref := o.arrivals.At(i)
+	return i, seq, ref, true
 }
 
 func (o *Order) skipTaken() {

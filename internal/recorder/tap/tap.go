@@ -15,12 +15,21 @@ import (
 // Effects is what the decisions need done outside the core, each call made
 // synchronously where the decision makes it. The recorder implements it.
 type Effects interface {
+	IDReader
 	// Record persists m as arrival arrSeq of s and returns where it lies.
 	Record(s *Stream, m *Msg, arrSeq uint64) Ref
 	// LastSent persists s.LastSent.
 	LastSent(s *Stream)
 	// Published reports m recorded at arrSeq of s, learned as via says.
 	Published(s *Stream, m *Msg, arrSeq uint64, via Via)
+}
+
+// IDReader reads a stream's message ids from their records, which is where
+// the stream keeps them.
+type IDReader interface {
+	// ArrivalID returns the id of the message recorded as arrival arrSeq of
+	// s, whose record lies at ref.
+	ArrivalID(s *Stream, arrSeq uint64, ref Ref) frame.MsgID
 }
 
 // Via says how the tap learned that a recorded message was accepted.
@@ -80,11 +89,11 @@ type Stream struct {
 	Host any
 }
 
-// Restore appends an arrival whose record the store holds and raises its
-// sender's recorded mark: every arrival enters a stream here.
-func (s *Stream) Restore(a ArrEntry) {
-	s.Arrivals.Push(a)
-	s.Recorded.Note(a.ID)
+// Restore appends message id, recorded as arrival seq at ref, and raises
+// its sender's recorded mark: every arrival enters a stream here.
+func (s *Stream) Restore(id frame.MsgID, seq uint64, ref Ref) {
+	s.Arrivals.Push(seq, ref)
+	s.Recorded.Note(id)
 }
 
 // Kill is the destruction of s's process: the stream empties for good.
@@ -99,16 +108,6 @@ func (s *Stream) Kill() {
 // recorder outage can be retransmitted long after newer checkpoints landed;
 // readCount is monotonic per stream, so applying it would regress the basis.
 func (s *Stream) Stale(readCount uint64) bool { return readCount < s.CkReadCount }
-
-// Summary lists s's messages in reconstructed read order.
-func (s *Stream) Summary() []frame.MsgID {
-	out := make([]frame.MsgID, 0, s.Arrivals.Len())
-	o := NewOrder(s.Arrivals, s.Advisories)
-	for _, a, ok := o.Next(); ok; _, a, ok = o.Next() {
-		out = append(out, a.ID)
-	}
-	return out
-}
 
 // Rec is what the tap keeps about one process a frame has named, until the
 // core is reset.
@@ -169,6 +168,8 @@ type Core struct {
 	// counts those holding a pre-registration last-sent.
 	swept      []*Rec
 	preSenders int
+	// ids is Checkpoint's scratch: the ids of the stream it trims.
+	ids []frame.MsgID
 }
 
 // New returns a core whose effects go to fx and counters to counts.
@@ -356,7 +357,7 @@ func (c *Core) record(s *Stream, m *Msg, via Via) {
 func (c *Core) append(s *Stream, m *Msg) uint64 {
 	arrSeq := s.ArrSeqNext
 	s.ArrSeqNext++
-	s.Restore(ArrEntry{ID: m.ID, ArrSeq: arrSeq, Ref: c.fx.Record(s, m, arrSeq)})
+	s.Restore(m.ID, arrSeq, c.fx.Record(s, m, arrSeq))
 	return arrSeq
 }
 
@@ -395,9 +396,16 @@ func (c *Core) ReadOrder(s *Stream, read, head frame.MsgID) Advisory {
 // checkpoint whose queue names a message never recorded is not applied. The
 // caller has checked the checkpoint is not Stale.
 func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, marks frame.Marks) (dropped []uint64, applied bool) {
+	// ids are the stream's message ids, each read from its record once.
+	log := &s.Arrivals
+	ids := c.ids[:0]
+	for i := 0; i < log.Len(); i++ {
+		seq, ref := log.At(i)
+		ids = append(ids, c.fx.ArrivalID(s, seq, ref))
+	}
+	c.ids = ids
 	// pos[k] is the log position of the k'th queued message (-1: not held,
 	// or an id the queue repeats); queuedAt finds k by id.
-	log := &s.Arrivals
 	queuedAt := make(map[frame.MsgID]int, len(queued))
 	pos := make([]int, len(queued), max(len(queued), log.Len()))
 	for k, id := range queued {
@@ -406,8 +414,8 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 			queuedAt[id] = k
 		}
 	}
-	for i := 0; i < log.Len(); i++ {
-		if k, ok := queuedAt[log.At(i).ID]; ok && pos[k] < 0 {
+	for i, id := range ids {
+		if k, ok := queuedAt[id]; ok && pos[k] < 0 {
 			pos[k] = i
 		}
 	}
@@ -416,13 +424,14 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 	}
 	retained := pos // every queued message, in queue order; room for the rest
 	dropped = make([]uint64, 0, log.Len()-len(retained))
-	o := NewOrder(*log, s.Advisories)
-	for i, a, ok := o.Next(); ok; i, a, ok = o.Next() {
-		switch k, ok := queuedAt[a.ID]; {
+	o := NewOrder(s, c.fx)
+	o.known = ids
+	for i, seq, _, ok := o.Next(); ok; i, seq, _, ok = o.Next() {
+		switch k, ok := queuedAt[ids[i]]; {
 		case ok && pos[k] == i:
 			// retained above, in queue order
-		case marks.Covers(a.ID):
-			dropped = append(dropped, a.ArrSeq)
+		case marks.Covers(ids[i]):
+			dropped = append(dropped, seq)
 		default:
 			retained = append(retained, i)
 		}
@@ -430,6 +439,16 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 	log.Keep(retained)
 	s.Advisories, s.CkMarks, s.CkReadCount = nil, marks, readCount
 	return dropped, true
+}
+
+// Summary lists s's messages in reconstructed read order.
+func (c *Core) Summary(s *Stream) []frame.MsgID {
+	out := make([]frame.MsgID, 0, s.Arrivals.Len())
+	o := NewOrder(s, c.fx)
+	for _, seq, ref, ok := o.Next(); ok; _, seq, ref, ok = o.Next() {
+		out = append(out, c.fx.ArrivalID(s, seq, ref))
+	}
+	return out
 }
 
 // Adopt replaces s's basis with a partner replica's (the shard handoff):
