@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke
 
 check: vet build test race monitor chaos shards fuzz scale-smoke
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow kernelgob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -185,13 +185,15 @@ onewindow:
 	! grep -rn 'Transport\.Window' --include='*.go' .
 	! grep -rnE '\b(units|adm|admitted)\b +(int|uint)|\.(units|adm|admitted)\b|open +\[\]\*txUnit' --include='*.go' --exclude='*_test.go' internal/transport
 
-# Recovery reuses what it built (DESIGN.md "Host cost linear in the
-# stream"): the checkpoint image and the link-table snapshot are encoded and
-# decoded through cached gobx codecs, as the control bodies are. A fresh
-# gob encoder or decoder in the files that build and restore them, directly
-# or through mustGob, fails here.
-kernelgob:
-	! grep -nE 'gob\.New(En|De)coder|mustGob\(' internal/demos/kernelproc.go internal/demos/links.go
+# There is one binary codec (DESIGN.md "One binary codec"): frame.Coder
+# codes every body and record the kernel, the recorder and the system
+# processes build. gob stays only where a program encodes its own state:
+# scenario.go's chaos worker, internal/txn and examples/. A gob import
+# anywhere else, or the cached-gob package that once served the kernel,
+# fails here.
+nogob:
+	! grep -rl '"encoding/gob"' --include='*.go' --exclude='*_test.go' --exclude=scenario.go --exclude-dir=examples --exclude-dir=txn .
+	! grep -rn 'internal/gobx' --include='*.go' .
 
 # The store keeps what it is given (DESIGN.md "Storage engine"): no record
 # is dropped or moved, so a Ref is exact and a replay reads its snapshot
@@ -308,8 +310,14 @@ shards:
 # ./internal/frame`); this keeps the corpora exercised and catches
 # regressions the checked-in seeds reach quickly. Page files are whole 4 KB
 # pages, and minimizing one for the default 60 s stalls the run, so the
-# store's minimization is capped by count. The checkpoint image's marks
-# trailer, which the recorder trims and fences streams by, is fuzzed too.
+# store's minimization is capped by count. The checkpoint image's marks,
+# which the recorder trims and fences streams by, are fuzzed too, and so is
+# each type frame.Coder codes (the CODECS lists): an input that decodes must
+# be the one encoding of what it decodes to.
+DEMOS_CODECS = FuzzCtlMsg FuzzNotice FuzzCtlReply FuzzQueryResponse FuzzProcSpec FuzzCheckpointImage \
+	FuzzRouteUpdate FuzzProcMgrState FuzzMemSchedState FuzzNameSvcState FuzzNameReq
+RECORDER_CODECS = FuzzProcMeta FuzzCkMeta FuzzPeerMsg FuzzHandoffProc
+
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
@@ -321,6 +329,8 @@ fuzz:
 	$(GO) test ./internal/stablestore -run '^$$' -fuzz FuzzRecordHeader -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzStoredRecord -fuzztime 10s
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
+	for f in $(DEMOS_CODECS); do $(GO) test ./internal/demos -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; done
+	for f in $(RECORDER_CODECS); do $(GO) test ./internal/recorder -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; done
 
 # BenchmarkRecoveryReplay16384's host cost per replayed message, the one
 # root benchmark: the paper's figures are EXPERIMENTS.md's generated blocks,

@@ -94,11 +94,12 @@ func chaosRow(t *testing.T) []Section {
 
 // TestMain numbers gob's types before any test runs. encoding/gob numbers
 // types process-wide, in the order the process first encodes them, and every
-// gob stream carries those numbers; a stored checkpoint is a gob stream, so
-// its bytes depend on what the process encoded before it — which tests ran
-// first, and how parallel rows interleaved. One run of the chaos row, the row
-// that stores checkpoints, numbers its types in a fixed order first, so its
-// fingerprint is the same under any -run selection, -count or schedule.
+// gob stream carries those numbers. One program state in a stored
+// checkpoint is still a gob stream: the pipeline worker's chaosWorkerState
+// (scenario.go), which the chaos row and TestExperimentNumbers' checkpoint
+// rows store. Its bytes would depend on which gob types the test machines
+// encoded first. One run of the chaos row numbers it first, so those rows
+// read the same under any -run selection, -shuffle order or -count.
 func TestMain(m *testing.M) {
 	c, _ := chaosRun(chaosRowSeed)
 	c.Close()

@@ -16,12 +16,9 @@
 package demos
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"publishing/internal/frame"
-	"publishing/internal/gobx"
 	"publishing/internal/simtime"
 )
 
@@ -72,6 +69,15 @@ type ProcSpec struct {
 	// the rendezvous mechanism of §4.2.2.1 ("the creating process may
 	// insert a number of initial links into the new process's link table").
 	InitialLink frame.Link
+}
+
+// CodeSpec codes a process spec (frame.Coder).
+func CodeSpec(c *frame.Coder, s *ProcSpec) {
+	c.Text(&s.Name)
+	c.Blob(&s.Args)
+	c.Bool(&s.Recoverable)
+	frame.Int(c, &s.RecoveryTimeBound)
+	c.Link(&s.InitialLink)
 }
 
 // Program is a function-style process: arbitrary sequential code making
@@ -199,8 +205,10 @@ const (
 // --- Control-plane message bodies -----------------------------------------
 //
 // Process control requests and the recorder's bookkeeping notices travel as
-// ordinary message bodies, gob-encoded. Gob keeps the control plane honest:
-// everything really is "just a message" (§4.4.3).
+// ordinary message bodies, so the control plane really is "just messages"
+// (§4.4.3): each is published, recorded and replayed like any other, and its
+// length is wire time. A body is the fields its op or kind uses, coded by
+// frame.Coder, and a body with an op or kind no one sends fails to decode.
 
 // CtlOp enumerates kernel-process operations.
 type CtlOp uint8
@@ -219,10 +227,6 @@ const (
 	// OpStop and OpStart suspend/resume the controlled process.
 	OpStop
 	OpStart
-	// OpReplayMsg is never sent: replay arrives in batches on ChanReplay.
-	// It stays so the ops after it keep their numbers, with the Replay*
-	// fields of CtlMsg (see there).
-	OpReplayMsg
 	// OpRecoveryDone tells the kernel the process has received its last
 	// replayed message and may accept direct traffic again.
 	OpRecoveryDone
@@ -242,7 +246,7 @@ type CtlMsg struct {
 	// TargetNode asks the memory scheduler to place the new process on a
 	// specific node (§4.3.2); Broadcast means "requester's node".
 	TargetNode frame.NodeID
-	// Proc is the subject process (Recreate, Replay, QueryProcs responses).
+	// Proc is the subject process (Recreate, RecoveryDone).
 	Proc frame.ProcID
 	// FirstSendSeq is the sequence the process's first send will get after
 	// recovery (§4.7); equivalently, its restored send counter is
@@ -265,16 +269,6 @@ type CtlMsg struct {
 	// recorder's attempt generation, so a kernel can drop frames from an
 	// abandoned attempt after a recursive crash (§3.5).
 	RecoveryGen uint64
-
-	// The Replay* fields are never set. They stay because gob sends
-	// CtlMsg's type with every control frame: dropping them would shorten
-	// every control frame and move virtual time in every run.
-	ReplayID      frame.MsgID
-	ReplayFrom    frame.ProcID
-	ReplayChannel uint16
-	ReplayCode    uint32
-	ReplayBody    []byte
-	ReplayLink    *frame.Link
 
 	// RestartNumber stamps recorder restart-protocol traffic so responses
 	// to stale queries are ignored (§3.4).
@@ -363,70 +357,105 @@ const (
 	NoticeMigrated
 )
 
-// Notices ride on every published message's arrival, controls on every
-// recovery step, a reply on every replay batch, a query response per node
-// on every recorder restart and duty sweep, and an image on every
-// checkpoint, so these bodies go through cached gobx codecs: the bytes stay
-// exactly the one-shot gob streams they have always been, but the per-call
-// type-descriptor and decode-engine work is amortized away.
-var (
-	ctlCodec       gobx.Codec[CtlMsg]
-	noticeCodec    gobx.Codec[Notice]
-	replyCodec     gobx.Codec[CtlReply]
-	queryCodec     gobx.Codec[QueryResponse]
-	imageCodec     gobx.Codec[checkpointImage]
-	linkTableCodec gobx.Codec[linkTableImage]
-)
-
-// mustEncode is mustGob through a cached codec.
-func mustEncode[T any](c *gobx.Codec[T], v *T) []byte {
-	b, err := c.Encode(nil, v)
-	if err != nil {
-		panic(fmt.Sprintf("demos: gob encode: %v", err))
+// codeCtl codes a control body: its op, then the fields the op uses.
+func codeCtl(c *frame.Coder, m *CtlMsg) {
+	frame.Uint(c, &m.Op)
+	switch m.Op {
+	case OpCreate:
+		CodeSpec(c, &m.Spec)
+		frame.Int(c, &m.TargetNode)
+	case OpRecreate:
+		CodeSpec(c, &m.Spec)
+		c.Proc(&m.Proc)
+		frame.Uint(c, &m.FirstSendSeq)
+		frame.Uint(c, &m.LastSentSeq)
+		c.Blob(&m.Checkpoint)
+		frame.Uint(c, &m.CkChunks)
+		frame.Uint(c, &m.ReadCount)
+		frame.Uint(c, &m.RecoveryGen)
+	case OpRecoveryDone:
+		c.Proc(&m.Proc)
+		frame.Uint(c, &m.RecoveryGen)
+	case OpQueryProcs:
+		frame.Uint(c, &m.RestartNumber)
+	case OpDestroy, OpMoveLink, OpStop, OpStart, OpCheckpoint:
+	default:
+		c.Fail()
 	}
-	return b
 }
 
-// EncodeCtl gob-encodes a control body.
-func EncodeCtl(m *CtlMsg) []byte { return mustEncode(&ctlCodec, m) }
+// EncodeCtl encodes a control body.
+func EncodeCtl(m *CtlMsg) []byte {
+	return frame.AppendBody(make([]byte, 0, 64+len(m.Spec.Name)+len(m.Spec.Args)+len(m.Checkpoint)), m, codeCtl)
+}
 
-// DecodeCtl decodes a control body.
+// DecodeCtl decodes a control body. Its byte strings alias b.
 func DecodeCtl(b []byte) (*CtlMsg, error) {
-	var m CtlMsg
-	if err := ctlCodec.Decode(b, &m); err != nil {
-		return nil, fmt.Errorf("demos: bad control message: %w", err)
-	}
-	return &m, nil
+	m := new(CtlMsg)
+	return m, frame.DecodeBody(b, m, codeCtl)
 }
 
-// EncodeNotice gob-encodes a recorder notice.
-func EncodeNotice(n *Notice) []byte { return mustEncode(&noticeCodec, n) }
+// codeNotice codes a notice: its kind and process, then the fields the
+// kind uses.
+func codeNotice(c *frame.Coder, n *Notice) {
+	frame.Uint(c, &n.Kind)
+	c.Proc(&n.Proc)
+	switch n.Kind {
+	case NoticeCreated:
+		CodeSpec(c, &n.Spec)
+	case NoticeReadOrder:
+		c.MsgID(&n.ReadID)
+		c.MsgID(&n.HeadID)
+	case NoticeCheckpoint:
+		c.Blob(&n.Checkpoint)
+		frame.Uint(c, &n.SendSeq)
+		frame.Uint(c, &n.ReadCount)
+		frame.Int(c, &n.StateKB)
+		frame.Slice(c, &n.Queued)
+		for i := range n.Queued {
+			c.MsgID(&n.Queued[i])
+		}
+	case NoticeMigrated:
+		frame.Int(c, &n.Node)
+	case NoticeDestroyed, NoticeCrashed:
+	default:
+		c.Fail()
+	}
+}
 
-// DecodeNotice decodes a recorder notice.
+// EncodeNotice encodes a recorder notice.
+func EncodeNotice(n *Notice) []byte {
+	size := 64 + len(n.Spec.Name) + len(n.Spec.Args) + len(n.Checkpoint) + len(n.Queued)*frame.MaxMsgIDLen
+	return frame.AppendBody(make([]byte, 0, size), n, codeNotice)
+}
+
+// DecodeNotice decodes a recorder notice. Its byte strings alias b.
 func DecodeNotice(b []byte) (*Notice, error) {
-	var n Notice
-	if err := noticeCodec.Decode(b, &n); err != nil {
-		return nil, fmt.Errorf("demos: bad notice: %w", err)
-	}
-	return &n, nil
+	n := new(Notice)
+	return n, frame.DecodeBody(b, n, codeNotice)
 }
 
-// EncodeQuery gob-encodes a query response.
-func EncodeQuery(q *QueryResponse) []byte { return mustEncode(&queryCodec, q) }
+// codeQuery codes a query response.
+func codeQuery(c *frame.Coder, q *QueryResponse) {
+	frame.Uint(c, &q.RestartNumber)
+	frame.Int(c, &q.Node)
+	frame.Slice(c, &q.Procs)
+	for i := range q.Procs {
+		r := &q.Procs[i]
+		c.Proc(&r.Proc)
+		if frame.Uint(c, &r.State); r.State > StateRecovering {
+			c.Fail()
+		}
+	}
+}
+
+// EncodeQuery encodes a query response.
+func EncodeQuery(q *QueryResponse) []byte {
+	return frame.AppendBody(make([]byte, 0, 32+len(q.Procs)*(frame.MaxProcIDLen+1)), q, codeQuery)
+}
 
 // DecodeQuery decodes a query response.
 func DecodeQuery(b []byte) (*QueryResponse, error) {
-	var q QueryResponse
-	if err := queryCodec.Decode(b, &q); err != nil {
-		return nil, fmt.Errorf("demos: bad query response: %w", err)
-	}
-	return &q, nil
-}
-
-func mustGob(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("demos: gob encode: %v", err))
-	}
-	return buf.Bytes()
+	q := new(QueryResponse)
+	return q, frame.DecodeBody(b, q, codeQuery)
 }

@@ -2,13 +2,9 @@ package demos
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"publishing/internal/frame"
@@ -589,6 +585,17 @@ type echoState struct {
 	N      int
 }
 
+// gobBytes and gobInto are the test machines' own state codec.
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+func gobInto(b []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+}
+
 func mkID(local uint32, seq uint64) frame.MsgID {
 	return frame.MsgID{Sender: frame.ProcID{Node: 0, Local: local}, Seq: seq}
 }
@@ -778,9 +785,8 @@ func TestLinkTableSnapshotRestore(t *testing.T) {
 	a := lt.insert(frame.Link{To: frame.ProcID{Node: 1, Local: 2}, Channel: 3})
 	b := lt.insert(frame.Link{To: frame.ProcID{Node: 4, Local: 5}, Code: 9})
 	lt.remove(a)
-	blob := lt.snapshot()
-	lt2, err := restoreLinkTable(blob)
-	if err != nil {
+	lt2 := newLinkTable()
+	if err := frame.DecodeBody(frame.AppendBody(nil, lt, codeLinkTable), lt2, codeLinkTable); err != nil {
 		t.Fatal(err)
 	}
 	if lt2.size() != 1 {
@@ -822,159 +828,8 @@ func TestControlCodecs(t *testing.T) {
 	}
 }
 
-// Control replies go through a cached codec, but the wire contract is still
-// one self-contained gob stream per reply: EncodeReply's bytes are a fresh
-// encoder's, in any order of calls, and DecodeReply takes a fresh encoder's.
-func TestReplyCodecMatchesOneShot(t *testing.T) {
-	replies := []CtlReply{
-		{},
-		{OK: true, Proc: frame.ProcID{Node: 1, Local: 1}},
-		{OK: true, Proc: frame.ProcID{Node: 2, Local: 7}, AckedBatch: 1},
-		{OK: true, Proc: frame.ProcID{Node: 1, Local: 2}, AckedBatch: ^uint64(0), RestartNumber: ^uint64(0)},
-		{Err: "demos: checkpoint for n1.p2 incomplete (1/3 chunks)"},
-		{Err: "процесс не найден — 找不到进程", RestartNumber: 3},
-		{OK: true, Err: strings.Repeat("x", 5000), AckedBatch: 474},
-	}
-	for round := 0; round < 2; round++ {
-		for i := range replies {
-			r := &replies[i]
-			var oneShot bytes.Buffer
-			if err := gob.NewEncoder(&oneShot).Encode(r); err != nil {
-				t.Fatal(err)
-			}
-			if got := EncodeReply(r); !bytes.Equal(got, oneShot.Bytes()) {
-				t.Fatalf("reply %d: EncodeReply\n %x\none-shot gob\n %x", i, got, oneShot.Bytes())
-			}
-			var got CtlReply
-			if err := DecodeReply(oneShot.Bytes(), &got); err != nil || got != *r {
-				t.Fatalf("reply %d: decoded %+v (err %v), want %+v", i, got, err, r)
-			}
-		}
-	}
-	// Garbage, and a reply cut short inside its value message (which gets as
-	// far as the cached decoder), fail as before and leave the codec usable.
-	valid := EncodeReply(&replies[3])
-	for _, bad := range [][]byte{[]byte("garbage"), valid[:len(valid)-3]} {
-		var got CtlReply
-		err := DecodeReply(bad, &got)
-		if err == nil || !strings.HasPrefix(err.Error(), "demos: bad control reply: ") || errors.Unwrap(err) == nil {
-			t.Fatalf("DecodeReply(%q): err = %v, want a wrapped bad-control-reply error", bad, err)
-		}
-		if err := DecodeReply(valid, &got); err != nil || got != replies[3] {
-			t.Fatalf("after a bad reply: decoded %+v (err %v)", got, err)
-		}
-	}
-}
-
-// Query responses go through a cached codec too, and keep the same contract:
-// EncodeQuery's bytes are a fresh encoder's, in any order of calls, and
-// DecodeQuery takes a fresh encoder's.
-func TestQueryCodecMatchesOneShot(t *testing.T) {
-	queries := []QueryResponse{
-		{},
-		{RestartNumber: 1, Node: 2},
-		{RestartNumber: 3, Node: -1, Procs: []ProcReport{{Proc: frame.ProcID{Node: 2, Local: 7}, State: StateFunctioning}}},
-		{RestartNumber: ^uint64(0), Node: 5, Procs: []ProcReport{
-			{Proc: frame.ProcID{Node: 5, Local: 1}, State: StateCrashed},
-			{Proc: frame.ProcID{Node: 5, Local: 9}, State: StateRecovering},
-			{Proc: frame.ProcID{Node: 5, Local: 1 << 31}},
-		}},
-	}
-	for round := 0; round < 2; round++ {
-		for i := range queries {
-			q := &queries[i]
-			var oneShot bytes.Buffer
-			if err := gob.NewEncoder(&oneShot).Encode(q); err != nil {
-				t.Fatal(err)
-			}
-			if got := EncodeQuery(q); !bytes.Equal(got, oneShot.Bytes()) {
-				t.Fatalf("query %d: EncodeQuery\n %x\none-shot gob\n %x", i, got, oneShot.Bytes())
-			}
-			got, err := DecodeQuery(oneShot.Bytes())
-			if err != nil || !reflect.DeepEqual(*got, *q) {
-				t.Fatalf("query %d: decoded %+v (err %v), want %+v", i, got, err, q)
-			}
-		}
-	}
-	valid := EncodeQuery(&queries[3])
-	for _, bad := range [][]byte{[]byte("garbage"), valid[:len(valid)-3]} {
-		if _, err := DecodeQuery(bad); err == nil || !strings.HasPrefix(err.Error(), "demos: bad query response: ") {
-			t.Fatalf("DecodeQuery(%q): err = %v, want a bad-query-response error", bad, err)
-		}
-		if got, err := DecodeQuery(valid); err != nil || !reflect.DeepEqual(*got, queries[3]) {
-			t.Fatalf("after a bad query response: decoded %+v (err %v)", got, err)
-		}
-	}
-}
-
-// Checkpoint images and link-table snapshots go through cached codecs, but
-// an image is still one self-contained gob stream and a marks trailer: the
-// bytes are a fresh encoder's, in any order of calls, and the decoders take
-// a fresh encoder's.
-func TestCheckpointCodecsMatchOneShot(t *testing.T) {
-	oneShot := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	full := newLinkTable()
-	full.insert(frame.Link{To: frame.ProcID{Node: 2, Local: 1}, Channel: 3})
-	gone := full.insert(frame.Link{To: frame.ProcID{Node: 0, Local: 4}, Code: 7})
-	full.insert(frame.Link{To: frame.ProcID{Node: 1, Local: 9}, Channel: ChanRequest, DeliverToKernel: true})
-	full.remove(gone)
-	big := make([]byte, 5000)
-	for i := range big {
-		big[i] = byte(i*7 + 3)
-	}
-	cases := []struct {
-		links   *linkTable
-		machine []byte
-		marks   []frame.MsgID
-	}{
-		{newLinkTable(), nil, nil},
-		{full, []byte("state"), []frame.MsgID{mkID(4, 2)}},
-		{full, big, []frame.MsgID{mkID(4, 2), {Sender: frame.ProcID{Node: 3, Local: 1}, Seq: 9}}},
-		{newLinkTable(), big, nil},
-	}
-	for round := 0; round < 2; round++ {
-		for i, c := range cases {
-			lt := oneShot(&linkTableImage{Next: c.links.next, Links: c.links.links})
-			if got := c.links.snapshot(); !bytes.Equal(got, lt) {
-				t.Fatalf("case %d: snapshot\n %x\none-shot gob\n %x", i, got, lt)
-			}
-			restored, err := restoreLinkTable(lt)
-			if err != nil || restored.next != c.links.next || !slices.Equal(restored.links, c.links.links) {
-				t.Fatalf("case %d: restored %+v (err %v), want %+v", i, restored, err, c.links)
-			}
-
-			p := &process{
-				machine: &funcMachine{snap: func() ([]byte, error) { return c.machine, nil }},
-				links:   c.links,
-			}
-			for _, id := range c.marks {
-				p.marks.Note(id)
-			}
-			want := oneShot(&checkpointImage{Machine: c.machine, Links: lt})
-			for _, id := range p.marks {
-				want = frame.AppendAckID(want, id)
-			}
-			want = binary.BigEndian.AppendUint32(want, uint32(len(p.marks)))
-			got, err := p.image()
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("case %d: image (err %v)\n %x\none-shot gob and trailer\n %x", i, err, got, want)
-			}
-			img, marks, err := decodeCheckpoint(want)
-			if err != nil || !bytes.Equal(img.Machine, c.machine) || !bytes.Equal(img.Links, lt) || !slices.Equal(marks, p.marks) {
-				t.Fatalf("case %d: decoded %+v, marks %v (err %v)", i, img, marks, err)
-			}
-		}
-	}
-}
-
-// gob leaves zero-valued fields out of the stream, so decoding into a reused
-// reply must not let an earlier reply's fields show through.
+// Decoding into a reused reply must not let an earlier reply's fields show
+// through.
 func TestDecodeReplyClearsStaleFields(t *testing.T) {
 	var got CtlReply
 	stale := CtlReply{Err: "refused", Proc: frame.ProcID{Node: 1, Local: 2}, RestartNumber: 3, AckedBatch: 9}

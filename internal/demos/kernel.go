@@ -117,8 +117,6 @@ type Kernel struct {
 	// OpRecreate (too big for one MTU-sized frame). Keyed by the recovering
 	// process; a new generation supersedes a stale partial assembly.
 	ckStage map[frame.ProcID]*ckAssembly
-	// batchAck is the reply every batch acknowledgement is encoded from.
-	batchAck CtlReply
 
 	stats KernelStats
 	// qDepth tracks messages sitting in this node's process input queues;
@@ -275,19 +273,15 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		if p.machine == nil {
 			return frame.NilProc, fmt.Errorf("demos: %q is not checkpointable", spec.Name)
 		}
-		img, marks, err := decodeCheckpoint(opt.Checkpoint)
-		if err != nil {
-			return frame.NilProc, err
+		img := new(checkpointImage)
+		if err := frame.DecodeBody(opt.Checkpoint, img, codeImage); err != nil {
+			return frame.NilProc, fmt.Errorf("demos: bad checkpoint for %s: %w", id, err)
 		}
 		if err := p.machine.Restore(img.Machine); err != nil {
 			return frame.NilProc, fmt.Errorf("demos: restore %s: %w", id, err)
 		}
-		lt, err := restoreLinkTable(img.Links)
-		if err != nil {
-			return frame.NilProc, err
-		}
-		p.links = lt
-		p.marks = marks
+		p.links = &img.Links
+		p.marks = img.Marks
 		p.restored = true
 	}
 	p.sendSeq = opt.SendSeq

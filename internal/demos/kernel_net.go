@@ -18,23 +18,27 @@ var (
 // spare processor, §3.3.3 / migration per Powell & Miller).
 const RouteUpdateTag = 0x03
 
-type routeUpdateBody struct {
+// routeUpdate is a route-update body after its tag: the process and the
+// node it now lives on.
+type routeUpdate struct {
 	Proc frame.ProcID
 	Node frame.NodeID
 }
 
+func codeRouteUpdate(c *frame.Coder, u *routeUpdate) {
+	c.Proc(&u.Proc)
+	frame.Int(c, &u.Node)
+}
+
 // EncodeRouteUpdate builds a route-update broadcast body.
 func EncodeRouteUpdate(p frame.ProcID, n frame.NodeID) []byte {
-	return append([]byte{RouteUpdateTag}, mustGob(&routeUpdateBody{Proc: p, Node: n})...)
+	return frame.AppendBody([]byte{RouteUpdateTag}, &routeUpdate{Proc: p, Node: n}, codeRouteUpdate)
 }
 
 // DecodeRouteUpdate parses a route-update body (including the tag byte).
 func DecodeRouteUpdate(b []byte) (frame.ProcID, frame.NodeID, bool) {
-	if len(b) < 2 || b[0] != RouteUpdateTag {
-		return frame.NilProc, 0, false
-	}
-	var u routeUpdateBody
-	if gobInto(b[1:], &u) != nil {
+	var u routeUpdate
+	if len(b) == 0 || b[0] != RouteUpdateTag || frame.DecodeBody(b[1:], &u, codeRouteUpdate) != nil {
 		return frame.NilProc, 0, false
 	}
 	return u.Proc, u.Node, true

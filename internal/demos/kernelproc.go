@@ -2,7 +2,6 @@ package demos
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -23,28 +22,44 @@ type CtlReply struct {
 	AckedBatch uint64
 }
 
-// EncodeReply gob-encodes a control reply.
-func EncodeReply(r *CtlReply) []byte { return mustEncode(&replyCodec, r) }
-
-// DecodeReply decodes a control reply into r, which it zeroes first: gob
-// leaves a zero-valued field out of the stream, so a reused r would
-// otherwise keep an earlier reply's Err or AckedBatch.
-func DecodeReply(b []byte, r *CtlReply) error {
-	*r = CtlReply{}
-	if err := replyCodec.Decode(b, r); err != nil {
-		return fmt.Errorf("demos: bad control reply: %w", err)
-	}
-	return nil
+// codeReply codes a control reply.
+func codeReply(c *frame.Coder, r *CtlReply) {
+	c.Bool(&r.OK)
+	c.Text(&r.Err)
+	c.Proc(&r.Proc)
+	frame.Uint(c, &r.RestartNumber)
+	frame.Uint(c, &r.AckedBatch)
 }
 
-// checkpointImage is the serialized form of a full process checkpoint: the
-// machine's address-space equivalent plus the kernel-resident link table. An
-// image is this struct gob-encoded, then a trailer of the acceptance marks
-// packed as a recorder-ack id list (frame.AppendAckID) and their count as a
-// big-endian u32; the recorder reads the trailer alone (CheckpointMarks).
+// EncodeReply encodes a control reply.
+func EncodeReply(r *CtlReply) []byte {
+	return frame.AppendBody(make([]byte, 0, 48+len(r.Err)), r, codeReply)
+}
+
+// DecodeReply decodes a control reply into r, every field of it.
+func DecodeReply(b []byte, r *CtlReply) error { return frame.DecodeBody(b, r, codeReply) }
+
+// checkpointImage is a full process checkpoint: the machine's
+// address-space equivalent, the kernel-resident link table, and the
+// acceptance marks, which the recorder trims and fences the stream by
+// (CheckpointMarks).
 type checkpointImage struct {
 	Machine []byte
-	Links   []byte
+	Links   linkTable
+	Marks   frame.Marks
+}
+
+// codeImage codes a checkpoint image. A decoder takes marks only in sender
+// order, the order Marks keeps.
+func codeImage(c *frame.Coder, img *checkpointImage) {
+	c.Blob(&img.Machine)
+	codeLinkTable(c, &img.Links)
+	frame.Slice(c, &img.Marks)
+	for i := range img.Marks {
+		if c.MsgID(&img.Marks[i]); i > 0 && img.Marks[i-1].Sender.Compare(img.Marks[i].Sender) >= 0 {
+			c.Fail()
+		}
+	}
 }
 
 // image builds p's checkpoint image, for a checkpoint and a migration alike.
@@ -53,53 +68,21 @@ func (p *process) image() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	links := p.links.snapshot()
-	// Room for the gob framing (under 256 bytes) and the trailer: the image
-	// is built in one allocation.
-	blob := make([]byte, 0, len(mb)+len(links)+256+len(p.marks)*frame.AckIDLen+4)
-	if blob, err = imageCodec.Encode(blob, &checkpointImage{Machine: mb, Links: links}); err != nil {
-		return nil, err
-	}
-	for _, id := range p.marks {
-		blob = frame.AppendAckID(blob, id)
-	}
-	return binary.BigEndian.AppendUint32(blob, uint32(len(p.marks))), nil
+	// Room for the lengths, the links (at most 24 bytes each) and the marks:
+	// the image is built in one allocation.
+	size := len(mb) + 32 + 24*len(p.links.links) + len(p.marks)*frame.MaxMsgIDLen
+	return frame.AppendBody(make([]byte, 0, size), &checkpointImage{Machine: mb, Links: *p.links, Marks: p.marks}, codeImage), nil
 }
 
 // CheckpointMarks returns the acceptance marks a checkpoint image carries;
-// an empty image (no checkpoint) carries none. A count that claims more ids
-// than the image holds, or ids out of sender order, is an error.
+// an empty image (no checkpoint) carries none.
 func CheckpointMarks(blob []byte) (frame.Marks, error) {
 	if len(blob) == 0 {
 		return nil, nil
 	}
-	if len(blob) < 4 {
-		return nil, fmt.Errorf("demos: checkpoint of %d bytes has no marks trailer", len(blob))
-	}
-	end := len(blob) - 4
-	n := uint64(binary.BigEndian.Uint32(blob[end:]))
-	if n*frame.AckIDLen > uint64(end) {
-		return nil, fmt.Errorf("demos: checkpoint claims %d marks in %d bytes", n, end)
-	}
-	ids, err := frame.DecodeAckIDs(blob[end-int(n)*frame.AckIDLen:end], nil)
-	for i := 1; i < len(ids) && err == nil; i++ {
-		if ids[i-1].Sender.Compare(ids[i].Sender) >= 0 {
-			err = fmt.Errorf("demos: checkpoint marks out of sender order at %d", i)
-		}
-	}
-	return ids, err
-}
-
-func decodeCheckpoint(b []byte) (*checkpointImage, frame.Marks, error) {
-	marks, err := CheckpointMarks(b)
-	if err != nil {
-		return nil, nil, err
-	}
 	var img checkpointImage
-	if err := imageCodec.Decode(b[:len(b)-4-len(marks)*frame.AckIDLen], &img); err != nil {
-		return nil, nil, fmt.Errorf("demos: bad checkpoint: %w", err)
-	}
-	return &img, marks, nil
+	err := frame.DecodeBody(blob, &img, codeImage)
+	return img.Marks, err
 }
 
 // handleControl is the kernel process (§4.2.1): it serves process-control
@@ -110,7 +93,8 @@ func decodeCheckpoint(b []byte) (*checkpointImage, frame.Marks, error) {
 func (k *Kernel) handleControl(f *frame.Frame) bool {
 	if f.Channel == frame.ChanReplay {
 		// Replay batches and checkpoint chunks are a header and records, or
-		// raw chunk bytes, not gob (they are the recovery hot path).
+		// raw chunk bytes, not control bodies (they are the recovery hot
+		// path).
 		return k.handleReplayFrame(f)
 	}
 	ctl, err := DecodeCtl(f.Body)
@@ -299,8 +283,7 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr frame.BatchHdr) bool {
 
 // replyBatchAck sends the cumulative batch acknowledgement for p.
 func (k *Kernel) replyBatchAck(f *frame.Frame, p *process) {
-	k.batchAck = CtlReply{OK: true, Proc: p.id, AckedBatch: p.replayBatch}
-	k.reply(f, nil, &k.batchAck, nil)
+	k.reply(f, nil, &CtlReply{OK: true, Proc: p.id, AckedBatch: p.replayBatch}, nil)
 }
 
 // handleCkChunk stages one chunk of a checkpoint too big for a single

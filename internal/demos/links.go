@@ -2,7 +2,6 @@ package demos
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"publishing/internal/frame"
@@ -64,22 +63,20 @@ func (t *linkTable) remove(id LinkID) (frame.Link, bool) {
 // size reports the number of live links.
 func (t *linkTable) size() int { return len(t.links) }
 
-// linkTableImage is the serializable form of a link table.
-type linkTableImage struct {
-	Next  LinkID
-	Links []linkEntry
-}
-
-// snapshot serializes the table for a checkpoint.
-func (t *linkTable) snapshot() []byte {
-	return mustEncode(&linkTableCodec, &linkTableImage{Next: t.next, Links: t.links})
-}
-
-// restoreLinkTable rebuilds a table from a snapshot.
-func restoreLinkTable(b []byte) (*linkTable, error) {
-	var img linkTableImage
-	if err := linkTableCodec.Decode(b, &img); err != nil {
-		return nil, fmt.Errorf("demos: bad link table snapshot: %w", err)
+// codeLinkTable codes a link table: its next id, then its links in id
+// order. A decoder takes only ids that rise and stay below next, so the
+// table it builds is one insert could have.
+func codeLinkTable(c *frame.Coder, t *linkTable) {
+	frame.Int(c, &t.next)
+	frame.Slice(c, &t.links)
+	prev := LinkID(-1)
+	for i := range t.links {
+		e := &t.links[i]
+		frame.Int(c, &e.ID)
+		c.Link(&e.Link)
+		if e.ID <= prev || e.ID >= t.next {
+			c.Fail()
+		}
+		prev = e.ID
 	}
-	return &linkTable{next: img.Next, links: img.Links}, nil
 }

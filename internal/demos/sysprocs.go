@@ -1,9 +1,6 @@
 package demos
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"publishing/internal/frame"
 )
 
@@ -46,8 +43,12 @@ type ProcMgr struct {
 
 type procMgrState struct {
 	MemSched LinkID
-	Inited   bool
 	Requests uint64
+}
+
+func codeProcMgr(c *frame.Coder, st *procMgrState) {
+	frame.Int(c, &st.MemSched)
+	frame.Uint(c, &st.Requests)
 }
 
 // Init obtains the memory scheduler link.
@@ -57,7 +58,6 @@ func (m *ProcMgr) Init(ctx *PCtx) {
 		panic(err)
 	}
 	m.st.MemSched = lid
-	m.st.Inited = true
 }
 
 // Handle forwards control requests toward the memory scheduler, moving the
@@ -82,10 +82,10 @@ func (m *ProcMgr) Handle(ctx *PCtx, msg Msg) {
 }
 
 // Snapshot serializes the manager state.
-func (m *ProcMgr) Snapshot() ([]byte, error) { return gobBytes(&m.st) }
+func (m *ProcMgr) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &m.st, codeProcMgr), nil }
 
 // Restore replaces the manager state.
-func (m *ProcMgr) Restore(b []byte) error { return gobInto(b, &m.st) }
+func (m *ProcMgr) Restore(b []byte) error { return frame.DecodeBody(b, &m.st, codeProcMgr) }
 
 // MemSched is the memory scheduler: it owns links to every node's kernel
 // process and places new processes (§4.3.2).
@@ -97,6 +97,11 @@ type memSchedState struct {
 	// Kernels maps node -> link id for that node's kernel process.
 	Kernels map[int32]LinkID
 	Placed  uint64
+}
+
+func codeMemSched(c *frame.Coder, st *memSchedState) {
+	frame.Map(c, &st.Kernels, frame.Int[int32], frame.Int[LinkID])
+	frame.Uint(c, &st.Placed)
 }
 
 // Init starts with an empty kernel-link cache; links are minted on demand.
@@ -124,10 +129,10 @@ func (m *MemSched) Handle(ctx *PCtx, msg Msg) {
 }
 
 // Snapshot serializes the scheduler state.
-func (m *MemSched) Snapshot() ([]byte, error) { return gobBytes(&m.st) }
+func (m *MemSched) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &m.st, codeMemSched), nil }
 
 // Restore replaces the scheduler state.
-func (m *MemSched) Restore(b []byte) error { return gobInto(b, &m.st) }
+func (m *MemSched) Restore(b []byte) error { return frame.DecodeBody(b, &m.st, codeMemSched) }
 
 // NameSvc is the named-link server (§4.2.2.1): processes register links
 // under names; others look them up. Because links move rather than copy,
@@ -139,6 +144,15 @@ type NameSvc struct {
 type nameSvcState struct {
 	// Names maps a name to the link ids of registered (deposited) links.
 	Names map[string][]LinkID
+}
+
+func codeNameSvc(c *frame.Coder, st *nameSvcState) {
+	frame.Map(c, &st.Names, (*frame.Coder).Text, func(c *frame.Coder, ids *[]LinkID) {
+		frame.Slice(c, ids)
+		for i := range *ids {
+			frame.Int(c, &(*ids)[i])
+		}
+	})
 }
 
 // NewNameSvc returns an empty name server.
@@ -154,14 +168,18 @@ type NameReq struct {
 	Name     string
 }
 
-// EncodeNameReq gob-encodes a name request.
-func EncodeNameReq(r *NameReq) []byte { return mustGob(r) }
+func codeNameReq(c *frame.Coder, r *NameReq) {
+	c.Bool(&r.Register)
+	c.Text(&r.Name)
+}
+
+// EncodeNameReq encodes a name request.
+func EncodeNameReq(r *NameReq) []byte { return frame.AppendBody(nil, r, codeNameReq) }
 
 // DecodeNameReq decodes a name request.
 func DecodeNameReq(b []byte) (*NameReq, error) {
-	var r NameReq
-	err := gobInto(b, &r)
-	return &r, err
+	r := new(NameReq)
+	return r, frame.DecodeBody(b, r, codeNameReq)
 }
 
 // Init is a no-op; state was built by the factory.
@@ -192,19 +210,7 @@ func (n *NameSvc) Handle(ctx *PCtx, msg Msg) {
 }
 
 // Snapshot serializes the name table.
-func (n *NameSvc) Snapshot() ([]byte, error) { return gobBytes(&n.st) }
+func (n *NameSvc) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &n.st, codeNameSvc), nil }
 
 // Restore replaces the name table.
-func (n *NameSvc) Restore(b []byte) error { return gobInto(b, &n.st) }
-
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobInto(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
+func (n *NameSvc) Restore(b []byte) error { return frame.DecodeBody(b, &n.st, codeNameSvc) }

@@ -220,10 +220,10 @@ func checkpointMidReplay(t *testing.T, crash bool) {
 
 // A recorded message is held once, in its store page. The stream keeps an
 // 8-byte record ref per arrival, and nothing else the recorder holds grows
-// with the stream: the heap grows per arrival by at most the encoded record,
-// its share of the unused tail of each full page (store memory too, not a
-// second copy), and 40 bytes. Keeping the body as well (or a copy of the
-// message beside the page) costs hundreds of bytes more.
+// with the stream: the heap grows per arrival by the encoded record and the
+// store's own bookkeeping for it, term by term below. Keeping the body as
+// well (or a copy of the message beside the page) costs hundreds of bytes
+// more, and even a 32-byte second copy breaks the limit.
 func TestRecorderKeepsOneCopy(t *testing.T) {
 	r, _, store := newBench(t)
 	r.log.Enable(false)
@@ -251,7 +251,6 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 	// shorter and still fit perPage to a page.
 	recLen := 1 + 1 + 2 + 2 + 1 + (1 + 1 + 2) + 1 + 1 + 2 + bodyLen
 	perPage := stablestore.PageSize / recLen
-	slack := float64(stablestore.PageSize-perPage*recLen) / float64(perPage)
 	record(1, 2) // the first page and the tap's per-process state
 	before, pages := heap(), store.Pages()
 	record(2, n+2)
@@ -262,11 +261,33 @@ func TestRecorderKeepsOneCopy(t *testing.T) {
 	if got, want := store.Pages()-pages, n/perPage; got < want || got > want+1 {
 		t.Fatalf("the store took %d pages for %d records of %d B, want %d", got, n, recLen, want)
 	}
-	limit := float64(recLen) + slack + 40
-	t.Logf("heap %.1f B per arrival; record %d B, page tail %.1f B a record, limit %.1f B", grown, recLen, slack, limit)
+	// What else an arrival costs. A sealed page is its records' bytes, laid
+	// end to end in 64-KB arena slabs, and a page starts only where a whole
+	// PageSize is left in its slab, so each slab ends in a tail no page
+	// fits. Each page costs the store its slice header and its id in the
+	// key's page list. The last slab is allocated whole however little of it
+	// is filled.
+	const slab = 64 << 10
+	pageBytes := perPage * recLen
+	pagesPerSlab := (slab-stablestore.PageSize)/pageBytes + 1
+	terms := []struct {
+		what  string
+		bytes float64
+	}{
+		{"arrival entry", 8},
+		{"page bookkeeping", float64(24+4) / float64(perPage)},
+		{"slab tail", float64(slab-pagesPerSlab*pageBytes) / float64(pagesPerSlab*perPage)},
+		{"last slab", float64(slab) / n},
+	}
+	limit := float64(recLen)
+	for _, term := range terms {
+		limit += term.bytes
+		t.Logf("%-16s %5.1f B an arrival", term.what, term.bytes)
+	}
+	t.Logf("heap %.1f B per arrival; record %d B, limit %.1f B", grown, recLen, limit)
 	if grown > limit {
-		t.Errorf("heap grew %.1f B per arrival, over the %d-B record and its %.1f-B page tail by %.1f B (limit 40): a second copy",
-			grown, recLen, slack, grown-float64(recLen)-slack)
+		t.Errorf("heap grew %.1f B per arrival, %.1f B over the %d-B record and the store's bookkeeping: a second copy",
+			grown, grown-limit, recLen)
 	}
 	runtime.KeepAlive(r)
 }

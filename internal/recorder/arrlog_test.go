@@ -43,7 +43,7 @@ func (st *testStream) push(sm storedMsg) {
 
 // ArrivalID reads a message id from st's store, as the recorder does.
 func (st *testStream) ArrivalID(_ *tap.Stream, seq uint64, ref tap.Ref) frame.MsgID {
-	return readArrivalID(st.store, st.key, seq, ref)
+	return readArrival(st.store, st.key, seq, ref).ID
 }
 
 // idAt reads the id of l's i'th arrival from st's store.

@@ -1,8 +1,7 @@
 package recorder
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
@@ -59,10 +58,6 @@ type procCov struct {
 // peerMsg is the body of recorder-to-recorder traffic (channel chanPeer).
 type peerMsg struct {
 	Kind peerKind
-	// Node is never set. It stays because gob sends the type with every
-	// message: dropping the field would shorten every handoff frame and
-	// move the wire statistics of every run with a recorder restart.
-	Node frame.NodeID
 	Code uint32
 
 	Rank  int          // sender's recorder rank
@@ -72,6 +67,35 @@ type peerMsg struct {
 	Total uint32       // Data: chunk count for the stream's blob
 	Data  []byte       // Data: chunk bytes
 	Procs int          // Done: streams shipped this session
+}
+
+// codePeer codes a peer message: its kind, code and rank, then the fields
+// the kind uses.
+func codePeer(c *frame.Coder, m *peerMsg) {
+	frame.Uint(c, &m.Kind)
+	frame.Uint(c, &m.Code)
+	frame.Int(c, &m.Rank)
+	switch m.Kind {
+	case peerHandoffReq:
+		frame.Slice(c, &m.Cov)
+		for i := range m.Cov {
+			pc := &m.Cov[i]
+			c.Proc(&pc.Proc)
+			c.Bool(&pc.Dead)
+			frame.Uint(c, &pc.Cov)
+			frame.Uint(c, &pc.LastSent)
+		}
+	case peerHandoffData:
+		c.Proc(&m.Proc)
+		frame.Uint(c, &m.Chunk)
+		frame.Uint(c, &m.Total)
+		c.Blob(&m.Data)
+	case peerHandoffDone:
+		frame.Int(c, &m.Procs)
+	case peerHandoffCommit:
+	default:
+		c.Fail()
+	}
 }
 
 // handoffProc is the per-stream transfer blob: everything the requester
@@ -96,6 +120,29 @@ type handoffProc struct {
 	Recorded []frame.MsgID
 }
 
+// codeHandoffProc codes a transfer blob. Each message is its store record
+// (codeStoredMsg), which its body's length delimits.
+func codeHandoffProc(c *frame.Coder, h *handoffProc) {
+	c.Proc(&h.Proc)
+	demos.CodeSpec(c, &h.Spec)
+	frame.Int(c, &h.Node)
+	c.Bool(&h.Dead)
+	frame.Uint(c, &h.LastSent)
+	c.Blob(&h.Ck)
+	frame.Uint(c, &h.CkSendSeq)
+	frame.Uint(c, &h.CkReadCount)
+	frame.Int(c, &h.CkStateKB)
+	frame.Uint(c, &h.Cov)
+	frame.Slice(c, &h.Msgs)
+	for i := range h.Msgs {
+		codeStoredMsg(c, &h.Msgs[i])
+	}
+	frame.Slice(c, &h.Recorded)
+	for i := range h.Recorded {
+		c.MsgID(&h.Recorded[i])
+	}
+}
+
 // handoffSession is the requester's side of one transfer (keyed by partner
 // rank); a retry supersedes it with a fresh code.
 type handoffSession struct {
@@ -112,9 +159,14 @@ type handoffAssembly struct {
 	buf   []byte
 }
 
-// handoffChunkBytes bounds one Data chunk so the gob-encoded peerMsg around
-// it still fits a frame body.
-const handoffChunkBytes = frame.MaxBody - 512
+// handoffChunkBytes bounds one Data chunk so the peerMsg around it still
+// fits a frame body. peerDataOverhead is the most codePeer writes for a Data
+// message besides the chunk: kind, code, rank, process, chunk index and
+// count, and the chunk's length, which is under 2^14 and so two bytes.
+const (
+	peerDataOverhead  = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64 + frame.MaxProcIDLen + 2*binary.MaxVarintLen32 + 2
+	handoffChunkBytes = frame.MaxBody - peerDataOverhead
+)
 
 // handoffRetry is how long the requester waits for a session's Done before
 // re-requesting from scratch.
@@ -122,20 +174,6 @@ const handoffRetry = 3 * simtime.Second
 
 // chanPeer carries recorder-to-recorder traffic.
 const chanPeer = 3
-
-func encodePeer(m *peerMsg) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-func decodePeer(b []byte) (*peerMsg, error) {
-	var m peerMsg
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return &m, err
-}
 
 // peerByRank resolves a rank to a peer's proc id (our own rank resolves to
 // nothing — we are not our own peer).
@@ -156,14 +194,14 @@ func (r *Recorder) sendPeer(to frame.ProcID, m *peerMsg) {
 		From:    r.proc,
 		To:      to,
 		Channel: chanPeer,
-		Body:    encodePeer(m),
+		Body:    frame.AppendBody(make([]byte, 0, peerDataOverhead+len(m.Data)), m, codePeer),
 	})
 }
 
 // handlePeer serves handoff traffic.
 func (r *Recorder) handlePeer(f *frame.Frame) {
-	m, err := decodePeer(f.Body)
-	if err != nil {
+	m := new(peerMsg)
+	if frame.DecodeBody(f.Body, m, codePeer) != nil {
 		return
 	}
 	switch m.Kind {
@@ -291,11 +329,7 @@ func (r *Recorder) serveHandoff(from frame.ProcID, m *peerMsg) {
 			Msgs:        r.reconstruct(e),
 		}
 		blob.Recorded = e.Recorded
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
-			panic(err)
-		}
-		data := buf.Bytes()
+		data := frame.AppendBody(nil, &blob, codeHandoffProc)
 		total := (len(data) + handoffChunkBytes - 1) / handoffChunkBytes
 		if total == 0 {
 			total = 1
@@ -351,7 +385,7 @@ func (r *Recorder) handleHandoffData(m *peerMsg) {
 	}
 	delete(r.handoffRx, m.Code)
 	var blob handoffProc
-	if err := gobIntoR(asm.buf, &blob); err != nil {
+	if err := frame.DecodeBody(asm.buf, &blob, codeHandoffProc); err != nil {
 		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"handoff blob from rec%d undecodable: %v", m.Rank, err)
 		return

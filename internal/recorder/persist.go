@@ -2,10 +2,7 @@ package recorder
 
 import (
 	"cmp"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -13,7 +10,6 @@ import (
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
-	"publishing/internal/gobx"
 	"publishing/internal/recorder/tap"
 	"publishing/internal/stablestore"
 	"publishing/internal/trace"
@@ -21,35 +17,24 @@ import (
 
 // Per-message record layouts. The three records the recorder writes per
 // published message — stored messages, read-order advisories, last-sent
-// watermarks — are packed varints, appended straight into r.encScratch and
-// decoded by rebuild with the inverse functions. A record stores nothing
-// its store header already says: the msg: or adv: key names the stream (a
-// message's To), and the record's seq is the message's arrival seq or the
-// advisory's seq, which the decoder takes from its caller.
+// watermarks — are packed varints (frame.Coder), appended straight into
+// r.encScratch and decoded by rebuild with the same code functions. A
+// record stores nothing its store header already says: the msg: or adv: key
+// names the stream (a message's To), and the record's seq is the message's
+// arrival seq or the advisory's seq, which the decoder takes from its
+// caller.
 //
 //	msg   flags(1) ID [From] Channel Code [Link: To Channel Code] len Body(len)
 //	adv   ReadID HeadID
 //	last  LastSent
 //
-// Every field is a uvarint but a node, which can be negative (Broadcast) and
-// is a zigzag varint. A process id is Node then Local; a message id is its
-// sender then Seq. The msg flags byte says whether From differs from
-// ID.Sender (only then is it written), whether a Link follows the code and
-// whether it delivers to the kernel, and whether Body is non-nil, so a
-// decoded record equals the one encoded field for field. Decoders reject
-// any length but the exact one, any unknown or contradictory flag, any value
-// out of its field's range and any varint not in its shortest form
-// (stablestore.Uvarint): a damaged record fails rebuild rather than
-// shortening a stream, and a record has one encoding.
-//
-// The rare records (registrations, checkpoints) stay self-describing gob
-// streams through gobx codecs, package-level and internally locked so
-// parallel sweep clusters share the warmed state.
-var (
-	procCodec gobx.Codec[procMeta]
-	ckCodec   gobx.Codec[ckMeta]
-)
-
+// The msg flags byte says whether From differs from ID.Sender (only then is
+// it written), whether a Link follows the code and whether it delivers to
+// the kernel, and whether Body is non-nil, so a decoded record equals the one
+// encoded field for field. Decoders reject any unknown or contradictory
+// flag besides what frame.Coder rejects: a damaged record fails rebuild
+// rather than shortening a stream, and a record has one encoding. The rare
+// records (registrations, checkpoints) are coded the same way.
 const (
 	smLinkPresent  = 1 << iota // a Link follows the code
 	smBodyPresent              // Body is non-nil (possibly empty)
@@ -59,50 +44,12 @@ const (
 	smFlags = smLinkPresent | smBodyPresent | smFromDiffers | smLinkToKernel
 )
 
-func appendProcID(dst []byte, p frame.ProcID) []byte {
-	dst = binary.AppendVarint(dst, int64(p.Node))
-	return binary.AppendUvarint(dst, uint64(p.Local))
-}
-
-func appendMsgID(dst []byte, id frame.MsgID) []byte {
-	return binary.AppendUvarint(appendProcID(dst, id.Sender), id.Seq)
-}
-
-// fields reads a record's varints in order. The first malformed one sticks:
-// every later read returns zero, and bad stays set.
-type fields struct {
-	b   []byte
-	bad bool
-}
-
-// uvarint reads a uvarint no greater than max.
-func (f *fields) uvarint(max uint64) uint64 {
-	if f.bad {
-		return 0
-	}
-	v, n := stablestore.Uvarint(f.b)
-	if n <= 0 || v > max {
-		f.bad = true
-		return 0
-	}
-	f.b = f.b[n:]
-	return v
-}
-
-func (f *fields) procID() frame.ProcID {
-	z := f.uvarint(math.MaxUint32) // an int32's zigzag form
-	node := frame.NodeID(int64(z>>1) ^ -int64(z&1))
-	return frame.ProcID{Node: node, Local: uint32(f.uvarint(math.MaxUint32))}
-}
-
-func (f *fields) msgID() frame.MsgID {
-	return frame.MsgID{Sender: f.procID(), Seq: f.uvarint(math.MaxUint64)}
-}
-
-// appendStoredMsg appends sm's record to dst. ArrSeq is not written: it is
-// the record's seq in the store.
-func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
-	var flags byte
+// codeStoredMsg codes sm's record. ArrSeq is not in it: it is the record's
+// seq in the store. A decoded Body aliases the record: the recorder decodes
+// a record where the store keeps it, so the store's page stays the one copy,
+// and the body is read-only.
+func codeStoredMsg(c *frame.Coder, sm *storedMsg) {
+	var flags uint8
 	if sm.Link != nil {
 		flags |= smLinkPresent
 		if sm.Link.DeliverToKernel {
@@ -115,124 +62,83 @@ func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
 	if sm.From != sm.ID.Sender {
 		flags |= smFromDiffers
 	}
-	dst = append(dst, flags)
-	dst = appendMsgID(dst, sm.ID)
+	if frame.Uint(c, &flags); flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
+		c.Fail()
+	}
+	c.MsgID(&sm.ID)
+	if c.Decoding() {
+		sm.From = sm.ID.Sender
+		if flags&smLinkPresent != 0 {
+			sm.Link = &frame.Link{DeliverToKernel: flags&smLinkToKernel != 0}
+		}
+	}
 	if flags&smFromDiffers != 0 {
-		dst = appendProcID(dst, sm.From)
+		if c.Proc(&sm.From); sm.From == sm.ID.Sender {
+			c.Fail()
+		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(sm.Channel))
-	dst = binary.AppendUvarint(dst, uint64(sm.Code))
-	if l := sm.Link; l != nil {
-		dst = appendProcID(dst, l.To)
-		dst = binary.AppendUvarint(dst, uint64(l.Channel))
-		dst = binary.AppendUvarint(dst, uint64(l.Code))
+	frame.Uint(c, &sm.Channel)
+	frame.Uint(c, &sm.Code)
+	if flags&smLinkPresent != 0 {
+		c.Proc(&sm.Link.To)
+		frame.Uint(c, &sm.Link.Channel)
+		frame.Uint(c, &sm.Link.Code)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(sm.Body)))
-	return append(dst, sm.Body...)
+	c.Blob(&sm.Body)
+	if c.Decoding() {
+		switch {
+		case flags&smBodyPresent == 0 && sm.Body != nil:
+			c.Fail()
+		case flags&smBodyPresent != 0 && sm.Body == nil:
+			sm.Body = []byte{}
+		}
+	}
 }
 
-// decodeStoredMsg is appendStoredMsg's inverse; arrSeq is the record's seq.
-// The Body aliases b, capacity capped at its length: the recorder decodes a
-// record where the store keeps it, so the store's page stays the one copy,
-// and the body is read-only.
+// appendStoredMsg appends sm's record to dst.
+func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
+	return frame.AppendBody(dst, sm, codeStoredMsg)
+}
+
+// decodeStoredMsg reads a message record; arrSeq is its seq.
 func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
-	flags, f, err := storedMsgFlags(b)
-	if err != nil {
-		return storedMsg{}, err
-	}
-	sm := storedMsg{ID: f.msgID(), ArrSeq: arrSeq}
-	sm.From = sm.ID.Sender
-	if flags&smFromDiffers != 0 {
-		sm.From = f.procID()
-	}
-	sm.Channel = uint16(f.uvarint(math.MaxUint16))
-	sm.Code = uint32(f.uvarint(math.MaxUint32))
-	if flags&smLinkPresent != 0 {
-		sm.Link = &frame.Link{To: f.procID(), Channel: uint16(f.uvarint(math.MaxUint16)),
-			Code: uint32(f.uvarint(math.MaxUint32)), DeliverToKernel: flags&smLinkToKernel != 0}
-	}
-	bodyLen := f.uvarint(math.MaxUint32)
-	switch {
-	case f.bad:
-		return storedMsg{}, errors.New("message record: truncated, or a field not in its shortest form or out of range")
-	case flags&smFromDiffers != 0 && sm.From == sm.ID.Sender:
-		return storedMsg{}, errors.New("message record: From written but equal to the sender")
-	case uint64(len(f.b)) != bodyLen:
-		return storedMsg{}, fmt.Errorf("message record: %d body bytes, length says %d", len(f.b), bodyLen)
-	case flags&smBodyPresent != 0:
-		sm.Body = f.b[:bodyLen:bodyLen]
-	case bodyLen != 0:
-		return storedMsg{}, fmt.Errorf("message record: %d body bytes flagged absent", bodyLen)
+	sm := storedMsg{ArrSeq: arrSeq}
+	if err := frame.DecodeBody(b, &sm, codeStoredMsg); err != nil {
+		return storedMsg{}, fmt.Errorf("message record: %w", err)
 	}
 	return sm, nil
 }
 
-// decodeStoredMsgID reads only the flags and the id at the head of a
-// message record: what a stream's checkpoints and advisories match its
-// arrivals by.
-func decodeStoredMsgID(b []byte) (frame.MsgID, error) {
-	_, f, err := storedMsgFlags(b)
-	if err != nil {
-		return frame.MsgID{}, err
-	}
-	id := f.msgID()
-	if f.bad {
-		return frame.MsgID{}, errors.New("message record: id truncated, or not in its shortest form or out of range")
-	}
-	return id, nil
+// codeAdvisory codes adv's record. AdvSeq is not in it: it is the record's
+// seq in the store.
+func codeAdvisory(c *frame.Coder, adv *tap.Advisory) {
+	c.MsgID(&adv.ReadID)
+	c.MsgID(&adv.HeadID)
 }
 
-// storedMsgFlags checks a message record's flags byte and returns it and
-// the fields after it.
-func storedMsgFlags(b []byte) (byte, fields, error) {
-	if len(b) == 0 {
-		return 0, fields{}, errors.New("message record: empty")
-	}
-	flags := b[0]
-	if flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
-		return 0, fields{}, fmt.Errorf("message record: bad flags %#x", flags)
-	}
-	return flags, fields{b: b[1:]}, nil
-}
-
-// appendAdvisory appends adv's record to dst. AdvSeq is not written: it is
-// the record's seq in the store.
 func appendAdvisory(dst []byte, adv *tap.Advisory) []byte {
-	return appendMsgID(appendMsgID(dst, adv.ReadID), adv.HeadID)
+	return frame.AppendBody(dst, adv, codeAdvisory)
 }
 
-// decodeAdvisory is appendAdvisory's inverse; advSeq is the record's seq.
+// decodeAdvisory reads an advisory record; advSeq is its seq.
 func decodeAdvisory(b []byte, advSeq uint64) (tap.Advisory, error) {
-	f := fields{b: b}
-	adv := tap.Advisory{ReadID: f.msgID(), HeadID: f.msgID(), AdvSeq: advSeq}
-	if f.bad || len(f.b) != 0 {
-		return tap.Advisory{}, fmt.Errorf("advisory record: %d bytes do not hold exactly two message ids", len(b))
+	adv := tap.Advisory{AdvSeq: advSeq}
+	if err := frame.DecodeBody(b, &adv, codeAdvisory); err != nil {
+		return tap.Advisory{}, fmt.Errorf("advisory record of %d bytes: %w", len(b), err)
 	}
 	return adv, nil
 }
 
 func appendLastSent(dst []byte, lastSent uint64) []byte {
-	return binary.AppendUvarint(dst, lastSent)
+	return frame.AppendBody(dst, &lastSent, frame.Uint[uint64])
 }
 
 func decodeLastSent(b []byte) (uint64, error) {
-	f := fields{b: b}
-	ls := f.uvarint(math.MaxUint64)
-	if f.bad || len(f.b) != 0 {
-		return 0, fmt.Errorf("last-sent record: %d bytes do not hold exactly one varint", len(b))
+	var ls uint64
+	if err := frame.DecodeBody(b, &ls, frame.Uint[uint64]); err != nil {
+		return 0, fmt.Errorf("last-sent record of %d bytes: %w", len(b), err)
 	}
 	return ls, nil
-}
-
-// encWith gob-encodes v into the recorder's reused scratch via codec c. The
-// slice is valid until the next persist call.
-func encWith[T any](r *Recorder, c *gobx.Codec[T], v *T) []byte {
-	b, err := c.Encode(r.encScratch[:0], v)
-	if err != nil {
-		panic(fmt.Sprintf("recorder: gob: %v", err))
-	}
-	r.encScratch = b
-	return b
 }
 
 // Stable-storage key namespaces. Every piece of recorder state needed to
@@ -263,11 +169,16 @@ func (r *Recorder) newProcEntry(p frame.ProcID, node frame.NodeID) *procEntry {
 
 const restartKey = "restart"
 
-// procMeta is the persisted registration record.
+// procMeta is the persisted registration record. Its proc: key names the
+// process.
 type procMeta struct {
-	Proc frame.ProcID
 	Spec demos.ProcSpec
 	Node frame.NodeID
+}
+
+func codeProcMeta(c *frame.Coder, pm *procMeta) {
+	demos.CodeSpec(c, &pm.Spec)
+	frame.Int(c, &pm.Node)
 }
 
 // ckMeta is the persisted checkpoint record.
@@ -276,8 +187,6 @@ type ckMeta struct {
 	SendSeq   uint64
 	ReadCount uint64
 	StateKB   int
-	// BaseReads repeats ReadCount, unread; stored records keep their bytes.
-	BaseReads uint64
 	// DroppedArr are the arrival seqs this checkpoint supersedes, as are
 	// advisories with seq < AdvTrim: rebuild leaves both out.
 	DroppedArr []uint64
@@ -285,6 +194,23 @@ type ckMeta struct {
 	// RetainedOrder lists the retained arrival seqs in replay (queue)
 	// order, which can differ from arrival order after a recovery.
 	RetainedOrder []uint64
+}
+
+func codeCkMeta(c *frame.Coder, cm *ckMeta) {
+	c.Blob(&cm.Blob)
+	frame.Uint(c, &cm.SendSeq)
+	frame.Uint(c, &cm.ReadCount)
+	frame.Int(c, &cm.StateKB)
+	codeSeqs(c, &cm.DroppedArr)
+	frame.Uint(c, &cm.AdvTrim)
+	codeSeqs(c, &cm.RetainedOrder)
+}
+
+func codeSeqs(c *frame.Coder, seqs *[]uint64) {
+	frame.Slice(c, seqs)
+	for i := range *seqs {
+		frame.Uint(c, &(*seqs)[i])
+	}
 }
 
 func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq uint64, data []byte) stablestore.Ref {
@@ -318,20 +244,6 @@ func readArrival(store *stablestore.Paged, key stablestore.Key, seq uint64, ref 
 	panic(fmt.Sprintf("recorder: stable store read: %v", err))
 }
 
-// readArrivalID is readArrival for the message's id alone: it decodes no
-// more of the record. Lookup is a read of the simulator's copy of the
-// store, which counts no page read.
-func readArrivalID(store *stablestore.Paged, key stablestore.Key, seq uint64, ref tap.Ref) frame.MsgID {
-	b, err := store.Lookup(key, seq, stablestore.Ref(ref))
-	if err == nil {
-		var id frame.MsgID
-		if id, err = decodeStoredMsgID(b); err == nil {
-			return id
-		}
-	}
-	panic(fmt.Sprintf("recorder: stable store read: %v", err))
-}
-
 func (r *Recorder) persistAdvisory(e *procEntry, adv *tap.Advisory) {
 	r.encScratch = appendAdvisory(r.encScratch[:0], adv)
 	r.append(e.keys.adv, stablestore.KindMessage, adv.AdvSeq, r.encScratch)
@@ -339,8 +251,8 @@ func (r *Recorder) persistAdvisory(e *procEntry, adv *tap.Advisory) {
 
 func (r *Recorder) persistProcMeta(e *procEntry) {
 	e.Rev++
-	r.append(e.keys.proc, stablestore.KindMeta, e.Rev,
-		encWith(r, &procCodec, &procMeta{Proc: e.Proc, Spec: e.Spec, Node: e.Node}))
+	r.encScratch = frame.AppendBody(r.encScratch[:0], &procMeta{Spec: e.Spec, Node: e.Node}, codeProcMeta)
+	r.append(e.keys.proc, stablestore.KindMeta, e.Rev, r.encScratch)
 }
 
 func (r *Recorder) persistLastSent(e *procEntry) {
@@ -358,17 +270,16 @@ func (r *Recorder) persistDead(e *procEntry) {
 // supersedes.
 func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 	e.Rev++
-	r.append(e.keys.ck, stablestore.KindCheckpoint, e.Rev,
-		encWith(r, &ckCodec, &ckMeta{
-			Blob:          e.Checkpoint,
-			SendSeq:       e.CkSendSeq,
-			ReadCount:     e.CkReadCount,
-			StateKB:       e.CkStateKB,
-			BaseReads:     e.CkReadCount,
-			DroppedArr:    dropped,
-			AdvTrim:       e.AdvSeqNext,
-			RetainedOrder: e.Arrivals.Seqs(),
-		}))
+	r.encScratch = frame.AppendBody(r.encScratch[:0], &ckMeta{
+		Blob:          e.Checkpoint,
+		SendSeq:       e.CkSendSeq,
+		ReadCount:     e.CkReadCount,
+		StateKB:       e.CkStateKB,
+		DroppedArr:    dropped,
+		AdvTrim:       e.AdvSeqNext,
+		RetainedOrder: e.Arrivals.Seqs(),
+	}, codeCkMeta)
+	r.append(e.keys.ck, stablestore.KindCheckpoint, e.Rev, r.encScratch)
 }
 
 func (r *Recorder) loadRestartNumber() {
@@ -463,7 +374,7 @@ func (r *Recorder) rebuild() error {
 			}
 		case "ck":
 			cm := new(ckMeta)
-			if err = ckCodec.Decode(rec.Data, cm); err == nil {
+			if err = frame.DecodeBody(rec.Data, cm, codeCkMeta); err == nil {
 				for _, q := range cm.DroppedArr {
 					a.dropped[q] = true
 					a.arrNext = max(a.arrNext, q+1)
@@ -478,7 +389,7 @@ func (r *Recorder) rebuild() error {
 			}
 		case "proc":
 			var pm procMeta
-			if err = procCodec.Decode(rec.Data, &pm); err == nil && rec.Seq >= a.metaRev {
+			if err = frame.DecodeBody(rec.Data, &pm, codeProcMeta); err == nil && rec.Seq >= a.metaRev {
 				e := entry(pid)
 				e.Spec = pm.Spec
 				e.Node = pm.Node

@@ -152,7 +152,8 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 	}
 	// Bits of the message record that carry no field are checked, not
 	// ignored, and each value has one encoding.
-	idLen := 1 + len(appendMsgID(nil, frame.MsgID{Sender: procA(), Seq: 42})) // flags, id of "typical"
+	id := frame.MsgID{Sender: procA(), Seq: 42}
+	idLen := 1 + len(frame.AppendBody(nil, &id, (*frame.Coder).MsgID)) // flags, id of "typical"
 	for name, c := range map[string]struct {
 		base   string
 		damage func([]byte) []byte
@@ -166,7 +167,8 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 		"body length grown":        {"link", func(b []byte) []byte { b[len(b)-len("with link")-1]++; return b }},
 		"from equal to the sender": {"typical", func(b []byte) []byte {
 			b[0] |= smFromDiffers
-			return slices.Insert(b, idLen, appendProcID(nil, procA())...)
+			p := procA()
+			return slices.Insert(b, idLen, frame.AppendBody(nil, &p, (*frame.Coder).Proc)...)
 		}},
 		"padded varint": {"zero", func(b []byte) []byte { // the id's node, 0 in two bytes
 			return slices.Insert(b, 1, 0x80)
@@ -264,9 +266,6 @@ func FuzzStoredRecord(f *testing.F) {
 			}
 			if again, err := decodeStoredMsg(enc, seq); err != nil || !reflect.DeepEqual(again, sm) {
 				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, again, sm)
-			}
-			if id, err := decodeStoredMsgID(data); err != nil || id != sm.ID {
-				t.Fatalf("the id alone decodes to %v (%v), the record to %v", id, err, sm.ID)
 			}
 		}
 		if adv, err := decodeAdvisory(data, seq); err == nil && !bytes.Equal(appendAdvisory(nil, &adv), data) {
@@ -397,7 +396,7 @@ func restartRebuildsDatabaseFieldForField(t *testing.T) {
 			}
 		}
 	}
-	if !bytes.HasPrefix(b.Checkpoint, []byte("second")) || len(b.CkMarks) != 1 || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
+	if !bytes.Contains(b.Checkpoint, []byte("second")) || len(b.CkMarks) != 1 || len(b.Arrivals) != 4 || links != 2 || kernel != 1 || len(b.Advisories) != 1 {
 		t.Fatalf("scenario drifted: checkpoint %q, %d arrivals (%d links, %d kernel), %d advisories",
 			b.Checkpoint, len(b.Arrivals), links, kernel, len(b.Advisories))
 	}

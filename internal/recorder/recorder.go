@@ -18,9 +18,6 @@
 package recorder
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"publishing/internal/demos"
 	"publishing/internal/frame"
 	"publishing/internal/lan"
@@ -199,8 +196,7 @@ type Stats struct {
 }
 
 // storedMsg is one published message in a process's stream, as its record
-// and the handoff blob hold it. It stays a type of its own: gob names it on
-// the handoff wire.
+// and the handoff blob hold it (codeStoredMsg).
 type storedMsg struct {
 	ID      frame.MsgID
 	From    frame.ProcID
@@ -506,10 +502,9 @@ func (r *Recorder) observeMessage(m *frame.BundleRec, from, to *tap.Rec) {
 		// requests, replay batches. None of it belongs to a process stream.
 		// Recording a peer's replay batch or checkpoint request as an
 		// arrival of its destination would feed it back into the next
-		// recovery as application traffic, and a handoff chunk would gob-
-		// decode as a plausible-looking notice (peerMsg and demos.Notice
-		// share field names) and corrupt the basis. A lone recorder never
-		// taps its own sends, so only multi-recorder clusters see these.
+		// recovery as application traffic, and a handoff chunk is no
+		// notice, however it decodes. A lone recorder never taps its own
+		// sends, so only multi-recorder clusters see these.
 		return
 	}
 	if to.Notice {
@@ -517,9 +512,7 @@ func (r *Recorder) observeMessage(m *frame.BundleRec, from, to *tap.Rec) {
 		// must apply it to stay consistent (§6.3: all recorders record all
 		// messages). The tap sees retransmissions, so dedup. Notices ride
 		// the request channel; what comes back on a recorder's reply
-		// channels (control replies, query responses) is not one, though
-		// gob would decode it as a notice of kind 0 by the Node field they
-		// share.
+		// channels (control replies, query responses) is not one.
 		if !r.noticeSeen.Seen(m.ID) {
 			r.noticeSeen.Add(m.ID)
 			if m.Channel == demos.ChanRequest {
@@ -617,7 +610,7 @@ func (fx *tapFx) Record(s *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
 }
 
 func (fx *tapFx) ArrivalID(s *tap.Stream, arrSeq uint64, ref tap.Ref) frame.MsgID {
-	return readArrivalID(fx.store, s.Host.(*procEntry).keys.msg, arrSeq, ref)
+	return readArrival(fx.store, s.Host.(*procEntry).keys.msg, arrSeq, ref).ID
 }
 
 func (fx *tapFx) LastSent(s *tap.Stream) { (*Recorder)(fx).persistLastSent(s.Host.(*procEntry)) }
@@ -869,8 +862,4 @@ func (r *Recorder) RequestCheckpoint(p frame.ProcID) {
 		return
 	}
 	r.sendCtl(e.Node, p, true, &demos.CtlMsg{Op: demos.OpCheckpoint}, 0, nil)
-}
-
-func gobIntoR(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

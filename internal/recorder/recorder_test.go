@@ -22,17 +22,22 @@ func mid(local uint32, seq uint64) frame.MsgID {
 }
 
 // ckImage is a checkpoint image as a kernel ships one: an opaque machine
-// part (tag), then the marks trailer demos.CheckpointMarks reads.
+// part (tag), an empty link table (next id 0, no links), then the marks
+// demos.CheckpointMarks reads.
 func ckImage(tag string, marks ...frame.MsgID) []byte {
 	var m frame.Marks
 	for _, id := range marks {
 		m.Note(id)
 	}
-	b := []byte(tag)
-	for _, id := range m {
-		b = frame.AppendAckID(b, id)
-	}
-	return binary.BigEndian.AppendUint32(b, uint32(len(m)))
+	return frame.AppendBody(append(binary.AppendUvarint(nil, uint64(len(tag))), tag...), &m, func(c *frame.Coder, m *frame.Marks) {
+		var next, links uint8
+		frame.Uint(c, &next)
+		frame.Uint(c, &links)
+		frame.Slice(c, m)
+		for i := range *m {
+			c.MsgID(&(*m)[i])
+		}
+	})
 }
 
 func sm(local uint32, seq uint64) storedMsg {

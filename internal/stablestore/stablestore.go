@@ -29,6 +29,8 @@ import (
 	"os"
 	"slices"
 	"sort"
+
+	"publishing/internal/frame"
 )
 
 // PageSize is the disk page / write buffer size. §5.1 removes the disk
@@ -93,19 +95,6 @@ func appendRecord(dst []byte, kind RecordKind, id, seq uint64, data []byte) []by
 	return append(appendHeader(dst, kind, id, seq, len(data)), data...)
 }
 
-// Uvarint decodes the uvarint at the head of b, returning it and its length.
-// n <= 0 means b does not start with one in its shortest form: unlike
-// binary.Uvarint it rejects padded (overlong) encodings, so a decoder that
-// reads through it accepts one encoding per value. Store records and the
-// recorder's per-message records hold their integers this way.
-func Uvarint(b []byte) (v uint64, n int) {
-	v, n = binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -n
-	}
-	return v, n
-}
-
 // header is the head of an encoded record: everything appendHeader writes.
 type header struct {
 	kind    RecordKind
@@ -128,15 +117,15 @@ func parseHeader(b []byte) (h header, ok bool) {
 	h.kind = RecordKind(b[0])
 	off := 1
 	var n int
-	if h.id, n = Uvarint(b[off:]); n <= 0 {
+	if h.id, n = frame.Uvarint(b[off:]); n <= 0 {
 		return header{}, false
 	}
 	off += n
-	if h.seq, n = Uvarint(b[off:]); n <= 0 {
+	if h.seq, n = frame.Uvarint(b[off:]); n <= 0 {
 		return header{}, false
 	}
 	off += n
-	dl, n := Uvarint(b[off:])
+	dl, n := frame.Uvarint(b[off:])
 	if n <= 0 || dl > maxData {
 		return header{}, false
 	}

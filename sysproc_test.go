@@ -1,6 +1,7 @@
 package publishing
 
 import (
+	"strings"
 	"testing"
 
 	"publishing/internal/demos"
@@ -160,4 +161,97 @@ func TestNameServerWithRecovery(t *testing.T) {
 	if got[0] != "question" || got[1] != "answer: the answer is 42" {
 		t.Fatalf("exchange = %v", got)
 	}
+}
+
+// Each system process is checkpointed, crashed and recovered from its
+// checkpoint, and the services still work: the name server still holds the
+// links deposited before its checkpoint, and the process manager and the
+// memory scheduler still place processes on every node. The name table and
+// the scheduler's kernel-link table are maps, and two same-seed runs leave
+// byte-identical stores, checkpoints included.
+func TestSystemProcsCheckpointAndRecover(t *testing.T) {
+	first := systemProcsRun(t)
+	if again := systemProcsRun(t); first != again {
+		t.Fatal("two same-seed runs left different stores")
+	}
+}
+
+// systemProcsRun runs the scenario once and returns its stores' text.
+func systemProcsRun(t *testing.T) string {
+	t.Helper()
+	const nodes = 4
+	cfg := DefaultConfig(nodes)
+	cfg.SystemProcs = true
+	c := New(cfg)
+	defer c.Close()
+
+	names := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+	var placed, resolved int
+	done := false
+	c.Registry().RegisterProgram("child", func(args []byte) Program {
+		return func(ctx *PCtx) { ctx.Receive() }
+	})
+	c.Registry().RegisterProgram("client", func(args []byte) Program {
+		return func(ctx *PCtx) {
+			ns, err := ctx.ServiceLink("namesvc")
+			if err != nil {
+				panic(err)
+			}
+			pm, err := ctx.ServiceLink("procmgr")
+			if err != nil {
+				panic(err)
+			}
+			place := func() {
+				for node := range NodeID(nodes) {
+					if _, _, err := ctx.CreateProcess(pm, ProcSpec{Name: "child", Recoverable: true}, node); err == nil {
+						placed++
+					}
+				}
+			}
+			for i, name := range names {
+				_ = ctx.Send(ns, demos.EncodeNameReq(&demos.NameReq{Register: true, Name: name}), ctx.CreateLink(ChanRequest, uint32(i)))
+			}
+			place()
+			ctx.Compute(30 * simtime.Second) // the system processes are checkpointed and crashed meanwhile
+			for _, name := range names {
+				reply := ctx.CreateLink(ChanReply, 0)
+				_ = ctx.Send(ns, demos.EncodeNameReq(&demos.NameReq{Name: name}), reply)
+				if m := ctx.Receive(ChanReply); m.Link != NoLink && string(m.Body) == name {
+					resolved++
+				}
+			}
+			place()
+			done = true
+		}
+	})
+
+	c.Run(5 * simtime.Second) // let the system processes boot
+	if _, err := c.Spawn(1, ProcSpec{Name: "client", Recoverable: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Boot order on node 0: namesvc=1, memsched=2, procmgr=3.
+	sys := []ProcID{{Node: 0, Local: 1}, {Node: 0, Local: 2}, {Node: 0, Local: 3}}
+	c.Scheduler().At(15*simtime.Second, func() {
+		for _, p := range sys {
+			if img, err := c.Kernel(0).CheckpointNow(p); err != nil || img == nil {
+				t.Errorf("checkpoint of %s: image of %d bytes, err %v", p, len(img), err)
+			}
+		}
+	})
+	for i, p := range sys {
+		c.Scheduler().At(simtime.Time(17+3*i)*simtime.Second, func() { c.CrashProcess(p) })
+	}
+	c.Run(5 * simtime.Minute)
+
+	if !done || resolved != len(names) || placed != 2*nodes {
+		t.Fatalf("done=%v, %d of %d names resolved, %d of %d children placed", done, resolved, len(names), placed, 2*nodes)
+	}
+	if got := c.Recorder().Stats().RecoveriesCompleted; got < uint64(len(sys)) {
+		t.Fatalf("recoveries completed = %d, want %d", got, len(sys))
+	}
+	var stores strings.Builder
+	for _, s := range c.Fingerprint().Sections()[2:] {
+		stores.WriteString(s.Text)
+	}
+	return stores.String()
 }
