@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
-check: vet build test race monitor chaos shards fuzz scale-smoke
+check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
 vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
 	$(GO) vet ./...
@@ -186,13 +186,11 @@ onewindow:
 	! grep -rnE '\b(units|adm|admitted)\b +(int|uint)|\.(units|adm|admitted)\b|open +\[\]\*txUnit' --include='*.go' --exclude='*_test.go' internal/transport
 
 # There is one binary codec (DESIGN.md "One binary codec"): frame.Coder
-# codes every body and record the kernel, the recorder and the system
-# processes build. gob stays only where a program encodes its own state:
-# scenario.go's chaos worker, internal/txn and examples/. A gob import
-# anywhere else, or the cached-gob package that once served the kernel,
-# fails here.
+# codes every body, record and program state in the module, tests and
+# examples included. A gob import anywhere, or the cached-gob package that
+# once served the kernel, fails here.
 nogob:
-	! grep -rl '"encoding/gob"' --include='*.go' --exclude='*_test.go' --exclude=scenario.go --exclude-dir=examples --exclude-dir=txn .
+	! grep -rl '"encoding/gob"' --include='*.go' .
 	! grep -rn 'internal/gobx' --include='*.go' .
 
 # The store keeps what it is given (DESIGN.md "Storage engine"): no record
@@ -317,6 +315,8 @@ shards:
 DEMOS_CODECS = FuzzCtlMsg FuzzNotice FuzzCtlReply FuzzQueryResponse FuzzProcSpec FuzzCheckpointImage \
 	FuzzRouteUpdate FuzzProcMgrState FuzzMemSchedState FuzzNameSvcState FuzzNameReq
 RECORDER_CODECS = FuzzProcMeta FuzzCkMeta FuzzPeerMsg FuzzHandoffProc
+TXN_CODECS = FuzzBegin FuzzOutcome FuzzPrepare FuzzVote FuzzDecide FuzzDecided FuzzRead FuzzReadReply \
+	FuzzParticipantState FuzzCoordState
 
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
@@ -331,6 +331,7 @@ fuzz:
 	$(GO) test ./internal/recorder -run '^$$' -fuzz FuzzRecorderStream -fuzztime 10s
 	for f in $(DEMOS_CODECS); do $(GO) test ./internal/demos -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; done
 	for f in $(RECORDER_CODECS); do $(GO) test ./internal/recorder -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; done
+	for f in $(TXN_CODECS); do $(GO) test ./internal/txn -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; done
 
 # BenchmarkRecoveryReplay16384's host cost per replayed message, the one
 # root benchmark: the paper's figures are EXPERIMENTS.md's generated blocks,
@@ -347,3 +348,20 @@ bench:
 # them in full.
 scale-smoke:
 	$(GO) test -run 'TestScaleDeterminism256|TestChaosSmoke256|TestChaosSmoke1024' -count=1 -v .
+
+# Every example runs to its verdict and exits 1 on an unexpected result, so
+# a change that breaks what one demonstrates fails here.
+EXAMPLES = bank keysearch quickstart timetravel tokenring
+
+examples:
+	for e in $(EXAMPLES); do $(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e failed"; exit 1; }; done
+
+# No codec state outside a value reaches a stored byte (DESIGN.md "One
+# binary codec"), so the golden rows and TestExperimentNumbers, which store
+# the pipeline worker's checkpoint, read the same whichever test ran first.
+# Three -shuffle seeds run them in different orders with the chunked-
+# checkpoint tests, which encode their own worker state.
+SHUFFLE_RUN = TestChunkedCheckpointTransfer|TestRecorderRestartMidChunkedTransfer|TestGoldenFingerprints$$|TestExperimentNumbers$$
+
+shuffle:
+	for s in 1 3 5; do $(GO) test -count=1 -shuffle=$$s -run '$(SHUFFLE_RUN)' . || exit 1; done

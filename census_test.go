@@ -132,6 +132,27 @@ func TestChaosCensusArtifacts(t *testing.T) {
 	}
 }
 
+// A dump that fails is reported, not dropped: with an artifact directory
+// that is a regular file, seed 265's report ends with the error and the
+// result names no artifacts.
+func TestChaosArtifactDumpErrorReported(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := ChaosCensus(265, 1, chaos.Options{ArtifactDir: file})[0]
+	if r.Passed {
+		t.Fatal("seed 265 passes now: pick another failing census seed")
+	}
+	last := r.Report[strings.LastIndex(strings.TrimSuffix(r.Report, "\n"), "\n")+1:]
+	if !strings.HasPrefix(last, "artifacts not dumped: ") || !strings.Contains(last, "not-a-dir") {
+		t.Errorf("the report's last line is %q, want the dump's error", last)
+	}
+	if r.Artifacts != "" {
+		t.Errorf("result names artifacts %q, but none were dumped", r.Artifacts)
+	}
+}
+
 // A census tag names the recorder scheme a seed runs: a one-slot map is
 // §6.3's total copy, a wider one a sharded map.
 func TestChaosOptionsTag(t *testing.T) {

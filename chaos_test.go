@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"slices"
 	"testing"
@@ -25,7 +24,7 @@ const chaosSweepSeeds = 50
 // the checker report, the artifact path, and a minimized reproducer token.
 func TestChaosScheduleSweep(t *testing.T) {
 	lim := chaos.DefaultLimits()
-	opt := chaos.Options{ArtifactDir: filepath.Join(os.TempDir(), "publishing-chaos")}
+	opt := chaos.Options{ArtifactDir: t.TempDir()}
 	for seed := uint64(1); seed <= chaosSweepSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {

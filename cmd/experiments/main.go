@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
@@ -25,7 +24,7 @@ func main() {
 	var (
 		doChaos  = flag.Bool("chaos", false, "seeded fault-schedule sweep through the chaos harness")
 		chaosN   = flag.Int("chaosn", 10, "chaos: number of consecutive seeds to sweep")
-		chaosDir = flag.String("chaosdir", "", "chaos: dump failing-schedule artifacts under this directory (default: system temp)")
+		chaosDir = flag.String("chaosdir", "", "chaos: dump failing-schedule artifacts under this directory (default: a fresh one in the system temp directory)")
 		seed     = flag.Uint64("seed", 1, "chaos: first schedule seed")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run here")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit here")
@@ -64,11 +63,7 @@ func main() {
 	// -chaos is a tool run, not one of the paper's experiments: it never
 	// joins the default "run everything" set.
 	if *doChaos {
-		dir := *chaosDir
-		if dir == "" {
-			dir = filepath.Join(os.TempDir(), "publishing-chaos")
-		}
-		runChaos(*seed, *chaosN, dir)
+		runChaos(*seed, *chaosN, *chaosDir)
 		return
 	}
 	run(os.Stdout, 0)

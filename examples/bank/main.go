@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"publishing"
 	"publishing/internal/demos"
@@ -124,6 +125,7 @@ func main() {
 		fmt.Println("\natomicity survived every crash with zero local stable storage ✓")
 	} else {
 		fmt.Println("\nUNEXPECTED RESULT")
+		os.Exit(1)
 	}
 }
 

@@ -16,12 +16,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"os"
 
 	"publishing"
+	"publishing/internal/frame"
 )
 
 // The "cipher": a key matches if hash(key) == target. Workers grind
@@ -43,7 +43,8 @@ const (
 	secretKey = 51200 + 137 // lives in a late partition
 )
 
-// Protocol bodies (gob).
+// Protocol bodies. Each is a kind byte, then its fields as frame.Coder
+// varints.
 type (
 	// WantWork is a worker's request for a chunk (passes a reply link once).
 	WantWork struct{ Worker int }
@@ -60,46 +61,85 @@ type (
 	}
 )
 
+const (
+	kindWant byte = iota + 1
+	kindChunk
+	kindFound
+)
+
+func codeWant(c *frame.Coder, m *WantWork) { frame.Int(c, &m.Worker) }
+
+func codeChunk(c *frame.Coder, m *Chunk) {
+	frame.Uint(c, &m.Start)
+	frame.Uint(c, &m.Len)
+	c.Bool(&m.Done)
+}
+
+func codeFound(c *frame.Coder, m *Found) {
+	frame.Uint(c, &m.Key)
+	frame.Int(c, &m.Worker)
+}
+
+func enc(v any) []byte {
+	switch m := v.(type) {
+	case *WantWork:
+		return frame.AppendBody([]byte{kindWant}, m, codeWant)
+	case *Chunk:
+		return frame.AppendBody([]byte{kindChunk}, m, codeChunk)
+	case *Found:
+		return frame.AppendBody([]byte{kindFound}, m, codeFound)
+	}
+	panic(fmt.Sprintf("keysearch: cannot encode %T", v))
+}
+
+// wire is a decoded body: the field its kind names is set, or none when the
+// body is malformed.
 type wire struct {
 	Want  *WantWork
 	Chunk *Chunk
 	Found *Found
 }
 
-func enc(v any) []byte {
-	var w wire
-	switch m := v.(type) {
-	case *WantWork:
-		w.Want = m
-	case *Chunk:
-		w.Chunk = m
-	case *Found:
-		w.Found = m
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 func dec(b []byte) *wire {
 	var w wire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+	if len(b) == 0 {
+		return &w
+	}
+	var err error
+	switch body := b[1:]; b[0] {
+	case kindWant:
+		w.Want = new(WantWork)
+		err = frame.DecodeBody(body, w.Want, codeWant)
+	case kindChunk:
+		w.Chunk = new(Chunk)
+		err = frame.DecodeBody(body, w.Chunk, codeChunk)
+	case kindFound:
+		w.Found = new(Found)
+		err = frame.DecodeBody(body, w.Found, codeFound)
+	}
+	if err != nil {
 		return &wire{}
 	}
 	return &w
 }
 
 // controller hands out chunks and collects the answer.
-type controller struct {
-	st struct {
-		Next    uint32
-		Workers map[int]publishing.LinkID
-		Found   bool
-		Key     uint32
-		By      int
-	}
+type controller struct{ st controllerState }
+
+type controllerState struct {
+	Next    uint32
+	Workers map[int]publishing.LinkID
+	Found   bool
+	Key     uint32
+	By      int
+}
+
+func codeController(c *frame.Coder, st *controllerState) {
+	frame.Uint(c, &st.Next)
+	frame.Map(c, &st.Workers, frame.Int[int], frame.Int[publishing.LinkID])
+	c.Bool(&st.Found)
+	frame.Uint(c, &st.Key)
+	frame.Int(c, &st.By)
 }
 
 func (c *controller) Init(ctx *publishing.PCtx) {
@@ -134,13 +174,9 @@ func (c *controller) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 }
 
 func (c *controller) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&c.st)
-	return buf.Bytes(), err
+	return frame.AppendBody(nil, &c.st, codeController), nil
 }
-func (c *controller) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(&c.st)
-}
+func (c *controller) Restore(b []byte) error { return frame.DecodeBody(b, &c.st, codeController) }
 
 // worker grinds chunks. It is a Program: plain sequential code, recovered
 // by re-execution — the paper's bread and butter.
@@ -239,5 +275,6 @@ func main() {
 		fmt.Println("\npublishing turned an unfinishable computation into a finishable one ✓")
 	} else {
 		fmt.Println("\nUNEXPECTED RESULT")
+		os.Exit(1)
 	}
 }

@@ -12,11 +12,11 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"os"
 
 	"publishing"
+	"publishing/internal/frame"
 )
 
 // counterState is the counter's checkpointable state.
@@ -25,6 +25,15 @@ type counterState struct {
 	HasLog bool
 	Count  int
 	Sum    int
+}
+
+// codeCounter codes the state field by field: Snapshot writes it, Restore
+// reads it back.
+func codeCounter(c *frame.Coder, st *counterState) {
+	frame.Int(c, &st.Logger)
+	c.Bool(&st.HasLog)
+	frame.Int(c, &st.Count)
+	frame.Int(c, &st.Sum)
 }
 
 // counter is a Machine: one message at a time, explicit state.
@@ -46,15 +55,9 @@ func (c *counter) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 	}
 }
 
-func (c *counter) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&c.st)
-	return buf.Bytes(), err
-}
+func (c *counter) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &c.st, codeCounter), nil }
 
-func (c *counter) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(&c.st)
-}
+func (c *counter) Restore(b []byte) error { return frame.DecodeBody(b, &c.st, codeCounter) }
 
 func main() {
 	cfg := publishing.DefaultConfig(3) // nodes 0..2 + recorder on node 3
@@ -110,6 +113,7 @@ func main() {
 		fmt.Println("\ntransparent recovery: the crash left no trace in the computation ✓")
 	} else {
 		fmt.Println("\nUNEXPECTED RESULT — recovery failed")
+		os.Exit(1)
 	}
 }
 

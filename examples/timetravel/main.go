@@ -14,12 +14,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"os"
 
 	"publishing"
 	"publishing/internal/debugger"
+	"publishing/internal/frame"
 )
 
 // trackerState is the stock tracker's state.
@@ -28,6 +28,17 @@ type trackerState struct {
 	HasOut   bool
 	Min, Max int
 	Seen     int
+}
+
+// codeTracker codes the state field by field. The tracker's Snapshot and
+// Restore run it, and so does the debugging session below to read the
+// state after each replayed step.
+func codeTracker(c *frame.Coder, st *trackerState) {
+	frame.Int(c, &st.Out)
+	c.Bool(&st.HasOut)
+	frame.Int(c, &st.Min)
+	frame.Int(c, &st.Max)
+	frame.Int(c, &st.Seen)
 }
 
 type tracker struct{ st trackerState }
@@ -63,14 +74,8 @@ func (t *tracker) Handle(ctx *publishing.PCtx, m publishing.Msg) {
 	}
 }
 
-func (t *tracker) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&t.st)
-	return buf.Bytes(), err
-}
-func (t *tracker) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(&t.st)
-}
+func (t *tracker) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &t.st, codeTracker), nil }
+func (t *tracker) Restore(b []byte) error    { return frame.DecodeBody(b, &t.st, codeTracker) }
 
 func main() {
 	prices := []int{50, 47, 44, 42, 45, 48, 41, 49}
@@ -117,14 +122,14 @@ func main() {
 	check(err)
 	res, found := sess.RunUntil(func(r debugger.StepResult) bool {
 		var st trackerState
-		if r.State == nil || gob.NewDecoder(bytes.NewReader(r.State)).Decode(&st) != nil {
+		if r.State == nil || frame.DecodeBody(r.State, &st, codeTracker) != nil {
 			return false
 		}
 		return st.Min != refMin(r.Position)
 	})
 	if !found {
 		fmt.Println("no divergence found — UNEXPECTED")
-		return
+		os.Exit(1)
 	}
 	fmt.Printf("\nbreakpoint hit at step %d:\n", res.Position)
 	fmt.Printf("  offending message: price=%d from %s (%s)\n",
@@ -133,13 +138,14 @@ func main() {
 		fmt.Printf("  process output at that step: %s\n", o)
 	}
 	var st trackerState
-	check(gob.NewDecoder(bytes.NewReader(res.State)).Decode(&st))
+	check(frame.DecodeBody(res.State, &st, codeTracker))
 	fmt.Printf("  state after step: min=%d (reference says %d)\n", st.Min, refMin(res.Position))
 
 	if res.Delivered.Body[0] == 42 {
 		fmt.Println("\nthe published history pinpointed the bad input without touching the live system ✓")
 	} else {
 		fmt.Println("\nUNEXPECTED RESULT")
+		os.Exit(1)
 	}
 }
 

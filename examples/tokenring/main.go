@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"publishing"
 )
@@ -80,6 +81,7 @@ func main() {
 		fmt.Println("\nexactly-once, in-order delivery across a process crash and a recorder outage, on a token ring ✓")
 	} else {
 		fmt.Println("\nUNEXPECTED RESULT")
+		os.Exit(1)
 	}
 }
 

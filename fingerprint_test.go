@@ -92,20 +92,6 @@ func chaosRow(t *testing.T) []Section {
 	return f.Sections()
 }
 
-// TestMain numbers gob's types before any test runs. encoding/gob numbers
-// types process-wide, in the order the process first encodes them, and every
-// gob stream carries those numbers. One program state in a stored
-// checkpoint is still a gob stream: the pipeline worker's chaosWorkerState
-// (scenario.go), which the chaos row and TestExperimentNumbers' checkpoint
-// rows store. Its bytes would depend on which gob types the test machines
-// encoded first. One run of the chaos row numbers it first, so those rows
-// read the same under any -run selection, -shuffle order or -count.
-func TestMain(m *testing.M) {
-	c, _ := chaosRun(chaosRowSeed)
-	c.Close()
-	os.Exit(m.Run())
-}
-
 // goldenRows are the scenarios whose fingerprints testdata/fingerprints.golden
 // pins. Only the ether medium draws from the seed in the sweep workload, so
 // the other media get one row each.

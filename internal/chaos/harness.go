@@ -57,7 +57,8 @@ type Result struct {
 	// byte-identical report.
 	Report string
 	// Artifacts is the directory post-mortem artifacts were dumped into
-	// ("" when the run passed or Options.ArtifactDir was unset).
+	// ("" when the run passed, Options.ArtifactDir was unset or the dump
+	// failed, which the report's last line then says).
 	Artifacts string
 }
 
@@ -82,7 +83,10 @@ func Run(s Schedule, build BuildFunc, opt Options) Result {
 	res := Check(sc.Sys, s, faulted, baseline, sc.CheckCfg)
 	r := Result{Schedule: s, Passed: res.Passed(), Violations: res.Violations, Report: res.Report}
 	if !r.Passed && opt.ArtifactDir != "" {
-		if dir, err := dumpArtifacts(opt.ArtifactDir, sc.Sys, s, res); err == nil {
+		dir, err := dumpArtifacts(opt.ArtifactDir, sc.Sys, s, res)
+		if err != nil {
+			r.Report += fmt.Sprintf("artifacts not dumped: %v\n", err)
+		} else {
 			r.Artifacts = dir
 		}
 	}

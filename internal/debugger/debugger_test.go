@@ -1,8 +1,6 @@
 package debugger_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +8,7 @@ import (
 	"publishing"
 	"publishing/internal/debugger"
 	"publishing/internal/demos"
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -18,6 +17,12 @@ type accState struct {
 	Out    demos.LinkID
 	HasOut bool
 	Sum    int
+}
+
+func codeAcc(c *frame.Coder, st *accState) {
+	frame.Int(c, &st.Out)
+	c.Bool(&st.HasOut)
+	frame.Int(c, &st.Sum)
 }
 
 type accMachine struct{ st accState }
@@ -34,14 +39,8 @@ func (a *accMachine) Handle(ctx *demos.PCtx, m demos.Msg) {
 		_ = ctx.Send(a.st.Out, []byte(fmt.Sprintf("sum=%d", a.st.Sum)), demos.NoLink)
 	}
 }
-func (a *accMachine) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&a.st)
-	return buf.Bytes(), err
-}
-func (a *accMachine) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(&a.st)
-}
+func (a *accMachine) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &a.st, codeAcc), nil }
+func (a *accMachine) Restore(b []byte) error    { return frame.DecodeBody(b, &a.st, codeAcc) }
 
 // buildHistory runs a live cluster, building a published history for the
 // accumulator, and returns the cluster plus the accumulator's pid.
@@ -112,7 +111,7 @@ func TestStepThroughHistory(t *testing.T) {
 			t.Fatalf("step %d: replayed output not marked as resend", i)
 		}
 		var st accState
-		if err := gob.NewDecoder(bytes.NewReader(res.State)).Decode(&st); err != nil {
+		if err := frame.DecodeBody(res.State, &st, codeAcc); err != nil {
 			t.Fatalf("step %d state: %v", i, err)
 		}
 		if st.Sum != wantSums[i] {
@@ -196,7 +195,7 @@ func TestDebugFromCheckpoint(t *testing.T) {
 		state = step.State
 	}
 	var st accState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&st); err != nil {
+	if err := frame.DecodeBody(state, &st, codeAcc); err != nil {
 		t.Fatal(err)
 	}
 	if st.Sum != 36 { // 1+..+8

@@ -3,10 +3,10 @@ package demos
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"publishing/internal/frame"
+	"publishing/internal/frame/frametest"
 )
 
 // Cases for every body type the package codes: each op and kind, and the
@@ -107,46 +107,18 @@ func nameReqCases() []NameReq {
 	return []NameReq{{}, {Register: true, Name: "oracle"}}
 }
 
-// checkCodec checks code on vals: each round-trips, and decoding rejects the
-// encoding cut short anywhere, with a byte after it, and with its first
-// varint padded to a second byte.
-func checkCodec[T any](t *testing.T, code func(*frame.Coder, *T), vals []T) {
-	t.Helper()
-	for i := range vals {
-		b := frame.AppendBody(nil, &vals[i], code)
-		var got T
-		if err := frame.DecodeBody(b, &got, code); err != nil || !reflect.DeepEqual(got, vals[i]) {
-			t.Fatalf("case %d: %x decodes to %+v (err %v), want %+v", i, b, got, err, vals[i])
-		}
-		for n := range len(b) {
-			if frame.DecodeBody(b[:n], new(T), code) == nil {
-				t.Fatalf("case %d: the %d-byte prefix of %x decodes", i, n, b)
-			}
-		}
-		if frame.DecodeBody(append(b[:len(b):len(b)], 0), new(T), code) == nil {
-			t.Fatalf("case %d: %x with a trailing byte decodes", i, b)
-		}
-		if b[0] < 0x80 {
-			padded := append([]byte{b[0] | 0x80, 0}, b[1:]...)
-			if frame.DecodeBody(padded, new(T), code) == nil {
-				t.Fatalf("case %d: %x with its first varint padded decodes", i, b)
-			}
-		}
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
-	t.Run("CtlMsg", func(t *testing.T) { checkCodec(t, codeCtl, ctlCases()) })
-	t.Run("Notice", func(t *testing.T) { checkCodec(t, codeNotice, noticeCases()) })
-	t.Run("CtlReply", func(t *testing.T) { checkCodec(t, codeReply, replyCases()) })
-	t.Run("QueryResponse", func(t *testing.T) { checkCodec(t, codeQuery, queryCases()) })
-	t.Run("ProcSpec", func(t *testing.T) { checkCodec(t, CodeSpec, codecSpecs) })
-	t.Run("checkpointImage", func(t *testing.T) { checkCodec(t, codeImage, imageCases()) })
-	t.Run("routeUpdate", func(t *testing.T) { checkCodec(t, codeRouteUpdate, routeCases()) })
-	t.Run("procMgrState", func(t *testing.T) { checkCodec(t, codeProcMgr, procMgrCases()) })
-	t.Run("memSchedState", func(t *testing.T) { checkCodec(t, codeMemSched, memSchedCases()) })
-	t.Run("nameSvcState", func(t *testing.T) { checkCodec(t, codeNameSvc, nameSvcCases()) })
-	t.Run("NameReq", func(t *testing.T) { checkCodec(t, codeNameReq, nameReqCases()) })
+	t.Run("CtlMsg", func(t *testing.T) { frametest.CheckCodec(t, codeCtl, ctlCases()) })
+	t.Run("Notice", func(t *testing.T) { frametest.CheckCodec(t, codeNotice, noticeCases()) })
+	t.Run("CtlReply", func(t *testing.T) { frametest.CheckCodec(t, codeReply, replyCases()) })
+	t.Run("QueryResponse", func(t *testing.T) { frametest.CheckCodec(t, codeQuery, queryCases()) })
+	t.Run("ProcSpec", func(t *testing.T) { frametest.CheckCodec(t, CodeSpec, codecSpecs) })
+	t.Run("checkpointImage", func(t *testing.T) { frametest.CheckCodec(t, codeImage, imageCases()) })
+	t.Run("routeUpdate", func(t *testing.T) { frametest.CheckCodec(t, codeRouteUpdate, routeCases()) })
+	t.Run("procMgrState", func(t *testing.T) { frametest.CheckCodec(t, codeProcMgr, procMgrCases()) })
+	t.Run("memSchedState", func(t *testing.T) { frametest.CheckCodec(t, codeMemSched, memSchedCases()) })
+	t.Run("nameSvcState", func(t *testing.T) { frametest.CheckCodec(t, codeNameSvc, nameSvcCases()) })
+	t.Run("NameReq", func(t *testing.T) { frametest.CheckCodec(t, codeNameReq, nameReqCases()) })
 }
 
 // A byte naming an op, kind or state no one sends, and a field that breaks
@@ -208,33 +180,16 @@ func TestSystemProcSnapshotsDeterministic(t *testing.T) {
 	}
 }
 
-// A body decoded from fuzzed input is accepted only if it is the one
-// encoding of what it decodes to.
-func fuzzCodec[T any](f *testing.F, code func(*frame.Coder, *T), seeds []T) {
-	for i := range seeds {
-		f.Add(frame.AppendBody(nil, &seeds[i], code))
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var v T
-		if frame.DecodeBody(b, &v, code) != nil {
-			return
-		}
-		if again := frame.AppendBody(nil, &v, code); !bytes.Equal(again, b) {
-			t.Fatalf("%x decodes to %+v, which encodes to %x", b, v, again)
-		}
-	})
-}
-
-func FuzzCtlMsg(f *testing.F)        { fuzzCodec(f, codeCtl, ctlCases()) }
-func FuzzNotice(f *testing.F)        { fuzzCodec(f, codeNotice, noticeCases()) }
-func FuzzCtlReply(f *testing.F)      { fuzzCodec(f, codeReply, replyCases()) }
-func FuzzQueryResponse(f *testing.F) { fuzzCodec(f, codeQuery, queryCases()) }
-func FuzzProcSpec(f *testing.F)      { fuzzCodec(f, CodeSpec, codecSpecs) }
+func FuzzCtlMsg(f *testing.F)        { frametest.FuzzCodec(f, codeCtl, ctlCases()) }
+func FuzzNotice(f *testing.F)        { frametest.FuzzCodec(f, codeNotice, noticeCases()) }
+func FuzzCtlReply(f *testing.F)      { frametest.FuzzCodec(f, codeReply, replyCases()) }
+func FuzzQueryResponse(f *testing.F) { frametest.FuzzCodec(f, codeQuery, queryCases()) }
+func FuzzProcSpec(f *testing.F)      { frametest.FuzzCodec(f, CodeSpec, codecSpecs) }
 func FuzzCheckpointImage(f *testing.F) {
-	fuzzCodec(f, codeImage, imageCases())
+	frametest.FuzzCodec(f, codeImage, imageCases())
 }
-func FuzzRouteUpdate(f *testing.F)   { fuzzCodec(f, codeRouteUpdate, routeCases()) }
-func FuzzProcMgrState(f *testing.F)  { fuzzCodec(f, codeProcMgr, procMgrCases()) }
-func FuzzMemSchedState(f *testing.F) { fuzzCodec(f, codeMemSched, memSchedCases()) }
-func FuzzNameSvcState(f *testing.F)  { fuzzCodec(f, codeNameSvc, nameSvcCases()) }
-func FuzzNameReq(f *testing.F)       { fuzzCodec(f, codeNameReq, nameReqCases()) }
+func FuzzRouteUpdate(f *testing.F)   { frametest.FuzzCodec(f, codeRouteUpdate, routeCases()) }
+func FuzzProcMgrState(f *testing.F)  { frametest.FuzzCodec(f, codeProcMgr, procMgrCases()) }
+func FuzzMemSchedState(f *testing.F) { frametest.FuzzCodec(f, codeMemSched, memSchedCases()) }
+func FuzzNameSvcState(f *testing.F)  { frametest.FuzzCodec(f, codeNameSvc, nameSvcCases()) }
+func FuzzNameReq(f *testing.F)       { frametest.FuzzCodec(f, codeNameReq, nameReqCases()) }

@@ -1,8 +1,6 @@
 package demos
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"testing"
@@ -517,8 +515,8 @@ func TestRecreateReplaySuppression(t *testing.T) {
 				st.N++
 				_ = ctx.Send(st.Out, []byte(fmt.Sprintf("echo-%d-%s", st.N, m.Body)), NoLink)
 			},
-			snap: func() ([]byte, error) { return gobBytes(st) },
-			rest: func(b []byte) error { return gobInto(b, st) },
+			snap: func() ([]byte, error) { return frame.AppendBody(nil, st, codeEcho), nil },
+			rest: func(b []byte) error { return frame.DecodeBody(b, st, codeEcho) },
 		}
 	})
 
@@ -585,15 +583,10 @@ type echoState struct {
 	N      int
 }
 
-// gobBytes and gobInto are the test machines' own state codec.
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-func gobInto(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+func codeEcho(c *frame.Coder, st *echoState) {
+	frame.Int(c, &st.Out)
+	c.Bool(&st.HasOut)
+	frame.Int(c, &st.N)
 }
 
 func mkID(local uint32, seq uint64) frame.MsgID {
@@ -602,13 +595,12 @@ func mkID(local uint32, seq uint64) frame.MsgID {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	e := newTenv(t, 1, frame.ProcID{Node: 0, Local: 99})
-	type counterState struct{ N int }
 	e.reg.RegisterMachine("counter", func(args []byte) Machine {
-		st := &counterState{}
+		var n int
 		return &funcMachine{
-			handle: func(ctx *PCtx, m Msg) { st.N++ },
-			snap:   func() ([]byte, error) { return gobBytes(st) },
-			rest:   func(b []byte) error { return gobInto(b, st) },
+			handle: func(ctx *PCtx, m Msg) { n++ },
+			snap:   func() ([]byte, error) { return frame.AppendBody(nil, &n, frame.Int[int]), nil },
+			rest:   func(b []byte) error { return frame.DecodeBody(b, &n, frame.Int[int]) },
 		}
 	})
 	id, err := e.kernels[0].Spawn(ProcSpec{Name: "counter", Recoverable: true}, SpawnOptions{})
@@ -656,12 +648,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	k.pushToQueue(p2, Msg{ID: mkID(9, 6)}, nil)
 	e.run(10 * simtime.Second)
 	snap, _ := p2.machine.Snapshot()
-	var st counterState
-	if err := gobInto(snap, &st); err != nil {
+	var n int
+	if err := frame.DecodeBody(snap, &n, frame.Int[int]); err != nil {
 		t.Fatal(err)
 	}
-	if st.N != 6 {
-		t.Fatalf("restored counter = %d, want 6", st.N)
+	if n != 6 {
+		t.Fatalf("restored counter = %d, want 6", n)
 	}
 }
 

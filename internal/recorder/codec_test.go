@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
+	"publishing/internal/frame/frametest"
 )
 
 // Cases for the recorder's rare store records and its peer traffic.
@@ -55,39 +55,11 @@ func handoffCases() []handoffProc {
 	}
 }
 
-// checkCodec checks code on vals: each round-trips, and decoding rejects the
-// encoding cut short anywhere, with a byte after it, and with its first
-// varint padded to a second byte.
-func checkCodec[T any](t *testing.T, code func(*frame.Coder, *T), vals []T) {
-	t.Helper()
-	for i := range vals {
-		b := frame.AppendBody(nil, &vals[i], code)
-		var got T
-		if err := frame.DecodeBody(b, &got, code); err != nil || !reflect.DeepEqual(got, vals[i]) {
-			t.Fatalf("case %d: %x decodes to %+v (err %v), want %+v", i, b, got, err, vals[i])
-		}
-		for n := range len(b) {
-			if frame.DecodeBody(b[:n], new(T), code) == nil {
-				t.Fatalf("case %d: the %d-byte prefix of %x decodes", i, n, b)
-			}
-		}
-		if frame.DecodeBody(append(b[:len(b):len(b)], 0), new(T), code) == nil {
-			t.Fatalf("case %d: %x with a trailing byte decodes", i, b)
-		}
-		if b[0] < 0x80 {
-			padded := append([]byte{b[0] | 0x80, 0}, b[1:]...)
-			if frame.DecodeBody(padded, new(T), code) == nil {
-				t.Fatalf("case %d: %x with its first varint padded decodes", i, b)
-			}
-		}
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
-	t.Run("procMeta", func(t *testing.T) { checkCodec(t, codeProcMeta, procMetaCases()) })
-	t.Run("ckMeta", func(t *testing.T) { checkCodec(t, codeCkMeta, ckMetaCases()) })
-	t.Run("peerMsg", func(t *testing.T) { checkCodec(t, codePeer, peerCases()) })
-	t.Run("handoffProc", func(t *testing.T) { checkCodec(t, codeHandoffProc, handoffCases()) })
+	t.Run("procMeta", func(t *testing.T) { frametest.CheckCodec(t, codeProcMeta, procMetaCases()) })
+	t.Run("ckMeta", func(t *testing.T) { frametest.CheckCodec(t, codeCkMeta, ckMetaCases()) })
+	t.Run("peerMsg", func(t *testing.T) { frametest.CheckCodec(t, codePeer, peerCases()) })
+	t.Run("handoffProc", func(t *testing.T) { frametest.CheckCodec(t, codeHandoffProc, handoffCases()) })
 }
 
 // A peer message of a kind no recorder sends fails to decode.
@@ -110,24 +82,7 @@ func TestHandoffChunkFillsFrameBody(t *testing.T) {
 	}
 }
 
-// A body decoded from fuzzed input is accepted only if it is the one
-// encoding of what it decodes to.
-func fuzzCodec[T any](f *testing.F, code func(*frame.Coder, *T), seeds []T) {
-	for i := range seeds {
-		f.Add(frame.AppendBody(nil, &seeds[i], code))
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var v T
-		if frame.DecodeBody(b, &v, code) != nil {
-			return
-		}
-		if again := frame.AppendBody(nil, &v, code); !bytes.Equal(again, b) {
-			t.Fatalf("%x decodes to %+v, which encodes to %x", b, v, again)
-		}
-	})
-}
-
-func FuzzProcMeta(f *testing.F)    { fuzzCodec(f, codeProcMeta, procMetaCases()) }
-func FuzzCkMeta(f *testing.F)      { fuzzCodec(f, codeCkMeta, ckMetaCases()) }
-func FuzzPeerMsg(f *testing.F)     { fuzzCodec(f, codePeer, peerCases()) }
-func FuzzHandoffProc(f *testing.F) { fuzzCodec(f, codeHandoffProc, handoffCases()) }
+func FuzzProcMeta(f *testing.F)    { frametest.FuzzCodec(f, codeProcMeta, procMetaCases()) }
+func FuzzCkMeta(f *testing.F)      { frametest.FuzzCodec(f, codeCkMeta, ckMetaCases()) }
+func FuzzPeerMsg(f *testing.F)     { frametest.FuzzCodec(f, codePeer, peerCases()) }
+func FuzzHandoffProc(f *testing.F) { frametest.FuzzCodec(f, codeHandoffProc, handoffCases()) }

@@ -11,11 +11,11 @@
 package txn
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"publishing/internal/demos"
+	"publishing/internal/frame"
 )
 
 // Op is one update within a transaction: add Delta to Key at a participant.
@@ -68,73 +68,126 @@ type (
 	}
 )
 
-// wire wraps the payloads with a discriminator for gob.
-type wire struct {
-	Begin     *Begin
-	Outcome   *Outcome
-	Prepare   *Prepare
-	Vote      *Vote
-	Decide    *Decide
-	Decided   *Decided
-	Read      *Read
-	ReadReply *ReadReply
+// The kinds of txn bodies. A body is its kind byte, then the message's
+// fields as its code function writes them.
+const (
+	kindBegin byte = iota + 1
+	kindOutcome
+	kindPrepare
+	kindVote
+	kindDecide
+	kindDecided
+	kindRead
+	kindReadReply
+)
+
+func codeOp(c *frame.Coder, op *Op) {
+	c.Text(&op.Participant)
+	c.Text(&op.Key)
+	frame.Int(c, &op.Delta)
+}
+
+func codeOps(c *frame.Coder, ops *[]Op) {
+	frame.Slice(c, ops)
+	for i := range *ops {
+		codeOp(c, &(*ops)[i])
+	}
+}
+
+func codeNames(c *frame.Coder, names *[]string) {
+	frame.Slice(c, names)
+	for i := range *names {
+		c.Text(&(*names)[i])
+	}
+}
+
+func codeBegin(c *frame.Coder, m *Begin) { codeOps(c, &m.Ops) }
+
+func codeOutcome(c *frame.Coder, m *Outcome) {
+	frame.Uint(c, &m.TxID)
+	c.Bool(&m.Committed)
+	c.Text(&m.Reason)
+}
+
+func codePrepare(c *frame.Coder, m *Prepare) {
+	frame.Uint(c, &m.TxID)
+	codeOps(c, &m.Ops)
+}
+
+func codeVote(c *frame.Coder, m *Vote) {
+	frame.Uint(c, &m.TxID)
+	c.Bool(&m.Yes)
+}
+
+func codeDecide(c *frame.Coder, m *Decide) {
+	frame.Uint(c, &m.TxID)
+	c.Bool(&m.Commit)
+}
+
+func codeDecided(c *frame.Coder, m *Decided) { frame.Uint(c, &m.TxID) }
+
+func codeRead(c *frame.Coder, m *Read) { c.Text(&m.Key) }
+
+func codeReadReply(c *frame.Coder, m *ReadReply) {
+	c.Text(&m.Key)
+	frame.Int(c, &m.Value)
 }
 
 // Encode serializes any txn payload.
 func Encode(v any) []byte {
-	var w wire
 	switch m := v.(type) {
 	case *Begin:
-		w.Begin = m
+		return frame.AppendBody([]byte{kindBegin}, m, codeBegin)
 	case *Outcome:
-		w.Outcome = m
+		return frame.AppendBody([]byte{kindOutcome}, m, codeOutcome)
 	case *Prepare:
-		w.Prepare = m
+		return frame.AppendBody([]byte{kindPrepare}, m, codePrepare)
 	case *Vote:
-		w.Vote = m
+		return frame.AppendBody([]byte{kindVote}, m, codeVote)
 	case *Decide:
-		w.Decide = m
+		return frame.AppendBody([]byte{kindDecide}, m, codeDecide)
 	case *Decided:
-		w.Decided = m
+		return frame.AppendBody([]byte{kindDecided}, m, codeDecided)
 	case *Read:
-		w.Read = m
+		return frame.AppendBody([]byte{kindRead}, m, codeRead)
 	case *ReadReply:
-		w.ReadReply = m
-	default:
-		panic(fmt.Sprintf("txn: cannot encode %T", v))
+		return frame.AppendBody([]byte{kindReadReply}, m, codeReadReply)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	panic(fmt.Sprintf("txn: cannot encode %T", v))
 }
 
 // Decode parses a txn payload; it returns one of the pointer types above.
 func Decode(b []byte) (any, error) {
-	var w wire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+	if len(b) == 0 {
+		return nil, errors.New("txn: empty body")
+	}
+	switch body := b[1:]; b[0] {
+	case kindBegin:
+		return decode(body, codeBegin)
+	case kindOutcome:
+		return decode(body, codeOutcome)
+	case kindPrepare:
+		return decode(body, codePrepare)
+	case kindVote:
+		return decode(body, codeVote)
+	case kindDecide:
+		return decode(body, codeDecide)
+	case kindDecided:
+		return decode(body, codeDecided)
+	case kindRead:
+		return decode(body, codeRead)
+	case kindReadReply:
+		return decode(body, codeReadReply)
+	}
+	return nil, fmt.Errorf("txn: unknown body kind %d", b[0])
+}
+
+func decode[T any](b []byte, code func(*frame.Coder, *T)) (any, error) {
+	v := new(T)
+	if err := frame.DecodeBody(b, v, code); err != nil {
 		return nil, err
 	}
-	switch {
-	case w.Begin != nil:
-		return w.Begin, nil
-	case w.Outcome != nil:
-		return w.Outcome, nil
-	case w.Prepare != nil:
-		return w.Prepare, nil
-	case w.Vote != nil:
-		return w.Vote, nil
-	case w.Decide != nil:
-		return w.Decide, nil
-	case w.Decided != nil:
-		return w.Decided, nil
-	case w.Read != nil:
-		return w.Read, nil
-	case w.ReadReply != nil:
-		return w.ReadReply, nil
-	}
-	return nil, fmt.Errorf("txn: empty wire message")
+	return v, nil
 }
 
 // Image names for the registry.
@@ -168,6 +221,14 @@ type participantState struct {
 	Prepared   uint64
 	Committed  uint64
 	Aborted    uint64
+}
+
+func codeParticipant(c *frame.Coder, st *participantState) {
+	frame.Map(c, &st.Values, (*frame.Coder).Text, frame.Int[int])
+	frame.Map(c, &st.Intentions, frame.Uint[uint64], codeOps)
+	frame.Uint(c, &st.Prepared)
+	frame.Uint(c, &st.Committed)
+	frame.Uint(c, &st.Aborted)
 }
 
 // NewParticipant returns an empty participant.
@@ -232,10 +293,12 @@ func (p *Participant) Handle(ctx *demos.PCtx, m demos.Msg) {
 }
 
 // Snapshot implements demos.Machine.
-func (p *Participant) Snapshot() ([]byte, error) { return gobBytes(&p.st) }
+func (p *Participant) Snapshot() ([]byte, error) {
+	return frame.AppendBody(nil, &p.st, codeParticipant), nil
+}
 
 // Restore implements demos.Machine.
-func (p *Participant) Restore(b []byte) error { return gobInto(b, &p.st) }
+func (p *Participant) Restore(b []byte) error { return frame.DecodeBody(b, &p.st, codeParticipant) }
 
 // Coordinator runs two-phase commit. Its transaction state table is also
 // ordinary machine state.
@@ -257,7 +320,6 @@ type coordState struct {
 type liveTx struct {
 	Ops       []Op
 	Parts     []string // participant names involved
-	Votes     map[string]bool
 	VotesIn   int
 	Reply     demos.LinkID
 	Phase     int // 1 = preparing, 2 = deciding
@@ -265,11 +327,34 @@ type liveTx struct {
 	DecidedIn int
 }
 
+func codeCoord(c *frame.Coder, st *coordState) {
+	codeNames(c, &st.ParticipantNames)
+	frame.Map(c, &st.Links, (*frame.Coder).Text, frame.Int[demos.LinkID])
+	frame.Uint(c, &st.NextTx)
+	frame.Map(c, &st.Live, frame.Uint[uint64], codeLiveTx)
+	frame.Uint(c, &st.CommittedTotal)
+	frame.Uint(c, &st.AbortedTotal)
+}
+
+func codeLiveTx(c *frame.Coder, tx **liveTx) {
+	if c.Decoding() {
+		*tx = new(liveTx)
+	}
+	t := *tx
+	codeOps(c, &t.Ops)
+	codeNames(c, &t.Parts)
+	frame.Int(c, &t.VotesIn)
+	frame.Int(c, &t.Reply)
+	frame.Int(c, &t.Phase)
+	c.Bool(&t.Commit)
+	frame.Int(c, &t.DecidedIn)
+}
+
 // NewCoordinator builds a coordinator whose args name the participants
-// (comma-free gob list via demos args: a gob []string).
+// (EncodeParticipants).
 func NewCoordinator(args []byte) *Coordinator {
 	var names []string
-	_ = gobInto(args, &names)
+	_ = frame.DecodeBody(args, &names, codeNames)
 	return &Coordinator{st: coordState{
 		ParticipantNames: names,
 		Links:            make(map[string]demos.LinkID),
@@ -278,13 +363,7 @@ func NewCoordinator(args []byte) *Coordinator {
 }
 
 // EncodeParticipants builds the args blob for NewCoordinator.
-func EncodeParticipants(names []string) []byte {
-	b, err := gobBytes(&names)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
+func EncodeParticipants(names []string) []byte { return frame.AppendBody(nil, &names, codeNames) }
 
 // Init implements demos.Machine.
 func (c *Coordinator) Init(ctx *demos.PCtx) {}
@@ -320,7 +399,7 @@ func (c *Coordinator) Handle(ctx *demos.PCtx, m demos.Msg) {
 func (c *Coordinator) begin(ctx *demos.PCtx, b *Begin, reply demos.LinkID) {
 	c.st.NextTx++
 	id := c.st.NextTx
-	tx := &liveTx{Ops: b.Ops, Reply: reply, Votes: make(map[string]bool), Phase: 1}
+	tx := &liveTx{Ops: b.Ops, Reply: reply, Phase: 1}
 	// Participants are prepared in the order the ops first name them, so the
 	// messages and links a transaction makes do not depend on map order.
 	byPart := make(map[string][]Op)
@@ -406,19 +485,7 @@ func (c *Coordinator) finish(ctx *demos.PCtx, id uint64, tx *liveTx, commit bool
 }
 
 // Snapshot implements demos.Machine.
-func (c *Coordinator) Snapshot() ([]byte, error) { return gobBytes(&c.st) }
+func (c *Coordinator) Snapshot() ([]byte, error) { return frame.AppendBody(nil, &c.st, codeCoord), nil }
 
 // Restore implements demos.Machine.
-func (c *Coordinator) Restore(b []byte) error { return gobInto(b, &c.st) }
-
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobInto(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
+func (c *Coordinator) Restore(b []byte) error { return frame.DecodeBody(b, &c.st, codeCoord) }

@@ -202,15 +202,40 @@ func TestCodecRoundTrips(t *testing.T) {
 		&txn.ReadReply{Key: "k", Value: 9},
 	}
 	for _, m := range msgs {
-		got, err := txn.Decode(txn.Encode(m))
+		b := txn.Encode(m)
+		got, err := txn.Decode(b)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", m) {
 			t.Fatalf("%T round trip: %+v vs %+v", m, got, m)
 		}
+		// A body has one encoding: cut short anywhere, with a byte after
+		// it, or with the varint after its kind byte padded, it is rejected.
+		for n := range len(b) {
+			if _, err := txn.Decode(b[:n]); err == nil {
+				t.Fatalf("%T: the %d-byte prefix of %x decodes", m, n, b)
+			}
+		}
+		if _, err := txn.Decode(append(b[:len(b):len(b)], 0)); err == nil {
+			t.Fatalf("%T: %x with a trailing byte decodes", m, b)
+		}
+		if b[1] < 0x80 {
+			padded := append([]byte{b[0], b[1] | 0x80, 0}, b[2:]...)
+			if _, err := txn.Decode(padded); err == nil {
+				t.Fatalf("%T: %x with its first varint padded decodes", m, b)
+			}
+		}
 	}
-	if _, err := txn.Decode([]byte("junk")); err == nil {
-		t.Fatal("junk decoded")
+	// Kinds 1 to 8 name the eight bodies; any other kind byte is rejected,
+	// whatever follows it.
+	decided := txn.Encode(&txn.Decided{TxID: 4})
+	for _, kind := range []byte{0, 9, 'j'} {
+		if _, err := txn.Decode(append([]byte{kind}, decided[1:]...)); err == nil {
+			t.Fatalf("kind %d decodes", kind)
+		}
+	}
+	if _, err := txn.Decode(nil); err == nil {
+		t.Fatal("an empty body decodes")
 	}
 }

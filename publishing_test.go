@@ -1,8 +1,6 @@
 package publishing
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -37,16 +35,6 @@ func (t *testMachine) Restore(b []byte) error {
 		return t.rest(b)
 	}
 	return nil
-}
-
-func gobEnc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-func gobDec(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
 // expectSteps fails t unless run's witness saw every step exactly once, in

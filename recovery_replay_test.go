@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -108,13 +109,16 @@ func TestMigrationWithoutRouteUpdatesUsesHomeForwarding(t *testing.T) {
 	}
 }
 
-// padWorkerState is chaosWorkerState plus a multi-KB incompressible pad, so its
-// checkpoint cannot fit one frame and must travel as chunks. The inner state
-// is a named field, not embedded: gob skips embedded fields whose (type)
-// name is unexported, which would silently drop the counters.
+// padWorkerState is workerState plus a multi-KB incompressible pad, so its
+// checkpoint cannot fit one frame and must travel as chunks.
 type padWorkerState struct {
-	W   chaosWorkerState
+	W   workerState
 	Pad []byte
+}
+
+func codePadWorker(c *frame.Coder, st *padWorkerState) {
+	codeWorker(c, &st.W)
+	c.Blob(&st.Pad)
 }
 
 // startPadPipeline starts a 14-message Pipeline whose worker is a padded
@@ -144,9 +148,9 @@ func startPadPipeline(t *testing.T) (*Cluster, *PipelineRun) {
 					_ = ctx.Send(st.W.Witness, []byte(fmt.Sprintf("step=%d sum=%d", st.W.Count, st.W.Sum)), NoLink)
 				}
 			},
-			snap: func() ([]byte, error) { return gobEnc(st) },
+			snap: func() ([]byte, error) { return frame.AppendBody(nil, st, codePadWorker), nil },
 			rest: func(b []byte) error {
-				if err := gobDec(b, st); err != nil {
+				if err := frame.DecodeBody(b, st, codePadWorker); err != nil {
 					return err
 				}
 				if !bytes.Equal(st.Pad, pad) {

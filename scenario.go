@@ -1,10 +1,9 @@
 package publishing
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -45,7 +44,7 @@ type PipelineRun struct {
 	msgs []string
 	// st points at the current worker incarnation's state; recovery builds a
 	// fresh machine through the registry factory, which re-points it.
-	st *chaosWorkerState
+	st *workerState
 }
 
 // Done reports whether the witness has seen every step.
@@ -54,12 +53,8 @@ func (r *PipelineRun) Done() bool { return len(r.msgs) >= r.n }
 // Output returns a copy of the witness transcript.
 func (r *PipelineRun) Output() []string { return append([]string(nil), r.msgs...) }
 
-// State returns the live worker's state, gob-encoded as its checkpoint is.
-func (r *PipelineRun) State() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(r.st)
-	return buf.Bytes(), err
-}
+// State returns the live worker's state, encoded as its checkpoint is.
+func (r *PipelineRun) State() ([]byte, error) { return frame.AppendBody(nil, r.st, codeWorker), nil }
 
 // Check returns an error unless the witness saw steps 1..Msgs exactly once,
 // in order, each with the running sum of the bytes the producer sent.
@@ -95,7 +90,7 @@ func (p Pipeline) register(c *Cluster) *PipelineRun {
 	r := &PipelineRun{n: p.Msgs}
 	c.Registry().RegisterMachine(p.Prefix+"witness", func([]byte) Machine { return pipelineWitness{r} })
 	c.Registry().RegisterMachine(p.Prefix+"worker", func([]byte) Machine {
-		r.st = &chaosWorkerState{}
+		r.st = &workerState{}
 		return &pipelineWorker{st: r.st, witness: p.Prefix + "witness"}
 	})
 	c.Registry().RegisterProgram(p.Prefix+"producer", func([]byte) Program {
@@ -128,22 +123,26 @@ func (m pipelineWitness) Handle(_ *PCtx, g Msg)     { m.r.msgs = append(m.r.msgs
 func (m pipelineWitness) Snapshot() ([]byte, error) { return nil, nil }
 func (m pipelineWitness) Restore([]byte) error      { return nil }
 
-// chaosWorkerState is the worker's checkpointable state. gob writes a
-// struct's type name into every stream, so the name is part of each stored
-// checkpoint's bytes: it keeps the name it had when only the chaos scenario
-// ran this worker, which the golden table and the census pin.
-type chaosWorkerState struct {
+// workerState is the worker's checkpointable state.
+type workerState struct {
 	Witness LinkID
 	HasOut  bool
 	Count   int
 	Sum     int
 }
 
+func codeWorker(c *frame.Coder, st *workerState) {
+	frame.Int(c, &st.Witness)
+	c.Bool(&st.HasOut)
+	frame.Int(c, &st.Count)
+	frame.Int(c, &st.Sum)
+}
+
 // pipelineWorker accumulates integers and reports each step to the witness:
 // the recoverable process whose exactly-once, state and output guarantees
 // a scenario checks.
 type pipelineWorker struct {
-	st      *chaosWorkerState
+	st      *workerState
 	witness string
 }
 
@@ -163,14 +162,10 @@ func (m *pipelineWorker) Handle(ctx *PCtx, g Msg) {
 }
 
 func (m *pipelineWorker) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(m.st)
-	return buf.Bytes(), err
+	return frame.AppendBody(nil, m.st, codeWorker), nil
 }
 
-func (m *pipelineWorker) Restore(b []byte) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(m.st)
-}
+func (m *pipelineWorker) Restore(b []byte) error { return frame.DecodeBody(b, m.st, codeWorker) }
 
 // Stream is the one-way traffic shape: gen on node 0 sends Msgs messages of
 // Bytes bytes, Pace apart, to a sink on node 1. Body j, for j = 0..Msgs-1,
