@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -186,12 +186,23 @@ onewindow:
 	! grep -rnE '\b(units|adm|admitted)\b +(int|uint)|\.(units|adm|admitted)\b|open +\[\]\*txUnit' --include='*.go' --exclude='*_test.go' internal/transport
 
 # There is one binary codec (DESIGN.md "One binary codec"): frame.Coder
-# codes every body, record and program state in the module, tests and
-# examples included. A gob import anywhere, or the cached-gob package that
-# once served the kernel, fails here.
+# codes every body, record and program state in the module as varints,
+# tests and examples included, and every wire layout in its wire mode. A
+# gob import anywhere, or the cached-gob package that once served the
+# kernel, fails here.
 nogob:
 	! grep -rl '"encoding/gob"' --include='*.go' .
 	! grep -rn 'internal/gobx' --include='*.go' .
+
+# The wire is coded by frame.Coder too (DESIGN.md "One binary codec"): its
+# wire mode codes the frame with its ack block, the bundle and replay
+# records, the batch header and checkpoint chunk, the recorder-ack id list,
+# the chaos schedule, starhub's TCP length prefix and keysearch's program
+# argument, one code function each, run both ways. A fixed-width field
+# packed or read by hand at an offset, anywhere outside coder.go, fails
+# here; bench/ (frozen) is not matched.
+onecodec:
+	! grep -rnE 'binary\.(BigEndian|LittleEndian)' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | grep -v '^\./internal/frame/coder\.go:'
 
 # The store keeps what it is given (DESIGN.md "Storage engine"): no record
 # is dropped or moved, so a Ref is exact and a replay reads its snapshot
@@ -205,20 +216,23 @@ nocompact:
 # A Bundle holds its records (DESIGN.md "Steady-state wire efficiency"):
 # the transport fills Frame.Recs with its members' headers, sharing their
 # bodies, and receivers and taps read the records. The bundle body's byte
-# layout is the wire codec only, which internal/frame runs in AppendEncode
-# and DecodeInto; bench/ (frozen) times the codec itself. Building or
-# parsing a bundle body anywhere else would copy every member again.
+# layout is the wire codec only, codeBundle and codeBundleRec, which
+# internal/frame runs in AppendEncode and DecodeInto; bench/ (frozen) times
+# the codec itself through BeginBundle, AppendBundleRec, FinishBundle and
+# DecodeBundle. Building or parsing a bundle body anywhere else would copy
+# every member again.
 bundlebytes:
-	! grep -rnE '(DecodeBundle|AppendBundleRec|BeginBundle|FinishBundle)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=frame --exclude-dir=bench .
+	! grep -rnE '\b(codeBundle|codeBundleRec|DecodeBundle|AppendBundleRec|BeginBundle|FinishBundle)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=frame --exclude-dir=bench .
 
 # A replay batch carries its records (DESIGN.md "Recovery path"): the
 # recorder fills Frame.Recs with records sharing their bodies with its store
 # pages, and the kernel queues them as they are. The record layout is the
-# wire codec only, in internal/frame beside the bundle's; the names below
-# are the byte builders and parser that copied every replayed body into a
-# buffer and out again, and the record type they used.
+# wire codec only, codeReplayRec, which codeMsgBody runs after a records
+# batch's header, in internal/frame beside the bundle's. Those names, or a
+# record type of the layout's own, anywhere else would copy every replayed
+# body into a buffer and out again.
 replaybytes:
-	! grep -rnE '(BeginReplayBatch|AppendReplayRec|FinishReplayBatch|DecodeReplayBatch|appendReplayRecs|splitBatch)\(|\bReplayRec\b' --include='*.go' --exclude-dir=frame .
+	! grep -rnE '\b(codeReplayRec|codeMsgBody)\(|\bReplayRec\b' --include='*.go' --exclude-dir=frame .
 
 # Each record names its key once (DESIGN.md "Storage engine"): a record's
 # header carries its key's id, and the key's name is written once, as the
@@ -299,19 +313,21 @@ shards:
 	$(GO) test -race ./internal/recorder/...
 	$(GO) test -race -run 'TestShardMap|TestFollowerPromotion|TestChaosSharded|TestMonitorPassivitySharded|$(MULTIREC)' -count=1 .
 
-# Time-boxed native fuzzing of the wire codecs (frame, replay batch, chaos
-# schedule, the recorder's per-message records), of the stable store's page
-# file as Open reads it and of its one record-header parser, of the kernel's ring input queue against its slice
-# model, of the event scheduler against its sorted-slice model, and of the
-# recorder's tap core, driven directly, against its per-message model. Long
-# exploratory runs are manual (`go test -fuzz X -fuzztime 10m
-# ./internal/frame`); this keeps the corpora exercised and catches
-# regressions the checked-in seeds reach quickly. Page files are whole 4 KB
-# pages, and minimizing one for the default 60 s stalls the run, so the
-# store's minimization is capped by count. The checkpoint image's marks,
-# which the recorder trims and fences streams by, are fuzzed too, and so is
-# each type frame.Coder codes (the CODECS lists): an input that decodes must
-# be the one encoding of what it decodes to.
+# Time-boxed native fuzzing of the wire codecs (the frame, the replay
+# batch and the chaos schedule, each frame.Coder wire-mode code functions)
+# and of the recorder's per-message records, of the stable store's page
+# file as Open reads it and of its one record-header parser, of the
+# kernel's ring input queue against its slice model, of the event scheduler
+# against its sorted-slice model, and of the recorder's tap core, driven
+# directly, against its per-message model. Long exploratory runs are manual
+# (`go test -fuzz X -fuzztime 10m ./internal/frame`); this keeps the
+# corpora exercised and catches regressions the checked-in seeds reach
+# quickly. Page files are whole 4 KB pages, and minimizing one for the
+# default 60 s stalls the run, so the store's minimization is capped by
+# count. The checkpoint image's marks, which the recorder trims and fences
+# streams by, are fuzzed too, and so is each type frame.Coder codes as
+# varints (the CODECS lists). For every codec, wire or varint, an input
+# that decodes must be the one encoding of what it decodes to.
 DEMOS_CODECS = FuzzCtlMsg FuzzNotice FuzzCtlReply FuzzQueryResponse FuzzProcSpec FuzzCheckpointImage \
 	FuzzRouteUpdate FuzzProcMgrState FuzzMemSchedState FuzzNameSvcState FuzzNameReq
 RECORDER_CODECS = FuzzProcMeta FuzzCkMeta FuzzPeerMsg FuzzHandoffProc

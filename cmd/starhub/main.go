@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -228,13 +227,13 @@ func (a *agent) pump(onFrame func(*frame.Frame)) {
 	}
 }
 
-// Wire framing: 4-byte big-endian length + frame.Encode bytes. A frame that
-// fails its checksum on decode is dropped, exactly like the link layer.
+// Wire framing: the frame's length as a u32, in frame.Coder's wire mode,
+// then its frame.Encode bytes. A frame that fails its checksum on decode is
+// dropped, exactly like the link layer.
 func writeFrame(w io.Writer, f *frame.Frame) error {
-	buf := make([]byte, 4, 4+f.WireLen())
-	buf = f.AppendEncode(buf)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, err := w.Write(buf)
+	n := uint32(f.WireLen())
+	buf := frame.AppendWire(make([]byte, 0, 4+n), &n, frame.Uint[uint32])
+	_, err := w.Write(f.AppendEncode(buf))
 	return err
 }
 
@@ -243,7 +242,10 @@ func readFrame(r io.Reader) (*frame.Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	var n uint32
+	if err := frame.DecodeWire(hdr[:], &n, frame.Uint[uint32]); err != nil {
+		return nil, err
+	}
 	if n > 1<<20 {
 		return nil, fmt.Errorf("oversized frame (%d bytes)", n)
 	}

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 
@@ -182,7 +181,11 @@ func (c *controller) Restore(b []byte) error { return frame.DecodeBody(b, &c.st,
 // by re-execution — the paper's bread and butter.
 func worker(target uint32) func(args []byte) publishing.Program {
 	return func(args []byte) publishing.Program {
-		id := int(binary.BigEndian.Uint32(args))
+		var arg uint32
+		if err := frame.DecodeWire(args, &arg, frame.Uint[uint32]); err != nil {
+			panic(err)
+		}
+		id := int(arg)
 		return func(ctx *publishing.PCtx) {
 			ctl, err := ctx.ServiceLink("controller")
 			if err != nil {
@@ -231,8 +234,8 @@ func run(withPublishing bool) (found bool, key uint32, recoveries uint64, elapse
 	c.SetService("controller", ctl)
 	var pids []publishing.ProcID
 	for i := 0; i < workers; i++ {
-		args := make([]byte, 4)
-		binary.BigEndian.PutUint32(args, uint32(i))
+		arg := uint32(i)
+		args := frame.AppendWire(nil, &arg, frame.Uint[uint32])
 		pid, err := c.Spawn(publishing.NodeID(i+1), publishing.ProcSpec{
 			Name: "worker", Args: args, Recoverable: true,
 		})

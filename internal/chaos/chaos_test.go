@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"publishing/internal/frame"
 )
 
 func TestGenerateIsDeterministicAndValid(t *testing.T) {
@@ -147,4 +149,26 @@ func FuzzChaosSchedule(f *testing.F) {
 			t.Fatalf("sanitized schedule round-trip mismatch")
 		}
 	})
+}
+
+// TestWireEncodingsUnchanged pins the reproducer tokens of the first five
+// generated schedules, captured before the schedule became a code function:
+// a token printed by an older run must replay the identical schedule. A
+// fault record is faultLen bytes, as codeFault writes it.
+func TestWireEncodingsUnchanged(t *testing.T) {
+	want := []string{
+		"000000000000000104000006400000052c817eb60600001421000000eac5a1de0900000637000008d1a5a2ef010000081000000000adafb30c00000ab6000003639fb2c1080000150b000008a56e77f90a0000155a0000020e62e098",
+		"00000000000000020b000006ac000001762f07e60300001dbd0000015ca527c309000015720000062e735dc40a00000a900000076274d145",
+		"00000000000000030100001058000000009812f606000014a000000639f4897603000007670000071499acfe0500000c4200000701a24d9d0b00000ca3000001830ba3aa02000005b200000000da5c8404000008e50000078f758ef6",
+		"00000000000000040500000529000008e25bc5c7050000177400000785ddaa9f0c000018420000013dfe73ca",
+		"00000000000000050700000f500000090399e151080000122800000356bb30ef",
+	}
+	for i, w := range want {
+		if got := Generate(uint64(i+1), DefaultLimits()).Hex(); got != w {
+			t.Errorf("seed %d encodes as\n%s\nwant\n%s", i+1, got, w)
+		}
+	}
+	if n := len(frame.AppendWire(nil, &Fault{Kind: KindLossBurst}, codeFault)); n != faultLen {
+		t.Errorf("a fault record codes to %d bytes, faultLen is %d", n, faultLen)
+	}
 }

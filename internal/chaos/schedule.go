@@ -17,12 +17,11 @@
 package chaos
 
 import (
-	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -194,59 +193,52 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-const faultLen = 12 // kind(1) at(4) dur(4) a(1) b(1) prob(1)
+// faultLen is a fault record's encoded size.
+const faultLen = 1 + 4 + 4 + 1 + 1 + 1
 
-// Encode serializes the schedule: 8-byte big-endian seed, then one 12-byte
-// record per fault. The format is the fuzzing surface of FuzzChaosSchedule.
-func (s Schedule) Encode() []byte {
-	out := make([]byte, 8+faultLen*len(s.Faults))
-	binary.BigEndian.PutUint64(out, s.Seed)
-	p := out[8:]
-	for _, f := range s.Faults {
-		p[0] = byte(f.Kind)
-		binary.BigEndian.PutUint32(p[1:5], f.AtMs)
-		binary.BigEndian.PutUint32(p[5:9], f.DurMs)
-		p[9], p[10], p[11] = f.A, f.B, f.Prob
-		p = p[faultLen:]
+// codeFault codes one fault record in wire mode:
+//
+//	kind u8, at u32, dur u32, a u8, b u8, prob u8
+//
+// A decoder takes only a known kind.
+func codeFault(c *frame.Coder, f *Fault) {
+	if frame.Uint(c, &f.Kind); f.Kind == 0 || f.Kind > kindMax {
+		c.Fail()
 	}
-	return out
+	frame.Uint(c, &f.AtMs)
+	frame.Uint(c, &f.DurMs)
+	frame.Uint(c, &f.A)
+	frame.Uint(c, &f.B)
+	frame.Uint(c, &f.Prob)
+}
+
+// codeSchedule codes a schedule in wire mode: its seed u64, then its fault
+// records to the end, with no count. The format is the fuzzing surface of
+// FuzzChaosSchedule.
+func codeSchedule(c *frame.Coder, s *Schedule) {
+	frame.Uint(c, &s.Seed)
+	frame.Tail(c, &s.Faults, faultLen)
+	for i := range s.Faults {
+		codeFault(c, &s.Faults[i])
+	}
+}
+
+// Encode serializes the schedule (codeSchedule).
+func (s Schedule) Encode() []byte {
+	return frame.AppendWire(make([]byte, 0, 8+faultLen*len(s.Faults)), &s, codeSchedule)
 }
 
 // Hex returns the encoded schedule as a hex string — the one-line reproducer
 // token printed on failures (see DecodeHex).
 func (s Schedule) Hex() string { return hex.EncodeToString(s.Encode()) }
 
-// Decode errors.
-var (
-	ErrShortSchedule = errors.New("chaos: schedule shorter than its seed header")
-	ErrBadLength     = errors.New("chaos: schedule length is not seed + whole fault records")
-	ErrBadKind       = errors.New("chaos: fault record with invalid kind")
-)
-
 // Decode parses an encoded schedule, strictly: truncated input, trailing
 // bytes, and unknown kinds are errors (Sanitize, not Decode, makes arbitrary
 // values survivable).
 func Decode(b []byte) (Schedule, error) {
-	if len(b) < 8 {
-		return Schedule{}, ErrShortSchedule
-	}
-	if (len(b)-8)%faultLen != 0 {
-		return Schedule{}, ErrBadLength
-	}
-	s := Schedule{Seed: binary.BigEndian.Uint64(b)}
-	for p := b[8:]; len(p) > 0; p = p[faultLen:] {
-		k := Kind(p[0])
-		if k == 0 || k > kindMax {
-			return Schedule{}, fmt.Errorf("%w: %d", ErrBadKind, p[0])
-		}
-		s.Faults = append(s.Faults, Fault{
-			Kind:  k,
-			AtMs:  binary.BigEndian.Uint32(p[1:5]),
-			DurMs: binary.BigEndian.Uint32(p[5:9]),
-			A:     p[9],
-			B:     p[10],
-			Prob:  p[11],
-		})
+	var s Schedule
+	if err := frame.DecodeWire(b, &s, codeSchedule); err != nil {
+		return Schedule{}, fmt.Errorf("chaos: schedule: %w", err)
 	}
 	return s, nil
 }

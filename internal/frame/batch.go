@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "errors"
 
 // Replay batch wire format (the recovery replay fast path).
 //
@@ -15,28 +12,13 @@ import (
 // on ChanReplay, so it rides the transport's FIFO ordering, retransmission
 // and backoff unchanged.
 //
-// In memory a records batch is a frame whose Body is the batch header and
-// whose Recs are the replayed messages, each sharing its body with the
-// recorder's store page it was read from, so the simulation never builds or
-// parses the record layout below: like a Bundle's, it is the wire codec
-// only, written by AppendEncode, read by DecodeInto (record bodies alias the
-// decoded buffer) and counted by WireLen, Frame.String's len= and a bundle
-// record's EncodedLen. A checkpoint chunk keeps its bytes in Body. On the
-// wire the body is:
-//
-//	kind      u8   (BatchRecords | BatchCkChunk)
-//	proc      u32+u32 (recovering process)
-//	gen       u64  (recovery generation; stale batches are dropped)
-//	seq       u64  (batch sequence 1.. / chunk index 0..)
-//	kind = records:  count u32, then count records:
-//	    id.sender u32+u32, id.seq u64, from u32+u32,
-//	    channel u16, code u32, hasLink u8,
-//	    [link: to u32+u32, channel u16, code u32, deliverToKernel u8,]
-//	    bodyLen u32, body bytes
-//	kind = ckChunk:  total u32, then the chunk bytes (rest of body)
-//
-// A message on ChanReplay whose body starts with a records header carries
-// its records after it, in a frame or in a Bundle record alike.
+// In memory a records batch is a frame whose Body is the batch header
+// (codeBatchHdr) and whose Recs are the replayed messages, each sharing its
+// body with the recorder's store page it was read from. So the simulation
+// never runs the record layout (codeReplayRec): like a Bundle's, it is the
+// wire codec only (codeMsgBody), counted by WireLen, Frame.String's len=
+// and a bundle record's EncodedLen. A checkpoint chunk (codeCkChunk) keeps
+// its bytes in Body.
 
 // ChanReplay is the kernel-process channel carrying recovery replay batches
 // and checkpoint chunks. The kernel dispatches on it before attempting a
@@ -67,57 +49,73 @@ type BatchHdr struct {
 	Count uint32
 }
 
+// codeBatchHdr codes a batch header in wire mode:
+//
+//	kind      u8   (BatchRecords | BatchCkChunk)
+//	proc      u32+u32 (recovering process)
+//	gen       u64  (recovery generation; stale batches are dropped)
+//	seq       u64  (batch sequence 1.. / chunk index 0..)
+//	count     u32  (records: the record count; ckChunk: the chunk count)
+func codeBatchHdr(c *Coder, h *BatchHdr) {
+	if Uint(c, &h.Kind); h.Kind != BatchRecords && h.Kind != BatchCkChunk {
+		c.Fail()
+	}
+	c.Proc(&h.Proc)
+	Uint(c, &h.Gen)
+	Uint(c, &h.Seq)
+	Uint(c, &h.Count)
+}
+
 // AppendBatchHdr appends h's encoding onto buf: a records batch's Body, or
 // the head of a checkpoint chunk.
 func AppendBatchHdr(buf []byte, h BatchHdr) []byte {
-	buf = append(buf, h.Kind)
-	buf = appendProc(buf, h.Proc)
-	buf = binary.BigEndian.AppendUint64(buf, h.Gen)
-	buf = binary.BigEndian.AppendUint64(buf, h.Seq)
-	return binary.BigEndian.AppendUint32(buf, h.Count)
+	c := Coder{b: buf, wire: true}
+	codeBatchHdr(&c, &h)
+	return c.b
+}
+
+// codeCkChunk codes a checkpoint chunk: its header, then its bytes to the
+// end of the body.
+func codeCkChunk(c *Coder, h *BatchHdr, data *[]byte) {
+	if codeBatchHdr(c, h); h.Kind != BatchCkChunk {
+		c.Fail()
+	}
+	if !c.dec {
+		c.b = append(c.b, *data...)
+	} else {
+		*data = c.next(uint64(len(c.b)))
+	}
 }
 
 // EncodeCkChunk appends one checkpoint chunk body onto buf: chunk seq of
 // total, carrying data. Chunks precede the OpRecreate that references them
 // on the same FIFO transport stream.
 func EncodeCkChunk(buf []byte, proc ProcID, gen, seq uint64, total uint32, data []byte) []byte {
-	buf = AppendBatchHdr(buf, BatchHdr{Kind: BatchCkChunk, Proc: proc, Gen: gen, Seq: seq, Count: total})
-	return append(buf, data...)
+	c := Coder{b: buf, wire: true}
+	codeCkChunk(&c, &BatchHdr{Kind: BatchCkChunk, Proc: proc, Gen: gen, Seq: seq, Count: total}, &data)
+	return c.b
 }
 
-// Batch header decoding errors.
-var (
-	ErrShortBatch = errors.New("frame: truncated replay batch")
-	ErrBadBatch   = errors.New("frame: malformed replay batch")
-)
+// ErrBadBatch is the error of a body that does not start with the batch
+// header asked for: cut short, or of an unknown or another kind.
+var ErrBadBatch = errors.New("frame: malformed replay batch")
 
-// DecodeBatchHdr parses the common batch header.
-func DecodeBatchHdr(b []byte) (BatchHdr, error) {
-	if len(b) < BatchHdrLen {
-		return BatchHdr{}, ErrShortBatch
-	}
-	var h BatchHdr
-	h.Kind = b[0]
-	if h.Kind != BatchRecords && h.Kind != BatchCkChunk {
+// DecodeBatchHdr parses the batch header a body starts with.
+func DecodeBatchHdr(b []byte) (h BatchHdr, _ error) {
+	c := Coder{b: b, dec: true, wire: true}
+	if codeBatchHdr(&c, &h); c.bad {
 		return BatchHdr{}, ErrBadBatch
 	}
-	h.Proc = getProc(b[1:])
-	h.Gen = binary.BigEndian.Uint64(b[9:])
-	h.Seq = binary.BigEndian.Uint64(b[17:])
-	h.Count = binary.BigEndian.Uint32(b[25:])
 	return h, nil
 }
 
 // DecodeCkChunk parses a checkpoint chunk. The returned data aliases b.
-func DecodeCkChunk(b []byte) (BatchHdr, []byte, error) {
-	h, err := DecodeBatchHdr(b)
-	if err != nil {
-		return h, nil, err
+func DecodeCkChunk(b []byte) (h BatchHdr, data []byte, _ error) {
+	c := Coder{b: b, dec: true, wire: true}
+	if codeCkChunk(&c, &h, &data); c.bad {
+		return BatchHdr{}, nil, ErrBadBatch
 	}
-	if h.Kind != BatchCkChunk {
-		return h, nil, ErrBadBatch
-	}
-	return h, b[BatchHdrLen:], nil
+	return h, data, nil
 }
 
 // ReplayLen returns the record's encoded size inside a replay batch, what
@@ -139,84 +137,61 @@ func replayLen(recs []BundleRec) int {
 	return n
 }
 
-// isBatch reports whether a message on ch whose body, or Body, is b is a
-// records batch, so its records follow b on the wire.
-func isBatch(ch uint16, b []byte) bool {
-	return ch == ChanReplay && len(b) >= BatchHdrLen && b[0] == BatchRecords
+// codeReplayRec codes one replayed record of a records batch:
+//
+//	id.sender u32+u32, id.seq u64, from u32+u32, channel u16, code u32,
+//	hasLink u8,
+//	[link: to u32+u32, channel u16, code u32, deliverToKernel u8,]
+//	bodyLen u32, body bytes
+func codeReplayRec(c *Coder, r *BundleRec) {
+	c.MsgID(&r.ID)
+	c.Proc(&r.From)
+	Uint(c, &r.Channel)
+	Uint(c, &r.Code)
+	if c.Bool(&r.HasLink); r.HasLink {
+		c.Link(&r.Link)
+	}
+	c.Blob(&r.Body)
 }
 
-func getProc(b []byte) ProcID {
-	return ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b))), Local: binary.BigEndian.Uint32(b[4:])}
-}
-
-// appendReplayRecs appends a batch's records onto buf.
-func appendReplayRecs(buf []byte, recs []BundleRec) []byte {
-	for i := range recs {
-		rec := &recs[i]
-		buf = appendProc(buf, rec.ID.Sender)
-		buf = binary.BigEndian.AppendUint64(buf, rec.ID.Seq)
-		buf = appendProc(buf, rec.From)
-		buf = binary.BigEndian.AppendUint16(buf, rec.Channel)
-		buf = binary.BigEndian.AppendUint32(buf, rec.Code)
-		buf = appendBool(buf, rec.HasLink)
-		if rec.HasLink {
-			buf = appendProc(buf, rec.Link.To)
-			buf = binary.BigEndian.AppendUint16(buf, rec.Link.Channel)
-			buf = binary.BigEndian.AppendUint32(buf, rec.Link.Code)
-			buf = appendBool(buf, rec.Link.DeliverToKernel)
+// codeMsgBody codes the body of a message of type t on channel ch, n bytes
+// on the wire. A Bundle's is its records (codeBundle). Any other message's
+// is Body, then, when Body is a records batch's header, the batch's records
+// (codeReplayRec), as many as the header counts. A decoder aliases Body and
+// the records' bodies to the input and reuses recs's array; the records must
+// account for every byte after the header.
+func codeMsgBody(c *Coder, t Type, ch uint16, n uint32, body *[]byte, recs *[]BundleRec) {
+	if !c.dec {
+		if t == Bundle {
+			codeBundle(c, recs)
+			return
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Body)))
-		buf = append(buf, rec.Body...)
+		c.b = append(c.b, *body...)
+		for i := range *recs {
+			codeReplayRec(c, &(*recs)[i])
+		}
+		return
 	}
-	return buf
-}
-
-// splitBatch cuts a records batch's wire body into its header, which
-// becomes Body, and its records, parsed onto recs[:0] (reusing its
-// capacity) with bodies aliasing b. Records must account for every byte
-// after the header; anything else is ErrShortFrame, as for a Bundle.
-func splitBatch(b []byte, recs []BundleRec) (hdr []byte, _ []BundleRec, _ error) {
-	count := int(binary.BigEndian.Uint32(b[BatchHdrLen-4:]))
-	pos := BatchHdrLen
-	recs = recs[:0]
-	for i := 0; i < count; i++ {
-		if len(b)-pos < replayRecFixed {
-			return nil, nil, ErrShortFrame
-		}
-		var rec BundleRec
-		rec.ID.Sender = getProc(b[pos:])
-		rec.ID.Seq = binary.BigEndian.Uint64(b[pos+8:])
-		rec.From = getProc(b[pos+16:])
-		rec.Channel = binary.BigEndian.Uint16(b[pos+24:])
-		rec.Code = binary.BigEndian.Uint32(b[pos+26:])
-		rec.HasLink = b[pos+30] != 0
-		pos += 31
-		if rec.HasLink {
-			if len(b)-pos < linkLen {
-				return nil, nil, ErrShortFrame
-			}
-			rec.Link.To = getProc(b[pos:])
-			rec.Link.Channel = binary.BigEndian.Uint16(b[pos+8:])
-			rec.Link.Code = binary.BigEndian.Uint32(b[pos+10:])
-			rec.Link.DeliverToKernel = b[pos+14] != 0
-			pos += linkLen
-		}
-		if len(b)-pos < 4 {
-			return nil, nil, ErrShortFrame
-		}
-		bodyLen := int(binary.BigEndian.Uint32(b[pos:]))
-		pos += 4
-		if len(b)-pos < bodyLen {
-			return nil, nil, ErrShortFrame
-		}
-		if bodyLen > 0 {
-			rec.Body = b[pos : pos+bodyLen : pos+bodyLen]
-		}
-		pos += bodyLen
-		recs = append(recs, rec)
+	b := c.next(uint64(n))
+	d := Coder{b: b, dec: true, wire: true}
+	var h BatchHdr
+	if t != Bundle && ch == ChanReplay {
+		codeBatchHdr(&d, &h)
 	}
-	if pos != len(b) {
-		return nil, nil, ErrShortFrame
+	switch {
+	case t == Bundle:
+		*body = nil
+		codeBundle(&d, recs)
+	case !d.bad && h.Kind == BatchRecords:
+		k := len(b) - len(d.b)
+		*body = b[:k:k]
+		*recs = resize(&d, *recs, int(h.Count), replayRecFixed)
+		for i := range *recs {
+			codeReplayRec(&d, &(*recs)[i])
+		}
+	default: // no records batch: the body is all Body
+		*body, *recs = b, nil
+		return
 	}
-	return b[:BatchHdrLen:BatchHdrLen], recs, nil
+	c.bad = c.bad || d.bad || len(d.b) != 0
 }

@@ -1,6 +1,6 @@
 package frame
 
-import "encoding/binary"
+import "slices"
 
 // Bundle body wire format (the steady-state coalescing fast path).
 //
@@ -10,19 +10,9 @@ import "encoding/binary"
 // Ethernet the 1.6 ms interpacket delay dwarfs a small payload's clock-out
 // time). In memory a Bundle holds its messages as records (Frame.Recs),
 // each sharing its message's body, so the simulation never builds or
-// parses the layout below: it is the wire codec only, written by
-// AppendEncode, read by DecodeInto (record bodies alias the decoded buffer)
-// and counted by WireLen, which is what the media charge for.
-//
-// The body is:
-//
-//	count u16, then count records:
-//	    type u8 (Guaranteed | Unguaranteed)
-//	    id.sender u32+u32, id.seq u64, from u32+u32, to u32+u32,
-//	    channel u16, code u32, xseq u64, deliverToKernel u8, hasLink u8,
-//	    bodyLen u32,
-//	    [link: to u32+u32, channel u16, code u32, deliverToKernel u8,]
-//	    body bytes
+// parses the layout (codeBundle below): it is the wire codec only, run by
+// AppendEncode and DecodeInto (record bodies alias the decoded buffer) and
+// counted by WireLen, which is what the media charge for.
 //
 // The enclosing frame's XLow applies to every guaranteed record: all records
 // of one bundle belong to the same src->dst transport stream.
@@ -66,7 +56,7 @@ func (rec *BundleRec) EncodedLen() int {
 	return n
 }
 
-// RecOf fills rec from a single-message frame, the inverse of Expand.
+// RecOf fills rec from a single-message frame, the inverse of ExpandInto.
 func (rec *BundleRec) RecOf(f *Frame) {
 	rec.Type = f.Type
 	rec.ID = f.ID
@@ -86,18 +76,11 @@ func (rec *BundleRec) RecOf(f *Frame) {
 	rec.Body, rec.Recs = f.Body, f.Recs
 }
 
-// Expand reconstitutes the record as a standalone frame carrying the
-// enclosing bundle's addressing and stream low-water mark. The frame's Body
-// still aliases the record.
-func (rec *BundleRec) Expand(bundle *Frame) *Frame {
-	f := new(Frame)
-	rec.ExpandInto(f, bundle)
-	return f
-}
-
-// ExpandInto is Expand into a frame the caller supplies, overwriting every
-// field. A passed link is a new Link of its own, so a listener that keeps
-// the link (never the frame) keeps one nobody reuses.
+// ExpandInto reconstitutes the record as a standalone frame, overwriting
+// every field of f, carrying the enclosing bundle's addressing and stream
+// low-water mark. The frame's Body still aliases the record. A passed link
+// is a new Link of its own, so a listener that keeps the link (never the
+// frame) keeps one nobody reuses.
 func (rec *BundleRec) ExpandInto(f *Frame, bundle *Frame) {
 	*f = Frame{
 		Type:            rec.Type,
@@ -141,48 +124,78 @@ func cloneRecs(recs []BundleRec) []BundleRec {
 	return out
 }
 
-// appendBundle appends the bundle body encoding recs onto buf.
-func appendBundle(buf []byte, recs []BundleRec) []byte {
-	start := len(buf)
-	buf = BeginBundle(buf)
-	for i := range recs {
-		buf = AppendBundleRec(buf, &recs[i])
+// codeBundle codes a Bundle's body in wire mode, its records behind a
+// count:
+//
+//	count u16, then count records (codeBundleRec)
+//
+// A decoder reuses recs's array.
+func codeBundle(c *Coder, recs *[]BundleRec) {
+	n := uint16(len(*recs))
+	if Uint(c, &n); c.dec {
+		*recs = resize(c, *recs, int(n), BundleRecFixed)
 	}
-	return FinishBundle(buf, start, len(recs))
+	for i := range *recs {
+		codeBundleRec(c, &(*recs)[i])
+	}
+}
+
+// codeBundleRec codes one bundle record:
+//
+//	type u8 (Guaranteed | Unguaranteed)
+//	id.sender u32+u32, id.seq u64, from u32+u32, to u32+u32,
+//	channel u16, code u32, xseq u64, deliverToKernel u8, hasLink u8,
+//	bodyLen u32,
+//	[link: to u32+u32, channel u16, code u32, deliverToKernel u8,]
+//	body (codeMsgBody)
+func codeBundleRec(c *Coder, r *BundleRec) {
+	Uint(c, &r.Type)
+	c.MsgID(&r.ID)
+	c.Proc(&r.From)
+	c.Proc(&r.To)
+	Uint(c, &r.Channel)
+	Uint(c, &r.Code)
+	Uint(c, &r.XSeq)
+	c.Bool(&r.DeliverToKernel)
+	c.Bool(&r.HasLink)
+	n := uint32(len(r.Body) + replayLen(r.Recs))
+	Uint(c, &n)
+	if r.HasLink {
+		c.Link(&r.Link)
+	}
+	codeMsgBody(c, r.Type, r.Channel, n, &r.Body, &r.Recs)
+}
+
+// msgRecs reports whether every record of a decoded Bundle is a message;
+// one that is not is ErrBadType.
+func msgRecs(recs []BundleRec) bool {
+	for i := range recs {
+		if t := recs[i].Type; t != Guaranteed && t != Unguaranteed {
+			return false
+		}
+	}
+	return true
 }
 
 // BeginBundle appends a bundle body header with a zero count onto buf. The
 // sender appends records with AppendBundleRec and patches the count with
 // FinishBundle.
 func BeginBundle(buf []byte) []byte {
-	return binary.BigEndian.AppendUint16(buf, 0)
+	return FinishBundle(slices.Grow(buf, BundleHdrLen)[:len(buf)+BundleHdrLen], len(buf), 0)
 }
 
 // AppendBundleRec appends one record to a bundle body.
 func AppendBundleRec(buf []byte, rec *BundleRec) []byte {
-	buf = append(buf, uint8(rec.Type))
-	buf = appendProc(buf, rec.ID.Sender)
-	buf = binary.BigEndian.AppendUint64(buf, rec.ID.Seq)
-	buf = appendProc(buf, rec.From)
-	buf = appendProc(buf, rec.To)
-	buf = binary.BigEndian.AppendUint16(buf, rec.Channel)
-	buf = binary.BigEndian.AppendUint32(buf, rec.Code)
-	buf = binary.BigEndian.AppendUint64(buf, rec.XSeq)
-	buf = appendBool(buf, rec.DeliverToKernel)
-	buf = appendBool(buf, rec.HasLink)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Body)+replayLen(rec.Recs)))
-	if rec.HasLink {
-		buf = appendProc(buf, rec.Link.To)
-		buf = binary.BigEndian.AppendUint16(buf, rec.Link.Channel)
-		buf = binary.BigEndian.AppendUint32(buf, rec.Link.Code)
-		buf = appendBool(buf, rec.Link.DeliverToKernel)
-	}
-	return appendReplayRecs(append(buf, rec.Body...), rec.Recs)
+	c := Coder{b: buf, wire: true}
+	codeBundleRec(&c, rec)
+	return c.b
 }
 
 // FinishBundle patches the record count into a body started at start.
 func FinishBundle(buf []byte, start, count int) []byte {
-	binary.BigEndian.PutUint16(buf[start:], uint16(count))
+	c := Coder{b: buf[start:start], wire: true} // codes over BeginBundle's count
+	n := uint16(count)
+	Uint(&c, &n)
 	return buf
 }
 
@@ -192,91 +205,41 @@ func FinishBundle(buf []byte, start, count int) []byte {
 // failure means a software bug or trailing garbage, not wire noise; it is
 // still reported (ErrShortFrame / ErrBadType) rather than trusted.
 func DecodeBundle(b []byte, recs []BundleRec) ([]BundleRec, error) {
-	if len(b) < BundleHdrLen {
+	c := Coder{b: b, dec: true, wire: true}
+	if codeBundle(&c, &recs); c.bad || len(c.b) != 0 {
 		return nil, ErrShortFrame
 	}
-	count := int(binary.BigEndian.Uint16(b))
-	pos := BundleHdrLen
-	recs = recs[:0]
-	for i := 0; i < count; i++ {
-		if len(b)-pos < BundleRecFixed {
-			return nil, ErrShortFrame
-		}
-		var rec BundleRec
-		rec.Type = Type(b[pos])
-		pos++
-		if rec.Type != Guaranteed && rec.Type != Unguaranteed {
-			return nil, ErrBadType
-		}
-		rec.ID.Sender = ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b[pos:]))), Local: binary.BigEndian.Uint32(b[pos+4:])}
-		rec.ID.Seq = binary.BigEndian.Uint64(b[pos+8:])
-		rec.From = ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b[pos+16:]))), Local: binary.BigEndian.Uint32(b[pos+20:])}
-		rec.To = ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b[pos+24:]))), Local: binary.BigEndian.Uint32(b[pos+28:])}
-		rec.Channel = binary.BigEndian.Uint16(b[pos+32:])
-		rec.Code = binary.BigEndian.Uint32(b[pos+34:])
-		rec.XSeq = binary.BigEndian.Uint64(b[pos+38:])
-		rec.DeliverToKernel = b[pos+46] != 0
-		rec.HasLink = b[pos+47] != 0
-		bodyLen := int(binary.BigEndian.Uint32(b[pos+48:]))
-		pos += BundleRecFixed - 1 // type byte already consumed
-		if rec.HasLink {
-			if len(b)-pos < BundleRecLink {
-				return nil, ErrShortFrame
-			}
-			rec.Link.To = ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b[pos:]))), Local: binary.BigEndian.Uint32(b[pos+4:])}
-			rec.Link.Channel = binary.BigEndian.Uint16(b[pos+8:])
-			rec.Link.Code = binary.BigEndian.Uint32(b[pos+10:])
-			rec.Link.DeliverToKernel = b[pos+14] != 0
-			pos += BundleRecLink
-		}
-		if len(b)-pos < bodyLen {
-			return nil, ErrShortFrame
-		}
-		body := b[pos : pos+bodyLen : pos+bodyLen]
-		if isBatch(rec.Channel, body) {
-			var err error
-			if body, rec.Recs, err = splitBatch(body, nil); err != nil {
-				return nil, err
-			}
-		}
-		if len(body) > 0 {
-			rec.Body = body
-		}
-		pos += bodyLen
-		recs = append(recs, rec)
-	}
-	if pos != len(b) {
-		return nil, ErrShortFrame
+	if !msgRecs(recs) {
+		return nil, ErrBadType
 	}
 	return recs, nil
 }
 
 // Recorder-ack id lists. A RecorderAck frame with a non-empty Body covers a
-// whole batch of stored messages: the Body is a packed sequence of message
-// ids (sender u32+u32, seq u64), no count prefix. An empty Body keeps the
-// legacy single-id semantics (the frame's ID field).
+// whole batch of stored messages: the Body is its message ids, each coded
+// by MsgID in wire mode (sender u32+u32, seq u64), with no count. An empty
+// Body keeps the legacy single-id semantics (the frame's ID field).
 
 // AckIDLen is the encoded size of one message id in a recorder-ack batch.
 const AckIDLen = 4 + 4 + 8
 
 // AppendAckID appends one message id to a recorder-ack batch body.
 func AppendAckID(buf []byte, id MsgID) []byte {
-	buf = appendProc(buf, id.Sender)
-	return binary.BigEndian.AppendUint64(buf, id.Seq)
+	c := Coder{b: buf, wire: true}
+	c.MsgID(&id)
+	return c.b
 }
 
 // DecodeAckIDs parses a recorder-ack batch body into ids (reusing its
 // capacity).
 func DecodeAckIDs(b []byte, ids []MsgID) ([]MsgID, error) {
-	if len(b)%AckIDLen != 0 {
-		return nil, ErrShortFrame
+	c := Coder{b: b, dec: true, wire: true}
+	Tail(&c, &ids, AckIDLen)
+	for i := range ids {
+		c.MsgID(&ids[i])
 	}
-	ids = ids[:0]
-	for pos := 0; pos < len(b); pos += AckIDLen {
-		ids = append(ids, MsgID{
-			Sender: ProcID{Node: NodeID(int32(binary.BigEndian.Uint32(b[pos:]))), Local: binary.BigEndian.Uint32(b[pos+4:])},
-			Seq:    binary.BigEndian.Uint64(b[pos+8:]),
-		})
+	if c.bad || len(c.b) != 0 {
+		return nil, ErrShortFrame
 	}
 	return ids, nil
 }

@@ -77,7 +77,8 @@ func TestBundleRoundTrip(t *testing.T) {
 func TestBundleRecExpand(t *testing.T) {
 	bundle := &Frame{Type: Bundle, Src: 0, Dst: 1, XLow: 1<<48 | 10}
 	rec := bundleCorpus()[1]
-	f := rec.Expand(bundle)
+	f := new(Frame)
+	rec.ExpandInto(f, bundle)
 	if f.Type != Guaranteed || f.Src != 0 || f.Dst != 1 || f.XLow != bundle.XLow {
 		t.Fatalf("expanded frame lost addressing: %+v", f)
 	}
@@ -92,7 +93,7 @@ func TestBundleRecExpand(t *testing.T) {
 	var back BundleRec
 	back.RecOf(f)
 	if !reflect.DeepEqual(back, rec) {
-		t.Fatalf("RecOf(Expand(rec)) != rec:\n got %+v\nwant %+v", back, rec)
+		t.Fatalf("RecOf(ExpandInto(rec)) != rec:\n got %+v\nwant %+v", back, rec)
 	}
 }
 

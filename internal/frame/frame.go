@@ -11,7 +11,6 @@ package frame
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -304,13 +303,9 @@ type AckRec struct {
 	Rcv ProcID
 }
 
-// headerLen is the encoded size of everything except Body, PassedLink, and
-// the optional ack block.
-const headerLen = 1 + 4 + 4 + // type, src, dst
-	4 + 4 + 8 + // ID (sender node, local, seq)
-	4 + 4 + 4 + 4 + // From, To
-	2 + 4 + 8 + 8 + 1 + 1 + 1 + // channel, code, xseq, xlow, deliverToKernel, hasLink, hasAcks
-	4 // body length
+// headerLen is the encoded size of codeFrame's fields up to bodyLen: all
+// but Body, PassedLink, and the optional ack block.
+const headerLen = 1 + 4 + 4 + 16 + 8 + 8 + 2 + 4 + 8 + 8 + 1 + 1 + 1 + 4
 
 // linkLen is the encoded size of a passed link.
 const linkLen = 4 + 4 + 2 + 4 + 1
@@ -427,72 +422,80 @@ func (f *Frame) Encode() []byte {
 	return f.AppendEncode(make([]byte, 0, f.WireLen()))
 }
 
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendProc(buf []byte, p ProcID) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Node))
-	return binary.BigEndian.AppendUint32(buf, p.Local)
-}
-
 // AppendEncode serializes the frame (checksum included) onto buf and
 // returns the extended slice. Passing a reused buffer (`buf[:0]` of a
 // previous call) makes encoding allocation-free — the media and starhub hot
 // paths depend on this. The checksum covers only the bytes this call
 // appends, so buf may already hold unrelated data.
 func (f *Frame) AppendEncode(buf []byte) []byte {
-	start := len(buf)
-	buf = append(buf, uint8(f.Type))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.Src))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.Dst))
-	buf = appendProc(buf, f.ID.Sender)
-	buf = binary.BigEndian.AppendUint64(buf, f.ID.Seq)
-	buf = appendProc(buf, f.From)
-	buf = appendProc(buf, f.To)
-	buf = binary.BigEndian.AppendUint16(buf, f.Channel)
-	buf = binary.BigEndian.AppendUint32(buf, f.Code)
-	buf = binary.BigEndian.AppendUint64(buf, f.XSeq)
-	buf = binary.BigEndian.AppendUint64(buf, f.XLow)
-	buf = appendBool(buf, f.DeliverToKernel)
-	buf = appendBool(buf, f.PassedLink != nil)
-	buf = appendBool(buf, f.hasAcks())
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.BodyLen()))
-	if f.PassedLink != nil {
-		buf = appendProc(buf, f.PassedLink.To)
-		buf = binary.BigEndian.AppendUint16(buf, f.PassedLink.Channel)
-		buf = binary.BigEndian.AppendUint32(buf, f.PassedLink.Code)
-		buf = appendBool(buf, f.PassedLink.DeliverToKernel)
-	}
-	if f.hasAcks() {
-		buf = appendBool(buf, f.AckCumSet)
-		cum := f.AckCum
-		if !f.AckCumSet {
-			cum = 0
-		}
-		buf = binary.BigEndian.AppendUint64(buf, cum)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.AckRecs)))
-		for i := range f.AckRecs {
-			r := &f.AckRecs[i]
-			buf = appendProc(buf, r.ID.Sender)
-			buf = binary.BigEndian.AppendUint64(buf, r.ID.Seq)
-			buf = appendProc(buf, r.Rcv)
-		}
-	}
-	if f.Type == Bundle {
-		buf = appendBundle(buf, f.Recs)
-	} else {
-		buf = appendReplayRecs(append(buf, f.Body...), f.Recs)
-	}
-
-	sum := Checksum(buf[start:])
+	c := Coder{b: buf, wire: true}
+	codeFrame(&c, f)
+	sum := Checksum(c.b[len(buf):])
 	if f.Corrupt {
 		sum = ^sum
 	}
-	return binary.BigEndian.AppendUint32(buf, sum)
+	Uint(&c, &sum)
+	return c.b
+}
+
+// codeFrame codes a frame, all but its checksum, in wire mode:
+//
+//	type u8, src u32, dst u32, id.sender u32+u32, id.seq u64,
+//	from u32+u32, to u32+u32, channel u16, code u32, xseq u64, xlow u64,
+//	deliverToKernel u8, hasLink u8, hasAcks u8, bodyLen u32,
+//	[link: to u32+u32, channel u16, code u32, deliverToKernel u8,]
+//	[acks: cumSet u8, cum u64, count u16,
+//	    count × (id.sender u32+u32, id.seq u64, rcv u32+u32),]
+//	body (codeMsgBody), to the end of the frame
+//
+// A decoder reuses f's link and its record arrays. A frame has one
+// encoding: an ack block carries a cumulative ack or a record, and an
+// unset cumulative ack is 0.
+func codeFrame(c *Coder, f *Frame) {
+	Uint(c, &f.Type)
+	Int(c, &f.Src)
+	Int(c, &f.Dst)
+	c.MsgID(&f.ID)
+	c.Proc(&f.From)
+	c.Proc(&f.To)
+	Uint(c, &f.Channel)
+	Uint(c, &f.Code)
+	Uint(c, &f.XSeq)
+	Uint(c, &f.XLow)
+	c.Bool(&f.DeliverToKernel)
+	hasLink, hasAcks, n := f.PassedLink != nil, f.hasAcks(), uint32(f.BodyLen())
+	c.Bool(&hasLink)
+	c.Bool(&hasAcks)
+	Uint(c, &n)
+	switch {
+	case hasLink:
+		if f.PassedLink == nil {
+			f.PassedLink = new(Link)
+		}
+		c.Link(f.PassedLink)
+	case c.dec:
+		f.PassedLink = nil
+	}
+	switch {
+	case hasAcks:
+		c.Bool(&f.AckCumSet)
+		cum, k := f.AckCum, uint16(len(f.AckRecs))
+		if !f.AckCumSet {
+			cum = 0
+		}
+		Uint(c, &cum)
+		if Uint(c, &k); c.dec {
+			c.bad = c.bad || !f.AckCumSet && (cum != 0 || k == 0)
+			f.AckCum, f.AckRecs = cum, resize(c, f.AckRecs, int(k), AckRecLen)
+		}
+		for i := range f.AckRecs {
+			c.MsgID(&f.AckRecs[i].ID)
+			c.Proc(&f.AckRecs[i].Rcv)
+		}
+	case c.dec:
+		f.AckCumSet, f.AckCum, f.AckRecs = false, 0, nil
+	}
+	codeMsgBody(c, f.Type, f.Channel, n, &f.Body, &f.Recs)
 }
 
 // Decoding errors.
@@ -518,111 +521,32 @@ func Decode(b []byte) (*Frame, error) {
 // allocation) where possible, so a caller decoding a stream of frames into
 // one reused Frame allocates nothing in steady state. A Bundle's body, and
 // a replay batch's after its header, is parsed into Recs, whose bodies
-// alias b, so the caller keeps b as long as it keeps them; records that do
-// not parse are an error, like a short frame. Every field of f is
-// overwritten; on error f is left in an unspecified state and must not be
-// used.
+// alias b, so the caller keeps b as long as it keeps them. Bytes that are
+// not codeFrame's one encoding of a frame are ErrShortFrame, or ErrBadType
+// for an unknown type or a record that is no message. Every field of f is
+// overwritten; on error f is left in an unspecified state.
 func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < headerLen+checksumLen {
 		return ErrShortFrame
 	}
-	payload, sumBytes := b[:len(b)-checksumLen], b[len(b)-checksumLen:]
-	if Checksum(payload) != binary.BigEndian.Uint32(sumBytes) {
+	payload := b[:len(b)-checksumLen]
+	c := Coder{b: b[len(payload):], dec: true, wire: true}
+	var sum uint32
+	if Uint(&c, &sum); Checksum(payload) != sum {
 		return ErrBadChecksum
 	}
-
-	pos := 0
-	get8 := func() uint8 { v := payload[pos]; pos++; return v }
-	get16 := func() uint16 { v := binary.BigEndian.Uint16(payload[pos:]); pos += 2; return v }
-	get32 := func() uint32 { v := binary.BigEndian.Uint32(payload[pos:]); pos += 4; return v }
-	get64 := func() uint64 { v := binary.BigEndian.Uint64(payload[pos:]); pos += 8; return v }
-	getProc := func() ProcID { n := NodeID(int32(get32())); l := get32(); return ProcID{Node: n, Local: l} }
-	getBool := func() bool { return get8() != 0 }
-
-	f.Type = Type(get8())
-	if !f.Type.Valid() {
+	body := f.Body[:0]
+	c = Coder{b: payload, dec: true, wire: true}
+	codeFrame(&c, f)
+	f.Corrupt = false
+	switch {
+	case !f.Type.Valid():
+		return ErrBadType
+	case c.bad || len(c.b) != 0:
+		return ErrShortFrame
+	case f.Type == Bundle && !msgRecs(f.Recs):
 		return ErrBadType
 	}
-	f.Src = NodeID(int32(get32()))
-	f.Dst = NodeID(int32(get32()))
-	f.ID.Sender = getProc()
-	f.ID.Seq = get64()
-	f.From = getProc()
-	f.To = getProc()
-	f.Channel = get16()
-	f.Code = get32()
-	f.XSeq = get64()
-	f.XLow = get64()
-	f.DeliverToKernel = getBool()
-	hasLink := getBool()
-	hasAcks := getBool()
-	bodyLen := int(get32())
-	f.Corrupt = false
-	if hasLink {
-		if len(payload)-pos < linkLen {
-			return ErrShortFrame
-		}
-		l := f.PassedLink
-		if l == nil {
-			l = &Link{}
-		}
-		l.To = getProc()
-		l.Channel = get16()
-		l.Code = get32()
-		l.DeliverToKernel = getBool()
-		f.PassedLink = l
-	} else {
-		f.PassedLink = nil
-	}
-	reuseRecs := f.AckRecs
-	f.AckCumSet, f.AckCum, f.AckRecs = false, 0, nil
-	if hasAcks {
-		if len(payload)-pos < ackBlockLen {
-			return ErrShortFrame
-		}
-		f.AckCumSet = getBool()
-		f.AckCum = get64()
-		if !f.AckCumSet {
-			f.AckCum = 0
-		}
-		n := int(get16())
-		if len(payload)-pos < n*AckRecLen {
-			return ErrShortFrame
-		}
-		if n > 0 {
-			recs := reuseRecs
-			if cap(recs) < n {
-				recs = make([]AckRec, 0, n)
-			}
-			recs = recs[:0]
-			for i := 0; i < n; i++ {
-				var r AckRec
-				r.ID.Sender = getProc()
-				r.ID.Seq = get64()
-				r.Rcv = getProc()
-				recs = append(recs, r)
-			}
-			f.AckRecs = recs
-		}
-	}
-	if len(payload)-pos != bodyLen {
-		return ErrShortFrame
-	}
-	recs := f.Recs[:0]
-	f.Body, f.Recs = f.Body[:0], nil
-	body := payload[pos:]
-	var err error
-	switch {
-	case f.Type == Bundle:
-		f.Recs, err = DecodeBundle(body, recs)
-		return err
-	case isBatch(f.Channel, body):
-		if body, f.Recs, err = splitBatch(body, recs); err != nil {
-			return err
-		}
-	}
-	if len(body) > 0 {
-		f.Body = append(f.Body, body...)
-	}
+	f.Body = append(body, f.Body...)
 	return nil
 }
