@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -100,7 +100,7 @@ nomsgmaps:
 # not a log of messages, and a bundle member's body is not cloned to outlive
 # the bundle, since nothing keeps it past the ack that writes its record.
 onecopy:
-	! grep -n '\]storedMsg' internal/recorder/tap/arrlog.go
+	! grep -n '\]frame\.BundleRec' internal/recorder/tap/arrlog.go
 	! grep -rn 'bytes\.Clone(f\.Body)' --include='*.go' --exclude='*_test.go' internal/recorder
 
 # Records are packed varints read by one parser each (DESIGN.md "Storage
@@ -262,6 +262,16 @@ pageframes:
 arrrefs:
 	awk '/^type ArrEntry[ =]/ { d = 1 } d && /frame\.MsgID|ArrSeq/ { print FILENAME ":" FNR ": " $$0; bad = 1 } d && !/\{ *$$/ && (/^}/ || /^type /) { d = 0 } END { exit bad }' internal/recorder/tap/arrlog.go
 
+# A message is one record from tap to replay (DESIGN.md "Recorder
+# database"): frame.BundleRec is what the tap holds pending, what the store
+# record codes, and what the replay batch, the handoff blob and the debugger
+# carry. A process id's text is read by frame.ParseProcID alone, and a
+# retransmission is known by its attempt number (trace.Event.Seq), not its
+# wording. The names below are the message copies, the scanf parse and the
+# prefix test they replaced; bench/ (frozen) is not matched.
+onerecord:
+	! grep -rnE 'type (storedMsg|ReplayMsg)\b|func tapMsg\b|Sscanf\([^)]*"p%d|HasPrefix\(e\.Detail' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .
+
 build:
 	$(GO) build ./...
 
@@ -315,8 +325,10 @@ shards:
 
 # Time-boxed native fuzzing of the wire codecs (the frame, the replay
 # batch and the chaos schedule, each frame.Coder wire-mode code functions)
-# and of the recorder's per-message records, of the stable store's page
-# file as Open reads it and of its one record-header parser, of the
+# and of the recorder's per-message records, of the process id's text
+# (frame.ParseProcID reads exactly what ProcID.String prints), of the
+# stable store's page file as Open reads it and of its one record-header
+# parser, of the
 # kernel's ring input queue against its slice model, of the event scheduler
 # against its sorted-slice model, and of the recorder's tap core, driven
 # directly, against its per-message model. Long exploratory runs are manual
@@ -337,6 +349,7 @@ TXN_CODECS = FuzzBegin FuzzOutcome FuzzPrepare FuzzVote FuzzDecide FuzzDecided F
 fuzz:
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzReplayBatchDecode -fuzztime 10s
+	$(GO) test ./internal/frame -run '^$$' -fuzz FuzzParseProcID -fuzztime 5s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/demos -run '^$$' -fuzz FuzzCheckpointMarks -fuzztime 10s
 	$(GO) test ./internal/simtime -run '^$$' -fuzz FuzzScheduler -fuzztime 10s

@@ -5,10 +5,13 @@
 // output it produces — "back up a process to the point where the problem
 // originally occurred".
 //
-// The sandbox is a single isolated node with publishing off; the debugged
-// process's outgoing messages are intercepted before transmission and
-// reported as step results instead of being delivered anywhere, so the
-// re-execution cannot perturb the live system.
+// The history is the recorder's records (Recorder.StreamMessages), each a
+// frame.BundleRec read from its stable store; a step hands one to the
+// process as a recovery's replay would (demos.RecMsg) and reports it as
+// StepResult.Delivered. The sandbox is a single isolated node with
+// publishing off; the debugged process's outgoing messages are intercepted
+// before transmission and reported as step results instead of being
+// delivered anywhere, so the re-execution cannot perturb the live system.
 package debugger
 
 import (
@@ -49,7 +52,7 @@ func (o Output) String() string {
 // StepResult reports one debugging step.
 type StepResult struct {
 	// Delivered is the replayed message (zero on Boot).
-	Delivered recorder.ReplayMsg
+	Delivered frame.BundleRec
 	// Outputs are the messages the step provoked.
 	Outputs []Output
 	// State is the machine state after the step (nil for Program images or
@@ -79,7 +82,7 @@ type Session struct {
 	sched  *simtime.Scheduler
 	kernel *demos.Kernel
 	pid    frame.ProcID
-	stream []recorder.ReplayMsg
+	stream []frame.BundleRec
 	pos    int
 	opts   Options
 
@@ -91,7 +94,7 @@ type Session struct {
 var ErrExhausted = errors.New("debugger: published stream exhausted")
 
 // New builds a sandboxed session replaying spec against stream.
-func New(reg *demos.Registry, spec demos.ProcSpec, pid frame.ProcID, stream []recorder.ReplayMsg, opts Options) (*Session, error) {
+func New(reg *demos.Registry, spec demos.ProcSpec, pid frame.ProcID, stream []frame.BundleRec, opts Options) (*Session, error) {
 	sched := simtime.NewScheduler()
 	log := trace.New(sched.Now)
 	rng := simtime.NewRand(1)
@@ -198,20 +201,14 @@ func (s *Session) Step() (StepResult, error) {
 	if s.pos >= len(s.stream) {
 		return StepResult{Position: s.pos}, ErrExhausted
 	}
-	m := s.stream[s.pos]
+	rec := &s.stream[s.pos]
 	s.pos++
-	err := s.kernel.Inject(s.pid, demos.Msg{
-		ID:      m.ID,
-		From:    m.From,
-		Channel: m.Channel,
-		Code:    m.Code,
-		Body:    m.Body,
-	}, m.Link)
-	if err != nil {
+	m, link := demos.RecMsg(rec)
+	if err := s.kernel.Inject(s.pid, m, link); err != nil {
 		return StepResult{}, err
 	}
 	res := s.settle()
-	res.Delivered = m
+	res.Delivered = *rec
 	res.Position = s.pos
 	return res, nil
 }

@@ -49,6 +49,18 @@ type Msg struct {
 	Link LinkID
 }
 
+// RecMsg returns the message rec carries as its process is handed it, and
+// the link it passes (nil for none) as a Link of its own. A recovery's
+// replay and the debugger's step deliver a recorded message this way.
+func RecMsg(rec *frame.BundleRec) (Msg, *frame.Link) {
+	var link *frame.Link
+	if rec.HasLink {
+		l := rec.Link
+		link = &l
+	}
+	return Msg{ID: rec.ID, From: rec.From, Channel: rec.Channel, Code: rec.Code, Body: rec.Body}, link
+}
+
 // ProcSpec names the "binary image" a process is created from: a factory
 // registered in a Registry plus creation arguments. The recorder stores the
 // spec as the initial checkpoint (§3.3.1: "The first checkpoint for a

@@ -264,12 +264,8 @@ func (k *Kernel) handleReplayBatch(f *frame.Frame, hdr frame.BatchHdr) bool {
 			k.env.Log.AddMsg(trace.KindReplay, int(k.node), rec.ID.String(),
 				hdr.Proc.String(), "replayed from batch #%d", hdr.Seq)
 		}
-		var link *frame.Link
-		if rec.HasLink {
-			l := rec.Link
-			link = &l
-		}
-		k.pushToQueue(p, Msg{ID: rec.ID, From: rec.From, Channel: rec.Channel, Code: rec.Code, Body: rec.Body}, link)
+		m, link := RecMsg(rec)
+		k.pushToQueue(p, m, link)
 	}
 	p.replayBatch = hdr.Seq
 	k.stats.ReplayBatches++

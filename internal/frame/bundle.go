@@ -26,13 +26,18 @@ const BundleRecFixed = 1 + 8 + 8 + 8 + 8 + 2 + 4 + 8 + 1 + 1 + 4
 // BundleRecLink is the additional per-record overhead of a passed link.
 const BundleRecLink = linkLen
 
-// BundleRec is one message inside a Bundle frame, or a replayed message
-// inside a replay batch (Frame.Recs), which uses only its ID, From,
-// Channel, Code, link and Body. Body is the message's body, shared with its
-// sender (RecOf) or, after decoding, aliasing the decoded bytes: a body is
-// read-only once sent, so no copy is needed before handing records upward.
-// Recs are the records of a replay batch riding in a Bundle: on the wire
-// they follow Body inside the record's body.
+// BundleRec is one message: a member of a Bundle frame (Frame.Recs), and
+// the recorder's one record of a published message. The recorder's tap
+// holds the record it heard while it waits for the acknowledgement, its
+// stable store codes the record's ID, From, Channel, Code, link and Body,
+// and a replay batch's records (Frame.Recs), a shard handoff's streams,
+// Recorder.StreamMessages and the debugger's session are the records read
+// back from the store, which use those fields only. Body is the message's
+// body, shared with its sender (RecOf) or, after decoding, aliasing the
+// decoded bytes or the store's page: a body is read-only once sent, so no
+// copy is needed before handing records upward. Recs are the records of a
+// replay batch riding in a Bundle: on the wire they follow Body inside the
+// record's body.
 type BundleRec struct {
 	Type            Type // Guaranteed or Unguaranteed
 	ID              MsgID

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 )
 
 // NodeID identifies a processor on the network. The recorder is a node too.
@@ -47,6 +49,36 @@ func (p ProcID) String() string {
 		return "<nil-proc>"
 	}
 	return fmt.Sprintf("p%d.%d", p.Node, p.Local)
+}
+
+// ParseProcID parses a process id's text, what String prints for a non-nil
+// id: "p<node>.<local>" in decimal, the node signed. It accepts nothing
+// else: no plus sign, leading zero or minus zero, so every string it
+// accepts is the String of the id it returns.
+func ParseProcID(s string) (ProcID, bool) {
+	rest, ok := strings.CutPrefix(s, "p")
+	nodeStr, localStr, cut := strings.Cut(rest, ".")
+	if !ok || !cut || !decimal(strings.TrimPrefix(nodeStr, "-")) || nodeStr == "-0" || !decimal(localStr) {
+		return NilProc, false
+	}
+	node, err := strconv.ParseInt(nodeStr, 10, 32)
+	local, err2 := strconv.ParseUint(localStr, 10, 32)
+	p := ProcID{Node: NodeID(node), Local: uint32(local)}
+	if err != nil || err2 != nil || p.IsNil() {
+		return NilProc, false
+	}
+	return p, true
+}
+
+// decimal reports whether d is an unsigned decimal as fmt prints one: digits
+// only, and no leading zero unless it is "0".
+func decimal(d string) bool {
+	for i := 0; i < len(d); i++ {
+		if d[i] < '0' || d[i] > '9' {
+			return false
+		}
+	}
+	return d != "" && (d[0] != '0' || d == "0")
 }
 
 // MsgID uniquely identifies a guaranteed message (§4.3.3): "The identifier

@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -347,4 +348,44 @@ func TestEncodeDecodeSteadyStateAllocFree(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("steady-state encode/decode allocates %.1f allocs/run, want 0", avg)
 	}
+}
+
+// ParseProcID reads back what String prints for every process id, and
+// rejects what String never prints, among it what a scanf-style parse of
+// "p%d.%d" would take.
+func TestParseProcID(t *testing.T) {
+	for _, p := range []ProcID{{Node: 3, Local: 44}, {Node: 0, Local: 1}, {Node: 7, Local: 0},
+		{Node: -1, Local: 5}, {Node: math.MinInt32, Local: math.MaxUint32}, {Node: math.MaxInt32}} {
+		if got, ok := ParseProcID(p.String()); !ok || got != p {
+			t.Errorf("ParseProcID(%q) = %v, %v", p.String(), got, ok)
+		}
+	}
+	for _, s := range []string{"", "p", "p.", "p1", "p1.", "p.1", "3.44", "P3.44", "zork", "<nil-proc>",
+		"p0.0", "p+1.2", "p01.2", "p1.02", "p-0.1", "p1.+2", "p1.-2", "p 1.2", "p1.2 ", "p1.2.3", "p1.2x",
+		"p2147483648.1", "p1.4294967296", "p1_0.2"} {
+		if p, ok := ParseProcID(s); ok {
+			t.Errorf("ParseProcID(%q) accepted %v", s, p)
+		}
+	}
+}
+
+// FuzzParseProcID: whatever ParseProcID accepts is what String prints for
+// the id it returns, and every id's String parses back to it.
+func FuzzParseProcID(f *testing.F) {
+	for _, s := range []string{"p3.44", "p-1.5", "p01.2", "p+1.2", "<nil-proc>", "p0.0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if p, ok := ParseProcID(s); ok && (p.IsNil() || p.String() != s) {
+			t.Fatalf("ParseProcID(%q) = %v, which prints %q", s, p, p.String())
+		}
+		var p ProcID
+		for i := 0; i < len(s); i++ {
+			p.Local = p.Local*31 + uint32(s[i])
+			p.Node = p.Node*37 - NodeID(s[i])
+		}
+		if got, ok := ParseProcID(p.String()); ok != !p.IsNil() || ok && got != p {
+			t.Fatalf("ParseProcID(%q) = %v, %v", p.String(), got, ok)
+		}
+	})
 }

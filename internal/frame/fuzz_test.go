@@ -3,7 +3,11 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -188,4 +192,70 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("corrupt re-encoding not rejected: %v", err)
 		}
 	})
+}
+
+// fuzzCorpus reads the checked-in corpus of fuzz target name, by file: each
+// file is one []byte value in the go test fuzz v1 format.
+func fuzzCorpus(t *testing.T, name string) map[string][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", name, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: no corpus (%v)", name, err)
+	}
+	out := make(map[string][]byte, len(files))
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, value, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		q, ok := strings.CutPrefix(value, "[]byte(")
+		q, ok2 := strings.CutSuffix(q, ")")
+		data, err := strconv.Unquote(q)
+		if head != "go test fuzz v1" || !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not one []byte value: %q", file, b)
+		}
+		out[filepath.Base(file)] = []byte(data)
+	}
+	return out
+}
+
+// The checked-in corpora reach the decoders they are named for: every seed
+// decodes and re-encodes to itself, except the two that pin an error, and a
+// frame seed holds the part its name says (a body, a passed link, acks).
+func TestFuzzCorpusVerdicts(t *testing.T) {
+	reaches := map[string]func(*Frame) bool{
+		"seed-guaranteed-body": func(f *Frame) bool { return f.Type == Guaranteed && len(f.Body) > 0 },
+		"seed-passed-link":     func(f *Frame) bool { return f.PassedLink != nil },
+		"seed-ack":             func(f *Frame) bool { return f.Type == Ack && f.AckCumSet && len(f.AckRecs) > 0 },
+	}
+	fails := map[string]error{"seed-corrupt": ErrBadChecksum, "seed-truncated": ErrShortFrame}
+	for name, data := range fuzzCorpus(t, "FuzzFrameDecode") {
+		fr, err := Decode(data)
+		switch want, ok := fails[name]; {
+		case ok:
+			if !errors.Is(err, want) {
+				t.Errorf("FuzzFrameDecode/%s: %v, want %v", name, err, want)
+			}
+		case err != nil:
+			t.Errorf("FuzzFrameDecode/%s: %v", name, err)
+		case !bytes.Equal(fr.Encode(), data):
+			t.Errorf("FuzzFrameDecode/%s does not re-encode to itself", name)
+		case reaches[name] != nil && !reaches[name](fr):
+			t.Errorf("FuzzFrameDecode/%s decodes to %+v", name, fr)
+		}
+	}
+	for name, data := range fuzzCorpus(t, "FuzzReplayBatchDecode") {
+		fr, err := Decode(carrying(data))
+		switch {
+		case name == "seed-truncated":
+			if _, herr := DecodeBatchHdr(data); !errors.Is(herr, ErrBadBatch) || err != nil || fr.Recs != nil {
+				t.Errorf("FuzzReplayBatchDecode/%s: header %v, frame %v with %d records", name, herr, err, len(fr.Recs))
+			}
+		case err != nil:
+			t.Errorf("FuzzReplayBatchDecode/%s: %v", name, err)
+		case !bytes.Equal(batchBody(fr), data):
+			t.Errorf("FuzzReplayBatchDecode/%s does not re-encode to itself", name)
+		}
+	}
 }

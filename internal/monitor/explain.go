@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"publishing/internal/trace"
 )
@@ -37,7 +36,7 @@ func Explain(w io.Writer, events []trace.Event, msgID string) []trace.Event {
 	for _, e := range out {
 		switch e.Kind {
 		case trace.KindSend:
-			if strings.HasPrefix(e.Detail, "retransmit") {
+			if e.Seq > 0 {
 				retrans++
 			}
 		case trace.KindPublish:

@@ -239,8 +239,8 @@ func (m *Monitor) Observe(e trace.Event) {
 		}
 		m.sends++
 		ms := m.state(e.Msg)
-		if strings.HasPrefix(e.Detail, "retransmit") {
-			return
+		if e.Seq > 0 {
+			return // a retransmission
 		}
 		ms.freshSends++
 		if ms.freshSends == 1 {

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,14 @@ func newTest(cfg Config) (*Monitor, *simtime.Time) {
 
 func ev(at simtime.Time, kind trace.Kind, node int, msg, subject, detail string) trace.Event {
 	return trace.Event{At: at, Kind: kind, Node: node, Msg: msg, Subject: subject, Detail: detail}
+}
+
+// resend is the transport's retransmission of msg, its attempt'th
+// transmission: a send event whose Seq is the attempt number.
+func resend(at simtime.Time, msg, subject string, attempt uint64) trace.Event {
+	e := ev(at, trace.KindSend, 0, msg, subject, fmt.Sprintf("retransmit #%d", attempt))
+	e.Seq = attempt
+	return e
 }
 
 func wantViolations(t *testing.T, m *Monitor, invs ...string) {
@@ -122,7 +131,7 @@ func TestExplainVerdictIsIncarnationAware(t *testing.T) {
 		ev(100, trace.KindSend, 0, "p0.1#9", "p1.1", "guaranteed"),
 		ev(200, trace.KindDeliver, 1, "p0.1#9", "p1.1", "queued"),
 		ev(2000, trace.KindCrash, 1, "", "node", "processor crash"),
-		ev(3000, trace.KindSend, 0, "p0.1#9", "p1.1", "retransmit #37"),
+		resend(3000, "p0.1#9", "p1.1", 37),
 		ev(3100, trace.KindDeliver, 1, "p0.1#9", "p1.1", "queued"),
 	}
 	var b strings.Builder
@@ -142,14 +151,38 @@ func TestExplainVerdictIsIncarnationAware(t *testing.T) {
 func TestRetransmitDoesNotCountAsFreshSend(t *testing.T) {
 	m, _ := newTest(Config{})
 	m.Observe(ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"))
-	m.Observe(ev(150, trace.KindSend, 0, "p0.1#1", "p1.1", "retransmit #2"))
+	m.Observe(resend(150, "p0.1#1", "p1.1", 2))
 	m.Observe(ev(160, trace.KindRecoveryStart, 3, "", "p0.1", "recovering"))
-	m.Observe(ev(200, trace.KindSend, 0, "p0.1#1", "p1.1", "retransmit #3"))
+	m.Observe(resend(200, "p0.1#1", "p1.1", 3))
 	m.Observe(ev(300, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
 	m.Observe(ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"))
 	// The duplicate is a transport failure (exactly-once), not re-executed
 	// output: no fresh send followed the sender's recovery.
 	wantViolations(t, m, InvExactlyOnce)
+}
+
+// A retransmission is known by its attempt number, not its wording: a send
+// with Seq > 0 whatever its Detail says is no fresh send, and Explain
+// counts it as a retransmit.
+func TestRetransmissionIsItsAttemptNumber(t *testing.T) {
+	events := []trace.Event{
+		ev(100, trace.KindSend, 0, "p0.1#1", "p1.1", "guaranteed"),
+		ev(160, trace.KindRecoveryStart, 3, "", "p0.1", "recovering"),
+		resend(200, "p0.1#1", "p1.1", 2),
+		ev(300, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"),
+		ev(350, trace.KindDeliver, 1, "p0.1#1", "p1.1", "queued"),
+	}
+	events[2].Detail = "second copy"
+	m, _ := newTest(Config{})
+	for _, e := range events {
+		m.Observe(e)
+	}
+	wantViolations(t, m, InvExactlyOnce)
+	var b strings.Builder
+	Explain(&b, events, "p0.1#1")
+	if !strings.Contains(b.String(), "sends=1 retransmits=1 ") {
+		t.Fatalf("a renamed retransmission explained as:\n%s", b.String())
+	}
 }
 
 func TestReexecOutputAttribution(t *testing.T) {

@@ -3,7 +3,6 @@ package recorder
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,12 +31,12 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 	register(r, b, "b")
 	senders := []frame.ProcID{procA(), {Node: 0, Local: 9}, {Node: 0, Local: 11}}
 	next := make(map[frame.ProcID]uint64)
-	var model []storedMsg // b's stream in replay order, every message a copy
+	var model []frame.BundleRec // b's stream in replay order, every message a copy
 	var readCount uint64
 
-	msgOf := func(from frame.ProcID, step int) storedMsg {
+	msgOf := func(from frame.ProcID, step int) frame.BundleRec {
 		next[from]++
-		sm := storedMsg{ID: frame.MsgID{Sender: from, Seq: next[from]}, From: from,
+		sm := frame.BundleRec{ID: frame.MsgID{Sender: from, Seq: next[from]}, From: from,
 			Channel: uint16(rng.Intn(chanPeer)), Code: uint32(rng.Intn(1 << 20))}
 		if n := rng.Intn(900); n > 0 {
 			sm.Body = make([]byte, n)
@@ -46,12 +45,12 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 			}
 		}
 		if rng.Intn(3) == 0 {
-			sm.Link = &frame.Link{To: from, Channel: 2, Code: uint32(step), DeliverToKernel: rng.Intn(2) == 0}
+			sm.HasLink, sm.Link = true, frame.Link{To: from, Channel: 2, Code: uint32(step), DeliverToKernel: rng.Intn(2) == 0}
 		}
 		return sm
 	}
 	// marksOver are the acceptance marks of having taken msgs.
-	marksOver := func(msgs []storedMsg) []frame.MsgID {
+	marksOver := func(msgs []frame.BundleRec) []frame.MsgID {
 		var m frame.Marks
 		for _, sm := range msgs {
 			m.Note(sm.ID)
@@ -68,7 +67,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 		for i := range model {
 			g, w := got[i], model[i]
 			if g.ID != w.ID || g.From != w.From || g.Channel != w.Channel || g.Code != w.Code ||
-				!bytes.Equal(g.Body, w.Body) || (g.Body == nil) != (w.Body == nil) || !reflect.DeepEqual(g.Link, w.Link) {
+				!bytes.Equal(g.Body, w.Body) || (g.Body == nil) != (w.Body == nil) || g.HasLink != w.HasLink || g.Link != w.Link {
 				t.Fatalf("seed %d step %d (%s): message %d reads back %+v, model %+v", seed, step, op, i, g, w)
 			}
 		}
@@ -81,8 +80,8 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 			op = "arrival"
 			sm := msgOf(senders[rng.Intn(len(senders))], step)
 			var link *frame.Link
-			if sm.Link != nil {
-				l := *sm.Link
+			if sm.HasLink {
+				l := sm.Link
 				link = &l
 			}
 			publishFrame(r, &frame.Frame{Type: frame.Guaranteed, Src: sm.From.Node, Dst: b.Node,
@@ -94,7 +93,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 			// in an order of their own.
 			op = "checkpoint"
 			n := rng.Intn(len(model) + 1)
-			queued := append([]storedMsg(nil), model[n:]...)
+			queued := append([]frame.BundleRec(nil), model[n:]...)
 			for i := len(queued) - 1; i > 0; i-- {
 				j := rng.Intn(i + 1)
 				queued[i], queued[j] = queued[j], queued[i]
@@ -121,7 +120,7 @@ func arrivalIndexModel(t *testing.T, seed uint64) {
 			op = "handoff"
 			j := rng.Intn(len(model) + 1)
 			m := j + rng.Intn(len(model)-j+1)
-			msgs := append([]storedMsg(nil), model[j:m]...)
+			msgs := append([]frame.BundleRec(nil), model[j:m]...)
 			for n := rng.Intn(3); n > 0; n-- {
 				msgs = append(msgs, msgOf(senders[rng.Intn(len(senders))], step))
 			}

@@ -30,15 +30,22 @@ func newTestStream() *testStream {
 	return &testStream{store: s, key: s.Key("msg:p1.3")}
 }
 
-// push records sm as the stream's next arrival, numbering its ArrSeq.
-func (st *testStream) push(sm storedMsg) {
-	sm.ArrSeq = st.next
+// seqRec is a message record with the arrival seq its store record is
+// filed under.
+type seqRec struct {
+	frame.BundleRec
+	ArrSeq uint64
+}
+
+// push records m as the stream's next arrival.
+func (st *testStream) push(m frame.BundleRec) {
+	seq := st.next
 	st.next++
-	ref, err := st.store.AppendKey(st.key, stablestore.KindMessage, sm.ArrSeq, appendStoredMsg(nil, &sm))
+	ref, err := st.store.AppendKey(st.key, stablestore.KindMessage, seq, appendStoredMsg(nil, &m))
 	if err != nil {
 		panic(err)
 	}
-	st.log.Push(sm.ArrSeq, tap.Ref(ref))
+	st.log.Push(seq, tap.Ref(ref))
 }
 
 // ArrivalID reads a message id from st's store, as the recorder does.
@@ -53,9 +60,9 @@ func (st *testStream) idAt(l *tap.ArrLog, i int) frame.MsgID {
 }
 
 // reconstruct is Recorder.reconstruct over log, a snapshot of st's.
-func (st *testStream) reconstruct(log tap.ArrLog, advs []tap.Advisory) []storedMsg {
+func (st *testStream) reconstruct(log tap.ArrLog, advs []tap.Advisory) []frame.BundleRec {
 	s := tap.Stream{Arrivals: log, Advisories: advs}
-	var out []storedMsg
+	var out []frame.BundleRec
 	o := tap.NewOrder(&s, st)
 	for _, seq, ref, ok := o.Next(); ok; _, seq, ref, ok = o.Next() {
 		out = append(out, readArrival(st.store, st.key, seq, ref))
@@ -64,12 +71,12 @@ func (st *testStream) reconstruct(log tap.ArrLog, advs []tap.Advisory) []storedM
 }
 
 // reconstructAll is reconstruct over the whole stream.
-func (st *testStream) reconstructAll(advs []tap.Advisory) []storedMsg {
+func (st *testStream) reconstructAll(advs []tap.Advisory) []frame.BundleRec {
 	return st.reconstruct(st.log, advs)
 }
 
 // logOf builds a stream holding msgs in arrival order.
-func logOf(msgs []storedMsg) *testStream {
+func logOf(msgs []frame.BundleRec) *testStream {
 	st := newTestStream()
 	for _, sm := range msgs {
 		st.push(sm)
@@ -115,7 +122,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 			if l.Len() != i {
 				t.Fatalf("n=%d: len %d after %d pushes", n, l.Len(), i)
 			}
-			st.push(storedMsg{ID: mid(1, uint64(i+1)), Body: []byte{byte(i + 1)}})
+			st.push(frame.BundleRec{ID: mid(1, uint64(i+1)), Body: []byte{byte(i + 1)}})
 		}
 		for i := 0; i < n; i++ {
 			if seq, ref := l.At(i); seq != uint64(i) || st.ArrivalID(nil, seq, ref).Seq != uint64(i+1) {
@@ -128,7 +135,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 
 		snap := *l
 		before := logSeqs(t, st, snap)
-		st.push(storedMsg{ID: mid(1, 1000), Body: []byte{byte(1000 % 256)}})
+		st.push(frame.BundleRec{ID: mid(1, 1000), Body: []byte{byte(1000 % 256)}})
 		// Keep every other entry, last first: an order keep must honour.
 		var pos []int
 		for i := l.Len() - 1; i >= 0; i -= 2 {
@@ -140,7 +147,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 		}
 		l.Keep(pos)
 		wantSeqs(t, "kept", logSeqs(t, st, *l), want...)
-		st.push(storedMsg{ID: mid(1, 2000), Body: []byte{byte(2000 % 256)}})
+		st.push(frame.BundleRec{ID: mid(1, 2000), Body: []byte{byte(2000 % 256)}})
 		if got := st.idAt(l, l.Len()-1).Seq; got != 2000 {
 			t.Fatalf("n=%d: push after keep landed %d", n, got)
 		}

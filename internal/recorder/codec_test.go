@@ -41,12 +41,10 @@ func peerCases() []peerMsg {
 }
 
 func handoffCases() []handoffProc {
-	var msgs []storedMsg
+	var msgs []frame.BundleRec
 	cases := storedCases()
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
-		sm := cases[name]
-		sm.ArrSeq = 0 // not shipped: the requester numbers its own arrivals
-		msgs = append(msgs, sm)
+		msgs = append(msgs, cases[name])
 	}
 	return []handoffProc{
 		{},

@@ -5,7 +5,6 @@ import (
 
 	"publishing/internal/demos"
 	"publishing/internal/frame"
-	"publishing/internal/recorder/tap"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
@@ -114,7 +113,7 @@ type handoffProc struct {
 	CkReadCount uint64
 	CkStateKB   int
 	Cov         uint64
-	Msgs        []storedMsg
+	Msgs        []frame.BundleRec
 	// Recorded is the watermark table, one id per sender (its highest
 	// recorded), sorted so the blob's bytes are deterministic.
 	Recorded []frame.MsgID
@@ -471,14 +470,13 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	}
 	// The adopted Msgs are in reconstructed read order already; the local
 	// arrivals they lack follow them.
-	var msgs []tap.Msg
-	for i := range blob.Msgs {
-		theirs.Note(blob.Msgs[i].ID)
-		msgs = append(msgs, tapMsg(&blob.Msgs[i]))
+	msgs := blob.Msgs
+	for i := range msgs {
+		theirs.Note(msgs[i].ID)
 	}
 	for _, lm := range r.reconstruct(e) {
 		if !theirs.Covers(lm.ID) && !ckMarks.Covers(lm.ID) {
-			msgs = append(msgs, tapMsg(&lm))
+			msgs = append(msgs, lm)
 		}
 	}
 	old := e.Arrivals.Seqs()
@@ -492,15 +490,6 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 	r.stats.HandoffProcsAdopted++
 	r.log.Add(trace.KindRecorder, int(r.node), blob.Proc.String(),
 		"adopted handoff basis (coverage %d -> %d, %d local extras kept)", localCov, blob.Cov, len(msgs)-len(blob.Msgs))
-}
-
-// tapMsg is sm as the tap core records it.
-func tapMsg(sm *storedMsg) tap.Msg {
-	m := tap.Msg{ID: sm.ID, From: sm.From, Channel: sm.Channel, Code: sm.Code, Body: sm.Body}
-	if sm.Link != nil {
-		m.Link, m.HasLink = *sm.Link, true
-	}
-	return m
 }
 
 // beginCatchUp starts the §6.3 restart catch-up: force a checkpoint from

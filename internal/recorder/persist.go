@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"publishing/internal/demos"
@@ -44,69 +43,64 @@ const (
 	smFlags = smLinkPresent | smBodyPresent | smFromDiffers | smLinkToKernel
 )
 
-// codeStoredMsg codes sm's record. ArrSeq is not in it: it is the record's
-// seq in the store. A decoded Body aliases the record: the recorder decodes
-// a record where the store keeps it, so the store's page stays the one copy,
-// and the body is read-only.
-func codeStoredMsg(c *frame.Coder, sm *storedMsg) {
+// codeStoredMsg codes m's record: its ID, From, Channel, Code, link and
+// Body. A record's arrival seq is not in it: it is the record's seq in the
+// store. A decoded Body aliases the record: the recorder decodes a record
+// where the store keeps it, so the store's page stays the one copy, and the
+// body is read-only.
+func codeStoredMsg(c *frame.Coder, m *frame.BundleRec) {
 	var flags uint8
-	if sm.Link != nil {
+	if m.HasLink {
 		flags |= smLinkPresent
-		if sm.Link.DeliverToKernel {
+		if m.Link.DeliverToKernel {
 			flags |= smLinkToKernel
 		}
 	}
-	if sm.Body != nil {
+	if m.Body != nil {
 		flags |= smBodyPresent
 	}
-	if sm.From != sm.ID.Sender {
+	if m.From != m.ID.Sender {
 		flags |= smFromDiffers
 	}
 	if frame.Uint(c, &flags); flags&^smFlags != 0 || flags&(smLinkPresent|smLinkToKernel) == smLinkToKernel {
 		c.Fail()
 	}
-	c.MsgID(&sm.ID)
+	c.MsgID(&m.ID)
 	if c.Decoding() {
-		sm.From = sm.ID.Sender
-		if flags&smLinkPresent != 0 {
-			sm.Link = &frame.Link{DeliverToKernel: flags&smLinkToKernel != 0}
-		}
+		m.From = m.ID.Sender
+		m.HasLink = flags&smLinkPresent != 0
+		m.Link.DeliverToKernel = flags&smLinkToKernel != 0
 	}
 	if flags&smFromDiffers != 0 {
-		if c.Proc(&sm.From); sm.From == sm.ID.Sender {
+		if c.Proc(&m.From); m.From == m.ID.Sender {
 			c.Fail()
 		}
 	}
-	frame.Uint(c, &sm.Channel)
-	frame.Uint(c, &sm.Code)
-	if flags&smLinkPresent != 0 {
-		c.Proc(&sm.Link.To)
-		frame.Uint(c, &sm.Link.Channel)
-		frame.Uint(c, &sm.Link.Code)
+	frame.Uint(c, &m.Channel)
+	frame.Uint(c, &m.Code)
+	if m.HasLink {
+		c.Proc(&m.Link.To)
+		frame.Uint(c, &m.Link.Channel)
+		frame.Uint(c, &m.Link.Code)
 	}
-	c.Blob(&sm.Body)
+	c.Blob(&m.Body)
 	if c.Decoding() {
 		switch {
-		case flags&smBodyPresent == 0 && sm.Body != nil:
+		case flags&smBodyPresent == 0 && m.Body != nil:
 			c.Fail()
-		case flags&smBodyPresent != 0 && sm.Body == nil:
-			sm.Body = []byte{}
+		case flags&smBodyPresent != 0 && m.Body == nil:
+			m.Body = []byte{}
 		}
 	}
 }
 
-// appendStoredMsg appends sm's record to dst.
-func appendStoredMsg(dst []byte, sm *storedMsg) []byte {
-	return frame.AppendBody(dst, sm, codeStoredMsg)
-}
-
-// decodeStoredMsg reads a message record; arrSeq is its seq.
-func decodeStoredMsg(b []byte, arrSeq uint64) (storedMsg, error) {
-	sm := storedMsg{ArrSeq: arrSeq}
-	if err := frame.DecodeBody(b, &sm, codeStoredMsg); err != nil {
-		return storedMsg{}, fmt.Errorf("message record: %w", err)
+// decodeStoredMsg reads a message record.
+func decodeStoredMsg(b []byte) (frame.BundleRec, error) {
+	var m frame.BundleRec
+	if err := frame.DecodeBody(b, &m, codeStoredMsg); err != nil {
+		return frame.BundleRec{}, fmt.Errorf("message record: %w", err)
 	}
-	return sm, nil
+	return m, nil
 }
 
 // codeAdvisory codes adv's record. AdvSeq is not in it: it is the record's
@@ -223,22 +217,23 @@ func (r *Recorder) append(k stablestore.Key, kind stablestore.RecordKind, seq ui
 	return ref
 }
 
-// persistMessage stores sm's record in e's stream and returns where it lies.
-func (r *Recorder) persistMessage(e *procEntry, sm *storedMsg) stablestore.Ref {
-	r.encScratch = appendStoredMsg(r.encScratch[:0], sm)
-	return r.append(e.keys.msg, stablestore.KindMessage, sm.ArrSeq, r.encScratch)
+// persistMessage stores m's record as arrival arrSeq of e's stream and
+// returns where it lies.
+func (r *Recorder) persistMessage(e *procEntry, m *frame.BundleRec, arrSeq uint64) stablestore.Ref {
+	r.encScratch = frame.AppendBody(r.encScratch[:0], m, codeStoredMsg)
+	return r.append(e.keys.msg, stablestore.KindMessage, arrSeq, r.encScratch)
 }
 
 // readArrival reads arrival seq's message back from its record at ref under
 // key, the stream's msg: key. The Body aliases the store's page and is
 // read-only. A record the stream names that the store cannot produce is
 // stable storage failing, which append treats the same way.
-func readArrival(store *stablestore.Paged, key stablestore.Key, seq uint64, ref tap.Ref) storedMsg {
+func readArrival(store *stablestore.Paged, key stablestore.Key, seq uint64, ref tap.Ref) frame.BundleRec {
 	b, err := store.Lookup(key, seq, stablestore.Ref(ref))
 	if err == nil {
-		var sm storedMsg
-		if sm, err = decodeStoredMsg(b, seq); err == nil {
-			return sm
+		var m frame.BundleRec
+		if m, err = decodeStoredMsg(b); err == nil {
+			return m
 		}
 	}
 	panic(fmt.Sprintf("recorder: stable store read: %v", err))
@@ -352,7 +347,7 @@ func (r *Recorder) rebuild() error {
 		if !ok {
 			return nil
 		}
-		pid, ok := parseProcID(pidStr)
+		pid, ok := frame.ParseProcID(pidStr)
 		if !ok {
 			return nil
 		}
@@ -362,10 +357,10 @@ func (r *Recorder) rebuild() error {
 		var err error
 		switch ns {
 		case "msg":
-			var sm storedMsg
-			if sm, err = decodeStoredMsg(rec.Data, rec.Seq); err == nil {
-				a.msgs = append(a.msgs, arrival{id: sm.ID, seq: sm.ArrSeq, ref: tap.Ref(ref)})
-				a.arrNext = max(a.arrNext, sm.ArrSeq+1)
+			var m frame.BundleRec
+			if m, err = decodeStoredMsg(rec.Data); err == nil {
+				a.msgs = append(a.msgs, arrival{id: m.ID, seq: rec.Seq, ref: tap.Ref(ref)})
+				a.arrNext = max(a.arrNext, rec.Seq+1)
 			}
 		case "adv":
 			var adv tap.Advisory
@@ -477,25 +472,4 @@ func (r *Recorder) rebuild() error {
 	}
 	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "rebuilt database: %d processes", len(r.db))
 	return nil
-}
-
-// parseProcID parses the "p<node>.<local>" form produced by ProcID.String.
-func parseProcID(s string) (frame.ProcID, bool) {
-	rest, ok := strings.CutPrefix(s, "p")
-	if !ok {
-		return frame.NilProc, false
-	}
-	nodeStr, localStr, ok := strings.Cut(rest, ".")
-	if !ok {
-		return frame.NilProc, false
-	}
-	node, err := strconv.ParseInt(nodeStr, 10, 32)
-	if err != nil {
-		return frame.NilProc, false
-	}
-	local, err := strconv.ParseUint(localStr, 10, 32)
-	if err != nil {
-		return frame.NilProc, false
-	}
-	return frame.ProcID{Node: frame.NodeID(node), Local: uint32(local)}, true
 }

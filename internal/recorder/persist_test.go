@@ -18,34 +18,40 @@ import (
 	"publishing/internal/stablestore"
 )
 
+// appendStoredMsg appends m's message record to dst, as the recorder
+// stores it.
+func appendStoredMsg(dst []byte, m *frame.BundleRec) []byte {
+	return frame.AppendBody(dst, m, codeStoredMsg)
+}
+
 // storedCases covers every shape a message record takes: absent, empty and
 // full-frame bodies; From the sender or another process; no link, a process
 // link, a kernel link; negative nodes and the extremes of every integer
 // field.
-func storedCases() map[string]storedMsg {
+func storedCases() map[string]frame.BundleRec {
 	hi := frame.ProcID{Node: math.MaxInt32, Local: math.MaxUint32}
 	lo := frame.ProcID{Node: math.MinInt32, Local: 0}
-	return map[string]storedMsg{
+	return map[string]frame.BundleRec{
 		"zero":       {},
 		"empty-body": {ID: mid(1, 1), Body: []byte{}},
 		"typical": {ID: frame.MsgID{Sender: procA(), Seq: 42}, From: procA(), Channel: 2, Code: 9,
-			Body: bytes.Repeat([]byte{0xAB}, 48), ArrSeq: 41},
+			Body: bytes.Repeat([]byte{0xAB}, 48)},
 		"extremes": {ID: frame.MsgID{Sender: hi, Seq: math.MaxUint64}, From: lo,
-			Channel: math.MaxUint16, Code: math.MaxUint32, Body: []byte{0}, ArrSeq: math.MaxUint64},
+			Channel: math.MaxUint16, Code: math.MaxUint32, Body: []byte{0}},
 		"negative-node": {ID: frame.MsgID{Sender: frame.ProcID{Node: frame.Broadcast, Local: 1}, Seq: 2},
 			From: frame.ProcID{Node: frame.Broadcast, Local: 1}},
 		"link": {ID: mid(1, 3), Body: []byte("with link"),
-			Link: &frame.Link{To: procB(), Channel: 4, Code: 77}},
+			HasLink: true, Link: frame.Link{To: procB(), Channel: 4, Code: 77}},
 		"kernel-link": {ID: mid(1, 4),
-			Link: &frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}},
-		"zero-link": {ID: mid(1, 5), Body: []byte{}, Link: &frame.Link{}},
+			HasLink: true, Link: frame.Link{To: lo, Channel: math.MaxUint16, Code: math.MaxUint32, DeliverToKernel: true}},
+		"zero-link": {ID: mid(1, 5), Body: []byte{}, HasLink: true, Link: frame.Link{}},
 		"max-body": {ID: mid(1, 6), From: procA(),
-			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), Link: &frame.Link{To: procA(), Code: 1}},
+			Body: bytes.Repeat([]byte{0x5A}, frame.MaxBody), HasLink: true, Link: frame.Link{To: procA(), Code: 1}},
 	}
 }
 
-// The round trip is field for field over what a record stores; ArrSeq is
-// the store's seq, handed back by the caller. The lengths are the layout's:
+// The round trip is field for field over what a record stores; the arrival
+// seq is not in it but the store's seq. The lengths are the layout's:
 // flags, the id's node, local and seq, From when it is not the sender,
 // channel, code, the link's node, local, channel and code, the body length,
 // the body.
@@ -63,7 +69,7 @@ func TestStoredMsgRoundTrip(t *testing.T) {
 	}
 	for name, want := range storedCases() {
 		enc := appendStoredMsg(nil, &want)
-		got, err := decodeStoredMsg(enc, want.ArrSeq)
+		got, err := decodeStoredMsg(enc)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -82,10 +88,10 @@ func TestStoredMsgRoundTrip(t *testing.T) {
 }
 
 func TestStoredMsgRoundTripProperty(t *testing.T) {
-	prop := func(node int32, local uint32, seq uint64, ch uint16, code uint32, arr uint64,
+	prop := func(node int32, local uint32, seq uint64, ch uint16, code uint32,
 		body []byte, nilBody, fromSender, hasLink, kernel bool) bool {
 		p := frame.ProcID{Node: frame.NodeID(node), Local: local}
-		want := storedMsg{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, Channel: ch, Code: code, ArrSeq: arr}
+		want := frame.BundleRec{ID: frame.MsgID{Sender: p, Seq: seq}, From: p, Channel: ch, Code: code}
 		if !fromSender {
 			want.From = frame.ProcID{Node: frame.NodeID(^node), Local: ^local}
 		}
@@ -93,9 +99,9 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 			want.Body = append([]byte{}, body...)
 		}
 		if hasLink {
-			want.Link = &frame.Link{To: p, Channel: ^ch, Code: ^code, DeliverToKernel: kernel}
+			want.HasLink, want.Link = true, frame.Link{To: p, Channel: ^ch, Code: ^code, DeliverToKernel: kernel}
 		}
-		got, err := decodeStoredMsg(appendStoredMsg(nil, &want), arr)
+		got, err := decodeStoredMsg(appendStoredMsg(nil, &want))
 		return err == nil && reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
@@ -123,7 +129,7 @@ func TestStoredMsgRoundTripProperty(t *testing.T) {
 // after it, is an error — never a panic, never a shorter record.
 func TestRecordDecodersRejectDamage(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"msg":  func(b []byte) error { _, err := decodeStoredMsg(b, 0); return err },
+		"msg":  func(b []byte) error { _, err := decodeStoredMsg(b); return err },
 		"adv":  func(b []byte) error { _, err := decodeAdvisory(b, 0); return err },
 		"last": func(b []byte) error { _, err := decodeLastSent(b); return err },
 	}
@@ -179,7 +185,7 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 	} {
 		sm := storedCases()[c.base]
 		bad := c.damage(appendStoredMsg(nil, &sm))
-		if _, err := decodeStoredMsg(bad, 0); err == nil {
+		if _, err := decodeStoredMsg(bad); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -196,10 +202,10 @@ func TestRecordDecodersRejectDamage(t *testing.T) {
 
 // The layout is pinned: these bytes are what a store written today holds.
 func TestRecordGoldenBytes(t *testing.T) {
-	sm := storedMsg{
+	sm := frame.BundleRec{
 		ID:   frame.MsgID{Sender: frame.ProcID{Node: 1, Local: 2}, Seq: 3},
-		From: frame.ProcID{Node: -1, Local: 5}, Channel: 6, Code: 300, Body: []byte("hi"), ArrSeq: 8,
-		Link: &frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
+		From: frame.ProcID{Node: -1, Local: 5}, Channel: 6, Code: 300, Body: []byte("hi"),
+		HasLink: true, Link: frame.Link{To: frame.ProcID{Node: 10, Local: 11}, Channel: 12, Code: 13, DeliverToKernel: true},
 	}
 	adv := tap.Advisory{ReadID: mid(1, 2), HeadID: mid(3, 4), AdvSeq: 5}
 	for name, c := range map[string]struct {
@@ -235,17 +241,18 @@ func TestRecordEncodersDoNotAllocate(t *testing.T) {
 }
 
 // Reading a message back (replay, reconstruct, handoff) decodes its record
-// where the store keeps it: the only allocation is the Link a record carries.
-func TestMessageDecoderAllocatesOnlyTheLink(t *testing.T) {
-	for name, want := range map[string]float64{"typical": 0, "link": 1} {
+// where the store keeps it, into a frame.BundleRec that holds its link by
+// value: nothing is allocated.
+func TestMessageDecoderDoesNotAllocate(t *testing.T) {
+	for _, name := range []string{"typical", "link"} {
 		sm := storedCases()[name]
 		enc := appendStoredMsg(nil, &sm)
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := decodeStoredMsg(enc, 0); err != nil {
+			if _, err := decodeStoredMsg(enc); err != nil {
 				t.Fatal(err)
 			}
-		}); n != want {
-			t.Errorf("%s: decoding allocates %v times, want %v", name, n, want)
+		}); n != 0 {
+			t.Errorf("%s: decoding allocates %v times", name, n)
 		}
 	}
 }
@@ -259,12 +266,12 @@ func FuzzStoredRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const seq = 7 // the store's seq, which the record does not hold
-		if sm, err := decodeStoredMsg(data, seq); err == nil {
+		if sm, err := decodeStoredMsg(data); err == nil {
 			enc := appendStoredMsg(nil, &sm)
 			if !bytes.Equal(enc, data) {
 				t.Fatalf("accepted a non-canonical message record\n in  %x\n out %x", data, enc)
 			}
-			if again, err := decodeStoredMsg(enc, seq); err != nil || !reflect.DeepEqual(again, sm) {
+			if again, err := decodeStoredMsg(enc); err != nil || !reflect.DeepEqual(again, sm) {
 				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, again, sm)
 			}
 		}
@@ -347,7 +354,7 @@ type entryView struct {
 	Spec                   demos.ProcSpec
 	Node                   frame.NodeID
 	LastSent               uint64
-	Arrivals               []storedMsg
+	Arrivals               []seqRec
 	Advisories             []tap.Advisory
 	ArrSeqNext, AdvSeqNext uint64
 	Checkpoint             []byte
@@ -362,10 +369,10 @@ func viewDB(r *Recorder) map[frame.ProcID]entryView {
 	out := make(map[frame.ProcID]entryView, len(r.db))
 	for p, e := range r.db {
 		// The arrivals in log order, each read from its record.
-		arrivals := make([]storedMsg, e.Arrivals.Len())
+		arrivals := make([]seqRec, e.Arrivals.Len())
 		for i := range arrivals {
 			seq, ref := e.Arrivals.At(i)
-			arrivals[i] = readArrival(r.store, e.keys.msg, seq, ref)
+			arrivals[i] = seqRec{readArrival(r.store, e.keys.msg, seq, ref), seq}
 		}
 		out[p] = entryView{Spec: e.Spec, Node: e.Node, LastSent: e.LastSent,
 			Arrivals: arrivals, Advisories: e.Advisories, ArrSeqNext: e.ArrSeqNext, AdvSeqNext: e.AdvSeqNext,
@@ -389,7 +396,7 @@ func restartRebuildsDatabaseFieldForField(t *testing.T) {
 	b := before[procB()]
 	links, kernel := 0, 0
 	for _, sm := range b.Arrivals {
-		if sm.Link != nil {
+		if sm.HasLink {
 			links++
 			if sm.Link.DeliverToKernel {
 				kernel++
@@ -503,12 +510,12 @@ func BenchmarkPersistMessage(b *testing.B) {
 			r, _ := newBenchOn(b, stablestore.New())
 			register(r, procB(), "b")
 			e := r.db[procB()]
-			sm := storedMsg{ID: frame.MsgID{Sender: procA()}, From: procA(), Body: make([]byte, size.body)}
+			sm := frame.BundleRec{ID: frame.MsgID{Sender: procA()}, From: procA(), Body: make([]byte, size.body)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sm.ID.Seq, sm.ArrSeq = uint64(i+1), uint64(i)
-				r.persistMessage(e, &sm)
+				sm.ID.Seq = uint64(i + 1)
+				r.persistMessage(e, &sm, uint64(i))
 			}
 			b.ReportMetric(float64(len(r.encScratch)), "B/record")
 		})

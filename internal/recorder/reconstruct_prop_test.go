@@ -22,9 +22,9 @@ func TestReconstructMatchesReferenceSimulation(t *testing.T) {
 		n := rng.Intn(30) + 1
 
 		// Arrivals with random channels.
-		arrivals := make([]storedMsg, n)
+		arrivals := make([]frame.BundleRec, n)
 		for i := range arrivals {
-			arrivals[i] = storedMsg{
+			arrivals[i] = frame.BundleRec{
 				ID:      mid(1, uint64(i+1)),
 				Channel: uint16(rng.Intn(3)),
 				Body:    []byte{byte(i)},
@@ -36,7 +36,7 @@ func TestReconstructMatchesReferenceSimulation(t *testing.T) {
 		// randomly chosen queued message (so it always succeeds) and pops
 		// the FIRST queued message with that channel — the kernel's scan
 		// semantics. Reads past the head emit advisories.
-		var queue []storedMsg
+		var queue []frame.BundleRec
 		next := 0
 		var reads []frame.MsgID
 		var advs []tap.Advisory
@@ -106,12 +106,12 @@ func TestReconstructAtCrashInstant(t *testing.T) {
 	rng := simtime.NewRand(424242)
 	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(20) + 2
-		arrivals := make([]storedMsg, n)
+		arrivals := make([]frame.BundleRec, n)
 		for i := range arrivals {
-			arrivals[i] = storedMsg{ID: mid(2, uint64(i+1)), Channel: uint16(rng.Intn(2))}
+			arrivals[i] = frame.BundleRec{ID: mid(2, uint64(i+1)), Channel: uint16(rng.Intn(2))}
 		}
 		// All messages arrive, then the process reads k of them.
-		queue := append([]storedMsg(nil), arrivals...)
+		queue := append([]frame.BundleRec(nil), arrivals...)
 		k := rng.Intn(n)
 		var reads []frame.MsgID
 		var advs []tap.Advisory

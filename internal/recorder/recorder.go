@@ -195,18 +195,6 @@ type Stats struct {
 	HandoffProcsAdopted uint64
 }
 
-// storedMsg is one published message in a process's stream, as its record
-// and the handoff blob hold it (codeStoredMsg).
-type storedMsg struct {
-	ID      frame.MsgID
-	From    frame.ProcID
-	Channel uint16
-	Code    uint32
-	Body    []byte
-	Link    *frame.Link
-	ArrSeq  uint64
-}
-
 // procEntry is the §4.5 per-process database record: "the process
 // identifier, the identifier of the most recent message sent by the
 // process, a list of ids of messages received by the process (since the
@@ -601,12 +589,8 @@ var publishFormats = [...]string{
 	tap.ViaPreRegistration: "published (#%d in stream, accepted before registration)",
 }
 
-func (fx *tapFx) Record(s *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
-	sm := storedMsg{ID: m.ID, From: m.From, Channel: m.Channel, Code: m.Code, Body: m.Body, ArrSeq: arrSeq}
-	if m.HasLink {
-		sm.Link = &m.Link
-	}
-	return tap.Ref((*Recorder)(fx).persistMessage(s.Host.(*procEntry), &sm))
+func (fx *tapFx) Record(s *tap.Stream, m *frame.BundleRec, arrSeq uint64) tap.Ref {
+	return tap.Ref((*Recorder)(fx).persistMessage(s.Host.(*procEntry), m, arrSeq))
 }
 
 func (fx *tapFx) ArrivalID(s *tap.Stream, arrSeq uint64, ref tap.Ref) frame.MsgID {
@@ -756,8 +740,8 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 // order plus the out-of-order read advisories (§4.4.2): tap.Order's order,
 // materialized from the stream's records. The bodies alias the store's
 // pages and are read-only.
-func (r *Recorder) reconstruct(e *procEntry) []storedMsg {
-	out := make([]storedMsg, 0, e.Arrivals.Len())
+func (r *Recorder) reconstruct(e *procEntry) []frame.BundleRec {
+	out := make([]frame.BundleRec, 0, e.Arrivals.Len())
 	o := tap.NewOrder(&e.Stream, (*tapFx)(r))
 	for _, seq, ref, ok := o.Next(); ok; _, seq, ref, ok = o.Next() {
 		out = append(out, readArrival(r.store, e.keys.msg, seq, ref))
@@ -765,31 +749,16 @@ func (r *Recorder) reconstruct(e *procEntry) []storedMsg {
 	return out
 }
 
-// ReplayMsg is an exported view of one published message, in replay order.
-type ReplayMsg struct {
-	ID      frame.MsgID
-	From    frame.ProcID
-	Channel uint16
-	Code    uint32
-	Body    []byte
-	Link    *frame.Link
-}
-
 // StreamMessages returns a process's published stream in reconstructed
-// read order — the debugger's input (§6.5) and the recovery replay feed.
-// The bodies are read from the recorder's stable store, alias its pages,
-// and are read-only.
-func (r *Recorder) StreamMessages(p frame.ProcID) []ReplayMsg {
+// read order, each message the record the recorder stored — the debugger's
+// input (§6.5) and what a recovery replays. The bodies are read from the
+// recorder's stable store, alias its pages, and are read-only.
+func (r *Recorder) StreamMessages(p frame.ProcID) []frame.BundleRec {
 	e := r.db[p]
 	if e == nil {
 		return nil
 	}
-	order := r.reconstruct(e)
-	out := make([]ReplayMsg, len(order))
-	for i, m := range order {
-		out[i] = ReplayMsg{ID: m.ID, From: m.From, Channel: m.Channel, Code: m.Code, Body: m.Body, Link: m.Link}
-	}
-	return out
+	return r.reconstruct(e)
 }
 
 // CheckpointOf returns a process's latest stored checkpoint, if any.

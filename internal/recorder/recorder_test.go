@@ -40,12 +40,12 @@ func ckImage(tag string, marks ...frame.MsgID) []byte {
 	})
 }
 
-func sm(local uint32, seq uint64) storedMsg {
-	return storedMsg{ID: mid(local, seq), Body: []byte{byte(seq)}}
+func sm(local uint32, seq uint64) frame.BundleRec {
+	return frame.BundleRec{ID: mid(local, seq), Body: []byte{byte(seq)}}
 }
 
 func TestReconstructNoAdvisories(t *testing.T) {
-	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
+	arr := []frame.BundleRec{sm(1, 1), sm(1, 2), sm(1, 3)}
 	out := logOf(arr).reconstructAll(nil)
 	if len(out) != 3 || out[0].ID != arr[0].ID || out[2].ID != arr[2].ID {
 		t.Fatalf("identity reconstruction broken: %v", out)
@@ -59,7 +59,7 @@ func TestReconstructNoAdvisories(t *testing.T) {
 
 func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 	// Arrivals: A B C. The process read B while A was at the head.
-	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
+	arr := []frame.BundleRec{sm(1, 1), sm(1, 2), sm(1, 3)}
 	adv := []tap.Advisory{{ReadID: mid(1, 2), HeadID: mid(1, 1)}}
 	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{2, 1, 3}
@@ -72,7 +72,7 @@ func TestReconstructSingleOutOfOrderRead(t *testing.T) {
 
 func TestReconstructInterleavedReads(t *testing.T) {
 	// Arrivals: A B C D E. Reads: A (in order), then D (head B), then B, C, E.
-	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3), sm(1, 4), sm(1, 5)}
+	arr := []frame.BundleRec{sm(1, 1), sm(1, 2), sm(1, 3), sm(1, 4), sm(1, 5)}
 	adv := []tap.Advisory{{ReadID: mid(1, 4), HeadID: mid(1, 2)}}
 	out := logOf(arr).reconstructAll(adv)
 	want := []uint64{1, 4, 2, 3, 5}
@@ -85,7 +85,7 @@ func TestReconstructInterleavedReads(t *testing.T) {
 
 func TestReconstructConsecutiveSameHead(t *testing.T) {
 	// Reads: C (head A), then B (head A), then A.
-	arr := []storedMsg{sm(1, 1), sm(1, 2), sm(1, 3)}
+	arr := []frame.BundleRec{sm(1, 1), sm(1, 2), sm(1, 3)}
 	adv := []tap.Advisory{
 		{ReadID: mid(1, 3), HeadID: mid(1, 1)},
 		{ReadID: mid(1, 2), HeadID: mid(1, 1)},
@@ -104,7 +104,7 @@ func TestReconstructConsecutiveSameHead(t *testing.T) {
 func TestReconstructIsPermutation(t *testing.T) {
 	if err := quick.Check(func(n uint8, advPairs []uint8) bool {
 		size := int(n%10) + 1
-		arr := make([]storedMsg, size)
+		arr := make([]frame.BundleRec, size)
 		for i := range arr {
 			arr[i] = sm(1, uint64(i+1))
 		}
@@ -132,7 +132,7 @@ func TestReconstructIsPermutation(t *testing.T) {
 	}
 }
 
-func ids(ms []storedMsg) []uint64 {
+func ids(ms []frame.BundleRec) []uint64 {
 	out := make([]uint64, len(ms))
 	for i, m := range ms {
 		out[i] = m.ID.Seq
@@ -280,7 +280,7 @@ func TestStreamReadsBodiesFromTheStore(t *testing.T) {
 	copy(member.Body, "XXXXXX")
 	got := r.StreamMessages(procB())
 	if len(got) != 2 || string(got[0].Body) != "single" || string(got[1].Body) != "member" {
-		t.Fatalf("stream reads back %q", got)
+		t.Fatalf("stream reads back %+v", got)
 	}
 	if &got[0].Body[0] == &single.Body[0] || &got[1].Body[0] == &member.Body[0] {
 		t.Fatal("a stream body aliases the wire")
@@ -517,21 +517,6 @@ func TestCrashedTapRefuses(t *testing.T) {
 	f := &frame.Frame{Type: frame.Guaranteed, ID: frame.MsgID{Sender: procA(), Seq: 1}, From: procA(), To: procB()}
 	if r.Observe(f) {
 		t.Fatal("crashed recorder stored a frame")
-	}
-}
-
-func TestParseProcID(t *testing.T) {
-	p := frame.ProcID{Node: 3, Local: 44}
-	got, ok := parseProcID(p.String()[1:] /* strip 'p' is wrong */)
-	if ok && got == p {
-		t.Fatal("parse should fail without prefix")
-	}
-	got, ok = parseProcID(p.String())
-	if !ok || got != p {
-		t.Fatalf("parseProcID(%q) = %v, %v", p.String(), got, ok)
-	}
-	if _, ok := parseProcID("zork"); ok {
-		t.Fatal("garbage parsed")
 	}
 }
 

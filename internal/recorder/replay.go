@@ -32,7 +32,7 @@ type batchSender struct {
 	// lookahead between it and the packer (a record that did not fit the
 	// previous batch), read back from the store.
 	order      tap.Order
-	staged     storedMsg
+	staged     frame.BundleRec
 	haveStaged bool
 
 	nextSeq uint64 // highest batch sequence sent
@@ -66,7 +66,7 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 }
 
 // peek stages the next record without consuming it.
-func (bs *batchSender) peek() (*storedMsg, bool) {
+func (bs *batchSender) peek() (*frame.BundleRec, bool) {
 	if !bs.haveStaged {
 		if _, seq, ref, ok := bs.order.Next(); ok {
 			bs.staged, bs.haveStaged = readArrival(bs.r.store, bs.e.keys.msg, seq, ref), true
@@ -95,7 +95,7 @@ func (bs *batchSender) fill() {
 // written again, and the record array is the transport's (BatchRecs), so a
 // warm recorder copies no body and allocates only the batch header.
 func (bs *batchSender) sendBatch() bool {
-	sm, ok := bs.peek()
+	m, ok := bs.peek()
 	if !ok {
 		return false
 	}
@@ -105,22 +105,18 @@ func (bs *batchSender) sendBatch() bool {
 	recs := r.ep.BatchRecs()
 	n := frame.BatchHdrLen
 	for {
-		rec := frame.BundleRec{ID: sm.ID, From: sm.From, Channel: sm.Channel, Code: sm.Code, Body: sm.Body}
-		if sm.Link != nil {
-			rec.HasLink, rec.Link = true, *sm.Link
-		}
 		if recs == nil {
 			// A new array, sized for a batch of records like the first.
-			recs = make([]frame.BundleRec, 0, 1+max(budget-n, 0)/rec.ReplayLen())
+			recs = make([]frame.BundleRec, 0, 1+max(budget-n, 0)/m.ReplayLen())
 		}
-		if len(recs) > 0 && n+rec.ReplayLen() > budget {
+		if len(recs) > 0 && n+m.ReplayLen() > budget {
 			break // does not fit; starts the next batch
 		}
-		recs = append(recs, rec)
-		n += rec.ReplayLen()
+		recs = append(recs, *m)
+		n += m.ReplayLen()
 		bs.haveStaged = false
 		r.stats.MessagesReplayed++
-		if sm, ok = bs.peek(); !ok {
+		if m, ok = bs.peek(); !ok {
 			break
 		}
 	}

@@ -130,7 +130,7 @@ func TestHandoffAdoptMergesWatermarks(t *testing.T) {
 
 	r.installHandoffProc(&handoffProc{
 		Proc: procB(), Node: 1, Ck: ckImage("ck", frame.MsgID{Sender: a, Seq: 6}), CkReadCount: 6, Cov: 7,
-		Msgs:     []storedMsg{{ID: frame.MsgID{Sender: a, Seq: 7}, From: a, Body: []byte("theirs")}},
+		Msgs:     []frame.BundleRec{{ID: frame.MsgID{Sender: a, Seq: 7}, From: a, Body: []byte("theirs")}},
 		Recorded: []frame.MsgID{{Sender: a, Seq: 7}, {Sender: d, Seq: 4}},
 	})
 	if got := r.Stats().HandoffProcsAdopted; got != 1 {

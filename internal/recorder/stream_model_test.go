@@ -47,7 +47,7 @@ import (
 
 type refStream struct {
 	have       map[frame.MsgID]bool
-	arrivals   []storedMsg // ID and ArrSeq
+	arrivals   []seqRec // ID and ArrSeq
 	advisories []tap.Advisory
 	arrSeqNext uint64
 	baseReads  uint64
@@ -93,7 +93,7 @@ func (m *refTap) observe(id frame.MsgID, from, to frame.ProcID, now simtime.Time
 }
 
 func (m *refTap) record(e *refStream, id frame.MsgID) {
-	e.arrivals = append(e.arrivals, storedMsg{ID: id, ArrSeq: e.arrSeqNext})
+	e.arrivals = append(e.arrivals, seqRec{frame.BundleRec{ID: id}, e.arrSeqNext})
 	e.arrSeqNext++
 	e.have[id] = true
 	m.recorded++
@@ -178,11 +178,11 @@ func (m *refTap) checkpoint(p frame.ProcID, readCount uint64, queued []frame.Msg
 	if e == nil || e.dead || readCount < e.baseReads {
 		return
 	}
-	byID := make(map[frame.MsgID]storedMsg, len(e.arrivals))
+	byID := make(map[frame.MsgID]seqRec, len(e.arrivals))
 	for _, sm := range e.arrivals {
 		byID[sm.ID] = sm
 	}
-	var retained []storedMsg
+	var retained []seqRec
 	for _, id := range queued {
 		sm, ok := byID[id]
 		if !ok {
@@ -249,7 +249,7 @@ type coreRecord struct {
 	seq uint64
 }
 
-func (fx *coreFx) Record(_ *tap.Stream, m *tap.Msg, arrSeq uint64) tap.Ref {
+func (fx *coreFx) Record(_ *tap.Stream, m *frame.BundleRec, arrSeq uint64) tap.Ref {
 	fx.records = append(fx.records, coreRecord{id: m.ID, seq: arrSeq})
 	return tap.Ref{Off: uint32(len(fx.records))}
 }

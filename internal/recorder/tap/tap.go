@@ -16,8 +16,9 @@ import (
 // synchronously where the decision makes it. The recorder implements it.
 type Effects interface {
 	IDReader
-	// Record persists m as arrival arrSeq of s and returns where it lies.
-	Record(s *Stream, m *Msg, arrSeq uint64) Ref
+	// Record persists m's record as arrival arrSeq of s and returns where
+	// it lies.
+	Record(s *Stream, m *frame.BundleRec, arrSeq uint64) Ref
 	// LastSent persists s.LastSent.
 	LastSent(s *Stream)
 	// Published reports m recorded at arrSeq of s, learned as via says.
@@ -56,16 +57,11 @@ type Counts struct {
 }
 
 // Msg is a message the tap heard that no acknowledgement has yet placed in a
-// stream. Its Body is the wire body, read-only from Send on.
+// stream: the record it was heard as, whose Body is the wire body, read-only
+// from Send on, and when.
 type Msg struct {
-	ID      frame.MsgID
-	From    frame.ProcID
-	Channel uint16
-	Code    uint32
-	Body    []byte
-	Link    frame.Link
-	HasLink bool
-	SeenAt  simtime.Time
+	frame.BundleRec
+	SeenAt simtime.Time
 }
 
 // Stream is a process's database record (§4.5) as the decisions read and
@@ -224,12 +220,7 @@ func (c *Core) Heard(m *frame.BundleRec, from, to *Rec, now simtime.Time) {
 		to.swept = true
 		c.swept = append(c.swept, to)
 	}
-	to.q = append(to.q, Msg{})
-	p := &to.q[len(to.q)-1]
-	p.ID, p.From, p.Channel, p.Code, p.Link, p.HasLink, p.SeenAt = m.ID, m.From, m.Channel, m.Code, m.Link, m.HasLink, now
-	if len(m.Body) > 0 {
-		p.Body = m.Body
-	}
+	to.q = append(to.q, Msg{BundleRec: *m, SeenAt: now})
 	c.counts.MessagesPending++
 }
 
@@ -347,14 +338,14 @@ func (c *Core) fenced(s *Stream, id frame.MsgID) bool {
 }
 
 func (c *Core) record(s *Stream, m *Msg, via Via) {
-	arrSeq := c.append(s, m)
+	arrSeq := c.append(s, &m.BundleRec)
 	c.counts.ArrivalsRecorded++
 	c.counts.BytesStored += uint64(len(m.Body))
 	c.fx.Published(s, m, arrSeq, via)
 }
 
 // append makes m s's next arrival, persisted where the stream says.
-func (c *Core) append(s *Stream, m *Msg) uint64 {
+func (c *Core) append(s *Stream, m *frame.BundleRec) uint64 {
 	arrSeq := s.ArrSeqNext
 	s.ArrSeqNext++
 	s.Restore(m.ID, arrSeq, c.fx.Record(s, m, arrSeq))
@@ -453,7 +444,7 @@ func (c *Core) Summary(s *Stream) []frame.MsgID {
 
 // Adopt replaces s's basis with a partner replica's (the shard handoff):
 // its checkpoint, recorded marks, and msgs in read order as s's arrivals.
-func (c *Core) Adopt(s *Stream, marks frame.Marks, readCount uint64, recorded []frame.MsgID, msgs []Msg) {
+func (c *Core) Adopt(s *Stream, marks frame.Marks, readCount uint64, recorded []frame.MsgID, msgs []frame.BundleRec) {
 	s.Arrivals, s.Advisories, s.CkMarks, s.CkReadCount = ArrLog{}, nil, marks, readCount
 	for i := range msgs {
 		c.append(s, &msgs[i])

@@ -71,7 +71,9 @@ type Event struct {
 	Msg string
 	// Seq is an event-kind-specific sequence number: for KindPublish it is
 	// the recorder's acceptance-order position in the destination stream
-	// (the value online monitors check monotonicity of). Zero elsewhere.
+	// (the value online monitors check monotonicity of), and for KindSend
+	// the transmission's attempt number, above zero only on a
+	// retransmission. Zero elsewhere. Exporters do not print it.
 	Seq uint64
 	// Detail is a human-readable explanation.
 	Detail string
@@ -270,7 +272,8 @@ func (l *Log) AddMsg(kind Kind, node int, msg, subject, format string, args ...a
 
 // AddMsgSeq is AddMsg with an event sequence number (Event.Seq) attached —
 // the recorder stamps KindPublish events with their acceptance-order
-// position through this.
+// position through this, and the transport a retransmission with its
+// attempt number.
 func (l *Log) AddMsgSeq(kind Kind, node int, msg, subject string, seq uint64, format string, args ...any) {
 	l.record(kind, node, msg, subject, seq, format, args...)
 }

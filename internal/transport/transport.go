@@ -1069,7 +1069,7 @@ func (e *Endpoint) retransmit(fl *flight) {
 	e.backoffRTO(fl.f.Dst)
 	if e.log.Enabled() {
 		id := fl.f.ID.String()
-		e.log.AddMsg(trace.KindSend, int(e.node), id, id, "retransmit #%d", fl.attempts)
+		e.log.AddMsgSeq(trace.KindSend, int(e.node), id, id, uint64(fl.attempts), "retransmit #%d", fl.attempts)
 	}
 	e.transmit(fl)
 }

@@ -448,11 +448,10 @@ func (c *Cluster) attachMonitor() {
 			if rank < 0 || rank >= shards.Recorders() {
 				return true // processing nodes own no shards; unconstrained
 			}
-			var pn, pl int
-			if n, err := fmt.Sscanf(proc, "p%d.%d", &pn, &pl); err != nil || n != 2 {
+			p, ok := frame.ParseProcID(proc)
+			if !ok {
 				return true // not a process stream (e.g. "recorder" crash events)
 			}
-			p := frame.ProcID{Node: frame.NodeID(pn), Local: uint32(pl)}
 			return shards.Replicates(rank, shards.ShardOf(p))
 		}
 	}
