@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -160,7 +160,7 @@ notrajectory:
 	! grep -rnE 'benchjson|BENCH_(baseline|sim|recovery|recorder)|BenchmarkSimThroughput|BenchmarkEndToEndRecovery' --include='*.go' .
 
 # A chaos run ends when the system has settled (DESIGN.md "Simulation
-# testing"): chaos.Settle derives the stop from the schedule and the
+# testing"): SettleChaos derives the stop from the schedule and the
 # cluster, and every chaos drive goes through it. The names below are the
 # fixed grace period it replaced and the hand-rolled drive loops that
 # copied it.
@@ -271,6 +271,16 @@ arrrefs:
 # prefix test they replaced; bench/ (frozen) is not matched.
 onerecord:
 	! grep -rnE 'type (storedMsg|ReplayMsg)\b|func tapMsg\b|Sscanf\([^)]*"p%d|HasPrefix\(e\.Detail' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .
+
+# A chaos run is named by its ChaosOptions and its chaos.Schedule, and
+# driven on the *Cluster and *PipelineRun the root package's harness builds
+# (DESIGN.md "Simulation testing"). internal/chaos is only the schedule
+# language: it imports no monitor, recorder, kernel, medium, trace or
+# metrics. The names below are the seam the harness once ran through: an
+# interface over the cluster, one over the pipeline, and a build closure.
+oneharness:
+	! grep -rnE 'chaos\.(System|BuildFunc|Scenario|Targets|CheckConfig)\b|\bChaosBuild\b|type (System|Workload) interface|type BuildFunc func' --include='*.go' --exclude='*_test.go' .
+	! $(GO) list -deps ./internal/chaos | grep -xE 'publishing/internal/(monitor|recorder|demos|lan|trace|metrics)'
 
 build:
 	$(GO) build ./...

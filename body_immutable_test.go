@@ -150,13 +150,8 @@ func TestDeliveredBodiesAreImmutable(t *testing.T) {
 			}
 			c, w, worker, _ := watchedPipeline(t, medium, seed, bodiesIntact)
 			s := chaos.Generate(seed, chaos.DefaultLimits())
-			chaos.Apply(c, s, chaos.Targets{
-				Worker:     worker,
-				CrashNodes: []NodeID{1},
-				PartNodes:  []NodeID{0, 1},
-				LinkNodes:  []NodeID{0, 1, 2, 3},
-			})
-			if busy := chaos.Settle(c, s); busy != nil {
+			ApplyChaos(c, &PipelineRun{Worker: worker}, s)
+			if busy := SettleChaos(c, s); busy != nil {
 				t.Fatalf("seed %d (%s): not settled: %v", seed, medium, busy)
 			}
 			if n := w.written(); n != 0 {

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"publishing/internal/chaos"
 )
 
 const censusPath = "testdata/census.golden"
@@ -27,7 +25,7 @@ const (
 
 // censusLine is a failing seed's census line: the seed, its variant tag and
 // the invariants it violates, in report order.
-func censusLine(r chaos.Result) string {
+func censusLine(r ChaosResult) string {
 	var invs []string
 	for _, v := range r.Violations {
 		if !slices.Contains(invs, v.Invariant) {
@@ -76,9 +74,9 @@ func TestChaosCensus(t *testing.T) {
 		first, last = censusShortFirst, censusShortLast
 	}
 	want := readCensus(t)
-	got := map[uint64]chaos.Result{}
-	for _, r := range ChaosCensus(first, int(last-first+1), chaos.Options{}) {
-		if !r.Passed {
+	got := map[uint64]ChaosResult{}
+	for _, r := range ChaosCensus(first, int(last-first+1), "") {
+		if !r.Passed() {
 			got[r.Schedule.Seed] = r
 		}
 	}
@@ -119,8 +117,8 @@ func TestChaosCensus(t *testing.T) {
 // Seed 265 is a listed failure (ROADMAP item 1(2)).
 func TestChaosCensusArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	r := ChaosCensus(265, 1, chaos.Options{ArtifactDir: dir})[0]
-	if r.Passed {
+	r := ChaosCensus(265, 1, dir)[0]
+	if r.Passed() {
 		t.Fatal("seed 265 passes now: pick another failing census seed")
 	}
 	reports, err := filepath.Glob(filepath.Join(dir, "chaos-seed265-*", "report.txt"))
@@ -140,8 +138,8 @@ func TestChaosArtifactDumpErrorReported(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := ChaosCensus(265, 1, chaos.Options{ArtifactDir: file})[0]
-	if r.Passed {
+	r := ChaosCensus(265, 1, file)[0]
+	if r.Passed() {
 		t.Fatal("seed 265 passes now: pick another failing census seed")
 	}
 	last := r.Report[strings.LastIndex(strings.TrimSuffix(r.Report, "\n"), "\n")+1:]

@@ -21,8 +21,8 @@ var shardedOpt = ChaosOptions{Recorders: 3, ShardSlots: 16}
 // result means anything.
 func TestChaosShardedBaseline(t *testing.T) {
 	s := chaos.Schedule{Seed: 77}
-	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.Options{})
-	if !res.Passed {
+	res := RunChaos(shardedOpt, s, "")
+	if !res.Passed() {
 		t.Fatalf("fault-free sharded run violated invariants:\n%s", res.Report)
 	}
 	if !strings.Contains(res.Report, "replay-basis-union ok") {
@@ -42,9 +42,10 @@ func TestChaosShardedHandoffCrash(t *testing.T) {
 	// replicate a busy stream, and the partner Apply arms (victim+1 mod n)
 	// must be the slot's other replica, so the transfer it dies serving
 	// actually carries the worker's basis.
-	probe := ChaosScenario(seed, shardedOpt)
-	sm := probe.Sys.(*Cluster).ShardMap()
-	slot := sm.ShardOf(probe.Targets.Worker)
+	probe, probeRun := ChaosScenario(seed, shardedOpt)
+	probe.Close()
+	sm := probe.ShardMap()
+	slot := sm.ShardOf(probeRun.Worker)
 	lead, fol := sm.Leader(slot), sm.Follower(slot)
 	victim := lead
 	if (fol+1)%sm.Recorders() == lead {
@@ -56,8 +57,8 @@ func TestChaosShardedHandoffCrash(t *testing.T) {
 		{Kind: chaos.KindHandoffCrash, AtMs: 600, DurMs: 2400, A: uint8(victim), B: 0},
 		{Kind: chaos.KindProcCrash, AtMs: 1500, A: 0},
 	}}
-	res := chaos.Run(s, ChaosBuild(shardedOpt), chaos.Options{})
-	if !res.Passed {
+	res := RunChaos(shardedOpt, s, "")
+	if !res.Passed() {
 		t.Fatalf("mid-handoff recorder crash violated invariants:\n%s", res.Report)
 	}
 	if !strings.Contains(res.Report, "replay-basis-union ok") {
@@ -68,11 +69,12 @@ func TestChaosShardedHandoffCrash(t *testing.T) {
 	// fired (say the handoff finished in fewer chunks than the trigger).
 	// Re-drive the same schedule directly and require the injected
 	// mid-transfer crash in the trace.
-	sc := ChaosScenario(s.Seed, shardedOpt)
-	chaos.Apply(sc.Sys, s, sc.Targets)
-	chaos.Settle(sc.Sys, s)
+	c, run := ChaosScenario(s.Seed, shardedOpt)
+	defer c.Close()
+	ApplyChaos(c, run, s)
+	SettleChaos(c, s)
 	fired := false
-	for _, e := range sc.Sys.Trace().Events() {
+	for _, e := range c.Trace().Events() {
 		if strings.Contains(e.Detail, "injected crash mid-handoff") {
 			fired = true
 			break

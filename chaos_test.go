@@ -24,20 +24,20 @@ const chaosSweepSeeds = 50
 // the checker report, the artifact path, and a minimized reproducer token.
 func TestChaosScheduleSweep(t *testing.T) {
 	lim := chaos.DefaultLimits()
-	opt := chaos.Options{ArtifactDir: t.TempDir()}
+	dir := t.TempDir()
 	for seed := uint64(1); seed <= chaosSweepSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			s := chaos.Generate(seed, lim)
-			build := ChaosBuild(ChaosSeedVariant(seed))
-			res := chaos.Run(s, build, opt)
-			if !res.Passed {
+			opt := ChaosSeedVariant(seed)
+			res := RunChaos(opt, s, dir)
+			if !res.Passed() {
 				t.Errorf("invariants violated:\n%s", res.Report)
 				if res.Artifacts != "" {
 					t.Errorf("post-mortem artifacts for schedule %s:\n%s", s.Hex(), res.Artifacts)
 				}
-				t.Fatal(chaos.Reproducer(s, build))
+				t.Fatal(ChaosReproducer(opt, s))
 			}
 		})
 	}
@@ -52,14 +52,13 @@ func TestChaosScheduleSweep(t *testing.T) {
 func TestChaosDeterministicReports(t *testing.T) {
 	for _, seed := range []uint64{2, 13, 31, 383} {
 		s := chaos.Generate(seed, chaos.DefaultLimits())
-		build := ChaosBuild(ChaosSeedVariant(seed))
-		a := chaos.Run(s, build, chaos.Options{})
-		b := chaos.Run(s, build, chaos.Options{})
+		a := RunChaos(ChaosSeedVariant(seed), s, "")
+		b := RunChaos(ChaosSeedVariant(seed), s, "")
 		if a.Report != b.Report {
 			t.Fatalf("seed %d: reports differ across identical runs:\n--- first\n%s\n--- second\n%s",
 				seed, a.Report, b.Report)
 		}
-		if !a.Passed && seed <= chaosSweepSeeds {
+		if !a.Passed() && seed <= chaosSweepSeeds {
 			t.Fatalf("seed %d: schedule failed (sweep should have caught this):\n%s", seed, a.Report)
 		}
 	}
@@ -75,10 +74,8 @@ func TestChaosBrokenDupSuppressionCaught(t *testing.T) {
 	s := chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
 		{Kind: chaos.KindDupBurst, AtMs: 300, DurMs: 3000, Prob: 255},
 	}}
-	opt := chaos.Options{}
-
-	broken := chaos.Run(s, ChaosBuild(ChaosOptions{BreakDupSuppression: true}), opt)
-	if broken.Passed {
+	broken := RunChaos(ChaosOptions{BreakDupSuppression: true}, s, "")
+	if broken.Passed() {
 		t.Fatalf("checker passed with duplicate suppression disabled under a dup burst:\n%s", broken.Report)
 	}
 	caught := false
@@ -91,8 +88,8 @@ func TestChaosBrokenDupSuppressionCaught(t *testing.T) {
 		t.Fatalf("exactly-once invariant missed the duplicates; violations:\n%s", broken.Report)
 	}
 
-	intact := chaos.Run(s, ChaosBuild(ChaosOptions{}), opt)
-	if !intact.Passed {
+	intact := RunChaos(ChaosOptions{}, s, "")
+	if !intact.Passed() {
 		t.Fatalf("intact transport failed the same schedule:\n%s", intact.Report)
 	}
 }
@@ -127,8 +124,8 @@ func TestChaosUnpublishedCopyAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bad pinned token: %v", err)
 			}
-			res := chaos.Run(s, ChaosBuild(tc.opt), chaos.Options{})
-			if !res.Passed {
+			res := RunChaos(tc.opt, s, "")
+			if !res.Passed() {
 				t.Fatalf("invariants violated:\n%s", res.Report)
 			}
 			if !voided.MatchString(res.Report) {
@@ -138,8 +135,8 @@ func TestChaosUnpublishedCopyAfterCrash(t *testing.T) {
 	}
 }
 
-// TestSettlingIsFinal: once chaos.Settle stops a run, nothing the checker
-// reads moves any more. Each census seed below is run as chaos.Run runs it,
+// TestSettlingIsFinal: once SettleChaos stops a run, nothing the checker
+// reads moves any more. Each census seed below is run as RunChaos runs it,
 // checked, run 15 virtual seconds more and checked again: the report, the
 // output and the state must not change. Seeds 51, 72, 93, 138 and 312 were
 // stopped mid-recovery by the fixed grace period Settle replaced. Without
@@ -152,33 +149,26 @@ func TestSettlingIsFinal(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			s := chaos.Generate(seed, chaos.DefaultLimits())
-			build := ChaosBuild(ChaosSeedVariant(seed))
-			outcome := func(sc chaos.Scenario, unsettled []string) chaos.RunOutcome {
-				st, err := sc.Work.State()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return chaos.RunOutcome{Done: sc.Work.Done(), Output: sc.Work.Output(), State: st, Unsettled: unsettled}
-			}
-			base := build(seed)
-			t.Cleanup(base.Sys.Close)
-			baseline := outcome(base, chaos.Settle(base.Sys, chaos.Schedule{}))
-			sc := build(seed)
-			t.Cleanup(sc.Sys.Close)
-			sc.Sys.Trace().SetDetailed(true)
-			chaos.Apply(sc.Sys, s, sc.Targets)
-			settled := outcome(sc, chaos.Settle(sc.Sys, s))
+			opt := ChaosSeedVariant(seed)
+			base, baseRun := ChaosScenario(seed, opt)
+			t.Cleanup(base.Close)
+			baseline := outcome(baseRun, SettleChaos(base, chaos.Schedule{}))
+			c, run := ChaosScenario(seed, opt)
+			t.Cleanup(c.Close)
+			c.Trace().SetDetailed(true)
+			ApplyChaos(c, run, s)
+			settled := outcome(run, SettleChaos(c, s))
 			if settled.Unsettled != nil {
 				t.Fatalf("not settled: %v", settled.Unsettled)
 			}
-			report := chaos.Check(sc.Sys, s, settled, baseline, sc.CheckCfg).Report
-			stop := sc.Sys.Now()
-			sc.Sys.Run(15 * simtime.Second)
-			later := outcome(sc, nil)
+			report := checkChaos(c, opt, s, settled, baseline).Report
+			stop := c.Now()
+			c.Run(15 * simtime.Second)
+			later := outcome(run, nil)
 			if !slices.Equal(later.Output, settled.Output) || !bytes.Equal(later.State, settled.State) {
 				t.Errorf("output or state moved after the stop at %v:\n%q\n%q", stop, settled.Output, later.Output)
 			}
-			if again := chaos.Check(sc.Sys, s, later, baseline, sc.CheckCfg).Report; again != report {
+			if again := checkChaos(c, opt, s, later, baseline).Report; again != report {
 				t.Errorf("report moved after the stop at %v:\n--- at the stop\n%s--- 15 s later\n%s", stop, report, again)
 			}
 		})
@@ -197,9 +187,9 @@ func TestChaosRepro(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad CHAOS_SCHEDULE token: %v", err)
 	}
-	res := chaos.Run(s, ChaosBuild(ChaosSeedVariant(s.Seed)), chaos.Options{})
+	res := RunChaos(ChaosSeedVariant(s.Seed), s, "")
 	t.Logf("\n%s", res.Report)
-	if !res.Passed {
+	if !res.Passed() {
 		t.Fatalf("schedule %s violates %d invariant(s)", s.Hex(), len(res.Violations))
 	}
 }

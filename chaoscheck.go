@@ -1,4 +1,4 @@
-package chaos
+package publishing
 
 import (
 	"fmt"
@@ -6,56 +6,51 @@ import (
 	"slices"
 	"strings"
 
-	"publishing/internal/frame"
+	"publishing/internal/chaos"
 	"publishing/internal/monitor"
 	"publishing/internal/recorder"
 	"publishing/internal/simtime"
 	"publishing/internal/trace"
 )
 
-// RunOutcome is what one run of the scenario's workload produced.
-type RunOutcome struct {
-	// Done reports whether the workload completed by the time the run
+// chaosOutcome is what one run of the chaos scenario's pipeline produced.
+type chaosOutcome struct {
+	// Done reports whether the pipeline completed by the time the run
 	// settled.
 	Done bool
-	// Output is the ordered application-level output stream (the witness's
-	// transcript).
+	// Output is the witness's transcript.
 	Output []string
-	// State is the canonical final-state snapshot of the recoverable
-	// process (the worker's encoded machine state).
+	// State is the worker's encoded final state.
 	State []byte
-	// Unsettled is what Settle found still moving when it gave up (nil when
-	// the run settled).
+	// Unsettled is what SettleChaos found still moving when it gave up (nil
+	// when the run settled).
 	Unsettled []string
 }
 
-// CheckConfig tunes the invariant checker.
-type CheckConfig struct {
-	// RecoveryBound, when > 0, is the scenario's configured recovery-time
-	// bound; completed recoveries that no other fault disturbed must finish
-	// within 2*bound + 1s (the same slack margin the checkpoint-policy
-	// tests allow, doubled for fault-window scheduling noise).
-	RecoveryBound simtime.Time
-}
-
-// Violation is one failed invariant.
-type Violation struct {
+// ChaosViolation is one failed invariant.
+type ChaosViolation struct {
 	Invariant string
 	Detail    string
 }
 
-func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
+func (v ChaosViolation) String() string { return v.Invariant + ": " + v.Detail }
 
-// Outcome of Check: the violations plus a deterministic text report. Two
-// runs of the same schedule produce byte-identical reports — that property
-// is itself asserted by the root chaos tests.
-type CheckResult struct {
-	Violations []Violation
+// ChaosResult is one chaos run's verdict: its violations plus a
+// deterministic text report. Two runs of the same options and schedule
+// produce byte-identical reports — that property is itself asserted by the
+// chaos tests.
+type ChaosResult struct {
+	Schedule   chaos.Schedule
+	Violations []ChaosViolation
 	Report     string
+	// Artifacts is the directory post-mortem artifacts were dumped into
+	// ("" when the run passed, RunChaos was given no artifact directory or
+	// the dump failed, which the report's last line then says).
+	Artifacts string
 }
 
 // Passed reports whether every invariant held.
-func (r CheckResult) Passed() bool { return len(r.Violations) == 0 }
+func (r ChaosResult) Passed() bool { return len(r.Violations) == 0 }
 
 // capList joins up to max items for a report line.
 func capList(items []string, max int) string {
@@ -65,9 +60,9 @@ func capList(items []string, max int) string {
 	return strings.Join(items[:max], ", ") + fmt.Sprintf(", … (%d total)", len(items))
 }
 
-// Check asserts the system-wide invariants once a run has settled. faulted
-// is the outcome of the run the schedule was applied to (on sys); baseline
-// is the outcome of a fault-free run of the same seed.
+// checkChaos asserts the system-wide invariants once a run has settled.
+// faulted is the outcome of the run s was applied to (on c); baseline is
+// the outcome of a fault-free run of the same options and seed.
 //
 // Invariants (the paper's §5 claims, made executable):
 //
@@ -80,17 +75,19 @@ func capList(items []string, max int) string {
 //	   the crash had not occurred").
 //	I3 state-equivalence — the recoverable process's final state snapshot
 //	   is byte-identical to the fault-free run's.
-//	I4 settled — Settle's stop predicate held before its cap (see
+//	I4 settled — SettleChaos's stop predicate held before its cap (see
 //	   unsettled), so a run that never settles is a violation naming what
 //	   still moves, not a silent pass.
 //	I5 recovery-completion — every recovery that started also completed.
 //	I7 bounded-recovery — undisturbed recoveries respect the checkpoint
-//	   policy's time bound (only checked when the scenario sets one).
-func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig) CheckResult {
-	var res CheckResult
+//	   policy's time bound (only checked when opt arms one).
+//	I8 replay-basis-union — the recorders' shards together are a complete
+//	   replay basis.
+func checkChaos(c *Cluster, opt ChaosOptions, s chaos.Schedule, faulted, baseline chaosOutcome) ChaosResult {
+	res := ChaosResult{Schedule: s}
 	var b strings.Builder
 	violate := func(invariant, format string, args ...any) {
-		v := Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
+		v := ChaosViolation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 		res.Violations = append(res.Violations, v)
 		fmt.Fprintf(&b, "%-18s VIOLATION %s\n", invariant, v.Detail)
 	}
@@ -119,7 +116,7 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 	// violating delivery's virtual time; the rule lives in internal/monitor.
 	// The monitor's other invariants (acceptance order, replay basis,
 	// give-up inference, shard ownership) are violations in their own right.
-	mon := sys.Monitor()
+	mon := c.Monitor()
 	var dups []string
 	var online []monitor.Violation
 	for _, v := range mon.Violations() {
@@ -132,12 +129,9 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 			online = append(online, v)
 		}
 	}
-	switch {
-	case mon == nil:
-		violate("exactly-once", "no online monitor attached")
-	case len(dups) > 0:
+	if len(dups) > 0 {
 		violate("exactly-once", "%s", capList(dups, 5))
-	default:
+	} else {
 		delivered, replayed, voided := mon.Licenses()
 		ok("exactly-once", "delivered=%d replayed=%d voided=%d", delivered, replayed, voided)
 	}
@@ -193,12 +187,12 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		}
 		return recs[e.Subject]
 	}
-	for _, e := range sys.Trace().OfKind(trace.KindRecoveryStart) {
+	for _, e := range c.Trace().OfKind(trace.KindRecoveryStart) {
 		w := window(e)
 		w.starts++
 		w.lastStart = e.At
 	}
-	for _, e := range sys.Trace().OfKind(trace.KindRecoveryDone) {
+	for _, e := range c.Trace().OfKind(trace.KindRecoveryDone) {
 		w := window(e)
 		w.dones++
 		w.lastDone = e.At
@@ -220,11 +214,12 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 	}
 
 	// I7 bounded-recovery: a recovery no other fault disturbed must finish
-	// within the checkpoint policy's promised window. A fault disturbs the
+	// within 2*bound + 1s (the same slack margin the checkpoint-policy tests
+	// allow, doubled for fault-window scheduling noise). A fault disturbs the
 	// recovery [rs, rd] if its active interval intersects the open window —
 	// the triggering crash (at or before rs) does not.
-	if cfg.RecoveryBound > 0 {
-		limit := 2*cfg.RecoveryBound + simtime.Second
+	if bound := opt.workerBound(); bound > 0 {
+		limit := 2*bound + simtime.Second
 		checked, skipped := 0, 0
 		var slow []string
 		for _, subj := range subjects {
@@ -251,93 +246,88 @@ func Check(sys System, s Schedule, faulted, baseline RunOutcome, cfg CheckConfig
 		if len(slow) > 0 {
 			violate("bounded-recovery", "%s", capList(slow, 5))
 		} else {
-			ok("bounded-recovery", "checked=%d skipped=%d limit=%v", checked, skipped, 2*cfg.RecoveryBound+simtime.Second)
+			ok("bounded-recovery", "checked=%d skipped=%d limit=%v", checked, skipped, limit)
 		}
 	}
 
-	// I8 replay-basis-union (clusters with a shard map): after quiescence,
-	// every live stream's shard must have a live replica, a live
-	// replica on recovery duty, and every replica on duty must hold the best
-	// basis any live replica has — coverage here is the checkpointed-read
-	// count plus recorded arrivals, the same total order the handoff protocol
-	// ships by. Together these say the union of the shards is a complete
-	// replay basis: no recorder crash (mid-handoff included) left a slot
-	// whose only competent copy is dead or whose acting copy is stale.
-	if ssys, isSh := sys.(interface{ ShardMap() *recorder.ShardMap }); isSh {
-		sm := ssys.ShardMap()
-		var recList []*recorder.Recorder
-		for i := 0; sys.RecorderAt(i) != nil; i++ {
-			recList = append(recList, sys.RecorderAt(i))
-		}
-		procSet := map[frame.ProcID]bool{}
-		for _, r := range recList {
-			if !r.Crashed() {
-				for _, p := range r.KnownProcs() {
-					procSet[p] = true
-				}
+	// I8 replay-basis-union: after quiescence, every live stream's shard
+	// must have a live replica, a live replica on recovery duty, and every
+	// replica on duty must hold the best basis any live replica has —
+	// coverage here is the checkpointed-read count plus recorded arrivals,
+	// the same total order the handoff protocol ships by. Together these say
+	// the union of the shards is a complete replay basis: no recorder crash
+	// (mid-handoff included) left a slot whose only competent copy is dead or
+	// whose acting copy is stale.
+	sm := c.ShardMap()
+	procSet := map[ProcID]bool{}
+	for i := range c.Recorders() {
+		if r := c.RecorderAt(i); !r.Crashed() {
+			for _, p := range r.KnownProcs() {
+				procSet[p] = true
 			}
 		}
-		procs := slices.SortedFunc(maps.Keys(procSet), frame.ProcID.Compare)
-		var holes []string
-		checked := 0
-		for _, p := range procs {
-			slot := sm.ShardOf(p)
-			type rep struct {
-				rank   int
-				acting bool
-				sum    recorder.BasisSummary
+	}
+	procs := slices.SortedFunc(maps.Keys(procSet), ProcID.Compare)
+	var holes []string
+	checked := 0
+	for _, p := range procs {
+		slot := sm.ShardOf(p)
+		type rep struct {
+			rank   int
+			acting bool
+			sum    recorder.BasisSummary
+		}
+		var reps []rep
+		var maxCov uint64
+		dead := false
+		for _, rank := range sm.Replicas(slot) {
+			r := c.RecorderAt(rank)
+			if r == nil || r.Crashed() {
+				continue
 			}
-			var reps []rep
-			var maxCov uint64
-			dead := false
-			for _, rank := range sm.Replicas(slot) {
-				if rank >= len(recList) || recList[rank].Crashed() {
-					continue
-				}
-				sum := recList[rank].Basis(p)
-				if sum.Dead {
-					dead = true
-				}
-				if sum.Cov() > maxCov {
-					maxCov = sum.Cov()
-				}
-				reps = append(reps, rep{rank: rank, acting: recList[rank].ActsFor(slot), sum: sum})
+			sum := r.Basis(p)
+			if sum.Dead {
+				dead = true
 			}
-			if dead {
-				continue // dead streams are not recovered, so not part of the basis
+			if sum.Cov() > maxCov {
+				maxCov = sum.Cov()
 			}
-			checked++
-			acting := 0
-			for _, r := range reps {
-				if !r.acting {
-					continue
-				}
-				acting++
-				if r.sum.Cov() < maxCov {
-					holes = append(holes, fmt.Sprintf("%v slot %d: acting rec%d coverage %d behind best %d",
-						p, slot, r.rank, r.sum.Cov(), maxCov))
-				}
+			reps = append(reps, rep{rank: rank, acting: r.ActsFor(slot), sum: sum})
+		}
+		if dead {
+			continue // dead streams are not recovered, so not part of the basis
+		}
+		checked++
+		acting := 0
+		for _, r := range reps {
+			if !r.acting {
+				continue
 			}
-			switch {
-			case len(reps) == 0:
-				holes = append(holes, fmt.Sprintf("%v slot %d: no live replica", p, slot))
-			case acting == 0:
-				holes = append(holes, fmt.Sprintf("%v slot %d: no live replica on recovery duty", p, slot))
+			acting++
+			if r.sum.Cov() < maxCov {
+				holes = append(holes, fmt.Sprintf("%v slot %d: acting rec%d coverage %d behind best %d",
+					p, slot, r.rank, r.sum.Cov(), maxCov))
 			}
 		}
-		if len(holes) > 0 {
-			violate("replay-basis-union", "%s", capList(holes, 5))
-		} else {
-			ok("replay-basis-union", "streams=%d slots=%d recorders=%d", checked, sm.Slots(), len(recList))
+		switch {
+		case len(reps) == 0:
+			holes = append(holes, fmt.Sprintf("%v slot %d: no live replica", p, slot))
+		case acting == 0:
+			holes = append(holes, fmt.Sprintf("%v slot %d: no live replica on recovery duty", p, slot))
 		}
+	}
+	if len(holes) > 0 {
+		violate("replay-basis-union", "%s", capList(holes, 5))
+	} else {
+		ok("replay-basis-union", "streams=%d slots=%d recorders=%d", checked, sm.Slots(), c.Recorders())
 	}
 
 	// The recorders' per-sender watermarks stand in for a set of every id
 	// recorded on the strength of in-order delivery. A message dropped below
 	// one that such a set might have kept breaks that premise; silent unless
 	// it happens, so reports read as before.
-	for i := 0; sys.RecorderAt(i) != nil; i++ {
-		if n := sys.RecorderAt(i).Stats().BelowWatermark; n != 0 {
+	for i := range c.Recorders() {
+		if n := c.RecorderAt(i).Stats().BelowWatermark; n != 0 {
 			violate("stream-order", "rec%d dropped %d acknowledged messages below a sender's watermark", i, n)
 		}
 	}

@@ -1,21 +1,24 @@
 package publishing
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 
 	"publishing/internal/chaos"
+	"publishing/internal/demos"
+	"publishing/internal/lan"
 	"publishing/internal/simtime"
 )
 
-// This file is the bridge between internal/chaos and a Cluster: the
-// canonical chaos scenario every chaos test, the soak tests, and the
-// `experiments -chaos` sweep share. It lives in the non-test part of the
-// package so tools can reuse it; *Cluster satisfies chaos.System
-// structurally, so internal/chaos never imports this package.
-
-var _ chaos.System = (*Cluster)(nil)
+// This file is the chaos harness: the canonical chaos scenario, and the run
+// that drives a fault schedule of internal/chaos through it. A chaos run is
+// named by two values, its ChaosOptions and its chaos.Schedule: every chaos
+// test, the soak tests and the `experiments -chaos` census pass that pair.
+// The invariant checker is chaoscheck.go.
 
 // ChaosOptions parameterize the canonical chaos scenario.
 type ChaosOptions struct {
@@ -45,13 +48,23 @@ type ChaosOptions struct {
 	ShardSlots int
 }
 
+// workerBound is the worker's recovery-time bound: 400 ms under the
+// checkpoint policy, none without it. The checker's bounded-recovery
+// invariant reads the same value.
+func (opt ChaosOptions) workerBound() Time {
+	if opt.Checkpoint {
+		return 400 * simtime.Millisecond
+	}
+	return 0
+}
+
 // ChaosScenario assembles the canonical chaos scenario for one seed:
 // producer on node 0, worker on node 1, witness on node 2, recorder on
 // node 3. The watchdog's silence tolerance (MissThreshold 20 × 500 ms =
 // 10 s) deliberately exceeds the default 8 s fault window, so bursts and
 // partitions can never falsely condemn the untargeted witness or producer
 // nodes.
-func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
+func ChaosScenario(seed uint64, opt ChaosOptions) (*Cluster, *PipelineRun) {
 	if opt.Msgs <= 0 {
 		opt.Msgs = 16
 	}
@@ -78,11 +91,10 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// transmission — 600 × 50 ms = 30 s is the effective give-up bound.
 	cfg.Transport.MaxRetries = 600
 	cfg.Transport.DisableDupSuppression = opt.BreakDupSuppression
-	p := Pipeline{Msgs: opt.Msgs, Pace: 200 * simtime.Millisecond, Prefix: "chaos-"}
+	p := Pipeline{Msgs: opt.Msgs, Pace: 200 * simtime.Millisecond, Prefix: "chaos-", WorkerBound: opt.workerBound()}
 	if opt.Checkpoint {
 		cfg.CheckpointPolicy = CheckpointBound
 		cfg.CheckpointTick = 300 * simtime.Millisecond
-		p.WorkerBound = 400 * simtime.Millisecond
 	}
 	if opt.Recorders > 0 {
 		cfg.Recorders = opt.Recorders
@@ -93,25 +105,7 @@ func ChaosScenario(seed uint64, opt ChaosOptions) chaos.Scenario {
 	// delivery landed, not just discovered after the fact.
 	cfg.Monitor = true
 	c := New(cfg)
-	run := p.Start(c)
-
-	return chaos.Scenario{
-		Sys:  c,
-		Work: run,
-		Targets: chaos.Targets{
-			Worker:     run.Worker,
-			CrashNodes: []NodeID{1},
-			PartNodes:  []NodeID{0, 1},
-			LinkNodes:  []NodeID{0, 1, 2, 3},
-		},
-		CheckCfg: chaos.CheckConfig{RecoveryBound: p.WorkerBound},
-	}
-}
-
-// ChaosBuild returns the chaos.BuildFunc for ChaosScenario with fixed
-// options — what chaos.Run calls twice per schedule (baseline + faulted).
-func ChaosBuild(opt ChaosOptions) chaos.BuildFunc {
-	return func(seed uint64) chaos.Scenario { return ChaosScenario(seed, opt) }
+	return c, p.Start(c)
 }
 
 // ChaosSeedVariant derives per-seed option diversity for sweeps. A third of
@@ -162,13 +156,252 @@ func (opt ChaosOptions) Tag() string {
 	return tag
 }
 
+// settleCap bounds how long (virtual) SettleChaos waits: generous against
+// the ~10 s fault window, and still milliseconds of real time.
+const settleCap = 4 * simtime.Minute
+
+// RunChaos executes the full harness cycle for one schedule on the
+// canonical scenario with opt: a fault-free baseline run of the same seed,
+// then the faulted run with detailed tracing, then the invariant check once
+// both have settled. Both clusters are closed when it returns, so a sweep
+// of many schedules holds no finished cluster. With artifactDir set, a
+// failing run dumps its post-mortem artifacts underneath it.
+func RunChaos(opt ChaosOptions, s chaos.Schedule, artifactDir string) ChaosResult {
+	base, baseRun := ChaosScenario(s.Seed, opt)
+	defer base.Close()
+	baseline := outcome(baseRun, SettleChaos(base, chaos.Schedule{}))
+
+	c, run := ChaosScenario(s.Seed, opt)
+	defer c.Close()
+	// Detailed tracing emits the per-record replay events the monitor's
+	// exactly-once rule counts as licenses. It changes only what is logged,
+	// never the execution.
+	c.Trace().SetDetailed(true)
+	ApplyChaos(c, run, s)
+	faulted := outcome(run, SettleChaos(c, s))
+
+	r := checkChaos(c, opt, s, faulted, baseline)
+	if !r.Passed() && artifactDir != "" {
+		dir, err := dumpChaosArtifacts(artifactDir, c, r)
+		if err != nil {
+			r.Report += fmt.Sprintf("artifacts not dumped: %v\n", err)
+		} else {
+			r.Artifacts = dir
+		}
+	}
+	return r
+}
+
+// outcome collects what a settled run's pipeline produced.
+func outcome(run *PipelineRun, unsettled []string) chaosOutcome {
+	return chaosOutcome{Unsettled: unsettled, Done: run.Done(), Output: run.Output(), State: run.State()}
+}
+
+// ApplyChaos schedules every fault of s onto c's virtual clock, offset from
+// the current instant. A fault's operands are indices reduced modulo the
+// pipeline's layout, so any byte value (fuzzed included) resolves to a
+// legal target: the worker is the process-crash victim and its node the
+// node-crash victim, a partition isolates the producer's or the worker's
+// node, and link loss cuts a link among the three pipeline nodes and node
+// 3. The witness's node is never crashed or partitioned: its external
+// effects cannot be replay-deduplicated. Burst faults set an injection knob
+// at At and restore it at At+Dur; overlapping bursts of the same kind
+// resolve last-writer-wins, which is deterministic under the simulation
+// scheduler's stable event order.
+func ApplyChaos(c *Cluster, run *PipelineRun, s chaos.Schedule) {
+	part := [...]NodeID{producerNode, workerNode}
+	link := [...]NodeID{producerNode, workerNode, witnessNode, 3}
+	sched := c.Scheduler()
+	start := sched.Now()
+	for i, f := range s.Faults {
+		at := start + f.At()
+		end := at + f.Dur()
+		switch f.Kind {
+		case chaos.KindProcCrash:
+			sched.At(at, func() { c.CrashProcess(run.Worker) })
+		case chaos.KindNodeCrash:
+			sched.At(at, func() { c.CrashNode(workerNode) })
+		case chaos.KindRecorderOutage:
+			recorderOutage(c, at, end)
+		case chaos.KindHandoffCrash:
+			nRecs := c.Recorders()
+			if nRecs < 2 {
+				// Degenerate cluster: behave like a recorder outage so the
+				// fault still exercises something on one-recorder scenarios.
+				recorderOutage(c, at, end)
+				break
+			}
+			victim := int(f.A) % nRecs
+			partner := (victim + 1) % nRecs
+			chunks := 1 + int(f.B)%3
+			sched.At(at, func() {
+				if !c.RecorderAt(victim).Crashed() {
+					c.CrashRecorderAt(victim)
+				}
+			})
+			// Halfway through, arm the surviving partner to kill itself a few
+			// chunks into serving the victim's catch-up handoff, then restart
+			// the victim so that handoff actually starts.
+			sched.At(at+f.Dur()/2, func() {
+				if r := c.RecorderAt(partner); !r.Crashed() {
+					r.ArmHandoffCrash(chunks)
+				}
+				if c.RecorderAt(victim).Crashed() {
+					_ = c.RestartRecorderAt(victim)
+				}
+			})
+			sched.At(end, func() {
+				for i := range nRecs {
+					if c.RecorderAt(i).Crashed() {
+						_ = c.RestartRecorderAt(i)
+					}
+				}
+			})
+		case chaos.KindPartition:
+			n := part[int(f.A)%len(part)]
+			group := 1 + i // distinct per fault so overlaps stay separate
+			sched.At(at, func() { c.Medium().Faults().SetPartition(n, group) })
+			sched.At(end, func() { c.Medium().Faults().SetPartition(n, 0) })
+		case chaos.KindLinkLoss:
+			src, dst := link[int(f.A)%len(link)], link[int(f.B)%len(link)]
+			if src != dst {
+				p := f.EffProb()
+				sched.At(at, func() { c.Medium().Faults().SetLinkLoss(src, dst, p) })
+				sched.At(end, func() { c.Medium().Faults().SetLinkLoss(src, dst, 0) })
+			}
+		case chaos.KindStoreFailBurst:
+			p := f.EffProb()
+			sched.At(at, func() { c.Recorder().SetStoreFailProb(p) })
+			sched.At(end, func() { c.Recorder().SetStoreFailProb(0) })
+		default:
+			if knob := probKnob(c.Medium().Faults(), f.Kind); knob != nil {
+				p := f.EffProb()
+				sched.At(at, func() { *knob = p })
+				sched.At(end, func() { *knob = 0 })
+			}
+		}
+	}
+}
+
+// recorderOutage crashes the primary recorder at at and restarts it at end,
+// each step guarded so overlapping outages cannot double-crash or
+// double-restart.
+func recorderOutage(c *Cluster, at, end Time) {
+	c.Scheduler().At(at, func() {
+		if !c.Recorder().Crashed() {
+			c.CrashRecorder()
+		}
+	})
+	c.Scheduler().At(end, func() {
+		if c.Recorder().Crashed() {
+			_ = c.RestartRecorder()
+		}
+	})
+}
+
+// probKnob maps a burst kind to its FaultPlan field.
+func probKnob(fp *lan.FaultPlan, k chaos.Kind) *float64 {
+	switch k {
+	case chaos.KindLossBurst:
+		return &fp.LossProb
+	case chaos.KindDupBurst:
+		return &fp.DupProb
+	case chaos.KindCorruptBurst:
+		return &fp.CorruptProb
+	case chaos.KindTapMissBurst:
+		return &fp.TapMissProb
+	case chaos.KindRecvMissBurst:
+		return &fp.ReceiverMissProb
+	case chaos.KindAckSlotBurst:
+		return &fp.AckSlotErrProb
+	default:
+		return nil
+	}
+}
+
+// SettleChaos runs c, to which s was applied at the current instant, until
+// it has settled, and returns what is still unsettled (nil once settled).
+// The stop is derived, not configured. It is no earlier than s's last fault
+// end plus c.crashLag(), by when any crash the schedule caused has started
+// its recovery. From there SettleChaos polls unsettled every 100 virtual ms,
+// and it gives up at settleCap.
+func SettleChaos(c *Cluster, s chaos.Schedule) []string {
+	start := c.Now()
+	var end Time
+	for _, f := range s.Faults {
+		end = max(end, f.At()+f.Dur())
+	}
+	c.Run(end + c.crashLag())
+	for {
+		busy := unsettled(c)
+		if len(busy) == 0 || c.Now()-start >= settleCap {
+			return busy
+		}
+		c.Run(100 * simtime.Millisecond)
+	}
+}
+
+// unsettled lists, in node order and then process order, what is still
+// moving in c: a node that is down, an endpoint with guaranteed messages in
+// flight, a process that is running, crashed or recovering, a nonzero
+// kernel queue, and a recorder that is down, catching up, or recovering a
+// process.
+func unsettled(c *Cluster) []string {
+	var busy []string
+	for _, n := range c.Nodes() {
+		k := c.Kernel(n)
+		if k.Crashed() {
+			busy = append(busy, fmt.Sprintf("node %d down", n))
+			continue
+		}
+		if inf := k.Endpoint().InFlight(); inf > 0 {
+			busy = append(busy, fmt.Sprintf("node %d holds %d in flight", n, inf))
+		}
+		for _, p := range k.Procs() {
+			if st := k.ProcState(p); st == demos.StateCrashed || st == demos.StateRecovering || !k.Quiescent(p) {
+				busy = append(busy, fmt.Sprintf("%v %s", p, st))
+			}
+		}
+		if d := c.Metrics().Gauge(int(n), "kernel", "queue_depth").Value(); d != 0 {
+			busy = append(busy, fmt.Sprintf("node %d queue depth %d", n, d))
+		}
+	}
+	for i := range c.Recorders() {
+		switch r := c.RecorderAt(i); {
+		case r.Crashed():
+			busy = append(busy, fmt.Sprintf("rec%d down", i))
+		case r.CatchingUp():
+			busy = append(busy, fmt.Sprintf("rec%d catching up", i))
+		default:
+			for _, p := range r.KnownProcs() {
+				if _, recovering, _, _, _ := r.Entry(p); recovering {
+					busy = append(busy, fmt.Sprintf("rec%d recovering %v", i, p))
+				}
+			}
+		}
+	}
+	return busy
+}
+
+// ChaosReproducer minimizes a failing schedule and formats the one-line
+// repro instructions a test failure prints: re-running the minimized hex
+// token replays the exact failure. Its probes dump no artifacts.
+func ChaosReproducer(opt ChaosOptions, s chaos.Schedule) string {
+	min := chaos.Minimize(s, func(cand chaos.Schedule) bool {
+		return !RunChaos(opt, cand, "").Passed()
+	})
+	return fmt.Sprintf(
+		"failing seed %d; minimized schedule (%d/%d faults):\n%s\nreproduce with: CHAOS_SCHEDULE=%s go test -run TestChaosRepro .",
+		s.Seed, len(min.Faults), len(s.Faults), min, min.Hex())
+}
+
 // ChaosCensus runs the generated schedules of seeds start..start+n-1, each
 // on its ChaosSeedVariant, across GOMAXPROCS workers, and returns their
 // results in seed order. It is the chaos census: `experiments -chaos` prints
 // it, and TestChaosCensus checks it against testdata/census.golden.
-func ChaosCensus(start uint64, n int, opt chaos.Options) []chaos.Result {
+func ChaosCensus(start uint64, n int, artifactDir string) []ChaosResult {
 	lim := chaos.DefaultLimits()
-	out := make([]chaos.Result, n)
+	out := make([]ChaosResult, n)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range out {
@@ -178,9 +411,49 @@ func ChaosCensus(start uint64, n int, opt chaos.Options) []chaos.Result {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			seed := start + uint64(i)
-			out[i] = chaos.Run(chaos.Generate(seed, lim), ChaosBuild(ChaosSeedVariant(seed)), opt)
+			out[i] = RunChaos(ChaosSeedVariant(seed), chaos.Generate(seed, lim), artifactDir)
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// dumpChaosArtifacts writes a failing run's post-mortem bundle into a
+// directory named after the seed and schedule token, so the printed path
+// doubles as the reproducer: report.txt (the checker report), trace.log
+// (whatever the trace log retained — the flight-recorder ring on bounded
+// runs), monitor.txt (the online monitor's report) and metrics.txt (the
+// final metrics snapshot).
+func dumpChaosArtifacts(root string, c *Cluster, r ChaosResult) (string, error) {
+	token := r.Schedule.Hex()
+	if len(token) > 24 {
+		token = token[:24]
+	}
+	dir := filepath.Join(root, fmt.Sprintf("chaos-seed%d-%s", r.Schedule.Seed, token))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	write := func(name string, b []byte) error {
+		return os.WriteFile(filepath.Join(dir, name), b, 0o644)
+	}
+	if err := write("report.txt", []byte(r.Report)); err != nil {
+		return "", err
+	}
+	var tb bytes.Buffer
+	fmt.Fprintf(&tb, "# trace tail: %d events retained, %d dropped by the flight-recorder bound\n",
+		len(c.Trace().Events()), c.Trace().Dropped())
+	c.Trace().Dump(&tb)
+	if err := write("trace.log", tb.Bytes()); err != nil {
+		return "", err
+	}
+	if err := write("monitor.txt", []byte(c.Monitor().Report())); err != nil {
+		return "", err
+	}
+	var mb bytes.Buffer
+	if err := c.Metrics().Snapshot().WriteText(&mb); err == nil {
+		if err := write("metrics.txt", mb.Bytes()); err != nil {
+			return "", err
+		}
+	}
+	return dir, nil
 }

@@ -32,12 +32,12 @@ func runChaos(start uint64, n int, artifactDir string) {
 			os.Exit(1)
 		}
 	}
-	rows := publishing.ChaosCensus(start, n, chaos.Options{ArtifactDir: dir})
+	rows := publishing.ChaosCensus(start, n, dir)
 
 	failed := 0
 	for _, r := range rows {
 		verdict := "ok"
-		if !r.Passed {
+		if !r.Passed() {
 			verdict = "FAIL"
 			failed++
 		}
@@ -56,7 +56,7 @@ func runChaos(start uint64, n int, artifactDir string) {
 	// to it, so the rest of the output is the same bytes in every run.
 	fmt.Printf("\n  artifacts (trace tail, monitor report, metrics) of failing schedules under %s\n", dir)
 	for _, r := range rows {
-		if r.Passed {
+		if r.Passed() {
 			continue
 		}
 		s := r.Schedule
@@ -65,8 +65,7 @@ func runChaos(start uint64, n int, artifactDir string) {
 			rel, _ := filepath.Rel(dir, r.Artifacts)
 			fmt.Printf("  artifacts for schedule %s:\n    %s\n", s.Hex(), rel)
 		}
-		fmt.Printf("%s\n",
-			chaos.Reproducer(s, publishing.ChaosBuild(publishing.ChaosSeedVariant(s.Seed))))
+		fmt.Printf("%s\n", publishing.ChaosReproducer(publishing.ChaosSeedVariant(s.Seed), s))
 	}
 	fmt.Fprintf(os.Stderr, "chaos: %d/%d schedules failed\n", failed, len(rows))
 	os.Exit(1)

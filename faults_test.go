@@ -72,11 +72,11 @@ func TestSoakRandomFaultSchedule(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := chaos.Generate(seed, lim)
-			build := ChaosBuild(ChaosOptions{Medium: MediumEther, Msgs: 25})
-			res := chaos.Run(s, build, chaos.Options{})
-			if !res.Passed {
+			opt := ChaosOptions{Medium: MediumEther, Msgs: 25}
+			res := RunChaos(opt, s, "")
+			if !res.Passed() {
 				t.Errorf("invariants violated:\n%s", res.Report)
-				t.Fatal(chaos.Reproducer(s, build))
+				t.Fatal(ChaosReproducer(opt, s))
 			}
 		})
 	}
@@ -87,13 +87,12 @@ func TestSoakRandomFaultSchedule(t *testing.T) {
 // comparison, so report equality subsumes the old history check).
 func TestSoakDeterminism(t *testing.T) {
 	s := chaos.Generate(5, chaos.DefaultLimits())
-	build := ChaosBuild(ChaosOptions{Msgs: 15})
-	a := chaos.Run(s, build, chaos.Options{})
-	b := chaos.Run(s, build, chaos.Options{})
+	a := RunChaos(ChaosOptions{Msgs: 15}, s, "")
+	b := RunChaos(ChaosOptions{Msgs: 15}, s, "")
 	if a.Report != b.Report {
 		t.Fatalf("soak run not deterministic:\n--- first\n%s\n--- second\n%s", a.Report, b.Report)
 	}
-	if !a.Passed {
+	if !a.Passed() {
 		t.Fatalf("soak schedule failed:\n%s", a.Report)
 	}
 }

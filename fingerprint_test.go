@@ -62,12 +62,11 @@ const chaosRowSeed = 2
 // scenario until it settles, as the chaos census does for the faulted half of
 // a run, and reports whether the workload completed.
 func chaosRun(seed uint64) (*Cluster, bool) {
-	sc := ChaosScenario(seed, ChaosSeedVariant(seed))
-	c := sc.Sys.(*Cluster)
+	c, run := ChaosScenario(seed, ChaosSeedVariant(seed))
 	s := chaos.Generate(seed, chaos.DefaultLimits())
-	chaos.Apply(c, s, sc.Targets)
-	chaos.Settle(c, s)
-	return c, sc.Work.Done()
+	ApplyChaos(c, run, s)
+	SettleChaos(c, s)
+	return c, run.Done()
 }
 
 // chaosRow is chaosRun as a golden row. The schedule must crash and restart a

@@ -51,8 +51,8 @@ var knownHoles = []struct {
 
 // holeLine is a known hole's golden line: its name, then every violation
 // the checker reports, in report order.
-func holeLine(name string, r chaos.Result) string {
-	if r.Passed {
+func holeLine(name string, r ChaosResult) string {
+	if r.Passed() {
 		return name + " passes"
 	}
 	var b strings.Builder
@@ -73,7 +73,7 @@ func TestKnownHoles(t *testing.T) {
 	got.WriteString("# go test -run TestKnownHoles . -update rewrites this file.\n")
 	for _, h := range knownHoles {
 		s := chaos.Schedule{Seed: 7, Faults: h.faults}
-		got.WriteString(holeLine(h.name, chaos.Run(s, ChaosBuild(h.opt), chaos.Options{})) + "\n")
+		got.WriteString(holeLine(h.name, RunChaos(h.opt, s, "")) + "\n")
 	}
 	if *update {
 		if err := os.WriteFile(holesPath, []byte(got.String()), 0o644); err != nil {

@@ -1,19 +1,14 @@
-// Package chaos is the simulation-testing layer: a deterministic
-// fault-schedule generator plus a system-wide invariant checker that any
-// test or fuzz target can wrap around a cluster. From a single seed it
-// derives a timed schedule of composable faults — process/node crashes,
-// recorder outages, partitions, per-link loss, and bursts of loss,
-// duplication, corruption, tap misses, receiver misses, ack-slot errors, and
-// store failures — expressed against the injection knobs of internal/lan and
-// internal/recorder. After the run quiesces, the checker consumes the trace
-// log and metrics registry to assert the paper's global guarantees:
-// exactly-once delivery per message, output and state byte-identical to a
-// fault-free same-seed run, no orphaned guaranteed messages, and every
-// started recovery completed.
-//
-// The package deliberately does not import the root publishing package (so
-// the root test suite can use it); clusters reach it through the structural
-// System interface in apply.go.
+// Package chaos is the fault-schedule language of the simulation tests: a
+// Schedule is a seed plus timed, composable faults — process and node
+// crashes, recorder outages, a crashed shard handoff, partitions, per-link
+// loss, and bursts of loss, duplication, corruption, tap misses, receiver
+// misses, ack-slot errors and store failures — kept in their encoded units,
+// so a schedule is a value a test can encode, compare and replay. Generate
+// derives one from a seed, Sanitize folds arbitrary (fuzzed) values into
+// the survivable envelope Limits describes, and Minimize shrinks a failing
+// one. The package drives no cluster: the root package's chaos harness
+// (RunChaos) applies a schedule to its canonical scenario and checks the
+// paper's guarantees once the run has settled.
 package chaos
 
 import (
@@ -32,13 +27,14 @@ type Kind uint8
 const (
 	// KindProcCrash crashes the scenario's worker process at At.
 	KindProcCrash Kind = iota + 1
-	// KindNodeCrash crashes a whole processor (Targets.CrashNodes[A]).
+	// KindNodeCrash crashes the worker's whole processor.
 	KindNodeCrash
 	// KindRecorderOutage crashes the primary recorder at At and restarts it
 	// at At+Dur (§3.3.4: guaranteed traffic suspends meanwhile).
 	KindRecorderOutage
-	// KindPartition isolates Targets.PartNodes[A] into its own partition
-	// group for Dur (§3.6), then heals it back to group 0.
+	// KindPartition isolates the producer's or the worker's node (by A)
+	// into its own partition group for Dur (§3.6), then heals it back to
+	// group 0.
 	KindPartition
 	// KindLossBurst raises the medium's frame-loss probability for Dur.
 	KindLossBurst
@@ -60,8 +56,8 @@ const (
 	// panics, so chaos injects the equivalent observable failure: the frame
 	// is not stored and no ack is published).
 	KindStoreFailBurst
-	// KindLinkLoss drops frames on one directed link
-	// Targets.LinkNodes[A] -> Targets.LinkNodes[B] for Dur.
+	// KindLinkLoss drops frames on one directed link between two of the
+	// scenario's stations, chosen by A and B, for Dur.
 	KindLinkLoss
 	// KindHandoffCrash crashes recorder A%len(recorders) at At, then at
 	// At+Dur/2 arms its shard-handoff partner to crash itself mid-transfer

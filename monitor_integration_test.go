@@ -32,10 +32,10 @@ var dupBurstSchedule = chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
 // stamped with the virtual timestamp of the violating delivery itself — not
 // discovered by the checker after the run settles.
 func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
-	sc := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
-	sc.Sys.Trace().SetDetailed(true)
-	chaos.Apply(sc.Sys, dupBurstSchedule, sc.Targets)
-	c := sc.Sys.(*publishing.Cluster)
+	c, run := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
+	defer c.Close()
+	c.Trace().SetDetailed(true)
+	publishing.ApplyChaos(c, run, dupBurstSchedule)
 	if c.Monitor() == nil {
 		t.Fatal("chaos scenario did not attach the monitor")
 	}
@@ -46,7 +46,7 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 	}
 	flaggedAt := c.Now()
 	mon := c.Monitor()
-	if sc.Work.Done() {
+	if run.Done() {
 		t.Fatalf("duplicates first flagged at t=%v, after the workload completed:\n%s", flaggedAt, mon.Report())
 	}
 	v := mon.Violations()[0]
@@ -59,12 +59,12 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 
 	// Settle, then corroborate the stamp: it must be the exact virtual time
 	// of one of that message's deliveries.
-	chaos.Settle(sc.Sys, dupBurstSchedule)
-	if !sc.Work.Done() {
+	publishing.SettleChaos(c, dupBurstSchedule)
+	if !run.Done() {
 		t.Fatal("workload did not complete")
 	}
 	matched := false
-	for _, e := range sc.Sys.Trace().OfKind(trace.KindDeliver) {
+	for _, e := range c.Trace().OfKind(trace.KindDeliver) {
 		if e.Msg == v.Msg && e.At == v.At {
 			matched = true
 			break
@@ -82,10 +82,11 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 // contains violations, SLO quantiles, and event counts.
 func TestMonitorReportDeterminism(t *testing.T) {
 	run := func() string {
-		sc := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
-		chaos.Apply(sc.Sys, dupBurstSchedule, sc.Targets)
-		chaos.Settle(sc.Sys, dupBurstSchedule)
-		return sc.Sys.(*publishing.Cluster).Monitor().Report()
+		c, run := publishing.ChaosScenario(dupBurstSchedule.Seed, publishing.ChaosOptions{BreakDupSuppression: true})
+		defer c.Close()
+		publishing.ApplyChaos(c, run, dupBurstSchedule)
+		publishing.SettleChaos(c, dupBurstSchedule)
+		return c.Monitor().Report()
 	}
 	a, b := run(), run()
 	if a != b {

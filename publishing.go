@@ -690,11 +690,11 @@ func (c *Cluster) RebootNode(n NodeID) {
 	}
 }
 
-// CrashLag bounds how long after a processor crash its recovery starts: the
+// crashLag bounds how long after a processor crash its recovery starts: the
 // watchdog misses up to MissThreshold+1 ticks before it declares the node
 // down, the node reboots rebootDelay later, and one more tick passes before
 // the pong that starts recovery.
-func (c *Cluster) CrashLag() Time {
+func (c *Cluster) crashLag() Time {
 	return Time(c.cfg.MissThreshold+2)*c.cfg.WatchInterval + rebootDelay
 }
 

@@ -34,9 +34,17 @@ type Pipeline struct {
 	Prefix string
 }
 
+// The pipeline's layout: one process per node. A chaos schedule's
+// operands resolve against it (ApplyChaos).
+const (
+	producerNode NodeID = 0
+	workerNode   NodeID = 1
+	witnessNode  NodeID = 2
+)
+
 // PipelineRun is a started Pipeline: the witness transcript, the worker's
-// live state and the two ids a fault schedule aims at. It is the scenario's
-// chaos.Workload.
+// live state and the two ids a fault schedule aims at. The chaos harness
+// reads its outcome.
 type PipelineRun struct {
 	Worker, Witness ProcID
 
@@ -54,7 +62,7 @@ func (r *PipelineRun) Done() bool { return len(r.msgs) >= r.n }
 func (r *PipelineRun) Output() []string { return append([]string(nil), r.msgs...) }
 
 // State returns the live worker's state, encoded as its checkpoint is.
-func (r *PipelineRun) State() ([]byte, error) { return frame.AppendBody(nil, r.st, codeWorker), nil }
+func (r *PipelineRun) State() []byte { return frame.AppendBody(nil, r.st, codeWorker) }
 
 // Check returns an error unless the witness saw steps 1..Msgs exactly once,
 // in order, each with the running sum of the bytes the producer sent.
@@ -76,11 +84,11 @@ func (r *PipelineRun) Check() error {
 // worker and the producer, in that order.
 func (p Pipeline) Start(c *Cluster) *PipelineRun {
 	r := p.register(c)
-	r.Witness = mustSpawn(c, 2, ProcSpec{Name: p.Prefix + "witness", Recoverable: true})
+	r.Witness = mustSpawn(c, witnessNode, ProcSpec{Name: p.Prefix + "witness", Recoverable: true})
 	c.SetService(p.Prefix+"witness", r.Witness)
-	r.Worker = mustSpawn(c, 1, ProcSpec{Name: p.Prefix + "worker", Recoverable: true, RecoveryTimeBound: p.WorkerBound})
+	r.Worker = mustSpawn(c, workerNode, ProcSpec{Name: p.Prefix + "worker", Recoverable: true, RecoveryTimeBound: p.WorkerBound})
 	c.SetService(p.Prefix+"worker", r.Worker)
-	mustSpawn(c, 0, ProcSpec{Name: p.Prefix + "producer", Recoverable: true})
+	mustSpawn(c, producerNode, ProcSpec{Name: p.Prefix + "producer", Recoverable: true})
 	return r
 }
 

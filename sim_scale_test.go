@@ -237,8 +237,8 @@ func chaosSmoke(t *testing.T, seed uint64, nodes int) {
 	opt := publishing.ChaosSeedVariant(seed)
 	opt.Nodes = nodes
 	sched := chaos.Generate(seed, chaos.DefaultLimits())
-	res := chaos.Run(sched, publishing.ChaosBuild(opt), chaos.Options{})
-	if !res.Passed {
+	res := publishing.RunChaos(opt, sched, "")
+	if !res.Passed() {
 		t.Errorf("chaos run failed at %d nodes:\n%s", nodes, res.Report)
 		for _, v := range res.Violations {
 			t.Logf("violation: %+v", v)
@@ -257,8 +257,8 @@ func TestChaosSmoke256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node chaos runs; skipped in -short (tier-1) mode")
 	}
-	// Two seeds chosen to cover both media kinds and both store engines
-	// via ChaosSeedVariant's rotation.
+	// Two seeds chosen to cover two media and both checkpoint settings via
+	// ChaosSeedVariant's rotation.
 	for _, seed := range []uint64{8, 13} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
