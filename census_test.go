@@ -98,7 +98,7 @@ func TestChaosCensus(t *testing.T) {
 		switch {
 		case failed && !listed:
 			t.Errorf("seed %d fails and is not in %s: %s\n%s\nreproduce with: CHAOS_SCHEDULE=%s go test -run TestChaosRepro .",
-				seed, censusPath, censusLine(r), r.Report, r.Schedule.Hex())
+				seed, censusPath, censusLine(r), r.Report, chaosToken(ChaosSeedVariant(seed), r.Schedule))
 		case listed && !failed:
 			t.Errorf("seed %d passes now: remove it from %s (%s)", seed, censusPath, line)
 		case listed && censusLine(r) != line:

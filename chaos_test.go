@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"publishing/internal/chaos"
@@ -175,21 +176,68 @@ func TestSettlingIsFinal(t *testing.T) {
 	}
 }
 
-// TestChaosRepro replays a schedule hex token from the CHAOS_SCHEDULE
-// environment variable — the reproducer a failing sweep prints. Skipped
-// when the variable is unset.
+// TestChaosRepro replays the run a reproducer token from the
+// CHAOS_SCHEDULE environment variable names — the token a failing run
+// prints (ChaosReproducer). Skipped when the variable is unset.
 func TestChaosRepro(t *testing.T) {
 	tok := os.Getenv("CHAOS_SCHEDULE")
 	if tok == "" {
-		t.Skip("set CHAOS_SCHEDULE=<hex token> to replay a failing schedule")
+		t.Skip("set CHAOS_SCHEDULE=<token> to replay a failing run")
 	}
-	s, err := chaos.DecodeHex(tok)
+	opt, s, err := parseChaosToken(tok)
 	if err != nil {
 		t.Fatalf("bad CHAOS_SCHEDULE token: %v", err)
 	}
-	res := RunChaos(ChaosSeedVariant(s.Seed), s, "")
-	t.Logf("\n%s", res.Report)
+	res := RunChaos(opt, s, "")
+	t.Logf("[%s]\n%s", opt.Tag(), res.Report)
 	if !res.Passed() {
-		t.Fatalf("schedule %s violates %d invariant(s)", s.Hex(), len(res.Violations))
+		t.Fatalf("run %s violates %d invariant(s)", tok, len(res.Violations))
+	}
+}
+
+// TestChaosReproducerNamesItsRun: the token ChaosReproducer prints names
+// the run it came from, options included, so TestChaosRepro replays that
+// run and not the seed's census variant. The run is the recvmiss-crash
+// known hole: seed 7 on the default options, where ChaosSeedVariant(7) is
+// n=8 star ckpt. Minimizing keeps both of its faults.
+func TestChaosReproducerNamesItsRun(t *testing.T) {
+	opt := ChaosOptions{}
+	s := chaos.Schedule{Seed: 7, Faults: knownHoles[0].faults}
+	want := RunChaos(opt, s, "")
+	m := regexp.MustCompile(`CHAOS_SCHEDULE=(\S+) go test -run TestChaosRepro`).FindStringSubmatch(ChaosReproducer(opt, s))
+	if m == nil {
+		t.Fatal("the reproducer prints no CHAOS_SCHEDULE token")
+	}
+	gotOpt, gotS, err := parseChaosToken(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOpt != opt || gotS.Hex() != s.Hex() {
+		t.Fatalf("token %s names [%s] %s, want [%s] %s", m[1], gotOpt.Tag(), gotS, opt.Tag(), s)
+	}
+	if got := RunChaos(gotOpt, gotS, ""); got.Report != want.Report {
+		t.Errorf("the token replays a different run:\n--- replayed\n%s--- original\n%s", got.Report, want.Report)
+	}
+}
+
+// A chaos token round-trips every option, and its schedule part is the
+// schedule's own hex.
+func TestChaosTokenRoundTrip(t *testing.T) {
+	for _, opt := range []ChaosOptions{{}, ChaosSeedVariant(7), {Msgs: 25, Nodes: 256, Medium: MediumEther, Checkpoint: true,
+		BreakDupSuppression: true, Recorders: 3, ShardSlots: 16}} {
+		s := chaos.Generate(3, chaos.DefaultLimits())
+		tok := chaosToken(opt, s)
+		gotOpt, gotS, err := parseChaosToken(tok)
+		if err != nil || gotOpt != opt || gotS.Hex() != s.Hex() {
+			t.Errorf("%s: read back [%+v] %s (%v)", tok, gotOpt, gotS.Hex(), err)
+		}
+		if !strings.HasSuffix(tok, "."+s.Hex()) {
+			t.Errorf("%s does not end in the schedule's hex", tok)
+		}
+	}
+	for _, bad := range []string{"", "00", "zz.00", "00.0000000000000001"} {
+		if _, _, err := parseChaosToken(bad); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
 	}
 }

@@ -2,14 +2,17 @@ package publishing
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
 	"publishing/internal/chaos"
 	"publishing/internal/demos"
+	"publishing/internal/frame"
 	"publishing/internal/lan"
 	"publishing/internal/simtime"
 )
@@ -46,6 +49,43 @@ type ChaosOptions struct {
 	Recorders int
 	// ShardSlots is the shard table size (see Config.ShardSlots).
 	ShardSlots int
+}
+
+// codeChaosOptions codes a chaos run's options, the first part of its
+// reproducer token (chaosToken).
+func codeChaosOptions(c *frame.Coder, opt *ChaosOptions) {
+	frame.Int(c, &opt.Msgs)
+	frame.Int(c, &opt.Nodes)
+	c.Text((*string)(&opt.Medium))
+	c.Bool(&opt.Checkpoint)
+	c.Bool(&opt.BreakDupSuppression)
+	frame.Int(c, &opt.Recorders)
+	frame.Int(c, &opt.ShardSlots)
+}
+
+// chaosToken is the reproducer token of the run (opt, s): the options'
+// encoding and the schedule's (chaos.Schedule.Hex), in hex, joined by a
+// dot. TestChaosRepro replays the token's run, whatever its options.
+func chaosToken(opt ChaosOptions, s chaos.Schedule) string {
+	return hex.EncodeToString(frame.AppendBody(nil, &opt, codeChaosOptions)) + "." + s.Hex()
+}
+
+// parseChaosToken reads back the run a chaosToken names.
+func parseChaosToken(tok string) (ChaosOptions, chaos.Schedule, error) {
+	var opt ChaosOptions
+	optHex, schedHex, ok := strings.Cut(strings.TrimSpace(tok), ".")
+	if !ok {
+		return opt, chaos.Schedule{}, fmt.Errorf("chaos token %q: want <options>.<schedule>", tok)
+	}
+	b, err := hex.DecodeString(optHex)
+	if err == nil {
+		err = frame.DecodeBody(b, &opt, codeChaosOptions)
+	}
+	if err != nil {
+		return opt, chaos.Schedule{}, fmt.Errorf("chaos token options: %w", err)
+	}
+	s, err := chaos.DecodeHex(schedHex)
+	return opt, s, err
 }
 
 // workerBound is the worker's recovery-time bound: 400 ms under the
@@ -384,15 +424,16 @@ func unsettled(c *Cluster) []string {
 }
 
 // ChaosReproducer minimizes a failing schedule and formats the one-line
-// repro instructions a test failure prints: re-running the minimized hex
-// token replays the exact failure. Its probes dump no artifacts.
+// repro instructions a test failure prints: the token names opt and the
+// minimized schedule, so re-running it replays the exact failure. Its
+// probes dump no artifacts.
 func ChaosReproducer(opt ChaosOptions, s chaos.Schedule) string {
 	min := chaos.Minimize(s, func(cand chaos.Schedule) bool {
 		return !RunChaos(opt, cand, "").Passed()
 	})
 	return fmt.Sprintf(
 		"failing seed %d; minimized schedule (%d/%d faults):\n%s\nreproduce with: CHAOS_SCHEDULE=%s go test -run TestChaosRepro .",
-		s.Seed, len(min.Faults), len(s.Faults), min, min.Hex())
+		s.Seed, len(min.Faults), len(s.Faults), min, chaosToken(opt, min))
 }
 
 // ChaosCensus runs the generated schedules of seeds start..start+n-1, each
