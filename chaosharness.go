@@ -99,8 +99,9 @@ func (opt ChaosOptions) workerBound() Time {
 }
 
 // ChaosScenario assembles the canonical chaos scenario for one seed:
-// producer on node 0, worker on node 1, witness on node 2, recorder on
-// node 3. The watchdog's silence tolerance (MissThreshold 20 × 500 ms =
+// producer on node 0, worker on node 1, witness on node 2, and the primary
+// recorder on the first station past the processing nodes (node 3 at the
+// default width). The watchdog's silence tolerance (MissThreshold 20 × 500 ms =
 // 10 s) deliberately exceeds the default 8 s fault window, so bursts and
 // partitions can never falsely condemn the untargeted witness or producer
 // nodes.
@@ -242,15 +243,15 @@ func outcome(run *PipelineRun, unsettled []string) chaosOutcome {
 // pipeline's layout, so any byte value (fuzzed included) resolves to a
 // legal target: the worker is the process-crash victim and its node the
 // node-crash victim, a partition isolates the producer's or the worker's
-// node, and link loss cuts a link among the three pipeline nodes and node
-// 3. The witness's node is never crashed or partitioned: its external
+// node, and link loss cuts a link among the three pipeline nodes and the
+// primary recorder's station. The witness's node is never crashed or partitioned: its external
 // effects cannot be replay-deduplicated. Burst faults set an injection knob
 // at At and restore it at At+Dur; overlapping bursts of the same kind
 // resolve last-writer-wins, which is deterministic under the simulation
 // scheduler's stable event order.
 func ApplyChaos(c *Cluster, run *PipelineRun, s chaos.Schedule) {
 	part := [...]NodeID{producerNode, workerNode}
-	link := [...]NodeID{producerNode, workerNode, witnessNode, 3}
+	link := [...]NodeID{producerNode, workerNode, witnessNode, c.Recorder().Proc().Node}
 	sched := c.Scheduler()
 	start := sched.Now()
 	for i, f := range s.Faults {
