@@ -362,9 +362,12 @@ func (m *Monitor) Observe(e trace.Event) {
 		m.checkOwnership(e)
 
 	case trace.KindCheckpoint:
-		// The checkpoint holds the effect of every delivery so far: none of
-		// them can come back after a crash.
-		if u := m.unpub[e.Subject]; u != nil {
+		// The kernel's snapshot, traced on the node the deliveries landed
+		// on, holds the effect of every delivery so far: none of them can
+		// come back after a crash. A recorder's later event about that
+		// checkpoint covers no more than the snapshot did, so a delivery
+		// since stays unpublished.
+		if u := m.unpub[e.Subject]; u != nil && u.node == e.Node {
 			clear(u.ids)
 		}
 

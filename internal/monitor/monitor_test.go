@@ -97,6 +97,10 @@ func TestExactlyOnceAcrossIncarnations(t *testing.T) {
 		{"checkpoint, crash, copy", []trace.Event{
 			deliver(100), ev(150, trace.KindCheckpoint, 1, "", proc, "checkpoint 1 KB"), crashProc, deliver(3000),
 		}, []string{InvExactlyOnce}},
+		{"checkpoint, copy, recorder stores the checkpoint, crash, copy", []trace.Event{
+			ev(50, trace.KindCheckpoint, 1, "", proc, "checkpoint 1 KB"), deliver(100),
+			ev(150, trace.KindCheckpoint, 3, "", proc, "stored checkpoint"), crashNode, deliver(3000),
+		}, nil},
 		{"unpublished, process crash, copy", []trace.Event{
 			deliver(100), crashProc, deliver(3000),
 		}, nil},

@@ -9,6 +9,7 @@ package publishing_test
 // databases.
 
 import (
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -72,6 +73,27 @@ func TestMonitorFlagsDuplicateBeforeQuiescence(t *testing.T) {
 	}
 	if !matched {
 		t.Fatalf("violation %s is not stamped with any delivery time of %s", v, v.Msg)
+	}
+}
+
+// TestMonitorCheckpointCoversItsSnapshot pins a false positive of the
+// exactly-once rule (ROADMAP item 23(b)). The worker checkpoints at 1,500
+// ms, a message lands at 1,546 ms while the burst keeps its ack from the
+// recorder, the recorder stores the 1,500 ms checkpoint at 1,549 ms and the
+// worker's node crashes at 1,550 ms. The checkpoint does not cover that
+// delivery, so the crash voids it and the sender's retransmission to the
+// next incarnation is licensed.
+func TestMonitorCheckpointCoversItsSnapshot(t *testing.T) {
+	voided := regexp.MustCompile(`exactly-once +ok .* voided=[1-9]`)
+	for _, burst := range []chaos.Kind{chaos.KindLossBurst, chaos.KindRecvMissBurst} {
+		s := chaos.Schedule{Seed: 7, Faults: []chaos.Fault{
+			{Kind: burst, AtMs: 1000, DurMs: 1000, Prob: 255},
+			{Kind: chaos.KindNodeCrash, AtMs: 1550, A: 0},
+		}}
+		res := publishing.RunChaos(publishing.ChaosOptions{Medium: publishing.MediumAckEther, Checkpoint: true}, s, "")
+		if !res.Passed() || !voided.MatchString(res.Report) {
+			t.Errorf("%s: want every invariant to hold with a voided copy:\n%s", burst, res.Report)
+		}
 	}
 }
 
