@@ -22,13 +22,14 @@ noregime:
 	! grep -rnE 'AdaptiveRTO|MinRTO|MaxRTO|RetryBudget|DupCacheSize|FlushEveryMessage|MonitorStallWindow|FlushDelay|DefaultStallWindow' --include='*.go' .
 
 # A setting the cluster already knows is derived, not configured (DESIGN.md
-# "One home per setting"): recorder acks follow the kernels' transport, the
+# "One home per setting"): recorder acks follow the kernels' transport,
+# whose recorder-ack hold is one duration publishing.New derives, the
 # recorder list is one rank-ordered slice, a kernel publishes when a
 # recorder listens, the trace is tuned through Cluster.Trace(), and each
 # recorder default is written once, in recorder.DefaultConfig. The names
 # below are the knobs and the re-defaulting helpers they replaced.
 derived:
-	! grep -rnE 'TraceWriter|cfg\.FlightRecorder|EmitRecorderAcks|NoticeProcs|env\.Publishing|replayWindow\(\)|replayBudget\(\)|routeRepeats\(\)' --include='*.go' --exclude='*_test.go' .
+	! grep -rnE 'TraceWriter|cfg\.FlightRecorder|EmitRecorderAcks|NeedRecorderAck|RecorderAckTimeout|NoticeProcs|env\.Publishing|replayWindow\(\)|replayBudget\(\)|routeRepeats\(\)' --include='*.go' --exclude='*_test.go' .
 
 # The recorder's tap state is indexed by stream (DESIGN.md "Recorder
 # database"): a per-sender watermark, not a set of every id recorded, and a

@@ -324,15 +324,16 @@ const (
 
 // New builds a recorder on the given medium and stable store, attaching
 // both its passive tap and its transport endpoint. tcfg is the kernels'
-// transport configuration: where it waits for recorder acknowledgements,
-// the recorder emits them, and its own endpoint never waits for them.
+// transport configuration: where it holds frames for recorder
+// acknowledgements (a positive RecorderAckHold), the recorder emits them,
+// and its own endpoint never holds frames.
 func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, med lan.Medium, store *stablestore.Paged, tcfg transport.Config) *Recorder {
 	proc := cfg.Recorders[cfg.Rank]
 	r := &Recorder{
 		cfg:        cfg,
 		node:       proc.Node,
 		proc:       proc,
-		emitAcks:   tcfg.NeedRecorderAck,
+		emitAcks:   tcfg.RecorderAckHold > 0,
 		sched:      sched,
 		rng:        rng,
 		log:        log,
@@ -348,7 +349,7 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 	}
 	r.core = tap.New(proc, cfg.Recorders, r.ownsProc, (*tapFx)(r), &r.stats.Counts)
 	r.resetReplication()
-	tcfg.NeedRecorderAck = false
+	tcfg.RecorderAckHold = 0
 	r.ep = transport.New(r.node, med, sched, log, tcfg)
 	r.ep.Deliver = r.deliver
 	med.AttachTap(r.node, r)

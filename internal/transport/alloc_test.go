@@ -309,7 +309,7 @@ func TestFlushedAckIsOneAllocation(t *testing.T) {
 // during Receive.
 func TestHeldFrameIsOneAllocation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NeedRecorderAck = true
+	cfg.RecorderAckHold = 40 * simtime.Millisecond
 	e, _ := newSinkEndpointWith(cfg)
 	f := gmsg(1, 0, 1, "a")
 	f.Src = 1

@@ -20,11 +20,11 @@
 //     unit in transit from each processor.
 //   - Unguaranteed messages are fire-and-forget.
 //
-// When Config.NeedRecorderAck is set (plain Ethernet without hardware ack
-// slots), the endpoint enforces publish-before-use at the transport level
-// (§6.1): a received guaranteed frame is held until a RecorderAck frame for
-// its id is heard; otherwise it is discarded and the sender's retransmission
-// tries again.
+// When Config.RecorderAckHold is positive (plain Ethernet without hardware
+// ack slots), the endpoint enforces publish-before-use at the transport
+// level (§6.1): a received guaranteed frame is held until a RecorderAck
+// frame for its id is heard; otherwise it is discarded and the sender's
+// retransmission tries again.
 package transport
 
 import (
@@ -59,12 +59,14 @@ type Config struct {
 	// testing only: the chaos harness uses it to prove its exactly-once
 	// invariant actually fires when the guard is broken.
 	DisableDupSuppression bool
-	// NeedRecorderAck holds received guaranteed frames until the recorder
-	// acknowledges them (publish-before-use on media that cannot gate).
-	NeedRecorderAck bool
-	// RecorderAckTimeout discards a held frame if no recorder ack arrives,
-	// letting the sender's retransmission drive another attempt.
-	RecorderAckTimeout simtime.Time
+	// RecorderAckHold, when positive, holds each received guaranteed frame
+	// until the recorder acknowledges it (publish-before-use on media that
+	// cannot gate), and discards it if no recorder ack arrives within the
+	// hold, letting the sender's retransmission drive another attempt. Zero
+	// means no hold. publishing.New derives it from the medium and the
+	// publish cost, and a recorder built with a positive hold emits the
+	// acks.
+	RecorderAckHold simtime.Time
 	// AckDelay delays end-to-end acknowledgements so they ride piggybacked
 	// on reverse-direction gated frames, falling back to one standalone
 	// cumulative Ack frame per destination when no reverse traffic appears
@@ -82,7 +84,6 @@ func DefaultConfig() Config {
 	return Config{
 		RetransmitInterval: 50 * simtime.Millisecond,
 		MaxRetries:         200,
-		RecorderAckTimeout: 40 * simtime.Millisecond,
 		AckDelay:           2 * simtime.Millisecond,
 	}
 }
@@ -405,7 +406,6 @@ func (h *heldFrame) Fire() {
 func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace.Log, cfg Config) *Endpoint {
 	def := DefaultConfig()
 	cfg.RetransmitInterval = positiveOr(cfg.RetransmitInterval, def.RetransmitInterval)
-	cfg.RecorderAckTimeout = positiveOr(cfg.RecorderAckTimeout, def.RecorderAckTimeout)
 	cfg.AckDelay = positiveOr(cfg.AckDelay, def.AckDelay)
 	e := &Endpoint{
 		node:  node,
@@ -1220,7 +1220,7 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 	if f.Dst != e.node && f.Dst != frame.Broadcast {
 		return
 	}
-	if e.cfg.NeedRecorderAck {
+	if e.cfg.RecorderAckHold > 0 {
 		if _, dup := e.held[f.ID]; dup {
 			return // already holding a copy
 		}
@@ -1233,7 +1233,7 @@ func (e *Endpoint) handleGuaranteed(f *frame.Frame) {
 		e.stats.RecorderHeld++
 		h := &heldFrame{e: e, epoch: e.epoch, f: *f}
 		h.f.AckRecs = nil // applied on arrival; the array is the sender's to reuse
-		h.timer = e.sched.AfterHandler(e.cfg.RecorderAckTimeout, h)
+		h.timer = e.sched.AfterHandler(e.cfg.RecorderAckHold, h)
 		e.held[f.ID] = h
 		return
 	}

@@ -381,7 +381,7 @@ func TestSenderRebootResyncs(t *testing.T) {
 
 func TestRecorderAckGating(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NeedRecorderAck = true
+	cfg.RecorderAckHold = 40 * simtime.Millisecond
 	e := newEnv(t, 3, cfg, "ether")
 	// Node 2 plays recorder: its tap echoes RecorderAck frames.
 	rec := e.eps[2]
@@ -403,7 +403,7 @@ func TestRecorderAckGating(t *testing.T) {
 
 func TestRecorderAckTimeoutDiscards(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NeedRecorderAck = true
+	cfg.RecorderAckHold = 40 * simtime.Millisecond
 	cfg.MaxRetries = 3
 	e := newEnv(t, 2, cfg, "ether")
 	// No recorder at all: frames are held, expire, and are never delivered.
@@ -546,12 +546,12 @@ func TestSendGuaranteedValidation(t *testing.T) {
 	})
 }
 
-// Under publish-before-use (NeedRecorderAck), a copy of a frame the stream
+// Under publish-before-use (a recorder-ack hold), a copy of a frame the stream
 // has delivered already is re-acked at once, not held for a recorder ack
 // that the first copy used up. The look at the stream leaves it as it was.
 func TestHeldPathReacksDeliveredCopy(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NeedRecorderAck = true
+	cfg.RecorderAckHold = 40 * simtime.Millisecond
 	e := newEnv(t, 2, cfg, "perfect")
 	rec := New(9, e.med, e.sched, e.log, cfg)
 	f := gmsg(0, 1, 1, "once")

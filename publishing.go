@@ -311,21 +311,19 @@ func New(cfg Config) *Cluster {
 	// Pre-size every endpoint's per-destination tables for the full station
 	// id space (processing nodes, recorders, spares).
 	tcfg.Peers = cfg.Nodes + nRecs + cfg.Spares
+	// Plain CSMA/CD cannot gate on the recorder, so publishing on it falls
+	// back to the transport-level recorder-acknowledgement protocol (§6.1).
+	// The recorder acks a frame only after its publish cost, so a hold
+	// shorter than that discards every frame before its ack can arrive;
+	// twice the cost leaves room for the ack's own trip. No other cluster
+	// holds frames.
+	tcfg.RecorderAckHold = 0
+	if cfg.Publishing && cfg.Medium == MediumEther {
+		tcfg.RecorderAckHold = max(40*simtime.Millisecond, 2*cfg.RecorderMode.PerMessageCPU())
+	}
 	recProc := frame.NilProc
 	if cfg.Publishing {
 		recProc = ProcID{Node: recNode, Local: 1}
-		if cfg.Medium == MediumEther {
-			// Plain CSMA/CD cannot gate on the recorder; fall back to the
-			// transport-level recorder-acknowledgement protocol (§6.1).
-			tcfg.NeedRecorderAck = true
-			// The recorder acks a frame only after its publish cost, so a
-			// hold shorter than that discards every frame before its ack
-			// can arrive; twice the cost leaves room for the ack's own trip.
-			if tcfg.RecorderAckTimeout <= 0 {
-				tcfg.RecorderAckTimeout = transport.DefaultConfig().RecorderAckTimeout
-			}
-			tcfg.RecorderAckTimeout = max(tcfg.RecorderAckTimeout, 2*cfg.RecorderMode.PerMessageCPU())
-		}
 	}
 
 	env := demos.Env{
