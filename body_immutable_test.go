@@ -53,9 +53,11 @@ const watchedMsgs = 12
 // watchedPipeline builds the producer → worker → witness pipeline with every
 // body a program is handed watched. The worker forwards each body it
 // receives to the witness as is, so one body crosses two hops and is logged
-// twice. Transport retries and the watchdog are sized as in ChaosScenario,
-// so a fault schedule can be applied. It returns the cluster, the watch, the
-// worker and a count of the bodies the witness received.
+// twice. Transport retries and the watchdog are sized as ChaosScenario
+// sizes them, and the three processes sit on Pipeline's nodes, so
+// ApplyChaos can aim a fault schedule at the worker. It returns the
+// cluster, the watch, the worker and a count of the bodies the witness
+// received.
 func watchedPipeline(t *testing.T, medium MediumKind, seed uint64, misuse bodyMisuse) (*Cluster, *bodyWatch, ProcID, *int) {
 	t.Helper()
 	cfg := DefaultConfig(3)
@@ -109,7 +111,7 @@ func watchedPipeline(t *testing.T, medium MediumKind, seed uint64, misuse bodyMi
 	for _, s := range []struct {
 		node NodeID
 		name string
-	}{{2, "witness"}, {1, "worker"}, {0, "producer"}} {
+	}{{witnessNode, "witness"}, {workerNode, "worker"}, {producerNode, "producer"}} {
 		id, err := c.Spawn(s.node, ProcSpec{Name: s.name, Recoverable: true})
 		if err != nil {
 			t.Fatal(err)

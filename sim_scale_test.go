@@ -257,8 +257,9 @@ func TestChaosSmoke256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node chaos runs; skipped in -short (tier-1) mode")
 	}
-	// Two seeds chosen to cover two media and both checkpoint settings via
-	// ChaosSeedVariant's rotation.
+	// Two seeds whose ChaosSeedVariant rotations differ in everything but
+	// the width: seed 8 runs the perfect medium and the sharded recorder
+	// trio, seed 13 ether, one recorder and the checkpoint policy.
 	for _, seed := range []uint64{8, 13} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
