@@ -101,10 +101,10 @@ func (opt ChaosOptions) workerBound() Time {
 // ChaosScenario assembles the canonical chaos scenario for one seed:
 // producer on node 0, worker on node 1, witness on node 2, and the primary
 // recorder on the first station past the processing nodes (node 3 at the
-// default width). The watchdog's silence tolerance (MissThreshold 20 × 500 ms =
-// 10 s) deliberately exceeds the default 8 s fault window, so bursts and
-// partitions can never falsely condemn the untargeted witness or producer
-// nodes.
+// default width). The watchdog's silence tolerance (MissThreshold 20 ×
+// 500 ms = 10 s) deliberately exceeds the default 8 s fault window, so
+// bursts and partitions can never falsely condemn the untargeted witness or
+// producer nodes.
 func ChaosScenario(seed uint64, opt ChaosOptions) (*Cluster, *PipelineRun) {
 	if opt.Msgs <= 0 {
 		opt.Msgs = 16
@@ -244,11 +244,11 @@ func outcome(run *PipelineRun, unsettled []string) chaosOutcome {
 // legal target: the worker is the process-crash victim and its node the
 // node-crash victim, a partition isolates the producer's or the worker's
 // node, and link loss cuts a link among the three pipeline nodes and the
-// primary recorder's station. The witness's node is never crashed or partitioned: its external
-// effects cannot be replay-deduplicated. Burst faults set an injection knob
-// at At and restore it at At+Dur; overlapping bursts of the same kind
-// resolve last-writer-wins, which is deterministic under the simulation
-// scheduler's stable event order.
+// primary recorder's station. The witness's node is never crashed or
+// partitioned: its external effects cannot be replay-deduplicated. Burst
+// faults set an injection knob at At and restore it at At+Dur; overlapping
+// bursts of the same kind resolve last-writer-wins, which is deterministic
+// under the simulation scheduler's stable event order.
 func ApplyChaos(c *Cluster, run *PipelineRun, s chaos.Schedule) {
 	part := [...]NodeID{producerNode, workerNode}
 	link := [...]NodeID{producerNode, workerNode, witnessNode, c.Recorder().Proc().Node}
