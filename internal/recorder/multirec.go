@@ -272,7 +272,7 @@ func (r *Recorder) startHandoffSession(partner int) {
 		if ses == nil || ses.code != code || !r.handoffPending[partner] {
 			return // completed or superseded
 		}
-		if w := r.peerWatch[partner]; w != nil && w.down {
+		if w := r.peerWatch(partner); w != nil && w.down {
 			return // onPeerDown resumes us with the local basis
 		}
 		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
@@ -418,11 +418,12 @@ func (r *Recorder) handleHandoffDone(m *peerMsg) {
 // overlap rather than a gap, safe because redundant recovery is idempotent
 // (generation-guarded batches, §3.5 restart-from-scratch).
 func (r *Recorder) handleHandoffCommit(m *peerMsg) {
-	if m.Rank < 0 || m.Rank >= len(r.peerWatch) || r.peerWatch[m.Rank] == nil {
+	w := r.peerWatch(m.Rank)
+	if w == nil {
 		return
 	}
 	before := r.actingSlots()
-	r.peerWatch[m.Rank].silent = false
+	w.silent = false
 	if demoted := before - r.actingSlots(); demoted > 0 {
 		r.log.Add(trace.KindRecorder, int(r.node), "recorder",
 			"rec%d reclaimed %d shard slots; standing down", m.Rank, demoted)

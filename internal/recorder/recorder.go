@@ -262,6 +262,8 @@ type Recorder struct {
 	crashed       bool
 	epoch         uint64 // invalidates timers across Crash/Restart
 
+	// watch is the one watchdog table (newWatch): every processing node and
+	// every sibling recorder, keyed by station.
 	watch      map[frame.NodeID]*watchState
 	recovering map[frame.ProcID]*recoveryProc
 	// replaying holds each live recovery's pipelined batch sender, so a
@@ -276,15 +278,13 @@ type Recorder struct {
 	catchingUp bool
 	awaitCk    map[frame.ProcID]bool
 
-	// Replication state. peerWatch runs a watchdog per peer recorder rank
-	// (nil at our own rank); handoffPending marks partner ranks this
+	// Replication state. handoffPending marks partner ranks this
 	// restarted recorder is mid-handoff with (the partner keeps acting until
 	// Commit). handoffs holds this recorder's own outbound handoff sessions
 	// (it is the restarted requester); handoffRx assembles inbound transfer
 	// chunks. handoffCrashAfter, when > 0, is the chaos hook: crash this
 	// recorder after serving that many more transfer chunks (mid-handoff
 	// crash).
-	peerWatch         []*watchState
 	handoffPending    map[int]bool
 	handoffs          map[int]*handoffSession
 	handoffRx         map[uint32]*handoffAssembly
@@ -340,7 +340,6 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		med:        med,
 		store:      store,
 		db:         make(map[frame.ProcID]*procEntry),
-		watch:      make(map[frame.NodeID]*watchState),
 		recovering: make(map[frame.ProcID]*recoveryProc),
 		replaying:  make(map[frame.ProcID]*batchSender),
 		waiters:    make(map[uint32]func(*frame.Frame)),
@@ -348,6 +347,7 @@ func New(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log
 		nextCode:   1,
 	}
 	r.core = tap.New(proc, cfg.Recorders, r.ownsProc, (*tapFx)(r), &r.stats.Counts)
+	r.watch = r.newWatch()
 	r.resetReplication()
 	tcfg.RecorderAckHold = 0
 	r.ep = transport.New(r.node, med, sched, log, tcfg)

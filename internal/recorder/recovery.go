@@ -8,9 +8,16 @@ import (
 )
 
 // watchState is one watchdog (§4.6): "its kernel process creates, on the
-// recording node, a watch process for each processor in the system".
+// recording node, a watch process for each processor in the system". The
+// same detector watches every sibling recorder (§6.3), so one table keyed
+// by station holds both; rank tells them apart.
 type watchState struct {
-	node    frame.NodeID
+	node frame.NodeID
+	// to is whom the ping addresses: the node's kernel, or the sibling
+	// recorder's process.
+	to frame.ProcID
+	// rank is the sibling recorder's rank, -1 for a processing node.
+	rank    int
 	misses  int
 	gotPong bool
 	down    bool
@@ -18,19 +25,39 @@ type watchState struct {
 	// when it answers again (the operator chose same-processor recovery).
 	// startRecovery narrows that to the slots this recorder acts for.
 	responsible bool
-	// silent marks a peer recorder the watchdog found silent: this recorder
-	// may act for the slots it replicates behind that peer until the peer
-	// reclaims them with a handoff Commit (ActsFor).
+	// silent marks a sibling recorder the watchdog found silent: this
+	// recorder may act for the slots it replicates behind that sibling until
+	// the sibling reclaims them with a handoff Commit (ActsFor).
 	silent bool
+}
+
+// newWatch builds the watchdog table: one entry per processing node and one
+// per sibling recorder, keyed by station.
+func (r *Recorder) newWatch() map[frame.NodeID]*watchState {
+	watch := make(map[frame.NodeID]*watchState, len(r.cfg.Nodes)+len(r.cfg.Recorders))
+	for _, n := range r.cfg.Nodes {
+		watch[n] = &watchState{node: n, to: frame.ProcID{Node: n, Local: 0}, rank: -1}
+	}
+	for rank, p := range r.cfg.Recorders {
+		if rank != r.cfg.Rank {
+			watch[p.Node] = &watchState{node: p.Node, to: p, rank: rank}
+		}
+	}
+	return watch
+}
+
+// peerWatch returns the watchdog on the sibling recorder at rank, or nil
+// for our own rank and for a rank out of range.
+func (r *Recorder) peerWatch(rank int) *watchState {
+	p, ok := r.cfg.peerByRank(rank)
+	if !ok {
+		return nil
+	}
+	return r.watch[p.Node]
 }
 
 // Start arms the watchdogs and begins periodic stable-store flushing.
 func (r *Recorder) Start() {
-	for _, n := range r.cfg.Nodes {
-		if _, ok := r.watch[n]; !ok {
-			r.watch[n] = &watchState{node: n}
-		}
-	}
 	r.armTick(r.cfg.WatchInterval, (*Recorder).watchTick)
 	r.armTick(simtime.Second, (*Recorder).flushTick)
 }
@@ -70,46 +97,58 @@ func (r *Recorder) flushTick() {
 	r.core.Sweep(r.sched.Now() - simtime.Minute)
 }
 
-// watchTick evaluates last interval's pongs and sends the next pings.
-// Iteration follows cfg.Nodes (sorted at construction), not the watch map:
-// the pings serialize onto the shared medium, so map order here would make
-// same-seed runs diverge (caught by the online monitor's event-stream
-// fingerprints — deliveries shifted by whole frame slots from t=500 ms on).
+// watchTick evaluates last interval's pongs and sends the next pings: the
+// processing nodes in cfg.Nodes order (sorted at construction), then the
+// sibling recorders by rank, never in watch-map order. The pings serialize
+// onto the shared medium, so map order here would make same-seed runs
+// diverge (caught by the online monitor's event-stream fingerprints —
+// deliveries shifted by whole frame slots from t=500 ms on).
 func (r *Recorder) watchTick() {
 	for _, n := range r.cfg.Nodes {
-		w := r.watch[n]
-		if w == nil {
-			continue
+		r.watchOne(r.watch[n])
+	}
+	for rank := range r.cfg.Recorders {
+		if w := r.peerWatch(rank); w != nil {
+			r.watchOne(w)
 		}
-		if w.gotPong {
-			w.misses = 0
-			if w.down {
+	}
+}
+
+// watchOne runs one watchdog for one interval. A silent node is a processor
+// crash; a silent sibling recorder is follower promotion's cue.
+func (r *Recorder) watchOne(w *watchState) {
+	if w.gotPong {
+		w.misses = 0
+		if w.down {
+			w.down = false
+			switch {
+			case w.rank >= 0:
+				// A restarted sibling reclaims its slots through the handoff
+				// Commit, not the mere reappearance of pongs.
+				r.log.Add(trace.KindDetect, int(r.node), "recorder", "peer recorder rec%d answers again", w.rank)
+			case w.responsible:
 				// The node answered again after a crash: it rebooted. The
 				// responsible recorder recovers its processes on it (§4.6
 				// "recover on the same processor").
-				w.down = false
-				if w.responsible {
-					w.responsible = false
-					r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "node is back; recovering its processes")
-					r.recoverNode(w.node, w.node)
-				}
+				w.responsible = false
+				r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "node is back; recovering its processes")
+				r.recoverNode(w.node, w.node)
 			}
-		} else {
-			w.misses++
-			if w.misses >= r.cfg.MissThreshold && !w.down {
+		}
+	} else {
+		w.misses++
+		if w.misses >= r.cfg.MissThreshold && !w.down {
+			w.down = true
+			if w.rank >= 0 {
+				r.onPeerDown(w.rank)
+			} else {
 				r.processorCrash(w)
 			}
 		}
-		w.gotPong = false
-		// "Are you alive?" — unguaranteed, like all dated traffic (§4.3.3).
-		r.ep.SendUnguaranteed(&frame.Frame{
-			Dst:  w.node,
-			From: r.proc,
-			To:   frame.ProcID{Node: w.node, Local: 0},
-			Body: demos.PingBody,
-		})
 	}
-	r.tickPeerWatch()
+	w.gotPong = false
+	// "Are you alive?" — unguaranteed, like all dated traffic (§4.3.3).
+	r.ep.SendUnguaranteed(&frame.Frame{Dst: w.node, From: r.proc, To: w.to, Body: demos.PingBody})
 }
 
 func (r *Recorder) handlePong(f *frame.Frame) {
@@ -128,11 +167,6 @@ func (r *Recorder) handlePong(f *frame.Frame) {
 	if w, ok := r.watch[f.Src]; ok {
 		w.gotPong = true
 	}
-	for _, w := range r.peerWatch {
-		if w != nil && w.node == f.Src {
-			w.gotPong = true
-		}
-	}
 }
 
 func nodeSubject(n frame.NodeID) string { return frame.ProcID{Node: n, Local: 0}.String() }
@@ -141,7 +175,6 @@ func nodeSubject(n frame.NodeID) string { return frame.ProcID{Node: n, Local: 0}
 // shard slot, not per node, so every recorder acts, and startRecovery's
 // ActsFor guard filters the node's processes to the slots it acts for.
 func (r *Recorder) processorCrash(w *watchState) {
-	w.down = true
 	r.stats.ProcessorCrashes++
 	r.log.Add(trace.KindDetect, int(r.node), nodeSubject(w.node), "processor crash detected by watchdog")
 	r.actOnCrash(w)
@@ -367,8 +400,12 @@ func (r *Recorder) Crash() {
 	r.replaying = make(map[frame.ProcID]*batchSender)
 	r.replayOcc.Set(0)
 	r.waiters = make(map[uint32]func(*frame.Frame))
-	for _, w := range r.watch { //det:ok order-free: resets each watchdog's own fields
-		w.gotPong, w.misses = false, 0
+	for n, w := range r.watch { //det:ok order-free: resets each watchdog's own fields
+		if w.rank >= 0 {
+			r.watch[n] = &watchState{node: w.node, to: w.to, rank: w.rank}
+		} else {
+			w.gotPong, w.misses = false, 0
+		}
 	}
 	r.resetReplication()
 	r.ep.Reset()
@@ -398,12 +435,7 @@ func (r *Recorder) Restart() error {
 	r.beginCatchUp()
 	r.beginHandoff()
 	r.log.Add(trace.KindRecorder, int(r.node), "recorder", "restart #%d; querying %d nodes", r.restartNumber, len(r.cfg.Nodes))
-	for _, n := range r.cfg.Nodes {
-		n := n
-		r.sendCtl(n, frame.ProcID{Node: n, Local: 0}, false,
-			&demos.CtlMsg{Op: demos.OpQueryProcs, RestartNumber: r.restartNumber},
-			chanQueryResp, func(f *frame.Frame) { r.handleQueryResponse(f) })
-	}
+	r.sweepDuties()
 	return nil
 }
 

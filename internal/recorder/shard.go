@@ -56,7 +56,7 @@ func (r *Recorder) ActsFor(slot int) bool {
 		return false
 	}
 	for _, rank := range reps[:at] {
-		if !r.peerWatch[rank].silent {
+		if !r.peerWatch(rank).silent {
 			return false
 		}
 	}
@@ -143,56 +143,13 @@ func (r *Recorder) sortedProcs() []frame.ProcID {
 	return out
 }
 
-// resetReplication starts the replication state over, as at boot and after
-// a crash: a fresh watchdog per peer recorder rank, and no handoff session.
+// resetReplication starts the handoff state over, as at boot and after a
+// crash: no handoff session.
 func (r *Recorder) resetReplication() {
-	r.peerWatch = make([]*watchState, r.cfg.Shards.Recorders())
-	for rank := range r.peerWatch {
-		if p, ok := r.cfg.peerByRank(rank); ok {
-			r.peerWatch[rank] = &watchState{node: p.Node}
-		}
-	}
 	r.handoffPending = make(map[int]bool)
 	r.handoffs = make(map[int]*handoffSession)
 	r.handoffRx = make(map[uint32]*handoffAssembly)
 	r.handoffCrashAfter = 0
-}
-
-// tickPeerWatch runs the peer-recorder watchdogs on the same cadence as the
-// node watchdogs: evaluate last interval's pongs, then ping. Ranks ascend so
-// the pings serialize deterministically onto the medium.
-func (r *Recorder) tickPeerWatch() {
-	for rank, w := range r.peerWatch {
-		if w == nil {
-			continue
-		}
-		if w.gotPong {
-			w.misses = 0
-			if w.down {
-				// A restarted peer reclaims its slots through the handoff
-				// Commit, not the mere reappearance of pongs.
-				w.down = false
-				r.log.Add(trace.KindDetect, int(r.node), "recorder", "peer recorder rec%d answers again", rank)
-			}
-		} else {
-			w.misses++
-			if w.misses >= r.cfg.MissThreshold && !w.down {
-				w.down = true
-				r.onPeerDown(rank)
-			}
-		}
-		w.gotPong = false
-		peer, ok := r.cfg.peerByRank(rank)
-		if !ok {
-			continue
-		}
-		r.ep.SendUnguaranteed(&frame.Frame{
-			Dst:  w.node,
-			From: r.proc,
-			To:   peer,
-			Body: demos.PingBody,
-		})
-	}
 }
 
 // onPeerDown is follower promotion: a replica whose every predecessor on a
@@ -202,7 +159,7 @@ func (r *Recorder) tickPeerWatch() {
 // with whatever basis it has locally.
 func (r *Recorder) onPeerDown(rank int) {
 	before := r.actingSlots()
-	r.peerWatch[rank].silent = true
+	r.peerWatch(rank).silent = true
 	promoted := r.actingSlots() - before
 	resumed := false
 	if r.handoffPending[rank] {
