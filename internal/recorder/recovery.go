@@ -379,7 +379,9 @@ func (r *Recorder) broadcastRoute(p frame.ProcID, node frame.NodeID, times int) 
 // --- Recorder crash and restart (§3.3.4, §3.4) -----------------------------
 
 // Crash takes the recorder down: all volatile state — database, pending
-// messages, watchdogs, in-flight recoveries — is lost; stable storage
+// messages, the whole watchdog table (which nodes it found down and must
+// recover included), in-flight recoveries — is lost; the restart query
+// alone decides what a restarted recorder recovers (§3.3.4). Stable storage
 // survives (its write buffer is battery-backed solid-state memory per
 // §3.3.4). While the recorder is down, publish-before-use suspends all
 // guaranteed traffic, exactly the paper's availability trade-off.
@@ -400,13 +402,7 @@ func (r *Recorder) Crash() {
 	r.replaying = make(map[frame.ProcID]*batchSender)
 	r.replayOcc.Set(0)
 	r.waiters = make(map[uint32]func(*frame.Frame))
-	for n, w := range r.watch { //det:ok order-free: resets each watchdog's own fields
-		if w.rank >= 0 {
-			r.watch[n] = &watchState{node: w.node, to: w.to, rank: w.rank}
-		} else {
-			w.gotPong, w.misses = false, 0
-		}
-	}
+	r.watch = r.newWatch()
 	r.resetReplication()
 	r.ep.Reset()
 	r.med.Faults().SetDown(r.node, true)

@@ -233,6 +233,29 @@ func TestCrashWhileRecorderDown(t *testing.T) {
 	}
 }
 
+// A restarted recorder trusts no watchdog state from before its crash. Node
+// 1 crashes at 1.2 s and the watchdog finds it at 3.0 s; the recorder is
+// down from 4.5 s to 5.5 s, and its restart query recovers the worker. A
+// watchdog that kept the node's down and responsible flags across the crash
+// would see the node answer and recover the live worker a second time.
+func TestRestartedRecorderKeepsNoWatchdogState(t *testing.T) {
+	c, run := buildScenario(t, DefaultConfig(3), 12)
+	c.Scheduler().At(1200*simtime.Millisecond, func() { c.CrashNode(1) })
+	c.Scheduler().At(4500*simtime.Millisecond, func() { c.CrashRecorder() })
+	c.Scheduler().At(5500*simtime.Millisecond, func() {
+		if err := c.RestartRecorder(); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Run(2 * simtime.Minute)
+	if err := run.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Recorder().Stats().RecoveriesStarted; got != 1 {
+		t.Fatalf("recoveries started = %d, want 1", got)
+	}
+}
+
 // A recursive crash (§3.5): the worker crashes again while being recovered;
 // recovery reinitiates and still converges.
 func TestRecursiveProcessCrash(t *testing.T) {
