@@ -112,18 +112,19 @@ func TestChaosCensus(t *testing.T) {
 	}
 }
 
-// TestChaosCensusArtifacts: a census run with an artifact directory dumps a
-// post-mortem bundle for each failing seed (`experiments -chaos -chaosdir`).
-// Seed 265 is a listed failure (ROADMAP item 1(2)).
+// TestChaosCensusArtifacts: a run with an artifact directory dumps a
+// post-mortem bundle when it fails (`experiments -chaos -chaosdir`, whose
+// ChaosCensus hands the directory straight to RunChaos). The failure is the
+// planted dupBurst, so the test needs no failing census seed.
 func TestChaosCensusArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	r := ChaosCensus(265, 1, dir)[0]
+	r := RunChaos(ChaosOptions{BreakDupSuppression: true}, dupBurst, dir)
 	if r.Passed() {
-		t.Fatal("seed 265 passes now: pick another failing census seed")
+		t.Fatal("the planted duplicate burst passes")
 	}
-	reports, err := filepath.Glob(filepath.Join(dir, "chaos-seed265-*", "report.txt"))
+	reports, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("chaos-seed%d-*", dupBurst.Seed), "report.txt"))
 	if err != nil || len(reports) != 1 {
-		t.Fatalf("want one chaos-seed265-*/report.txt under the artifact directory, got %v (%v)", reports, err)
+		t.Fatalf("want one chaos-seed%d-*/report.txt under the artifact directory, got %v (%v)", dupBurst.Seed, reports, err)
 	}
 	if r.Artifacts != filepath.Dir(reports[0]) {
 		t.Errorf("result names artifacts %q, dumped in %q", r.Artifacts, filepath.Dir(reports[0]))
@@ -131,16 +132,16 @@ func TestChaosCensusArtifacts(t *testing.T) {
 }
 
 // A dump that fails is reported, not dropped: with an artifact directory
-// that is a regular file, seed 265's report ends with the error and the
-// result names no artifacts.
+// that is a regular file, the planted failure's report ends with the error
+// and the result names no artifacts.
 func TestChaosArtifactDumpErrorReported(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := ChaosCensus(265, 1, file)[0]
+	r := RunChaos(ChaosOptions{BreakDupSuppression: true}, dupBurst, file)
 	if r.Passed() {
-		t.Fatal("seed 265 passes now: pick another failing census seed")
+		t.Fatal("the planted duplicate burst passes")
 	}
 	last := r.Report[strings.LastIndex(strings.TrimSuffix(r.Report, "\n"), "\n")+1:]
 	if !strings.HasPrefix(last, "artifacts not dumped: ") || !strings.Contains(last, "not-a-dir") {

@@ -65,6 +65,13 @@ func TestChaosDeterministicReports(t *testing.T) {
 	}
 }
 
+// dupBurst is a heavy duplication burst. With the transport's duplicate
+// detection disabled (ChaosOptions.BreakDupSuppression) it is a planted
+// failure: exactly-once must catch it, whatever the census holds.
+var dupBurst = chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
+	{Kind: chaos.KindDupBurst, AtMs: 300, DurMs: 3000, Prob: 255},
+}}
+
 // TestChaosBrokenDupSuppressionCaught is the checker's own regression test:
 // deliberately disable the transport's duplicate detection, inject a heavy
 // duplication burst, and require the exactly-once invariant to catch the
@@ -72,10 +79,7 @@ func TestChaosDeterministicReports(t *testing.T) {
 // intact transport must pass — the violation is the broken guard's fault,
 // not the schedule's.
 func TestChaosBrokenDupSuppressionCaught(t *testing.T) {
-	s := chaos.Schedule{Seed: 424242, Faults: []chaos.Fault{
-		{Kind: chaos.KindDupBurst, AtMs: 300, DurMs: 3000, Prob: 255},
-	}}
-	broken := RunChaos(ChaosOptions{BreakDupSuppression: true}, s, "")
+	broken := RunChaos(ChaosOptions{BreakDupSuppression: true}, dupBurst, "")
 	if broken.Passed() {
 		t.Fatalf("checker passed with duplicate suppression disabled under a dup burst:\n%s", broken.Report)
 	}
@@ -89,7 +93,7 @@ func TestChaosBrokenDupSuppressionCaught(t *testing.T) {
 		t.Fatalf("exactly-once invariant missed the duplicates; violations:\n%s", broken.Report)
 	}
 
-	intact := RunChaos(ChaosOptions{}, s, "")
+	intact := RunChaos(ChaosOptions{}, dupBurst, "")
 	if !intact.Passed() {
 		t.Fatalf("intact transport failed the same schedule:\n%s", intact.Report)
 	}
