@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -129,6 +129,15 @@ onemark:
 # the classic-mode branches that ran it.
 onefailover:
 	! grep -rnE 'arbitrate|higherPeers|peerQuery|peerWilling|Shards (==|!=) nil' --include='*.go' --exclude='*_test.go' internal/recorder
+
+# A recorder runs one failure detector (DESIGN.md "Multiple recorders: one
+# shard map"): one watchdog table, keyed by station, holds every processing
+# node and every sibling recorder, one tick pings them all, and a crash
+# rebuilds the table whole. The names below are the second, peer-only
+# watchdog it replaced; a second ping send site is a second detector.
+onewatchdog:
+	! grep -rnE 'tickPeerWatch|peerWatch +\[\]' --include='*.go' --exclude='*_test.go' internal/recorder
+	test $$(grep -rE 'Body: *demos\.PingBody' --include='*.go' --exclude='*_test.go' internal/recorder | wc -l) -le 1
 
 # Scenarios are built from two traffic shapes (DESIGN.md "Simulation
 # testing"): scenario.go's producer → worker → witness Pipeline and gen →
