@@ -56,7 +56,8 @@ func (r *Recorder) peerWatch(rank int) *watchState {
 	return r.watch[p.Node]
 }
 
-// Start arms the watchdogs and begins periodic stable-store flushing.
+// Start arms the watchdog tick over the table New (or Crash) built, and
+// begins periodic stable-store flushing.
 func (r *Recorder) Start() {
 	r.armTick(r.cfg.WatchInterval, (*Recorder).watchTick)
 	r.armTick(simtime.Second, (*Recorder).flushTick)

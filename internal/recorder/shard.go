@@ -23,10 +23,11 @@ import (
 //  1. Voting taps: gating media need a positive verdict only from the
 //     recorders that own a frame's streams; non-owners abstain rather than
 //     veto, so one recorder's outage suspends only its shards' traffic.
-//  2. Peer watchdogs + follower promotion, the one failover path: recorders
-//     ping each other on the same watchdog schedule they use for processing
-//     nodes. A replica acts for a slot once every replica ahead of it is
-//     silent, and sweeps for recoveries the silent ones left orphaned.
+//  2. Peer watchdogs + follower promotion, the one failover path: each
+//     recorder's one watchdog table (recovery.go) holds its sibling
+//     recorders beside the processing nodes, so one tick pings both. A
+//     replica acts for a slot once every replica ahead of it is silent, and
+//     sweeps for recoveries the silent ones left orphaned.
 //  3. Shard handoff (multirec.go): a restarted recorder pulls the stream
 //     suffixes it missed from the surviving replicas of each shared slot
 //     before reclaiming its slots, so duty moves back only once its basis is
@@ -182,10 +183,11 @@ func (r *Recorder) onPeerDown(rank int) {
 	}
 }
 
-// sweepDuties re-runs the §3.3.4 state query against every node so newly
-// assumed shard duty (promotion, handoff completion) picks up crashed or
-// half-recovered processes another recorder left behind. startRecovery's
-// ActsFor guard filters the responses to this recorder's slots.
+// sweepDuties runs the §3.3.4 state query against every node: at restart,
+// and so newly assumed shard duty (promotion, handoff completion) picks up
+// crashed or half-recovered processes another recorder left behind.
+// startRecovery's ActsFor guard filters the responses to this recorder's
+// slots.
 func (r *Recorder) sweepDuties() {
 	for _, n := range r.cfg.Nodes {
 		r.sendCtl(n, frame.ProcID{Node: n, Local: 0}, false,
