@@ -7,7 +7,7 @@
 // Prometheus text exposition style. There is no diffing and no JSON: a
 // snapshot is printed, or read sample by sample.
 //
-// A counter's name is its Stats field's name, by one rule (eachStat): the
+// A counter's name is its Stats field's name, by one rule (statFields): the
 // field in snake_case, a simtime.Time field with _ns appended, an embedded
 // struct's fields as the struct's own, and a field tagged `metric:"-"` left
 // out.
@@ -33,6 +33,7 @@ import (
 	"math/bits"
 	"reflect"
 	"sort"
+	"strings"
 
 	"publishing/internal/simtime"
 )
@@ -174,10 +175,19 @@ type statsKey struct {
 	subsystem string
 }
 
-// statsSrc is one registered Stats struct.
+// statsSrc is one registered Stats struct and its type's counted fields.
 type statsSrc struct {
-	key statsKey
-	v   reflect.Value
+	key    statsKey
+	v      reflect.Value
+	fields []statField
+}
+
+// statField is one counted field of a Stats type: where it lies in the
+// struct, its sample name, and whether it is unsigned.
+type statField struct {
+	index    []int
+	name     string
+	unsigned bool
 }
 
 // Registry holds every instrument and Stats struct for one simulation. It
@@ -188,6 +198,8 @@ type Registry struct {
 	entries []*entry
 	byStats map[statsKey]int // index into stats
 	stats   []statsSrc
+	// fields are each registered Stats type's counted fields, named once.
+	fields map[reflect.Type][]statField
 }
 
 // NewRegistry returns an empty registry.
@@ -195,6 +207,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		byKey:   make(map[key]*entry),
 		byStats: make(map[statsKey]int),
+		fields:  make(map[reflect.Type][]statField),
 	}
 }
 
@@ -238,7 +251,7 @@ func (r *Registry) Histogram(node int, subsystem, name string) *Histogram {
 
 // AddStats registers stats, a pointer to a subsystem's Stats struct, as
 // the counters of (node, subsystem): each snapshot reads every counted
-// field (eachStat) as one counter sample. Re-registering the same (node,
+// field (statFields) as one counter sample. Re-registering the same (node,
 // subsystem) replaces the previous struct, so a restarted component never
 // double-reports. A field the rule cannot count is a wiring bug and panics
 // here.
@@ -251,61 +264,76 @@ func (r *Registry) AddStats(node int, subsystem string, stats any) {
 		panic(fmt.Sprintf("metrics: %s node %d: stats %T is not a pointer to a struct", subsystem, node, stats))
 	}
 	v = v.Elem()
-	eachStat(v, func(string, int64) {})
+	fields, ok := r.fields[v.Type()]
+	if !ok {
+		fields = statFields(v.Type(), nil, new([]int), nil)
+		r.fields[v.Type()] = fields
+	}
 	k := statsKey{node, subsystem}
 	if i, ok := r.byStats[k]; ok {
-		r.stats[i].v = v
+		r.stats[i].v, r.stats[i].fields = v, fields
 		return
 	}
 	r.byStats[k] = len(r.stats)
-	r.stats = append(r.stats, statsSrc{k, v})
+	r.stats = append(r.stats, statsSrc{k, v, fields})
 }
 
 var timeType = reflect.TypeFor[simtime.Time]()
 
-// eachStat calls fn on every counted field of the struct v with its sample
-// name: the field's name in snake_case, with _ns appended for a
-// simtime.Time. An embedded struct contributes its own fields, and a field
-// tagged `metric:"-"` is left out. Any other field that is not an integer
-// panics.
-func eachStat(v reflect.Value, fn func(name string, n int64)) {
-	t := v.Type()
+// statFields appends to out every counted field of the struct type t, which
+// lies at path in the registered struct, with its sample name: the field's
+// name in snake_case, with _ns appended for a simtime.Time. An embedded
+// struct contributes its own fields, and a field tagged `metric:"-"` is
+// left out. Any other field that is not an integer panics. The fields'
+// index paths are laid end to end in arena, so they share its few arrays.
+func statFields(t reflect.Type, path []int, arena *[]int, out []statField) []statField {
 	for i := range t.NumField() {
 		f := t.Field(i)
-		name := snakeCase(f.Name)
-		if f.Type == timeType {
-			name += "_ns"
-		}
+		*arena = append(append(*arena, path...), i)
+		at := (*arena)[len(*arena)-len(path)-1 : len(*arena) : len(*arena)]
 		switch k := f.Type.Kind(); {
 		case f.Tag.Get("metric") == "-":
 		case f.Anonymous && k == reflect.Struct:
-			eachStat(v.Field(i), fn)
+			out = statFields(f.Type, at, arena, out)
 		case k >= reflect.Int && k <= reflect.Int64:
-			fn(name, v.Field(i).Int())
+			out = append(out, statField{index: at, name: sampleName(f)})
 		case k >= reflect.Uint && k <= reflect.Uint64:
-			fn(name, int64(v.Field(i).Uint()))
+			out = append(out, statField{index: at, name: sampleName(f), unsigned: true})
 		default:
 			panic(fmt.Sprintf("metrics: %v.%s: a %v field is not a counter", t, f.Name, f.Type))
 		}
 	}
+	return out
+}
+
+// sampleName is a counted field's sample name: its name in snake_case, with
+// _ns appended for a simtime.Time.
+func sampleName(f reflect.StructField) string {
+	if f.Type == timeType {
+		return snakeCase(f.Name, "_ns")
+	}
+	return snakeCase(f.Name, "")
 }
 
 // snakeCase spells a Go field name in snake_case, keeping an acronym one
-// word: CkChunksSent is ck_chunks_sent, PublishCPU is publish_cpu.
-func snakeCase(name string) string {
+// word, and appends suffix: CkChunksSent is ck_chunks_sent, PublishCPU is
+// publish_cpu.
+func snakeCase(name, suffix string) string {
 	lower := func(i int) bool { return i < len(name) && (name[i] < 'A' || name[i] > 'Z') }
-	b := make([]byte, 0, len(name)+4)
+	var b strings.Builder
+	b.Grow(2*len(name) + len(suffix))
 	for i := range len(name) {
 		c := name[i]
 		if !lower(i) {
 			if i > 0 && (lower(i-1) || lower(i+1)) {
-				b = append(b, '_')
+				b.WriteByte('_')
 			}
 			c += 'a' - 'A'
 		}
-		b = append(b, c)
+		b.WriteByte(c)
 	}
-	return string(b)
+	b.WriteString(suffix)
+	return b.String()
 }
 
 // Sample is one (node, subsystem, name) measurement in a snapshot.
@@ -345,6 +373,11 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	n := len(r.entries)
+	for _, src := range r.stats {
+		n += len(src.fields)
+	}
+	s.Samples = make([]Sample, 0, n)
 	for _, e := range r.entries {
 		smp := Sample{
 			Node:      e.key.node,
@@ -372,15 +405,22 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Samples = append(s.Samples, smp)
 	}
 	for _, src := range r.stats {
-		eachStat(src.v, func(name string, v int64) {
+		for _, f := range src.fields {
+			fv := src.v.FieldByIndex(f.index)
+			v := int64(0)
+			if f.unsigned {
+				v = int64(fv.Uint())
+			} else {
+				v = fv.Int()
+			}
 			s.Samples = append(s.Samples, Sample{
 				Node:      src.key.node,
 				Subsystem: src.key.subsystem,
-				Name:      name,
+				Name:      f.name,
 				Kind:      KindCounter.String(),
 				Value:     v,
 			})
-		})
+		}
 	}
 	sort.Slice(s.Samples, func(i, j int) bool {
 		a, b := &s.Samples[i], &s.Samples[j]
