@@ -141,6 +141,44 @@ func TestPerfectSendAllocs(t *testing.T) {
 	}
 }
 
+// TestStarSendAllocs pins a frame's trip through the star's hub at zero
+// allocations: the hub's tap stores it and the hub relays it, its arrival
+// and its relay each riding one of the medium's two pipes instead of a
+// closure per frame.
+func TestStarSendAllocs(t *testing.T) {
+	sched := simtime.NewScheduler()
+	log := trace.New(sched.Now)
+	log.Enable(false)
+	const hub = 2
+	m := NewStar(DefaultConfig(), sched, simtime.NewRand(1), log, hub)
+	recv := make([]*nopStation, 3)
+	for i := range recv {
+		recv[i] = &nopStation{}
+		m.Attach(frame.NodeID(i), recv[i])
+	}
+	tap := &storingTap{}
+	m.AttachTap(hub, tap)
+	// Each run sends two frames, the second while the first holds the hub.
+	frames := make([]*frame.Frame, 2*256)
+	for i := range frames {
+		frames[i] = &frame.Frame{Type: frame.Guaranteed, Src: 0, Dst: 1, Body: []byte("x")}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		m.Send(0, frames[i])
+		m.Send(0, frames[i+1])
+		i += 2
+		for sched.Step() {
+		}
+	})
+	if n != 0 {
+		t.Errorf("Star.Send, the hub's relay and delivery allocated %.1f objects per two frames; want 0", n)
+	}
+	if recv[1].got != i || tap.heard != i {
+		t.Fatalf("recv[1] heard %d and the tap %d of %d frames; want every frame", recv[1].got, tap.heard, i)
+	}
+}
+
 // storingTap stores every frame it hears.
 type storingTap struct{ heard int }
 

@@ -16,12 +16,26 @@ type Star struct {
 	base
 	hub       frame.NodeID
 	busyUntil simtime.Time
+	// in carries each frame to the hub and out from the hub to its
+	// receivers. The hub serializes frames, so both arrival and relay times
+	// never decrease, which is what a Pipe needs.
+	in, out *simtime.Pipe[hop]
+}
+
+// hop is one frame in transit through the hub: the transmission, and when
+// the hub finishes relaying it.
+type hop struct {
+	transmission
+	outDone simtime.Time
 }
 
 // NewStar returns a star medium with the given hub node. The hub's tap (the
 // recorder) should be attached with AttachTap under the same node id.
 func NewStar(cfg Config, sched *simtime.Scheduler, rng *simtime.Rand, log *trace.Log, hub frame.NodeID) *Star {
-	return &Star{base: newBase(cfg, sched, rng, log), hub: hub}
+	m := &Star{base: newBase(cfg, sched, rng, log), hub: hub}
+	m.in = simtime.NewPipe(sched, m.arrive)
+	m.out = simtime.NewPipe(sched, m.depart)
+	return m
 }
 
 // Send transmits the frame over the point-to-point link to the hub; the hub
@@ -49,16 +63,24 @@ func (m *Star) Send(src frame.NodeID, f *frame.Frame) {
 	m.stats.BusyTime += outDone - start
 
 	m.maybeCorrupt(f)
-	m.sched.At(inDone, func() {
-		if !m.atHub(src, f) {
-			release(rel, f)
-			return
-		}
-		m.sched.At(outDone, func() {
-			m.relay(src, f)
-			release(rel, f)
-		})
-	})
+	m.in.At(inDone, hop{transmission{src, f, rel}, outDone})
+}
+
+// arrive is a frame's arrival at the hub: it is relayed when the hub's
+// outbound transmission ends, or dropped and handed back to its sender.
+func (m *Star) arrive(h hop) {
+	if !m.atHub(h.src, h.f) {
+		release(h.rel, h.f)
+		return
+	}
+	m.out.At(h.outDone, h)
+}
+
+// depart ends a relay: the frame reaches its receivers and goes back to its
+// sender.
+func (m *Star) depart(h hop) {
+	m.relay(h.src, h.f)
+	release(h.rel, h.f)
 }
 
 // atHub is the frame's arrival at the hub, which stores it and reports
