@@ -8,7 +8,7 @@ import (
 	"publishing/internal/frame"
 )
 
-// kernelImage is a checkpoint image as the kernel writes one (process.image):
+// kernelImage is a checkpoint image as the kernel writes one (process.appendImage):
 // a machine snapshot, a link table, and the given acceptance marks.
 func kernelImage(t testing.TB, marks ...frame.MsgID) []byte {
 	p := &process{
@@ -20,7 +20,7 @@ func kernelImage(t testing.TB, marks ...frame.MsgID) []byte {
 	for _, id := range marks {
 		p.marks.Note(id)
 	}
-	b, err := p.image()
+	b, err := p.appendImage(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

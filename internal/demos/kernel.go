@@ -72,6 +72,12 @@ type Kernel struct {
 	procs     map[frame.ProcID]*process
 	nextLocal uint32
 	bootEpoch uint32
+	// replies is what the kernel process's replies are carved from (reply).
+	replies frame.Slab
+	// ckImage and ckQueued are CheckpointNow's scratch: the image and the
+	// queued ids it encodes into a notice, which copies them.
+	ckImage  []byte
+	ckQueued []frame.MsgID
 
 	// kpSendSeq numbers messages the kernel process sends as itself. It is
 	// salted with the boot epoch so ids never collide across reboots (the

@@ -31,9 +31,12 @@ func codeReply(c *frame.Coder, r *CtlReply) {
 	frame.Uint(c, &r.AckedBatch)
 }
 
+// replyRoom is room enough for r's encoding.
+func replyRoom(r *CtlReply) int { return 48 + len(r.Err) }
+
 // EncodeReply encodes a control reply.
 func EncodeReply(r *CtlReply) []byte {
-	return frame.AppendBody(make([]byte, 0, 48+len(r.Err)), r, codeReply)
+	return frame.AppendBody(make([]byte, 0, replyRoom(r)), r, codeReply)
 }
 
 // DecodeReply decodes a control reply into r, every field of it.
@@ -54,35 +57,53 @@ type checkpointImage struct {
 func codeImage(c *frame.Coder, img *checkpointImage) {
 	c.Blob(&img.Machine)
 	codeLinkTable(c, &img.Links)
-	frame.Slice(c, &img.Marks)
-	for i := range img.Marks {
-		if c.MsgID(&img.Marks[i]); i > 0 && img.Marks[i-1].Sender.Compare(img.Marks[i].Sender) >= 0 {
+	codeMarks(c, &img.Marks)
+}
+
+// codeMarks codes acceptance marks, which a decoder takes only in sender
+// order.
+func codeMarks(c *frame.Coder, marks *frame.Marks) {
+	frame.Slice(c, marks)
+	m := *marks
+	for i := range m {
+		if c.MsgID(&m[i]); i > 0 && m[i-1].Sender.Compare(m[i].Sender) >= 0 {
 			c.Fail()
 		}
 	}
 }
 
-// image builds p's checkpoint image, for a checkpoint and a migration alike.
-func (p *process) image() ([]byte, error) {
+// appendImage appends p's checkpoint image to dst, for a checkpoint and a
+// migration alike.
+func (p *process) appendImage(dst []byte) ([]byte, error) {
 	mb, err := p.machine.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	// Room for the lengths, the links (at most 24 bytes each) and the marks:
-	// the image is built in one allocation.
+	// the image is built in at most one allocation.
 	size := len(mb) + 32 + 24*len(p.links.links) + len(p.marks)*frame.MaxMsgIDLen
-	return frame.AppendBody(make([]byte, 0, size), &checkpointImage{Machine: mb, Links: *p.links, Marks: p.marks}, codeImage), nil
+	return frame.AppendBody(slices.Grow(dst, size), &checkpointImage{Machine: mb, Links: *p.links, Marks: p.marks}, codeImage), nil
 }
 
 // CheckpointMarks returns the acceptance marks a checkpoint image carries;
-// an empty image (no checkpoint) carries none.
+// an empty image (no checkpoint) carries none. It reads the image as
+// strictly as a restore does, and keeps only the marks.
 func CheckpointMarks(blob []byte) (frame.Marks, error) {
 	if len(blob) == 0 {
 		return nil, nil
 	}
-	var img checkpointImage
-	err := frame.DecodeBody(blob, &img, codeImage)
-	return img.Marks, err
+	var marks frame.Marks
+	err := frame.DecodeBody(blob, &marks, codeImageMarks)
+	return marks, err
+}
+
+// codeImageMarks reads a checkpoint image's marks past its machine bytes
+// and link table, which it checks and does not keep.
+func codeImageMarks(c *frame.Coder, marks *frame.Marks) {
+	var machine []byte
+	c.Blob(&machine)
+	skipLinkTable(c)
+	codeMarks(c, marks)
 }
 
 // handleControl is the kernel process (§4.2.1): it serves process-control
@@ -332,7 +353,9 @@ func (k *Kernel) resolveCheckpoint(ctl *CtlMsg) ([]byte, error) {
 	return st.data, nil
 }
 
-// reply answers a control request over its passed reply link.
+// reply answers a control request over its passed reply link, the reply
+// carved from the kernel's slab: a replay batch's acknowledgement allocates
+// nothing of its own.
 func (k *Kernel) reply(req *frame.Frame, asProc *process, r *CtlReply, pass *frame.Link) {
 	if req.PassedLink == nil {
 		return
@@ -341,7 +364,8 @@ func (k *Kernel) reply(req *frame.Frame, asProc *process, r *CtlReply, pass *fra
 	if asProc != nil {
 		from = asProc.id
 	}
-	_ = k.sendMessage(asProc, from, *req.PassedLink, EncodeReply(r), pass)
+	body := k.replies.Keep(frame.AppendBody(k.replies.Room(replyRoom(r)), r, codeReply))
+	_ = k.sendMessage(asProc, from, *req.PassedLink, body, pass)
 }
 
 func replyFor(id frame.ProcID, err error) *CtlReply {
@@ -363,7 +387,9 @@ func controlLinkFor(id frame.ProcID, err error) *frame.Link {
 
 // CheckpointNow snapshots a machine process if it is quiescent (parked
 // between messages), ships the checkpoint to the recorder, and returns its
-// image: nil when no checkpoint was taken.
+// image: nil when no checkpoint was taken. The image is the kernel's
+// scratch, which its next checkpoint overwrites: a caller that keeps it
+// copies it. The recorder is sent a copy, in the notice.
 func (k *Kernel) CheckpointNow(id frame.ProcID) ([]byte, error) {
 	p := k.procs[id]
 	if p == nil {
@@ -380,10 +406,11 @@ func (k *Kernel) CheckpointNow(id frame.ProcID) ([]byte, error) {
 	if !quiescent {
 		return nil, nil
 	}
-	blob, err := p.image()
+	blob, err := p.appendImage(k.ckImage[:0])
 	if err != nil {
 		return nil, fmt.Errorf("demos: snapshot %s: %w", id, err)
 	}
+	k.ckImage = blob
 	k.ckBytes.Observe(int64(len(blob)))
 	kb := (len(blob) + 1023) / 1024
 	k.charge(k.env.Costs.CheckpointPerKB*simtime.Time(kb), 0)
@@ -393,8 +420,11 @@ func (k *Kernel) CheckpointNow(id frame.ProcID) ([]byte, error) {
 	p.bytesSinceCk = 0
 	p.cpuSinceCk = 0
 	p.lastCkAt = k.env.Sched.Now()
-	k.env.Log.Add(trace.KindCheckpoint, int(k.node), id.String(),
-		"checkpoint %d KB sendSeq=%d readCount=%d", kb, p.sendSeq, p.readCount)
+	if k.env.Log.Enabled() {
+		k.env.Log.Add(trace.KindCheckpoint, int(k.node), id.String(),
+			"checkpoint %d KB sendSeq=%d readCount=%d", kb, p.sendSeq, p.readCount)
+	}
+	k.ckQueued = p.queue.appendIDs(k.ckQueued[:0])
 	k.notify(&Notice{
 		Kind:       NoticeCheckpoint,
 		Proc:       id,
@@ -402,7 +432,7 @@ func (k *Kernel) CheckpointNow(id frame.ProcID) ([]byte, error) {
 		SendSeq:    p.sendSeq,
 		ReadCount:  p.readCount,
 		StateKB:    kb,
-		Queued:     p.queue.ids(),
+		Queued:     k.ckQueued,
 	})
 	return blob, nil
 }

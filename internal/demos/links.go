@@ -71,12 +71,31 @@ func codeLinkTable(c *frame.Coder, t *linkTable) {
 	frame.Slice(c, &t.links)
 	prev := LinkID(-1)
 	for i := range t.links {
-		e := &t.links[i]
-		frame.Int(c, &e.ID)
-		c.Link(&e.Link)
-		if e.ID <= prev || e.ID >= t.next {
-			c.Fail()
-		}
-		prev = e.ID
+		codeLinkEntry(c, &t.links[i], &prev, t.next)
 	}
+}
+
+// skipLinkTable reads a link table as strictly as codeLinkTable, one link
+// at a time into the same entry, and keeps none of it.
+func skipLinkTable(c *frame.Coder) {
+	var next LinkID
+	var n int
+	frame.Int(c, &next)
+	c.Len(&n)
+	var e linkEntry
+	prev := LinkID(-1)
+	for range n {
+		codeLinkEntry(c, &e, &prev, next)
+	}
+}
+
+// codeLinkEntry codes one link of a table, which a decoder takes only with
+// an id above prev's and below next.
+func codeLinkEntry(c *frame.Coder, e *linkEntry, prev *LinkID, next LinkID) {
+	frame.Int(c, &e.ID)
+	c.Link(&e.Link)
+	if e.ID <= *prev || e.ID >= next {
+		c.Fail()
+	}
+	*prev = e.ID
 }

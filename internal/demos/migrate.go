@@ -2,6 +2,7 @@ package demos
 
 import (
 	"fmt"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/trace"
@@ -61,7 +62,7 @@ func (k *Kernel) ExportProcess(id frame.ProcID, dst frame.NodeID) (*ProcImage, e
 	img := &ProcImage{
 		Proc:       id,
 		Spec:       p.spec,
-		Checkpoint: blob,
+		Checkpoint: slices.Clone(blob),
 		SendSeq:    p.sendSeq,
 		ReadCount:  p.readCount,
 	}

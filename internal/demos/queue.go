@@ -98,13 +98,12 @@ func (q *msgQueue) pop(want []uint16) (item queued, head frame.MsgID, outOfOrder
 	return queued{}, frame.MsgID{}, false, false
 }
 
-// ids returns the queued message ids in queue order.
-func (q *msgQueue) ids() []frame.MsgID {
-	out := make([]frame.MsgID, q.n)
-	for i := range out {
-		out[i] = q.at(i).msg.ID
+// appendIDs appends the queued message ids to dst in queue order.
+func (q *msgQueue) appendIDs(dst []frame.MsgID) []frame.MsgID {
+	for i := 0; i < q.n; i++ {
+		dst = append(dst, q.at(i).msg.ID)
 	}
-	return out
+	return dst
 }
 
 // anyMatch reports whether some queued message matches the wanted channels.

@@ -105,7 +105,7 @@ func (d *queueDiff) step(op byte) {
 		if got, model := d.ring.anyMatch(want), d.model.anyMatch(want); got != model {
 			d.t.Fatalf("anyMatch(%v) = %v, model %v", want, got, model)
 		}
-		if got, model := d.ring.ids(), d.model.ids(); !reflect.DeepEqual(got, model) {
+		if got, model := d.ring.appendIDs([]frame.MsgID{}), d.model.ids(); !reflect.DeepEqual(got, model) {
 			d.t.Fatalf("ids = %v, model %v", got, model)
 		}
 	}
@@ -251,7 +251,7 @@ func TestMigrateWrappedQueue(t *testing.T) {
 	if err := dst.ImportProcess(img); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.procs[id].queue.ids(); !reflect.DeepEqual(got, want) {
+	if got := dst.procs[id].queue.appendIDs(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("imported queue %v, want %v", got, want)
 	}
 	e.run(10 * simtime.Second)
@@ -284,7 +284,7 @@ func TestReplayBatchKeepsNoRecord(t *testing.T) {
 	clear(recs)
 
 	p := k.procs[id]
-	if got, want := p.queue.ids(), []frame.MsgID{mkID(9, 1), mkID(9, 2)}; !reflect.DeepEqual(got, want) {
+	if got, want := p.queue.appendIDs(nil), []frame.MsgID{mkID(9, 1), mkID(9, 2)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("queued %v, want %v", got, want)
 	}
 	if m := p.queue.at(1).msg; string(m.Body) != "second" {

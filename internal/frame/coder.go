@@ -259,6 +259,14 @@ func Slice[S ~[]E, E any](c *Coder, v *S) {
 	}
 }
 
+// Len codes a slice's length as Slice does, for a decoder that reads the
+// elements one at a time and keeps none of them.
+func (c *Coder) Len(n *int) {
+	x := uint64(*n)
+	c.length(&x, uint64(len(c.b)))
+	*n = int(x)
+}
+
 // Tail sizes a list that runs to the end of the body with no count, of
 // elements size bytes each in wire mode; the caller then codes each element
 // of *v. A decoder sets *v to as many zero elements as whole ones are left,

@@ -129,7 +129,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 				t.Fatalf("n=%d: at(%d) = %d, %+v", n, i, seq, ref)
 			}
 		}
-		if seqs := l.Seqs(); len(seqs) != n || (n > 0 && seqs[n-1] != uint64(n-1)) {
+		if seqs := l.AppendSeqs(nil); len(seqs) != n || (n > 0 && seqs[n-1] != uint64(n-1)) {
 			t.Fatalf("n=%d: seqs %v", n, seqs)
 		}
 
@@ -145,7 +145,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 		for k, i := range pos {
 			want[k] = st.idAt(l, i).Seq
 		}
-		l.Keep(pos)
+		l.Keep(pos, false)
 		wantSeqs(t, "kept", logSeqs(t, st, *l), want...)
 		st.push(frame.BundleRec{ID: mid(1, 2000), Body: []byte{byte(2000 % 256)}})
 		if got := st.idAt(l, l.Len()-1).Seq; got != 2000 {
@@ -156,7 +156,7 @@ func TestArrLogAcrossChunkBoundaries(t *testing.T) {
 
 	var l tap.ArrLog
 	l.Push(0, tap.Ref{})
-	l.Keep(nil)
+	l.Keep(nil, false)
 	if l.Len() != 0 {
 		t.Fatalf("keep(nil) left %d records", l.Len())
 	}

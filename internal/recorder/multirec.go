@@ -480,7 +480,7 @@ func (r *Recorder) installHandoffProc(blob *handoffProc) {
 			msgs = append(msgs, lm)
 		}
 	}
-	old := e.Arrivals.Seqs()
+	old := e.Arrivals.AppendSeqs(nil)
 	e.Checkpoint = blob.Ck
 	e.CkSendSeq = blob.CkSendSeq
 	e.CkStateKB = blob.CkStateKB

@@ -265,6 +265,7 @@ func (r *Recorder) persistDead(e *procEntry) {
 // supersedes.
 func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 	e.Rev++
+	r.seqScratch = e.Arrivals.AppendSeqs(r.seqScratch[:0])
 	r.encScratch = frame.AppendBody(r.encScratch[:0], &ckMeta{
 		Blob:          e.Checkpoint,
 		SendSeq:       e.CkSendSeq,
@@ -272,7 +273,7 @@ func (r *Recorder) persistCheckpoint(e *procEntry, dropped []uint64) {
 		StateKB:       e.CkStateKB,
 		DroppedArr:    dropped,
 		AdvTrim:       e.AdvSeqNext,
-		RetainedOrder: e.Arrivals.Seqs(),
+		RetainedOrder: r.seqScratch,
 	}, codeCkMeta)
 	r.append(e.keys.ck, stablestore.KindCheckpoint, e.Rev, r.encScratch)
 }

@@ -272,6 +272,11 @@ type Recorder struct {
 	replaying map[frame.ProcID]*batchSender
 	waiters   map[uint32]func(f *frame.Frame)
 	nextCode  uint32
+	// replayHdrs and replyLinks are what replay batch headers and the
+	// reply links replay frames pass are carved from (sendBatch,
+	// sendReplay): neither is written again once carved.
+	replayHdrs frame.Slab
+	replyLinks []frame.Link
 
 	// §6.3 restart catch-up state: the processes whose forced checkpoints
 	// have not landed yet.
@@ -295,8 +300,10 @@ type Recorder struct {
 
 	// encScratch is the reused buffer every persist path encodes its record
 	// into (see persist.go). stablestore.Append copies Data, so the bytes
-	// only need to survive one call.
+	// only need to survive one call. seqScratch holds the retained arrival
+	// seqs a checkpoint record lists.
 	encScratch []byte
+	seqScratch []uint64
 	// msgOne and ackOne hold a lone message as a bundle of one, and a
 	// header-only ack as a block of one, so the tap reads every frame as
 	// records.
@@ -716,13 +723,17 @@ func (r *Recorder) handleNotice(n *demos.Notice) {
 func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool) {
 	marks, err := demos.CheckpointMarks(n.Checkpoint)
 	if err != nil {
-		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(), "checkpoint refused: %v", err)
+		if r.log.Enabled() {
+			r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(), "checkpoint refused: %v", err)
+		}
 		return false
 	}
-	dropped, ok := r.core.Checkpoint(&e.Stream, n.ReadCount, n.Queued, marks)
+	dropped, ok := r.core.Checkpoint(&e.Stream, n.ReadCount, n.Queued, marks, r.replaying[e.Proc] != nil)
 	if !ok {
-		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
-			"checkpoint (readCount=%d) not applied: a queued message was never recorded", n.ReadCount)
+		if r.log.Enabled() {
+			r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
+				"checkpoint (readCount=%d) not applied: a queued message was never recorded", n.ReadCount)
+		}
 		return false
 	}
 	e.Checkpoint = n.Checkpoint
@@ -731,9 +742,11 @@ func (r *Recorder) applyCheckpoint(e *procEntry, n *demos.Notice) (complete bool
 	e.LastCkAt = r.sched.Now()
 	r.stats.CheckpointsStored++
 	r.persistCheckpoint(e, dropped)
-	r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
-		"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, 0 missing",
-		n.StateKB, n.ReadCount, len(dropped), e.Arrivals.Len())
+	if r.log.Enabled() {
+		r.log.Add(trace.KindCheckpoint, int(r.node), e.Proc.String(),
+			"stored checkpoint (%d KB, readCount=%d); %d messages discarded, %d retained, 0 missing",
+			n.StateKB, n.ReadCount, len(dropped), e.Arrivals.Len())
+	}
 	return true
 }
 

@@ -92,8 +92,9 @@ func (bs *batchSender) fill() {
 // reaches the byte budget (always at least one record) and hands it to the
 // transport. It reports whether there was anything left to send. A record
 // shares its body with the store page it was read from, which is never
-// written again, and the record array is the transport's (BatchRecs), so a
-// warm recorder copies no body and allocates only the batch header.
+// written again, the record array is the transport's (BatchRecs) and the
+// header is carved from the recorder's slab, so a warm recorder copies no
+// body and allocates nothing per batch.
 func (bs *batchSender) sendBatch() bool {
 	m, ok := bs.peek()
 	if !ok {
@@ -120,9 +121,9 @@ func (bs *batchSender) sendBatch() bool {
 			break
 		}
 	}
-	hdr := frame.AppendBatchHdr(make([]byte, 0, frame.BatchHdrLen), frame.BatchHdr{
+	hdr := r.replayHdrs.Keep(frame.AppendBatchHdr(r.replayHdrs.Room(frame.BatchHdrLen), frame.BatchHdr{
 		Kind: frame.BatchRecords, Proc: bs.e.Proc, Gen: bs.gen, Seq: seq, Count: uint32(len(recs)),
-	})
+	}))
 	bs.nextSeq = seq
 	id, code := r.sendReplay(bs.rp.target, hdr, recs, bs.ack)
 	bs.ids[seq] = id
@@ -203,11 +204,19 @@ func (r *Recorder) sendReplay(node frame.NodeID, body []byte, recs []frame.Bundl
 		code = r.nextCode
 		r.nextCode++
 		r.waiters[code] = onReply
-		f.PassedLink = &frame.Link{To: r.proc, Channel: chanCtlReply, Code: code}
+		if len(r.replyLinks) == 0 {
+			r.replyLinks = make([]frame.Link, linkBlockLen)
+		}
+		f.PassedLink, r.replyLinks = &r.replyLinks[0], r.replyLinks[1:]
+		*f.PassedLink = frame.Link{To: r.proc, Channel: chanCtlReply, Code: code}
 	}
 	r.ep.SendGuaranteed(f)
 	return f.ID, code
 }
+
+// linkBlockLen is how many reply links one allocation holds: 102 of 20
+// bytes fill a 2 KB size class.
+const linkBlockLen = 102
 
 // cancelReplay tears down a live batch pipeline: unsent batch frames are
 // withdrawn from the transport and the reply waiters orphaned, so a

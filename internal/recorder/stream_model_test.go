@@ -319,7 +319,7 @@ func (w *tapWorld) readOrder(p frame.ProcID, read, head frame.MsgID) {
 
 func (w *tapWorld) checkpoint(p frame.ProcID, readCount uint64, queued []frame.MsgID, marks frame.Marks) {
 	if s := w.streams[p]; s != nil && !s.Dead && !s.Stale(readCount) {
-		w.core.Checkpoint(s, readCount, queued, marks)
+		w.core.Checkpoint(s, readCount, queued, marks, false)
 	}
 }
 
@@ -651,7 +651,7 @@ func (d *streamDiff) step(kind, arg byte) {
 			marks := slices.Clone(d.taken[from])
 			d.w.checkpoint(d.procs[from], d.reads[from], queued, marks)
 			d.ref.checkpoint(d.procs[from], d.reads[from], queued, marks)
-			if s := d.w.streams[d.procs[from]]; s != nil && !consecutive(s.Arrivals.Seqs()) {
+			if s := d.w.streams[d.procs[from]]; s != nil && !consecutive(s.Arrivals.AppendSeqs(nil)) {
 				d.seqBreaks++
 			}
 		}

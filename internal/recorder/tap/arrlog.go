@@ -37,13 +37,23 @@ type seqRun struct {
 //
 // A copy of the struct is a stable snapshot of the stream as it stood: Push
 // writes only past the snapshot's length, in the chunks and the runs, and
-// Keep builds fresh ones, so neither disturbs what a replay in progress is
-// reading. The records the snapshot names stay readable: the store keeps
-// every record it is given, a checkpoint that lands mid-replay included.
+// Keep builds fresh ones while a snapshot is read, so neither disturbs what
+// a replay in progress is reading. The records the snapshot names stay
+// readable: the store keeps every record it is given, a checkpoint that
+// lands mid-replay included.
 type ArrLog struct {
 	chunks []*[ArrChunkLen]ArrEntry
 	runs   []seqRun
 	n      int
+	// kept is Keep's scratch: the kept arrivals, read out before the log is
+	// rebuilt in its own chunks.
+	kept []arrival
+}
+
+// arrival is one entry of the log with its seq.
+type arrival struct {
+	seq uint64
+	ref Ref
 }
 
 func (l *ArrLog) Len() int { return l.n }
@@ -62,36 +72,59 @@ func (l *ArrLog) Push(seq uint64, ref Ref) {
 	if k := len(l.runs) - 1; k < 0 || l.runs[k].seq+uint64(l.n-l.runs[k].pos) != seq {
 		l.runs = append(l.runs, seqRun{pos: l.n, seq: seq})
 	}
-	if l.n == len(l.chunks)*ArrChunkLen {
-		l.chunks = append(l.chunks, new([ArrChunkLen]ArrEntry))
+	if k := len(l.chunks); l.n == k*ArrChunkLen {
+		if k < cap(l.chunks) && l.chunks[:k+1][k] != nil {
+			l.chunks = l.chunks[:k+1] // a chunk the log held before a Keep
+		} else {
+			l.chunks = append(l.chunks, new([ArrChunkLen]ArrEntry))
+		}
 	}
 	l.chunks[l.n/ArrChunkLen][l.n%ArrChunkLen] = ref
 	l.n++
 }
 
 // Keep replaces the log with its entries at the given positions, in that
-// order (a checkpoint's retained messages).
-func (l *ArrLog) Keep(pos []int) {
-	var kept ArrLog
-	for _, i := range pos {
-		kept.Push(l.At(i))
+// order (a checkpoint's retained messages). While a snapshot of the log is
+// read, it builds the log in fresh chunks and runs and leaves the old ones
+// to the snapshot. With no snapshot read (reuse), it rebuilds the log in
+// its own, whose chunks Push fills again before it makes new ones, so a
+// stream checkpointed at a steady rate allocates none.
+func (l *ArrLog) Keep(pos []int, reuse bool) {
+	if !reuse {
+		kept := ArrLog{kept: l.kept}
+		for _, i := range pos {
+			kept.Push(l.At(i))
+		}
+		*l = kept
+		return
 	}
-	*l = kept
+	kept := l.kept[:0]
+	for _, i := range pos {
+		seq, ref := l.At(i)
+		kept = append(kept, arrival{seq, ref})
+	}
+	// Past the chunks the log held, the table may still name chunks from
+	// a longer stretch before: let those go.
+	clear(l.chunks[len(l.chunks):cap(l.chunks)])
+	l.chunks, l.runs, l.n, l.kept = l.chunks[:0], l.runs[:0], 0, kept
+	for _, a := range kept {
+		l.Push(a.seq, a.ref)
+	}
 }
 
-// Seqs returns the entries' arrival sequence numbers in log order.
-func (l *ArrLog) Seqs() []uint64 {
-	out := make([]uint64, l.n)
+// AppendSeqs appends the entries' arrival sequence numbers to dst in log
+// order.
+func (l *ArrLog) AppendSeqs(dst []uint64) []uint64 {
 	for k, r := range l.runs {
 		end := l.n
 		if k+1 < len(l.runs) {
 			end = l.runs[k+1].pos
 		}
 		for i := r.pos; i < end; i++ {
-			out[i] = r.seq + uint64(i-r.pos)
+			dst = append(dst, r.seq+uint64(i-r.pos))
 		}
 	}
-	return out
+	return dst
 }
 
 // Advisory is one §4.4.2 read-order correction: the process read ReadID

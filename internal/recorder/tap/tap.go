@@ -164,13 +164,18 @@ type Core struct {
 	// counts those holding a pre-registration last-sent.
 	swept      []*Rec
 	preSenders int
-	// ids is Checkpoint's scratch: the ids of the stream it trims.
-	ids []frame.MsgID
+	// ids, queuedAt, pos and dropped are Checkpoint's scratch: the ids of
+	// the stream it trims, where each queued message is, and the seqs it
+	// drops.
+	ids      []frame.MsgID
+	queuedAt map[frame.MsgID]int
+	pos      []int
+	dropped  []uint64
 }
 
 // New returns a core whose effects go to fx and counters to counts.
 func New(self frame.ProcID, recorders []frame.ProcID, owns func(frame.ProcID) bool, fx Effects, counts *Counts) *Core {
-	c := &Core{self: self, recorders: recorders, owns: owns, fx: fx, counts: counts}
+	c := &Core{self: self, recorders: recorders, owns: owns, fx: fx, counts: counts, queuedAt: make(map[frame.MsgID]int)}
 	c.Reset()
 	return c
 }
@@ -385,8 +390,10 @@ func (c *Core) ReadOrder(s *Stream, read, head frame.MsgID) Advisory {
 // order. That holds for a record landing after the checkpoint and for a
 // stream with gaps from the recorder's downtime (§6.3 catch-up). A
 // checkpoint whose queue names a message never recorded is not applied. The
-// caller has checked the checkpoint is not Stale.
-func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, marks frame.Marks) (dropped []uint64, applied bool) {
+// caller has checked the checkpoint is not Stale, and says whether a replay
+// is reading a snapshot of the stream (ArrLog.Keep). The seqs dropped are
+// the core's scratch, good until the next Checkpoint.
+func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, marks frame.Marks, replaying bool) (dropped []uint64, applied bool) {
 	// ids are the stream's message ids, each read from its record once.
 	log := &s.Arrivals
 	ids := c.ids[:0]
@@ -397,8 +404,10 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 	c.ids = ids
 	// pos[k] is the log position of the k'th queued message (-1: not held,
 	// or an id the queue repeats); queuedAt finds k by id.
-	queuedAt := make(map[frame.MsgID]int, len(queued))
-	pos := make([]int, len(queued), max(len(queued), log.Len()))
+	queuedAt := c.queuedAt
+	clear(queuedAt)
+	pos := slices.Grow(c.pos[:0], max(len(queued), log.Len()))[:len(queued)]
+	c.pos = pos
 	for k, id := range queued {
 		pos[k] = -1
 		if _, repeat := queuedAt[id]; !repeat {
@@ -414,7 +423,7 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 		return nil, false
 	}
 	retained := pos // every queued message, in queue order; room for the rest
-	dropped = make([]uint64, 0, log.Len()-len(retained))
+	dropped = c.dropped[:0]
 	o := NewOrder(s, c.fx)
 	o.known = ids
 	for i, seq, _, ok := o.Next(); ok; i, seq, _, ok = o.Next() {
@@ -427,7 +436,8 @@ func (c *Core) Checkpoint(s *Stream, readCount uint64, queued []frame.MsgID, mar
 			retained = append(retained, i)
 		}
 	}
-	log.Keep(retained)
+	log.Keep(retained, !replaying)
+	c.dropped = dropped
 	s.Advisories, s.CkMarks, s.CkReadCount = nil, marks, readCount
 	return dropped, true
 }
