@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"publishing/internal/chaos"
+	"publishing/internal/demos"
+	"publishing/internal/frame"
 	"publishing/internal/simtime"
 )
 
@@ -144,6 +146,24 @@ func TestDeliveredBodiesAreImmutable(t *testing.T) {
 			}
 		})
 	}
+	t.Run("replay-frames", func(t *testing.T) {
+		// The replay path's own bodies are carved from slabs (frame.Slab): a
+		// batch's header and the kernel's acknowledgement of it. Three
+		// recoveries carve several of each from the same chunks.
+		c, _, worker, _ := watchedPipeline(t, MediumPerfect, 1, bodiesIntact)
+		w := &replayWatch{rec: c.Recorder().Proc()}
+		c.Medium().AttachTap(99, w)
+		for _, at := range []simtime.Time{1200, 2000, 3000} {
+			c.Scheduler().At(at*simtime.Millisecond, func() { c.CrashProcess(worker) })
+		}
+		c.Run(60 * simtime.Second)
+		if w.headers < 3 || w.acks < 3 {
+			t.Fatalf("heard %d batch headers and %d batch acks: the run does not exercise what it checks", w.headers, w.acks)
+		}
+		if n := w.written(); n != 0 {
+			t.Errorf("%d of %d replay batch headers and acks were written to by quiescence", n, len(w.bodies))
+		}
+	})
 	t.Run("chaos", func(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			medium := ChaosSeedVariant(seed).Medium
@@ -162,6 +182,45 @@ func TestDeliveredBodiesAreImmutable(t *testing.T) {
 			}
 		}
 	})
+}
+
+// replayWatch hears every frame on the wire, as a tap that never votes, and
+// watches the bodies the replay path builds: each replay batch's header and
+// each batch acknowledgement sent to the recorder.
+type replayWatch struct {
+	bodyWatch
+	rec           ProcID
+	headers, acks int
+}
+
+func (w *replayWatch) Observe(f *frame.Frame) bool {
+	stored, _ := w.ObserveVote(f)
+	return stored
+}
+
+func (w *replayWatch) ObserveVote(f *frame.Frame) (stored, voting bool) {
+	if f.Type != frame.Bundle {
+		w.hear(f.To, f.Channel, f.Body)
+	} else {
+		for i := range f.Recs {
+			w.hear(f.Recs[i].To, f.Recs[i].Channel, f.Recs[i].Body)
+		}
+	}
+	return false, false
+}
+
+func (w *replayWatch) hear(to ProcID, channel uint16, body []byte) {
+	var rep demos.CtlReply
+	switch {
+	case channel == frame.ChanReplay:
+		if hdr, err := frame.DecodeBatchHdr(body); err == nil && hdr.Kind == frame.BatchRecords {
+			w.headers++
+			w.handed(body)
+		}
+	case to == w.rec && demos.DecodeReply(body, &rep) == nil && rep.AckedBatch > 0:
+		w.acks++
+		w.handed(body)
+	}
 }
 
 // TestBodyWatchCatchesMisuse: the watch fails a receiver that writes to a

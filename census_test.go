@@ -5,10 +5,13 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"publishing/internal/chaos"
 )
 
 const censusPath = "testdata/census.golden"
@@ -109,6 +112,34 @@ func TestChaosCensus(t *testing.T) {
 		if seed < 1 || seed > censusSeeds {
 			t.Errorf("%s lists seed %d, outside the census's 1..%d", censusPath, seed, censusSeeds)
 		}
+	}
+}
+
+// censusAllocSeeds is the fixed slice of census seeds the search ledger's
+// allocation row runs: seeds 1..censusAllocSeeds.
+const censusAllocSeeds = 20
+
+// TestCensusAllocsPerSeed is the search ledger's first gated row: the heap
+// allocations one census seed costs, both of RunChaos's clusters and its
+// check, averaged over seeds 1..20 run one after another. Allocation counts
+// are the same on every host and repeat to within one per seed, so the row
+// gates a search-throughput change without timing anything. Measured: 6,789
+// per seed. While the metrics registry spelled every counter's name on each
+// AddStats and Snapshot, the star medium bound two closures per frame, and
+// a replay batch round trip and a checkpoint allocated their scratch, it
+// read 11,082. The ceiling sits 1 % over the measured count.
+func TestCensusAllocsPerSeed(t *testing.T) {
+	const ceiling = 6857
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for seed := uint64(1); seed <= censusAllocSeeds; seed++ {
+		RunChaos(ChaosSeedVariant(seed), chaos.Generate(seed, chaos.DefaultLimits()), "")
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.Mallocs-m0.Mallocs) / censusAllocSeeds
+	t.Logf("%.0f allocations per census seed over seeds 1-%d (ceiling %d)", per, censusAllocSeeds, ceiling)
+	if per > ceiling {
+		t.Errorf("%.0f allocations per census seed, over the ceiling of %d", per, ceiling)
 	}
 }
 

@@ -80,26 +80,28 @@ func secondReplayCost(t *testing.T) replayCost {
 }
 
 // TestReplayBatchAllocs pins what recovery costs the host per replay batch
-// outside the recovering program. A batch round trip allocates four times:
-// the recorder's 29-byte batch header and the batch frame's reply link, the
-// kernel's acknowledgement, encoded from a reply it owns into one exact
-// allocation, and gob's read of it into a reply the batch sender owns,
-// through a waiter bound once per sender. The batch's records share their
-// bodies with the recorder's store pages, and their array is one the
-// recorder's transport freed when an earlier batch was acknowledged, so
-// packing a batch copies no body. A recreated incarnation inherits the
-// input-queue ring its predecessor grew, so applying a batch allocates only
-// the acknowledgement. Measured: 4.52 allocations and 280 B per batch (the
-// recovery-done exchange included) and 160 B per application; a batch
-// packed into a fresh byte buffer read 1,562 B per batch, and a fresh reply
-// per batch, a two-step encode, a waiter bound per batch and a ring regrown
-// from nil read 8.93 allocations and 74,160 B per application. Allocation
-// counts and sizes are the same on every host, so the pins are exact enough
-// to gate on.
+// outside the recovering program. A batch round trip allocates nothing of
+// its own: the recorder carves the 29-byte batch header from its slab and
+// the batch frame's reply link from a block of links, the kernel carves its
+// acknowledgement from its own slab, and the batch sender decodes it into a
+// reply it owns, through a waiter bound once per sender. The batch's
+// records share their bodies with the recorder's store pages, and their
+// array is one the recorder's transport freed when an earlier batch was
+// acknowledged, so packing a batch copies no body. A recreated incarnation
+// inherits the input-queue ring its predecessor grew, so applying a batch
+// allocates only what a new slab chunk costs now and then. Measured: 0.48
+// to 0.52 allocations and 24 to 25 B per batch (the recovery-done exchange
+// included) and 16 to 32 B per application, as the tiny allocator's blocks
+// fall; a header, a reply link and an acknowledgement allocated per batch
+// read 3.22 allocations and 121 B per batch and 64 B per application; a batch packed into a fresh byte buffer
+// read 1,562 B per batch, and a fresh reply per batch, a two-step encode, a
+// waiter bound per batch and a ring regrown from nil read 8.93 allocations
+// and 74,160 B per application. Allocation counts and sizes are the same on
+// every host, so the pins are exact enough to gate on.
 func TestReplayBatchAllocs(t *testing.T) {
-	const ceiling = 6.0
-	const bytesCeiling = 512
-	const applyCeiling = 512
+	const ceiling = 1.0
+	const bytesCeiling = 64
+	const applyCeiling = 48
 	cost := secondReplayCost(t)
 	if cost.batches < 8 {
 		t.Fatalf("second recovery applied %d replay batches; too few to measure", cost.batches)
@@ -115,6 +117,74 @@ func TestReplayBatchAllocs(t *testing.T) {
 		t.Errorf("%.0f B allocated per replay batch, over the ceiling of %d B: is a batch copying its bodies?", perBytes, bytesCeiling)
 	}
 	if cost.applyMaxBytes > applyCeiling {
-		t.Errorf("applying one replay batch allocated %d B, over the ceiling of %d B: is the queue ring regrown?", cost.applyMaxBytes, applyCeiling)
+		t.Errorf("applying one replay batch allocated %d B, over the ceiling of %d B: is the queue ring regrown, or the acknowledgement allocated?", cost.applyMaxBytes, applyCeiling)
+	}
+}
+
+// checkpointCost runs a Pipeline with its worker checkpointed between every
+// two messages and measures, event by event, what the checkpoints cost the
+// host: the events in which the worker's kernel took one and those in which
+// the recorder stored one. It returns the checkpoints stored and those events'
+// heap allocations. Trace is off, as the benchmark's untraced passes run.
+func checkpointCost(t *testing.T) (checkpoints, allocs uint64) {
+	t.Helper()
+	c := New(DefaultConfig(3))
+	t.Cleanup(c.Close)
+	c.Trace().Enable(false)
+	run := Pipeline{Msgs: 200, Pace: 100 * simtime.Millisecond}.Start(c)
+	k, rs, ks := c.Kernel(1), c.Recorder().Stats(), c.Kernel(1).Stats()
+	take := func() { _, _ = k.CheckpointNow(run.Worker) }
+	// Between two messages, when the worker is parked.
+	for at := simtime.Second + 50*simtime.Millisecond; at < 20*simtime.Second; at += 100 * simtime.Millisecond {
+		c.Scheduler().At(at, take)
+	}
+	// Warm up through the first second's checkpoints, then count.
+	if !c.RunUntil(func() bool { return rs.CheckpointsStored >= 2 }, simtime.Minute) {
+		t.Fatal("no checkpoint stored")
+	}
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	mallocs := m.Mallocs
+	first, taken, stored := rs.CheckpointsStored, ks.Checkpoints, rs.CheckpointsStored
+	ok := c.RunUntil(func() bool {
+		runtime.ReadMemStats(&m)
+		if ks.Checkpoints > taken || rs.CheckpointsStored > stored {
+			allocs += m.Mallocs - mallocs
+		}
+		taken, stored = ks.Checkpoints, rs.CheckpointsStored
+		runtime.ReadMemStats(&m)
+		mallocs = m.Mallocs
+		return run.Done()
+	}, simtime.Minute)
+	if !ok {
+		t.Fatalf("witness saw %d of 200 steps", len(run.Output()))
+	}
+	if err := run.Check(); err != nil {
+		t.Fatal(err)
+	}
+	return rs.CheckpointsStored - first, allocs
+}
+
+// TestCheckpointAllocs pins what a checkpoint round trip allocates with the
+// trace off. The kernel snapshots the worker into its scratch image and
+// queued-id list and sends the recorder a notice; the recorder reads only
+// the image's marks, trims the stream in the core's scratch, rebuilds the
+// arrival log in its own chunks and lists the retained seqs in its scratch.
+// What is left is the worker's own Snapshot, the notice (whose checkpoint
+// the recorder keeps), the marks the stream keeps, and now and then a store
+// page: 3.21 allocations per checkpoint. A fresh image, queued-id list,
+// whole-image decode, trim scratch, kept log and retained-seq list per
+// checkpoint, and two trace lines formatted while the trace is off, read
+// 10.4. The ceiling sits under one allocation above the measured count.
+func TestCheckpointAllocs(t *testing.T) {
+	const ceiling = 4.0
+	n, allocs := checkpointCost(t)
+	if n < 20 {
+		t.Fatalf("%d checkpoints stored; too few to measure", n)
+	}
+	per := float64(allocs) / float64(n)
+	t.Logf("%d checkpoints: %.2f allocations per checkpoint (ceiling %.1f)", n, per, ceiling)
+	if per > ceiling {
+		t.Errorf("%.2f allocations per checkpoint round trip, over the ceiling of %.1f", per, ceiling)
 	}
 }
