@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -138,6 +138,15 @@ onefailover:
 onewatchdog:
 	! grep -rnE 'tickPeerWatch|peerWatch +\[\]' --include='*.go' --exclude='*_test.go' internal/recorder
 	test $$(grep -rE 'Body: *demos\.PingBody' --include='*.go' --exclude='*_test.go' internal/recorder | wc -l) -le 1
+
+# Recovery allocates only what it keeps (DESIGN.md "Recovery path"): a
+# replay batch's header and the reply link its frame passes are carved from
+# the recorder's slab and link block, not made per batch, and a checkpoint
+# formats no trace line while the trace is off: every Log.Add in
+# CheckpointNow and applyCheckpoint sits right under an Enabled() guard.
+replayallocs:
+	! grep -nE 'make\(\[\]byte, 0, frame\.BatchHdrLen\)|&frame\.Link\{' internal/recorder/replay.go
+	! awk '/^func \(k \*Kernel\) CheckpointNow\(|^func \(r \*Recorder\) applyCheckpoint\(/ {f = 1} f && /^}/ {f = 0} f && /[lL]og\.Add\(/ && prev !~ /Enabled\(\)/ {print FILENAME ":" FNR ": " $$0; bad = 1} {prev = $$0} END {exit !bad}' internal/demos/kernelproc.go internal/recorder/recorder.go
 
 # Scenarios are built from two traffic shapes (DESIGN.md "Simulation
 # testing"): scenario.go's producer → worker → witness Pipeline and gen →
