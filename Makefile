@@ -140,9 +140,9 @@ onewatchdog:
 	test $$(grep -rE 'Body: *demos\.PingBody' --include='*.go' --exclude='*_test.go' internal/recorder | wc -l) -le 1
 
 # Recovery allocates only what it keeps (DESIGN.md "Recovery path"): a
-# replay batch's header and the reply link its frame passes are carved from
-# the recorder's slab and link block, not made per batch, and a checkpoint
-# formats no trace line while the trace is off: every Log.Add in
+# replay batch's header is carved from the recorder's slab and every batch
+# passes its sender's one reply link, so neither is made per batch, and a
+# checkpoint formats no trace line while the trace is off: every Log.Add in
 # CheckpointNow and applyCheckpoint sits right under an Enabled() guard.
 replayallocs:
 	! grep -nE 'make\(\[\]byte, 0, frame\.BatchHdrLen\)|&frame\.Link\{' internal/recorder/replay.go

@@ -272,11 +272,8 @@ type Recorder struct {
 	replaying map[frame.ProcID]*batchSender
 	waiters   map[uint32]func(f *frame.Frame)
 	nextCode  uint32
-	// replayHdrs and replyLinks are what replay batch headers and the
-	// reply links replay frames pass are carved from (sendBatch,
-	// sendReplay): neither is written again once carved.
+	// replayHdrs is what replay batch headers are carved from (sendBatch).
 	replayHdrs frame.Slab
-	replyLinks []frame.Link
 
 	// §6.3 restart catch-up state: the processes whose forced checkpoints
 	// have not landed yet.

@@ -39,14 +39,15 @@ type batchSender struct {
 	acked   uint64 // kernel's cumulative batch acknowledgement
 	// ids maps unacked batch sequences to their transport frame ids so a
 	// superseding generation can withdraw whatever has not left the node.
-	ids map[uint64]frame.MsgID
-	// codes are this sender's reply-waiter codes, orphaned on cancel.
-	codes    []uint32
+	ids      map[uint64]frame.MsgID
 	doneSent bool
-	// ack is onAck bound once, the waiter every batch registers, and rep
-	// the reply each acknowledgement is decoded into.
-	ack func(*frame.Frame)
-	rep demos.CtlReply
+	// link is the reply link every batch passes. Batch acknowledgements
+	// are cumulative, so one waiter, its code, takes them all: ack, onAck
+	// bound once, which each acknowledgement registers again. rep is the
+	// reply each acknowledgement is decoded into.
+	link frame.Link
+	ack  func(*frame.Frame)
+	rep  demos.CtlReply
 }
 
 // startReplay reenacts the published stream: "It then reads all the
@@ -60,7 +61,10 @@ func (r *Recorder) startReplay(e *procEntry, rp *recoveryProc, gen uint64) {
 		order: tap.NewOrder(&e.Stream, (*tapFx)(r)),
 		ids:   make(map[uint64]frame.MsgID),
 	}
+	bs.link = frame.Link{To: r.proc, Channel: chanCtlReply, Code: r.nextCode}
+	r.nextCode++
 	bs.ack = bs.onAck
+	r.waiters[bs.link.Code] = bs.ack
 	r.replaying[e.Proc] = bs
 	bs.fill()
 }
@@ -125,9 +129,7 @@ func (bs *batchSender) sendBatch() bool {
 		Kind: frame.BatchRecords, Proc: bs.e.Proc, Gen: bs.gen, Seq: seq, Count: uint32(len(recs)),
 	}))
 	bs.nextSeq = seq
-	id, code := r.sendReplay(bs.rp.target, hdr, recs, bs.ack)
-	bs.ids[seq] = id
-	bs.codes = append(bs.codes, code)
+	bs.ids[seq] = r.sendReplay(bs.rp.target, hdr, recs, &bs.link)
 	r.stats.ReplayBatches++
 	r.replayOcc.Add(1)
 	if r.log.Enabled() {
@@ -143,6 +145,7 @@ func (bs *batchSender) onAck(f *frame.Frame) {
 	if r.crashed || !r.current(bs.rp, bs.gen) {
 		return
 	}
+	r.waiters[bs.link.Code] = bs.ack
 	rep := &bs.rep
 	if err := demos.DecodeReply(f.Body, rep); err != nil {
 		r.log.Add(trace.KindReplay, int(r.node), bs.e.Proc.String(), "batch ack undecodable: %v", err)
@@ -178,6 +181,7 @@ func (bs *batchSender) sendDone() {
 			e.Recovering = false
 			delete(r.recovering, e.Proc)
 			delete(r.replaying, e.Proc)
+			delete(r.waiters, bs.link.Code)
 			r.stats.RecoveriesCompleted++
 			r.log.Add(trace.KindRecoveryDone, int(r.node), e.Proc.String(), "recovered on n%d", rp.target)
 		})
@@ -185,38 +189,24 @@ func (bs *batchSender) sendDone() {
 
 // sendReplay transmits one ChanReplay message (a batch's header and
 // records, or a checkpoint chunk) as guaranteed traffic to a node's kernel
-// process, returning the transport frame id and the reply-waiter code (zero
-// when no reply is expected).
-func (r *Recorder) sendReplay(node frame.NodeID, body []byte, recs []frame.BundleRec, onReply func(*frame.Frame)) (frame.MsgID, uint32) {
+// process, passing reply (nil when no reply is expected), and returns the
+// transport frame id.
+func (r *Recorder) sendReplay(node frame.NodeID, body []byte, recs []frame.BundleRec, reply *frame.Link) frame.MsgID {
 	r.sendSeq++
 	f := &frame.Frame{
-		Type:    frame.Guaranteed,
-		Dst:     node,
-		ID:      frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
-		From:    r.proc,
-		To:      frame.ProcID{Node: node, Local: 0},
-		Channel: frame.ChanReplay,
-		Body:    body,
-		Recs:    recs,
-	}
-	var code uint32
-	if onReply != nil {
-		code = r.nextCode
-		r.nextCode++
-		r.waiters[code] = onReply
-		if len(r.replyLinks) == 0 {
-			r.replyLinks = make([]frame.Link, linkBlockLen)
-		}
-		f.PassedLink, r.replyLinks = &r.replyLinks[0], r.replyLinks[1:]
-		*f.PassedLink = frame.Link{To: r.proc, Channel: chanCtlReply, Code: code}
+		Type:       frame.Guaranteed,
+		Dst:        node,
+		ID:         frame.MsgID{Sender: r.proc, Seq: r.restartNumber<<40 | r.sendSeq},
+		From:       r.proc,
+		To:         frame.ProcID{Node: node, Local: 0},
+		Channel:    frame.ChanReplay,
+		Body:       body,
+		Recs:       recs,
+		PassedLink: reply,
 	}
 	r.ep.SendGuaranteed(f)
-	return f.ID, code
+	return f.ID
 }
-
-// linkBlockLen is how many reply links one allocation holds: 102 of 20
-// bytes fill a 2 KB size class.
-const linkBlockLen = 102
 
 // cancelReplay tears down a live batch pipeline: unsent batch frames are
 // withdrawn from the transport and the reply waiters orphaned, so a
@@ -228,9 +218,7 @@ func (r *Recorder) cancelReplay(p frame.ProcID) {
 	}
 	delete(r.replaying, p)
 	r.replayOcc.Add(-int64(bs.nextSeq - bs.acked))
-	for _, code := range bs.codes {
-		delete(r.waiters, code)
-	}
+	delete(r.waiters, bs.link.Code)
 	if len(bs.ids) > 0 {
 		live := make(map[frame.MsgID]bool, len(bs.ids))
 		for _, id := range bs.ids { //det:ok order-free: builds a set

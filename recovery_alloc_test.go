@@ -81,19 +81,21 @@ func secondReplayCost(t *testing.T) replayCost {
 
 // TestReplayBatchAllocs pins what recovery costs the host per replay batch
 // outside the recovering program. A batch round trip allocates nothing of
-// its own: the recorder carves the 29-byte batch header from its slab and
-// the batch frame's reply link from a block of links, the kernel carves its
+// its own: the recorder carves the 29-byte batch header from its slab,
+// every batch passes its sender's one reply link, the kernel carves its
 // acknowledgement from its own slab, and the batch sender decodes it into a
-// reply it owns, through a waiter bound once per sender. The batch's
+// reply it owns, through the one waiter it binds and registers again at
+// each acknowledgement (the acknowledgements are cumulative). The batch's
 // records share their bodies with the recorder's store pages, and their
 // array is one the recorder's transport freed when an earlier batch was
 // acknowledged, so packing a batch copies no body. A recreated incarnation
 // inherits the input-queue ring its predecessor grew, so applying a batch
-// allocates only what a new slab chunk costs now and then. Measured: 0.48
-// to 0.52 allocations and 24 to 25 B per batch (the recovery-done exchange
-// included) and 16 to 32 B per application, as the tiny allocator's blocks
-// fall; a header, a reply link and an acknowledgement allocated per batch
-// read 3.22 allocations and 121 B per batch and 64 B per application; a batch packed into a fresh byte buffer
+// allocates only what a new slab chunk costs now and then. Measured: 0.37
+// allocations and 16 B per batch (the recovery-done exchange included) and
+// 16 to 32 B per application, as the tiny allocator's blocks fall; a reply
+// link carved per batch, from a block of links, read 0.48 allocations and
+// 24 B per batch; a header, a reply link and an acknowledgement allocated
+// per batch, 3.22 allocations and 121 B per batch and 64 B per application; a batch packed into a fresh byte buffer
 // read 1,562 B per batch, and a fresh reply per batch, a two-step encode, a
 // waiter bound per batch and a ring regrown from nil read 8.93 allocations
 // and 74,160 B per application. Allocation counts and sizes are the same on
