@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -147,6 +147,14 @@ onewatchdog:
 replayallocs:
 	! grep -nE 'make\(\[\]byte, 0, frame\.BatchHdrLen\)|&frame\.Link\{' internal/recorder/replay.go
 	! awk '/^func \(k \*Kernel\) CheckpointNow\(|^func \(r \*Recorder\) applyCheckpoint\(/ {f = 1} f && /^}/ {f = 0} f && /[lL]og\.Add\(/ && prev !~ /Enabled\(\)/ {print FILENAME ":" FNR ": " $$0; bad = 1} {prev = $$0} END {exit !bad}' internal/demos/kernelproc.go internal/recorder/recorder.go
+
+# The store indexes nothing per record (DESIGN.md "Storage engine"): §4.5's
+# per-process page list is the recorder's arrival log of record refs, and
+# ReadKey, read once when a recorder is built, is a filtered scan. The
+# names below are the per-key page list it replaced, which grew by a page
+# id for nearly every record and was never reclaimed.
+nokeyindex:
+	! grep -rnE 'pages +\[\]uint32|func \(k \*keyState\) index' --include='*.go' --exclude='*_test.go' internal/stablestore
 
 # Scenarios are built from two traffic shapes (DESIGN.md "Simulation
 # testing"): scenario.go's producer → worker → witness Pipeline and gen →

@@ -123,13 +123,17 @@ const censusAllocSeeds = 20
 // allocations one census seed costs, both of RunChaos's clusters and its
 // check, averaged over seeds 1..20 run one after another. Allocation counts
 // are the same on every host and repeat to within one per seed, so the row
-// gates a search-throughput change without timing anything. Measured: 6,789
-// per seed. While the metrics registry spelled every counter's name on each
-// AddStats and Snapshot, the star medium bound two closures per frame, and
-// a replay batch round trip and a checkpoint allocated their scratch, it
-// read 11,082. The ceiling sits 1 % over the measured count.
+// gates a search-throughput change without timing anything. Measured: 6,174
+// per seed (6,182 when this test runs first, as each Stats type's counter
+// names are derived once per process). While the store grew a page list per
+// key by a page id for each record, and each metrics registry derived every
+// Stats type's counter names again and allocated each gauge and histogram
+// apart, it read 6,790; while the registry spelled every counter's name on
+// each AddStats and Snapshot, the star medium bound two closures per frame,
+// and a replay batch round trip and a checkpoint allocated their scratch,
+// 11,082. The ceiling sits 1 % over the measured count.
 func TestCensusAllocsPerSeed(t *testing.T) {
-	const ceiling = 6857
+	const ceiling = 6236
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for seed := uint64(1); seed <= censusAllocSeeds; seed++ {

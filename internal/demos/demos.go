@@ -17,6 +17,7 @@ package demos
 
 import (
 	"fmt"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -423,7 +424,11 @@ func codeNotice(c *frame.Coder, n *Notice) {
 		frame.Uint(c, &n.SendSeq)
 		frame.Uint(c, &n.ReadCount)
 		frame.Int(c, &n.StateKB)
-		frame.Slice(c, &n.Queued)
+		// Slice's length, but a decoder reuses Queued's array (DecodeNotice).
+		k := len(n.Queued)
+		if c.Len(&k); c.Decoding() {
+			n.Queued = slices.Grow(n.Queued[:0], k)[:k]
+		}
 		for i := range n.Queued {
 			c.MsgID(&n.Queued[i])
 		}
@@ -441,10 +446,12 @@ func EncodeNotice(n *Notice) []byte {
 	return frame.AppendBody(make([]byte, 0, size), n, codeNotice)
 }
 
-// DecodeNotice decodes a recorder notice. Its byte strings alias b.
-func DecodeNotice(b []byte) (*Notice, error) {
-	n := new(Notice)
-	return n, frame.DecodeBody(b, n, codeNotice)
+// DecodeNotice decodes a recorder notice into n, overwriting all of it but
+// Queued's array, which it reuses: a caller that keeps no notice decodes
+// each one into the same scratch. Its byte strings alias b.
+func DecodeNotice(b []byte, n *Notice) error {
+	*n = Notice{Queued: n.Queued[:0]}
+	return frame.DecodeBody(b, n, codeNotice)
 }
 
 // codeQuery codes a query response.

@@ -247,7 +247,7 @@ func TestChannelsOutOfOrderReadAdvisory(t *testing.T) {
 	var notices []*Notice
 	e.reg.RegisterMachine("collector", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {
-			if n, err := DecodeNotice(m.Body); err == nil {
+			if n := new(Notice); DecodeNotice(m.Body, n) == nil {
 				notices = append(notices, n)
 			}
 		}}
@@ -804,7 +804,8 @@ func TestControlCodecs(t *testing.T) {
 		t.Fatal("garbage decoded")
 	}
 	n := &Notice{Kind: NoticeCheckpoint, SendSeq: 3, StateKB: 7}
-	gn, err := DecodeNotice(EncodeNotice(n))
+	gn := new(Notice)
+	err = DecodeNotice(EncodeNotice(n), gn)
 	if err != nil || gn.Kind != NoticeCheckpoint || gn.StateKB != 7 {
 		t.Fatal("notice round trip")
 	}

@@ -30,7 +30,7 @@ func newHandoffEnv(t *testing.T) *handoffEnv {
 	t.Cleanup(h.k.Shutdown)
 	h.reg.RegisterMachine("collector", func(args []byte) Machine {
 		return &funcMachine{handle: func(ctx *PCtx, m Msg) {
-			if n, err := DecodeNotice(m.Body); err == nil {
+			if n := new(Notice); DecodeNotice(m.Body, n) == nil {
 				h.notices = append(h.notices, n)
 			}
 		}}

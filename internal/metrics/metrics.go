@@ -34,6 +34,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 
 	"publishing/internal/simtime"
 )
@@ -161,13 +162,22 @@ type key struct {
 	name      string
 }
 
-// entry is one registered instrument.
+// entry is one registered instrument. A gauge is the entry's own g; a
+// histogram is carved from the registry's histogram block.
 type entry struct {
 	key  key
 	kind Kind
-	g    *Gauge
+	g    Gauge
 	h    *Histogram
 }
+
+// entryBlockLen is how many entries one allocation holds: 32 of 64 bytes.
+// histBlockLen is how many histograms one does: 10 of 536 bytes, which fill
+// a 5,376-byte size class.
+const (
+	entryBlockLen = 32
+	histBlockLen  = 10
+)
 
 // statsKey identifies one registered Stats struct.
 type statsKey struct {
@@ -198,8 +208,25 @@ type Registry struct {
 	entries []*entry
 	byStats map[statsKey]int // index into stats
 	stats   []statsSrc
-	// fields are each registered Stats type's counted fields, named once.
-	fields map[reflect.Type][]statField
+	// Entries and histograms are carved from blocks, so a new instrument
+	// costs no allocation of its own. Neither is ever freed or moved.
+	entryBlock []entry
+	histBlock  []Histogram
+}
+
+// typeFields caches each Stats type's counted fields (statFields), named
+// once per process and shared read-only by every registry: a
+// map[reflect.Type][]statField that independent clusters on parallel
+// goroutines fill and read.
+var typeFields sync.Map
+
+// fieldsOf returns the counted fields of the struct type t.
+func fieldsOf(t reflect.Type) []statField {
+	if f, ok := typeFields.Load(t); ok {
+		return f.([]statField)
+	}
+	f, _ := typeFields.LoadOrStore(t, statFields(t, nil, new([]int), nil))
+	return f.([]statField)
 }
 
 // NewRegistry returns an empty registry.
@@ -207,7 +234,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		byKey:   make(map[key]*entry),
 		byStats: make(map[statsKey]int),
-		fields:  make(map[reflect.Type][]statField),
 	}
 }
 
@@ -221,12 +247,17 @@ func (r *Registry) lookup(k key, kind Kind) *entry {
 		}
 		return e
 	}
-	e := &entry{key: k, kind: kind}
-	switch kind {
-	case KindGauge:
-		e.g = &Gauge{}
-	case KindHistogram:
-		e.h = &Histogram{}
+	if len(r.entryBlock) == 0 {
+		r.entryBlock = make([]entry, entryBlockLen)
+	}
+	e := &r.entryBlock[0]
+	r.entryBlock = r.entryBlock[1:]
+	e.key, e.kind = k, kind
+	if kind == KindHistogram {
+		if len(r.histBlock) == 0 {
+			r.histBlock = make([]Histogram, histBlockLen)
+		}
+		e.h, r.histBlock = &r.histBlock[0], r.histBlock[1:]
 	}
 	r.byKey[k] = e
 	r.entries = append(r.entries, e)
@@ -238,7 +269,7 @@ func (r *Registry) Gauge(node int, subsystem, name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(key{node, subsystem, name}, KindGauge).g
+	return &r.lookup(key{node, subsystem, name}, KindGauge).g
 }
 
 // Histogram returns the histogram for (node, subsystem, name).
@@ -264,11 +295,7 @@ func (r *Registry) AddStats(node int, subsystem string, stats any) {
 		panic(fmt.Sprintf("metrics: %s node %d: stats %T is not a pointer to a struct", subsystem, node, stats))
 	}
 	v = v.Elem()
-	fields, ok := r.fields[v.Type()]
-	if !ok {
-		fields = statFields(v.Type(), nil, new([]int), nil)
-		r.fields[v.Type()] = fields
-	}
+	fields := fieldsOf(v.Type())
 	k := statsKey{node, subsystem}
 	if i, ok := r.byStats[k]; ok {
 		r.stats[i].v, r.stats[i].fields = v, fields

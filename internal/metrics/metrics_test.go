@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"publishing/internal/simtime"
@@ -196,6 +197,53 @@ func TestStatsNamingRule(t *testing.T) {
 	for name, v := range want {
 		if g, ok := got[name]; !ok || g != v {
 			t.Fatalf("samples %v, want %v", got, want)
+		}
+	}
+}
+
+// Independent registries on parallel goroutines, as the golden table's and
+// the census's clusters run, share one cache of each Stats type's counter
+// names and each carve their own instruments from blocks: every registry's
+// snapshot text is the same, and instruments past a block's end stay
+// apart. Run under -race (make race).
+func TestRegistriesShareFieldNamesAcrossGoroutines(t *testing.T) {
+	const instruments = 3*entryBlockLen + 1
+	text := func() string {
+		r := NewRegistry()
+		st := &statsFixture{CkChunksSent: 1, PublishCPU: 2}
+		r.AddStats(0, "recorder", st)
+		for i := range instruments {
+			r.Gauge(i, "kernel", "queue_depth").Set(int64(i))
+			r.Histogram(i, "transport", "ack_rtt_ns").Observe(int64(i))
+		}
+		for i := range instruments {
+			if g := r.Gauge(i, "kernel", "queue_depth").Value(); g != int64(i) {
+				t.Errorf("gauge %d reads %d", i, g)
+			}
+			if h := r.Histogram(i, "transport", "ack_rtt_ns"); h.Count() != 1 || h.Sum() != int64(i) {
+				t.Errorf("histogram %d holds %d observations summing to %d", i, h.Count(), h.Sum())
+			}
+		}
+		var b bytes.Buffer
+		if err := r.Snapshot().WriteText(&b); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	const workers = 4
+	got := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = text()
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if got[w] != got[0] {
+			t.Fatalf("registry %d's snapshot differs from registry 0's", w)
 		}
 	}
 }

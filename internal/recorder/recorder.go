@@ -298,9 +298,11 @@ type Recorder struct {
 	// encScratch is the reused buffer every persist path encodes its record
 	// into (see persist.go). stablestore.Append copies Data, so the bytes
 	// only need to survive one call. seqScratch holds the retained arrival
-	// seqs a checkpoint record lists.
-	encScratch []byte
-	seqScratch []uint64
+	// seqs a checkpoint record lists, and noticeQueued a checkpoint
+	// notice's queued ids (decodeNotice).
+	encScratch   []byte
+	seqScratch   []uint64
+	noticeQueued []frame.MsgID
 	// msgOne and ackOne hold a lone message as a bundle of one, and a
 	// header-only ack as a block of one, so the tap reads every frame as
 	// records.
@@ -509,8 +511,9 @@ func (r *Recorder) observeMessage(m *frame.BundleRec, from, to *tap.Rec) {
 		if !r.noticeSeen.Seen(m.ID) {
 			r.noticeSeen.Add(m.ID)
 			if m.Channel == demos.ChanRequest {
-				if n, err := demos.DecodeNotice(m.Body); err == nil {
-					r.handleNotice(n)
+				var n demos.Notice
+				if r.decodeNotice(m.Body, &n) == nil {
+					r.handleNotice(&n)
 				}
 			}
 		}
@@ -635,14 +638,24 @@ func (r *Recorder) deliver(f *frame.Frame) bool {
 	case chanPeer:
 		r.handlePeer(f)
 	default:
-		n, err := demos.DecodeNotice(f.Body)
-		if err != nil {
+		var n demos.Notice
+		if err := r.decodeNotice(f.Body, &n); err != nil {
 			r.log.Add(trace.KindRecorder, int(r.node), f.From.String(), "bad notice: %v", err)
 			return true
 		}
-		r.handleNotice(n)
+		r.handleNotice(&n)
 	}
 	return true
+}
+
+// decodeNotice decodes a kernel notice into n, and a checkpoint notice's
+// queued ids into the recorder's scratch: tap.Core.Checkpoint reads them
+// once, and nothing keeps n or its ids past handleNotice.
+func (r *Recorder) decodeNotice(b []byte, n *demos.Notice) error {
+	n.Queued = r.noticeQueued
+	err := demos.DecodeNotice(b, n)
+	r.noticeQueued = n.Queued
+	return err
 }
 
 func (r *Recorder) handleNotice(n *demos.Notice) {

@@ -13,11 +13,12 @@ import (
 // FuzzPagedOpen writes arbitrary bytes as a page file and opens it: the
 // store's one external input. Open either fails or returns a store that reads
 // back whole — ReadAll succeeds, and every key's ReadKey equals ReadAll
-// filtered to that key in seq order. The seeds are an intact store holding a
-// chain and an all-zero page, and TestOpenRejectsCorruptPages's damaged
-// images: among them the chain over-claim that used to open and under-read,
-// a page that does not decode, and key ids undefined, out of order or
-// naming a key twice.
+// filtered to that key in seq order and counts a page read for each page,
+// or each page of each run, that Scan names a Ref of the key's records on.
+// The seeds are an intact store holding a chain and an all-zero page, and
+// TestOpenRejectsCorruptPages's damaged images: among them the chain
+// over-claim that used to open and under-read, a page that does not decode,
+// and key ids undefined, out of order or naming a key twice.
 func FuzzPagedOpen(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(intactImage(f))
@@ -46,11 +47,31 @@ func FuzzPagedOpen(f *testing.F) {
 		for _, r := range all {
 			byKey[r.Key] = append(byKey[r.Key], r)
 		}
+		// spans[key][page] is how many pages the page or run a Ref of one
+		// of key's records names holds.
+		spans := make(map[string]map[uint32]uint64)
+		if err := s.Scan(func(r Record, ref Ref) error {
+			if spans[r.Key] == nil {
+				spans[r.Key] = make(map[uint32]uint64)
+			}
+			spans[r.Key][ref.Page] = uint64(runPages(s.pages[ref.Page]))
+			return nil
+		}); err != nil {
+			t.Fatalf("Scan after ReadAll: %v", err)
+		}
 		for key, want := range byKey {
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Seq < want[j].Seq })
+			before := s.Stats().PageReads
 			got, err := s.ReadKey(key)
 			if err != nil {
 				t.Fatalf("ReadKey(%q): %v", key, err)
+			}
+			var pages uint64
+			for _, n := range spans[key] {
+				pages += n
+			}
+			if reads := s.Stats().PageReads - before; reads != pages {
+				t.Fatalf("ReadKey(%q) counted %d page reads, its records lie on %d", key, reads, pages)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("ReadKey(%q) = %d records, ReadAll holds %d", key, len(got), len(want))

@@ -4,8 +4,10 @@
 // removes the recorder's disk saturation ("allowing messages to be written
 // out in 4k byte buffers rather than forcing one disk write per message").
 //
-// Paged is the one engine: 4 KB pages, a per-key page index, and oversized
-// records (checkpoints) on runs of contiguous pages, each run one buffer.
+// Paged is the one engine: 4 KB pages, and oversized records (checkpoints)
+// on runs of contiguous pages, each run one buffer. It indexes nothing per
+// record: §4.5's per-process list of disk pages is the recorder's, which
+// holds each record's Ref.
 // In memory a regular page holds only the bytes written to it: pages are
 // laid end to end in an append-only arena, and a page sealed part-full ends
 // where its records do. The file still holds whole pages, zero-padded.
@@ -27,7 +29,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"sort"
 
 	"publishing/internal/frame"
@@ -228,7 +229,7 @@ type Paged struct {
 	// capacity is the end of the slab in use. Bytes written are never
 	// written again, so every slice a reader was handed stays valid.
 	arena []byte
-	// keys holds one record per key: its name, id and pages. Key hashes a
+	// keys holds one record per key: its name and id. Key hashes a
 	// name once and hands out a handle on the record; AppendKey hashes
 	// nothing. Records are carved from keyBlock, so a new key costs no
 	// allocation of its own. A key is never deleted.
@@ -264,10 +265,6 @@ type keyState struct {
 	// is set: its key-name record has been written (or read by Open).
 	id    uint64
 	named bool
-	// pages indexes which pages hold the key's records (runs by their
-	// first page), so ReadKey visits only relevant pages instead of
-	// scanning the whole store. A page id fits 32 bits, as in Ref.
-	pages []uint32
 }
 
 // Key is a handle on one key of a store (Paged.Key). Keys are never
@@ -311,13 +308,13 @@ func Open(path string) (*Paged, error) {
 	return s, nil
 }
 
-// rebuildIndex reconstructs the volatile key and key-id indexes from raw
-// pages after Open. Every page and run is decoded here, in page order, so
+// rebuildIndex reconstructs the volatile key table and key-id index from
+// raw pages after Open. Every page and run is decoded here, in page order, so
 // a store that opens reads back whole: a run that goes past the last page,
 // a page that does not decode, a record whose key id no earlier key-name
 // record defined, and a key-name record out of id order or naming a key
-// already named fail Open instead of leaving records out of the key index
-// or under the wrong key.
+// already named fail Open instead of leaving a record unreadable or under
+// the wrong key.
 func (s *Paged) rebuildIndex() error {
 	next := uint64(len(s.pages))
 	for id := uint64(0); id < next; {
@@ -330,10 +327,7 @@ func (s *Paged) rebuildIndex() error {
 			if h.kind == kindKeyName {
 				return s.define(string(dataAt(page, at, h)), h.id)
 			}
-			k, err := s.keyOf(h)
-			if err == nil {
-				k.index(uint32(id))
-			}
+			_, err := s.keyOf(h)
 			return err
 		}); err != nil {
 			return fmt.Errorf("page %d: %w", id, err)
@@ -386,16 +380,6 @@ func (s *Paged) keyOf(h header) (*keyState, error) {
 		return nil, fmt.Errorf("record names undefined key id %d: %w", h.id, errCorruptPage)
 	}
 	return s.ids[h.id], nil
-}
-
-// index records that page id holds records of the key (dedupes the common
-// case of consecutive appends landing on the same buffer page). A run
-// appended between two of them lists the buffer page twice.
-func (k *keyState) index(id uint32) {
-	if n := len(k.pages); n > 0 && k.pages[n-1] == id {
-		return
-	}
-	k.pages = append(k.pages, id)
 }
 
 // Close releases the file backing, if any.
@@ -461,14 +445,9 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 				return Ref{}, err
 			}
 		}
-		k.k.index(uint32(first))
 		return Ref{Page: uint32(first)}, nil
 	}
-	ref, err := s.place(kind, k.k.id, seq, data, n)
-	if err == nil {
-		k.k.index(ref.Page)
-	}
-	return ref, err
+	return s.place(kind, k.k.id, seq, data, n)
 }
 
 // name writes k's key-name record, giving k the next key id. A name too
@@ -737,10 +716,12 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 	return reads, nil
 }
 
-// ReadKey returns one key's records in seq order (ties in ReadAll's
-// order). The per-key page index makes this proportional to the key's own
-// pages rather than a full-store scan. The records share nothing with the
-// store.
+// ReadKey returns one key's records in seq order, ties in ReadAll's order:
+// walk's records filtered to the key, stably sorted. It scans the whole
+// store, but counts a page read only for each page, or each run's pages,
+// that holds a record of the key. Its one caller in a recorder reads the
+// restart counter once, when the recorder is built. The records share
+// nothing with the store.
 func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
@@ -749,39 +730,22 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 	if k == nil || !k.named {
 		return nil, nil
 	}
-	ids := slices.Clone(k.pages)
-	// Match ReadAll's traversal (regular pages in id order, then runs) so
-	// insertion-order ties break identically.
-	isRun := func(id uint32) bool {
-		_, n := s.run(uint64(id))
-		return n > 1
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ri, rj := isRun(ids[i]), isRun(ids[j])
-		if ri != rj {
-			return !ri
-		}
-		return ids[i] < ids[j]
-	})
-	ids = slices.Compact(ids) // a page listed twice is read once
 	var out []Record
-	for _, id := range ids {
-		page, n := s.run(uint64(id))
-		s.stats.PageReads += uint64(n)
-		if err := records(page, func(h header, at int) error {
-			if h.kind == kindKeyName {
-				return nil
-			}
-			if _, err := s.keyOf(h); err != nil {
-				return err
-			}
-			if h.id == k.id {
-				out = append(out, owned(Record{Kind: h.kind, Key: key, Seq: h.seq, Data: dataAt(page, at, h)}))
-			}
+	last := -1 // the page or run last counted
+	_, err := s.walk(func(r Record, ref Ref) error {
+		if r.Key != k.name {
 			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("page %d: %w", id, err)
 		}
+		if int(ref.Page) != last {
+			_, n := s.run(uint64(ref.Page))
+			s.stats.PageReads += uint64(n)
+			last = int(ref.Page)
+		}
+		out = append(out, owned(r))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil

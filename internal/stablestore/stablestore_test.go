@@ -1,12 +1,14 @@
 package stablestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -327,13 +329,39 @@ func TestOversizedChainSurvivesReopen(t *testing.T) {
 	}
 }
 
+// ReadKey, a scan filtered to one key, returns ReadAll's records of the key
+// stably sorted by seq, and counts a page read for each page, or each page
+// of each run, that AppendKey put one of the key's records on. The records
+// are spread over four keys with flushes between, repeat seqs (ties keep
+// ReadAll's order) and include oversized ones (runs, which ReadAll returns
+// after the regular pages).
 func TestReadKeyMatchesReadAllFilter(t *testing.T) {
-	// The per-key page index must not change ReadKey's results vs the old
-	// filter-over-ReadAll implementation.
 	s := New()
-	keys := []string{"a", "b", "c"}
+	keys := []string{"a", "b", "c", "d"}
+	// spans[key][page] is how many pages the page or run AppendKey put one
+	// of key's records on holds: the record's own pages for a run.
+	spans := make(map[string]map[uint32]uint64)
 	for i := uint64(1); i <= 300; i++ {
-		s.Append(msg(keys[i%3], i, fmt.Sprintf("body-%d", i)))
+		key := keys[i%uint64(len(keys))]
+		k := s.Key(key)
+		data := []byte(fmt.Sprintf("body-%d", i))
+		if i%37 == 0 {
+			data = bytes.Repeat(data, 2*PageSize/len(data))
+		}
+		seq := 1000 - i%50
+		ref, err := s.AppendKey(k, KindMessage, seq, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spans[key] == nil {
+			spans[key] = make(map[uint32]uint64)
+		}
+		spans[key][ref.Page] = uint64(max(1, (recordLen(k.k.id, seq, len(data))+PageSize-1)/PageSize))
+		if i%9 == 0 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	all, err := s.ReadAll()
 	if err != nil {
@@ -346,17 +374,21 @@ func TestReadKeyMatchesReadAllFilter(t *testing.T) {
 				want = append(want, r)
 			}
 		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Seq < want[j].Seq })
+		before := s.Stats().PageReads
 		got, err := s.ReadKey(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("key %s: %d records via index, %d via scan", key, len(got), len(want))
+		if !sameRecords(got, want) {
+			t.Fatalf("key %s: ReadKey%s\nReadAll filtered%s", key, dumpRecords(got), dumpRecords(want))
 		}
-		for i := range got {
-			if got[i].Seq != want[i].Seq || string(got[i].Data) != string(want[i].Data) {
-				t.Fatalf("key %s record %d: %+v vs %+v", key, i, got[i], want[i])
-			}
+		var pages uint64
+		for _, n := range spans[key] {
+			pages += n
+		}
+		if reads := s.Stats().PageReads - before; reads != pages {
+			t.Errorf("key %s: ReadKey counted %d page reads, its records lie on %d", key, reads, pages)
 		}
 	}
 }
