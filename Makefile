@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -155,6 +155,20 @@ replayallocs:
 # id for nearly every record and was never reclaimed.
 nokeyindex:
 	! grep -rnE 'pages +\[\]uint32|func \(k \*keyState\) index' --include='*.go' --exclude='*_test.go' internal/stablestore
+
+# A replay allocates its input queue once (DESIGN.md "Host cost linear in
+# the stream"): past its first 8 slots the ring grows by adding a segment
+# and moves only its wrapped front. The names below are the one backing
+# array it replaced and the copy into one twice as large that regrew it.
+ringsegments:
+	! grep -nE 'buf +\[\]queued|2\*len\(q\.buf\)' internal/demos/queue.go
+
+# A store allocates about its records' bytes (DESIGN.md "Storage engine"):
+# the page table is fixed-size chunks of page slots, so a new page copies no
+# slot. The name below is the one slice of pages it replaced, whose appends
+# regrew it.
+pagechunks:
+	! grep -rnE 'pages +\[\]\[\]byte' --include='*.go' --exclude='*_test.go' internal/stablestore
 
 # Scenarios are built from two traffic shapes (DESIGN.md "Simulation
 # testing"): scenario.go's producer → worker → witness Pipeline and gen →

@@ -239,7 +239,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		return frame.NilProc, fmt.Errorf("demos: node %d is down", k.node)
 	}
 	var id frame.ProcID
-	var ring []queued
+	var ring msgQueue
 	if opt.FixedID != nil {
 		id = *opt.FixedID
 		if old := k.procs[id]; old != nil {
@@ -262,7 +262,7 @@ func (k *Kernel) Spawn(spec ProcSpec, opt SpawnOptions) (frame.ProcID, error) {
 		spec:  spec,
 		k:     k,
 		links: newLinkTable(),
-		queue: msgQueue{buf: ring},
+		queue: ring,
 		state: psReady,
 	}
 	switch {

@@ -1,6 +1,10 @@
 package demos
 
-import "publishing/internal/frame"
+import (
+	"math/bits"
+
+	"publishing/internal/frame"
+)
 
 // msgQueue is a process's kernel-resident input queue (§4.2.2.2). Messages
 // arrive in order; channels let the process read selectively, and every
@@ -10,48 +14,80 @@ import "publishing/internal/frame"
 // It is a ring: a recovering process's replay backlog arrives at wire speed
 // and is consumed at CPU cost, so the queue gets about as deep as the
 // replayed stream is long, and a head read must not cost its depth. The
-// backing array only ever grows, and is reused for the process's lifetime
-// and handed on to the incarnation that replaces it (release).
+// ring only ever grows, and is reused for the process's lifetime and handed
+// on to the incarnation that replaces it (release). Past the smallMax slots
+// a shallow queue holds, it grows by segments, so a replay allocates each
+// slot once.
 type msgQueue struct {
-	buf  []queued // len is zero or a power of two
-	head int      // index in buf of the first queued message
-	n    int      // queued messages
+	small []queued   // slots [0, len(small)): len is zero or a power of two ≤ smallMax
+	segs  [][]queued // segs[k] holds slots [smallMax<<k, smallMax<<(k+1))
+	head  int        // slot of the first queued message
+	n     int        // queued messages
 }
+
+// smallMax is the first segment's largest size.
+const smallMax = 8
 
 type queued struct {
 	msg  Msg
 	link *frame.Link // passed link, not yet installed
 }
 
+// size reports the ring's slots, zero or a power of two.
+func (q *msgQueue) size() int { return len(q.small) << len(q.segs) }
+
+// slot returns physical slot j, 0 ≤ j < size().
+func (q *msgQueue) slot(j int) *queued {
+	if j < len(q.small) {
+		return &q.small[j]
+	}
+	k := bits.Len(uint(j)) - bits.Len(smallMax)
+	return &q.segs[k][j-smallMax<<k]
+}
+
 // at returns the i'th queued message in queue order, 0 ≤ i < len().
 func (q *msgQueue) at(i int) *queued {
-	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+	return q.slot((q.head + i) & (q.size() - 1))
 }
 
 // push appends an arriving message.
 func (q *msgQueue) push(m Msg, link *frame.Link) {
-	if q.n == len(q.buf) {
+	if q.n == q.size() {
 		q.grow()
 	}
 	*q.at(q.n) = queued{msg: m, link: link}
 	q.n++
 }
 
-// grow doubles the ring, unwrapping the queued messages to its start.
+// grow doubles the ring, which is full. Up to smallMax slots it copies the
+// queued messages, unwrapped, into a new array. Past that it adds a
+// segment, the slots [c, 2c), and moves only the wrapped front, the slots
+// [0, head), up to [c, c+head), so the queue runs on from slot c-1 to c.
 func (q *msgQueue) grow() {
-	buf := make([]queued, max(1, 2*len(q.buf)))
-	k := copy(buf, q.buf[q.head:])
-	copy(buf[k:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
+	c := q.size()
+	if c < smallMax {
+		small := make([]queued, max(1, 2*c))
+		k := copy(small, q.small[q.head:])
+		copy(small[k:], q.small[:q.head])
+		q.small, q.head = small, 0
+		return
+	}
+	q.segs = append(q.segs, make([]queued, c))
+	for j := 0; j < q.head; j++ {
+		*q.slot(c + j), *q.slot(j) = *q.slot(j), queued{}
+	}
 }
 
-// release empties q and returns its ring, cleared, for a new owner: q
-// keeps no array, and the ring pins no body or link.
-func (q *msgQueue) release() []queued {
-	buf := q.buf
-	clear(buf)
+// release empties q and returns its ring, every segment cleared, for a new
+// owner: q keeps no array, and the ring pins no body or link.
+func (q *msgQueue) release() msgQueue {
+	ring := msgQueue{small: q.small, segs: q.segs}
+	clear(ring.small)
+	for _, seg := range ring.segs {
+		clear(seg)
+	}
 	*q = msgQueue{}
-	return buf
+	return ring
 }
 
 // len reports queued messages.
@@ -91,7 +127,7 @@ func (q *msgQueue) pop(want []uint16) (item queued, head frame.MsgID, outOfOrder
 		}
 		// Zero the vacated slot so the ring pins no body or link.
 		*q.at(0) = queued{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.head = (q.head + 1) & (q.size() - 1)
 		q.n--
 		return item, head, outOfOrder, true
 	}

@@ -2,8 +2,10 @@ package demos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"publishing/internal/frame"
 	"publishing/internal/metrics"
@@ -60,7 +62,20 @@ type queueDiff struct {
 	model sliceQueue
 	seq   uint64
 
-	growths, wraps int
+	// wrappedGrowths counts growths past the first segment with the head
+	// off slot 0, which move the ring's wrapped front.
+	growths, wrappedGrowths, wraps int
+}
+
+// eachSlot calls fn on every slot of every segment of q, in physical order.
+func eachSlot(q *msgQueue, fn func(j int, s *queued)) {
+	j := 0
+	for _, seg := range append([][]queued{q.small}, q.segs...) {
+		for i := range seg {
+			fn(j, &seg[i])
+			j++
+		}
+	}
 }
 
 // wantSet decodes 0–3 distinct channels out of the four in use.
@@ -82,10 +97,13 @@ func (d *queueDiff) step(op byte) {
 		d.seq++
 		m := Msg{ID: mkID(1, d.seq), Channel: uint16(arg & 3), Body: []byte{op}}
 		link := &frame.Link{Code: uint32(d.seq)}
-		size := len(d.ring.buf)
+		size := d.ring.size()
+		if d.ring.n == size && size >= smallMax && d.ring.head > 0 {
+			d.wrappedGrowths++
+		}
 		d.ring.push(m, link)
 		d.model.push(m, link)
-		if len(d.ring.buf) != size {
+		if d.ring.size() != size {
 			d.growths++
 		}
 	case 2:
@@ -112,17 +130,29 @@ func (d *queueDiff) step(op byte) {
 	if d.ring.len() != len(d.model.items) {
 		d.t.Fatalf("len = %d, model %d", d.ring.len(), len(d.model.items))
 	}
-	// Every slot outside the live span is zero: the ring pins nothing.
-	for i := d.ring.n; i < len(d.ring.buf); i++ {
-		if s := d.ring.at(i); s.msg.Body != nil || s.link != nil || s.msg.ID != (frame.MsgID{}) {
-			d.t.Fatalf("vacated slot %d past the tail still holds %v", i-d.ring.n, s.msg.ID)
+	// Every slot of every segment outside the live span is zero: the ring
+	// pins nothing. Each pushed message has a body and a link, so a live
+	// slot is never zero.
+	live := make(map[*queued]bool, d.ring.n)
+	for i := 0; i < d.ring.n; i++ {
+		live[d.ring.at(i)] = true
+	}
+	slots := 0
+	eachSlot(&d.ring, func(j int, s *queued) {
+		slots++
+		if zero := s.msg.Body == nil && s.link == nil && s.msg.ID == (frame.MsgID{}); zero == live[s] {
+			d.t.Fatalf("slot %d (head %d, %d queued): live %v, holds %v", j, d.ring.head, d.ring.n, live[s], s.msg.ID)
 		}
+	})
+	if slots != d.ring.size() || len(live) != d.ring.n {
+		d.t.Fatalf("%d slots in the segments, %d distinct live ones; want %d and %d", slots, len(live), d.ring.size(), d.ring.n)
 	}
 }
 
 // Random push/pop/anyMatch/ids against the slice model, in alternating
-// fill and drain phases so the ring grows several times and its head laps
-// the buffer many times.
+// fill and drain phases so the ring grows several times, several of them
+// past the first segment with a wrapped front to move, and its head laps
+// the ring many times.
 func TestQueueMatchesSliceModel(t *testing.T) {
 	rng := simtime.NewRand(17)
 	d := &queueDiff{t: t}
@@ -137,17 +167,20 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 			d.step(op)
 		}
 	}
-	t.Logf("%d growths, %d wrap-arounds, %d pushed", d.growths, d.wraps, d.seq)
-	if d.growths < 3 || d.wraps < 10 {
-		t.Fatalf("sequence too tame: %d growths, %d wrap-arounds", d.growths, d.wraps)
+	t.Logf("%d growths (%d wrapped past the first segment), %d wrap-arounds, %d pushed",
+		d.growths, d.wrappedGrowths, d.wraps, d.seq)
+	if d.growths < 3 || d.wrappedGrowths < 3 || d.wraps < 10 {
+		t.Fatalf("sequence too tame: %d growths (%d wrapped past the first segment), %d wrap-arounds",
+			d.growths, d.wrappedGrowths, d.wraps)
 	}
 }
 
 // FuzzMsgQueue runs the same differential check over arbitrary op bytes.
 func FuzzMsgQueue(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 4, 8, 2, 2, 2, 2})       // fill, drain past empty
-	f.Add([]byte{0, 4, 0, 4, 0x16, 3, 2, 2}) // selective pop past the head
+	f.Add([]byte{0, 4, 8, 2, 2, 2, 2})                // fill, drain past empty
+	f.Add([]byte{0, 4, 0, 4, 0x16, 3, 2, 2})          // selective pop past the head
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 3}) // grow past 8 slots with the head on slot 1
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		d := &queueDiff{t: t}
 		for _, op := range ops {
@@ -171,6 +204,64 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("depth %d: %v allocs per push/pop pair, want 0", depth, allocs)
 		}
+	}
+}
+
+// fillCost reports the heap allocations, and their bytes, of pushing n
+// messages into each of runs fresh queues, per queue; the queues themselves
+// are allocated beforehand.
+func fillCost(n, runs int) (allocs, bytes uint64) {
+	qs := make([]msgQueue, runs)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, total := ms.Mallocs, ms.TotalAlloc
+	for r := range qs {
+		for i := 0; i < n; i++ {
+			qs[r].push(Msg{}, nil)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(qs)
+	return (ms.Mallocs - mallocs) / uint64(runs), (ms.TotalAlloc - total) / uint64(runs)
+}
+
+// A replay allocates each slot of the ring it fills once. 10,000 messages
+// pushed into a fresh queue allocate at most 5 % more than the 16,384 slots
+// they grow the ring to: 1.006 times them, each segment added once. A ring
+// that doubled by copying into a new array allocated every slot of every
+// size it passed through, 2.0 times. A queue that never holds more than 8
+// messages allocates the arrays of 1, 2, 4 and 8 slots it always did, and
+// no segment table.
+func TestQueueGrowthAllocatesEachSlotOnce(t *testing.T) {
+	slot := uint64(unsafe.Sizeof(queued{}))
+	best := uint64(1<<64 - 1)
+	for try := 0; try < 3; try++ {
+		_, bytes := fillCost(10_000, 1)
+		best = min(best, bytes)
+	}
+	ceiling := 16_384 * slot * 105 / 100
+	t.Logf("10,000 pushes allocated %d B: %.4f times the 16,384 slots of %d B (ceiling %d B)",
+		best, float64(best)/float64(16_384*slot), slot, ceiling)
+	if best > ceiling {
+		t.Errorf("10,000 pushes allocated %d B, over %d B: is the ring copied as it grows?", best, ceiling)
+	}
+
+	// The shallow queue's own arrays, allocated as the copying ring did.
+	const runs = 100
+	keep := make([][]queued, 0, 4*runs)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	total := ms.TotalAlloc
+	for r := 0; r < runs; r++ {
+		for size := 1; size <= smallMax; size *= 2 {
+			keep = append(keep, make([]queued, size))
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(keep)
+	want := (ms.TotalAlloc - total) / runs
+	if allocs, bytes := fillCost(smallMax, runs); allocs != 4 || bytes != want {
+		t.Errorf("filling 8 slots allocated %d arrays and %d B, want 4 and %d B", allocs, bytes, want)
 	}
 }
 
@@ -232,8 +323,8 @@ func TestMigrateWrappedQueue(t *testing.T) {
 	link := &frame.Link{To: id, Code: 5}
 	src.pushToQueue(p, Msg{ID: mkID(9, 4)}, link)
 	src.pushToQueue(p, Msg{ID: mkID(9, 5)}, nil)
-	if p.queue.head+p.queue.n <= len(p.queue.buf) {
-		t.Fatalf("queue not wrapped: head %d, n %d, cap %d", p.queue.head, p.queue.n, len(p.queue.buf))
+	if p.queue.head+p.queue.n <= p.queue.size() {
+		t.Fatalf("queue not wrapped: head %d, n %d, cap %d", p.queue.head, p.queue.n, p.queue.size())
 	}
 	want := []frame.MsgID{mkID(9, 3), mkID(9, 4), mkID(9, 5)}
 
@@ -321,9 +412,11 @@ func TestRecreateInheritsQueueRing(t *testing.T) {
 	// A read, as the kernel's receive makes one: the head moves off zero.
 	old.queue.pop(nil)
 	k.qDepth.Add(-1)
-	ring := len(old.queue.buf)
-	if ring != 32 || old.queue.len() != 19 || k.qDepth.Value() != 19 {
-		t.Fatalf("before the crash: ring %d, queued %d, gauge %d; want 32, 19, 19", ring, old.queue.len(), k.qDepth.Value())
+	ring := old.queue.size()
+	segs := append([][]queued{old.queue.small}, old.queue.segs...)
+	if ring != 32 || len(segs) != 3 || old.queue.len() != 19 || k.qDepth.Value() != 19 {
+		t.Fatalf("before the crash: ring %d in %d segments, queued %d, gauge %d; want 32 in 3, 19, 19",
+			ring, len(segs), old.queue.len(), k.qDepth.Value())
 	}
 	k.CrashProcess(id, "test")
 
@@ -336,16 +429,21 @@ func TestRecreateInheritsQueueRing(t *testing.T) {
 	if p == old {
 		t.Fatal("process not replaced")
 	}
-	if len(p.queue.buf) != ring || p.queue.head != 0 || p.queue.len() != 0 {
-		t.Fatalf("new queue: ring %d, head %d, queued %d; want %d, 0, 0", len(p.queue.buf), p.queue.head, p.queue.len(), ring)
+	if p.queue.size() != ring || p.queue.head != 0 || p.queue.len() != 0 {
+		t.Fatalf("new queue: ring %d, head %d, queued %d; want %d, 0, 0", p.queue.size(), p.queue.head, p.queue.len(), ring)
 	}
-	for i, s := range p.queue.buf {
-		if !reflect.DeepEqual(s, queued{}) {
-			t.Fatalf("inherited slot %d holds %+v", i, s)
+	for i, seg := range append([][]queued{p.queue.small}, p.queue.segs...) {
+		if &seg[0] != &segs[i][0] {
+			t.Fatalf("segment %d is a new array, not the predecessor's", i)
 		}
 	}
-	if old.queue.buf != nil || old.queue.len() != 0 {
-		t.Fatalf("old incarnation still holds a ring of %d with %d queued", len(old.queue.buf), old.queue.len())
+	eachSlot(&p.queue, func(j int, s *queued) {
+		if !reflect.DeepEqual(*s, queued{}) {
+			t.Fatalf("inherited slot %d holds %+v", j, *s)
+		}
+	})
+	if old.queue.small != nil || old.queue.segs != nil || old.queue.len() != 0 {
+		t.Fatalf("old incarnation still holds a ring of %d with %d queued", old.queue.size(), old.queue.len())
 	}
 	if k.qDepth.Value() != 0 {
 		t.Fatalf("queue-depth gauge = %d after the recreate, want 0", k.qDepth.Value())

@@ -25,7 +25,7 @@ func TestSealedPageHoldsItsRecords(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if page := s.pages[0]; len(page) != want || cap(page) != want {
+	if page := *s.page(0); len(page) != want || cap(page) != want {
 		t.Fatalf("sealed page: len %d cap %d, want both %d", len(page), cap(page), want)
 	}
 	before := s.Stats().PageReads
@@ -37,59 +37,73 @@ func TestSealedPageHoldsItsRecords(t *testing.T) {
 	}
 }
 
-// Slices that Lookup and Scan hand out stay byte-identical after the next
-// page is laid right after their page, in the same slab, and filled. The
-// Lookup slice is taken while its page is still open.
+// Slices that Lookup and Scan hand out stay byte-identical whatever the
+// store does next, and a page that outgrows the slab tail it opened in
+// moves without rewriting a byte. The next page opens in the tail that the
+// sealed one left in its slab; when a record would run past the slab's
+// end, the open page moves to a new slab under the same page id. A Lookup
+// slice taken before the move still reads its record from the bytes it was
+// handed, Lookup at the same Ref reads it from the page's new place, and
+// the records written after the move follow it there.
 func TestReadSlicesSurviveTheNextPage(t *testing.T) {
 	s := New()
 	k := s.Key("msg:p1.1")
-	// The first slab is one page; one sealed page moves the arena on to a
-	// slab with room for more.
-	if _, err := s.AppendKey(k, KindMessage, 0, []byte("first slab")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	body := func(seq uint64) []byte { return bytes.Repeat([]byte{byte(seq*7 + 1)}, 60) }
-	var refs []Ref
-	for seq := uint64(1); seq <= 3; seq++ {
-		ref, err := s.AppendKey(k, KindMessage, seq, body(seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref)
-	}
-	open := refs[0].Page
-	looked, err := s.Lookup(k, 2, refs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanned := map[uint64][]byte{}
-	if err := s.Scan(func(r Record, ref Ref) error { // seals the open page
-		if ref.Page == open {
-			scanned[r.Seq] = r.Data
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sealed := s.pages[open]
-	for seq := uint64(4); len(s.cur)+recordLen(0, seq, 60) <= PageSize; seq++ { // fill the next page
+	// The first slab is one page: a sealed page of 12 records leaves a
+	// tail of about 3 KB in it.
+	seq := uint64(1)
+	for ; seq <= 12; seq++ {
 		if _, err := s.AppendKey(k, KindMessage, seq, body(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	next := s.pages[open+1]
-	if at := len(s.arena); &s.arena[:at+1][at] != &next[0] || &s.arena[:at][at-len(sealed)] != &sealed[0] {
-		t.Fatal("the next page was not laid right after the sealed one in its slab")
+	scanned := map[uint64][]byte{}
+	if err := s.Scan(func(r Record, ref Ref) error { // seals page 0
+		scanned[r.Seq] = r.Data
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(looked, body(2)) {
+	sealed, first := len(*s.page(0)), seq
+	ref, err := s.AppendKey(k, KindMessage, first, body(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := uint64(ref.Page)
+	if tail := cap(*s.page(open)); open != 1 || tail != PageSize-sealed {
+		t.Fatalf("next page %d opened with room for %d B, want page 1 in the %d B the sealed page left", open, tail, PageSize-sealed)
+	}
+	looked, err := s.Lookup(k, first, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := &(*s.page(open))[0]
+	for seq++; &(*s.page(open))[0] == before; seq++ { // fill the tail until the page moves
+		if r, err := s.AppendKey(k, KindMessage, seq, body(seq)); err != nil || uint64(r.Page) != open {
+			t.Fatalf("record %d at %+v (%v), want it on page %d", seq, r, err, open)
+		}
+	}
+	if moved := *s.page(open); cap(moved) != PageSize || &looked[0] == &moved[ref.Off] {
+		t.Fatalf("moved page has room for %d B and shares the Lookup slice's bytes", cap(moved))
+	}
+	if !bytes.Equal(looked, body(first)) {
 		t.Fatalf("Lookup slice changed: %x", looked)
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
+	if d, err := s.Lookup(k, first, ref); err != nil || !bytes.Equal(d, body(first)) || &d[0] == &looked[0] {
+		t.Fatalf("Lookup at %+v after the move: %x (%v), want the record from its new place", ref, d, err)
+	}
+	for seq := uint64(1); seq < first; seq++ {
 		if !bytes.Equal(scanned[seq], body(seq)) {
 			t.Fatalf("Scan slice of #%d changed: %x", seq, scanned[seq])
+		}
+	}
+	recs, err := s.ReadKey("msg:p1.1")
+	if err != nil || uint64(len(recs)) != seq-1 {
+		t.Fatalf("ReadKey: %d records (%v), want %d", len(recs), err, seq-1)
+	}
+	for _, r := range recs {
+		if !bytes.Equal(r.Data, body(r.Seq)) {
+			t.Fatalf("record #%d reads %x", r.Seq, r.Data)
 		}
 	}
 }
@@ -140,7 +154,8 @@ func TestFileHoldsWholePages(t *testing.T) {
 		t.Fatalf("file is %d bytes, want %d pages", len(img), twin.Pages())
 	}
 	short := 0
-	for id, page := range twin.pages {
+	for id := range twin.Pages() {
+		page := *twin.page(uint64(id))
 		if len(page) < PageSize {
 			short++
 		}
@@ -194,13 +209,16 @@ func TestFlushHeavyStreamHeapBytes(t *testing.T) {
 }
 
 // The store indexes nothing per record: what it allocates follows its pages
-// (their bytes in the arena, a page-table slot each, the slab tails a page
-// reservation skips), not the records on them or how many keys share a
-// page. 32,768 records of 100 B, appended round-robin over 64 keys with a
-// Flush every 8, so that every record lands on a page its key's record
-// before it does not, allocate at most 2 % of their encoded bytes more than
-// the same records appended, on the same pages, under one key: 0.1 % more.
-// A page list per key, grown by one id for each record, took 6 % more.
+// (their bytes in the arena, a page-table slot each, the slab tails no page
+// fits in), not the records on them or how many keys share a page. 32,768
+// records of 100 B, appended round-robin over 64 keys with a Flush every 8,
+// so that every record lands on a page its key's record before it does not,
+// allocate at most 2 % of their encoded bytes more than the same records
+// appended, on the same pages, under one key: 0.1 % more. A page list per
+// key, grown by one id for each record, took 6 % more. And they allocate at
+// most 1.05 times their encoded bytes: 1.04 times, most of the rest being
+// the page table's 24-B slot per page. A page table regrown by copying and
+// a slab tail left whenever it had less than a page read 1.17 times.
 func TestStoreAllocatesOnlyItsPages(t *testing.T) {
 	const records, keys, every = 32768, 64, 8
 	data := make([]byte, 100)
@@ -239,5 +257,9 @@ func TestStoreAllocatesOnlyItsPages(t *testing.T) {
 	if ceiling := one + encoded/50; spread > ceiling {
 		t.Errorf("%d keys allocate %.1f B per record, over one key's %.1f B by more than 2 %% of the %.1f B encoded",
 			keys, per(spread), per(one), per(encoded))
+	}
+	if ceiling := encoded * 105 / 100; spread > ceiling {
+		t.Errorf("%d keys allocate %.1f B per record, over 1.05 times the %.1f B encoded: are pages copied or slab tails dropped?",
+			keys, per(spread), per(encoded))
 	}
 }

@@ -28,11 +28,11 @@ func dumpRecords(rs []Record) string {
 // file holds them, each zero-padded to PageSize: a page sealed short in
 // memory and the same page Open read back are the same page.
 func samePages(a, b *Paged) bool {
-	if len(a.pages) != len(b.pages) {
+	if a.npages != b.npages {
 		return false
 	}
-	for id := range a.pages {
-		if !bytes.Equal(padded(a.pages[id]), padded(b.pages[id])) {
+	for id := range a.npages {
+		if !bytes.Equal(padded(*a.page(id)), padded(*b.page(id))) {
 			return false
 		}
 	}

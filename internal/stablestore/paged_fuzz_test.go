@@ -54,7 +54,7 @@ func FuzzPagedOpen(f *testing.F) {
 			if spans[r.Key] == nil {
 				spans[r.Key] = make(map[uint32]uint64)
 			}
-			spans[r.Key][ref.Page] = uint64(runPages(s.pages[ref.Page]))
+			spans[r.Key][ref.Page] = uint64(runPages(*s.page(uint64(ref.Page))))
 			return nil
 		}); err != nil {
 			t.Fatalf("Scan after ReadAll: %v", err)

@@ -213,21 +213,26 @@ func NewStore(cfg Config) (*Paged, error) {
 // its cluster, and cmd/starhub, whose connections share one store, makes
 // every call under its hub lock.
 type Paged struct {
-	// pages holds every encoded page, indexed by page id. Ids are handed out
-	// densely and never freed, so page order is slice order. A sealed regular
-	// page is its records' bytes, no more (len and cap); the open page and a
-	// page Open read are PageSize bytes, zero padding after the records; a
-	// run's pages are PageSize slices of the run's one buffer.
-	pages [][]byte
+	// chunks is the page table, every encoded page by id in chunks of
+	// pageChunk slots (page), so a new page copies no slot. Ids are dense
+	// and never freed; npages is the next. A sealed regular page is its
+	// records' bytes, no more (len and cap); the open page is what its slab
+	// has room for, up to PageSize, zero padding after the records; a page
+	// Open read is PageSize bytes; a run's pages are PageSize slices of the
+	// run's one buffer.
+	chunks []*[pageChunk][]byte
+	npages uint64
 	// cur is the current write buffer (an unflushed page): records are
-	// encoded in place into pages[curPage], and len(cur) is how much of that
+	// encoded in place into page curPage, and len(cur) is how much of that
 	// page is filled. Sealing it is a logical page write, not a copy.
 	cur     []byte
 	curPage uint64
 	// arena is where regular pages are laid, end to end. Its length is where
 	// the open page starts, which is where the last sealed page ends; its
-	// capacity is the end of the slab in use. Bytes written are never
-	// written again, so every slice a reader was handed stays valid.
+	// capacity is the end of the slab in use, whose tail the open page
+	// leaves, by a copy, for a new slab when its next record would run past
+	// it. Bytes written are never written again, so every slice a reader
+	// was handed stays valid.
 	arena []byte
 	// keys holds one record per key: its name and id. Key hashes a
 	// name once and hands out a handle on the record; AppendKey hashes
@@ -299,7 +304,7 @@ func Open(path string) (*Paged, error) {
 		return nil, err
 	}
 	for i := 0; i < len(file); i += PageSize {
-		s.pages = append(s.pages, file[i:i+PageSize])
+		s.alloc(file[i : i+PageSize])
 	}
 	if err := s.rebuildIndex(); err != nil {
 		f.Close()
@@ -316,9 +321,9 @@ func Open(path string) (*Paged, error) {
 // already named fail Open instead of leaving a record unreadable or under
 // the wrong key.
 func (s *Paged) rebuildIndex() error {
-	next := uint64(len(s.pages))
+	next := s.npages
 	for id := uint64(0); id < next; {
-		npages := uint64(runPages(s.pages[id]))
+		npages := uint64(runPages(*s.page(id)))
 		if id+npages > next {
 			return fmt.Errorf("run %d claims %d pages, file has %d: %w", id, npages, next, errCorruptPage)
 		}
@@ -436,11 +441,11 @@ func (s *Paged) AppendKey(k Key, kind RecordKind, seq uint64, data []byte) (Ref,
 	if n > PageSize {
 		run := make([]byte, (n+PageSize-1)/PageSize*PageSize)
 		appendRecord(run[:0], kind, k.k.id, seq, data)
-		first := uint64(len(s.pages))
+		first := s.npages
 		for i := 0; i < len(run); i += PageSize {
 			s.alloc(run[i : i+PageSize])
 		}
-		for id := first; id < uint64(len(s.pages)); id++ {
+		for id := first; id < s.npages; id++ {
 			if err := s.writePage(id); err != nil {
 				return Ref{}, err
 			}
@@ -474,8 +479,14 @@ func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref,
 		}
 	}
 	if len(s.cur) == 0 {
-		s.cur = s.reserve()
-		s.curPage = s.alloc(s.cur[:PageSize])
+		s.cur = s.reserve(n)
+		s.curPage = s.alloc(s.cur[:cap(s.cur)])
+	} else if len(s.cur)+n > cap(s.cur) {
+		// The page's records so far move to a new slab and its slot follows
+		// them. They are copied, never rewritten, so a slice of them a
+		// reader holds still reads its record.
+		s.cur = append(s.reserve(PageSize), s.cur...)
+		*s.page(s.curPage) = s.cur[:PageSize]
 	}
 	ref := Ref{Page: uint32(s.curPage), Off: uint32(len(s.cur))}
 	s.cur = appendRecord(s.cur, kind, id, seq, data) // fits: never reallocates off the page
@@ -486,15 +497,19 @@ func (s *Paged) place(kind RecordKind, id, seq uint64, data []byte, n int) (Ref,
 // store of a few pages holds about what its pages do.
 const slabMax = 64 << 10
 
-// reserve returns the PageSize bytes at the arena's end, empty, for the next
-// page, taking a new slab when fewer than PageSize bytes are left in the one
-// in use. Only the bytes a sealed page never wrote go to the page after it.
-func (s *Paged) reserve() []byte {
-	if cap(s.arena)-len(s.arena) < PageSize {
+// pageMin is the smallest slab tail a page opens in.
+const pageMin = 256
+
+// reserve returns the bytes at the arena's end, empty, for the next page,
+// whose first record is n bytes long: up to PageSize of what the slab in
+// use has left, or of a new slab when fewer than n or pageMin bytes are
+// left. Only the bytes a sealed page never wrote go to the page after it.
+func (s *Paged) reserve(n int) []byte {
+	if cap(s.arena)-len(s.arena) < max(n, pageMin) {
 		s.arena = make([]byte, 0, min(max(2*cap(s.arena), PageSize), slabMax))
 	}
 	at := len(s.arena)
-	return s.arena[at : at : at+PageSize]
+	return s.arena[at:at:min(at+PageSize, cap(s.arena))]
 }
 
 // Lookup returns the data of key k's record seq, which AppendKey placed at
@@ -503,7 +518,7 @@ func (s *Paged) reserve() []byte {
 // whatever the store does next. An oversized record is read in place from
 // its run. Lookup counts no page read.
 func (s *Paged) Lookup(k Key, seq uint64, ref Ref) ([]byte, error) {
-	if id := uint64(ref.Page); k.k.named && id < uint64(len(s.pages)) {
+	if id := uint64(ref.Page); k.k.named && id < s.npages {
 		page, _ := s.run(id)
 		if d, ok := recordAt(page[min(int(ref.Off), len(page)):], k.k.id, seq); ok {
 			return d, nil
@@ -541,7 +556,7 @@ func (s *Paged) flush() error {
 	if n == 0 {
 		return nil
 	}
-	s.pages[s.curPage] = s.cur[:n:n]
+	*s.page(s.curPage) = s.cur[:n:n]
 	s.arena = s.arena[:len(s.arena)+n]
 	s.cur = nil
 	return s.writePage(s.curPage)
@@ -584,7 +599,7 @@ func (s *Paged) sync() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		page, off := s.pages[id], int64(id)*PageSize
+		page, off := *s.page(id), int64(id)*PageSize
 		_, err := s.f.WriteAt(page, off)
 		if err == nil && len(page) < PageSize {
 			_, err = s.f.WriteAt(zeroPage[len(page):], off+int64(len(page)))
@@ -597,10 +612,23 @@ func (s *Paged) sync() error {
 	return nil
 }
 
+// pageChunk is how many page slots one chunk of the page table holds.
+const pageChunk = 256
+
+// page returns page id's slot in the page table, id < npages.
+func (s *Paged) page(id uint64) *[]byte {
+	return &s.chunks[id/pageChunk][id%pageChunk]
+}
+
 // alloc gives page the next page id.
 func (s *Paged) alloc(page []byte) uint64 {
-	s.pages = append(s.pages, page)
-	return uint64(len(s.pages) - 1)
+	id := s.npages
+	if id%pageChunk == 0 {
+		s.chunks = append(s.chunks, new([pageChunk][]byte))
+	}
+	s.npages++
+	*s.page(id) = page
+	return id
 }
 
 // InvalidateSeqs does nothing: the store keeps every record it is given.
@@ -624,7 +652,7 @@ func runPages(page []byte) int {
 // read in place. A page whose slice cannot hold the run its head claims is
 // returned alone, as one page, for the caller's decode to refuse.
 func (s *Paged) run(id uint64) ([]byte, int) {
-	page := s.pages[id]
+	page := *s.page(id)
 	if n := runPages(page); n > 1 && n*PageSize <= cap(page) {
 		return page[:n*PageSize], n
 	}
@@ -702,7 +730,7 @@ func (s *Paged) walk(visit func(Record, Ref) error) (uint64, error) {
 		})
 	}
 	for _, runs := range [...]bool{false, true} {
-		for id := 0; id < len(s.pages); {
+		for id := 0; id < int(s.npages); {
 			page, n := s.run(uint64(id))
 			if (n > 1) == runs {
 				reads += uint64(n)
@@ -752,4 +780,4 @@ func (s *Paged) ReadKey(key string) ([]Record, error) {
 }
 
 // Pages returns the number of allocated pages (storage footprint).
-func (s *Paged) Pages() int { return len(s.pages) }
+func (s *Paged) Pages() int { return int(s.npages) }

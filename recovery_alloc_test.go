@@ -18,30 +18,31 @@ type replayCost struct {
 	// kernel applying and acknowledging it, the recorder reading the
 	// acknowledgement.
 	allocs, bytes uint64
-	// applyMaxBytes is the most any one event that applied a batch
-	// allocated.
-	applyMaxBytes uint64
+	// applyBytes is what the events that applied a batch allocated in
+	// all, and applyMaxBytes the most any one of them allocated.
+	applyBytes, applyMaxBytes uint64
 }
 
-// secondReplayCost runs a Pipeline to completion, crashes the worker twice,
-// and measures the second recovery's replay event by event. Every message
-// is delivered before the first crash and the cluster takes no
-// checkpoints, so both recoveries replay the same stream to an idle
-// cluster, and the second replays into a worker whose queue is as deep as
-// the first one's was.
-func secondReplayCost(t *testing.T) replayCost {
+// recoveryCost runs a Pipeline of msgs messages to completion, crashes the
+// worker nth times, each once the recovery before it has completed, and
+// measures the nth recovery's replay event by event. Every message is
+// delivered before the first crash and the cluster takes no checkpoints,
+// so every recovery replays the same stream to an idle cluster.
+func recoveryCost(t *testing.T, msgs int, nth uint64) replayCost {
 	t.Helper()
 	c := New(DefaultConfig(3))
 	t.Cleanup(c.Close)
 	c.Trace().Enable(false) // as the benchmark's untraced passes run
-	run := Pipeline{Msgs: 1000, Pace: 5 * simtime.Millisecond}.Start(c)
-	if !c.RunUntil(run.Done, simtime.Minute) {
-		t.Fatalf("witness saw %d of 1000 steps", len(run.Output()))
+	run := Pipeline{Msgs: msgs, Pace: 5 * simtime.Millisecond}.Start(c)
+	if !c.RunUntil(run.Done, simtime.Time(msgs)*60*simtime.Millisecond) {
+		t.Fatalf("witness saw %d of %d steps", len(run.Output()), msgs)
 	}
 	rs, ks := c.Recorder().Stats(), c.Kernel(1).Stats()
-	c.CrashProcess(run.Worker)
-	if !c.RunUntil(func() bool { return rs.RecoveriesCompleted == 1 }, simtime.Minute) {
-		t.Fatal("first recovery never completed")
+	for done := uint64(1); done < nth; done++ {
+		c.CrashProcess(run.Worker)
+		if !c.RunUntil(func() bool { return rs.RecoveriesCompleted == done }, simtime.Minute) {
+			t.Fatalf("recovery %d never completed", done)
+		}
 	}
 	c.CrashProcess(run.Worker)
 
@@ -62,15 +63,16 @@ func secondReplayCost(t *testing.T) replayCost {
 			cost.bytes += m.TotalAlloc - allocated
 		}
 		if ks.ReplayBatches > batches {
+			cost.applyBytes += m.TotalAlloc - allocated
 			cost.applyMaxBytes = max(cost.applyMaxBytes, m.TotalAlloc-allocated)
 		}
 		batches, steps = ks.ReplayBatches, run.st.Count
 		runtime.ReadMemStats(&m)
 		mallocs, allocated = m.Mallocs, m.TotalAlloc
-		return rs.RecoveriesCompleted == 2
+		return rs.RecoveriesCompleted == nth
 	}, simtime.Minute)
 	if !ok {
-		t.Fatal("second recovery never completed")
+		t.Fatalf("recovery %d never completed", nth)
 	}
 	if err := run.Check(); err != nil {
 		t.Fatal(err)
@@ -104,7 +106,9 @@ func TestReplayBatchAllocs(t *testing.T) {
 	const ceiling = 1.0
 	const bytesCeiling = 64
 	const applyCeiling = 48
-	cost := secondReplayCost(t)
+	// The second recovery replays into a worker whose queue is as deep as
+	// the first one's was.
+	cost := recoveryCost(t, 1000, 2)
 	if cost.batches < 8 {
 		t.Fatalf("second recovery applied %d replay batches; too few to measure", cost.batches)
 	}
@@ -120,6 +124,22 @@ func TestReplayBatchAllocs(t *testing.T) {
 	}
 	if cost.applyMaxBytes > applyCeiling {
 		t.Errorf("applying one replay batch allocated %d B, over the ceiling of %d B: is the queue ring regrown, or the acknowledgement allocated?", cost.applyMaxBytes, applyCeiling)
+	}
+}
+
+// TestFirstReplayAllocatesItsRingOnce pins what a first recovery's batch
+// applications allocate. A fresh incarnation's queue grows as deep as the
+// replay backs up, 4,096 slots for a 5,000-message stream, and the ring
+// grows by segments, so those events allocate each slot once: 296,048 B,
+// 1.0038 times the 294,912 B of 4,096 slots of 72 B. A ring that doubled by
+// copying into a new array read 590,960 B.
+func TestFirstReplayAllocatesItsRingOnce(t *testing.T) {
+	const ceiling = 320_000
+	cost := recoveryCost(t, 5000, 1)
+	t.Logf("%d batches: their applications allocated %d B (ceiling %d B)", cost.batches, cost.applyBytes, ceiling)
+	if cost.applyBytes > ceiling {
+		t.Errorf("the first recovery's batch applications allocated %d B, over the ceiling of %d B: is the queue ring copied as it grows?",
+			cost.applyBytes, ceiling)
 	}
 }
 
