@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -207,6 +207,11 @@ notrajectory:
 # copied it.
 nograce:
 	! grep -rnE 'chaos\.DefaultOptions|opt\.Grace|opt\.MaxRun|RunUntil\(sc\.Work\.Done' --include='*.go' --exclude-dir=chaos .
+
+# A chaos run builds one cluster, checked against PipelineRun.Model (DESIGN.md
+# "Simulation testing"): the names below are the fault-free run it replaced.
+onerun:
+	! grep -rnE 'SettleChaos\([a-zA-Z]+, chaos\.Schedule\{\}\)|baseline chaosOutcome' --include='*.go' --exclude='*_test.go' .
 
 # The recorder's stream decisions live in one package, internal/recorder/tap
 # (DESIGN.md "Recorder database"), which the recorder's frame path reaches

@@ -14,7 +14,7 @@ import (
 )
 
 // chaosSweepSeeds is how many distinct generated schedules the sweep runs.
-// Each seed is an independent scenario (its own cluster pair, workload, and
+// Each seed is an independent scenario (its own cluster, workload, and
 // fault schedule), so the sweep is the closest thing this repo has to a
 // continuous simulation-testing fleet — just compressed into one `go test`.
 const chaosSweepSeeds = 50
@@ -155,9 +155,6 @@ func TestSettlingIsFinal(t *testing.T) {
 			t.Parallel()
 			s := chaos.Generate(seed, chaos.DefaultLimits())
 			opt := ChaosSeedVariant(seed)
-			base, baseRun := ChaosScenario(seed, opt)
-			t.Cleanup(base.Close)
-			baseline := outcome(baseRun, SettleChaos(base, chaos.Schedule{}))
 			c, run := ChaosScenario(seed, opt)
 			t.Cleanup(c.Close)
 			c.Trace().SetDetailed(true)
@@ -166,18 +163,53 @@ func TestSettlingIsFinal(t *testing.T) {
 			if settled.Unsettled != nil {
 				t.Fatalf("not settled: %v", settled.Unsettled)
 			}
-			report := checkChaos(c, opt, s, settled, baseline).Report
+			model := run.Model()
+			report := checkChaos(c, opt, s, settled, model).Report
 			stop := c.Now()
 			c.Run(15 * simtime.Second)
 			later := outcome(run, nil)
 			if !slices.Equal(later.Output, settled.Output) || !bytes.Equal(later.State, settled.State) {
 				t.Errorf("output or state moved after the stop at %v:\n%q\n%q", stop, settled.Output, later.Output)
 			}
-			if again := checkChaos(c, opt, s, later, baseline).Report; again != report {
+			if again := checkChaos(c, opt, s, later, model).Report; again != report {
 				t.Errorf("report moved after the stop at %v:\n--- at the stop\n%s--- 15 s later\n%s", stop, report, again)
 			}
 		})
 	}
+}
+
+// TestFaultFreeVariantsMatchModel: the model RunChaos checks every run
+// against is what the scenario computes when nothing goes wrong. Every
+// distinct option set the census draws (ChaosSeedVariant over seeds
+// 1..censusSeeds), and each other set a test hands RunChaos with its own
+// message count or dup suppression, runs fault-free on the first seed that
+// names it: it must complete, settle, and end with the model's transcript
+// and worker state.
+func TestFaultFreeVariantsMatchModel(t *testing.T) {
+	type variant struct {
+		seed uint64
+		opt  ChaosOptions
+	}
+	vs := []variant{{5, ChaosOptions{Msgs: 15}}, {7, ChaosOptions{Medium: MediumEther, Msgs: 25}},
+		{dupBurst.Seed, ChaosOptions{BreakDupSuppression: true}}}
+	seen := map[ChaosOptions]bool{}
+	for seed := uint64(1); seed <= censusSeeds; seed++ {
+		if opt := ChaosSeedVariant(seed); !seen[opt] {
+			seen[opt] = true
+			vs = append(vs, variant{seed, opt})
+		}
+	}
+	for _, v := range vs {
+		c, run := ChaosScenario(v.seed, v.opt)
+		got := outcome(run, SettleChaos(c, chaos.Schedule{}))
+		c.Close()
+		want := run.Model()
+		if !got.Done || got.Unsettled != nil || !slices.Equal(got.Output, want.Output) || !bytes.Equal(got.State, want.State) {
+			t.Errorf("seed %d %+v fault-free: done=%v unsettled=%v state %x (model %x)\noutput %q\nmodel  %q",
+				v.seed, v.opt, got.Done, got.Unsettled, got.State, want.State, got.Output, want.Output)
+		}
+	}
+	t.Logf("%d option sets", len(vs))
 }
 
 // TestChaosRepro replays the run a reproducer token from the

@@ -201,17 +201,12 @@ func (opt ChaosOptions) Tag() string {
 // the ~10 s fault window, and still milliseconds of real time.
 const settleCap = 4 * simtime.Minute
 
-// RunChaos executes the full harness cycle for one schedule on the
-// canonical scenario with opt: a fault-free baseline run of the same seed,
-// then the faulted run with detailed tracing, then the invariant check once
-// both have settled. Both clusters are closed when it returns, so a sweep
-// of many schedules holds no finished cluster. With artifactDir set, a
+// RunChaos runs one schedule on the canonical scenario with opt, on one
+// cluster: the faulted run with detailed tracing, then, once it has settled,
+// the invariant check against PipelineRun.Model. The cluster is closed when
+// it returns, so a sweep holds no finished cluster. With artifactDir set, a
 // failing run dumps its post-mortem artifacts underneath it.
 func RunChaos(opt ChaosOptions, s chaos.Schedule, artifactDir string) ChaosResult {
-	base, baseRun := ChaosScenario(s.Seed, opt)
-	defer base.Close()
-	baseline := outcome(baseRun, SettleChaos(base, chaos.Schedule{}))
-
 	c, run := ChaosScenario(s.Seed, opt)
 	defer c.Close()
 	// Detailed tracing emits the per-record replay events the monitor's
@@ -221,7 +216,7 @@ func RunChaos(opt ChaosOptions, s chaos.Schedule, artifactDir string) ChaosResul
 	ApplyChaos(c, run, s)
 	faulted := outcome(run, SettleChaos(c, s))
 
-	r := checkChaos(c, opt, s, faulted, baseline)
+	r := checkChaos(c, opt, s, faulted, run.Model())
 	if !r.Passed() && artifactDir != "" {
 		dir, err := dumpChaosArtifacts(artifactDir, c, r)
 		if err != nil {

@@ -97,11 +97,16 @@ func recoveryCost(t *testing.T, msgs int, nth uint64) replayCost {
 // 16 to 32 B per application, as the tiny allocator's blocks fall; a reply
 // link carved per batch, from a block of links, read 0.48 allocations and
 // 24 B per batch; a header, a reply link and an acknowledgement allocated
-// per batch, 3.22 allocations and 121 B per batch and 64 B per application; a batch packed into a fresh byte buffer
-// read 1,562 B per batch, and a fresh reply per batch, a two-step encode, a
-// waiter bound per batch and a ring regrown from nil read 8.93 allocations
-// and 74,160 B per application. Allocation counts and sizes are the same on
-// every host, so the pins are exact enough to gate on.
+// per batch, 3.22 allocations and 121 B per batch and 64 B per
+// application; a batch packed into a fresh byte buffer read 1,562 B per
+// batch, and a fresh reply per batch, a two-step encode, a waiter bound per
+// batch and a ring regrown from nil read 8.93 allocations and 74,160 B per
+// application. The per-batch figures are not exact: the same test binary
+// reads 0.37 to 0.44 allocations and 16 to 23 B per batch across runs, that
+// is 10 to 12 allocations over its 27 batches, as now and then one or two
+// allocations from outside recovery land in the events the count
+// attributes to replay. The ceilings of 1.0 and 64 B stay far above that spread: one
+// allocation of recovery's own per batch adds 1.0 and crosses the first.
 func TestReplayBatchAllocs(t *testing.T) {
 	const ceiling = 1.0
 	const bytesCeiling = 64

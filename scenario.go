@@ -2,6 +2,7 @@ package publishing
 
 import (
 	"fmt"
+	"slices"
 
 	"publishing/internal/frame"
 	"publishing/internal/simtime"
@@ -64,18 +65,26 @@ func (r *PipelineRun) Output() []string { return append([]string(nil), r.msgs...
 // State returns the live worker's state, encoded as its checkpoint is.
 func (r *PipelineRun) State() []byte { return frame.AppendBody(nil, r.st, codeWorker) }
 
-// Check returns an error unless the witness saw steps 1..Msgs exactly once,
-// in order, each with the running sum of the bytes the producer sent.
-func (r *PipelineRun) Check() error {
-	if len(r.msgs) != r.n {
-		return fmt.Errorf("witness saw %d messages, want %d: %v", len(r.msgs), r.n, r.msgs)
+// Model returns what a fault-free run completes with, the worker's fold
+// over the producer's bodies: the witness transcript "step=k sum=s" for
+// k = 1..Msgs, and the worker's final state encoded as its checkpoint is,
+// whose link to the witness is the first one the worker mints, 0.
+func (r *PipelineRun) Model() chaosOutcome {
+	st := workerState{HasOut: true}
+	out := make([]string, r.n)
+	for i := range out {
+		st.Count++
+		st.Sum += int(byte(i + 1))
+		out[i] = fmt.Sprintf("step=%d sum=%d", st.Count, st.Sum)
 	}
-	sum := 0
-	for i, got := range r.msgs {
-		sum += int(byte(i + 1))
-		if want := fmt.Sprintf("step=%d sum=%d", i+1, sum); got != want {
-			return fmt.Errorf("witness[%d] = %q, want %q (full: %v)", i, got, want, r.msgs)
-		}
+	return chaosOutcome{Done: true, Output: out, State: frame.AppendBody(nil, &st, codeWorker)}
+}
+
+// Check returns an error unless the witness transcript is the model's: each
+// step 1..Msgs exactly once, in order.
+func (r *PipelineRun) Check() error {
+	if want := r.Model().Output; !slices.Equal(r.msgs, want) {
+		return fmt.Errorf("witness saw %d messages, want %d: %q", len(r.msgs), len(want), r.msgs)
 	}
 	return nil
 }
