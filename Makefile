@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
+.PHONY: check vet nopar noregime derived nohave noseg noclone nopool nopeertables ackpool nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun build test race monitor chaos shards fuzz bench scale-smoke examples shuffle
 
 check: vet build test race monitor chaos shards fuzz scale-smoke examples shuffle
 
-vet: nopar noregime derived nohave noseg noclone nopool nopeertables nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun
+vet: nopar noregime derived nohave noseg noclone nopool nopeertables ackpool nomsgmaps onecopy varints onemark onefailover onepipeline noquarantine nosweep notrajectory nograce tapcore onewindow nogob onecodec nocompact bundlebytes replaybytes keyids onecount pageframes arrrefs onerecord oneharness onewatchdog replayallocs nokeyindex ringsegments pagechunks onerun
 	$(GO) vet ./...
 
 # There is one event executor (DESIGN.md "One executor"). The names below
@@ -75,11 +75,19 @@ nopool:
 	awk '/^var \(/ { v = 1; next } v && /^\)/ { v = 0 } (v || /^var /) && tolower($$0) ~ /free|pool/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' internal/transport/*.go internal/lan/*.go
 
 # Per-peer transport state is two tables (DESIGN.md "Dense per-destination
-# tables"): each destination's send state by value, and one record per
+# tables"): each destination's send state by value, and one row per
 # sender. The names below are the per-peer tables they replaced; bringing
 # one back piecemeal, and with it an allocation at first contact, fails here.
 nopeertables:
 	! grep -rnE '\b(ackPend|perDest)\b|destTable\[\*(rtoState|rxStream|ackPending)\]' --include='*.go' --exclude='*_test.go' internal/transport
+
+# A sender's receive state is a 24-byte row of a table whose rows never
+# move, and the acks owed to it are an entry of the endpoint's ack pool,
+# held only while acks are owed (DESIGN.md "Dense per-destination tables").
+# The names below are the 112-byte per-sender record that held both, the
+# block it was carved from and the table of pointers to it.
+ackpool:
+	! grep -rnE 'rxBlockLen|type rxPeer struct|destTable\[\*' --include='*.go' --exclude='*_test.go' internal/transport
 
 # Nothing is hashed per message on the send path (DESIGN.md "Frames come
 # back", "Storage engine", "Recorder database"): a frame carries the slot of

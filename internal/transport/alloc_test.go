@@ -14,7 +14,8 @@ package transport
 // endpoint's timers — a unit's flush, a flight's
 // retransmission, a peer's delayed ack, a held frame's expiry — are
 // scheduled with their owner as the handler, so arming one allocates
-// nothing.
+// nothing. A peer's delayed acks are an entry of the endpoint's ack pool,
+// held while acks are owed to it and then handed back for the next peer.
 
 import (
 	"testing"
@@ -133,11 +134,12 @@ func TestBundleFlushMakesNoCopy(t *testing.T) {
 
 // TestPiggybackedAcksReuseTheirArrays: acknowledgements pending toward a
 // peer ride the next frame sent to it, a lone message's or a bundle's,
-// copied into an array from the endpoint's free list. The pending queue
-// keeps its own array, and the frame's goes back when the frame is reused,
-// so once warm, queueing acks and sending them piggybacked allocates
-// nothing. Handing the queue's array to the frame instead would leave the
-// queue to grow a new one for the next acks.
+// copied into an array from the endpoint's free list. The frame empties the
+// queue, so its entry goes back to the ack pool with its own array, and the
+// frame's array goes back when the frame is reused. So once warm, queueing
+// acks and sending them piggybacked allocates nothing, and every run takes
+// the pool's one entry again. Handing the queue's array to the frame
+// instead would leave the entry to grow a new one for the next acks.
 func TestPiggybackedAcksReuseTheirArrays(t *testing.T) {
 	for _, members := range []int{1, 2} {
 		e, med := newSinkEndpoint()
@@ -167,12 +169,12 @@ func TestPiggybackedAcksReuseTheirArrays(t *testing.T) {
 		if n := testing.AllocsPerRun(200, run); n != 0 {
 			t.Errorf("%d member(s): piggybacking pending acks allocated %.1f objects per send; want 0", members, n)
 		}
-		got, p := med.last, &e.rx.get(1).ack
+		got, p := med.last, e.acks.at(1)
 		switch {
 		case len(got.AckRecs) != 3 || got.AckRecs[2].ID != in.ID:
 			t.Fatalf("%d member(s): sent %v carrying acks %v; want the 3 pending", members, got, got.AckRecs)
-		case len(p.recs) != 0 || p.timerSet:
-			t.Fatalf("%d member(s): %d acks left pending", members, len(p.recs))
+		case e.rx.get(1).ack != 0 || e.acks.free != 1 || e.acks.n != 1 || len(p.recs) != 0 || p.timer.Pending():
+			t.Fatalf("%d member(s): the emptied queue was not handed back to the pool (%d acks left pending)", members, len(p.recs))
 		case cap(p.recs) < 3 || &got.AckRecs[0] == &p.recs[:1][0]:
 			t.Fatalf("%d member(s): the pending queue gave its array to the frame", members)
 		}
@@ -263,7 +265,8 @@ func TestRetransmissionCopiesTheHeader(t *testing.T) {
 // list is cold. Once the medium hands the frame back, the next flush reuses
 // it and its record array, so a warm flush allocates nothing, with one
 // record or several. Either way the frame's records are its own, and the
-// peer's pending queue keeps its backing array for the next acks.
+// emptied queue goes back to the ack pool keeping its backing array for the
+// next acks.
 func TestFlushedAckIsOneAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		recs int
@@ -277,21 +280,21 @@ func TestFlushedAckIsOneAllocation(t *testing.T) {
 				e.ack(f)
 			}
 		}
-		ack() // creates the peer's pending state and grows its array
-		p := &e.rx.get(1).ack
-		e.sched.Cancel(p.timer)
-		e.flushAcks(1)
-		n := testing.AllocsPerRun(200, func() {
+		flush := func() {
 			ack()
-			e.sched.Cancel(p.timer)
-			e.flushAcks(1)
-		})
+			e.sched.Run(e.sched.Now() + e.cfg.AckDelay)
+		}
+		flush() // takes the pool's entry and grows its array
+		n := testing.AllocsPerRun(200, flush)
 		if n != tc.want {
 			t.Errorf("%d records: flushing the delayed ack allocated %.1f objects; want %.0f", tc.recs, n, tc.want)
 		}
-		got := med.last
+		got, p := med.last, e.acks.at(1)
 		if got.Type != frame.Ack || len(got.AckRecs) != tc.recs || len(p.recs) != 0 {
 			t.Fatalf("%d records: flushed %v with %d records, %d left pending", tc.recs, got, len(got.AckRecs), len(p.recs))
+		}
+		if e.rx.get(1).ack != 0 || e.acks.free != 1 || e.acks.n != 1 {
+			t.Fatalf("%d records: the flushed queue was not handed back to the pool", tc.recs)
 		}
 		if cap(p.recs) < tc.recs {
 			t.Fatalf("%d records: the pending queue lost its backing array (cap %d)", tc.recs, cap(p.recs))
@@ -330,20 +333,21 @@ func TestHeldFrameIsOneAllocation(t *testing.T) {
 // TestFirstContactAllocations: what the first exchange with a peer costs in
 // peer state alone. A destination's send state is a row of the endpoint's
 // send table, so sending to a new destination, and taking its first
-// round-trip sample, allocates nothing. A sender's receive state — its
-// stream and the acks owed to it, with room for the first — is one object,
-// made on the first frame it sends and carved from a block of rxBlockLen, so
-// every rxBlockLen new senders cost one allocation. The endpoint's free
-// lists and its scheduler's event nodes are warmed first, and Peers
-// presizes both tables, so only peer state is counted. Peers presizes
-// the send table for every node of a cluster on every endpoint, so a row
-// costs n² over the cluster: it stays at 48 bytes.
+// round-trip sample, allocates nothing. A sender's receive stream is a row
+// of the receive table, and the acks owed to it an entry of the ack pool,
+// taken with the first ack and handed back when it is flushed; so once the
+// pool holds one entry, a first frame from a new sender allocates nothing
+// either. The endpoint's free lists and its scheduler's event nodes are
+// warmed first, and Peers presizes both tables, so only peer state is
+// counted. Peers presizes both tables for every node of a cluster on every
+// endpoint, so a row costs n² over the cluster: a send row stays at 48
+// bytes and a receive row at 24.
 func TestFirstContactAllocations(t *testing.T) {
 	if s := unsafe.Sizeof(txPeer{}); s > 48 {
 		t.Errorf("a send-table row is %d bytes; want at most 48", s)
 	}
-	if s := rxBlockLen*unsafe.Sizeof(rxPeer{}) + 8; s > 2048 || s+unsafe.Sizeof(rxPeer{}) <= 2048 {
-		t.Errorf("a block of %d rxPeers and its allocation header are %d bytes; want the most that fit in 2048", rxBlockLen, s)
+	if s := unsafe.Sizeof(rxStream{}); s > 24 {
+		t.Errorf("a receive-table row is %d bytes; want at most 24", s)
 	}
 	const peers = 32
 	cfg := DefaultConfig()
@@ -387,44 +391,44 @@ func TestFirstContactAllocations(t *testing.T) {
 	if s := e.Stats(); s.AcksReceived != exchanges || e.InFlight() != 0 {
 		t.Fatalf("%d acks received, %d in flight; want every send acked", s.AcksReceived, e.InFlight())
 	}
-	// Each run takes rxBlockLen fresh senders, so it crosses one block
-	// boundary wherever the blocks start.
-	const blocks = peers / rxBlockLen
 	next = 2 * peers
-	n = testing.AllocsPerRun(blocks, func() {
-		for range rxBlockLen {
-			recv(next)
-			next++
-		}
-	})
-	if n != 1 {
-		t.Errorf("receiving and acking a first frame from %d new senders allocated %.0f objects; want 1", rxBlockLen, n)
+	n = testing.AllocsPerRun(peers, func() { recv(next); next++ })
+	if n != 0 {
+		t.Errorf("receiving and acking a first frame from a new sender allocated %.0f objects; want 0", n)
 	}
-	if s, recvs := e.Stats(), uint64(warm+(blocks+1)*rxBlockLen); s.Delivered != recvs || s.AcksDelayedFlush != recvs {
+	if s := e.Stats(); s.Delivered != exchanges || s.AcksDelayedFlush != exchanges {
 		t.Fatalf("%d delivered, %d acks flushed; want every frame delivered and acked", s.Delivered, s.AcksDelayedFlush)
+	}
+	if e.acks.n != 1 || len(e.rx.more) != 0 {
+		t.Fatalf("the ack pool grew to %d entries and the receive table by %d chunks; want 1 and none", e.acks.n, len(e.rx.more))
 	}
 }
 
-// TestDelayedAckArmsWithoutAllocating: acknowledging a frame queues its
-// record on the peer's pending state and arms that state's delay timer,
-// with the state itself as the timer's handler. Once the state exists and
-// its record array has room, that allocates nothing. Each run empties the
-// queue and cancels the timer by hand, so the next ack arms it again.
+// TestDelayedAckArmsWithoutAllocating: acknowledging a frame toward a peer
+// nothing is owed to takes an entry of the ack pool, queues the record on it
+// and arms the entry's delay timer, with the entry itself as the timer's
+// handler. Once the pool holds a free entry whose record array has room,
+// that allocates nothing. Each run cancels the timer and hands the entry
+// back by hand, so the next ack takes it and arms it again.
 func TestDelayedAckArmsWithoutAllocating(t *testing.T) {
 	e, _ := newSinkEndpoint()
 	f := gmsg(1, 0, 1, "a")
 	f.Src = 1 // as the medium delivers it
 	n := testing.AllocsPerRun(200, func() {
-		if rp := e.rx.get(f.Src); rp != nil {
-			e.sched.Cancel(rp.ack.timer)
-			rp.ack.recs, rp.ack.timerSet = rp.ack.recs[:0], false
+		if st := e.rx.get(f.Src); st != nil && st.ack != 0 {
+			e.sched.Cancel(e.acks.at(st.ack).timer)
+			e.releaseAcks(st)
 		}
 		e.ack(f)
 	})
 	if n != 0 {
 		t.Errorf("arming the delayed ack allocated %.1f objects; want 0", n)
 	}
-	if rp := e.rx.get(f.Src); rp == nil || !rp.ack.timer.Pending() || len(rp.ack.recs) != 1 {
+	st := e.rx.get(f.Src)
+	if st == nil || st.ack != 1 || e.acks.n != 1 {
+		t.Fatal("the ack did not take the pool's one entry")
+	}
+	if p := e.acks.at(st.ack); !p.timer.Pending() || len(p.recs) != 1 || p.peer != f.Src {
 		t.Fatal("the ack was not queued with its timer armed")
 	}
 }

@@ -168,15 +168,13 @@ type Endpoint struct {
 	// in-flight set.
 	open *txUnit
 
-	// tx holds each destination's send state by value; rx holds one record
-	// per sender, made on the first frame from it (DESIGN.md "Dense
+	// tx holds each destination's send state by value, and rx each sender's
+	// receive stream; acks holds the acknowledgements owed to a sender, one
+	// entry per sender while any are owed (DESIGN.md "Dense
 	// per-destination tables").
-	tx destTable[txPeer]
-	rx destTable[*rxPeer]
-	// rxBlock is what is left of the block new rxPeers are carved from,
-	// so first contact with a sender costs no allocation of its own. A
-	// carved rxPeer never moves: its ackPending is its timer's handler.
-	rxBlock []rxPeer
+	tx   destTable[txPeer]
+	rx   rxTable
+	acks ackPool
 
 	// held are received guaranteed frames awaiting a recorder ack.
 	held map[frame.MsgID]*heldFrame
@@ -271,26 +269,23 @@ type txPeer struct {
 	valid bool
 }
 
-// rxPeer is one sender's receive state: its stream and the acknowledgements
-// owed to it. It is the one object first contact with a sender makes,
-// carved from a block of rxBlockLen.
-type rxPeer struct {
-	st  rxStream
-	ack ackPending
-}
-
-// ackPending is one peer's delayed-acknowledgement state, and the handler of
-// its own delay timer. one backs the record array until more records are
-// pending than it holds. A flush or a piggyback copies records out, so the
-// array stays the queue's.
+// ackPending is the delayed-acknowledgement queue toward one peer, and the
+// handler of its own delay timer. It is an entry of the endpoint's ackPool,
+// held only while acks are owed: ack takes it with the first record queued
+// toward the peer and arms its timer, and flushAcks, attachAcks and Reset
+// give it back once its queue is empty and no timer is armed, so a held
+// entry always has its timer armed. one backs the record array until more
+// records are pending than it holds. A flush or a piggyback copies records
+// out, so the array stays the entry's, and a returned entry keeps it.
 type ackPending struct {
-	e        *Endpoint
-	epoch    uint64 // the endpoint's epoch when the timer was armed
-	recs     []frame.AckRec
-	timer    simtime.Event
-	peer     frame.NodeID
-	timerSet bool
-	one      [1]frame.AckRec
+	e     *Endpoint
+	epoch uint64 // the endpoint's epoch when the timer was armed
+	recs  []frame.AckRec
+	timer simtime.Event
+	peer  frame.NodeID
+	// next chains the free entries: the handle of the next one, 0 ending it.
+	next uint32
+	one  [1]frame.AckRec
 }
 
 // Fire is the delayed-ack timer: no reverse traffic took the pending
@@ -300,6 +295,56 @@ func (p *ackPending) Fire() {
 		return
 	}
 	p.e.flushAcks(p.peer)
+}
+
+// ackPool holds an endpoint's ackPending entries, each named by a handle
+// from 1: the first ackChunk are held inline, and the rest in chunks of
+// ackChunk, so an entry never moves and can be its timer's handler. Free
+// entries chain from free. n is how many entries the pool has handed out
+// at once at most, its high-water mark.
+type ackPool struct {
+	first [ackChunk]ackPending
+	more  []*[ackChunk]ackPending
+	free  uint32
+	n     uint32
+}
+
+// ackChunk is how many entries the pool holds inline, and adds at a time.
+const ackChunk = 8
+
+// at returns entry h.
+func (p *ackPool) at(h uint32) *ackPending {
+	i := h - 1
+	if i < ackChunk {
+		return &p.first[i]
+	}
+	i -= ackChunk
+	return &p.more[i/ackChunk][i%ackChunk]
+}
+
+// take hands out a free entry, or a new one, and its handle.
+func (p *ackPool) take() (uint32, *ackPending) {
+	if h := p.free; h != 0 {
+		a := p.at(h)
+		p.free, a.next = a.next, 0
+		return h, a
+	}
+	p.n++
+	if p.n > ackChunk*uint32(1+len(p.more)) {
+		p.more = append(p.more, new([ackChunk]ackPending))
+	}
+	a := p.at(p.n)
+	a.recs = a.one[:0]
+	return p.n, a
+}
+
+// releaseAcks gives the entry of the acks owed to st's sender back to the
+// pool. Its queue is empty and its timer fired or cancelled.
+func (e *Endpoint) releaseAcks(st *rxStream) {
+	a := e.acks.at(st.ack)
+	a.recs = a.recs[:0]
+	a.next, e.acks.free = e.acks.free, st.ack
+	st.ack = 0
 }
 
 // maxPiggybackRecs bounds acknowledgement records attached to one data
@@ -313,10 +358,16 @@ const ackReserve = maxPiggybackRecs*frame.AckRecLen + 16
 // srtt + max(G, 4*rttvar).
 const rtoGranularity = simtime.Millisecond
 
-// rxStream reassembles one sender's guaranteed-frame stream in order.
+// rxStream is one sender's receive state, a 24-byte row of the rx table:
+// its guaranteed-frame stream, reassembled in order, and the handle of the
+// acknowledgements owed to it. The zero row is a sender not heard yet.
 type rxStream struct {
-	epoch    uint16
-	synced   bool
+	epoch  uint16
+	synced bool
+	// ack is the handle of the ackPending holding the acks owed to the
+	// sender while any are, and 0 otherwise. It packs into the padding
+	// before expected.
+	ack      uint32
 	expected uint64
 	// buf holds out-of-order and refused frames, each a header copy of the
 	// stream's own: a wire frame is valid only during Receive.
@@ -418,7 +469,7 @@ func New(node frame.NodeID, med lan.Medium, sched *simtime.Scheduler, log *trace
 	}
 	if n := cfg.Peers; n > 0 {
 		e.tx.presize(n)
-		e.rx.presize(n)
+		e.rx.first = make([]rxStream, n)
 	}
 	if cfg.Metrics != nil {
 		e.ackRTT = cfg.Metrics.Histogram(int(node), "transport", "ack_rtt_ns")
@@ -468,9 +519,10 @@ func (e *Endpoint) Reset() {
 			e.sched.Cancel(u.timer)
 		}
 	}
-	for _, rp := range e.rx.v {
-		if rp != nil && rp.ack.timerSet {
-			e.sched.Cancel(rp.ack.timer)
+	for id := range e.rx.len() {
+		if st := e.rx.get(frame.NodeID(id)); st.ack != 0 {
+			e.sched.Cancel(e.acks.at(st.ack).timer)
+			e.releaseAcks(st)
 		}
 	}
 	e.sendq = frameRing{}
@@ -1273,8 +1325,8 @@ func (e *Endpoint) releaseHeld(id frame.MsgID) {
 // delivered reports whether f's sender stream has handed f up already. It
 // is a read-only look: unlike stream, it never restarts the stream.
 func (e *Endpoint) delivered(f *frame.Frame) bool {
-	rp := e.rx.get(f.Src)
-	return rp != nil && rp.st.synced && rp.st.epoch == xseqEpoch(f.XSeq) && xseqSeq(f.XSeq) < rp.st.expected
+	st := e.rx.get(f.Src)
+	return st != nil && st.synced && st.epoch == xseqEpoch(f.XSeq) && xseqSeq(f.XSeq) < st.expected
 }
 
 // accept finishes end-to-end reception: in-order reassembly, duplicate
@@ -1322,33 +1374,13 @@ func (e *Endpoint) accept(f *frame.Frame) {
 	e.advance(st, f)
 }
 
-// peer returns src's receive state, making it on first contact.
-func (e *Endpoint) peer(src frame.NodeID) *rxPeer {
-	rp := e.rx.get(src)
-	if rp == nil {
-		if len(e.rxBlock) == 0 {
-			e.rxBlock = make([]rxPeer, rxBlockLen)
-		}
-		rp, e.rxBlock = &e.rxBlock[0], e.rxBlock[1:]
-		rp.ack = ackPending{e: e, peer: src}
-		rp.ack.recs = rp.ack.one[:0]
-		*e.rx.at(src) = rp
-	}
-	return rp
-}
-
-// rxBlockLen is how many rxPeers one allocation holds: 18 of 112 bytes and
-// the 8-byte header the allocator puts on a pointerful object over 512
-// bytes fill a 2 KB size class. 16 would leave 248 bytes of it unused.
-const rxBlockLen = 18
-
 // stream returns the reassembly state for src's current boot epoch. A newer
 // epoch (the sender rebooted and restarted its sequence space) restarts the
 // stream in place, discarding what it buffered; the acks owed to the sender
 // stay queued. A frame from an older epoch (16-bit serial order) is a stale
 // copy: stream returns nil and leaves the stream alone.
 func (e *Endpoint) stream(src frame.NodeID, epoch uint16) *rxStream {
-	st := &e.peer(src).st
+	st := e.rx.at(src)
 	if st.synced && int16(epoch-st.epoch) < 0 {
 		return nil
 	}
@@ -1356,7 +1388,7 @@ func (e *Endpoint) stream(src frame.NodeID, epoch uint16) *rxStream {
 		// buf is made lazily on the first out-of-order or refused frame; an
 		// in-order stream never needs it.
 		clear(st.buf)
-		*st = rxStream{epoch: epoch, buf: st.buf}
+		*st = rxStream{epoch: epoch, ack: st.ack, buf: st.buf}
 	}
 	return st
 }
@@ -1409,9 +1441,9 @@ func (e *Endpoint) drain(st *rxStream) {
 // when a recovering process becomes able to accept messages again, rather
 // than waiting out a retransmission interval).
 func (e *Endpoint) Poke() {
-	for _, rp := range e.rx.v {
-		if rp != nil && rp.st.synced {
-			e.drain(&rp.st)
+	for id := range e.rx.len() {
+		if st := e.rx.get(frame.NodeID(id)); st.synced {
+			e.drain(st)
 		}
 	}
 }
@@ -1458,19 +1490,23 @@ func (e *Endpoint) Abort(pred func(f *frame.Frame) bool) []*frame.Frame {
 // frame when the delay expires first.
 func (e *Endpoint) ack(f *frame.Frame) {
 	e.stats.AcksSent++
-	p := &e.peer(f.Src).ack
 	rec := frame.AckRec{ID: f.ID, Rcv: f.To}
+	st := e.rx.at(f.Src)
+	if st.ack == 0 {
+		var p *ackPending
+		st.ack, p = e.acks.take()
+		p.e, p.epoch, p.peer = e, e.epoch, f.Src
+		p.recs = append(p.recs, rec)
+		p.timer = e.sched.AfterHandler(e.cfg.AckDelay, p)
+		return
+	}
+	p := e.acks.at(st.ack)
 	for i := range p.recs {
 		if p.recs[i] == rec {
 			return // a duplicate's re-ack is already queued
 		}
 	}
 	p.recs = append(p.recs, rec)
-	if !p.timerSet {
-		p.timerSet = true
-		p.epoch = e.epoch
-		p.timer = e.sched.AfterHandler(e.cfg.AckDelay, p)
-	}
 }
 
 // maxFlushAckRecs bounds the acknowledgement records of one standalone
@@ -1502,14 +1538,14 @@ func (e *Endpoint) newAck() *ackFrame {
 // flushAcks emits the acknowledgements pending toward src as standalone
 // cumulative Ack frames — the fallback when the delay expires with no
 // reverse-direction traffic to ride. Each frame copies its records into its
-// own array, so the pending queue keeps its backing array for the next acks.
+// own array, so the pending queue keeps its backing array for the next acks,
+// and the emptied queue goes back to the pool.
 func (e *Endpoint) flushAcks(src frame.NodeID) {
-	rp := e.rx.get(src)
-	if rp == nil {
+	st := e.rx.get(src)
+	if st == nil || st.ack == 0 {
 		return
 	}
-	p := &rp.ack
-	p.timerSet = false
+	p := e.acks.at(st.ack)
 	for recs := p.recs; len(recs) > 0; {
 		n := min(len(recs), maxFlushAckRecs)
 		a := e.newAck()
@@ -1527,7 +1563,7 @@ func (e *Endpoint) flushAcks(src frame.NodeID) {
 		e.send(f, owner{ack: a})
 		recs = recs[n:]
 	}
-	p.recs = p.recs[:0]
+	e.releaseAcks(st)
 }
 
 // cumFor returns the cumulative acknowledgement (XSeq layout) for the stream
@@ -1535,11 +1571,11 @@ func (e *Endpoint) flushAcks(src frame.NodeID) {
 // been accepted and acknowledged here, so the sender may complete frames
 // whose individual acks were lost or superseded.
 func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
-	rp := e.rx.get(src)
-	if rp == nil || !rp.st.synced || rp.st.expected == 0 {
+	st := e.rx.get(src)
+	if st == nil || !st.synced || st.expected == 0 {
 		return 0, false
 	}
-	return uint64(rp.st.epoch)<<48 | ((rp.st.expected - 1) & xseqSeqMask), true
+	return uint64(st.epoch)<<48 | ((st.expected - 1) & xseqSeqMask), true
 }
 
 // attachAcks piggybacks pending acknowledgement state for f.Dst onto an
@@ -1548,7 +1584,8 @@ func (e *Endpoint) cumFor(src frame.NodeID) (uint64, bool) {
 // header copy, which transmit clears of the first attempt's block, so each
 // attempt carries only what is pending at its own send time. The records
 // are copied into an array from the free list, which goes back when f is
-// reused, so the pending queue keeps its own array for the next acks.
+// reused, so the pending queue keeps its own array for the next acks. A
+// queue the frame empties stops its timer and goes back to the pool.
 func (e *Endpoint) attachAcks(f *frame.Frame) {
 	if f.Dst == frame.Broadcast {
 		return
@@ -1557,11 +1594,11 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 		f.AckCumSet = true
 		f.AckCum = cum
 	}
-	rp := e.rx.get(f.Dst)
-	if rp == nil || len(rp.ack.recs) == 0 {
+	st := e.rx.get(f.Dst)
+	if st == nil || st.ack == 0 {
 		return
 	}
-	p := &rp.ack
+	p := e.acks.at(st.ack)
 	n := len(p.recs)
 	if n > maxPiggybackRecs {
 		n = maxPiggybackRecs
@@ -1577,9 +1614,9 @@ func (e *Endpoint) attachAcks(f *frame.Frame) {
 	f.AckRecs = append(e.newAckRecs(), p.recs[:n]...)
 	p.recs = p.recs[:copy(p.recs, p.recs[n:])]
 	e.stats.AcksPiggybacked += uint64(n)
-	if len(p.recs) == 0 && p.timerSet {
-		p.timerSet = false
+	if len(p.recs) == 0 {
 		e.sched.Cancel(p.timer)
+		e.releaseAcks(st)
 	}
 }
 
@@ -1639,6 +1676,60 @@ func (d *destTable[T]) reset() {
 func (d *destTable[T]) presize(n int) {
 	if n > len(d.v) {
 		d.v = make([]T, n)
+	}
+}
+
+// rxTable holds one rxStream row per sender, by value, indexed by NodeID.
+// Rows never move, so a *rxStream stays valid while a delivery upcall adds
+// rows for new senders: ids below len(first), which Config.Peers sizes, are
+// rows of first, and the ids past it fall in chunks of rxChunk rows, added
+// as the ids appear. A row no frame has reached is the zero row, a sender
+// not heard yet.
+type rxTable struct {
+	first []rxStream
+	more  []*[rxChunk]rxStream
+}
+
+// rxChunk is how many rows a chunk holds: 16 of 24 bytes fill a 384-byte
+// size class. Past 512 bytes the allocator adds an 8-byte header to an
+// object with pointers, so 32 rows would take an 896-byte class.
+const rxChunk = 16
+
+// len is the number of ids the table has rows for.
+func (t *rxTable) len() int { return len(t.first) + rxChunk*len(t.more) }
+
+// get returns id's row, or nil if the table has none for it.
+func (t *rxTable) get(id frame.NodeID) *rxStream {
+	i := int(id)
+	switch {
+	case i < 0:
+		return nil
+	case i < len(t.first):
+		return &t.first[i]
+	}
+	i -= len(t.first)
+	if k := i / rxChunk; k < len(t.more) {
+		return &t.more[k][i%rxChunk]
+	}
+	return nil
+}
+
+// at returns id's row, adding chunks until the table has one.
+func (t *rxTable) at(id frame.NodeID) *rxStream {
+	if id < 0 {
+		panic("transport: rxTable.at on negative node id")
+	}
+	for int(id) >= t.len() {
+		t.more = append(t.more, new([rxChunk]rxStream))
+	}
+	return t.get(id)
+}
+
+// reset zeroes every row in place.
+func (t *rxTable) reset() {
+	clear(t.first)
+	for _, c := range t.more {
+		clear(c[:])
 	}
 }
 

@@ -562,7 +562,7 @@ func TestHeldPathReacksDeliveredCopy(t *testing.T) {
 	if len(e.got[1]) != 1 {
 		t.Fatalf("delivered %d times before the duplicate, want 1", len(e.got[1]))
 	}
-	st := e.eps[1].rx.get(0).st
+	st := *e.eps[1].rx.get(0)
 	dup := keep(e.got[1][0])
 	dup.Src, dup.Type = 0, frame.Guaranteed
 	e.med.Send(0, dup)
@@ -574,7 +574,7 @@ func TestHeldPathReacksDeliveredCopy(t *testing.T) {
 	if s.DupsSuppressed != 1 || s.AcksSent != 2 {
 		t.Fatalf("%d duplicates suppressed, %d acks sent; want the duplicate re-acked", s.DupsSuppressed, s.AcksSent)
 	}
-	if got := e.eps[1].rx.get(0).st; got.epoch != st.epoch || got.expected != st.expected || !got.synced {
+	if got := *e.eps[1].rx.get(0); got.epoch != st.epoch || got.expected != st.expected || !got.synced {
 		t.Fatalf("the look moved the stream: %+v, was %+v", got, st)
 	}
 	e.sched.RunAll(100000)
@@ -600,13 +600,13 @@ func TestStaleEpochCopyDoesNotRestartStream(t *testing.T) {
 	if len(e.got[1]) != 2 {
 		t.Fatalf("delivered %d, want both epochs' messages", len(e.got[1]))
 	}
-	st := e.eps[1].rx.get(0).st
+	st := *e.eps[1].rx.get(0)
 	e.med.Send(0, stale)
 	e.sched.RunAll(100000)
 	if len(e.got[1]) != 2 {
 		t.Fatalf("the stale copy was delivered: %d deliveries", len(e.got[1]))
 	}
-	if got := e.eps[1].rx.get(0).st; got.epoch != st.epoch || got.expected != st.expected {
+	if got := *e.eps[1].rx.get(0); got.epoch != st.epoch || got.expected != st.expected {
 		t.Fatalf("the stale copy restarted the stream: epoch %d expected %d, was %d %d", got.epoch, got.expected, st.epoch, st.expected)
 	}
 	// The new epoch goes on where it was.
